@@ -2,69 +2,10 @@
 
 __version__ = "0.1.0"
 
-from .certificate import (
-    Certificate,
-    CertificationError,
-    SearchGrid,
-    ViolationReport,
-    certify,
-    inf_on_ball,
-    packing_bound,
-    riemann_upper_sum,
-    u_theta,
-    u_theta_increment,
-    verify_certificate,
-)
-from .dynamics import (
-    AuditError,
-    DynamicsError,
-    Event,
-    ModelSpec,
-    SimulationState,
-    SimulationTrace,
-    Snapshot,
-    initial_state,
-    run,
-)
-from .geometry import (
-    GeometryError,
-    Torus,
-    TorusConfiguration,
-    Window,
-    pairwise_periodic_distances,
-    periodic_distance,
-    sample_poisson,
-)
-from .kernels import (
-    ImmigrationField,
-    KernelError,
-    RadialKernel,
-    exponential,
-    gaussian,
-    tabulated,
-    triangular,
-    unit_ball_volume,
-)
-from .oracles import (
-    NormBoundInput,
-    OracleError,
-    bp_meanfield_density,
-    contact_dies_out,
-    norm_bound_bp,
-    norm_bound_migration,
-    surgailis_density,
-)
-from .statistics import (
-    EnvelopeFit,
-    MomentReport,
-    PairCorrelation,
-    StatisticsError,
-    build_moment_report,
-    density,
-    envelope_fit,
-    factorial_moments,
-    ordinary_from_factorial,
-    pair_correlation,
-)
+from .certificate import certify, verify_certificate
+from .dynamics import ModelSpec, run
+from .geometry import Torus, sample_poisson
+from .kernels import gaussian, triangular
+from .statistics import build_moment_report
 
 __all__ = [name for name in dir() if not name.startswith("_")]

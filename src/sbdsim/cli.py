@@ -225,6 +225,25 @@ def _certify_from_config(cfg: RunConfig) -> Certificate:
     )
 
 
+def _verify_from_config(cfg: RunConfig, cert: Certificate, **extra):
+    """Attack ``cert`` as the config says and write violations.json.
+
+    ``extra`` fields are added to the written payload; returns the report
+    and the payload.
+    """
+    report = verify_certificate(
+        cert,
+        cfg.model.a_plus,
+        cfg.model.a_minus,
+        trials=cfg.cert_trials,
+        size_max=cfg.cert_size_max,
+        rng=replica_rng(cfg.seed, 0),
+    )
+    payload = {**report.to_dict(), **extra}
+    (cfg.out_dir / "violations.json").write_text(json.dumps(payload, indent=2))
+    return report, payload
+
+
 def cmd_certify(args) -> int:
     cfg = _load_with_overrides(args)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -236,18 +255,7 @@ def cmd_certify(args) -> int:
     cert.self_check()
     (cfg.out_dir / "certificate.json").write_text(json.dumps(cert.to_dict(), indent=2))
 
-    rng = replica_rng(cfg.seed, 0)
-    report = verify_certificate(
-        cert,
-        cfg.model.a_plus,
-        cfg.model.a_minus,
-        trials=cfg.cert_trials,
-        size_max=cfg.cert_size_max,
-        rng=rng,
-    )
-    (cfg.out_dir / "violations.json").write_text(
-        json.dumps(report.to_dict(), indent=2)
-    )
+    report, _ = _verify_from_config(cfg, cert)
     print(json.dumps(cert.to_dict(), indent=2))
     if not report.passed:
         print(
@@ -270,20 +278,11 @@ def cmd_verify(args) -> int:
         except CertificationError as exc:
             print(f"certification failed: {exc}", file=sys.stderr)
             return EXIT_CHECK_FAILED
-    rng = replica_rng(cfg.seed, 0)
-    report = verify_certificate(
-        cert,
-        cfg.model.a_plus,
-        cfg.model.a_minus,
-        trials=cfg.cert_trials,
-        size_max=cfg.cert_size_max,
-        rng=rng,
-    )
     argmin_path = cfg.out_dir / "argmin.csv"
+    report, payload = _verify_from_config(
+        cfg, cert, argmin_config_csv_path=str(argmin_path)
+    )
     _write_points_csv(argmin_path, report.argmin_points)
-    payload = report.to_dict()
-    payload["argmin_config_csv_path"] = str(argmin_path)
-    (cfg.out_dir / "violations.json").write_text(json.dumps(payload, indent=2))
     print(json.dumps(payload, indent=2))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 

@@ -20,13 +20,29 @@ from .certificate import SearchGrid
 from .dynamics import DEFAULT_MAX_POPULATION, ModelSpec
 from .geometry import Torus, TorusConfiguration, Window
 from .kernels import (
+    ExponentialKernel,
+    GaussianKernel,
     ImmigrationField,
     RadialKernel,
+    TabulatedKernel,
+    TriangularKernel,
     exponential,
     gaussian,
     tabulated,
     triangular,
 )
+
+# family -> (kernel class, factory, parameter names in factory order)
+KERNEL_FAMILIES = {
+    "gaussian": (GaussianKernel, gaussian, ("weight", "sigma")),
+    "triangular": (TriangularKernel, triangular, ("height", "radius")),
+    "exponential": (ExponentialKernel, exponential, ("weight", "scale")),
+    "tabulated": (
+        TabulatedKernel,
+        tabulated,
+        ("radii", "values", "tail_sup_bound", "tail_mass_bound"),
+    ),
+}
 
 
 class ConfigError(ValueError):
@@ -91,54 +107,42 @@ def kernel_from_config(data, path: str, dim_expected: int | None = None):
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"{path}.params", "expected an object")
+    if not isinstance(family, str) or family not in KERNEL_FAMILIES:
+        raise ConfigError(f"{path}.family", f"unknown kernel family {family!r}")
+    _, factory, names = KERNEL_FAMILIES[family]
     try:
-        if family == "gaussian":
-            return gaussian(
-                _as_number(_require(params, "weight", f"{path}.params"),
-                           f"{path}.params.weight", strict_min=0.0),
-                _as_number(_require(params, "sigma", f"{path}.params"),
-                           f"{path}.params.sigma", strict_min=0.0),
-                dim,
-            )
-        if family == "triangular":
-            return triangular(
-                _as_number(_require(params, "height", f"{path}.params"),
-                           f"{path}.params.height", strict_min=0.0),
-                _as_number(_require(params, "radius", f"{path}.params"),
-                           f"{path}.params.radius", strict_min=0.0),
-                dim,
-            )
-        if family == "exponential":
-            return exponential(
-                _as_number(_require(params, "weight", f"{path}.params"),
-                           f"{path}.params.weight", strict_min=0.0),
-                _as_number(_require(params, "scale", f"{path}.params"),
-                           f"{path}.params.scale", strict_min=0.0),
-                dim,
-            )
-        if family == "tabulated":
-            if "csv" in params:
-                table = np.loadtxt(params["csv"], delimiter=",", ndmin=2)
-                radii, values = table[:, 0], table[:, 1]
-            else:
-                radii = params.get("radii")
-                values = params.get("values")
-                if radii is None or values is None:
-                    raise ConfigError(
-                        f"{path}.params", "tabulated needs csv or radii+values"
+        if family != "tabulated":
+            return factory(
+                *(
+                    _as_number(
+                        _require(params, name, f"{path}.params"),
+                        f"{path}.params.{name}",
+                        strict_min=0.0,
                     )
-            return tabulated(
-                np.asarray(radii, dtype=float),
-                np.asarray(values, dtype=float),
+                    for name in names
+                ),
                 dim,
-                tail_sup_bound=float(params.get("tail_sup_bound", 0.0)),
-                tail_mass_bound=float(params.get("tail_mass_bound", 0.0)),
             )
+        if "csv" in params:
+            table = np.loadtxt(params["csv"], delimiter=",", ndmin=2)
+            radii, values = table[:, 0], table[:, 1]
+        else:
+            radii = params.get("radii")
+            values = params.get("values")
+            if radii is None or values is None:
+                raise ConfigError(
+                    f"{path}.params", "tabulated needs csv or radii+values"
+                )
+        return factory(
+            np.asarray(radii, dtype=float),
+            np.asarray(values, dtype=float),
+            dim,
+            **{name: float(params.get(name, 0.0)) for name in names[2:]},
+        )
     except ConfigError:
         raise
     except Exception as exc:
         raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(f"{path}.family", f"unknown kernel family {family!r}")
 
 
 def immigration_from_config(data, path: str):
@@ -362,42 +366,15 @@ def load_config(path: str | Path) -> RunConfig:
 def kernel_to_config(kernel: RadialKernel | None):
     if kernel is None:
         return None
-    from .kernels import (
-        ExponentialKernel,
-        GaussianKernel,
-        TabulatedKernel,
-        TriangularKernel,
-    )
-
-    if isinstance(kernel, GaussianKernel):
-        return {
-            "family": "gaussian",
-            "params": {"weight": kernel.weight, "sigma": kernel.sigma},
-            "dim": kernel.dim,
-        }
-    if isinstance(kernel, TriangularKernel):
-        return {
-            "family": "triangular",
-            "params": {"height": kernel.height, "radius": kernel.radius},
-            "dim": kernel.dim,
-        }
-    if isinstance(kernel, ExponentialKernel):
-        return {
-            "family": "exponential",
-            "params": {"weight": kernel.weight, "scale": kernel.scale},
-            "dim": kernel.dim,
-        }
-    if isinstance(kernel, TabulatedKernel):
-        return {
-            "family": "tabulated",
-            "params": {
-                "radii": kernel.radii.tolist(),
-                "values": kernel.values.tolist(),
-                "tail_sup_bound": kernel.tail_sup_bound,
-                "tail_mass_bound": kernel.tail_mass_bound,
-            },
-            "dim": kernel.dim,
-        }
+    for family, (cls, _, names) in KERNEL_FAMILIES.items():
+        if isinstance(kernel, cls):
+            return {
+                "family": family,
+                "params": {
+                    name: np.asarray(getattr(kernel, name)).tolist() for name in names
+                },
+                "dim": kernel.dim,
+            }
     raise ConfigError("model", f"cannot serialize kernel type {type(kernel)!r}")
 
 

@@ -111,11 +111,11 @@ class Snapshot:
 
 
 class SimulationState:
-    """Mutable simulator state: configuration, clock, and rate caches.
+    """Mutable simulator state: model, configuration and clock.
 
-    ``_load[i]`` caches the competition part of point i's death rate (the sum
-    of a_minus over its neighbors); the full death rate is m + load.  Points
-    live in parallel arrays with swap-remove deletion, keyed by stable ids.
+    The configuration's load column caches the competition part of each
+    point's death rate (the sum of a_minus over its neighbours); the full
+    death rate is m + load.
     """
 
     def __init__(self, spec: ModelSpec, cfg: TorusConfiguration):
@@ -139,85 +139,44 @@ class SimulationState:
         else:
             self._b_total = 0.0
         self._birth_mass = 0.0 if spec.a_plus is None else spec.a_plus.mass()
+        cfg.loads[:] = self._fresh_loads()
 
-        self._ids: list[int] = []
-        self._slot: dict[int, int] = {}
-        self._load = np.zeros(max(len(cfg), 16))
-        self._n = 0
-        for pid in cfg.ids():
-            self._register(pid)
-        self._recompute_loads()
-
-    # -- bookkeeping -------------------------------------------------------
-
-    def _register(self, pid: int) -> None:
-        if self._n == self._load.size:
-            self._load = np.resize(self._load, 2 * self._load.size)
-        self._slot[pid] = self._n
-        if self._n < len(self._ids):
-            self._ids[self._n] = pid
-        else:
-            self._ids.append(pid)
-        self._load[self._n] = 0.0
-        self._n += 1
-
-    def _unregister(self, pid: int) -> None:
-        slot = self._slot.pop(pid)
-        last = self._n - 1
-        if slot != last:
-            moved = self._ids[last]
-            self._ids[slot] = moved
-            self._load[slot] = self._load[last]
-            self._slot[moved] = slot
-        self._n = last
-        del self._ids[last]
-
-    def _recompute_loads(self) -> None:
-        a_minus = self.spec.a_minus
-        for pid, slot in self._slot.items():
-            if a_minus is None:
-                self._load[slot] = 0.0
-            else:
-                self._load[slot] = self.cfg.kernel_sum_at(
-                    a_minus, self.cfg.position(pid), exclude=pid
-                )
+    def _fresh_loads(self) -> np.ndarray:
+        """Every point's competition load computed from scratch, one per row."""
+        if self.spec.a_minus is None:
+            return np.zeros(len(self.cfg))
+        return self.cfg.kernel_sums(self.spec.a_minus)
 
     @property
     def population(self) -> int:
-        return self._n
+        return len(self.cfg)
 
     def death_rates(self) -> np.ndarray:
-        """Per-point death rates, aligned with the internal slot order."""
-        return self.spec.m + self._load[: self._n]
-
-    def death_rate_of(self, pid: int) -> float:
-        return float(self.spec.m + self._load[self._slot[pid]])
+        """Per-point death rates, aligned with the configuration's rows."""
+        return self.spec.m + self.cfg.loads
 
     def total_rates(self) -> tuple[float, float]:
         """(total birth rate B, total death rate D) for the current state."""
+        n = len(self.cfg)
         if self.spec.variant == "migration":
             b = self._b_total
         else:
-            b = self._n * self._birth_mass
-        d = self.spec.m * self._n + float(self._load[: self._n].sum())
+            b = n * self._birth_mass
+        d = self.spec.m * n + float(self.cfg.loads.sum())
         return b, d
 
     def audit(self, rel_tol: float = 1e-9) -> None:
         """Recompute every cached load from scratch; raise AuditError on drift."""
-        a_minus = self.spec.a_minus
-        for pid, slot in self._slot.items():
-            if a_minus is None:
-                fresh = 0.0
-            else:
-                fresh = self.cfg.kernel_sum_at(
-                    a_minus, self.cfg.position(pid), exclude=pid
-                )
-            cached = float(self._load[slot])
-            if abs(cached - fresh) > rel_tol * (1.0 + abs(fresh)):
-                raise AuditError(
-                    f"death-rate cache for point {pid} drifted: "
-                    f"cached {cached!r}, recomputed {fresh!r}"
-                )
+        cached = self.cfg.loads
+        fresh = self._fresh_loads()
+        drift = np.abs(cached - fresh) > rel_tol * (1.0 + np.abs(fresh))
+        drifted = np.flatnonzero(drift)
+        if drifted.size:
+            row = drifted[0]
+            raise AuditError(
+                f"death-rate cache for point {self.cfg.point_at(row)} drifted: "
+                f"cached {float(cached[row])!r}, recomputed {float(fresh[row])!r}"
+            )
         if self.cfg.cell_index() != self.cfg.rebuilt_cell_index():
             raise AuditError("cell index differs from a from-scratch rebuild")
 
@@ -226,33 +185,42 @@ class SimulationState:
     def _add_point(self, position: np.ndarray) -> int:
         a_minus = self.spec.a_minus
         pid = self.cfg.insert(position)
-        self._register(pid)
         if a_minus is not None:
-            x = self.cfg.position(pid)
-            ids, dists = self.cfg.neighbors_within(
-                x, a_minus.cutoff_radius(), exclude=pid
+            rows, dists = self.cfg.neighbors_within(
+                self.cfg.position(pid), a_minus.cutoff_radius(), exclude=pid
             )
-            if ids:
+            if rows.size:
                 contrib = a_minus.profile(dists)
-                for other, c in zip(ids, contrib):
-                    self._load[self._slot[other]] += c
-                self._load[self._slot[pid]] = float(contrib.sum())
+                loads = self.cfg.loads
+                loads[rows] += contrib
+                loads[-1] = float(contrib.sum())  # insert appended the new row
         return pid
 
     def _remove_point(self, pid: int) -> np.ndarray:
+        """Delete a point and take its contribution out of its neighbours' loads.
+
+        A load may end a rounding residue below zero and is then set to 0;
+        one further below means the cache is corrupt and raises AuditError.
+        """
         a_minus = self.spec.a_minus
         x = self.cfg.position(pid)
         if a_minus is not None:
-            ids, dists = self.cfg.neighbors_within(
+            rows, dists = self.cfg.neighbors_within(
                 x, a_minus.cutoff_radius(), exclude=pid
             )
-            if ids:
+            if rows.size:
                 contrib = a_minus.profile(dists)
-                for other, c in zip(ids, contrib):
-                    slot = self._slot[other]
-                    self._load[slot] = max(0.0, self._load[slot] - c)
+                loads = self.cfg.loads
+                left = loads[rows] - contrib
+                corrupt = np.flatnonzero(left < -1e-9 * (1.0 + contrib))
+                if corrupt.size:
+                    i = corrupt[0]
+                    raise AuditError(
+                        f"death-rate cache for point {self.cfg.point_at(rows[i])} "
+                        f"fell to {float(left[i])!r} on removing point {pid}"
+                    )
+                loads[rows] = np.maximum(left, 0.0)
         self.cfg.remove(pid)
-        self._unregister(pid)
         return x
 
     def _apply_event(self, b: float, d: float, rng: np.random.Generator) -> Event:
@@ -260,40 +228,26 @@ class SimulationState:
 
         The clock must already sit at the event time.
         """
+        n = len(self.cfg)
         if rng.random() * (b + d) < b:
             if self.spec.variant == "migration":
                 pos = self.spec.b.sample_position(self.torus.side, self.torus.dim, rng)
                 parent = None
             else:
-                parent = self._ids[int(rng.integers(self._n))]
+                parent = self.cfg.point_at(int(rng.integers(n)))
                 disp = self.spec.a_plus.sample_displacement(rng)
                 pos = self.torus.wrap(self.cfg.position(parent) + disp)
             pid = self._add_point(pos)
             return Event(self.t, "birth", self.cfg.position(pid), pid, parent)
-        rates = self.death_rates()
-        cum = np.cumsum(rates)
-        slot = int(np.searchsorted(cum, rng.random() * cum[-1]))
-        slot = min(slot, self._n - 1)
-        pid = self._ids[slot]
+        cum = np.cumsum(self.death_rates())
+        row = int(np.searchsorted(cum, rng.random() * cum[-1]))
+        pid = self.cfg.point_at(min(row, n - 1))
         pos = self._remove_point(pid)
         return Event(self.t, "death", pos, pid, None)
-
-    def step(self, rng: np.random.Generator) -> Event | None:
-        """Advance one event; None when no event can occur (absorbed)."""
-        b, d = self.total_rates()
-        total = b + d
-        if total <= 0.0:
-            return None
-        self.t += rng.exponential(1.0 / total)
-        return self._apply_event(b, d, rng)
 
     def snapshot(self, at_time: float) -> Snapshot:
         ids = np.array(self.cfg.ids(), dtype=int)
         return Snapshot(float(at_time), ids, self.cfg.positions_array())
-
-
-def initial_state(spec: ModelSpec, cfg: TorusConfiguration) -> SimulationState:
-    return SimulationState(spec, cfg)
 
 
 @dataclass

@@ -127,69 +127,101 @@ class Window:
 
 
 class TorusConfiguration:
-    """Finite point configuration on a torus with a cell-list index.
+    """Finite point configuration on a torus: the simulator's one point store.
 
-    Points carry stable integer identifiers; identifiers are never reused.
-    The index maps each grid cell to the set of point ids inside it, so
-    local sums only visit cells that intersect the relevant cutoff ball.
+    Living points fill rows 0..n-1 of dense columns: position, stable id,
+    flat grid cell and competition load.  Ids are never reused.  ``insert``
+    appends a row; ``remove`` moves the last row into the freed one, so a row
+    index stays valid only until the next removal.  Each grid cell keeps the
+    set of its rows, so local sums only visit cells that intersect the
+    relevant cutoff ball.
     """
 
     def __init__(self, torus: Torus):
         self.torus = torus
-        self._points: dict[int, np.ndarray] = {}
-        self._cells: dict[int, set[int]] = {}
+        self._n = 0
         self._next_id = 0
+        self._pos = np.zeros((16, torus.dim))
+        self._id = np.zeros(16, dtype=np.int64)
+        self._cell = np.zeros(16, dtype=np.int64)
+        self._load = np.zeros(16)
+        self._row: dict[int, int] = {}  # id -> row
+        self._cells: dict[int, set[int]] = {}  # flat cell -> rows
 
     def __len__(self) -> int:
-        return len(self._points)
+        return self._n
+
+    @property
+    def loads(self) -> np.ndarray:
+        """Writable view of the competition-load column, one entry per row."""
+        return self._load[: self._n]
 
     def ids(self) -> list[int]:
-        return sorted(self._points)
+        return sorted(self._id[: self._n].tolist())
 
-    def position(self, point_id: int) -> np.ndarray:
+    def point_at(self, row: int) -> int:
+        """Id of the point in ``row``."""
+        return int(self._id[row])
+
+    def _row_of(self, point_id: int) -> int:
         try:
-            return self._points[point_id].copy()
+            return self._row[point_id]
         except KeyError:
             raise GeometryError(f"no point with id {point_id}") from None
 
+    def position(self, point_id: int) -> np.ndarray:
+        return self._pos[self._row_of(point_id)].copy()
+
     def positions_array(self) -> np.ndarray:
         """Positions in ascending id order, shape (n, dim)."""
-        if not self._points:
-            return np.zeros((0, self.torus.dim))
-        return np.array([self._points[i] for i in self.ids()])
+        return self._pos[np.argsort(self._id[: self._n])]
 
     def insert(self, position) -> int:
+        """Add a point as the last row, with load 0; return its new id."""
         x = self.torus.wrap(np.asarray(position, dtype=float))
         if x.shape != (self.torus.dim,):
             raise GeometryError(
                 f"position has shape {x.shape}, expected ({self.torus.dim},)"
             )
-        pid = self._next_id
+        if self._n == self._id.size:
+            self._pos, self._id, self._cell, self._load = (
+                np.concatenate([col, np.zeros_like(col)])
+                for col in (self._pos, self._id, self._cell, self._load)
+            )
+        row, pid = self._n, self._next_id
+        cell = self.torus.flat_cell(self.torus.cell_of(x))
+        self._pos[row] = x
+        self._id[row] = pid
+        self._cell[row] = cell
+        self._load[row] = 0.0
+        self._row[pid] = row
+        self._cells.setdefault(cell, set()).add(row)
+        self._n += 1
         self._next_id += 1
-        self._points[pid] = x
-        self._cells.setdefault(self.torus.flat_cell(self.torus.cell_of(x)), set()).add(
-            pid
-        )
         return pid
 
     def remove(self, point_id: int) -> np.ndarray:
-        try:
-            x = self._points.pop(point_id)
-        except KeyError:
-            raise GeometryError(f"no point with id {point_id}") from None
-        flat = self.torus.flat_cell(self.torus.cell_of(x))
-        cell = self._cells[flat]
-        cell.discard(point_id)
-        if not cell:
-            del self._cells[flat]
+        """Delete a point and return its position; the last row moves into its row."""
+        row = self._row_of(point_id)
+        x = self._pos[row].copy()
+        last = self._n - 1
+        self._leave_cell(row)
+        if row != last:
+            self._leave_cell(last)
+            self._cells.setdefault(int(self._cell[last]), set()).add(row)
+            for col in (self._pos, self._id, self._cell, self._load):
+                col[row] = col[last]
+            self._row[int(self._id[row])] = row
+        del self._row[point_id]
+        self._n = last
         return x
 
-    def clone(self) -> "TorusConfiguration":
-        other = TorusConfiguration(self.torus)
-        other._points = {k: v.copy() for k, v in self._points.items()}
-        other._cells = {k: set(v) for k, v in self._cells.items()}
-        other._next_id = self._next_id
-        return other
+    def _leave_cell(self, row: int) -> None:
+        cell = int(self._cell[row])
+        bucket = self._cells[cell]
+        bucket.discard(row)
+        if not bucket:
+            del self._cells[cell]
 
     # -- index ------------------------------------------------------------
 
@@ -197,35 +229,35 @@ class TorusConfiguration:
         return {k: set(v) for k, v in self._cells.items()}
 
     def rebuilt_cell_index(self) -> dict[int, set[int]]:
-        """Index recomputed from scratch; equals cell_index() at all times."""
+        """Index recomputed from the positions; equals cell_index() at all times."""
         fresh: dict[int, set[int]] = {}
-        for pid, x in self._points.items():
-            fresh.setdefault(self.torus.flat_cell(self.torus.cell_of(x)), set()).add(
-                pid
-            )
+        for row in range(self._n):
+            cell = self.torus.flat_cell(self.torus.cell_of(self._pos[row]))
+            fresh.setdefault(cell, set()).add(row)
         return fresh
 
-    def _candidate_ids(self, x: np.ndarray, radius: float) -> list[int]:
+    def _candidate_rows(self, x: np.ndarray, radius: float) -> np.ndarray:
         t = self.torus
         rings = int(math.ceil(radius / t.cell_size))
         if 2 * rings + 1 >= t.n_cells:
-            return self.ids()
+            return np.arange(self._n)
         base = t.cell_of(x)
-        found: set[int] = set()
+        found: list[int] = []
         offsets = range(-rings, rings + 1)
         for off in product(offsets, repeat=t.dim):
             cell = tuple((b + o) % t.n_cells for b, o in zip(base, off))
             bucket = self._cells.get(t.flat_cell(cell))
             if bucket:
-                found.update(bucket)
-        return sorted(found)
+                found.extend(bucket)
+        return np.array(found, dtype=np.intp)
 
     # -- local sums and counts ---------------------------------------------
 
     def neighbors_within(self, x, radius: float, exclude: int | None = None):
-        """Ids and minimum-image distances of points within ``radius`` of x.
+        """Rows and minimum-image distances of points within ``radius`` of x.
 
-        Ids come back in ascending order so float reductions are reproducible.
+        Rows come back in ascending id order so float reductions are
+        reproducible; they index ``loads`` until the next removal.
         """
         x = np.asarray(x, dtype=float)
         if radius > self.torus.side / 2.0:
@@ -233,15 +265,14 @@ class TorusConfiguration:
                 f"interaction radius {radius:g} exceeds half the box side "
                 f"{self.torus.side / 2.0:g}"
             )
-        cand = self._candidate_ids(x, radius)
+        rows = self._candidate_rows(x, radius)
+        dists = periodic_distances(self.torus, x, self._pos[rows])
+        keep = dists <= radius
         if exclude is not None:
-            cand = [i for i in cand if i != exclude]
-        if not cand:
-            return [], np.zeros(0)
-        pts = np.array([self._points[i] for i in cand])
-        dists = periodic_distances(self.torus, x, pts)
-        mask = dists <= radius
-        return [i for i, keep in zip(cand, mask) if keep], dists[mask]
+            keep &= self._id[rows] != exclude
+        rows, dists = rows[keep], dists[keep]
+        order = np.argsort(self._id[rows])
+        return rows[order], dists[order]
 
     def kernel_sum_at(
         self, kernel: RadialKernel, x, exclude: int | None = None
@@ -261,6 +292,15 @@ class TorusConfiguration:
         if dists.size == 0:
             return 0.0
         return float(kernel.profile(dists).sum())
+
+    def kernel_sums(self, kernel: RadialKernel) -> np.ndarray:
+        """kernel_sum_at every point over the others, one entry per row."""
+        return np.array(
+            [
+                self.kernel_sum_at(kernel, self._pos[row], exclude=self.point_at(row))
+                for row in range(self._n)
+            ]
+        )
 
     def kernel_sum_tail_budget(self, kernel: RadialKernel) -> float:
         """Certified bound on mass any kernel_sum_at may miss beyond the cutoff."""

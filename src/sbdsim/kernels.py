@@ -70,15 +70,6 @@ class RadialKernel:
         out = self._profile(arr)
         return float(out) if arr.ndim == 0 else out
 
-    def evaluate(self, x) -> float:
-        """Kernel value at a displacement vector ``x`` of length ``dim``."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise KernelError(
-                f"displacement has shape {x.shape}, expected ({self.dim},)"
-            )
-        return float(self.profile(float(np.linalg.norm(x))))
-
     # -- integrals and norms ---------------------------------------------
 
     def mass(self) -> float:
@@ -443,18 +434,6 @@ def tabulated(
         tail_sup_bound=tail_sup_bound,
         tail_mass_bound=tail_mass_bound,
     )
-
-
-_FAMILIES = {
-    "gaussian": gaussian,
-    "triangular": triangular,
-    "exponential": exponential,
-    "tabulated": tabulated,
-}
-
-
-def kernel_families() -> tuple[str, ...]:
-    return tuple(_FAMILIES)
 
 
 class ImmigrationField:

@@ -179,33 +179,6 @@ def envelope_fit(
     )
 
 
-def stirling_second(n: int, k: int) -> int:
-    """Stirling numbers of the second kind, S(n, k)."""
-    if n < 0 or k < 0:
-        raise StatisticsError("Stirling numbers need nonnegative arguments")
-    table = [[0] * (k + 1) for _ in range(n + 1)]
-    table[0][0] = 1
-    for i in range(1, n + 1):
-        for j in range(1, min(i, k) + 1):
-            table[i][j] = j * table[i - 1][j] + table[i - 1][j - 1]
-    return table[n][k]
-
-
-def ordinary_from_factorial(factorials) -> list[float]:
-    """Convert factorial moments F_1..F_n to raw moments E[N^k].
-
-    Uses E[N^k] = sum_j S(k, j) F_j with F_0 = 1.
-    """
-    values = [
-        m[0] if isinstance(m, (tuple, list)) else float(m) for m in factorials
-    ]
-    full = [1.0] + values
-    out = []
-    for k in range(1, len(full)):
-        out.append(sum(stirling_second(k, j) * full[j] for j in range(k + 1)))
-    return out
-
-
 @dataclass(frozen=True)
 class MomentReport:
     """Per-time summary: density, pair correlation, moments, envelope."""

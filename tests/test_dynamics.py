@@ -54,7 +54,8 @@ def test_total_rates_empty_is_absorbing():
     state = SimulationState(spec, TorusConfiguration(Torus(10.0, 1)))
     assert state.total_rates() == (0.0, 0.0)
     rng = np.random.default_rng(0)
-    assert state.step(rng) is None
+    trace = run(spec, TorusConfiguration(Torus(10.0, 1)), t_end=1.0, rng=rng)
+    assert trace.absorbed and trace.events == []
 
 
 def test_total_rates_single_point():
@@ -106,8 +107,8 @@ def test_holding_time_exponential_mean():
     rng = np.random.default_rng(2)
     times = np.empty(10_000)
     for i in range(times.size):
-        state = SimulationState(spec, cfg_with_points(Torus(10.0, 1), [[5.0]]))
-        event = state.step(rng)
+        cfg = cfg_with_points(Torus(10.0, 1), [[5.0]])
+        (event,) = run(spec, cfg, t_end=1e9, rng=rng).events
         assert event.kind == "death"
         times[i] = event.time
     se = times.std(ddof=1) / math.sqrt(times.size)
@@ -122,10 +123,8 @@ def test_death_selection_proportional_to_rates():
     rng = np.random.default_rng(3)
     picks = np.zeros(3)
     for _ in range(10_000):
-        state = SimulationState(
-            spec, cfg_with_points(Torus(10.0, 1), [[1.0], [1.45], [1.9]])
-        )
-        event = state.step(rng)
+        cfg = cfg_with_points(Torus(10.0, 1), [[1.0], [1.45], [1.9]])
+        event = run(spec, cfg, t_end=1e9, rng=rng).events[0]
         assert event.kind == "death"
         picks[event.point] += 1
     freq = picks / picks.sum()
@@ -157,10 +156,11 @@ def test_migration_event_count_is_poisson():
 def test_birth_displacement_wraps_to_torus():
     spec = ModelSpec("bolker_pacala", a_plus=gaussian(5.0, 1.0, 1), m=0.0)
     rng = np.random.default_rng(5)
-    state = SimulationState(spec, cfg_with_points(Torus(14.0, 1), [[0.1]]))
-    for _ in range(200):
-        state.step(rng)
-    pts = state.cfg.positions_array()
+    cfg = cfg_with_points(Torus(14.0, 1), [[0.1]])
+    # births only: the guard stops the run after exactly 200 events
+    trace = run(spec, cfg, t_end=1e9, rng=rng, max_population=200)
+    assert trace.n_events == 200
+    pts = cfg.positions_array()
     assert np.all(pts >= 0.0) and np.all(pts < 14.0)
 
 
@@ -258,9 +258,20 @@ def test_audit_catches_corruption():
     spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.2)
     state = SimulationState(spec, cfg_with_points(Torus(10.0, 1), [[5.0], [5.5]]))
     state.audit()
-    state._load[0] += 0.5
+    state.cfg.loads[0] += 0.5
     with pytest.raises(AuditError):
         state.audit()
+
+
+def test_removal_below_zero_load_raises():
+    # point 0's load is a- at distance 0.5 = 0.5; corrupted to 0, removing
+    # point 1 would take it to -0.5, far beyond a rounding residue
+    am = triangular(1.0, 1.0, 1)
+    spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.2)
+    state = SimulationState(spec, cfg_with_points(Torus(10.0, 1), [[5.0], [5.5]]))
+    state.cfg.loads[0] -= 0.5
+    with pytest.raises(AuditError, match="point 0"):
+        state._remove_point(1)
 
 
 def test_holding_times_exponential_ks():
@@ -274,17 +285,18 @@ def test_holding_times_exponential_ks():
     gaps = np.diff([0.0] + [ev.time for ev in trace.events])
     assert stats.kstest(gaps, "expon", args=(0.0, 1.0 / 20.0)).pvalue > 0.001
 
+    # total rate before an event: b = 20 plus m = 1 per living point
     spec = migration_spec(b=2.0, m=1.0)
-    cfg = TorusConfiguration(Torus(10.0, 1))
-    state = SimulationState(spec, cfg)
     rng = np.random.default_rng(12)
+    trace = run(spec, TorusConfiguration(Torus(10.0, 1)), t_end=200.0, rng=rng)
     scaled = []
     t_prev = 0.0
-    for _ in range(3000):
-        b, d = state.total_rates()
-        ev = state.step(rng)
-        scaled.append((ev.time - t_prev) * (b + d))
+    population = 0
+    for ev in trace.events[:3000]:
+        scaled.append((ev.time - t_prev) * (20.0 + population))
+        population += 1 if ev.kind == "birth" else -1
         t_prev = ev.time
+    assert len(scaled) == 3000
     assert stats.kstest(np.array(scaled), "expon").pvalue > 0.001
 
 

@@ -130,15 +130,6 @@ def test_positions_array_ascending_ids():
     np.testing.assert_allclose(arr, np.array([cfg.position(i) for i in ids]))
 
 
-def test_clone_is_independent():
-    rng = np.random.default_rng(2)
-    cfg = uniform_cfg(T10_1, 5, rng)
-    dup = cfg.clone()
-    cfg.insert([0.1])
-    assert len(dup) == 5
-    assert dup.cell_index() == dup.rebuilt_cell_index()
-
-
 @settings(max_examples=30)
 @given(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=60))
 def test_cell_index_rebuild_identity(ops):

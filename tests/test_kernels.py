@@ -80,33 +80,19 @@ def test_sup_norms():
 
 
 def test_evaluate_examples():
-    assert triangular(1.0, 1.0, 1).evaluate([0.5]) == 0.5
-    assert gaussian(1.0, 1.0, 1).evaluate([1.0]) == pytest.approx(
+    assert triangular(1.0, 1.0, 1).profile(0.5) == 0.5
+    assert gaussian(1.0, 1.0, 1).profile(1.0) == pytest.approx(
         math.exp(-0.5) / math.sqrt(2.0 * math.pi), rel=1e-12
     )
-    assert gaussian(1.0, 1.0, 1).evaluate([1.0]) == pytest.approx(0.241971, abs=1e-6)
+    assert gaussian(1.0, 1.0, 1).profile(1.0) == pytest.approx(0.241971, abs=1e-6)
 
 
 def test_evaluate_beyond_support():
-    assert triangular(1.0, 1.0, 1).evaluate([1.5]) == 0.0
+    assert triangular(1.0, 1.0, 1).profile(1.5) == 0.0
     r, v = triangle_table()
-    assert tabulated(r, v, dim=1).evaluate([2.0]) == 0.0
+    assert tabulated(r, v, dim=1).profile(2.0) == 0.0
     g = gaussian(1.0, 1.0, 1)
     assert g.profile(g.cutoff_radius()) <= g.tail_sup() + 1e-300
-
-
-def test_evaluate_dimension_mismatch():
-    with pytest.raises(KernelError):
-        gaussian(1.0, 1.0, 2).evaluate([1.0])
-    with pytest.raises(KernelError):
-        triangular(1.0, 1.0, 1).evaluate([1.0, 0.0])
-
-
-def test_profile_matches_evaluate():
-    k = exponential(1.3, 0.7, 2)
-    for r in (0.0, 0.3, 1.9):
-        x = np.array([r, 0.0])
-        assert k.evaluate(x) == pytest.approx(k.profile(r), rel=1e-15)
 
 
 # -- tails and cutoffs -------------------------------------------------------

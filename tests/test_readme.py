@@ -1,0 +1,11 @@
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {"__name__": "readme"})

@@ -11,10 +11,8 @@ from sbdsim.statistics import (
     density,
     envelope_fit,
     factorial_moments,
-    ordinary_from_factorial,
     pair_correlation,
     shell_volume,
-    stirling_second,
     window_counts,
 )
 
@@ -166,29 +164,6 @@ def test_envelope_fit_drops_nonpositive_orders():
     assert fit.orders == (1, 3)
     with pytest.raises(StatisticsError):
         envelope_fit([(0.0, 0.0), (0.0, 0.0)], V)
-
-
-# -- moment conversions -------------------------------------------------------------
-
-
-def test_stirling_second_values():
-    assert stirling_second(4, 2) == 7
-    assert stirling_second(5, 3) == 25
-    assert stirling_second(3, 3) == 1
-    assert stirling_second(4, 1) == 1
-
-
-def test_ordinary_from_factorial():
-    # E N^2 = F2 + F1, E N^3 = F3 + 3 F2 + F1
-    assert ordinary_from_factorial([4.0, 16.0, 64.0]) == [4.0, 20.0, 116.0]
-
-
-def test_ordinary_matches_direct_poisson_moments():
-    rng = np.random.default_rng(5)
-    counts = rng.poisson(4.0, 200_000).astype(float)
-    f = [np.mean(counts), np.mean(counts * (counts - 1))]
-    ordinary = ordinary_from_factorial(f)
-    assert ordinary[1] == pytest.approx(np.mean(counts**2), rel=1e-12)
 
 
 # -- error scaling -------------------------------------------------------------------
