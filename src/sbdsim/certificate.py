@@ -391,7 +391,7 @@ SAMPLER_NAMES = ("uniform", "poisson", "cluster_competition", "cluster_dispersal
 class ViolationReport:
     trials: int
     size_max: int
-    min_u: float
+    min_u: float  # least U over sampled configurations of two or more points
     n_violations: int
     tolerance: float
     argmin_sampler: str
@@ -430,7 +430,10 @@ def verify_certificate(
     Mixes uniform boxes, Poisson boxes, and adversarial clusters at the
     certificate's crowding scale r and at the dispersal length scale.  A
     sound certificate yields zero violations; the report keeps the minimizing
-    configuration either way.
+    configuration either way.  ``min_u`` and the argmin range over sampled
+    configurations of at least two points only: with fewer, U = omega * |eta|
+    >= 0 whatever theta is, so the empty set would win for every sound
+    certificate.  ``min_u`` is inf if no trial drew two points.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -468,7 +471,7 @@ def verify_certificate(
             n = int(rng.integers(2, size_max + 1))
             pts = rng.normal(0.0, scale_disp, (n, dim))
         u = u_theta(pts, a_plus, a_minus, omega, theta)
-        if u < min_u:
+        if pts.shape[0] >= 2 and u < min_u:
             min_u = u
             argmin_pts = pts
             argmin_sampler = kind

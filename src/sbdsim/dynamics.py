@@ -10,10 +10,13 @@ Two model variants share one engine:
 
 Every point dies at rate m + sum over the others of a_minus(distance), with
 kernels wrapped onto the torus and truncated at their cutoff radius.  The
-per-point competition loads are cached and updated incrementally on each
-event; the optional audit recomputes them from scratch and fails loudly on
-drift.  Waiting times are exponential in the total rate and the event type is
-chosen proportionally, so trajectories follow the exact jump chain.
+per-point competition loads are cached in the point store and updated
+incrementally on each event, together with the store's running load sum per
+block of rows; the total death rate reads the block sums, and the dying point
+is found first among the blocks and then inside one block.  The optional
+audit recomputes loads and block sums from scratch and fails loudly on drift.
+Waiting times are exponential in the total rate and the event type is chosen
+proportionally, so trajectories follow the exact jump chain.
 
 All randomness flows through one ``numpy.random.Generator``, which makes a
 trace a deterministic function of (model, initial configuration, seed).
@@ -115,7 +118,8 @@ class SimulationState:
 
     The configuration's load column caches the competition part of each
     point's death rate (the sum of a_minus over its neighbours); the full
-    death rate is m + load.
+    death rate is m + load.  Loads change only through the store's
+    ``add_loads`` and ``set_loads``, which keep its block sums current.
     """
 
     def __init__(self, spec: ModelSpec, cfg: TorusConfiguration):
@@ -139,7 +143,7 @@ class SimulationState:
         else:
             self._b_total = 0.0
         self._birth_mass = 0.0 if spec.a_plus is None else spec.a_plus.mass()
-        cfg.loads[:] = self._fresh_loads()
+        cfg.set_loads(self._fresh_loads())
 
     def _fresh_loads(self) -> np.ndarray:
         """Every point's competition load computed from scratch, one per row."""
@@ -151,10 +155,6 @@ class SimulationState:
     def population(self) -> int:
         return len(self.cfg)
 
-    def death_rates(self) -> np.ndarray:
-        """Per-point death rates, aligned with the configuration's rows."""
-        return self.spec.m + self.cfg.loads
-
     def total_rates(self) -> tuple[float, float]:
         """(total birth rate B, total death rate D) for the current state."""
         n = len(self.cfg)
@@ -162,11 +162,12 @@ class SimulationState:
             b = self._b_total
         else:
             b = n * self._birth_mass
-        d = self.spec.m * n + float(self.cfg.loads.sum())
+        d = self.spec.m * n + self.cfg.load_total()
         return b, d
 
     def audit(self, rel_tol: float = 1e-9) -> None:
-        """Recompute every cached load from scratch; raise AuditError on drift."""
+        """Recompute every cached load and block sum from scratch; raise
+        AuditError on drift."""
         cached = self.cfg.loads
         fresh = self._fresh_loads()
         drift = np.abs(cached - fresh) > rel_tol * (1.0 + np.abs(fresh))
@@ -177,6 +178,13 @@ class SimulationState:
                 f"death-rate cache for point {self.cfg.point_at(row)} drifted: "
                 f"cached {float(cached[row])!r}, recomputed {float(fresh[row])!r}"
             )
+        stale = self.cfg.stale_block(rel_tol)
+        if stale is not None:
+            block, running, recomputed = stale
+            raise AuditError(
+                f"load sum of row block {block} drifted: "
+                f"running {running!r}, recomputed {recomputed!r}"
+            )
         if self.cfg.cell_index() != self.cfg.rebuilt_cell_index():
             raise AuditError("cell index differs from a from-scratch rebuild")
 
@@ -184,17 +192,15 @@ class SimulationState:
 
     def _add_point(self, position: np.ndarray) -> int:
         a_minus = self.spec.a_minus
-        pid = self.cfg.insert(position)
-        if a_minus is not None:
-            rows, dists = self.cfg.neighbors_within(
-                self.cfg.position(pid), a_minus.cutoff_radius(), exclude=pid
-            )
-            if rows.size:
-                contrib = a_minus.profile(dists)
-                loads = self.cfg.loads
-                loads[rows] += contrib
-                loads[-1] = float(contrib.sum())  # insert appended the new row
-        return pid
+        if a_minus is None:
+            return self.cfg.insert(position)
+        x = self.torus.wrap(position)
+        rows, dists = self.cfg.neighbors_within(x, a_minus.cutoff_radius())
+        if not rows.size:
+            return self.cfg.insert(x)
+        contrib = a_minus.profile(dists)
+        self.cfg.add_loads(rows, contrib)
+        return self.cfg.insert(x, load=float(contrib.sum()))
 
     def _remove_point(self, pid: int) -> np.ndarray:
         """Delete a point and take its contribution out of its neighbours' loads.
@@ -210,16 +216,20 @@ class SimulationState:
             )
             if rows.size:
                 contrib = a_minus.profile(dists)
-                loads = self.cfg.loads
-                left = loads[rows] - contrib
-                corrupt = np.flatnonzero(left < -1e-9 * (1.0 + contrib))
-                if corrupt.size:
-                    i = corrupt[0]
-                    raise AuditError(
-                        f"death-rate cache for point {self.cfg.point_at(rows[i])} "
-                        f"fell to {float(left[i])!r} on removing point {pid}"
-                    )
-                loads[rows] = np.maximum(left, 0.0)
+                old = self.cfg.loads[rows]
+                left = old - contrib
+                delta = -contrib
+                below = left < 0.0
+                if below.any():
+                    corrupt = np.flatnonzero(left < -1e-9 * (1.0 + contrib))
+                    if corrupt.size:
+                        i = corrupt[0]
+                        raise AuditError(
+                            f"death-rate cache for point {self.cfg.point_at(rows[i])} "
+                            f"fell to {float(left[i])!r} on removing point {pid}"
+                        )
+                    delta[below] = -old[below]  # residues go to exactly 0
+                self.cfg.add_loads(rows, delta)
         self.cfg.remove(pid)
         return x
 
@@ -239,8 +249,7 @@ class SimulationState:
                 pos = self.torus.wrap(self.cfg.position(parent) + disp)
             pid = self._add_point(pos)
             return Event(self.t, "birth", self.cfg.position(pid), pid, parent)
-        cum = np.cumsum(self.death_rates())
-        row = int(np.searchsorted(cum, rng.random() * cum[-1]))
+        row = self.cfg.sample_row(rng.random(), self.spec.m)
         pid = self.cfg.point_at(min(row, n - 1))
         pos = self._remove_point(pid)
         return Event(self.t, "death", pos, pid, None)

@@ -10,6 +10,14 @@ import numpy as np
 
 from .kernels import RadialKernel
 
+# The load column is summed per block of 2**BLOCK_SHIFT consecutive rows:
+# the death draw finds its block among n / BLOCK_ROWS running block sums and
+# then its row inside that one block.
+BLOCK_SHIFT = 8
+BLOCK_ROWS = 1 << BLOCK_SHIFT
+# Row pairs per batch of the vectorised kernel sums; bounds their scratch memory.
+PAIR_BATCH = 1 << 14
+
 
 class GeometryError(ValueError):
     pass
@@ -73,7 +81,8 @@ def periodic_distance(torus: Torus, x, y) -> float:
 
 
 def periodic_distances(torus: Torus, x, pts: np.ndarray) -> np.ndarray:
-    """Minimum-image distances from ``x`` to each row of ``pts``."""
+    """Minimum-image distances from ``x`` (one point, or one per row) to each
+    row of ``pts``."""
     if pts.size == 0:
         return np.zeros(0)
     d = np.mod(pts - np.asarray(x, float), torus.side)
@@ -135,6 +144,12 @@ class TorusConfiguration:
     index stays valid only until the next removal.  Each grid cell keeps the
     set of its rows, so local sums only visit cells that intersect the
     relevant cutoff ball.
+
+    Next to the load column the store keeps one running sum per block of
+    BLOCK_ROWS rows, a two-level sum tree: ``load_total`` and ``sample_row``
+    read n / BLOCK_ROWS block sums and one block instead of the whole column.
+    ``insert``, ``remove``, ``add_loads`` and ``set_loads`` keep the block
+    sums in step with the column; ``stale_block`` checks them against it.
     """
 
     def __init__(self, torus: Torus):
@@ -145,6 +160,7 @@ class TorusConfiguration:
         self._id = np.zeros(16, dtype=np.int64)
         self._cell = np.zeros(16, dtype=np.int64)
         self._load = np.zeros(16)
+        self._block = np.zeros(1)  # load sum of each block of rows
         self._row: dict[int, int] = {}  # id -> row
         self._cells: dict[int, set[int]] = {}  # flat cell -> rows
 
@@ -153,8 +169,66 @@ class TorusConfiguration:
 
     @property
     def loads(self) -> np.ndarray:
-        """Writable view of the competition-load column, one entry per row."""
+        """View of the competition-load column, one entry per row.
+
+        Change it through ``add_loads`` or ``set_loads``: a direct write
+        bypasses the block sums, which ``stale_block`` then reports.
+        """
         return self._load[: self._n]
+
+    def add_loads(self, rows: np.ndarray, delta: np.ndarray) -> None:
+        """Add ``delta`` to the loads of ``rows`` (distinct) and to their block sums."""
+        self._load[rows] += delta
+        np.add.at(self._block, rows >> BLOCK_SHIFT, delta)
+
+    def set_loads(self, values: np.ndarray) -> None:
+        """Replace the whole load column and recompute every block sum."""
+        self._load[: self._n] = values
+        self._block = self._block_sums_of_column()
+
+    def _block_sums_of_column(self) -> np.ndarray:
+        blocks = np.arange(self._n) >> BLOCK_SHIFT
+        return np.bincount(blocks, weights=self.loads, minlength=self._block.size)
+
+    def load_total(self) -> float:
+        """Sum of the load column, read from the block sums of the live rows."""
+        return float(self._block[: (self._n + BLOCK_ROWS - 1) >> BLOCK_SHIFT].sum())
+
+    def sample_row(self, u: float, base: float) -> int:
+        """Row drawn with weight base + load, from one uniform ``u`` in [0, 1).
+
+        Returns the first row whose running weight reaches u times the total,
+        as ``searchsorted(cumsum(base + loads), u * total)`` does, up to
+        rounding of the block sums: the block is found among the block
+        weights, the row among that block's rows.  Needs at least one row.
+        """
+        n = self._n
+        if n <= BLOCK_ROWS:
+            cum = np.cumsum(base + self._load[:n])
+            return int(cum.searchsorted(u * cum[-1]))
+        n_blocks = (n + BLOCK_ROWS - 1) >> BLOCK_SHIFT
+        weights = self._block[:n_blocks] + base * BLOCK_ROWS
+        weights[-1] -= base * ((n_blocks << BLOCK_SHIFT) - n)  # partial last block
+        cum = np.cumsum(weights)
+        target = u * cum[-1]
+        block = min(int(cum.searchsorted(target)), n_blocks - 1)
+        if block:
+            target -= cum[block - 1]
+        lo = block << BLOCK_SHIFT
+        local = np.cumsum(base + self._load[lo : min(lo + BLOCK_ROWS, n)])
+        # rounding may leave the target past the block's own total
+        return lo + int(local.searchsorted(min(target, local[-1])))
+
+    def stale_block(self, rel_tol: float) -> tuple[int, float, float] | None:
+        """First block whose running sum drifted from its rows' loads by more
+        than rel_tol * (1 + |sum|), as (block, running, recomputed); else None."""
+        fresh = self._block_sums_of_column()
+        drift = np.abs(self._block - fresh) > rel_tol * (1.0 + np.abs(fresh))
+        stale = np.flatnonzero(drift)
+        if not stale.size:
+            return None
+        block = int(stale[0])
+        return block, float(self._block[block]), float(fresh[block])
 
     def ids(self) -> list[int]:
         return sorted(self._id[: self._n].tolist())
@@ -176,8 +250,8 @@ class TorusConfiguration:
         """Positions in ascending id order, shape (n, dim)."""
         return self._pos[np.argsort(self._id[: self._n])]
 
-    def insert(self, position) -> int:
-        """Add a point as the last row, with load 0; return its new id."""
+    def insert(self, position, load: float = 0.0) -> int:
+        """Add a point as the last row with the given load; return its new id."""
         x = self.torus.wrap(np.asarray(position, dtype=float))
         if x.shape != (self.torus.dim,):
             raise GeometryError(
@@ -188,12 +262,17 @@ class TorusConfiguration:
                 np.concatenate([col, np.zeros_like(col)])
                 for col in (self._pos, self._id, self._cell, self._load)
             )
+            blocks = -(-self._id.size // BLOCK_ROWS)
+            self._block = np.concatenate(
+                [self._block, np.zeros(blocks - self._block.size)]
+            )
         row, pid = self._n, self._next_id
         cell = self.torus.flat_cell(self.torus.cell_of(x))
         self._pos[row] = x
         self._id[row] = pid
         self._cell[row] = cell
-        self._load[row] = 0.0
+        self._load[row] = load
+        self._block[row >> BLOCK_SHIFT] += load
         self._row[pid] = row
         self._cells.setdefault(cell, set()).add(row)
         self._n += 1
@@ -205,13 +284,20 @@ class TorusConfiguration:
         row = self._row_of(point_id)
         x = self._pos[row].copy()
         last = self._n - 1
+        block = self._block
         self._leave_cell(row)
+        block[row >> BLOCK_SHIFT] -= self._load[row]
         if row != last:
             self._leave_cell(last)
             self._cells.setdefault(int(self._cell[last]), set()).add(row)
+            moved = self._load[last]
+            block[last >> BLOCK_SHIFT] -= moved
+            block[row >> BLOCK_SHIFT] += moved
             for col in (self._pos, self._id, self._cell, self._load):
                 col[row] = col[last]
             self._row[int(self._id[row])] = row
+        if not last & (BLOCK_ROWS - 1):
+            block[last >> BLOCK_SHIFT] = 0.0  # emptied: drop its rounding residue
         del self._row[point_id]
         self._n = last
         return x
@@ -274,10 +360,16 @@ class TorusConfiguration:
         order = np.argsort(self._id[rows])
         return rows[order], dists[order]
 
-    def kernel_sum_at(
-        self, kernel: RadialKernel, x, exclude: int | None = None
-    ) -> float:
-        """Sum of kernel(dist(x, y)) over points y within the kernel cutoff."""
+    def kernel_sums(self, kernel: RadialKernel) -> np.ndarray:
+        """Each point's sum of kernel(distance) over the other points within
+        the kernel cutoff, one entry per row.
+
+        One pass over pairs of neighbouring grid cells: rows sorted by cell,
+        and for each cell offset within the cutoff, every row paired with the
+        rows of its offset cell, PAIR_BATCH pairs at a time.  Offsets are
+        taken modulo the grid, so a cutoff ball that wraps round the whole
+        grid visits each cell once.
+        """
         if kernel.dim != self.torus.dim:
             raise GeometryError(
                 f"kernel dimension {kernel.dim} != torus dimension {self.torus.dim}"
@@ -288,22 +380,56 @@ class TorusConfiguration:
                 f"kernel too wide for torus: cutoff {cutoff:g} > side/2 "
                 f"{self.torus.side / 2.0:g}"
             )
-        _, dists = self.neighbors_within(x, cutoff, exclude=exclude)
-        if dists.size == 0:
-            return 0.0
-        return float(kernel.profile(dists).sum())
-
-    def kernel_sums(self, kernel: RadialKernel) -> np.ndarray:
-        """kernel_sum_at every point over the others, one entry per row."""
-        return np.array(
-            [
-                self.kernel_sum_at(kernel, self._pos[row], exclude=self.point_at(row))
-                for row in range(self._n)
-            ]
+        t = self.torus
+        n = self._n
+        if n == 0:
+            return np.zeros(0)
+        order = np.argsort(self._cell[:n], kind="stable")
+        cells = self._cell[order]
+        pos = self._pos[order]
+        occupied, first, cell_of_row, count = np.unique(
+            cells, return_index=True, return_inverse=True, return_counts=True
         )
+        shape = (t.n_cells,) * t.dim
+        coords = np.unravel_index(occupied, shape)
+        rings = int(math.ceil(cutoff / t.cell_size))
+        axis_offsets = sorted({o % t.n_cells for o in range(-rings, rings + 1)})
+        sums = np.zeros(n)
+        for offset in product(axis_offsets, repeat=t.dim):
+            target = np.ravel_multi_index(
+                tuple((c + o) % t.n_cells for c, o in zip(coords, offset)), shape
+            )
+            k = np.minimum(np.searchsorted(occupied, target), occupied.size - 1)
+            hit = occupied[k] == target
+            start = np.where(hit, first[k], 0)[cell_of_row]
+            pairs = np.where(hit, count[k], 0)[cell_of_row]
+            self._add_pair_sums(kernel, pos, start, pairs, sums)
+        out = np.empty(n)
+        out[order] = sums
+        return out
+
+    def _add_pair_sums(self, kernel, pos, start, pairs, sums) -> None:
+        """Add kernel(distance) over pairs (i, start[i] + k), k < pairs[i],
+        i != start[i] + k and within the cutoff, into sums[i]."""
+        cutoff = kernel.cutoff_radius()
+        ends = np.cumsum(pairs)
+        lo = 0
+        while lo < ends.size:
+            done = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, done + PAIR_BATCH, "right")))
+            batch = pairs[lo:hi]
+            i = np.repeat(np.arange(lo, hi), batch)
+            first_pair = ends[lo:hi] - batch - done  # of each row, in this batch
+            j = np.arange(i.size) + np.repeat(start[lo:hi] - first_pair, batch)
+            dist = periodic_distances(self.torus, pos[i], pos[j])
+            keep = (dist <= cutoff) & (i != j)
+            sums[lo:hi] += np.bincount(
+                i[keep] - lo, weights=kernel.profile(dist[keep]), minlength=hi - lo
+            )
+            lo = hi
 
     def kernel_sum_tail_budget(self, kernel: RadialKernel) -> float:
-        """Certified bound on mass any kernel_sum_at may miss beyond the cutoff."""
+        """Certified bound on mass any entry of kernel_sums may miss beyond the cutoff."""
         return kernel.tail_sup() * len(self)
 
     def count_in_window(self, window: Window) -> int:

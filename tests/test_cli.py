@@ -182,7 +182,10 @@ def test_verify_standalone_certificate(tmp_path):
     assert code == 0
     payload = json.loads((out2 / "violations.json").read_text())
     assert payload["min_u"] >= 0.0
-    assert (tmp_path / "verify" / "argmin.csv").exists()
+    # the worst configuration is a real one, not the empty set
+    rows = (tmp_path / "verify" / "argmin.csv").read_text().splitlines()
+    assert len(rows) >= 2
+    assert len(payload["argmin_points"]) == len(rows)
     assert payload["argmin_config_csv_path"].endswith("argmin.csv")
 
 

@@ -93,9 +93,61 @@ def test_competition_load_pairwise():
     am = triangular(2.0, 1.0, 1)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.5)
     state = SimulationState(spec, cfg_with_points(Torus(10.0, 1), [[5.0], [5.5]]))
-    d = state.death_rates()
+    d = spec.m + state.cfg.loads
     np.testing.assert_allclose(d, 0.5 + am.profile(0.5))
     state.audit()
+
+
+@pytest.mark.parametrize(
+    "m, a_minus",
+    [(0.5, gaussian(0.05, 0.3, 1)), (0.0, gaussian(0.05, 0.3, 1)), (0.5, None)],
+)
+def test_block_draw_matches_full_cumsum(m, a_minus):
+    # clustered points give skewed loads, and with m = 0 the scattered ones
+    # that are isolated have weight 0; a short run leaves the block sums as
+    # the events made them
+    rng = np.random.default_rng(31)
+    torus = Torus(2000.0, 1)
+    centres = rng.uniform(0.0, 2000.0, 40)
+    clustered = centres[rng.integers(0, 40, 1900)] + rng.exponential(0.5, 1900)
+    scattered = rng.uniform(0.0, 2000.0, 100)
+    points = rng.permutation(np.concatenate([clustered, scattered]))
+    cfg = cfg_with_points(torus, points[:, None])
+    spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=a_minus, m=m)
+    run(spec, cfg, t_end=0.01, rng=rng)
+    n = len(cfg)
+    assert 7 * 256 < n < 2500 and n % 256  # eight blocks, the last one partial
+
+    cum = np.cumsum(m + cfg.loads)
+    total = cum[-1]
+    exact = 0
+    for u in rng.random(10_000):
+        target = u * total
+        expected = int(np.searchsorted(cum, target))
+        row = cfg.sample_row(u, m)
+        near = np.abs(cum[max(expected - 1, 0) : expected + 1] - target).min()
+        if near > 1e-9 * total:
+            assert row == expected
+            exact += 1
+        assert m + cfg.loads[row] > 0.0
+    assert exact > 9_900
+
+
+def test_audit_follows_block_sums_across_boundaries():
+    # grow from 240 points past the first block boundary (256) and a
+    # capacity doubling (256 -> 512 rows), then shrink back below it,
+    # recomputing every load and block sum after each event
+    rng = np.random.default_rng(32)
+    torus = Torus(60.0, 1)
+    cfg = cfg_with_points(torus, rng.uniform(0.0, 60.0, (240, 1)))
+    am = triangular(0.5, 1.0, 1)
+    grow = ModelSpec("bolker_pacala", a_plus=triangular(3.0, 1.0, 1), a_minus=am, m=0.1)
+    trace = run(grow, cfg, t_end=10.0, rng=rng, max_population=280, audit_every=1)
+    assert trace.guard_tripped and len(cfg) == 281
+    shrink = ModelSpec("bolker_pacala", a_plus=triangular(0.1, 1.0, 1), a_minus=am, m=2.0)
+    trace = run(shrink, cfg, t_end=10.0, rng=rng, audit_every=1)
+    assert trace.absorbed and len(cfg) == 0
+    assert not cfg._block.any()  # an emptied block keeps no rounding residue
 
 
 # -- single event behaviour -------------------------------------------------------
@@ -260,6 +312,16 @@ def test_audit_catches_corruption():
     state.audit()
     state.cfg.loads[0] += 0.5
     with pytest.raises(AuditError):
+        state.audit()
+
+
+def test_audit_catches_block_sum_corruption():
+    am = triangular(1.0, 1.0, 1)
+    spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.2)
+    state = SimulationState(spec, cfg_with_points(Torus(10.0, 1), [[5.0], [5.5]]))
+    state.audit()
+    state.cfg._block[0] += 1e-6
+    with pytest.raises(AuditError, match="block 0"):
         state.audit()
 
 

@@ -149,23 +149,29 @@ def test_cell_index_rebuild_identity(ops):
 
 
 def test_kernel_sum_empty():
+    k = triangular(1.0, 1.0, 1)
     cfg = TorusConfiguration(T10_1)
-    assert cfg.kernel_sum_at(triangular(1.0, 1.0, 1), [5.0]) == 0.0
+    assert cfg.kernel_sums(k).shape == (0,)
+    cfg.insert([5.0])
+    assert cfg.kernel_sums(k).tolist() == [0.0]
 
 
 def test_kernel_sum_single_point():
     cfg = TorusConfiguration(T10_1)
     cfg.insert([5.0])
-    assert cfg.kernel_sum_at(triangular(1.0, 1.0, 1), [5.5]) == pytest.approx(0.5)
+    cfg.insert([5.5])
+    np.testing.assert_allclose(cfg.kernel_sums(triangular(1.0, 1.0, 1)), [0.5, 0.5])
 
 
 def test_kernel_sum_exclude_self():
+    # a point's sum leaves out the point itself but not a coincident one
     cfg = TorusConfiguration(T10_1)
-    i = cfg.insert([5.0])
+    cfg.insert([5.0])
     cfg.insert([5.5])
     k = triangular(1.0, 1.0, 1)
-    assert cfg.kernel_sum_at(k, [5.0], exclude=i) == pytest.approx(0.5)
-    assert cfg.kernel_sum_at(k, [5.0]) == pytest.approx(1.5)
+    np.testing.assert_allclose(cfg.kernel_sums(k), [0.5, 0.5])
+    cfg.insert([5.0])
+    np.testing.assert_allclose(cfg.kernel_sums(k), [1.5, 1.0, 1.5])
 
 
 def brute_force_sum(cfg, kernel, x, exclude=None):
@@ -180,16 +186,21 @@ def brute_force_sum(cfg, kernel, x, exclude=None):
     return total
 
 
+def brute_force_sums(cfg, kernel):
+    return np.array(
+        [
+            brute_force_sum(cfg, kernel, cfg.position(pid), exclude=pid)
+            for pid in (cfg.point_at(row) for row in range(len(cfg)))
+        ]
+    )
+
+
 def test_kernel_sum_matches_brute_force_gaussian():
     rng = np.random.default_rng(3)
     torus = Torus.for_cutoff(20.0, 2, gaussian(1.0, 1.0, 2).cutoff_radius())
     cfg = uniform_cfg(torus, 100, rng)
     k = gaussian(1.0, 1.0, 2)
-    for _ in range(20):
-        x = rng.uniform(0, 20, 2)
-        a = cfg.kernel_sum_at(k, x)
-        b = brute_force_sum(cfg, k, x)
-        assert a == pytest.approx(b, rel=1e-12)
+    np.testing.assert_allclose(cfg.kernel_sums(k), brute_force_sums(cfg, k), rtol=1e-12)
 
 
 def test_kernel_sum_matches_brute_force_many_cases():
@@ -199,17 +210,48 @@ def test_kernel_sum_matches_brute_force_many_cases():
         torus = Torus.for_cutoff(12.0, 1, 3.0)
         cfg = uniform_cfg(torus, rng.integers(0, 40), rng)
         k = kernels_1d[trial % 2]
-        x = rng.uniform(0, 12, 1)
-        assert cfg.kernel_sum_at(k, x) == pytest.approx(
-            brute_force_sum(cfg, k, x), rel=1e-12, abs=1e-15
+        np.testing.assert_allclose(
+            cfg.kernel_sums(k), brute_force_sums(cfg, k), rtol=1e-12, atol=1e-15
         )
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_sums_same_on_every_cell_grid(dim):
+    # coarse grids make the cutoff ball wrap round the whole grid, so cell
+    # offsets repeat modulo n_cells and must be visited once each
+    rng = np.random.default_rng(6)
+    k = gaussian(1.0, 0.5, dim)
+    points = rng.uniform(0.0, 8.0, (60, dim))
+    expected = None
+    for n_cells in range(1, 9):
+        cfg = TorusConfiguration(Torus(8.0, dim, n_cells))
+        for x in points:
+            cfg.insert(x)
+        sums = cfg.kernel_sums(k)
+        if expected is None:
+            expected = brute_force_sums(cfg, k)
+        np.testing.assert_allclose(sums, expected, rtol=1e-12, atol=1e-15)
 
 
 def test_kernel_too_wide_rejected():
     cfg = TorusConfiguration(T10_1)
     cfg.insert([5.0])
     with pytest.raises(GeometryError, match="kernel too wide"):
-        cfg.kernel_sum_at(gaussian(1.0, 2.0, 1), [0.0])
+        cfg.kernel_sums(gaussian(1.0, 2.0, 1))
+
+
+def test_sample_row_never_draws_zero_weight():
+    # block 0 carries a rounding residue above the sum of its loads, and the
+    # rows on either side of the block boundary have weight 0: a uniform that
+    # lands in the residue must still draw a row of positive weight
+    cfg = uniform_cfg(T10_1, 512, np.random.default_rng(7))
+    loads = np.ones(512)
+    loads[255:257] = 0.0
+    cfg.set_loads(loads)
+    cfg._block[0] += 1e-12
+    total = 510.0 + 1e-12
+    assert cfg.sample_row((255.0 + 0.5e-12) / total, 0.0) == 254
+    assert cfg.sample_row(0.75, 0.0) == np.searchsorted(np.cumsum(loads), 0.75 * 510.0)
 
 
 def test_tail_budget_scales_with_population():
