@@ -452,6 +452,5 @@ def initial_configuration(
     if cfg.init_poisson is not None:
         return sample_poisson(cfg.torus, cfg.init_poisson, rng)
     conf = TorusConfiguration(cfg.torus)
-    for x in cfg.init_points:
-        conf.insert(x)
+    conf.insert_many(cfg.init_points)
     return conf

@@ -143,6 +143,8 @@ class SimulationState:
         else:
             self._b_total = 0.0
         self._birth_mass = 0.0 if spec.a_plus is None else spec.a_plus.mass()
+        # the competition cutoff, read by every event
+        self._cutoff = 0.0 if spec.a_minus is None else spec.a_minus.cutoff_radius()
         cfg.set_loads(self._fresh_loads())
 
     def _fresh_loads(self) -> np.ndarray:
@@ -195,7 +197,7 @@ class SimulationState:
         if a_minus is None:
             return self.cfg.insert(position)
         x = self.torus.wrap(position)
-        rows, dists = self.cfg.neighbors_within(x, a_minus.cutoff_radius())
+        rows, dists = self.cfg.neighbors_within(x, self._cutoff)
         if not rows.size:
             return self.cfg.insert(x)
         contrib = a_minus.profile(dists)
@@ -211,9 +213,7 @@ class SimulationState:
         a_minus = self.spec.a_minus
         x = self.cfg.position(pid)
         if a_minus is not None:
-            rows, dists = self.cfg.neighbors_within(
-                x, a_minus.cutoff_radius(), exclude=pid
-            )
+            rows, dists = self.cfg.neighbors_within(x, self._cutoff, exclude=pid)
             if rows.size:
                 contrib = a_minus.profile(dists)
                 old = self.cfg.loads[rows]

@@ -1,4 +1,15 @@
-"""Periodic boxes, point configurations, and the cell-list spatial index."""
+"""Periodic boxes, the point store and its cell-list index, windows and
+Poisson draws.
+
+``Torus`` is the periodic box and its grid of cells; it maps a point to its
+flat cell, one point in plain Python or many at once, and lists the cells
+within some rings of a cell.  ``TorusConfiguration`` is the simulator's one
+point store: dense columns of the living points, a load column with block
+sums for the death draw, and per-cell arrays of rows that a neighbour query
+gathers through a memoised cell stencil in a few numpy calls.
+``sample_poisson`` draws a homogeneous Poisson configuration and loads it
+into the store in one bulk pass.
+"""
 
 from __future__ import annotations
 
@@ -59,15 +70,37 @@ class Torus:
     def wrap(self, x: np.ndarray) -> np.ndarray:
         return np.mod(x, self.side)
 
-    def cell_of(self, x: np.ndarray) -> tuple[int, ...]:
-        idx = np.floor(self.wrap(x) / self.cell_size).astype(int)
-        return tuple(np.minimum(idx, self.n_cells - 1))
-
-    def flat_cell(self, cell: tuple[int, ...]) -> int:
+    def flat_cell_of(self, x) -> int:
+        """Row-major flat index of the grid cell of one point, given as
+        Python floats; each coordinate is wrapped into the box first."""
+        n, side, size = self.n_cells, self.side, self.cell_size
         flat = 0
-        for c in cell:
-            flat = flat * self.n_cells + c
+        for v in x:
+            flat = flat * n + min(int(v % side / size), n - 1)
         return flat
+
+    def flat_cells_of(self, pts: np.ndarray) -> np.ndarray:
+        """``flat_cell_of`` for every row of ``pts``, in one vectorised pass."""
+        idx = (self.wrap(pts) / self.cell_size).astype(np.intp)
+        np.minimum(idx, self.n_cells - 1, out=idx)
+        flat = np.zeros(idx.shape[0], dtype=np.intp)
+        for axis in range(self.dim):
+            flat = flat * self.n_cells + idx[:, axis]
+        return flat
+
+    def cell_stencil(self, cell: int, rings: int) -> tuple[int, ...]:
+        """Flat cells within ``rings`` cells of flat cell ``cell`` along every
+        axis, wrapping round the grid; distinct while 2 * rings + 1 <= n_cells."""
+        n = self.n_cells
+        coords = []
+        for _ in range(self.dim):
+            cell, c = divmod(cell, n)
+            coords.append(c)
+        offsets = range(-rings, rings + 1)
+        flats = [0]
+        for c in reversed(coords):
+            flats = [f * n + (c + o) % n for f in flats for o in offsets]
+        return tuple(flats)
 
 
 def periodic_delta(torus: Torus, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -139,11 +172,19 @@ class TorusConfiguration:
     """Finite point configuration on a torus: the simulator's one point store.
 
     Living points fill rows 0..n-1 of dense columns: position, stable id,
-    flat grid cell and competition load.  Ids are never reused.  ``insert``
-    appends a row; ``remove`` moves the last row into the freed one, so a row
-    index stays valid only until the next removal.  Each grid cell keeps the
-    set of its rows, so local sums only visit cells that intersect the
-    relevant cutoff ball.
+    flat grid cell, slot and competition load.  Ids are never reused.
+    ``insert`` appends a row; ``remove`` moves the last row into the freed
+    one, so a row index stays valid only until the next removal.
+
+    Each occupied grid cell keeps a growable ``np.intp`` array of its rows
+    and the count of them that are live; the slot column holds each row's
+    index in its cell's array, so ``insert`` appends to the array and
+    ``remove`` swap-deletes from it in O(1), and moving the last row into a
+    freed row rewrites one entry of its cell's array.  A neighbour query
+    looks up the cells within its cutoff in a stencil memoised per
+    (cell, rings) and gathers their arrays with one ``np.concatenate``.
+    Stencils are made only for cells queried, so their memory grows with
+    the cells points occupy, not with the whole grid.
 
     Next to the load column the store keeps one running sum per block of
     BLOCK_ROWS rows, a two-level sum tree: ``load_total`` and ``sample_row``
@@ -158,11 +199,13 @@ class TorusConfiguration:
         self._next_id = 0
         self._pos = np.zeros((16, torus.dim))
         self._id = np.zeros(16, dtype=np.int64)
-        self._cell = np.zeros(16, dtype=np.int64)
+        self._cell = np.zeros(16, dtype=np.intp)
+        self._slot = np.zeros(16, dtype=np.intp)  # row -> index in its cell's array
         self._load = np.zeros(16)
         self._block = np.zeros(1)  # load sum of each block of rows
         self._row: dict[int, int] = {}  # id -> row
-        self._cells: dict[int, set[int]] = {}  # flat cell -> rows
+        self._cells: dict[int, list] = {}  # flat cell -> [rows array, live count]
+        self._stencils: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return self._n
@@ -250,6 +293,25 @@ class TorusConfiguration:
         """Positions in ascending id order, shape (n, dim)."""
         return self._pos[np.argsort(self._id[: self._n])]
 
+    def _reserve(self, size: int) -> None:
+        """Double the columns' capacity until it holds ``size`` rows."""
+        capacity = self._id.size
+        if size <= capacity:
+            return
+        while capacity < size:
+            capacity *= 2
+
+        def grown(col, length):
+            out = np.zeros((length,) + col.shape[1:], dtype=col.dtype)
+            out[: col.shape[0]] = col
+            return out
+
+        self._pos, self._id, self._cell, self._slot, self._load = (
+            grown(col, capacity)
+            for col in (self._pos, self._id, self._cell, self._slot, self._load)
+        )
+        self._block = grown(self._block, -(-capacity // BLOCK_ROWS))
+
     def insert(self, position, load: float = 0.0) -> int:
         """Add a point as the last row with the given load; return its new id."""
         x = self.torus.wrap(np.asarray(position, dtype=float))
@@ -257,27 +319,72 @@ class TorusConfiguration:
             raise GeometryError(
                 f"position has shape {x.shape}, expected ({self.torus.dim},)"
             )
-        if self._n == self._id.size:
-            self._pos, self._id, self._cell, self._load = (
-                np.concatenate([col, np.zeros_like(col)])
-                for col in (self._pos, self._id, self._cell, self._load)
-            )
-            blocks = -(-self._id.size // BLOCK_ROWS)
-            self._block = np.concatenate(
-                [self._block, np.zeros(blocks - self._block.size)]
-            )
         row, pid = self._n, self._next_id
-        cell = self.torus.flat_cell(self.torus.cell_of(x))
+        self._reserve(row + 1)
+        cell = self.torus.flat_cell_of(x.tolist())
         self._pos[row] = x
         self._id[row] = pid
         self._cell[row] = cell
         self._load[row] = load
         self._block[row >> BLOCK_SHIFT] += load
         self._row[pid] = row
-        self._cells.setdefault(cell, set()).add(row)
+        entry = self._cells.get(cell)
+        if entry is None:
+            entry = self._cells[cell] = [np.empty(4, dtype=np.intp), 0]
+        rows, k = entry
+        if k == rows.size:
+            rows = entry[0] = np.concatenate([rows, np.empty_like(rows)])
+        rows[k] = row
+        entry[1] = k + 1
+        self._slot[row] = k
         self._n += 1
         self._next_id += 1
         return pid
+
+    def insert_many(self, positions) -> None:
+        """Add the rows of ``positions`` as new points with load 0.
+
+        One vectorised pass gives the store that ``insert`` called on each
+        row in turn would give: the same rows, ids, cells, order of rows
+        within each cell, slots and block sums.
+        """
+        t = self.torus
+        x = t.wrap(np.asarray(positions, dtype=float))
+        if x.ndim != 2 or x.shape[1] != t.dim:
+            raise GeometryError(
+                f"positions have shape {x.shape}, expected (k, {t.dim})"
+            )
+        k = x.shape[0]
+        lo, hi = self._n, self._n + k
+        self._reserve(hi)
+        cells = t.flat_cells_of(x)
+        ids = np.arange(self._next_id, self._next_id + k)
+        self._pos[lo:hi] = x
+        self._id[lo:hi] = ids
+        self._cell[lo:hi] = cells
+        self._load[lo:hi] = 0.0  # adds nothing to the block sums
+        self._row.update(zip(ids.tolist(), range(lo, hi)))
+        order = np.argsort(cells, kind="stable")
+        sorted_rows = lo + order
+        occupied, first, count = np.unique(
+            cells[order], return_index=True, return_counts=True
+        )
+        held = []  # rows each cell had before
+        ends = (first + count).tolist()
+        for cell, a, b in zip(occupied.tolist(), first.tolist(), ends):
+            entry = self._cells.get(cell)
+            if entry is None:
+                self._cells[cell] = [sorted_rows[a:b].copy(), b - a]
+                held.append(0)
+            else:
+                rows, c = entry
+                entry[0] = np.concatenate([rows[:c], sorted_rows[a:b]])
+                entry[1] = c + b - a
+                held.append(c)
+        held = np.array(held, dtype=np.intp)
+        self._slot[sorted_rows] = np.arange(k) + np.repeat(held - first, count)
+        self._n = hi
+        self._next_id += k
 
     def remove(self, point_id: int) -> np.ndarray:
         """Delete a point and return its position; the last row moves into its row."""
@@ -288,12 +395,11 @@ class TorusConfiguration:
         self._leave_cell(row)
         block[row >> BLOCK_SHIFT] -= self._load[row]
         if row != last:
-            self._leave_cell(last)
-            self._cells.setdefault(int(self._cell[last]), set()).add(row)
+            self._cells[int(self._cell[last])][0][self._slot[last]] = row
             moved = self._load[last]
             block[last >> BLOCK_SHIFT] -= moved
             block[row >> BLOCK_SHIFT] += moved
-            for col in (self._pos, self._id, self._cell, self._load):
+            for col in (self._pos, self._id, self._cell, self._slot, self._load):
                 col[row] = col[last]
             self._row[int(self._id[row])] = row
         if not last & (BLOCK_ROWS - 1):
@@ -303,39 +409,34 @@ class TorusConfiguration:
         return x
 
     def _leave_cell(self, row: int) -> None:
+        """Swap-delete ``row`` from its cell's array; drop the cell once empty."""
         cell = int(self._cell[row])
-        bucket = self._cells[cell]
-        bucket.discard(row)
-        if not bucket:
+        entry = self._cells[cell]
+        rows, k = entry
+        k -= 1
+        if not k:
             del self._cells[cell]
+            return
+        slot = self._slot[row]
+        moved = rows[k]
+        rows[slot] = moved
+        self._slot[moved] = slot
+        entry[1] = k
 
     # -- index ------------------------------------------------------------
 
     def cell_index(self) -> dict[int, set[int]]:
-        return {k: set(v) for k, v in self._cells.items()}
+        return {cell: set(rows[:k].tolist()) for cell, (rows, k) in self._cells.items()}
 
     def rebuilt_cell_index(self) -> dict[int, set[int]]:
         """Index recomputed from the positions; equals cell_index() at all times."""
-        fresh: dict[int, set[int]] = {}
-        for row in range(self._n):
-            cell = self.torus.flat_cell(self.torus.cell_of(self._pos[row]))
-            fresh.setdefault(cell, set()).add(row)
-        return fresh
-
-    def _candidate_rows(self, x: np.ndarray, radius: float) -> np.ndarray:
-        t = self.torus
-        rings = int(math.ceil(radius / t.cell_size))
-        if 2 * rings + 1 >= t.n_cells:
-            return np.arange(self._n)
-        base = t.cell_of(x)
-        found: list[int] = []
-        offsets = range(-rings, rings + 1)
-        for off in product(offsets, repeat=t.dim):
-            cell = tuple((b + o) % t.n_cells for b, o in zip(base, off))
-            bucket = self._cells.get(t.flat_cell(cell))
-            if bucket:
-                found.extend(bucket)
-        return np.array(found, dtype=np.intp)
+        cells = self.torus.flat_cells_of(self._pos[: self._n])
+        order = np.argsort(cells, kind="stable")
+        occupied, first = np.unique(cells[order], return_index=True)
+        return {
+            cell: set(rows.tolist())
+            for cell, rows in zip(occupied.tolist(), np.split(order, first[1:]))
+        }
 
     # -- local sums and counts ---------------------------------------------
 
@@ -345,17 +446,42 @@ class TorusConfiguration:
         Rows come back in ascending id order so float reductions are
         reproducible; they index ``loads`` until the next removal.
         """
-        x = np.asarray(x, dtype=float)
-        if radius > self.torus.side / 2.0:
+        t = self.torus
+        side = t.side
+        if radius > side / 2.0:
             raise GeometryError(
                 f"interaction radius {radius:g} exceeds half the box side "
-                f"{self.torus.side / 2.0:g}"
+                f"{side / 2.0:g}"
             )
-        rows = self._candidate_rows(x, radius)
-        dists = periodic_distances(self.torus, x, self._pos[rows])
+        x = np.asarray(x, dtype=float)
+        coords = x.tolist()
+        if min(coords) < 0.0 or max(coords) > side:
+            x = t.wrap(x)
+        rings = math.ceil(radius / t.cell_size)
+        if 2 * rings + 1 >= t.n_cells:
+            rows = np.arange(self._n)
+        else:
+            key = (t.flat_cell_of(coords), rings)
+            stencil = self._stencils.get(key)
+            if stencil is None:
+                stencil = self._stencils[key] = t.cell_stencil(*key)
+            cells = self._cells
+            parts = [e[0][: e[1]] for e in map(cells.get, stencil) if e is not None]
+            rows = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+        # |delta| <= side for points in the box, so min(|delta|, side - |delta|)
+        # is the minimum-image distance along each axis
+        d = np.take(self._pos, rows, axis=0)
+        d -= x
+        np.abs(d, out=d)
+        np.minimum(d, side - d, out=d)
+        d *= d
+        square = d[:, 0].copy()
+        for axis in range(1, t.dim):  # a sum along short rows is slow in numpy
+            square += d[:, axis]
+        dists = np.sqrt(square)
         keep = dists <= radius
         if exclude is not None:
-            keep &= self._id[rows] != exclude
+            keep &= rows != self._row.get(exclude, -1)
         rows, dists = rows[keep], dists[keep]
         order = np.argsort(self._id[rows])
         return rows[order], dists[order]
@@ -451,6 +577,5 @@ def sample_poisson(
         raise GeometryError(f"intensity must be >= 0, got {intensity}")
     cfg = TorusConfiguration(torus)
     n = rng.poisson(intensity * torus.volume)
-    for x in rng.uniform(0.0, torus.side, (n, torus.dim)):
-        cfg.insert(x)
+    cfg.insert_many(rng.uniform(0.0, torus.side, (n, torus.dim)))
     return cfg

@@ -383,6 +383,29 @@ def test_determinism_same_seed_same_trace():
     assert [e.time for e in c.events[:5]] != [e.time for e in a.events[:5]]
 
 
+@pytest.mark.parametrize("dim, t_end", [(1, 6.0), (2, 0.6)])
+def test_bulk_initial_load_gives_the_sequential_trace(dim, t_end):
+    # sample_poisson fills the store in one bulk pass; inserting the same
+    # draws one at a time must give the same run, event for event, with
+    # every cache audited after each event
+    am = gaussian(0.5, 0.2, dim)
+    spec = ModelSpec("bolker_pacala", a_plus=gaussian(1.0, 0.5, dim), a_minus=am, m=0.5)
+    torus = Torus.for_cutoff(9.0, dim, am.cutoff_radius())
+    assert 2 * math.ceil(am.cutoff_radius() / torus.cell_size) + 1 < torus.n_cells
+    rng_bulk, rng_seq = np.random.default_rng(21), np.random.default_rng(21)
+    bulk = sample_poisson(torus, 2.0, rng_bulk)
+    n = rng_seq.poisson(2.0 * torus.volume)
+    seq = cfg_with_points(torus, rng_seq.uniform(0.0, torus.side, (n, dim)))
+    assert len(bulk) == len(seq) > 0
+    a = run(spec, bulk, t_end=t_end, rng=rng_bulk, audit_every=1)
+    b = run(spec, seq, t_end=t_end, rng=rng_seq, audit_every=1)
+    assert len(a.events) == len(b.events) > 100
+    for ea, eb in zip(a.events, b.events):
+        assert (ea.time, ea.kind, ea.point) == (eb.time, eb.kind, eb.point)
+        assert ea.parent == eb.parent
+        np.testing.assert_array_equal(ea.position, eb.position)
+
+
 # -- oracle comparisons -------------------------------------------------------------
 
 

@@ -145,6 +145,155 @@ def test_cell_index_rebuild_identity(ops):
     assert cfg.cell_index() == cfg.rebuilt_cell_index()
 
 
+def reference_flat_cell(torus, x):
+    """Reference grid cell in numpy: floor of the wrapped coordinate over
+    the cell size, clamped to the last cell, then row-major flattening."""
+    idx = np.minimum(
+        np.floor(np.mod(x, torus.side) / torus.cell_size).astype(int),
+        torus.n_cells - 1,
+    )
+    return int(np.ravel_multi_index(tuple(idx), (torus.n_cells,) * torus.dim))
+
+
+@pytest.mark.parametrize(
+    "side, n_cells", [(10.0, 7), (1.0, 3), (30.0, 8), (20.0, 6), (20000.0, 6185)]
+)
+def test_flat_cell_formulas_agree_on_cell_edges(side, n_cells):
+    # the one-point and the vectorised flat cell must agree exactly where
+    # rounding decides the cell: on every edge k * cell_size, one ulp either
+    # side of it, at side - ulp and on points that need wrapping
+    t1 = Torus(side, 1, n_cells)
+    edges = np.arange(n_cells + 1) * t1.cell_size
+    values = np.concatenate(
+        [
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            [np.nextafter(side, 0.0), side, -0.0, -1e-300, -side / 3.0, 2.5 * side],
+        ]
+    )
+    vectorised = t1.flat_cells_of(values[:, None])
+    for v, cell in zip(values.tolist(), vectorised.tolist()):
+        assert t1.flat_cell_of([v]) == cell == reference_flat_cell(t1, [v])
+        assert 0 <= cell < n_cells
+    t2 = Torus(side, 2, n_cells)
+    pairs = np.stack([values, np.roll(values, 7)], axis=1)
+    for x, cell in zip(pairs.tolist(), t2.flat_cells_of(pairs).tolist()):
+        assert t2.flat_cell_of(x) == cell == reference_flat_cell(t2, x)
+
+
+def brute_force_neighbors(cfg, x, radius, exclude=None):
+    """(ids, distances) within radius of x by a scan over every point, in
+    plain Python floats with the minimum image taken per axis."""
+    side = cfg.torus.side
+    x = [v % side for v in x]
+    found = []
+    for pid in cfg.ids():
+        if pid == exclude:
+            continue
+        square = 0.0
+        for xv, yv in zip(x, cfg.position(pid).tolist()):
+            a = abs(yv - xv)
+            a = min(a, side - a)
+            square += a * a
+        dist = math.sqrt(square)
+        if dist <= radius:
+            found.append((pid, dist))
+    return [pid for pid, _ in found], [dist for _, dist in found]
+
+
+def assert_cell_arrays_consistent(cfg):
+    for cell, (rows, k) in cfg._cells.items():
+        live = rows[:k]
+        assert k > 0
+        np.testing.assert_array_equal(cfg._slot[live], np.arange(k))
+        np.testing.assert_array_equal(cfg._cell[live], cell)
+    assert cfg.cell_index() == cfg.rebuilt_cell_index()
+
+
+@settings(max_examples=100)
+@given(
+    dim=st.integers(min_value=1, max_value=3),
+    n_cells=st.integers(min_value=1, max_value=9),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    steps=st.integers(min_value=1, max_value=60),
+)
+def test_neighbors_within_matches_brute_force(dim, n_cells, seed, steps):
+    # a random sequence of inserts (some outside the box, so insert wraps
+    # them) and removals of random survivors; after every step the index
+    # equals its rebuild, and a query at a random spot and one at a live
+    # point with itself excluded, each with a random radius up to side/2,
+    # equal the brute-force scan
+    side = 6.0
+    rng = np.random.default_rng(seed)
+    cfg = TorusConfiguration(Torus(side, dim, n_cells))
+    alive = []
+    for _ in range(steps):
+        if rng.random() < 0.75 or not alive:
+            alive.append(cfg.insert(rng.uniform(-0.5 * side, 1.5 * side, dim)))
+        else:
+            cfg.remove(alive.pop(int(rng.integers(len(alive)))))
+        assert_cell_arrays_consistent(cfg)
+        queries = [(rng.uniform(-0.5 * side, 1.5 * side, dim), None)]
+        if alive:
+            pid = alive[int(rng.integers(len(alive)))]
+            queries.append((cfg.position(pid), pid))
+        for x, exclude in queries:
+            radius = rng.uniform(0.0, side / 2.0)
+            rows, dists = cfg.neighbors_within(x, radius, exclude=exclude)
+            ids = [cfg.point_at(row) for row in rows.tolist()]
+            want_ids, want_dists = brute_force_neighbors(cfg, x.tolist(), radius, exclude)
+            assert ids == want_ids  # ascending, as cfg.ids() is
+            assert dists.tolist() == want_dists
+
+
+def assert_same_store(a, b):
+    n = len(a)
+    assert len(b) == n and a._next_id == b._next_id
+    for name in ("_pos", "_id", "_cell", "_slot", "_load"):
+        np.testing.assert_array_equal(getattr(a, name)[:n], getattr(b, name)[:n])
+    np.testing.assert_array_equal(a._block, b._block)
+    assert a._row == b._row
+    assert a._cells.keys() == b._cells.keys()
+    for cell, (rows, k) in a._cells.items():
+        other, other_k = b._cells[cell]
+        assert rows[:k].tolist() == other[:other_k].tolist()  # order within the cell
+    assert a.cell_index() == b.cell_index() == a.rebuilt_cell_index()
+
+
+@pytest.mark.parametrize("dim, n_cells", [(1, 8), (1, 1), (2, 5), (3, 4)])
+def test_insert_many_equals_sequential_inserts(dim, n_cells):
+    # on an empty store, and on one whose rows went through removals and
+    # whose block sums carry rounding residues
+    torus = Torus(7.0, dim, n_cells)
+    rng = np.random.default_rng(11)
+    first = rng.uniform(-1.0, 8.0, (300, dim))
+    second = rng.uniform(-1.0, 8.0, (700, dim))
+    second[:5] = 7.0  # exactly on the box edge: wraps to 0
+    gone = rng.permutation(300)[:60]
+    bulk, seq = TorusConfiguration(torus), TorusConfiguration(torus)
+    bulk.insert_many(first)
+    for x in first:
+        seq.insert(x)
+    assert_same_store(bulk, seq)
+    loads = rng.uniform(0.0, 3.0, 300)
+    for cfg in (bulk, seq):
+        cfg.set_loads(loads)
+        cfg.add_loads(np.arange(0, 300, 7), np.full(43, 0.1))
+        for pid in gone.tolist():
+            cfg.remove(pid)
+    bulk.insert_many(second)
+    for x in second:
+        seq.insert(x)
+    assert_same_store(bulk, seq)
+    for u in np.linspace(0.0, 1.0, 101, endpoint=False):
+        assert bulk.sample_row(u, 0.3) == seq.sample_row(u, 0.3)
+    bulk.insert_many(np.zeros((0, dim)))
+    assert_same_store(bulk, seq)
+    with pytest.raises(GeometryError):
+        bulk.insert_many(np.zeros((3, dim + 1)))
+
+
 # -- neighbor sums ------------------------------------------------------------
 
 
