@@ -270,7 +270,10 @@ def cmd_verify(args) -> int:
     cfg = _load_with_overrides(args)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if args.certificate:
-        cert = Certificate.from_dict(json.loads(Path(args.certificate).read_text()))
+        try:  # a missing file, bad JSON or wrong fields is a usage error
+            cert = Certificate.from_dict(json.loads(Path(args.certificate).read_text()))
+        except (OSError, ValueError, TypeError) as exc:
+            raise ConfigError("--certificate", f"no certificate read: {exc}") from None
         cert.self_check()
     else:
         try:
@@ -372,10 +375,8 @@ def _load_with_overrides(args) -> RunConfig:
     cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
-        cfg.raw["seed"] = args.seed
     if getattr(args, "replicas", None) is not None:
         cfg.replicas = args.replicas
-        cfg.raw["replicas"] = args.replicas
     if getattr(args, "out", None):
         cfg.out_dir = Path(args.out)
     if getattr(args, "audit", False) and cfg.audit_every == 0:

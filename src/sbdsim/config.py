@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -188,7 +188,6 @@ class RunConfig:
     out_dir: Path
     max_population: int
     audit_every: int
-    raw: dict = field(default_factory=dict, repr=False)
 
 
 def _default_snapshot_times(t_end: float, burn_in: float, model: ModelSpec):
@@ -348,7 +347,6 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         out_dir=out_dir,
         max_population=max_population,
         audit_every=audit_every,
-        raw=data,
     )
 
 

@@ -13,8 +13,11 @@ kernels wrapped onto the torus and truncated at their cutoff radius.  The
 per-point competition loads are cached in the point store and updated
 incrementally on each event, together with the store's running load sum per
 block of rows; the total death rate reads the block sums, and the dying point
-is found first among the blocks and then inside one block.  The optional
-audit recomputes loads and block sums from scratch and fails loudly on drift.
+is found first among the blocks and then inside one block.  Events address
+points by their row in the store: a birth's parent and a death are drawn as
+rows, and only the recorded event carries ids.  The optional audit checks the
+cell index and recomputes loads and block sums from scratch, with the same
+per-pair distances as the incremental updates, and fails loudly on drift.
 Waiting times are exponential in the total rate and the event type is chosen
 proportionally, so trajectories follow the exact jump chain.
 
@@ -168,8 +171,12 @@ class SimulationState:
         return b, d
 
     def audit(self, rel_tol: float = 1e-9) -> None:
-        """Recompute every cached load and block sum from scratch; raise
-        AuditError on drift."""
+        """Check the cell index against the positions, which the load
+        recomputation relies on, then recompute every cached load and block
+        sum from scratch; raise AuditError on any fault or drift."""
+        fault = self.cfg.cell_index_fault()
+        if fault is not None:
+            raise AuditError(f"cell index differs from the positions: {fault}")
         cached = self.cfg.loads
         fresh = self._fresh_loads()
         drift = np.abs(cached - fresh) > rel_tol * (1.0 + np.abs(fresh))
@@ -187,8 +194,6 @@ class SimulationState:
                 f"load sum of row block {block} drifted: "
                 f"running {running!r}, recomputed {recomputed!r}"
             )
-        if self.cfg.cell_index() != self.cfg.rebuilt_cell_index():
-            raise AuditError("cell index differs from a from-scratch rebuild")
 
     # -- event application ---------------------------------------------------
 
@@ -204,16 +209,17 @@ class SimulationState:
         self.cfg.add_loads(rows, contrib)
         return self.cfg.insert(x, load=float(contrib.sum()))
 
-    def _remove_point(self, pid: int) -> np.ndarray:
-        """Delete a point and take its contribution out of its neighbours' loads.
+    def _remove_point(self, row: int) -> np.ndarray:
+        """Delete the point in ``row`` and take its contribution out of its
+        neighbours' loads.
 
         A load may end a rounding residue below zero and is then set to 0;
         one further below means the cache is corrupt and raises AuditError.
         """
         a_minus = self.spec.a_minus
-        x = self.cfg.position(pid)
+        x = self.cfg.position(row)
         if a_minus is not None:
-            rows, dists = self.cfg.neighbors_within(x, self._cutoff, exclude=pid)
+            rows, dists = self.cfg.neighbors_within(x, self._cutoff, exclude=row)
             if rows.size:
                 contrib = a_minus.profile(dists)
                 old = self.cfg.loads[rows]
@@ -226,11 +232,12 @@ class SimulationState:
                         i = corrupt[0]
                         raise AuditError(
                             f"death-rate cache for point {self.cfg.point_at(rows[i])} "
-                            f"fell to {float(left[i])!r} on removing point {pid}"
+                            f"fell to {float(left[i])!r} on removing point "
+                            f"{self.cfg.point_at(row)}"
                         )
                     delta[below] = -old[below]  # residues go to exactly 0
                 self.cfg.add_loads(rows, delta)
-        self.cfg.remove(pid)
+        self.cfg.remove(row)
         return x
 
     def _apply_event(self, b: float, d: float, rng: np.random.Generator) -> Event:
@@ -244,15 +251,15 @@ class SimulationState:
                 pos = self.spec.b.sample_position(self.torus.side, self.torus.dim, rng)
                 parent = None
             else:
-                parent = self.cfg.point_at(int(rng.integers(n)))
+                row = int(rng.integers(n))
+                parent = self.cfg.point_at(row)
                 disp = self.spec.a_plus.sample_displacement(rng)
-                pos = self.torus.wrap(self.cfg.position(parent) + disp)
+                pos = self.torus.wrap(self.cfg.position(row) + disp)
             pid = self._add_point(pos)
-            return Event(self.t, "birth", self.cfg.position(pid), pid, parent)
-        row = self.cfg.sample_row(rng.random(), self.spec.m)
-        pid = self.cfg.point_at(min(row, n - 1))
-        pos = self._remove_point(pid)
-        return Event(self.t, "death", pos, pid, None)
+            return Event(self.t, "birth", self.cfg.position(n), pid, parent)
+        row = min(self.cfg.sample_row(rng.random(), self.spec.m), n - 1)
+        pid = self.cfg.point_at(row)
+        return Event(self.t, "death", self._remove_point(row), pid, None)
 
     def snapshot(self, at_time: float) -> Snapshot:
         ids = np.array(self.cfg.ids(), dtype=int)
@@ -281,7 +288,6 @@ def run(
     snapshot_times: tuple[float, ...] = (),
     max_population: int = DEFAULT_MAX_POPULATION,
     audit_every: int = 0,
-    record_events: bool = True,
 ) -> SimulationTrace:
     """Simulate to ``t_end``, collecting events and scheduled snapshots.
 
@@ -319,9 +325,7 @@ def run(
             state.t = t_end
             break
         state.t = t_next
-        event = state._apply_event(b, d, rng)
-        if record_events:
-            trace.events.append(event)
+        trace.events.append(state._apply_event(b, d, rng))
         events_done += 1
         if audit_every and events_done % audit_every == 0:
             state.audit()

@@ -4,9 +4,11 @@ Poisson draws.
 ``Torus`` is the periodic box and its grid of cells; it maps a point to its
 flat cell, one point in plain Python or many at once, and lists the cells
 within some rings of a cell.  ``TorusConfiguration`` is the simulator's one
-point store: dense columns of the living points, a load column with block
-sums for the death draw, and per-cell arrays of rows that a neighbour query
-gathers through a memoised cell stencil in a few numpy calls.
+point store: dense columns of the living points, addressed by row alone, a
+load column with block sums for the death draw, and per-cell arrays of rows
+that a neighbour query gathers through a memoised cell stencil in a few
+numpy calls.  Every minimum-image distance, of a neighbour query, of the
+kernel sums and of ``pairwise_periodic_distances``, comes from one helper.
 ``sample_poisson`` draws a homogeneous Poisson configuration and loads it
 into the store in one bulk pass.
 """
@@ -103,35 +105,32 @@ class Torus:
         return tuple(flats)
 
 
-def periodic_delta(torus: Torus, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Minimum-image displacement y - x, componentwise in (-side/2, side/2]."""
-    d = np.mod(np.asarray(y, float) - np.asarray(x, float), torus.side)
-    return np.where(d > torus.side / 2.0, d - torus.side, d)
+def _min_image_distances(d: np.ndarray, side: float) -> np.ndarray:
+    """Minimum-image lengths of the rows of ``d``, differences of points in
+    [0, side]^dim; ``d`` is overwritten.
 
-
-def periodic_distance(torus: Torus, x, y) -> float:
-    return float(np.linalg.norm(periodic_delta(torus, x, y)))
-
-
-def periodic_distances(torus: Torus, x, pts: np.ndarray) -> np.ndarray:
-    """Minimum-image distances from ``x`` (one point, or one per row) to each
-    row of ``pts``."""
-    if pts.size == 0:
-        return np.zeros(0)
-    d = np.mod(pts - np.asarray(x, float), torus.side)
-    d = np.where(d > torus.side / 2.0, d - torus.side, d)
-    return np.sqrt((d * d).sum(axis=1))
+    |delta| <= side along each axis, so min(|delta|, side - |delta|) is the
+    minimum image along it; the squares are summed column by column, since
+    a sum along short rows is slow in numpy.
+    """
+    np.abs(d, out=d)
+    np.minimum(d, side - d, out=d)
+    d *= d
+    square = d[:, 0].copy()
+    for axis in range(1, d.shape[1]):
+        square += d[:, axis]
+    return np.sqrt(square)
 
 
 def pairwise_periodic_distances(torus: Torus, pts: np.ndarray) -> np.ndarray:
-    """Condensed vector of minimum-image distances between distinct rows."""
+    """Condensed vector of minimum-image distances between distinct rows;
+    points outside the box are wrapped into it first."""
     n = pts.shape[0]
     if n < 2:
         return np.zeros(0)
+    pts = torus.wrap(np.asarray(pts, dtype=float))
     iu, ju = np.triu_indices(n, 1)
-    d = np.mod(pts[iu] - pts[ju], torus.side)
-    d = np.where(d > torus.side / 2.0, d - torus.side, d)
-    return np.sqrt((d * d).sum(axis=1))
+    return _min_image_distances(pts[iu] - pts[ju], torus.side)
 
 
 @dataclass(frozen=True)
@@ -172,9 +171,12 @@ class TorusConfiguration:
     """Finite point configuration on a torus: the simulator's one point store.
 
     Living points fill rows 0..n-1 of dense columns: position, stable id,
-    flat grid cell, slot and competition load.  Ids are never reused.
-    ``insert`` appends a row; ``remove`` moves the last row into the freed
-    one, so a row index stays valid only until the next removal.
+    flat grid cell, slot and competition load.  The row is a point's only
+    address: ``position``, ``remove`` and the ``exclude`` of a neighbour
+    query take rows and reject any outside 0..n-1.  Ids are a column, never
+    reused, that ``insert`` returns and ``point_at`` reads; nothing maps an
+    id back to its row.  ``insert`` appends a row; ``remove`` moves the last
+    row into the freed one, so a row stays valid only until the next removal.
 
     Each occupied grid cell keeps a growable ``np.intp`` array of its rows
     and the count of them that are live; the slot column holds each row's
@@ -190,7 +192,8 @@ class TorusConfiguration:
     BLOCK_ROWS rows, a two-level sum tree: ``load_total`` and ``sample_row``
     read n / BLOCK_ROWS block sums and one block instead of the whole column.
     ``insert``, ``remove``, ``add_loads`` and ``set_loads`` keep the block
-    sums in step with the column; ``stale_block`` checks them against it.
+    sums in step with the column; ``stale_block`` checks them against it,
+    as ``cell_index_fault`` checks the cell arrays against the positions.
     """
 
     def __init__(self, torus: Torus):
@@ -203,7 +206,6 @@ class TorusConfiguration:
         self._slot = np.zeros(16, dtype=np.intp)  # row -> index in its cell's array
         self._load = np.zeros(16)
         self._block = np.zeros(1)  # load sum of each block of rows
-        self._row: dict[int, int] = {}  # id -> row
         self._cells: dict[int, list] = {}  # flat cell -> [rows array, live count]
         self._stencils: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -280,14 +282,13 @@ class TorusConfiguration:
         """Id of the point in ``row``."""
         return int(self._id[row])
 
-    def _row_of(self, point_id: int) -> int:
-        try:
-            return self._row[point_id]
-        except KeyError:
-            raise GeometryError(f"no point with id {point_id}") from None
+    def _check_row(self, row: int) -> int:
+        if not 0 <= row < self._n:
+            raise GeometryError(f"no row {row} among {self._n} points")
+        return row
 
-    def position(self, point_id: int) -> np.ndarray:
-        return self._pos[self._row_of(point_id)].copy()
+    def position(self, row: int) -> np.ndarray:
+        return self._pos[self._check_row(row)].copy()
 
     def positions_array(self) -> np.ndarray:
         """Positions in ascending id order, shape (n, dim)."""
@@ -327,7 +328,6 @@ class TorusConfiguration:
         self._cell[row] = cell
         self._load[row] = load
         self._block[row >> BLOCK_SHIFT] += load
-        self._row[pid] = row
         entry = self._cells.get(cell)
         if entry is None:
             entry = self._cells[cell] = [np.empty(4, dtype=np.intp), 0]
@@ -358,12 +358,10 @@ class TorusConfiguration:
         lo, hi = self._n, self._n + k
         self._reserve(hi)
         cells = t.flat_cells_of(x)
-        ids = np.arange(self._next_id, self._next_id + k)
         self._pos[lo:hi] = x
-        self._id[lo:hi] = ids
+        self._id[lo:hi] = np.arange(self._next_id, self._next_id + k)
         self._cell[lo:hi] = cells
         self._load[lo:hi] = 0.0  # adds nothing to the block sums
-        self._row.update(zip(ids.tolist(), range(lo, hi)))
         order = np.argsort(cells, kind="stable")
         sorted_rows = lo + order
         occupied, first, count = np.unique(
@@ -386,10 +384,10 @@ class TorusConfiguration:
         self._n = hi
         self._next_id += k
 
-    def remove(self, point_id: int) -> np.ndarray:
-        """Delete a point and return its position; the last row moves into its row."""
-        row = self._row_of(point_id)
-        x = self._pos[row].copy()
+    def remove(self, row: int) -> np.ndarray:
+        """Delete the point in ``row`` and return its position; the last row
+        moves into ``row``."""
+        x = self.position(row)
         last = self._n - 1
         block = self._block
         self._leave_cell(row)
@@ -401,10 +399,8 @@ class TorusConfiguration:
             block[row >> BLOCK_SHIFT] += moved
             for col in (self._pos, self._id, self._cell, self._slot, self._load):
                 col[row] = col[last]
-            self._row[int(self._id[row])] = row
         if not last & (BLOCK_ROWS - 1):
             block[last >> BLOCK_SHIFT] = 0.0  # emptied: drop its rounding residue
-        del self._row[point_id]
         self._n = last
         return x
 
@@ -425,23 +421,40 @@ class TorusConfiguration:
 
     # -- index ------------------------------------------------------------
 
-    def cell_index(self) -> dict[int, set[int]]:
-        return {cell: set(rows[:k].tolist()) for cell, (rows, k) in self._cells.items()}
+    def cell_index_fault(self) -> str | None:
+        """First fault of the cell index against the positions, else None.
 
-    def rebuilt_cell_index(self) -> dict[int, set[int]]:
-        """Index recomputed from the positions; equals cell_index() at all times."""
-        cells = self.torus.flat_cells_of(self._pos[: self._n])
-        order = np.argsort(cells, kind="stable")
-        occupied, first = np.unique(cells[order], return_index=True)
-        return {
-            cell: set(rows.tolist())
-            for cell, rows in zip(occupied.tolist(), np.split(order, first[1:]))
-        }
+        The index holds when the cell column equals ``flat_cells_of`` the
+        positions, no cell keeps an empty entry, and every live row appears
+        exactly once across the cell arrays: in its own cell's array, at its
+        slot.  A fault names the lowest row it touches by its point.
+        """
+        n = self._n
+        cells = self._cell[:n]
+        bad = cells != self.torus.flat_cells_of(self._pos[:n])
+        owners = np.fromiter(self._cells, dtype=np.intp, count=len(self._cells))
+        counts = np.array([k for _, k in self._cells.values()], dtype=np.intp)
+        if (counts < 1).any():
+            return f"cell {owners[counts < 1][0]} keeps an empty entry"
+        listed = np.concatenate(
+            [rows[:k] for rows, k in self._cells.values()] + [np.zeros(0, np.intp)]
+        )
+        if listed.size and not 0 <= listed.min() <= listed.max() < n:
+            return f"the cell arrays list a row outside 0..{n - 1}"
+        bad |= np.bincount(listed, minlength=n) != 1
+        owner = np.repeat(owners, counts)
+        slots = np.arange(listed.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        bad[listed[(owner != cells[listed]) | (slots != self._slot[listed])]] = True
+        if not bad.any():
+            return None
+        row = int(bad.argmax())
+        return f"point {self.point_at(row)} (row {row}) is misfiled"
 
     # -- local sums and counts ---------------------------------------------
 
     def neighbors_within(self, x, radius: float, exclude: int | None = None):
-        """Rows and minimum-image distances of points within ``radius`` of x.
+        """Rows and minimum-image distances of points within ``radius`` of x,
+        leaving out the row ``exclude``.
 
         Rows come back in ascending id order so float reductions are
         reproducible; they index ``loads`` until the next removal.
@@ -468,20 +481,12 @@ class TorusConfiguration:
             cells = self._cells
             parts = [e[0][: e[1]] for e in map(cells.get, stencil) if e is not None]
             rows = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
-        # |delta| <= side for points in the box, so min(|delta|, side - |delta|)
-        # is the minimum-image distance along each axis
         d = np.take(self._pos, rows, axis=0)
         d -= x
-        np.abs(d, out=d)
-        np.minimum(d, side - d, out=d)
-        d *= d
-        square = d[:, 0].copy()
-        for axis in range(1, t.dim):  # a sum along short rows is slow in numpy
-            square += d[:, axis]
-        dists = np.sqrt(square)
+        dists = _min_image_distances(d, side)
         keep = dists <= radius
         if exclude is not None:
-            keep &= rows != self._row.get(exclude, -1)
+            keep &= rows != self._check_row(exclude)
         rows, dists = rows[keep], dists[keep]
         order = np.argsort(self._id[rows])
         return rows[order], dists[order]
@@ -547,7 +552,9 @@ class TorusConfiguration:
             i = np.repeat(np.arange(lo, hi), batch)
             first_pair = ends[lo:hi] - batch - done  # of each row, in this batch
             j = np.arange(i.size) + np.repeat(start[lo:hi] - first_pair, batch)
-            dist = periodic_distances(self.torus, pos[i], pos[j])
+            d = np.take(pos, i, axis=0)
+            d -= np.take(pos, j, axis=0)
+            dist = _min_image_distances(d, self.torus.side)
             keep = (dist <= cutoff) & (i != j)
             sums[lo:hi] += np.bincount(
                 i[keep] - lo, weights=kernel.profile(dist[keep]), minlength=hi - lo
@@ -557,15 +564,6 @@ class TorusConfiguration:
     def kernel_sum_tail_budget(self, kernel: RadialKernel) -> float:
         """Certified bound on mass any entry of kernel_sums may miss beyond the cutoff."""
         return kernel.tail_sup() * len(self)
-
-    def count_in_window(self, window: Window) -> int:
-        if window.dim != self.torus.dim:
-            raise GeometryError(
-                f"window dimension {window.dim} != torus dimension {self.torus.dim}"
-            )
-        if any(b > self.torus.side for b in window.hi):
-            raise GeometryError("window extends beyond the fundamental domain")
-        return window.count(self.positions_array())
 
 
 def sample_poisson(

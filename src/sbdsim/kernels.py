@@ -479,15 +479,6 @@ class ImmigrationField:
         cell_vol = (side / self.grid.shape[0]) ** dim
         return float(self.grid.sum()) * cell_vol
 
-    def evaluate(self, x, side: float) -> float:
-        x = np.asarray(x, dtype=float)
-        if self.grid is None:
-            return self.constant
-        n = self.grid.shape[0]
-        idx = np.floor(np.mod(x, side) / side * n).astype(int)
-        idx = np.minimum(idx, n - 1)
-        return float(self.grid[tuple(idx)])
-
     def sample_position(self, side: float, dim: int, rng: np.random.Generator):
         """Draw a point with density proportional to the intensity."""
         if self.grid is None:

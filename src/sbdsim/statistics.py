@@ -74,14 +74,6 @@ class PairCorrelation:
     se: np.ndarray
     replicas_used: int
 
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
-
-    def rows(self):
-        for c, g, se in zip(self.centers, self.g, self.se):
-            yield float(c), float(g), float(se)
-
 
 def pair_correlation(
     snapshots,

@@ -189,6 +189,27 @@ def test_verify_standalone_certificate(tmp_path):
     assert payload["argmin_config_csv_path"].endswith("argmin.csv")
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "No such file"),
+        ("{not json", "Expecting property name"),
+        ('{"dim": 1, "omega": 1.0}', "missing 12 required positional arguments"),
+        ('{"dim": 1, "colour": "red"}', "unexpected keyword argument 'colour'"),
+    ],
+)
+def test_verify_bad_certificate_file_is_usage_error(tmp_path, capsys, content, message):
+    cfg_path = write_config(tmp_path / "cfg.json", bp_config())
+    cert_path = tmp_path / "certificate.json"
+    if content is not None:
+        cert_path.write_text(content)
+    argv = ["verify", "--config", cfg_path, "--certificate", str(cert_path)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err
+    assert "Traceback" not in err
+
+
 # -- bounds -----------------------------------------------------------------------
 
 

@@ -325,6 +325,47 @@ def test_audit_catches_block_sum_corruption():
         state.audit()
 
 
+def misfile(cfg, how):
+    """Corrupt the cell index of a store with two or more points in one cell
+    in one way; return the id of the point the audit must name."""
+    entry = next(e for e in cfg._cells.values() if e[1] >= 2)
+    rows, k = entry
+    first, second, last = int(rows[0]), int(rows[1]), int(rows[k - 1])
+    if how == "cell entry":
+        cfg._cell[first] ^= 1  # a neighbouring flat cell
+    elif how == "missing":
+        entry[1] = k - 1
+        return cfg.point_at(last)
+    elif how == "duplicate":
+        entry[0] = np.append(rows[:k], first)
+        entry[1] = k + 1
+    elif how == "slot":
+        cfg._slot[first], cfg._slot[second] = cfg._slot[second], cfg._slot[first]
+        return cfg.point_at(min(first, second))
+    elif how == "other cell":  # at its slot, but in another cell's array
+        other = next(e[0] for e in cfg._cells.values() if e is not entry)
+        rows[0], other[0] = other[0], rows[0]
+        return cfg.point_at(min(first, int(rows[0])))
+    elif how == "moved":  # one cell along every axis
+        cfg._pos[first] = (cfg._pos[first] + cfg.torus.cell_size) % cfg.torus.side
+    return cfg.point_at(first)
+
+
+@pytest.mark.parametrize(
+    "how", ["cell entry", "missing", "duplicate", "slot", "other cell", "moved"]
+)
+def test_audit_catches_cell_index_corruption(how):
+    am = triangular(1.0, 1.0, 2)
+    spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 2), a_minus=am, m=0.2)
+    rng = np.random.default_rng(12)
+    cfg = cfg_with_points(Torus(10.0, 2, n_cells=4), rng.uniform(0.0, 10.0, (60, 2)))
+    state = SimulationState(spec, cfg)
+    state.audit()
+    pid = misfile(cfg, how)
+    with pytest.raises(AuditError, match=f"cell index .*: point {pid} "):
+        state.audit()
+
+
 def test_removal_below_zero_load_raises():
     # point 0's load is a- at distance 0.5 = 0.5; corrupted to 0, removing
     # point 1 would take it to -0.5, far beyond a rounding residue

@@ -11,9 +11,8 @@ from sbdsim.geometry import (
     Torus,
     TorusConfiguration,
     Window,
+    _min_image_distances,
     pairwise_periodic_distances,
-    periodic_distance,
-    periodic_distances,
     sample_poisson,
 )
 from sbdsim.kernels import gaussian, triangular
@@ -27,6 +26,28 @@ def uniform_cfg(torus, n, rng):
     for x in rng.uniform(0.0, torus.side, (n, torus.dim)):
         cfg.insert(x)
     return cfg
+
+
+def min_image_distance(side, x, y):
+    """Minimum-image distance of two points of [0, side]^dim in plain Python
+    floats, the minimum image taken per axis."""
+    square = 0.0
+    for xv, yv in zip(x, y):
+        a = abs(yv - xv)
+        a = min(a, side - a)
+        square += a * a
+    return math.sqrt(square)
+
+
+def scan_pairwise(side, pts):
+    """pairwise_periodic_distances by a plain-Python scan of the points
+    wrapped into [0, side), in condensed order."""
+    pts = [[v % side for v in p] for p in np.asarray(pts, dtype=float).tolist()]
+    return [
+        min_image_distance(side, pts[i], pts[j])
+        for i in range(len(pts))
+        for j in range(i + 1, len(pts))
+    ]
 
 
 # -- torus and metric --------------------------------------------------------
@@ -55,10 +76,14 @@ def test_for_cutoff_cell_size():
     assert t2.n_cells == 8
 
 
+def distance(torus, x, y):
+    return float(pairwise_periodic_distances(torus, np.array([x, y], dtype=float))[0])
+
+
 def test_periodic_distance_wraparound():
-    assert periodic_distance(T10_1, [0.5], [9.5]) == pytest.approx(1.0, rel=1e-15)
-    assert periodic_distance(T10_1, [0.5], [0.5]) == 0.0
-    assert periodic_distance(T10_2, [0.0, 0.0], [5.0, 5.0]) == pytest.approx(
+    assert distance(T10_1, [0.5], [9.5]) == pytest.approx(1.0, rel=1e-15)
+    assert distance(T10_1, [0.5], [0.5]) == 0.0
+    assert distance(T10_2, [0.0, 0.0], [5.0, 5.0]) == pytest.approx(
         math.sqrt(50.0), rel=1e-15
     )
 
@@ -68,22 +93,54 @@ def test_periodic_distance_wraparound():
 )
 def test_periodic_distance_is_metric(coords):
     x, y, z = (np.array(coords[i : i + 2]) for i in (0, 2, 4))
-    dxy = periodic_distance(T10_2, x, y)
-    dyx = periodic_distance(T10_2, y, x)
-    dxz = periodic_distance(T10_2, x, z)
-    dzy = periodic_distance(T10_2, z, y)
+    dxy = distance(T10_2, x, y)
+    dyx = distance(T10_2, y, x)
+    dxz = distance(T10_2, x, z)
+    dzy = distance(T10_2, z, y)
     assert dxy == pytest.approx(dyx, abs=1e-12)
     assert dxy <= dxz + dzy + 1e-9
     assert dxy <= math.sqrt(2.0) * 5.0 + 1e-12
 
 
 def test_periodic_distances_batch_matches_scalar():
+    # the batched helper against one plain-Python distance per pair
     rng = np.random.default_rng(0)
     x = rng.uniform(0, 10, 2)
     pts = rng.uniform(0, 10, (40, 2))
-    batch = periodic_distances(T10_2, x, pts)
-    singles = [periodic_distance(T10_2, x, p) for p in pts]
-    np.testing.assert_allclose(batch, singles, rtol=1e-14)
+    batch = _min_image_distances(pts - x, 10.0)
+    singles = [min_image_distance(10.0, x.tolist(), p) for p in pts.tolist()]
+    assert batch.tolist() == singles
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_min_image_distances_at_the_wrap_edges(dim):
+    # coordinates at 0, side - ulp, exactly side (the same point as 0), and
+    # pairs side / 2 apart in either order; the helper on differences of
+    # wrapped points and pairwise_periodic_distances on the raw points, and
+    # on the points shifted by whole multiples of side, equal the plain scan,
+    # and the helper on the raw points, which may sit exactly at side, equals
+    # it up to rounding
+    side = 6.0
+    below = np.nextafter(side, 0.0)
+    edge = [0.0, below, side, 1.0, 1.0 + side / 2.0, side / 2.0, 0.25]
+    rng = np.random.default_rng(dim)
+    pts = np.array([[edge[(i + 3 * a) % len(edge)] for a in range(dim)] for i in range(7)])
+    pts = np.concatenate([pts, rng.uniform(0.0, side, (9, dim))])
+    iu, ju = np.triu_indices(pts.shape[0], 1)
+    want = scan_pairwise(side, pts)
+    wrapped = np.mod(pts, side)
+    assert _min_image_distances(wrapped[iu] - wrapped[ju], side).tolist() == want
+    raw = _min_image_distances(pts[iu] - pts[ju], side)
+    np.testing.assert_allclose(raw, want, rtol=0.0, atol=1e-14)
+    torus = Torus(side, dim)
+    assert pairwise_periodic_distances(torus, pts).tolist() == want
+    for shift in (-3, -1, 1, 7):
+        moved = pts + shift * side
+        got = pairwise_periodic_distances(torus, moved)
+        assert got.tolist() == scan_pairwise(side, moved)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+    assert distance(Torus(side, 1), [1.0], [1.0 + side / 2.0]) == side / 2.0
+    assert distance(Torus(side, 1), [1.0 + side / 2.0], [1.0]) == side / 2.0
 
 
 def test_pairwise_periodic_distances():
@@ -98,36 +155,84 @@ def test_pairwise_periodic_distances():
 # -- configurations and the cell index ---------------------------------------
 
 
+def row_of(cfg, pid):
+    """Row of the point with id ``pid``, by a scan: the store keeps no map."""
+    return [cfg.point_at(row) for row in range(len(cfg))].index(pid)
+
+
 def test_insert_remove_roundtrip():
     cfg = TorusConfiguration(T10_1)
     i = cfg.insert([1.0])
     j = cfg.insert([2.0])
     assert len(cfg) == 2 and i != j
-    np.testing.assert_allclose(cfg.position(i), [1.0])
-    cfg.remove(i)
+    assert (cfg.point_at(0), cfg.point_at(1)) == (i, j)
+    np.testing.assert_allclose(cfg.position(0), [1.0])
+    np.testing.assert_allclose(cfg.remove(0), [1.0])
     assert len(cfg) == 1
     assert cfg.ids() == [j]
+    assert cfg.point_at(0) == j  # the last row moved into the freed one
+    np.testing.assert_allclose(cfg.position(0), [2.0])
     with pytest.raises(GeometryError):
-        cfg.position(i)
+        cfg.position(1)
+
+
+def test_rows_outside_the_store_are_rejected():
+    cfg = TorusConfiguration(T10_1)
+    with pytest.raises(GeometryError):
+        cfg.remove(0)
+    cfg.insert([1.0])
+    cfg.insert([2.0])
+    for row in (-1, 2, 5):
+        with pytest.raises(GeometryError, match=f"no row {row}"):
+            cfg.position(row)
+        with pytest.raises(GeometryError, match=f"no row {row}"):
+            cfg.remove(row)
+        with pytest.raises(GeometryError, match=f"no row {row}"):
+            cfg.neighbors_within([1.5], 1.0, exclude=row)
+    assert len(cfg) == 2
+    rows, _ = cfg.neighbors_within([1.5], 1.0, exclude=1)
+    assert rows.tolist() == [0]
 
 
 def test_insert_wraps_into_box():
     cfg = TorusConfiguration(T10_1)
-    i = cfg.insert([12.5])
-    np.testing.assert_allclose(cfg.position(i), [2.5])
-    j = cfg.insert([-0.5])
-    np.testing.assert_allclose(cfg.position(j), [9.5])
+    cfg.insert([12.5])
+    np.testing.assert_allclose(cfg.position(0), [2.5])
+    cfg.insert([-0.5])
+    np.testing.assert_allclose(cfg.position(1), [9.5])
 
 
 def test_positions_array_ascending_ids():
     rng = np.random.default_rng(1)
     cfg = uniform_cfg(T10_2, 30, rng)
     for vid in list(cfg.ids())[::3]:
-        cfg.remove(vid)
+        cfg.remove(row_of(cfg, vid))
     ids = cfg.ids()
     assert ids == sorted(ids)
     arr = cfg.positions_array()
-    np.testing.assert_allclose(arr, np.array([cfg.position(i) for i in ids]))
+    np.testing.assert_allclose(
+        arr, np.array([cfg.position(row_of(cfg, i)) for i in ids])
+    )
+
+
+def reference_cell_groups(cfg):
+    """Rows grouped by the reference grid cell of their positions."""
+    groups = {}
+    for row in range(len(cfg)):
+        cell = reference_flat_cell(cfg.torus, cfg.position(row))
+        groups.setdefault(cell, set()).add(row)
+    return groups
+
+
+def assert_cell_arrays_consistent(cfg):
+    assert cfg.cell_index_fault() is None
+    for cell, (rows, k) in cfg._cells.items():
+        live = rows[:k]
+        assert k > 0
+        np.testing.assert_array_equal(cfg._slot[live], np.arange(k))
+        np.testing.assert_array_equal(cfg._cell[live], cell)
+    index = {cell: set(rows[:k].tolist()) for cell, (rows, k) in cfg._cells.items()}
+    assert index == reference_cell_groups(cfg)
 
 
 @settings(max_examples=30)
@@ -136,13 +241,22 @@ def test_cell_index_rebuild_identity(ops):
     # 0/1 insert at a pseudo-random spot, 2 removes the oldest surviving point
     rng = np.random.default_rng(123)
     cfg = TorusConfiguration(Torus(10.0, 2, n_cells=5))
-    alive = []
     for op in ops:
-        if op < 2 or not alive:
-            alive.append(cfg.insert(rng.uniform(0.0, 10.0, 2)))
+        if op < 2 or not len(cfg):
+            cfg.insert(rng.uniform(0.0, 10.0, 2))
         else:
-            cfg.remove(alive.pop(0))
-    assert cfg.cell_index() == cfg.rebuilt_cell_index()
+            cfg.remove(row_of(cfg, min(cfg.ids())))
+    assert_cell_arrays_consistent(cfg)
+
+
+def test_cell_index_fault_on_an_empty_entry_or_a_stale_row():
+    cfg = uniform_cfg(Torus(10.0, 1, n_cells=4), 20, np.random.default_rng(13))
+    cfg._cells[99] = [np.zeros(4, dtype=np.intp), 0]
+    assert cfg.cell_index_fault() == "cell 99 keeps an empty entry"
+    del cfg._cells[99]
+    rows, k = cfg._cells[int(cfg._cell[0])]
+    rows[int(cfg._slot[0])] = 20
+    assert "row outside 0..19" in cfg.cell_index_fault()
 
 
 def reference_flat_cell(torus, x):
@@ -183,32 +297,19 @@ def test_flat_cell_formulas_agree_on_cell_edges(side, n_cells):
 
 
 def brute_force_neighbors(cfg, x, radius, exclude=None):
-    """(ids, distances) within radius of x by a scan over every point, in
-    plain Python floats with the minimum image taken per axis."""
-    side = cfg.torus.side
-    x = [v % side for v in x]
+    """(ids, distances) within radius of x by a scan over every row but
+    ``exclude``, in plain Python floats with the minimum image per axis,
+    in ascending id order."""
+    x = [v % cfg.torus.side for v in x]
     found = []
-    for pid in cfg.ids():
-        if pid == exclude:
+    for row in range(len(cfg)):
+        if row == exclude:
             continue
-        square = 0.0
-        for xv, yv in zip(x, cfg.position(pid).tolist()):
-            a = abs(yv - xv)
-            a = min(a, side - a)
-            square += a * a
-        dist = math.sqrt(square)
+        dist = min_image_distance(cfg.torus.side, x, cfg.position(row).tolist())
         if dist <= radius:
-            found.append((pid, dist))
+            found.append((cfg.point_at(row), dist))
+    found.sort()
     return [pid for pid, _ in found], [dist for _, dist in found]
-
-
-def assert_cell_arrays_consistent(cfg):
-    for cell, (rows, k) in cfg._cells.items():
-        live = rows[:k]
-        assert k > 0
-        np.testing.assert_array_equal(cfg._slot[live], np.arange(k))
-        np.testing.assert_array_equal(cfg._cell[live], cell)
-    assert cfg.cell_index() == cfg.rebuilt_cell_index()
 
 
 @settings(max_examples=100)
@@ -221,23 +322,22 @@ def assert_cell_arrays_consistent(cfg):
 def test_neighbors_within_matches_brute_force(dim, n_cells, seed, steps):
     # a random sequence of inserts (some outside the box, so insert wraps
     # them) and removals of random survivors; after every step the index
-    # equals its rebuild, and a query at a random spot and one at a live
-    # point with itself excluded, each with a random radius up to side/2,
-    # equal the brute-force scan
+    # holds, and a query at a random spot and one at a live point with its
+    # row excluded, each with a random radius up to side/2, equal the
+    # brute-force scan
     side = 6.0
     rng = np.random.default_rng(seed)
     cfg = TorusConfiguration(Torus(side, dim, n_cells))
-    alive = []
     for _ in range(steps):
-        if rng.random() < 0.75 or not alive:
-            alive.append(cfg.insert(rng.uniform(-0.5 * side, 1.5 * side, dim)))
+        if rng.random() < 0.75 or not len(cfg):
+            cfg.insert(rng.uniform(-0.5 * side, 1.5 * side, dim))
         else:
-            cfg.remove(alive.pop(int(rng.integers(len(alive)))))
+            cfg.remove(int(rng.integers(len(cfg))))
         assert_cell_arrays_consistent(cfg)
         queries = [(rng.uniform(-0.5 * side, 1.5 * side, dim), None)]
-        if alive:
-            pid = alive[int(rng.integers(len(alive)))]
-            queries.append((cfg.position(pid), pid))
+        if len(cfg):
+            row = int(rng.integers(len(cfg)))
+            queries.append((cfg.position(row), row))
         for x, exclude in queries:
             radius = rng.uniform(0.0, side / 2.0)
             rows, dists = cfg.neighbors_within(x, radius, exclude=exclude)
@@ -253,12 +353,12 @@ def assert_same_store(a, b):
     for name in ("_pos", "_id", "_cell", "_slot", "_load"):
         np.testing.assert_array_equal(getattr(a, name)[:n], getattr(b, name)[:n])
     np.testing.assert_array_equal(a._block, b._block)
-    assert a._row == b._row
     assert a._cells.keys() == b._cells.keys()
     for cell, (rows, k) in a._cells.items():
         other, other_k = b._cells[cell]
         assert rows[:k].tolist() == other[:other_k].tolist()  # order within the cell
-    assert a.cell_index() == b.cell_index() == a.rebuilt_cell_index()
+    assert_cell_arrays_consistent(a)
+    assert_cell_arrays_consistent(b)
 
 
 @pytest.mark.parametrize("dim, n_cells", [(1, 8), (1, 1), (2, 5), (3, 4)])
@@ -281,7 +381,7 @@ def test_insert_many_equals_sequential_inserts(dim, n_cells):
         cfg.set_loads(loads)
         cfg.add_loads(np.arange(0, 300, 7), np.full(43, 0.1))
         for pid in gone.tolist():
-            cfg.remove(pid)
+            cfg.remove(row_of(cfg, pid))
     bulk.insert_many(second)
     for x in second:
         seq.insert(x)
@@ -324,12 +424,14 @@ def test_kernel_sum_exclude_self():
 
 
 def brute_force_sum(cfg, kernel, x, exclude=None):
+    """Sum of kernel(distance) from x over every row but ``exclude``, in
+    ascending id order, by the plain-Python scan."""
     cutoff = kernel.cutoff_radius()
     total = 0.0
-    for i in cfg.ids():
-        if i == exclude:
+    for row in sorted(range(len(cfg)), key=cfg.point_at):
+        if row == exclude:
             continue
-        d = periodic_distance(cfg.torus, x, cfg.position(i))
+        d = min_image_distance(cfg.torus.side, x, cfg.position(row).tolist())
         if d <= cutoff:
             total += kernel.profile(d)
     return total
@@ -338,8 +440,8 @@ def brute_force_sum(cfg, kernel, x, exclude=None):
 def brute_force_sums(cfg, kernel):
     return np.array(
         [
-            brute_force_sum(cfg, kernel, cfg.position(pid), exclude=pid)
-            for pid in (cfg.point_at(row) for row in range(len(cfg)))
+            brute_force_sum(cfg, kernel, cfg.position(row).tolist(), exclude=row)
+            for row in range(len(cfg))
         ]
     )
 
@@ -426,10 +528,11 @@ def test_window_volume_and_validation():
 
 def test_count_in_window_examples():
     cfg = TorusConfiguration(T10_2)
-    assert cfg.count_in_window(Window((0.0, 0.0), (2.0, 2.0))) == 0
+    w = Window((0.0, 0.0), (2.0, 2.0))
+    assert w.count(cfg.positions_array()) == 0
     cfg.insert([1.0, 1.0])
     cfg.insert([9.0, 9.0])
-    assert cfg.count_in_window(Window((0.0, 0.0), (2.0, 2.0))) == 1
+    assert w.count(cfg.positions_array()) == 1
 
 
 def test_count_in_window_binomial_thinning():
@@ -438,7 +541,7 @@ def test_count_in_window_binomial_thinning():
     counts = []
     for _ in range(50):
         cfg = uniform_cfg(T10_1, 10_000, rng)
-        counts.append(cfg.count_in_window(w))
+        counts.append(w.count(cfg.positions_array()))
     counts = np.array(counts, dtype=float)
     se = counts.std(ddof=1) / math.sqrt(counts.size)
     assert abs(counts.mean() - 1000.0) < 3.0 * se
@@ -466,7 +569,7 @@ def test_sample_poisson_window_counts_follow_poisson_law():
     rng = np.random.default_rng(9)
     w = Window((0.0,), (2.0,))
     counts = [
-        sample_poisson(T10_1, 1.0, rng).count_in_window(w) for _ in range(2000)
+        w.count(sample_poisson(T10_1, 1.0, rng).positions_array()) for _ in range(2000)
     ]
     counts = np.array(counts)
     # chi-square against Poisson(2) with the tail pooled
