@@ -2,8 +2,10 @@
 
 For each kernel pair the script searches the default grid for the largest
 certified theta at omega = 1, then stress-tests the level with randomized
-configurations including adversarial clusters.  A sound row shows a strictly
-positive theta and zero violations.
+configurations including adversarial clusters.  Each row brackets the best
+level as [theta, theta_up]: theta is certified, and theta_up is the least
+level that a sampled configuration refutes.  A sound row shows a strictly
+positive theta, theta <= theta_up and zero violations.
 """
 
 import argparse
@@ -35,7 +37,7 @@ def main():
                     help="use the known packing densities for d <= 3")
     args = ap.parse_args()
 
-    header = (f"{'pair':<22}{'theta':>12}{'epsilon':>10}{'h':>8}{'r':>8}"
+    header = (f"{'pair':<22}{'[theta, theta_up]':>22}{'epsilon':>10}{'h':>8}{'r':>8}"
               f"{'cell sum':>10}{'viol':>6}{'sec':>7}")
     print(header)
     print("-" * len(header))
@@ -48,7 +50,8 @@ def main():
             rng=np.random.default_rng(args.seed + i),
         )
         dt = time.perf_counter() - t0
-        print(f"{label:<22}{cert.theta:>12.6f}{cert.epsilon:>10.3f}"
+        bracket = f"[{cert.theta:.6f}, {report.theta_up:.4f}]"
+        print(f"{label:<22}{bracket:>22}{cert.epsilon:>10.3f}"
               f"{cert.h:>8.3f}{cert.r:>8.3f}{cert.riemann_sum:>10.4f}"
               f"{report.n_violations:>6d}{dt:>7.1f}")
         if report.n_violations:

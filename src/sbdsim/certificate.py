@@ -27,7 +27,8 @@ certificate is a statement about configurations in the whole space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -219,7 +220,20 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":
-        return cls(**data)
+        """Rebuild a certificate from ``to_dict`` output.
+
+        Raises TypeError for a missing, unknown or mistyped field: ``dim`` is
+        an int, ``provenance`` a dict, and every other field a real number.
+        """
+        cert = cls(**data)
+        for f in fields(cls):
+            value = getattr(cert, f.name)
+            kind = {"dim": int, "provenance": dict}.get(f.name, (int, float))
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TypeError(
+                    f"certificate field {f.name} has the wrong type: {value!r}"
+                )
+        return cert
 
 
 def certify(
@@ -313,21 +327,63 @@ def certify(
 # -- the certified functional -----------------------------------------------
 
 
-def _pair_profile_sums(
-    points: np.ndarray, a_plus: RadialKernel, a_minus: RadialKernel
-) -> tuple[float, float]:
-    """Ordered-pair sums of both kernels over a finite point set (flat metric)."""
-    n = points.shape[0]
-    if n < 2:
-        return 0.0, 0.0
+@lru_cache(maxsize=256)
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the unordered pairs of n points, read-only."""
     iu, ju = np.triu_indices(n, 1)
-    diff = points[iu] - points[ju]
-    dists = np.sqrt((diff * diff).sum(axis=1))
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
+def _pair_sums_by_size(
+    coords: np.ndarray,
+    starts: np.ndarray,
+    size: int,
+    a_plus: RadialKernel,
+    a_minus: RadialKernel,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered-pair sums of both kernels over k configurations of one size.
+
+    ``coords`` holds one row per axis of a point array (flat metric), and
+    configuration i is its points ``starts[i] .. starts[i] + size - 1``,
+    with size >= 2.  Returns (S-, S+), each of shape (k,).
+    """
+    iu, ju = _triu(size)
+    rows = starts[:, None] + np.arange(size)
+    sq = 0.0
+    for axis in coords:
+        at = axis[rows]
+        diff = at[:, iu] - at[:, ju]
+        sq = sq + diff * diff
+    dists = np.sqrt(sq)
     # kernels are even, so ordered sums double the unordered ones
     return (
-        2.0 * float(a_minus.profile(dists).sum()),
-        2.0 * float(a_plus.profile(dists).sum()),
+        2.0 * a_minus.profile(dists).sum(axis=1),
+        2.0 * a_plus.profile(dists).sum(axis=1),
     )
+
+
+def _pair_sums(
+    points: np.ndarray,
+    sizes: np.ndarray,
+    a_plus: RadialKernel,
+    a_minus: RadialKernel,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(S-, S+) per configuration of a ragged batch, one array pass per size.
+
+    ``points`` stacks the configurations in order, configuration i holding
+    ``sizes[i]`` rows.  Both sums are 0 for fewer than two points.
+    """
+    starts = np.cumsum(sizes) - sizes
+    sum_minus = np.zeros(sizes.shape[0])
+    sum_plus = np.zeros(sizes.shape[0])
+    coords = points.T
+    for size in np.unique(sizes[sizes >= 2]):
+        group = np.flatnonzero(sizes == size)
+        sum_minus[group], sum_plus[group] = _pair_sums_by_size(
+            coords, starts[group], int(size), a_plus, a_minus
+        )
+    return sum_minus, sum_plus
 
 
 def _as_points(points, dim: int) -> np.ndarray:
@@ -352,8 +408,9 @@ def u_theta(
 ) -> float:
     """The certified functional U on a finite configuration (flat metric)."""
     pts = _as_points(points, a_plus.dim)
-    sum_minus, sum_plus = _pair_profile_sums(pts, a_plus, a_minus)
-    return omega * pts.shape[0] + sum_minus - theta * sum_plus
+    n = pts.shape[0]
+    sum_minus, sum_plus = _pair_sums(pts, np.array([n]), a_plus, a_minus)
+    return omega * n + float(sum_minus[0]) - theta * float(sum_plus[0])
 
 
 def u_theta_increment(
@@ -386,12 +443,17 @@ def u_theta_increment(
 
 SAMPLER_NAMES = ("uniform", "poisson", "cluster_competition", "cluster_dispersal")
 
+# verify_certificate draws and evaluates trials in blocks of this many; a
+# block's largest array holds its trials of one size times that size's pairs
+TRIAL_BATCH = 4096
+
 
 @dataclass(frozen=True)
 class ViolationReport:
     trials: int
     size_max: int
     min_u: float  # least U over sampled configurations of two or more points
+    theta_up: float  # least theta a sampled configuration refutes
     n_violations: int
     tolerance: float
     argmin_sampler: str
@@ -407,6 +469,7 @@ class ViolationReport:
             "trials": self.trials,
             "size_max": self.size_max,
             "min_u": self.min_u,
+            "theta_up": self.theta_up,
             "n_violations": self.n_violations,
             "tolerance": self.tolerance,
             "argmin_sampler": self.argmin_sampler,
@@ -414,6 +477,44 @@ class ViolationReport:
             "sampler_mix": dict(self.sampler_mix),
             "passed": self.passed,
         }
+
+
+def _draw_block(
+    rng: np.random.Generator,
+    b: int,
+    dim: int,
+    names: list[str],
+    cum: np.ndarray,
+    size_max: int,
+    box: float,
+    spread: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw b trials: each one's sampler (an index into ``names``), its size,
+    and all their points stacked in trial order.
+
+    ``cum`` holds the cumulative sampler weights.  Uniform and Poisson trials
+    fill the cube of side ``box`` centred at the origin; the points of a
+    cluster trial of sampler j are normal with standard deviation
+    ``spread[j]``.
+    """
+    kind = np.minimum(np.searchsorted(cum, rng.random(b)), len(names) - 1)
+    sizes = np.empty(b, dtype=np.intp)
+    for j, name in enumerate(names):
+        mine = kind == j
+        count = int(np.count_nonzero(mine))
+        if name == "uniform":
+            sizes[mine] = rng.integers(0, size_max + 1, count)
+        elif name == "poisson":
+            sizes[mine] = np.minimum(rng.poisson(size_max / 2.0, count), size_max)
+        else:
+            sizes[mine] = rng.integers(2, size_max + 1, count)
+    owner = np.repeat(kind, sizes)
+    boxed = np.array([n in ("uniform", "poisson") for n in names])[owner]
+    pts = np.empty((owner.shape[0], dim))
+    pts[boxed] = rng.uniform(-box / 2.0, box / 2.0, (int(np.count_nonzero(boxed)), dim))
+    clustered = owner[~boxed]
+    pts[~boxed] = rng.normal(0.0, 1.0, (clustered.shape[0], dim)) * spread[clustered, None]
+    return kind, sizes, pts
 
 
 def verify_certificate(
@@ -434,6 +535,22 @@ def verify_certificate(
     configurations of at least two points only: with fewer, U = omega * |eta|
     >= 0 whatever theta is, so the empty set would win for every sound
     certificate.  ``min_u`` is inf if no trial drew two points.
+
+    ``theta_up`` is the least (omega |eta| + S-(eta)) / S+(eta) over sampled
+    configurations of at least two points with S+ > 0, where S- and S+ are
+    the ordered-pair sums of a_minus and a_plus: no theta above it is valid,
+    so [cert.theta, theta_up] brackets the best level.  It is inf if no trial
+    qualifies.
+
+    Trials run in blocks of at most ``TRIAL_BATCH``.  Each block draws, in
+    this order: every trial's sampler (one ``random``); the sizes for each
+    sampler in ``SAMPLER_NAMES`` order (uniform 0..size_max, Poisson with
+    mean size_max / 2 truncated at size_max, clusters 2..size_max); the
+    points of all box trials (one ``uniform``); and the points of all cluster
+    trials (one standard ``normal``, scaled per point).  The trials of each
+    size are then evaluated as one array, so ``u_theta(argmin_points)``
+    matches ``min_u`` to rounding: a vectorised ``exp`` may round an element
+    differently at another position in an array.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -446,42 +563,45 @@ def verify_certificate(
     cum = np.cumsum(weights / weights.sum())
 
     dim = a_plus.dim
-    scale_r = cert.r
     scale_disp = a_plus.characteristic_radius()
-    box = 6.0 * max(scale_r, scale_disp, a_minus.characteristic_radius())
+    box = 6.0 * max(cert.r, scale_disp, a_minus.characteristic_radius())
     omega, theta = cert.omega, cert.theta
+    spread = np.array(
+        [{"cluster_competition": cert.r, "cluster_dispersal": scale_disp}.get(n, 0.0)
+         for n in names]
+    )
 
     min_u = math.inf
+    theta_up = math.inf
     argmin_pts = np.zeros((0, dim))
     argmin_sampler = names[0]
     n_violations = 0
 
-    for _ in range(trials):
-        kind = names[int(np.searchsorted(cum, rng.random()))]
-        if kind == "uniform":
-            n = int(rng.integers(0, size_max + 1))
-            pts = rng.uniform(-box / 2.0, box / 2.0, (n, dim))
-        elif kind == "poisson":
-            n = min(int(rng.poisson(size_max / 2.0)), size_max)
-            pts = rng.uniform(-box / 2.0, box / 2.0, (n, dim))
-        elif kind == "cluster_competition":
-            n = int(rng.integers(2, size_max + 1))
-            pts = rng.normal(0.0, scale_r, (n, dim))
-        else:  # cluster_dispersal
-            n = int(rng.integers(2, size_max + 1))
-            pts = rng.normal(0.0, scale_disp, (n, dim))
-        u = u_theta(pts, a_plus, a_minus, omega, theta)
-        if pts.shape[0] >= 2 and u < min_u:
-            min_u = u
-            argmin_pts = pts
-            argmin_sampler = kind
-        if u < -1e-9 * (1.0 + omega * pts.shape[0]):
-            n_violations += 1
+    for done in range(0, trials, TRIAL_BATCH):
+        b = min(TRIAL_BATCH, trials - done)
+        kind, sizes, pts = _draw_block(rng, b, dim, names, cum, size_max, box, spread)
+        sum_minus, sum_plus = _pair_sums(pts, sizes, a_plus, a_minus)
+        u = omega * sizes + sum_minus - theta * sum_plus
+        n_violations += int(np.count_nonzero(u < -1e-9 * (1.0 + omega * sizes)))
+        real = np.flatnonzero(sizes >= 2)
+        if real.shape[0] == 0:
+            continue
+        i = real[np.argmin(u[real])]
+        if u[i] < min_u:
+            min_u = float(u[i])
+            start = int(sizes[:i].sum())
+            argmin_pts = pts[start : start + sizes[i]].copy()
+            argmin_sampler = names[kind[i]]
+        pos = real[sum_plus[real] > 0.0]
+        if pos.shape[0]:
+            refuted = (omega * sizes[pos] + sum_minus[pos]) / sum_plus[pos]
+            theta_up = min(theta_up, float(refuted.min()))
 
     return ViolationReport(
         trials=trials,
         size_max=size_max,
         min_u=float(min_u),
+        theta_up=theta_up,
         n_violations=n_violations,
         tolerance=1e-9,
         argmin_sampler=argmin_sampler,

@@ -274,7 +274,11 @@ def cmd_verify(args) -> int:
             cert = Certificate.from_dict(json.loads(Path(args.certificate).read_text()))
         except (OSError, ValueError, TypeError) as exc:
             raise ConfigError("--certificate", f"no certificate read: {exc}") from None
-        cert.self_check()
+        try:
+            cert.self_check()
+        except CertificationError as exc:
+            print(f"certificate check failed: {exc}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
     else:
         try:
             cert = _certify_from_config(cfg)

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbdsim.certificate import (
+    SAMPLER_NAMES,
     TIGHT_PACKING,
+    TRIAL_BATCH,
     Certificate,
     CertificationError,
     SearchGrid,
@@ -17,6 +19,8 @@ from sbdsim.certificate import (
     packing_bound,
     riemann_upper_sum,
     u_theta,
+    _draw_block,
+    _pair_sums,
     u_theta_increment,
     verify_certificate,
 )
@@ -365,3 +369,153 @@ def test_verify_deterministic_given_seed():
     ]
     assert reps[0].min_u == reps[1].min_u
     assert reps[0].argmin_sampler == reps[1].argmin_sampler
+
+
+def test_verify_same_seed_same_report():
+    cert = certify(TRI, TRI, omega=1.0)
+    reps = [
+        verify_certificate(
+            cert, TRI, TRI, trials=TRIAL_BATCH + 1, size_max=12,
+            rng=np.random.default_rng(6),
+        ).to_dict()
+        for _ in range(2)
+    ]  # fmt: skip
+    assert reps[0] == reps[1]
+
+
+@pytest.mark.parametrize("trials", [0, 1, TRIAL_BATCH, TRIAL_BATCH + 1])
+def test_verify_counts_every_trial_across_blocks(trials):
+    # at a huge theta every cluster at the crowding scale violates, so the
+    # count must reach the number of trials whatever the block split
+    cert = certify(GAUSS, TRI, omega=1.0)
+    inflated = dataclasses.replace(cert, theta=1e6)
+    rep = verify_certificate(
+        inflated, GAUSS, TRI, trials=trials, size_max=6,
+        rng=np.random.default_rng(24), sampler_mix={"cluster_competition": 1.0},
+    )  # fmt: skip
+    assert rep.trials == trials
+    assert rep.n_violations == trials
+
+
+@pytest.mark.parametrize("name", SAMPLER_NAMES)
+def test_single_sampler_mix_reports_that_sampler(name):
+    cert = certify(TRI, TRI, omega=1.0)
+    rep = verify_certificate(
+        cert, TRI, TRI, trials=300, size_max=10,
+        rng=np.random.default_rng(25), sampler_mix={name: 1.0},
+    )  # fmt: skip
+    assert rep.argmin_sampler == name
+    assert rep.argmin_points.shape[0] >= 2
+    assert rep.sampler_mix[name] == 1.0
+
+
+@pytest.mark.parametrize("name", SAMPLER_NAMES)
+def test_draw_block_keeps_each_sampler_in_its_range(name):
+    size_max, box = 7, 3.0
+    kind, sizes, pts = _draw_block(
+        np.random.default_rng(26), 3000, 2, [name], np.array([1.0]),
+        size_max, box, np.array([0.5]),
+    )  # fmt: skip
+    assert (kind == 0).all()
+    assert pts.shape == (sizes.sum(), 2)
+    assert sizes.max() == size_max  # Poisson(3.5) passes 7 in about 10% of draws
+    if name == "uniform":
+        assert sizes.min() == 0
+    elif name != "poisson":
+        assert sizes.min() == 2
+    if name in ("uniform", "poisson"):
+        assert (np.abs(pts) <= box / 2.0).all()
+    else:
+        assert pts.std() == pytest.approx(0.5, rel=0.05)
+
+
+def test_draw_block_stacks_each_trials_points_by_its_sampler():
+    names = list(SAMPLER_NAMES)
+    spread = np.array([0.0, 0.0, 1e-3, 1e3])
+    kind, sizes, pts = _draw_block(
+        np.random.default_rng(27), 2000, 1, names, np.array([0.25, 0.5, 0.75, 1.0]),
+        30, 2.0, spread,
+    )  # fmt: skip
+    assert set(kind.tolist()) == {0, 1, 2, 3}
+    assert pts.shape == (sizes.sum(), 1)
+    starts = np.cumsum(sizes) - sizes
+    for j, start, size in zip(kind, starts, sizes):
+        block = np.abs(pts[start : start + size])
+        if j < 2:
+            assert (block <= 1.0).all()
+        elif j == 2:
+            assert (block < 0.01).all()
+        else:
+            assert size < 2 or block.max() > 1.0
+
+
+def test_theta_up_brackets_and_is_refuted_at_the_same_draws():
+    cert = certify(GAUSS, TRI, omega=1.0)
+    rep = verify_certificate(cert, GAUSS, TRI, trials=3000, rng=np.random.default_rng(28))
+    assert rep.passed
+    assert cert.theta <= rep.theta_up < math.inf
+    assert rep.to_dict()["theta_up"] == rep.theta_up
+    # the draws do not depend on theta: below theta_up nothing violates, and
+    # just above it the configuration that attains it does
+    for factor, passed in ((0.999, True), (1.01, False)):
+        probe = dataclasses.replace(cert, theta=factor * rep.theta_up)
+        again = verify_certificate(
+            probe, GAUSS, TRI, trials=3000, rng=np.random.default_rng(28)
+        )
+        assert again.passed is passed
+        assert again.theta_up == rep.theta_up
+
+
+def test_theta_up_is_inf_without_two_point_trials():
+    cert = certify(TRI, TRI, omega=1.0)
+    rep = verify_certificate(
+        cert, TRI, TRI, trials=50, size_max=1,
+        rng=np.random.default_rng(29), sampler_mix={"uniform": 1.0},
+    )  # fmt: skip
+    assert rep.min_u == math.inf and rep.theta_up == math.inf
+    assert rep.argmin_points.shape == (0, 1)
+
+
+# -- one evaluator for U -------------------------------------------------------
+
+KERNELS_BY_DIM = {d: (gaussian(1.0, 1.0, d), triangular(1.0, 1.0, d)) for d in (1, 2, 3)}
+
+
+def plain_u(points, a_plus, a_minus, omega, theta):
+    """U by a loop over ordered pairs: the reference for the array paths."""
+    n = len(points)
+    total = omega * n
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                r = math.dist(points[i], points[j])
+                total += a_minus.profile(r) - theta * a_plus.profile(r)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((1, 2, 3)),
+    st.one_of(
+        st.lists(st.integers(min_value=0, max_value=1), max_size=20),
+        st.lists(st.integers(min_value=0, max_value=12), max_size=40),
+    ),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_batched_u_matches_u_theta_per_trial(dim, sizes, seed):
+    a_plus, a_minus = KERNELS_BY_DIM[dim]
+    omega, theta = 1.0, 0.3
+    rng = np.random.default_rng(seed)
+    sizes = np.array(sizes, dtype=np.intp)
+    pts = rng.normal(0.0, 1.0, (int(sizes.sum()), dim)) * rng.choice([0.1, 1.0, 3.0])
+    sum_minus, sum_plus = _pair_sums(pts, sizes, a_plus, a_minus)
+    batched = omega * sizes + sum_minus - theta * sum_plus
+    start = 0
+    for size, u in zip(sizes, batched):
+        eta = pts[start : start + size]
+        start += size
+        single = u_theta(eta, a_plus, a_minus, omega, theta)
+        assert u == pytest.approx(single, rel=1e-12, abs=1e-12)
+        assert single == pytest.approx(
+            plain_u(eta, a_plus, a_minus, omega, theta), rel=1e-12, abs=1e-12
+        )

@@ -153,6 +153,7 @@ def test_certify_writes_certificate_and_passes(tmp_path):
     ) + 1e-12
     violations = json.loads((out / "violations.json").read_text())
     assert violations["n_violations"] == 0
+    assert cert["theta"] <= violations["theta_up"]
 
 
 def test_certify_without_competition_fails(tmp_path, capsys):
@@ -207,6 +208,32 @@ def test_verify_bad_certificate_file_is_usage_error(tmp_path, capsys, content, m
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field, tamper, code, prefix, message",
+    [
+        ("theta", lambda v: 2.0 * v, 3, "certificate check failed: ", "field theta"),
+        ("dim", str, 2, "usage error: ", "field dim has the wrong type: '1'"),
+    ],
+)
+def test_verify_tampered_certificate(
+    tmp_path, capsys, field, tamper, code, prefix, message
+):
+    # a doubled theta fails self_check; a string dim is no certificate at all
+    cfg_path = write_config(tmp_path / "cfg.json", bp_config())
+    out = tmp_path / "cert"
+    assert main(["certify", "--config", cfg_path, "--out", str(out)]) == 0
+    cert = json.loads((out / "certificate.json").read_text())
+    cert[field] = tamper(cert[field])
+    cert_path = tmp_path / "tampered.json"
+    cert_path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    argv = ["verify", "--config", cfg_path, "--certificate", str(cert_path)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and message in err
     assert "Traceback" not in err
 
 
