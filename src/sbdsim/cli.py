@@ -33,7 +33,7 @@ from .config import (
     replica_rng,
     resolved_config_dict,
 )
-from .dynamics import run
+from .dynamics import DynamicsError, EventLog, run
 from .geometry import Torus, Window
 from .oracles import (
     NormBoundInput,
@@ -49,16 +49,32 @@ EXIT_USAGE = 2
 EXIT_CHECK_FAILED = 3
 EXIT_EXPLOSION = 4
 
+# Events converted to Python objects at a time while writing events.csv.
+CSV_CHUNK = 4096
 
-def _write_events_csv(path: Path, events, dim: int) -> None:
+
+def _write_events_csv(path: Path, events: EventLog, dim: int) -> None:
+    """One row per event from the log's columns, CSV_CHUNK rows at a time,
+    so the Python objects made for writing stay few however long the log."""
+    times, births = events.times, events.births
+    positions, parents = events.positions, events.parents
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "kind"] + [f"x{i + 1}" for i in range(dim)] + ["parent_id"])
-        for ev in events:
-            row = [repr(ev.time), ev.kind]
-            row += [repr(float(c)) for c in np.atleast_1d(ev.position)]
-            row.append("" if ev.parent is None else str(ev.parent))
-            writer.writerow(row)
+        for lo in range(0, len(times), CSV_CHUNK):
+            hi = lo + CSV_CHUNK
+            rows = zip(
+                times[lo:hi].tolist(),
+                births[lo:hi].tolist(),
+                positions[lo:hi].tolist(),
+                parents[lo:hi].tolist(),
+            )
+            for t, birth, pos, parent in rows:
+                writer.writerow(
+                    [repr(t), "birth" if birth else "death"]
+                    + [repr(c) for c in pos]
+                    + ["" if parent < 0 else str(parent)]
+                )
 
 
 def _write_snapshots_csv(path: Path, snapshots, dim: int) -> None:
@@ -155,6 +171,10 @@ def _surgailis_check(cfg: RunConfig, reports) -> dict | None:
 
 def cmd_simulate(args) -> int:
     cfg = _load_with_overrides(args)
+    try:  # certify and verify never use the torus, so only simulate checks it
+        cfg.model.check_torus(cfg.torus)
+    except DynamicsError as exc:
+        raise ConfigError("torus.L", str(exc)) from None
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     raw = resolved_config_dict(cfg)
 

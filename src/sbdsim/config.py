@@ -285,6 +285,10 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         g_r_max = _as_number(
             analysis["g_r_max"], "analysis.g_r_max", strict_min=0.0
         )
+        if g_r_max > side / 2.0:
+            raise ConfigError(
+                "analysis.g_r_max", f"must not exceed torus.L / 2 = {side / 2.0:g}"
+            )
     elif a_minus is not None or a_plus is not None:
         radius = max(
             k.characteristic_radius() for k in (a_plus, a_minus) if k is not None

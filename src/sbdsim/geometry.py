@@ -290,6 +290,11 @@ class TorusConfiguration:
     def position(self, row: int) -> np.ndarray:
         return self._pos[self._check_row(row)].copy()
 
+    def position_view(self, row: int) -> np.ndarray:
+        """The stored position of ``row`` itself, not a copy: valid only
+        until the store next changes, and not checked against 0..n-1."""
+        return self._pos[row]
+
     def positions_array(self) -> np.ndarray:
         """Positions in ascending id order, shape (n, dim)."""
         return self._pos[np.argsort(self._id[: self._n])]

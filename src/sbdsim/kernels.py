@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -129,7 +130,7 @@ class GaussianKernel(RadialKernel):
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise KernelError(f"sigma must be positive, got {self.sigma}")
 
-    @property
+    @cached_property
     def _peak(self) -> float:
         return self.weight / (2.0 * math.pi * self.sigma**2) ** (self.dim / 2.0)
 
@@ -246,7 +247,7 @@ class ExponentialKernel(RadialKernel):
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise KernelError(f"scale must be positive, got {self.scale}")
 
-    @property
+    @cached_property
     def _peak(self) -> float:
         d = self.dim
         # integral of exp(-|x|/scale) over R^d is c_d * scale^d * d!

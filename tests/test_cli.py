@@ -1,9 +1,16 @@
+import csv
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
+from sbdsim import cli
 from sbdsim.cli import main
+from sbdsim.dynamics import ModelSpec, run
+from sbdsim.geometry import Torus, sample_poisson
+from sbdsim.kernels import ImmigrationField, gaussian, triangular
 
 
 def write_config(path, data):
@@ -103,6 +110,69 @@ def test_simulate_invalid_field_reports_path(tmp_path, capsys):
     assert main(["simulate", "--config", cfg_path]) == 2
     err = capsys.readouterr().err
     assert "torus.L" in err
+
+
+def test_simulate_on_a_torus_narrower_than_a_kernel_is_usage_error(tmp_path, capsys):
+    # the gaussian a+ (sigma 1) reaches beyond 5 = L/2; certify and verify
+    # never use the torus and still accept the config
+    cfg = bp_config()
+    cfg["torus"]["L"] = 10.0
+    cfg_path = write_config(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "torus.L" in err and "kernel too wide" in err
+    assert not out.exists()  # rejected before any replica ran
+    for command in ("certify", "verify"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+
+
+def reference_events_csv(events, dim) -> bytes:
+    """events.csv as formatted one ``Event`` at a time, from its fields."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["t", "kind"] + [f"x{i + 1}" for i in range(dim)] + ["parent_id"])
+    for ev in events:
+        row = [repr(ev.time), ev.kind]
+        row += [repr(float(c)) for c in np.atleast_1d(ev.position)]
+        row.append("" if ev.parent is None else str(ev.parent))
+        writer.writerow(row)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("chunk", [cli.CSV_CHUNK, 7])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_events_csv_from_columns_matches_per_event_formatting(
+    tmp_path, monkeypatch, dim, chunk
+):
+    monkeypatch.setattr(cli, "CSV_CHUNK", chunk)
+    runs = {
+        "bolker_pacala": ModelSpec(
+            "bolker_pacala",
+            a_plus=gaussian(1.5, 0.5, dim),
+            a_minus=gaussian(0.5, 0.5, dim),
+            m=0.5,
+        ),
+        "migration": ModelSpec(
+            "migration",
+            a_minus=triangular(0.5, 1.0, dim),
+            m=0.5,
+            b=ImmigrationField(constant=2.0),
+        ),
+    }
+    for name, spec in runs.items():
+        rng = np.random.default_rng(dim)
+        conf = sample_poisson(Torus(8.0, dim), 2.0, rng)
+        events = run(spec, conf, t_end=1.0, rng=rng).events
+        assert len(events) > 2 * 7
+        path = tmp_path / f"{name}.csv"
+        cli._write_events_csv(path, events, dim)
+        assert path.read_bytes() == reference_events_csv(events, dim)
+    # a log with no events writes the header alone
+    empty = run(runs["migration"], sample_poisson(Torus(8.0, dim), 0.0, rng), 0.0, rng)
+    cli._write_events_csv(path, empty.events, dim)
+    assert path.read_bytes() == reference_events_csv([], dim)
 
 
 def test_simulate_explosion_guard_exit_code(tmp_path):

@@ -6,6 +6,7 @@ from sbdsim.config import (
     ConfigError,
     kernel_from_config,
     kernel_to_config,
+    parse_config,
 )
 from sbdsim.kernels import exponential, gaussian, tabulated, triangular
 
@@ -33,3 +34,18 @@ def test_unknown_kernel_family_reports_path():
     with pytest.raises(ConfigError) as err:
         kernel_from_config(data, "model.a_minus")
     assert err.value.path == "model.a_minus.family"
+
+
+@pytest.mark.parametrize("g_r_max, ok", [(15.0, False), (10.0000001, False), (10.0, True)])
+def test_explicit_g_r_max_must_not_exceed_half_the_box(g_r_max, ok):
+    data = {
+        "model": {"variant": "migration", "b": {"constant": 1.0}},
+        "torus": {"L": 20.0, "d": 1},
+        "analysis": {"g_r_max": g_r_max},
+    }
+    if ok:
+        assert parse_config(data).g_r_max == g_r_max
+        return
+    with pytest.raises(ConfigError) as err:
+        parse_config(data)
+    assert err.value.path == "analysis.g_r_max"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import stats
 from sbdsim.dynamics import (
     AuditError,
     DynamicsError,
+    EventLog,
     ModelSpec,
     SimulationState,
     run,
@@ -55,7 +57,7 @@ def test_total_rates_empty_is_absorbing():
     assert state.total_rates() == (0.0, 0.0)
     rng = np.random.default_rng(0)
     trace = run(spec, TorusConfiguration(Torus(10.0, 1)), t_end=1.0, rng=rng)
-    assert trace.absorbed and trace.events == []
+    assert trace.absorbed and len(trace.events) == 0
 
 
 def test_total_rates_single_point():
@@ -445,6 +447,144 @@ def test_bulk_initial_load_gives_the_sequential_trace(dim, t_end):
         assert (ea.time, ea.kind, ea.point) == (eb.time, eb.kind, eb.point)
         assert ea.parent == eb.parent
         np.testing.assert_array_equal(ea.position, eb.position)
+
+
+# -- event log -----------------------------------------------------------------------
+
+
+def seeded_log_run(variant, dim, seed=31):
+    """A seeded run with births and deaths, its initial points by id, and
+    its final snapshot."""
+    if variant == "bolker_pacala":
+        spec = ModelSpec(
+            "bolker_pacala",
+            a_plus=gaussian(1.5, 0.5, dim),
+            a_minus=gaussian(0.5, 0.5, dim),
+            m=0.5,
+        )
+        t_end = 4.0
+    else:
+        spec = migration_spec(b=2.0, m=0.5, a_minus=triangular(0.5, 1.0, dim))
+        t_end = 2.0
+    torus = Torus.for_cutoff(10.0, dim, spec.a_minus.cutoff_radius())
+    rng = np.random.default_rng(seed)
+    cfg = sample_poisson(torus, 2.0, rng)
+    start = dict(zip(cfg.ids(), cfg.positions_array()))
+    trace = run(spec, cfg, t_end=t_end, rng=rng, snapshot_times=(t_end,))
+    return trace, start
+
+
+def event_fields(ev):
+    return (ev.time, ev.kind, ev.position.tolist(), ev.point, ev.parent)
+
+
+@pytest.mark.parametrize("variant, dim", [("bolker_pacala", 1), ("migration", 2)])
+def test_event_log_columns_match_events_and_replay_to_the_final_state(variant, dim):
+    trace, alive = seeded_log_run(variant, dim)
+    log = trace.events
+    events = list(log)
+    assert len(events) == len(log) == trace.n_events > 100
+    for ev in events:
+        assert type(ev.time) is float and type(ev.point) is int
+        assert ev.kind in ("birth", "death")
+        assert ev.position.shape == (dim,) and ev.position.dtype == np.float64
+        assert ev.parent is None or type(ev.parent) is int
+    births = [ev.kind == "birth" for ev in events]
+    assert 0 < sum(births) < len(events)
+    np.testing.assert_array_equal(log.times, [ev.time for ev in events])
+    np.testing.assert_array_equal(log.births, births)
+    np.testing.assert_array_equal(log.positions, [ev.position for ev in events])
+    np.testing.assert_array_equal(log.points, [ev.point for ev in events])
+    np.testing.assert_array_equal(
+        log.parents, [-1 if ev.parent is None else ev.parent for ev in events]
+    )
+    # replaying the events on the initial points gives the final snapshot,
+    # so every recorded id, parent and position is the one the store held
+    for ev in events:
+        if ev.kind == "death":
+            assert ev.parent is None
+            np.testing.assert_array_equal(alive.pop(ev.point), ev.position)
+            continue
+        if variant == "migration":
+            assert ev.parent is None
+        else:
+            assert ev.parent in alive
+        assert ev.point not in alive
+        alive[ev.point] = ev.position
+    final = trace.snapshots[-1]
+    assert sorted(alive) == final.ids.tolist()
+    np.testing.assert_array_equal(
+        np.reshape([alive[i] for i in sorted(alive)], (-1, dim)), final.positions
+    )
+
+
+def test_event_log_empty_indexing_and_slices():
+    spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), m=1.0)
+    empty = run(spec, TorusConfiguration(Torus(10.0, 1)), 1.0, np.random.default_rng(0))
+    empty = empty.events
+    assert len(empty) == 0 and list(empty) == [] and empty[:] == []
+    for i in (0, -1):
+        with pytest.raises(IndexError):
+            empty[i]
+    assert empty.times.shape == empty.points.shape == empty.parents.shape == (0,)
+    assert empty.births.dtype == bool and empty.positions.shape == (0, 1)
+
+    log = seeded_log_run("migration", 2)[0].events
+    events = list(log)
+    n = len(log)
+    assert [event_fields(log[i]) for i in range(n)] == [event_fields(e) for e in events]
+    for i in (-1, -2, -n):
+        assert event_fields(log[i]) == event_fields(events[i])
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            log[i]
+    slices = (
+        slice(None, 3),
+        slice(-3, None),
+        slice(None, None, -1),
+        slice(2, 40, 3),
+        slice(5, 2),
+        slice(-n - 10, n + 10),
+    )
+    for s in slices:
+        got = log[s]
+        assert isinstance(got, list)
+        assert [event_fields(e) for e in got] == [event_fields(e) for e in events[s]]
+
+
+def test_event_log_columns_are_copies_that_let_the_log_grow():
+    log = EventLog(2)
+    log._append(0.5, True, np.array([1.0, 2.0]), 7, 3)
+    times, positions, parents = log.times, log.positions, log.parents
+    for i in range(10_000):  # many resizes while the copies are held
+        log._append(1.0 + i, False, np.array([3.0, 4.0]), i, -1)
+    assert len(log) == 10_001
+    np.testing.assert_array_equal(times, [0.5])
+    np.testing.assert_array_equal(positions, [[1.0, 2.0]])
+    np.testing.assert_array_equal(parents, [3])
+    assert event_fields(log[0]) == (0.5, "birth", [1.0, 2.0], 7, 3)
+    assert event_fields(log[-1]) == (10_000.0, "death", [3.0, 4.0], 9_999, None)
+
+
+def test_event_log_holds_at_most_64_bytes_per_event():
+    # five columns take 33 bytes per event in d=1; one Event object with its
+    # own position array took about 310
+    spec = ModelSpec(
+        "bolker_pacala", a_plus=gaussian(3.0, 0.5, 1), a_minus=gaussian(0.5, 0.5, 1), m=0.5
+    )
+    rng = np.random.default_rng(41)
+    cfg = sample_poisson(Torus.for_cutoff(20.0, 1, spec.a_minus.cutoff_radius()), 5.0, rng)
+    tracemalloc.start()
+    try:
+        trace = run(spec, cfg, t_end=10.0, rng=rng)
+        n = trace.n_events
+        before = tracemalloc.get_traced_memory()[0]
+        del trace
+        held = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert n > 5000
+    assert held / n <= 64
 
 
 # -- oracle comparisons -------------------------------------------------------------

@@ -76,6 +76,22 @@ def test_sup_norms():
     assert exponential(1.0, 2.0, 1).sup_norm() == 0.25
 
 
+@pytest.mark.parametrize(
+    "kernel, peak",
+    [
+        (gaussian(2.0, 0.5, 2), 2.0 / (2.0 * math.pi * 0.5**2) ** (2 / 2.0)),
+        (exponential(2.0, 0.5, 2), 2.0 / (unit_ball_volume(2) * 0.5**2 * math.factorial(2))),
+    ],
+)
+def test_peak_is_cached_per_kernel(kernel, peak):
+    r = np.linspace(0.0, 2.0, 9)
+    first = kernel.profile(r)
+    assert vars(kernel)["_peak"] == kernel.sup_norm() == peak  # the same expression
+    np.testing.assert_array_equal(kernel.profile(r), first)
+    scaled = kernel.scaled(3.0)  # a new kernel, with its own peak
+    np.testing.assert_allclose(scaled.profile(r), 3.0 * first, rtol=1e-15)
+
+
 # -- pointwise evaluation ----------------------------------------------------
 
 
