@@ -78,14 +78,18 @@ def _write_events_csv(path: Path, events: EventLog, dim: int) -> None:
 
 
 def _write_snapshots_csv(path: Path, snapshots, dim: int) -> None:
+    """One row per point of each snapshot from its id and position columns,
+    CSV_CHUNK rows at a time, as ``_write_events_csv`` does."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "id"] + [f"x{i + 1}" for i in range(dim)])
         for snap in snapshots:
-            for pid, pos in zip(snap.ids, snap.positions):
-                writer.writerow(
-                    [repr(snap.time), int(pid)] + [repr(float(c)) for c in pos]
-                )
+            t = repr(snap.time)
+            for lo in range(0, snap.size, CSV_CHUNK):
+                hi = lo + CSV_CHUNK
+                rows = zip(snap.ids[lo:hi].tolist(), snap.positions[lo:hi].tolist())
+                for pid, pos in rows:
+                    writer.writerow([t, pid] + [repr(c) for c in pos])
 
 
 def _write_points_csv(path: Path, points: np.ndarray) -> None:

@@ -8,16 +8,30 @@ radius instead.  Kernels report a cutoff radius beyond which the simulator
 treats them as zero; for families with unbounded support the cutoff is chosen
 so the discarded mass is below ``TAIL_MASS_FRACTION`` of the total, and the
 discarded sup/mass are available as certified error budgets.
+
+The two unbounded families have closed-form tails.  The share of a gaussian's
+mass beyond radius ``r`` in ``d`` dimensions is Q(d/2, r^2 / (2 sigma^2)), and
+the share of an exponential's is Q(d, r / scale), where Q(s, x) is the
+regularised upper incomplete gamma function.  For the half-integer and integer
+orders these need, Q has elementary forms (Abramowitz & Stegun, *Handbook of
+Mathematical Functions*, 6.5):
+
+    Q(1/2, x) = erfc(sqrt(x)),    Q(1, x) = exp(-x),
+    Q(s + 1, x) = Q(s, x) + x^s exp(-x) / Gamma(s + 1).
+
+The cutoff radius maps back the least float z with Q(s, z) <=
+``TAIL_MASS_FRACTION`` and is then raised by the few ulps that rounding may
+cost, so ``mass_beyond(cutoff_radius())`` never exceeds that fraction of the
+weight.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import special
 
 # Relative mass allowed beyond the cutoff radius of an unbounded kernel.
 TAIL_MASS_FRACTION = 1e-10
@@ -25,6 +39,55 @@ TAIL_MASS_FRACTION = 1e-10
 
 class KernelError(ValueError):
     """Invalid kernel parameters or misuse of a kernel."""
+
+
+def _gamma_q(s2: int, x: float) -> float:
+    """Regularised upper incomplete gamma Q(s2/2, x) for a positive integer s2."""
+    if x <= 0.0:
+        return 1.0
+    if s2 % 2:
+        s, q = 0.5, math.erfc(math.sqrt(x))
+    else:
+        s, q = 1.0, math.exp(-x)
+    log_x = math.log(x)
+    while 2.0 * s < s2:
+        # every term is positive, so the recurrence loses no digits to cancellation
+        q += math.exp(s * log_x - x - math.lgamma(s + 1.0))
+        s += 1.0
+    return q
+
+
+@lru_cache
+def _gamma_q_inv(s2: int, p: float) -> float:
+    """Least float z with ``_gamma_q(s2, z) <= p``, for 0 < p < 1.
+
+    Bisection over [0, hi] down to adjacent floats; memoised because every
+    ``cutoff_radius()`` call asks for it.
+    """
+    hi = 1.0
+    while _gamma_q(s2, hi) > p:
+        hi *= 2.0
+    lo = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if _gamma_q(s2, mid) > p:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _within_tail_budget(kernel: RadialKernel, radius: float) -> float:
+    """Least float at or above ``radius`` whose ``mass_beyond`` is at most
+    ``TAIL_MASS_FRACTION`` of the kernel's weight.
+
+    Mapping a gamma argument back to a radius rounds, and ``mass_beyond``
+    rounds again on the way in, which can leave the radius a few ulps short.
+    """
+    while kernel.mass_beyond(radius) > TAIL_MASS_FRACTION * kernel.weight:
+        radius = math.nextafter(radius, math.inf)
+    return radius
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -147,11 +210,11 @@ class GaussianKernel(RadialKernel):
         if radius <= 0.0:
             return self.weight
         z = radius**2 / (2.0 * self.sigma**2)
-        return self.weight * float(special.gammaincc(self.dim / 2.0, z))
+        return self.weight * _gamma_q(self.dim, z)
 
     def cutoff_radius(self) -> float:
-        z = float(special.gammainccinv(self.dim / 2.0, TAIL_MASS_FRACTION))
-        return self.sigma * math.sqrt(2.0 * z)
+        z = _gamma_q_inv(self.dim, TAIL_MASS_FRACTION)
+        return _within_tail_budget(self, self.sigma * math.sqrt(2.0 * z))
 
     def characteristic_radius(self) -> float:
         return self.sigma
@@ -267,10 +330,11 @@ class ExponentialKernel(RadialKernel):
     def mass_beyond(self, radius: float) -> float:
         if radius <= 0.0:
             return self.weight
-        return self.weight * float(special.gammaincc(self.dim, radius / self.scale))
+        return self.weight * _gamma_q(2 * self.dim, radius / self.scale)
 
     def cutoff_radius(self) -> float:
-        return self.scale * float(special.gammainccinv(self.dim, TAIL_MASS_FRACTION))
+        z = _gamma_q_inv(2 * self.dim, TAIL_MASS_FRACTION)
+        return _within_tail_budget(self, self.scale * z)
 
     def characteristic_radius(self) -> float:
         return self.scale

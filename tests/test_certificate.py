@@ -155,6 +155,45 @@ def test_packing_bound_exact_at_extremes():
     assert 1.0 * packing_bound(1, 1.0, 0.25) == pytest.approx(3.0)
 
 
+def square_grid(dim: int, h: float, r: float) -> np.ndarray:
+    """Every point of the lattice (2r Z)^dim in the closed cube [0, h]^dim."""
+    axis = 2.0 * r * np.arange(int(h / (2.0 * r)) + 2)
+    axis = axis[axis <= h]
+    return np.stack(np.meshgrid(*[axis] * dim), axis=-1).reshape(-1, dim)
+
+
+def hexagonal_patch(h: float, r: float) -> np.ndarray:
+    """Every point of the hexagonal lattice of spacing 2r in [0, h]^2."""
+    rows = math.sqrt(3.0) * r * np.arange(int(h / (math.sqrt(3.0) * r)) + 2)
+    cols = 2.0 * r * np.arange(int(h / (2.0 * r)) + 2)
+    pts = np.array(
+        [(c + r * (k % 2), y) for k, y in enumerate(rows) for c in cols]
+    )
+    return pts[np.all(pts <= h, axis=1)]
+
+
+def test_packing_bound_holds_for_lattice_packings():
+    # 2r-separated lattice patches in a cube of side h, including the
+    # densest ones in d=1 and d=2, never exceed h^d * g(h, r) with the tight
+    # packing constant; evenly spaced points in d=1 meet it when 2r divides h
+    rng = np.random.default_rng(7)
+    radii = rng.uniform(0.05, 1.0, 200)
+    pairs = [(float(r * rng.uniform(0.1, 12.0)), float(r)) for r in radii]
+    pairs += [(2.0 * r * k, r) for r in (0.1, 0.25, 0.5) for k in range(1, 7)]
+    for h, r in pairs:
+        patches = [square_grid(d, h, r) for d in (1, 2, 3)] + [hexagonal_patch(h, r)]
+        for pts in patches:
+            d = pts.shape[1]
+            if len(pts) > 1:
+                gaps = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
+                assert gaps[np.triu_indices(len(pts), 1)].min() >= 2.0 * r * (1 - 1e-12)
+            cap = h**d * packing_bound(d, h, r, TIGHT_PACKING[d])
+            assert len(pts) <= cap + 1e-9
+    assert len(square_grid(1, 3.0, 0.25)) == pytest.approx(
+        3.0 * packing_bound(1, 3.0, 0.25, TIGHT_PACKING[1])
+    )
+
+
 # -- certify ---------------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from sbdsim import cli
 from sbdsim.cli import main
-from sbdsim.dynamics import ModelSpec, run
+from sbdsim.dynamics import ModelSpec, Snapshot, run
 from sbdsim.geometry import Torus, sample_poisson
 from sbdsim.kernels import ImmigrationField, gaussian, triangular
 
@@ -173,6 +173,41 @@ def test_events_csv_from_columns_matches_per_event_formatting(
     empty = run(runs["migration"], sample_poisson(Torus(8.0, dim), 0.0, rng), 0.0, rng)
     cli._write_events_csv(path, empty.events, dim)
     assert path.read_bytes() == reference_events_csv([], dim)
+
+
+def reference_snapshots_csv(snapshots, dim) -> bytes:
+    """snapshots.csv as formatted one numpy scalar at a time."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["t", "id"] + [f"x{i + 1}" for i in range(dim)])
+    for snap in snapshots:
+        for pid, pos in zip(snap.ids, snap.positions):
+            writer.writerow([repr(snap.time), int(pid)] + [repr(float(c)) for c in pos])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("chunk", [cli.CSV_CHUNK, 7])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_snapshots_csv_from_columns_matches_per_scalar_formatting(
+    tmp_path, monkeypatch, dim, chunk
+):
+    monkeypatch.setattr(cli, "CSV_CHUNK", chunk)
+    spec = ModelSpec(
+        "migration",
+        a_minus=triangular(0.5, 1.0, dim),
+        m=0.5,
+        b=ImmigrationField(constant=2.0),
+    )
+    rng = np.random.default_rng(dim)
+    conf = sample_poisson(Torus(8.0, dim), 4.0, rng)
+    snapshots = run(spec, conf, 1.0, rng, snapshot_times=(0.0, 0.5, 1.0)).snapshots
+    assert min(snap.size for snap in snapshots) > 2 * 7
+    # an empty snapshot writes no rows
+    empty = Snapshot(0.25, np.array([], dtype=int), np.empty((0, dim)))
+    snapshots = [snapshots[0], empty] + snapshots[1:]
+    path = tmp_path / "snapshots.csv"
+    cli._write_snapshots_csv(path, snapshots, dim)
+    assert path.read_bytes() == reference_snapshots_csv(snapshots, dim)
 
 
 def test_simulate_explosion_guard_exit_code(tmp_path):

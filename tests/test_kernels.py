@@ -1,14 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
+import sbdsim
 from sbdsim.kernels import (
+    TAIL_MASS_FRACTION,
+    ExponentialKernel,
     ImmigrationField,
     KernelError,
+    _gamma_q,
+    _gamma_q_inv,
     exponential,
     gaussian,
     tabulated,
@@ -121,6 +130,64 @@ def test_mass_beyond_is_monotone_and_anchored():
         tails = [k.mass_beyond(r) for r in radii]
         assert all(a >= b - 1e-12 for a, b in zip(tails, tails[1:]))
         assert k.mass_beyond(k.cutoff_radius()) <= 1.001e-10 * k.mass()
+
+
+@pytest.mark.parametrize("s2", range(1, 9))
+def test_gamma_q_matches_scipy(s2):
+    # the closed forms agree with scipy's Q(s, x) for s = 1/2, 1, ..., 4
+    xs = np.concatenate([np.geomspace(1e-8, 60.0, 400), np.linspace(0.0, 60.0, 241)[1:]])
+    got = np.array([_gamma_q(s2, float(x)) for x in xs])
+    np.testing.assert_allclose(got, special.gammaincc(s2 / 2.0, xs), rtol=1e-12, atol=0.0)
+    assert _gamma_q(s2, 0.0) == 1.0
+
+
+@pytest.mark.parametrize(
+    "kernel, s2",
+    [(gaussian(2.0, 0.7, d), d) for d in range(1, 7)]
+    + [(exponential(2.0, 0.7, d), 2 * d) for d in range(1, 5)],
+)
+def test_cutoff_is_least_float_within_tail_budget(kernel, s2):
+    z = _gamma_q_inv(s2, TAIL_MASS_FRACTION)
+    assert _gamma_q(s2, z) <= TAIL_MASS_FRACTION < _gamma_q(s2, math.nextafter(z, 0.0))
+    if isinstance(kernel, ExponentialKernel):
+        radius = kernel.scale * z
+    else:
+        radius = kernel.sigma * math.sqrt(2.0 * z)
+    # the radius is raised by the few ulps rounding may cost, and no further
+    cutoff, budget = kernel.cutoff_radius(), TAIL_MASS_FRACTION * kernel.weight
+    assert radius <= cutoff <= radius + 4.0 * math.ulp(radius)
+    assert kernel.mass_beyond(cutoff) <= budget
+    if cutoff > radius:
+        assert kernel.mass_beyond(math.nextafter(cutoff, 0.0)) > budget
+
+
+def test_package_does_not_import_scipy():
+    # scipy is a test dependency only: importing every module and computing
+    # the unbounded kernels' tails must leave it unloaded
+    code = """
+import importlib, pkgutil, sys
+import sbdsim
+for info in pkgutil.iter_modules(sbdsim.__path__):
+    if info.name != "__main__":
+        importlib.import_module("sbdsim." + info.name)
+from sbdsim.kernels import exponential, gaussian
+for d in (1, 2, 3):
+    for k in (gaussian(1.0, 1.0, d), exponential(1.0, 1.0, d)):
+        k.mass_beyond(k.cutoff_radius())
+        k.mass_beyond(0.5)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+sys.exit(f"scipy modules loaded: {loaded}" if loaded else 0)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(sbdsim.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_triangular_cutoff_is_support():
