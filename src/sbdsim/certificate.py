@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 

@@ -21,7 +21,6 @@ from . import __version__
 from .certificate import (
     Certificate,
     CertificationError,
-    SearchGrid,
     certify,
     verify_certificate,
 )
@@ -34,7 +33,6 @@ from .config import (
     resolved_config_dict,
 )
 from .dynamics import DynamicsError, EventLog, run
-from .geometry import Torus, Window
 from .oracles import (
     NormBoundInput,
     OracleError,
@@ -382,10 +380,15 @@ def cmd_analyze(args) -> int:
 
     cfg = parse_config(manifest["config"], base_dir=run_dir)
     per_replica = []
-    for rel in manifest["replica_traces"]:
+    for rel, tripped in zip(manifest["replica_traces"], manifest["guard_tripped"]):
         snap_path = run_dir / rel / "snapshots.csv"
-        if snap_path.exists():
-            per_replica.append(_read_snapshots_csv(snap_path, cfg.torus.dim))
+        if not snap_path.exists():
+            continue
+        snaps = _read_snapshots_csv(snap_path, cfg.torus.dim)
+        if not tripped:  # every snapshot was taken, but an empty one wrote no rows
+            for t in cfg.snapshot_times:
+                snaps.setdefault(t, np.zeros((0, cfg.torus.dim)))
+        per_replica.append(snaps)
     try:
         reports = _aggregate_reports(cfg, per_replica)
     except StatisticsError as exc:

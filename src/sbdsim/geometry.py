@@ -7,8 +7,10 @@ within some rings of a cell.  ``TorusConfiguration`` is the simulator's one
 point store: dense columns of the living points, addressed by row alone, a
 load column with block sums for the death draw, and per-cell arrays of rows
 that a neighbour query gathers through a memoised cell stencil in a few
-numpy calls.  Every minimum-image distance, of a neighbour query, of the
-kernel sums and of ``pairwise_periodic_distances``, comes from one helper.
+numpy calls.  ``periodic_pairs`` walks the ordered pairs of points within
+a radius over neighbouring cells in bounded batches; the kernel sums and the
+pair correlation both read it.  Every minimum-image distance, of a neighbour
+query and of the pair walk, comes from one helper.
 ``sample_poisson`` draws a homogeneous Poisson configuration and loads it
 into the store in one bulk pass.
 """
@@ -16,6 +18,7 @@ into the store in one bulk pass.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
 
@@ -122,15 +125,62 @@ def _min_image_distances(d: np.ndarray, side: float) -> np.ndarray:
     return np.sqrt(square)
 
 
-def pairwise_periodic_distances(torus: Torus, pts: np.ndarray) -> np.ndarray:
-    """Condensed vector of minimum-image distances between distinct rows;
-    points outside the box are wrapped into it first."""
-    n = pts.shape[0]
-    if n < 2:
-        return np.zeros(0)
-    pts = torus.wrap(np.asarray(pts, dtype=float))
-    iu, ju = np.triu_indices(n, 1)
-    return _min_image_distances(pts[iu] - pts[ju], torus.side)
+def periodic_pairs(
+    torus: Torus, pos: np.ndarray, cells: np.ndarray, radius: float
+) -> tuple[np.ndarray, Iterator]:
+    """Ordered pairs of distinct rows of ``pos`` at most ``radius`` apart,
+    with their minimum-image distances, walked over neighbouring grid cells.
+
+    ``pos`` holds points in [0, side]^dim and ``cells`` their flat cells on
+    the grid of ``torus``.  Returns ``order``, the rows stably sorted by
+    cell, and an iterator of batches (lo, hi, at, dist) of about PAIR_BATCH
+    pairs each: the pairs whose first row is one of ``order[lo:hi]``, as
+    that row's index ``at`` in the range and the pair's distance.  For each
+    cell offset within the radius every row is paired with the rows of its
+    offset cell.  Offsets are taken modulo the grid, so a radius that wraps
+    round the whole grid visits each cell once.  Scratch memory is
+    O(n + PAIR_BATCH).
+    """
+    n = cells.size
+    order = np.argsort(cells, kind="stable")
+    pos = pos[order]
+    occupied, first, cell_of_row, count = np.unique(
+        cells[order], return_index=True, return_inverse=True, return_counts=True
+    )
+    shape = (torus.n_cells,) * torus.dim
+    coords = np.unravel_index(occupied, shape)
+    rings = int(math.ceil(radius / torus.cell_size))
+    axis_offsets = sorted({o % torus.n_cells for o in range(-rings, rings + 1)})
+
+    def batches():
+        if not n:
+            return
+        for offset in product(axis_offsets, repeat=torus.dim):
+            target = np.ravel_multi_index(
+                tuple((c + o) % torus.n_cells for c, o in zip(coords, offset)), shape
+            )
+            k = np.minimum(np.searchsorted(occupied, target), occupied.size - 1)
+            hit = occupied[k] == target
+            start = np.where(hit, first[k], 0)[cell_of_row]
+            pairs = np.where(hit, count[k], 0)[cell_of_row]
+            ends = np.cumsum(pairs)
+            lo = 0
+            while lo < n:  # row i pairs with rows start[i] .. start[i] + pairs[i] - 1
+                done = ends[lo - 1] if lo else 0
+                hi = max(lo + 1, int(np.searchsorted(ends, done + PAIR_BATCH, "right")))
+                batch = pairs[lo:hi]
+                i = np.repeat(np.arange(lo, hi), batch)
+                first_pair = ends[lo:hi] - batch - done  # of each row, in this batch
+                j = np.arange(i.size) + np.repeat(start[lo:hi] - first_pair, batch)
+                d = np.take(pos, i, axis=0)
+                d -= np.take(pos, j, axis=0)
+                dist = _min_image_distances(d, torus.side)
+                keep = (dist <= radius) & (i != j)
+                yield lo, hi, i[keep] - lo, dist[keep]
+                lo = hi
+            del ends, i, j, d, dist, keep  # freed before the next offset's arrays
+
+    return order, batches()
 
 
 @dataclass(frozen=True)
@@ -498,14 +548,7 @@ class TorusConfiguration:
 
     def kernel_sums(self, kernel: RadialKernel) -> np.ndarray:
         """Each point's sum of kernel(distance) over the other points within
-        the kernel cutoff, one entry per row.
-
-        One pass over pairs of neighbouring grid cells: rows sorted by cell,
-        and for each cell offset within the cutoff, every row paired with the
-        rows of its offset cell, PAIR_BATCH pairs at a time.  Offsets are
-        taken modulo the grid, so a cutoff ball that wraps round the whole
-        grid visits each cell once.
-        """
+        the kernel cutoff, one entry per row, from one ``periodic_pairs`` walk."""
         if kernel.dim != self.torus.dim:
             raise GeometryError(
                 f"kernel dimension {kernel.dim} != torus dimension {self.torus.dim}"
@@ -516,55 +559,19 @@ class TorusConfiguration:
                 f"kernel too wide for torus: cutoff {cutoff:g} > side/2 "
                 f"{self.torus.side / 2.0:g}"
             )
-        t = self.torus
         n = self._n
-        if n == 0:
-            return np.zeros(0)
-        order = np.argsort(self._cell[:n], kind="stable")
-        cells = self._cell[order]
-        pos = self._pos[order]
-        occupied, first, cell_of_row, count = np.unique(
-            cells, return_index=True, return_inverse=True, return_counts=True
+        order, batches = periodic_pairs(
+            self.torus, self._pos[:n], self._cell[:n], cutoff
         )
-        shape = (t.n_cells,) * t.dim
-        coords = np.unravel_index(occupied, shape)
-        rings = int(math.ceil(cutoff / t.cell_size))
-        axis_offsets = sorted({o % t.n_cells for o in range(-rings, rings + 1)})
-        sums = np.zeros(n)
-        for offset in product(axis_offsets, repeat=t.dim):
-            target = np.ravel_multi_index(
-                tuple((c + o) % t.n_cells for c, o in zip(coords, offset)), shape
+        sums = np.zeros(n)  # in cell order
+        for lo, hi, at, dist in batches:
+            sums[lo:hi] += np.bincount(
+                at, weights=kernel.profile(dist), minlength=hi - lo
             )
-            k = np.minimum(np.searchsorted(occupied, target), occupied.size - 1)
-            hit = occupied[k] == target
-            start = np.where(hit, first[k], 0)[cell_of_row]
-            pairs = np.where(hit, count[k], 0)[cell_of_row]
-            self._add_pair_sums(kernel, pos, start, pairs, sums)
+            del at, dist  # freed before the walk builds its next batch
         out = np.empty(n)
         out[order] = sums
         return out
-
-    def _add_pair_sums(self, kernel, pos, start, pairs, sums) -> None:
-        """Add kernel(distance) over pairs (i, start[i] + k), k < pairs[i],
-        i != start[i] + k and within the cutoff, into sums[i]."""
-        cutoff = kernel.cutoff_radius()
-        ends = np.cumsum(pairs)
-        lo = 0
-        while lo < ends.size:
-            done = ends[lo - 1] if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, done + PAIR_BATCH, "right")))
-            batch = pairs[lo:hi]
-            i = np.repeat(np.arange(lo, hi), batch)
-            first_pair = ends[lo:hi] - batch - done  # of each row, in this batch
-            j = np.arange(i.size) + np.repeat(start[lo:hi] - first_pair, batch)
-            d = np.take(pos, i, axis=0)
-            d -= np.take(pos, j, axis=0)
-            dist = _min_image_distances(d, self.torus.side)
-            keep = (dist <= cutoff) & (i != j)
-            sums[lo:hi] += np.bincount(
-                i[keep] - lo, weights=kernel.profile(dist[keep]), minlength=hi - lo
-            )
-            lo = hi
 
     def kernel_sum_tail_budget(self, kernel: RadialKernel) -> float:
         """Certified bound on mass any entry of kernel_sums may miss beyond the cutoff."""

@@ -392,8 +392,9 @@ class TabulatedKernel(RadialKernel):
     def _profile(self, r):
         return np.interp(r, self.radii, self.values, right=0.0)
 
-    def mass(self) -> float:
-        # Exact integral of the piecewise-linear profile times the sphere area.
+    def _mass_from(self, radius: float) -> float:
+        """Exact integral of the piecewise-linear profile times the sphere
+        area over radii from max(radius, 0) to the end of the table."""
         d = self.dim
         r, v = self.radii, self.values
         slopes = np.diff(v) / np.diff(r)
@@ -402,29 +403,17 @@ class TabulatedKernel(RadialKernel):
         def anti(u):  # antiderivative of (intercept + slope*u) * u^(d-1)
             return intercepts * u**d / d + slopes * u ** (d + 1) / (d + 1)
 
-        segs = anti(r[1:]) - anti(r[:-1])
-        return float(d * unit_ball_volume(d) * segs.sum())
+        lo, hi = np.clip(r[:-1], radius, None), np.clip(r[1:], radius, None)
+        return float(d * unit_ball_volume(d) * (anti(hi) - anti(lo)).sum())
+
+    def mass(self) -> float:
+        return self._mass_from(0.0)
 
     def sup_norm(self) -> float:
         return float(self.values.max())
 
     def mass_beyond(self, radius: float) -> float:
-        if radius <= 0.0:
-            return self.mass() + self.tail_mass_bound
-        if radius >= self.radii[-1]:
-            return self.tail_mass_bound
-        d = self.dim
-        r, v = self.radii, self.values
-        slopes = np.diff(v) / np.diff(r)
-        intercepts = v[:-1] - slopes * r[:-1]
-
-        def anti(u):
-            return intercepts * u**d / d + slopes * u ** (d + 1) / (d + 1)
-
-        lo = np.clip(r[:-1], radius, None)
-        hi = np.clip(r[1:], radius, None)
-        segs = anti(hi) - anti(lo)
-        return float(d * unit_ball_volume(d) * segs.sum()) + self.tail_mass_bound
+        return self._mass_from(radius) + self.tail_mass_bound
 
     def cutoff_radius(self) -> float:
         return float(self.radii[-1])

@@ -110,10 +110,3 @@ def norm_bound_migration(inp: NormBoundInput) -> float:
         + inp.mass_a_minus * math.exp(inp.theta_prime)
     ) / (e * gap)
 
-
-def contact_dies_out(mass_a_plus: float, m: float) -> bool:
-    """Extinction criterion for the contact regime (no competition kernel):
-    the population dies out when the death rate exceeds the birth mass."""
-    if mass_a_plus < 0.0 or m < 0.0:
-        raise OracleError("rates must be nonnegative")
-    return m > mass_a_plus

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Torus, Window, pairwise_periodic_distances
+from .geometry import Torus, Window, periodic_pairs
 from .kernels import unit_ball_volume
 
 
@@ -87,7 +87,11 @@ def pair_correlation(
     Per replica, the ordered-pair count in each shell is divided by
     N (N-1) / volume times the shell volume, which has expectation exactly 1
     for a homogeneous Poisson field; replicas with fewer than two points
-    carry no pair information and are skipped.
+    carry no pair information and are skipped.  The counts come from a
+    ``periodic_pairs`` walk on a grid of cells about the last edge wide, so
+    memory is O(N + PAIR_BATCH) per replica, and time grows as N times the
+    points within the last edge of a point: O(N) for a fixed last edge,
+    O(N^2) when it reaches side/2.
     """
     reps = _check_replicas(snapshots)
     if edges is None:
@@ -107,15 +111,18 @@ def pair_correlation(
     shells = np.array(
         [shell_volume(torus.dim, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     )
+    grid = Torus.for_cutoff(torus.side, torus.dim, edges[-1])
     per_replica = []
     for pts in reps:
         n = pts.shape[0]
         if n < 2:
             continue
-        dists = pairwise_periodic_distances(torus, pts)
-        counts, _ = np.histogram(dists, bins=edges)
-        ordered = 2.0 * counts
-        per_replica.append(ordered * torus.volume / (n * (n - 1) * shells))
+        pts = grid.wrap(pts)
+        counts = np.zeros(edges.size - 1, dtype=np.intp)
+        _, batches = periodic_pairs(grid, pts, grid.flat_cells_of(pts), edges[-1])
+        for _, _, _, dist in batches:
+            counts += np.histogram(dist, bins=edges)[0]
+        per_replica.append(counts * torus.volume / (n * (n - 1) * shells))
     if not per_replica:
         raise StatisticsError("no replica has two or more points")
     stack = np.vstack(per_replica)

@@ -414,3 +414,22 @@ def test_analyze_recomputes_stored_run(tmp_path):
 
 def test_analyze_missing_run_is_usage_error(tmp_path):
     assert main(["analyze", "--run", str(tmp_path / "missing")]) == 2
+
+
+def test_analyze_keeps_extinct_replicas(tmp_path):
+    # subcritical: death rate 2 against birth mass 0.5, so replicas die out;
+    # an empty snapshot writes no rows, and analyze must still count it
+    data = bp_config()
+    data["model"]["a_plus"]["params"]["weight"] = 0.5
+    data["model"]["m"] = 2.0
+    data["schedule"] = {"t_end": 3.0, "snapshot_times": [1.0, 2.0, 3.0], "burn_in": 0.0}
+    data["replicas"] = 6
+    cfg_path = write_config(tmp_path / "cfg.json", data)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    assert main(["analyze", "--run", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    analysis = json.loads((out / "analysis.json").read_text())
+    assert [r["replicas"] for r in report["reports"]] == [6, 6, 6]
+    assert report["reports"][-1]["density"]["mean"] == 0.0
+    assert analysis["reports"] == report["reports"]

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from sbdsim.geometry import (
+    PAIR_BATCH,
     GeometryError,
     Torus,
     TorusConfiguration,
     Window,
     _min_image_distances,
-    pairwise_periodic_distances,
+    periodic_pairs,
     sample_poisson,
 )
 from sbdsim.kernels import gaussian, triangular
@@ -39,15 +40,27 @@ def min_image_distance(side, x, y):
     return math.sqrt(square)
 
 
-def scan_pairwise(side, pts):
-    """pairwise_periodic_distances by a plain-Python scan of the points
-    wrapped into [0, side), in condensed order."""
+def scan_pairs(side, pts, radius):
+    """Each row's minimum-image distances to the other rows within
+    ``radius``, sorted, by a plain-Python scan of the points wrapped into
+    [0, side)."""
     pts = [[v % side for v in p] for p in np.asarray(pts, dtype=float).tolist()]
-    return [
-        min_image_distance(side, pts[i], pts[j])
-        for i in range(len(pts))
-        for j in range(i + 1, len(pts))
-    ]
+    out = []
+    for i, x in enumerate(pts):
+        dists = (min_image_distance(side, x, y) for j, y in enumerate(pts) if j != i)
+        out.append(sorted(d for d in dists if d <= radius))
+    return out
+
+
+def walk_pairs(torus, pts, radius):
+    """``scan_pairs`` from the pair walk over the cells of ``torus``."""
+    pts = torus.wrap(np.asarray(pts, dtype=float))
+    out = [[] for _ in range(pts.shape[0])]
+    order, batches = periodic_pairs(torus, pts, torus.flat_cells_of(pts), radius)
+    for lo, hi, at, dist in batches:
+        for row, d in zip(order[lo:hi][at].tolist(), dist.tolist()):
+            out[row].append(d)
+    return [sorted(d) for d in out]
 
 
 # -- torus and metric --------------------------------------------------------
@@ -77,7 +90,8 @@ def test_for_cutoff_cell_size():
 
 
 def distance(torus, x, y):
-    return float(pairwise_periodic_distances(torus, np.array([x, y], dtype=float))[0])
+    """Distance of two points from the pair walk, with a radius no pair exceeds."""
+    return walk_pairs(torus, [x, y], torus.side * torus.dim)[0][0]
 
 
 def test_periodic_distance_wraparound():
@@ -116,10 +130,10 @@ def test_periodic_distances_batch_matches_scalar():
 def test_min_image_distances_at_the_wrap_edges(dim):
     # coordinates at 0, side - ulp, exactly side (the same point as 0), and
     # pairs side / 2 apart in either order; the helper on differences of
-    # wrapped points and pairwise_periodic_distances on the raw points, and
-    # on the points shifted by whole multiples of side, equal the plain scan,
-    # and the helper on the raw points, which may sit exactly at side, equals
-    # it up to rounding
+    # wrapped points and the pair walk on the raw points, and on the points
+    # shifted by whole multiples of side, equal the plain scan, and the
+    # helper on the raw points, which may sit exactly at side, equals it up
+    # to rounding
     side = 6.0
     below = np.nextafter(side, 0.0)
     edge = [0.0, below, side, 1.0, 1.0 + side / 2.0, side / 2.0, 0.25]
@@ -127,29 +141,70 @@ def test_min_image_distances_at_the_wrap_edges(dim):
     pts = np.array([[edge[(i + 3 * a) % len(edge)] for a in range(dim)] for i in range(7)])
     pts = np.concatenate([pts, rng.uniform(0.0, side, (9, dim))])
     iu, ju = np.triu_indices(pts.shape[0], 1)
-    want = scan_pairwise(side, pts)
     wrapped = np.mod(pts, side)
+    want = [
+        min_image_distance(side, x, y)
+        for x, y in zip(wrapped[iu].tolist(), wrapped[ju].tolist())
+    ]
     assert _min_image_distances(wrapped[iu] - wrapped[ju], side).tolist() == want
     raw = _min_image_distances(pts[iu] - pts[ju], side)
     np.testing.assert_allclose(raw, want, rtol=0.0, atol=1e-14)
-    torus = Torus(side, dim)
-    assert pairwise_periodic_distances(torus, pts).tolist() == want
-    for shift in (-3, -1, 1, 7):
-        moved = pts + shift * side
-        got = pairwise_periodic_distances(torus, moved)
-        assert got.tolist() == scan_pairwise(side, moved)
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+    every = side * dim  # no minimum-image distance reaches it
+    want_rows = scan_pairs(side, pts, every)
+    for n_cells in (1, 3, 8):
+        torus = Torus(side, dim, n_cells)
+        assert walk_pairs(torus, pts, every) == want_rows
+        for shift in (-3, -1, 1, 7):
+            moved = pts + shift * side
+            got = walk_pairs(torus, moved, every)
+            assert got == scan_pairs(side, moved, every)
+            for a, b in zip(got, want_rows):
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
     assert distance(Torus(side, 1), [1.0], [1.0 + side / 2.0]) == side / 2.0
     assert distance(Torus(side, 1), [1.0 + side / 2.0], [1.0]) == side / 2.0
 
 
-def test_pairwise_periodic_distances():
-    # condensed upper-triangle order: (0,1), (0,2), (1,2)
+def test_periodic_pairs_three_points():
+    # every ordered pair once, each row with its own distances
     pts = np.array([[0.5], [9.5], [4.5]])
-    d = pairwise_periodic_distances(T10_1, pts)
-    assert d.shape == (3,)
-    np.testing.assert_allclose(d, [1.0, 4.0, 5.0], rtol=1e-14)
-    assert pairwise_periodic_distances(T10_1, pts[:1]).shape == (0,)
+    assert walk_pairs(T10_1, pts, 5.0) == [[1.0, 4.0], [1.0, 5.0], [4.0, 5.0]]
+    assert walk_pairs(T10_1, pts, 4.5) == [[1.0, 4.0], [1.0], [4.0]]
+    assert walk_pairs(T10_1, pts[:1], 5.0) == [[]]
+    order, batches = periodic_pairs(T10_1, pts[:0], np.zeros(0, np.intp), 5.0)
+    assert order.size == 0 and list(batches) == []
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_periodic_pairs_match_the_scan_on_every_cell_grid(dim):
+    # coarse grids make the radius wrap round the whole grid, so cell
+    # offsets repeat modulo n_cells and must be visited once each
+    rng = np.random.default_rng(10 + dim)
+    side = 8.0
+    pts = rng.uniform(0.0, side, (40, dim))
+    pts[:3] = pts[3]  # coincident points are distinct rows at distance 0
+    for radius in (0.9, 2.5, side / 2.0):
+        want = scan_pairs(side, pts, radius)
+        for n_cells in range(1, 9):
+            assert walk_pairs(Torus(side, dim, n_cells), pts, radius) == want
+
+
+def test_periodic_pairs_batches_are_bounded():
+    # all n (n - 1) ordered pairs of 600 points in one cell, in batches of at
+    # most PAIR_BATCH pairs whose row ranges tile the cell order once
+    rng = np.random.default_rng(12)
+    torus = Torus(10.0, 1, n_cells=1)
+    pts = rng.uniform(0.0, 10.0, (600, 1))
+    order, batches = periodic_pairs(torus, pts, torus.flat_cells_of(pts), 5.0)
+    assert sorted(order.tolist()) == list(range(600))
+    sizes, ranges = [], []
+    for lo, hi, at, dist in batches:
+        assert dist.size <= PAIR_BATCH and at.size == dist.size
+        assert 0 <= at.min() and at.max() < hi - lo
+        sizes.append(dist.size)
+        ranges.append((lo, hi))
+    assert sum(sizes) == 600 * 599 and len(sizes) > 1
+    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+    assert ranges[-1][1] == 600
 
 
 # -- configurations and the cell index ---------------------------------------

@@ -78,6 +78,39 @@ def test_tabulated_mass_d2():
     assert k.mass() == pytest.approx(math.pi / 3.0, rel=1e-9)
 
 
+def shell_integral(r, v, d, lo, hi):
+    """Integral of the piecewise-linear table times d c_d u^(d-1) with each
+    segment cut to [lo, hi], written out separately for mass and mass_beyond."""
+    slopes = np.diff(v) / np.diff(r)
+    intercepts = v[:-1] - slopes * r[:-1]
+
+    def anti(u):
+        return intercepts * u**d / d + slopes * u ** (d + 1) / (d + 1)
+
+    return float(d * unit_ball_volume(d) * (anti(hi) - anti(lo)).sum())
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_tabulated_mass_and_tail_share_one_shell_integral(dim):
+    # mass() and mass_beyond() are one integral from a radius; their values
+    # equal the integrals written out per segment, bit for bit
+    rng = np.random.default_rng(dim)
+    for _ in range(75):
+        steps = rng.uniform(0.01, 1.0, rng.integers(1, 12))
+        r = np.concatenate([[0.0], np.cumsum(steps)])
+        v = rng.uniform(0.0, 2.0, r.size)
+        v[-1] = 0.0 if rng.random() < 0.5 else v[-1]
+        tail = 0.0 if v[-1] == 0.0 else float(rng.uniform(0.1, 1.0))
+        k = tabulated(r, v, dim=dim, tail_sup_bound=v[-1], tail_mass_bound=tail)
+        mass = shell_integral(r, v, dim, r[:-1], r[1:])
+        assert k.mass() == mass
+        assert k.mass_beyond(0.0) == k.mass_beyond(-1.0) == mass + tail
+        assert k.mass_beyond(r[-1]) == k.mass_beyond(r[-1] + 1.0) == tail
+        for radius in rng.uniform(0.0, r[-1], 4):
+            lo, hi = np.clip(r[:-1], radius, None), np.clip(r[1:], radius, None)
+            assert k.mass_beyond(radius) == shell_integral(r, v, dim, lo, hi) + tail
+
+
 def test_sup_norms():
     assert gaussian(1.0, 1.0, 1).sup_norm() == pytest.approx(GAUSS_PEAK_1D, rel=1e-15)
     assert triangular(2.0, 5.0, 3).sup_norm() == 2.0

@@ -7,7 +7,6 @@ from sbdsim.oracles import (
     NormBoundInput,
     OracleError,
     bp_meanfield_density,
-    contact_dies_out,
     norm_bound_bp,
     norm_bound_migration,
     surgailis_density,
@@ -165,8 +164,3 @@ def test_norm_bound_rejects_bad_gap():
     with pytest.raises(OracleError):
         NormBoundInput(theta=0.0, theta_prime=1.0, mass_a_plus=-0.1)
 
-
-def test_contact_dies_out():
-    assert contact_dies_out(1.0, 1.5)
-    assert not contact_dies_out(1.0, 0.5)
-    assert not contact_dies_out(1.0, 1.0)

@@ -1,5 +1,8 @@
+import bisect
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +129,67 @@ def test_pair_correlation_rejects_wide_bins():
     reps = poisson_replicas(T10, 1.0, 4, seed=4)
     with pytest.raises(StatisticsError):
         pair_correlation(reps, T10, edges=np.array([0.0, 6.0]))
+
+
+def brute_force_ordered_counts(side, pts, edges):
+    """Ordered pairs of distinct points per bin of ``edges``, binned as
+    np.histogram does, by a plain-Python scan of the wrapped points."""
+    pts = [[v % side for v in p] for p in pts.tolist()]
+    edges = edges.tolist()
+    counts = [0] * (len(edges) - 1)
+    for x, y in itertools.permutations(pts, 2):
+        square = 0.0
+        for a, b in zip(x, y):
+            a = abs(b - a)
+            a = min(a, side - a)
+            square += a * a
+        d = math.sqrt(square)
+        if edges[0] <= d <= edges[-1]:
+            counts[min(bisect.bisect_right(edges, d) - 1, len(counts) - 1)] += 1
+    return np.array(counts)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pair_correlation_counts_match_brute_force(dim):
+    # one replica given twice, so g is its own estimate, bit for bit; bins
+    # up to a third of the side and up to side/2, where the walk's radius
+    # wraps round its whole grid
+    side = 7.0
+    torus = Torus(side, dim)
+    rng = np.random.default_rng(20 + dim)
+    pts = rng.uniform(0.0, side, (70, dim))
+    pts[0], pts[1] = pts[4], pts[4] + side  # coincident, once outside the box
+    pts[2], pts[3] = np.nextafter(side, 0.0), 0.0  # at the wrap edge
+    n = pts.shape[0]
+    for r_max in (side / 3.0, side / 2.0):
+        for n_bins in (1, 7):
+            pc = pair_correlation([pts, pts], torus, n_bins=n_bins, r_max=r_max)
+            edges = np.linspace(0.0, r_max, n_bins + 1)
+            shells = np.array(
+                [shell_volume(dim, a, b) for a, b in zip(edges[:-1], edges[1:])]
+            )
+            counts = brute_force_ordered_counts(side, pts, edges)
+            assert counts.sum() > 0
+            g = counts * torus.volume / (n * (n - 1) * shells)
+            assert pc.g.tolist() == g.tolist()
+            assert pc.se.tolist() == [0.0] * n_bins
+
+
+def test_pair_correlation_memory_is_linear():
+    # 2 replicas of 4000 points in d=1 at the default r_max = side/2, where
+    # every pair counts: the all-pairs distance vector alone would take
+    # 4000 * 3999 / 2 * 8 bytes = 61 MiB
+    torus = Torus(800.0, 1)
+    rng = np.random.default_rng(13)
+    reps = [rng.uniform(0.0, 800.0, (4000, 1)) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        pc = pair_correlation(reps, torus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pc.replicas_used == 2
+    assert peak < 16 * 2**20
 
 
 # -- envelope fit -----------------------------------------------------------------
