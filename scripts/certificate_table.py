@@ -33,8 +33,6 @@ def main():
     ap.add_argument("--size-max", type=int, default=30,
                     help="largest configuration size sampled")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--tight-packing", action="store_true",
-                    help="use the known packing densities for d <= 3")
     args = ap.parse_args()
 
     header = (f"{'pair':<22}{'[theta, theta_up]':>22}{'epsilon':>10}{'h':>8}{'r':>8}"
@@ -43,7 +41,7 @@ def main():
     print("-" * len(header))
     for i, (label, a_plus, a_minus) in enumerate(PAIRS):
         t0 = time.perf_counter()
-        cert = certify(a_plus, a_minus, omega=1.0, tight_packing=args.tight_packing)
+        cert = certify(a_plus, a_minus, omega=1.0)
         report = verify_certificate(
             cert, a_plus, a_minus,
             trials=args.trials, size_max=args.size_max,

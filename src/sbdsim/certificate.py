@@ -12,10 +12,12 @@ explicitly whenever the competition kernel is strictly positive somewhere
 near the origin, by a covering/packing argument:
 
 * tile R^d by cubes of side h and over-count the dispersal kernel by its
-  per-cube suprema (an upper Riemann sum, kept within epsilon of the mass);
+  per-cube suprema (an upper Riemann sum; epsilon is the cell sum's excess
+  over the mass);
 * inside one cube, points closer than 2r to a crowded point see competition
   at least a_minus(2r), and at most h^d * g(h, r) points can be mutually
-  2r-separated, where g is an explicit packing bound.
+  2r-separated, where g is an explicit packing bound with the densest
+  packing constant of the dimension (``TIGHT_PACKING``).
 
 Balancing the two effects yields theta = min(omega/(2*delta), a_r/delta)
 with delta = max(sup a_plus, (mass a_plus + epsilon) * g(h, r)) and
@@ -34,7 +36,8 @@ import numpy as np
 
 from .kernels import RadialKernel, unit_ball_volume
 
-# Densest-packing constants by dimension; 1.0 is a sound bound in any d.
+# Densest-packing constants by dimension (see ``packing_bound``); 1.0 is
+# sound in any d and serves d >= 4.
 TIGHT_PACKING = {1: 1.0, 2: math.pi / math.sqrt(12.0), 3: math.pi / math.sqrt(18.0)}
 
 
@@ -64,6 +67,15 @@ def packing_bound(dim: int, h: float, r: float, packing_constant: float = 1.0) -
     Any set of points in a cube of side h whose open r-balls are pairwise
     disjoint has at most h^d * g(h, r) elements, with
     g(h, r) = (packing_constant / c_d) * ((h + 2r) / (h r))^d.
+
+    Proof: the r-balls lie in the cube Q of side h + 2r around the cell.
+    Translates of Q by (h + 2r) Z^d tile R^d, and copying the balls into
+    every tile gives a packing of R^d by r-balls of density
+    n c_d r^d / (h + 2r)^d.  No packing of R^d by equal balls is denser than
+    delta_d, so n <= delta_d (h + 2r)^d / (c_d r^d).  delta_d = 1 is trivial
+    in any d; the densest constants are delta_1 = 1, delta_2 = pi/sqrt(12)
+    (Thue; Fejes Toth 1940) and delta_3 = pi/sqrt(18) (Hales 2005), which
+    are the ``TIGHT_PACKING`` values; d >= 4 uses 1.0.
     """
     if h <= 0.0 or r <= 0.0:
         raise CertificationError(f"h and r must be positive, got h={h}, r={r}")
@@ -116,41 +128,21 @@ def riemann_upper_sum(a_plus: RadialKernel, h: float) -> float:
 
 @dataclass(frozen=True)
 class SearchGrid:
-    """Candidate (epsilon, h, r) triples for the certificate search.
+    """Candidate (r, h) pairs for the certificate search.
 
     h values are tied to r through h_factors: h = factor * r.
     """
 
-    epsilons: tuple[float, ...]
     radii: tuple[float, ...]
     h_factors: tuple[float, ...] = (0.5, 1.0, 2.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
         object.__setattr__(self, "h_factors", tuple(float(f) for f in self.h_factors))
-        if not self.epsilons or any(e <= 0.0 for e in self.epsilons):
-            raise CertificationError("epsilons must be a nonempty positive tuple")
         if not self.radii or any(r <= 0.0 for r in self.radii):
             raise CertificationError("radii must be a nonempty positive tuple")
         if not self.h_factors or any(f <= 0.0 for f in self.h_factors):
             raise CertificationError("h_factors must be a nonempty positive tuple")
-
-    @classmethod
-    def default(
-        cls,
-        a_plus: RadialKernel,
-        a_minus: RadialKernel,
-        n_radii: int = 13,
-    ) -> "SearchGrid":
-        """Relative defaults: epsilon as fractions of the dispersal mass, r as a
-        log grid spanning [0.01, 10] times the competition length scale."""
-        mass = a_plus.mass()
-        char = a_minus.characteristic_radius()
-        return cls(
-            epsilons=tuple(f * mass for f in (0.1, 0.5, 1.0)),
-            radii=tuple(np.geomspace(0.01 * char, 10.0 * char, n_radii)),
-        )
 
 
 @dataclass(frozen=True)
@@ -240,14 +232,16 @@ def certify(
     a_minus: RadialKernel,
     omega: float = 1.0,
     grid: SearchGrid | None = None,
-    tight_packing: bool = False,
+    tight_packing: bool = True,
 ) -> Certificate:
-    """Search the grid for the largest certified theta.
+    """Search the (r, h) grid for the largest certified theta.
 
     omega is an input, not searched; it must be strictly positive, since
-    omega = 0 forces theta = 0 and the level degenerates.  Raises
+    omega = 0 forces theta = 0 and the level degenerates.  epsilon is the
+    cell sum's excess over the mass, the least sound value; theta only falls
+    as it grows.  ``tight_packing=False`` uses packing constant 1.0.  Raises
     CertificationError when no grid point sees competition (a_minus vanishes
-    on every probed ball) or no cell size passes the Riemann-sum check.
+    on every probed ball).
     """
     if not (omega > 0.0 and math.isfinite(omega)):
         raise CertificationError(
@@ -260,15 +254,17 @@ def certify(
         )
     _require_radial_nonincreasing(a_plus, "a_plus")
     _require_radial_nonincreasing(a_minus, "a_minus")
-    if grid is None:
-        grid = SearchGrid.default(a_plus, a_minus)
+    if grid is None:  # 13 radii log-spaced over [0.01, 10] competition lengths
+        char = a_minus.characteristic_radius()
+        grid = SearchGrid(np.geomspace(0.01 * char, 10.0 * char, 13))
     dim = a_plus.dim
     packing = TIGHT_PACKING.get(dim, 1.0) if tight_packing else 1.0
     sup_plus = a_plus.sup_norm()
     mass_plus = a_plus.mass()
 
-    # theta at a grid point depends on the Riemann sum only through the
-    # feasibility check, so rank candidates first and test cell sums lazily.
+    # The cell sum is at least the mass, so theta with the mass in its place
+    # bounds a grid point's theta from above: rank by that bound and compute
+    # cell sums in rank order until no bound beats the best theta found.
     candidates = []
     for r in grid.radii:
         a_r = inf_on_ball(a_minus, r)
@@ -276,25 +272,37 @@ def certify(
             continue
         for hf in grid.h_factors:
             h = hf * r
-            for eps in grid.epsilons:
-                g = packing_bound(dim, h, r, packing)
-                delta = max(sup_plus, (mass_plus + eps) * g)
-                theta = min(omega / (2.0 * delta), a_r / delta)
-                candidates.append((theta, r, h, eps, a_r, g, delta))
+            g = packing_bound(dim, h, r, packing)
+            delta = max(sup_plus, mass_plus * g)
+            bound = min(omega / (2.0 * delta), a_r / delta)
+            candidates.append((bound, r, h, a_r, g))
     if not candidates:
         raise CertificationError(
             "no competition within reach: a_minus vanishes on every ball "
             "probed by the search grid"
         )
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
 
-    riemann_cache: dict[float, float] = {}
-    for theta, r, h, eps, a_r, g, delta in candidates:
-        if h not in riemann_cache:
-            riemann_cache[h] = riemann_upper_sum(a_plus, h)
-        riemann = riemann_cache[h]
-        if riemann <= mass_plus + eps:
-            return Certificate(
+    provenance = {
+        "radii": list(grid.radii),
+        "h_factors": list(grid.h_factors),
+        "candidates_ranked": len(candidates),
+        "tight_packing": bool(tight_packing),
+    }
+    cell_sum = lru_cache(maxsize=None)(lambda h: riemann_upper_sum(a_plus, h))
+    best = None
+    for bound, r, h, a_r, g in candidates:
+        if best is not None and bound <= best.theta:
+            break
+        riemann = cell_sum(h)
+        # the least epsilon >= 0 with mass + epsilon >= riemann in floats
+        eps = max(riemann - mass_plus, 0.0)
+        while mass_plus + eps < riemann:
+            eps = math.nextafter(eps, math.inf)
+        delta = max(sup_plus, (mass_plus + eps) * g)
+        theta = min(omega / (2.0 * delta), a_r / delta)
+        if best is None or theta > best.theta:
+            best = Certificate(
                 dim=dim,
                 omega=float(omega),
                 theta=float(theta),
@@ -309,18 +317,9 @@ def certify(
                 unit_ball_volume=unit_ball_volume(dim),
                 sup_a_plus=float(sup_plus),
                 mass_a_plus=float(mass_plus),
-                provenance={
-                    "epsilons": list(grid.epsilons),
-                    "radii": list(grid.radii),
-                    "h_factors": list(grid.h_factors),
-                    "candidates_ranked": len(candidates),
-                    "tight_packing": bool(tight_packing),
-                },
+                provenance=provenance,
             )
-    raise CertificationError(
-        "no cell size in the search grid keeps the upper Riemann sum within "
-        "epsilon of the dispersal mass"
-    )
+    return best
 
 
 # -- the certified functional -----------------------------------------------

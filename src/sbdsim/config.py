@@ -297,24 +297,25 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
 
     cert = data.get("certificate", {})
     omega = _as_number(cert.get("omega", 1.0), "certificate.omega", strict_min=0.0)
+    if "epsilons" in cert:
+        raise ConfigError(
+            "certificate.epsilons",
+            "no longer an option: epsilon is derived from the cell sum, "
+            "riemann_upper_sum(h) - mass",
+        )
     cert_grid = None
-    if any(k in cert for k in ("epsilons", "radii", "h_factors")):
-        for key in ("epsilons", "radii"):
-            if key not in cert:
-                raise ConfigError(
-                    f"certificate.{key}", "needed when overriding the search grid"
-                )
+    if "radii" in cert or "h_factors" in cert:
+        radii = _require(cert, "radii", "certificate")
         try:
             cert_grid = SearchGrid(
-                epsilons=tuple(cert["epsilons"]),
-                radii=tuple(cert["radii"]),
-                h_factors=tuple(cert.get("h_factors", (0.5, 1.0, 2.0))),
+                radii=tuple(radii),
+                h_factors=tuple(cert.get("h_factors", SearchGrid.h_factors)),
             )
         except Exception as exc:
             raise ConfigError("certificate", str(exc)) from exc
     cert_trials = _as_int(cert.get("trials", 100_000), "certificate.trials", minimum=1)
     cert_size_max = _as_int(cert.get("size_max", 30), "certificate.size_max", minimum=1)
-    tight_packing = bool(cert.get("tight_packing", False))
+    tight_packing = bool(cert.get("tight_packing", True))
 
     output = data.get("output", {})
     out_dir = Path(output.get("dir", "runs/latest"))
@@ -420,7 +421,6 @@ def resolved_config_dict(cfg: RunConfig) -> dict:
             "omega": cfg.omega,
             **(
                 {
-                    "epsilons": list(cfg.cert_grid.epsilons),
                     "radii": list(cfg.cert_grid.radii),
                     "h_factors": list(cfg.cert_grid.h_factors),
                 }

@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sbdsim import certificate
 from sbdsim.certificate import (
     SAMPLER_NAMES,
     TIGHT_PACKING,
@@ -24,15 +26,17 @@ from sbdsim.certificate import (
     u_theta_increment,
     verify_certificate,
 )
+from sbdsim.config import load_config
 from sbdsim.kernels import exponential, gaussian, tabulated, triangular
 
 TRI = triangular(1.0, 1.0, 1)
 GAUSS = gaussian(1.0, 1.0, 1)
 
-# hand evaluation of the chain at (omega=1, epsilon=0.5, h=0.5, r=0.25) for
-# the triangular pair: riemann 1.5, g = (1/2)((0.5+0.5)/(0.5*0.25)) = 4,
-# delta = max(1, 1.5*4) = 6, theta = min(1/12, 0.5/6) = 1/12
-HAND_GRID = SearchGrid(epsilons=(0.5,), radii=(0.25,), h_factors=(2.0,))
+# hand evaluation of the chain at (omega=1, h=0.5, r=0.25) for the
+# triangular pair: riemann 1.5, so epsilon = 1.5 - 1 = 0.5,
+# g = (1/2)((0.5+0.5)/(0.5*0.25)) = 4, delta = max(1, 1.5*4) = 6,
+# theta = min(1/12, 0.5/6) = 1/12
+HAND_GRID = SearchGrid(radii=(0.25,), h_factors=(2.0,))
 HAND_THETA = 1.0 / 12.0
 
 
@@ -201,6 +205,7 @@ def test_certify_hand_grid_point():
     cert = certify(TRI, TRI, omega=1.0, grid=HAND_GRID)
     assert cert.theta == pytest.approx(HAND_THETA, rel=1e-12)
     assert cert.riemann_sum == pytest.approx(1.5, rel=1e-12)
+    assert cert.epsilon == pytest.approx(0.5, rel=1e-12)
     assert cert.g == pytest.approx(4.0, rel=1e-12)
     assert cert.delta == pytest.approx(6.0, rel=1e-12)
     assert cert.a_r_minus == pytest.approx(0.5, rel=1e-12)
@@ -249,27 +254,151 @@ def test_certify_rejects_zero_omega():
 
 
 def test_certify_no_competition_within_reach():
-    grid = SearchGrid(epsilons=(0.5,), radii=(5.0,), h_factors=(1.0,))
+    grid = SearchGrid(radii=(5.0,), h_factors=(1.0,))
     with pytest.raises(CertificationError, match="no competition within reach"):
-        certify(TRI, TRI, omega=1.0, grid=grid)
-
-
-def test_certify_no_feasible_cell_size():
-    grid = SearchGrid(epsilons=(1e-9,), radii=(0.25,), h_factors=(8.0,))
-    with pytest.raises(CertificationError, match="no cell size"):
         certify(TRI, TRI, omega=1.0, grid=grid)
 
 
 def test_certify_tight_packing_improves_theta_soundly():
     ap = gaussian(1.0, 1.0, 2)
     am = triangular(1.0, 1.0, 2)
-    loose = certify(ap, am, omega=1.0)
-    tight = certify(ap, am, omega=1.0, tight_packing=True)
+    loose = certify(ap, am, omega=1.0, tight_packing=False)
+    tight = certify(ap, am, omega=1.0)
+    assert (loose.packing_constant, tight.packing_constant) == (1.0, TIGHT_PACKING[2])
     assert loose.theta <= tight.theta + 1e-15
+    assert loose.theta >= 0.01811649472994928  # loose theta before epsilon was derived
     rng = np.random.default_rng(3)
     assert verify_certificate(loose, ap, am, trials=2000, rng=rng).passed
     rng = np.random.default_rng(3)
     assert verify_certificate(tight, ap, am, trials=2000, rng=rng).passed
+
+
+# (label, a_plus, a_minus, theta and cell sums per certify before epsilon
+# was derived): the certificate_table and acceptance pairs, and the shipped
+# long_dispersal_certificate pair (the gauss/tri row)
+CERTIFY_PAIRS = (
+    ("tri/tri", triangular(1.0, 1.0), triangular(1.0, 1.0), 0.06152838979337778, 3),
+    ("narrow tri/wide tri", triangular(1.0, 0.5), triangular(1.0, 2.0),
+     0.10540925533894599, 8),
+    ("gauss/tri", gaussian(1.0, 1.0), triangular(1.0, 1.0), 0.08203785305783703, 1),
+    ("exp/tri", exponential(1.0, 1.0), triangular(1.0, 1.0), 0.08203785305783703, 1),
+    ("gauss/gauss", gaussian(1.0, 2.0), gaussian(0.2, 0.5), 0.018779692635173754, 2),
+    ("gauss/tri d=2", gaussian(1.0, 1.0, 2), triangular(1.0, 1.0, 2),
+     0.01811649472994928, 1),
+    ("competition_1d", gaussian(3.0, 0.5), gaussian(0.5, 0.5), 0.013243281446063716, 2),
+)  # fmt: skip
+
+
+def count_cell_sums(monkeypatch) -> list:
+    """Record the h of every riemann_upper_sum call made from here on."""
+    calls = []
+
+    def counted(a_plus, h):
+        calls.append(h)
+        return riemann_upper_sum(a_plus, h)
+
+    monkeypatch.setattr(certificate, "riemann_upper_sum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("pair", CERTIFY_PAIRS, ids=[p[0] for p in CERTIFY_PAIRS])
+def test_certify_beats_the_searched_epsilon_with_fewer_cell_sums(monkeypatch, pair):
+    _, ap, am, theta_before, sums_before = pair
+    calls = count_cell_sums(monkeypatch)
+    cert = certify(ap, am, omega=1.0)
+    assert cert.theta >= theta_before
+    assert len(calls) <= sums_before
+    assert len(set(calls)) == len(calls)  # no cell sum computed twice
+    cert.self_check()
+    # epsilon is the cell sum's excess over the mass, with no tolerance
+    assert cert.epsilon == cert.riemann_sum - cert.mass_a_plus
+    assert cert.riemann_sum <= cert.mass_a_plus + cert.epsilon
+    rep = verify_certificate(cert, ap, am, trials=3000, rng=np.random.default_rng(30))
+    assert rep.passed and cert.theta <= rep.theta_up
+
+
+def test_shipped_configs_certify_at_least_the_searched_epsilon_theta():
+    # theta of each shipped certificate config before epsilon was derived
+    before = {
+        "long_dispersal_certificate": 0.08203785305783703,
+        "competition_1d": 0.013243281446063716,
+    }
+    root = Path(__file__).resolve().parent.parent / "configs"
+    for name, theta_before in before.items():
+        cfg = load_config(root / f"{name}.json")
+        cert = certify(
+            cfg.model.a_plus, cfg.model.a_minus, omega=cfg.omega,
+            grid=cfg.cert_grid, tight_packing=cfg.tight_packing,
+        )  # fmt: skip
+        assert cert.theta >= theta_before
+        cert.self_check()
+        if name == "long_dispersal_certificate":  # its (r, h) did not move
+            assert (cert.r, cert.h) == (0.2811706625951745, 0.562341325190349)
+
+
+def test_epsilon_is_raised_until_mass_plus_epsilon_reaches_the_cell_sum():
+    # here mass + (riemann - mass) rounds below riemann, so epsilon takes
+    # the fewest whole ulps more that bring mass + epsilon up to it
+    ap = gaussian(0.97, 0.1, 1)
+    cert = certify(ap, TRI, omega=1.0, grid=SearchGrid(radii=(0.25,), h_factors=(2.0,)))
+    mass, riemann, eps = cert.mass_a_plus, cert.riemann_sum, cert.epsilon
+    assert mass + (riemann - mass) < riemann
+    assert eps > riemann - mass
+    assert mass + math.nextafter(eps, -math.inf) < riemann <= mass + eps
+    cert.self_check()
+
+
+def exhaustive_certify(ap, am, grid, tight_packing=True):
+    """The best certificate over every (r, h) of ``grid``, each certified on
+    its own, and the set of (r, h) that reach its theta."""
+    certs = []
+    for r in grid.radii:
+        if inf_on_ball(am, r) <= 0.0:
+            continue
+        for hf in grid.h_factors:
+            one = SearchGrid(radii=(r,), h_factors=(hf,))
+            certs.append(certify(ap, am, omega=1.0, grid=one, tight_packing=tight_packing))
+    theta = max(c.theta for c in certs)
+    return theta, {(c.r, c.h) for c in certs if c.theta == theta}
+
+
+D2_GRID = SearchGrid(radii=np.geomspace(0.05, 2.0, 7), h_factors=(1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "ap, am, grid",
+    [(ap, am, None) for _, ap, am, *_ in CERTIFY_PAIRS if ap.dim == 1]
+    + [(gaussian(1.0, 1.0, 2), triangular(1.0, 1.0, 2), D2_GRID),
+       (gaussian(1.0, 0.5, 2), exponential(1.0, 0.5, 2), D2_GRID)],
+)  # fmt: skip
+def test_lazy_scan_matches_every_grid_point(ap, am, grid):
+    if grid is None:  # the default grid, as certify builds it
+        char = am.characteristic_radius()
+        grid = SearchGrid(np.geomspace(0.01 * char, 10.0 * char, 13))
+    cert = certify(ap, am, omega=1.0, grid=grid)
+    theta, argmax = exhaustive_certify(ap, am, grid)
+    assert cert.theta == theta
+    assert (cert.r, cert.h) in argmax
+    if ap.dim == 2:
+        loose = certify(ap, am, omega=1.0, grid=grid, tight_packing=False)
+        assert loose.theta == exhaustive_certify(ap, am, grid, tight_packing=False)[0]
+        assert loose.theta <= cert.theta
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([p[1:3] for p in CERTIFY_PAIRS if p[1].dim == 1]),
+    st.lists(st.floats(min_value=0.02, max_value=2.0), min_size=1, max_size=6),
+    st.lists(st.floats(min_value=0.25, max_value=4.0), min_size=1, max_size=3),
+)
+def test_lazy_scan_matches_every_point_of_random_grids(pair, radii, h_factors):
+    ap, am = pair
+    grid = SearchGrid(radii=radii, h_factors=h_factors)
+    assume(any(inf_on_ball(am, r) > 0.0 for r in grid.radii))
+    cert = certify(ap, am, omega=1.0, grid=grid)
+    theta, argmax = exhaustive_certify(ap, am, grid)
+    assert cert.theta == theta
+    assert (cert.r, cert.h) in argmax
 
 
 def test_certificate_roundtrip():

@@ -244,11 +244,16 @@ def test_manifest_roundtrip_reproduces_run(tmp_path):
 # -- certify / verify -----------------------------------------------------------
 
 
-def test_certify_writes_certificate_and_passes(tmp_path):
+def test_certify_writes_certificate_and_passes(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "cfg.json", bp_config())
     out = tmp_path / "cert"
     assert main(["certify", "--config", cfg_path, "--out", str(out)]) == 0
     cert = json.loads((out / "certificate.json").read_text())
+    # stdout is the certificate plus the verifier's theta_up: the bracket
+    printed = json.loads(capsys.readouterr().out)
+    theta_up = printed.pop("theta_up")
+    assert printed == cert
+    assert printed["theta"] <= theta_up
     assert cert["theta"] > 0.0
     assert cert["omega"] == 1.0
     # chain invariants hold on the emitted fields
@@ -258,7 +263,7 @@ def test_certify_writes_certificate_and_passes(tmp_path):
     ) + 1e-12
     violations = json.loads((out / "violations.json").read_text())
     assert violations["n_violations"] == 0
-    assert cert["theta"] <= violations["theta_up"]
+    assert cert["theta"] <= violations["theta_up"] == theta_up
 
 
 def test_certify_without_competition_fails(tmp_path, capsys):
@@ -267,6 +272,17 @@ def test_certify_without_competition_fails(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "cfg.json", cfg)
     assert main(["certify", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 3
     assert "no competition within reach" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["certify", "verify"])
+def test_stale_epsilons_in_config_is_usage_error(tmp_path, capsys, command):
+    cfg = bp_config()
+    cfg["certificate"].update(epsilons=[0.1, 0.5], radii=[0.25, 0.5])
+    cfg_path = write_config(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: config error at certificate.epsilons: ")
+    assert "derived from the cell sum" in err
 
 
 def test_verify_standalone_certificate(tmp_path):
@@ -433,3 +449,45 @@ def test_analyze_keeps_extinct_replicas(tmp_path):
     assert [r["replicas"] for r in report["reports"]] == [6, 6, 6]
     assert report["reports"][-1]["density"]["mean"] == 0.0
     assert analysis["reports"] == report["reports"]
+
+
+def read_snapshots_by_row(path, dim):
+    """snapshots.csv read one row at a time into Python floats."""
+    by_time = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in reader:
+            by_time.setdefault(float(row[0]), []).append([float(v) for v in row[2:]])
+    return {t: np.array(rows).reshape(-1, dim) for t, rows in by_time.items()}
+
+
+def test_analyze_reads_snapshots_as_the_row_reader_does(tmp_path, monkeypatch):
+    # d=2, subcritical: some replicas die out between snapshots and one before
+    # the first, so files hold empty snapshots and one holds the header alone
+    data = bp_config()
+    for kernel in ("a_plus", "a_minus"):
+        data["model"][kernel]["dim"] = 2
+    data["model"]["a_plus"]["params"] = {"weight": 0.5, "sigma": 0.5}
+    data["model"]["m"] = 2.0
+    data["torus"] = {"L": 8.0, "d": 2}
+    data["init"] = {"poisson": 0.1}
+    data["schedule"] = {"t_end": 2.0, "snapshot_times": [0.5, 1.0, 2.0], "burn_in": 0.0}
+    data["replicas"] = 8
+    cfg_path = write_config(tmp_path / "cfg.json", data)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    files = sorted(out.glob("replicas/*/snapshots.csv"))
+    times = [set(cli._read_snapshots_csv(f, 2)) for f in files]
+    assert set() in times and any(0 < len(t) < 3 for t in times)
+    for f in files:
+        assert cli._read_snapshots_csv(f, 2).keys() == read_snapshots_by_row(f, 2).keys()
+
+    assert main(["analyze", "--run", str(out), "--out", str(tmp_path / "columns")]) == 0
+    monkeypatch.setattr(cli, "_read_snapshots_csv", read_snapshots_by_row)
+    assert main(["analyze", "--run", str(out), "--out", str(tmp_path / "rows")]) == 0
+    columns = (tmp_path / "columns" / "analysis.json").read_bytes()
+    assert columns == (tmp_path / "rows" / "analysis.json").read_bytes()
+    reports = json.loads(columns)["reports"]
+    assert [r["replicas"] for r in reports] == [8, 8, 8]
+    assert reports == json.loads((out / "report.json").read_text())["reports"]
