@@ -117,7 +117,7 @@ def riemann_upper_sum(a_plus: RadialKernel, h: float) -> float:
     for _ in range(d - 1):
         rho_sq = (rho_sq[:, None] + near_sq[None, :]).ravel()
         rho_sq = rho_sq[rho_sq < r_enum**2]
-    core = h**d * float(a_plus.profile(np.sqrt(rho_sq)).sum())
+    core = h**d * float(a_plus.profile_of_lengths(np.sqrt(rho_sq)).sum())
 
     # cubes with closest point at distance >= r_enum: each sup is dominated by
     # the kernel value at (|x| - h sqrt(d)) pointwise, so their total is at most
@@ -345,19 +345,29 @@ def _pair_sums_by_size(
     ``coords`` holds one row per axis of a point array (flat metric), and
     configuration i is its points ``starts[i] .. starts[i] + size - 1``,
     with size >= 2.  Returns (S-, S+), each of shape (k,).
+
+    The (k, pairs) distances are built in one array, the first axis's
+    gather: it is differenced and squared in place, each further axis adds
+    its squares into it, and the root is taken in place.  The kernels read
+    it through ``profile_of_lengths``, which makes no copy.
     """
     iu, ju = _triu(size)
     rows = starts[:, None] + np.arange(size)
-    sq = 0.0
+    dists = None
     for axis in coords:
         at = axis[rows]
-        diff = at[:, iu] - at[:, ju]
-        sq = sq + diff * diff
-    dists = np.sqrt(sq)
+        diff = at[:, iu]
+        diff -= at[:, ju]
+        diff *= diff
+        if dists is None:
+            dists = diff
+        else:
+            dists += diff
+    np.sqrt(dists, out=dists)
     # kernels are even, so ordered sums double the unordered ones
     return (
-        2.0 * a_minus.profile(dists).sum(axis=1),
-        2.0 * a_plus.profile(dists).sum(axis=1),
+        2.0 * a_minus.profile_of_lengths(dists).sum(axis=1),
+        2.0 * a_plus.profile_of_lengths(dists).sum(axis=1),
     )
 
 
@@ -433,7 +443,11 @@ def u_theta_increment(
     dists = np.sqrt((diff * diff).sum(axis=1))
     return float(
         omega
-        + 2.0 * (a_minus.profile(dists).sum() - theta * a_plus.profile(dists).sum())
+        + 2.0
+        * (
+            a_minus.profile_of_lengths(dists).sum()
+            - theta * a_plus.profile_of_lengths(dists).sum()
+        )
     )
 
 
@@ -549,6 +563,9 @@ def verify_certificate(
     size are then evaluated as one array, so ``u_theta(argmin_points)``
     matches ``min_u`` to rounding: a vectorised ``exp`` may round an element
     differently at another position in an array.
+
+    Raises CertificationError for a ``size_max`` the selected samplers cannot
+    draw: below 2 with a cluster sampler, below 0 otherwise.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -557,6 +574,12 @@ def verify_certificate(
     names = [n for n in SAMPLER_NAMES if sampler_mix.get(n, 0.0) > 0.0]
     if not names:
         raise CertificationError("sampler mix selects no samplers")
+    # a cluster trial draws 2..size_max points, a box trial 0..size_max
+    least = 0 if set(names) <= {"uniform", "poisson"} else 2
+    if size_max < least:
+        raise CertificationError(
+            f"size_max must be >= {least} for samplers {names}, got {size_max}"
+        )
     weights = np.array([sampler_mix[n] for n in names])
     cum = np.cumsum(weights / weights.sum())
 

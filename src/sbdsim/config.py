@@ -314,7 +314,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         except Exception as exc:
             raise ConfigError("certificate", str(exc)) from exc
     cert_trials = _as_int(cert.get("trials", 100_000), "certificate.trials", minimum=1)
-    cert_size_max = _as_int(cert.get("size_max", 30), "certificate.size_max", minimum=1)
+    cert_size_max = _as_int(cert.get("size_max", 30), "certificate.size_max", minimum=2)
     tight_packing = bool(cert.get("tight_packing", True))
 
     output = data.get("output", {})

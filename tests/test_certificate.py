@@ -644,6 +644,19 @@ def test_theta_up_is_inf_without_two_point_trials():
     assert rep.argmin_points.shape == (0, 1)
 
 
+@pytest.mark.parametrize(
+    "size_max, mix",
+    [(1, None), (1, {"uniform": 1.0, "cluster_dispersal": 1.0}), (-1, {"uniform": 1.0})],
+)
+def test_verify_refuses_a_size_max_its_samplers_cannot_draw(size_max, mix):
+    cert = certify(TRI, TRI, omega=1.0)
+    with pytest.raises(CertificationError, match=f"size_max must be >= .*got {size_max}"):
+        verify_certificate(
+            cert, TRI, TRI, trials=10, size_max=size_max,
+            rng=np.random.default_rng(30), sampler_mix=mix,
+        )  # fmt: skip
+
+
 # -- one evaluator for U -------------------------------------------------------
 
 KERNELS_BY_DIM = {d: (gaussian(1.0, 1.0, d), triangular(1.0, 1.0, d)) for d in (1, 2, 3)}
@@ -659,6 +672,50 @@ def plain_u(points, a_plus, a_minus, omega, theta):
                 r = math.dist(points[i], points[j])
                 total += a_minus.profile(r) - theta * a_plus.profile(r)
     return total
+
+
+def reference_pair_sums(points, sizes, a_plus, a_minus):
+    """(S-, S+) with a fresh array per axis and ``profile``'s copy: the
+    reference the in-place ``_pair_sums`` must match bit for bit."""
+    starts = np.cumsum(sizes) - sizes
+    sum_minus, sum_plus = np.zeros(sizes.shape[0]), np.zeros(sizes.shape[0])
+    for size in np.unique(sizes[sizes >= 2]):
+        group = np.flatnonzero(sizes == size)
+        iu, ju = np.triu_indices(size, 1)
+        rows = starts[group][:, None] + np.arange(size)
+        sq = 0.0
+        for axis in points.T:
+            at = axis[rows]
+            diff = at[:, iu] - at[:, ju]
+            sq = sq + diff * diff
+        dists = np.sqrt(sq)
+        sum_minus[group] = 2.0 * a_minus.profile(dists).sum(axis=1)
+        sum_plus[group] = 2.0 * a_plus.profile(dists).sum(axis=1)
+    return sum_minus, sum_plus
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pair_sums_match_the_per_axis_reference_bit_for_bit(dim):
+    # every size 0..30 once (groups of one trial) plus repeated sizes, shuffled
+    rng = np.random.default_rng(31)
+    sizes = rng.permutation(np.concatenate([np.arange(31), [2] * 5, [7] * 4, [30] * 3]))
+    pts = rng.normal(0.0, 1.0, (int(sizes.sum()), dim)) * rng.choice(
+        [0.05, 0.5, 2.0], (int(sizes.sum()), 1)
+    )
+    first = int((np.cumsum(sizes) - sizes)[np.flatnonzero(sizes >= 2)[0]])
+    pts[first + 1] = pts[first]  # a distance of exactly 0
+    kernels = (
+        gaussian(1.0, 0.8, dim),
+        triangular(1.5, 1.2, dim),
+        exponential(0.7, 0.5, dim),
+        tabulated([0.0, 0.4, 1.0, 1.6], [2.0, 1.5, 0.4, 0.0], dim),
+    )  # each family once as a+ and once as a-
+    for a_plus, a_minus in zip(kernels, kernels[1:] + kernels[:1]):
+        got = _pair_sums(pts, sizes, a_plus, a_minus)
+        want = reference_pair_sums(pts, sizes, a_plus, a_minus)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert np.count_nonzero(got[0]) > sizes.shape[0] // 2
 
 
 @settings(max_examples=60, deadline=None)

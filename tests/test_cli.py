@@ -285,6 +285,18 @@ def test_stale_epsilons_in_config_is_usage_error(tmp_path, capsys, command):
     assert "derived from the cell sum" in err
 
 
+@pytest.mark.parametrize("command", ["certify", "verify"])
+def test_size_max_below_two_is_usage_error(tmp_path, capsys, command):
+    # the cluster samplers draw 2..size_max points, so 1 leaves them no range
+    cfg = bp_config()
+    cfg["certificate"]["size_max"] = 1
+    cfg_path = write_config(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: config error at certificate.size_max: ")
+    assert "must be >= 2, got 1" in err
+
+
 def test_verify_standalone_certificate(tmp_path):
     cfg_path = write_config(tmp_path / "cfg.json", bp_config())
     out = tmp_path / "cert"

@@ -145,6 +145,27 @@ def test_evaluate_examples():
     assert gaussian(1.0, 1.0, 1).profile(1.0) == pytest.approx(0.241971, abs=1e-6)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("family", ["gaussian", "triangular", "exponential", "tabulated"])
+def test_profile_of_lengths_is_profile_without_a_copy(family, dim):
+    kernel = {
+        "gaussian": gaussian(1.5, 0.7, dim),
+        "triangular": triangular(2.0, 1.3, dim),
+        "exponential": exponential(0.8, 0.4, dim),
+        "tabulated": tabulated(*triangle_table(11), dim=dim),
+    }[family]
+    cut = kernel.cutoff_radius()
+    r = np.concatenate([[0.0, cut, 2.0 * cut], np.linspace(0.0, 1.5 * cut, 37)])
+    before = r.copy()
+    got = kernel.profile_of_lengths(r)
+    np.testing.assert_array_equal(r, before)  # the input is not written
+    assert got.dtype == float and got is not r
+    np.testing.assert_array_equal(got, kernel.profile(r))
+    np.testing.assert_array_equal(kernel.profile(-r), kernel.profile(r))
+    scalar = kernel.profile(r[20])  # a scalar still comes back as a float
+    assert type(scalar) is float and scalar == pytest.approx(got[20], rel=1e-15)
+
+
 def test_evaluate_beyond_support():
     assert triangular(1.0, 1.0, 1).profile(1.5) == 0.0
     r, v = triangle_table()
