@@ -117,7 +117,7 @@ def riemann_upper_sum(a_plus: RadialKernel, h: float) -> float:
     for _ in range(d - 1):
         rho_sq = (rho_sq[:, None] + near_sq[None, :]).ravel()
         rho_sq = rho_sq[rho_sq < r_enum**2]
-    core = h**d * float(a_plus.profile_of_lengths(np.sqrt(rho_sq)).sum())
+    core = h**d * float(a_plus.profile(np.sqrt(rho_sq)).sum())
 
     # cubes with closest point at distance >= r_enum: each sup is dominated by
     # the kernel value at (|x| - h sqrt(d)) pointwise, so their total is at most
@@ -348,8 +348,8 @@ def _pair_sums_by_size(
 
     The (k, pairs) distances are built in one array, the first axis's
     gather: it is differenced and squared in place, each further axis adds
-    its squares into it, and the root is taken in place.  The kernels read
-    it through ``profile_of_lengths``, which makes no copy.
+    its squares into it, and the root is taken in place.  ``profile``
+    reads it without a copy.
     """
     iu, ju = _triu(size)
     rows = starts[:, None] + np.arange(size)
@@ -366,8 +366,8 @@ def _pair_sums_by_size(
     np.sqrt(dists, out=dists)
     # kernels are even, so ordered sums double the unordered ones
     return (
-        2.0 * a_minus.profile_of_lengths(dists).sum(axis=1),
-        2.0 * a_plus.profile_of_lengths(dists).sum(axis=1),
+        2.0 * a_minus.profile(dists).sum(axis=1),
+        2.0 * a_plus.profile(dists).sum(axis=1),
     )
 
 
@@ -443,11 +443,7 @@ def u_theta_increment(
     dists = np.sqrt((diff * diff).sum(axis=1))
     return float(
         omega
-        + 2.0
-        * (
-            a_minus.profile_of_lengths(dists).sum()
-            - theta * a_plus.profile_of_lengths(dists).sum()
-        )
+        + 2.0 * (a_minus.profile(dists).sum() - theta * a_plus.profile(dists).sum())
     )
 
 

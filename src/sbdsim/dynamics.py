@@ -299,7 +299,7 @@ class SimulationState:
         rows, dists = self.cfg.neighbors_within(x, self._cutoff)
         if not rows.size:
             return self.cfg.insert(x)
-        contrib = a_minus.profile_of_lengths(dists)
+        contrib = a_minus.profile(dists)
         self.cfg.add_loads(rows, contrib)
         return self.cfg.insert(x, load=float(contrib.sum()))
 
@@ -315,7 +315,7 @@ class SimulationState:
         if a_minus is not None:
             rows, dists = self.cfg.neighbors_within(x, self._cutoff, exclude=row)
             if rows.size:
-                contrib = a_minus.profile_of_lengths(dists)
+                contrib = a_minus.profile(dists)
                 old = self.cfg.loads[rows]
                 left = old - contrib
                 delta = -contrib

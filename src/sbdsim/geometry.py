@@ -566,7 +566,7 @@ class TorusConfiguration:
         sums = np.zeros(n)  # in cell order
         for lo, hi, at, dist in batches:
             sums[lo:hi] += np.bincount(
-                at, weights=kernel.profile_of_lengths(dist), minlength=hi - lo
+                at, weights=kernel.profile(dist), minlength=hi - lo
             )
             del at, dist  # freed before the walk builds its next batch
         out = np.empty(n)

@@ -131,23 +131,13 @@ class RadialKernel:
     def profile(self, r):
         """Kernel value at radius ``r`` (scalar or array, vectorized).
 
-        Takes ``|r|`` on a copy, so a signed coordinate is fine; an array of
-        distances goes through ``profile_of_lengths`` instead.
+        Contract: ``r >= 0`` (a length, not a signed coordinate); nothing is
+        checked.  A float array is read in place, with no copy, and is
+        never written into; a scalar comes back as a float.
         """
-        arr = np.abs(np.asarray(r, dtype=float))
+        arr = np.asarray(r, dtype=float)
         out = self._profile(arr)
         return float(out) if arr.ndim == 0 else out
-
-    def profile_of_lengths(self, r: np.ndarray) -> np.ndarray:
-        """Kernel values on a float array of lengths, the array path for
-        distances.
-
-        Contract: every entry of ``r`` is >= 0.  Unlike ``profile`` this
-        neither copies ``r`` nor takes its absolute value, and it checks
-        nothing; it never writes into ``r``.  A negative entry gives the
-        profile's formula at that value, not the kernel at ``|r|``.
-        """
-        return self._profile(r)
 
     # -- integrals and norms ---------------------------------------------
 

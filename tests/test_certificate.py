@@ -675,8 +675,8 @@ def plain_u(points, a_plus, a_minus, omega, theta):
 
 
 def reference_pair_sums(points, sizes, a_plus, a_minus):
-    """(S-, S+) with a fresh array per axis and ``profile``'s copy: the
-    reference the in-place ``_pair_sums`` must match bit for bit."""
+    """(S-, S+) with a fresh array per axis: the reference the in-place
+    ``_pair_sums`` must match bit for bit."""
     starts = np.cumsum(sizes) - sizes
     sum_minus, sum_plus = np.zeros(sizes.shape[0]), np.zeros(sizes.shape[0])
     for size in np.unique(sizes[sizes >= 2]):
