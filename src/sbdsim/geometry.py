@@ -7,10 +7,11 @@ within some rings of a cell.  ``TorusConfiguration`` is the simulator's one
 point store: dense columns of the living points, addressed by row alone, a
 load column with block sums for the death draw, and per-cell arrays of rows
 that a neighbour query gathers through a memoised cell stencil in a few
-numpy calls.  ``periodic_pairs`` walks the ordered pairs of points within
-a radius over neighbouring cells in bounded batches; the kernel sums and the
-pair correlation both read it.  Every minimum-image distance, of a neighbour
-query and of the pair walk, comes from one helper.
+numpy calls.  ``periodic_pairs`` walks each unordered pair of points within
+a radius once, over half the neighbouring cell offsets, in bounded batches;
+the kernel sums add each pair's kernel to both its points, and the pair
+correlation counts each distance twice.  Every minimum-image distance, of a
+neighbour query and of the pair walk, comes from one helper.
 ``sample_poisson`` draws a homogeneous Poisson configuration and loads it
 into the store in one bulk pass.
 """
@@ -128,18 +129,21 @@ def _min_image_distances(d: np.ndarray, side: float) -> np.ndarray:
 def periodic_pairs(
     torus: Torus, pos: np.ndarray, cells: np.ndarray, radius: float
 ) -> tuple[np.ndarray, Iterator]:
-    """Ordered pairs of distinct rows of ``pos`` at most ``radius`` apart,
-    with their minimum-image distances, walked over neighbouring grid cells.
+    """Unordered pairs of distinct rows of ``pos`` at most ``radius`` apart,
+    each once, with their minimum-image distances, walked over neighbouring
+    grid cells.
 
     ``pos`` holds points in [0, side]^dim and ``cells`` their flat cells on
     the grid of ``torus``.  Returns ``order``, the rows stably sorted by
-    cell, and an iterator of batches (lo, hi, at, dist) of about PAIR_BATCH
-    pairs each: the pairs whose first row is one of ``order[lo:hi]``, as
-    that row's index ``at`` in the range and the pair's distance.  For each
-    cell offset within the radius every row is paired with the rows of its
-    offset cell.  Offsets are taken modulo the grid, so a radius that wraps
-    round the whole grid visits each cell once.  Scratch memory is
-    O(n + PAIR_BATCH).
+    cell, and an iterator of batches (i, j, dist) of at most about
+    PAIR_BATCH pairs each: the pair of rows ``order[i]`` and ``order[j]``
+    and its distance, with ``i`` ascending within a batch.  Cell offsets
+    are taken modulo the grid, so a radius that wraps round the whole grid
+    visits each cell once, and only the lexicographically lower of each
+    offset and its negative is walked, every row paired with the rows of
+    its offset cell.  An offset that is its own negative pairs each two
+    cells once, from the lower one; the zero offset pairs i < j within a
+    cell.  Scratch memory is O(n + PAIR_BATCH).
     """
     n = cells.size
     order = np.argsort(cells, kind="stable")
@@ -147,22 +151,32 @@ def periodic_pairs(
     occupied, first, cell_of_row, count = np.unique(
         cells[order], return_index=True, return_inverse=True, return_counts=True
     )
-    shape = (torus.n_cells,) * torus.dim
+    n_cells = torus.n_cells
+    shape = (n_cells,) * torus.dim
     coords = np.unravel_index(occupied, shape)
     rings = int(math.ceil(radius / torus.cell_size))
-    axis_offsets = sorted({o % torus.n_cells for o in range(-rings, rings + 1)})
+    axis_offsets = sorted({o % n_cells for o in range(-rings, rings + 1)})
 
     def batches():
         if not n:
             return
         for offset in product(axis_offsets, repeat=torus.dim):
-            target = np.ravel_multi_index(
-                tuple((c + o) % torus.n_cells for c, o in zip(coords, offset)), shape
-            )
-            k = np.minimum(np.searchsorted(occupied, target), occupied.size - 1)
-            hit = occupied[k] == target
-            start = np.where(hit, first[k], 0)[cell_of_row]
-            pairs = np.where(hit, count[k], 0)[cell_of_row]
+            mirror = tuple(-o % n_cells for o in offset)
+            if offset > mirror:
+                continue  # its pairs are walked from the other end
+            if not any(offset):  # row i pairs with the rows after it in its cell
+                start = np.arange(1, n + 1)
+                pairs = (first + count)[cell_of_row] - start
+            else:
+                target = np.ravel_multi_index(
+                    tuple((c + o) % n_cells for c, o in zip(coords, offset)), shape
+                )
+                k = np.minimum(np.searchsorted(occupied, target), occupied.size - 1)
+                hit = occupied[k] == target
+                if offset == mirror:
+                    hit &= occupied < target
+                start = np.where(hit, first[k], 0)[cell_of_row]
+                pairs = np.where(hit, count[k], 0)[cell_of_row]
             ends = np.cumsum(pairs)
             lo = 0
             while lo < n:  # row i pairs with rows start[i] .. start[i] + pairs[i] - 1
@@ -175,8 +189,8 @@ def periodic_pairs(
                 d = np.take(pos, i, axis=0)
                 d -= np.take(pos, j, axis=0)
                 dist = _min_image_distances(d, torus.side)
-                keep = (dist <= radius) & (i != j)
-                yield lo, hi, i[keep] - lo, dist[keep]
+                keep = np.flatnonzero(dist <= radius)  # faster than three masks
+                yield i.take(keep), j.take(keep), dist.take(keep)
                 lo = hi
             del ends, i, j, d, dist, keep  # freed before the next offset's arrays
 
@@ -548,7 +562,9 @@ class TorusConfiguration:
 
     def kernel_sums(self, kernel: RadialKernel) -> np.ndarray:
         """Each point's sum of kernel(distance) over the other points within
-        the kernel cutoff, one entry per row, from one ``periodic_pairs`` walk."""
+        the kernel cutoff, one entry per row, from one ``periodic_pairs``
+        walk: the kernel of each unordered pair is added to both its rows,
+        by a bincount over the batch's span of rows at each end."""
         if kernel.dim != self.torus.dim:
             raise GeometryError(
                 f"kernel dimension {kernel.dim} != torus dimension {self.torus.dim}"
@@ -564,11 +580,15 @@ class TorusConfiguration:
             self.torus, self._pos[:n], self._cell[:n], cutoff
         )
         sums = np.zeros(n)  # in cell order
-        for lo, hi, at, dist in batches:
-            sums[lo:hi] += np.bincount(
-                at, weights=kernel.profile(dist), minlength=hi - lo
-            )
-            del at, dist  # freed before the walk builds its next batch
+        for i, j, dist in batches:
+            if not dist.size:
+                continue
+            weights = kernel.profile(dist)
+            for rows in (i, j):
+                lo = rows.min()
+                part = np.bincount(rows - lo, weights=weights)
+                sums[lo : lo + part.size] += part
+            del i, j, dist, weights, rows, part  # freed before the next batch
         out = np.empty(n)
         out[order] = sums
         return out

@@ -84,14 +84,16 @@ def pair_correlation(
 ) -> PairCorrelation:
     """Radial pair correlation from minimum-image pair distances.
 
-    Per replica, the ordered-pair count in each shell is divided by
-    N (N-1) / volume times the shell volume, which has expectation exactly 1
-    for a homogeneous Poisson field; replicas with fewer than two points
-    carry no pair information and are skipped.  The counts come from a
-    ``periodic_pairs`` walk on a grid of cells about the last edge wide, so
-    memory is O(N + PAIR_BATCH) per replica, and time grows as N times the
-    points within the last edge of a point: O(N) for a fixed last edge,
-    O(N^2) when it reaches side/2.
+    Per replica, the count of ordered pairs in each shell, twice the
+    unordered count, is divided by N (N-1) / volume times the shell volume,
+    which has expectation exactly 1 for a homogeneous Poisson field;
+    replicas with fewer than two points carry no pair information and are
+    skipped.  The counts come from a ``periodic_pairs`` walk on a grid of
+    cells about the last edge wide, which computes each unordered pair's
+    distance once, so memory is O(N + PAIR_BATCH) per replica, and time
+    grows as N times the points within the last edge of a point: O(N) for
+    a fixed last edge, O(N^2) when it reaches side/2, where the walk
+    computes N (N-1) / 2 distances, half the ordered pairs.
     """
     reps = _check_replicas(snapshots)
     if edges is None:
@@ -120,9 +122,9 @@ def pair_correlation(
         pts = grid.wrap(pts)
         counts = np.zeros(edges.size - 1, dtype=np.intp)
         _, batches = periodic_pairs(grid, pts, grid.flat_cells_of(pts), edges[-1])
-        for _, _, _, dist in batches:
+        for _, _, dist in batches:
             counts += np.histogram(dist, bins=edges)[0]
-        per_replica.append(counts * torus.volume / (n * (n - 1) * shells))
+        per_replica.append(2 * counts * torus.volume / (n * (n - 1) * shells))
     if not per_replica:
         raise StatisticsError("no replica has two or more points")
     stack = np.vstack(per_replica)

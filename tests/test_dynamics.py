@@ -307,6 +307,20 @@ def test_incremental_caches_survive_audit():
     assert len(trace.events) > 1000  # the audit actually exercised many checkpoints
 
 
+@pytest.mark.parametrize("dim, n_cells", [(1, 2), (1, 4), (2, 4)])
+def test_audit_passes_on_grids_with_self_inverse_offsets(dim, n_cells):
+    # a cutoff reaching n_cells / 2 cells on an even grid walks an offset
+    # that is its own negative modulo the grid; the loads recomputed by the
+    # half pair walk after every event must match the incremental ones
+    side = 8.0
+    am = triangular(0.1, 3.0, dim)  # rings = 2 cells of side / 4
+    spec = ModelSpec("bolker_pacala", a_plus=triangular(2.0, 1.0, dim), a_minus=am, m=0.2)
+    rng = np.random.default_rng(40 + dim + n_cells)
+    cfg = sample_poisson(Torus(side, dim, n_cells), 40.0 / side**dim, rng)
+    trace = run(spec, cfg, t_end=5.0, rng=rng, audit_every=1)
+    assert len(trace.events) > 100 and not trace.guard_tripped
+
+
 def test_audit_catches_corruption():
     am = triangular(1.0, 1.0, 1)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.2)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -53,13 +54,15 @@ def scan_pairs(side, pts, radius):
 
 
 def walk_pairs(torus, pts, radius):
-    """``scan_pairs`` from the pair walk over the cells of ``torus``."""
+    """``scan_pairs`` from the pair walk over the cells of ``torus``: each
+    yielded distance is added to both rows of its pair."""
     pts = torus.wrap(np.asarray(pts, dtype=float))
     out = [[] for _ in range(pts.shape[0])]
     order, batches = periodic_pairs(torus, pts, torus.flat_cells_of(pts), radius)
-    for lo, hi, at, dist in batches:
-        for row, d in zip(order[lo:hi][at].tolist(), dist.tolist()):
-            out[row].append(d)
+    for i, j, dist in batches:
+        for a, b, d in zip(order[i].tolist(), order[j].tolist(), dist.tolist()):
+            out[a].append(d)
+            out[b].append(d)
     return [sorted(d) for d in out]
 
 
@@ -165,7 +168,7 @@ def test_min_image_distances_at_the_wrap_edges(dim):
 
 
 def test_periodic_pairs_three_points():
-    # every ordered pair once, each row with its own distances
+    # every unordered pair once, each distance listed for both its rows
     pts = np.array([[0.5], [9.5], [4.5]])
     assert walk_pairs(T10_1, pts, 5.0) == [[1.0, 4.0], [1.0, 5.0], [4.0, 5.0]]
     assert walk_pairs(T10_1, pts, 4.5) == [[1.0, 4.0], [1.0], [4.0]]
@@ -188,23 +191,84 @@ def test_periodic_pairs_match_the_scan_on_every_cell_grid(dim):
             assert walk_pairs(Torus(side, dim, n_cells), pts, radius) == want
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_periodic_pairs_list_each_unordered_pair_once(dim):
+    # at radius side / 2 every even grid has an offset that is its own
+    # negative modulo the grid (n_cells / 2 along an axis, and every offset
+    # when n_cells <= 2); coincident points are distinct rows at distance 0,
+    # and two points lie exactly side / 2 apart
+    rng = np.random.default_rng(20 + dim)
+    side = 8.0
+    pts = rng.uniform(0.0, side, (30, dim))
+    pts[:3] = pts[3]
+    pts[4] = 1.0
+    pts[5] = 1.0
+    pts[5, 0] = 1.0 + side / 2.0
+    rows = pts.tolist()
+    for radius in (0.9, 2.5, side / 2.0):
+        want = [
+            (a, b)
+            for a, b in combinations(range(len(rows)), 2)
+            if min_image_distance(side, rows[a], rows[b]) <= radius
+        ]
+        for n_cells in range(1, 9):
+            torus = Torus(side, dim, n_cells)
+            order, batches = periodic_pairs(torus, pts, torus.flat_cells_of(pts), radius)
+            got = []
+            for i, j, _ in batches:
+                a, b = order[i], order[j]
+                got += zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())
+            assert sorted(got) == want, (radius, n_cells)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pair_walk_distances_equal_the_neighbour_query(dim):
+    # the audit recomputes loads from the walk and compares them with loads
+    # kept up by neighbour queries: for every pair within the cutoff the two
+    # must see the same distance bit for bit, from either end
+    side = 6.0
+    edge = [0.0, np.nextafter(side, 0.0), side / 2.0, 1.0, 1.0 + side / 2.0, 0.25]
+    rng = np.random.default_rng(30 + dim)
+    pts = np.array([[edge[(i + 2 * a) % len(edge)] for a in range(dim)] for i in range(6)])
+    pts = np.concatenate([pts, rng.uniform(0.0, side, (40, dim))])
+    for n_cells, radius in product((1, 2, 4, 5, 8), (1.0, side / 2.0)):
+        cfg = TorusConfiguration(Torus(side, dim, n_cells))
+        cfg.insert_many(pts)
+        n = len(cfg)
+        order, batches = periodic_pairs(cfg.torus, cfg._pos[:n], cfg._cell[:n], radius)
+        walked = {}
+        for i, j, dist in batches:
+            for a, b, d in zip(order[i].tolist(), order[j].tolist(), dist.tolist()):
+                walked[a, b] = walked[b, a] = d
+        queried = {}
+        for a in range(n):
+            rows, dists = cfg.neighbors_within(cfg.position(a), radius, exclude=a)
+            for b, d in zip(rows.tolist(), dists.tolist()):
+                queried[a, b] = d
+        assert walked == queried
+
+
 def test_periodic_pairs_batches_are_bounded():
-    # all n (n - 1) ordered pairs of 600 points in one cell, in batches of at
-    # most PAIR_BATCH pairs whose row ranges tile the cell order once
+    # all n (n - 1) / 2 unordered pairs of 600 points in one cell, in batches
+    # of at most PAIR_BATCH pairs whose first rows ascend through the cell
+    # order, each with i < j
     rng = np.random.default_rng(12)
     torus = Torus(10.0, 1, n_cells=1)
     pts = rng.uniform(0.0, 10.0, (600, 1))
     order, batches = periodic_pairs(torus, pts, torus.flat_cells_of(pts), 5.0)
     assert sorted(order.tolist()) == list(range(600))
-    sizes, ranges = [], []
-    for lo, hi, at, dist in batches:
-        assert dist.size <= PAIR_BATCH and at.size == dist.size
-        assert 0 <= at.min() and at.max() < hi - lo
+    sizes, codes, firsts = [], [], []
+    for i, j, dist in batches:
+        assert dist.size <= PAIR_BATCH and i.size == j.size == dist.size
+        assert 0 <= i.min() and (i < j).all() and j.max() < 600
+        assert (np.diff(i) >= 0).all()
         sizes.append(dist.size)
-        ranges.append((lo, hi))
-    assert sum(sizes) == 600 * 599 and len(sizes) > 1
-    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
-    assert ranges[-1][1] == 600
+        codes.append(i * 600 + j)
+        firsts.append((int(i[0]), int(i[-1])))
+    assert sum(sizes) == 600 * 599 // 2 and len(sizes) > 1
+    assert np.unique(np.concatenate(codes)).size == sum(sizes)
+    assert all(a[1] < b[0] for a, b in zip(firsts, firsts[1:]))
+    assert firsts[0][0] == 0 and firsts[-1][1] == 598
 
 
 # -- configurations and the cell index ---------------------------------------
