@@ -227,8 +227,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     except Exception as exc:
         raise ConfigError("model", str(exc)) from exc
 
-    cutoffs = [k.cutoff_radius() for k in (a_plus, a_minus) if k is not None]
-    torus = Torus.for_cutoff(side, dim, max(cutoffs) if cutoffs else 0.0)
+    torus = Torus(side, dim)
 
     init_block = data.get("init", {"poisson": 1.0})
     init_poisson = None

@@ -1,15 +1,16 @@
 """Periodic boxes, the point store and its cell-list index, windows and
 Poisson draws.
 
-``Torus`` is the periodic box and its grid of cells; it maps a point to its
-flat cell, one point in plain Python or many at once, and lists the cells
-within some rings of a cell.  ``TorusConfiguration`` is the simulator's one
-point store: dense columns of the living points, addressed by row alone, a
-load column with block sums for the death draw, and per-cell arrays of rows
-that a neighbour query gathers through a memoised cell stencil in a few
-numpy calls.  ``periodic_pairs`` walks each unordered pair of points within
-a radius once, over half the neighbouring cell offsets, in bounded batches;
-the kernel sums add each pair's kernel to both its points, and the pair
+``Torus`` is the periodic box alone.  ``CellGrid``, a grid of cells that
+one rule picks for a radius, maps points to flat cells and lists the
+distinct cells within a radius of a cell.  ``TorusConfiguration`` is the
+simulator's one point store: dense columns of the living points, addressed
+by row alone, a load column with block sums for the death draw, and, on
+the grid of the first radius it is asked about, per-cell arrays of rows
+that a neighbour query gathers through a memoised cell stencil.
+``periodic_pairs`` walks each unordered pair of points within a radius
+once, over half the neighbouring cell offsets, in bounded batches; the
+kernel sums add each pair's kernel to both its points, and the pair
 correlation counts each distance twice.  Every minimum-image distance, of a
 neighbour query and of the pair walk, comes from one helper.
 ``sample_poisson`` draws a homogeneous Poisson configuration and loads it
@@ -42,44 +43,55 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class Torus:
-    """Periodic box [0, side)^dim with a cell grid of n_cells per axis."""
+    """Periodic box [0, side)^dim; its cell grids are ``CellGrid`` values."""
 
     side: float
     dim: int
-    n_cells: int = 8
 
     def __post_init__(self):
         if not (self.side > 0.0 and math.isfinite(self.side)):
             raise GeometryError(f"side must be positive, got {self.side}")
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
             raise GeometryError(f"dim must be a positive integer, got {self.dim!r}")
-        if not isinstance(self.n_cells, (int, np.integer)) or self.n_cells < 1:
-            raise GeometryError("n_cells must be a positive integer")
-
-    @property
-    def cell_size(self) -> float:
-        return self.side / self.n_cells
 
     @property
     def volume(self) -> float:
         return self.side**self.dim
 
-    @classmethod
-    def for_cutoff(cls, side: float, dim: int, cutoff: float) -> "Torus":
-        """Pick the cell grid for a kernel cutoff: cells of the cutoff size,
-        but never fewer than 8 per axis worth of resolution."""
-        if cutoff <= 0.0:
-            return cls(side, dim, 8)
-        target = min(cutoff, side / 8.0)
-        return cls(side, dim, max(1, int(side / target)))
-
     def wrap(self, x: np.ndarray) -> np.ndarray:
         return np.mod(x, self.side)
+
+
+@dataclass(frozen=True)
+class CellGrid:
+    """Grid of n cells per axis on the box [0, side)^dim, for the pair walk
+    and the point store, which picks its own with ``for_radius``."""
+
+    side: float
+    dim: int
+    n: int
+
+    @classmethod
+    def for_radius(cls, torus: Torus, radius: float) -> "CellGrid":
+        """The grid for queries within ``radius``: cells of the radius's
+        size, but never fewer than 8 per axis."""
+        n = int(torus.side / min(radius, torus.side / 8.0)) if radius > 0.0 else 8
+        return cls(torus.side, torus.dim, n)
+
+    @property
+    def cell_size(self) -> float:
+        return self.side / self.n
+
+    def axis_offsets(self, radius: float) -> list[int]:
+        """The distinct cell offsets along one axis, modulo the grid, that
+        reach within ``radius``."""
+        rings = math.ceil(radius / self.cell_size)
+        return sorted({o % self.n for o in range(-rings, rings + 1)})
 
     def flat_cell_of(self, x) -> int:
         """Row-major flat index of the grid cell of one point, given as
         Python floats; each coordinate is wrapped into the box first."""
-        n, side, size = self.n_cells, self.side, self.cell_size
+        n, side, size = self.n, self.side, self.cell_size
         flat = 0
         for v in x:
             flat = flat * n + min(int(v % side / size), n - 1)
@@ -87,22 +99,22 @@ class Torus:
 
     def flat_cells_of(self, pts: np.ndarray) -> np.ndarray:
         """``flat_cell_of`` for every row of ``pts``, in one vectorised pass."""
-        idx = (self.wrap(pts) / self.cell_size).astype(np.intp)
-        np.minimum(idx, self.n_cells - 1, out=idx)
+        idx = (np.mod(pts, self.side) / self.cell_size).astype(np.intp)
+        np.minimum(idx, self.n - 1, out=idx)
         flat = np.zeros(idx.shape[0], dtype=np.intp)
         for axis in range(self.dim):
-            flat = flat * self.n_cells + idx[:, axis]
+            flat = flat * self.n + idx[:, axis]
         return flat
 
-    def cell_stencil(self, cell: int, rings: int) -> tuple[int, ...]:
-        """Flat cells within ``rings`` cells of flat cell ``cell`` along every
-        axis, wrapping round the grid; distinct while 2 * rings + 1 <= n_cells."""
-        n = self.n_cells
+    def cell_stencil(self, cell: int, radius: float) -> tuple[int, ...]:
+        """The flat cells that can hold a point within ``radius`` of a point
+        of flat cell ``cell``, each once, wrapping round the grid."""
+        n = self.n
         coords = []
         for _ in range(self.dim):
             cell, c = divmod(cell, n)
             coords.append(c)
-        offsets = range(-rings, rings + 1)
+        offsets = self.axis_offsets(radius)
         flats = [0]
         for c in reversed(coords):
             flats = [f * n + (c + o) % n for f in flats for o in offsets]
@@ -127,23 +139,23 @@ def _min_image_distances(d: np.ndarray, side: float) -> np.ndarray:
 
 
 def periodic_pairs(
-    torus: Torus, pos: np.ndarray, cells: np.ndarray, radius: float
+    grid: CellGrid, pos: np.ndarray, cells: np.ndarray, radius: float
 ) -> tuple[np.ndarray, Iterator]:
     """Unordered pairs of distinct rows of ``pos`` at most ``radius`` apart,
     each once, with their minimum-image distances, walked over neighbouring
     grid cells.
 
     ``pos`` holds points in [0, side]^dim and ``cells`` their flat cells on
-    the grid of ``torus``.  Returns ``order``, the rows stably sorted by
-    cell, and an iterator of batches (i, j, dist) of at most about
-    PAIR_BATCH pairs each: the pair of rows ``order[i]`` and ``order[j]``
-    and its distance, with ``i`` ascending within a batch.  Cell offsets
-    are taken modulo the grid, so a radius that wraps round the whole grid
-    visits each cell once, and only the lexicographically lower of each
-    offset and its negative is walked, every row paired with the rows of
-    its offset cell.  An offset that is its own negative pairs each two
-    cells once, from the lower one; the zero offset pairs i < j within a
-    cell.  Scratch memory is O(n + PAIR_BATCH).
+    ``grid``.  Returns ``order``, the rows stably sorted by cell, and an
+    iterator of batches (i, j, dist) of at most about PAIR_BATCH pairs
+    each: the pair of rows ``order[i]`` and ``order[j]`` and its distance,
+    with ``i`` ascending within a batch.  The cell offsets, from
+    ``grid.axis_offsets``, are distinct modulo the grid, so a radius that
+    wraps round the whole grid visits each cell once; only the
+    lexicographically lower of each offset and its negative is walked,
+    every row paired with the rows of its offset cell.  An offset that is
+    its own negative pairs each two cells once, from the lower one; the
+    zero offset pairs i < j within a cell.  Scratch memory is O(n + PAIR_BATCH).
     """
     n = cells.size
     order = np.argsort(cells, kind="stable")
@@ -151,17 +163,14 @@ def periodic_pairs(
     occupied, first, cell_of_row, count = np.unique(
         cells[order], return_index=True, return_inverse=True, return_counts=True
     )
-    n_cells = torus.n_cells
-    shape = (n_cells,) * torus.dim
+    shape = (grid.n,) * grid.dim
     coords = np.unravel_index(occupied, shape)
-    rings = int(math.ceil(radius / torus.cell_size))
-    axis_offsets = sorted({o % n_cells for o in range(-rings, rings + 1)})
 
     def batches():
         if not n:
             return
-        for offset in product(axis_offsets, repeat=torus.dim):
-            mirror = tuple(-o % n_cells for o in offset)
+        for offset in product(grid.axis_offsets(radius), repeat=grid.dim):
+            mirror = tuple(-o % grid.n for o in offset)
             if offset > mirror:
                 continue  # its pairs are walked from the other end
             if not any(offset):  # row i pairs with the rows after it in its cell
@@ -169,7 +178,7 @@ def periodic_pairs(
                 pairs = (first + count)[cell_of_row] - start
             else:
                 target = np.ravel_multi_index(
-                    tuple((c + o) % n_cells for c, o in zip(coords, offset)), shape
+                    tuple((c + o) % grid.n for c, o in zip(coords, offset)), shape
                 )
                 k = np.minimum(np.searchsorted(occupied, target), occupied.size - 1)
                 hit = occupied[k] == target
@@ -188,7 +197,7 @@ def periodic_pairs(
                 j = np.arange(i.size) + np.repeat(start[lo:hi] - first_pair, batch)
                 d = np.take(pos, i, axis=0)
                 d -= np.take(pos, j, axis=0)
-                dist = _min_image_distances(d, torus.side)
+                dist = _min_image_distances(d, grid.side)
                 keep = np.flatnonzero(dist <= radius)  # faster than three masks
                 yield i.take(keep), j.take(keep), dist.take(keep)
                 lo = hi
@@ -242,13 +251,15 @@ class TorusConfiguration:
     id back to its row.  ``insert`` appends a row; ``remove`` moves the last
     row into the freed one, so a row stays valid only until the next removal.
 
-    Each occupied grid cell keeps a growable ``np.intp`` array of its rows
-    and the count of them that are live; the slot column holds each row's
-    index in its cell's array, so ``insert`` appends to the array and
-    ``remove`` swap-deletes from it in O(1), and moving the last row into a
-    freed row rewrites one entry of its cell's array.  A neighbour query
-    looks up the cells within its cutoff in a stencil memoised per
-    (cell, rings) and gathers their arrays with one ``np.concatenate``.
+    ``grid`` is None until the first ``neighbors_within`` or
+    ``kernel_sums`` picks ``CellGrid.for_radius`` of its radius and files
+    every row; ``insert_many`` drops it.  Each occupied cell keeps a
+    growable ``np.intp`` array of its rows and the count of them that are
+    live; the slot column holds each row's index in its cell's array, so
+    ``insert`` appends to the array and ``remove`` swap-deletes from it in
+    O(1), and moving the last row into a freed row rewrites one entry of
+    its cell's array.  A neighbour query gathers the arrays of the cells in
+    a stencil memoised per (cell, rings) with one ``np.concatenate``.
     Stencils are made only for cells queried, so their memory grows with
     the cells points occupy, not with the whole grid.
 
@@ -270,6 +281,7 @@ class TorusConfiguration:
         self._slot = np.zeros(16, dtype=np.intp)  # row -> index in its cell's array
         self._load = np.zeros(16)
         self._block = np.zeros(1)  # load sum of each block of rows
+        self.grid: CellGrid | None = None
         self._cells: dict[int, list] = {}  # flat cell -> [rows array, live count]
         self._stencils: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -391,32 +403,29 @@ class TorusConfiguration:
             )
         row, pid = self._n, self._next_id
         self._reserve(row + 1)
-        cell = self.torus.flat_cell_of(x.tolist())
         self._pos[row] = x
         self._id[row] = pid
-        self._cell[row] = cell
         self._load[row] = load
         self._block[row >> BLOCK_SHIFT] += load
-        entry = self._cells.get(cell)
-        if entry is None:
-            entry = self._cells[cell] = [np.empty(4, dtype=np.intp), 0]
-        rows, k = entry
-        if k == rows.size:
-            rows = entry[0] = np.concatenate([rows, np.empty_like(rows)])
-        rows[k] = row
-        entry[1] = k + 1
-        self._slot[row] = k
+        if self.grid is not None:
+            cell = self._cell[row] = self.grid.flat_cell_of(x.tolist())
+            entry = self._cells.get(cell)
+            if entry is None:
+                entry = self._cells[cell] = [np.empty(4, dtype=np.intp), 0]
+            rows, k = entry
+            if k == rows.size:
+                rows = entry[0] = np.concatenate([rows, np.empty_like(rows)])
+            rows[k] = row
+            entry[1] = k + 1
+            self._slot[row] = k
         self._n += 1
         self._next_id += 1
         return pid
 
     def insert_many(self, positions) -> None:
-        """Add the rows of ``positions`` as new points with load 0.
-
-        One vectorised pass gives the store that ``insert`` called on each
-        row in turn would give: the same rows, ids, cells, order of rows
-        within each cell, slots and block sums.
-        """
+        """Add the rows of ``positions`` as new points with load 0, in one
+        vectorised pass, and drop the cell index: the next query files every
+        row afresh, as it would after ``insert`` on each row in turn."""
         t = self.torus
         x = t.wrap(np.asarray(positions, dtype=float))
         if x.ndim != 2 or x.shape[1] != t.dim:
@@ -426,43 +435,33 @@ class TorusConfiguration:
         k = x.shape[0]
         lo, hi = self._n, self._n + k
         self._reserve(hi)
-        cells = t.flat_cells_of(x)
         self._pos[lo:hi] = x
         self._id[lo:hi] = np.arange(self._next_id, self._next_id + k)
-        self._cell[lo:hi] = cells
         self._load[lo:hi] = 0.0  # adds nothing to the block sums
-        order = np.argsort(cells, kind="stable")
-        sorted_rows = lo + order
-        occupied, first, count = np.unique(
-            cells[order], return_index=True, return_counts=True
-        )
-        held = []  # rows each cell had before
-        ends = (first + count).tolist()
-        for cell, a, b in zip(occupied.tolist(), first.tolist(), ends):
-            entry = self._cells.get(cell)
-            if entry is None:
-                self._cells[cell] = [sorted_rows[a:b].copy(), b - a]
-                held.append(0)
-            else:
-                rows, c = entry
-                entry[0] = np.concatenate([rows[:c], sorted_rows[a:b]])
-                entry[1] = c + b - a
-                held.append(c)
-        held = np.array(held, dtype=np.intp)
-        self._slot[sorted_rows] = np.arange(k) + np.repeat(held - first, count)
         self._n = hi
         self._next_id += k
+        self.grid = None
 
     def remove(self, row: int) -> np.ndarray:
         """Delete the point in ``row`` and return its position; the last row
         moves into ``row``."""
         x = self.position(row)
         last = self._n - 1
+        if self.grid is not None:  # swap-delete row from its cell's array
+            cell = int(self._cell[row])
+            entry = self._cells[cell]
+            rows, k = entry[0], entry[1] - 1
+            if k:
+                rows[self._slot[row]] = rows[k]
+                self._slot[rows[k]] = self._slot[row]
+                entry[1] = k
+            else:
+                del self._cells[cell]
+            if row != last:
+                self._cells[int(self._cell[last])][0][self._slot[last]] = row
         block = self._block
-        self._leave_cell(row)
         block[row >> BLOCK_SHIFT] -= self._load[row]
         if row != last:
-            self._cells[int(self._cell[last])][0][self._slot[last]] = row
             moved = self._load[last]
             block[last >> BLOCK_SHIFT] -= moved
             block[row >> BLOCK_SHIFT] += moved
@@ -473,22 +472,25 @@ class TorusConfiguration:
         self._n = last
         return x
 
-    def _leave_cell(self, row: int) -> None:
-        """Swap-delete ``row`` from its cell's array; drop the cell once empty."""
-        cell = int(self._cell[row])
-        entry = self._cells[cell]
-        rows, k = entry
-        k -= 1
-        if not k:
-            del self._cells[cell]
-            return
-        slot = self._slot[row]
-        moved = rows[k]
-        rows[slot] = moved
-        self._slot[moved] = slot
-        entry[1] = k
-
     # -- index ------------------------------------------------------------
+
+    def _index(self, radius: float) -> CellGrid:
+        """The store's grid; with none yet, pick it for ``radius`` and file
+        every row: a stable sort by cell, then one slice of rows per cell."""
+        if self.grid is None:
+            grid = self.grid = CellGrid.for_radius(self.torus, radius)
+            n = self._n
+            cells = grid.flat_cells_of(self._pos[:n])
+            order = np.argsort(cells, kind="stable")
+            occupied, first, count = np.unique(
+                cells[order], return_index=True, return_counts=True
+            )
+            bounds = zip(occupied.tolist(), first.tolist(), count.tolist())
+            self._cells = {c: [order[a : a + k], k] for c, a, k in bounds}
+            self._cell[:n] = cells
+            self._slot[order] = np.arange(n) - np.repeat(first, count)
+            self._stencils = {}
+        return self.grid
 
     def cell_index_fault(self) -> str | None:
         """First fault of the cell index against the positions, else None.
@@ -496,11 +498,14 @@ class TorusConfiguration:
         The index holds when the cell column equals ``flat_cells_of`` the
         positions, no cell keeps an empty entry, and every live row appears
         exactly once across the cell arrays: in its own cell's array, at its
-        slot.  A fault names the lowest row it touches by its point.
+        slot, or the store has no grid yet.  A fault names the lowest row it
+        touches by its point.
         """
+        if self.grid is None:
+            return None
         n = self._n
         cells = self._cell[:n]
-        bad = cells != self.torus.flat_cells_of(self._pos[:n])
+        bad = cells != self.grid.flat_cells_of(self._pos[:n])
         owners = np.fromiter(self._cells, dtype=np.intp, count=len(self._cells))
         counts = np.array([k for _, k in self._cells.values()], dtype=np.intp)
         if (counts < 1).any():
@@ -523,13 +528,12 @@ class TorusConfiguration:
 
     def neighbors_within(self, x, radius: float, exclude: int | None = None):
         """Rows and minimum-image distances of points within ``radius`` of x,
-        leaving out the row ``exclude``.
+        leaving out the row ``exclude``; a store with no grid gets one for ``radius``.
 
         Rows come back in ascending id order so float reductions are
         reproducible; they index ``loads`` until the next removal.
         """
-        t = self.torus
-        side = t.side
+        side = self.torus.side
         if radius > side / 2.0:
             raise GeometryError(
                 f"interaction radius {radius:g} exceeds half the box side "
@@ -538,18 +542,15 @@ class TorusConfiguration:
         x = np.asarray(x, dtype=float)
         coords = x.tolist()
         if min(coords) < 0.0 or max(coords) > side:
-            x = t.wrap(x)
-        rings = math.ceil(radius / t.cell_size)
-        if 2 * rings + 1 >= t.n_cells:
-            rows = np.arange(self._n)
-        else:
-            key = (t.flat_cell_of(coords), rings)
-            stencil = self._stencils.get(key)
-            if stencil is None:
-                stencil = self._stencils[key] = t.cell_stencil(*key)
-            cells = self._cells
-            parts = [e[0][: e[1]] for e in map(cells.get, stencil) if e is not None]
-            rows = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+            x = self.torus.wrap(x)
+        grid = self._index(radius)
+        key = (grid.flat_cell_of(coords), math.ceil(radius / grid.cell_size))
+        stencil = self._stencils.get(key)
+        if stencil is None:
+            stencil = self._stencils[key] = grid.cell_stencil(key[0], radius)
+        cells = self._cells
+        parts = [e[0][: e[1]] for e in map(cells.get, stencil) if e is not None]
+        rows = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
         d = np.take(self._pos, rows, axis=0)
         d -= x
         dists = _min_image_distances(d, side)
@@ -577,7 +578,7 @@ class TorusConfiguration:
             )
         n = self._n
         order, batches = periodic_pairs(
-            self.torus, self._pos[:n], self._cell[:n], cutoff
+            self._index(cutoff), self._pos[:n], self._cell[:n], cutoff
         )
         sums = np.zeros(n)  # in cell order
         for i, j, dist in batches:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Torus, Window, periodic_pairs
+from .geometry import CellGrid, Torus, Window, periodic_pairs
 from .kernels import unit_ball_volume
 
 
@@ -88,9 +88,9 @@ def pair_correlation(
     unordered count, is divided by N (N-1) / volume times the shell volume,
     which has expectation exactly 1 for a homogeneous Poisson field;
     replicas with fewer than two points carry no pair information and are
-    skipped.  The counts come from a ``periodic_pairs`` walk on a grid of
-    cells about the last edge wide, which computes each unordered pair's
-    distance once, so memory is O(N + PAIR_BATCH) per replica, and time
+    skipped.  The counts come from a ``periodic_pairs`` walk on the
+    ``CellGrid.for_radius`` of the last edge, which computes each unordered
+    pair's distance once, so memory is O(N + PAIR_BATCH) per replica, and time
     grows as N times the points within the last edge of a point: O(N) for
     a fixed last edge, O(N^2) when it reaches side/2, where the walk
     computes N (N-1) / 2 distances, half the ordered pairs.
@@ -113,13 +113,13 @@ def pair_correlation(
     shells = np.array(
         [shell_volume(torus.dim, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     )
-    grid = Torus.for_cutoff(torus.side, torus.dim, edges[-1])
+    grid = CellGrid.for_radius(torus, edges[-1])
     per_replica = []
     for pts in reps:
         n = pts.shape[0]
         if n < 2:
             continue
-        pts = grid.wrap(pts)
+        pts = torus.wrap(pts)
         counts = np.zeros(edges.size - 1, dtype=np.intp)
         _, batches = periodic_pairs(grid, pts, grid.flat_cells_of(pts), edges[-1])
         for _, _, dist in batches:

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,12 +8,18 @@ from sbdsim.certificate import SearchGrid
 from sbdsim.config import (
     KERNEL_FAMILIES,
     ConfigError,
+    initial_configuration,
     kernel_from_config,
     kernel_to_config,
+    load_config,
     parse_config,
     resolved_config_dict,
 )
+from sbdsim.dynamics import run
+from sbdsim.geometry import CellGrid, Torus, sample_poisson
 from sbdsim.kernels import exponential, gaussian, tabulated, triangular
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 KERNELS = [
     gaussian(0.7, 1.3, 2),
@@ -96,3 +105,55 @@ def test_manifest_with_loose_packing_replays_loose():
     # manifests written before the densest packing became the default say so
     assert parse_config(with_certificate({"tight_packing": False})).tight_packing is False
     assert parse_config(with_certificate({})).tight_packing is True
+
+
+def competition_config(dim):
+    """The shipped competition_1d model on a box of density-5 points in
+    ``dim``, run to t = 1."""
+    data = json.loads((CONFIGS / "competition_1d.json").read_text())
+    for kernel in ("a_plus", "a_minus"):
+        data["model"][kernel]["dim"] = dim
+    side = 40.0 if dim == 1 else 12.0
+    data["torus"] = {"L": side, "d": dim}
+    data["schedule"] = {"t_end": 1.0}
+    data["analysis"]["window"] = {"lo": [0.0] * dim, "hi": [side] * dim}
+    return parse_config(data)
+
+
+@pytest.mark.parametrize(
+    "make, n_cells",
+    [
+        (lambda: competition_config(1), 12),
+        (lambda: competition_config(2), 8),
+        (lambda: load_config(CONFIGS / "long_dispersal_certificate.json"), 20),
+    ],
+    ids=["competition d=1", "competition d=2", "long_dispersal_certificate"],
+)
+def test_library_path_is_the_config_path(make, n_cells):
+    # a store on a bare Torus(side, dim) picks the grid the config path
+    # gets, from the competition cutoff alone, so a seeded run gives the
+    # same trace; long_dispersal_certificate's a+ reaches further than its
+    # a-, and the grid still follows a-: 20 cells of 1, where a+ would
+    # give 8
+    cfg = make()
+    torus = Torus(cfg.torus.side, cfg.torus.dim)
+    assert cfg.torus == torus
+    logs, grids = [], []
+    for library in (True, False):
+        rng = np.random.default_rng(5)
+        if library:
+            conf = sample_poisson(torus, cfg.init_poisson, rng)
+        else:
+            conf = initial_configuration(cfg, rng)
+        logs.append(run(cfg.model, conf, cfg.t_end, rng).events)
+        grids.append(conf.grid)
+    lib, conf_log = logs
+    assert len(lib) == len(conf_log) > 100
+    for column in ("times", "births", "positions", "points", "parents"):
+        np.testing.assert_array_equal(getattr(lib, column), getattr(conf_log, column))
+    a_minus = cfg.model.a_minus.cutoff_radius()
+    assert grids[0] == grids[1] == CellGrid.for_radius(torus, a_minus)
+    assert grids[0].n == n_cells
+    a_plus = cfg.model.a_plus.cutoff_radius()
+    if a_plus > a_minus:
+        assert CellGrid.for_radius(torus, a_plus).n == 8

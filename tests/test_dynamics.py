@@ -13,7 +13,7 @@ from sbdsim.dynamics import (
     SimulationState,
     run,
 )
-from sbdsim.geometry import Torus, TorusConfiguration, sample_poisson
+from sbdsim.geometry import CellGrid, Torus, TorusConfiguration, sample_poisson
 from sbdsim.kernels import ImmigrationField, gaussian, triangular
 from sbdsim.oracles import bp_meanfield_density, surgailis_density
 from sbdsim.statistics import density
@@ -307,18 +307,30 @@ def test_incremental_caches_survive_audit():
     assert len(trace.events) > 1000  # the audit actually exercised many checkpoints
 
 
-@pytest.mark.parametrize("dim, n_cells", [(1, 2), (1, 4), (2, 4)])
-def test_audit_passes_on_grids_with_self_inverse_offsets(dim, n_cells):
-    # a cutoff reaching n_cells / 2 cells on an even grid walks an offset
-    # that is its own negative modulo the grid; the loads recomputed by the
-    # half pair walk after every event must match the incremental ones
+@pytest.mark.parametrize("dim, cutoff", [(1, 3.5), (1, 4.0), (2, 3.5)])
+def test_audit_passes_on_grids_with_self_inverse_offsets(dim, cutoff):
+    # a cutoff in (3/8 side, side/2] gets 8 cells of side / 8 and reaches 4
+    # cells, an offset that is its own negative modulo the grid; the loads
+    # recomputed by the half pair walk after every event must match the
+    # incremental ones
     side = 8.0
-    am = triangular(0.1, 3.0, dim)  # rings = 2 cells of side / 4
+    am = triangular(0.1, cutoff, dim)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(2.0, 1.0, dim), a_minus=am, m=0.2)
-    rng = np.random.default_rng(40 + dim + n_cells)
-    cfg = sample_poisson(Torus(side, dim, n_cells), 40.0 / side**dim, rng)
+    rng = np.random.default_rng(40 + dim + int(cutoff))
+    cfg = sample_poisson(Torus(side, dim), 40.0 / side**dim, rng)
     trace = run(spec, cfg, t_end=5.0, rng=rng, audit_every=1)
     assert len(trace.events) > 100 and not trace.guard_tripped
+    assert cfg.grid == CellGrid(side, dim, 8) and 4 in cfg.grid.axis_offsets(cutoff)
+
+
+def test_migration_without_competition_builds_no_index():
+    # with no a- nothing asks the store for a radius: it keeps its columns
+    # alone, and the audit after every event finds nothing to fault
+    rng = np.random.default_rng(42)
+    cfg = sample_poisson(Torus(10.0, 2), 1.0, rng)
+    trace = run(migration_spec(b=2.0, m=0.5), cfg, t_end=5.0, rng=rng, audit_every=1)
+    assert trace.events.births.any() and not trace.events.births.all()
+    assert cfg.grid is None and cfg._cells == {} and cfg.cell_index_fault() is None
 
 
 def test_audit_catches_corruption():
@@ -363,7 +375,7 @@ def misfile(cfg, how):
         rows[0], other[0] = other[0], rows[0]
         return cfg.point_at(min(first, int(rows[0])))
     elif how == "moved":  # one cell along every axis
-        cfg._pos[first] = (cfg._pos[first] + cfg.torus.cell_size) % cfg.torus.side
+        cfg._pos[first] = (cfg._pos[first] + cfg.grid.cell_size) % cfg.torus.side
     return cfg.point_at(first)
 
 
@@ -371,11 +383,14 @@ def misfile(cfg, how):
     "how", ["cell entry", "missing", "duplicate", "slot", "other cell", "moved"]
 )
 def test_audit_catches_cell_index_corruption(how):
-    am = triangular(1.0, 1.0, 2)
+    # the cutoff 4 files the points on 8 cells of 1.25 and reaches 4 cells
+    am = triangular(1.0, 4.0, 2)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 2), a_minus=am, m=0.2)
     rng = np.random.default_rng(12)
-    cfg = cfg_with_points(Torus(10.0, 2, n_cells=4), rng.uniform(0.0, 10.0, (60, 2)))
+    cfg = cfg_with_points(Torus(10.0, 2), rng.uniform(0.0, 10.0, (60, 2)))
+    assert cfg.grid is None
     state = SimulationState(spec, cfg)
+    assert cfg.grid == CellGrid(10.0, 2, 8)
     state.audit()
     pid = misfile(cfg, how)
     with pytest.raises(AuditError, match=f"cell index .*: point {pid} "):
@@ -442,18 +457,21 @@ def test_determinism_same_seed_same_trace():
 
 @pytest.mark.parametrize("dim, t_end", [(1, 6.0), (2, 0.6)])
 def test_bulk_initial_load_gives_the_sequential_trace(dim, t_end):
-    # sample_poisson fills the store in one bulk pass; inserting the same
-    # draws one at a time must give the same run, event for event, with
-    # every cache audited after each event
+    # sample_poisson fills the store in one bulk pass, filed into cells from
+    # scratch when the run starts; inserting the same draws one at a time
+    # into a store whose grid was picked first must give the same run,
+    # event for event, with every cache audited after each event
     am = gaussian(0.5, 0.2, dim)
     spec = ModelSpec("bolker_pacala", a_plus=gaussian(1.0, 0.5, dim), a_minus=am, m=0.5)
-    torus = Torus.for_cutoff(9.0, dim, am.cutoff_radius())
-    assert 2 * math.ceil(am.cutoff_radius() / torus.cell_size) + 1 < torus.n_cells
+    torus = Torus(9.0, dim)
     rng_bulk, rng_seq = np.random.default_rng(21), np.random.default_rng(21)
     bulk = sample_poisson(torus, 2.0, rng_bulk)
     n = rng_seq.poisson(2.0 * torus.volume)
-    seq = cfg_with_points(torus, rng_seq.uniform(0.0, torus.side, (n, dim)))
-    assert len(bulk) == len(seq) > 0
+    seq = TorusConfiguration(torus)
+    seq.neighbors_within(np.zeros(dim), am.cutoff_radius())
+    for x in rng_seq.uniform(0.0, torus.side, (n, dim)):
+        seq.insert(x)
+    assert len(bulk) == len(seq) > 0 and bulk.grid is None
     a = run(spec, bulk, t_end=t_end, rng=rng_bulk, audit_every=1)
     b = run(spec, seq, t_end=t_end, rng=rng_seq, audit_every=1)
     assert len(a.events) == len(b.events) > 100
@@ -461,6 +479,7 @@ def test_bulk_initial_load_gives_the_sequential_trace(dim, t_end):
         assert (ea.time, ea.kind, ea.point) == (eb.time, eb.kind, eb.point)
         assert ea.parent == eb.parent
         np.testing.assert_array_equal(ea.position, eb.position)
+    assert bulk.grid == seq.grid == CellGrid.for_radius(torus, am.cutoff_radius())
 
 
 # -- event log -----------------------------------------------------------------------
@@ -480,7 +499,7 @@ def seeded_log_run(variant, dim, seed=31):
     else:
         spec = migration_spec(b=2.0, m=0.5, a_minus=triangular(0.5, 1.0, dim))
         t_end = 2.0
-    torus = Torus.for_cutoff(10.0, dim, spec.a_minus.cutoff_radius())
+    torus = Torus(10.0, dim)
     rng = np.random.default_rng(seed)
     cfg = sample_poisson(torus, 2.0, rng)
     start = dict(zip(cfg.ids(), cfg.positions_array()))
@@ -587,7 +606,7 @@ def test_event_log_holds_at_most_64_bytes_per_event():
         "bolker_pacala", a_plus=gaussian(3.0, 0.5, 1), a_minus=gaussian(0.5, 0.5, 1), m=0.5
     )
     rng = np.random.default_rng(41)
-    cfg = sample_poisson(Torus.for_cutoff(20.0, 1, spec.a_minus.cutoff_radius()), 5.0, rng)
+    cfg = sample_poisson(Torus(20.0, 1), 5.0, rng)
     tracemalloc.start()
     try:
         trace = run(spec, cfg, t_end=10.0, rng=rng)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from itertools import combinations, product
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy import stats
 
 from sbdsim.geometry import (
     PAIR_BATCH,
+    CellGrid,
     GeometryError,
     Torus,
     TorusConfiguration,
@@ -21,6 +23,8 @@ from sbdsim.kernels import gaussian, triangular
 
 T10_1 = Torus(10.0, 1)
 T10_2 = Torus(10.0, 2)
+G10_1 = CellGrid(10.0, 1, 8)
+G10_2 = CellGrid(10.0, 2, 8)
 
 
 def uniform_cfg(torus, n, rng):
@@ -53,12 +57,12 @@ def scan_pairs(side, pts, radius):
     return out
 
 
-def walk_pairs(torus, pts, radius):
-    """``scan_pairs`` from the pair walk over the cells of ``torus``: each
+def walk_pairs(grid, pts, radius):
+    """``scan_pairs`` from the pair walk over the cells of ``grid``: each
     yielded distance is added to both rows of its pair."""
-    pts = torus.wrap(np.asarray(pts, dtype=float))
+    pts = np.mod(np.asarray(pts, dtype=float), grid.side)
     out = [[] for _ in range(pts.shape[0])]
-    order, batches = periodic_pairs(torus, pts, torus.flat_cells_of(pts), radius)
+    order, batches = periodic_pairs(grid, pts, grid.flat_cells_of(pts), radius)
     for i, j, dist in batches:
         for a, b, d in zip(order[i].tolist(), order[j].tolist(), dist.tolist()):
             out[a].append(d)
@@ -74,33 +78,36 @@ def test_torus_validation():
         Torus(-1.0, 1)
     with pytest.raises(GeometryError):
         Torus(10.0, 0)
-    with pytest.raises(GeometryError):
-        Torus(10.0, 1, n_cells=0)
+    # the box alone: the cell grid is the point store's own
+    assert [f.name for f in fields(Torus)] == ["side", "dim"]
 
 
 def test_torus_cells_tile_exactly():
-    t = Torus(10.0, 2, n_cells=8)
-    assert t.cell_size * 8 == pytest.approx(10.0, rel=1e-15)
+    t = Torus(10.0, 2)
+    assert CellGrid(10.0, 2, 8).cell_size * 8 == pytest.approx(10.0, rel=1e-15)
     assert t.volume == 100.0
 
 
-def test_for_cutoff_cell_size():
-    t = Torus.for_cutoff(10.0, 1, cutoff=0.5)
-    assert t.cell_size >= 0.5 - 1e-12
+def test_for_radius_cell_size():
+    t = Torus(10.0, 1)
+    assert CellGrid.for_radius(t, 0.5).cell_size >= 0.5 - 1e-12
     # wide kernels fall back to an L/8 grid
-    t2 = Torus.for_cutoff(10.0, 1, cutoff=4.0)
-    assert t2.n_cells == 8
+    assert CellGrid.for_radius(t, 4.0) == CellGrid(10.0, 1, 8)
+    assert CellGrid.for_radius(Torus(10.0, 3), 0.0) == CellGrid(10.0, 3, 8)
+    for radius in np.linspace(0.01, 5.0, 500).tolist():
+        grid = CellGrid.for_radius(t, radius)
+        assert grid.n >= 8 and grid.cell_size >= min(radius, 10.0 / 8.0) - 1e-12
 
 
-def distance(torus, x, y):
+def distance(grid, x, y):
     """Distance of two points from the pair walk, with a radius no pair exceeds."""
-    return walk_pairs(torus, [x, y], torus.side * torus.dim)[0][0]
+    return walk_pairs(grid, [x, y], grid.side * grid.dim)[0][0]
 
 
 def test_periodic_distance_wraparound():
-    assert distance(T10_1, [0.5], [9.5]) == pytest.approx(1.0, rel=1e-15)
-    assert distance(T10_1, [0.5], [0.5]) == 0.0
-    assert distance(T10_2, [0.0, 0.0], [5.0, 5.0]) == pytest.approx(
+    assert distance(G10_1, [0.5], [9.5]) == pytest.approx(1.0, rel=1e-15)
+    assert distance(G10_1, [0.5], [0.5]) == 0.0
+    assert distance(G10_2, [0.0, 0.0], [5.0, 5.0]) == pytest.approx(
         math.sqrt(50.0), rel=1e-15
     )
 
@@ -110,10 +117,10 @@ def test_periodic_distance_wraparound():
 )
 def test_periodic_distance_is_metric(coords):
     x, y, z = (np.array(coords[i : i + 2]) for i in (0, 2, 4))
-    dxy = distance(T10_2, x, y)
-    dyx = distance(T10_2, y, x)
-    dxz = distance(T10_2, x, z)
-    dzy = distance(T10_2, z, y)
+    dxy = distance(G10_2, x, y)
+    dyx = distance(G10_2, y, x)
+    dxz = distance(G10_2, x, z)
+    dzy = distance(G10_2, z, y)
     assert dxy == pytest.approx(dyx, abs=1e-12)
     assert dxy <= dxz + dzy + 1e-9
     assert dxy <= math.sqrt(2.0) * 5.0 + 1e-12
@@ -155,25 +162,25 @@ def test_min_image_distances_at_the_wrap_edges(dim):
     every = side * dim  # no minimum-image distance reaches it
     want_rows = scan_pairs(side, pts, every)
     for n_cells in (1, 3, 8):
-        torus = Torus(side, dim, n_cells)
-        assert walk_pairs(torus, pts, every) == want_rows
+        grid = CellGrid(side, dim, n_cells)
+        assert walk_pairs(grid, pts, every) == want_rows
         for shift in (-3, -1, 1, 7):
             moved = pts + shift * side
-            got = walk_pairs(torus, moved, every)
+            got = walk_pairs(grid, moved, every)
             assert got == scan_pairs(side, moved, every)
             for a, b in zip(got, want_rows):
                 np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
-    assert distance(Torus(side, 1), [1.0], [1.0 + side / 2.0]) == side / 2.0
-    assert distance(Torus(side, 1), [1.0 + side / 2.0], [1.0]) == side / 2.0
+    assert distance(CellGrid(side, 1, 8), [1.0], [1.0 + side / 2.0]) == side / 2.0
+    assert distance(CellGrid(side, 1, 8), [1.0 + side / 2.0], [1.0]) == side / 2.0
 
 
 def test_periodic_pairs_three_points():
     # every unordered pair once, each distance listed for both its rows
     pts = np.array([[0.5], [9.5], [4.5]])
-    assert walk_pairs(T10_1, pts, 5.0) == [[1.0, 4.0], [1.0, 5.0], [4.0, 5.0]]
-    assert walk_pairs(T10_1, pts, 4.5) == [[1.0, 4.0], [1.0], [4.0]]
-    assert walk_pairs(T10_1, pts[:1], 5.0) == [[]]
-    order, batches = periodic_pairs(T10_1, pts[:0], np.zeros(0, np.intp), 5.0)
+    assert walk_pairs(G10_1, pts, 5.0) == [[1.0, 4.0], [1.0, 5.0], [4.0, 5.0]]
+    assert walk_pairs(G10_1, pts, 4.5) == [[1.0, 4.0], [1.0], [4.0]]
+    assert walk_pairs(G10_1, pts[:1], 5.0) == [[]]
+    order, batches = periodic_pairs(G10_1, pts[:0], np.zeros(0, np.intp), 5.0)
     assert order.size == 0 and list(batches) == []
 
 
@@ -188,7 +195,7 @@ def test_periodic_pairs_match_the_scan_on_every_cell_grid(dim):
     for radius in (0.9, 2.5, side / 2.0):
         want = scan_pairs(side, pts, radius)
         for n_cells in range(1, 9):
-            assert walk_pairs(Torus(side, dim, n_cells), pts, radius) == want
+            assert walk_pairs(CellGrid(side, dim, n_cells), pts, radius) == want
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -212,8 +219,8 @@ def test_periodic_pairs_list_each_unordered_pair_once(dim):
             if min_image_distance(side, rows[a], rows[b]) <= radius
         ]
         for n_cells in range(1, 9):
-            torus = Torus(side, dim, n_cells)
-            order, batches = periodic_pairs(torus, pts, torus.flat_cells_of(pts), radius)
+            grid = CellGrid(side, dim, n_cells)
+            order, batches = periodic_pairs(grid, pts, grid.flat_cells_of(pts), radius)
             got = []
             for i, j, _ in batches:
                 a, b = order[i], order[j]
@@ -225,27 +232,33 @@ def test_periodic_pairs_list_each_unordered_pair_once(dim):
 def test_pair_walk_distances_equal_the_neighbour_query(dim):
     # the audit recomputes loads from the walk and compares them with loads
     # kept up by neighbour queries: for every pair within the cutoff the two
-    # must see the same distance bit for bit, from either end
+    # must see the same distance bit for bit, from either end, whatever the
+    # grids of the walk and of the store (12 cells for radius 0.5, 8 cells
+    # and rings 2 or 4 for the others)
     side = 6.0
     edge = [0.0, np.nextafter(side, 0.0), side / 2.0, 1.0, 1.0 + side / 2.0, 0.25]
     rng = np.random.default_rng(30 + dim)
     pts = np.array([[edge[(i + 2 * a) % len(edge)] for a in range(dim)] for i in range(6)])
     pts = np.concatenate([pts, rng.uniform(0.0, side, (40, dim))])
-    for n_cells, radius in product((1, 2, 4, 5, 8), (1.0, side / 2.0)):
-        cfg = TorusConfiguration(Torus(side, dim, n_cells))
+    for radius in (0.5, 1.0, side / 2.0):
+        cfg = TorusConfiguration(Torus(side, dim))
         cfg.insert_many(pts)
         n = len(cfg)
-        order, batches = periodic_pairs(cfg.torus, cfg._pos[:n], cfg._cell[:n], radius)
-        walked = {}
-        for i, j, dist in batches:
-            for a, b, d in zip(order[i].tolist(), order[j].tolist(), dist.tolist()):
-                walked[a, b] = walked[b, a] = d
         queried = {}
         for a in range(n):
             rows, dists = cfg.neighbors_within(cfg.position(a), radius, exclude=a)
             for b, d in zip(rows.tolist(), dists.tolist()):
                 queried[a, b] = d
-        assert walked == queried
+        assert cfg.grid == CellGrid.for_radius(cfg.torus, radius)
+        pos = cfg._pos[:n]
+        for n_cells in (1, 2, 4, 5, 8, cfg.grid.n):
+            grid = CellGrid(side, dim, n_cells)
+            order, batches = periodic_pairs(grid, pos, grid.flat_cells_of(pos), radius)
+            walked = {}
+            for i, j, dist in batches:
+                for a, b, d in zip(order[i].tolist(), order[j].tolist(), dist.tolist()):
+                    walked[a, b] = walked[b, a] = d
+            assert walked == queried, (radius, n_cells)
 
 
 def test_periodic_pairs_batches_are_bounded():
@@ -253,9 +266,9 @@ def test_periodic_pairs_batches_are_bounded():
     # of at most PAIR_BATCH pairs whose first rows ascend through the cell
     # order, each with i < j
     rng = np.random.default_rng(12)
-    torus = Torus(10.0, 1, n_cells=1)
+    grid = CellGrid(10.0, 1, 1)
     pts = rng.uniform(0.0, 10.0, (600, 1))
-    order, batches = periodic_pairs(torus, pts, torus.flat_cells_of(pts), 5.0)
+    order, batches = periodic_pairs(grid, pts, grid.flat_cells_of(pts), 5.0)
     assert sorted(order.tolist()) == list(range(600))
     sizes, codes, firsts = [], [], []
     for i, j, dist in batches:
@@ -335,16 +348,17 @@ def test_positions_array_ascending_ids():
 
 
 def reference_cell_groups(cfg):
-    """Rows grouped by the reference grid cell of their positions."""
+    """Rows grouped by the reference cell, on the store's grid, of their
+    positions."""
     groups = {}
     for row in range(len(cfg)):
-        cell = reference_flat_cell(cfg.torus, cfg.position(row))
+        cell = reference_flat_cell(cfg.grid, cfg.position(row))
         groups.setdefault(cell, set()).add(row)
     return groups
 
 
 def assert_cell_arrays_consistent(cfg):
-    assert cfg.cell_index_fault() is None
+    assert cfg.grid is not None and cfg.cell_index_fault() is None
     for cell, (rows, k) in cfg._cells.items():
         live = rows[:k]
         assert k > 0
@@ -355,11 +369,17 @@ def assert_cell_arrays_consistent(cfg):
 
 
 @settings(max_examples=30)
-@given(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=60))
-def test_cell_index_rebuild_identity(ops):
-    # 0/1 insert at a pseudo-random spot, 2 removes the oldest surviving point
+@given(
+    st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=60),
+    st.sampled_from([0.4, 2.0, 4.5]),
+)
+def test_cell_index_rebuild_identity(ops, radius):
+    # 0/1 insert at a pseudo-random spot, 2 removes the oldest surviving
+    # point, on the grid of a first query at ``radius``: 25 cells, or 8 cells
+    # with rings 2 or 4
     rng = np.random.default_rng(123)
-    cfg = TorusConfiguration(Torus(10.0, 2, n_cells=5))
+    cfg = TorusConfiguration(Torus(10.0, 2))
+    cfg.neighbors_within([0.0, 0.0], radius)
     for op in ops:
         if op < 2 or not len(cfg):
             cfg.insert(rng.uniform(0.0, 10.0, 2))
@@ -369,7 +389,9 @@ def test_cell_index_rebuild_identity(ops):
 
 
 def test_cell_index_fault_on_an_empty_entry_or_a_stale_row():
-    cfg = uniform_cfg(Torus(10.0, 1, n_cells=4), 20, np.random.default_rng(13))
+    cfg = uniform_cfg(Torus(10.0, 1), 20, np.random.default_rng(13))
+    cfg.neighbors_within([0.0], 3.0)
+    assert cfg.cell_index_fault() is None
     cfg._cells[99] = [np.zeros(4, dtype=np.intp), 0]
     assert cfg.cell_index_fault() == "cell 99 keeps an empty entry"
     del cfg._cells[99]
@@ -378,14 +400,13 @@ def test_cell_index_fault_on_an_empty_entry_or_a_stale_row():
     assert "row outside 0..19" in cfg.cell_index_fault()
 
 
-def reference_flat_cell(torus, x):
+def reference_flat_cell(grid, x):
     """Reference grid cell in numpy: floor of the wrapped coordinate over
     the cell size, clamped to the last cell, then row-major flattening."""
     idx = np.minimum(
-        np.floor(np.mod(x, torus.side) / torus.cell_size).astype(int),
-        torus.n_cells - 1,
+        np.floor(np.mod(x, grid.side) / grid.cell_size).astype(int), grid.n - 1
     )
-    return int(np.ravel_multi_index(tuple(idx), (torus.n_cells,) * torus.dim))
+    return int(np.ravel_multi_index(tuple(idx), (grid.n,) * grid.dim))
 
 
 @pytest.mark.parametrize(
@@ -395,7 +416,7 @@ def test_flat_cell_formulas_agree_on_cell_edges(side, n_cells):
     # the one-point and the vectorised flat cell must agree exactly where
     # rounding decides the cell: on every edge k * cell_size, one ulp either
     # side of it, at side - ulp and on points that need wrapping
-    t1 = Torus(side, 1, n_cells)
+    t1 = CellGrid(side, 1, n_cells)
     edges = np.arange(n_cells + 1) * t1.cell_size
     values = np.concatenate(
         [
@@ -409,7 +430,7 @@ def test_flat_cell_formulas_agree_on_cell_edges(side, n_cells):
     for v, cell in zip(values.tolist(), vectorised.tolist()):
         assert t1.flat_cell_of([v]) == cell == reference_flat_cell(t1, [v])
         assert 0 <= cell < n_cells
-    t2 = Torus(side, 2, n_cells)
+    t2 = CellGrid(side, 2, n_cells)
     pairs = np.stack([values, np.roll(values, 7)], axis=1)
     for x, cell in zip(pairs.tolist(), t2.flat_cells_of(pairs).tolist()):
         assert t2.flat_cell_of(x) == cell == reference_flat_cell(t2, x)
@@ -434,83 +455,184 @@ def brute_force_neighbors(cfg, x, radius, exclude=None):
 @settings(max_examples=100)
 @given(
     dim=st.integers(min_value=1, max_value=3),
-    n_cells=st.integers(min_value=1, max_value=9),
+    grid_radius=st.sampled_from([0.2, 0.5, 0.75, 1.2, 2.0, 2.5, 3.0]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     steps=st.integers(min_value=1, max_value=60),
 )
-def test_neighbors_within_matches_brute_force(dim, n_cells, seed, steps):
+def test_neighbors_within_matches_brute_force(dim, grid_radius, seed, steps):
     # a random sequence of inserts (some outside the box, so insert wraps
-    # them) and removals of random survivors; after every step the index
-    # holds, and a query at a random spot and one at a live point with its
-    # row excluded, each with a random radius up to side/2, equal the
-    # brute-force scan
+    # them) and removals of random survivors.  The store has no index until
+    # a first query at ``grid_radius``, after a random step, picks its grid:
+    # 30 or 12 cells, or 8 cells with rings 1 to 4 (2.5 and 3.0 reach the
+    # offset 4, its own negative modulo the grid).  From then on, after
+    # every step the index holds, and a query at a random spot and one at a
+    # live point with its row excluded, each with a random radius up to
+    # side/2 (so stencils wrap round the whole grid), equal the brute-force
+    # scan
     side = 6.0
     rng = np.random.default_rng(seed)
-    cfg = TorusConfiguration(Torus(side, dim, n_cells))
-    for _ in range(steps):
+    cfg = TorusConfiguration(Torus(side, dim))
+    first_query = int(rng.integers(steps))
+    for step in range(steps):
         if rng.random() < 0.75 or not len(cfg):
             cfg.insert(rng.uniform(-0.5 * side, 1.5 * side, dim))
         else:
             cfg.remove(int(rng.integers(len(cfg))))
-        assert_cell_arrays_consistent(cfg)
+        if step < first_query:
+            assert cfg.grid is None and cfg.cell_index_fault() is None
+            continue
         queries = [(rng.uniform(-0.5 * side, 1.5 * side, dim), None)]
         if len(cfg):
             row = int(rng.integers(len(cfg)))
             queries.append((cfg.position(row), row))
-        for x, exclude in queries:
+        for k, (x, exclude) in enumerate(queries):
             radius = rng.uniform(0.0, side / 2.0)
+            if step == first_query and not k:
+                radius = grid_radius
             rows, dists = cfg.neighbors_within(x, radius, exclude=exclude)
             ids = [cfg.point_at(row) for row in rows.tolist()]
             want_ids, want_dists = brute_force_neighbors(cfg, x.tolist(), radius, exclude)
             assert ids == want_ids  # ascending, as cfg.ids() is
             assert dists.tolist() == want_dists
+        assert cfg.grid == CellGrid.for_radius(cfg.torus, grid_radius)
+        assert_cell_arrays_consistent(cfg)
 
 
-def assert_same_store(a, b):
+def assert_same_store(a, b, ordered=True):
+    """The two stores hold the same rows, ids, loads, block sums, grid and
+    cells; with ``ordered``, also the same order of rows within each cell
+    and so the same slots."""
     n = len(a)
-    assert len(b) == n and a._next_id == b._next_id
-    for name in ("_pos", "_id", "_cell", "_slot", "_load"):
+    assert len(b) == n and a._next_id == b._next_id and a.grid == b.grid
+    for name in ("_pos", "_id", "_cell", "_load") + ("_slot",) * ordered:
         np.testing.assert_array_equal(getattr(a, name)[:n], getattr(b, name)[:n])
     np.testing.assert_array_equal(a._block, b._block)
     assert a._cells.keys() == b._cells.keys()
     for cell, (rows, k) in a._cells.items():
         other, other_k = b._cells[cell]
-        assert rows[:k].tolist() == other[:other_k].tolist()  # order within the cell
+        got, want = rows[:k].tolist(), other[:other_k].tolist()
+        assert got == want if ordered else sorted(got) == sorted(want)
     assert_cell_arrays_consistent(a)
     assert_cell_arrays_consistent(b)
 
 
-@pytest.mark.parametrize("dim, n_cells", [(1, 8), (1, 1), (2, 5), (3, 4)])
-def test_insert_many_equals_sequential_inserts(dim, n_cells):
-    # on an empty store, and on one whose rows went through removals and
-    # whose block sums carry rounding residues
-    torus = Torus(7.0, dim, n_cells)
+def assert_filed_in_row_order(cfg):
+    """A from-scratch filing lists each cell's rows in ascending order."""
+    for rows, k in cfg._cells.values():
+        assert (np.diff(rows[:k]) > 0).all()
+
+
+@pytest.mark.parametrize("dim, radius", [(1, 3.0), (1, 0.5), (2, 1.0), (3, 2.0)])
+def test_insert_many_equals_sequential_inserts(dim, radius):
+    # a store whose grid was picked on an empty store and that inserts one
+    # point at a time against one loaded in bulk, whose first query files
+    # every row from scratch: the same store, down to the order of rows in
+    # each cell.  Grids of side 7: 8 cells with rings 4 (3.0 is in
+    # (3/8 side, side/2], the offset 4 is its own negative), 14 cells, and
+    # 8 cells with rings 2 and 3.  Then on stores whose rows went through
+    # removals and whose block sums carry rounding residues, ``insert_many``
+    # drops the index and the next query files every row again
+    torus = Torus(7.0, dim)
+    origin = np.zeros(dim)
     rng = np.random.default_rng(11)
     first = rng.uniform(-1.0, 8.0, (300, dim))
     second = rng.uniform(-1.0, 8.0, (700, dim))
     second[:5] = 7.0  # exactly on the box edge: wraps to 0
     gone = rng.permutation(300)[:60]
     bulk, seq = TorusConfiguration(torus), TorusConfiguration(torus)
+    seq.neighbors_within(origin, radius)
+    assert seq.grid == CellGrid.for_radius(torus, radius) and bulk.grid is None
     bulk.insert_many(first)
     for x in first:
         seq.insert(x)
+    assert bulk.grid is None
+    bulk.neighbors_within(origin, radius)
     assert_same_store(bulk, seq)
+    assert_filed_in_row_order(bulk)
     loads = rng.uniform(0.0, 3.0, 300)
     for cfg in (bulk, seq):
         cfg.set_loads(loads)
         cfg.add_loads(np.arange(0, 300, 7), np.full(43, 0.1))
         for pid in gone.tolist():
             cfg.remove(row_of(cfg, pid))
+    assert_same_store(bulk, seq)
     bulk.insert_many(second)
     for x in second:
         seq.insert(x)
-    assert_same_store(bulk, seq)
+    assert bulk.grid is None and bulk.cell_index_fault() is None
+    bulk.neighbors_within(origin, radius)
+    assert_same_store(bulk, seq, ordered=False)  # removals reorder seq's cells
+    assert_filed_in_row_order(bulk)
     for u in np.linspace(0.0, 1.0, 101, endpoint=False):
         assert bulk.sample_row(u, 0.3) == seq.sample_row(u, 0.3)
     bulk.insert_many(np.zeros((0, dim)))
-    assert_same_store(bulk, seq)
+    assert bulk.grid is None
+    bulk.kernel_sums(triangular(1.0, radius, dim))
+    assert_same_store(bulk, seq, ordered=False)
     with pytest.raises(GeometryError):
         bulk.insert_many(np.zeros((3, dim + 1)))
+
+
+def test_store_builds_its_index_on_the_first_radius_it_serves():
+    torus = Torus(10.0, 2)
+    rng = np.random.default_rng(14)
+    cfg = sample_poisson(torus, 3.0, rng)
+    assert cfg.grid is None and cfg._cells == {} and cfg.cell_index_fault() is None
+    # columns alone are kept up without a grid
+    n = len(cfg)
+    pid = cfg.insert([1.0, 2.0])
+    first = cfg.position(0)
+    np.testing.assert_array_equal(cfg.remove(0), first)
+    assert len(cfg) == n and cfg.point_at(0) == pid
+    assert cfg.grid is None and cfg._cells == {}
+    cfg.neighbors_within([5.0, 5.0], 1.5)
+    assert cfg.grid == CellGrid.for_radius(torus, 1.5) == CellGrid(10.0, 2, 8)
+    assert sum(k for _, k in cfg._cells.values()) == len(cfg)
+    assert_cell_arrays_consistent(cfg)
+    assert_filed_in_row_order(cfg)
+    # later radii use the grid the first one picked
+    cfg.neighbors_within([5.0, 5.0], 0.3)
+    np.testing.assert_allclose(
+        cfg.kernel_sums(triangular(1.0, 0.3, 2)),
+        brute_force_sums(cfg, triangular(1.0, 0.3, 2)),
+        rtol=1e-12,
+    )
+    assert cfg.grid == CellGrid(10.0, 2, 8)
+    # a bulk load drops the index, and the next query picks the grid again
+    cfg.insert_many(rng.uniform(0.0, 10.0, (50, 2)))
+    assert cfg.grid is None and cfg.cell_index_fault() is None
+    k = gaussian(1.0, 0.1, 2)  # cutoff about 0.68: 14 cells
+    np.testing.assert_allclose(cfg.kernel_sums(k), brute_force_sums(cfg, k), rtol=1e-12)
+    assert cfg.grid == CellGrid.for_radius(torus, k.cutoff_radius())
+    assert cfg.grid == CellGrid(10.0, 2, 14)
+    assert_cell_arrays_consistent(cfg)
+
+
+def reference_flat(coords, n):
+    """Row-major flat index of integer cell coordinates on n cells per axis."""
+    flat = 0
+    for c in coords:
+        flat = flat * n + int(c)
+    return flat
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cell_stencil_lists_each_cell_once(dim):
+    # every cell within ``rings`` of the centre along each axis, modulo the
+    # grid, once: rings wrap round coarse grids, and the offset n / 2 of an
+    # even grid is its own negative
+    for n in range(1, 9):
+        grid = CellGrid(8.0, dim, n)
+        shape = (n,) * dim
+        for rings, cell in product(range(5), range(n**dim)):
+            stencil = grid.cell_stencil(cell, max(rings - 0.5, 0.0) * grid.cell_size)
+            near = [
+                [b for b in range(n) if min(abs(a - b), n - abs(a - b)) <= rings]
+                for a in np.unravel_index(cell, shape)
+            ]
+            want = {reference_flat(c, n) for c in product(*near)}
+            assert len(stencil) == len(set(stencil)), (n, rings, cell)
+            assert set(stencil) == want, (n, rings, cell)
 
 
 # -- neighbor sums ------------------------------------------------------------
@@ -567,8 +689,7 @@ def brute_force_sums(cfg, kernel):
 
 def test_kernel_sum_matches_brute_force_gaussian():
     rng = np.random.default_rng(3)
-    torus = Torus.for_cutoff(20.0, 2, gaussian(1.0, 1.0, 2).cutoff_radius())
-    cfg = uniform_cfg(torus, 100, rng)
+    cfg = uniform_cfg(Torus(20.0, 2), 100, rng)
     k = gaussian(1.0, 1.0, 2)
     np.testing.assert_allclose(cfg.kernel_sums(k), brute_force_sums(cfg, k), rtol=1e-12)
 
@@ -577,8 +698,7 @@ def test_kernel_sum_matches_brute_force_many_cases():
     rng = np.random.default_rng(4)
     kernels_1d = [triangular(1.0, 1.0, 1), gaussian(0.7, 0.4, 1)]
     for trial in range(250):
-        torus = Torus.for_cutoff(12.0, 1, 3.0)
-        cfg = uniform_cfg(torus, rng.integers(0, 40), rng)
+        cfg = uniform_cfg(Torus(12.0, 1), rng.integers(0, 40), rng)
         k = kernels_1d[trial % 2]
         np.testing.assert_allclose(
             cfg.kernel_sums(k), brute_force_sums(cfg, k), rtol=1e-12, atol=1e-15
@@ -587,17 +707,23 @@ def test_kernel_sum_matches_brute_force_many_cases():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_kernel_sums_same_on_every_cell_grid(dim):
-    # coarse grids make the cutoff ball wrap round the whole grid, so cell
-    # offsets repeat modulo n_cells and must be visited once each
+    # the store's grid from a first query at each radius, or from the
+    # kernel's own cutoff (about 3.3, so 8 cells with rings 4): 80, 16 or 8
+    # cells; on the 8-cell grid the cutoff ball wraps round the whole grid,
+    # so cell offsets repeat modulo the grid and must be visited once each
     rng = np.random.default_rng(6)
     k = gaussian(1.0, 0.5, dim)
     points = rng.uniform(0.0, 8.0, (60, dim))
     expected = None
-    for n_cells in range(1, 9):
-        cfg = TorusConfiguration(Torus(8.0, dim, n_cells))
+    for grid_radius in (None, 0.1, 0.5, 1.0, 4.0):
+        cfg = TorusConfiguration(Torus(8.0, dim))
         for x in points:
             cfg.insert(x)
+        if grid_radius is not None:
+            cfg.neighbors_within(points[0], grid_radius)
         sums = cfg.kernel_sums(k)
+        radius = grid_radius or k.cutoff_radius()
+        assert cfg.grid == CellGrid.for_radius(cfg.torus, radius)
         if expected is None:
             expected = brute_force_sums(cfg, k)
         np.testing.assert_allclose(sums, expected, rtol=1e-12, atol=1e-15)
@@ -626,8 +752,7 @@ def test_sample_row_never_draws_zero_weight():
 
 def test_tail_budget_scales_with_population():
     rng = np.random.default_rng(5)
-    torus = Torus.for_cutoff(20.0, 1, gaussian(1.0, 1.0, 1).cutoff_radius())
-    cfg = uniform_cfg(torus, 17, rng)
+    cfg = uniform_cfg(Torus(20.0, 1), 17, rng)
     k = gaussian(1.0, 1.0, 1)
     assert cfg.kernel_sum_tail_budget(k) == pytest.approx(17 * k.tail_sup())
     assert cfg.kernel_sum_tail_budget(k) < 1e-8
