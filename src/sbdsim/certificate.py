@@ -191,23 +191,7 @@ class Certificate:
             raise CertificationError("certificate fields must be strictly positive")
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "omega": self.omega,
-            "theta": self.theta,
-            "epsilon": self.epsilon,
-            "h": self.h,
-            "r": self.r,
-            "a_r_minus": self.a_r_minus,
-            "riemann_sum": self.riemann_sum,
-            "g": self.g,
-            "delta": self.delta,
-            "packing_constant": self.packing_constant,
-            "unit_ball_volume": self.unit_ball_volume,
-            "sup_a_plus": self.sup_a_plus,
-            "mass_a_plus": self.mass_a_plus,
-            "provenance": self.provenance,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":

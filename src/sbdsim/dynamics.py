@@ -265,12 +265,12 @@ class SimulationState:
         return b, d
 
     def audit(self, rel_tol: float = 1e-9) -> None:
-        """Check the cell index against the positions, which the load
-        recomputation relies on, then recompute every cached load and block
-        sum from scratch; raise AuditError on any fault or drift.  The fresh
-        loads add each unordered pair's kernel to both its points, at the
-        distance the incremental updates' neighbour queries see bit for bit,
-        so only the order of summation differs."""
+        """Check the cell index against the positions, then recompute every
+        cached load and block sum from scratch; raise AuditError on any fault
+        or drift.  The fresh loads add each unordered pair's kernel to both
+        its points, at the distance the incremental updates' neighbour
+        queries see bit for bit, so only the order of summation differs."""
+        # first: recomputing the loads refiles every row, hiding a misfiled one
         fault = self.cfg.cell_index_fault()
         if fault is not None:
             raise AuditError(f"cell index differs from the positions: {fault}")

@@ -3,16 +3,18 @@ Poisson draws.
 
 ``Torus`` is the periodic box alone.  ``CellGrid``, a grid of cells that
 one rule picks for a radius, maps points to flat cells and lists the
-distinct cells within a radius of a cell.  ``TorusConfiguration`` is the
-simulator's one point store: dense columns of the living points, addressed
-by row alone, a load column with block sums for the death draw, and, on
-the grid of the first radius it is asked about, per-cell arrays of rows
-that a neighbour query gathers through a memoised cell stencil.
-``periodic_pairs`` walks each unordered pair of points within a radius
-once, over half the neighbouring cell offsets, in bounded batches; the
-kernel sums add each pair's kernel to both its points, and the pair
-correlation counts each distance twice.  Every minimum-image distance, of a
-neighbour query and of the pair walk, comes from one helper.
+distinct cells within a radius of a cell.  ``cell_runs`` is the one sort by
+cell, shared by the store's filing and the pair walk.
+``TorusConfiguration`` is the simulator's one point store: dense columns of
+the living points, addressed by row alone, a load column with block sums
+for the death draw, and, on the grid of the first radius it is asked
+about, per-cell arrays of rows that a neighbour query gathers through a
+memoised cell stencil.  ``periodic_pairs`` walks each unordered pair of
+points within a radius once, over half the neighbouring cell offsets, in
+bounded batches; the kernel sums add each pair's kernel to both its
+points, and the pair correlation counts each distance twice.  Every
+minimum-image distance, of a neighbour query and of the pair walk, comes
+from one helper.
 ``sample_poisson`` draws a homogeneous Poisson configuration and loads it
 into the store in one bulk pass.
 """
@@ -138,72 +140,77 @@ def _min_image_distances(d: np.ndarray, side: float) -> np.ndarray:
     return np.sqrt(square)
 
 
+def cell_runs(cells: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The package's one sort by cell: (order, occupied, first, count), the
+    rows of ``cells`` stably sorted by cell, and each occupied cell with the
+    start and length of its run of rows in that order."""
+    order = np.argsort(cells, kind="stable")
+    occupied, first, count = np.unique(
+        cells[order], return_index=True, return_counts=True
+    )
+    return order, occupied, first, count
+
+
 def periodic_pairs(
-    grid: CellGrid, pos: np.ndarray, cells: np.ndarray, radius: float
-) -> tuple[np.ndarray, Iterator]:
+    grid: CellGrid, pos: np.ndarray, runs: tuple[np.ndarray, ...], radius: float
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Unordered pairs of distinct rows of ``pos`` at most ``radius`` apart,
     each once, with their minimum-image distances, walked over neighbouring
     grid cells.
 
-    ``pos`` holds points in [0, side]^dim and ``cells`` their flat cells on
-    ``grid``.  Returns ``order``, the rows stably sorted by cell, and an
-    iterator of batches (i, j, dist) of at most about PAIR_BATCH pairs
-    each: the pair of rows ``order[i]`` and ``order[j]`` and its distance,
-    with ``i`` ascending within a batch.  The cell offsets, from
-    ``grid.axis_offsets``, are distinct modulo the grid, so a radius that
-    wraps round the whole grid visits each cell once; only the
-    lexicographically lower of each offset and its negative is walked,
-    every row paired with the rows of its offset cell.  An offset that is
-    its own negative pairs each two cells once, from the lower one; the
-    zero offset pairs i < j within a cell.  Scratch memory is O(n + PAIR_BATCH).
+    ``pos`` holds points in [0, side]^dim and ``runs`` is ``cell_runs`` of
+    their flat cells on ``grid``.  Yields batches (i, j, dist) of at most
+    about PAIR_BATCH pairs each: the pair of rows ``order[i]`` and
+    ``order[j]`` of the runs' order and its distance, with ``i`` ascending
+    within a batch.  The cell offsets, from ``grid.axis_offsets``, are
+    distinct modulo the grid, so a radius that wraps round the whole grid
+    visits each cell once; only the lexicographically lower of each offset
+    and its negative is walked, every row paired with the rows of its offset
+    cell.  An offset that is its own negative pairs each two cells once, from
+    the lower one; the zero offset pairs i < j within a cell.  Scratch memory
+    is O(n + PAIR_BATCH).
     """
-    n = cells.size
-    order = np.argsort(cells, kind="stable")
+    order, occupied, first, count = runs
+    n = order.size
+    if not n:
+        return
     pos = pos[order]
-    occupied, first, cell_of_row, count = np.unique(
-        cells[order], return_index=True, return_inverse=True, return_counts=True
-    )
+    cell_of_row = np.repeat(np.arange(occupied.size), count)
     shape = (grid.n,) * grid.dim
     coords = np.unravel_index(occupied, shape)
-
-    def batches():
-        if not n:
-            return
-        for offset in product(grid.axis_offsets(radius), repeat=grid.dim):
-            mirror = tuple(-o % grid.n for o in offset)
-            if offset > mirror:
-                continue  # its pairs are walked from the other end
-            if not any(offset):  # row i pairs with the rows after it in its cell
-                start = np.arange(1, n + 1)
-                pairs = (first + count)[cell_of_row] - start
-            else:
-                target = np.ravel_multi_index(
-                    tuple((c + o) % grid.n for c, o in zip(coords, offset)), shape
-                )
-                k = np.minimum(np.searchsorted(occupied, target), occupied.size - 1)
-                hit = occupied[k] == target
-                if offset == mirror:
-                    hit &= occupied < target
-                start = np.where(hit, first[k], 0)[cell_of_row]
-                pairs = np.where(hit, count[k], 0)[cell_of_row]
-            ends = np.cumsum(pairs)
-            lo = 0
-            while lo < n:  # row i pairs with rows start[i] .. start[i] + pairs[i] - 1
-                done = ends[lo - 1] if lo else 0
-                hi = max(lo + 1, int(np.searchsorted(ends, done + PAIR_BATCH, "right")))
-                batch = pairs[lo:hi]
-                i = np.repeat(np.arange(lo, hi), batch)
-                first_pair = ends[lo:hi] - batch - done  # of each row, in this batch
-                j = np.arange(i.size) + np.repeat(start[lo:hi] - first_pair, batch)
-                d = np.take(pos, i, axis=0)
-                d -= np.take(pos, j, axis=0)
-                dist = _min_image_distances(d, grid.side)
-                keep = np.flatnonzero(dist <= radius)  # faster than three masks
-                yield i.take(keep), j.take(keep), dist.take(keep)
-                lo = hi
-            del ends, i, j, d, dist, keep  # freed before the next offset's arrays
-
-    return order, batches()
+    for offset in product(grid.axis_offsets(radius), repeat=grid.dim):
+        mirror = tuple(-o % grid.n for o in offset)
+        if offset > mirror:
+            continue  # its pairs are walked from the other end
+        if not any(offset):  # row i pairs with the rows after it in its cell
+            start = np.arange(1, n + 1)
+            pairs = (first + count)[cell_of_row] - start
+        else:
+            target = np.ravel_multi_index(
+                tuple((c + o) % grid.n for c, o in zip(coords, offset)), shape
+            )
+            k = np.minimum(np.searchsorted(occupied, target), occupied.size - 1)
+            hit = occupied[k] == target
+            if offset == mirror:
+                hit &= occupied < target
+            start = np.where(hit, first[k], 0)[cell_of_row]
+            pairs = np.where(hit, count[k], 0)[cell_of_row]
+        ends = np.cumsum(pairs)
+        lo = 0
+        while lo < n:  # row i pairs with rows start[i] .. start[i] + pairs[i] - 1
+            done = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, done + PAIR_BATCH, "right")))
+            batch = pairs[lo:hi]
+            i = np.repeat(np.arange(lo, hi), batch)
+            first_pair = ends[lo:hi] - batch - done  # of each row, in this batch
+            j = np.arange(i.size) + np.repeat(start[lo:hi] - first_pair, batch)
+            d = np.take(pos, i, axis=0)
+            d -= np.take(pos, j, axis=0)
+            dist = _min_image_distances(d, grid.side)
+            keep = np.flatnonzero(dist <= radius)  # faster than three masks
+            yield i.take(keep), j.take(keep), dist.take(keep)
+            lo = hi
+        del ends, i, j, d, dist, keep  # freed before the next offset's arrays
 
 
 @dataclass(frozen=True)
@@ -252,16 +259,18 @@ class TorusConfiguration:
     row into the freed one, so a row stays valid only until the next removal.
 
     ``grid`` is None until the first ``neighbors_within`` or
-    ``kernel_sums`` picks ``CellGrid.for_radius`` of its radius and files
-    every row; ``insert_many`` drops it.  Each occupied cell keeps a
-    growable ``np.intp`` array of its rows and the count of them that are
-    live; the slot column holds each row's index in its cell's array, so
-    ``insert`` appends to the array and ``remove`` swap-deletes from it in
-    O(1), and moving the last row into a freed row rewrites one entry of
-    its cell's array.  A neighbour query gathers the arrays of the cells in
-    a stencil memoised per (cell, rings) with one ``np.concatenate``.
-    Stencils are made only for cells queried, so their memory grows with
-    the cells points occupy, not with the whole grid.
+    ``kernel_sums`` picks ``CellGrid.for_radius`` of its radius; the grid
+    then stays, and only ``insert_many`` drops it.  Every row is filed
+    from scratch on it by ``_file`` when it is picked and at every
+    ``kernel_sums``, whose pair walk takes that filing's runs.  Each
+    occupied cell keeps a growable ``np.intp`` array of its rows and the
+    count of them that are live; the slot column holds each row's index in
+    its cell's array, so ``insert`` appends to the array and ``remove``
+    swap-deletes from it in O(1), and moving the last row into a freed row
+    rewrites one entry of its cell's array.  A neighbour query gathers the
+    arrays of the cells in a stencil memoised per (cell, rings) with one
+    ``np.concatenate``.  Stencils are made only for cells queried, so their
+    memory grows with the cells points occupy, not with the whole grid.
 
     Next to the load column the store keeps one running sum per block of
     BLOCK_ROWS rows, a two-level sum tree: ``load_total`` and ``sample_row``
@@ -474,23 +483,19 @@ class TorusConfiguration:
 
     # -- index ------------------------------------------------------------
 
-    def _index(self, radius: float) -> CellGrid:
-        """The store's grid; with none yet, pick it for ``radius`` and file
-        every row: a stable sort by cell, then one slice of rows per cell."""
-        if self.grid is None:
-            grid = self.grid = CellGrid.for_radius(self.torus, radius)
-            n = self._n
-            cells = grid.flat_cells_of(self._pos[:n])
-            order = np.argsort(cells, kind="stable")
-            occupied, first, count = np.unique(
-                cells[order], return_index=True, return_counts=True
-            )
-            bounds = zip(occupied.tolist(), first.tolist(), count.tolist())
-            self._cells = {c: [order[a : a + k], k] for c, a, k in bounds}
-            self._cell[:n] = cells
-            self._slot[order] = np.arange(n) - np.repeat(first, count)
-            self._stencils = {}
-        return self.grid
+    def _file(self, grid: CellGrid) -> tuple[np.ndarray, ...]:
+        """Make ``grid`` the store's grid and file every row on it from the
+        positions: the ``cell_runs`` of their cells, one slice of the runs'
+        order per cell; return the runs."""
+        n = self._n
+        cells = grid.flat_cells_of(self._pos[:n])
+        runs = order, occupied, first, count = cell_runs(cells)
+        bounds = zip(occupied.tolist(), first.tolist(), count.tolist())
+        self._cells = {c: [order[a : a + k], k] for c, a, k in bounds}
+        self._cell[:n] = cells
+        self._slot[order] = np.arange(n) - np.repeat(first, count)
+        self.grid, self._stencils = grid, {}
+        return runs
 
     def cell_index_fault(self) -> str | None:
         """First fault of the cell index against the positions, else None.
@@ -543,7 +548,9 @@ class TorusConfiguration:
         coords = x.tolist()
         if min(coords) < 0.0 or max(coords) > side:
             x = self.torus.wrap(x)
-        grid = self._index(radius)
+        if self.grid is None:
+            self._file(CellGrid.for_radius(self.torus, radius))
+        grid = self.grid
         key = (grid.flat_cell_of(coords), math.ceil(radius / grid.cell_size))
         stencil = self._stencils.get(key)
         if stencil is None:
@@ -565,7 +572,9 @@ class TorusConfiguration:
         """Each point's sum of kernel(distance) over the other points within
         the kernel cutoff, one entry per row, from one ``periodic_pairs``
         walk: the kernel of each unordered pair is added to both its rows,
-        by a bincount over the batch's span of rows at each end."""
+        by a bincount over the batch's span of rows at each end.  The walk
+        takes the runs of a fresh filing on the store's grid (or, with none
+        yet, the cutoff's)."""
         if kernel.dim != self.torus.dim:
             raise GeometryError(
                 f"kernel dimension {kernel.dim} != torus dimension {self.torus.dim}"
@@ -577,11 +586,9 @@ class TorusConfiguration:
                 f"{self.torus.side / 2.0:g}"
             )
         n = self._n
-        order, batches = periodic_pairs(
-            self._index(cutoff), self._pos[:n], self._cell[:n], cutoff
-        )
+        runs = self._file(self.grid or CellGrid.for_radius(self.torus, cutoff))
         sums = np.zeros(n)  # in cell order
-        for i, j, dist in batches:
+        for i, j, dist in periodic_pairs(self.grid, self._pos[:n], runs, cutoff):
             if not dist.size:
                 continue
             weights = kernel.profile(dist)
@@ -591,12 +598,8 @@ class TorusConfiguration:
                 sums[lo : lo + part.size] += part
             del i, j, dist, weights, rows, part  # freed before the next batch
         out = np.empty(n)
-        out[order] = sums
+        out[runs[0]] = sums
         return out
-
-    def kernel_sum_tail_budget(self, kernel: RadialKernel) -> float:
-        """Certified bound on mass any entry of kernel_sums may miss beyond the cutoff."""
-        return kernel.tail_sup() * len(self)
 
 
 def sample_poisson(

@@ -227,10 +227,6 @@ class GaussianKernel(RadialKernel):
     def scaled(self, alpha: float) -> "GaussianKernel":
         return replace(self, weight=self.weight * alpha)
 
-    def sample_radius(self, rng, size):
-        v = rng.standard_normal((size, self.dim)) * self.sigma
-        return np.linalg.norm(v, axis=1)
-
     def sample_displacement(self, rng, size=None):
         n = 1 if size is None else int(size)
         disp = rng.standard_normal((n, self.dim)) * self.sigma

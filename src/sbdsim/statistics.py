@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CellGrid, Torus, Window, periodic_pairs
+from .geometry import CellGrid, Torus, Window, cell_runs, periodic_pairs
 from .kernels import unit_ball_volume
 
 
@@ -88,12 +88,13 @@ def pair_correlation(
     unordered count, is divided by N (N-1) / volume times the shell volume,
     which has expectation exactly 1 for a homogeneous Poisson field;
     replicas with fewer than two points carry no pair information and are
-    skipped.  The counts come from a ``periodic_pairs`` walk on the
-    ``CellGrid.for_radius`` of the last edge, which computes each unordered
-    pair's distance once, so memory is O(N + PAIR_BATCH) per replica, and time
-    grows as N times the points within the last edge of a point: O(N) for
-    a fixed last edge, O(N^2) when it reaches side/2, where the walk
-    computes N (N-1) / 2 distances, half the ordered pairs.
+    skipped.  The counts come from a ``periodic_pairs`` walk over the
+    ``cell_runs`` of the points on the ``CellGrid.for_radius`` of the last
+    edge, which computes each unordered pair's distance once, so memory is
+    O(N + PAIR_BATCH) per replica, and time grows as N times the points
+    within the last edge of a point: O(N) for a fixed last edge, O(N^2) when
+    it reaches side/2, where the walk computes N (N-1) / 2 distances, half
+    the ordered pairs.
     """
     reps = _check_replicas(snapshots)
     if edges is None:
@@ -121,8 +122,8 @@ def pair_correlation(
             continue
         pts = torus.wrap(pts)
         counts = np.zeros(edges.size - 1, dtype=np.intp)
-        _, batches = periodic_pairs(grid, pts, grid.flat_cells_of(pts), edges[-1])
-        for _, _, dist in batches:
+        runs = cell_runs(grid.flat_cells_of(pts))
+        for _, _, dist in periodic_pairs(grid, pts, runs, edges[-1]):
             counts += np.histogram(dist, bins=edges)[0]
         per_replica.append(2 * counts * torus.volume / (n * (n - 1) * shells))
     if not per_replica:

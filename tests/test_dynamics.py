@@ -323,6 +323,28 @@ def test_audit_passes_on_grids_with_self_inverse_offsets(dim, cutoff):
     assert cfg.grid == CellGrid(side, dim, 8) and 4 in cfg.grid.axis_offsets(cutoff)
 
 
+@pytest.mark.parametrize("dim, weight", [(1, 0.3), (2, 2.0)])
+def test_audited_run_gives_the_unaudited_trace(dim, weight):
+    # the audit after every event refiles every row to recompute the loads;
+    # neighbour queries list rows in id order, so the refiled index changes
+    # no distance, load or later event
+    am = gaussian(weight, 0.5, dim)
+    spec = ModelSpec("bolker_pacala", a_plus=triangular(2.0, 1.0, dim), a_minus=am, m=0.2)
+    torus = Torus(8.0, dim)
+    logs, loads = [], []
+    for audit_every in (1, 0):
+        rng = np.random.default_rng(50 + dim)
+        cfg = sample_poisson(torus, 30.0 / torus.volume, rng)
+        logs.append(run(spec, cfg, t_end=3.0, rng=rng, audit_every=audit_every).events)
+        loads.append(cfg.loads.copy())
+        assert cfg.grid == CellGrid.for_radius(torus, am.cutoff_radius())
+    audited, plain = logs
+    assert len(plain) > 200 and plain.births.any() and not plain.births.all()
+    for column in ("times", "births", "positions", "points", "parents"):
+        np.testing.assert_array_equal(getattr(audited, column), getattr(plain, column))
+    np.testing.assert_array_equal(loads[0], loads[1])
+
+
 def test_migration_without_competition_builds_no_index():
     # with no a- nothing asks the store for a radius: it keeps its columns
     # alone, and the audit after every event finds nothing to fault

@@ -16,6 +16,7 @@ from sbdsim.geometry import (
     TorusConfiguration,
     Window,
     _min_image_distances,
+    cell_runs,
     periodic_pairs,
     sample_poisson,
 )
@@ -62,8 +63,9 @@ def walk_pairs(grid, pts, radius):
     yielded distance is added to both rows of its pair."""
     pts = np.mod(np.asarray(pts, dtype=float), grid.side)
     out = [[] for _ in range(pts.shape[0])]
-    order, batches = periodic_pairs(grid, pts, grid.flat_cells_of(pts), radius)
-    for i, j, dist in batches:
+    runs = cell_runs(grid.flat_cells_of(pts))
+    order = runs[0]
+    for i, j, dist in periodic_pairs(grid, pts, runs, radius):
         for a, b, d in zip(order[i].tolist(), order[j].tolist(), dist.tolist()):
             out[a].append(d)
             out[b].append(d)
@@ -180,8 +182,16 @@ def test_periodic_pairs_three_points():
     assert walk_pairs(G10_1, pts, 5.0) == [[1.0, 4.0], [1.0, 5.0], [4.0, 5.0]]
     assert walk_pairs(G10_1, pts, 4.5) == [[1.0, 4.0], [1.0], [4.0]]
     assert walk_pairs(G10_1, pts[:1], 5.0) == [[]]
-    order, batches = periodic_pairs(G10_1, pts[:0], np.zeros(0, np.intp), 5.0)
-    assert order.size == 0 and list(batches) == []
+    runs = cell_runs(np.zeros(0, np.intp))
+    assert all(a.size == 0 for a in runs)
+    assert list(periodic_pairs(G10_1, pts[:0], runs, 5.0)) == []
+
+
+def test_cell_runs_sort_stably_by_cell():
+    order, occupied, first, count = cell_runs(np.array([3, 1, 3, 0, 1, 3]))
+    assert order.tolist() == [3, 1, 4, 0, 2, 5]
+    assert occupied.tolist() == [0, 1, 3]
+    assert first.tolist() == [0, 1, 3] and count.tolist() == [1, 2, 3]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -220,9 +230,10 @@ def test_periodic_pairs_list_each_unordered_pair_once(dim):
         ]
         for n_cells in range(1, 9):
             grid = CellGrid(side, dim, n_cells)
-            order, batches = periodic_pairs(grid, pts, grid.flat_cells_of(pts), radius)
+            runs = cell_runs(grid.flat_cells_of(pts))
+            order = runs[0]
             got = []
-            for i, j, _ in batches:
+            for i, j, _ in periodic_pairs(grid, pts, runs, radius):
                 a, b = order[i], order[j]
                 got += zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())
             assert sorted(got) == want, (radius, n_cells)
@@ -253,9 +264,10 @@ def test_pair_walk_distances_equal_the_neighbour_query(dim):
         pos = cfg._pos[:n]
         for n_cells in (1, 2, 4, 5, 8, cfg.grid.n):
             grid = CellGrid(side, dim, n_cells)
-            order, batches = periodic_pairs(grid, pos, grid.flat_cells_of(pos), radius)
+            runs = cell_runs(grid.flat_cells_of(pos))
+            order = runs[0]
             walked = {}
-            for i, j, dist in batches:
+            for i, j, dist in periodic_pairs(grid, pos, runs, radius):
                 for a, b, d in zip(order[i].tolist(), order[j].tolist(), dist.tolist()):
                     walked[a, b] = walked[b, a] = d
             assert walked == queried, (radius, n_cells)
@@ -268,10 +280,10 @@ def test_periodic_pairs_batches_are_bounded():
     rng = np.random.default_rng(12)
     grid = CellGrid(10.0, 1, 1)
     pts = rng.uniform(0.0, 10.0, (600, 1))
-    order, batches = periodic_pairs(grid, pts, grid.flat_cells_of(pts), 5.0)
-    assert sorted(order.tolist()) == list(range(600))
+    runs = cell_runs(grid.flat_cells_of(pts))
+    assert sorted(runs[0].tolist()) == list(range(600))
     sizes, codes, firsts = [], [], []
-    for i, j, dist in batches:
+    for i, j, dist in periodic_pairs(grid, pts, runs, 5.0):
         assert dist.size <= PAIR_BATCH and i.size == j.size == dist.size
         assert 0 <= i.min() and (i < j).all() and j.max() < 600
         assert (np.diff(i) >= 0).all()
@@ -729,6 +741,30 @@ def test_kernel_sums_same_on_every_cell_grid(dim):
         np.testing.assert_allclose(sums, expected, rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_sums_refile_on_the_store_grid(dim):
+    # kernel_sums files every row afresh on the grid of the store's first
+    # query (20 cells), not on its own cutoff's (about 3.3, so 8 cells), and
+    # leaves a sound index behind after inserts and removes
+    rng = np.random.default_rng(15 + dim)
+    torus = Torus(10.0, dim)
+    cfg = sample_poisson(torus, 40.0 / torus.volume, rng)
+    cfg.neighbors_within(np.zeros(dim), 0.5)
+    grid = CellGrid.for_radius(torus, 0.5)
+    k = gaussian(1.0, 0.5, dim)
+    assert cfg.grid == grid != CellGrid.for_radius(torus, k.cutoff_radius())
+    for _ in range(3):
+        for x in rng.uniform(0.0, 10.0, (10, dim)):
+            cfg.insert(x)
+        for _ in range(5):
+            cfg.remove(int(rng.integers(len(cfg))))
+        sums = cfg.kernel_sums(k)
+        assert cfg.grid == grid and cfg.cell_index_fault() is None
+        assert_cell_arrays_consistent(cfg)
+        assert_filed_in_row_order(cfg)
+        np.testing.assert_allclose(sums, brute_force_sums(cfg, k), rtol=1e-12, atol=1e-15)
+
+
 def test_kernel_too_wide_rejected():
     cfg = TorusConfiguration(T10_1)
     cfg.insert([5.0])
@@ -748,14 +784,6 @@ def test_sample_row_never_draws_zero_weight():
     total = 510.0 + 1e-12
     assert cfg.sample_row((255.0 + 0.5e-12) / total, 0.0) == 254
     assert cfg.sample_row(0.75, 0.0) == np.searchsorted(np.cumsum(loads), 0.75 * 510.0)
-
-
-def test_tail_budget_scales_with_population():
-    rng = np.random.default_rng(5)
-    cfg = uniform_cfg(Torus(20.0, 1), 17, rng)
-    k = gaussian(1.0, 1.0, 1)
-    assert cfg.kernel_sum_tail_budget(k) == pytest.approx(17 * k.tail_sup())
-    assert cfg.kernel_sum_tail_budget(k) < 1e-8
 
 
 # -- windows ------------------------------------------------------------------
