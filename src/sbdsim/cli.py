@@ -14,6 +14,7 @@ import json
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -336,24 +337,8 @@ def cmd_bounds(args) -> int:
     except OracleError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(
-        json.dumps(
-            {
-                "variant": args.variant,
-                "inputs": {
-                    "theta": inp.theta,
-                    "theta_prime": inp.theta_prime,
-                    "mass_a_plus": inp.mass_a_plus,
-                    "mass_a_minus": inp.mass_a_minus,
-                    "sup_a_plus": inp.sup_a_plus,
-                    "sup_a_minus": inp.sup_a_minus,
-                    "sup_b": inp.sup_b,
-                },
-                "bound": bound,
-            },
-            indent=2,
-        )
-    )
+    payload = {"variant": args.variant, "inputs": asdict(inp), "bound": bound}
+    print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
@@ -403,11 +388,17 @@ def cmd_analyze(args) -> int:
 
 
 def _load_with_overrides(args) -> RunConfig:
+    """The config with the command line's overrides: ``--seed`` and
+    ``--replicas`` are written into its resolved fields and parsed again, so
+    they meet the config's own checks; ``--out`` is taken as given, relative
+    to the working directory."""
+    from .config import parse_config
+
     cfg = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "replicas", None) is not None:
-        cfg.replicas = args.replicas
+    fields = {f: getattr(args, f, None) for f in ("seed", "replicas")}
+    fields = {f: v for f, v in fields.items() if v is not None}
+    if fields:
+        cfg = parse_config({**resolved_config_dict(cfg), **fields})
     if getattr(args, "out", None):
         cfg.out_dir = Path(args.out)
     if getattr(args, "audit", False) and cfg.audit_every == 0:
@@ -481,10 +472,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OracleError as exc:
+    except (ConfigError, OracleError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

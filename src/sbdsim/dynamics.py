@@ -15,9 +15,13 @@ incrementally on each event, together with the store's running load sum per
 block of rows; the total death rate reads the block sums, and the dying point
 is found first among the blocks and then inside one block.  Events address
 points by their row in the store: a birth's parent and a death are drawn as
-rows, and only the recorded event carries ids.  The optional audit checks the
-cell index and recomputes loads and block sums from scratch, with the same
-per-pair distances as the incremental updates, and fails loudly on drift.
+rows, and only the recorded event carries ids.  The point born or dying is
+never in the store while its neighbours are found: a birth queries them
+before its insert and a death after its removal, so no query leaves a row
+out, and only the store wraps positions into [0, side).  The optional audit
+checks the cell index and recomputes loads and block sums from scratch, with
+the same per-pair distances as the incremental updates, and fails loudly on
+drift.
 Waiting times are exponential in the total rate and the event type is chosen
 proportionally, so trajectories follow the exact jump chain.
 
@@ -295,28 +299,30 @@ class SimulationState:
     # -- event application ---------------------------------------------------
 
     def _add_point(self, position: np.ndarray) -> int:
+        """Add a point at ``position``, which the store wraps into the box,
+        and add its contribution to its neighbours' loads, found before it
+        is stored; return its id."""
         a_minus = self.spec.a_minus
         if a_minus is None:
             return self.cfg.insert(position)
-        x = self.torus.wrap(position)
-        rows, dists = self.cfg.neighbors_within(x, self._cutoff)
-        if not rows.size:
-            return self.cfg.insert(x)
+        rows, dists = self.cfg.neighbors_within(position, self._cutoff)
         contrib = a_minus.profile(dists)
         self.cfg.add_loads(rows, contrib)
-        return self.cfg.insert(x, load=float(contrib.sum()))
+        return self.cfg.insert(position, load=float(contrib.sum()))
 
-    def _remove_point(self, row: int) -> np.ndarray:
-        """Delete the point in ``row`` and take its contribution out of its
-        neighbours' loads.
+    def _remove_point(self, row: int) -> tuple[int, np.ndarray]:
+        """Delete the point in ``row``, then take its contribution out of
+        the loads of its neighbours, found once it is gone; return its id
+        and position.
 
         A load may end a rounding residue below zero and is then set to 0;
         one further below means the cache is corrupt and raises AuditError.
         """
         a_minus = self.spec.a_minus
-        x = self.cfg.position(row)
+        pid = self.cfg.point_at(row)
+        x = self.cfg.remove(row)
         if a_minus is not None:
-            rows, dists = self.cfg.neighbors_within(x, self._cutoff, exclude=row)
+            rows, dists = self.cfg.neighbors_within(x, self._cutoff)
             if rows.size:
                 contrib = a_minus.profile(dists)
                 old = self.cfg.loads[rows]
@@ -329,13 +335,11 @@ class SimulationState:
                         i = corrupt[0]
                         raise AuditError(
                             f"death-rate cache for point {self.cfg.point_at(rows[i])} "
-                            f"fell to {float(left[i])!r} on removing point "
-                            f"{self.cfg.point_at(row)}"
+                            f"fell to {float(left[i])!r} on removing point {pid}"
                         )
                     delta[below] = -old[below]  # residues go to exactly 0
                 self.cfg.add_loads(rows, delta)
-        self.cfg.remove(row)
-        return x
+        return pid, x
 
     def _apply_event(
         self, b: float, d: float, rng: np.random.Generator, log: EventLog
@@ -354,13 +358,12 @@ class SimulationState:
                 row = int(rng.integers(n))
                 parent = self.cfg.point_at(row)
                 disp = self.spec.a_plus.sample_displacement(rng)
-                pos = self.torus.wrap(self.cfg.position(row) + disp)
+                pos = self.cfg.position_view(row) + disp
             pid = self._add_point(pos)
             log._append(self.t, True, self.cfg.position_view(n), pid, parent)
             return
-        row = min(self.cfg.sample_row(rng.random(), self.spec.m), n - 1)
-        pid = self.cfg.point_at(row)
-        log._append(self.t, False, self._remove_point(row), pid, -1)
+        pid, x = self._remove_point(self.cfg.sample_row(rng.random(), self.spec.m))
+        log._append(self.t, False, x, pid, -1)
 
     def snapshot(self, at_time: float) -> Snapshot:
         ids = np.array(self.cfg.ids(), dtype=int)

@@ -1,10 +1,11 @@
 """Periodic boxes, the point store and its cell-list index, windows and
 Poisson draws.
 
-``Torus`` is the periodic box alone.  ``CellGrid``, a grid of cells that
-one rule picks for a radius, maps points to flat cells and lists the
-distinct cells within a radius of a cell.  ``cell_runs`` is the one sort by
-cell, shared by the store's filing and the pair walk.
+``Torus`` is the periodic box alone; its ``wrap`` takes points into
+[0, side).  ``CellGrid``, a grid of cells that one rule picks for a radius,
+maps points to flat cells and lists the distinct cells within a radius of a
+cell.  ``cell_runs`` is the one sort by cell, shared by the store's filing
+and the pair walk.
 ``TorusConfiguration`` is the simulator's one point store: dense columns of
 the living points, addressed by row alone, a load column with block sums
 for the death draw, and, on the grid of the first radius it is asked
@@ -61,7 +62,10 @@ class Torus:
         return self.side**self.dim
 
     def wrap(self, x: np.ndarray) -> np.ndarray:
-        return np.mod(x, self.side)
+        """``x`` taken into [0, side): ``np.mod`` alone rounds a coordinate a
+        hair below 0 up to side itself, which is taken to 0."""
+        x = np.mod(x, self.side)
+        return np.where(x < self.side, x, 0.0)
 
 
 @dataclass(frozen=True)
@@ -251,11 +255,11 @@ class TorusConfiguration:
     """Finite point configuration on a torus: the simulator's one point store.
 
     Living points fill rows 0..n-1 of dense columns: position, stable id,
-    flat grid cell, slot and competition load.  The row is a point's only
-    address: ``position``, ``remove`` and the ``exclude`` of a neighbour
-    query take rows and reject any outside 0..n-1.  Ids are a column, never
-    reused, that ``insert`` returns and ``point_at`` reads; nothing maps an
-    id back to its row.  ``insert`` appends a row; ``remove`` moves the last
+    flat grid cell, slot and competition load; positions are kept wrapped
+    into [0, side).  The row is a point's only address: ``position`` and
+    ``remove`` take rows and reject any outside 0..n-1.  Ids are a column,
+    never reused, that ``insert`` returns and ``point_at`` reads; nothing
+    maps an id back to its row.  ``insert`` appends a row; ``remove`` moves the last
     row into the freed one, so a row stays valid only until the next removal.
 
     ``grid`` is None until the first ``neighbors_within`` or
@@ -330,7 +334,8 @@ class TorusConfiguration:
         Returns the first row whose running weight reaches u times the total,
         as ``searchsorted(cumsum(base + loads), u * total)`` does, up to
         rounding of the block sums: the block is found among the block
-        weights, the row among that block's rows.  Needs at least one row.
+        weights, the row among that block's rows.  Needs at least one row,
+        and always returns one of 0..n-1.
         """
         n = self._n
         if n <= BLOCK_ROWS:
@@ -367,13 +372,10 @@ class TorusConfiguration:
         """Id of the point in ``row``."""
         return int(self._id[row])
 
-    def _check_row(self, row: int) -> int:
+    def position(self, row: int) -> np.ndarray:
         if not 0 <= row < self._n:
             raise GeometryError(f"no row {row} among {self._n} points")
-        return row
-
-    def position(self, row: int) -> np.ndarray:
-        return self._pos[self._check_row(row)].copy()
+        return self._pos[row].copy()
 
     def position_view(self, row: int) -> np.ndarray:
         """The stored position of ``row`` itself, not a copy: valid only
@@ -531,9 +533,11 @@ class TorusConfiguration:
 
     # -- local sums and counts ---------------------------------------------
 
-    def neighbors_within(self, x, radius: float, exclude: int | None = None):
-        """Rows and minimum-image distances of points within ``radius`` of x,
-        leaving out the row ``exclude``; a store with no grid gets one for ``radius``.
+    def neighbors_within(self, x, radius: float):
+        """Rows and minimum-image distances of the stored points within
+        ``radius`` of x, taken into the box first; a store with no grid gets
+        one for ``radius``.  A point asks about its neighbours while it is
+        not in the store: before its ``insert`` or after its ``remove``.
 
         Rows come back in ascending id order so float reductions are
         reproducible; they index ``loads`` until the next removal.
@@ -546,8 +550,9 @@ class TorusConfiguration:
             )
         x = np.asarray(x, dtype=float)
         coords = x.tolist()
-        if min(coords) < 0.0 or max(coords) > side:
+        if min(coords) < 0.0 or max(coords) >= side:
             x = self.torus.wrap(x)
+            coords = x.tolist()
         if self.grid is None:
             self._file(CellGrid.for_radius(self.torus, radius))
         grid = self.grid
@@ -562,8 +567,6 @@ class TorusConfiguration:
         d -= x
         dists = _min_image_distances(d, side)
         keep = dists <= radius
-        if exclude is not None:
-            keep &= rows != self._check_row(exclude)
         rows, dists = rows[keep], dists[keep]
         order = np.argsort(self._id[rows])
         return rows[order], dists[order]

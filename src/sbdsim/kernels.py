@@ -423,8 +423,11 @@ class TabulatedKernel(RadialKernel):
         return self.tail_sup_bound
 
     def characteristic_radius(self) -> float:
-        positive = np.nonzero(self.values > 0.0)[0]
-        return float(self.radii[positive[-1]]) / 2.0
+        """Half the radius where the support ends: the grid radius after the
+        last positive value, or the last one if the table ends above zero,
+        as a triangle's is half its radius."""
+        end = np.flatnonzero(self.values > 0.0)[-1] + 1
+        return float(self.radii[min(end, self.radii.size - 1)]) / 2.0
 
     @property
     def is_nonincreasing(self) -> bool:

@@ -18,6 +18,10 @@ import numpy as np
 from .geometry import CellGrid, Torus, Window, cell_runs, periodic_pairs
 from .kernels import unit_ball_volume
 
+# Largest log-space residual of the envelope fit that still reads as an
+# exponential envelope in the order n.
+ENVELOPE_RESIDUAL_TOL = 0.1
+
 
 class StatisticsError(ValueError):
     pass
@@ -148,16 +152,13 @@ class EnvelopeFit:
     theta: float
     max_residual: float
     orders: tuple[int, ...]
-    residual_tol: float = 0.1
 
     @property
     def envelope_ok(self) -> bool:
-        return self.max_residual <= self.residual_tol
+        return self.max_residual <= ENVELOPE_RESIDUAL_TOL
 
 
-def envelope_fit(
-    moments, volume: float, residual_tol: float = 0.1
-) -> EnvelopeFit:
+def envelope_fit(moments, volume: float) -> EnvelopeFit:
     """Fit (C, theta) to factorial moments; ``moments`` holds F_1..F_n values
     (bare floats or (value, se) pairs)."""
     if volume <= 0.0:
@@ -177,7 +178,6 @@ def envelope_fit(
         theta=float(slope),
         max_residual=resid,
         orders=tuple(orders),
-        residual_tol=residual_tol,
     )
 
 
@@ -229,7 +229,6 @@ def build_moment_report(
     window: Window,
     time: float,
     n_max: int = 3,
-    g_edges: np.ndarray | None = None,
     g_bins: int = 20,
     g_r_max: float | None = None,
 ) -> MomentReport:
@@ -239,9 +238,7 @@ def build_moment_report(
     dens = density(reps, torus)
     moments = factorial_moments(reps, window, n_max)
     try:
-        pair = pair_correlation(
-            reps, torus, edges=g_edges, n_bins=g_bins, r_max=g_r_max
-        )
+        pair = pair_correlation(reps, torus, n_bins=g_bins, r_max=g_r_max)
     except StatisticsError:
         pair = None
     try:

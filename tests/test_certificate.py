@@ -236,6 +236,20 @@ def test_certify_long_dispersal_gaussian_vs_finite_range():
     cert.self_check()
 
 
+def test_certify_tabulated_triangle_like_the_triangle():
+    # the table of the triangle of height 1 and radius 1 ends at zero; its
+    # length scale is where its support ends, halved, as the triangle's is,
+    # so the default search grid is the triangle's and so is theta
+    table = tabulated([0.0, 1.0], [1.0, 0.0], 1)
+    assert table.characteristic_radius() == TRI.characteristic_radius() == 0.5
+    assert tabulated([0.0, 1.0, 2.0], [1.0, 0.0, 0.0], 1).characteristic_radius() == 0.5
+    cert = certify(GAUSS, table, omega=1.0)
+    want = certify(GAUSS, TRI, omega=1.0).theta
+    assert cert.theta > 0.0 and cert.theta == pytest.approx(want, rel=1e-9)
+    assert cert.theta == pytest.approx(0.1005, abs=1e-4)
+    cert.self_check()
+
+
 def test_certify_2d():
     cert = certify(gaussian(1.0, 1.0, 2), triangular(1.0, 1.0, 2), omega=1.0)
     assert cert.theta > 0.0

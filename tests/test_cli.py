@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from sbdsim.cli import main
 from sbdsim.dynamics import ModelSpec, Snapshot, run
 from sbdsim.geometry import Torus, sample_poisson
 from sbdsim.kernels import ImmigrationField, gaussian, triangular
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(path, data):
@@ -97,6 +101,43 @@ def test_simulate_zero_replicas_is_usage_error(tmp_path):
     cfg["replicas"] = 0
     cfg_path = write_config(tmp_path / "cfg.json", cfg)
     assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, field",
+    [
+        ("simulate", "--replicas", "0", "replicas"),
+        ("certify", "--seed", "-1", "seed"),
+        ("verify", "--seed", "-1", "seed"),
+    ],
+)
+def test_overrides_meet_the_config_checks(tmp_path, capsys, command, flag, value, field):
+    cfg_path = write_config(tmp_path / "cfg.json", bp_config())
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg_path, "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: config error at {field}: ")
+    assert not out.exists()
+
+
+def test_workers_give_the_same_run(tmp_path, monkeypatch):
+    # replicas in two worker processes write the same files as in one; the
+    # manifests differ only in the output directory, which --out gives
+    # relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    config = str(CONFIGS / "competition_1d.json")
+    for workers in ("1", "2"):
+        argv = ["simulate", "--config", config, "--replicas", "3", "--out", f"w{workers}"]
+        assert main(argv + ["--workers", workers]) == 0
+    one, two = tmp_path / "w1", tmp_path / "w2"
+    for i in range(3):
+        for name in ("events.csv", "snapshots.csv"):
+            rel = f"replicas/r{i:04d}/{name}"
+            assert (one / rel).read_bytes() == (two / rel).read_bytes()
+    assert (one / "report.json").read_bytes() == (two / "report.json").read_bytes()
+    manifests = [json.loads((d / "manifest.json").read_text()) for d in (one, two)]
+    assert [m["config"]["output"].pop("dir") for m in manifests] == ["w1", "w2"]
+    assert manifests[0] == manifests[1]
 
 
 def test_simulate_missing_config_is_usage_error(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from sbdsim.geometry import (
+    BLOCK_ROWS,
     PAIR_BATCH,
     CellGrid,
     GeometryError,
@@ -245,7 +246,8 @@ def test_pair_walk_distances_equal_the_neighbour_query(dim):
     # kept up by neighbour queries: for every pair within the cutoff the two
     # must see the same distance bit for bit, from either end, whatever the
     # grids of the walk and of the store (12 cells for radius 0.5, 8 cells
-    # and rings 2 or 4 for the others)
+    # and rings 2 or 4 for the others).  A query at a stored point finds the
+    # point itself, which is no pair
     side = 6.0
     edge = [0.0, np.nextafter(side, 0.0), side / 2.0, 1.0, 1.0 + side / 2.0, 0.25]
     rng = np.random.default_rng(30 + dim)
@@ -257,9 +259,11 @@ def test_pair_walk_distances_equal_the_neighbour_query(dim):
         n = len(cfg)
         queried = {}
         for a in range(n):
-            rows, dists = cfg.neighbors_within(cfg.position(a), radius, exclude=a)
+            rows, dists = cfg.neighbors_within(cfg.position(a), radius)
+            assert a in rows
             for b, d in zip(rows.tolist(), dists.tolist()):
-                queried[a, b] = d
+                if b != a:
+                    queried[a, b] = d
         assert cfg.grid == CellGrid.for_radius(cfg.torus, radius)
         pos = cfg._pos[:n]
         for n_cells in (1, 2, 4, 5, 8, cfg.grid.n):
@@ -331,11 +335,7 @@ def test_rows_outside_the_store_are_rejected():
             cfg.position(row)
         with pytest.raises(GeometryError, match=f"no row {row}"):
             cfg.remove(row)
-        with pytest.raises(GeometryError, match=f"no row {row}"):
-            cfg.neighbors_within([1.5], 1.0, exclude=row)
     assert len(cfg) == 2
-    rows, _ = cfg.neighbors_within([1.5], 1.0, exclude=1)
-    assert rows.tolist() == [0]
 
 
 def test_insert_wraps_into_box():
@@ -344,6 +344,27 @@ def test_insert_wraps_into_box():
     np.testing.assert_allclose(cfg.position(0), [2.5])
     cfg.insert([-0.5])
     np.testing.assert_allclose(cfg.position(1), [9.5])
+
+
+@pytest.mark.parametrize("below", [-1e-18, np.nextafter(0.0, -1.0)])
+def test_a_hair_below_zero_wraps_to_zero(below):
+    # np.mod rounds these up to the side itself, outside [0, side); the box,
+    # insert and insert_many take them to 0, where a full-box window counts
+    # them
+    torus = Torus(20.0, 1)
+    assert np.mod(below, torus.side) == torus.side
+    assert torus.wrap(np.array([below])).tolist() == [0.0]
+    one, bulk = TorusConfiguration(torus), TorusConfiguration(torus)
+    one.insert([below])
+    bulk.insert_many([[below], [5.0]])
+    assert one.position(0).tolist() == bulk.position(0).tolist() == [0.0]
+    full = Window((0.0,), (torus.side,))
+    assert full.count(one.positions_array()) == 1
+    assert full.count(bulk.positions_array()) == 2
+    for cfg in (one, bulk):
+        rows, dists = cfg.neighbors_within([below], 1.0)
+        assert rows.tolist() == [0] and dists.tolist() == [0.0]
+        assert cfg.cell_index_fault() is None
 
 
 def test_positions_array_ascending_ids():
@@ -448,15 +469,13 @@ def test_flat_cell_formulas_agree_on_cell_edges(side, n_cells):
         assert t2.flat_cell_of(x) == cell == reference_flat_cell(t2, x)
 
 
-def brute_force_neighbors(cfg, x, radius, exclude=None):
-    """(ids, distances) within radius of x by a scan over every row but
-    ``exclude``, in plain Python floats with the minimum image per axis,
-    in ascending id order."""
+def brute_force_neighbors(cfg, x, radius):
+    """(ids, distances) within radius of x by a scan over every row, in
+    plain Python floats with the minimum image per axis, in ascending id
+    order."""
     x = [v % cfg.torus.side for v in x]
     found = []
     for row in range(len(cfg)):
-        if row == exclude:
-            continue
         dist = min_image_distance(cfg.torus.side, x, cfg.position(row).tolist())
         if dist <= radius:
             found.append((cfg.point_at(row), dist))
@@ -478,9 +497,9 @@ def test_neighbors_within_matches_brute_force(dim, grid_radius, seed, steps):
     # 30 or 12 cells, or 8 cells with rings 1 to 4 (2.5 and 3.0 reach the
     # offset 4, its own negative modulo the grid).  From then on, after
     # every step the index holds, and a query at a random spot and one at a
-    # live point with its row excluded, each with a random radius up to
-    # side/2 (so stencils wrap round the whole grid), equal the brute-force
-    # scan
+    # live point, which finds the point itself, each with a random radius
+    # up to side/2 (so stencils wrap round the whole grid), equal the
+    # brute-force scan
     side = 6.0
     rng = np.random.default_rng(seed)
     cfg = TorusConfiguration(Torus(side, dim))
@@ -493,17 +512,16 @@ def test_neighbors_within_matches_brute_force(dim, grid_radius, seed, steps):
         if step < first_query:
             assert cfg.grid is None and cfg.cell_index_fault() is None
             continue
-        queries = [(rng.uniform(-0.5 * side, 1.5 * side, dim), None)]
+        queries = [rng.uniform(-0.5 * side, 1.5 * side, dim)]
         if len(cfg):
-            row = int(rng.integers(len(cfg)))
-            queries.append((cfg.position(row), row))
-        for k, (x, exclude) in enumerate(queries):
+            queries.append(cfg.position(int(rng.integers(len(cfg)))))
+        for k, x in enumerate(queries):
             radius = rng.uniform(0.0, side / 2.0)
             if step == first_query and not k:
                 radius = grid_radius
-            rows, dists = cfg.neighbors_within(x, radius, exclude=exclude)
+            rows, dists = cfg.neighbors_within(x, radius)
             ids = [cfg.point_at(row) for row in rows.tolist()]
-            want_ids, want_dists = brute_force_neighbors(cfg, x.tolist(), radius, exclude)
+            want_ids, want_dists = brute_force_neighbors(cfg, x.tolist(), radius)
             assert ids == want_ids  # ascending, as cfg.ids() is
             assert dists.tolist() == want_dists
         assert cfg.grid == CellGrid.for_radius(cfg.torus, grid_radius)
@@ -784,6 +802,20 @@ def test_sample_row_never_draws_zero_weight():
     total = 510.0 + 1e-12
     assert cfg.sample_row((255.0 + 0.5e-12) / total, 0.0) == 254
     assert cfg.sample_row(0.75, 0.0) == np.searchsorted(np.cumsum(loads), 0.75 * 510.0)
+
+
+@pytest.mark.parametrize("n", [1, 100, BLOCK_ROWS, BLOCK_ROWS + 1, 700])
+def test_sample_row_at_the_largest_uniform_draws_the_last_row(n):
+    # u = nextafter(1, 0) puts the target within rounding of the total, on
+    # the path of at most BLOCK_ROWS rows and on the block path, also with a
+    # rounding residue in the last block sum that lifts the total past the
+    # rows' own weights: the draw is the last row, never row n
+    u = np.nextafter(1.0, 0.0)
+    cfg = uniform_cfg(T10_1, n, np.random.default_rng(n))
+    cfg.set_loads(np.random.default_rng(5).uniform(0.0, 2.0, n))
+    assert cfg.sample_row(u, 0.3) == n - 1
+    cfg._block[(n - 1) // BLOCK_ROWS] += 1e-9
+    assert cfg.sample_row(u, 0.3) == n - 1
 
 
 # -- windows ------------------------------------------------------------------
