@@ -360,13 +360,16 @@ def _pair_sums(
     sizes: np.ndarray,
     a_plus: RadialKernel,
     a_minus: RadialKernel,
+    starts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(S-, S+) per configuration of a ragged batch, one array pass per size.
 
-    ``points`` stacks the configurations in order, configuration i holding
-    ``sizes[i]`` rows.  Both sums are 0 for fewer than two points.
+    Configuration i is the ``sizes[i]`` rows of ``points`` from
+    ``starts[i]`` on; without ``starts`` the configurations are stacked in
+    order.  Both sums are 0 for fewer than two points.
     """
-    starts = np.cumsum(sizes) - sizes
+    if starts is None:
+        starts = np.cumsum(sizes) - sizes
     sum_minus = np.zeros(sizes.shape[0])
     sum_plus = np.zeros(sizes.shape[0])
     coords = points.T
@@ -480,14 +483,18 @@ def _draw_block(
     size_max: int,
     box: float,
     spread: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Draw b trials: each one's sampler (an index into ``names``), its size,
-    and all their points stacked in trial order.
+    the row its points start at, and all their points.
 
     ``cum`` holds the cumulative sampler weights.  Uniform and Poisson trials
     fill the cube of side ``box`` centred at the origin; the points of a
     cluster trial of sampler j are normal with standard deviation
-    ``spread[j]``.
+    ``spread[j]``.  The draws come in this order: the samplers, the sizes
+    per sampler, one ``uniform`` for the points of every box trial and one
+    ``normal`` for those of every cluster trial.  The points are stacked by
+    sampler class: the box trials' points in trial order, then the cluster
+    trials' points in trial order.
     """
     kind = np.minimum(np.searchsorted(cum, rng.random(b)), len(names) - 1)
     sizes = np.empty(b, dtype=np.intp)
@@ -500,13 +507,18 @@ def _draw_block(
             sizes[mine] = np.minimum(rng.poisson(size_max / 2.0, count), size_max)
         else:
             sizes[mine] = rng.integers(2, size_max + 1, count)
-    owner = np.repeat(kind, sizes)
-    boxed = np.array([n in ("uniform", "poisson") for n in names])[owner]
-    pts = np.empty((owner.shape[0], dim))
-    pts[boxed] = rng.uniform(-box / 2.0, box / 2.0, (int(np.count_nonzero(boxed)), dim))
-    clustered = owner[~boxed]
-    pts[~boxed] = rng.normal(0.0, 1.0, (clustered.shape[0], dim)) * spread[clustered, None]
-    return kind, sizes, pts
+    boxed = np.array([n in ("uniform", "poisson") for n in names])[kind]
+    box_sizes, cluster_sizes = sizes[boxed], sizes[~boxed]
+    n_box = int(box_sizes.sum())
+    starts = np.empty(b, dtype=np.intp)
+    starts[boxed] = np.cumsum(box_sizes) - box_sizes
+    starts[~boxed] = n_box + np.cumsum(cluster_sizes) - cluster_sizes
+    pts = np.empty((n_box + int(cluster_sizes.sum()), dim))
+    pts[:n_box] = rng.uniform(-box / 2.0, box / 2.0, (n_box, dim))
+    clustered = pts[n_box:]
+    clustered[...] = rng.normal(0.0, 1.0, clustered.shape)
+    clustered *= np.repeat(spread[kind[~boxed]], cluster_sizes)[:, None]
+    return kind, sizes, starts, pts
 
 
 def verify_certificate(
@@ -539,10 +551,13 @@ def verify_certificate(
     sampler in ``SAMPLER_NAMES`` order (uniform 0..size_max, Poisson with
     mean size_max / 2 truncated at size_max, clusters 2..size_max); the
     points of all box trials (one ``uniform``); and the points of all cluster
-    trials (one standard ``normal``, scaled per point).  The trials of each
-    size are then evaluated as one array, so ``u_theta(argmin_points)``
-    matches ``min_u`` to rounding: a vectorised ``exp`` may round an element
-    differently at another position in an array.
+    trials (one standard ``normal``, scaled per point).  The points are
+    stacked by sampler class, the box trials' before the cluster trials',
+    each class in trial order, and every trial is read from its own start
+    row.  The trials of each size are then evaluated as one array, so
+    ``u_theta(argmin_points)`` matches ``min_u`` to rounding: a vectorised
+    ``exp`` may round an element differently at another position in an
+    array.
 
     Raises CertificationError for a ``size_max`` the selected samplers cannot
     draw: below 2 with a cluster sampler, below 0 otherwise.
@@ -580,8 +595,10 @@ def verify_certificate(
 
     for done in range(0, trials, TRIAL_BATCH):
         b = min(TRIAL_BATCH, trials - done)
-        kind, sizes, pts = _draw_block(rng, b, dim, names, cum, size_max, box, spread)
-        sum_minus, sum_plus = _pair_sums(pts, sizes, a_plus, a_minus)
+        kind, sizes, starts, pts = _draw_block(
+            rng, b, dim, names, cum, size_max, box, spread
+        )
+        sum_minus, sum_plus = _pair_sums(pts, sizes, a_plus, a_minus, starts)
         u = omega * sizes + sum_minus - theta * sum_plus
         n_violations += int(np.count_nonzero(u < -1e-9 * (1.0 + omega * sizes)))
         real = np.flatnonzero(sizes >= 2)
@@ -590,7 +607,7 @@ def verify_certificate(
         i = real[np.argmin(u[real])]
         if u[i] < min_u:
             min_u = float(u[i])
-            start = int(sizes[:i].sum())
+            start = int(starts[i])
             argmin_pts = pts[start : start + sizes[i]].copy()
             argmin_sampler = names[kind[i]]
         pos = real[sum_plus[real] > 0.0]

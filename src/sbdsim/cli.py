@@ -174,6 +174,12 @@ def _surgailis_check(cfg: RunConfig, reports) -> dict | None:
 
 
 def cmd_simulate(args) -> int:
+    if args.workers < 1:
+        print(
+            f"usage error: --workers must be at least 1, got {args.workers}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     cfg = _load_with_overrides(args)
     try:  # certify and verify never use the torus, so only simulate checks it
         cfg.model.check_torus(cfg.torus)
@@ -183,7 +189,7 @@ def cmd_simulate(args) -> int:
     raw = resolved_config_dict(cfg)
 
     results = []
-    if getattr(args, "workers", 1) and args.workers > 1:
+    if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             futures = [
                 pool.submit(_run_one_replica, raw, str(Path.cwd()), i, str(cfg.out_dir))

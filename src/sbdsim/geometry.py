@@ -147,12 +147,22 @@ def _min_image_distances(d: np.ndarray, side: float) -> np.ndarray:
 def cell_runs(cells: np.ndarray) -> tuple[np.ndarray, ...]:
     """The package's one sort by cell: (order, occupied, first, count), the
     rows of ``cells`` stably sorted by cell, and each occupied cell with the
-    start and length of its run of rows in that order."""
-    order = np.argsort(cells, kind="stable")
-    occupied, first, count = np.unique(
-        cells[order], return_index=True, return_counts=True
-    )
-    return order, occupied, first, count
+    start and length of its run of rows in that order.
+
+    ``cells`` are nonnegative flat cells.  The sort takes them in the least
+    unsigned type that holds them, so grids of up to 2^16 cells get numpy's
+    radix sort; a stable sort is unique, so the order is the same.  The runs
+    come from one scan of the sorted cells for the rows where the cell
+    changes.
+    """
+    if not cells.size:
+        return tuple(np.zeros(0, t) for t in (np.intp, cells.dtype, np.intp, np.intp))
+    order = np.argsort(cells.astype(np.min_scalar_type(cells.max())), kind="stable")
+    in_order = cells[order]
+    changes = np.flatnonzero(in_order[1:] != in_order[:-1])
+    first = np.concatenate(([0], changes + 1))
+    count = np.diff(first, append=cells.size)
+    return order, in_order[first], first, count
 
 
 def periodic_pairs(

@@ -133,11 +133,13 @@ class RadialKernel:
 
         Contract: ``r >= 0`` (a length, not a signed coordinate); nothing is
         checked.  A float array is read in place, with no copy, and is
-        never written into; a scalar comes back as a float.
+        never written into; a scalar comes back as a float.  ``_profile``
+        takes an array of at least one axis and returns one fresh array.
         """
         arr = np.asarray(r, dtype=float)
-        out = self._profile(arr)
-        return float(out) if arr.ndim == 0 else out
+        if arr.ndim == 0:
+            return float(self._profile(arr.reshape(1))[0])
+        return self._profile(arr)
 
     # -- integrals and norms ---------------------------------------------
 
@@ -203,7 +205,12 @@ class GaussianKernel(RadialKernel):
         return self.weight / (2.0 * math.pi * self.sigma**2) ** (self.dim / 2.0)
 
     def _profile(self, r):
-        return self._peak * np.exp(-(r**2) / (2.0 * self.sigma**2))
+        # peak * exp(-(r**2) / (2 sigma^2)), in place in one fresh array
+        t = r * r
+        t /= -(2.0 * self.sigma**2)
+        np.exp(t, out=t)
+        t *= self._peak
+        return t
 
     def mass(self) -> float:
         return self.weight
@@ -248,7 +255,12 @@ class TriangularKernel(RadialKernel):
             raise KernelError(f"radius must be positive, got {self.radius}")
 
     def _profile(self, r):
-        return self.height * np.clip(1.0 - r / self.radius, 0.0, None)
+        # height * max(1 - r / radius, 0), in place in one fresh array
+        t = r / self.radius
+        np.subtract(1.0, t, out=t)
+        np.maximum(t, 0.0, out=t)
+        t *= self.height
+        return t
 
     def mass(self) -> float:
         d = self.dim
@@ -320,7 +332,11 @@ class ExponentialKernel(RadialKernel):
         )
 
     def _profile(self, r):
-        return self._peak * np.exp(-r / self.scale)
+        # peak * exp(-r / scale), in place in one fresh array
+        t = r / -self.scale
+        np.exp(t, out=t)
+        t *= self._peak
+        return t
 
     def mass(self) -> float:
         return self.weight

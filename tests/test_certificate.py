@@ -594,12 +594,14 @@ def test_single_sampler_mix_reports_that_sampler(name):
 @pytest.mark.parametrize("name", SAMPLER_NAMES)
 def test_draw_block_keeps_each_sampler_in_its_range(name):
     size_max, box = 7, 3.0
-    kind, sizes, pts = _draw_block(
+    kind, sizes, starts, pts = _draw_block(
         np.random.default_rng(26), 3000, 2, [name], np.array([1.0]),
         size_max, box, np.array([0.5]),
     )  # fmt: skip
     assert (kind == 0).all()
     assert pts.shape == (sizes.sum(), 2)
+    # one sampler class: the trials are stacked in trial order
+    assert np.array_equal(starts, np.cumsum(sizes) - sizes)
     assert sizes.max() == size_max  # Poisson(3.5) passes 7 in about 10% of draws
     if name == "uniform":
         assert sizes.min() == 0
@@ -614,13 +616,19 @@ def test_draw_block_keeps_each_sampler_in_its_range(name):
 def test_draw_block_stacks_each_trials_points_by_its_sampler():
     names = list(SAMPLER_NAMES)
     spread = np.array([0.0, 0.0, 1e-3, 1e3])
-    kind, sizes, pts = _draw_block(
+    kind, sizes, starts, pts = _draw_block(
         np.random.default_rng(27), 2000, 1, names, np.array([0.25, 0.5, 0.75, 1.0]),
         30, 2.0, spread,
     )  # fmt: skip
     assert set(kind.tolist()) == {0, 1, 2, 3}
     assert pts.shape == (sizes.sum(), 1)
-    starts = np.cumsum(sizes) - sizes
+    # every point belongs to exactly one trial: the box trials' points come
+    # first, then the cluster trials', each class in trial order
+    boxed = kind < 2
+    by_class = np.concatenate([np.flatnonzero(boxed), np.flatnonzero(~boxed)])
+    assert np.array_equal(
+        starts[by_class], np.cumsum(sizes[by_class]) - sizes[by_class]
+    )
     for j, start, size in zip(kind, starts, sizes):
         block = np.abs(pts[start : start + size])
         if j < 2:
@@ -629,6 +637,57 @@ def test_draw_block_stacks_each_trials_points_by_its_sampler():
             assert (block < 0.01).all()
         else:
             assert size < 2 or block.max() > 1.0
+
+
+def draw_block_in_trial_order(rng, b, dim, names, cum, size_max, box, spread):
+    """The trial-ordered stacking of ``_draw_block`` by per-point masks: the
+    same draws, each trial's points in one run, trials in order."""
+    kind = np.minimum(np.searchsorted(cum, rng.random(b)), len(names) - 1)
+    sizes = np.empty(b, dtype=np.intp)
+    for j, name in enumerate(names):
+        mine = kind == j
+        count = int(np.count_nonzero(mine))
+        if name == "uniform":
+            sizes[mine] = rng.integers(0, size_max + 1, count)
+        elif name == "poisson":
+            sizes[mine] = np.minimum(rng.poisson(size_max / 2.0, count), size_max)
+        else:
+            sizes[mine] = rng.integers(2, size_max + 1, count)
+    owner = np.repeat(kind, sizes)
+    boxed = np.array([n in ("uniform", "poisson") for n in names])[owner]
+    pts = np.empty((owner.shape[0], dim))
+    pts[boxed] = rng.uniform(-box / 2.0, box / 2.0, (int(np.count_nonzero(boxed)), dim))
+    clustered = owner[~boxed]
+    pts[~boxed] = rng.normal(0.0, 1.0, (clustered.shape[0], dim)) * spread[clustered, None]
+    return kind, sizes, pts
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("mix", [SAMPLER_NAMES] + [(name,) for name in SAMPLER_NAMES])
+def test_draw_block_matches_the_trial_ordered_stacking_bit_for_bit(dim, mix):
+    names = list(mix)
+    cum = np.cumsum(np.full(len(names), 1.0 / len(names)))
+    scales = {"cluster_competition": 0.3, "cluster_dispersal": 2.5}
+    spread = np.array([scales.get(n, 0.0) for n in names])
+    args = (1500, dim, names, cum, 12, 4.0, spread)
+    rng, want_rng = np.random.default_rng(32), np.random.default_rng(32)
+    kind, sizes, starts, pts = _draw_block(rng, *args)
+    want_kind, want_sizes, want_pts = draw_block_in_trial_order(want_rng, *args)
+    # the same draws, in the same order
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+    assert np.array_equal(kind, want_kind) and np.array_equal(sizes, want_sizes)
+    assert pts.shape == want_pts.shape
+    # each trial's points are its own rows, in its own order, with the same bits
+    want_starts = np.cumsum(sizes) - sizes
+    rows = np.concatenate([np.arange(s, s + n) for s, n in zip(starts, sizes)])
+    want_rows = np.concatenate([np.arange(s, s + n) for s, n in zip(want_starts, sizes)])
+    assert np.array_equal(np.sort(rows), np.arange(pts.shape[0]))
+    assert np.array_equal(pts[rows].view(np.uint64), want_pts[want_rows].view(np.uint64))
+    # so the pair sums read through the starts are those of the trial order
+    a_plus, a_minus = KERNELS_BY_DIM[dim]
+    got = _pair_sums(pts, sizes, a_plus, a_minus, starts)
+    want = _pair_sums(want_pts, sizes, a_plus, a_minus)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_theta_up_brackets_and_is_refuted_at_the_same_draws():

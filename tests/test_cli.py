@@ -120,6 +120,17 @@ def test_overrides_meet_the_config_checks(tmp_path, capsys, command, flag, value
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_needs_at_least_one_worker(tmp_path, capsys, workers):
+    cfg_path = write_config(tmp_path / "cfg.json", bp_config())
+    out = tmp_path / "o"
+    argv = ["simulate", "--config", cfg_path, "--out", str(out), "--workers", workers]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"usage error: --workers must be at least 1, got {workers}\n"
+    assert not out.exists()
+
+
 def test_workers_give_the_same_run(tmp_path, monkeypatch):
     # replicas in two worker processes write the same files as in one; the
     # manifests differ only in the output directory, which --out gives

@@ -195,6 +195,23 @@ def test_cell_runs_sort_stably_by_cell():
     assert first.tolist() == [0, 1, 3] and count.tolist() == [1, 2, 3]
 
 
+@pytest.mark.parametrize(
+    "n_cells, n",
+    [(5, 0), (1, 1), (1, 50), (7, 1), (200, 3000), (3000, 500), (70_000, 5000)],
+)
+def test_cell_runs_match_the_unique_reference(n_cells, n):
+    # no cells, a single cell, and random cells on grids below and above the
+    # 2^8 and 2^16 radix limits
+    cells = np.random.default_rng(n_cells + n).integers(0, n_cells, n).astype(np.intp)
+    order, occupied, first, count = cell_runs(cells)
+    want_order = np.argsort(cells, kind="mergesort")
+    want = np.unique(cells[want_order], return_index=True, return_counts=True)
+    assert np.array_equal(order, want_order)
+    for got, ref in zip((occupied, first, count), want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert order.dtype == np.intp
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_periodic_pairs_match_the_scan_on_every_cell_grid(dim):
     # coarse grids make the radius wrap round the whole grid, so cell

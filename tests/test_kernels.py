@@ -145,6 +145,14 @@ def test_evaluate_examples():
     assert gaussian(1.0, 1.0, 1).profile(1.0) == pytest.approx(0.241971, abs=1e-6)
 
 
+SEED_CLOSED_FORMS = {  # each family's profile as one expression of fresh arrays
+    "gaussian": lambda k, r: k._peak * np.exp(-(r**2) / (2.0 * k.sigma**2)),
+    "triangular": lambda k, r: k.height * np.clip(1.0 - r / k.radius, 0.0, None),
+    "exponential": lambda k, r: k._peak * np.exp(-r / k.scale),
+    "tabulated": lambda k, r: np.interp(r, k.radii, k.values, right=0.0),
+}
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("family", ["gaussian", "triangular", "exponential", "tabulated"])
 def test_profile_reads_an_array_of_lengths_in_place(family, dim):
@@ -154,17 +162,33 @@ def test_profile_reads_an_array_of_lengths_in_place(family, dim):
         "exponential": exponential(0.8, 0.4, dim),
         "tabulated": tabulated(*triangle_table(11), dim=dim),
     }[family]
+    closed_form = SEED_CLOSED_FORMS[family]
     cut = kernel.cutoff_radius()
-    r = np.concatenate([[0.0, cut, 2.0 * cut], np.linspace(0.0, 1.5 * cut, 37)])
-    before = r.copy()
-    r.flags.writeable = False  # writing into the input would raise
+    rng = np.random.default_rng(4)
+    # r = 0, the support's end, beyond it, and lengths inside and out
+    r = np.concatenate(
+        [[0.0, cut, 2.0 * cut], np.linspace(0.0, 1.5 * cut, 37), rng.random(3000) * 1.5 * cut]
+    )
+    grid = r.reshape(4, 760)[:, ::2]  # two axes and a strided view
+    for arr in (r, grid):
+        before = arr.copy()
+        arr.flags.writeable = False  # writing into the input would raise
+        got = kernel.profile(arr)
+        np.testing.assert_array_equal(arr, before)
+        assert got.dtype == float and got.shape == arr.shape and got is not arr
+        np.testing.assert_array_equal(got, kernel.profile(before))
+        # the seed's expression, bit for bit
+        assert np.array_equal(got.view(np.uint64), closed_form(kernel, before).view(np.uint64))
     got = kernel.profile(r)
-    np.testing.assert_array_equal(r, before)
-    assert got.dtype == float and got is not r
-    np.testing.assert_array_equal(got, kernel.profile(before))
-    scalars = [kernel.profile(x) for x in r]  # a scalar comes back as a float
+    scalars = [kernel.profile(x) for x in r[:40]]  # a scalar comes back as a float
     assert all(type(v) is float for v in scalars)
-    np.testing.assert_allclose(got, scalars, rtol=1e-15)
+    np.testing.assert_allclose(got[:40], scalars, rtol=1e-15)
+    for x in (0.5 * cut, np.float64(0.5 * cut), np.array(0.5 * cut)):
+        value = kernel.profile(x)
+        assert type(value) is float and value == float(closed_form(kernel, np.asarray(x)))
+    for empty in (np.zeros(0), np.zeros((3, 0))):
+        got = kernel.profile(empty)
+        assert type(got) is np.ndarray and got.shape == empty.shape
 
 
 def test_evaluate_beyond_support():
