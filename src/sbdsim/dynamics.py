@@ -22,6 +22,11 @@ out, and only the store wraps positions into [0, side).  The optional audit
 checks the cell index and recomputes loads and block sums from scratch, with
 the same per-pair distances as the incremental updates, and fails loudly on
 drift.
+The per-event path, ``total_rates`` and ``_apply_event`` with the store and
+kernel methods they call, reaches numpy only through ufuncs, ufunc methods
+and ndarray methods: a Python-level wrapper such as ``np.cumsum`` or
+``ndarray.sum`` costs a few microseconds per call, a sizeable share of an
+event that takes some tens of them.
 Waiting times are exponential in the total rate and the event type is chosen
 proportionally, so trajectories follow the exact jump chain.
 
@@ -231,6 +236,8 @@ class SimulationState:
     point's death rate (the sum of a_minus over its neighbours); the full
     death rate is m + load.  Loads change only through the store's
     ``add_loads`` and ``set_loads``, which keep its block sums current.
+    ``clamps`` counts the loads a removal set from a rounding residue below
+    zero to 0, and ``largest_clamp`` is the largest such residue.
     """
 
     def __init__(self, spec: ModelSpec, cfg: TorusConfiguration):
@@ -238,6 +245,8 @@ class SimulationState:
         self.cfg = cfg
         self.torus = cfg.torus
         self.t = 0.0
+        self.clamps = 0
+        self.largest_clamp = 0.0
         spec.check_torus(self.torus)
         if spec.b is not None:
             self._b_total = spec.b.integral(self.torus.side, self.torus.dim)
@@ -308,15 +317,16 @@ class SimulationState:
         rows, dists = self.cfg.neighbors_within(position, self._cutoff)
         contrib = a_minus.profile(dists)
         self.cfg.add_loads(rows, contrib)
-        return self.cfg.insert(position, load=float(contrib.sum()))
+        return self.cfg.insert(position, load=float(np.add.reduce(contrib)))
 
     def _remove_point(self, row: int) -> tuple[int, np.ndarray]:
         """Delete the point in ``row``, then take its contribution out of
         the loads of its neighbours, found once it is gone; return its id
         and position.
 
-        A load may end a rounding residue below zero and is then set to 0;
-        one further below means the cache is corrupt and raises AuditError.
+        A load may end a rounding residue below zero and is then set to 0,
+        counted in ``clamps`` and ``largest_clamp``; one further below means
+        the cache is corrupt and raises AuditError.
         """
         a_minus = self.spec.a_minus
         pid = self.cfg.point_at(row)
@@ -328,8 +338,8 @@ class SimulationState:
                 old = self.cfg.loads[rows]
                 left = old - contrib
                 delta = -contrib
-                below = left < 0.0
-                if below.any():
+                lowest = np.minimum.reduce(left)
+                if lowest < 0.0:
                     corrupt = np.flatnonzero(left < -1e-9 * (1.0 + contrib))
                     if corrupt.size:
                         i = corrupt[0]
@@ -337,7 +347,10 @@ class SimulationState:
                             f"death-rate cache for point {self.cfg.point_at(rows[i])} "
                             f"fell to {float(left[i])!r} on removing point {pid}"
                         )
+                    below = left < 0.0
                     delta[below] = -old[below]  # residues go to exactly 0
+                    self.clamps += int(np.count_nonzero(below))
+                    self.largest_clamp = max(self.largest_clamp, -float(lowest))
                 self.cfg.add_loads(rows, delta)
         return pid, x
 
@@ -373,7 +386,8 @@ class SimulationState:
 @dataclass
 class SimulationTrace:
     """What ``run`` returns: its events in an ``EventLog``, the scheduled
-    snapshots, and how and when the run ended."""
+    snapshots, how and when the run ended, and the load clamps of
+    ``SimulationState``: how many, and the largest residue."""
 
     events: EventLog
     snapshots: list[Snapshot] = field(default_factory=list)
@@ -381,6 +395,8 @@ class SimulationTrace:
     final_population: int = 0
     absorbed: bool = False
     guard_tripped: bool = False
+    clamps: int = 0
+    largest_clamp: float = 0.0
 
     @property
     def n_events(self) -> int:
@@ -442,4 +458,6 @@ def run(
             trace.snapshots.append(state.snapshot(s))
     trace.final_time = state.t
     trace.final_population = state.population
+    trace.clamps = state.clamps
+    trace.largest_clamp = state.largest_clamp
     return trace

@@ -18,6 +18,12 @@ minimum-image distance, of a neighbour query and of the pair walk, comes
 from one helper.
 ``sample_poisson`` draws a homogeneous Poisson configuration and loads it
 into the store in one bulk pass.
+The store's per-event methods (``insert``, ``remove``, ``neighbors_within``,
+``add_loads``, ``load_total`` and ``sample_row``) call numpy only through
+ufuncs, ufunc methods and ndarray methods, never through the Python-level
+wrappers of ``numpy/_core/fromnumeric.py`` and ``_methods.py``.  Each such
+wrapper costs a few microseconds, a sizeable share of an event that takes
+some tens of them.
 """
 
 from __future__ import annotations
@@ -138,8 +144,8 @@ def _min_image_distances(d: np.ndarray, side: float) -> np.ndarray:
     np.abs(d, out=d)
     np.minimum(d, side - d, out=d)
     d *= d
-    square = d[:, 0].copy()
-    for axis in range(1, d.shape[1]):
+    square = d[:, 0] if d.shape[1] == 1 else d[:, 0] + d[:, 1]
+    for axis in range(2, d.shape[1]):
         square += d[:, axis]
     return np.sqrt(square)
 
@@ -336,7 +342,8 @@ class TorusConfiguration:
 
     def load_total(self) -> float:
         """Sum of the load column, read from the block sums of the live rows."""
-        return float(self._block[: (self._n + BLOCK_ROWS - 1) >> BLOCK_SHIFT].sum())
+        live = self._block[: (self._n + BLOCK_ROWS - 1) >> BLOCK_SHIFT]
+        return float(np.add.reduce(live))
 
     def sample_row(self, u: float, base: float) -> int:
         """Row drawn with weight base + load, from one uniform ``u`` in [0, 1).
@@ -349,18 +356,18 @@ class TorusConfiguration:
         """
         n = self._n
         if n <= BLOCK_ROWS:
-            cum = np.cumsum(base + self._load[:n])
+            cum = np.add.accumulate(base + self._load[:n])
             return int(cum.searchsorted(u * cum[-1]))
         n_blocks = (n + BLOCK_ROWS - 1) >> BLOCK_SHIFT
         weights = self._block[:n_blocks] + base * BLOCK_ROWS
         weights[-1] -= base * ((n_blocks << BLOCK_SHIFT) - n)  # partial last block
-        cum = np.cumsum(weights)
+        cum = np.add.accumulate(weights)
         target = u * cum[-1]
         block = min(int(cum.searchsorted(target)), n_blocks - 1)
         if block:
             target -= cum[block - 1]
         lo = block << BLOCK_SHIFT
-        local = np.cumsum(base + self._load[lo : min(lo + BLOCK_ROWS, n)])
+        local = np.add.accumulate(base + self._load[lo : min(lo + BLOCK_ROWS, n)])
         # rounding may leave the target past the block's own total
         return lo + int(local.searchsorted(min(target, local[-1])))
 
@@ -415,13 +422,33 @@ class TorusConfiguration:
         )
         self._block = grown(self._block, -(-capacity // BLOCK_ROWS))
 
-    def insert(self, position, load: float = 0.0) -> int:
-        """Add a point as the last row with the given load; return its new id."""
-        x = self.torus.wrap(np.asarray(position, dtype=float))
+    def _in_box(self, position) -> tuple[np.ndarray, list[float]]:
+        """``position`` as a (dim,) float array in [0, side) and as a list
+        of Python floats.
+
+        ``Torus.wrap`` runs only when some coordinate is not strictly inside
+        (0, side), tested one coordinate at a time: a NaN fails that test
+        wherever it sits, and -0.0 is wrapped to +0.0.  A coordinate that is
+        not finite raises GeometryError.
+        """
+        x = np.asarray(position, dtype=float)
         if x.shape != (self.torus.dim,):
             raise GeometryError(
                 f"position has shape {x.shape}, expected ({self.torus.dim},)"
             )
+        coords = x.tolist()
+        side = self.torus.side
+        for v in coords:
+            if not 0.0 < v < side:
+                if not all(map(math.isfinite, coords)):
+                    raise GeometryError(f"position {coords} is not finite")
+                x = self.torus.wrap(x)
+                return x, x.tolist()
+        return x, coords
+
+    def insert(self, position, load: float = 0.0) -> int:
+        """Add a point as the last row with the given load; return its new id."""
+        x, coords = self._in_box(position)
         row, pid = self._n, self._next_id
         self._reserve(row + 1)
         self._pos[row] = x
@@ -429,7 +456,7 @@ class TorusConfiguration:
         self._load[row] = load
         self._block[row >> BLOCK_SHIFT] += load
         if self.grid is not None:
-            cell = self._cell[row] = self.grid.flat_cell_of(x.tolist())
+            cell = self._cell[row] = self.grid.flat_cell_of(coords)
             entry = self._cells.get(cell)
             if entry is None:
                 entry = self._cells[cell] = [np.empty(4, dtype=np.intp), 0]
@@ -448,11 +475,14 @@ class TorusConfiguration:
         vectorised pass, and drop the cell index: the next query files every
         row afresh, as it would after ``insert`` on each row in turn."""
         t = self.torus
-        x = t.wrap(np.asarray(positions, dtype=float))
+        x = np.asarray(positions, dtype=float)
         if x.ndim != 2 or x.shape[1] != t.dim:
             raise GeometryError(
                 f"positions have shape {x.shape}, expected (k, {t.dim})"
             )
+        if not np.isfinite(x).all():
+            raise GeometryError("positions must be finite")
+        x = t.wrap(x)
         k = x.shape[0]
         lo, hi = self._n, self._n + k
         self._reserve(hi)
@@ -558,11 +588,7 @@ class TorusConfiguration:
                 f"interaction radius {radius:g} exceeds half the box side "
                 f"{side / 2.0:g}"
             )
-        x = np.asarray(x, dtype=float)
-        coords = x.tolist()
-        if min(coords) < 0.0 or max(coords) >= side:
-            x = self.torus.wrap(x)
-            coords = x.tolist()
+        x, coords = self._in_box(x)
         if self.grid is None:
             self._file(CellGrid.for_radius(self.torus, radius))
         grid = self.grid
@@ -573,12 +599,12 @@ class TorusConfiguration:
         cells = self._cells
         parts = [e[0][: e[1]] for e in map(cells.get, stencil) if e is not None]
         rows = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
-        d = np.take(self._pos, rows, axis=0)
+        d = self._pos.take(rows, axis=0)
         d -= x
         dists = _min_image_distances(d, side)
         keep = dists <= radius
         rows, dists = rows[keep], dists[keep]
-        order = np.argsort(self._id[rows])
+        order = self._id[rows].argsort()
         return rows[order], dists[order]
 
     def kernel_sums(self, kernel: RadialKernel) -> np.ndarray:

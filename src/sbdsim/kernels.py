@@ -109,7 +109,8 @@ def _check_dim(dim: int) -> None:
 def uniform_direction(dim: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` unit vectors uniformly on the sphere in ``dim`` dimensions."""
     v = rng.standard_normal((size, dim))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    # np.linalg.norm(v, axis=1, keepdims=True) bit for bit, without its wrapper
+    norms = np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
     norms[norms == 0.0] = 1.0
     return v / norms
 
@@ -370,7 +371,9 @@ class TabulatedKernel(RadialKernel):
 
     The profile is zero beyond the last grid radius.  When the table truncates
     a kernel with unbounded support, the declared tail bounds certify how much
-    sup and mass the truncation discards; both default to zero.
+    sup and mass the truncation discards; both default to zero.  The kernel
+    keeps read-only copies of the grid, so the sampler's tables, computed
+    once, stay in step with it.
     """
 
     radii: np.ndarray = None
@@ -380,8 +383,9 @@ class TabulatedKernel(RadialKernel):
 
     def __post_init__(self):
         super().__post_init__()
-        radii = np.asarray(self.radii, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        radii = np.array(self.radii, dtype=float)
+        values = np.array(self.values, dtype=float)
+        radii.flags.writeable = values.flags.writeable = False
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "values", values)
         if radii.ndim != 1 or radii.size < 2:
@@ -458,21 +462,28 @@ class TabulatedKernel(RadialKernel):
             tail_mass_bound=self.tail_mass_bound * alpha,
         )
 
+    @cached_property
+    def _step_table(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The step function that dominates profile(s) * s^(d-1): its value
+        on each grid segment, the running sum of the segments' weights, and
+        their total."""
+        r, v = self.radii, self.values
+        seg_sup = np.maximum(v[:-1], v[1:]) * r[1:] ** (self.dim - 1)
+        seg_w = seg_sup * np.diff(r)
+        return seg_sup, np.cumsum(seg_w), float(seg_w.sum())
+
     def sample_radius(self, rng, size):
         # Rejection against a dominating step function on each grid segment.
         d = self.dim
         r, v = self.radii, self.values
-        seg_sup = np.maximum(v[:-1], v[1:]) * r[1:] ** (d - 1)
-        seg_w = seg_sup * np.diff(r)
-        total = seg_w.sum()
+        seg_sup, cum, total = self._step_table
         if total <= 0.0:
             raise KernelError("cannot sample from an all-zero kernel")
-        cum = np.cumsum(seg_w)
         out = np.empty(size)
         filled = 0
         while filled < size:
             n = max(2 * (size - filled), 16)
-            seg = np.searchsorted(cum, rng.random(n) * total)
+            seg = cum.searchsorted(rng.random(n) * total)
             s = r[seg] + rng.random(n) * (r[seg + 1] - r[seg])
             target = np.interp(s, r, v) * s ** (d - 1)
             acc = s[rng.random(n) * seg_sup[seg] < target]
@@ -514,6 +525,9 @@ class ImmigrationField:
     """Bounded nonnegative immigration intensity on a periodic box.
 
     Either constant, or piecewise constant on a regular grid over the box.
+    A grid field keeps a read-only copy of the grid, with the running sum of
+    its flattened cells and their total, computed once for
+    ``sample_position``.
     """
 
     def __init__(self, constant: float | None = None, grid: np.ndarray | None = None):
@@ -525,13 +539,17 @@ class ImmigrationField:
             self.constant = float(constant)
             self.grid = None
         else:
-            grid = np.asarray(grid, dtype=float)
+            grid = np.array(grid, dtype=float)
             if grid.ndim < 1 or not np.all(np.isfinite(grid)) or np.any(grid < 0.0):
                 raise KernelError("grid intensities must be finite and nonnegative")
             if len(set(grid.shape)) != 1:
                 raise KernelError("grid must have equal extent along every axis")
+            grid.flags.writeable = False
             self.constant = None
             self.grid = grid
+            flat = grid.ravel()
+            self._cum = np.cumsum(flat)
+            self._total = float(flat.sum())
 
     @property
     def dim(self) -> int | None:
@@ -562,11 +580,9 @@ class ImmigrationField:
                 f"grid has {self.grid.ndim} axes but the box has dimension {dim}"
             )
         n = self.grid.shape[0]
-        flat = self.grid.ravel()
-        total = flat.sum()
-        if total <= 0.0:
+        if self._total <= 0.0:
             raise KernelError("cannot sample from an all-zero intensity")
-        cell = np.searchsorted(np.cumsum(flat), rng.random() * total)
-        cell = min(cell, flat.size - 1)
+        cell = self._cum.searchsorted(rng.random() * self._total)
+        cell = min(cell, self.grid.size - 1)
         idx = np.array(np.unravel_index(cell, self.grid.shape), dtype=float)
         return (idx + rng.random(dim)) * (side / n)

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,13 @@ from sbdsim.dynamics import (
     SimulationState,
     run,
 )
-from sbdsim.geometry import CellGrid, Torus, TorusConfiguration, sample_poisson
+from sbdsim.geometry import (
+    BLOCK_ROWS,
+    CellGrid,
+    Torus,
+    TorusConfiguration,
+    sample_poisson,
+)
 from sbdsim.kernels import ImmigrationField, gaussian, triangular
 from sbdsim.oracles import bp_meanfield_density, surgailis_density
 from sbdsim.statistics import density
@@ -428,6 +435,97 @@ def test_removal_below_zero_load_raises():
     state.cfg.loads[0] -= 0.5
     with pytest.raises(AuditError, match="point 0"):
         state._remove_point(1)
+
+
+def grid_field():
+    g = [[0.2, 1.0, 0.5, 0.0], [0.3, 0.1, 0.9, 0.4], [1.0, 0.2, 0.2, 0.7]]
+    return ImmigrationField(grid=np.array(g + [[0.0, 0.6, 0.3, 0.8]]))
+
+
+def test_removal_counts_the_residues_it_clamps():
+    # points 0 and 2 each carry a- at distance 0.5 from point 1, less a
+    # crafted residue; removing point 1 sets both loads to exactly 0 and
+    # counts them, keeping the larger residue
+    am = triangular(1.0, 1.0, 1)
+    spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.2)
+    cfg = cfg_with_points(Torus(10.0, 1), [[5.0], [5.5], [6.0]])
+    state = SimulationState(spec, cfg)
+    assert state.cfg.loads.tolist() == [0.5, 1.0, 0.5]
+    state.cfg.add_loads(np.array([0, 2]), np.array([-1e-12, -3e-12]))
+    assert (state.clamps, state.largest_clamp) == (0, 0.0)
+    state._remove_point(1)
+    assert state.cfg.loads.tolist() == [0.0, 0.0]
+    assert state.clamps == 2
+    assert state.largest_clamp == pytest.approx(3e-12, rel=1e-3)
+    state.audit()
+
+
+def test_run_reports_its_clamps():
+    # a triangular a- leaves a load that should be exactly 0 a rounding
+    # residue below it now and then; run reports what the removals clamped
+    am = triangular(0.3, 1.0, 2)
+    spec = ModelSpec("migration", a_minus=am, m=0.2, b=grid_field())
+    rng = np.random.default_rng(0)
+    trace = run(spec, sample_poisson(Torus(12.0, 2), 1.0, rng), t_end=20.0, rng=rng)
+    assert trace.clamps > 0 and 0.0 < trace.largest_clamp < 1e-12
+    trace = run(migration_spec(), TorusConfiguration(Torus(10.0, 1)), 1.0, rng)
+    assert (trace.clamps, trace.largest_clamp) == (0, 0.0)
+
+
+# numpy's Python-level wrappers around its C entry points, such as np.cumsum,
+# np.take, np.argsort, ndarray.sum and ndarray.any
+NUMPY_WRAPPER_FILES = ("numpy/_core/fromnumeric.py", "numpy/_core/_methods.py")
+
+
+@pytest.mark.parametrize(
+    "variant, dim, side, density",
+    [
+        ("bolker_pacala", 1, 400.0, 1.0),
+        ("bolker_pacala", 2, 20.0, 2.0),
+        ("migration", 2, 12.0, 1.0),
+    ],
+)
+def test_event_path_calls_no_numpy_python_wrappers(variant, dim, side, density):
+    # bolker_pacala keeps n > BLOCK_ROWS, so each death draw takes the
+    # two-level path; the migration model stays below it and draws from one
+    # block, and its immigrants come from a grid field
+    if variant == "migration":
+        spec = ModelSpec(variant, a_minus=gaussian(0.3, 0.5, 2), m=0.2, b=grid_field())
+    elif dim == 1:
+        spec = ModelSpec(variant, a_plus=gaussian(1, 1, 1), a_minus=triangular(1, 1, 1))
+    else:
+        a_plus, a_minus = triangular(3.0, 1.0, 2), gaussian(0.5, 0.5, 2)
+        spec = ModelSpec(variant, a_plus=a_plus, a_minus=a_minus, m=0.5)
+    rng = np.random.default_rng(0)
+    state = SimulationState(spec, sample_poisson(Torus(side, dim), density, rng))
+    log = EventLog(dim)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            path = frame.f_code.co_filename.replace("\\", "/")
+            if path.endswith(NUMPY_WRAPPER_FILES):
+                calls.append(frame.f_code.co_name)
+
+    sizes = []
+    sys.setprofile(profile)
+    try:
+        for _ in range(2000):
+            b, d = state.total_rates()
+            state.t += rng.exponential(1.0 / (b + d))
+            state._apply_event(b, d, rng, log)
+            sizes.append(state.population)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    assert len(log) == 2000 and log.births.any() and not log.births.all()
+    # the clamp branch may call wrappers, so it must not have run
+    assert state.clamps == 0
+    if variant == "bolker_pacala":
+        assert min(sizes) > BLOCK_ROWS
+    else:
+        assert max(sizes) <= BLOCK_ROWS
+    state.audit()
 
 
 def test_holding_times_exponential_ks():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields
 from itertools import combinations, product
 
@@ -382,6 +383,42 @@ def test_a_hair_below_zero_wraps_to_zero(below):
         rows, dists = cfg.neighbors_within([below], 1.0)
         assert rows.tolist() == [0] and dists.tolist() == [0.0]
         assert cfg.cell_index_fault() is None
+
+
+@pytest.mark.parametrize("grid", [False, True])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_positions_are_rejected(bad, axis, grid):
+    # a NaN fails every comparison, in the first coordinate or a later one,
+    # so no test of the box may take it for a point inside; nothing is
+    # stored and numpy warns of nothing
+    cfg = TorusConfiguration(T10_2)
+    cfg.insert([1.0, 2.0])
+    if grid:
+        cfg.neighbors_within([1.0, 2.0], 1.0)
+    position = [3.0, 4.0]
+    position[axis] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match="finite"):
+            cfg.insert(position)
+        with pytest.raises(GeometryError, match="finite"):
+            cfg.insert_many([[5.0, 5.0], position])
+        with pytest.raises(GeometryError, match="finite"):
+            cfg.neighbors_within(position, 1.0)
+    assert len(cfg) == 1 and cfg.position(0).tolist() == [1.0, 2.0]
+    assert (cfg.grid is not None) == grid and cfg.cell_index_fault() is None
+
+
+def test_negative_zero_is_stored_as_zero():
+    # -0.0 is not strictly inside the box, so it is wrapped to +0.0
+    cfg = TorusConfiguration(T10_2)
+    cfg.insert([-0.0, 3.0])
+    cfg.insert_many([[3.0, -0.0]])
+    cfg.neighbors_within([1.0, 1.0], 1.0)
+    cfg.insert([-0.0, -0.0])
+    signs = [math.copysign(1.0, v) for v in cfg.positions_array().ravel().tolist()]
+    assert signs == [1.0] * 6 and cfg.cell_index_fault() is None
 
 
 def test_positions_array_ascending_ids():

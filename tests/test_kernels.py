@@ -403,6 +403,78 @@ def test_uniform_direction_unit_norm():
     assert abs(dirs.mean(axis=0)).max() < 0.05
 
 
+def tabulated_radii_per_call(kernel, rng, size):
+    """``TabulatedKernel.sample_radius`` as written before its tables were
+    kept: every call rebuilds them."""
+    d = kernel.dim
+    r, v = kernel.radii, kernel.values
+    seg_sup = np.maximum(v[:-1], v[1:]) * r[1:] ** (d - 1)
+    seg_w = seg_sup * np.diff(r)
+    total = seg_w.sum()
+    cum = np.cumsum(seg_w)
+    out = np.empty(size)
+    filled = 0
+    while filled < size:
+        n = max(2 * (size - filled), 16)
+        seg = np.searchsorted(cum, rng.random(n) * total)
+        s = r[seg] + rng.random(n) * (r[seg + 1] - r[seg])
+        target = np.interp(s, r, v) * s ** (d - 1)
+        acc = s[rng.random(n) * seg_sup[seg] < target]
+        take = min(acc.size, size - filled)
+        out[filled : filled + take] = acc[:take]
+        filled += take
+    return out
+
+
+def immigrant_per_call(grid, side, rng):
+    """``ImmigrationField.sample_position`` as written before its tables
+    were kept: every draw sums the flattened grid again."""
+    flat = grid.ravel()
+    total = flat.sum()
+    cell = np.searchsorted(np.cumsum(flat), rng.random() * total)
+    cell = min(cell, flat.size - 1)
+    idx = np.array(np.unravel_index(cell, grid.shape), dtype=float)
+    return (idx + rng.random(grid.ndim)) * (side / grid.shape[0])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_samplers_draw_as_their_per_call_formulas(dim):
+    # the tables computed once, and the direction's norm without
+    # np.linalg.norm, give the seeded draws of the per-call code bit for bit
+    radii, values = [0.0, 0.4, 1.0, 1.5, 2.0], [1.0, 0.9, 0.3, 0.3, 0.0]
+    kernel = tabulated(radii, values, dim=dim)
+    grid = np.random.default_rng(dim).random((3,) * dim)
+    grid.flat[0] = 0.0
+    field = ImmigrationField(grid=grid)
+    new, old = np.random.default_rng(20 + dim), np.random.default_rng(20 + dim)
+    for size in (1, 2, 7, 100):
+        want = tabulated_radii_per_call(kernel, old, size)
+        assert kernel.sample_radius(new, size).tolist() == want.tolist()
+        v = old.standard_normal((size, dim))
+        want = v / np.linalg.norm(v, axis=1, keepdims=True)
+        assert uniform_direction(dim, new, size).tolist() == want.tolist()
+    for _ in range(200):
+        want = immigrant_per_call(grid, 6.0, old)
+        assert field.sample_position(6.0, dim, new).tolist() == want.tolist()
+
+
+def test_samplers_keep_read_only_copies_of_their_grids():
+    # a caller's later write to its own arrays cannot make the kept tables
+    # stale, and the kept arrays refuse writes
+    radii, values = np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.0])
+    grid = np.array([[0.0, 1.0], [2.0, 3.0]])
+    kernel = tabulated(radii, values, dim=2)
+    field = ImmigrationField(grid=grid)
+    want_r = kernel.sample_radius(np.random.default_rng(3), 50).tolist()
+    want_x = field.sample_position(4.0, 2, np.random.default_rng(3)).tolist()
+    radii[1], values[1], grid[0, 0] = 0.1, 0.0, 9.0
+    assert kernel.sample_radius(np.random.default_rng(3), 50).tolist() == want_r
+    assert field.sample_position(4.0, 2, np.random.default_rng(3)).tolist() == want_x
+    for kept in (kernel.radii, kernel.values, field.grid):
+        with pytest.raises(ValueError):
+            kept[0] = 1.0
+
+
 # -- immigration field -------------------------------------------------------
 
 
