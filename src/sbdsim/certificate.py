@@ -445,10 +445,25 @@ TRIAL_BATCH = 4096
 
 @dataclass(frozen=True)
 class ViolationReport:
+    """What ``verify_certificate`` found, and the bracket of the best level.
+
+    ``theta_ceiling`` is mass(a-) / mass(a+): no theta above it is valid,
+    whatever the verifier drew.  Proof: put N points independently and
+    uniformly in a box B of R^d and write phi = a- - theta a+.  Then
+    E[U] = omega N + N (N - 1) I(B) / |B|^2, with I(B) the integral of
+    phi(x - y) over x and y in B.  As B grows, I(B) / |B| tends to
+    mass(a-) - theta mass(a+), which is negative for theta above the
+    ceiling; so some box has I(B) < 0, E[U] falls to -inf as N grows, and
+    some configuration has U < 0.  The best level thus lies in
+    [cert.theta, min(theta_up, theta_ceiling)], and a certified theta above
+    the ceiling is a bug.
+    """
+
     trials: int
     size_max: int
     min_u: float  # least U over sampled configurations of two or more points
     theta_up: float  # least theta a sampled configuration refutes
+    theta_ceiling: float  # mass(a-) / mass(a+), above which no theta is valid
     n_violations: int
     tolerance: float
     argmin_sampler: str
@@ -465,6 +480,7 @@ class ViolationReport:
             "size_max": self.size_max,
             "min_u": self.min_u,
             "theta_up": self.theta_up,
+            "theta_ceiling": self.theta_ceiling,
             "n_violations": self.n_violations,
             "tolerance": self.tolerance,
             "argmin_sampler": self.argmin_sampler,
@@ -620,6 +636,7 @@ def verify_certificate(
         size_max=size_max,
         min_u=float(min_u),
         theta_up=theta_up,
+        theta_ceiling=a_minus.mass() / a_plus.mass(),
         n_violations=n_violations,
         tolerance=1e-9,
         argmin_sampler=argmin_sampler,

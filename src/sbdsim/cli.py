@@ -120,7 +120,15 @@ def _run_one_replica(raw_config: dict, base_dir: str, index: int, out_dir: str):
     _write_events_csv(rep_dir / "events.csv", trace.events, cfg.torus.dim)
     _write_snapshots_csv(rep_dir / "snapshots.csv", trace.snapshots, cfg.torus.dim)
     snapshots = {snap.time: snap.positions for snap in trace.snapshots}
-    return index, snapshots, trace.guard_tripped, trace.absorbed, trace.n_events
+    return (
+        index,
+        snapshots,
+        trace.guard_tripped,
+        trace.absorbed,
+        trace.n_events,
+        trace.clamps,
+        trace.largest_clamp,
+    )
 
 
 def _aggregate_reports(cfg: RunConfig, per_replica_snaps: list[dict]):
@@ -212,6 +220,8 @@ def cmd_simulate(args) -> int:
         "guard_tripped": guard_flags,
         "absorbed": [r[3] for r in results],
         "n_events": [r[4] for r in results],
+        "clamps": [r[5] for r in results],
+        "largest_clamp": [r[6] for r in results],
     }
     (cfg.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
@@ -286,8 +296,10 @@ def cmd_certify(args) -> int:
     (cfg.out_dir / "certificate.json").write_text(json.dumps(cert.to_dict(), indent=2))
 
     report, _ = _verify_from_config(cfg, cert)
-    # theta_up next to theta gives the bracket [theta, theta_up]
-    print(json.dumps({**cert.to_dict(), "theta_up": report.theta_up}, indent=2))
+    # theta_up and theta_ceiling next to theta give the bracket
+    # [theta, min(theta_up, theta_ceiling)]
+    bracket = {"theta_up": report.theta_up, "theta_ceiling": report.theta_ceiling}
+    print(json.dumps({**cert.to_dict(), **bracket}, indent=2))
     if not report.passed:
         print(
             f"{report.n_violations} violations found (min U = {report.min_u!r})",

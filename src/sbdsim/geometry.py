@@ -13,17 +13,24 @@ about, per-cell arrays of rows that a neighbour query gathers through a
 memoised cell stencil.  ``periodic_pairs`` walks each unordered pair of
 points within a radius once, over half the neighbouring cell offsets, in
 bounded batches; the kernel sums add each pair's kernel to both its
-points, and the pair correlation counts each distance twice.  Every
-minimum-image distance, of a neighbour query and of the pair walk, comes
-from one helper.
+points, and the pair correlation counts each distance twice.  In d >= 2
+the walk orders each cell's rows by their first coordinate, the lead, and
+pairs a row only with the rows of a cell ahead along that axis whose lead
+is within the radius of its own, up to a pad of one quantum of the sort
+key; the exact distance test still decides every pair.  It hands its own
+order back with the batches, and the store's filing keeps its row order.
+Every minimum-image distance, of a neighbour query and of the pair walk,
+comes from one helper.
 ``sample_poisson`` draws a homogeneous Poisson configuration and loads it
 into the store in one bulk pass.
 The store's per-event methods (``insert``, ``remove``, ``neighbors_within``,
-``add_loads``, ``load_total`` and ``sample_row``) call numpy only through
-ufuncs, ufunc methods and ndarray methods, never through the Python-level
-wrappers of ``numpy/_core/fromnumeric.py`` and ``_methods.py``.  Each such
-wrapper costs a few microseconds, a sizeable share of an event that takes
-some tens of them.
+``add_loads``, ``load_total`` and ``sample_row``), and ``cell_runs``,
+``periodic_pairs`` and ``kernel_sums``, call numpy only through ufuncs,
+ufunc methods and ndarray methods, never through the Python-level wrappers
+of ``numpy/_core/fromnumeric.py``, ``_methods.py`` and
+``lib/_function_base_impl.py``.  Each such wrapper costs a few
+microseconds, a sizeable share of an event that takes some tens of them,
+and of a walk that makes a few calls per cell offset at n ~ 100.
 """
 
 from __future__ import annotations
@@ -44,6 +51,10 @@ BLOCK_SHIFT = 8
 BLOCK_ROWS = 1 << BLOCK_SHIFT
 # Row pairs per batch of the vectorised kernel sums; bounds their scratch memory.
 PAIR_BATCH = 1 << 14
+# The pair walk keys each row by its run in the high bits of an int64 and by
+# its lead coordinate, in quanta of side / 2**LEAD_BITS, in the low bits.
+LEAD_BITS = 32
+LEAD_MAX = (1 << LEAD_BITS) - 1
 
 
 class GeometryError(ValueError):
@@ -74,6 +85,16 @@ class Torus:
         return np.where(x < self.side, x, 0.0)
 
 
+def _most_cells_per_axis(dim: int) -> int:
+    """The largest n with n**dim < 2**63, so that flat cells fit an int64."""
+    n = int(2.0 ** (63 / dim))
+    while n**dim >= 2**63:
+        n -= 1
+    while (n + 1) ** dim < 2**63:
+        n += 1
+    return n
+
+
 @dataclass(frozen=True)
 class CellGrid:
     """Grid of n cells per axis on the box [0, side)^dim, for the pair walk
@@ -86,9 +107,10 @@ class CellGrid:
     @classmethod
     def for_radius(cls, torus: Torus, radius: float) -> "CellGrid":
         """The grid for queries within ``radius``: cells of the radius's
-        size, but never fewer than 8 per axis."""
+        size, but never fewer than 8 per axis, nor so many that a flat cell
+        reaches 2^63."""
         n = int(torus.side / min(radius, torus.side / 8.0)) if radius > 0.0 else 8
-        return cls(torus.side, torus.dim, n)
+        return cls(torus.side, torus.dim, min(n, _most_cells_per_axis(torus.dim)))
 
     @property
     def cell_size(self) -> float:
@@ -163,74 +185,129 @@ def cell_runs(cells: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     if not cells.size:
         return tuple(np.zeros(0, t) for t in (np.intp, cells.dtype, np.intp, np.intp))
-    order = np.argsort(cells.astype(np.min_scalar_type(cells.max())), kind="stable")
-    in_order = cells[order]
-    changes = np.flatnonzero(in_order[1:] != in_order[:-1])
-    first = np.concatenate(([0], changes + 1))
-    count = np.diff(first, append=cells.size)
-    return order, in_order[first], first, count
+    small = cells.astype(np.min_scalar_type(np.maximum.reduce(cells)))
+    order = small.argsort(kind="stable")
+    in_order = cells.take(order)
+    changes = (in_order[1:] != in_order[:-1]).nonzero()[0]
+    bounds = np.concatenate(([0], changes + 1, [cells.size]))
+    first = bounds[:-1]
+    return order, in_order.take(first), first, bounds[1:] - first
+
+
+def _lead_quanta(lead: np.ndarray, scale: float, pad: int) -> np.ndarray:
+    """``lead * scale`` truncated to int64, plus ``pad``, clamped to
+    -1..LEAD_MAX; ``lead`` is overwritten."""
+    lead *= scale
+    q = lead.astype(np.int64)
+    q += pad
+    np.maximum(q, -1, out=q)
+    return np.minimum(q, LEAD_MAX, out=q)
 
 
 def periodic_pairs(
     grid: CellGrid, pos: np.ndarray, runs: tuple[np.ndarray, ...], radius: float
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Unordered pairs of distinct rows of ``pos`` at most ``radius`` apart,
     each once, with their minimum-image distances, walked over neighbouring
     grid cells.
 
     ``pos`` holds points in [0, side]^dim and ``runs`` is ``cell_runs`` of
-    their flat cells on ``grid``.  Yields batches (i, j, dist) of at most
-    about PAIR_BATCH pairs each: the pair of rows ``order[i]`` and
-    ``order[j]`` of the runs' order and its distance, with ``i`` ascending
-    within a batch.  The cell offsets, from ``grid.axis_offsets``, are
-    distinct modulo the grid, so a radius that wraps round the whole grid
-    visits each cell once; only the lexicographically lower of each offset
-    and its negative is walked, every row paired with the rows of its offset
-    cell.  An offset that is its own negative pairs each two cells once, from
-    the lower one; the zero offset pairs i < j within a cell.  Scratch memory
-    is O(n + PAIR_BATCH).
+    their flat cells on ``grid``.  Returns (order, batches).  ``order`` is
+    the walk's own order of the rows of ``pos``, run by run as in ``runs``;
+    ``batches`` yields (i, j, dist) of at most about PAIR_BATCH pairs each:
+    the pair of rows ``order[i]`` and ``order[j]`` and its distance, with
+    ``i`` ascending within a batch.
+
+    The cell offsets, from ``grid.axis_offsets``, are distinct modulo the
+    grid, so a radius that wraps round the whole grid visits each cell once;
+    only the lexicographically lower of each offset and its negative is
+    walked, every row paired with the rows of its offset cell.  An offset
+    that is its own negative pairs each two cells once, from the lower one;
+    the zero offset pairs i < j within a cell.
+
+    In d >= 2, on grids of more than 2 rings + 1 cells per axis (rings =
+    ceil(radius / cell_size)), the walk cuts offsets along the first axis.
+    It orders each run by its lead, the first coordinate taken into
+    [0, side), with one sort of an int64 key: the run's index in the high
+    bits and the lead in quanta of side / 2^LEAD_BITS, clamped below
+    2^LEAD_BITS, in the low LEAD_BITS.  A walked offset whose first
+    component a is not 0 has 0 < a <= rings, and its target cell lies a - 1
+    to a + 1 cells ahead of a row along that axis; the other way round is at
+    least rings + 1 cells, farther than the radius, on such a grid.  So a
+    row with lead x pairs only with the prefix of its target run whose leads
+    are at most x + radius, less side where the target lies past the last
+    cell.  One ``searchsorted`` of the keys per offset finds every row's
+    prefix; its bound is padded by one quantum, so that no rounding of the
+    bound drops a pair within the radius, and the exact test
+    dist <= radius stays the only one that drops a pair.  In d = 1 the walk
+    keeps the filing's order and cuts nothing.  Scratch memory is
+    O(n + PAIR_BATCH).
     """
     order, occupied, first, count = runs
-    n = order.size
-    if not n:
-        return
-    pos = pos[order]
-    cell_of_row = np.repeat(np.arange(occupied.size), count)
-    shape = (grid.n,) * grid.dim
-    coords = np.unravel_index(occupied, shape)
-    for offset in product(grid.axis_offsets(radius), repeat=grid.dim):
-        mirror = tuple(-o % grid.n for o in offset)
-        if offset > mirror:
-            continue  # its pairs are walked from the other end
-        if not any(offset):  # row i pairs with the rows after it in its cell
-            start = np.arange(1, n + 1)
-            pairs = (first + count)[cell_of_row] - start
-        else:
-            target = np.ravel_multi_index(
-                tuple((c + o) % grid.n for c, o in zip(coords, offset)), shape
-            )
-            k = np.minimum(np.searchsorted(occupied, target), occupied.size - 1)
-            hit = occupied[k] == target
-            if offset == mirror:
-                hit &= occupied < target
-            start = np.where(hit, first[k], 0)[cell_of_row]
-            pairs = np.where(hit, count[k], 0)[cell_of_row]
-        ends = np.cumsum(pairs)
-        lo = 0
-        while lo < n:  # row i pairs with rows start[i] .. start[i] + pairs[i] - 1
-            done = ends[lo - 1] if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, done + PAIR_BATCH, "right")))
-            batch = pairs[lo:hi]
-            i = np.repeat(np.arange(lo, hi), batch)
-            first_pair = ends[lo:hi] - batch - done  # of each row, in this batch
-            j = np.arange(i.size) + np.repeat(start[lo:hi] - first_pair, batch)
-            d = np.take(pos, i, axis=0)
-            d -= np.take(pos, j, axis=0)
-            dist = _min_image_distances(d, grid.side)
-            keep = np.flatnonzero(dist <= radius)  # faster than three masks
-            yield i.take(keep), j.take(keep), dist.take(keep)
-            lo = hi
-        del ends, i, j, d, dist, keep  # freed before the next offset's arrays
+    n, side = order.size, grid.side
+    run_of_row = np.arange(occupied.size).repeat(count)
+    scale = 2.0**LEAD_BITS / side
+    keys = None
+    if grid.dim > 1 and grid.n > 2 * math.ceil(radius / grid.cell_size) + 1 and n:
+        lead = pos[:, 0].take(order)
+        np.mod(lead, side, out=lead)  # side itself is 0, as in its flat cell
+        keys = _lead_quanta(lead, scale, 0)
+        keys += run_of_row << LEAD_BITS
+        by_lead = keys.argsort()
+        order, keys = order.take(by_lead), keys.take(by_lead)
+
+    def batches():
+        if not n:
+            return
+        in_order = pos.take(order, axis=0)
+        strides = [grid.n**a for a in reversed(range(grid.dim))]
+        coords = [occupied // s % grid.n for s in strides]  # of each occupied cell
+        for offset in product(grid.axis_offsets(radius), repeat=grid.dim):
+            mirror = tuple(-o % grid.n for o in offset)
+            if offset > mirror:
+                continue  # its pairs are walked from the other end
+            if not any(offset):  # row i pairs with the rows after it in its cell
+                start = np.arange(1, n + 1)
+                pairs = (first + count).take(run_of_row) - start
+            else:
+                target = 0
+                for c, o in zip(coords, offset):
+                    target = target * grid.n + (c + o) % grid.n
+                k = occupied.searchsorted(target)
+                np.minimum(k, occupied.size - 1, out=k)
+                hit = occupied.take(k) == target
+                if offset == mirror:
+                    hit &= occupied < target
+                start = np.where(hit, first.take(k), 0).take(run_of_row)
+                if keys is None or not offset[0]:
+                    pairs = np.where(hit, count.take(k), 0).take(run_of_row)
+                else:  # the prefix of the target run within reach along the lead
+                    ahead = coords[0] + offset[0] < grid.n
+                    bound = np.where(ahead, radius, radius - side).take(run_of_row)
+                    bound += in_order[:, 0]  # a lead of side, not 0, only widens it
+                    bound = _lead_quanta(bound, scale, 1)
+                    bound += k.take(run_of_row) << LEAD_BITS
+                    end = keys.searchsorted(bound, "right")
+                    pairs = np.where(hit.take(run_of_row), end - start, 0)
+                    del bound, end  # freed before the batches
+            ends = np.add.accumulate(pairs)
+            lo = 0
+            while lo < n:  # row i pairs with rows start[i] .. start[i] + pairs[i] - 1
+                done = ends[lo - 1] if lo else 0
+                hi = max(lo + 1, int(ends.searchsorted(done + PAIR_BATCH, "right")))
+                batch = pairs[lo:hi]
+                i = np.arange(lo, hi).repeat(batch)
+                first_pair = ends[lo:hi] - batch - done  # of each row, in this batch
+                j = np.arange(i.size) + (start[lo:hi] - first_pair).repeat(batch)
+                d = in_order.take(i, axis=0)
+                d -= in_order.take(j, axis=0)
+                dist = _min_image_distances(d, side)
+                keep = (dist <= radius).nonzero()[0]  # faster than three masks
+                yield i.take(keep), j.take(keep), dist.take(keep)
+                lo = hi
+            del ends, i, j, d, dist, keep  # freed before the next offset's arrays
+
+    return order, batches()
 
 
 @dataclass(frozen=True)
@@ -535,7 +612,7 @@ class TorusConfiguration:
         bounds = zip(occupied.tolist(), first.tolist(), count.tolist())
         self._cells = {c: [order[a : a + k], k] for c, a, k in bounds}
         self._cell[:n] = cells
-        self._slot[order] = np.arange(n) - np.repeat(first, count)
+        self._slot[order] = np.arange(n) - first.repeat(count)
         self.grid, self._stencils = grid, {}
         return runs
 
@@ -611,9 +688,9 @@ class TorusConfiguration:
         """Each point's sum of kernel(distance) over the other points within
         the kernel cutoff, one entry per row, from one ``periodic_pairs``
         walk: the kernel of each unordered pair is added to both its rows,
-        by a bincount over the batch's span of rows at each end.  The walk
-        takes the runs of a fresh filing on the store's grid (or, with none
-        yet, the cutoff's)."""
+        by a bincount over the batch's span of rows at each end, in the
+        walk's own order.  The walk takes the runs of a fresh filing on the
+        store's grid (or, with none yet, the cutoff's)."""
         if kernel.dim != self.torus.dim:
             raise GeometryError(
                 f"kernel dimension {kernel.dim} != torus dimension {self.torus.dim}"
@@ -626,18 +703,19 @@ class TorusConfiguration:
             )
         n = self._n
         runs = self._file(self.grid or CellGrid.for_radius(self.torus, cutoff))
-        sums = np.zeros(n)  # in cell order
-        for i, j, dist in periodic_pairs(self.grid, self._pos[:n], runs, cutoff):
+        order, batches = periodic_pairs(self.grid, self._pos[:n], runs, cutoff)
+        sums = np.zeros(n)  # in the walk's order
+        for i, j, dist in batches:
             if not dist.size:
                 continue
             weights = kernel.profile(dist)
             for rows in (i, j):
-                lo = rows.min()
+                lo = np.minimum.reduce(rows)
                 part = np.bincount(rows - lo, weights=weights)
                 sums[lo : lo + part.size] += part
             del i, j, dist, weights, rows, part  # freed before the next batch
         out = np.empty(n)
-        out[runs[0]] = sums
+        out[order] = sums
         return out
 
 

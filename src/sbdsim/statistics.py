@@ -127,7 +127,7 @@ def pair_correlation(
         pts = torus.wrap(pts)
         counts = np.zeros(edges.size - 1, dtype=np.intp)
         runs = cell_runs(grid.flat_cells_of(pts))
-        for _, _, dist in periodic_pairs(grid, pts, runs, edges[-1]):
+        for _, _, dist in periodic_pairs(grid, pts, runs, edges[-1])[1]:
             counts += np.histogram(dist, bins=edges)[0]
         per_replica.append(2 * counts * torus.volume / (n * (n - 1) * shells))
     if not per_replica:

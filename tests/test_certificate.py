@@ -329,6 +329,7 @@ def test_certify_beats_the_searched_epsilon_with_fewer_cell_sums(monkeypatch, pa
     assert cert.riemann_sum <= cert.mass_a_plus + cert.epsilon
     rep = verify_certificate(cert, ap, am, trials=3000, rng=np.random.default_rng(30))
     assert rep.passed and cert.theta <= rep.theta_up
+    assert cert.theta <= rep.theta_ceiling == am.mass() / ap.mass()
 
 
 def test_shipped_configs_certify_at_least_the_searched_epsilon_theta():
@@ -696,6 +697,7 @@ def test_theta_up_brackets_and_is_refuted_at_the_same_draws():
     assert rep.passed
     assert cert.theta <= rep.theta_up < math.inf
     assert rep.to_dict()["theta_up"] == rep.theta_up
+    assert cert.theta <= rep.theta_ceiling == rep.to_dict()["theta_ceiling"]
     # the draws do not depend on theta: below theta_up nothing violates, and
     # just above it the configuration that attains it does
     for factor, passed in ((0.999, True), (1.01, False)):

@@ -9,6 +9,7 @@ import pytest
 
 from sbdsim import cli
 from sbdsim.cli import main
+from sbdsim.config import initial_configuration, load_config, replica_rng
 from sbdsim.dynamics import ModelSpec, Snapshot, run
 from sbdsim.geometry import Torus, sample_poisson
 from sbdsim.kernels import ImmigrationField, gaussian, triangular
@@ -293,6 +294,51 @@ def test_manifest_roundtrip_reproduces_run(tmp_path):
     assert a == b
 
 
+def test_manifest_records_each_replica_s_clamps(tmp_path):
+    # the grid-field migration run whose triangular a- leaves rounding
+    # residues below zero: the manifest lists each replica's clamps and
+    # largest clamped residue, as the run's trace reports them, and a rerun
+    # from the manifest repeats them and the events
+    grid = [[0.2, 1.0, 0.5, 0.0], [0.3, 0.1, 0.9, 0.4], [1.0, 0.2, 0.2, 0.7]]
+    cfg = {
+        "model": {
+            "variant": "migration",
+            "a_minus": {
+                "family": "triangular",
+                "params": {"height": 0.3, "radius": 1.0},
+                "dim": 2,
+            },
+            "m": 0.2,
+            "b": {"grid": grid + [[0.0, 0.6, 0.3, 0.8]]},
+        },
+        "torus": {"L": 12.0, "d": 2},
+        "init": {"poisson": 1.0},
+        "schedule": {"t_end": 20.0},
+        "replicas": 2,
+        "seed": 0,
+    }
+    cfg_path = write_config(tmp_path / "cfg.json", cfg)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out_a)]) == 0
+    manifest = json.loads((out_a / "manifest.json").read_text())
+    parsed = load_config(cfg_path)
+    for i in range(2):
+        rng = replica_rng(parsed.seed, i)
+        trace = run(parsed.model, initial_configuration(parsed, rng), parsed.t_end, rng)
+        assert manifest["clamps"][i] == trace.clamps
+        assert manifest["largest_clamp"][i] == trace.largest_clamp
+        assert manifest["n_events"][i] == trace.n_events
+    assert min(manifest["clamps"]) > 0 and 0.0 < max(manifest["largest_clamp"]) < 1e-12
+    manifest_path = out_a / "manifest.json"
+    assert main(["simulate", "--config", str(manifest_path), "--out", str(out_b)]) == 0
+    again = json.loads((out_b / "manifest.json").read_text())
+    for key in ("n_events", "clamps", "largest_clamp"):
+        assert again[key] == manifest[key]
+    for i in range(2):
+        events = f"replicas/r{i:04d}/events.csv"
+        assert (out_a / events).read_bytes() == (out_b / events).read_bytes()
+
+
 # -- certify / verify -----------------------------------------------------------
 
 
@@ -301,11 +347,15 @@ def test_certify_writes_certificate_and_passes(tmp_path, capsys):
     out = tmp_path / "cert"
     assert main(["certify", "--config", cfg_path, "--out", str(out)]) == 0
     cert = json.loads((out / "certificate.json").read_text())
-    # stdout is the certificate plus the verifier's theta_up: the bracket
+    # stdout is the certificate plus the verifier's theta_up and the
+    # ceiling mass(a-) / mass(a+): the bracket
     printed = json.loads(capsys.readouterr().out)
     theta_up = printed.pop("theta_up")
+    theta_ceiling = printed.pop("theta_ceiling")
     assert printed == cert
     assert printed["theta"] <= theta_up
+    ceiling = triangular(1.0, 1.0).mass() / gaussian(1.0, 1.0).mass()
+    assert printed["theta"] <= theta_ceiling == ceiling
     assert cert["theta"] > 0.0
     assert cert["omega"] == 1.0
     # chain invariants hold on the emitted fields
@@ -316,6 +366,7 @@ def test_certify_writes_certificate_and_passes(tmp_path, capsys):
     violations = json.loads((out / "violations.json").read_text())
     assert violations["n_violations"] == 0
     assert cert["theta"] <= violations["theta_up"] == theta_up
+    assert cert["theta"] <= violations["theta_ceiling"] == theta_ceiling
 
 
 def test_certify_without_competition_fails(tmp_path, capsys):

@@ -472,6 +472,34 @@ def test_run_reports_its_clamps():
     assert (trace.clamps, trace.largest_clamp) == (0, 0.0)
 
 
+def test_a_narrow_kernel_on_a_wide_box_builds_and_audits():
+    # cells of the radius would number 10^7 per axis in d=3, and flat cells
+    # past 2^63; the grid keeps 2097151 per axis, the most that fit.  Pairs
+    # 0.5e-4 apart along each axis and across the wrap carry loads of 0.5
+    torus = Torus(1000.0, 3)
+    am = triangular(1.0, 1e-4, 3)
+    spec = ModelSpec("bolker_pacala", a_plus=am, a_minus=am, m=0.2)
+    rng = np.random.default_rng(70)
+    points = rng.uniform(0.0, 1000.0, (200, 3))
+    close = points[:12].copy()
+    for k in range(12):
+        close[k, k % 3] += 0.5e-4
+    close[0] = [0.25e-4, 500.0, 500.0]
+    points[0] = [1000.0 - 0.25e-4, 500.0, 500.0]
+    cfg = TorusConfiguration(torus)
+    cfg.insert_many(np.concatenate([points, close]))
+    state = SimulationState(spec, cfg)
+    assert cfg.grid == CellGrid(1000.0, 3, 2097151)
+    want = np.zeros(212)
+    want[:12] = want[200:] = 0.5
+    np.testing.assert_allclose(cfg.loads, want, rtol=1e-8)  # coordinates near 1000
+    state.audit()
+    for _ in range(20):
+        b, d = state.total_rates()
+        state._apply_event(b, d, rng, EventLog(3))
+    state.audit()
+
+
 # numpy's Python-level wrappers around its C entry points, such as np.cumsum,
 # np.take, np.argsort, ndarray.sum and ndarray.any
 NUMPY_WRAPPER_FILES = ("numpy/_core/fromnumeric.py", "numpy/_core/_methods.py")

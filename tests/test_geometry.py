@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from collections import Counter
 from dataclasses import fields
 from itertools import combinations, product
 
@@ -9,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from sbdsim import geometry
 from sbdsim.geometry import (
     BLOCK_ROWS,
+    LEAD_BITS,
     PAIR_BATCH,
     CellGrid,
     GeometryError,
@@ -65,9 +69,8 @@ def walk_pairs(grid, pts, radius):
     yielded distance is added to both rows of its pair."""
     pts = np.mod(np.asarray(pts, dtype=float), grid.side)
     out = [[] for _ in range(pts.shape[0])]
-    runs = cell_runs(grid.flat_cells_of(pts))
-    order = runs[0]
-    for i, j, dist in periodic_pairs(grid, pts, runs, radius):
+    order, batches = periodic_pairs(grid, pts, cell_runs(grid.flat_cells_of(pts)), radius)
+    for i, j, dist in batches:
         for a, b, d in zip(order[i].tolist(), order[j].tolist(), dist.tolist()):
             out[a].append(d)
             out[b].append(d)
@@ -186,7 +189,8 @@ def test_periodic_pairs_three_points():
     assert walk_pairs(G10_1, pts[:1], 5.0) == [[]]
     runs = cell_runs(np.zeros(0, np.intp))
     assert all(a.size == 0 for a in runs)
-    assert list(periodic_pairs(G10_1, pts[:0], runs, 5.0)) == []
+    order, batches = periodic_pairs(G10_1, pts[:0], runs, 5.0)
+    assert order.size == 0 and list(batches) == []
 
 
 def test_cell_runs_sort_stably_by_cell():
@@ -250,9 +254,9 @@ def test_periodic_pairs_list_each_unordered_pair_once(dim):
         for n_cells in range(1, 9):
             grid = CellGrid(side, dim, n_cells)
             runs = cell_runs(grid.flat_cells_of(pts))
-            order = runs[0]
+            order, batches = periodic_pairs(grid, pts, runs, radius)
             got = []
-            for i, j, _ in periodic_pairs(grid, pts, runs, radius):
+            for i, j, _ in batches:
                 a, b = order[i], order[j]
                 got += zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())
             assert sorted(got) == want, (radius, n_cells)
@@ -287,9 +291,9 @@ def test_pair_walk_distances_equal_the_neighbour_query(dim):
         for n_cells in (1, 2, 4, 5, 8, cfg.grid.n):
             grid = CellGrid(side, dim, n_cells)
             runs = cell_runs(grid.flat_cells_of(pos))
-            order = runs[0]
+            order, batches = periodic_pairs(grid, pos, runs, radius)
             walked = {}
-            for i, j, dist in periodic_pairs(grid, pos, runs, radius):
+            for i, j, dist in batches:
                 for a, b, d in zip(order[i].tolist(), order[j].tolist(), dist.tolist()):
                     walked[a, b] = walked[b, a] = d
             assert walked == queried, (radius, n_cells)
@@ -302,10 +306,10 @@ def test_periodic_pairs_batches_are_bounded():
     rng = np.random.default_rng(12)
     grid = CellGrid(10.0, 1, 1)
     pts = rng.uniform(0.0, 10.0, (600, 1))
-    runs = cell_runs(grid.flat_cells_of(pts))
-    assert sorted(runs[0].tolist()) == list(range(600))
+    order, batches = periodic_pairs(grid, pts, cell_runs(grid.flat_cells_of(pts)), 5.0)
+    assert sorted(order.tolist()) == list(range(600))
     sizes, codes, firsts = [], [], []
-    for i, j, dist in periodic_pairs(grid, pts, runs, 5.0):
+    for i, j, dist in batches:
         assert dist.size <= PAIR_BATCH and i.size == j.size == dist.size
         assert 0 <= i.min() and (i < j).all() and j.max() < 600
         assert (np.diff(i) >= 0).all()
@@ -316,6 +320,191 @@ def test_periodic_pairs_batches_are_bounded():
     assert np.unique(np.concatenate(codes)).size == sum(sizes)
     assert all(a[1] < b[0] for a, b in zip(firsts, firsts[1:]))
     assert firsts[0][0] == 0 and firsts[-1][1] == 598
+
+
+# -- the cut along the lead ----------------------------------------------------
+
+
+def lead_boundary(m, scale):
+    """The least float whose lead, in quanta of 1 / scale, truncates to m."""
+    y = m / scale
+    while int(y * scale) >= m:
+        y = float(np.nextafter(y, -math.inf))
+    while int(y * scale) < m:
+        y = float(np.nextafter(y, math.inf))
+    return y
+
+
+def radius_apart(side, radius, dim, rng):
+    """Pairs of points ``radius`` apart along the lead, up to rounding: the
+    farther point sits on a quantum boundary of the walk's key, and the
+    nearer one at the rounded difference and one ulp either side of it.
+    Half the pairs are ahead in the box and half across the wrap; the other
+    coordinates of a pair are equal."""
+    scale = 2.0**LEAD_BITS / side
+    pts = []
+    for k in range(24):
+        wrap = k % 2
+        lo, hi = (0.0, radius) if wrap else (radius, side)
+        m = int(rng.integers(int(lo * scale) + 1, int(hi * scale)))
+        y = lead_boundary(m, scale)
+        x = y + (side - radius) if wrap else y - radius
+        rest = rng.uniform(0.0, side, dim - 1).tolist()
+        pts.append([y] + rest)
+        for near in (np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)):
+            pts.append([float(near)] + rest)
+    return np.array(pts)
+
+
+class CandidateCounter:
+    """Counts the candidate pairs whose distances the walk computes."""
+
+    def __init__(self, monkeypatch):
+        self.pairs = 0
+        helper = geometry._min_image_distances
+
+        def counted(d, side):
+            self.pairs += d.shape[0]
+            return helper(d, side)
+
+        monkeypatch.setattr(geometry, "_min_image_distances", counted)
+
+
+def uncut_candidates(grid, pts, radius):
+    """The candidate pairs of the walk without the cut: the rows of each
+    walked offset's whole target cell, by a count per cell."""
+    cells = Counter(grid.flat_cells_of(pts).tolist())
+    shape = (grid.n,) * grid.dim
+    total = 0
+    for offset in product(grid.axis_offsets(radius), repeat=grid.dim):
+        mirror = tuple(-o % grid.n for o in offset)
+        if offset > mirror:
+            continue
+        for cell, k in cells.items():
+            if not any(offset):
+                total += k * (k - 1) // 2
+                continue
+            coords = np.unravel_index(cell, shape)
+            moved = [(c + o) % grid.n for c, o in zip(coords, offset)]
+            target = reference_flat(moved, grid.n)
+            if offset != mirror or cell < target:
+                total += k * cells.get(target, 0)
+    return total
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize(
+    "radius, n_cells",
+    # side 7.3: 14 cells with rings 1 and 2; rings 1 on 3 and 4 cells and
+    # rings 2 on 5 and 6, that is 2 rings + 1 (uncut) and 2 rings + 2 (cut)
+    [(0.5, 14), (1.0, 14), (0.5, 3), (0.5, 4), (2.0, 5), (2.0, 6)],
+)
+def test_cut_walk_keeps_pairs_radius_apart_along_the_lead(
+    dim, radius, n_cells, monkeypatch
+):
+    # side 7.3 is no dyadic number, so a lead on a quantum boundary carries
+    # low bits that the bound x + radius (less side across the wrap) rounds
+    # away: only the padded bound keeps every pair the exact test keeps
+    side = 7.3
+    grid = CellGrid(side, dim, n_cells)
+    rings = math.ceil(radius / grid.cell_size)
+    assert n_cells in (2 * rings + 1, 2 * rings + 2) or n_cells == 14
+    pts = radius_apart(side, radius, dim, np.random.default_rng(40 + n_cells + dim))
+    counter = CandidateCounter(monkeypatch)
+    assert walk_pairs(grid, pts, radius) == scan_pairs(side, pts, radius)
+    uncut = uncut_candidates(grid, pts, radius)
+    if n_cells > 2 * rings + 1:
+        assert counter.pairs < uncut
+    else:
+        assert counter.pairs == uncut
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cut_walk_with_coincident_leads_and_leads_at_the_edges(dim):
+    # twelve points share one lead and differ elsewhere, so their keys tie;
+    # leads at 0, at side - ulp, whose quanta clamp below 2^32, and a hair
+    # below 0, which np.mod takes to side itself, the same place as 0
+    side = 7.3
+    rng = np.random.default_rng(50 + dim)
+    pts = rng.uniform(0.0, side, (60, dim))
+    pts[:12, 0] = 2.0
+    pts[12:18, 0] = np.nextafter(side, 0.0)
+    pts[18:22, 0] = 0.0
+    pts[22:26, 0] = -1e-18
+    pts[26:30, 1:] = pts[12:16, 1:]  # at the lead edges, one cell apart
+    pts[30:34, 1:] = pts[12:16, 1:]
+    pts[26:30, 0] = 0.25
+    pts[30:34, 0] = side - 0.25
+    for radius in (0.3, 0.5, 1.2, 2.0):
+        want = scan_pairs(side, pts, radius)
+        for n_cells in (3, 4, 5, 6, 14, 24):
+            assert walk_pairs(CellGrid(side, dim, n_cells), pts, radius) == want
+
+
+@pytest.mark.parametrize("strip", [False, True], ids=["uniform", "wrap-strip"])
+def test_cut_walk_drops_candidates_beyond_reach(strip, monkeypatch):
+    # a 4.5k-point store at density 5 in d=2 (8 cells of 3.75 per axis, the
+    # a- cutoff about 3.4), and points in the first and the last column of
+    # cells only, where every cut offset reaches across the wrap (8 cells of
+    # 1 per axis, radius 0.5): the walk computes at most 65% of the uncut
+    # walk's candidates and keeps the same sums
+    rng = np.random.default_rng(1)
+    if strip:
+        torus, kernel = Torus(8.0, 2), triangular(1.0, 0.5, 2)
+        cfg = TorusConfiguration(torus)
+        pts = rng.uniform(0.0, 8.0, (600, 2))
+        pts[:, 0] = rng.uniform(-1.0, 1.0, 600)
+        cfg.insert_many(pts)
+        cfg.neighbors_within([0.0, 0.0], 1.0)  # the store's grid: cells of 1
+    else:
+        torus, kernel = Torus(30.0, 2), gaussian(0.5, 0.5, 2)
+        cfg = sample_poisson(torus, 5.0, rng)
+        assert len(cfg) == 4502
+    counter = CandidateCounter(monkeypatch)
+    sums = cfg.kernel_sums(kernel)
+    assert cfg.grid == CellGrid(torus.side, 2, 8)
+    uncut = uncut_candidates(cfg.grid, cfg._pos[: len(cfg)], kernel.cutoff_radius())
+    assert counter.pairs <= 0.65 * uncut
+    if strip:
+        want = brute_force_sums(cfg, kernel)
+        np.testing.assert_allclose(sums, want, rtol=1e-12, atol=1e-15)
+
+
+# numpy's Python-level wrappers around its C entry points, such as np.cumsum,
+# np.argsort, np.diff, ndarray.min and ndarray.max
+NUMPY_WRAPPER_FILES = (
+    "numpy/_core/fromnumeric.py",
+    "numpy/_core/_methods.py",
+    "numpy/lib/_function_base_impl.py",
+)
+
+
+@pytest.mark.parametrize(
+    "dim, side, n, kernel",
+    [(1, 400.0, 400, triangular(1.0, 1.0, 1)), (2, 20.0, 4000, gaussian(0.5, 0.5, 2))],
+)
+def test_kernel_sums_call_no_numpy_python_wrappers(dim, side, n, kernel):
+    # the filing, the cell runs, the walk and the scatter: in d=2 the walk
+    # is cut (8 cells per axis, rings 2) and takes several batches per offset
+    cfg = TorusConfiguration(Torus(side, dim))
+    cfg.insert_many(np.random.default_rng(60 + dim).uniform(0.0, side, (n, dim)))
+    want = cfg.kernel_sums(kernel)  # the first call imports what it needs
+    assert cfg.grid.n == (400 if dim == 1 else 8)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            path = frame.f_code.co_filename.replace("\\", "/")
+            if path.endswith(NUMPY_WRAPPER_FILES):
+                calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        sums = cfg.kernel_sums(kernel)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    assert sums.tolist() == want.tolist() and cfg.cell_index_fault() is None
 
 
 # -- configurations and the cell index ---------------------------------------
