@@ -27,10 +27,12 @@ from .certificate import (
     verify_certificate,
 )
 from .config import (
+    FIELDS,
     ConfigError,
     RunConfig,
     initial_configuration,
     load_config,
+    parse_config,
     replica_rng,
     resolved_config_dict,
 )
@@ -99,11 +101,8 @@ def _write_points_csv(path: Path, points: np.ndarray) -> None:
             writer.writerow([repr(float(c)) for c in np.atleast_1d(row)])
 
 
-def _run_one_replica(raw_config: dict, base_dir: str, index: int, out_dir: str):
-    """Worker-safe single replica: parse, run, persist, return snapshots."""
-    from .config import parse_config
-
-    cfg = parse_config(raw_config, base_dir=Path(base_dir))
+def _run_one_replica(cfg: RunConfig, index: int):
+    """Worker-safe single replica: run, persist, return snapshots."""
     rng = replica_rng(cfg.seed, index)
     conf = initial_configuration(cfg, rng)
     trace = run(
@@ -115,7 +114,7 @@ def _run_one_replica(raw_config: dict, base_dir: str, index: int, out_dir: str):
         max_population=cfg.max_population,
         audit_every=cfg.audit_every,
     )
-    rep_dir = Path(out_dir) / "replicas" / f"r{index:04d}"
+    rep_dir = cfg.out_dir / "replicas" / f"r{index:04d}"
     rep_dir.mkdir(parents=True, exist_ok=True)
     _write_events_csv(rep_dir / "events.csv", trace.events, cfg.torus.dim)
     _write_snapshots_csv(rep_dir / "snapshots.csv", trace.snapshots, cfg.torus.dim)
@@ -194,26 +193,24 @@ def cmd_simulate(args) -> int:
     except DynamicsError as exc:
         raise ConfigError("torus.L", str(exc)) from None
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    raw = resolved_config_dict(cfg)
 
     results = []
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             futures = [
-                pool.submit(_run_one_replica, raw, str(Path.cwd()), i, str(cfg.out_dir))
-                for i in range(cfg.replicas)
+                pool.submit(_run_one_replica, cfg, i) for i in range(cfg.replicas)
             ]
             results = [f.result() for f in futures]
     else:
         for i in range(cfg.replicas):
-            results.append(_run_one_replica(raw, str(Path.cwd()), i, str(cfg.out_dir)))
+            results.append(_run_one_replica(cfg, i))
     results.sort(key=lambda r: r[0])
 
     per_replica_snaps = [r[1] for r in results]
     guard_flags = [r[2] for r in results]
     manifest = {
         "tool": {"name": "sbdsim", "version": __version__},
-        "config": raw,
+        "config": resolved_config_dict(cfg),
         "replica_traces": [
             str(Path("replicas") / f"r{i:04d}") for i in range(cfg.replicas)
         ],
@@ -379,8 +376,6 @@ def cmd_analyze(args) -> int:
         print(f"usage error: no manifest at {manifest_path}", file=sys.stderr)
         return EXIT_USAGE
     manifest = json.loads(manifest_path.read_text())
-    from .config import parse_config
-
     cfg = parse_config(manifest["config"], base_dir=run_dir)
     per_replica = []
     for rel, tripped in zip(manifest["replica_traces"], manifest["guard_tripped"]):
@@ -407,16 +402,12 @@ def cmd_analyze(args) -> int:
 
 def _load_with_overrides(args) -> RunConfig:
     """The config with the command line's overrides: ``--seed`` and
-    ``--replicas`` are written into its resolved fields and parsed again, so
-    they meet the config's own checks; ``--out`` is taken as given, relative
-    to the working directory."""
-    from .config import parse_config
-
+    ``--replicas`` meet the checks of their config fields; ``--out`` is
+    taken as given, relative to the working directory."""
     cfg = load_config(args.config)
-    fields = {f: getattr(args, f, None) for f in ("seed", "replicas")}
-    fields = {f: v for f, v in fields.items() if v is not None}
-    if fields:
-        cfg = parse_config({**resolved_config_dict(cfg), **fields})
+    for field in ("seed", "replicas"):  # fields that no default depends on
+        if getattr(args, field, None) is not None:
+            setattr(cfg, field, FIELDS[field].read(getattr(args, field), field, {}))
     if getattr(args, "out", None):
         cfg.out_dir = Path(args.out)
     if getattr(args, "audit", False) and cfg.audit_every == 0:

@@ -1,29 +1,32 @@
-"""Run configuration: JSON ingestion, validation, defaults, manifests.
+"""Run configuration: one table of fields, read from JSON and written back.
 
-Configs are plain JSON.  Validation errors name the offending field path so
-a bad config fails with a usage message, not a traceback.  Every run writes
-a manifest that echoes the fully resolved config (defaults filled in);
-feeding a manifest back in reproduces the run bit for bit.
+``FIELDS`` lists each config field once; ``parse_config`` walks it to read
+and check a config, ``resolved_config_dict`` to write it back with every
+default made explicit.  Errors name the field path, so a bad config fails
+with a usage message, not a traceback.  Relative paths in a config start at
+its directory.  Every run writes a manifest that embeds the resolved config,
+with ``output.dir`` absolute; feeding a manifest back in reproduces the run
+bit for bit, into the same directory.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .certificate import SearchGrid
-from .dynamics import DEFAULT_MAX_POPULATION, ModelSpec
-from .geometry import Torus, TorusConfiguration, Window
+from .certificate import CertificationError, SearchGrid
+from .dynamics import DEFAULT_MAX_POPULATION, DynamicsError, ModelSpec
+from .geometry import Torus, TorusConfiguration, Window, sample_poisson
 from .kernels import (
     ExponentialKernel,
     GaussianKernel,
     ImmigrationField,
-    RadialKernel,
     TabulatedKernel,
     TriangularKernel,
     exponential,
@@ -59,7 +62,13 @@ def _require(data: dict, key: str, path: str):
     return data[key]
 
 
-def _as_number(value, path: str, minimum=None, strict_min=None) -> float:
+def _as_type(value, path: str, kind: type = dict, what: str = "an object"):
+    if not isinstance(value, kind):
+        raise ConfigError(path, f"expected {what}, got {value!r}")
+    return value
+
+
+def _as_number(value, path: str, minimum=None, strict_min=None, most=None) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(path, f"expected a number, got {value!r}")
     v = float(value)
@@ -69,6 +78,8 @@ def _as_number(value, path: str, minimum=None, strict_min=None) -> float:
         raise ConfigError(path, f"must be >= {minimum}, got {v}")
     if strict_min is not None and v <= strict_min:
         raise ConfigError(path, f"must be > {strict_min}, got {v}")
+    if most is not None and v > most:
+        raise ConfigError(path, f"must be <= {most}, got {v}")
     return v
 
 
@@ -80,87 +91,273 @@ def _as_int(value, path: str, minimum=None) -> int:
     return value
 
 
-def load_points_csv(path: Path, dim: int) -> np.ndarray:
-    """Read initial positions, one point per row, dim columns."""
-    rows = []
-    with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) != dim:
-                raise ConfigError(
-                    f"init.csv row {i}", f"expected {dim} columns, got {len(row)}"
-                )
-            rows.append([float(v) for v in row])
-    return np.array(rows, dtype=float).reshape(-1, dim)
+def _as_points(rows, path: str, dim: int) -> np.ndarray:
+    """Positions as an (n, dim) array of finite floats; a flat list in d=1."""
+    try:
+        points = np.array(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, f"expected rows of {dim} numbers: {exc}") from None
+    if points.size == 0 or (dim == 1 and points.ndim == 1):
+        points = points.reshape(-1, dim)
+    if points.ndim != 2 or points.shape[1] != dim or not np.isfinite(points).all():
+        raise ConfigError(path, f"expected rows of {dim} finite numbers")
+    return points
 
 
-def kernel_from_config(data, path: str, dim_expected: int | None = None):
-    if data is None:
-        return None
-    if not isinstance(data, dict):
-        raise ConfigError(path, "expected a kernel object or null")
+def _number(minimum=None, strict_min=None, most=None):
+    """A reader of a number; ``most`` is a function of the values read so far."""
+    return lambda value, path, got: _as_number(
+        value, path, minimum, strict_min, None if most is None else most(got)
+    )
+
+
+def _integer(minimum: int):
+    return lambda value, path, got: _as_int(value, path, minimum)
+
+
+def _kind(kind: type, what: str):
+    return lambda value, path, got: _as_type(value, path, kind, what)
+
+
+def _read_kernel(data, path, got):
+    data = _as_type(data, path)
     family = _require(data, "family", path)
     dim = _as_int(_require(data, "dim", path), f"{path}.dim", minimum=1)
-    if dim_expected is not None and dim != dim_expected:
-        raise ConfigError(f"{path}.dim", f"must equal the torus dimension {dim_expected}")
-    params = data.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{path}.params", "expected an object")
+    if dim != got["torus.dim"]:
+        raise ConfigError(f"{path}.dim", f"must equal torus.d = {got['torus.dim']}")
+    where = f"{path}.params"
+    params = _as_type(data.get("params", {}), where)
     if not isinstance(family, str) or family not in KERNEL_FAMILIES:
         raise ConfigError(f"{path}.family", f"unknown kernel family {family!r}")
     _, factory, names = KERNEL_FAMILIES[family]
     try:
         if family != "tabulated":
-            return factory(
-                *(
-                    _as_number(
-                        _require(params, name, f"{path}.params"),
-                        f"{path}.params.{name}",
-                        strict_min=0.0,
-                    )
-                    for name in names
-                ),
-                dim,
+            args = (
+                _as_number(_require(params, n, where), f"{where}.{n}", strict_min=0.0)
+                for n in names
             )
-        if "csv" in params:
-            table = np.loadtxt(params["csv"], delimiter=",", ndmin=2)
-            radii, values = table[:, 0], table[:, 1]
+            return factory(*args, dim)
+        if "csv" in params:  # a file of (radius, value) rows
+            table = np.loadtxt(got["base_dir"] / params["csv"], delimiter=",", ndmin=2)
+            radii, values = table.T[:2]
+        elif "radii" in params and "values" in params:
+            radii, values = params["radii"], params["values"]
         else:
-            radii = params.get("radii")
-            values = params.get("values")
-            if radii is None or values is None:
-                raise ConfigError(
-                    f"{path}.params", "tabulated needs csv or radii+values"
-                )
-        return factory(
-            np.asarray(radii, dtype=float),
-            np.asarray(values, dtype=float),
-            dim,
-            **{name: float(params.get(name, 0.0)) for name in names[2:]},
-        )
+            raise ConfigError(where, "tabulated needs csv or radii+values")
+        tails = {n: _as_number(params.get(n, 0.0), f"{where}.{n}") for n in names[2:]}
+        return factory(radii, values, dim, **tails)
     except ConfigError:
         raise
     except Exception as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
-def immigration_from_config(data, path: str):
-    if data is None:
-        return None
-    if not isinstance(data, dict):
-        raise ConfigError(path, "expected an intensity object or null")
+def _write_kernel(kernel):
+    for family, (cls, _, names) in KERNEL_FAMILIES.items():
+        if isinstance(kernel, cls):
+            return {
+                "family": family,
+                "params": {
+                    name: np.asarray(getattr(kernel, name)).tolist() for name in names
+                },
+                "dim": kernel.dim,
+            }
+    raise ConfigError("model", f"cannot serialize kernel type {type(kernel)!r}")
+
+
+def _read_immigration(data, path, got):
+    data = _as_type(data, path)
     try:
         if "constant" in data:
             return ImmigrationField(constant=_as_number(
                 data["constant"], f"{path}.constant", minimum=0.0))
         if "grid" in data:
             return ImmigrationField(grid=np.asarray(data["grid"], dtype=float))
-    except ConfigError:
-        raise
-    except Exception as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(path, str(exc)) from exc
     raise ConfigError(path, "expected a 'constant' or 'grid' intensity")
+
+
+def _write_immigration(b):
+    return {"constant": b.constant} if b.grid is None else {"grid": b.grid.tolist()}
+
+
+def _read_init_points(block, path, got):
+    """Points inline or in a CSV file of one point per row (# starts a
+    comment), or None when the block gives a Poisson density."""
+    block = _as_type(block, path)
+    if "poisson" in block:
+        return None
+    if "csv" in block:
+        try:
+            rows = np.loadtxt(got["base_dir"] / block["csv"], delimiter=",", ndmin=2)
+        except (OSError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}.csv", f"cannot read points: {exc}") from None
+        return _as_points(rows, f"{path}.csv", got["torus.dim"])
+    if "points" in block:
+        return _as_points(block["points"], f"{path}.points", got["torus.dim"])
+    raise ConfigError(path, "expected 'poisson', 'csv', or 'points'")
+
+
+def _read_snapshot_times(times, path, got) -> tuple[float, ...]:
+    if not isinstance(times, list) or not times:
+        raise ConfigError(path, "expected a nonempty list")
+    return tuple(
+        _as_number(s, f"{path}[{i}]", minimum=0.0, most=got["t_end"])
+        for i, s in enumerate(times)
+    )
+
+
+def _default_snapshot_times(got) -> tuple[float, ...]:
+    """Snapshot cadence defaults to the competition time scale."""
+    t_end, burn_in, a_minus = got["t_end"], got["burn_in"], got["model.a_minus"]
+    if a_minus is not None and a_minus.mass() > 0.0:
+        step = 1.0 / a_minus.mass()
+    else:
+        step = t_end / 10.0 if t_end > 0.0 else 1.0
+    times = []
+    s = burn_in
+    while s < t_end - 1e-12:
+        times.append(round(s, 12))
+        s += step
+    times.append(t_end)
+    return tuple(t for t in times if t >= burn_in)
+
+
+def _read_window(w, path, got) -> Window:
+    w = _as_type(w, path)
+    try:
+        window = Window(tuple(w["lo"]), tuple(w["hi"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from exc
+    if window.dim != got["torus.dim"]:
+        raise ConfigError(path, f"dimension must be {got['torus.dim']}")
+    if any(h > got["torus.side"] for h in window.hi):
+        raise ConfigError(path, "window exceeds the box")
+    return window
+
+
+def _default_g_r_max(got) -> float | None:
+    """Five interaction radii, at most half the box; None without kernels."""
+    kernels = [got[k] for k in ("model.a_plus", "model.a_minus") if got[k] is not None]
+    if not kernels:
+        return None
+    radius = max(k.characteristic_radius() for k in kernels)
+    return min(got["torus.side"] / 2.0, 5.0 * radius)
+
+
+def _read_grid(block, path, got) -> SearchGrid | None:
+    """The certificate block's override of the search grid, if any; the
+    retired ``epsilons`` is refused."""
+    block = _as_type(block, path)
+    if "epsilons" in block:
+        raise ConfigError(
+            f"{path}.epsilons",
+            "no longer an option: epsilon is derived from the cell sum, "
+            "riemann_upper_sum(h) - mass",
+        )
+    if "radii" not in block and "h_factors" not in block:
+        return None
+    radii = _require(block, "radii", path)
+    try:
+        return SearchGrid(radii, block.get("h_factors", SearchGrid.h_factors))
+    except (TypeError, ValueError, CertificationError) as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _write_grid(grid):
+    return {"radii": list(grid.radii), "h_factors": list(grid.h_factors)}
+
+
+def _read_out_dir(value, path, got) -> Path:
+    """A directory; a relative one starts at the config's directory."""
+    return got["base_dir"] / _as_type(value, path, str, "a string")
+
+
+_MISSING = object()  # a field without a default, or a path without a value
+
+
+@dataclass(frozen=True)
+class Field:
+    """One row of ``FIELDS``.
+
+    ``attr`` is the ``RunConfig`` attribute the field fills (``model.m`` for
+    one of the ``ModelSpec``).  ``read(value, path, got)`` checks a JSON
+    value, given ``got``, the values read before it by attribute and
+    ``base_dir``.  ``default`` is the value, or a function of ``got`` that
+    gives it.  A field whose default is None reads and writes null as None;
+    any other field's None is left out of the JSON.  ``write`` turns any
+    other value back into JSON; a dict it returns for a block is merged into
+    the block.
+    """
+
+    attr: str
+    read: Callable
+    default: object = _MISSING
+    write: Callable = lambda value: value
+
+
+FIELDS = {
+    "torus.L": Field("torus.side", _number(strict_min=0.0)),
+    "torus.d": Field("torus.dim", _integer(1)),
+    "model.variant": Field("model.variant", lambda value, path, got: value),
+    "model.a_plus": Field("model.a_plus", _read_kernel, None, _write_kernel),
+    "model.a_minus": Field("model.a_minus", _read_kernel, None, _write_kernel),
+    "model.m": Field("model.m", _number(minimum=0.0), 0.0),
+    "model.b": Field("model.b", _read_immigration, None, _write_immigration),
+    "init": Field(
+        "init_points",
+        _read_init_points,
+        lambda got: None,
+        lambda points: {"points": points.tolist()},
+    ),
+    "init.poisson": Field(
+        "init_poisson",
+        _number(minimum=0.0),
+        lambda got: 1.0 if got["init_points"] is None else None,
+    ),
+    "schedule.t_end": Field("t_end", _number(minimum=0.0), 1.0),
+    "schedule.burn_in": Field(
+        "burn_in",
+        _number(minimum=0.0, most=lambda got: got["t_end"]),
+        lambda got: got["t_end"] / 2.0,
+    ),
+    "schedule.snapshot_times": Field(
+        "snapshot_times", _read_snapshot_times, _default_snapshot_times, list
+    ),
+    "replicas": Field("replicas", _integer(1), 1),
+    "seed": Field("seed", _integer(0), 0),
+    "analysis.window": Field(
+        "window",
+        _read_window,
+        lambda got: Window(
+            (0.0,) * got["torus.dim"], (got["torus.side"],) * got["torus.dim"]
+        ),
+        lambda w: {"lo": list(w.lo), "hi": list(w.hi)},
+    ),
+    "analysis.n_max": Field("n_max", _integer(1), 3),
+    "analysis.g_bins": Field("g_bins", _integer(1), 20),
+    "analysis.g_r_max": Field(
+        "g_r_max",
+        _number(strict_min=0.0, most=lambda got: got["torus.side"] / 2.0),
+        _default_g_r_max,
+    ),
+    "certificate.omega": Field("omega", _number(strict_min=0.0), 1.0),
+    "certificate": Field("cert_grid", _read_grid, lambda got: None, _write_grid),
+    "certificate.trials": Field("cert_trials", _integer(1), 100_000),
+    "certificate.size_max": Field("cert_size_max", _integer(2), 30),
+    "certificate.tight_packing": Field("tight_packing", _kind(bool, "a boolean"), True),
+    "guard.max_population": Field(
+        "max_population", _integer(1), DEFAULT_MAX_POPULATION
+    ),
+    "guard.audit_every": Field("audit_every", _integer(0), 0),
+    "output.dir": Field(
+        "out_dir",
+        _read_out_dir,
+        lambda got: got["base_dir"] / "runs/latest",
+        lambda out_dir: str(out_dir.absolute()),
+    ),
+}
 
 
 @dataclass
@@ -190,168 +387,34 @@ class RunConfig:
     audit_every: int
 
 
-def _default_snapshot_times(t_end: float, burn_in: float, model: ModelSpec):
-    """Snapshot cadence defaults to the competition time scale."""
-    if model.a_minus is not None and model.a_minus.mass() > 0.0:
-        step = 1.0 / model.a_minus.mass()
-    else:
-        step = t_end / 10.0 if t_end > 0.0 else 1.0
-    times = []
-    s = burn_in
-    while s < t_end - 1e-12:
-        times.append(round(s, 12))
-        s += step
-    times.append(t_end)
-    return tuple(t for t in times if t >= burn_in)
+def _pop_part(got: dict, head: str) -> dict:
+    prefix = head + "."
+    return {a[len(prefix):]: got.pop(a) for a in list(got) if a.startswith(prefix)}
 
 
 def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("$", "top level must be a JSON object")
-    if "config" in data and isinstance(data["config"], dict):
+    """Read, default and check every field of ``FIELDS``, in its order."""
+    data = _as_type(data, "$")
+    if isinstance(data.get("config"), dict):
         data = data["config"]  # accept a manifest wherever a config is accepted
-    base = Path(base_dir) if base_dir else Path.cwd()
-
-    torus_block = _require(data, "torus", "$")
-    side = _as_number(_require(torus_block, "L", "torus"), "torus.L", strict_min=0.0)
-    dim = _as_int(_require(torus_block, "d", "torus"), "torus.d", minimum=1)
-
-    model_block = _require(data, "model", "$")
-    variant = _require(model_block, "variant", "model")
-    a_plus = kernel_from_config(model_block.get("a_plus"), "model.a_plus", dim)
-    a_minus = kernel_from_config(model_block.get("a_minus"), "model.a_minus", dim)
-    b = immigration_from_config(model_block.get("b"), "model.b")
-    m = _as_number(model_block.get("m", 0.0), "model.m", minimum=0.0)
+    got = {"base_dir": Path(base_dir) if base_dir else Path.cwd()}
+    for path, field in FIELDS.items():
+        block, _, key = path.rpartition(".")  # an absent block reads as empty
+        node = _as_type(data.get(block, {}), block) if block else data
+        value = node.get(key, _MISSING)
+        if value is _MISSING:
+            if field.default is _MISSING:
+                raise ConfigError(path, "missing required field")
+            value = field.default(got) if callable(field.default) else field.default
+        elif value is not None or field.default is not None:
+            value = field.read(value, path, got)
+        got[field.attr] = value
+    del got["base_dir"]
     try:
-        model = ModelSpec(variant=variant, a_plus=a_plus, a_minus=a_minus, m=m, b=b)
-    except Exception as exc:
+        model = ModelSpec(**_pop_part(got, "model"))
+    except DynamicsError as exc:
         raise ConfigError("model", str(exc)) from exc
-
-    torus = Torus(side, dim)
-
-    init_block = data.get("init", {"poisson": 1.0})
-    init_poisson = None
-    init_points = None
-    if "poisson" in init_block:
-        init_poisson = _as_number(init_block["poisson"], "init.poisson", minimum=0.0)
-    elif "csv" in init_block:
-        init_points = load_points_csv(base / init_block["csv"], dim)
-    elif "points" in init_block:
-        init_points = np.asarray(init_block["points"], dtype=float).reshape(-1, dim)
-    else:
-        raise ConfigError("init", "expected 'poisson', 'csv', or 'points'")
-
-    schedule = data.get("schedule", {})
-    t_end = _as_number(schedule.get("t_end", 1.0), "schedule.t_end", minimum=0.0)
-    burn_in = _as_number(
-        schedule.get("burn_in", t_end / 2.0), "schedule.burn_in", minimum=0.0
-    )
-    if burn_in > t_end:
-        raise ConfigError("schedule.burn_in", "must not exceed t_end")
-    if "snapshot_times" in schedule:
-        times = schedule["snapshot_times"]
-        if not isinstance(times, list) or not times:
-            raise ConfigError("schedule.snapshot_times", "expected a nonempty list")
-        snapshot_times = tuple(
-            _as_number(s, f"schedule.snapshot_times[{i}]", minimum=0.0)
-            for i, s in enumerate(times)
-        )
-        if any(s > t_end for s in snapshot_times):
-            raise ConfigError("schedule.snapshot_times", "times must not exceed t_end")
-    else:
-        snapshot_times = _default_snapshot_times(t_end, burn_in, model)
-
-    replicas = _as_int(data.get("replicas", 1), "replicas", minimum=1)
-    seed = _as_int(data.get("seed", 0), "seed", minimum=0)
-
-    analysis = data.get("analysis", {})
-    if "window" in analysis:
-        w = analysis["window"]
-        try:
-            window = Window(tuple(w["lo"]), tuple(w["hi"]))
-        except Exception as exc:
-            raise ConfigError("analysis.window", str(exc)) from exc
-        if window.dim != dim:
-            raise ConfigError("analysis.window", f"dimension must be {dim}")
-        if any(h > side for h in window.hi):
-            raise ConfigError("analysis.window", "window exceeds the box")
-    else:
-        window = Window((0.0,) * dim, (side,) * dim)
-    n_max = _as_int(analysis.get("n_max", 3), "analysis.n_max", minimum=1)
-    g_bins = _as_int(analysis.get("g_bins", 20), "analysis.g_bins", minimum=1)
-    g_r_max = None
-    if "g_r_max" in analysis:
-        g_r_max = _as_number(
-            analysis["g_r_max"], "analysis.g_r_max", strict_min=0.0
-        )
-        if g_r_max > side / 2.0:
-            raise ConfigError(
-                "analysis.g_r_max", f"must not exceed torus.L / 2 = {side / 2.0:g}"
-            )
-    elif a_minus is not None or a_plus is not None:
-        radius = max(
-            k.characteristic_radius() for k in (a_plus, a_minus) if k is not None
-        )
-        g_r_max = min(side / 2.0, 5.0 * radius)
-
-    cert = data.get("certificate", {})
-    omega = _as_number(cert.get("omega", 1.0), "certificate.omega", strict_min=0.0)
-    if "epsilons" in cert:
-        raise ConfigError(
-            "certificate.epsilons",
-            "no longer an option: epsilon is derived from the cell sum, "
-            "riemann_upper_sum(h) - mass",
-        )
-    cert_grid = None
-    if "radii" in cert or "h_factors" in cert:
-        radii = _require(cert, "radii", "certificate")
-        try:
-            cert_grid = SearchGrid(
-                radii=tuple(radii),
-                h_factors=tuple(cert.get("h_factors", SearchGrid.h_factors)),
-            )
-        except Exception as exc:
-            raise ConfigError("certificate", str(exc)) from exc
-    cert_trials = _as_int(cert.get("trials", 100_000), "certificate.trials", minimum=1)
-    cert_size_max = _as_int(cert.get("size_max", 30), "certificate.size_max", minimum=2)
-    tight_packing = bool(cert.get("tight_packing", True))
-
-    output = data.get("output", {})
-    out_dir = Path(output.get("dir", "runs/latest"))
-    if not out_dir.is_absolute():
-        out_dir = base / out_dir
-
-    guard = data.get("guard", {})
-    max_population = _as_int(
-        guard.get("max_population", DEFAULT_MAX_POPULATION),
-        "guard.max_population",
-        minimum=1,
-    )
-    audit_every = _as_int(guard.get("audit_every", 0), "guard.audit_every", minimum=0)
-
-    return RunConfig(
-        model=model,
-        torus=torus,
-        init_poisson=init_poisson,
-        init_points=init_points,
-        t_end=t_end,
-        snapshot_times=snapshot_times,
-        burn_in=burn_in,
-        replicas=replicas,
-        seed=seed,
-        window=window,
-        n_max=n_max,
-        g_bins=g_bins,
-        g_r_max=g_r_max,
-        omega=omega,
-        cert_grid=cert_grid,
-        cert_trials=cert_trials,
-        cert_size_max=cert_size_max,
-        tight_packing=tight_packing,
-        out_dir=out_dir,
-        max_population=max_population,
-        audit_every=audit_every,
-    )
+    return RunConfig(model=model, torus=Torus(**_pop_part(got, "torus")), **got)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -365,77 +428,21 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(data, base_dir=path.parent)
 
 
-def kernel_to_config(kernel: RadialKernel | None):
-    if kernel is None:
-        return None
-    for family, (cls, _, names) in KERNEL_FAMILIES.items():
-        if isinstance(kernel, cls):
-            return {
-                "family": family,
-                "params": {
-                    name: np.asarray(getattr(kernel, name)).tolist() for name in names
-                },
-                "dim": kernel.dim,
-            }
-    raise ConfigError("model", f"cannot serialize kernel type {type(kernel)!r}")
-
-
 def resolved_config_dict(cfg: RunConfig) -> dict:
     """The config with every default made explicit; manifests embed this."""
-    model = {
-        "variant": cfg.model.variant,
-        "a_plus": kernel_to_config(cfg.model.a_plus),
-        "a_minus": kernel_to_config(cfg.model.a_minus),
-        "m": cfg.model.m,
-    }
-    if cfg.model.b is not None:
-        if cfg.model.b.grid is None:
-            model["b"] = {"constant": cfg.model.b.constant}
+    out = {}
+    for path, field in FIELDS.items():
+        value = attrgetter(field.attr)(cfg)
+        if value is not None:
+            value = field.write(value)
+        elif field.default is not None:
+            continue
+        block, _, key = path.rpartition(".")
+        node = out.setdefault(block, {}) if block else out
+        if isinstance(value, dict):
+            node.setdefault(key, {}).update(value)
         else:
-            model["b"] = {"grid": cfg.model.b.grid.tolist()}
-    else:
-        model["b"] = None
-    out = {
-        "model": model,
-        "torus": {"L": cfg.torus.side, "d": cfg.torus.dim},
-        "init": (
-            {"poisson": cfg.init_poisson}
-            if cfg.init_poisson is not None
-            else {"points": cfg.init_points.tolist()}
-        ),
-        "schedule": {
-            "t_end": cfg.t_end,
-            "snapshot_times": list(cfg.snapshot_times),
-            "burn_in": cfg.burn_in,
-        },
-        "replicas": cfg.replicas,
-        "seed": cfg.seed,
-        "analysis": {
-            "window": {"lo": list(cfg.window.lo), "hi": list(cfg.window.hi)},
-            "n_max": cfg.n_max,
-            "g_bins": cfg.g_bins,
-            **({"g_r_max": cfg.g_r_max} if cfg.g_r_max is not None else {}),
-        },
-        "certificate": {
-            "omega": cfg.omega,
-            **(
-                {
-                    "radii": list(cfg.cert_grid.radii),
-                    "h_factors": list(cfg.cert_grid.h_factors),
-                }
-                if cfg.cert_grid is not None
-                else {}
-            ),
-            "trials": cfg.cert_trials,
-            "size_max": cfg.cert_size_max,
-            "tight_packing": cfg.tight_packing,
-        },
-        "guard": {
-            "max_population": cfg.max_population,
-            "audit_every": cfg.audit_every,
-        },
-        "output": {"dir": str(cfg.out_dir)},
-    }
+            node[key] = value
     return out
 
 
@@ -448,8 +455,6 @@ def replica_rng(seed: int, replica: int) -> np.random.Generator:
 def initial_configuration(
     cfg: RunConfig, rng: np.random.Generator
 ) -> TorusConfiguration:
-    from .geometry import sample_poisson
-
     if cfg.init_poisson is not None:
         return sample_poisson(cfg.torus, cfg.init_poisson, rng)
     conf = TorusConfiguration(cfg.torus)

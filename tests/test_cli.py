@@ -135,7 +135,7 @@ def test_simulate_needs_at_least_one_worker(tmp_path, capsys, workers):
 def test_workers_give_the_same_run(tmp_path, monkeypatch):
     # replicas in two worker processes write the same files as in one; the
     # manifests differ only in the output directory, which --out gives
-    # relative to the working directory
+    # relative to the working directory and the manifest records as absolute
     monkeypatch.chdir(tmp_path)
     config = str(CONFIGS / "competition_1d.json")
     for workers in ("1", "2"):
@@ -148,7 +148,7 @@ def test_workers_give_the_same_run(tmp_path, monkeypatch):
             assert (one / rel).read_bytes() == (two / rel).read_bytes()
     assert (one / "report.json").read_bytes() == (two / "report.json").read_bytes()
     manifests = [json.loads((d / "manifest.json").read_text()) for d in (one, two)]
-    assert [m["config"]["output"].pop("dir") for m in manifests] == ["w1", "w2"]
+    assert [m["config"]["output"].pop("dir") for m in manifests] == [str(one), str(two)]
     assert manifests[0] == manifests[1]
 
 
@@ -292,6 +292,58 @@ def test_manifest_roundtrip_reproduces_run(tmp_path):
     a = (out_a / "replicas/r0000/events.csv").read_bytes()
     b = (out_b / "replicas/r0000/events.csv").read_bytes()
     assert a == b
+
+
+def test_manifest_rerun_without_out_writes_back_to_its_directory(tmp_path, monkeypatch):
+    # output.dir starts at the config's directory, reached here by a path
+    # relative to the working directory; the manifest records it absolute,
+    # so a rerun from the manifest alone writes to the same directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfgs").mkdir()
+    data = {**surgailis_config(replicas=2), "output": {"dir": "run"}}
+    write_config(tmp_path / "cfgs" / "cfg.json", data)
+    assert main(["simulate", "--config", "cfgs/cfg.json"]) == 0
+    first = (tmp_path / "cfgs/run/replicas/r0000/events.csv").read_bytes()
+    assert main(["simulate", "--config", "cfgs/run/manifest.json"]) == 0
+    assert list(tmp_path.rglob("manifest.json")) == [tmp_path / "cfgs/run/manifest.json"]
+    assert (tmp_path / "cfgs/run/replicas/r0000/events.csv").read_bytes() == first
+
+
+def test_seed_and_replicas_flags_write_the_manifest_of_the_edited_file(tmp_path):
+    # --seed 3 --replicas 2 is the config with those two keys edited
+    out = tmp_path / "out"
+    configs = []
+    for name, edit in (("flags.json", {}), ("edited.json", {"seed": 3, "replicas": 2})):
+        data = {**bp_config(), "replicas": 5, "seed": 8, **edit}
+        argv = ["simulate", "--config", write_config(tmp_path / name, data)]
+        flags = ["--seed", "3", "--replicas", "2"] if not edit else []
+        assert main(argv + flags + ["--out", str(out)]) == 0
+        configs.append(json.loads((out / "manifest.json").read_text())["config"])
+    assert configs[0] == configs[1]
+    assert (configs[0]["seed"], configs[0]["replicas"]) == (3, 2)
+
+
+@pytest.mark.parametrize(
+    "init, path, message",
+    [
+        ({"points": [[1.0, 2.0, 3.0]]}, "init.points", "expected rows of 2 finite numbers"),
+        ({"points": [[1.0, "x"]]}, "init.points", "could not convert"),
+        ({"points": [[1.0, float("nan")]]}, "init.points", "finite"),
+        ({"csv": "missing.csv"}, "init.csv", "cannot read points"),
+    ],
+    ids=["columns", "non-numeric", "non-finite", "missing csv"],
+)
+def test_bad_initial_points_are_usage_errors(tmp_path, capsys, init, path, message):
+    data = bp_config()
+    for kernel in ("a_plus", "a_minus"):
+        data["model"][kernel]["dim"] = 2
+    data.update(torus={"L": 10.0, "d": 2}, init=init)
+    cfg_path = write_config(tmp_path / "cfg.json", data)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: config error at {path}: ") and message in err
+    assert not out.exists()
 
 
 def test_manifest_records_each_replica_s_clamps(tmp_path):

@@ -6,11 +6,10 @@ import pytest
 
 from sbdsim.certificate import SearchGrid
 from sbdsim.config import (
+    FIELDS,
     KERNEL_FAMILIES,
     ConfigError,
     initial_configuration,
-    kernel_from_config,
-    kernel_to_config,
     load_config,
     parse_config,
     resolved_config_dict,
@@ -32,18 +31,19 @@ KERNELS = [
 def test_kernel_config_roundtrip_all_families():
     assert {type(k) for k in KERNELS} == {cls for cls, _, _ in KERNEL_FAMILIES.values()}
     grid = np.linspace(0.0, 3.0, 61)
+    row = FIELDS["model.a_plus"]
     for kernel in KERNELS:
-        data = kernel_to_config(kernel)
-        back = kernel_from_config(data, "model.a_plus")
+        data = row.write(kernel)
+        back = row.read(data, "model.a_plus", {"torus.dim": kernel.dim})
         assert type(back) is type(kernel) and back.dim == kernel.dim
-        assert kernel_to_config(back) == data
+        assert row.write(back) == data
         np.testing.assert_array_equal(back.profile(grid), kernel.profile(grid))
 
 
 def test_unknown_kernel_family_reports_path():
     data = {"family": "cauchy", "params": {}, "dim": 1}
     with pytest.raises(ConfigError) as err:
-        kernel_from_config(data, "model.a_minus")
+        FIELDS["model.a_minus"].read(data, "model.a_minus", {"torus.dim": 1})
     assert err.value.path == "model.a_minus.family"
 
 
@@ -107,10 +107,104 @@ def test_manifest_with_loose_packing_replays_loose():
     assert parse_config(with_certificate({})).tight_packing is True
 
 
+def shipped(name: str) -> dict:
+    return json.loads((CONFIGS / f"{name}.json").read_text())
+
+
+def set_at(data: dict, path: str, value) -> dict:
+    *blocks, key = path.split(".")
+    node = data
+    for name in blocks:
+        node = node[name]
+    node[key] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "block, bad",
+    [
+        ("torus", [20.0, 1]),
+        ("model", "bolker_pacala"),
+        ("init", 1.0),
+        ("schedule", [1]),
+        ("analysis", 3),
+        ("certificate", None),
+        ("guard", None),
+        ("output", "runs/x"),
+        ("model.a_plus.params", [3.0, 0.5]),
+    ],
+)
+def test_every_block_must_be_an_object(block, bad):
+    with pytest.raises(ConfigError, match="expected an object") as err:
+        parse_config(set_at(shipped("competition_1d"), block, bad))
+    assert err.value.path == block
+
+
+def with_tabulated_a_minus() -> dict:
+    data = shipped("competition_1d")
+    data["model"]["a_minus"] = {
+        "family": "tabulated",
+        "params": {
+            "radii": [0.0, 1.0],
+            "values": [1.0, 0.5],
+            "tail_sup_bound": 0.5,
+            "tail_mass_bound": 0.1,
+        },
+        "dim": 1,
+    }
+    return data
+
+
+@pytest.mark.parametrize(
+    "path, bad",
+    [
+        ("certificate.tight_packing", "false"),
+        ("output.dir", 5),
+        ("model.a_minus.params.tail_sup_bound", "0.5"),
+        ("model.a_minus.params.tail_mass_bound", "0.1"),
+    ],
+)
+def test_scalars_are_typed(path, bad):
+    # "false" is not false, and a tabulated tail bound is a number like any
+    # other; the same config with the JSON value's own type parses
+    kernel = parse_config(with_tabulated_a_minus()).model.a_minus
+    assert (kernel.tail_sup_bound, kernel.tail_mass_bound) == (0.5, 0.1)
+    with pytest.raises(ConfigError) as err:
+        parse_config(set_at(with_tabulated_a_minus(), path, bad))
+    assert err.value.path == path
+
+
+def test_relative_paths_start_at_the_config_directory(tmp_path, monkeypatch):
+    # the points of init.csv and the table of a tabulated kernel's csv are
+    # found next to the config, wherever the run starts
+    (tmp_path / "cfg").mkdir()
+    (tmp_path / "cfg" / "points.csv").write_text("# x\n1.5\n2.5\n")
+    (tmp_path / "cfg" / "table.csv").write_text("0.0,1.0\n1.0,0.5\n2.0,0.0\n")
+    data = set_at(shipped("competition_1d"), "init", {"csv": "points.csv"})
+    a_minus = {"family": "tabulated", "params": {"csv": "table.csv"}, "dim": 1}
+    set_at(data, "model.a_minus", a_minus)
+    (tmp_path / "cfg" / "cfg.json").write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    cfg = load_config("cfg/cfg.json")
+    np.testing.assert_array_equal(cfg.init_points, [[1.5], [2.5]])
+    np.testing.assert_array_equal(cfg.model.a_minus.values, [1.0, 0.5, 0.0])
+    assert cfg.out_dir.absolute() == tmp_path / "cfg" / "runs" / "competition_1d"
+
+
+@pytest.mark.parametrize("name", ["competition_1d", "free_migration", "long_dispersal_certificate"])
+def test_resolved_config_is_a_fixed_point(monkeypatch, name):
+    # loaded by a path relative to the working directory, as on the command
+    # line: the resolved output.dir is absolute and reads back as itself
+    monkeypatch.chdir(CONFIGS.parent)
+    resolved = resolved_config_dict(load_config(Path("configs") / f"{name}.json"))
+    assert resolved["output"]["dir"] == str(CONFIGS / shipped(name)["output"]["dir"])
+    assert resolved_config_dict(parse_config(resolved)) == resolved
+
+
 def competition_config(dim):
     """The shipped competition_1d model on a box of density-5 points in
     ``dim``, run to t = 1."""
-    data = json.loads((CONFIGS / "competition_1d.json").read_text())
+    data = shipped("competition_1d")
     for kernel in ("a_plus", "a_minus"):
         data["model"][kernel]["dim"] = dim
     side = 40.0 if dim == 1 else 12.0

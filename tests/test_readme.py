@@ -1,5 +1,8 @@
+import json
 import re
 from pathlib import Path
+
+from sbdsim.config import parse_config, resolved_config_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -9,3 +12,12 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+
+
+def test_readme_config_blocks_parse():
+    # each JSON block is a config, and its resolved form reads back as itself
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.DOTALL)
+    assert len(blocks) >= 2
+    for block in blocks:
+        resolved = resolved_config_dict(parse_config(json.loads(block)))
+        assert resolved_config_dict(parse_config(resolved)) == resolved
