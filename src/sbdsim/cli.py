@@ -127,6 +127,7 @@ def _run_one_replica(cfg: RunConfig, index: int):
         trace.n_events,
         trace.clamps,
         trace.largest_clamp,
+        trace.peak_population,
     )
 
 
@@ -208,6 +209,11 @@ def cmd_simulate(args) -> int:
 
     per_replica_snaps = [r[1] for r in results]
     guard_flags = [r[2] for r in results]
+    peaks = [r[7] for r in results]
+    # a- beyond its cutoff is at most tail_sup, so no death rate of a run
+    # omits more than tail_sup times its largest population
+    a_minus = cfg.model.a_minus
+    tail_sup = 0.0 if a_minus is None else a_minus.tail_sup()
     manifest = {
         "tool": {"name": "sbdsim", "version": __version__},
         "config": resolved_config_dict(cfg),
@@ -219,6 +225,8 @@ def cmd_simulate(args) -> int:
         "n_events": [r[4] for r in results],
         "clamps": [r[5] for r in results],
         "largest_clamp": [r[6] for r in results],
+        "peak_population": peaks,
+        "truncation_budget": [tail_sup * peak for peak in peaks],
     }
     (cfg.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
 

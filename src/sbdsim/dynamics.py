@@ -270,12 +270,9 @@ class SimulationState:
     def total_rates(self) -> tuple[float, float]:
         """(total birth rate B, total death rate D) for the current state."""
         n = len(self.cfg)
-        if self.spec.variant == "migration":
-            b = self._b_total
-        else:
-            b = n * self._birth_mass
-        d = self.spec.m * n + self.cfg.load_total()
-        return b, d
+        # only migration has b and only bolker_pacala a_plus: one term is 0
+        b = self._b_total + n * self._birth_mass
+        return b, self.spec.m * n + self.cfg.load_total()
 
     def audit(self, rel_tol: float = 1e-9) -> None:
         """Check the cell index against the positions, then recompute every
@@ -386,7 +383,8 @@ class SimulationState:
 @dataclass
 class SimulationTrace:
     """What ``run`` returns: its events in an ``EventLog``, the scheduled
-    snapshots, how and when the run ended, and the load clamps of
+    snapshots, how and when the run ended, the largest population it held
+    (at its start or after an event), and the load clamps of
     ``SimulationState``: how many, and the largest residue."""
 
     events: EventLog
@@ -395,6 +393,7 @@ class SimulationTrace:
     final_population: int = 0
     absorbed: bool = False
     guard_tripped: bool = False
+    peak_population: int = 0
     clamps: int = 0
     largest_clamp: float = 0.0
 
@@ -429,6 +428,7 @@ def run(
 
     state = SimulationState(spec, cfg)
     trace = SimulationTrace(EventLog(cfg.torus.dim))
+    start = state.population
     events_done = 0
 
     while True:
@@ -458,6 +458,15 @@ def run(
             trace.snapshots.append(state.snapshot(s))
     trace.final_time = state.t
     trace.final_population = state.population
+    # each birth adds a point and each death takes one away; a plain loop,
+    # as a numpy running sum or itertools.accumulate raised a run's peak
+    # memory by some tenths of a MiB
+    population = peak = start
+    for birth in trace.events._birth:
+        population += 2 * birth - 1
+        if population > peak:
+            peak = population
+    trace.peak_population = peak
     trace.clamps = state.clamps
     trace.largest_clamp = state.largest_clamp
     return trace

@@ -19,8 +19,9 @@ pairs a row only with the rows of a cell ahead along that axis whose lead
 is within the radius of its own, up to a pad of one quantum of the sort
 key; the exact distance test still decides every pair.  It hands its own
 order back with the batches, and the store's filing keeps its row order.
-Every minimum-image distance, of a neighbour query and of the pair walk,
-comes from one helper.
+Every minimum-image length, of a neighbour query and of the pair walk,
+comes squared from one helper; a pair is kept when its square is at most
+``exact_reach`` of the radius, the same test as distance <= radius.
 ``sample_poisson`` draws a homogeneous Poisson configuration and loads it
 into the store in one bulk pass.
 The store's per-event methods (``insert``, ``remove``, ``neighbors_within``,
@@ -38,6 +39,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -122,17 +124,9 @@ class CellGrid:
         rings = math.ceil(radius / self.cell_size)
         return sorted({o % self.n for o in range(-rings, rings + 1)})
 
-    def flat_cell_of(self, x) -> int:
-        """Row-major flat index of the grid cell of one point, given as
-        Python floats; each coordinate is wrapped into the box first."""
-        n, side, size = self.n, self.side, self.cell_size
-        flat = 0
-        for v in x:
-            flat = flat * n + min(int(v % side / size), n - 1)
-        return flat
-
     def flat_cells_of(self, pts: np.ndarray) -> np.ndarray:
-        """``flat_cell_of`` for every row of ``pts``, in one vectorised pass."""
+        """Row-major flat index of the grid cell of every row of ``pts``,
+        each coordinate wrapped into the box first, in one vectorised pass."""
         idx = (np.mod(pts, self.side) / self.cell_size).astype(np.intp)
         np.minimum(idx, self.n - 1, out=idx)
         flat = np.zeros(idx.shape[0], dtype=np.intp)
@@ -140,36 +134,63 @@ class CellGrid:
             flat = flat * self.n + idx[:, axis]
         return flat
 
-    def cell_stencil(self, cell: int, radius: float) -> tuple[int, ...]:
+    def cell_stencil(self, cell: int, radius: float) -> tuple[tuple[int, ...], bool]:
         """The flat cells that can hold a point within ``radius`` of a point
-        of flat cell ``cell``, each once, wrapping round the grid."""
+        of flat cell ``cell``, each once, wrapping round the grid, and
+        whether they wrap.  They do not when each coordinate of ``cell`` is
+        at least rings = ceil(radius / cell_size) from both grid edges and
+        2 (rings + 1) <= n: then two such points lie at most side / 2 apart
+        along each axis, up to a rounding that only pairs farther apart
+        than the radius see, so their plain difference is the minimum image.
+        """
         n = self.n
+        rings = math.ceil(radius / self.cell_size)
         coords = []
         for _ in range(self.dim):
             cell, c = divmod(cell, n)
             coords.append(c)
+        wraps = n < 2 * (rings + 1) or not all(rings <= c < n - rings for c in coords)
         offsets = self.axis_offsets(radius)
         flats = [0]
         for c in reversed(coords):
             flats = [f * n + (c + o) % n for f in flats for o in offsets]
-        return tuple(flats)
+        return tuple(flats), wraps
 
 
-def _min_image_distances(d: np.ndarray, side: float) -> np.ndarray:
-    """Minimum-image lengths of the rows of ``d``, differences of points in
-    [0, side]^dim; ``d`` is overwritten.
+@lru_cache(maxsize=64)
+def exact_reach(radius: float) -> float:
+    """The largest float whose correctly rounded square root is at most
+    ``radius`` (-inf if radius < 0), so that sqrt(s) <= radius exactly when
+    s <= exact_reach(radius); radius * radius misses it for about half of
+    all radii, by a float or two."""
+    if radius < 0.0:
+        return -math.inf
+    reach = radius * radius
+    while math.sqrt(reach) > radius:
+        reach = math.nextafter(reach, 0.0)
+    while reach < math.inf and math.sqrt(math.nextafter(reach, math.inf)) <= radius:
+        reach = math.nextafter(reach, math.inf)
+    return reach
+
+
+def _min_image_squares(d: np.ndarray, side: float, wraps: bool = True) -> np.ndarray:
+    """Squared minimum-image lengths of the rows of ``d``, differences of
+    points in [0, side]^dim; ``d`` is overwritten.
 
     |delta| <= side along each axis, so min(|delta|, side - |delta|) is the
-    minimum image along it; the squares are summed column by column, since
-    a sum along short rows is slow in numpy.
+    minimum image along it; with ``wraps`` False the caller knows that
+    |delta| <= side / 2, where that minimum is delta itself.  The squares
+    are summed column by column, since a sum along short rows is slow in
+    numpy.
     """
-    np.abs(d, out=d)
-    np.minimum(d, side - d, out=d)
+    if wraps:
+        np.abs(d, out=d)
+        np.minimum(d, side - d, out=d)
     d *= d
     square = d[:, 0] if d.shape[1] == 1 else d[:, 0] + d[:, 1]
     for axis in range(2, d.shape[1]):
         square += d[:, axis]
-    return np.sqrt(square)
+    return square
 
 
 def cell_runs(cells: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -238,13 +259,13 @@ def periodic_pairs(
     are at most x + radius, less side where the target lies past the last
     cell.  One ``searchsorted`` of the keys per offset finds every row's
     prefix; its bound is padded by one quantum, so that no rounding of the
-    bound drops a pair within the radius, and the exact test
-    dist <= radius stays the only one that drops a pair.  In d = 1 the walk
-    keeps the filing's order and cuts nothing.  Scratch memory is
-    O(n + PAIR_BATCH).
+    bound drops a pair within the radius, and the exact test, square <=
+    ``exact_reach(radius)``, stays the only one that drops a pair; only
+    kept pairs are rooted.  In d = 1 the walk keeps the filing's order and
+    cuts nothing.  Scratch memory is O(n + PAIR_BATCH).
     """
     order, occupied, first, count = runs
-    n, side = order.size, grid.side
+    n, side, reach = order.size, grid.side, exact_reach(radius)
     run_of_row = np.arange(occupied.size).repeat(count)
     scale = 2.0**LEAD_BITS / side
     keys = None
@@ -301,11 +322,13 @@ def periodic_pairs(
                 j = np.arange(i.size) + (start[lo:hi] - first_pair).repeat(batch)
                 d = in_order.take(i, axis=0)
                 d -= in_order.take(j, axis=0)
-                dist = _min_image_distances(d, side)
-                keep = (dist <= radius).nonzero()[0]  # faster than three masks
-                yield i.take(keep), j.take(keep), dist.take(keep)
+                square = _min_image_squares(d, side)
+                keep = (square <= reach).nonzero()[0]  # faster than three masks
+                dist = square.take(keep)
+                yield i.take(keep), j.take(keep), np.sqrt(dist, out=dist)
                 lo = hi
-            del ends, i, j, d, dist, keep  # freed before the next offset's arrays
+            # square and dist stay: made afresh each offset, they page-fault more
+            del ends, i, j, d, keep  # freed before the next offset's arrays
 
     return order, batches()
 
@@ -388,7 +411,9 @@ class TorusConfiguration:
         self._load = np.zeros(16)
         self._block = np.zeros(1)  # load sum of each block of rows
         self.grid: CellGrid | None = None
+        self._axis_cells, self._cell_size = 1, torus.side  # the grid's, for _in_box
         self._cells: dict[int, list] = {}  # flat cell -> [rows array, live count]
+        # (flat cell, rings) -> stencil cells, led by -1 (no cell) if they wrap
         self._stencils: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def __len__(self) -> int:
@@ -434,19 +459,19 @@ class TorusConfiguration:
         n = self._n
         if n <= BLOCK_ROWS:
             cum = np.add.accumulate(base + self._load[:n])
-            return int(cum.searchsorted(u * cum[-1]))
+            return int(cum.searchsorted(u * cum.item(-1)))
         n_blocks = (n + BLOCK_ROWS - 1) >> BLOCK_SHIFT
         weights = self._block[:n_blocks] + base * BLOCK_ROWS
         weights[-1] -= base * ((n_blocks << BLOCK_SHIFT) - n)  # partial last block
         cum = np.add.accumulate(weights)
-        target = u * cum[-1]
+        target = u * cum.item(-1)
         block = min(int(cum.searchsorted(target)), n_blocks - 1)
         if block:
-            target -= cum[block - 1]
+            target -= cum.item(block - 1)
         lo = block << BLOCK_SHIFT
         local = np.add.accumulate(base + self._load[lo : min(lo + BLOCK_ROWS, n)])
         # rounding may leave the target past the block's own total
-        return lo + int(local.searchsorted(min(target, local[-1])))
+        return lo + int(local.searchsorted(min(target, local.item(-1))))
 
     def stale_block(self, rel_tol: float) -> tuple[int, float, float] | None:
         """First block whose running sum drifted from its rows' loads by more
@@ -499,12 +524,14 @@ class TorusConfiguration:
         )
         self._block = grown(self._block, -(-capacity // BLOCK_ROWS))
 
-    def _in_box(self, position) -> tuple[np.ndarray, list[float]]:
-        """``position`` as a (dim,) float array in [0, side) and as a list
-        of Python floats.
+    def _in_box(self, position) -> tuple[np.ndarray, int]:
+        """``position`` as a (dim,) float array in [0, side), and its flat
+        cell on the store's grid, as ``CellGrid.flat_cells_of`` gives it
+        (of no use while the store has no grid).
 
-        ``Torus.wrap`` runs only when some coordinate is not strictly inside
-        (0, side), tested one coordinate at a time: a NaN fails that test
+        The loop that tests each coordinate for lying strictly inside
+        (0, side) also files it; only when one does not does ``Torus.wrap``
+        run, and the wrapped point is filed afresh.  A NaN fails that test
         wherever it sits, and -0.0 is wrapped to +0.0.  A coordinate that is
         not finite raises GeometryError.
         """
@@ -514,18 +541,27 @@ class TorusConfiguration:
                 f"position has shape {x.shape}, expected ({self.torus.dim},)"
             )
         coords = x.tolist()
-        side = self.torus.side
+        side, n, size = self.torus.side, self._axis_cells, self._cell_size
+        flat = 0
         for v in coords:
             if not 0.0 < v < side:
-                if not all(map(math.isfinite, coords)):
-                    raise GeometryError(f"position {coords} is not finite")
-                x = self.torus.wrap(x)
-                return x, x.tolist()
-        return x, coords
+                break
+            i = int(v / size)  # v / size < n + 1, and is n only by rounding
+            flat = flat * n + (i if i < n else n - 1)
+        else:
+            return x, flat
+        if not all(map(math.isfinite, coords)):
+            raise GeometryError(f"position {coords} is not finite")
+        x = self.torus.wrap(x)
+        flat = 0
+        for v in x.tolist():
+            i = int(v / size)
+            flat = flat * n + (i if i < n else n - 1)
+        return x, flat
 
     def insert(self, position, load: float = 0.0) -> int:
         """Add a point as the last row with the given load; return its new id."""
-        x, coords = self._in_box(position)
+        x, cell = self._in_box(position)
         row, pid = self._n, self._next_id
         self._reserve(row + 1)
         self._pos[row] = x
@@ -533,7 +569,7 @@ class TorusConfiguration:
         self._load[row] = load
         self._block[row >> BLOCK_SHIFT] += load
         if self.grid is not None:
-            cell = self._cell[row] = self.grid.flat_cell_of(coords)
+            self._cell[row] = cell
             entry = self._cells.get(cell)
             if entry is None:
                 entry = self._cells[cell] = [np.empty(4, dtype=np.intp), 0]
@@ -614,6 +650,7 @@ class TorusConfiguration:
         self._cell[:n] = cells
         self._slot[order] = np.arange(n) - first.repeat(count)
         self.grid, self._stencils = grid, {}
+        self._axis_cells, self._cell_size = grid.n, grid.cell_size
         return runs
 
     def cell_index_fault(self) -> str | None:
@@ -656,33 +693,38 @@ class TorusConfiguration:
         one for ``radius``.  A point asks about its neighbours while it is
         not in the store: before its ``insert`` or after its ``remove``.
 
+        A candidate is kept when its squared length is at most
+        ``exact_reach(radius)``, and only then rooted; where the cell
+        stencil does not wrap, plain differences are the minimum images.
+
         Rows come back in ascending id order so float reductions are
         reproducible; they index ``loads`` until the next removal.
         """
         side = self.torus.side
-        if radius > side / 2.0:
+        if not 0.0 <= radius <= side / 2.0:
             raise GeometryError(
-                f"interaction radius {radius:g} exceeds half the box side "
-                f"{side / 2.0:g}"
+                f"interaction radius {radius:g} is not within 0 and half the box "
+                f"side {side / 2.0:g}"
             )
-        x, coords = self._in_box(x)
-        if self.grid is None:
+        x, cell = self._in_box(x)
+        if self.grid is None:  # files only once the position has passed
             self._file(CellGrid.for_radius(self.torus, radius))
-        grid = self.grid
-        key = (grid.flat_cell_of(coords), math.ceil(radius / grid.cell_size))
+            x, cell = self._in_box(x)
+        key = (cell, math.ceil(radius / self._cell_size))
         stencil = self._stencils.get(key)
         if stencil is None:
-            stencil = self._stencils[key] = grid.cell_stencil(key[0], radius)
+            near, wraps = self.grid.cell_stencil(cell, radius)
+            stencil = self._stencils[key] = (-1,) + near if wraps else near
         cells = self._cells
         parts = [e[0][: e[1]] for e in map(cells.get, stencil) if e is not None]
         rows = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
         d = self._pos.take(rows, axis=0)
         d -= x
-        dists = _min_image_distances(d, side)
-        keep = dists <= radius
-        rows, dists = rows[keep], dists[keep]
-        order = self._id[rows].argsort()
-        return rows[order], dists[order]
+        square = _min_image_squares(d, side, stencil[0] < 0)
+        keep = (square <= exact_reach(radius)).nonzero()[0]
+        rows, dists = rows.take(keep), np.sqrt(square.take(keep))
+        order = self._id.take(rows).argsort()
+        return rows.take(order), dists.take(order)
 
     def kernel_sums(self, kernel: RadialKernel) -> np.ndarray:
         """Each point's sum of kernel(distance) over the other points within

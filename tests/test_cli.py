@@ -380,15 +380,55 @@ def test_manifest_records_each_replica_s_clamps(tmp_path):
         assert manifest["clamps"][i] == trace.clamps
         assert manifest["largest_clamp"][i] == trace.largest_clamp
         assert manifest["n_events"][i] == trace.n_events
+        assert manifest["peak_population"][i] == trace.peak_population
     assert min(manifest["clamps"]) > 0 and 0.0 < max(manifest["largest_clamp"]) < 1e-12
+    # a triangular a- ends at its cutoff
+    assert manifest["truncation_budget"] == [0.0, 0.0]
     manifest_path = out_a / "manifest.json"
     assert main(["simulate", "--config", str(manifest_path), "--out", str(out_b)]) == 0
     again = json.loads((out_b / "manifest.json").read_text())
-    for key in ("n_events", "clamps", "largest_clamp"):
+    for key in (
+        "n_events", "clamps", "largest_clamp", "peak_population", "truncation_budget"
+    ):
         assert again[key] == manifest[key]
     for i in range(2):
         events = f"replicas/r{i:04d}/events.csv"
         assert (out_a / events).read_bytes() == (out_b / events).read_bytes()
+
+
+def test_manifest_records_each_replica_s_peak_and_truncation_budget(tmp_path):
+    # the competition_1d model, whose gaussian a- is cut off where it is
+    # still positive, on a short box and a short run: the manifest lists each
+    # replica's peak population, recounted here from its events.csv, and
+    # a_minus.tail_sup() times it; without a- the budget is 0
+    data = json.loads((CONFIGS / "competition_1d.json").read_text())
+    data.update(torus={"L": 8.0, "d": 1}, replicas=2, seed=3)
+    data["schedule"] = {"t_end": 1.0}
+    data["analysis"] = {"window": {"lo": [0.0], "hi": [8.0]}}
+    out = tmp_path / "o"
+    path = write_config(tmp_path / "c.json", data)
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    tail_sup = load_config(CONFIGS / "competition_1d.json").model.a_minus.tail_sup()
+    assert tail_sup > 0.0
+    for i, peak in enumerate(manifest["peak_population"]):
+        parsed = load_config(path)
+        start = len(initial_configuration(parsed, replica_rng(parsed.seed, i)))
+        with open(out / f"replicas/r{i:04d}/events.csv", newline="") as fh:
+            kinds = [row["kind"] for row in csv.DictReader(fh)]
+        population, want = start, start
+        for kind in kinds:
+            population += 1 if kind == "birth" else -1
+            want = max(want, population)
+        assert peak == want > start
+        assert manifest["truncation_budget"][i] == tail_sup * peak
+    del data["model"]["a_minus"]
+    out = tmp_path / "free"
+    path = write_config(tmp_path / "f.json", data)
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["truncation_budget"] == [0.0, 0.0]
+    assert min(manifest["peak_population"]) > 0
 
 
 # -- certify / verify -----------------------------------------------------------

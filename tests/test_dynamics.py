@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -472,6 +473,37 @@ def test_run_reports_its_clamps():
     assert (trace.clamps, trace.largest_clamp) == (0, 0.0)
 
 
+def recounted_peak(start, births):
+    """The largest population of a run, replayed event by event."""
+    population = peak = start
+    for birth in births.tolist():
+        population += 1 if birth else -1
+        peak = max(peak, population)
+    return peak
+
+
+def test_run_reports_its_peak_population():
+    # the competition_1d model on a short box, from a start below its
+    # equilibrium, so the population rises and falls; a run with no events
+    # peaks at its start, and a run stopped by the guard past the guard
+    a_plus, a_minus = gaussian(3.0, 0.5, 1), gaussian(0.5, 0.5, 1)
+    spec = ModelSpec("bolker_pacala", a_plus=a_plus, a_minus=a_minus, m=0.5)
+    rng = np.random.default_rng(4)
+    cfg = sample_poisson(Torus(20.0, 1), 2.0, rng)
+    start = len(cfg)
+    trace = run(spec, cfg, 3.0, rng)
+    births = trace.events.births
+    assert trace.peak_population == recounted_peak(start, births)
+    assert trace.peak_population > max(start, trace.final_population)
+    cfg = sample_poisson(Torus(20.0, 1), 2.0, rng)
+    start = len(cfg)
+    assert run(spec, cfg, 0.0, rng).peak_population == start
+    trace = run(spec, cfg, 3.0, rng, max_population=start + 5)
+    assert trace.guard_tripped and trace.final_population == start + 6
+    assert trace.peak_population == start + 6
+    assert recounted_peak(start, trace.events.births) == start + 6
+
+
 def test_a_narrow_kernel_on_a_wide_box_builds_and_audits():
     # cells of the radius would number 10^7 per axis in d=3, and flat cells
     # past 2^63; the grid keeps 2097151 per axis, the most that fit.  Pairs
@@ -503,9 +535,7 @@ def test_a_narrow_kernel_on_a_wide_box_builds_and_audits():
 # numpy's Python-level wrappers around its C entry points, such as np.cumsum,
 # np.take, np.argsort, ndarray.sum and ndarray.any
 NUMPY_WRAPPER_FILES = ("numpy/_core/fromnumeric.py", "numpy/_core/_methods.py")
-
-
-@pytest.mark.parametrize(
+EVENT_PATH_MODELS = pytest.mark.parametrize(
     "variant, dim, side, density",
     [
         ("bolker_pacala", 1, 400.0, 1.0),
@@ -513,10 +543,16 @@ NUMPY_WRAPPER_FILES = ("numpy/_core/fromnumeric.py", "numpy/_core/_methods.py")
         ("migration", 2, 12.0, 1.0),
     ],
 )
-def test_event_path_calls_no_numpy_python_wrappers(variant, dim, side, density):
-    # bolker_pacala keeps n > BLOCK_ROWS, so each death draw takes the
-    # two-level path; the migration model stays below it and draws from one
-    # block, and its immigrants come from a grid field
+
+
+def profiled_events(variant, dim, side, density, on_call):
+    """2000 events of the model under ``sys.setprofile``, which hands the
+    code object of every Python-level call to ``on_call``; returns the
+    state, its log and the population after each event.
+
+    bolker_pacala keeps n > BLOCK_ROWS, so each death draw takes the
+    two-level path; the migration model stays below it and draws from one
+    block, and its immigrants come from a grid field."""
     if variant == "migration":
         spec = ModelSpec(variant, a_minus=gaussian(0.3, 0.5, 2), m=0.2, b=grid_field())
     elif dim == 1:
@@ -527,13 +563,10 @@ def test_event_path_calls_no_numpy_python_wrappers(variant, dim, side, density):
     rng = np.random.default_rng(0)
     state = SimulationState(spec, sample_poisson(Torus(side, dim), density, rng))
     log = EventLog(dim)
-    calls = []
 
     def profile(frame, event, arg):
         if event == "call":
-            path = frame.f_code.co_filename.replace("\\", "/")
-            if path.endswith(NUMPY_WRAPPER_FILES):
-                calls.append(frame.f_code.co_name)
+            on_call(frame.f_code)
 
     sizes = []
     sys.setprofile(profile)
@@ -545,8 +578,20 @@ def test_event_path_calls_no_numpy_python_wrappers(variant, dim, side, density):
             sizes.append(state.population)
     finally:
         sys.setprofile(None)
-    assert calls == []
     assert len(log) == 2000 and log.births.any() and not log.births.all()
+    return state, log, sizes
+
+
+@EVENT_PATH_MODELS
+def test_event_path_calls_no_numpy_python_wrappers(variant, dim, side, density):
+    calls = []
+
+    def on_call(code):
+        if code.co_filename.replace("\\", "/").endswith(NUMPY_WRAPPER_FILES):
+            calls.append(code.co_name)
+
+    state, log, sizes = profiled_events(variant, dim, side, density, on_call)
+    assert calls == []
     # the clamp branch may call wrappers, so it must not have run
     assert state.clamps == 0
     if variant == "bolker_pacala":
@@ -554,6 +599,27 @@ def test_event_path_calls_no_numpy_python_wrappers(variant, dim, side, density):
     else:
         assert max(sizes) <= BLOCK_ROWS
     state.audit()
+
+
+@EVENT_PATH_MODELS
+def test_event_path_wraps_and_files_a_point_in_one_pass(variant, dim, side, density):
+    # the store's _in_box wraps a position and finds its flat cell in one
+    # pass, once per neighbour query and once per insert; CellGrid serves
+    # the event path only by making a stencil for each (cell, rings) key the
+    # store has not seen, and files no point
+    calls = Counter()
+
+    def on_call(code):
+        if code.co_filename.replace("\\", "/").endswith("sbdsim/geometry.py"):
+            calls[code.co_name] += 1
+
+    state, log, _ = profiled_events(variant, dim, side, density, on_call)
+    queries, inserts = calls["neighbors_within"], calls["insert"]
+    assert queries == 2000 and inserts == int(log.births.sum())
+    assert calls["_in_box"] == queries + inserts
+    assert calls["cell_stencil"] == len(state.cfg._stencils)
+    called = {name for name in calls if name in vars(CellGrid)}
+    assert called <= {"cell_stencil", "axis_offsets", "cell_size"}
 
 
 def test_holding_times_exponential_ks():

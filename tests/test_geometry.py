@@ -2,8 +2,9 @@ import math
 import sys
 import warnings
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from sbdsim import geometry
+from sbdsim.config import load_config
 from sbdsim.geometry import (
     BLOCK_ROWS,
     LEAD_BITS,
@@ -21,13 +23,15 @@ from sbdsim.geometry import (
     Torus,
     TorusConfiguration,
     Window,
-    _min_image_distances,
+    _min_image_squares,
     cell_runs,
+    exact_reach,
     periodic_pairs,
     sample_poisson,
 )
 from sbdsim.kernels import gaussian, triangular
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 T10_1 = Torus(10.0, 1)
 T10_2 = Torus(10.0, 2)
 G10_1 = CellGrid(10.0, 1, 8)
@@ -41,15 +45,21 @@ def uniform_cfg(torus, n, rng):
     return cfg
 
 
-def min_image_distance(side, x, y):
-    """Minimum-image distance of two points of [0, side]^dim in plain Python
-    floats, the minimum image taken per axis."""
+def min_image_square(side, x, y):
+    """Squared minimum-image length of two points of [0, side]^dim in plain
+    Python floats, the minimum image taken per axis."""
     square = 0.0
     for xv, yv in zip(x, y):
         a = abs(yv - xv)
         a = min(a, side - a)
         square += a * a
-    return math.sqrt(square)
+    return square
+
+
+def min_image_distance(side, x, y):
+    """Minimum-image distance of two points of [0, side]^dim: the root of
+    ``min_image_square``."""
+    return math.sqrt(min_image_square(side, x, y))
 
 
 def scan_pairs(side, pts, radius):
@@ -134,11 +144,12 @@ def test_periodic_distance_is_metric(coords):
 
 
 def test_periodic_distances_batch_matches_scalar():
-    # the batched helper against one plain-Python distance per pair
+    # the roots of the batched helper's squares against one plain-Python
+    # distance per pair
     rng = np.random.default_rng(0)
     x = rng.uniform(0, 10, 2)
     pts = rng.uniform(0, 10, (40, 2))
-    batch = _min_image_distances(pts - x, 10.0)
+    batch = np.sqrt(_min_image_squares(pts - x, 10.0))
     singles = [min_image_distance(10.0, x.tolist(), p) for p in pts.tolist()]
     assert batch.tolist() == singles
 
@@ -146,11 +157,11 @@ def test_periodic_distances_batch_matches_scalar():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_min_image_distances_at_the_wrap_edges(dim):
     # coordinates at 0, side - ulp, exactly side (the same point as 0), and
-    # pairs side / 2 apart in either order; the helper on differences of
-    # wrapped points and the pair walk on the raw points, and on the points
-    # shifted by whole multiples of side, equal the plain scan, and the
-    # helper on the raw points, which may sit exactly at side, equals it up
-    # to rounding
+    # pairs side / 2 apart in either order; the roots of the helper's
+    # squares on differences of wrapped points and the pair walk on the raw
+    # points, and on the points shifted by whole multiples of side, equal
+    # the plain scan, and the helper on the raw points, which may sit
+    # exactly at side, equals it up to rounding
     side = 6.0
     below = np.nextafter(side, 0.0)
     edge = [0.0, below, side, 1.0, 1.0 + side / 2.0, side / 2.0, 0.25]
@@ -163,8 +174,8 @@ def test_min_image_distances_at_the_wrap_edges(dim):
         min_image_distance(side, x, y)
         for x, y in zip(wrapped[iu].tolist(), wrapped[ju].tolist())
     ]
-    assert _min_image_distances(wrapped[iu] - wrapped[ju], side).tolist() == want
-    raw = _min_image_distances(pts[iu] - pts[ju], side)
+    assert np.sqrt(_min_image_squares(wrapped[iu] - wrapped[ju], side)).tolist() == want
+    raw = np.sqrt(_min_image_squares(pts[iu] - pts[ju], side))
     np.testing.assert_allclose(raw, want, rtol=0.0, atol=1e-14)
     every = side * dim  # no minimum-image distance reaches it
     want_rows = scan_pairs(side, pts, every)
@@ -357,17 +368,17 @@ def radius_apart(side, radius, dim, rng):
 
 
 class CandidateCounter:
-    """Counts the candidate pairs whose distances the walk computes."""
+    """Counts the candidate pairs whose squared lengths the walk computes."""
 
     def __init__(self, monkeypatch):
         self.pairs = 0
-        helper = geometry._min_image_distances
+        helper = geometry._min_image_squares
 
-        def counted(d, side):
+        def counted(d, side, wraps=True):
             self.pairs += d.shape[0]
-            return helper(d, side)
+            return helper(d, side, wraps)
 
-        monkeypatch.setattr(geometry, "_min_image_distances", counted)
+        monkeypatch.setattr(geometry, "_min_image_squares", counted)
 
 
 def uncut_candidates(grid, pts, radius):
@@ -447,7 +458,8 @@ def test_cut_walk_drops_candidates_beyond_reach(strip, monkeypatch):
     # a- cutoff about 3.4), and points in the first and the last column of
     # cells only, where every cut offset reaches across the wrap (8 cells of
     # 1 per axis, radius 0.5): the walk computes at most 65% of the uncut
-    # walk's candidates and keeps the same sums
+    # walk's candidates (on the 4.5k-point store, exactly 863,733 of
+    # 1,424,033) and keeps the same sums
     rng = np.random.default_rng(1)
     if strip:
         torus, kernel = Torus(8.0, 2), triangular(1.0, 0.5, 2)
@@ -468,6 +480,8 @@ def test_cut_walk_drops_candidates_beyond_reach(strip, monkeypatch):
     if strip:
         want = brute_force_sums(cfg, kernel)
         np.testing.assert_allclose(sums, want, rtol=1e-12, atol=1e-15)
+    else:
+        assert (counter.pairs, uncut) == (863733, 1424033)
 
 
 # numpy's Python-level wrappers around its C entry points, such as np.cumsum,
@@ -599,6 +613,19 @@ def test_non_finite_positions_are_rejected(bad, axis, grid):
     assert (cfg.grid is not None) == grid and cfg.cell_index_fault() is None
 
 
+def test_query_radius_outside_zero_to_half_the_side_is_rejected():
+    # a radius past side / 2 would meet a point twice, and a negative or NaN
+    # one is no radius; the store files nothing for a rejected query
+    cfg = TorusConfiguration(T10_2)
+    cfg.insert([1.0, 2.0])
+    for radius in (math.nextafter(5.0, 6.0), -1e-300, -1.0, math.nan):
+        with pytest.raises(GeometryError, match="not within 0 and half the box"):
+            cfg.neighbors_within([1.0, 2.0], radius)
+    assert cfg.grid is None
+    for radius in (0.0, 5.0):
+        assert cfg.neighbors_within([1.0, 2.0], radius)[0].tolist() == [0]
+
+
 def test_negative_zero_is_stored_as_zero():
     # -0.0 is not strictly inside the box, so it is wrapped to +0.0
     cfg = TorusConfiguration(T10_2)
@@ -676,6 +703,15 @@ def test_cell_index_fault_on_an_empty_entry_or_a_stale_row():
     assert "row outside 0..19" in cfg.cell_index_fault()
 
 
+def filed_store(grid, pts=()):
+    """A store of the points ``pts`` filed on ``grid``."""
+    cfg = TorusConfiguration(Torus(grid.side, grid.dim))
+    if len(pts):
+        cfg.insert_many(pts)
+    cfg._file(grid)
+    return cfg
+
+
 def reference_flat_cell(grid, x):
     """Reference grid cell in numpy: floor of the wrapped coordinate over
     the cell size, clamped to the last cell, then row-major flattening."""
@@ -689,7 +725,8 @@ def reference_flat_cell(grid, x):
     "side, n_cells", [(10.0, 7), (1.0, 3), (30.0, 8), (20.0, 6), (20000.0, 6185)]
 )
 def test_flat_cell_formulas_agree_on_cell_edges(side, n_cells):
-    # the one-point and the vectorised flat cell must agree exactly where
+    # the vectorised flat cell and the one-point flat cell that the store's
+    # _in_box gives with the point it wraps must agree exactly where
     # rounding decides the cell: on every edge k * cell_size, one ulp either
     # side of it, at side - ulp and on points that need wrapping
     t1 = CellGrid(side, 1, n_cells)
@@ -703,13 +740,18 @@ def test_flat_cell_formulas_agree_on_cell_edges(side, n_cells):
         ]
     )
     vectorised = t1.flat_cells_of(values[:, None])
+    one_point = filed_store(t1)._in_box
     for v, cell in zip(values.tolist(), vectorised.tolist()):
-        assert t1.flat_cell_of([v]) == cell == reference_flat_cell(t1, [v])
-        assert 0 <= cell < n_cells
+        assert cell == reference_flat_cell(t1, [v]) and 0 <= cell < n_cells
+        x, filed = one_point([v])
+        assert filed == t1.flat_cells_of(x[None])[0] == reference_flat_cell(t1, x)
     t2 = CellGrid(side, 2, n_cells)
+    one_point = filed_store(t2)._in_box
     pairs = np.stack([values, np.roll(values, 7)], axis=1)
-    for x, cell in zip(pairs.tolist(), t2.flat_cells_of(pairs).tolist()):
-        assert t2.flat_cell_of(x) == cell == reference_flat_cell(t2, x)
+    for p, cell in zip(pairs.tolist(), t2.flat_cells_of(pairs).tolist()):
+        assert cell == reference_flat_cell(t2, p)
+        x, filed = one_point(p)
+        assert filed == t2.flat_cells_of(x[None])[0] == reference_flat_cell(t2, x)
 
 
 def brute_force_neighbors(cfg, x, radius):
@@ -898,7 +940,7 @@ def test_cell_stencil_lists_each_cell_once(dim):
         grid = CellGrid(8.0, dim, n)
         shape = (n,) * dim
         for rings, cell in product(range(5), range(n**dim)):
-            stencil = grid.cell_stencil(cell, max(rings - 0.5, 0.0) * grid.cell_size)
+            stencil, _ = grid.cell_stencil(cell, max(rings - 0.5, 0.0) * grid.cell_size)
             near = [
                 [b for b in range(n) if min(abs(a - b), n - abs(a - b)) <= rings]
                 for a in np.unravel_index(cell, shape)
@@ -906,6 +948,137 @@ def test_cell_stencil_lists_each_cell_once(dim):
             want = {reference_flat(c, n) for c in product(*near)}
             assert len(stencil) == len(set(stencil)), (n, rings, cell)
             assert set(stencil) == want, (n, rings, cell)
+
+
+# -- the exact reach and plain differences ------------------------------------
+
+
+def shipped_cutoffs():
+    """The cutoff of every kernel of the shipped configs, in d = 1, 2, 3."""
+    cutoffs = []
+    for path in sorted(CONFIGS.glob("*.json")):
+        model = load_config(path).model
+        for kernel in (model.a_plus, model.a_minus):
+            if kernel is not None:
+                cutoffs += [replace(kernel, dim=d).cutoff_radius() for d in (1, 2, 3)]
+    return cutoffs
+
+
+def test_exact_reach_is_the_largest_square_whose_root_is_within_the_radius():
+    # radii across magnitudes, subnormal to huge, and the shipped cutoffs:
+    # the reach's root is within the radius and the next float's is not, so
+    # for every square s, s <= reach exactly when sqrt(s) <= radius; and
+    # radius * radius misses the reach for a good share of radii
+    rng = np.random.default_rng(5)
+    cutoffs = shipped_cutoffs()
+    assert len(cutoffs) == 12 and all(0.0 < r < math.inf for r in cutoffs)
+    spread = (10.0 ** rng.uniform(-300.0, 300.0, 2000)).tolist()
+    radii = cutoffs + spread + [0.0, 5e-324, 1e-160, 1.0, 1.3, 3.4, 1e154, 1e200]
+    for radius in radii:
+        reach = exact_reach(radius)
+        assert math.sqrt(reach) <= radius < math.sqrt(math.nextafter(reach, math.inf))
+    missed = sum(exact_reach(r) != r * r for r in spread)
+    assert 0.3 * len(spread) < missed < 0.7 * len(spread)
+    assert exact_reach(-1.0) == -math.inf  # no length reaches a negative radius
+
+
+def pairs_at_the_reach(side, x, radius, rng):
+    """Points whose squared minimum-image length from ``x``, in the
+    arithmetic of ``min_image_square``, lies in (radius * radius, reach] (the
+    first list) or is the float just above reach (the second); six of each,
+    wrapped into [0, side).  The reach is found here by the root alone."""
+    reach = radius * radius
+    while math.sqrt(math.nextafter(reach, math.inf)) <= radius:
+        reach = math.nextafter(reach, math.inf)
+    above = math.nextafter(reach, math.inf)
+    inside, beyond = [], []
+    while len(inside) < 6 or len(beyond) < 6:
+        step = rng.normal(size=len(x))
+        step *= radius / np.linalg.norm(step)
+        y = np.mod(np.asarray(x) + step, side)
+        for k in range(-3, 4):
+            z = y.copy()
+            z[-1] = y[-1] + k * np.spacing(y[-1])
+            if not ((0.0 < z) & (z < side)).all():
+                continue
+            square = min_image_square(side, x, z.tolist())
+            if radius * radius < square <= reach and len(inside) < 6:
+                inside.append(z)
+            elif square == above and len(beyond) < 6:
+                beyond.append(z)
+    return inside, beyond
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("wraps", [False, True])
+def test_squares_within_the_reach_keep_what_the_root_keeps(dim, wraps):
+    # pairs whose squared length lies above radius * radius but within the
+    # reach, which the root keeps, and one float above the reach, which it
+    # drops: a query from a cell whose stencil wraps (x near the origin, the
+    # pairs across the box edge) or does not (x mid-box), and the pair walk
+    # on the same points, keep exactly what sqrt(square) <= radius keeps
+    side = 10.0
+    radii = np.arange(1.3, 1.4, 1e-3).tolist()  # one whose square rounds down
+    radius = next(r for r in radii if math.sqrt(math.nextafter(r * r, math.inf)) <= r)
+    rng = np.random.default_rng(80 + dim + 2 * wraps)
+    x = [0.1] * dim if wraps else [side / 2.0] * dim
+    inside, beyond = pairs_at_the_reach(side, x, radius, rng)
+    pts = np.array(inside + beyond + rng.uniform(0.0, side, (30, dim)).tolist())
+    cfg = TorusConfiguration(Torus(side, dim))
+    cfg.insert_many(pts)
+    rows, dists = cfg.neighbors_within(x, radius)
+    (stencil,) = cfg._stencils.values()
+    assert (stencil[0] == -1) == wraps  # a stencil that wraps is led by -1
+    ids = [cfg.point_at(row) for row in rows.tolist()]
+    want_ids, want_dists = brute_force_neighbors(cfg, x, radius)
+    assert ids == want_ids and dists.tolist() == want_dists
+    assert set(range(6)) <= set(ids) and not set(range(6, 12)) & set(ids)
+    both = np.concatenate([[x], pts])
+    want = scan_pairs(side, both, radius)
+    assert len(want[0]) >= 6
+    for grid in (cfg.grid, CellGrid(side, dim, 4)):
+        assert walk_pairs(grid, both, radius) == want
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("rings", [1, 2])
+@pytest.mark.parametrize("extra", [1, 2, 3])
+def test_plain_differences_only_where_the_stencil_does_not_wrap(dim, rings, extra):
+    # grids of 2 rings + 1, + 2 and + 3 cells per axis, with points on cell
+    # edges, a float either side of them, at 0 and a float below side, and a
+    # query near the low edge, at the middle and a float below the high edge
+    # of every cell, at radii of ``rings`` rings and at side / 2, for which
+    # (rings + 1) cell sizes exceed side / 2: every answer equals the
+    # brute-force scan, distances bit for bit, whether the stencil wraps or
+    # the plain differences serve.  The radii stay clear of rings cell
+    # sizes, where a pair a float farther apart than the radius across
+    # rings + 1 cells can round to the radius (the stencil leaves it out)
+    side = 7.3
+    n = 2 * rings + extra
+    grid = CellGrid(side, dim, n)
+    size = grid.cell_size
+    edges = (np.arange(n) * size).tolist()
+    pool = edges + [math.nextafter(e, side) for e in edges]
+    pool += [math.nextafter(e, 0.0) for e in edges[1:]] + [math.nextafter(side, 0.0)]
+    rng = np.random.default_rng(90 + 9 * dim + 3 * rings + extra)
+    pts = rng.choice(pool, (12 * n, dim))
+    pts[: len(pool), 0] = pool
+    cfg = filed_store(grid, pts)
+    radii = [(rings - 0.5) * size, (rings - 0.01) * size, side / 2.0]
+    for cell in range(n**dim):
+        coords = np.array(np.unravel_index(cell, (n,) * dim), dtype=float)
+        for x in (coords * size + 1e-9, (coords + 0.5) * size, (coords + 1.0) * size):
+            x = np.nextafter(x, 0.0)
+            for radius in radii:
+                rows, dists = cfg.neighbors_within(x, radius)
+                ids = [cfg.point_at(row) for row in rows.tolist()]
+                want = brute_force_neighbors(cfg, x.tolist(), radius)
+                assert (ids, dists.tolist()) == want
+    # a stencil that wraps is led by -1
+    flags = [s[0] == -1 for (_, k), s in cfg._stencils.items() if k == rings]
+    assert len(flags) == n**dim
+    assert all(flags) if extra == 1 else not all(flags)
+    assert all(s[0] == -1 for (_, k), s in cfg._stencils.items() if 2 * (k + 1) > n)
 
 
 # -- neighbor sums ------------------------------------------------------------
