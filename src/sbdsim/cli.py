@@ -14,7 +14,7 @@ import json
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,17 @@ EXIT_EXPLOSION = 4
 
 # Events converted to Python objects at a time while writing events.csv.
 CSV_CHUNK = 4096
+
+# manifest.json's per-replica lists, each read off the trace's attribute of
+# the same name
+REPLICA_LISTS = (
+    "guard_tripped",
+    "absorbed",
+    "n_events",
+    "clamps",
+    "largest_clamp",
+    "peak_population",
+)
 
 
 def _write_events_csv(path: Path, events: EventLog, dim: int) -> None:
@@ -102,7 +113,8 @@ def _write_points_csv(path: Path, points: np.ndarray) -> None:
 
 
 def _run_one_replica(cfg: RunConfig, index: int):
-    """Worker-safe single replica: run, persist, return snapshots."""
+    """Worker-safe single replica: run, persist, and return the snapshots and
+    the replica's entry of each of ``REPLICA_LISTS`` by name."""
     rng = replica_rng(cfg.seed, index)
     conf = initial_configuration(cfg, rng)
     trace = run(
@@ -119,16 +131,7 @@ def _run_one_replica(cfg: RunConfig, index: int):
     _write_events_csv(rep_dir / "events.csv", trace.events, cfg.torus.dim)
     _write_snapshots_csv(rep_dir / "snapshots.csv", trace.snapshots, cfg.torus.dim)
     snapshots = {snap.time: snap.positions for snap in trace.snapshots}
-    return (
-        index,
-        snapshots,
-        trace.guard_tripped,
-        trace.absorbed,
-        trace.n_events,
-        trace.clamps,
-        trace.largest_clamp,
-        trace.peak_population,
-    )
+    return snapshots, {name: getattr(trace, name) for name in REPLICA_LISTS}
 
 
 def _aggregate_reports(cfg: RunConfig, per_replica_snaps: list[dict]):
@@ -205,11 +208,7 @@ def cmd_simulate(args) -> int:
     else:
         for i in range(cfg.replicas):
             results.append(_run_one_replica(cfg, i))
-    results.sort(key=lambda r: r[0])
-
-    per_replica_snaps = [r[1] for r in results]
-    guard_flags = [r[2] for r in results]
-    peaks = [r[7] for r in results]
+    lists = {name: [rec[name] for _, rec in results] for name in REPLICA_LISTS}
     # a- beyond its cutoff is at most tail_sup, so no death rate of a run
     # omits more than tail_sup times its largest population
     a_minus = cfg.model.a_minus
@@ -220,17 +219,12 @@ def cmd_simulate(args) -> int:
         "replica_traces": [
             str(Path("replicas") / f"r{i:04d}") for i in range(cfg.replicas)
         ],
-        "guard_tripped": guard_flags,
-        "absorbed": [r[3] for r in results],
-        "n_events": [r[4] for r in results],
-        "clamps": [r[5] for r in results],
-        "largest_clamp": [r[6] for r in results],
-        "peak_population": peaks,
-        "truncation_budget": [tail_sup * peak for peak in peaks],
+        **lists,
+        "truncation_budget": [tail_sup * peak for peak in lists["peak_population"]],
     }
     (cfg.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
-    reports = _aggregate_reports(cfg, per_replica_snaps)
+    reports = _aggregate_reports(cfg, [snapshots for snapshots, _ in results])
     checks = {}
     surgailis = _surgailis_check(cfg, reports)
     if surgailis is not None:
@@ -241,12 +235,12 @@ def cmd_simulate(args) -> int:
         "replica_traces": manifest["replica_traces"],
         "reports": [r.to_dict() for r in reports],
         "checks": checks,
-        "guard_tripped": any(guard_flags),
+        "guard_tripped": any(lists["guard_tripped"]),
     }
     (cfg.out_dir / "report.json").write_text(json.dumps(report, indent=2))
     print(json.dumps(report["checks"] or {"reports": len(reports)}, indent=2))
 
-    if any(guard_flags):
+    if report["guard_tripped"]:
         print("explosion guard tripped; report is partial", file=sys.stderr)
         return EXIT_EXPLOSION
     if any(not c["passed"] for c in checks.values()):
@@ -345,13 +339,7 @@ def cmd_verify(args) -> int:
 def cmd_bounds(args) -> int:
     try:
         inp = NormBoundInput(
-            theta=args.theta,
-            theta_prime=args.theta_prime,
-            mass_a_plus=args.mass_a_plus,
-            mass_a_minus=args.mass_a_minus,
-            sup_a_plus=args.sup_a_plus,
-            sup_a_minus=args.sup_a_minus,
-            sup_b=args.sup_b,
+            **{f.name: getattr(args, f.name) for f in fields(NormBoundInput)}
         )
         if args.variant == "bolker_pacala":
             bound = norm_bound_bp(inp)
@@ -467,13 +455,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("bolker_pacala", "migration"),
         required=True,
     )
-    p_bounds.add_argument("--theta", type=float, required=True)
-    p_bounds.add_argument("--theta-prime", type=float, required=True)
-    p_bounds.add_argument("--mass-a-plus", type=float, default=0.0)
-    p_bounds.add_argument("--mass-a-minus", type=float, default=0.0)
-    p_bounds.add_argument("--sup-a-plus", type=float, default=0.0)
-    p_bounds.add_argument("--sup-a-minus", type=float, default=0.0)
-    p_bounds.add_argument("--sup-b", type=float, default=0.0)
+    for f in fields(NormBoundInput):  # --theta-prime fills theta_prime
+        p_bounds.add_argument(
+            "--" + f.name.replace("_", "-"),
+            type=float,
+            required=f.default is MISSING,
+            default=f.default,
+        )
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_an = sub.add_parser("analyze", help="recompute statistics from stored snapshots")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable
@@ -29,22 +29,14 @@ from .kernels import (
     ImmigrationField,
     TabulatedKernel,
     TriangularKernel,
-    exponential,
-    gaussian,
-    tabulated,
-    triangular,
 )
 
-# family -> (kernel class, factory, parameter names in factory order)
+# family -> kernel class; a config's params are the class's fields but dim
 KERNEL_FAMILIES = {
-    "gaussian": (GaussianKernel, gaussian, ("weight", "sigma")),
-    "triangular": (TriangularKernel, triangular, ("height", "radius")),
-    "exponential": (ExponentialKernel, exponential, ("weight", "scale")),
-    "tabulated": (
-        TabulatedKernel,
-        tabulated,
-        ("radii", "values", "tail_sup_bound", "tail_mass_bound"),
-    ),
+    "gaussian": GaussianKernel,
+    "triangular": TriangularKernel,
+    "exponential": ExponentialKernel,
+    "tabulated": TabulatedKernel,
 }
 
 
@@ -119,6 +111,11 @@ def _kind(kind: type, what: str):
     return lambda value, path, got: _as_type(value, path, kind, what)
 
 
+def _kernel_params(cls) -> list[str]:
+    """A kernel family's parameter names, in its constructor's order."""
+    return [f.name for f in fields(cls) if f.name != "dim"]
+
+
 def _read_kernel(data, path, got):
     data = _as_type(data, path)
     family = _require(data, "family", path)
@@ -129,14 +126,15 @@ def _read_kernel(data, path, got):
     params = _as_type(data.get("params", {}), where)
     if not isinstance(family, str) or family not in KERNEL_FAMILIES:
         raise ConfigError(f"{path}.family", f"unknown kernel family {family!r}")
-    _, factory, names = KERNEL_FAMILIES[family]
+    cls = KERNEL_FAMILIES[family]
+    names = _kernel_params(cls)
     try:
         if family != "tabulated":
             args = (
                 _as_number(_require(params, n, where), f"{where}.{n}", strict_min=0.0)
                 for n in names
             )
-            return factory(*args, dim)
+            return cls(*args, dim=dim)
         if "csv" in params:  # a file of (radius, value) rows
             table = np.loadtxt(got["base_dir"] / params["csv"], delimiter=",", ndmin=2)
             radii, values = table.T[:2]
@@ -145,7 +143,7 @@ def _read_kernel(data, path, got):
         else:
             raise ConfigError(where, "tabulated needs csv or radii+values")
         tails = {n: _as_number(params.get(n, 0.0), f"{where}.{n}") for n in names[2:]}
-        return factory(radii, values, dim, **tails)
+        return cls(radii, values, dim=dim, **tails)
     except ConfigError:
         raise
     except Exception as exc:
@@ -153,29 +151,29 @@ def _read_kernel(data, path, got):
 
 
 def _write_kernel(kernel):
-    for family, (cls, _, names) in KERNEL_FAMILIES.items():
+    for family, cls in KERNEL_FAMILIES.items():
         if isinstance(kernel, cls):
-            return {
-                "family": family,
-                "params": {
-                    name: np.asarray(getattr(kernel, name)).tolist() for name in names
-                },
-                "dim": kernel.dim,
+            params = {
+                n: np.asarray(getattr(kernel, n)).tolist() for n in _kernel_params(cls)
             }
+            return {"family": family, "params": params, "dim": kernel.dim}
     raise ConfigError("model", f"cannot serialize kernel type {type(kernel)!r}")
 
 
 def _read_immigration(data, path, got):
     data = _as_type(data, path)
+    if "constant" in data:
+        return ImmigrationField(constant=_as_number(
+            data["constant"], f"{path}.constant", minimum=0.0))
+    if "grid" not in data:
+        raise ConfigError(path, "expected a 'constant' or 'grid' intensity")
     try:
-        if "constant" in data:
-            return ImmigrationField(constant=_as_number(
-                data["constant"], f"{path}.constant", minimum=0.0))
-        if "grid" in data:
-            return ImmigrationField(grid=np.asarray(data["grid"], dtype=float))
+        b = ImmigrationField(grid=np.asarray(data["grid"], dtype=float))
     except (TypeError, ValueError) as exc:
         raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(path, "expected a 'constant' or 'grid' intensity")
+    if b.dim != got["torus.dim"]:
+        raise ConfigError(path, f"grid has {b.dim} axes, torus.d is {got['torus.dim']}")
+    return b
 
 
 def _write_immigration(b):

@@ -112,11 +112,15 @@ class ModelSpec:
         return None
 
     def check_torus(self, torus: Torus) -> None:
-        """Raise DynamicsError unless the kernels have the torus's dimension
-        and cutoffs of at most half its side."""
+        """Raise DynamicsError unless the kernels and an immigration grid have
+        the torus's dimension, and the cutoffs are at most half its side."""
         if self.dim is not None and self.dim != torus.dim:
             raise DynamicsError(
                 f"model dimension {self.dim} != torus dimension {torus.dim}"
+            )
+        if self.b is not None and self.b.dim not in (None, torus.dim):
+            raise DynamicsError(
+                f"immigration grid has {self.b.dim} axes, torus dimension {torus.dim}"
             )
         for kernel in (self.a_plus, self.a_minus):
             if kernel is not None and kernel.cutoff_radius() > torus.side / 2.0:

@@ -9,6 +9,15 @@ treats them as zero; for families with unbounded support the cutoff is chosen
 so the discarded mass is below ``TAIL_MASS_FRACTION`` of the total, and the
 discarded sup/mass are available as certified error budgets.
 
+Each family is a frozen dataclass whose fields are its parameters, in the
+order its constructor takes them, then ``dim`` (default 1); the tabulated
+family's optional tail bounds come last.  Those fields are the one list of a
+family's parameters: the base class requires each parametric family's to be
+positive and finite (the tabulated family checks its own), ``scaled``
+multiplies the ones a family names in ``SCALED``, and the config reads and
+writes them by name.  The lower-case names ``gaussian``, ``triangular``,
+``exponential`` and ``tabulated`` are the classes themselves.
+
 The two unbounded families have closed-form tails.  The share of a gaussian's
 mass beyond radius ``r`` in ``d`` dimensions is Q(d/2, r^2 / (2 sigma^2)), and
 the share of an exponential's is Q(d, r / scale), where Q(s, x) is the
@@ -28,7 +37,7 @@ weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -115,14 +124,22 @@ def uniform_direction(dim: int, rng: np.random.Generator, size: int) -> np.ndarr
     return v / norms
 
 
-@dataclass(frozen=True, eq=False)
 class RadialKernel:
-    """Base class for radial interaction kernels on R^d."""
+    """Base class for radial interaction kernels on R^d.
+
+    ``SCALED`` names the fields that carry a family's overall weight.
+    """
 
     dim: int
+    SCALED: tuple[str, ...]
 
     def __post_init__(self):
+        """Check ``dim``, and that every other field is a positive finite number."""
         _check_dim(self.dim)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "dim" and not (value > 0.0 and math.isfinite(value)):
+                raise KernelError(f"{f.name} must be positive, got {value}")
 
     # -- radial profile -------------------------------------------------
 
@@ -174,7 +191,7 @@ class RadialKernel:
 
     def scaled(self, alpha: float) -> "RadialKernel":
         """Same shape with the overall weight multiplied by ``alpha > 0``."""
-        raise NotImplementedError
+        return replace(self, **{n: getattr(self, n) * alpha for n in self.SCALED})
 
     # -- sampling ---------------------------------------------------------
 
@@ -191,15 +208,13 @@ class RadialKernel:
 
 @dataclass(frozen=True, eq=False)
 class GaussianKernel(RadialKernel):
-    weight: float = 1.0
-    sigma: float = 1.0
+    """Profile ``weight`` times the centred normal density of deviation ``sigma``."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not (self.weight > 0.0 and math.isfinite(self.weight)):
-            raise KernelError(f"weight must be positive, got {self.weight}")
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise KernelError(f"sigma must be positive, got {self.sigma}")
+    weight: float
+    sigma: float
+    dim: int = 1
+
+    SCALED = ("weight",)
 
     @cached_property
     def _peak(self) -> float:
@@ -232,9 +247,6 @@ class GaussianKernel(RadialKernel):
     def characteristic_radius(self) -> float:
         return self.sigma
 
-    def scaled(self, alpha: float) -> "GaussianKernel":
-        return replace(self, weight=self.weight * alpha)
-
     def sample_displacement(self, rng, size=None):
         n = 1 if size is None else int(size)
         disp = rng.standard_normal((n, self.dim)) * self.sigma
@@ -245,15 +257,11 @@ class GaussianKernel(RadialKernel):
 class TriangularKernel(RadialKernel):
     """Tent profile ``height * max(0, 1 - r/radius)`` with compact support."""
 
-    height: float = 1.0
-    radius: float = 1.0
+    height: float
+    radius: float
+    dim: int = 1
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not (self.height > 0.0 and math.isfinite(self.height)):
-            raise KernelError(f"height must be positive, got {self.height}")
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise KernelError(f"radius must be positive, got {self.radius}")
+    SCALED = ("height",)
 
     def _profile(self, r):
         # height * max(1 - r / radius, 0), in place in one fresh array
@@ -287,14 +295,8 @@ class TriangularKernel(RadialKernel):
     def cutoff_radius(self) -> float:
         return self.radius
 
-    def tail_sup(self) -> float:
-        return 0.0
-
     def characteristic_radius(self) -> float:
         return self.radius / 2.0
-
-    def scaled(self, alpha: float) -> "TriangularKernel":
-        return replace(self, height=self.height * alpha)
 
     def sample_radius(self, rng, size):
         # Rejection against the uniform ball: accept radius s with prob 1 - s/R.
@@ -314,15 +316,11 @@ class TriangularKernel(RadialKernel):
 class ExponentialKernel(RadialKernel):
     """Profile ``weight * exp(-r/scale)`` normalized so mass() == weight."""
 
-    weight: float = 1.0
-    scale: float = 1.0
+    weight: float
+    scale: float
+    dim: int = 1
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not (self.weight > 0.0 and math.isfinite(self.weight)):
-            raise KernelError(f"weight must be positive, got {self.weight}")
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise KernelError(f"scale must be positive, got {self.scale}")
+    SCALED = ("weight",)
 
     @cached_property
     def _peak(self) -> float:
@@ -357,9 +355,6 @@ class ExponentialKernel(RadialKernel):
     def characteristic_radius(self) -> float:
         return self.scale
 
-    def scaled(self, alpha: float) -> "ExponentialKernel":
-        return replace(self, weight=self.weight * alpha)
-
     def sample_radius(self, rng, size):
         # Radius has a Gamma(dim, scale) law: density prop to r^(d-1) e^(-r/scale).
         return rng.gamma(self.dim, self.scale, size)
@@ -376,13 +371,16 @@ class TabulatedKernel(RadialKernel):
     once, stay in step with it.
     """
 
-    radii: np.ndarray = None
-    values: np.ndarray = None
+    radii: np.ndarray
+    values: np.ndarray
+    dim: int = 1
     tail_sup_bound: float = 0.0
     tail_mass_bound: float = 0.0
 
+    SCALED = ("values", "tail_sup_bound", "tail_mass_bound")
+
     def __post_init__(self):
-        super().__post_init__()
+        _check_dim(self.dim)
         radii = np.array(self.radii, dtype=float)
         values = np.array(self.values, dtype=float)
         radii.flags.writeable = values.flags.writeable = False
@@ -390,6 +388,8 @@ class TabulatedKernel(RadialKernel):
         object.__setattr__(self, "values", values)
         if radii.ndim != 1 or radii.size < 2:
             raise KernelError("need at least two (radius, value) grid points")
+        if not np.all(np.isfinite(radii)):
+            raise KernelError("radial grid must be finite")
         if radii[0] != 0.0:
             raise KernelError("radial grid must start at radius 0")
         if not np.all(np.diff(radii) > 0.0):
@@ -398,8 +398,9 @@ class TabulatedKernel(RadialKernel):
             raise KernelError("radii and values must have matching shapes")
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
             raise KernelError("tabulated values must be finite and nonnegative")
-        if self.tail_sup_bound < 0.0 or self.tail_mass_bound < 0.0:
-            raise KernelError("tail bounds must be nonnegative")
+        for bound in (self.tail_sup_bound, self.tail_mass_bound):
+            if not (0.0 <= bound < math.inf):
+                raise KernelError("tail bounds must be finite and nonnegative")
         if values[-1] > 0.0 and (
             self.tail_sup_bound < values[-1] or self.tail_mass_bound <= 0.0
         ):
@@ -453,15 +454,6 @@ class TabulatedKernel(RadialKernel):
     def is_nonincreasing(self) -> bool:
         return bool(np.all(np.diff(self.values) <= 0.0))
 
-    def scaled(self, alpha: float) -> "TabulatedKernel":
-        return TabulatedKernel(
-            dim=self.dim,
-            radii=self.radii,
-            values=self.values * alpha,
-            tail_sup_bound=self.tail_sup_bound * alpha,
-            tail_mass_bound=self.tail_mass_bound * alpha,
-        )
-
     @cached_property
     def _step_table(self) -> tuple[np.ndarray, np.ndarray, float]:
         """The step function that dominates profile(s) * s^(d-1): its value
@@ -493,32 +485,10 @@ class TabulatedKernel(RadialKernel):
         return out
 
 
-def gaussian(weight: float, sigma: float, dim: int = 1) -> GaussianKernel:
-    return GaussianKernel(dim=dim, weight=weight, sigma=sigma)
-
-
-def triangular(height: float, radius: float, dim: int = 1) -> TriangularKernel:
-    return TriangularKernel(dim=dim, height=height, radius=radius)
-
-
-def exponential(weight: float, scale: float, dim: int = 1) -> ExponentialKernel:
-    return ExponentialKernel(dim=dim, weight=weight, scale=scale)
-
-
-def tabulated(
-    radii,
-    values,
-    dim: int = 1,
-    tail_sup_bound: float = 0.0,
-    tail_mass_bound: float = 0.0,
-) -> TabulatedKernel:
-    return TabulatedKernel(
-        dim=dim,
-        radii=radii,
-        values=values,
-        tail_sup_bound=tail_sup_bound,
-        tail_mass_bound=tail_mass_bound,
-    )
+gaussian = GaussianKernel
+triangular = TriangularKernel
+exponential = ExponentialKernel
+tabulated = TabulatedKernel
 
 
 class ImmigrationField:
@@ -554,11 +524,6 @@ class ImmigrationField:
     @property
     def dim(self) -> int | None:
         return None if self.grid is None else self.grid.ndim
-
-    def sup_norm(self) -> float:
-        if self.grid is None:
-            return self.constant
-        return float(self.grid.max())
 
     def integral(self, side: float, dim: int) -> float:
         """Total intensity over the box [0, side)^dim."""

@@ -10,7 +10,7 @@ the order n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 
 class OracleError(ValueError):
@@ -79,15 +79,9 @@ class NormBoundInput:
             raise OracleError(
                 f"need theta_prime > theta, got {self.theta_prime} <= {self.theta}"
             )
-        for name in (
-            "mass_a_plus",
-            "mass_a_minus",
-            "sup_a_plus",
-            "sup_a_minus",
-            "sup_b",
-        ):
-            if getattr(self, name) < 0.0:
-                raise OracleError(f"{name} must be nonnegative")
+        for f in fields(self):  # the functionals: the fields that default to 0
+            if f.default is not MISSING and getattr(self, f.name) < 0.0:
+                raise OracleError(f"{f.name} must be nonnegative")
 
 
 def norm_bound_bp(inp: NormBoundInput) -> float:

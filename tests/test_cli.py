@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from sbdsim.config import initial_configuration, load_config, replica_rng
 from sbdsim.dynamics import ModelSpec, Snapshot, run
 from sbdsim.geometry import Torus, sample_poisson
 from sbdsim.kernels import ImmigrationField, gaussian, triangular
+from sbdsim.oracles import NormBoundInput
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -179,6 +181,35 @@ def test_simulate_on_a_torus_narrower_than_a_kernel_is_usage_error(tmp_path, cap
     for command in ("certify", "verify"):
         out = tmp_path / command
         assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+
+
+def test_simulate_with_an_immigration_grid_of_other_dimension_is_usage_error(
+    tmp_path, capsys
+):
+    cfg = surgailis_config()
+    cfg["model"]["b"] = {"grid": [[1.0, 2.0], [0.5, 0.5]]}
+    cfg_path = write_config(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "usage error: config error at model.b: grid has 2 axes, torus.d is 1\n"
+    assert not out.exists()
+
+
+def test_tabulated_kernel_with_an_infinite_radius_is_usage_error(tmp_path, capsys):
+    # json writes and reads inf as Infinity; certify used to stop in the
+    # Riemann sum with a traceback
+    cfg = bp_config()
+    cfg["model"]["a_minus"] = {
+        "family": "tabulated",
+        "params": {"radii": [0.0, 0.5, math.inf], "values": [1.0, 0.5, 0.0]},
+        "dim": 1,
+    }
+    cfg_path = write_config(tmp_path / "cfg.json", cfg)
+    assert "Infinity" in Path(cfg_path).read_text()
+    assert main(["certify", "--config", cfg_path, "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "model.a_minus" in err and "finite" in err
 
 
 def reference_events_csv(events, dim) -> bytes:
@@ -373,6 +404,18 @@ def test_manifest_records_each_replica_s_clamps(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--config", cfg_path, "--out", str(out_a)]) == 0
     manifest = json.loads((out_a / "manifest.json").read_text())
+    assert list(manifest) == [
+        "tool",
+        "config",
+        "replica_traces",
+        "guard_tripped",
+        "absorbed",
+        "n_events",
+        "clamps",
+        "largest_clamp",
+        "peak_population",
+        "truncation_budget",
+    ]
     parsed = load_config(cfg_path)
     for i in range(2):
         rng = replica_rng(parsed.seed, i)
@@ -381,6 +424,8 @@ def test_manifest_records_each_replica_s_clamps(tmp_path):
         assert manifest["largest_clamp"][i] == trace.largest_clamp
         assert manifest["n_events"][i] == trace.n_events
         assert manifest["peak_population"][i] == trace.peak_population
+        assert manifest["guard_tripped"][i] is trace.guard_tripped is False
+        assert manifest["absorbed"][i] is trace.absorbed
     assert min(manifest["clamps"]) > 0 and 0.0 < max(manifest["largest_clamp"]) < 1e-12
     # a triangular a- ends at its cutoff
     assert manifest["truncation_budget"] == [0.0, 0.0]
@@ -620,6 +665,26 @@ def test_bounds_migration_hand_value(capsys):
 def test_bounds_gap_must_be_positive():
     args = ["bounds", "--variant", "migration", "--theta", "1", "--theta-prime", "1"]
     assert main(args) == 2
+
+
+def test_bounds_has_one_flag_per_input(capsys):
+    # each NormBoundInput field is one flag, its name with dashes; the two
+    # without a default are required and the rest default to 0.0
+    inputs = dataclasses.fields(NormBoundInput)
+    values = {f.name: float(i + 1) for i, f in enumerate(inputs)}
+    argv = ["bounds", "--variant", "bolker_pacala"]
+    for name, value in values.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"] == values
+    base = ["bounds", "--variant", "migration", "--theta", "0.5", "--theta-prime", "2"]
+    assert main(base) == 0
+    defaults = json.loads(capsys.readouterr().out)["inputs"]
+    assert defaults == {f.name: 0.0 for f in inputs} | {"theta": 0.5, "theta_prime": 2.0}
+    for required in (base[3:5], base[5:7]):
+        with pytest.raises(SystemExit) as exc:
+            main([a for a in base if a not in required])
+        assert exc.value.code == 2
 
 
 # -- analyze -----------------------------------------------------------------------

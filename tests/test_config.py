@@ -29,7 +29,7 @@ KERNELS = [
 
 
 def test_kernel_config_roundtrip_all_families():
-    assert {type(k) for k in KERNELS} == {cls for cls, _, _ in KERNEL_FAMILIES.values()}
+    assert {type(k) for k in KERNELS} == set(KERNEL_FAMILIES.values())
     grid = np.linspace(0.0, 3.0, 61)
     row = FIELDS["model.a_plus"]
     for kernel in KERNELS:
@@ -38,6 +38,37 @@ def test_kernel_config_roundtrip_all_families():
         assert type(back) is type(kernel) and back.dim == kernel.dim
         assert row.write(back) == data
         np.testing.assert_array_equal(back.profile(grid), kernel.profile(grid))
+
+
+@pytest.mark.parametrize(
+    "params, where",
+    [
+        ({"radii": [0.0, 0.5, float("inf")], "values": [1.0, 0.5, 0.0]}, "model.a_minus"),
+        (
+            {"radii": [0.0, 1.0], "values": [1.0, 0.5], "tail_sup_bound": float("nan")},
+            "model.a_minus.params.tail_sup_bound",
+        ),
+    ],
+)
+def test_tabulated_non_finite_radii_or_tail_bounds_are_config_errors(params, where):
+    data = {"family": "tabulated", "params": params, "dim": 1}
+    with pytest.raises(ConfigError) as err:
+        FIELDS["model.a_minus"].read(data, "model.a_minus", {"torus.dim": 1})
+    assert err.value.path == where
+    assert "finite" in str(err.value)
+
+
+def test_immigration_grid_needs_the_torus_s_axes():
+    data = {
+        "model": {"variant": "migration", "b": {"grid": [[1.0, 2.0], [0.5, 0.5]]}},
+        "torus": {"L": 20.0, "d": 1},
+    }
+    with pytest.raises(ConfigError) as err:
+        parse_config(data)
+    assert err.value.path == "model.b"
+    assert str(err.value) == "config error at model.b: grid has 2 axes, torus.d is 1"
+    data["torus"]["d"] = 2
+    assert parse_config(data).model.b.dim == 2
 
 
 def test_unknown_kernel_family_reports_path():

@@ -56,6 +56,18 @@ def test_modelspec_validation():
         ModelSpec("bolker_pacala", m=-1.0)
 
 
+def test_immigration_grid_must_match_the_torus_dimension():
+    # a two-axis grid on a line is refused before the run starts
+    spec = ModelSpec("migration", b=ImmigrationField(grid=[[1.0, 2.0], [0.5, 0.5]]))
+    line = Torus(20.0, 1)
+    with pytest.raises(DynamicsError, match="immigration grid has 2 axes"):
+        spec.check_torus(line)
+    with pytest.raises(DynamicsError, match="immigration grid has 2 axes"):
+        run(spec, TorusConfiguration(line), 1.0, np.random.default_rng(0))
+    spec.check_torus(Torus(20.0, 2))
+    migration_spec().check_torus(line)  # a constant field fits any torus
+
+
 # -- rate bookkeeping ------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import os
 import subprocess
@@ -11,11 +13,15 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 import sbdsim
+from sbdsim.config import FIELDS, KERNEL_FAMILIES
 from sbdsim.kernels import (
     TAIL_MASS_FRACTION,
     ExponentialKernel,
+    GaussianKernel,
     ImmigrationField,
     KernelError,
+    TabulatedKernel,
+    TriangularKernel,
     _gamma_q,
     _gamma_q_inv,
     exponential,
@@ -292,6 +298,104 @@ def test_tabulated_rejects_bad_grids():
         tabulated([0.0, 1.0], [1.0, -0.1], dim=1)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_tabulated_rejects_non_finite_radii_and_tail_bounds(bad):
+    # an infinite last radius is strictly increasing, and a nan tail bound
+    # compares false with 0, so each needs its own finiteness check
+    with pytest.raises(KernelError, match="radial grid must be finite"):
+        tabulated([0.0, 0.5, bad], [1.0, 0.5, 0.0], dim=1)
+    for name in ("tail_sup_bound", "tail_mass_bound"):
+        bounds = {"tail_sup_bound": 0.5, "tail_mass_bound": 1.0, name: bad}
+        with pytest.raises(KernelError, match="tail bounds must be finite"):
+            tabulated([0.0, 1.0], [1.0, 0.5], dim=1, **bounds)
+
+
+# -- one declaration of each family's parameters -----------------------------
+
+# each family's constructor: its parameters, then dim, then any optional ones
+SIGNATURES = {
+    "gaussian": ["weight", "sigma", "dim"],
+    "triangular": ["height", "radius", "dim"],
+    "exponential": ["weight", "scale", "dim"],
+    "tabulated": ["radii", "values", "dim", "tail_sup_bound", "tail_mass_bound"],
+}
+POSITIONAL = {  # distinct values for the parameters, in SIGNATURES order
+    "gaussian": (0.7, 1.3, 2),
+    "triangular": (2.0, 0.5, 3),
+    "exponential": (1.5, 0.25, 2),
+    "tabulated": ([0.0, 0.5, 1.0], [2.0, 1.0, 0.5], 3, 0.5, 0.1),
+}
+
+
+def test_lower_case_names_are_the_classes():
+    assert gaussian is GaussianKernel
+    assert triangular is TriangularKernel
+    assert exponential is ExponentialKernel
+    assert tabulated is TabulatedKernel
+    for family, cls in KERNEL_FAMILIES.items():
+        assert getattr(sbdsim.kernels, family) is cls
+
+
+@pytest.mark.parametrize("family", sorted(SIGNATURES))
+def test_families_take_parameters_then_dim_in_config_order(family):
+    cls, names, args = KERNEL_FAMILIES[family], SIGNATURES[family], POSITIONAL[family]
+    k = names.index("dim")
+    params = inspect.signature(cls).parameters
+    assert list(params) == names
+    defaults = [p.default for p in params.values()]
+    assert defaults[: k + 1] == [inspect.Parameter.empty] * k + [1]
+    kernel = cls(*args)
+    for name, value in zip(names, args):
+        np.testing.assert_array_equal(getattr(kernel, name), value)
+    data = FIELDS["model.a_plus"].write(kernel)
+    assert data["family"] == family and data["dim"] == kernel.dim
+    assert list(data["params"]) == names[:k] + names[k + 1 :]
+    assert cls(*args[:k], **dict(zip(names[k + 1 :], args[k + 1 :]))).dim == 1
+
+
+def scaled_per_family(kernel, alpha):
+    """``scaled`` as each family wrote it before the base class did."""
+    if isinstance(kernel, TabulatedKernel):
+        return TabulatedKernel(
+            dim=kernel.dim,
+            radii=kernel.radii,
+            values=kernel.values * alpha,
+            tail_sup_bound=kernel.tail_sup_bound * alpha,
+            tail_mass_bound=kernel.tail_mass_bound * alpha,
+        )
+    if isinstance(kernel, TriangularKernel):
+        return dataclasses.replace(kernel, height=kernel.height * alpha)
+    return dataclasses.replace(kernel, weight=kernel.weight * alpha)
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.1, 0.7, 3.7, 100.0 / 3.0, 1234.5])
+@pytest.mark.parametrize("family", sorted(SIGNATURES))
+def test_scaled_matches_each_family_s_own_bit_for_bit(family, alpha):
+    kernel = KERNEL_FAMILIES[family](*POSITIONAL[family])
+    got, want = kernel.scaled(alpha), scaled_per_family(kernel, alpha)
+    assert type(got) is type(kernel) and got is not kernel
+    for f in dataclasses.fields(want):
+        np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
+    r = np.linspace(0.0, 2.0 * kernel.cutoff_radius(), 97)
+    np.testing.assert_array_equal(got.profile(r), want.profile(r))
+    assert got.profile(r).tolist() != kernel.profile(r).tolist()
+    assert (got.mass(), got.sup_norm(), got.tail_sup(), got.mass_beyond(0.3)) == (
+        want.mass(), want.sup_norm(), want.tail_sup(), want.mass_beyond(0.3)
+    )
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("family", ["gaussian", "triangular", "exponential"])
+def test_every_parameter_must_be_positive_and_finite(family, bad):
+    names = SIGNATURES[family]
+    good = POSITIONAL[family]
+    for i, name in enumerate(names[: names.index("dim")]):
+        args = list(good)
+        args[i] = bad
+        with pytest.raises(KernelError, match=f"^{name} must be positive, got {bad}$"):
+            KERNEL_FAMILIES[family](*args)
+
+
 # -- scaling -----------------------------------------------------------------
 
 
@@ -480,7 +584,6 @@ def test_samplers_keep_read_only_copies_of_their_grids():
 
 def test_immigration_constant():
     f = ImmigrationField(constant=0.5)
-    assert f.sup_norm() == 0.5
     assert f.integral(10.0, 1) == 5.0
     assert f.integral(10.0, 2) == 50.0
 
@@ -493,7 +596,6 @@ def test_immigration_zero_allowed():
 def test_immigration_grid():
     g = np.array([[1.0, 0.0], [0.0, 1.0]])
     f = ImmigrationField(grid=g)
-    assert f.sup_norm() == 1.0
     # half the box at intensity 1: integral = L^2 / 2
     assert f.integral(4.0, 2) == pytest.approx(8.0)
     rng = np.random.default_rng(12)
