@@ -39,6 +39,12 @@ from .kernels import RadialKernel, unit_ball_volume
 # Densest-packing constants by dimension (see ``packing_bound``); 1.0 is
 # sound in any d and serves d >= 4.
 TIGHT_PACKING = {1: 1.0, 2: math.pi / math.sqrt(12.0), 3: math.pi / math.sqrt(18.0)}
+# Defaults of certify and verify_certificate, which config imports.
+DEFAULT_OMEGA = 1.0
+DEFAULT_TRIALS = 100_000
+DEFAULT_SIZE_MAX = 30
+SELF_CHECK_TOL = 1e-12  # relative and absolute, on each field self_check recomputes
+VIOLATION_TOL = 1e-9  # see ViolationReport.tolerance
 
 
 class CertificationError(RuntimeError):
@@ -139,10 +145,13 @@ class SearchGrid:
     def __post_init__(self):
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
         object.__setattr__(self, "h_factors", tuple(float(f) for f in self.h_factors))
-        if not self.radii or any(r <= 0.0 for r in self.radii):
-            raise CertificationError("radii must be a nonempty positive tuple")
-        if not self.h_factors or any(f <= 0.0 for f in self.h_factors):
-            raise CertificationError("h_factors must be a nonempty positive tuple")
+        for name in ("radii", "h_factors"):
+            values = getattr(self, name)
+            if not values or not all(0.0 < v < math.inf for v in values):
+                raise CertificationError(
+                    f"{name} must be a nonempty tuple of finite positive numbers, "
+                    f"got {values}"
+                )
 
 
 @dataclass(frozen=True)
@@ -165,7 +174,7 @@ class Certificate:
     mass_a_plus: float
     provenance: dict = field(default_factory=dict)
 
-    def self_check(self, tol: float = 1e-12) -> None:
+    def self_check(self) -> None:
         """Recompute the arithmetic chain from stored fields; raise on mismatch."""
         g = packing_bound(self.dim, self.h, self.r, self.packing_constant)
         delta = max(self.sup_a_plus, (self.mass_a_plus + self.epsilon) * g)
@@ -176,6 +185,7 @@ class Certificate:
             "delta": (self.delta, delta),
             "theta": (self.theta, theta),
         }
+        tol = SELF_CHECK_TOL
         for name, (stored, recomputed) in checks.items():
             if not math.isclose(stored, recomputed, rel_tol=tol, abs_tol=tol):
                 raise CertificationError(
@@ -214,7 +224,7 @@ class Certificate:
 def certify(
     a_plus: RadialKernel,
     a_minus: RadialKernel,
-    omega: float = 1.0,
+    omega: float = DEFAULT_OMEGA,
     grid: SearchGrid | None = None,
     tight_packing: bool = True,
 ) -> Certificate:
@@ -465,7 +475,7 @@ class ViolationReport:
     theta_up: float  # least theta a sampled configuration refutes
     theta_ceiling: float  # mass(a-) / mass(a+), above which no theta is valid
     n_violations: int
-    tolerance: float
+    tolerance: float  # a trial violates when U < -tolerance * (1 + omega |eta|)
     argmin_sampler: str
     argmin_points: np.ndarray
     sampler_mix: dict
@@ -475,19 +485,10 @@ class ViolationReport:
         return self.n_violations == 0
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "size_max": self.size_max,
-            "min_u": self.min_u,
-            "theta_up": self.theta_up,
-            "theta_ceiling": self.theta_ceiling,
-            "n_violations": self.n_violations,
-            "tolerance": self.tolerance,
-            "argmin_sampler": self.argmin_sampler,
-            "argmin_points": self.argmin_points.tolist(),
-            "sampler_mix": dict(self.sampler_mix),
-            "passed": self.passed,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["argmin_points"] = self.argmin_points.tolist()
+        out["sampler_mix"] = dict(self.sampler_mix)
+        return {**out, "passed": self.passed}
 
 
 def _draw_block(
@@ -541,9 +542,10 @@ def verify_certificate(
     cert: Certificate,
     a_plus: RadialKernel,
     a_minus: RadialKernel,
-    trials: int = 100_000,
-    size_max: int = 30,
-    rng: np.random.Generator | None = None,
+    trials: int = DEFAULT_TRIALS,
+    size_max: int = DEFAULT_SIZE_MAX,
+    *,
+    rng: np.random.Generator,
     sampler_mix: dict | None = None,
 ) -> ViolationReport:
     """Randomized search for configurations with U < 0.
@@ -562,24 +564,17 @@ def verify_certificate(
     so [cert.theta, theta_up] brackets the best level.  It is inf if no trial
     qualifies.
 
-    Trials run in blocks of at most ``TRIAL_BATCH``.  Each block draws, in
-    this order: every trial's sampler (one ``random``); the sizes for each
-    sampler in ``SAMPLER_NAMES`` order (uniform 0..size_max, Poisson with
-    mean size_max / 2 truncated at size_max, clusters 2..size_max); the
-    points of all box trials (one ``uniform``); and the points of all cluster
-    trials (one standard ``normal``, scaled per point).  The points are
-    stacked by sampler class, the box trials' before the cluster trials',
-    each class in trial order, and every trial is read from its own start
-    row.  The trials of each size are then evaluated as one array, so
+    Trials run in blocks of at most ``TRIAL_BATCH``, each drawn from the
+    required, caller-seeded ``rng`` in the order ``_draw_block`` gives:
+    uniform trials have 0..size_max points, Poisson trials a Poisson count
+    of mean size_max / 2 truncated at size_max, clusters 2..size_max.  The
+    trials of each size are evaluated as one array, so
     ``u_theta(argmin_points)`` matches ``min_u`` to rounding: a vectorised
-    ``exp`` may round an element differently at another position in an
-    array.
+    ``exp`` may round an element differently at another position in an array.
 
     Raises CertificationError for a ``size_max`` the selected samplers cannot
     draw: below 2 with a cluster sampler, below 0 otherwise.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if sampler_mix is None:
         sampler_mix = {name: 1.0 for name in SAMPLER_NAMES}
     names = [n for n in SAMPLER_NAMES if sampler_mix.get(n, 0.0) > 0.0]
@@ -616,7 +611,7 @@ def verify_certificate(
         )
         sum_minus, sum_plus = _pair_sums(pts, sizes, a_plus, a_minus, starts)
         u = omega * sizes + sum_minus - theta * sum_plus
-        n_violations += int(np.count_nonzero(u < -1e-9 * (1.0 + omega * sizes)))
+        n_violations += int(np.count_nonzero(u < -VIOLATION_TOL * (1 + omega * sizes)))
         real = np.flatnonzero(sizes >= 2)
         if real.shape[0] == 0:
             continue
@@ -638,7 +633,7 @@ def verify_certificate(
         theta_up=theta_up,
         theta_ceiling=a_minus.mass() / a_plus.mass(),
         n_violations=n_violations,
-        tolerance=1e-9,
+        tolerance=VIOLATION_TOL,
         argmin_sampler=argmin_sampler,
         argmin_points=argmin_pts,
         sampler_mix={n: float(sampler_mix.get(n, 0.0)) for n in SAMPLER_NAMES},

@@ -398,16 +398,14 @@ def cmd_analyze(args) -> int:
 
 def _load_with_overrides(args) -> RunConfig:
     """The config with the command line's overrides: ``--seed`` and
-    ``--replicas`` meet the checks of their config fields; ``--out`` is
-    taken as given, relative to the working directory."""
+    (``simulate`` only) ``--replicas`` meet the checks of their config
+    fields; ``--out`` is taken as given, relative to the working directory."""
     cfg = load_config(args.config)
     for field in ("seed", "replicas"):  # fields that no default depends on
         if getattr(args, field, None) is not None:
             setattr(cfg, field, FIELDS[field].read(getattr(args, field), field, {}))
-    if getattr(args, "out", None):
+    if args.out:
         cfg.out_dir = Path(args.out)
-    if getattr(args, "audit", False) and cfg.audit_every == 0:
-        cfg.audit_every = 1000
     return cfg
 
 
@@ -422,19 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="JSON config path")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--replicas", type=int, help="override the replica count")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument(
-            "--audit",
-            action="store_true",
-            help="recompute rate caches from scratch every 1000 events",
-        )
 
     p_sim = sub.add_parser("simulate", help="run replicas and aggregate statistics")
     add_common(p_sim)
+    p_sim.add_argument("--replicas", type=int, help="override the replica count")
     p_sim.add_argument(
         "--workers", type=int, default=1, help="parallel replica processes"
     )

@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .certificate import CertificationError, SearchGrid
+from .certificate import DEFAULT_OMEGA, DEFAULT_SIZE_MAX, DEFAULT_TRIALS
 from .dynamics import DEFAULT_MAX_POPULATION, DynamicsError, ModelSpec
 from .geometry import Torus, TorusConfiguration, Window, sample_poisson
 from .kernels import (
@@ -30,6 +31,7 @@ from .kernels import (
     TabulatedKernel,
     TriangularKernel,
 )
+from .statistics import DEFAULT_BINS, DEFAULT_N_MAX
 
 # family -> kernel class; a config's params are the class's fields but dim
 KERNEL_FAMILIES = {
@@ -333,17 +335,17 @@ FIELDS = {
         ),
         lambda w: {"lo": list(w.lo), "hi": list(w.hi)},
     ),
-    "analysis.n_max": Field("n_max", _integer(1), 3),
-    "analysis.g_bins": Field("g_bins", _integer(1), 20),
+    "analysis.n_max": Field("n_max", _integer(1), DEFAULT_N_MAX),
+    "analysis.g_bins": Field("g_bins", _integer(1), DEFAULT_BINS),
     "analysis.g_r_max": Field(
         "g_r_max",
         _number(strict_min=0.0, most=lambda got: got["torus.side"] / 2.0),
         _default_g_r_max,
     ),
-    "certificate.omega": Field("omega", _number(strict_min=0.0), 1.0),
+    "certificate.omega": Field("omega", _number(strict_min=0.0), DEFAULT_OMEGA),
     "certificate": Field("cert_grid", _read_grid, lambda got: None, _write_grid),
-    "certificate.trials": Field("cert_trials", _integer(1), 100_000),
-    "certificate.size_max": Field("cert_size_max", _integer(2), 30),
+    "certificate.trials": Field("cert_trials", _integer(1), DEFAULT_TRIALS),
+    "certificate.size_max": Field("cert_size_max", _integer(2), DEFAULT_SIZE_MAX),
     "certificate.tight_packing": Field("tight_packing", _kind(bool, "a boolean"), True),
     "guard.max_population": Field(
         "max_population", _integer(1), DEFAULT_MAX_POPULATION

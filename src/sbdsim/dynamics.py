@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Torus, TorusConfiguration
+from .geometry import LOAD_DRIFT_TOL, Torus, TorusConfiguration
 from .kernels import ImmigrationField, RadialKernel
 
 VARIANTS = ("bolker_pacala", "migration")
@@ -278,7 +278,7 @@ class SimulationState:
         b = self._b_total + n * self._birth_mass
         return b, self.spec.m * n + self.cfg.load_total()
 
-    def audit(self, rel_tol: float = 1e-9) -> None:
+    def audit(self) -> None:
         """Check the cell index against the positions, then recompute every
         cached load and block sum from scratch; raise AuditError on any fault
         or drift.  The fresh loads add each unordered pair's kernel to both
@@ -290,7 +290,7 @@ class SimulationState:
             raise AuditError(f"cell index differs from the positions: {fault}")
         cached = self.cfg.loads
         fresh = self._fresh_loads()
-        drift = np.abs(cached - fresh) > rel_tol * (1.0 + np.abs(fresh))
+        drift = np.abs(cached - fresh) > LOAD_DRIFT_TOL * (1.0 + np.abs(fresh))
         drifted = np.flatnonzero(drift)
         if drifted.size:
             row = drifted[0]
@@ -298,7 +298,7 @@ class SimulationState:
                 f"death-rate cache for point {self.cfg.point_at(row)} drifted: "
                 f"cached {float(cached[row])!r}, recomputed {float(fresh[row])!r}"
             )
-        stale = self.cfg.stale_block(rel_tol)
+        stale = self.cfg.stale_block()
         if stale is not None:
             block, running, recomputed = stale
             raise AuditError(
@@ -341,7 +341,7 @@ class SimulationState:
                 delta = -contrib
                 lowest = np.minimum.reduce(left)
                 if lowest < 0.0:
-                    corrupt = np.flatnonzero(left < -1e-9 * (1.0 + contrib))
+                    corrupt = np.flatnonzero(left < -LOAD_DRIFT_TOL * (1.0 + contrib))
                     if corrupt.size:
                         i = corrupt[0]
                         raise AuditError(

@@ -57,6 +57,7 @@ PAIR_BATCH = 1 << 14
 # its lead coordinate, in quanta of side / 2**LEAD_BITS, in the low bits.
 LEAD_BITS = 32
 LEAD_MAX = (1 << LEAD_BITS) - 1
+LOAD_DRIFT_TOL = 1e-9  # a cached load's largest error, in units of 1 + |true value|
 
 
 class GeometryError(ValueError):
@@ -347,8 +348,8 @@ class Window:
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi):
             raise GeometryError("lo and hi must have the same length")
-        if any(a < 0.0 or a >= b for a, b in zip(lo, hi)):
-            raise GeometryError(f"require 0 <= lo < hi, got lo={lo}, hi={hi}")
+        if not all(0.0 <= a < b < math.inf for a, b in zip(lo, hi)):
+            raise GeometryError(f"require finite 0 <= lo < hi, got lo={lo}, hi={hi}")
 
     @property
     def dim(self) -> int:
@@ -473,11 +474,11 @@ class TorusConfiguration:
         # rounding may leave the target past the block's own total
         return lo + int(local.searchsorted(min(target, local.item(-1))))
 
-    def stale_block(self, rel_tol: float) -> tuple[int, float, float] | None:
-        """First block whose running sum drifted from its rows' loads by more
-        than rel_tol * (1 + |sum|), as (block, running, recomputed); else None."""
+    def stale_block(self) -> tuple[int, float, float] | None:
+        """First block whose running sum drifted from its rows' loads, as
+        (block, running, recomputed); else None."""
         fresh = self._block_sums_of_column()
-        drift = np.abs(self._block - fresh) > rel_tol * (1.0 + np.abs(fresh))
+        drift = np.abs(self._block - fresh) > LOAD_DRIFT_TOL * (1.0 + np.abs(fresh))
         stale = np.flatnonzero(drift)
         if not stale.size:
             return None

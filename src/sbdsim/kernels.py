@@ -512,8 +512,8 @@ class ImmigrationField:
             grid = np.array(grid, dtype=float)
             if grid.ndim < 1 or not np.all(np.isfinite(grid)) or np.any(grid < 0.0):
                 raise KernelError("grid intensities must be finite and nonnegative")
-            if len(set(grid.shape)) != 1:
-                raise KernelError("grid must have equal extent along every axis")
+            if grid.size == 0 or len(set(grid.shape)) != 1:
+                raise KernelError("grid must have one nonzero extent along every axis")
             grid.flags.writeable = False
             self.constant = None
             self.grid = grid

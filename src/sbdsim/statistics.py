@@ -21,6 +21,8 @@ from .kernels import unit_ball_volume
 # Largest log-space residual of the envelope fit that still reads as an
 # exponential envelope in the order n.
 ENVELOPE_RESIDUAL_TOL = 0.1
+DEFAULT_N_MAX = 3  # a moment report's highest factorial moment order
+DEFAULT_BINS = 20  # its pair correlation bins, shared with the config fields
 
 
 class StatisticsError(ValueError):
@@ -83,7 +85,7 @@ def pair_correlation(
     snapshots,
     torus: Torus,
     edges: np.ndarray | None = None,
-    n_bins: int = 20,
+    n_bins: int = DEFAULT_BINS,
     r_max: float | None = None,
 ) -> PairCorrelation:
     """Radial pair correlation from minimum-image pair distances.
@@ -159,11 +161,11 @@ class EnvelopeFit:
 
 
 def envelope_fit(moments, volume: float) -> EnvelopeFit:
-    """Fit (C, theta) to factorial moments; ``moments`` holds F_1..F_n values
-    (bare floats or (value, se) pairs)."""
+    """Fit (C, theta) to factorial moments; ``moments`` holds the
+    (value, se) pairs of F_1..F_n, as ``factorial_moments`` returns them."""
     if volume <= 0.0:
         raise StatisticsError(f"volume must be positive, got {volume}")
-    values = [m[0] if isinstance(m, (tuple, list)) else float(m) for m in moments]
+    values = [value for value, _ in moments]
     orders = [n for n, v in enumerate(values, start=1) if v > 0.0]
     if len(orders) < 2:
         raise StatisticsError(
@@ -228,8 +230,8 @@ def build_moment_report(
     torus: Torus,
     window: Window,
     time: float,
-    n_max: int = 3,
-    g_bins: int = 20,
+    n_max: int = DEFAULT_N_MAX,
+    g_bins: int = DEFAULT_BINS,
     g_r_max: float | None = None,
 ) -> MomentReport:
     """Assemble the full per-time report; pair correlation and envelope are

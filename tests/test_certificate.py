@@ -554,6 +554,38 @@ def test_verify_deterministic_given_seed():
     assert reps[0].argmin_sampler == reps[1].argmin_sampler
 
 
+def test_verify_needs_a_generator():
+    # an unseeded default would make the report unreproducible
+    cert = certify(TRI, TRI, omega=1.0)
+    with pytest.raises(TypeError, match="rng"):
+        verify_certificate(cert, TRI, TRI, trials=10)
+
+
+def test_violation_report_keys_follow_its_fields():
+    # violations.json lists the report's fields in order, then passed
+    cert = certify(TRI, TRI, omega=1.0)
+    rep = verify_certificate(cert, TRI, TRI, trials=50, rng=np.random.default_rng(7))
+    keys = [f.name for f in dataclasses.fields(rep)] + ["passed"]
+    assert list(rep.to_dict()) == keys == [
+        "trials", "size_max", "min_u", "theta_up", "theta_ceiling", "n_violations",
+        "tolerance", "argmin_sampler", "argmin_points", "sampler_mix", "passed",
+    ]  # fmt: skip
+    assert rep.to_dict()["argmin_points"] == rep.argmin_points.tolist()
+    assert rep.to_dict()["tolerance"] == 1e-9
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["radii", "h_factors"])
+def test_search_grid_values_must_be_finite_and_positive(name, bad):
+    # a NaN radius used to reach riemann_upper_sum and an infinite one to
+    # read as "no competition within reach"
+    values = {"radii": (0.5,), "h_factors": (1.0,)}
+    with pytest.raises(CertificationError, match=f"{name} must be .*finite positive"):
+        SearchGrid(**{**values, name: (1.0, bad)})
+    with pytest.raises(CertificationError, match=name):
+        SearchGrid(**{**values, name: ()})
+
+
 def test_verify_same_seed_same_report():
     cert = certify(TRI, TRI, omega=1.0)
     reps = [

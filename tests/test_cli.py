@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import io
@@ -193,6 +194,28 @@ def test_simulate_with_an_immigration_grid_of_other_dimension_is_usage_error(
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == "usage error: config error at model.b: grid has 2 axes, torus.d is 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("model", "b", {"grid": []}),
+        ("analysis", "window", {"lo": [math.nan], "hi": [20.0]}),
+    ],
+)
+def test_simulate_with_an_empty_grid_or_a_nan_window_is_usage_error(
+    tmp_path, capsys, block, key, value
+):
+    # the empty grid used to divide by zero, and the NaN window to exit 0
+    # with a NaN window volume and every factorial moment at 0
+    cfg = surgailis_config()
+    cfg.setdefault(block, {})[key] = value
+    cfg_path = write_config(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: config error at {block}.{key}: ")
     assert not out.exists()
 
 
@@ -525,6 +548,25 @@ def test_stale_epsilons_in_config_is_usage_error(tmp_path, capsys, command):
     assert "derived from the cell sum" in err
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [{"radii": [math.nan, 0.5]}, {"radii": [math.inf]}, {"radii": [0.5], "h_factors": [math.nan]}],
+)
+@pytest.mark.parametrize("command", ["certify", "verify"])
+def test_non_finite_search_grid_is_usage_error(tmp_path, capsys, command, grid):
+    # a NaN radius used to stop certify with a traceback (exit 1), and an
+    # infinite radius or a NaN factor to read as "no competition" (exit 3)
+    cfg = bp_config()
+    cfg["certificate"].update(grid)
+    cfg_path = write_config(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: config error at certificate: ")
+    assert "finite positive" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["certify", "verify"])
 def test_size_max_below_two_is_usage_error(tmp_path, capsys, command):
     # the cluster samplers draw 2..size_max points, so 1 leaves them no range
@@ -685,6 +727,54 @@ def test_bounds_has_one_flag_per_input(capsys):
         with pytest.raises(SystemExit) as exc:
             main([a for a in base if a not in required])
         assert exc.value.code == 2
+
+
+# -- the command-line surface ------------------------------------------------------
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    # a flag that nothing reads should not come back unnoticed
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: sorted(
+            opt for a in p._actions for opt in a.option_strings if opt not in ("-h", "--help")
+        )
+        for name, p in sub.choices.items()
+    }
+    assert flags == {
+        "simulate": ["--config", "--out", "--replicas", "--seed", "--workers"],
+        "certify": ["--config", "--out", "--seed"],
+        "verify": ["--certificate", "--config", "--out", "--seed"],
+        "bounds": sorted(
+            ["--variant"]
+            + ["--" + f.name.replace("_", "-") for f in dataclasses.fields(NormBoundInput)]
+        ),
+        "analyze": ["--out", "--run"],
+    }
+    assert sum(map(len, flags.values())) == 22
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--replicas", "2"],
+        ["certify", "--audit"],
+        ["verify", "--replicas", "2"],
+        ["verify", "--audit"],
+        ["simulate", "--audit"],
+    ],
+)
+def test_retired_flags_are_usage_errors(tmp_path, capsys, argv):
+    # audits are set by the config's guard.audit_every alone; certify and
+    # verify run no replicas
+    cfg_path = write_config(tmp_path / "cfg.json", bp_config())
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", cfg_path, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[1] in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- analyze -----------------------------------------------------------------------

@@ -1,10 +1,12 @@
+import inspect
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sbdsim.certificate import SearchGrid
+from sbdsim.certificate import SearchGrid, certify, verify_certificate
 from sbdsim.config import (
     FIELDS,
     KERNEL_FAMILIES,
@@ -17,6 +19,7 @@ from sbdsim.config import (
 from sbdsim.dynamics import run
 from sbdsim.geometry import CellGrid, Torus, sample_poisson
 from sbdsim.kernels import exponential, gaussian, tabulated, triangular
+from sbdsim.statistics import build_moment_report, pair_correlation
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -69,6 +72,44 @@ def test_immigration_grid_needs_the_torus_s_axes():
     assert str(err.value) == "config error at model.b: grid has 2 axes, torus.d is 1"
     data["torus"]["d"] = 2
     assert parse_config(data).model.b.dim == 2
+
+
+def test_empty_immigration_grid_is_a_config_error():
+    data = {
+        "model": {"variant": "migration", "b": {"grid": []}},
+        "torus": {"L": 20.0, "d": 1},
+    }
+    with pytest.raises(ConfigError, match="nonzero extent") as err:
+        parse_config(data)
+    assert err.value.path == "model.b"
+
+
+@pytest.mark.parametrize("lo, hi", [([math.nan], [20.0]), ([0.0], [math.inf])])
+def test_window_bounds_must_be_finite(lo, hi):
+    data = {
+        "model": {"variant": "migration", "b": {"constant": 1.0}},
+        "torus": {"L": 20.0, "d": 1},
+        "analysis": {"window": {"lo": lo, "hi": hi}},
+    }
+    with pytest.raises(ConfigError, match="finite") as err:
+        parse_config(data)
+    assert err.value.path == "analysis.window"
+
+
+@pytest.mark.parametrize(
+    "field, library, parameter",
+    [
+        ("certificate.omega", certify, "omega"),
+        ("certificate.trials", verify_certificate, "trials"),
+        ("certificate.size_max", verify_certificate, "size_max"),
+        ("analysis.n_max", build_moment_report, "n_max"),
+        ("analysis.g_bins", build_moment_report, "g_bins"),
+        ("analysis.g_bins", pair_correlation, "n_bins"),
+    ],
+)
+def test_config_defaults_are_the_library_defaults(field, library, parameter):
+    # one constant sets both, so a run from a config and a library call agree
+    assert FIELDS[field].default is inspect.signature(library).parameters[parameter].default
 
 
 def test_unknown_kernel_family_reports_path():
@@ -130,6 +171,16 @@ def test_certificate_grid_override_needs_only_radii():
     with pytest.raises(ConfigError) as err:
         parse_config(with_certificate({"h_factors": [1.0]}))
     assert err.value.path == "certificate.radii"
+
+
+@pytest.mark.parametrize(
+    "block",
+    [{"radii": [math.nan, 0.5]}, {"radii": [math.inf]}, {"radii": [0.5], "h_factors": [math.nan]}],
+)
+def test_certificate_grid_values_must_be_finite(block):
+    with pytest.raises(ConfigError, match="finite positive") as err:
+        parse_config(with_certificate(block))
+    assert err.value.path == "certificate"
 
 
 def test_manifest_with_loose_packing_replays_loose():

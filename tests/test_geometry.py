@@ -1244,6 +1244,16 @@ def test_window_volume_and_validation():
         Window((0.0,), (0.0,))
     with pytest.raises(GeometryError):
         Window((1.0, 0.0), (0.5, 1.0))
+    # a NaN or infinite bound used to pass, giving a NaN or infinite volume
+    for lo, hi in [
+        ((math.nan,), (20.0,)),
+        ((0.0,), (math.nan,)),
+        ((0.0,), (math.inf,)),
+        ((0.0, -math.inf), (1.0, 1.0)),
+        ((math.inf,), (math.inf,)),
+    ]:
+        with pytest.raises(GeometryError, match="finite"):
+            Window(lo, hi)
 
 
 def test_count_in_window_examples():

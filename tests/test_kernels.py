@@ -610,3 +610,10 @@ def test_immigration_rejects_negative():
         ImmigrationField(constant=-1.0)
     with pytest.raises(KernelError):
         ImmigrationField(grid=np.array([1.0, -2.0]))
+
+
+@pytest.mark.parametrize("grid", [[], [[]], np.zeros((0, 0))])
+def test_immigration_grid_needs_a_cell(grid):
+    # an empty grid used to divide by its zero extent in ``integral``
+    with pytest.raises(KernelError, match="nonzero extent"):
+        ImmigrationField(grid=grid)
