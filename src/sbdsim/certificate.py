@@ -572,9 +572,12 @@ def verify_certificate(
     ``u_theta(argmin_points)`` matches ``min_u`` to rounding: a vectorised
     ``exp`` may round an element differently at another position in an array.
 
-    Raises CertificationError for a ``size_max`` the selected samplers cannot
-    draw: below 2 with a cluster sampler, below 0 otherwise.
+    Raises CertificationError for fewer than one trial, and for a
+    ``size_max`` the selected samplers cannot draw: below 2 with a cluster
+    sampler, below 0 otherwise.
     """
+    if trials < 1:
+        raise CertificationError(f"trials must be >= 1, got {trials}")
     if sampler_mix is None:
         sampler_mix = {name: 1.0 for name in SAMPLER_NAMES}
     names = [n for n in SAMPLER_NAMES if sampler_mix.get(n, 0.0) > 0.0]

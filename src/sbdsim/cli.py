@@ -60,61 +60,57 @@ REPLICA_LISTS = (
     "guard_tripped",
     "absorbed",
     "n_events",
+    "n_snapshots",
     "clamps",
     "largest_clamp",
     "peak_population",
 )
 
 
-def _write_events_csv(path: Path, events: EventLog, dim: int) -> None:
-    """One row per event from the log's columns, CSV_CHUNK rows at a time,
-    so the Python objects made for writing stay few however long the log."""
-    times, births = events.times, events.births
-    positions, parents = events.positions, events.parents
+def _write_csv(path: Path, header: list[str] | None, blocks) -> None:
+    """The header, if any, then the rows of each block, CSV_CHUNK at a time so
+    that few Python objects are made at once.  A block is equal-length array
+    columns and a function from one row's values to its cells."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "kind"] + [f"x{i + 1}" for i in range(dim)] + ["parent_id"])
-        for lo in range(0, len(times), CSV_CHUNK):
-            hi = lo + CSV_CHUNK
-            rows = zip(
-                times[lo:hi].tolist(),
-                births[lo:hi].tolist(),
-                positions[lo:hi].tolist(),
-                parents[lo:hi].tolist(),
-            )
-            for t, birth, pos, parent in rows:
-                writer.writerow(
-                    [repr(t), "birth" if birth else "death"]
-                    + [repr(c) for c in pos]
-                    + ["" if parent < 0 else str(parent)]
-                )
+        if header is not None:
+            writer.writerow(header)
+        for columns, cells in blocks:
+            for lo in range(0, len(columns[0]), CSV_CHUNK):
+                chunk = [col[lo : lo + CSV_CHUNK].tolist() for col in columns]
+                writer.writerows(cells(*row) for row in zip(*chunk))
+
+
+def _write_events_csv(path: Path, events: EventLog, dim: int) -> None:
+    """One row per event from the log's columns."""
+    header = ["t", "kind"] + [f"x{i + 1}" for i in range(dim)] + ["parent_id"]
+    columns = (events.times, events.births, events.positions, events.parents)
+
+    def cells(t, birth, pos, parent):
+        kind = "birth" if birth else "death"
+        return [repr(t), kind, *map(repr, pos), "" if parent < 0 else str(parent)]
+
+    _write_csv(path, header, [(columns, cells)])
 
 
 def _write_snapshots_csv(path: Path, snapshots, dim: int) -> None:
     """One row per point of each snapshot from its id and position columns,
-    CSV_CHUNK rows at a time, as ``_write_events_csv`` does."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "id"] + [f"x{i + 1}" for i in range(dim)])
-        for snap in snapshots:
-            t = repr(snap.time)
-            for lo in range(0, snap.size, CSV_CHUNK):
-                hi = lo + CSV_CHUNK
-                rows = zip(snap.ids[lo:hi].tolist(), snap.positions[lo:hi].tolist())
-                for pid, pos in rows:
-                    writer.writerow([t, pid] + [repr(c) for c in pos])
+    so an empty snapshot writes no row."""
+    header = ["t", "id"] + [f"x{i + 1}" for i in range(dim)]
+
+    def cells_at(t: str):
+        return lambda pid, pos: [t, pid, *map(repr, pos)]
+
+    blocks = (((s.ids, s.positions), cells_at(repr(s.time))) for s in snapshots)
+    _write_csv(path, header, blocks)
 
 
 def _write_points_csv(path: Path, points: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.atleast_2d(points):
-            writer.writerow([repr(float(c)) for c in np.atleast_1d(row)])
+    _write_csv(path, None, [((np.atleast_2d(points),), lambda pos: [*map(repr, pos)])])
 
 
 def _run_one_replica(cfg: RunConfig, index: int):
-    """Worker-safe single replica: run, persist, and return the snapshots and
-    the replica's entry of each of ``REPLICA_LISTS`` by name."""
+    """Worker-safe single replica: run, persist, return its REPLICA_LISTS entries."""
     rng = replica_rng(cfg.seed, index)
     conf = initial_configuration(cfg, rng)
     trace = run(
@@ -130,17 +126,28 @@ def _run_one_replica(cfg: RunConfig, index: int):
     rep_dir.mkdir(parents=True, exist_ok=True)
     _write_events_csv(rep_dir / "events.csv", trace.events, cfg.torus.dim)
     _write_snapshots_csv(rep_dir / "snapshots.csv", trace.snapshots, cfg.torus.dim)
-    snapshots = {snap.time: snap.positions for snap in trace.snapshots}
-    return snapshots, {name: getattr(trace, name) for name in REPLICA_LISTS}
+    return {name: getattr(trace, name) for name in REPLICA_LISTS}
 
 
-def _aggregate_reports(cfg: RunConfig, per_replica_snaps: list[dict]):
+def _read_reports(run_dir: Path, cfg: RunConfig, manifest: dict) -> list:
+    """The moment reports of a run from its replicas' snapshots.csv, at each
+    time from burn-in on that two replicas or more took.  A replica took the
+    first ``n_snapshots`` of the sorted times; an older manifest without
+    that list counts them all if the guard did not trip, else those with rows."""
+    dim, schedule = cfg.torus.dim, sorted(cfg.snapshot_times)
+    taken = manifest.get("n_snapshots") or [
+        0 if tripped else len(schedule) for tripped in manifest["guard_tripped"]
+    ]
+    per_replica = []
+    for rel, n_snapshots in zip(manifest["replica_traces"], taken):
+        path = run_dir / rel / "snapshots.csv"
+        if path.exists():  # an empty snapshot wrote no row
+            empty = dict.fromkeys(schedule[:n_snapshots], np.zeros((0, dim)))
+            per_replica.append({**empty, **_read_snapshots_csv(path, dim)})
     reports = []
     for t in cfg.snapshot_times:
-        if t < cfg.burn_in:
-            continue
-        snaps = [s[t] for s in per_replica_snaps if t in s]
-        if len(snaps) < 2:
+        snaps = [s[t] for s in per_replica if t in s]
+        if t < cfg.burn_in or len(snaps) < 2:
             continue
         reports.append(
             build_moment_report(
@@ -157,8 +164,9 @@ def _aggregate_reports(cfg: RunConfig, per_replica_snaps: list[dict]):
 
 
 def _surgailis_check(cfg: RunConfig, reports) -> dict | None:
-    """Oracle comparison available when deaths are interaction-free."""
-    if cfg.model.variant != "migration" or cfg.model.a_minus is not None:
+    """Oracle comparison available when deaths are interaction-free; none
+    when there is no report to compare."""
+    if not reports or cfg.model.variant != "migration" or cfg.model.a_minus is not None:
         return None
     if cfg.init_poisson is not None:
         rho0 = cfg.init_poisson
@@ -198,17 +206,17 @@ def cmd_simulate(args) -> int:
         raise ConfigError("torus.L", str(exc)) from None
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
-    results = []
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # a pool starts all its workers at once, so it gets no more than replicas
+    workers = min(args.workers, cfg.replicas)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_one_replica, cfg, i) for i in range(cfg.replicas)
             ]
-            results = [f.result() for f in futures]
+            records = [f.result() for f in futures]
     else:
-        for i in range(cfg.replicas):
-            results.append(_run_one_replica(cfg, i))
-    lists = {name: [rec[name] for _, rec in results] for name in REPLICA_LISTS}
+        records = [_run_one_replica(cfg, i) for i in range(cfg.replicas)]
+    lists = {name: [rec[name] for rec in records] for name in REPLICA_LISTS}
     # a- beyond its cutoff is at most tail_sup, so no death rate of a run
     # omits more than tail_sup times its largest population
     a_minus = cfg.model.a_minus
@@ -224,7 +232,7 @@ def cmd_simulate(args) -> int:
     }
     (cfg.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
-    reports = _aggregate_reports(cfg, [snapshots for snapshots, _ in results])
+    reports = _read_reports(cfg.out_dir, cfg, manifest)
     checks = {}
     surgailis = _surgailis_check(cfg, reports)
     if surgailis is not None:
@@ -373,18 +381,8 @@ def cmd_analyze(args) -> int:
         return EXIT_USAGE
     manifest = json.loads(manifest_path.read_text())
     cfg = parse_config(manifest["config"], base_dir=run_dir)
-    per_replica = []
-    for rel, tripped in zip(manifest["replica_traces"], manifest["guard_tripped"]):
-        snap_path = run_dir / rel / "snapshots.csv"
-        if not snap_path.exists():
-            continue
-        snaps = _read_snapshots_csv(snap_path, cfg.torus.dim)
-        if not tripped:  # every snapshot was taken, but an empty one wrote no rows
-            for t in cfg.snapshot_times:
-                snaps.setdefault(t, np.zeros((0, cfg.torus.dim)))
-        per_replica.append(snaps)
     try:
-        reports = _aggregate_reports(cfg, per_replica)
+        reports = _read_reports(run_dir, cfg, manifest)
     except StatisticsError as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

@@ -41,6 +41,9 @@ KERNEL_FAMILIES = {
     "tabulated": TabulatedKernel,
 }
 
+# the default snapshot cadence takes at most this many times
+MAX_DEFAULT_SNAPSHOTS = 1000
+
 
 class ConfigError(ValueError):
     """Invalid configuration; message carries the JSON field path."""
@@ -202,26 +205,33 @@ def _read_init_points(block, path, got):
 def _read_snapshot_times(times, path, got) -> tuple[float, ...]:
     if not isinstance(times, list) or not times:
         raise ConfigError(path, "expected a nonempty list")
-    return tuple(
+    times = tuple(
         _as_number(s, f"{path}[{i}]", minimum=0.0, most=got["t_end"])
         for i, s in enumerate(times)
     )
+    if len(set(times)) < len(times):  # snapshots.csv tells them apart by time alone
+        raise ConfigError(path, "snapshot times must be distinct")
+    return times
 
 
 def _default_snapshot_times(got) -> tuple[float, ...]:
-    """Snapshot cadence defaults to the competition time scale."""
+    """Snapshot cadence defaults to the competition time scale: burn_in +
+    k * step before t_end, rounded to 12 decimals but not below burn_in, then
+    t_end, the step widened so that there are at most MAX_DEFAULT_SNAPSHOTS
+    times."""
     t_end, burn_in, a_minus = got["t_end"], got["burn_in"], got["model.a_minus"]
     if a_minus is not None and a_minus.mass() > 0.0:
         step = 1.0 / a_minus.mass()
     else:
         step = t_end / 10.0 if t_end > 0.0 else 1.0
+    step = max(step, (t_end - burn_in) / (MAX_DEFAULT_SNAPSHOTS - 1))
     times = []
-    s = burn_in
-    while s < t_end - 1e-12:
-        times.append(round(s, 12))
-        s += step
-    times.append(t_end)
-    return tuple(t for t in times if t >= burn_in)
+    for k in range(MAX_DEFAULT_SNAPSHOTS - 1):
+        s = burn_in + k * step
+        if s >= t_end - 1e-12:
+            break
+        times.append(max(round(s, 12), burn_in))
+    return (*times, t_end)
 
 
 def _read_window(w, path, got) -> Window:

@@ -405,6 +405,10 @@ class SimulationTrace:
     def n_events(self) -> int:
         return len(self.events)
 
+    @property
+    def n_snapshots(self) -> int:
+        return len(self.snapshots)
+
 
 def run(
     spec: ModelSpec,

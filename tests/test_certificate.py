@@ -598,7 +598,7 @@ def test_verify_same_seed_same_report():
     assert reps[0] == reps[1]
 
 
-@pytest.mark.parametrize("trials", [0, 1, TRIAL_BATCH, TRIAL_BATCH + 1])
+@pytest.mark.parametrize("trials", [1, TRIAL_BATCH, TRIAL_BATCH + 1])
 def test_verify_counts_every_trial_across_blocks(trials):
     # at a huge theta every cluster at the crowding scale violates, so the
     # count must reach the number of trials whatever the block split
@@ -762,6 +762,16 @@ def test_verify_refuses_a_size_max_its_samplers_cannot_draw(size_max, mix):
             cert, TRI, TRI, trials=10, size_max=size_max,
             rng=np.random.default_rng(30), sampler_mix=mix,
         )  # fmt: skip
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verify_refuses_fewer_than_one_trial(trials):
+    # no trial drawn is no evidence: it must not read as a passed search
+    cert = certify(GAUSS, TRI, omega=1.0)
+    with pytest.raises(CertificationError, match=f"trials must be >= 1, got {trials}"):
+        verify_certificate(
+            cert, GAUSS, TRI, trials=trials, size_max=6, rng=np.random.default_rng(24)
+        )
 
 
 # -- one evaluator for U -------------------------------------------------------

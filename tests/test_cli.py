@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -153,6 +154,43 @@ def test_workers_give_the_same_run(tmp_path, monkeypatch):
     manifests = [json.loads((d / "manifest.json").read_text()) for d in (one, two)]
     assert [m["config"]["output"].pop("dir") for m in manifests] == [str(one), str(two)]
     assert manifests[0] == manifests[1]
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool's size and runs
+    what is submitted at once, in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("workers, replicas, sizes", [("64", "2", [2]), ("8", "1", [])])
+def test_workers_never_outnumber_replicas(tmp_path, monkeypatch, workers, replicas, sizes):
+    # a pool starts every worker at its first submit, so it gets at most one
+    # per replica, and a single replica runs in this process
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    config = write_config(tmp_path / "cfg.json", surgailis_config())
+    argv = ["simulate", "--config", config, "--replicas", replicas]
+    assert main(argv + ["--out", str(tmp_path / "pool"), "--workers", workers]) == 0
+    assert RecordingPool.sizes == sizes
+    assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+    for name in ("report.json", "replicas/r0000/events.csv"):
+        pool, serial = (tmp_path / d / name for d in ("pool", "serial"))
+        assert pool.read_bytes() == serial.read_bytes()
 
 
 def test_simulate_missing_config_is_usage_error(tmp_path):
@@ -317,6 +355,22 @@ def test_snapshots_csv_from_columns_matches_per_scalar_formatting(
     assert path.read_bytes() == reference_snapshots_csv(snapshots, dim)
 
 
+def test_surgailis_check_that_compares_nothing_is_no_check(tmp_path, capsys):
+    # one replica, or every snapshot before burn-in, leaves no report: there
+    # is then no density check to pass
+    one = json.loads((CONFIGS / "free_migration.json").read_text())
+    one["replicas"] = 1
+    early = surgailis_config(replicas=3)
+    early["schedule"].update(burn_in=1.5, snapshot_times=[0.5, 1.0])
+    for name, data in (("one", one), ("early", early)):
+        out = tmp_path / name
+        cfg_path = write_config(tmp_path / f"{name}.json", data)
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"reports": 0}
+        report = json.loads((out / "report.json").read_text())
+        assert report["reports"] == [] and report["checks"] == {}
+
+
 def test_simulate_explosion_guard_exit_code(tmp_path):
     cfg = {
         "model": {
@@ -434,6 +488,7 @@ def test_manifest_records_each_replica_s_clamps(tmp_path):
         "guard_tripped",
         "absorbed",
         "n_events",
+        "n_snapshots",
         "clamps",
         "largest_clamp",
         "peak_population",
@@ -853,3 +908,80 @@ def test_analyze_reads_snapshots_as_the_row_reader_does(tmp_path, monkeypatch):
     reports = json.loads(columns)["reports"]
     assert [r["replicas"] for r in reports] == [8, 8, 8]
     assert reports == json.loads((out / "report.json").read_text())["reports"]
+
+
+@pytest.mark.parametrize(
+    "name", ["competition_1d", "free_migration", "long_dispersal_certificate"]
+)
+def test_simulate_reports_what_analyze_reads(tmp_path, name):
+    out = tmp_path / "run"
+    argv = ["simulate", "--config", str(CONFIGS / f"{name}.json"), "--out", str(out)]
+    assert main(argv + ["--seed", "1", "--replicas", "3"]) == 0
+    assert main(["analyze", "--run", str(out), "--out", str(tmp_path / "an")]) == 0
+    report = json.loads((out / "report.json").read_text())
+    analysis = json.loads((tmp_path / "an" / "analysis.json").read_text())
+    assert report["reports"] and analysis["reports"] == report["reports"]
+
+
+def guard_tripped_config():
+    """Immigration at 50 per unit length from an empty box of length 20, so
+    each replica takes its empty snapshot at 0 and trips its guard of 5
+    points long before the one at 1."""
+    return {
+        "model": {"variant": "migration", "m": 0.0, "b": {"constant": 50.0}},
+        "torus": {"L": 20.0, "d": 1},
+        "init": {"poisson": 0.0},
+        "schedule": {"t_end": 1.0, "burn_in": 0.0, "snapshot_times": [0.0, 1.0]},
+        "replicas": 3,
+        "seed": 1,
+        "guard": {"max_population": 5},
+    }
+
+
+def test_guard_tripped_run_reports_the_snapshots_it_took(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path / "cfg.json", guard_tripped_config())
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 4
+    assert main(["analyze", "--run", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["guard_tripped"] == [True] * 3 and manifest["n_snapshots"] == [1] * 3
+    report = json.loads((out / "report.json").read_text())
+    analysis = json.loads((out / "analysis.json").read_text())
+    assert [(r["time"], r["replicas"]) for r in report["reports"]] == [(0.0, 3)]
+    assert analysis["reports"] == report["reports"]
+    # a manifest without n_snapshots reads as before the list was kept: a
+    # replica whose guard tripped took no snapshot that wrote no row
+    del manifest["n_snapshots"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["analyze", "--run", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["reports"] == []
+
+
+def test_n_snapshots_counts_the_snapshots_each_replica_wrote(tmp_path):
+    # immigration at 1 per unit length from density 1 on a box of length 20
+    # trips a guard of 55 points in some replicas between the snapshots at 1
+    # and 2: those took the first two of the sorted times, none of them
+    # empty, and the others took all three
+    data = guard_tripped_config()
+    data["model"]["b"]["constant"] = 1.0
+    data["init"]["poisson"] = 1.0
+    data["schedule"].update(t_end=2.0, snapshot_times=[2.0, 0.1, 1.0])
+    data["guard"]["max_population"] = 55
+    data["replicas"] = 6
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path / "cfg.json", data)
+    main(["simulate", "--config", cfg_path, "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    parsed = load_config(cfg_path)
+    for i, rel in enumerate(manifest["replica_traces"]):
+        rng = replica_rng(parsed.seed, i)
+        trace = run(
+            parsed.model, initial_configuration(parsed, rng), parsed.t_end, rng,
+            snapshot_times=parsed.snapshot_times, max_population=parsed.max_population,
+        )  # fmt: skip
+        assert manifest["n_snapshots"][i] == trace.n_snapshots
+        times = list(cli._read_snapshots_csv(out / rel / "snapshots.csv", 1))
+        assert times == [0.1, 1.0, 2.0][: trace.n_snapshots]
+        assert trace.n_snapshots == (2 if manifest["guard_tripped"][i] else 3)
+    assert set(manifest["guard_tripped"]) == {True, False}

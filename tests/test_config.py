@@ -10,6 +10,7 @@ from sbdsim.certificate import SearchGrid, certify, verify_certificate
 from sbdsim.config import (
     FIELDS,
     KERNEL_FAMILIES,
+    MAX_DEFAULT_SNAPSHOTS,
     ConfigError,
     initial_configuration,
     load_config,
@@ -333,3 +334,63 @@ def test_library_path_is_the_config_path(make, n_cells):
     a_plus = cfg.model.a_plus.cutoff_radius()
     if a_plus > a_minus:
         assert CellGrid.for_radius(torus, a_plus).n == 8
+
+
+def default_cadence(name, a_minus_weight=None):
+    """The resolved snapshot times of a shipped config without its own."""
+    raw = json.loads((CONFIGS / f"{name}.json").read_text())
+    raw["schedule"].pop("snapshot_times", None)
+    if a_minus_weight is not None:
+        raw["model"]["a_minus"]["params"]["weight"] = a_minus_weight
+    return parse_config(raw, base_dir=CONFIGS).snapshot_times
+
+
+def test_default_cadence_of_the_shipped_configs():
+    # burn_in + k / mass(a-), or tenths of t_end without a-, then t_end
+    assert load_config(CONFIGS / "long_dispersal_certificate.json").snapshot_times == (
+        2.0, 3.0, 4.0,
+    )  # fmt: skip
+    assert default_cadence("competition_1d") == (6.0, 8.0)
+    assert default_cadence("free_migration") == tuple(
+        round(0.2 * k, 12) for k in range(10)
+    ) + (2.0,)
+
+
+def test_default_cadence_is_burn_in_plus_multiples_of_its_step():
+    # a running sum of 1/300 drifts: it gave 7.996666666666 where
+    # 6 + 599/300 rounds to 7.996666666667
+    times = default_cadence("competition_1d", a_minus_weight=300.0)
+    assert len(times) == 601
+    assert times == tuple(round(6.0 + k / 300.0, 12) for k in range(600)) + (8.0,)
+    assert times[-2] == 7.996666666667
+
+
+@pytest.mark.parametrize("burn_in", [1.0 / 3.0, 2.0 / 3.0])
+def test_default_cadence_starts_at_burn_in(burn_in):
+    # times are rounded to 12 decimals: 1/3 rounds down to 0.333333333333,
+    # which must not drop the first snapshot, and 2/3 up to 0.666666666667
+    raw = json.loads((CONFIGS / "long_dispersal_certificate.json").read_text())
+    raw["schedule"] = {"t_end": 4.0, "burn_in": burn_in}
+    times = parse_config(raw, base_dir=CONFIGS).snapshot_times
+    assert times[0] == max(burn_in, round(burn_in, 12)) and times[-1] == 4.0
+    assert times[1:-1] == tuple(round(burn_in + k, 12) for k in range(1, 4))
+
+
+@pytest.mark.parametrize("weight", [1e5, 1e6])
+def test_default_cadence_is_bounded(weight):
+    # 2e5 and 2e6 steps of 1 / mass(a-) fit between burn_in 6 and t_end 8;
+    # the step widens so that the run takes at most MAX_DEFAULT_SNAPSHOTS
+    times = default_cadence("competition_1d", a_minus_weight=weight)
+    assert len(times) == MAX_DEFAULT_SNAPSHOTS
+    assert (times[0], times[-1]) == (6.0, 8.0)
+    gaps = np.diff(times)
+    assert gaps.min() > 0.99 * 2.0 / (MAX_DEFAULT_SNAPSHOTS - 1)
+    assert gaps.max() < 1.01 * 2.0 / (MAX_DEFAULT_SNAPSHOTS - 1)
+
+
+def test_snapshot_times_must_be_distinct():
+    raw = json.loads((CONFIGS / "free_migration.json").read_text())
+    raw["schedule"]["snapshot_times"] = [1.0, 2.0, 1.0]
+    with pytest.raises(ConfigError, match="must be distinct") as err:
+        parse_config(raw, base_dir=CONFIGS)
+    assert err.value.path == "schedule.snapshot_times"
