@@ -18,10 +18,14 @@ points by their row in the store: a birth's parent and a death are drawn as
 rows, and only the recorded event carries ids.  The point born or dying is
 never in the store while its neighbours are found: a birth queries them
 before its insert and a death after its removal, so no query leaves a row
-out, and only the store wraps positions into [0, side).  The optional audit
-checks the cell index and recomputes loads and block sums from scratch, with
-the same per-pair distances as the incremental updates, and fails loudly on
-drift.
+out, and only the store wraps positions into [0, side).  A birth wraps and
+files its position once and hands that (position, cell) to its query and
+its insert; a death queries from the cell its row was filed in.  A new
+point's load sums its neighbours' kernels in the order the query gathers
+them, a function of the seeded history.  The optional audit checks the cell
+index and recomputes loads and block sums from scratch, with the same
+per-pair distances as the incremental updates, leaves the index as it found
+it, and fails loudly on drift.
 The per-event path, ``total_rates`` and ``_apply_event`` with the store and
 kernel methods they call, reaches numpy only through ufuncs, ufunc methods
 and ndarray methods: a Python-level wrapper such as ``np.cumsum`` or
@@ -283,8 +287,9 @@ class SimulationState:
         cached load and block sum from scratch; raise AuditError on any fault
         or drift.  The fresh loads add each unordered pair's kernel to both
         its points, at the distance the incremental updates' neighbour
-        queries see bit for bit, so only the order of summation differs."""
-        # first: recomputing the loads refiles every row, hiding a misfiled one
+        queries see bit for bit, so only the order of summation differs.
+        The audit leaves the store's index as it found it, so an audited run
+        gives the unaudited one's trace."""
         fault = self.cfg.cell_index_fault()
         if fault is not None:
             raise AuditError(f"cell index differs from the positions: {fault}")
@@ -309,21 +314,23 @@ class SimulationState:
     # -- event application ---------------------------------------------------
 
     def _add_point(self, position: np.ndarray) -> int:
-        """Add a point at ``position``, which the store wraps into the box,
-        and add its contribution to its neighbours' loads, found before it
-        is stored; return its id."""
-        a_minus = self.spec.a_minus
+        """Add a point at ``position``, which the store wraps into the box
+        and files once for both its neighbour query and its insert, and add
+        its contribution to its neighbours' loads, found before it is
+        stored; return its id."""
+        cfg, a_minus = self.cfg, self.spec.a_minus
+        x, cell = cfg._in_box(position)
         if a_minus is None:
-            return self.cfg.insert(position)
-        rows, dists = self.cfg.neighbors_within(position, self._cutoff)
+            return cfg._insert(x, cell, 0.0)
+        rows, dists = cfg._neighbors(x, cell, self._cutoff)
         contrib = a_minus.profile(dists)
-        self.cfg.add_loads(rows, contrib)
-        return self.cfg.insert(position, load=float(np.add.reduce(contrib)))
+        cfg.add_loads(rows, contrib)
+        return cfg._insert(x, cell, float(np.add.reduce(contrib)))
 
     def _remove_point(self, row: int) -> tuple[int, np.ndarray]:
         """Delete the point in ``row``, then take its contribution out of
-        the loads of its neighbours, found once it is gone; return its id
-        and position.
+        the loads of its neighbours, found once it is gone from the cell it
+        was filed in; return its id and position.
 
         A load may end a rounding residue below zero and is then set to 0,
         counted in ``clamps`` and ``largest_clamp``; one further below means
@@ -331,9 +338,10 @@ class SimulationState:
         """
         a_minus = self.spec.a_minus
         pid = self.cfg.point_at(row)
+        cell = self.cfg._cell.item(row)  # filed on the store's grid
         x = self.cfg.remove(row)
         if a_minus is not None:
-            rows, dists = self.cfg.neighbors_within(x, self._cutoff)
+            rows, dists = self.cfg._neighbors(x, cell, self._cutoff)
             if rows.size:
                 contrib = a_minus.profile(dists)
                 old = self.cfg.loads[rows]
@@ -424,7 +432,10 @@ def run(
     The configuration is mutated in place.  A snapshot at time s records the
     state after every event with time <= s.  If the population ever exceeds
     ``max_population`` the run stops early with ``guard_tripped`` set and the
-    remaining snapshots unfilled; callers decide how loudly to fail.
+    remaining snapshots unfilled; callers decide how loudly to fail.  A
+    start above the guard is refused before the rate caches are built.
+    Each loop iteration draws one exponential waiting time, and only there
+    does ``rng.exponential`` serve the run.
     """
     if t_end < 0.0 or not math.isfinite(t_end):
         raise DynamicsError(f"t_end must be finite and >= 0, got {t_end}")
@@ -434,9 +445,14 @@ def run(
     if any(s > t_end for s in pending):
         raise DynamicsError("snapshot times must not exceed t_end")
 
-    state = SimulationState(spec, cfg)
     trace = SimulationTrace(EventLog(cfg.torus.dim))
-    start = state.population
+    start = len(cfg)
+    if start > max_population:  # refused before the rate caches walk every pair
+        spec.check_torus(cfg.torus)  # which SimulationState runs first
+        trace.guard_tripped = True
+        trace.final_population = trace.peak_population = start
+        return trace
+    state = SimulationState(spec, cfg)
     events_done = 0
 
     while True:

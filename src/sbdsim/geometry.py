@@ -4,32 +4,39 @@ Poisson draws.
 ``Torus`` is the periodic box alone; its ``wrap`` takes points into
 [0, side).  ``CellGrid``, a grid of cells that one rule picks for a radius,
 maps points to flat cells and lists the distinct cells within a radius of a
-cell.  ``cell_runs`` is the one sort by cell, shared by the store's filing
-and the pair walk.
+cell.  One ``CellGrid.rings`` counts the cells a radius reaches along an
+axis for every stencil and pair walk, padded by a proved bound on the
+rounding of a minimum-image length, so that no pair the exact distance test
+keeps lies outside them.  ``cell_runs`` is the one sort by cell, shared by
+the store's filing and the pair walk.
 ``TorusConfiguration`` is the simulator's one point store: dense columns of
 the living points, addressed by row alone, a load column with block sums
 for the death draw, and, on the grid of the first radius it is asked
 about, per-cell arrays of rows that a neighbour query gathers through a
-memoised cell stencil.  ``periodic_pairs`` walks each unordered pair of
-points within a radius once, over half the neighbouring cell offsets, in
-bounded batches; the kernel sums add each pair's kernel to both its
-points, and the pair correlation counts each distance twice.  In d >= 2
-the walk orders each cell's rows by their first coordinate, the lead, and
-pairs a row only with the rows of a cell ahead along that axis whose lead
-is within the radius of its own, up to a pad of one quantum of the sort
-key; the exact distance test still decides every pair.  It hands its own
-order back with the batches, and the store's filing keeps its row order.
+memoised cell stencil, in the order it gathers them.  An event wraps and
+files its point once: ``_in_box`` gives the wrapped position and its cell,
+and the query and the insert both take that pair.  ``periodic_pairs`` walks
+each unordered pair of points within a radius once, over half the
+neighbouring cell offsets, in bounded batches; the kernel sums add each
+pair's kernel to both its points, and the pair correlation counts each
+distance twice.  In d >= 2 the walk orders each cell's rows by their first
+coordinate, the lead, and pairs a row only with the rows of a cell ahead
+along that axis whose lead is within the radius of its own, up to a pad of
+one quantum of the sort key; the exact distance test still decides every
+pair.  It hands its own order back with the batches.  The kernel sums of a
+store that has a grid walk the cells of its positions and leave its index
+as it is.
 Every minimum-image length, of a neighbour query and of the pair walk,
 comes squared from one helper; a pair is kept when its square is at most
 ``exact_reach`` of the radius, the same test as distance <= radius.
 ``sample_poisson`` draws a homogeneous Poisson configuration and loads it
 into the store in one bulk pass.
-The store's per-event methods (``insert``, ``remove``, ``neighbors_within``,
-``add_loads``, ``load_total`` and ``sample_row``), and ``cell_runs``,
-``periodic_pairs`` and ``kernel_sums``, call numpy only through ufuncs,
-ufunc methods and ndarray methods, never through the Python-level wrappers
-of ``numpy/_core/fromnumeric.py``, ``_methods.py`` and
-``lib/_function_base_impl.py``.  Each such wrapper costs a few
+The store's per-event methods (``_in_box``, ``_insert``, ``remove``,
+``_neighbors``, ``add_loads``, ``load_total`` and ``sample_row``), and
+``cell_runs``, ``periodic_pairs`` and ``kernel_sums``, call numpy only
+through ufuncs, ufunc methods and ndarray methods, never through the
+Python-level wrappers of ``numpy/_core/fromnumeric.py``, ``_methods.py``
+and ``lib/_function_base_impl.py``.  Each such wrapper costs a few
 microseconds, a sizeable share of an event that takes some tens of them,
 and of a walk that makes a few calls per cell offset at n ~ 100.
 """
@@ -39,7 +46,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -109,20 +116,51 @@ class CellGrid:
 
     @classmethod
     def for_radius(cls, torus: Torus, radius: float) -> "CellGrid":
-        """The grid for queries within ``radius``: cells of the radius's
-        size, but never fewer than 8 per axis, nor so many that a flat cell
-        reaches 2^63."""
+        """The grid for queries within ``radius``: cells wide enough that
+        ``rings(radius)`` is 1, but never fewer than 8 per axis, nor so many
+        that a flat cell reaches 2^63."""
         n = int(torus.side / min(radius, torus.side / 8.0)) if radius > 0.0 else 8
-        return cls(torus.side, torus.dim, min(n, _most_cells_per_axis(torus.dim)))
+        grid = cls(torus.side, torus.dim, min(n, _most_cells_per_axis(torus.dim)))
+        while grid.n > 8 and grid.rings(radius) > 1:  # cells narrower than radius + pad
+            grid = cls(torus.side, torus.dim, grid.n - 1)
+        return grid
 
-    @property
+    @cached_property
     def cell_size(self) -> float:
         return self.side / self.n
+
+    def rings(self, radius: float) -> int:
+        """How many cells along each axis a stencil or pair walk reaches for
+        ``radius``: ceil((radius + pad) / cell_size), with pad = 8 ulp(side),
+        and 0 for a radius of 0, which keeps only pairs at a rounded distance
+        of 0: equal coordinates, or 0 and side, which share a cell.
+
+        The pad is a bound on the rounding of one minimum-image length.
+        Write u = 2^-53 and s = cell_size, side / n rounded, so that n s <=
+        side (1 + u).  A coordinate v of [0, side] is filed in cell c =
+        min(floor(fl(v / s)), n - 1), so c >= k implies v >= k s (1 - u),
+        and c = k < n - 1 implies v < (k + 1) s.  Let two coordinates lie in
+        cells more than R = rings apart both ways round the grid (with 2 R +
+        1 >= n the stencil holds every cell along the axis).  Then their
+        exact separations both ways round the box exceed R s - 2.1 u side.
+        Their computed minimum image, min(|fl(y - x)|, fl(side - |fl(y -
+        x)|)), loses at most 2 u side more, and the square, the sum of the
+        squares, which is at least that axis's square, and the root lose a
+        relative 2 u of a length below side / 2 (1 + u): 1.1 u side.  So the
+        pair's computed distance exceeds R s - 5.2 u side.  R >= fl(fl(radius
+        + pad) / s) gives R s >= (radius + pad)(1 - 2 u) >= radius + pad -
+        1.1 u side, and with pad = 8 ulp(side) > 8 u side that distance
+        exceeds the radius: the exact test drops every pair of cells that a
+        stencil leaves out.
+        """
+        if radius <= 0.0:
+            return 0
+        return math.ceil((radius + 8.0 * math.ulp(self.side)) / self.cell_size)
 
     def axis_offsets(self, radius: float) -> list[int]:
         """The distinct cell offsets along one axis, modulo the grid, that
         reach within ``radius``."""
-        rings = math.ceil(radius / self.cell_size)
+        rings = self.rings(radius)
         return sorted({o % self.n for o in range(-rings, rings + 1)})
 
     def flat_cells_of(self, pts: np.ndarray) -> np.ndarray:
@@ -138,14 +176,16 @@ class CellGrid:
     def cell_stencil(self, cell: int, radius: float) -> tuple[tuple[int, ...], bool]:
         """The flat cells that can hold a point within ``radius`` of a point
         of flat cell ``cell``, each once, wrapping round the grid, and
-        whether they wrap.  They do not when each coordinate of ``cell`` is
-        at least rings = ceil(radius / cell_size) from both grid edges and
-        2 (rings + 1) <= n: then two such points lie at most side / 2 apart
-        along each axis, up to a rounding that only pairs farther apart
-        than the radius see, so their plain difference is the minimum image.
+        whether they wrap.  They reach ``rings(radius)`` cells along each
+        axis, which covers every pair the exact test keeps.  They do not
+        wrap when each coordinate of ``cell`` is at least rings from both
+        grid edges and 2 (rings + 1) <= n: then two such points lie at most
+        side / 2 apart along each axis, up to a rounding that only pairs
+        farther apart than the radius see, so their plain difference is the
+        minimum image.
         """
         n = self.n
-        rings = math.ceil(radius / self.cell_size)
+        rings = self.rings(radius)
         coords = []
         for _ in range(self.dim):
             cell, c = divmod(cell, n)
@@ -248,7 +288,7 @@ def periodic_pairs(
     the zero offset pairs i < j within a cell.
 
     In d >= 2, on grids of more than 2 rings + 1 cells per axis (rings =
-    ceil(radius / cell_size)), the walk cuts offsets along the first axis.
+    ``grid.rings(radius)``), the walk cuts offsets along the first axis.
     It orders each run by its lead, the first coordinate taken into
     [0, side), with one sort of an int64 key: the run's index in the high
     bits and the lead in quanta of side / 2^LEAD_BITS, clamped below
@@ -270,7 +310,7 @@ def periodic_pairs(
     run_of_row = np.arange(occupied.size).repeat(count)
     scale = 2.0**LEAD_BITS / side
     keys = None
-    if grid.dim > 1 and grid.n > 2 * math.ceil(radius / grid.cell_size) + 1 and n:
+    if grid.dim > 1 and grid.n > 2 * grid.rings(radius) + 1 and n:
         lead = pos[:, 0].take(order)
         np.mod(lead, side, out=lead)  # side itself is 0, as in its flat cell
         keys = _lead_quanta(lead, scale, 0)
@@ -382,16 +422,20 @@ class TorusConfiguration:
     ``grid`` is None until the first ``neighbors_within`` or
     ``kernel_sums`` picks ``CellGrid.for_radius`` of its radius; the grid
     then stays, and only ``insert_many`` drops it.  Every row is filed
-    from scratch on it by ``_file`` when it is picked and at every
-    ``kernel_sums``, whose pair walk takes that filing's runs.  Each
-    occupied cell keeps a growable ``np.intp`` array of its rows and the
-    count of them that are live; the slot column holds each row's index in
-    its cell's array, so ``insert`` appends to the array and ``remove``
-    swap-deletes from it in O(1), and moving the last row into a freed row
-    rewrites one entry of its cell's array.  A neighbour query gathers the
-    arrays of the cells in a stencil memoised per (cell, rings) with one
+    from scratch on it by ``_file`` when it is picked, and from then on
+    only ``insert`` and ``remove`` change the index.  Each occupied cell
+    keeps a growable ``np.intp`` array of its rows and the count of them
+    that are live; the slot column holds each row's index in its cell's
+    array, so ``insert`` appends to the array and ``remove`` swap-deletes
+    from it in O(1), and moving the last row into a freed row rewrites one
+    entry of its cell's array.  A neighbour query gathers the arrays of
+    the cells in a stencil memoised per (cell, rings) with one
     ``np.concatenate``.  Stencils are made only for cells queried, so their
     memory grows with the cells points occupy, not with the whole grid.
+
+    ``insert`` and ``neighbors_within`` are thin wrappers: ``_in_box``
+    wraps and files a position, and ``_insert`` and ``_neighbors`` take
+    that (x, cell), so an event wraps and files its point at most once.
 
     Next to the load column the store keeps one running sum per block of
     BLOCK_ROWS rows, a two-level sum tree: ``load_total`` and ``sample_row``
@@ -563,6 +607,11 @@ class TorusConfiguration:
     def insert(self, position, load: float = 0.0) -> int:
         """Add a point as the last row with the given load; return its new id."""
         x, cell = self._in_box(position)
+        return self._insert(x, cell, load)
+
+    def _insert(self, x: np.ndarray, cell: int, load: float) -> int:
+        """``insert`` of a point that ``_in_box`` has taken into the box as
+        ``x`` and filed in ``cell`` (of no use while the store has no grid)."""
         row, pid = self._n, self._next_id
         self._reserve(row + 1)
         self._pos[row] = x
@@ -698,8 +747,10 @@ class TorusConfiguration:
         ``exact_reach(radius)``, and only then rooted; where the cell
         stencil does not wrap, plain differences are the minimum images.
 
-        Rows come back in ascending id order so float reductions are
-        reproducible; they index ``loads`` until the next removal.
+        Rows come back in the order the stencil gathers them, cell by cell
+        and each cell's array in order: a function of the store's history,
+        so float reductions over them are reproducible.  They index
+        ``loads`` until the next removal.
         """
         side = self.torus.side
         if not 0.0 <= radius <= side / 2.0:
@@ -711,7 +762,13 @@ class TorusConfiguration:
         if self.grid is None:  # files only once the position has passed
             self._file(CellGrid.for_radius(self.torus, radius))
             x, cell = self._in_box(x)
-        key = (cell, math.ceil(radius / self._cell_size))
+        return self._neighbors(x, cell, radius)
+
+    def _neighbors(self, x: np.ndarray, cell: int, radius: float):
+        """``neighbors_within`` of a point that ``_in_box`` has taken into
+        the box as ``x`` and filed in ``cell``, on the store's grid, for a
+        radius within [0, side / 2]."""
+        key = (cell, self.grid.rings(radius))
         stencil = self._stencils.get(key)
         if stencil is None:
             near, wraps = self.grid.cell_stencil(cell, radius)
@@ -721,19 +778,19 @@ class TorusConfiguration:
         rows = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
         d = self._pos.take(rows, axis=0)
         d -= x
-        square = _min_image_squares(d, side, stencil[0] < 0)
+        square = _min_image_squares(d, self.torus.side, stencil[0] < 0)
         keep = (square <= exact_reach(radius)).nonzero()[0]
-        rows, dists = rows.take(keep), np.sqrt(square.take(keep))
-        order = self._id.take(rows).argsort()
-        return rows.take(order), dists.take(order)
+        return rows.take(keep), np.sqrt(square.take(keep))
 
     def kernel_sums(self, kernel: RadialKernel) -> np.ndarray:
         """Each point's sum of kernel(distance) over the other points within
         the kernel cutoff, one entry per row, from one ``periodic_pairs``
         walk: the kernel of each unordered pair is added to both its rows,
         by a bincount over the batch's span of rows at each end, in the
-        walk's own order.  The walk takes the runs of a fresh filing on the
-        store's grid (or, with none yet, the cutoff's)."""
+        walk's own order.  The walk takes the ``cell_runs`` of the
+        positions on the store's grid and leaves its index as it is, so an
+        audit reads the index it checks; a store with no grid yet is filed
+        on the cutoff's, and the walk takes that filing's runs."""
         if kernel.dim != self.torus.dim:
             raise GeometryError(
                 f"kernel dimension {kernel.dim} != torus dimension {self.torus.dim}"
@@ -745,7 +802,10 @@ class TorusConfiguration:
                 f"{self.torus.side / 2.0:g}"
             )
         n = self._n
-        runs = self._file(self.grid or CellGrid.for_radius(self.torus, cutoff))
+        if self.grid is None:
+            runs = self._file(CellGrid.for_radius(self.torus, cutoff))
+        else:
+            runs = cell_runs(self.grid.flat_cells_of(self._pos[:n]))
         order, batches = periodic_pairs(self.grid, self._pos[:n], runs, cutoff)
         sums = np.zeros(n)  # in the walk's order
         for i, j, dist in batches:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sbdsim import cli
+from sbdsim import cli, geometry
 from sbdsim.cli import main
 from sbdsim.config import initial_configuration, load_config, replica_rng
 from sbdsim.dynamics import ModelSpec, Snapshot, run
@@ -936,6 +936,32 @@ def guard_tripped_config():
         "seed": 1,
         "guard": {"max_population": 5},
     }
+
+
+def test_a_start_above_the_guard_walks_no_pair(tmp_path, monkeypatch):
+    # init.poisson 5 on L = 20 draws about 100 points against a guard of
+    # 10: each replica exits at once with no events and its start as its
+    # peak, refused before the rate caches are built, so the competition
+    # loads never walk a pair (the Poisson draw itself still fills the store)
+    data = guard_tripped_config()
+    data["model"]["a_minus"] = {
+        "family": "triangular", "params": {"height": 1.0, "radius": 1.0}, "dim": 1
+    }
+    data["init"] = {"poisson": 5.0}
+    data["guard"]["max_population"] = 10
+    walks = []
+    real = geometry.periodic_pairs
+    monkeypatch.setattr(geometry, "periodic_pairs", lambda *a: walks.append(a) or real(*a))
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path / "cfg.json", data)
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 4
+    assert walks == []
+    manifest = json.loads((out / "manifest.json").read_text())
+    cfg = load_config(cfg_path)
+    starts = [len(initial_configuration(cfg, replica_rng(cfg.seed, i))) for i in range(3)]
+    assert min(starts) > 10
+    assert manifest["guard_tripped"] == [True] * 3 and manifest["n_events"] == [0] * 3
+    assert manifest["peak_population"] == starts
 
 
 def test_guard_tripped_run_reports_the_snapshots_it_took(tmp_path, capsys):

@@ -302,7 +302,7 @@ def competition_config(dim):
     [
         (lambda: competition_config(1), 12),
         (lambda: competition_config(2), 8),
-        (lambda: load_config(CONFIGS / "long_dispersal_certificate.json"), 20),
+        (lambda: load_config(CONFIGS / "long_dispersal_certificate.json"), 19),
     ],
     ids=["competition d=1", "competition d=2", "long_dispersal_certificate"],
 )
@@ -310,8 +310,8 @@ def test_library_path_is_the_config_path(make, n_cells):
     # a store on a bare Torus(side, dim) picks the grid the config path
     # gets, from the competition cutoff alone, so a seeded run gives the
     # same trace; long_dispersal_certificate's a+ reaches further than its
-    # a-, and the grid still follows a-: 20 cells of 1, where a+ would
-    # give 8
+    # a-, and the grid still follows a-: 19 cells, each as wide as the
+    # cutoff of 1 and its rounding pad, where a+ would give 8
     cfg = make()
     torus = Torus(cfg.torus.side, cfg.torus.dim)
     assert cfg.torus == torus

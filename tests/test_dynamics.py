@@ -318,6 +318,15 @@ def test_explosion_guard_trips():
     assert trace.snapshots == []  # guard leaves pending snapshots unfilled
 
 
+def test_a_start_above_the_guard_still_meets_the_torus_check():
+    # the guard refuses a start before the rate caches are built, but not
+    # before the kernels are checked against the torus
+    spec = ModelSpec("bolker_pacala", a_minus=triangular(1.0, 6.0, 1), m=0.2)
+    cfg = cfg_with_points(Torus(10.0, 1), [[1.0], [2.0]])
+    with pytest.raises(DynamicsError, match="too wide"):
+        run(spec, cfg, 1.0, np.random.default_rng(0), max_population=1)
+
+
 def test_incremental_caches_survive_audit():
     am = gaussian(1.0, 0.5, 1)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(2.0, 1.0, 1), a_minus=am, m=0.2)
@@ -345,9 +354,10 @@ def test_audit_passes_on_grids_with_self_inverse_offsets(dim, cutoff):
 
 @pytest.mark.parametrize("dim, weight", [(1, 0.3), (2, 2.0)])
 def test_audited_run_gives_the_unaudited_trace(dim, weight):
-    # the audit after every event refiles every row to recompute the loads;
-    # neighbour queries list rows in id order, so the refiled index changes
-    # no distance, load or later event
+    # the audit after every event recomputes the loads without refiling a
+    # row; neighbour queries list rows in the order the index gathers them,
+    # so an audit that moved a row in its cell would change a load's last
+    # bits and, from there, the later events
     am = gaussian(weight, 0.5, dim)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(2.0, 1.0, dim), a_minus=am, m=0.2)
     torus = Torus(8.0, dim)
@@ -363,6 +373,75 @@ def test_audited_run_gives_the_unaudited_trace(dim, weight):
     for column in ("times", "births", "positions", "points", "parents"):
         np.testing.assert_array_equal(getattr(audited, column), getattr(plain, column))
     np.testing.assert_array_equal(loads[0], loads[1])
+
+
+def store_index(cfg):
+    """The store's cell index and loads as plain values: its cell, slot and
+    load columns and each cell's live rows, in order."""
+    n = len(cfg)
+    cells = {c: rows[:k].tolist() for c, (rows, k) in cfg._cells.items()}
+    return cfg._cell[:n].tolist(), cfg._slot[:n].tolist(), cfg.loads.tolist(), cells
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_audit_leaves_the_index_bit_identical(dim):
+    # after 300 events whose removals left cells listing their rows out of
+    # ascending order, an audit checks the index and recomputes the loads
+    # but changes no cell array, slot, cell entry or cached load
+    am = gaussian(0.5, 0.5, dim)
+    spec = ModelSpec("bolker_pacala", a_plus=triangular(2.0, 1.0, dim), a_minus=am, m=0.2)
+    torus = Torus(8.0, dim)
+    rng = np.random.default_rng(60 + dim)
+    state = SimulationState(spec, sample_poisson(torus, 100.0 / torus.volume, rng))
+    log = EventLog(dim)
+    for _ in range(300):
+        b, d = state.total_rates()
+        state.t += rng.exponential(1.0 / (b + d))
+        state._apply_event(b, d, rng, log)
+    assert log.births.any() and not log.births.all()
+    before = store_index(state.cfg)
+    assert any(rows != sorted(rows) for rows in before[3].values())
+    state.audit()
+    assert store_index(state.cfg) == before
+
+
+class CountingRng:
+    """A numpy Generator that counts its ``exponential`` calls."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.exponentials = 0
+
+    def exponential(self, *args, **kwargs):
+        self.exponentials += 1
+        return self._rng.exponential(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("variant", ["bolker_pacala", "migration"])
+def test_run_draws_one_waiting_time_per_loop_iteration(variant):
+    # the benchmark splits the event loop into events at the waiting-time
+    # draws: one exponential per event, one more when the run ends at t_end
+    # (the draw that passes it), none more when the guard stops it, and
+    # none at all for a start above the guard
+    dim = 1
+    if variant == "migration":
+        spec = migration_spec(b=2.0, m=0.5, a_minus=triangular(0.5, 1.0, dim))
+    else:
+        am = gaussian(0.5, 0.5, dim)
+        spec = ModelSpec(variant, a_plus=gaussian(1.5, 0.5, dim), a_minus=am, m=0.5)
+    for t_end, max_population in ((3.0, 10**6), (3.0, 25), (0.0, 10**6)):
+        rng = CountingRng(np.random.default_rng(5))
+        cfg = sample_poisson(Torus(10.0, dim), 2.0, rng)
+        trace = run(spec, cfg, t_end, rng, max_population=max_population)
+        ended_by_time = not (trace.guard_tripped or trace.absorbed)
+        assert rng.exponentials == trace.n_events + ended_by_time
+    assert trace.n_events == 0 and rng.exponentials == 1
+    rng = CountingRng(np.random.default_rng(5))
+    trace = run(spec, sample_poisson(Torus(10.0, dim), 2.0, rng), 3.0, rng, max_population=5)
+    assert trace.guard_tripped and trace.n_events == 0 and rng.exponentials == 0
 
 
 def test_migration_without_competition_builds_no_index():
@@ -616,9 +695,11 @@ def test_event_path_calls_no_numpy_python_wrappers(variant, dim, side, density):
 @EVENT_PATH_MODELS
 def test_event_path_wraps_and_files_a_point_in_one_pass(variant, dim, side, density):
     # the store's _in_box wraps a position and finds its flat cell in one
-    # pass, once per neighbour query and once per insert; CellGrid serves
-    # the event path only by making a stencil for each (cell, rings) key the
-    # store has not seen, and files no point
+    # pass, exactly once per birth, whose query and insert both take that
+    # (position, cell), and never for a death, which queries from the cell
+    # its row was filed in; CellGrid serves the event path only by counting
+    # the rings of the radius and making a stencil for each (cell, rings)
+    # key the store has not seen, and files no point
     calls = Counter()
 
     def on_call(code):
@@ -626,12 +707,13 @@ def test_event_path_wraps_and_files_a_point_in_one_pass(variant, dim, side, dens
             calls[code.co_name] += 1
 
     state, log, _ = profiled_events(variant, dim, side, density, on_call)
-    queries, inserts = calls["neighbors_within"], calls["insert"]
-    assert queries == 2000 and inserts == int(log.births.sum())
-    assert calls["_in_box"] == queries + inserts
+    births = int(log.births.sum())
+    assert calls["_neighbors"] == 2000 and calls["_insert"] == births
+    assert calls["_in_box"] == births
+    assert calls["neighbors_within"] == calls["insert"] == 0
     assert calls["cell_stencil"] == len(state.cfg._stencils)
     called = {name for name in calls if name in vars(CellGrid)}
-    assert called <= {"cell_stencil", "axis_offsets", "cell_size"}
+    assert called <= {"cell_stencil", "axis_offsets", "cell_size", "rings"}
 
 
 def test_holding_times_exponential_ks():
