@@ -60,6 +60,8 @@ REPLICA_LISTS = (
     "guard_tripped",
     "absorbed",
     "n_events",
+    "births",
+    "deaths",
     "n_snapshots",
     "clamps",
     "largest_clamp",

@@ -13,13 +13,16 @@ kernels wrapped onto the torus and truncated at their cutoff radius.  The
 per-point competition loads are cached in the point store and updated
 incrementally on each event, together with the store's running load sum per
 block of rows; the total death rate reads the block sums, and the dying point
-is found first among the blocks and then inside one block.  Events address
-points by their row in the store: a birth's parent and a death are drawn as
-rows, and only the recorded event carries ids.  The point born or dying is
-never in the store while its neighbours are found: a birth queries them
-before its insert and a death after its removal, so no query leaves a row
-out, and only the store wraps positions into [0, side).  A birth wraps and
-files its position once and hands that (position, cell) to its query and
+is found first among the blocks and then inside one block.  A death reads
+its neighbours' old loads with one ``take``, writes what is left back with
+one ``put`` and takes the contributions off the block sums with one
+``subtract.at``: the floats of adding the negated contributions.  Events
+address points by their row in the store: a birth's parent and a death are
+drawn as rows, and only the recorded event carries ids.  The point born or
+dying is never in the store while its neighbours are found: a birth queries
+them before its insert and a death after its removal, so no query leaves a
+row out, and only the store wraps positions into [0, side).  A birth wraps
+and files its position once and hands that (position, cell) to its query and
 its insert; a death queries from the cell its row was filed in.  A new
 point's load sums its neighbours' kernels in the order the query gathers
 them, a function of the seeded history.  The optional audit checks the cell
@@ -243,7 +246,8 @@ class SimulationState:
     The configuration's load column caches the competition part of each
     point's death rate (the sum of a_minus over its neighbours); the full
     death rate is m + load.  Loads change only through the store's
-    ``add_loads`` and ``set_loads``, which keep its block sums current.
+    ``add_loads``, ``lower_loads`` and ``set_loads``, which keep its block
+    sums current.
     ``clamps`` counts the loads a removal set from a rounding residue below
     zero to 0, and ``largest_clamp`` is the largest such residue.
     """
@@ -330,7 +334,9 @@ class SimulationState:
     def _remove_point(self, row: int) -> tuple[int, np.ndarray]:
         """Delete the point in ``row``, then take its contribution out of
         the loads of its neighbours, found once it is gone from the cell it
-        was filed in; return its id and position.
+        was filed in; return its id and position.  The neighbours' old
+        loads come in with one ``take`` and what is left goes back through
+        the store's ``lower_loads``.
 
         A load may end a rounding residue below zero and is then set to 0,
         counted in ``clamps`` and ``largest_clamp``; one further below means
@@ -344,9 +350,8 @@ class SimulationState:
             rows, dists = self.cfg._neighbors(x, cell, self._cutoff)
             if rows.size:
                 contrib = a_minus.profile(dists)
-                old = self.cfg.loads[rows]
+                old = self.cfg._load.take(rows)
                 left = old - contrib
-                delta = -contrib
                 lowest = np.minimum.reduce(left)
                 if lowest < 0.0:
                     corrupt = np.flatnonzero(left < -LOAD_DRIFT_TOL * (1.0 + contrib))
@@ -357,10 +362,11 @@ class SimulationState:
                             f"fell to {float(left[i])!r} on removing point {pid}"
                         )
                     below = left < 0.0
-                    delta[below] = -old[below]  # residues go to exactly 0
+                    left[below] = 0.0  # residues go to exactly 0
+                    contrib[below] = old[below]  # and their blocks lose all they had
                     self.clamps += int(np.count_nonzero(below))
                     self.largest_clamp = max(self.largest_clamp, -float(lowest))
-                self.cfg.add_loads(rows, delta)
+                self.cfg.lower_loads(rows, left, contrib)
         return pid, x
 
     def _apply_event(
@@ -416,6 +422,15 @@ class SimulationTrace:
     @property
     def n_snapshots(self) -> int:
         return len(self.snapshots)
+
+    @property
+    def births(self) -> int:
+        """How many of the events are births, counted off the log's birth column."""
+        return self.events._birth.count(1)
+
+    @property
+    def deaths(self) -> int:
+        return self.n_events - self.births
 
 
 def run(

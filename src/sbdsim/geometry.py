@@ -13,32 +13,35 @@ the store's filing and the pair walk.
 the living points, addressed by row alone, a load column with block sums
 for the death draw, and, on the grid of the first radius it is asked
 about, per-cell arrays of rows that a neighbour query gathers through a
-memoised cell stencil, in the order it gathers them.  An event wraps and
-files its point once: ``_in_box`` gives the wrapped position and its cell,
-and the query and the insert both take that pair.  ``periodic_pairs`` walks
-each unordered pair of points within a radius once, over half the
-neighbouring cell offsets, in bounded batches; the kernel sums add each
-pair's kernel to both its points, and the pair correlation counts each
-distance twice.  In d >= 2 the walk orders each cell's rows by their first
-coordinate, the lead, and pairs a row only with the rows of a cell ahead
-along that axis whose lead is within the radius of its own, up to a pad of
-one quantum of the sort key; the exact distance test still decides every
-pair.  It hands its own order back with the batches.  The kernel sums of a
-store that has a grid walk the cells of its positions and leave its index
-as it is.
+memoised cell stencil, in the order it gathers them.  Each cell's entry
+holds the view of its live rows next to the buffer they lead, so the query
+joins the views as they are, and it subtracts the query point from the
+(k, dim) block of candidates along the rows, not along the short axis.  An
+event wraps and files its point once: ``_in_box`` gives the wrapped position
+and its cell, and the query and the insert both take that pair.
+``periodic_pairs`` walks each unordered pair of points within a radius once,
+over half the neighbouring cell offsets, in bounded batches; the kernel sums
+add each pair's kernel to both its points, and the pair correlation counts
+each distance twice.  In d >= 2 the walk orders each cell's rows by their
+first coordinate, the lead, and pairs a row only with the rows of a cell
+ahead along that axis whose lead is within the radius of its own, up to a
+pad of one quantum of the sort key; the exact distance test still decides
+every pair.  It hands its own order back with the batches.  The kernel sums
+of a store that has a grid walk the cells of its positions and leave its
+index as it is.
 Every minimum-image length, of a neighbour query and of the pair walk,
 comes squared from one helper; a pair is kept when its square is at most
 ``exact_reach`` of the radius, the same test as distance <= radius.
 ``sample_poisson`` draws a homogeneous Poisson configuration and loads it
 into the store in one bulk pass.
 The store's per-event methods (``_in_box``, ``_insert``, ``remove``,
-``_neighbors``, ``add_loads``, ``load_total`` and ``sample_row``), and
-``cell_runs``, ``periodic_pairs`` and ``kernel_sums``, call numpy only
-through ufuncs, ufunc methods and ndarray methods, never through the
-Python-level wrappers of ``numpy/_core/fromnumeric.py``, ``_methods.py``
-and ``lib/_function_base_impl.py``.  Each such wrapper costs a few
-microseconds, a sizeable share of an event that takes some tens of them,
-and of a walk that makes a few calls per cell offset at n ~ 100.
+``_neighbors``, ``add_loads``, ``lower_loads``, ``load_total`` and
+``sample_row``), and ``cell_runs``, ``periodic_pairs`` and ``kernel_sums``,
+call numpy only through ufuncs, ufunc methods and ndarray methods, never
+through the Python-level wrappers of ``numpy/_core/fromnumeric.py``,
+``_methods.py`` and ``lib/_function_base_impl.py``.  Each such wrapper costs
+a few microseconds, a sizeable share of an event that takes some tens of
+them, and of a walk that makes a few calls per cell offset at n ~ 100.
 """
 
 from __future__ import annotations
@@ -424,14 +427,19 @@ class TorusConfiguration:
     then stays, and only ``insert_many`` drops it.  Every row is filed
     from scratch on it by ``_file`` when it is picked, and from then on
     only ``insert`` and ``remove`` change the index.  Each occupied cell
-    keeps a growable ``np.intp`` array of its rows and the count of them
-    that are live; the slot column holds each row's index in its cell's
-    array, so ``insert`` appends to the array and ``remove`` swap-deletes
-    from it in O(1), and moving the last row into a freed row rewrites one
-    entry of its cell's array.  A neighbour query gathers the arrays of
+    keeps an entry [live, buffer]: a growable ``np.intp`` buffer of its
+    rows, and ``live``, the view of the buffer's first k entries, the
+    cell's k live rows; ``_file``, ``insert`` and ``remove`` keep the view
+    current.  The slot column holds each row's index in its cell's array,
+    so ``insert`` appends to the buffer and ``remove`` swap-deletes from
+    it in O(1), and moving the last row into a freed row rewrites one
+    entry of its cell's array.  A neighbour query joins the live views of
     the cells in a stencil memoised per (cell, rings) with one
-    ``np.concatenate``.  Stencils are made only for cells queried, so their
-    memory grows with the cells points occupy, not with the whole grid.
+    ``np.concatenate``, and subtracts the query point from the gathered
+    positions along the rows (``order="F"``): along the short axis numpy
+    would run one inner loop of length dim per candidate.  Stencils are
+    made only for cells queried, so their memory grows with the cells
+    points occupy, not with the whole grid.
 
     ``insert`` and ``neighbors_within`` are thin wrappers: ``_in_box``
     wraps and files a position, and ``_insert`` and ``_neighbors`` take
@@ -440,9 +448,10 @@ class TorusConfiguration:
     Next to the load column the store keeps one running sum per block of
     BLOCK_ROWS rows, a two-level sum tree: ``load_total`` and ``sample_row``
     read n / BLOCK_ROWS block sums and one block instead of the whole column.
-    ``insert``, ``remove``, ``add_loads`` and ``set_loads`` keep the block
-    sums in step with the column; ``stale_block`` checks them against it,
-    as ``cell_index_fault`` checks the cell arrays against the positions.
+    ``insert``, ``remove``, ``add_loads``, ``lower_loads`` and ``set_loads``
+    keep the block sums in step with the column; ``stale_block`` checks them
+    against it, as ``cell_index_fault`` checks the cell arrays against the
+    positions.
     """
 
     def __init__(self, torus: Torus):
@@ -457,7 +466,7 @@ class TorusConfiguration:
         self._block = np.zeros(1)  # load sum of each block of rows
         self.grid: CellGrid | None = None
         self._axis_cells, self._cell_size = 1, torus.side  # the grid's, for _in_box
-        self._cells: dict[int, list] = {}  # flat cell -> [rows array, live count]
+        self._cells: dict[int, list] = {}  # flat cell -> [live rows, buffer]
         # (flat cell, rings) -> stencil cells, led by -1 (no cell) if they wrap
         self._stencils: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -468,8 +477,9 @@ class TorusConfiguration:
     def loads(self) -> np.ndarray:
         """View of the competition-load column, one entry per row.
 
-        Change it through ``add_loads`` or ``set_loads``: a direct write
-        bypasses the block sums, which ``stale_block`` then reports.
+        Change it through ``add_loads``, ``lower_loads`` or ``set_loads``: a
+        direct write bypasses the block sums, which ``stale_block`` then
+        reports.
         """
         return self._load[: self._n]
 
@@ -477,6 +487,16 @@ class TorusConfiguration:
         """Add ``delta`` to the loads of ``rows`` (distinct) and to their block sums."""
         self._load[rows] += delta
         np.add.at(self._block, rows >> BLOCK_SHIFT, delta)
+
+    def lower_loads(
+        self, rows: np.ndarray, left: np.ndarray, taken: np.ndarray
+    ) -> None:
+        """Set the loads of ``rows`` (distinct) to ``left``, their old loads
+        less ``taken`` as the caller worked them out, and take ``taken`` off
+        their block sums, with one ``put`` and one ``subtract.at``: the same
+        floats as ``add_loads(rows, -taken)`` where ``left`` is old - taken."""
+        self._load.put(rows, left)
+        np.subtract.at(self._block, rows >> BLOCK_SHIFT, taken)
 
     def set_loads(self, values: np.ndarray) -> None:
         """Replace the whole load column and recompute every block sum."""
@@ -622,12 +642,14 @@ class TorusConfiguration:
             self._cell[row] = cell
             entry = self._cells.get(cell)
             if entry is None:
-                entry = self._cells[cell] = [np.empty(4, dtype=np.intp), 0]
-            rows, k = entry
-            if k == rows.size:
-                rows = entry[0] = np.concatenate([rows, np.empty_like(rows)])
-            rows[k] = row
-            entry[1] = k + 1
+                buffer = np.empty(4, dtype=np.intp)
+                entry = self._cells[cell] = [buffer[:0], buffer]
+            live, buffer = entry
+            k = live.size
+            if k == buffer.size:
+                buffer = entry[1] = np.concatenate([buffer, np.empty_like(buffer)])
+            buffer[k] = row
+            entry[0] = buffer[: k + 1]
             self._slot[row] = k
         self._n += 1
         self._next_id += 1
@@ -664,11 +686,12 @@ class TorusConfiguration:
         if self.grid is not None:  # swap-delete row from its cell's array
             cell = int(self._cell[row])
             entry = self._cells[cell]
-            rows, k = entry[0], entry[1] - 1
+            live = entry[0]
+            k = live.size - 1
             if k:
-                rows[self._slot[row]] = rows[k]
-                self._slot[rows[k]] = self._slot[row]
-                entry[1] = k
+                live[self._slot[row]] = live[k]
+                self._slot[live[k]] = self._slot[row]
+                entry[0] = live[:k]
             else:
                 del self._cells[cell]
             if row != last:
@@ -696,7 +719,8 @@ class TorusConfiguration:
         cells = grid.flat_cells_of(self._pos[:n])
         runs = order, occupied, first, count = cell_runs(cells)
         bounds = zip(occupied.tolist(), first.tolist(), count.tolist())
-        self._cells = {c: [order[a : a + k], k] for c, a, k in bounds}
+        # live rows and buffer: one view of the cell's run, full until an insert
+        self._cells = {c: [order[a : a + k]] * 2 for c, a, k in bounds}
         self._cell[:n] = cells
         self._slot[order] = np.arange(n) - first.repeat(count)
         self.grid, self._stencils = grid, {}
@@ -718,12 +742,11 @@ class TorusConfiguration:
         cells = self._cell[:n]
         bad = cells != self.grid.flat_cells_of(self._pos[:n])
         owners = np.fromiter(self._cells, dtype=np.intp, count=len(self._cells))
-        counts = np.array([k for _, k in self._cells.values()], dtype=np.intp)
+        lives = [live for live, _ in self._cells.values()]
+        counts = np.array([live.size for live in lives], dtype=np.intp)
         if (counts < 1).any():
             return f"cell {owners[counts < 1][0]} keeps an empty entry"
-        listed = np.concatenate(
-            [rows[:k] for rows, k in self._cells.values()] + [np.zeros(0, np.intp)]
-        )
+        listed = np.concatenate(lives + [np.zeros(0, np.intp)])
         if listed.size and not 0 <= listed.min() <= listed.max() < n:
             return f"the cell arrays list a row outside 0..{n - 1}"
         bad |= np.bincount(listed, minlength=n) != 1
@@ -773,11 +796,10 @@ class TorusConfiguration:
         if stencil is None:
             near, wraps = self.grid.cell_stencil(cell, radius)
             stencil = self._stencils[key] = (-1,) + near if wraps else near
-        cells = self._cells
-        parts = [e[0][: e[1]] for e in map(cells.get, stencil) if e is not None]
+        parts = [e[0] for e in map(self._cells.get, stencil) if e is not None]
         rows = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
         d = self._pos.take(rows, axis=0)
-        d -= x
+        np.subtract(d, x, out=d, order="F")  # along the rows, not the short axis
         square = _min_image_squares(d, self.torus.side, stencil[0] < 0)
         keep = (square <= exact_reach(radius)).nonzero()[0]
         return rows.take(keep), np.sqrt(square.take(keep))

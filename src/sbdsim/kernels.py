@@ -31,7 +31,7 @@ Mathematical Functions*, 6.5):
 The cutoff radius maps back the least float z with Q(s, z) <=
 ``TAIL_MASS_FRACTION`` and is then raised by the few ulps that rounding may
 cost, so ``mass_beyond(cutoff_radius())`` never exceeds that fraction of the
-weight.
+weight.  Each instance computes it once, on first use, as it does its peak.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def _gamma_q_inv(s2: int, p: float) -> float:
     """Least float z with ``_gamma_q(s2, z) <= p``, for 0 < p < 1.
 
     Bisection over [0, hi] down to adjacent floats; memoised because every
-    ``cutoff_radius()`` call asks for it.
+    new kernel's cutoff asks for it.
     """
     hi = 1.0
     while _gamma_q(s2, hi) > p:
@@ -240,17 +240,21 @@ class GaussianKernel(RadialKernel):
         z = radius**2 / (2.0 * self.sigma**2)
         return self.weight * _gamma_q(self.dim, z)
 
-    def cutoff_radius(self) -> float:
+    @cached_property
+    def _cutoff(self) -> float:
         z = _gamma_q_inv(self.dim, TAIL_MASS_FRACTION)
         return _within_tail_budget(self, self.sigma * math.sqrt(2.0 * z))
+
+    def cutoff_radius(self) -> float:
+        return self._cutoff
 
     def characteristic_radius(self) -> float:
         return self.sigma
 
     def sample_displacement(self, rng, size=None):
-        n = 1 if size is None else int(size)
-        disp = rng.standard_normal((n, self.dim)) * self.sigma
-        return disp[0] if size is None else disp
+        # the stream and floats of standard_normal(shape) * sigma, in one call
+        shape = self.dim if size is None else (int(size), self.dim)
+        return rng.normal(0.0, self.sigma, shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,9 +352,13 @@ class ExponentialKernel(RadialKernel):
             return self.weight
         return self.weight * _gamma_q(2 * self.dim, radius / self.scale)
 
-    def cutoff_radius(self) -> float:
+    @cached_property
+    def _cutoff(self) -> float:
         z = _gamma_q_inv(2 * self.dim, TAIL_MASS_FRACTION)
         return _within_tail_budget(self, self.scale * z)
+
+    def cutoff_radius(self) -> float:
+        return self._cutoff
 
     def characteristic_radius(self) -> float:
         return self.scale

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -488,6 +489,8 @@ def test_manifest_records_each_replica_s_clamps(tmp_path):
         "guard_tripped",
         "absorbed",
         "n_events",
+        "births",
+        "deaths",
         "n_snapshots",
         "clamps",
         "largest_clamp",
@@ -501,6 +504,8 @@ def test_manifest_records_each_replica_s_clamps(tmp_path):
         assert manifest["clamps"][i] == trace.clamps
         assert manifest["largest_clamp"][i] == trace.largest_clamp
         assert manifest["n_events"][i] == trace.n_events
+        assert manifest["births"][i] == trace.births
+        assert manifest["deaths"][i] == trace.deaths
         assert manifest["peak_population"][i] == trace.peak_population
         assert manifest["guard_tripped"][i] is trace.guard_tripped is False
         assert manifest["absorbed"][i] is trace.absorbed
@@ -552,6 +557,27 @@ def test_manifest_records_each_replica_s_peak_and_truncation_budget(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["truncation_budget"] == [0.0, 0.0]
     assert min(manifest["peak_population"]) > 0
+
+
+def test_manifest_records_each_replica_s_births_and_deaths(tmp_path):
+    # three replicas of the competition_1d model on a short box: each one's
+    # births and deaths, recounted here from its events.csv, add up to its
+    # event count
+    data = json.loads((CONFIGS / "competition_1d.json").read_text())
+    data.update(torus={"L": 8.0, "d": 1}, replicas=3, seed=5)
+    data["schedule"] = {"t_end": 1.0}
+    data["analysis"] = {"window": {"lo": [0.0], "hi": [8.0]}}
+    out = tmp_path / "o"
+    path = write_config(tmp_path / "c.json", data)
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    for i in range(3):
+        with open(out / f"replicas/r{i:04d}/events.csv", newline="") as fh:
+            kinds = Counter(row["kind"] for row in csv.DictReader(fh))
+        assert set(kinds) == {"birth", "death"}
+        assert manifest["births"][i] == kinds["birth"]
+        assert manifest["deaths"][i] == kinds["death"]
+        assert manifest["births"][i] + manifest["deaths"][i] == manifest["n_events"][i]
 
 
 # -- certify / verify -----------------------------------------------------------

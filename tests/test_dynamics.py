@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import NUMPY_WRAPPER_FILES, live_rows
 from sbdsim.dynamics import (
     AuditError,
     DynamicsError,
@@ -17,6 +18,7 @@ from sbdsim.dynamics import (
 )
 from sbdsim.geometry import (
     BLOCK_ROWS,
+    BLOCK_SHIFT,
     CellGrid,
     Torus,
     TorusConfiguration,
@@ -379,7 +381,7 @@ def store_index(cfg):
     """The store's cell index and loads as plain values: its cell, slot and
     load columns and each cell's live rows, in order."""
     n = len(cfg)
-    cells = {c: rows[:k].tolist() for c, (rows, k) in cfg._cells.items()}
+    cells = {c: rows.tolist() for c, rows in live_rows(cfg).items()}
     return cfg._cell[:n].tolist(), cfg._slot[:n].tolist(), cfg.loads.tolist(), cells
 
 
@@ -477,22 +479,21 @@ def test_audit_catches_block_sum_corruption():
 def misfile(cfg, how):
     """Corrupt the cell index of a store with two or more points in one cell
     in one way; return the id of the point the audit must name."""
-    entry = next(e for e in cfg._cells.values() if e[1] >= 2)
-    rows, k = entry
+    cell, rows = next((c, rows) for c, rows in live_rows(cfg).items() if rows.size >= 2)
+    entry, k = cfg._cells[cell], rows.size
     first, second, last = int(rows[0]), int(rows[1]), int(rows[k - 1])
     if how == "cell entry":
         cfg._cell[first] ^= 1  # a neighbouring flat cell
     elif how == "missing":
-        entry[1] = k - 1
+        entry[0] = rows[: k - 1]
         return cfg.point_at(last)
     elif how == "duplicate":
-        entry[0] = np.append(rows[:k], first)
-        entry[1] = k + 1
+        entry[0] = np.append(rows, first)
     elif how == "slot":
         cfg._slot[first], cfg._slot[second] = cfg._slot[second], cfg._slot[first]
         return cfg.point_at(min(first, second))
     elif how == "other cell":  # at its slot, but in another cell's array
-        other = next(e[0] for e in cfg._cells.values() if e is not entry)
+        other = next(o for c, o in live_rows(cfg).items() if c != cell)
         rows[0], other[0] = other[0], rows[0]
         return cfg.point_at(min(first, int(rows[0])))
     elif how == "moved":  # one cell along every axis
@@ -550,6 +551,72 @@ def test_removal_counts_the_residues_it_clamps():
     assert state.clamps == 2
     assert state.largest_clamp == pytest.approx(3e-12, rel=1e-3)
     state.audit()
+
+
+def remove_the_old_way(state, row):
+    """``_remove_point`` as its load update was written before it took one
+    gather and one scatter: the neighbours' loads and block sums take
+    ``-contrib`` by a fancy ``+=`` and an ``np.add.at``, and a row left
+    below zero takes minus its old load instead."""
+    cfg = state.cfg
+    cell = cfg._cell.item(row)
+    x = cfg.remove(row)
+    rows, dists = cfg._neighbors(x, cell, state._cutoff)
+    contrib = state.spec.a_minus.profile(dists)
+    old = cfg.loads[rows]
+    delta = -contrib
+    below = old - contrib < 0.0
+    delta[below] = -old[below]
+    cfg._load[rows] += delta
+    np.add.at(cfg._block, rows >> BLOCK_SHIFT, delta)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_death_update_matches_the_old_arithmetic_bit_for_bit(dim):
+    # two copies of one seeded state after 300 events: 60 deaths update the
+    # loads and block sums of one by _remove_point and of the other the old
+    # way, then one crafted clamp, where a neighbour of the dying point
+    # holds a hair less than its contribution; both stay equal bit for bit
+    am = gaussian(0.5, 0.5, dim)
+    spec = ModelSpec("bolker_pacala", a_plus=gaussian(3.0, 0.5, dim), a_minus=am, m=0.5)
+    torus = Torus(400.0 if dim == 1 else 16.0, dim)
+
+    def driven():
+        rng = np.random.default_rng(80 + dim)
+        state = SimulationState(spec, sample_poisson(torus, 2.0, rng))
+        for _ in range(300):
+            b, d = state.total_rates()
+            state._apply_event(b, d, rng, EventLog(dim))
+        return state, rng
+
+    (state, rng), (ref, _) = driven(), driven()
+    assert len(state.cfg) > BLOCK_ROWS
+
+    def same():
+        assert state.cfg.loads.tobytes() == ref.cfg.loads.tobytes()
+        assert state.cfg._block.tobytes() == ref.cfg._block.tobytes()
+
+    same()
+    for _ in range(60):
+        row = state.cfg.sample_row(rng.random(), spec.m)
+        state._remove_point(row)
+        remove_the_old_way(ref, row)
+        same()
+    assert state.clamps == 0
+    row, last = 5, len(state.cfg) - 1
+    rows, dists = state.cfg.neighbors_within(state.cfg.position(row), state._cutoff)
+    j = next(int(j) for j, r in zip(rows, dists) if 0.0 < r < 0.5 and j != last)
+    contrib = am.profile(float(dists[rows.tolist().index(j)]))
+    for each in (state, ref):
+        shift = np.array([contrib * (1.0 - 1e-10)]) - each.cfg.loads[[j]]
+        each.cfg.add_loads(np.array([j]), shift)
+    assert 0.0 < contrib - state.cfg.loads[j] < 1e-10  # far below LOAD_DRIFT_TOL
+    same()
+    state._remove_point(row)
+    remove_the_old_way(ref, row)
+    same()
+    assert state.clamps == 1 and state.cfg.loads[j] == 0.0
+    assert not np.signbit(state.cfg.loads[j]) and state.cfg.stale_block() is None
 
 
 def test_run_reports_its_clamps():
@@ -623,9 +690,6 @@ def test_a_narrow_kernel_on_a_wide_box_builds_and_audits():
     state.audit()
 
 
-# numpy's Python-level wrappers around its C entry points, such as np.cumsum,
-# np.take, np.argsort, ndarray.sum and ndarray.any
-NUMPY_WRAPPER_FILES = ("numpy/_core/fromnumeric.py", "numpy/_core/_methods.py")
 EVENT_PATH_MODELS = pytest.mark.parametrize(
     "variant, dim, side, density",
     [

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import NUMPY_WRAPPER_FILES, live_rows
 from sbdsim import geometry
 from sbdsim.config import load_config
 from sbdsim.geometry import (
@@ -484,15 +485,6 @@ def test_cut_walk_drops_candidates_beyond_reach(strip, monkeypatch):
         assert (counter.pairs, uncut) == (863733, 1424033)
 
 
-# numpy's Python-level wrappers around its C entry points, such as np.cumsum,
-# np.argsort, np.diff, ndarray.min and ndarray.max
-NUMPY_WRAPPER_FILES = (
-    "numpy/_core/fromnumeric.py",
-    "numpy/_core/_methods.py",
-    "numpy/lib/_function_base_impl.py",
-)
-
-
 @pytest.mark.parametrize(
     "dim, side, n, kernel",
     [(1, 400.0, 400, triangular(1.0, 1.0, 1)), (2, 20.0, 4000, gaussian(0.5, 0.5, 2))],
@@ -663,12 +655,14 @@ def reference_cell_groups(cfg):
 
 def assert_cell_arrays_consistent(cfg):
     assert cfg.grid is not None and cfg.cell_index_fault() is None
-    for cell, (rows, k) in cfg._cells.items():
-        live = rows[:k]
+    for cell, live in live_rows(cfg).items():
+        k = live.size
         assert k > 0
         np.testing.assert_array_equal(cfg._slot[live], np.arange(k))
         np.testing.assert_array_equal(cfg._cell[live], cell)
-    index = {cell: set(rows[:k].tolist()) for cell, (rows, k) in cfg._cells.items()}
+    for live, buffer in cfg._cells.values():  # the live rows lead their buffer
+        assert live.ctypes.data == buffer.ctypes.data and live.size <= buffer.size
+    index = {cell: set(live.tolist()) for cell, live in live_rows(cfg).items()}
     assert index == reference_cell_groups(cfg)
 
 
@@ -696,10 +690,10 @@ def test_cell_index_fault_on_an_empty_entry_or_a_stale_row():
     cfg = uniform_cfg(Torus(10.0, 1), 20, np.random.default_rng(13))
     cfg.neighbors_within([0.0], 3.0)
     assert cfg.cell_index_fault() is None
-    cfg._cells[99] = [np.zeros(4, dtype=np.intp), 0]
+    cfg._cells[99] = [np.zeros(0, dtype=np.intp), np.zeros(4, dtype=np.intp)]
     assert cfg.cell_index_fault() == "cell 99 keeps an empty entry"
     del cfg._cells[99]
-    rows, k = cfg._cells[int(cfg._cell[0])]
+    rows = live_rows(cfg)[int(cfg._cell[0])]
     rows[int(cfg._slot[0])] = 20
     assert "row outside 0..19" in cfg.cell_index_fault()
 
@@ -827,10 +821,10 @@ def assert_same_store(a, b, ordered=True):
     for name in ("_pos", "_id", "_cell", "_load") + ("_slot",) * ordered:
         np.testing.assert_array_equal(getattr(a, name)[:n], getattr(b, name)[:n])
     np.testing.assert_array_equal(a._block, b._block)
-    assert a._cells.keys() == b._cells.keys()
-    for cell, (rows, k) in a._cells.items():
-        other, other_k = b._cells[cell]
-        got, want = rows[:k].tolist(), other[:other_k].tolist()
+    a_cells, b_cells = live_rows(a), live_rows(b)
+    assert a_cells.keys() == b_cells.keys()
+    for cell, rows in a_cells.items():
+        got, want = rows.tolist(), b_cells[cell].tolist()
         assert got == want if ordered else sorted(got) == sorted(want)
     assert_cell_arrays_consistent(a)
     assert_cell_arrays_consistent(b)
@@ -840,8 +834,8 @@ def assert_filed_in_row_order(cfg):
     """A from-scratch filing lists each cell's rows in ascending order.  Only
     a store with no grid is filed so: later, inserts and removes alone
     change its index."""
-    for rows, k in cfg._cells.values():
-        assert (np.diff(rows[:k]) > 0).all()
+    for rows in live_rows(cfg).values():
+        assert (np.diff(rows) > 0).all()
 
 
 @pytest.mark.parametrize("dim, radius", [(1, 3.0), (1, 0.5), (2, 1.0), (3, 2.0)])
@@ -909,7 +903,7 @@ def test_store_builds_its_index_on_the_first_radius_it_serves():
     assert cfg.grid is None and cfg._cells == {}
     cfg.neighbors_within([5.0, 5.0], 1.5)
     assert cfg.grid == CellGrid.for_radius(torus, 1.5) == CellGrid(10.0, 2, 8)
-    assert sum(k for _, k in cfg._cells.values()) == len(cfg)
+    assert sum(rows.size for rows in live_rows(cfg).values()) == len(cfg)
     assert_cell_arrays_consistent(cfg)
     assert_filed_in_row_order(cfg)
     # later radii use the grid the first one picked
@@ -1238,7 +1232,7 @@ def index_of(cfg):
     """The store's cell index as plain values: its grid, cell and slot
     columns and each cell's live rows, in order."""
     n = len(cfg)
-    cells = {c: rows[:k].tolist() for c, (rows, k) in cfg._cells.items()}
+    cells = {c: rows.tolist() for c, rows in live_rows(cfg).items()}
     return cfg.grid, cfg._cell[:n].tolist(), cfg._slot[:n].tolist(), cells
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 import sbdsim
+from sbdsim import kernels
 from sbdsim.config import FIELDS, KERNEL_FAMILIES
 from sbdsim.kernels import (
     TAIL_MASS_FRACTION,
@@ -244,6 +245,28 @@ def test_cutoff_is_least_float_within_tail_budget(kernel, s2):
     assert kernel.mass_beyond(cutoff) <= budget
     if cutoff > radius:
         assert kernel.mass_beyond(math.nextafter(cutoff, 0.0)) > budget
+
+
+@pytest.mark.parametrize("family", [gaussian, exponential])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cutoff_is_cached_per_kernel(family, dim, monkeypatch):
+    # the cutoff is the formula's float, worked out once per instance; a
+    # scaled kernel is a new instance and works out its own
+    kernel = family(2.0, 0.7, dim)
+    formula = type(kernel)._cutoff.func  # the uncached computation
+    want = formula(kernel)
+    calls = []
+    budget = kernels._within_tail_budget
+    monkeypatch.setattr(
+        kernels, "_within_tail_budget", lambda *a: calls.append(a) or budget(*a)
+    )
+    assert kernel.cutoff_radius().hex() == want.hex()
+    assert kernel.cutoff_radius().hex() == want.hex() and len(calls) == 1
+    scaled = kernel.scaled(3.0)
+    assert "_cutoff" not in vars(scaled)
+    assert scaled.cutoff_radius().hex() == formula(scaled).hex()
+    assert len(calls) == 3 and calls[1][0] is calls[2][0] is scaled
+    assert kernel.cutoff_radius().hex() == want.hex() and len(calls) == 3
 
 
 def test_package_does_not_import_scipy():
@@ -498,6 +521,22 @@ def test_sample_displacement_single():
     rng = np.random.default_rng(10)
     x = gaussian(1.0, 1.0, 3).sample_displacement(rng)
     assert x.shape == (3,)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("size", [None, 1, 5, 1000])
+def test_gaussian_displacement_draws_the_standard_normal_stream(dim, size):
+    # one rng.normal call gives the floats of standard_normal((k, d)) * sigma
+    # and leaves the generator where that left it
+    kernel = gaussian(2.0, 0.37, dim)
+    new, old = np.random.default_rng(30 + dim), np.random.default_rng(30 + dim)
+    for _ in range(20):
+        got = kernel.sample_displacement(new, size)
+        want = old.standard_normal((1 if size is None else size, dim)) * 0.37
+        if size is None:
+            want = want[0]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert new.bit_generator.state == old.bit_generator.state
 
 
 def test_uniform_direction_unit_norm():
