@@ -33,7 +33,11 @@ The per-event path, ``total_rates`` and ``_apply_event`` with the store and
 kernel methods they call, reaches numpy only through ufuncs, ufunc methods
 and ndarray methods: a Python-level wrapper such as ``np.cumsum`` or
 ``ndarray.sum`` costs a few microseconds per call, a sizeable share of an
-event that takes some tens of them.
+event that takes some tens of them.  For the same reason it makes no ufunc
+reduction where one element or an argmin gives the same float (a death
+reads its least left load with ``argmin``), reads scalars with ``.item()``,
+calls a kernel's ``_profile`` on the fresh distance arrays directly, and
+reads the population off the store's row count.
 Waiting times are exponential in the total rate and the event type is chosen
 proportionally, so trajectories follow the exact jump chain.
 
@@ -265,6 +269,7 @@ class SimulationState:
         else:
             self._b_total = 0.0
         self._birth_mass = 0.0 if spec.a_plus is None else spec.a_plus.mass()
+        self._migration = spec.variant == "migration"
         # the competition cutoff, read by every event
         self._cutoff = 0.0 if spec.a_minus is None else spec.a_minus.cutoff_radius()
         cfg.set_loads(self._fresh_loads())
@@ -281,7 +286,7 @@ class SimulationState:
 
     def total_rates(self) -> tuple[float, float]:
         """(total birth rate B, total death rate D) for the current state."""
-        n = len(self.cfg)
+        n = self.cfg._n
         # only migration has b and only bolker_pacala a_plus: one term is 0
         b = self._b_total + n * self._birth_mass
         return b, self.spec.m * n + self.cfg.load_total()
@@ -299,7 +304,8 @@ class SimulationState:
             raise AuditError(f"cell index differs from the positions: {fault}")
         cached = self.cfg.loads
         fresh = self._fresh_loads()
-        drift = np.abs(cached - fresh) > LOAD_DRIFT_TOL * (1.0 + np.abs(fresh))
+        # not within the tolerance, so that a NaN load drifts too
+        drift = ~(np.abs(cached - fresh) <= LOAD_DRIFT_TOL * (1.0 + np.abs(fresh)))
         drifted = np.flatnonzero(drift)
         if drifted.size:
             row = drifted[0]
@@ -327,7 +333,7 @@ class SimulationState:
         if a_minus is None:
             return cfg._insert(x, cell, 0.0)
         rows, dists = cfg._neighbors(x, cell, self._cutoff)
-        contrib = a_minus.profile(dists)
+        contrib = a_minus._profile(dists)  # dists is a fresh float64 array
         cfg.add_loads(rows, contrib)
         return cfg._insert(x, cell, float(np.add.reduce(contrib)))
 
@@ -342,23 +348,23 @@ class SimulationState:
         counted in ``clamps`` and ``largest_clamp``; one further below means
         the cache is corrupt and raises AuditError.
         """
-        a_minus = self.spec.a_minus
-        pid = self.cfg.point_at(row)
-        cell = self.cfg._cell.item(row)  # filed on the store's grid
-        x = self.cfg.remove(row)
+        cfg, a_minus = self.cfg, self.spec.a_minus
+        pid = cfg._id.item(row)
+        cell = cfg._cell.item(row)  # filed on the store's grid
+        x = cfg.remove(row)
         if a_minus is not None:
-            rows, dists = self.cfg._neighbors(x, cell, self._cutoff)
+            rows, dists = cfg._neighbors(x, cell, self._cutoff)
             if rows.size:
-                contrib = a_minus.profile(dists)
-                old = self.cfg._load.take(rows)
+                contrib = a_minus._profile(dists)
+                old = cfg._load.take(rows)
                 left = old - contrib
-                lowest = np.minimum.reduce(left)
+                lowest = left.item(left.argmin())  # np.minimum.reduce's value
                 if lowest < 0.0:
                     corrupt = np.flatnonzero(left < -LOAD_DRIFT_TOL * (1.0 + contrib))
                     if corrupt.size:
                         i = corrupt[0]
                         raise AuditError(
-                            f"death-rate cache for point {self.cfg.point_at(rows[i])} "
+                            f"death-rate cache for point {cfg.point_at(rows[i])} "
                             f"fell to {float(left[i])!r} on removing point {pid}"
                         )
                     below = left < 0.0
@@ -366,7 +372,7 @@ class SimulationState:
                     contrib[below] = old[below]  # and their blocks lose all they had
                     self.clamps += int(np.count_nonzero(below))
                     self.largest_clamp = max(self.largest_clamp, -float(lowest))
-                self.cfg.lower_loads(rows, left, contrib)
+                cfg.lower_loads(rows, left, contrib)
         return pid, x
 
     def _apply_event(
@@ -377,20 +383,20 @@ class SimulationState:
 
         The clock must already sit at the event time.
         """
-        n = len(self.cfg)
+        cfg = self.cfg
+        n = cfg._n
         if rng.random() * (b + d) < b:
-            if self.spec.variant == "migration":
+            if self._migration:
                 pos = self.spec.b.sample_position(self.torus.side, self.torus.dim, rng)
                 parent = -1
             else:
                 row = int(rng.integers(n))
-                parent = self.cfg.point_at(row)
-                disp = self.spec.a_plus.sample_displacement(rng)
-                pos = self.cfg.position_view(row) + disp
+                parent = cfg._id.item(row)
+                pos = cfg._pos[row] + self.spec.a_plus.sample_displacement(rng)
             pid = self._add_point(pos)
-            log._append(self.t, True, self.cfg.position_view(n), pid, parent)
+            log._append(self.t, True, cfg._pos[n], pid, parent)
             return
-        pid, x = self._remove_point(self.cfg.sample_row(rng.random(), self.spec.m))
+        pid, x = self._remove_point(cfg.sample_row(rng.random(), self.spec.m))
         log._append(self.t, False, x, pid, -1)
 
     def snapshot(self, at_time: float) -> Snapshot:
@@ -471,7 +477,7 @@ def run(
     events_done = 0
 
     while True:
-        if state.population > max_population:
+        if cfg._n > max_population:
             trace.guard_tripped = True
             break
         b, d = state.total_rates()

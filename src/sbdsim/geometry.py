@@ -42,6 +42,11 @@ through the Python-level wrappers of ``numpy/_core/fromnumeric.py``,
 ``_methods.py`` and ``lib/_function_base_impl.py``.  Each such wrapper costs
 a few microseconds, a sizeable share of an event that takes some tens of
 them, and of a walk that makes a few calls per cell offset at n ~ 100.
+The per-event methods also make no ufunc reduction where one element or an
+argmin gives the same float, a reduction's set-up costing more than the
+sum of a few dozen loads, and they read scalars with ``.item()``: a store of
+one block reads its load total off that block, and a query works out the
+rings and reach of its radius once per grid.
 """
 
 from __future__ import annotations
@@ -68,6 +73,9 @@ PAIR_BATCH = 1 << 14
 LEAD_BITS = 32
 LEAD_MAX = (1 << LEAD_BITS) - 1
 LOAD_DRIFT_TOL = 1e-9  # a cached load's largest error, in units of 1 + |true value|
+# np.concatenate without the Python-level dispatcher that checks its
+# arguments for __array_function__: the query joins plain arrays only
+_concatenate = getattr(np.concatenate, "_implementation", np.concatenate)
 
 
 class GeometryError(ValueError):
@@ -469,6 +477,8 @@ class TorusConfiguration:
         self._cells: dict[int, list] = {}  # flat cell -> [live rows, buffer]
         # (flat cell, rings) -> stencil cells, led by -1 (no cell) if they wrap
         self._stencils: dict[tuple[int, int], tuple[int, ...]] = {}
+        # radius -> (its rings on the grid, exact_reach(radius))
+        self._reach: dict[float, tuple[int, float]] = {}
 
     def __len__(self) -> int:
         return self._n
@@ -504,13 +514,20 @@ class TorusConfiguration:
         self._block = self._block_sums_of_column()
 
     def _block_sums_of_column(self) -> np.ndarray:
+        """The block sums recomputed from the load column, as float64: over
+        no rows, ``np.bincount`` returns int64 zeros even with weights."""
         blocks = np.arange(self._n) >> BLOCK_SHIFT
-        return np.bincount(blocks, weights=self.loads, minlength=self._block.size)
+        sums = np.bincount(blocks, weights=self.loads, minlength=self._block.size)
+        return sums.astype(float, copy=False)
 
     def load_total(self) -> float:
-        """Sum of the load column, read from the block sums of the live rows."""
-        live = self._block[: (self._n + BLOCK_ROWS - 1) >> BLOCK_SHIFT]
-        return float(np.add.reduce(live))
+        """Sum of the load column, read from the block sums of the live rows:
+        ``np.add.reduce`` of them, which for one block is its sum plus 0.0
+        (-0.0 comes back as +0.0), and for none is 0.0."""
+        n_blocks = (self._n + BLOCK_ROWS - 1) >> BLOCK_SHIFT
+        if n_blocks > 1:
+            return float(np.add.reduce(self._block[:n_blocks]))
+        return self._block.item(0) + 0.0 if n_blocks else 0.0
 
     def sample_row(self, u: float, base: float) -> int:
         """Row drawn with weight base + load, from one uniform ``u`` in [0, 1).
@@ -540,9 +557,10 @@ class TorusConfiguration:
 
     def stale_block(self) -> tuple[int, float, float] | None:
         """First block whose running sum drifted from its rows' loads, as
-        (block, running, recomputed); else None."""
+        (block, running, recomputed); else None.  A sum that is not within
+        the tolerance, NaN among them, has drifted."""
         fresh = self._block_sums_of_column()
-        drift = np.abs(self._block - fresh) > LOAD_DRIFT_TOL * (1.0 + np.abs(fresh))
+        drift = ~(np.abs(self._block - fresh) <= LOAD_DRIFT_TOL * (1.0 + np.abs(fresh)))
         stale = np.flatnonzero(drift)
         if not stale.size:
             return None
@@ -560,11 +578,6 @@ class TorusConfiguration:
         if not 0 <= row < self._n:
             raise GeometryError(f"no row {row} among {self._n} points")
         return self._pos[row].copy()
-
-    def position_view(self, row: int) -> np.ndarray:
-        """The stored position of ``row`` itself, not a copy: valid only
-        until the store next changes, and not checked against 0..n-1."""
-        return self._pos[row]
 
     def positions_array(self) -> np.ndarray:
         """Positions in ascending id order, shape (n, dim)."""
@@ -633,7 +646,8 @@ class TorusConfiguration:
         """``insert`` of a point that ``_in_box`` has taken into the box as
         ``x`` and filed in ``cell`` (of no use while the store has no grid)."""
         row, pid = self._n, self._next_id
-        self._reserve(row + 1)
+        if row >= self._id.size:
+            self._reserve(row + 1)
         self._pos[row] = x
         self._id[row] = pid
         self._load[row] = load
@@ -684,22 +698,23 @@ class TorusConfiguration:
         x = self.position(row)
         last = self._n - 1
         if self.grid is not None:  # swap-delete row from its cell's array
-            cell = int(self._cell[row])
+            cell = self._cell.item(row)
             entry = self._cells[cell]
             live = entry[0]
             k = live.size - 1
             if k:
-                live[self._slot[row]] = live[k]
-                self._slot[live[k]] = self._slot[row]
+                slot, tail = self._slot.item(row), live.item(k)
+                live[slot] = tail
+                self._slot[tail] = slot
                 entry[0] = live[:k]
             else:
                 del self._cells[cell]
             if row != last:
-                self._cells[int(self._cell[last])][0][self._slot[last]] = row
+                self._cells[self._cell.item(last)][0][self._slot.item(last)] = row
         block = self._block
-        block[row >> BLOCK_SHIFT] -= self._load[row]
+        block[row >> BLOCK_SHIFT] -= self._load.item(row)
         if row != last:
-            moved = self._load[last]
+            moved = self._load.item(last)
             block[last >> BLOCK_SHIFT] -= moved
             block[row >> BLOCK_SHIFT] += moved
             for col in (self._pos, self._id, self._cell, self._slot, self._load):
@@ -723,7 +738,7 @@ class TorusConfiguration:
         self._cells = {c: [order[a : a + k]] * 2 for c, a, k in bounds}
         self._cell[:n] = cells
         self._slot[order] = np.arange(n) - first.repeat(count)
-        self.grid, self._stencils = grid, {}
+        self.grid, self._stencils, self._reach = grid, {}, {}
         self._axis_cells, self._cell_size = grid.n, grid.cell_size
         return runs
 
@@ -790,18 +805,27 @@ class TorusConfiguration:
     def _neighbors(self, x: np.ndarray, cell: int, radius: float):
         """``neighbors_within`` of a point that ``_in_box`` has taken into
         the box as ``x`` and filed in ``cell``, on the store's grid, for a
-        radius within [0, side / 2]."""
-        key = (cell, self.grid.rings(radius))
+        radius within [0, side / 2]; the rings and reach of each radius are
+        worked out once per grid."""
+        memo = self._reach.get(radius)
+        if memo is None:
+            memo = self._reach[radius] = (self.grid.rings(radius), exact_reach(radius))
+        rings, reach = memo
+        key = (cell, rings)
         stencil = self._stencils.get(key)
         if stencil is None:
             near, wraps = self.grid.cell_stencil(cell, radius)
             stencil = self._stencils[key] = (-1,) + near if wraps else near
-        parts = [e[0] for e in map(self._cells.get, stencil) if e is not None]
-        rows = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+        parts, cells = [], self._cells
+        for c in stencil:  # a loop, not a list comprehension and its frame
+            entry = cells.get(c)
+            if entry is not None:
+                parts.append(entry[0])
+        rows = _concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
         d = self._pos.take(rows, axis=0)
         np.subtract(d, x, out=d, order="F")  # along the rows, not the short axis
         square = _min_image_squares(d, self.torus.side, stencil[0] < 0)
-        keep = (square <= exact_reach(radius)).nonzero()[0]
+        keep = (square <= reach).nonzero()[0]
         return rows.take(keep), np.sqrt(square.take(keep))
 
     def kernel_sums(self, kernel: RadialKernel) -> np.ndarray:

@@ -42,6 +42,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+try:  # the compiled interp under np.interp's Python wrapper, which adds only
+    # the period option and complex values and costs several times the call
+    from numpy._core.multiarray import interp as _interp
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import interp as _interp
+
 # Relative mass allowed beyond the cutoff radius of an unbounded kernel.
 TAIL_MASS_FRACTION = 1e-10
 
@@ -118,8 +124,15 @@ def _check_dim(dim: int) -> None:
 def uniform_direction(dim: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` unit vectors uniformly on the sphere in ``dim`` dimensions."""
     v = rng.standard_normal((size, dim))
-    # np.linalg.norm(v, axis=1, keepdims=True) bit for bit, without its wrapper
-    norms = np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
+    # np.linalg.norm(v, axis=1, keepdims=True) bit for bit, without its
+    # wrapper: its add.reduce adds a row's squares in order, and in d <= 2
+    # one column or one add gives that sum for less than a reduction's set-up
+    sq = v * v
+    if dim == 2:
+        sq = sq[:, :1] + sq[:, 1:]
+    elif dim > 2:
+        sq = np.add.reduce(sq, axis=1, keepdims=True)
+    norms = np.sqrt(sq)
     norms[norms == 0.0] = 1.0
     return v / norms
 
@@ -418,9 +431,10 @@ class TabulatedKernel(RadialKernel):
             )
         if self.mass() <= 0.0:
             raise KernelError("tabulated kernel must have positive mass")
+        self._step_table  # built here, not by a first draw on the event path
 
     def _profile(self, r):
-        return np.interp(r, self.radii, self.values, right=0.0)
+        return _interp(r, self.radii, self.values, None, 0.0)
 
     def _mass_from(self, radius: float) -> float:
         """Exact integral of the piecewise-linear profile times the sphere
@@ -485,7 +499,7 @@ class TabulatedKernel(RadialKernel):
             n = max(2 * (size - filled), 16)
             seg = cum.searchsorted(rng.random(n) * total)
             s = r[seg] + rng.random(n) * (r[seg + 1] - r[seg])
-            target = np.interp(s, r, v) * s ** (d - 1)
+            target = _interp(s, r, v) * s ** (d - 1)
             acc = s[rng.random(n) * seg_sup[seg] < target]
             take = min(acc.size, size - filled)
             out[filled : filled + take] = acc[:take]

@@ -1,13 +1,16 @@
+import hashlib
 import math
 import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from conftest import NUMPY_WRAPPER_FILES, live_rows
+from sbdsim.config import initial_configuration, load_config, replica_rng
 from sbdsim.dynamics import (
     AuditError,
     DynamicsError,
@@ -24,9 +27,11 @@ from sbdsim.geometry import (
     TorusConfiguration,
     sample_poisson,
 )
-from sbdsim.kernels import ImmigrationField, gaussian, triangular
+from sbdsim.kernels import ImmigrationField, gaussian, tabulated, triangular
 from sbdsim.oracles import bp_meanfield_density, surgailis_density
 from sbdsim.statistics import density
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def cfg_with_points(torus, points):
@@ -446,6 +451,18 @@ def test_run_draws_one_waiting_time_per_loop_iteration(variant):
     assert trace.guard_tripped and trace.n_events == 0 and rng.exponentials == 0
 
 
+def test_a_run_from_an_empty_store_keeps_float_block_sums():
+    # the rate caches of an empty store are built from no rows, where
+    # np.bincount gives int64 zeros; the block sums must stay float64, or
+    # every later load added to them is cut to a whole number and the
+    # total death rate with it
+    spec = migration_spec(b=2.0, m=0.2, a_minus=triangular(0.7, 1.0, 1))
+    cfg = TorusConfiguration(Torus(10.0, 1))
+    trace = run(spec, cfg, 20.0, np.random.default_rng(3), audit_every=25)
+    assert trace.n_events > 100 and cfg._block.dtype == np.float64
+    assert cfg.load_total() == pytest.approx(float(cfg.loads.sum()), rel=1e-12)
+
+
 def test_migration_without_competition_builds_no_index():
     # with no a- nothing asks the store for a radius: it keeps its columns
     # alone, and the audit after every event finds nothing to fault
@@ -473,6 +490,30 @@ def test_audit_catches_block_sum_corruption():
     state.audit()
     state.cfg._block[0] += 1e-6
     with pytest.raises(AuditError, match="block 0"):
+        state.audit()
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [("load", math.nan), ("load", math.inf), ("block", math.nan), ("block", -math.inf)],
+)
+def test_audit_catches_a_cache_that_is_not_finite(column, value):
+    # a NaN compares false with any tolerance, so the audit flags every
+    # cache that is not within it rather than those beyond it
+    am = triangular(1.0, 1.0, 1)
+    spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.2)
+    rng = np.random.default_rng(31)
+    cfg = TorusConfiguration(Torus(40.0, 1))
+    cfg.insert_many(rng.uniform(0.0, 40.0, (200, 1)))
+    state = SimulationState(spec, cfg)
+    state.audit()
+    if column == "load":
+        cfg._load[3] = value
+        match = f"point {cfg.point_at(3)} drifted"
+    else:
+        cfg._block[0] = value
+        match = "block 0 drifted"
+    with pytest.raises(AuditError, match=match):
         state.audit()
 
 
@@ -619,6 +660,42 @@ def test_death_update_matches_the_old_arithmetic_bit_for_bit(dim):
     assert not np.signbit(state.cfg.loads[j]) and state.cfg.stale_block() is None
 
 
+def test_argmin_reads_the_least_value_minimum_reduce_gives():
+    # _remove_point reads its least left load as left.item(left.argmin()):
+    # the float np.minimum.reduce gives, NaN when any entry is NaN, and the
+    # same answer to "below 0?", the only use of a least value of zero.
+    # Between +0.0 and -0.0 np.minimum.reduce returns either sign,
+    # depending on where they sit, and argmin the first of them
+    nan = math.nan
+    cases = [
+        [3.0, 1.0, 1.0, 2.0],
+        [-1e-17, 0.5, -1e-17],
+        [nan, -1.0],
+        [0.2, nan, -nan, -3.0],
+        [-1.0, nan],
+        [0.0, -0.0],
+        [-0.0, 0.0],
+        [-0.0] * 40 + [0.0] * 3,
+        [0.5, -2e-16, -0.0, 0.0, -2e-16],
+        [7.0],
+    ]
+    rng = np.random.default_rng(9)
+    for size in (1, 2, 3, 7, 8, 9, 16, 33, 100):  # numpy's SIMD and tail loops
+        draws = rng.choice([-2e-16, -0.0, 0.0, 0.25, nan, 1.0], size)
+        cases += [draws.tolist(), np.abs(draws).tolist()]
+    for values in cases:
+        left = np.array(values)
+        want = np.minimum.reduce(left)
+        got = left.item(left.argmin())
+        assert type(got) is float
+        if math.isnan(want):
+            assert math.isnan(got)
+            continue
+        assert got == want and (got < 0.0) == (want < 0.0)
+        if want != 0.0:
+            assert np.float64(got).tobytes() == want.tobytes()
+
+
 def test_run_reports_its_clamps():
     # a triangular a- leaves a load that should be exactly 0 a rounding
     # residue below it now and then; run reports what the removals clamped
@@ -696,20 +773,27 @@ EVENT_PATH_MODELS = pytest.mark.parametrize(
         ("bolker_pacala", 1, 400.0, 1.0),
         ("bolker_pacala", 2, 20.0, 2.0),
         ("migration", 2, 12.0, 1.0),
+        ("tabulated", 1, 400.0, 1.0),
     ],
 )
 
 
-def profiled_events(variant, dim, side, density, on_call):
+def profiled_events(variant, dim, side, density, on_call, on_c_call=None):
     """2000 events of the model under ``sys.setprofile``, which hands the
-    code object of every Python-level call to ``on_call``; returns the
+    code object of every Python-level call to ``on_call`` and, if given,
+    every C function called from Python to ``on_c_call``; returns the
     state, its log and the population after each event.
 
     bolker_pacala keeps n > BLOCK_ROWS, so each death draw takes the
     two-level path; the migration model stays below it and draws from one
-    block, and its immigrants come from a grid field."""
+    block, and its immigrants come from a grid field.  "tabulated" is
+    bolker_pacala in d=1 with tabulated a+ and a-, above BLOCK_ROWS too."""
     if variant == "migration":
         spec = ModelSpec(variant, a_minus=gaussian(0.3, 0.5, 2), m=0.2, b=grid_field())
+    elif variant == "tabulated":
+        a_plus = tabulated([0.0, 0.5, 1.0, 2.0], [0.6, 0.5, 0.3, 0.0])  # mass 1.25
+        a_minus = tabulated([0.0, 0.5, 1.0], [1.0, 0.5, 0.0])  # mass 1
+        spec = ModelSpec("bolker_pacala", a_plus=a_plus, a_minus=a_minus)
     elif dim == 1:
         spec = ModelSpec(variant, a_plus=gaussian(1, 1, 1), a_minus=triangular(1, 1, 1))
     else:
@@ -722,6 +806,8 @@ def profiled_events(variant, dim, side, density, on_call):
     def profile(frame, event, arg):
         if event == "call":
             on_call(frame.f_code)
+        elif event == "c_call" and on_c_call is not None:
+            on_c_call(arg)
 
     sizes = []
     sys.setprofile(profile)
@@ -749,7 +835,7 @@ def test_event_path_calls_no_numpy_python_wrappers(variant, dim, side, density):
     assert calls == []
     # the clamp branch may call wrappers, so it must not have run
     assert state.clamps == 0
-    if variant == "bolker_pacala":
+    if variant != "migration":
         assert min(sizes) > BLOCK_ROWS
     else:
         assert max(sizes) <= BLOCK_ROWS
@@ -778,6 +864,75 @@ def test_event_path_wraps_and_files_a_point_in_one_pass(variant, dim, side, dens
     assert calls["cell_stencil"] == len(state.cfg._stencils)
     called = {name for name in calls if name in vars(CellGrid)}
     assert called <= {"cell_stencil", "axis_offsets", "cell_size", "rings"}
+
+
+@EVENT_PATH_MODELS
+def test_event_path_reduces_only_a_new_load_and_a_total_of_many_blocks(
+    variant, dim, side, density
+):
+    # a ufunc reduction costs a microsecond or two of set-up; the event
+    # path makes one for a birth's new load, and one for the total load
+    # only while the store holds more than one block, where the pairwise
+    # sum of the block sums is kept.  A single block's sum is read, and
+    # the least left load of a death comes from argmin
+    reductions = []
+
+    def on_c_call(fn):
+        if isinstance(getattr(fn, "__self__", None), np.ufunc) and fn.__name__ == "reduce":
+            reductions.append(fn.__self__.__name__)
+
+    state, log, sizes = profiled_events(
+        variant, dim, side, density, lambda code: None, on_c_call
+    )
+    births = log.births
+    before = np.array(sizes) - np.where(births, 1, -1)  # population at each draw
+    many_blocks = int(np.count_nonzero(before > BLOCK_ROWS))
+    assert len(reductions) <= int(births.sum()) + many_blocks
+    assert many_blocks == (0 if variant == "migration" else 2000)
+
+
+def integer_columns_sha256(log):
+    """sha256 of a log's birth flags, point ids and parent ids, as
+    little-endian bytes: the columns no host's rounding can move."""
+    h = hashlib.sha256()
+    for col in (log.births.astype("u1"), log.points.astype("<i8"), log.parents.astype("<i8")):
+        h.update(col.tobytes())
+    return h.hexdigest()
+
+
+def competition_1d_replica_0():
+    cfg = load_config(CONFIGS / "competition_1d.json")
+    rng = replica_rng(cfg.seed, 0)
+    return run(cfg.model, initial_configuration(cfg, rng), cfg.t_end, rng)
+
+
+def dense_d2():
+    am = gaussian(0.5, 0.5, 2)
+    spec = ModelSpec("bolker_pacala", a_plus=triangular(3.0, 1.0, 2), a_minus=am, m=0.5)
+    rng = np.random.default_rng(0)
+    return run(spec, sample_poisson(Torus(20.0, 2), 2.0, rng), 0.4, rng)
+
+
+@pytest.mark.parametrize(
+    "make, n_events, sha256",
+    [
+        (
+            competition_1d_replica_0,
+            4986,
+            "17f2fadb347326e1a1d3daf43e7c5f55bf886372b46f55a0e7a6f2c4aeb1474c",
+        ),
+        (dense_d2, 2219, "b9b7da934d867f5e4ffb00dfb5449d0a80d470633babc08d4c17a44e44e8cf14"),
+    ],
+    ids=["competition_1d", "dense_d2"],
+)
+def test_seeded_trajectories_keep_their_integer_columns(make, n_events, sha256):
+    # the pinned event count and integer columns of two seeded runs; a
+    # change that moves traces on purpose updates the pin and says so.
+    # Times and positions are left out: exp may round differently on
+    # another host's libm
+    trace = make()
+    assert trace.n_events == n_events
+    assert integer_columns_sha256(trace.events) == sha256
 
 
 def test_holding_times_exponential_ks():

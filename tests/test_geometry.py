@@ -924,6 +924,64 @@ def test_store_builds_its_index_on_the_first_radius_it_serves():
     assert_cell_arrays_consistent(cfg)
 
 
+def test_a_query_after_insert_many_uses_the_new_grid_s_rings_and_reach():
+    # a query works out the rings and reach of its radius once per grid:
+    # on 8 cells of 1.25 the radius 1.0 reaches 1 ring, and once a bulk
+    # load drops that grid and the radius 0.2 picks one of 49 cells, the
+    # same radius reaches 5, which a stencil keyed by the old grid's ring
+    # would miss
+    torus = Torus(10.0, 1)
+    rng = np.random.default_rng(21)
+    cfg = TorusConfiguration(torus)
+    cfg.insert_many(rng.uniform(0.0, 10.0, (60, 1)))
+    x = np.array([5.0])
+    cfg.neighbors_within(x, 3.0)
+    cfg.neighbors_within(x, 1.0)
+    assert cfg.grid == CellGrid(10.0, 1, 8) and cfg._reach[1.0][0] == 1
+    cfg.insert_many(rng.uniform(0.0, 10.0, (60, 1)))
+    for radius in (0.2, 1.0, 3.0):
+        rows, dists = cfg.neighbors_within(x, radius)
+        assert found_by(cfg, rows, dists) == brute_force_neighbors(cfg, [5.0], radius)
+        assert cfg._reach[radius] == (cfg.grid.rings(radius), exact_reach(radius))
+    assert cfg.grid == CellGrid(10.0, 1, 49) and cfg._reach[1.0][0] == 5
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
+def test_load_total_is_the_reduce_of_the_live_block_sums(n):
+    # load_total reads one block's sum where the store has one, and reduces
+    # the block sums only where it has more: the float np.add.reduce gives
+    # either way, sign of a zero included, over random inserts, load
+    # changes and removals that cross block edges
+    rng = np.random.default_rng(n)
+    cfg = TorusConfiguration(Torus(50.0, 1))
+    cfg.insert_many(rng.uniform(0.0, 50.0, (n, 1)))
+    cfg.set_loads(rng.random(n))
+
+    def check():
+        live = cfg._block[: -(-len(cfg) // BLOCK_ROWS)]
+        want, got = np.add.reduce(live), cfg.load_total()
+        assert type(got) is float and np.float64(got).tobytes() == want.tobytes()
+
+    check()
+    for _ in range(400):
+        k, op = len(cfg), rng.integers(4)
+        if op == 0 or not k:
+            cfg.insert(rng.uniform(0.0, 50.0, 1), float(rng.random()))
+        elif op == 1:
+            rows = rng.choice(k, min(k, 5), replace=False)
+            cfg.add_loads(rows, rng.random(rows.size))
+        elif op == 2:
+            rows = rng.choice(k, min(k, 5), replace=False)
+            taken = cfg.loads[rows] * rng.random(rows.size)
+            cfg.lower_loads(rows, cfg.loads[rows] - taken, taken)
+        else:
+            cfg.remove(int(rng.integers(k)))
+        check()
+    if 0 < len(cfg) <= BLOCK_ROWS:  # one block, whose sum -0.0 reads as +0.0
+        cfg._block[0] = -0.0
+        check()
+
+
 def reference_flat(coords, n):
     """Row-major flat index of integer cell coordinates on n cells per axis."""
     flat = 0

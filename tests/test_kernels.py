@@ -160,6 +160,22 @@ SEED_CLOSED_FORMS = {  # each family's profile as one expression of fresh arrays
 }
 
 
+def test_tabulated_profile_is_np_interp_at_knots_between_and_beyond():
+    # _profile calls numpy's compiled interp, not the np.interp wrapper
+    # around it: the same floats at the knots, between them, at 0 and
+    # beyond the table (the sampler's draws are pinned against np.interp
+    # by test_samplers_draw_as_their_per_call_formulas)
+    radii = np.array([0.0, 0.1, 0.35, 0.7, 1.3, 2.0])
+    values = np.array([2.0, 1.7, 1.7, 0.6, 0.25, 0.0])
+    kernel = tabulated(radii, values, dim=2)
+    mid = (radii[:-1] + radii[1:]) / 2.0
+    rng = np.random.default_rng(6)
+    r = np.concatenate([radii, mid, [0.0, 2.0, 2.5, 1e300], rng.random(500) * 2.2])
+    want = np.interp(r, radii, values, right=0.0)
+    assert kernel._profile(r).tobytes() == want.tobytes()
+    assert kernel.profile(2.5) == 0.0 and kernel.profile(0.0) == 2.0
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("family", ["gaussian", "triangular", "exponential", "tabulated"])
 def test_profile_reads_an_array_of_lengths_in_place(family, dim):
