@@ -11,14 +11,15 @@ keeps lies outside them.  ``cell_runs`` is the one sort by cell, shared by
 the store's filing and the pair walk.
 ``TorusConfiguration`` is the simulator's one point store: dense columns of
 the living points, addressed by row alone, a load column with block sums
-for the death draw, and, on the grid of the first radius it is asked
-about, per-cell arrays of rows that a neighbour query gathers through a
-memoised cell stencil, in the order it gathers them.  Each cell's entry
-holds the view of its live rows next to the buffer they lead, so the query
-joins the views as they are, and it subtracts the query point from the
-(k, dim) block of candidates along the rows, not along the short axis.  An
-event wraps and files its point once: ``_in_box`` gives the wrapped position
-and its cell, and the query and the insert both take that pair.
+for the death draw, and, on the grid that ``kernel_sums`` picks for its
+kernel's cutoff, per-cell arrays of rows that a neighbour query gathers
+through a memoised cell stencil, in the order it gathers them; no query
+picks or changes the grid.  Each cell's entry holds the view of its live
+rows next to the buffer they lead, so the query joins the views as they
+are, and it subtracts the query point from the (k, dim) block of candidates
+along the rows, not along the short axis.  An event wraps and files its
+point once: ``_in_box`` gives the wrapped position and its cell, and the
+query and the insert both take that pair.
 ``periodic_pairs`` walks each unordered pair of points within a radius once,
 over half the neighbouring cell offsets, in bounded batches; the kernel sums
 add each pair's kernel to both its points, and the pair correlation counts
@@ -424,39 +425,40 @@ class TorusConfiguration:
 
     Living points fill rows 0..n-1 of dense columns: position, stable id,
     flat grid cell, slot and competition load; positions are kept wrapped
-    into [0, side).  The row is a point's only address: ``position`` and
-    ``remove`` take rows and reject any outside 0..n-1.  Ids are a column,
-    never reused, that ``insert`` returns and ``point_at`` reads; nothing
-    maps an id back to its row.  ``insert`` appends a row; ``remove`` moves the last
-    row into the freed one, so a row stays valid only until the next removal.
+    into [0, side).  The row is a point's only address: ``remove`` takes a
+    row and rejects any outside 0..n-1.  Ids are a column, never reused,
+    that ``_insert`` returns and ``point_at`` reads; nothing maps an id back
+    to its row.  ``_insert`` appends a row; ``remove`` moves the last row
+    into the freed one, so a row stays valid only until the next removal.
 
-    ``grid`` is None until the first ``neighbors_within`` or
-    ``kernel_sums`` picks ``CellGrid.for_radius`` of its radius; the grid
-    then stays, and only ``insert_many`` drops it.  Every row is filed
-    from scratch on it by ``_file`` when it is picked, and from then on
-    only ``insert`` and ``remove`` change the index.  Each occupied cell
-    keeps an entry [live, buffer]: a growable ``np.intp`` buffer of its
-    rows, and ``live``, the view of the buffer's first k entries, the
-    cell's k live rows; ``_file``, ``insert`` and ``remove`` keep the view
-    current.  The slot column holds each row's index in its cell's array,
-    so ``insert`` appends to the buffer and ``remove`` swap-deletes from
-    it in O(1), and moving the last row into a freed row rewrites one
-    entry of its cell's array.  A neighbour query joins the live views of
-    the cells in a stencil memoised per (cell, rings) with one
-    ``np.concatenate``, and subtracts the query point from the gathered
-    positions along the rows (``order="F"``): along the short axis numpy
-    would run one inner loop of length dim per candidate.  Stencils are
-    made only for cells queried, so their memory grows with the cells
-    points occupy, not with the whole grid.
+    ``grid`` is None until ``kernel_sums`` picks ``CellGrid.for_radius`` of
+    its kernel's cutoff, the one place a grid is picked; the grid then
+    stays, and only ``insert_many`` drops it.  Every row is filed from
+    scratch on it by ``_file`` when it is picked, and from then on only
+    ``_insert`` and ``remove`` change the index.  Each occupied cell keeps
+    an entry [live, buffer]: a growable ``np.intp`` buffer of its rows, and
+    ``live``, the view of the buffer's first k entries, the cell's k live
+    rows; ``_file``, ``_insert`` and ``remove`` keep the view current.  The
+    slot column holds each row's index in its cell's array, so ``_insert``
+    appends to the buffer and ``remove`` swap-deletes from it in O(1), and
+    moving the last row into a freed row rewrites one entry of its cell's
+    array.  A neighbour query joins the live views of the cells in a
+    stencil memoised per (cell, rings) with one ``np.concatenate``, and
+    subtracts the query point from the gathered positions along the rows
+    (``order="F"``): along the short axis numpy would run one inner loop of
+    length dim per candidate.  Stencils are made only for cells queried, so
+    their memory grows with the cells points occupy, not with the whole
+    grid.
 
-    ``insert`` and ``neighbors_within`` are thin wrappers: ``_in_box``
-    wraps and files a position, and ``_insert`` and ``_neighbors`` take
-    that (x, cell), so an event wraps and files its point at most once.
+    ``_in_box`` wraps and files a position, and ``_insert`` and
+    ``_neighbors`` take that (x, cell), so an event wraps and files its
+    point at most once; ``neighbors``, the one public query, is ``_in_box``
+    and ``_neighbors`` on a store that has a grid.
 
     Next to the load column the store keeps one running sum per block of
     BLOCK_ROWS rows, a two-level sum tree: ``load_total`` and ``sample_row``
     read n / BLOCK_ROWS block sums and one block instead of the whole column.
-    ``insert``, ``remove``, ``add_loads``, ``lower_loads`` and ``set_loads``
+    ``_insert``, ``remove``, ``add_loads``, ``lower_loads`` and ``set_loads``
     keep the block sums in step with the column; ``stale_block`` checks them
     against it, as ``cell_index_fault`` checks the cell arrays against the
     positions.
@@ -574,11 +576,6 @@ class TorusConfiguration:
         """Id of the point in ``row``."""
         return int(self._id[row])
 
-    def position(self, row: int) -> np.ndarray:
-        if not 0 <= row < self._n:
-            raise GeometryError(f"no row {row} among {self._n} points")
-        return self._pos[row].copy()
-
     def positions_array(self) -> np.ndarray:
         """Positions in ascending id order, shape (n, dim)."""
         return self._pos[np.argsort(self._id[: self._n])]
@@ -637,14 +634,10 @@ class TorusConfiguration:
             flat = flat * n + (i if i < n else n - 1)
         return x, flat
 
-    def insert(self, position, load: float = 0.0) -> int:
-        """Add a point as the last row with the given load; return its new id."""
-        x, cell = self._in_box(position)
-        return self._insert(x, cell, load)
-
     def _insert(self, x: np.ndarray, cell: int, load: float) -> int:
-        """``insert`` of a point that ``_in_box`` has taken into the box as
-        ``x`` and filed in ``cell`` (of no use while the store has no grid)."""
+        """Add the point that ``_in_box`` has taken into the box as ``x`` and
+        filed in ``cell`` (of no use while the store has no grid) as the last
+        row with the given load; return its new id."""
         row, pid = self._n, self._next_id
         if row >= self._id.size:
             self._reserve(row + 1)
@@ -671,8 +664,8 @@ class TorusConfiguration:
 
     def insert_many(self, positions) -> None:
         """Add the rows of ``positions`` as new points with load 0, in one
-        vectorised pass, and drop the cell index: the next query files every
-        row afresh, as it would after ``insert`` on each row in turn."""
+        vectorised pass, and drop the cell index: the next ``kernel_sums``
+        files every row afresh, as ``_insert`` on each row in turn would."""
         t = self.torus
         x = np.asarray(positions, dtype=float)
         if x.ndim != 2 or x.shape[1] != t.dim:
@@ -695,8 +688,10 @@ class TorusConfiguration:
     def remove(self, row: int) -> np.ndarray:
         """Delete the point in ``row`` and return its position; the last row
         moves into ``row``."""
-        x = self.position(row)
         last = self._n - 1
+        if not 0 <= row <= last:
+            raise GeometryError(f"no row {row} among {self._n} points")
+        x = self._pos[row].copy()
         if self.grid is not None:  # swap-delete row from its cell's array
             cell = self._cell.item(row)
             entry = self._cells[cell]
@@ -775,11 +770,11 @@ class TorusConfiguration:
 
     # -- local sums and counts ---------------------------------------------
 
-    def neighbors_within(self, x, radius: float):
+    def neighbors(self, x, radius: float):
         """Rows and minimum-image distances of the stored points within
-        ``radius`` of x, taken into the box first; a store with no grid gets
-        one for ``radius``.  A point asks about its neighbours while it is
-        not in the store: before its ``insert`` or after its ``remove``.
+        ``radius`` of x, taken into the box first; a store with no grid
+        raises, as no query picks one.  A point asks about its neighbours
+        while it is not in the store: before its insert or after its removal.
 
         A candidate is kept when its squared length is at most
         ``exact_reach(radius)``, and only then rooted; where the cell
@@ -797,13 +792,12 @@ class TorusConfiguration:
                 f"side {side / 2.0:g}"
             )
         x, cell = self._in_box(x)
-        if self.grid is None:  # files only once the position has passed
-            self._file(CellGrid.for_radius(self.torus, radius))
-            x, cell = self._in_box(x)
+        if self.grid is None:
+            raise GeometryError("the store has no grid: kernel_sums files it")
         return self._neighbors(x, cell, radius)
 
     def _neighbors(self, x: np.ndarray, cell: int, radius: float):
-        """``neighbors_within`` of a point that ``_in_box`` has taken into
+        """``neighbors`` of a point that ``_in_box`` has taken into
         the box as ``x`` and filed in ``cell``, on the store's grid, for a
         radius within [0, side / 2]; the rings and reach of each radius are
         worked out once per grid."""

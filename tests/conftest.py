@@ -1,5 +1,7 @@
 import hypothesis
 
+from sbdsim.geometry import CellGrid
+
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=50, derandomize=True
 )
@@ -20,3 +22,15 @@ def live_rows(cfg):
     rows in order: a view into the cell's buffer, so a write through it
     changes the index."""
     return {cell: live for cell, (live, _) in cfg._cells.items()}
+
+
+def insert_point(cfg, x, load=0.0):
+    """Add the point ``x`` with ``load`` through the calls a birth makes:
+    ``_in_box`` wraps and files it, ``_insert`` stores it; return its id."""
+    return cfg._insert(*cfg._in_box(x), load)
+
+
+def file_on(cfg, radius):
+    """File every row of the store on the grid ``CellGrid.for_radius`` picks
+    for ``radius``, as ``kernel_sums`` files a store on its cutoff's."""
+    return cfg._file(CellGrid.for_radius(cfg.torus, radius))

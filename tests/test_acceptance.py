@@ -211,8 +211,7 @@ def test_06_contact_model_extinction():
     extinct = 0
     for _ in range(200):
         cfg = TorusConfiguration(torus)
-        for x in rng.uniform(0.0, torus.side, (10, 1)):
-            cfg.insert(x)
+        cfg.insert_many(rng.uniform(0.0, torus.side, (10, 1)))
         trace = run(spec, cfg, t_end=20.0 / mass, rng=rng)
         extinct += trace.final_population == 0
     frac = extinct / 200.0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import NUMPY_WRAPPER_FILES, live_rows
+from conftest import NUMPY_WRAPPER_FILES, file_on, insert_point, live_rows
 from sbdsim.config import initial_configuration, load_config, replica_rng
 from sbdsim.dynamics import (
     AuditError,
@@ -37,7 +37,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def cfg_with_points(torus, points):
     cfg = TorusConfiguration(torus)
     for p in points:
-        cfg.insert(p)
+        insert_point(cfg, p)
     return cfg
 
 
@@ -645,7 +645,7 @@ def test_death_update_matches_the_old_arithmetic_bit_for_bit(dim):
         same()
     assert state.clamps == 0
     row, last = 5, len(state.cfg) - 1
-    rows, dists = state.cfg.neighbors_within(state.cfg.position(row), state._cutoff)
+    rows, dists = state.cfg.neighbors(state.cfg._pos[row], state._cutoff)
     j = next(int(j) for j, r in zip(rows, dists) if 0.0 < r < 0.5 and j != last)
     contrib = am.profile(float(dists[rows.tolist().index(j)]))
     for each in (state, ref):
@@ -849,7 +849,8 @@ def test_event_path_wraps_and_files_a_point_in_one_pass(variant, dim, side, dens
     # (position, cell), and never for a death, which queries from the cell
     # its row was filed in; CellGrid serves the event path only by counting
     # the rings of the radius and making a stencil for each (cell, rings)
-    # key the store has not seen, and files no point
+    # key the store has not seen; the public query never serves it, and no
+    # event files the store
     calls = Counter()
 
     def on_call(code):
@@ -860,7 +861,7 @@ def test_event_path_wraps_and_files_a_point_in_one_pass(variant, dim, side, dens
     births = int(log.births.sum())
     assert calls["_neighbors"] == 2000 and calls["_insert"] == births
     assert calls["_in_box"] == births
-    assert calls["neighbors_within"] == calls["insert"] == 0
+    assert calls["neighbors"] == calls["_file"] == 0
     assert calls["cell_stencil"] == len(state.cfg._stencils)
     called = {name for name in calls if name in vars(CellGrid)}
     assert called <= {"cell_stencil", "axis_offsets", "cell_size", "rings"}
@@ -995,9 +996,9 @@ def test_bulk_initial_load_gives_the_sequential_trace(dim, t_end):
     bulk = sample_poisson(torus, 2.0, rng_bulk)
     n = rng_seq.poisson(2.0 * torus.volume)
     seq = TorusConfiguration(torus)
-    seq.neighbors_within(np.zeros(dim), am.cutoff_radius())
+    file_on(seq, am.cutoff_radius())
     for x in rng_seq.uniform(0.0, torus.side, (n, dim)):
-        seq.insert(x)
+        insert_point(seq, x)
     assert len(bulk) == len(seq) > 0 and bulk.grid is None
     a = run(spec, bulk, t_end=t_end, rng=rng_bulk, audit_every=1)
     b = run(spec, seq, t_end=t_end, rng=rng_seq, audit_every=1)

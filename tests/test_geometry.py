@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import NUMPY_WRAPPER_FILES, live_rows
+from conftest import NUMPY_WRAPPER_FILES, file_on, insert_point, live_rows
 from sbdsim import geometry
 from sbdsim.config import load_config
 from sbdsim.geometry import (
@@ -42,7 +42,7 @@ G10_2 = CellGrid(10.0, 2, 8)
 def uniform_cfg(torus, n, rng):
     cfg = TorusConfiguration(torus)
     for x in rng.uniform(0.0, torus.side, (n, torus.dim)):
-        cfg.insert(x)
+        insert_point(cfg, x)
     return cfg
 
 
@@ -290,10 +290,11 @@ def test_pair_walk_distances_equal_the_neighbour_query(dim):
     for radius in (0.5, 1.0, side / 2.0):
         cfg = TorusConfiguration(Torus(side, dim))
         cfg.insert_many(pts)
+        file_on(cfg, radius)
         n = len(cfg)
         queried = {}
         for a in range(n):
-            rows, dists = cfg.neighbors_within(cfg.position(a), radius)
+            rows, dists = cfg.neighbors(cfg._pos[a], radius)
             assert a in rows
             for b, d in zip(rows.tolist(), dists.tolist()):
                 if b != a:
@@ -468,7 +469,7 @@ def test_cut_walk_drops_candidates_beyond_reach(strip, monkeypatch):
         pts = rng.uniform(0.0, 8.0, (600, 2))
         pts[:, 0] = rng.uniform(-1.0, 1.0, 600)
         cfg.insert_many(pts)
-        cfg.neighbors_within([0.0, 0.0], 1.0)  # the store's grid: cells of 1
+        file_on(cfg, 1.0)  # the store's grid: cells of 1
     else:
         torus, kernel = Torus(30.0, 2), gaussian(0.5, 0.5, 2)
         cfg = sample_poisson(torus, 5.0, rng)
@@ -524,29 +525,27 @@ def row_of(cfg, pid):
 
 def test_insert_remove_roundtrip():
     cfg = TorusConfiguration(T10_1)
-    i = cfg.insert([1.0])
-    j = cfg.insert([2.0])
+    i = insert_point(cfg, [1.0])
+    j = insert_point(cfg, [2.0])
     assert len(cfg) == 2 and i != j
     assert (cfg.point_at(0), cfg.point_at(1)) == (i, j)
-    np.testing.assert_allclose(cfg.position(0), [1.0])
+    np.testing.assert_allclose(cfg._pos[0], [1.0])
     np.testing.assert_allclose(cfg.remove(0), [1.0])
     assert len(cfg) == 1
     assert cfg.ids() == [j]
     assert cfg.point_at(0) == j  # the last row moved into the freed one
-    np.testing.assert_allclose(cfg.position(0), [2.0])
+    np.testing.assert_allclose(cfg._pos[0], [2.0])
     with pytest.raises(GeometryError):
-        cfg.position(1)
+        cfg.remove(1)
 
 
 def test_rows_outside_the_store_are_rejected():
     cfg = TorusConfiguration(T10_1)
     with pytest.raises(GeometryError):
         cfg.remove(0)
-    cfg.insert([1.0])
-    cfg.insert([2.0])
+    insert_point(cfg, [1.0])
+    insert_point(cfg, [2.0])
     for row in (-1, 2, 5):
-        with pytest.raises(GeometryError, match=f"no row {row}"):
-            cfg.position(row)
         with pytest.raises(GeometryError, match=f"no row {row}"):
             cfg.remove(row)
     assert len(cfg) == 2
@@ -554,29 +553,30 @@ def test_rows_outside_the_store_are_rejected():
 
 def test_insert_wraps_into_box():
     cfg = TorusConfiguration(T10_1)
-    cfg.insert([12.5])
-    np.testing.assert_allclose(cfg.position(0), [2.5])
-    cfg.insert([-0.5])
-    np.testing.assert_allclose(cfg.position(1), [9.5])
+    insert_point(cfg, [12.5])
+    np.testing.assert_allclose(cfg._pos[0], [2.5])
+    insert_point(cfg, [-0.5])
+    np.testing.assert_allclose(cfg._pos[1], [9.5])
 
 
 @pytest.mark.parametrize("below", [-1e-18, np.nextafter(0.0, -1.0)])
 def test_a_hair_below_zero_wraps_to_zero(below):
     # np.mod rounds these up to the side itself, outside [0, side); the box,
-    # insert and insert_many take them to 0, where a full-box window counts
+    # _in_box and insert_many take them to 0, where a full-box window counts
     # them
     torus = Torus(20.0, 1)
     assert np.mod(below, torus.side) == torus.side
     assert torus.wrap(np.array([below])).tolist() == [0.0]
     one, bulk = TorusConfiguration(torus), TorusConfiguration(torus)
-    one.insert([below])
+    insert_point(one, [below])
     bulk.insert_many([[below], [5.0]])
-    assert one.position(0).tolist() == bulk.position(0).tolist() == [0.0]
+    assert one._pos[0].tolist() == bulk._pos[0].tolist() == [0.0]
     full = Window((0.0,), (torus.side,))
     assert full.count(one.positions_array()) == 1
     assert full.count(bulk.positions_array()) == 2
     for cfg in (one, bulk):
-        rows, dists = cfg.neighbors_within([below], 1.0)
+        file_on(cfg, 1.0)
+        rows, dists = cfg.neighbors([below], 1.0)
         assert rows.tolist() == [0] and dists.tolist() == [0.0]
         assert cfg.cell_index_fault() is None
 
@@ -589,20 +589,20 @@ def test_non_finite_positions_are_rejected(bad, axis, grid):
     # so no test of the box may take it for a point inside; nothing is
     # stored and numpy warns of nothing
     cfg = TorusConfiguration(T10_2)
-    cfg.insert([1.0, 2.0])
+    insert_point(cfg, [1.0, 2.0])
     if grid:
-        cfg.neighbors_within([1.0, 2.0], 1.0)
+        file_on(cfg, 1.0)
     position = [3.0, 4.0]
     position[axis] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(GeometryError, match="finite"):
-            cfg.insert(position)
+            insert_point(cfg, position)
         with pytest.raises(GeometryError, match="finite"):
             cfg.insert_many([[5.0, 5.0], position])
         with pytest.raises(GeometryError, match="finite"):
-            cfg.neighbors_within(position, 1.0)
-    assert len(cfg) == 1 and cfg.position(0).tolist() == [1.0, 2.0]
+            cfg.neighbors(position, 1.0)
+    assert len(cfg) == 1 and cfg._pos[0].tolist() == [1.0, 2.0]
     assert (cfg.grid is not None) == grid and cfg.cell_index_fault() is None
 
 
@@ -610,22 +610,43 @@ def test_query_radius_outside_zero_to_half_the_side_is_rejected():
     # a radius past side / 2 would meet a point twice, and a negative or NaN
     # one is no radius; the store files nothing for a rejected query
     cfg = TorusConfiguration(T10_2)
-    cfg.insert([1.0, 2.0])
+    insert_point(cfg, [1.0, 2.0])
     for radius in (math.nextafter(5.0, 6.0), -1e-300, -1.0, math.nan):
         with pytest.raises(GeometryError, match="not within 0 and half the box"):
-            cfg.neighbors_within([1.0, 2.0], radius)
+            cfg.neighbors([1.0, 2.0], radius)
     assert cfg.grid is None
+    file_on(cfg, 1.0)
     for radius in (0.0, 5.0):
-        assert cfg.neighbors_within([1.0, 2.0], radius)[0].tolist() == [0]
+        assert cfg.neighbors([1.0, 2.0], radius)[0].tolist() == [0]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_query_on_a_store_with_no_grid_raises_and_files_nothing(dim):
+    # only kernel_sums picks a grid: the public query refuses a store that
+    # has none, empty or not, before and after a bulk load drops the grid,
+    # and leaves it without one
+    cfg = TorusConfiguration(Torus(10.0, dim))
+    x = np.full(dim, 1.0)
+    for step in range(3):
+        with pytest.raises(GeometryError, match="no grid"):
+            cfg.neighbors(x, 1.0)
+        assert cfg.grid is None and cfg.cell_index_fault() is None
+        if step == 0:
+            insert_point(cfg, x)  # rows, and still no grid
+        elif step == 1:
+            cfg.kernel_sums(triangular(1.0, 1.0, dim))  # files the store
+            assert cfg.neighbors(x, 1.0)[0].tolist() == [0]
+            cfg.insert_many([x])  # drops the grid
+    assert len(cfg) == 2
 
 
 def test_negative_zero_is_stored_as_zero():
     # -0.0 is not strictly inside the box, so it is wrapped to +0.0
     cfg = TorusConfiguration(T10_2)
-    cfg.insert([-0.0, 3.0])
+    insert_point(cfg, [-0.0, 3.0])
     cfg.insert_many([[3.0, -0.0]])
-    cfg.neighbors_within([1.0, 1.0], 1.0)
-    cfg.insert([-0.0, -0.0])
+    file_on(cfg, 1.0)
+    insert_point(cfg, [-0.0, -0.0])
     signs = [math.copysign(1.0, v) for v in cfg.positions_array().ravel().tolist()]
     assert signs == [1.0] * 6 and cfg.cell_index_fault() is None
 
@@ -639,7 +660,7 @@ def test_positions_array_ascending_ids():
     assert ids == sorted(ids)
     arr = cfg.positions_array()
     np.testing.assert_allclose(
-        arr, np.array([cfg.position(row_of(cfg, i)) for i in ids])
+        arr, np.array([cfg._pos[row_of(cfg, i)] for i in ids])
     )
 
 
@@ -648,7 +669,7 @@ def reference_cell_groups(cfg):
     positions."""
     groups = {}
     for row in range(len(cfg)):
-        cell = reference_flat_cell(cfg.grid, cfg.position(row))
+        cell = reference_flat_cell(cfg.grid, cfg._pos[row])
         groups.setdefault(cell, set()).add(row)
     return groups
 
@@ -673,14 +694,14 @@ def assert_cell_arrays_consistent(cfg):
 )
 def test_cell_index_rebuild_identity(ops, radius):
     # 0/1 insert at a pseudo-random spot, 2 removes the oldest surviving
-    # point, on the grid of a first query at ``radius``: 24 cells, or 8 cells
-    # with rings 2 or 4
+    # point, on the grid the empty store is filed on for ``radius``: 24
+    # cells, or 8 cells with rings 2 or 4
     rng = np.random.default_rng(123)
     cfg = TorusConfiguration(Torus(10.0, 2))
-    cfg.neighbors_within([0.0, 0.0], radius)
+    file_on(cfg, radius)
     for op in ops:
         if op < 2 or not len(cfg):
-            cfg.insert(rng.uniform(0.0, 10.0, 2))
+            insert_point(cfg, rng.uniform(0.0, 10.0, 2))
         else:
             cfg.remove(row_of(cfg, min(cfg.ids())))
     assert_cell_arrays_consistent(cfg)
@@ -688,7 +709,7 @@ def test_cell_index_rebuild_identity(ops, radius):
 
 def test_cell_index_fault_on_an_empty_entry_or_a_stale_row():
     cfg = uniform_cfg(Torus(10.0, 1), 20, np.random.default_rng(13))
-    cfg.neighbors_within([0.0], 3.0)
+    file_on(cfg, 3.0)
     assert cfg.cell_index_fault() is None
     cfg._cells[99] = [np.zeros(0, dtype=np.intp), np.zeros(4, dtype=np.intp)]
     assert cfg.cell_index_fault() == "cell 99 keeps an empty entry"
@@ -756,7 +777,7 @@ def brute_force_neighbors(cfg, x, radius):
     x = [v % cfg.torus.side for v in x]
     found = []
     for row in range(len(cfg)):
-        dist = min_image_distance(cfg.torus.side, x, cfg.position(row).tolist())
+        dist = min_image_distance(cfg.torus.side, x, cfg._pos[row].tolist())
         if dist <= radius:
             found.append((cfg.point_at(row), dist))
     return sorted(found)
@@ -775,11 +796,11 @@ def found_by(cfg, rows, dists):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     steps=st.integers(min_value=1, max_value=60),
 )
-def test_neighbors_within_matches_brute_force(dim, grid_radius, seed, steps):
-    # a random sequence of inserts (some outside the box, so insert wraps
+def test_neighbors_matches_brute_force(dim, grid_radius, seed, steps):
+    # a random sequence of inserts (some outside the box, so _in_box wraps
     # them) and removals of random survivors.  The store has no index until
-    # a first query at ``grid_radius``, after a random step, picks its grid:
-    # 29 or 11 cells, or 8 cells with rings 2 to 5 (2.5 and 3.0 reach the
+    # it is filed for ``grid_radius`` after a random step, the radius of its
+    # first query, which picks its grid: 29 or 11 cells, or 8 cells with rings 2 to 5 (2.5 and 3.0 reach the
     # offset 4, its own negative modulo the grid).  From then on, after
     # every step the index holds, and a query at a random spot and one at a
     # live point, which finds the point itself, each with a random radius
@@ -788,23 +809,25 @@ def test_neighbors_within_matches_brute_force(dim, grid_radius, seed, steps):
     side = 6.0
     rng = np.random.default_rng(seed)
     cfg = TorusConfiguration(Torus(side, dim))
-    first_query = int(rng.integers(steps))
+    filed_at = int(rng.integers(steps))
     for step in range(steps):
         if rng.random() < 0.75 or not len(cfg):
-            cfg.insert(rng.uniform(-0.5 * side, 1.5 * side, dim))
+            insert_point(cfg, rng.uniform(-0.5 * side, 1.5 * side, dim))
         else:
             cfg.remove(int(rng.integers(len(cfg))))
-        if step < first_query:
+        if step < filed_at:
             assert cfg.grid is None and cfg.cell_index_fault() is None
             continue
+        if step == filed_at:
+            file_on(cfg, grid_radius)
         queries = [rng.uniform(-0.5 * side, 1.5 * side, dim)]
         if len(cfg):
-            queries.append(cfg.position(int(rng.integers(len(cfg)))))
+            queries.append(cfg._pos[int(rng.integers(len(cfg)))].copy())
         for k, x in enumerate(queries):
             radius = rng.uniform(0.0, side / 2.0)
-            if step == first_query and not k:
+            if step == filed_at and not k:
                 radius = grid_radius
-            rows, dists = cfg.neighbors_within(x, radius)
+            rows, dists = cfg.neighbors(x, radius)
             assert found_by(cfg, rows, dists) == brute_force_neighbors(
                 cfg, x.tolist(), radius
             )
@@ -841,13 +864,13 @@ def assert_filed_in_row_order(cfg):
 @pytest.mark.parametrize("dim, radius", [(1, 3.0), (1, 0.5), (2, 1.0), (3, 2.0)])
 def test_insert_many_equals_sequential_inserts(dim, radius):
     # a store whose grid was picked on an empty store and that inserts one
-    # point at a time against one loaded in bulk, whose first query files
-    # every row from scratch: the same store, down to the order of rows in
+    # point at a time against one loaded in bulk and then filed, every row
+    # from scratch: the same store, down to the order of rows in
     # each cell.  Grids of side 7: 8 cells with rings 4 (3.0 is in
     # (3/8 side, side/2], the offset 4 is its own negative), 13 cells, and
     # 8 cells with rings 2 and 3.  Then on stores whose rows went through
     # removals and whose block sums carry rounding residues, ``insert_many``
-    # drops the index and the next query files every row again
+    # drops the index and the next filing files every row again
     torus = Torus(7.0, dim)
     origin = np.zeros(dim)
     rng = np.random.default_rng(11)
@@ -856,13 +879,13 @@ def test_insert_many_equals_sequential_inserts(dim, radius):
     second[:5] = 7.0  # exactly on the box edge: wraps to 0
     gone = rng.permutation(300)[:60]
     bulk, seq = TorusConfiguration(torus), TorusConfiguration(torus)
-    seq.neighbors_within(origin, radius)
+    file_on(seq, radius)
     assert seq.grid == CellGrid.for_radius(torus, radius) and bulk.grid is None
     bulk.insert_many(first)
     for x in first:
-        seq.insert(x)
+        insert_point(seq, x)
     assert bulk.grid is None
-    bulk.neighbors_within(origin, radius)
+    file_on(bulk, radius)
     assert_same_store(bulk, seq)
     assert_filed_in_row_order(bulk)
     loads = rng.uniform(0.0, 3.0, 300)
@@ -874,9 +897,9 @@ def test_insert_many_equals_sequential_inserts(dim, radius):
     assert_same_store(bulk, seq)
     bulk.insert_many(second)
     for x in second:
-        seq.insert(x)
+        insert_point(seq, x)
     assert bulk.grid is None and bulk.cell_index_fault() is None
-    bulk.neighbors_within(origin, radius)
+    file_on(bulk, radius)
     assert_same_store(bulk, seq, ordered=False)  # removals reorder seq's cells
     assert_filed_in_row_order(bulk)
     for u in np.linspace(0.0, 1.0, 101, endpoint=False):
@@ -889,32 +912,32 @@ def test_insert_many_equals_sequential_inserts(dim, radius):
         bulk.insert_many(np.zeros((3, dim + 1)))
 
 
-def test_store_builds_its_index_on_the_first_radius_it_serves():
+def test_store_keeps_the_grid_it_was_filed_on_until_a_bulk_load():
     torus = Torus(10.0, 2)
     rng = np.random.default_rng(14)
     cfg = sample_poisson(torus, 3.0, rng)
     assert cfg.grid is None and cfg._cells == {} and cfg.cell_index_fault() is None
     # columns alone are kept up without a grid
     n = len(cfg)
-    pid = cfg.insert([1.0, 2.0])
-    first = cfg.position(0)
+    pid = insert_point(cfg, [1.0, 2.0])
+    first = cfg._pos[0].copy()
     np.testing.assert_array_equal(cfg.remove(0), first)
     assert len(cfg) == n and cfg.point_at(0) == pid
     assert cfg.grid is None and cfg._cells == {}
-    cfg.neighbors_within([5.0, 5.0], 1.5)
+    file_on(cfg, 1.5)
     assert cfg.grid == CellGrid.for_radius(torus, 1.5) == CellGrid(10.0, 2, 8)
     assert sum(rows.size for rows in live_rows(cfg).values()) == len(cfg)
     assert_cell_arrays_consistent(cfg)
     assert_filed_in_row_order(cfg)
-    # later radii use the grid the first one picked
-    cfg.neighbors_within([5.0, 5.0], 0.3)
+    # queries and kernel sums at other radii use the grid it was filed on
+    cfg.neighbors([5.0, 5.0], 0.3)
     np.testing.assert_allclose(
         cfg.kernel_sums(triangular(1.0, 0.3, 2)),
         brute_force_sums(cfg, triangular(1.0, 0.3, 2)),
         rtol=1e-12,
     )
     assert cfg.grid == CellGrid(10.0, 2, 8)
-    # a bulk load drops the index, and the next query picks the grid again
+    # a bulk load drops the index, and kernel_sums picks its cutoff's grid
     cfg.insert_many(rng.uniform(0.0, 10.0, (50, 2)))
     assert cfg.grid is None and cfg.cell_index_fault() is None
     k = gaussian(1.0, 0.1, 2)  # cutoff about 0.68: 14 cells
@@ -927,20 +950,22 @@ def test_store_builds_its_index_on_the_first_radius_it_serves():
 def test_a_query_after_insert_many_uses_the_new_grid_s_rings_and_reach():
     # a query works out the rings and reach of its radius once per grid:
     # on 8 cells of 1.25 the radius 1.0 reaches 1 ring, and once a bulk
-    # load drops that grid and the radius 0.2 picks one of 49 cells, the
-    # same radius reaches 5, which a stencil keyed by the old grid's ring
-    # would miss
+    # load drops that grid and the store is filed for the radius 0.2 on 49
+    # cells, the same radius reaches 5, which a stencil keyed by the old
+    # grid's ring would miss
     torus = Torus(10.0, 1)
     rng = np.random.default_rng(21)
     cfg = TorusConfiguration(torus)
     cfg.insert_many(rng.uniform(0.0, 10.0, (60, 1)))
     x = np.array([5.0])
-    cfg.neighbors_within(x, 3.0)
-    cfg.neighbors_within(x, 1.0)
+    file_on(cfg, 3.0)
+    cfg.neighbors(x, 3.0)
+    cfg.neighbors(x, 1.0)
     assert cfg.grid == CellGrid(10.0, 1, 8) and cfg._reach[1.0][0] == 1
     cfg.insert_many(rng.uniform(0.0, 10.0, (60, 1)))
+    file_on(cfg, 0.2)
     for radius in (0.2, 1.0, 3.0):
-        rows, dists = cfg.neighbors_within(x, radius)
+        rows, dists = cfg.neighbors(x, radius)
         assert found_by(cfg, rows, dists) == brute_force_neighbors(cfg, [5.0], radius)
         assert cfg._reach[radius] == (cfg.grid.rings(radius), exact_reach(radius))
     assert cfg.grid == CellGrid(10.0, 1, 49) and cfg._reach[1.0][0] == 5
@@ -966,7 +991,7 @@ def test_load_total_is_the_reduce_of_the_live_block_sums(n):
     for _ in range(400):
         k, op = len(cfg), rng.integers(4)
         if op == 0 or not k:
-            cfg.insert(rng.uniform(0.0, 50.0, 1), float(rng.random()))
+            insert_point(cfg, rng.uniform(0.0, 50.0, 1), float(rng.random()))
         elif op == 1:
             rows = rng.choice(k, min(k, 5), replace=False)
             cfg.add_loads(rows, rng.random(rows.size))
@@ -1006,7 +1031,7 @@ def test_stencils_keep_pairs_that_round_to_a_whole_cell_radius(dim):
     assert min_image_distance(side, x, y) == 2.0 * size
     assert CellGrid(side, 1, 6).flat_cells_of(np.array([x[:1], y[:1]])).tolist() == [0, 3]
     cfg = filed_store(CellGrid(side, dim, 6), np.array([y]))
-    rows, dists = cfg.neighbors_within(x, 2.0 * size)
+    rows, dists = cfg.neighbors(x, 2.0 * size)
     assert found_by(cfg, rows, dists) == [(0, 2.0 * size)]
     assert walk_pairs(cfg.grid, [x, y], 2.0 * size) == [[2.0 * size]] * 2
     for n in (6, 8):
@@ -1022,7 +1047,7 @@ def test_stencils_keep_pairs_that_round_to_a_whole_cell_radius(dim):
         radii = [k * size for k in range(1, n) if k * size <= side / 2.0]
         for radius in radii:
             for x in pts:
-                rows, dists = cfg.neighbors_within(x, radius)
+                rows, dists = cfg.neighbors(x, radius)
                 want = brute_force_neighbors(cfg, x.tolist(), radius)
                 assert found_by(cfg, rows, dists) == want
             assert walk_pairs(grid, pts, radius) == scan_pairs(side, pts, radius)
@@ -1138,7 +1163,8 @@ def test_squares_within_the_reach_keep_what_the_root_keeps(dim, wraps):
     pts = np.array(inside + beyond + rng.uniform(0.0, side, (30, dim)).tolist())
     cfg = TorusConfiguration(Torus(side, dim))
     cfg.insert_many(pts)
-    rows, dists = cfg.neighbors_within(x, radius)
+    file_on(cfg, radius)
+    rows, dists = cfg.neighbors(x, radius)
     (stencil,) = cfg._stencils.values()
     assert (stencil[0] == -1) == wraps  # a stencil that wraps is led by -1
     found = found_by(cfg, rows, dists)
@@ -1182,7 +1208,7 @@ def test_plain_differences_only_where_the_stencil_does_not_wrap(dim, rings, extr
         for x in (coords * size + 1e-9, (coords + 0.5) * size, (coords + 1.0) * size):
             x = np.nextafter(x, 0.0)
             for radius in radii:
-                rows, dists = cfg.neighbors_within(x, radius)
+                rows, dists = cfg.neighbors(x, radius)
                 want = brute_force_neighbors(cfg, x.tolist(), radius)
                 assert found_by(cfg, rows, dists) == want
     # a stencil that wraps is led by -1
@@ -1199,25 +1225,25 @@ def test_kernel_sum_empty():
     k = triangular(1.0, 1.0, 1)
     cfg = TorusConfiguration(T10_1)
     assert cfg.kernel_sums(k).shape == (0,)
-    cfg.insert([5.0])
+    insert_point(cfg, [5.0])
     assert cfg.kernel_sums(k).tolist() == [0.0]
 
 
 def test_kernel_sum_single_point():
     cfg = TorusConfiguration(T10_1)
-    cfg.insert([5.0])
-    cfg.insert([5.5])
+    insert_point(cfg, [5.0])
+    insert_point(cfg, [5.5])
     np.testing.assert_allclose(cfg.kernel_sums(triangular(1.0, 1.0, 1)), [0.5, 0.5])
 
 
 def test_kernel_sum_exclude_self():
     # a point's sum leaves out the point itself but not a coincident one
     cfg = TorusConfiguration(T10_1)
-    cfg.insert([5.0])
-    cfg.insert([5.5])
+    insert_point(cfg, [5.0])
+    insert_point(cfg, [5.5])
     k = triangular(1.0, 1.0, 1)
     np.testing.assert_allclose(cfg.kernel_sums(k), [0.5, 0.5])
-    cfg.insert([5.0])
+    insert_point(cfg, [5.0])
     np.testing.assert_allclose(cfg.kernel_sums(k), [1.5, 1.0, 1.5])
 
 
@@ -1229,7 +1255,7 @@ def brute_force_sum(cfg, kernel, x, exclude=None):
     for row in sorted(range(len(cfg)), key=cfg.point_at):
         if row == exclude:
             continue
-        d = min_image_distance(cfg.torus.side, x, cfg.position(row).tolist())
+        d = min_image_distance(cfg.torus.side, x, cfg._pos[row].tolist())
         if d <= cutoff:
             total += kernel.profile(d)
     return total
@@ -1238,7 +1264,7 @@ def brute_force_sum(cfg, kernel, x, exclude=None):
 def brute_force_sums(cfg, kernel):
     return np.array(
         [
-            brute_force_sum(cfg, kernel, cfg.position(row).tolist(), exclude=row)
+            brute_force_sum(cfg, kernel, cfg._pos[row].tolist(), exclude=row)
             for row in range(len(cfg))
         ]
     )
@@ -1264,9 +1290,9 @@ def test_kernel_sum_matches_brute_force_many_cases():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_kernel_sums_same_on_every_cell_grid(dim):
-    # the store's grid from a first query at each radius, or from the
-    # kernel's own cutoff (about 3.3, so 8 cells with rings 4): 79, 15 or 8
-    # cells; on the 8-cell grid the cutoff ball wraps round the whole grid,
+    # the store filed on the grid of each radius, or on the one kernel_sums
+    # picks for the kernel's own cutoff (about 3.3, so 8 cells with rings
+    # 4): 79, 15 or 8 cells; on the 8-cell grid the cutoff ball wraps round the whole grid,
     # so cell offsets repeat modulo the grid and must be visited once each
     rng = np.random.default_rng(6)
     k = gaussian(1.0, 0.5, dim)
@@ -1275,9 +1301,9 @@ def test_kernel_sums_same_on_every_cell_grid(dim):
     for grid_radius in (None, 0.1, 0.5, 1.0, 4.0):
         cfg = TorusConfiguration(Torus(8.0, dim))
         for x in points:
-            cfg.insert(x)
+            insert_point(cfg, x)
         if grid_radius is not None:
-            cfg.neighbors_within(points[0], grid_radius)
+            file_on(cfg, grid_radius)
         sums = cfg.kernel_sums(k)
         radius = grid_radius or k.cutoff_radius()
         assert cfg.grid == CellGrid.for_radius(cfg.torus, radius)
@@ -1296,21 +1322,21 @@ def index_of(cfg):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_kernel_sums_refile_on_the_store_grid(dim):
-    # kernel_sums walks the grid of the store's first query (19 cells), not
+    # kernel_sums walks the grid the store was filed on (19 cells), not
     # its own cutoff's (about 3.3, so 8 cells), and refiles no row: the index
     # that inserts and removes left, whose cells no longer list their rows
     # in ascending order, is exactly as it was
     rng = np.random.default_rng(15 + dim)
     torus = Torus(10.0, dim)
     cfg = sample_poisson(torus, 40.0 / torus.volume, rng)
-    cfg.neighbors_within(np.zeros(dim), 0.5)
+    file_on(cfg, 0.5)
     grid = CellGrid.for_radius(torus, 0.5)
     k = gaussian(1.0, 0.5, dim)
     assert cfg.grid == grid != CellGrid.for_radius(torus, k.cutoff_radius())
     reordered = False
     for _ in range(3):
         for x in rng.uniform(0.0, 10.0, (10, dim)):
-            cfg.insert(x)
+            insert_point(cfg, x)
         for _ in range(5):
             cfg.remove(int(rng.integers(len(cfg))))
         index = index_of(cfg)
@@ -1324,7 +1350,7 @@ def test_kernel_sums_refile_on_the_store_grid(dim):
 
 def test_kernel_too_wide_rejected():
     cfg = TorusConfiguration(T10_1)
-    cfg.insert([5.0])
+    insert_point(cfg, [5.0])
     with pytest.raises(GeometryError, match="kernel too wide"):
         cfg.kernel_sums(gaussian(1.0, 2.0, 1))
 
@@ -1383,8 +1409,8 @@ def test_count_in_window_examples():
     cfg = TorusConfiguration(T10_2)
     w = Window((0.0, 0.0), (2.0, 2.0))
     assert w.count(cfg.positions_array()) == 0
-    cfg.insert([1.0, 1.0])
-    cfg.insert([9.0, 9.0])
+    insert_point(cfg, [1.0, 1.0])
+    insert_point(cfg, [9.0, 9.0])
     assert w.count(cfg.positions_array()) == 1
 
 

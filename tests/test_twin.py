@@ -1,0 +1,189 @@
+"""A naive twin of the jump chain checks ``run`` event by event.
+
+The twin keeps the living points in plain arrays, in the store's row order
+with its swap-delete, and recomputes every load from scratch at every event
+by a minimum-image scan of all pairs.  It shares nothing with the fast path
+but ``Torus.wrap`` and the profiles, masses, integrals and samplers of the
+kernels and the immigration field.  It draws from its own generator,
+seeded as the run's, in ``run``'s order: the waiting time, the
+birth-or-death uniform, then the parent row and its displacement, the
+immigrant's position, or the death uniform.  Where the run chose otherwise
+and the uniform lay within CLOSE of the boundary, a rounding of the totals,
+the twin takes the run's choice and counts it.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from sbdsim.dynamics import ModelSpec, SimulationState, run
+from sbdsim.geometry import BLOCK_ROWS, LOAD_DRIFT_TOL, Torus, TorusConfiguration
+from sbdsim.kernels import ImmigrationField, exponential, gaussian, tabulated, triangular
+
+CLOSE = 1e-12  # how near its boundary a uniform may be where the twin's choice differs
+
+
+def fresh_loads(pos, side, kernel):
+    """Each point's sum of kernel(distance) over the others within the cutoff."""
+    n = pos.shape[0]
+    if kernel is None or n < 2:
+        return np.zeros(n)
+    d = np.abs(pos[:, None, :] - pos[None, :, :])
+    d = np.minimum(d, side - d)
+    square = d[..., 0] * d[..., 0]
+    for axis in range(1, pos.shape[1]):
+        square += d[..., axis] * d[..., axis]
+    dist = np.sqrt(square)
+    kept = dist <= kernel.cutoff_radius()
+    np.fill_diagonal(kept, False)
+    i, j = kept.nonzero()
+    return np.bincount(i, weights=kernel.profile(dist[i, j]), minlength=n)
+
+
+def replay(spec, torus, start, t_end, seed, trace, states):
+    """Run the twin from the rows ``start`` (ids 0..n-1) and compare it with
+    the run's ``trace`` and the store's (ids, loads) after each event;
+    return how many choices it adopted from the run."""
+    rng = np.random.default_rng(seed)
+    log = trace.events
+    times, births, positions = log.times, log.births, log.positions
+    points, parents = log.points.tolist(), log.parents.tolist()
+    pos, ids = start.copy(), list(range(start.shape[0]))
+    b_total = 0.0 if spec.b is None else spec.b.integral(torus.side, torus.dim)
+    birth_mass = 0.0 if spec.a_plus is None else spec.a_plus.mass()
+    t, adopted, next_id = 0.0, 0, len(ids)
+    for i in range(len(log) + 1):
+        loads = fresh_loads(pos, torus.side, spec.a_minus)
+        if i:
+            fast_ids, fast_loads = states[i - 1]
+            assert fast_ids.tolist() == ids
+            assert (fast_loads >= 0.0).all()  # a sum of kernel values
+            drift = np.abs(fast_loads - loads) <= LOAD_DRIFT_TOL * (1.0 + loads)
+            assert drift.all(), (i, np.flatnonzero(~drift)[:5])
+        n = len(ids)
+        b, d = b_total + n * birth_mass, spec.m * n + loads.sum()
+        if b + d <= 0.0:
+            assert trace.absorbed and i == len(log)
+            break
+        t += rng.exponential(1.0 / (b + d))
+        if i == len(log):
+            assert t > t_end
+            break
+        assert t == pytest.approx(times[i], rel=CLOSE)
+        edge = rng.random() * (b + d) - b
+        if (edge < 0.0) != births[i]:  # the run chose the other kind
+            assert abs(edge) <= CLOSE * (b + d)
+            adopted += 1
+        if births[i]:
+            if spec.b is not None:
+                x, parent = spec.b.sample_position(torus.side, torus.dim, rng), -1
+            else:
+                row = int(rng.integers(n))
+                x, parent = pos[row] + spec.a_plus.sample_displacement(rng), ids[row]
+            x, pid, next_id = torus.wrap(x), next_id, next_id + 1
+            pos = np.concatenate([pos, x[None]])
+            ids.append(pid)
+        else:
+            cum = np.cumsum(spec.m + loads)
+            target = rng.random() * cum[-1]
+            row, fast = int(cum.searchsorted(target)), ids.index(points[i])
+            if row != fast:  # the run drew the neighbouring row of a rounded total
+                lo = cum[fast - 1] if fast else 0.0
+                assert lo - CLOSE * cum[-1] <= target <= cum[fast] + CLOSE * cum[-1]
+                row, adopted = fast, adopted + 1
+            x, pid, parent = pos[row].copy(), ids[row], -1
+            pos[row], ids[row] = pos[-1], ids[-1]  # the store's swap-delete
+            pos = pos[:-1]
+            ids.pop()
+        assert (pid, parent) == (points[i], parents[i])
+        np.testing.assert_allclose(x, positions[i], rtol=CLOSE, atol=CLOSE * torus.side)
+    return adopted
+
+
+def edge_points(side, n_cells, dim, rng):
+    """Two sets of points on each cell edge of a grid of ``n_cells`` per
+    axis, a float either side of each and a float below ``side``, along the
+    first axis.  In the first the other axes sit at that float below
+    ``side``, so that pairs differ along the first axis alone; in the
+    second they draw from the same values."""
+    edges = [k * side / n_cells for k in range(n_cells)]
+    pool = edges + [math.nextafter(e, side) for e in edges]
+    pool += [math.nextafter(e, 0.0) for e in edges[1:]] + [math.nextafter(side, 0.0)]
+    aligned = np.full((len(pool), dim), pool[-1])
+    pts = np.concatenate([aligned, rng.choice(pool, (len(pool), dim))])
+    pts[:, 0] = pool * 2
+    return pts
+
+
+def edge_case(variant, dim, extra, t_end):
+    """a- tabulated with a positive value at its cutoff of 2, two cells of
+    the store's grid (8 cells of 1 on a side of 8), on points at the cell
+    edges, of which some pairs 3 cells apart lie at a rounded distance of
+    exactly 2, with ``extra`` uniform points."""
+    rng = np.random.default_rng(dim)
+    torus = Torus(8.0, dim)
+    a_minus = tabulated(
+        [0.0, 1.0, 2.0], [0.2, 0.12, 0.04], dim, tail_sup_bound=0.04, tail_mass_bound=0.1
+    )
+    if variant == "migration":
+        spec = ModelSpec(variant, a_minus=a_minus, m=0.3, b=ImmigrationField(constant=10.0))
+    else:
+        spec = ModelSpec(variant, a_plus=gaussian(1.5, 0.5, dim), a_minus=a_minus, m=0.2)
+    start = [edge_points(8.0, 8, dim, rng), rng.uniform(0.0, 8.0, (extra, dim))]
+    return spec, torus, np.concatenate(start), t_end
+
+
+def uniform_case(spec, side, n, t_end):
+    dim = spec.dim
+    rng = np.random.default_rng(n)
+    return spec, Torus(side, dim), rng.uniform(0.0, side, (n, dim)), t_end
+
+
+GRID_FIELD = ImmigrationField(grid=np.arange(16.0).reshape(4, 4) / 15.0)
+
+# both variants, d = 1, 2 and 3, and each a- family; n stays above BLOCK_ROWS
+# in the first case, and deaths clamp residues in the second
+CASES = {
+    "bolker_pacala-1-gaussian": lambda: uniform_case(
+        ModelSpec("bolker_pacala", gaussian(1.0, 1.0, 1), gaussian(0.2, 0.5, 1), m=0.5),
+        120.0, 300, 0.7,
+    ),
+    "migration-2-triangular": lambda: uniform_case(
+        ModelSpec("migration", a_minus=triangular(1.0, 1.0, 2), m=0.2, b=GRID_FIELD),
+        10.0, 100, 5.0,
+    ),
+    "bolker_pacala-3-exponential": lambda: uniform_case(
+        ModelSpec("bolker_pacala", triangular(1.0, 1.0, 3), exponential(0.3, 0.2, 3), m=0.8),
+        12.0, 60, 4.0,
+    ),
+    "migration-1-tabulated-edges": lambda: edge_case("migration", 1, 2, 5.0),
+    "bolker_pacala-2-tabulated-edges": lambda: edge_case("bolker_pacala", 2, 16, 4.0),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_run_matches_its_naive_twin(name, monkeypatch):
+    # the run's kinds, ids and parents equal the twin's, its times and
+    # positions agree to CLOSE, and after every event its store holds the
+    # twin's rows in the twin's order, with loads within LOAD_DRIFT_TOL of
+    # the twin's and none below zero
+    spec, torus, start, t_end = CASES[name]()
+    states = []
+    apply = SimulationState._apply_event
+
+    def recorded(self, b, d, rng, log):
+        apply(self, b, d, rng, log)
+        n = len(self.cfg)
+        states.append((self.cfg._id[:n].copy(), self.cfg.loads.copy()))
+
+    monkeypatch.setattr(SimulationState, "_apply_event", recorded)
+    cfg = TorusConfiguration(torus)
+    cfg.insert_many(start)
+    start = cfg._pos[: len(cfg)].copy()
+    trace = run(spec, cfg, t_end, np.random.default_rng(7))
+    adopted = replay(spec, torus, start, t_end, 7, trace, states)
+    print(f"{name}: {trace.n_events} events, {trace.clamps} clamps, {adopted} adopted")
+    assert 300 <= trace.n_events <= 2000 and not trace.guard_tripped
+    if name == "bolker_pacala-1-gaussian":  # every death draw takes the block path
+        assert min(ids.size for ids, _ in states) > BLOCK_ROWS
