@@ -3,6 +3,7 @@ Poisson draws.
 
 ``Torus`` is the periodic box alone; its ``wrap`` takes points into
 [0, side).  ``CellGrid``, a grid of cells that one rule picks for a radius,
+cells at least one radius wide, down to a single cell for a wide radius,
 maps points to flat cells and lists the distinct cells within a radius of a
 cell.  One ``CellGrid.rings`` counts the cells a radius reaches along an
 axis for every stencil and pair walk, padded by a proved bound on the
@@ -21,15 +22,19 @@ along the rows, not along the short axis.  An event wraps and files its
 point once: ``_in_box`` gives the wrapped position and its cell, and the
 query and the insert both take that pair.
 ``periodic_pairs`` walks each unordered pair of points within a radius once,
-over half the neighbouring cell offsets, in bounded batches; the kernel sums
+over half the neighbouring cell offsets, in bounded batches, one batch
+shared by consecutive offsets whose candidates fit in it; the kernel sums
 add each pair's kernel to both its points, and the pair correlation counts
-each distance twice.  In d >= 2 the walk orders each cell's rows by their
-first coordinate, the lead, and pairs a row only with the rows of a cell
-ahead along that axis whose lead is within the radius of its own, up to a
-pad of one quantum of the sort key; the exact distance test still decides
-every pair.  It hands its own order back with the batches.  The kernel sums
-of a store that has a grid walk the cells of its positions and leave its
-index as it is.
+each distance twice.  In d >= 2 the walk cuts each offset along its lead
+axis, that of its first nonzero component: it orders each cell's rows along
+that axis and pairs a row only with the rows of the target cell whose
+coordinate along it is within sqrt((radius + pad)^2 - g^2) of its own, g
+the row's gap to the target cell along the later axes and the pad a proved
+bound on the rounding, up to one more quantum of the sort key; the exact
+distance test still decides every pair.  In d = 1 it cuts nothing: with
+cells one radius wide, a row meets only its own cell and the next.  It
+hands its own order back with the batches.  The kernel sums of a store that
+has a grid walk the cells of its positions and leave its index as it is.
 Every minimum-image length, of a neighbour query and of the pair walk,
 comes squared from one helper; a pair is kept when its square is at most
 ``exact_reach`` of the radius, the same test as distance <= radius.
@@ -128,12 +133,15 @@ class CellGrid:
 
     @classmethod
     def for_radius(cls, torus: Torus, radius: float) -> "CellGrid":
-        """The grid for queries within ``radius``: cells wide enough that
-        ``rings(radius)`` is 1, but never fewer than 8 per axis, nor so many
-        that a flat cell reaches 2^63."""
-        n = int(torus.side / min(radius, torus.side / 8.0)) if radius > 0.0 else 8
-        grid = cls(torus.side, torus.dim, min(n, _most_cells_per_axis(torus.dim)))
-        while grid.n > 8 and grid.rings(radius) > 1:  # cells narrower than radius + pad
+        """The grid for queries within ``radius`` > 0: the most cells per
+        axis, at most side / radius, for which ``rings(radius)`` is 1, so
+        that a stencil spans three cells along each axis, but fewer than
+        would make a flat cell reach 2^63; for a radius of 0, 8 per axis."""
+        if radius <= 0.0:
+            return cls(torus.side, torus.dim, 8)
+        n = int(min(torus.side / radius, _most_cells_per_axis(torus.dim)))
+        grid = cls(torus.side, torus.dim, max(n, 1))
+        while grid.n > 1 and grid.rings(radius) > 1:  # cells narrower than radius + pad
             grid = cls(torus.side, torus.dim, grid.n - 1)
         return grid
 
@@ -278,6 +286,20 @@ def _lead_quanta(lead: np.ndarray, scale: float, pad: int) -> np.ndarray:
     return np.minimum(q, LEAD_MAX, out=q)
 
 
+def _axis_keys(
+    coord: np.ndarray, run_of_row: np.ndarray, scale: float, side: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pair walk's keys of rows along one axis, sorted, and the order
+    that sorts them: each row's run in the high bits and its coordinate
+    ``coord``, taken into [0, side), in quanta of 1 / scale in the low
+    LEAD_BITS; ``coord`` is overwritten."""
+    np.mod(coord, side, out=coord)  # side itself is 0, as in its flat cell
+    keys = _lead_quanta(coord, scale, 0)
+    keys += run_of_row << LEAD_BITS
+    by_axis = keys.argsort()
+    return keys.take(by_axis), by_axis
+
+
 def periodic_pairs(
     grid: CellGrid, pos: np.ndarray, runs: tuple[np.ndarray, ...], radius: float
 ) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
@@ -288,58 +310,98 @@ def periodic_pairs(
     ``pos`` holds points in [0, side]^dim and ``runs`` is ``cell_runs`` of
     their flat cells on ``grid``.  Returns (order, batches).  ``order`` is
     the walk's own order of the rows of ``pos``, run by run as in ``runs``;
-    ``batches`` yields (i, j, dist) of at most about PAIR_BATCH pairs each:
-    the pair of rows ``order[i]`` and ``order[j]`` and its distance, with
-    ``i`` ascending within a batch.
+    ``batches`` yields (i, j, dist): the pair of rows ``order[i]`` and
+    ``order[j]`` and its distance.
 
     The cell offsets, from ``grid.axis_offsets``, are distinct modulo the
     grid, so a radius that wraps round the whole grid visits each cell once;
     only the lexicographically lower of each offset and its negative is
     walked, every row paired with the rows of its offset cell.  An offset
     that is its own negative pairs each two cells once, from the lower one;
-    the zero offset pairs i < j within a cell.
+    the zero offset pairs i < j within a cell.  The candidate pairs of
+    consecutive offsets that fit in PAIR_BATCH together go to the exact
+    test as one batch; an offset with more is walked in batches of at most
+    about PAIR_BATCH candidates of its own, with ``i`` ascending in each.
 
     In d >= 2, on grids of more than 2 rings + 1 cells per axis (rings =
-    ``grid.rings(radius)``), the walk cuts offsets along the first axis.
-    It orders each run by its lead, the first coordinate taken into
-    [0, side), with one sort of an int64 key: the run's index in the high
-    bits and the lead in quanta of side / 2^LEAD_BITS, clamped below
-    2^LEAD_BITS, in the low LEAD_BITS.  A walked offset whose first
-    component a is not 0 has 0 < a <= rings, and its target cell lies a - 1
-    to a + 1 cells ahead of a row along that axis; the other way round is at
-    least rings + 1 cells, farther than the radius, on such a grid.  So a
-    row with lead x pairs only with the prefix of its target run whose leads
-    are at most x + radius, less side where the target lies past the last
-    cell.  One ``searchsorted`` of the keys per offset finds every row's
-    prefix; its bound is padded by one quantum, so that no rounding of the
-    bound drops a pair within the radius, and the exact test, square <=
-    ``exact_reach(radius)``, stays the only one that drops a pair; only
-    kept pairs are rooted.  In d = 1 the walk keeps the filing's order and
-    cuts nothing.  Scratch memory is O(n + PAIR_BATCH).
+    ``grid.rings(radius)``), the walk cuts each offset other than 0 along
+    its lead axis a, that of its first nonzero component o_a, 0 < o_a <=
+    rings: the target cell lies o_a - 1 to o_a + 1 cells ahead of a row
+    along a, and the other way round at least rings + 1 cells, farther than
+    the radius.  It sorts each run's rows along a with one sort of an int64
+    key: the run's index in the high bits and the coordinate along a, taken
+    into [0, side), in quanta of side / 2^LEAD_BITS, clamped below
+    2^LEAD_BITS, in the low LEAD_BITS.  The walk's own order is that of
+    axis 0; the order along another lead axis is made when the walk reaches
+    its offsets, which come one lead axis after another, maps the
+    candidates back to the walk's order, and is dropped before the next
+    axis's.  Along each later axis b > a with o_b not 0 (|o_b| cells ahead
+    or behind, modulo the grid), a row lies a gap g_b = (|o_b| - 1) s plus
+    its distance to the edge of its own cell that faces the target cell
+    from every point of that cell, s = ``grid.cell_size``.  So a row at x_a
+    pairs only with the prefix of its target run whose coordinates along a
+    are at most x_a + sqrt((radius + pad)^2 - g^2), g^2 the sum of the
+    g_b^2, less side where the target lies past the last cell; pad = 8 d^2
+    ulp(side), and a negative radicand is taken as 0.  One ``searchsorted``
+    of the keys per offset finds every row's prefix, its bound padded by
+    one more quantum.  In d = 1, and on grids of at most 2 rings + 1 cells
+    per axis, the walk keeps the filing's order and cuts nothing: each
+    offset pairs a row with its whole target cell.  Scratch memory is
+    O(d n + PAIR_BATCH).
+
+    The exact test, square <= ``exact_reach(radius)``, stays the only one
+    that drops a pair, and only kept pairs are rooted.  Write u = 2^-53, L
+    = side, r = radius <= L / 2, e = 8 u L, and m_b for the computed
+    minimum image along axis b of a pair the exact test keeps; the cut
+    needs n >= 3 and n^d < 2^63, so d <= 39, and the bounds below are to
+    first order in u.  The kept square, a sum of d rounded squares, is at
+    most exact_reach(r) <= r^2 (1 + u)^2, so sum m_b^2 <= r^2 (1 + (d + 3)
+    u).  As in ``CellGrid.rings``, filing puts a coordinate at most u L
+    outside its cell and m_b is at most 2 u L below the exact minimum
+    image, so with the rounding of the gap m_b >= g_b - e, and g_b >= -e;
+    hence m_b^2 >= g_b^2 - 2 e |g_b|, with |g_b| <= m_b + e <= r + 2 e, and
+    m_a^2 <= N = r^2 (1 + (d + 3) u) - g^2 + 2 (d - 1) e (r + 2 e).  The
+    computed radicand errs by at most (d^2 + 3) u (r + pad + 2 e)^2, as
+    g^2 <= (d - 1) (r + 2 e)^2 for a kept pair, so it is at least N when
+    2 r pad + pad^2 exceeds (d + 3) u r^2 + 2 (d - 1) e (r + 2 e) and that
+    error.  With pad = 8 d^2 ulp(L) > 8 d^2 u L and 2 r <= L, 2 r pad
+    exceeds the terms in r more than twice over, and pad^2 the terms in
+    e^2 = 64 u^2 L^2 four times over.  So the root is at least m_a, and
+    the lead distance, at most m_a + 4 u L as in ``CellGrid.rings``, is
+    within the bound but for a few u L from the root and the two sums that
+    make the bound; one quantum, L 2^-32, covers them and the rounding of
+    the keys many times over.
     """
     order, occupied, first, count = runs
-    n, side, reach = order.size, grid.side, exact_reach(radius)
+    n, side, dim, reach = order.size, grid.side, grid.dim, exact_reach(radius)
     run_of_row = np.arange(occupied.size).repeat(count)
+    rings = grid.rings(radius)
     scale = 2.0**LEAD_BITS / side
-    keys = None
-    if grid.dim > 1 and grid.n > 2 * grid.rings(radius) + 1 and n:
-        lead = pos[:, 0].take(order)
-        np.mod(lead, side, out=lead)  # side itself is 0, as in its flat cell
-        keys = _lead_quanta(lead, scale, 0)
-        keys += run_of_row << LEAD_BITS
-        by_lead = keys.argsort()
-        order, keys = order.take(by_lead), keys.take(by_lead)
+    cut = dim > 1 and grid.n > 2 * rings + 1 and n
+    if cut:
+        keys, by_lead = _axis_keys(pos[:, 0].take(order), run_of_row, scale, side)
+        order = order.take(by_lead)
+        del by_lead
 
-    def batches():
-        if not n:
-            return
-        in_order = pos.take(order, axis=0)
-        strides = [grid.n**a for a in reversed(range(grid.dim))]
+    def candidates(in_order):
+        """(i, j) of the candidate pairs of consecutive whole offsets that
+        fit in PAIR_BATCH together, or of a part of an offset with more."""
+        size = grid.cell_size
+        strides = [grid.n**a for a in reversed(range(dim))]
         coords = [occupied // s % grid.n for s in strides]  # of each occupied cell
-        for offset in product(grid.axis_offsets(radius), repeat=grid.dim):
+        if cut:  # each row's distance above its cell's lower edge, along axes 1..
+            below = [None] + [
+                np.mod(in_order[:, b], side) - (coords[b] * size).take(run_of_row)
+                for b in range(1, dim)
+            ]
+            padded = (radius + 8.0 * dim * dim * math.ulp(side)) ** 2
+            lead_axis, lead_keys, to_walk = 0, keys, None
+        held, held_pairs = [], 0  # candidates of whole offsets, not yet tested
+        for offset in product(grid.axis_offsets(radius), repeat=dim):
             mirror = tuple(-o % grid.n for o in offset)
             if offset > mirror:
                 continue  # its pairs are walked from the other end
+            remap = None
             if not any(offset):  # row i pairs with the rows after it in its cell
                 start = np.arange(1, n + 1)
                 pairs = (first + count).take(run_of_row) - start
@@ -353,35 +415,87 @@ def periodic_pairs(
                 if offset == mirror:
                     hit &= occupied < target
                 start = np.where(hit, first.take(k), 0).take(run_of_row)
-                if keys is None or not offset[0]:
+                if not cut:
                     pairs = np.where(hit, count.take(k), 0).take(run_of_row)
-                else:  # the prefix of the target run within reach along the lead
-                    ahead = coords[0] + offset[0] < grid.n
-                    bound = np.where(ahead, radius, radius - side).take(run_of_row)
-                    bound += in_order[:, 0]  # a lead of side, not 0, only widens it
+                else:  # the prefix of the target run within reach along a
+                    a = next(b for b, o in enumerate(offset) if o)
+                    if a != lead_axis:  # offsets come one lead axis after another
+                        lead_keys = to_walk = None  # dropped before the next sort
+                        lead_keys, to_walk = (
+                            _axis_keys(in_order[:, a].copy(), run_of_row, scale, side)
+                            if a
+                            else (keys, None)
+                        )
+                        lead_axis = a
+                    gap2 = None
+                    for b in range(a + 1, dim):
+                        o = offset[b]
+                        if not o:
+                            continue
+                        if o <= rings:  # ahead: past the upper edge of its cell
+                            gap, between = size - below[b], o - 1
+                        else:  # behind, by n - o cells: past the lower edge
+                            gap, between = below[b], grid.n - o - 1
+                        if between:
+                            gap = gap + between * size
+                        gap2 = gap * gap if gap2 is None else gap2 + gap * gap
+                    rho = math.sqrt(padded)
+                    if gap2 is not None:
+                        rho = np.subtract(padded, gap2, out=gap2)
+                        np.sqrt(np.maximum(rho, 0.0, out=rho), out=rho)
+                    ahead = coords[a] + offset[a] < grid.n
+                    bound = np.where(ahead, 0.0, -side).take(run_of_row)
+                    bound += rho
+                    bound += in_order[:, a]  # side, not 0, only widens it
                     bound = _lead_quanta(bound, scale, 1)
                     bound += k.take(run_of_row) << LEAD_BITS
-                    end = keys.searchsorted(bound, "right")
+                    end = lead_keys.searchsorted(bound, "right")
                     pairs = np.where(hit.take(run_of_row), end - start, 0)
+                    remap = to_walk
                     del bound, end  # freed before the batches
             ends = np.add.accumulate(pairs)
+            total = ends.item(-1)
+            if not total:
+                continue
+            fits = total <= PAIR_BATCH
+            if held and (not fits or held_pairs + total > PAIR_BATCH):
+                yield [_concatenate(c) for c in zip(*held)]
+                held, held_pairs = [], 0
             lo = 0
             while lo < n:  # row i pairs with rows start[i] .. start[i] + pairs[i] - 1
-                done = ends[lo - 1] if lo else 0
-                hi = max(lo + 1, int(ends.searchsorted(done + PAIR_BATCH, "right")))
+                done = ends.item(lo - 1) if lo else 0
+                hi = n if fits else max(
+                    lo + 1, int(ends.searchsorted(done + PAIR_BATCH, "right"))
+                )
                 batch = pairs[lo:hi]
                 i = np.arange(lo, hi).repeat(batch)
                 first_pair = ends[lo:hi] - batch - done  # of each row, in this batch
                 j = np.arange(i.size) + (start[lo:hi] - first_pair).repeat(batch)
-                d = in_order.take(i, axis=0)
-                d -= in_order.take(j, axis=0)
-                square = _min_image_squares(d, side)
-                keep = (square <= reach).nonzero()[0]  # faster than three masks
-                dist = square.take(keep)
-                yield i.take(keep), j.take(keep), np.sqrt(dist, out=dist)
+                if remap is not None:  # from the lead axis's order to the walk's
+                    j = remap.take(j)
+                if fits:
+                    held.append((i, j))
+                    held_pairs += total
+                else:
+                    yield i, j
                 lo = hi
-            # square and dist stay: made afresh each offset, they page-fault more
-            del ends, i, j, d, keep  # freed before the next offset's arrays
+            del ends, i, j  # freed before the next offset's arrays
+        if held:
+            yield [_concatenate(c) for c in zip(*held)]
+
+    def batches():
+        if not n:
+            return
+        in_order = pos.take(order, axis=0)
+        for i, j in candidates(in_order):  # the exact test, for every candidate
+            d = in_order.take(i, axis=0)
+            d -= in_order.take(j, axis=0)
+            square = _min_image_squares(d, side)
+            keep = (square <= reach).nonzero()[0]  # faster than three masks
+            dist = square.take(keep)
+            yield i.take(keep), j.take(keep), np.sqrt(dist, out=dist)
+            # each array stays until the next batch makes its own: freed
+            # first, the arrays of the next batch page-fault more
 
     return order, batches()
 
@@ -433,7 +547,8 @@ class TorusConfiguration:
 
     ``grid`` is None until ``kernel_sums`` picks ``CellGrid.for_radius`` of
     its kernel's cutoff, the one place a grid is picked; the grid then
-    stays, and only ``insert_many`` drops it.  Every row is filed from
+    stays, and only ``insert_many`` drops it, with its cell arrays,
+    stencils and memoised reaches.  Every row is filed from
     scratch on it by ``_file`` when it is picked, and from then on only
     ``_insert`` and ``remove`` change the index.  Each occupied cell keeps
     an entry [live, buffer]: a growable ``np.intp`` buffer of its rows, and
@@ -683,7 +798,7 @@ class TorusConfiguration:
         self._load[lo:hi] = 0.0  # adds nothing to the block sums
         self._n = hi
         self._next_id += k
-        self.grid = None
+        self.grid, self._cells, self._stencils, self._reach = None, {}, {}, {}
 
     def remove(self, row: int) -> np.ndarray:
         """Delete the point in ``row`` and return its position; the last row

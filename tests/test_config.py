@@ -301,7 +301,7 @@ def competition_config(dim):
     "make, n_cells",
     [
         (lambda: competition_config(1), 12),
-        (lambda: competition_config(2), 8),
+        (lambda: competition_config(2), 3),
         (lambda: load_config(CONFIGS / "long_dispersal_certificate.json"), 19),
     ],
     ids=["competition d=1", "competition d=2", "long_dispersal_certificate"],
@@ -311,7 +311,7 @@ def test_library_path_is_the_config_path(make, n_cells):
     # gets, from the competition cutoff alone, so a seeded run gives the
     # same trace; long_dispersal_certificate's a+ reaches further than its
     # a-, and the grid still follows a-: 19 cells, each as wide as the
-    # cutoff of 1 and its rounding pad, where a+ would give 8
+    # cutoff of 1 and its rounding pad, where a+ would give 3
     cfg = make()
     torus = Torus(cfg.torus.side, cfg.torus.dim)
     assert cfg.torus == torus
@@ -333,7 +333,7 @@ def test_library_path_is_the_config_path(make, n_cells):
     assert grids[0].n == n_cells
     a_plus = cfg.model.a_plus.cutoff_radius()
     if a_plus > a_minus:
-        assert CellGrid.for_radius(torus, a_plus).n == 8
+        assert CellGrid.for_radius(torus, a_plus).n == 3
 
 
 def default_cadence(name, a_minus_weight=None):

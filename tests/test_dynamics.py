@@ -345,15 +345,16 @@ def test_incremental_caches_survive_audit():
 
 @pytest.mark.parametrize("dim, cutoff", [(1, 3.5), (1, 4.0), (2, 3.5)])
 def test_audit_passes_on_grids_with_self_inverse_offsets(dim, cutoff):
-    # a cutoff in (3/8 side, side/2] gets 8 cells of side / 8 and reaches 4
-    # cells, an offset that is its own negative modulo the grid; the loads
-    # recomputed by the half pair walk after every event must match the
-    # incremental ones
+    # a cutoff in (3/8 side, side/2] on a store filed by hand on 8 cells of
+    # side / 8 reaches 4 cells, an offset that is its own negative modulo
+    # the grid; the loads recomputed by the half pair walk after every
+    # event must match the incremental ones
     side = 8.0
     am = triangular(0.1, cutoff, dim)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(2.0, 1.0, dim), a_minus=am, m=0.2)
     rng = np.random.default_rng(40 + dim + int(cutoff))
     cfg = sample_poisson(Torus(side, dim), 40.0 / side**dim, rng)
+    cfg._file(CellGrid(side, dim, 8))  # the run keeps the grid it finds
     trace = run(spec, cfg, t_end=5.0, rng=rng, audit_every=1)
     assert len(trace.events) > 100 and not trace.guard_tripped
     assert cfg.grid == CellGrid(side, dim, 8) and 4 in cfg.grid.axis_offsets(cutoff)
@@ -546,14 +547,15 @@ def misfile(cfg, how):
     "how", ["cell entry", "missing", "duplicate", "slot", "other cell", "moved"]
 )
 def test_audit_catches_cell_index_corruption(how):
-    # the cutoff 4 files the points on 8 cells of 1.25 and reaches 4 cells
+    # the cutoff 4 files the points on 2 cells of 5 per axis, one cutoff
+    # wide, and reaches 1 cell, an offset that is its own negative
     am = triangular(1.0, 4.0, 2)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 2), a_minus=am, m=0.2)
     rng = np.random.default_rng(12)
     cfg = cfg_with_points(Torus(10.0, 2), rng.uniform(0.0, 10.0, (60, 2)))
     assert cfg.grid is None
     state = SimulationState(spec, cfg)
-    assert cfg.grid == CellGrid(10.0, 2, 8)
+    assert cfg.grid == CellGrid(10.0, 2, 2)
     state.audit()
     pid = misfile(cfg, how)
     with pytest.raises(AuditError, match=f"cell index .*: point {pid} "):

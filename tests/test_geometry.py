@@ -75,16 +75,38 @@ def scan_pairs(side, pts, radius):
     return out
 
 
+def walked_pairs(grid, pts, radius):
+    """The pair walk's pairs of rows of ``pts`` (in [0, side]^dim) over the
+    cells of ``grid``, as (a, b, distance), a < b, sorted: a pair the walk
+    lists twice appears twice."""
+    order, batches = periodic_pairs(grid, pts, cell_runs(grid.flat_cells_of(pts)), radius)
+    got = []
+    for i, j, dist in batches:
+        a, b = order.take(i), order.take(j)
+        lo, hi = np.minimum(a, b).tolist(), np.maximum(a, b).tolist()
+        got += zip(lo, hi, dist.tolist())
+    return sorted(got)
+
+
+def brute_force_pairs(side, pts, radius):
+    """Each unordered pair of rows of ``pts`` within ``radius`` as (a, b,
+    distance), a < b, sorted, by a scan of all pairs whose squares come from
+    ``_min_image_squares`` and are kept at most ``exact_reach(radius)``."""
+    a, b = np.triu_indices(pts.shape[0], 1)
+    square = _min_image_squares(pts.take(b, axis=0) - pts.take(a, axis=0), side)
+    keep = (square <= exact_reach(radius)).nonzero()[0]
+    dist = np.sqrt(square.take(keep))
+    return list(zip(a.take(keep).tolist(), b.take(keep).tolist(), dist.tolist()))
+
+
 def walk_pairs(grid, pts, radius):
     """``scan_pairs`` from the pair walk over the cells of ``grid``: each
     yielded distance is added to both rows of its pair."""
     pts = np.mod(np.asarray(pts, dtype=float), grid.side)
     out = [[] for _ in range(pts.shape[0])]
-    order, batches = periodic_pairs(grid, pts, cell_runs(grid.flat_cells_of(pts)), radius)
-    for i, j, dist in batches:
-        for a, b, d in zip(order[i].tolist(), order[j].tolist(), dist.tolist()):
-            out[a].append(d)
-            out[b].append(d)
+    for a, b, d in walked_pairs(grid, pts, radius):
+        out[a].append(d)
+        out[b].append(d)
     return [sorted(d) for d in out]
 
 
@@ -109,12 +131,14 @@ def test_torus_cells_tile_exactly():
 def test_for_radius_cell_size():
     t = Torus(10.0, 1)
     assert CellGrid.for_radius(t, 0.5).cell_size >= 0.5 - 1e-12
-    # wide kernels fall back to an L/8 grid
-    assert CellGrid.for_radius(t, 4.0) == CellGrid(10.0, 1, 8)
+    # wide kernels get cells one radius wide, down to one cell; a radius of
+    # 0 gets 8 cells
+    assert CellGrid.for_radius(t, 4.0) == CellGrid(10.0, 1, 2)
+    assert CellGrid.for_radius(t, 5.0) == CellGrid(10.0, 1, 1)
     assert CellGrid.for_radius(Torus(10.0, 3), 0.0) == CellGrid(10.0, 3, 8)
     for radius in np.linspace(0.01, 5.0, 500).tolist():
         grid = CellGrid.for_radius(t, radius)
-        assert grid.n >= 8 and grid.cell_size >= min(radius, 10.0 / 8.0) - 1e-12
+        assert grid.n >= 1 and grid.cell_size >= radius
 
 
 def distance(grid, x, y):
@@ -335,6 +359,48 @@ def test_periodic_pairs_batches_are_bounded():
     assert firsts[0][0] == 0 and firsts[-1][1] == 598
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_periodic_pairs_equal_the_brute_force_pairs(dim, seed):
+    # grids of 1, 2, 3, 4, 8 and 11 cells per axis, the radius 0, half a
+    # cell, a whole cell and side / 2, on points drawn half from the cell
+    # edges, a float either side of each, 0 and the float below side, and
+    # half uniform, with duplicate rows: the walk, cut on the finer grids
+    # in d >= 2, gives the scan's pairs and distances bit for bit
+    side = 7.3
+    rng = np.random.default_rng(seed)
+    for n_cells in (1, 2, 3, 4, 8, 11):
+        grid = CellGrid(side, dim, n_cells)
+        size = grid.cell_size
+        edges = (np.arange(n_cells) * size).tolist()
+        pool = edges + [math.nextafter(e, side) for e in edges]
+        pool += [math.nextafter(e, 0.0) for e in edges[1:]] + [math.nextafter(side, 0.0)]
+        pts = rng.uniform(0.0, side, (48, dim))
+        on_edges = rng.random((48, dim)) < 0.5
+        pts[on_edges] = rng.choice(pool, int(on_edges.sum()))
+        pts[40:] = pts[:8]
+        for radius in (0.0, size / 2.0, min(size, side / 2.0), side / 2.0):
+            got = walked_pairs(grid, pts, radius)
+            assert got == brute_force_pairs(side, pts, radius), (n_cells, radius)
+
+
+def test_a_small_store_walks_in_one_batch(monkeypatch):
+    # 100 points in d=1 on a side of 20 with the competition_1d a- (cutoff
+    # about 3.23): 6 cells, one cutoff wide, and the zero offset and offset
+    # 1, whose candidates fit in PAIR_BATCH together and go to the exact
+    # test as one batch
+    cfg = TorusConfiguration(Torus(20.0, 1))
+    cfg.insert_many(np.random.default_rng(3).uniform(0.0, 20.0, (100, 1)))
+    kernel = gaussian(0.5, 0.5, 1)
+    counter = CandidateCounter(monkeypatch)
+    sums = cfg.kernel_sums(kernel)
+    assert cfg.grid == CellGrid(20.0, 1, 6)
+    assert cfg.grid.axis_offsets(kernel.cutoff_radius()) == [0, 1, 5]
+    assert counter.batches == 1 and 0 < counter.pairs <= PAIR_BATCH
+    np.testing.assert_allclose(sums, brute_force_sums(cfg, kernel), rtol=1e-12)
+
+
 # -- the cut along the lead ----------------------------------------------------
 
 
@@ -370,14 +436,16 @@ def radius_apart(side, radius, dim, rng):
 
 
 class CandidateCounter:
-    """Counts the candidate pairs whose squared lengths the walk computes."""
+    """Counts the candidate pairs whose squared lengths the walk computes,
+    and the batches it computes them in."""
 
     def __init__(self, monkeypatch):
-        self.pairs = 0
+        self.pairs = self.batches = 0
         helper = geometry._min_image_squares
 
         def counted(d, side, wraps=True):
             self.pairs += d.shape[0]
+            self.batches += 1
             return helper(d, side, wraps)
 
         monkeypatch.setattr(geometry, "_min_image_squares", counted)
@@ -454,14 +522,41 @@ def test_cut_walk_with_coincident_leads_and_leads_at_the_edges(dim):
             assert walk_pairs(CellGrid(side, dim, n_cells), pts, radius) == want
 
 
+def test_cut_walk_keeps_pairs_at_the_radius_across_the_gap():
+    # pairs whose lead distance is at most 3e-8 side, across a lead cell
+    # edge, and whose distance along axis 1, across that axis's cell edge,
+    # is the rest of the radius up to a few ulps: the gap g then nearly
+    # equals the radius, where sqrt(radius^2 - g^2) is ill-conditioned and
+    # an unpadded radius drops pairs the exact test keeps, on grids with
+    # rings 1 and 2
+    side = 7.3
+    rng = np.random.default_rng(70)
+    for n_cells, frac in ((8, 0.5), (8, 1.0), (14, 0.9), (11, 0.7)):
+        grid = CellGrid(side, 2, n_cells)
+        size, radius = grid.cell_size, frac * grid.cell_size
+        pts = []
+        for _ in range(300):
+            lead_edge, edge = ((rng.integers(1, n_cells + 1, 2) % n_cells) * size).tolist()
+            lead = rng.uniform(0.0, 3e-8) * side
+            below = rng.uniform(0.0, lead)
+            y = edge + int(rng.integers(0, 4)) * math.ulp(side)
+            x = y - math.sqrt(radius**2 - lead**2) + int(rng.integers(-6, 7)) * math.ulp(side)
+            if rng.integers(2):  # the target cell behind along axis 1
+                x, y = y, x
+            pts += [[lead_edge - below, x], [lead_edge + lead - below, y]]
+        pts = np.mod(pts, side)
+        assert walked_pairs(grid, pts, radius) == brute_force_pairs(side, pts, radius)
+
+
 @pytest.mark.parametrize("strip", [False, True], ids=["uniform", "wrap-strip"])
 def test_cut_walk_drops_candidates_beyond_reach(strip, monkeypatch):
     # a 4.5k-point store at density 5 in d=2 (8 cells of 3.75 per axis, the
     # a- cutoff about 3.4), and points in the first and the last column of
-    # cells only, where every cut offset reaches across the wrap (8 cells of
-    # 1 per axis, radius 0.5): the walk computes at most 65% of the uncut
-    # walk's candidates (on the 4.5k-point store, exactly 863,733 of
-    # 1,424,033) and keeps the same sums
+    # cells only, where every cut offset reaches across the wrap (filed by
+    # hand on 8 cells of 1 per axis, radius 0.5): the walk computes at most
+    # 65% of the uncut walk's candidates (on the 4.5k-point store, exactly
+    # 572,673 of 1,424,033, each offset cut along its own lead axis and
+    # narrowed by the gap along the later one) and keeps the same sums
     rng = np.random.default_rng(1)
     if strip:
         torus, kernel = Torus(8.0, 2), triangular(1.0, 0.5, 2)
@@ -469,7 +564,7 @@ def test_cut_walk_drops_candidates_beyond_reach(strip, monkeypatch):
         pts = rng.uniform(0.0, 8.0, (600, 2))
         pts[:, 0] = rng.uniform(-1.0, 1.0, 600)
         cfg.insert_many(pts)
-        file_on(cfg, 1.0)  # the store's grid: cells of 1
+        cfg._file(CellGrid(8.0, 2, 8))  # the store's grid: cells of 1
     else:
         torus, kernel = Torus(30.0, 2), gaussian(0.5, 0.5, 2)
         cfg = sample_poisson(torus, 5.0, rng)
@@ -483,7 +578,7 @@ def test_cut_walk_drops_candidates_beyond_reach(strip, monkeypatch):
         want = brute_force_sums(cfg, kernel)
         np.testing.assert_allclose(sums, want, rtol=1e-12, atol=1e-15)
     else:
-        assert (counter.pairs, uncut) == (863733, 1424033)
+        assert (counter.pairs, uncut) == (572673, 1424033)
 
 
 @pytest.mark.parametrize(
@@ -492,12 +587,12 @@ def test_cut_walk_drops_candidates_beyond_reach(strip, monkeypatch):
 )
 def test_kernel_sums_call_no_numpy_python_wrappers(dim, side, n, kernel):
     # the filing, the cell runs, the walk and the scatter: in d=2 the walk
-    # is cut (8 cells per axis, rings 2) and takes several batches per offset;
+    # is cut (5 cells per axis, rings 1) and takes several batches per offset;
     # in d=1 the cells are the radius plus its pad wide, 399 of them
     cfg = TorusConfiguration(Torus(side, dim))
     cfg.insert_many(np.random.default_rng(60 + dim).uniform(0.0, side, (n, dim)))
     want = cfg.kernel_sums(kernel)  # the first call imports what it needs
-    assert cfg.grid.n == (399 if dim == 1 else 8)
+    assert cfg.grid.n == (399 if dim == 1 else 5)
     calls = []
 
     def profile(frame, event, arg):
@@ -925,7 +1020,7 @@ def test_store_keeps_the_grid_it_was_filed_on_until_a_bulk_load():
     assert len(cfg) == n and cfg.point_at(0) == pid
     assert cfg.grid is None and cfg._cells == {}
     file_on(cfg, 1.5)
-    assert cfg.grid == CellGrid.for_radius(torus, 1.5) == CellGrid(10.0, 2, 8)
+    assert cfg.grid == CellGrid.for_radius(torus, 1.5) == CellGrid(10.0, 2, 6)
     assert sum(rows.size for rows in live_rows(cfg).values()) == len(cfg)
     assert_cell_arrays_consistent(cfg)
     assert_filed_in_row_order(cfg)
@@ -936,7 +1031,7 @@ def test_store_keeps_the_grid_it_was_filed_on_until_a_bulk_load():
         brute_force_sums(cfg, triangular(1.0, 0.3, 2)),
         rtol=1e-12,
     )
-    assert cfg.grid == CellGrid(10.0, 2, 8)
+    assert cfg.grid == CellGrid(10.0, 2, 6)
     # a bulk load drops the index, and kernel_sums picks its cutoff's grid
     cfg.insert_many(rng.uniform(0.0, 10.0, (50, 2)))
     assert cfg.grid is None and cfg.cell_index_fault() is None
@@ -947,9 +1042,29 @@ def test_store_keeps_the_grid_it_was_filed_on_until_a_bulk_load():
     assert_cell_arrays_consistent(cfg)
 
 
+def test_insert_many_drops_the_whole_index():
+    # the cell arrays, the stencils and the memoised rings and reach go with
+    # the grid, and the next kernel sums file every row afresh
+    torus = Torus(500.0, 1)
+    cfg = TorusConfiguration(torus)
+    cfg.insert_many(np.random.default_rng(22).uniform(0.0, 500.0, (5000, 1)))
+    kernel = triangular(1.0, 1.0, 1)
+    cfg.kernel_sums(kernel)
+    cfg.neighbors([250.0], 1.0)
+    assert cfg._cells and cfg._stencils and cfg._reach
+    cfg.insert_many([[3.0]])
+    assert cfg.grid is None and cfg._cells == cfg._stencils == cfg._reach == {}
+    sums = cfg.kernel_sums(kernel)
+    assert cfg.grid == CellGrid.for_radius(torus, 1.0) and cfg.cell_index_fault() is None
+    assert sum(rows.size for rows in live_rows(cfg).values()) == len(cfg) == 5001
+    assert_filed_in_row_order(cfg)
+    want = brute_force_sum(cfg, kernel, [3.0], exclude=5000)
+    assert sums[5000] == pytest.approx(want, rel=1e-12)
+
+
 def test_a_query_after_insert_many_uses_the_new_grid_s_rings_and_reach():
     # a query works out the rings and reach of its radius once per grid:
-    # on 8 cells of 1.25 the radius 1.0 reaches 1 ring, and once a bulk
+    # on 3 cells of 3.33 the radius 1.0 reaches 1 ring, and once a bulk
     # load drops that grid and the store is filed for the radius 0.2 on 49
     # cells, the same radius reaches 5, which a stencil keyed by the old
     # grid's ring would miss
@@ -961,7 +1076,7 @@ def test_a_query_after_insert_many_uses_the_new_grid_s_rings_and_reach():
     file_on(cfg, 3.0)
     cfg.neighbors(x, 3.0)
     cfg.neighbors(x, 1.0)
-    assert cfg.grid == CellGrid(10.0, 1, 8) and cfg._reach[1.0][0] == 1
+    assert cfg.grid == CellGrid(10.0, 1, 3) and cfg._reach[1.0][0] == 1
     cfg.insert_many(rng.uniform(0.0, 10.0, (60, 1)))
     file_on(cfg, 0.2)
     for radius in (0.2, 1.0, 3.0):
@@ -1054,18 +1169,40 @@ def test_stencils_keep_pairs_that_round_to_a_whole_cell_radius(dim):
 
 
 def test_for_radius_cells_hold_the_radius_and_its_pad():
-    # cells are wide enough for one ring whenever the grid has more than 8:
-    # at whole fractions of the side, too, where cells of the radius alone
-    # would need a second ring (the shipped certificate config's cutoff of
-    # 1.0 on a side of 20 gets 19 cells)
+    # cells are wide enough for one ring, and one more cell would make them
+    # too narrow: at whole fractions of the side, too, where cells of the
+    # radius alone would need a second ring (the shipped certificate
+    # config's cutoff of 1.0 on a side of 20 gets 19 cells)
     assert CellGrid.for_radius(Torus(20.0, 1), 1.0) == CellGrid(20.0, 1, 19)
     for side in (7.3, 20.0, 400.0):
         torus = Torus(side, 2)
-        radii = [side / k for k in range(8, 200)] + [side / 8.0 + 1e-15, side / 7.0]
+        radii = [side / k for k in range(2, 200)] + [side / 8.0 + 1e-15, side / 7.0]
         for radius in radii:
             grid = CellGrid.for_radius(torus, radius)
-            assert grid.rings(radius) == 1 or grid.n == 8
-            assert grid.n == 8 or CellGrid(side, 2, grid.n + 1).rings(radius) > 1
+            assert grid.rings(radius) == 1
+            assert CellGrid(side, 2, grid.n + 1).rings(radius) > 1
+
+
+@given(
+    side=st.floats(0.5, 1e4),
+    k=st.integers(2, 10_000),
+    ulps=st.sampled_from([-1, 0, 1]),
+    frac=st.floats(1e-3, 1.0),
+    dim=st.sampled_from([1, 2, 3]),
+)
+def test_for_radius_gives_one_ring_of_cells_at_least_the_radius_wide(
+    side, k, ulps, frac, dim
+):
+    # radii in (0, side / 2]: side / k and a float either side of it, and
+    # a fraction of side / 2
+    near = side / k
+    if ulps:
+        near = math.nextafter(near, math.inf if ulps > 0 else 0.0)
+    torus = Torus(side, dim)
+    for radius in (min(near, side / 2.0), frac * side / 2.0):
+        grid = CellGrid.for_radius(torus, radius)
+        assert grid.rings(radius) == 1 and grid.cell_size >= radius
+        assert CellGrid(side, dim, grid.n + 1).rings(radius) > 1
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

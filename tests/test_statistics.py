@@ -1,12 +1,17 @@
 import bisect
+import hashlib
 import itertools
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sbdsim import statistics
+from sbdsim.config import initial_configuration, load_config, replica_rng
+from sbdsim.dynamics import run
 from sbdsim.geometry import Torus, Window, sample_poisson
 from sbdsim.statistics import (
     StatisticsError,
@@ -20,6 +25,7 @@ from sbdsim.statistics import (
 )
 
 T10 = Torus(10.0, 1)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def poisson_replicas(torus, kappa, n, seed):
@@ -173,6 +179,37 @@ def test_pair_correlation_counts_match_brute_force(dim):
             g = counts * torus.volume / (n * (n - 1) * shells)
             assert pc.g.tolist() == g.tolist()
             assert pc.se.tolist() == [0.0] * n_bins
+
+
+def test_pair_correlation_counts_of_a_seeded_snapshot_are_pinned(monkeypatch):
+    # the shipped competition_1d config's replica 0 at t = 6, given twice,
+    # binned as its report bins it: the pair walk's counts are exact
+    # integers, the same on every grid the walk may pick (here 1 cell of
+    # side, the last edge being side / 2), and must never move
+    cfg = load_config(CONFIGS / "competition_1d.json")
+    rng = replica_rng(cfg.seed, 0)
+    trace = run(cfg.model, initial_configuration(cfg, rng), 6.0, rng, snapshot_times=(6.0,))
+    pts = trace.snapshots[0].positions
+    torus = Torus(cfg.torus.side, cfg.torus.dim)
+    walks = []
+    walk = statistics.periodic_pairs
+
+    def recorded(grid, pos, runs, radius):
+        order, batches = walk(grid, pos, runs, radius)
+        walks.append(list(batches))
+        return order, iter(walks[-1])
+
+    monkeypatch.setattr(statistics, "periodic_pairs", recorded)
+    pc = pair_correlation([pts, pts], torus, n_bins=cfg.g_bins)
+    edges = np.linspace(0.0, torus.side / 2.0, cfg.g_bins + 1)
+    counts = [np.histogram(np.concatenate([d for *_, d in w]), bins=edges)[0] for w in walks]
+    assert len(counts) == 2 and counts[0].tolist() == counts[1].tolist()
+    assert (2 * counts[0]).tolist() == brute_force_ordered_counts(
+        torus.side, pts, edges
+    ).tolist()
+    assert pc.replicas_used == 2 and pts.shape[0] == 107
+    digest = hashlib.sha256(counts[0].astype("<i8").tobytes()).hexdigest()
+    assert digest == "f3d7e5b34b26fdd645d2b252cf140ef9fd0ef740cc96a423313cf46b1da21e12"
 
 
 def test_pair_correlation_memory_is_linear():

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from sbdsim.dynamics import ModelSpec, SimulationState, run
-from sbdsim.geometry import BLOCK_ROWS, LOAD_DRIFT_TOL, Torus, TorusConfiguration
+from sbdsim.geometry import BLOCK_ROWS, LOAD_DRIFT_TOL, CellGrid, Torus, TorusConfiguration
 from sbdsim.kernels import ImmigrationField, exponential, gaussian, tabulated, triangular
 
 CLOSE = 1e-12  # how near its boundary a uniform may be where the twin's choice differs
@@ -116,21 +116,29 @@ def edge_points(side, n_cells, dim, rng):
     return pts
 
 
-def edge_case(variant, dim, extra, t_end):
-    """a- tabulated with a positive value at its cutoff of 2, two cells of
-    the store's grid (8 cells of 1 on a side of 8), on points at the cell
-    edges, of which some pairs 3 cells apart lie at a rounded distance of
-    exactly 2, with ``extra`` uniform points."""
+def edge_case(variant, dim, extra, t_end, cutoff=2.0, grids=(3, 4)):
+    """a- tabulated with a positive value at its ``cutoff``, on a side of 8,
+    on points at the cell edges of grids of ``grids`` cells per axis, with
+    ``extra`` uniform points.  The first grid is the store's: 3 cells of
+    8/3 for the cutoff 2, whose cells of 2 put some pairs at a rounded
+    distance of exactly the cutoff, and 2 cells of 4 for a cutoff in
+    (8/3, 4), whose offset 1 is its own negative."""
     rng = np.random.default_rng(dim)
     torus = Torus(8.0, dim)
     a_minus = tabulated(
-        [0.0, 1.0, 2.0], [0.2, 0.12, 0.04], dim, tail_sup_bound=0.04, tail_mass_bound=0.1
+        [0.0, cutoff / 2.0, cutoff],
+        [0.2, 0.12, 0.04],
+        dim,
+        tail_sup_bound=0.04,
+        tail_mass_bound=0.1,
     )
+    assert CellGrid.for_radius(torus, cutoff).n == grids[0]
     if variant == "migration":
         spec = ModelSpec(variant, a_minus=a_minus, m=0.3, b=ImmigrationField(constant=10.0))
     else:
         spec = ModelSpec(variant, a_plus=gaussian(1.5, 0.5, dim), a_minus=a_minus, m=0.2)
-    start = [edge_points(8.0, 8, dim, rng), rng.uniform(0.0, 8.0, (extra, dim))]
+    start = [edge_points(8.0, n, dim, rng) for n in grids]
+    start.append(rng.uniform(0.0, 8.0, (extra, dim)))
     return spec, torus, np.concatenate(start), t_end
 
 
@@ -159,6 +167,9 @@ CASES = {
     ),
     "migration-1-tabulated-edges": lambda: edge_case("migration", 1, 2, 5.0),
     "bolker_pacala-2-tabulated-edges": lambda: edge_case("bolker_pacala", 2, 16, 4.0),
+    "bolker_pacala-2-tabulated-two-cells": lambda: edge_case(
+        "bolker_pacala", 2, 8, 6.0, cutoff=3.5, grids=(2,)
+    ),
 }
 
 
