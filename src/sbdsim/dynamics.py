@@ -12,11 +12,14 @@ Every point dies at rate m + sum over the others of a_minus(distance), with
 kernels wrapped onto the torus and truncated at their cutoff radius.  The
 per-point competition loads are cached in the point store and updated
 incrementally on each event, together with the store's running load sum per
-block of rows; the total death rate reads the block sums, and the dying point
-is found first among the blocks and then inside one block.  A death reads
-its neighbours' old loads with one ``take``, writes what is left back with
-one ``put`` and takes the contributions off the block sums with one
-``subtract.at``: the floats of adding the negated contributions.  Events
+block of rows once it holds more than one block; the total death rate reads
+the block sums, and the dying point is found first among the blocks and then
+inside one block, while a store of one block reads its load column itself.
+A death reads its neighbours' old loads with one ``take``, writes what is
+left back with one ``put`` and takes the contributions off the block sums
+with one ``subtract.at``: the floats of adding the negated contributions.  A
+kernel takes each pair's squared length as the neighbour query keeps it,
+with no root taken where the kernel needs none.  Events
 address points by their row in the store: a birth's parent and a death are
 drawn as rows, and only the recorded event carries ids.  The point born or
 dying is never in the store while its neighbours are found: a birth queries
@@ -26,9 +29,9 @@ and files its position once and hands that (position, cell) to its query and
 its insert; a death queries from the cell its row was filed in.  A new
 point's load sums its neighbours' kernels in the order the query gathers
 them, a function of the seeded history.  The optional audit checks the cell
-index and recomputes loads and block sums from scratch, with the same
-per-pair distances as the incremental updates, leaves the index as it found
-it, and fails loudly on drift.
+index and recomputes loads and block sums from scratch, from each pair's
+squared length bit for bit as the incremental updates saw it, leaves the
+index as it found it, and fails loudly on drift.
 The per-event path, ``total_rates`` and ``_apply_event`` with the store and
 kernel methods they call, reaches numpy only through ufuncs, ufunc methods
 and ndarray methods: a Python-level wrapper such as ``np.cumsum`` or
@@ -36,8 +39,8 @@ and ndarray methods: a Python-level wrapper such as ``np.cumsum`` or
 event that takes some tens of them.  For the same reason it makes no ufunc
 reduction where one element or an argmin gives the same float (a death
 reads its least left load with ``argmin``), reads scalars with ``.item()``,
-calls a kernel's ``_profile`` on the fresh distance arrays directly, and
-reads the population off the store's row count.
+calls a kernel's ``_profile_sq`` on the fresh arrays of squared lengths
+directly, and reads the population off the store's row count.
 Waiting times are exponential in the total rate and the event type is chosen
 proportionally, so trajectories follow the exact jump chain.
 
@@ -251,7 +254,7 @@ class SimulationState:
     point's death rate (the sum of a_minus over its neighbours); the full
     death rate is m + load.  Loads change only through the store's
     ``add_loads``, ``lower_loads`` and ``set_loads``, which keep its block
-    sums current.
+    sums current while it holds more than one block.
     ``clamps`` counts the loads a removal set from a rounding residue below
     zero to 0, and ``largest_clamp`` is the largest such residue.
     """
@@ -293,10 +296,11 @@ class SimulationState:
 
     def audit(self) -> None:
         """Check the cell index against the positions, then recompute every
-        cached load and block sum from scratch; raise AuditError on any fault
-        or drift.  The fresh loads add each unordered pair's kernel to both
-        its points, at the distance the incremental updates' neighbour
-        queries see bit for bit, so only the order of summation differs.
+        cached load, and the block sums of a store of more than one block,
+        from scratch; raise AuditError on any fault or drift.  The fresh
+        loads add each unordered pair's kernel to both its points, from the
+        squared length the incremental updates' neighbour queries see bit
+        for bit, so only the order of summation differs.
         The audit leaves the store's index as it found it, so an audited run
         gives the unaudited one's trace."""
         fault = self.cfg.cell_index_fault()
@@ -332,8 +336,8 @@ class SimulationState:
         x, cell = cfg._in_box(position)
         if a_minus is None:
             return cfg._insert(x, cell, 0.0)
-        rows, dists = cfg._neighbors(x, cell, self._cutoff)
-        contrib = a_minus._profile(dists)  # dists is a fresh float64 array
+        rows, squares = cfg._neighbors(x, cell, self._cutoff)
+        contrib = a_minus._profile_sq(squares)
         cfg.add_loads(rows, contrib)
         return cfg._insert(x, cell, float(np.add.reduce(contrib)))
 
@@ -353,9 +357,9 @@ class SimulationState:
         cell = cfg._cell.item(row)  # filed on the store's grid
         x = cfg.remove(row)
         if a_minus is not None:
-            rows, dists = cfg._neighbors(x, cell, self._cutoff)
+            rows, squares = cfg._neighbors(x, cell, self._cutoff)
             if rows.size:
-                contrib = a_minus._profile(dists)
+                contrib = a_minus._profile_sq(squares)
                 old = cfg._load.take(rows)
                 left = old - contrib
                 lowest = left.item(left.argmin())  # np.minimum.reduce's value

@@ -11,16 +11,16 @@ rounding of a minimum-image length, so that no pair the exact distance test
 keeps lies outside them.  ``cell_runs`` is the one sort by cell, shared by
 the store's filing and the pair walk.
 ``TorusConfiguration`` is the simulator's one point store: dense columns of
-the living points, addressed by row alone, a load column with block sums
-for the death draw, and, on the grid that ``kernel_sums`` picks for its
-kernel's cutoff, per-cell arrays of rows that a neighbour query gathers
-through a memoised cell stencil, in the order it gathers them; no query
-picks or changes the grid.  Each cell's entry holds the view of its live
-rows next to the buffer they lead, so the query joins the views as they
-are, and it subtracts the query point from the (k, dim) block of candidates
-along the rows, not along the short axis.  An event wraps and files its
-point once: ``_in_box`` gives the wrapped position and its cell, and the
-query and the insert both take that pair.
+the living points, addressed by row alone, a load column with, once it
+holds more than one block of rows, block sums for the death draw, and, on
+the grid that ``kernel_sums`` picks for its kernel's cutoff, per-cell arrays
+of rows that a neighbour query gathers through a memoised cell stencil, in
+the order it gathers them; no query picks or changes the grid.  Each cell's
+entry holds the view of its live rows next to the buffer they lead, so the
+query joins the views as they are, and it subtracts the query point from the
+(k, dim) block of candidates along the rows, not along the short axis.  An
+event wraps and files its point once: ``_in_box`` gives the wrapped position
+and its cell, and the query and the insert both take that pair.
 ``periodic_pairs`` walks each unordered pair of points within a radius once,
 over half the neighbouring cell offsets, in bounded batches, one batch
 shared by consecutive offsets whose candidates fit in it; the kernel sums
@@ -37,7 +37,10 @@ hands its own order back with the batches.  The kernel sums of a store that
 has a grid walk the cells of its positions and leave its index as it is.
 Every minimum-image length, of a neighbour query and of the pair walk,
 comes squared from one helper; a pair is kept when its square is at most
-``exact_reach`` of the radius, the same test as distance <= radius.
+``exact_reach`` of the radius, the same test as distance <= radius.  Lengths
+leave the query and the walk squared, for the kernels take squares
+(``RadialKernel._profile_sq``); only the public ``neighbors`` and the pair
+correlation take their roots.
 ``sample_poisson`` draws a homogeneous Poisson configuration and loads it
 into the store in one bulk pass.
 The store's per-event methods (``_in_box``, ``_insert``, ``remove``,
@@ -50,9 +53,11 @@ a few microseconds, a sizeable share of an event that takes some tens of
 them, and of a walk that makes a few calls per cell offset at n ~ 100.
 The per-event methods also make no ufunc reduction where one element or an
 argmin gives the same float, a reduction's set-up costing more than the
-sum of a few dozen loads, and they read scalars with ``.item()``: a store of
-one block reads its load total off that block, and a query works out the
-rings and reach of its radius once per grid.
+sum of a few dozen loads, and they read scalars with ``.item()``; a query
+works out the rings and reach of its radius once per grid.  Only a store of
+more than one block of BLOCK_ROWS rows keeps block sums: in a smaller one the
+load total is one reduction of the live column and no event scatters into a
+block, and the insert that takes it past one block rebuilds them.
 """
 
 from __future__ import annotations
@@ -136,13 +141,26 @@ class CellGrid:
         """The grid for queries within ``radius`` > 0: the most cells per
         axis, at most side / radius, for which ``rings(radius)`` is 1, so
         that a stencil spans three cells along each axis, but fewer than
-        would make a flat cell reach 2^63; for a radius of 0, 8 per axis."""
+        would make a flat cell reach 2^63; for a radius of 0, 8 per axis.
+
+        The search steps down one cell at a time until ``rings`` is 1,
+        starting from the fewer of int(side / radius) and int(side / (radius
+        + pad)) + 2 cells, pad = 8 ulp(side) as in ``rings``: k >= int(fl(side
+        / P)) + 2 cells, P = fl(radius + pad), are narrower than P / (1 + 5
+        u) with u = 2^-53, since P >= 8 u side, so they reach two rings.
+        ``rings`` never falls as cells are added, so the search ends on the
+        grid a step-down from int(side / radius) gives, in a few steps even
+        for a radius far below the side."""
         if radius <= 0.0:
             return cls(torus.side, torus.dim, 8)
-        n = int(min(torus.side / radius, _most_cells_per_axis(torus.dim)))
-        grid = cls(torus.side, torus.dim, max(n, 1))
+        side = torus.side
+        n = min(
+            int(min(side / radius, _most_cells_per_axis(torus.dim))),
+            int(side / (radius + 8.0 * math.ulp(side))) + 2,
+        )
+        grid = cls(side, torus.dim, max(n, 1))
         while grid.n > 1 and grid.rings(radius) > 1:  # cells narrower than radius + pad
-            grid = cls(torus.side, torus.dim, grid.n - 1)
+            grid = cls(side, torus.dim, grid.n - 1)
         return grid
 
     @cached_property
@@ -304,14 +322,14 @@ def periodic_pairs(
     grid: CellGrid, pos: np.ndarray, runs: tuple[np.ndarray, ...], radius: float
 ) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Unordered pairs of distinct rows of ``pos`` at most ``radius`` apart,
-    each once, with their minimum-image distances, walked over neighbouring
-    grid cells.
+    each once, with their squared minimum-image lengths, walked over
+    neighbouring grid cells.
 
     ``pos`` holds points in [0, side]^dim and ``runs`` is ``cell_runs`` of
     their flat cells on ``grid``.  Returns (order, batches).  ``order`` is
     the walk's own order of the rows of ``pos``, run by run as in ``runs``;
-    ``batches`` yields (i, j, dist): the pair of rows ``order[i]`` and
-    ``order[j]`` and its distance.
+    ``batches`` yields (i, j, square): the pair of rows ``order[i]`` and
+    ``order[j]`` and its squared length, with no root taken.
 
     The cell offsets, from ``grid.axis_offsets``, are distinct modulo the
     grid, so a radius that wraps round the whole grid visits each cell once;
@@ -350,27 +368,26 @@ def periodic_pairs(
     O(d n + PAIR_BATCH).
 
     The exact test, square <= ``exact_reach(radius)``, stays the only one
-    that drops a pair, and only kept pairs are rooted.  Write u = 2^-53, L
-    = side, r = radius <= L / 2, e = 8 u L, and m_b for the computed
-    minimum image along axis b of a pair the exact test keeps; the cut
-    needs n >= 3 and n^d < 2^63, so d <= 39, and the bounds below are to
-    first order in u.  The kept square, a sum of d rounded squares, is at
-    most exact_reach(r) <= r^2 (1 + u)^2, so sum m_b^2 <= r^2 (1 + (d + 3)
-    u).  As in ``CellGrid.rings``, filing puts a coordinate at most u L
-    outside its cell and m_b is at most 2 u L below the exact minimum
-    image, so with the rounding of the gap m_b >= g_b - e, and g_b >= -e;
-    hence m_b^2 >= g_b^2 - 2 e |g_b|, with |g_b| <= m_b + e <= r + 2 e, and
-    m_a^2 <= N = r^2 (1 + (d + 3) u) - g^2 + 2 (d - 1) e (r + 2 e).  The
-    computed radicand errs by at most (d^2 + 3) u (r + pad + 2 e)^2, as
-    g^2 <= (d - 1) (r + 2 e)^2 for a kept pair, so it is at least N when
-    2 r pad + pad^2 exceeds (d + 3) u r^2 + 2 (d - 1) e (r + 2 e) and that
-    error.  With pad = 8 d^2 ulp(L) > 8 d^2 u L and 2 r <= L, 2 r pad
-    exceeds the terms in r more than twice over, and pad^2 the terms in
-    e^2 = 64 u^2 L^2 four times over.  So the root is at least m_a, and
-    the lead distance, at most m_a + 4 u L as in ``CellGrid.rings``, is
-    within the bound but for a few u L from the root and the two sums that
-    make the bound; one quantum, L 2^-32, covers them and the rounding of
-    the keys many times over.
+    that drops a pair.  Write u = 2^-53, L = side, r = radius <= L / 2, e =
+    8 u L, and m_b for the computed minimum image along axis b of a pair the
+    exact test keeps; the cut needs n >= 3 and n^d < 2^63, so d <= 39, and
+    the bounds below are to first order in u.  The kept square, a sum of d
+    rounded squares, is at most exact_reach(r) <= r^2 (1 + u)^2, so sum
+    m_b^2 <= r^2 (1 + (d + 3) u).  As in ``CellGrid.rings``, filing puts a
+    coordinate at most u L outside its cell and m_b is at most 2 u L below
+    the exact minimum image, so with the rounding of the gap m_b >= g_b - e,
+    and g_b >= -e; hence m_b^2 >= g_b^2 - 2 e |g_b|, with |g_b| <= m_b + e
+    <= r + 2 e, and m_a^2 <= N = r^2 (1 + (d + 3) u) - g^2 + 2 (d - 1) e (r
+    + 2 e).  The computed radicand errs by at most (d^2 + 3) u (r + pad + 2
+    e)^2, as g^2 <= (d - 1) (r + 2 e)^2 for a kept pair, so it is at least N
+    when 2 r pad + pad^2 exceeds (d + 3) u r^2 + 2 (d - 1) e (r + 2 e) and
+    that error.  With pad = 8 d^2 ulp(L) > 8 d^2 u L and 2 r <= L, 2 r pad
+    exceeds the terms in r more than twice over, and pad^2 the terms in e^2
+    = 64 u^2 L^2 four times over.  So the root is at least m_a, and the lead
+    distance, at most m_a + 4 u L as in ``CellGrid.rings``, is within the
+    bound but for a few u L from the root and the two sums that make the
+    bound; one quantum, L 2^-32, covers them and the rounding of the keys
+    many times over.
     """
     order, occupied, first, count = runs
     n, side, dim, reach = order.size, grid.side, grid.dim, exact_reach(radius)
@@ -492,8 +509,7 @@ def periodic_pairs(
             d -= in_order.take(j, axis=0)
             square = _min_image_squares(d, side)
             keep = (square <= reach).nonzero()[0]  # faster than three masks
-            dist = square.take(keep)
-            yield i.take(keep), j.take(keep), np.sqrt(dist, out=dist)
+            yield i.take(keep), j.take(keep), square.take(keep)
             # each array stays until the next batch makes its own: freed
             # first, the arrays of the next batch page-fault more
 
@@ -570,13 +586,18 @@ class TorusConfiguration:
     point at most once; ``neighbors``, the one public query, is ``_in_box``
     and ``_neighbors`` on a store that has a grid.
 
-    Next to the load column the store keeps one running sum per block of
-    BLOCK_ROWS rows, a two-level sum tree: ``load_total`` and ``sample_row``
-    read n / BLOCK_ROWS block sums and one block instead of the whole column.
-    ``_insert``, ``remove``, ``add_loads``, ``lower_loads`` and ``set_loads``
-    keep the block sums in step with the column; ``stale_block`` checks them
-    against it, as ``cell_index_fault`` checks the cell arrays against the
-    positions.
+    While it holds more than one block of BLOCK_ROWS rows, the store keeps
+    one running sum per block next to the load column, a two-level sum tree:
+    ``load_total`` and ``sample_row`` read n / BLOCK_ROWS block sums and one
+    block instead of the whole column.  ``_insert``, ``remove``,
+    ``add_loads``, ``lower_loads`` and ``set_loads`` keep the block sums in
+    step with the column; ``stale_block`` checks them against it, as
+    ``cell_index_fault`` checks the cell arrays against the positions.  A
+    store of one block reads the column itself, so its events update no
+    block sum, which would only repeat the column's total: the ``_insert``
+    or ``insert_many`` that takes it past BLOCK_ROWS rows rebuilds the block
+    sums from the column, and below that size ``stale_block`` has nothing to
+    check.
     """
 
     def __init__(self, torus: Torus):
@@ -604,26 +625,30 @@ class TorusConfiguration:
     def loads(self) -> np.ndarray:
         """View of the competition-load column, one entry per row.
 
-        Change it through ``add_loads``, ``lower_loads`` or ``set_loads``: a
-        direct write bypasses the block sums, which ``stale_block`` then
-        reports.
+        Change it through ``add_loads``, ``lower_loads`` or ``set_loads``: in
+        a store of more than one block a direct write bypasses the block
+        sums, which ``stale_block`` then reports.
         """
         return self._load[: self._n]
 
     def add_loads(self, rows: np.ndarray, delta: np.ndarray) -> None:
-        """Add ``delta`` to the loads of ``rows`` (distinct) and to their block sums."""
+        """Add ``delta`` to the loads of ``rows`` (distinct) and, in a store
+        of more than one block, to their block sums."""
         self._load[rows] += delta
-        np.add.at(self._block, rows >> BLOCK_SHIFT, delta)
+        if self._n > BLOCK_ROWS:
+            np.add.at(self._block, rows >> BLOCK_SHIFT, delta)
 
     def lower_loads(
         self, rows: np.ndarray, left: np.ndarray, taken: np.ndarray
     ) -> None:
         """Set the loads of ``rows`` (distinct) to ``left``, their old loads
-        less ``taken`` as the caller worked them out, and take ``taken`` off
-        their block sums, with one ``put`` and one ``subtract.at``: the same
-        floats as ``add_loads(rows, -taken)`` where ``left`` is old - taken."""
+        less ``taken`` as the caller worked them out, and, in a store of more
+        than one block, take ``taken`` off their block sums, with one ``put``
+        and one ``subtract.at``: the same floats as ``add_loads(rows,
+        -taken)`` where ``left`` is old - taken."""
         self._load.put(rows, left)
-        np.subtract.at(self._block, rows >> BLOCK_SHIFT, taken)
+        if self._n > BLOCK_ROWS:
+            np.subtract.at(self._block, rows >> BLOCK_SHIFT, taken)
 
     def set_loads(self, values: np.ndarray) -> None:
         """Replace the whole load column and recompute every block sum."""
@@ -638,13 +663,14 @@ class TorusConfiguration:
         return sums.astype(float, copy=False)
 
     def load_total(self) -> float:
-        """Sum of the load column, read from the block sums of the live rows:
-        ``np.add.reduce`` of them, which for one block is its sum plus 0.0
-        (-0.0 comes back as +0.0), and for none is 0.0."""
-        n_blocks = (self._n + BLOCK_ROWS - 1) >> BLOCK_SHIFT
-        if n_blocks > 1:
-            return float(np.add.reduce(self._block[:n_blocks]))
-        return self._block.item(0) + 0.0 if n_blocks else 0.0
+        """Sum of the load column: ``np.add.reduce`` of the live column in a
+        store of at most BLOCK_ROWS rows, 0.0 for none, and of the live
+        block sums in a larger one."""
+        n = self._n
+        if n <= BLOCK_ROWS:
+            return float(np.add.reduce(self._load[:n]))
+        n_blocks = (n + BLOCK_ROWS - 1) >> BLOCK_SHIFT
+        return float(np.add.reduce(self._block[:n_blocks]))
 
     def sample_row(self, u: float, base: float) -> int:
         """Row drawn with weight base + load, from one uniform ``u`` in [0, 1).
@@ -675,7 +701,10 @@ class TorusConfiguration:
     def stale_block(self) -> tuple[int, float, float] | None:
         """First block whose running sum drifted from its rows' loads, as
         (block, running, recomputed); else None.  A sum that is not within
-        the tolerance, NaN among them, has drifted."""
+        the tolerance, NaN among them, has drifted.  A store of at most
+        BLOCK_ROWS rows keeps no block sums, so it reports None."""
+        if self._n <= BLOCK_ROWS:
+            return None
         fresh = self._block_sums_of_column()
         drift = ~(np.abs(self._block - fresh) <= LOAD_DRIFT_TOL * (1.0 + np.abs(fresh)))
         stale = np.flatnonzero(drift)
@@ -752,14 +781,14 @@ class TorusConfiguration:
     def _insert(self, x: np.ndarray, cell: int, load: float) -> int:
         """Add the point that ``_in_box`` has taken into the box as ``x`` and
         filed in ``cell`` (of no use while the store has no grid) as the last
-        row with the given load; return its new id."""
+        row with the given load; return its new id.  The insert that takes
+        the store past one block rebuilds the block sums from the column."""
         row, pid = self._n, self._next_id
         if row >= self._id.size:
             self._reserve(row + 1)
         self._pos[row] = x
         self._id[row] = pid
         self._load[row] = load
-        self._block[row >> BLOCK_SHIFT] += load
         if self.grid is not None:
             self._cell[row] = cell
             entry = self._cells.get(cell)
@@ -775,12 +804,18 @@ class TorusConfiguration:
             self._slot[row] = k
         self._n += 1
         self._next_id += 1
+        if row > BLOCK_ROWS:
+            self._block[row >> BLOCK_SHIFT] += load
+        elif row == BLOCK_ROWS:  # past one block: block sums from here on
+            self._block = self._block_sums_of_column()
         return pid
 
     def insert_many(self, positions) -> None:
         """Add the rows of ``positions`` as new points with load 0, in one
         vectorised pass, and drop the cell index: the next ``kernel_sums``
-        files every row afresh, as ``_insert`` on each row in turn would."""
+        files every row afresh, as ``_insert`` on each row in turn would.
+        New rows add nothing to the block sums, so a bulk load that takes
+        the store past one block rebuilds them from the rows it held."""
         t = self.torus
         x = np.asarray(positions, dtype=float)
         if x.ndim != 2 or x.shape[1] != t.dim:
@@ -793,9 +828,11 @@ class TorusConfiguration:
         k = x.shape[0]
         lo, hi = self._n, self._n + k
         self._reserve(hi)
+        if lo <= BLOCK_ROWS < hi:  # the new rows' loads of 0 change no sum
+            self._block = self._block_sums_of_column()
         self._pos[lo:hi] = x
         self._id[lo:hi] = np.arange(self._next_id, self._next_id + k)
-        self._load[lo:hi] = 0.0  # adds nothing to the block sums
+        self._load[lo:hi] = 0.0
         self._n = hi
         self._next_id += k
         self.grid, self._cells, self._stencils, self._reach = None, {}, {}, {}
@@ -821,16 +858,18 @@ class TorusConfiguration:
                 del self._cells[cell]
             if row != last:
                 self._cells[self._cell.item(last)][0][self._slot.item(last)] = row
-        block = self._block
-        block[row >> BLOCK_SHIFT] -= self._load.item(row)
+        if last >= BLOCK_ROWS:  # a store of more than one block
+            block = self._block
+            block[row >> BLOCK_SHIFT] -= self._load.item(row)
+            if row != last:
+                moved = self._load.item(last)
+                block[last >> BLOCK_SHIFT] -= moved
+                block[row >> BLOCK_SHIFT] += moved
+            if not last & (BLOCK_ROWS - 1):
+                block[last >> BLOCK_SHIFT] = 0.0  # emptied: drop its rounding residue
         if row != last:
-            moved = self._load.item(last)
-            block[last >> BLOCK_SHIFT] -= moved
-            block[row >> BLOCK_SHIFT] += moved
             for col in (self._pos, self._id, self._cell, self._slot, self._load):
                 col[row] = col[last]
-        if not last & (BLOCK_ROWS - 1):
-            block[last >> BLOCK_SHIFT] = 0.0  # emptied: drop its rounding residue
         self._n = last
         return x
 
@@ -892,8 +931,9 @@ class TorusConfiguration:
         while it is not in the store: before its insert or after its removal.
 
         A candidate is kept when its squared length is at most
-        ``exact_reach(radius)``, and only then rooted; where the cell
-        stencil does not wrap, plain differences are the minimum images.
+        ``exact_reach(radius)``; the distances are the roots of the squares
+        ``_neighbors`` returns.  Where the cell stencil does not wrap, plain
+        differences are the minimum images.
 
         Rows come back in the order the stencil gathers them, cell by cell
         and each cell's array in order: a function of the store's history,
@@ -909,13 +949,17 @@ class TorusConfiguration:
         x, cell = self._in_box(x)
         if self.grid is None:
             raise GeometryError("the store has no grid: kernel_sums files it")
-        return self._neighbors(x, cell, radius)
+        rows, squares = self._neighbors(x, cell, radius)
+        return rows, np.sqrt(squares, out=squares)
 
     def _neighbors(self, x: np.ndarray, cell: int, radius: float):
-        """``neighbors`` of a point that ``_in_box`` has taken into
-        the box as ``x`` and filed in ``cell``, on the store's grid, for a
-        radius within [0, side / 2]; the rings and reach of each radius are
-        worked out once per grid."""
+        """Rows and squared minimum-image lengths, no root taken, of the
+        stored points within ``radius`` of a point that ``_in_box`` has
+        taken into the box as ``x`` and filed in ``cell``, on the store's
+        grid, for a radius within [0, side / 2], in the order of
+        ``neighbors``; the squares are a fresh array, the very floats the
+        pair walk gives the same pairs.  The rings and reach of each radius
+        are worked out once per grid."""
         memo = self._reach.get(radius)
         if memo is None:
             memo = self._reach[radius] = (self.grid.rings(radius), exact_reach(radius))
@@ -935,17 +979,19 @@ class TorusConfiguration:
         np.subtract(d, x, out=d, order="F")  # along the rows, not the short axis
         square = _min_image_squares(d, self.torus.side, stencil[0] < 0)
         keep = (square <= reach).nonzero()[0]
-        return rows.take(keep), np.sqrt(square.take(keep))
+        return rows.take(keep), square.take(keep)
 
     def kernel_sums(self, kernel: RadialKernel) -> np.ndarray:
         """Each point's sum of kernel(distance) over the other points within
         the kernel cutoff, one entry per row, from one ``periodic_pairs``
-        walk: the kernel of each unordered pair is added to both its rows,
-        by a bincount over the batch's span of rows at each end, in the
-        walk's own order.  The walk takes the ``cell_runs`` of the
-        positions on the store's grid and leaves its index as it is, so an
-        audit reads the index it checks; a store with no grid yet is filed
-        on the cutoff's, and the walk takes that filing's runs."""
+        walk: the kernel of each unordered pair, taken by
+        ``RadialKernel._profile_sq`` from the squared length the walk yields,
+        is added to both its rows, by a bincount over the batch's span of
+        rows at each end, in the walk's own order.  The walk takes the
+        ``cell_runs`` of the positions on the store's grid and leaves its
+        index as it is, so an audit reads the index it checks; a store with
+        no grid yet is filed on the cutoff's, and the walk takes that
+        filing's runs."""
         if kernel.dim != self.torus.dim:
             raise GeometryError(
                 f"kernel dimension {kernel.dim} != torus dimension {self.torus.dim}"
@@ -963,15 +1009,15 @@ class TorusConfiguration:
             runs = cell_runs(self.grid.flat_cells_of(self._pos[:n]))
         order, batches = periodic_pairs(self.grid, self._pos[:n], runs, cutoff)
         sums = np.zeros(n)  # in the walk's order
-        for i, j, dist in batches:
-            if not dist.size:
+        for i, j, square in batches:
+            if not square.size:
                 continue
-            weights = kernel.profile(dist)
+            weights = kernel._profile_sq(square)
             for rows in (i, j):
                 lo = np.minimum.reduce(rows)
                 part = np.bincount(rows - lo, weights=weights)
                 sums[lo : lo + part.size] += part
-            del i, j, dist, weights, rows, part  # freed before the next batch
+            del i, j, square, weights, rows, part  # freed before the next batch
         out = np.empty(n)
         out[order] = sums
         return out

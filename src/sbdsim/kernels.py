@@ -159,13 +159,25 @@ class RadialKernel:
     def _profile(self, r: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _profile_sq(self, s: np.ndarray) -> np.ndarray:
+        """``_profile`` of the lengths whose squares are ``s``: the kernel
+        as the rate caches use it, on the squared lengths that the neighbour
+        query and the pair walk keep, with no root taken where a family
+        needs none.  By default it takes the root and calls ``_profile``,
+        the same floats as ``_profile(np.sqrt(s))``; only the gaussian, a
+        function of the square, overrides it.  Like ``_profile`` it takes a
+        float array of at least one axis, never writes into it, and returns
+        one fresh array."""
+        return self._profile(np.sqrt(s))
+
     def profile(self, r):
         """Kernel value at radius ``r`` (scalar or array, vectorized).
 
         Contract: ``r >= 0`` (a length, not a signed coordinate); nothing is
         checked.  A float array is read in place, with no copy, and is
         never written into; a scalar comes back as a float.  ``_profile``
-        takes an array of at least one axis and returns one fresh array.
+        takes an array of at least one axis and returns one fresh array;
+        ``_profile_sq`` does the same from squared lengths.
         """
         arr = np.asarray(r, dtype=float)
         if arr.ndim == 0:
@@ -237,6 +249,14 @@ class GaussianKernel(RadialKernel):
         # peak * exp(-(r**2) / (2 sigma^2)), in place in one fresh array
         t = r * r
         t /= -(2.0 * self.sigma**2)
+        np.exp(t, out=t)
+        t *= self._peak
+        return t
+
+    def _profile_sq(self, s):
+        # peak * exp(-s / (2 sigma^2)) with no root: where s is fl(x * x) the
+        # root is |x| exactly, so these are _profile's floats bit for bit
+        t = s / -(2.0 * self.sigma**2)
         np.exp(t, out=t)
         t *= self._peak
         return t

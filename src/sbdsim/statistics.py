@@ -96,11 +96,11 @@ def pair_correlation(
     replicas with fewer than two points carry no pair information and are
     skipped.  The counts come from a ``periodic_pairs`` walk over the
     ``cell_runs`` of the points on the ``CellGrid.for_radius`` of the last
-    edge, which computes each unordered pair's distance once, so memory is
-    O(N + PAIR_BATCH) per replica, and time grows as N times the points
-    within the last edge of a point: O(N) for a fixed last edge, O(N^2) when
-    it reaches side/2, where the walk computes N (N-1) / 2 distances, half
-    the ordered pairs.
+    edge, which computes each unordered pair's squared length once, and the
+    roots of those squares are binned, so memory is O(N + PAIR_BATCH) per
+    replica, and time grows as N times the points within the last edge of a
+    point: O(N) for a fixed last edge, O(N^2) when it reaches side/2, where
+    the walk computes N (N-1) / 2 squared lengths, half the ordered pairs.
     """
     reps = _check_replicas(snapshots)
     if edges is None:
@@ -129,8 +129,8 @@ def pair_correlation(
         pts = torus.wrap(pts)
         counts = np.zeros(edges.size - 1, dtype=np.intp)
         runs = cell_runs(grid.flat_cells_of(pts))
-        for _, _, dist in periodic_pairs(grid, pts, runs, edges[-1])[1]:
-            counts += np.histogram(dist, bins=edges)[0]
+        for _, _, square in periodic_pairs(grid, pts, runs, edges[-1])[1]:
+            counts += np.histogram(np.sqrt(square), bins=edges)[0]
         per_replica.append(2 * counts * torus.volume / (n * (n - 1) * shells))
     if not per_replica:
         raise StatisticsError("no replica has two or more points")

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 from scipy import stats
 
 from conftest import NUMPY_WRAPPER_FILES, file_on, insert_point, live_rows
-from sbdsim.config import initial_configuration, load_config, replica_rng
+from sbdsim.config import initial_configuration, load_config, parse_config, replica_rng
 from sbdsim.dynamics import (
     AuditError,
     DynamicsError,
@@ -27,7 +28,14 @@ from sbdsim.geometry import (
     TorusConfiguration,
     sample_poisson,
 )
-from sbdsim.kernels import ImmigrationField, gaussian, tabulated, triangular
+from sbdsim.kernels import (
+    GaussianKernel,
+    ImmigrationField,
+    RadialKernel,
+    gaussian,
+    tabulated,
+    triangular,
+)
 from sbdsim.oracles import bp_meanfield_density, surgailis_density
 from sbdsim.statistics import density
 
@@ -163,9 +171,10 @@ def test_block_draw_matches_full_cumsum(m, a_minus):
 
 
 def test_audit_follows_block_sums_across_boundaries():
-    # grow from 240 points past the first block boundary (256) and a
-    # capacity doubling (256 -> 512 rows), then shrink back below it,
-    # recomputing every load and block sum after each event
+    # grow from 240 points past the first block boundary (256), where the
+    # block sums are rebuilt from the column, and a capacity doubling (256
+    # -> 512 rows), then shrink back below it, recomputing every load, and
+    # every block sum while there is more than one block, after each event
     rng = np.random.default_rng(32)
     torus = Torus(60.0, 1)
     cfg = cfg_with_points(torus, rng.uniform(0.0, 60.0, (240, 1)))
@@ -176,7 +185,24 @@ def test_audit_follows_block_sums_across_boundaries():
     shrink = ModelSpec("bolker_pacala", a_plus=triangular(0.1, 1.0, 1), a_minus=am, m=2.0)
     trace = run(shrink, cfg, t_end=10.0, rng=rng, audit_every=1)
     assert trace.absorbed and len(cfg) == 0
-    assert not cfg._block.any()  # an emptied block keeps no rounding residue
+    # an emptied block keeps no rounding residue; block 0's sum is not kept
+    # once the store is down to one block
+    assert not cfg._block[1:].any()
+
+
+def test_audit_follows_a_store_that_grows_past_one_block_from_empty():
+    # a d=1 migration run with triangular a- from an empty box whose
+    # population settles near BLOCK_ROWS (100 immigrants per unit time
+    # against deaths at 0.2 + about 0.00074 n each), so it crosses the
+    # block edge up and down again and again: the loads, and the block sums
+    # the upward crossings rebuild from the column, pass the audit after
+    # every event
+    spec = migration_spec(b=1.0, m=0.2, a_minus=triangular(0.074, 1.0, 1))
+    cfg = TorusConfiguration(Torus(100.0, 1))
+    trace = run(spec, cfg, 20.0, np.random.default_rng(33), audit_every=1)
+    sizes = np.cumsum(np.where(trace.events.births, 1, -1))
+    upward = np.count_nonzero((sizes[1:] > BLOCK_ROWS) & (sizes[:-1] <= BLOCK_ROWS))
+    assert trace.n_events > 1000 and upward >= 3
 
 
 # -- single event behaviour -------------------------------------------------------
@@ -485,9 +511,13 @@ def test_audit_catches_corruption():
 
 
 def test_audit_catches_block_sum_corruption():
+    # the pair at 5.0 and 5.5, and lone points 2 apart, enough for more than
+    # one block: a store of one block keeps no block sums
     am = triangular(1.0, 1.0, 1)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.2)
-    state = SimulationState(spec, cfg_with_points(Torus(10.0, 1), [[5.0], [5.5]]))
+    points = [[5.0], [5.5]] + [[10.0 + 2.0 * k] for k in range(BLOCK_ROWS)]
+    state = SimulationState(spec, cfg_with_points(Torus(600.0, 1), points))
+    assert len(state.cfg) > BLOCK_ROWS and state.cfg.load_total() == 1.0
     state.audit()
     state.cfg._block[0] += 1e-6
     with pytest.raises(AuditError, match="block 0"):
@@ -505,7 +535,7 @@ def test_audit_catches_a_cache_that_is_not_finite(column, value):
     spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.2)
     rng = np.random.default_rng(31)
     cfg = TorusConfiguration(Torus(40.0, 1))
-    cfg.insert_many(rng.uniform(0.0, 40.0, (200, 1)))
+    cfg.insert_many(rng.uniform(0.0, 40.0, (300, 1)))  # more than one block
     state = SimulationState(spec, cfg)
     state.audit()
     if column == "load":
@@ -604,8 +634,8 @@ def remove_the_old_way(state, row):
     cfg = state.cfg
     cell = cfg._cell.item(row)
     x = cfg.remove(row)
-    rows, dists = cfg._neighbors(x, cell, state._cutoff)
-    contrib = state.spec.a_minus.profile(dists)
+    rows, squares = cfg._neighbors(x, cell, state._cutoff)
+    contrib = state.spec.a_minus._profile_sq(squares)
     old = cfg.loads[rows]
     delta = -contrib
     below = old - contrib < 0.0
@@ -874,10 +904,10 @@ def test_event_path_reduces_only_a_new_load_and_a_total_of_many_blocks(
     variant, dim, side, density
 ):
     # a ufunc reduction costs a microsecond or two of set-up; the event
-    # path makes one for a birth's new load, and one for the total load
-    # only while the store holds more than one block, where the pairwise
-    # sum of the block sums is kept.  A single block's sum is read, and
-    # the least left load of a death comes from argmin
+    # path makes one for a birth's new load, and one for each load total,
+    # of the live column while the store holds one block and of the block
+    # sums while it holds more.  The least left load of a death comes from
+    # argmin
     reductions = []
 
     def on_c_call(fn):
@@ -890,7 +920,7 @@ def test_event_path_reduces_only_a_new_load_and_a_total_of_many_blocks(
     births = log.births
     before = np.array(sizes) - np.where(births, 1, -1)  # population at each draw
     many_blocks = int(np.count_nonzero(before > BLOCK_ROWS))
-    assert len(reductions) <= int(births.sum()) + many_blocks
+    assert len(reductions) <= int(births.sum()) + len(sizes)  # one total per event
     assert many_blocks == (0 if variant == "migration" else 2000)
 
 
@@ -936,6 +966,24 @@ def test_seeded_trajectories_keep_their_integer_columns(make, n_events, sha256):
     trace = make()
     assert trace.n_events == n_events
     assert integer_columns_sha256(trace.events) == sha256
+
+
+def test_d1_loads_are_those_of_the_rooted_lengths(monkeypatch):
+    # the benchmark's d=1 store at n~1e5: the competition_1d model at
+    # density 5 on a side of 20000, seed 1, 100,010 points.  Its gaussian
+    # a- takes squared lengths with no root; in d=1 each square is one
+    # rounded square fl(x * x), whose correctly rounded root is |x|, so the
+    # loads equal bit for bit those of the kernel of the roots
+    raw = json.loads((CONFIGS / "competition_1d.json").read_text())
+    raw.update(seed=1, replicas=1, torus={"L": 20000.0, "d": 1}, init={"poisson": 5.0})
+    raw["schedule"] = {"t_end": 0.01, "burn_in": 0.0, "snapshot_times": [0.01]}
+    raw["analysis"] = {"window": {"lo": [0.0], "hi": [20000.0]}}
+    cfg = parse_config(raw)
+    store = initial_configuration(cfg, replica_rng(cfg.seed, 0))
+    assert len(store) == 100_010 and isinstance(cfg.model.a_minus, GaussianKernel)
+    loads = SimulationState(cfg.model, store).cfg.loads.copy()
+    monkeypatch.setattr(GaussianKernel, "_profile_sq", RadialKernel._profile_sq)
+    assert loads.tobytes() == store.kernel_sums(cfg.model.a_minus).tobytes()
 
 
 def test_holding_times_exponential_ks():

@@ -3,6 +3,7 @@ import sys
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
+from functools import cache
 from itertools import combinations, product
 from pathlib import Path
 
@@ -64,50 +65,49 @@ def min_image_distance(side, x, y):
 
 
 def scan_pairs(side, pts, radius):
-    """Each row's minimum-image distances to the other rows within
-    ``radius``, sorted, by a plain-Python scan of the points wrapped into
-    [0, side)."""
+    """Each row's squared minimum-image lengths to the other rows whose roots
+    are within ``radius``, sorted, by a plain-Python scan of the points
+    wrapped into [0, side)."""
     pts = [[v % side for v in p] for p in np.asarray(pts, dtype=float).tolist()]
     out = []
     for i, x in enumerate(pts):
-        dists = (min_image_distance(side, x, y) for j, y in enumerate(pts) if j != i)
-        out.append(sorted(d for d in dists if d <= radius))
+        squares = (min_image_square(side, x, y) for j, y in enumerate(pts) if j != i)
+        out.append(sorted(s for s in squares if math.sqrt(s) <= radius))
     return out
 
 
 def walked_pairs(grid, pts, radius):
     """The pair walk's pairs of rows of ``pts`` (in [0, side]^dim) over the
-    cells of ``grid``, as (a, b, distance), a < b, sorted: a pair the walk
-    lists twice appears twice."""
+    cells of ``grid``, as (a, b, squared length), a < b, sorted: a pair the
+    walk lists twice appears twice."""
     order, batches = periodic_pairs(grid, pts, cell_runs(grid.flat_cells_of(pts)), radius)
     got = []
-    for i, j, dist in batches:
+    for i, j, square in batches:
         a, b = order.take(i), order.take(j)
         lo, hi = np.minimum(a, b).tolist(), np.maximum(a, b).tolist()
-        got += zip(lo, hi, dist.tolist())
+        got += zip(lo, hi, square.tolist())
     return sorted(got)
 
 
 def brute_force_pairs(side, pts, radius):
     """Each unordered pair of rows of ``pts`` within ``radius`` as (a, b,
-    distance), a < b, sorted, by a scan of all pairs whose squares come from
-    ``_min_image_squares`` and are kept at most ``exact_reach(radius)``."""
+    squared length), a < b, sorted, by a scan of all pairs whose squares come
+    from ``_min_image_squares`` and are kept at most ``exact_reach(radius)``."""
     a, b = np.triu_indices(pts.shape[0], 1)
     square = _min_image_squares(pts.take(b, axis=0) - pts.take(a, axis=0), side)
     keep = (square <= exact_reach(radius)).nonzero()[0]
-    dist = np.sqrt(square.take(keep))
-    return list(zip(a.take(keep).tolist(), b.take(keep).tolist(), dist.tolist()))
+    return list(zip(a.take(keep).tolist(), b.take(keep).tolist(), square.take(keep).tolist()))
 
 
 def walk_pairs(grid, pts, radius):
     """``scan_pairs`` from the pair walk over the cells of ``grid``: each
-    yielded distance is added to both rows of its pair."""
+    yielded squared length is added to both rows of its pair."""
     pts = np.mod(np.asarray(pts, dtype=float), grid.side)
     out = [[] for _ in range(pts.shape[0])]
-    for a, b, d in walked_pairs(grid, pts, radius):
-        out[a].append(d)
-        out[b].append(d)
-    return [sorted(d) for d in out]
+    for a, b, s in walked_pairs(grid, pts, radius):
+        out[a].append(s)
+        out[b].append(s)
+    return [sorted(s) for s in out]
 
 
 # -- torus and metric --------------------------------------------------------
@@ -142,8 +142,9 @@ def test_for_radius_cell_size():
 
 
 def distance(grid, x, y):
-    """Distance of two points from the pair walk, with a radius no pair exceeds."""
-    return walk_pairs(grid, [x, y], grid.side * grid.dim)[0][0]
+    """Distance of two points, the root of the pair walk's squared length,
+    with a radius no pair exceeds."""
+    return math.sqrt(walk_pairs(grid, [x, y], grid.side * grid.dim)[0][0])
 
 
 def test_periodic_distance_wraparound():
@@ -182,11 +183,11 @@ def test_periodic_distances_batch_matches_scalar():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_min_image_distances_at_the_wrap_edges(dim):
     # coordinates at 0, side - ulp, exactly side (the same point as 0), and
-    # pairs side / 2 apart in either order; the roots of the helper's
-    # squares on differences of wrapped points and the pair walk on the raw
+    # pairs side / 2 apart in either order; the helper's squares on
+    # differences of wrapped points and the pair walk's squares on the raw
     # points, and on the points shifted by whole multiples of side, equal
-    # the plain scan, and the helper on the raw points, which may sit
-    # exactly at side, equals it up to rounding
+    # the plain scan, and the roots of the helper's squares on the raw
+    # points, which may sit exactly at side, equal its roots up to rounding
     side = 6.0
     below = np.nextafter(side, 0.0)
     edge = [0.0, below, side, 1.0, 1.0 + side / 2.0, side / 2.0, 0.25]
@@ -196,12 +197,12 @@ def test_min_image_distances_at_the_wrap_edges(dim):
     iu, ju = np.triu_indices(pts.shape[0], 1)
     wrapped = np.mod(pts, side)
     want = [
-        min_image_distance(side, x, y)
+        min_image_square(side, x, y)
         for x, y in zip(wrapped[iu].tolist(), wrapped[ju].tolist())
     ]
-    assert np.sqrt(_min_image_squares(wrapped[iu] - wrapped[ju], side)).tolist() == want
+    assert _min_image_squares(wrapped[iu] - wrapped[ju], side).tolist() == want
     raw = np.sqrt(_min_image_squares(pts[iu] - pts[ju], side))
-    np.testing.assert_allclose(raw, want, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(raw, np.sqrt(want), rtol=0.0, atol=1e-14)
     every = side * dim  # no minimum-image distance reaches it
     want_rows = scan_pairs(side, pts, every)
     for n_cells in (1, 3, 8):
@@ -211,17 +212,17 @@ def test_min_image_distances_at_the_wrap_edges(dim):
             moved = pts + shift * side
             got = walk_pairs(grid, moved, every)
             assert got == scan_pairs(side, moved, every)
-            for a, b in zip(got, want_rows):
-                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
+            for a, b in zip(got, want_rows):  # the distances
+                np.testing.assert_allclose(np.sqrt(a), np.sqrt(b), rtol=0.0, atol=1e-13)
     assert distance(CellGrid(side, 1, 8), [1.0], [1.0 + side / 2.0]) == side / 2.0
     assert distance(CellGrid(side, 1, 8), [1.0 + side / 2.0], [1.0]) == side / 2.0
 
 
 def test_periodic_pairs_three_points():
-    # every unordered pair once, each distance listed for both its rows
+    # every unordered pair once, each squared length listed for both its rows
     pts = np.array([[0.5], [9.5], [4.5]])
-    assert walk_pairs(G10_1, pts, 5.0) == [[1.0, 4.0], [1.0, 5.0], [4.0, 5.0]]
-    assert walk_pairs(G10_1, pts, 4.5) == [[1.0, 4.0], [1.0], [4.0]]
+    assert walk_pairs(G10_1, pts, 5.0) == [[1.0, 16.0], [1.0, 25.0], [16.0, 25.0]]
+    assert walk_pairs(G10_1, pts, 4.5) == [[1.0, 16.0], [1.0], [16.0]]
     assert walk_pairs(G10_1, pts[:1], 5.0) == [[]]
     runs = cell_runs(np.zeros(0, np.intp))
     assert all(a.size == 0 for a in runs)
@@ -302,7 +303,7 @@ def test_periodic_pairs_list_each_unordered_pair_once(dim):
 def test_pair_walk_distances_equal_the_neighbour_query(dim):
     # the audit recomputes loads from the walk and compares them with loads
     # kept up by neighbour queries: for every pair within the cutoff the two
-    # must see the same distance bit for bit, from either end, whatever the
+    # must see the same squared length bit for bit, from either end, whatever the
     # grids of the walk and of the store (11 cells for radius 0.5, 8 cells
     # and rings 2 or 4 for the others).  A query at a stored point finds the
     # point itself, which is no pair
@@ -318,11 +319,11 @@ def test_pair_walk_distances_equal_the_neighbour_query(dim):
         n = len(cfg)
         queried = {}
         for a in range(n):
-            rows, dists = cfg.neighbors(cfg._pos[a], radius)
+            rows, squares = cfg._neighbors(*cfg._in_box(cfg._pos[a]), radius)
             assert a in rows
-            for b, d in zip(rows.tolist(), dists.tolist()):
+            for b, s in zip(rows.tolist(), squares.tolist()):
                 if b != a:
-                    queried[a, b] = d
+                    queried[a, b] = s
         assert cfg.grid == CellGrid.for_radius(cfg.torus, radius)
         pos = cfg._pos[:n]
         for n_cells in (1, 2, 4, 5, 8, cfg.grid.n):
@@ -330,9 +331,9 @@ def test_pair_walk_distances_equal_the_neighbour_query(dim):
             runs = cell_runs(grid.flat_cells_of(pos))
             order, batches = periodic_pairs(grid, pos, runs, radius)
             walked = {}
-            for i, j, dist in batches:
-                for a, b, d in zip(order[i].tolist(), order[j].tolist(), dist.tolist()):
-                    walked[a, b] = walked[b, a] = d
+            for i, j, square in batches:
+                for a, b, s in zip(order[i].tolist(), order[j].tolist(), square.tolist()):
+                    walked[a, b] = walked[b, a] = s
             assert walked == queried, (radius, n_cells)
 
 
@@ -346,11 +347,11 @@ def test_periodic_pairs_batches_are_bounded():
     order, batches = periodic_pairs(grid, pts, cell_runs(grid.flat_cells_of(pts)), 5.0)
     assert sorted(order.tolist()) == list(range(600))
     sizes, codes, firsts = [], [], []
-    for i, j, dist in batches:
-        assert dist.size <= PAIR_BATCH and i.size == j.size == dist.size
+    for i, j, square in batches:
+        assert square.size <= PAIR_BATCH and i.size == j.size == square.size
         assert 0 <= i.min() and (i < j).all() and j.max() < 600
         assert (np.diff(i) >= 0).all()
-        sizes.append(dist.size)
+        sizes.append(square.size)
         codes.append(i * 600 + j)
         firsts.append((int(i[0]), int(i[-1])))
     assert sum(sizes) == 600 * 599 // 2 and len(sizes) > 1
@@ -367,7 +368,7 @@ def test_periodic_pairs_equal_the_brute_force_pairs(dim, seed):
     # cell, a whole cell and side / 2, on points drawn half from the cell
     # edges, a float either side of each, 0 and the float below side, and
     # half uniform, with duplicate rows: the walk, cut on the finer grids
-    # in d >= 2, gives the scan's pairs and distances bit for bit
+    # in d >= 2, gives the scan's pairs and squared lengths bit for bit
     side = 7.3
     rng = np.random.default_rng(seed)
     for n_cells in (1, 2, 3, 4, 8, 11):
@@ -1088,17 +1089,18 @@ def test_a_query_after_insert_many_uses_the_new_grid_s_rings_and_reach():
 
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
 def test_load_total_is_the_reduce_of_the_live_block_sums(n):
-    # load_total reads one block's sum where the store has one, and reduces
-    # the block sums only where it has more: the float np.add.reduce gives
-    # either way, sign of a zero included, over random inserts, load
-    # changes and removals that cross block edges
+    # load_total reduces the live load column where the store has one block,
+    # which keeps no block sums, and the block sums where it has more: the
+    # float np.add.reduce gives either way, sign of a zero included, over
+    # random inserts, load changes and removals that cross block edges
     rng = np.random.default_rng(n)
     cfg = TorusConfiguration(Torus(50.0, 1))
     cfg.insert_many(rng.uniform(0.0, 50.0, (n, 1)))
     cfg.set_loads(rng.random(n))
 
     def check():
-        live = cfg._block[: -(-len(cfg) // BLOCK_ROWS)]
+        k = len(cfg)
+        live = cfg.loads if k <= BLOCK_ROWS else cfg._block[: -(-k // BLOCK_ROWS)]
         want, got = np.add.reduce(live), cfg.load_total()
         assert type(got) is float and np.float64(got).tobytes() == want.tobytes()
 
@@ -1117,9 +1119,62 @@ def test_load_total_is_the_reduce_of_the_live_block_sums(n):
         else:
             cfg.remove(int(rng.integers(k)))
         check()
-    if 0 < len(cfg) <= BLOCK_ROWS:  # one block, whose sum -0.0 reads as +0.0
-        cfg._block[0] = -0.0
+    if 0 < len(cfg) <= BLOCK_ROWS:  # one block of loads -0.0, which sum to +0.0
+        cfg.loads[:] = -0.0
         check()
+
+
+def test_a_store_keeps_block_sums_only_past_one_block():
+    # a store grown by _insert from 250 to 300 rows, with random loads and
+    # load changes, shrunk by remove to 200 and grown past one block again
+    # by insert_many.  While it holds one block its load total is the
+    # reduce of the live column, bit for bit, and no call writes a block
+    # sum; the insert or bulk load that takes it past BLOCK_ROWS rows
+    # rebuilds the block sums from the column; and after every step
+    # sample_row draws the row that searchsorted draws on the full running
+    # sum, for a fixed list of uniforms
+    rng = np.random.default_rng(9)
+    cfg = TorusConfiguration(Torus(50.0, 1))
+    cfg.insert_many(rng.uniform(0.0, 50.0, (250, 1)))
+    cfg.set_loads(rng.random(250))
+    base = 0.3
+    uniforms = np.linspace(0.0, 1.0, 23, endpoint=False).tolist() + [np.nextafter(1.0, 0.0)]
+    crossings = 0
+
+    def step(change):
+        nonlocal crossings
+        before, blocks = len(cfg), cfg._block.copy()
+        change()
+        n = len(cfg)
+        if before <= BLOCK_ROWS:
+            if n <= BLOCK_ROWS:
+                assert cfg._block.tobytes() == blocks.tobytes()
+            else:
+                assert cfg._block.tobytes() == cfg._block_sums_of_column().tobytes()
+                crossings += 1
+        if n <= BLOCK_ROWS:
+            want = np.add.reduce(cfg.loads)
+            assert np.float64(cfg.load_total()).tobytes() == want.tobytes()
+        cum = np.cumsum(base + cfg.loads)
+        for u in uniforms:
+            assert cfg.sample_row(u, base) == int(np.searchsorted(cum, u * cum[-1]))
+
+    def change_loads():
+        rows = rng.choice(len(cfg), 5, replace=False)
+        if rng.integers(2):
+            cfg.add_loads(rows, rng.random(5))
+        else:
+            taken = cfg.loads[rows] * rng.random(5)
+            cfg.lower_loads(rows, cfg.loads[rows] - taken, taken)
+
+    while len(cfg) < 300:
+        step(lambda: insert_point(cfg, rng.uniform(0.0, 50.0, 1), float(rng.random())))
+        step(change_loads)
+    while len(cfg) > 200:
+        step(lambda: cfg.remove(int(rng.integers(len(cfg)))))
+        step(change_loads)
+    step(lambda: cfg.insert_many(rng.uniform(0.0, 50.0, (100, 1))))
+    assert crossings == 2 and len(cfg) == 300
 
 
 def reference_flat(coords, n):
@@ -1138,7 +1193,7 @@ def test_stencils_keep_pairs_that_round_to_a_whole_cell_radius(dim):
     # sizes.  Then, on grids of 6 and 8 cells with points on every cell edge
     # and a float either side of it, queries from each point and the pair
     # walk at every whole-cell radius up to side / 2 keep what the
-    # brute-force scan keeps, distances bit for bit
+    # brute-force scan keeps, distances and the walk's squares bit for bit
     side = 7.3
     size = CellGrid(side, dim, 6).cell_size
     rest = [0.5 * size] * (dim - 1)
@@ -1148,7 +1203,7 @@ def test_stencils_keep_pairs_that_round_to_a_whole_cell_radius(dim):
     cfg = filed_store(CellGrid(side, dim, 6), np.array([y]))
     rows, dists = cfg.neighbors(x, 2.0 * size)
     assert found_by(cfg, rows, dists) == [(0, 2.0 * size)]
-    assert walk_pairs(cfg.grid, [x, y], 2.0 * size) == [[2.0 * size]] * 2
+    assert walk_pairs(cfg.grid, [x, y], 2.0 * size) == [[min_image_square(side, x, y)]] * 2
     for n in (6, 8):
         grid = CellGrid(side, dim, n)
         size = grid.cell_size
@@ -1205,6 +1260,57 @@ def test_for_radius_gives_one_ring_of_cells_at_least_the_radius_wide(
         assert CellGrid(side, dim, grid.n + 1).rings(radius) > 1
 
 
+def step_down_grid(torus, radius):
+    """``CellGrid.for_radius`` by its plain search: down one cell at a time
+    from int(side / radius) cells, capped so that a flat cell fits an
+    int64, until ``rings(radius)`` is 1."""
+    if radius <= 0.0:
+        return CellGrid(torus.side, torus.dim, 8)
+    n = int(min(torus.side / radius, geometry._most_cells_per_axis(torus.dim)))
+    grid = CellGrid(torus.side, torus.dim, max(n, 1))
+    while grid.n > 1 and grid.rings(radius) > 1:
+        grid = CellGrid(torus.side, torus.dim, grid.n - 1)
+    return grid
+
+
+@given(
+    side=st.floats(0.5, 1e4),
+    k=st.integers(2, 10**6),
+    ulps=st.sampled_from([-1, 0, 1]),
+    frac=st.floats(2e-6, 1.0),
+    dim=st.sampled_from([1, 2, 3]),
+)
+def test_for_radius_ends_where_the_plain_step_down_ends(side, k, ulps, frac, dim):
+    # the search starts at most a few cells above its answer, and ends on
+    # the plain search's grid: at side / k and a float either side of it,
+    # k up to 10^6, and at that less the pad of 8 ulp(side), where a start
+    # at int(side / (radius + pad)) cells can lie one below the answer; at
+    # a fraction of side / 2 down to side / 10^6; and at every shipped
+    # cutoff the box holds
+    near = side / k
+    if ulps:
+        near = math.nextafter(near, math.inf if ulps > 0 else 0.0)
+    torus = Torus(side, dim)
+    radii = [min(near, side / 2.0), frac * side / 2.0]
+    radii += [r for r in [near - 8.0 * math.ulp(side)] if 0.0 < r <= side / 2.0]
+    radii += [r for r in shipped_cutoffs() if r <= side / 2.0]
+    for radius in radii:
+        assert CellGrid.for_radius(torus, radius) == step_down_grid(torus, radius)
+
+
+@pytest.mark.parametrize("radius", [1e-13, 5e-324])
+def test_for_radius_of_a_radius_far_below_the_side_takes_a_few_steps(radius, monkeypatch):
+    # the plain search would step down about 1.8e11 and 9e18 times here,
+    # from int(side / radius) cells and from the cap of 2^63 - 1: cells must
+    # hold the radius and its pad of 8 ulp(side)
+    rings = CellGrid.rings
+    calls = []
+    monkeypatch.setattr(CellGrid, "rings", lambda g, r: calls.append(g.n) or rings(g, r))
+    grid = CellGrid.for_radius(Torus(1.0, 1), radius)
+    assert len(calls) <= 3 and grid.rings(radius) == 1 and grid.cell_size >= radius
+    assert CellGrid(1.0, 1, grid.n + 1).rings(radius) > 1
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_cell_stencil_lists_each_cell_once(dim):
     # every cell within ``rings`` of the centre along each axis, modulo the
@@ -1227,15 +1333,17 @@ def test_cell_stencil_lists_each_cell_once(dim):
 # -- the exact reach and plain differences ------------------------------------
 
 
+@cache
 def shipped_cutoffs():
-    """The cutoff of every kernel of the shipped configs, in d = 1, 2, 3."""
+    """The cutoff of every kernel of the shipped configs, in d = 1, 2, 3, as
+    a tuple, loaded once."""
     cutoffs = []
     for path in sorted(CONFIGS.glob("*.json")):
         model = load_config(path).model
         for kernel in (model.a_plus, model.a_minus):
             if kernel is not None:
                 cutoffs += [replace(kernel, dim=d).cutoff_radius() for d in (1, 2, 3)]
-    return cutoffs
+    return tuple(cutoffs)
 
 
 def test_exact_reach_is_the_largest_square_whose_root_is_within_the_radius():
@@ -1247,7 +1355,7 @@ def test_exact_reach_is_the_largest_square_whose_root_is_within_the_radius():
     cutoffs = shipped_cutoffs()
     assert len(cutoffs) == 12 and all(0.0 < r < math.inf for r in cutoffs)
     spread = (10.0 ** rng.uniform(-300.0, 300.0, 2000)).tolist()
-    radii = cutoffs + spread + [0.0, 5e-324, 1e-160, 1.0, 1.3, 3.4, 1e154, 1e200]
+    radii = [*cutoffs, *spread, 0.0, 5e-324, 1e-160, 1.0, 1.3, 3.4, 1e154, 1e200]
     for radius in radii:
         reach = exact_reach(radius)
         assert math.sqrt(reach) <= radius < math.sqrt(math.nextafter(reach, math.inf))

@@ -214,6 +214,47 @@ def test_profile_reads_an_array_of_lengths_in_place(family, dim):
         assert type(got) is np.ndarray and got.shape == empty.shape
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("family", ["gaussian", "triangular", "exponential", "tabulated"])
+def test_profile_sq_is_the_profile_of_the_root(family, dim):
+    # the point store and the pair walk hand a kernel squared lengths: s =
+    # fl(x * x) of one coordinate, and sums of two or three such squares in
+    # the walk's order, from 0 to beyond the cutoff.  _profile_sq reads s
+    # in place and, but for the gaussian, takes the root: _profile(sqrt(s))
+    # bit for bit.  The gaussian skips the root.  Where s is one square the
+    # root is |x| exactly and the floats are the same.  Where s sums
+    # squares, u = 2^-53, the root rounded and squared again is s (1 + e),
+    # |e| <= 3 u, and each side rounds its quotient by 2 sigma^2 once more,
+    # so the exponents differ by at most 5 u s / (2 sigma^2); each side's
+    # exp and product with the peak add a few ulp
+    kernel = {
+        "gaussian": gaussian(1.5, 0.7, dim),
+        "triangular": triangular(2.0, 1.3, dim),
+        "exponential": exponential(0.8, 0.4, dim),
+        "tabulated": tabulated(*triangle_table(11), dim=dim),
+    }[family]
+    cut = kernel.cutoff_radius()
+    x = np.random.default_rng(7 + dim).uniform(-1.2 * cut, 1.2 * cut, (3000, 3))
+    x[:2] = 0.0
+    x[2, 0], x[3, 0] = cut, -cut
+    squares = [x[:, 0] * x[:, 0]]
+    for axis in (1, 2):
+        squares.append(squares[-1] + x[:, axis] * x[:, axis])
+    u = 2.0**-53
+    for k, s in enumerate(squares):
+        before = s.copy()
+        s.flags.writeable = False  # writing into the input would raise
+        got = kernel._profile_sq(s)
+        assert got is not s and s.tobytes() == before.tobytes()
+        want = kernel._profile(np.sqrt(s))
+        if family != "gaussian" or not k:
+            assert got.tobytes() == want.tobytes()
+            continue
+        bound = 5.0 * u * s / (2.0 * kernel.sigma**2) + 8.0 * u
+        assert (np.abs(got - want) <= bound * want).all()
+        assert (got != want).any()  # the bound, not equality, holds them
+
+
 def test_evaluate_beyond_support():
     assert triangular(1.0, 1.0, 1).profile(1.5) == 0.0
     r, v = triangle_table()

@@ -202,7 +202,11 @@ def test_pair_correlation_counts_of_a_seeded_snapshot_are_pinned(monkeypatch):
     monkeypatch.setattr(statistics, "periodic_pairs", recorded)
     pc = pair_correlation([pts, pts], torus, n_bins=cfg.g_bins)
     edges = np.linspace(0.0, torus.side / 2.0, cfg.g_bins + 1)
-    counts = [np.histogram(np.concatenate([d for *_, d in w]), bins=edges)[0] for w in walks]
+    # the walk yields squared lengths, whose roots the report bins
+    counts = [
+        np.histogram(np.sqrt(np.concatenate([s for *_, s in w])), bins=edges)[0]
+        for w in walks
+    ]
     assert len(counts) == 2 and counts[0].tolist() == counts[1].tolist()
     assert (2 * counts[0]).tolist() == brute_force_ordered_counts(
         torus.side, pts, edges
