@@ -467,6 +467,4 @@ def initial_configuration(
 ) -> TorusConfiguration:
     if cfg.init_poisson is not None:
         return sample_poisson(cfg.torus, cfg.init_poisson, rng)
-    conf = TorusConfiguration(cfg.torus)
-    conf.insert_many(cfg.init_points)
-    return conf
+    return TorusConfiguration(cfg.torus, cfg.init_points)

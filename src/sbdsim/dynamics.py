@@ -10,11 +10,12 @@ Two model variants share one engine:
 
 Every point dies at rate m + sum over the others of a_minus(distance), with
 kernels wrapped onto the torus and truncated at their cutoff radius.  The
-per-point competition loads are cached in the point store and updated
-incrementally on each event, together with the store's running load sum per
-block of rows once it holds more than one block; the total death rate reads
-the block sums, and the dying point is found first among the blocks and then
-inside one block, while a store of one block reads its load column itself.
+per-point competition loads are cached in the point store, filed once for
+the a_minus cutoff as the loads are built, and updated incrementally on each
+event, together with the store's running load sum per block of rows once it
+holds more than one block; the total death rate reads the block sums, and
+the dying point is found first among the blocks and then inside one block,
+while a store of one block reads its load column itself.
 A death reads its neighbours' old loads with one ``take``, writes what is
 left back with one ``put`` and takes the contributions off the block sums
 with one ``subtract.at``: the floats of adding the negated contributions.  A
@@ -62,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import LOAD_DRIFT_TOL, Torus, TorusConfiguration
+from .geometry import LOAD_DRIFT_TOL, Torus, TorusConfiguration, first_drift
 from .kernels import ImmigrationField, RadialKernel
 
 VARIANTS = ("bolker_pacala", "migration")
@@ -273,8 +274,6 @@ class SimulationState:
             self._b_total = 0.0
         self._birth_mass = 0.0 if spec.a_plus is None else spec.a_plus.mass()
         self._migration = spec.variant == "migration"
-        # the competition cutoff, read by every event
-        self._cutoff = 0.0 if spec.a_minus is None else spec.a_minus.cutoff_radius()
         cfg.set_loads(self._fresh_loads())
 
     def _fresh_loads(self) -> np.ndarray:
@@ -308,11 +307,8 @@ class SimulationState:
             raise AuditError(f"cell index differs from the positions: {fault}")
         cached = self.cfg.loads
         fresh = self._fresh_loads()
-        # not within the tolerance, so that a NaN load drifts too
-        drift = ~(np.abs(cached - fresh) <= LOAD_DRIFT_TOL * (1.0 + np.abs(fresh)))
-        drifted = np.flatnonzero(drift)
-        if drifted.size:
-            row = drifted[0]
+        row = first_drift(cached, fresh)
+        if row is not None:
             raise AuditError(
                 f"death-rate cache for point {self.cfg.point_at(row)} drifted: "
                 f"cached {float(cached[row])!r}, recomputed {float(fresh[row])!r}"
@@ -336,7 +332,7 @@ class SimulationState:
         x, cell = cfg._in_box(position)
         if a_minus is None:
             return cfg._insert(x, cell, 0.0)
-        rows, squares = cfg._neighbors(x, cell, self._cutoff)
+        rows, squares = cfg._neighbors(x, cell)
         contrib = a_minus._profile_sq(squares)
         cfg.add_loads(rows, contrib)
         return cfg._insert(x, cell, float(np.add.reduce(contrib)))
@@ -357,7 +353,7 @@ class SimulationState:
         cell = cfg._cell.item(row)  # filed on the store's grid
         x = cfg.remove(row)
         if a_minus is not None:
-            rows, squares = cfg._neighbors(x, cell, self._cutoff)
+            rows, squares = cfg._neighbors(x, cell)
             if rows.size:
                 contrib = a_minus._profile_sq(squares)
                 old = cfg._load.take(rows)
@@ -404,8 +400,7 @@ class SimulationState:
         log._append(self.t, False, x, pid, -1)
 
     def snapshot(self, at_time: float) -> Snapshot:
-        ids = np.array(self.cfg.ids(), dtype=int)
-        return Snapshot(float(at_time), ids, self.cfg.positions_array())
+        return Snapshot(float(at_time), *self.cfg.by_id())
 
 
 @dataclass

@@ -10,17 +10,19 @@ axis for every stencil and pair walk, padded by a proved bound on the
 rounding of a minimum-image length, so that no pair the exact distance test
 keeps lies outside them.  ``cell_runs`` is the one sort by cell, shared by
 the store's filing and the pair walk.
-``TorusConfiguration`` is the simulator's one point store: dense columns of
-the living points, addressed by row alone, a load column with, once it
-holds more than one block of rows, block sums for the death draw, and, on
-the grid that ``kernel_sums`` picks for its kernel's cutoff, per-cell arrays
-of rows that a neighbour query gathers through a memoised cell stencil, in
-the order it gathers them; no query picks or changes the grid.  Each cell's
-entry holds the view of its live rows next to the buffer they lead, so the
-query joins the views as they are, and it subtracts the query point from the
-(k, dim) block of candidates along the rows, not along the short axis.  An
-event wraps and files its point once: ``_in_box`` gives the wrapped position
-and its cell, and the query and the insert both take that pair.
+``TorusConfiguration`` is the simulator's one point store, built with its
+starting points: dense columns of the living points, addressed by row
+alone, a load column with, once it holds more than one block of rows, block
+sums for the death draw, and per-cell arrays of rows, filed once for one
+radius on the grid ``CellGrid.for_radius`` picks for it, that a neighbour
+query within that radius gathers through a cell stencil memoised per cell,
+in the order it gathers them; no query picks or changes the grid.  Each
+cell's entry holds the view of its live rows next to the buffer they lead,
+so the query joins the views as they are, and it subtracts the query point
+from the (k, dim) block of candidates along the rows, not along the short
+axis.  An event wraps and files its point once: ``_in_box`` gives the
+wrapped position and its cell, and the query and the insert both take that
+pair.
 ``periodic_pairs`` walks each unordered pair of points within a radius once,
 over half the neighbouring cell offsets, in bounded batches, one batch
 shared by consecutive offsets whose candidates fit in it; the kernel sums
@@ -33,16 +35,17 @@ the row's gap to the target cell along the later axes and the pad a proved
 bound on the rounding, up to one more quantum of the sort key; the exact
 distance test still decides every pair.  In d = 1 it cuts nothing: with
 cells one radius wide, a row meets only its own cell and the next.  It
-hands its own order back with the batches.  The kernel sums of a store that
-has a grid walk the cells of its positions and leave its index as it is.
+hands its own order back with the batches.  The kernel sums of a store
+filed for their kernel's cutoff walk the cells of its positions on its grid
+and leave its index as it is; any other store is filed for that cutoff.
 Every minimum-image length, of a neighbour query and of the pair walk,
 comes squared from one helper; a pair is kept when its square is at most
 ``exact_reach`` of the radius, the same test as distance <= radius.  Lengths
 leave the query and the walk squared, for the kernels take squares
-(``RadialKernel._profile_sq``); only the public ``neighbors`` and the pair
-correlation take their roots.
-``sample_poisson`` draws a homogeneous Poisson configuration and loads it
-into the store in one bulk pass.
+(``RadialKernel._profile_sq``); only the pair correlation takes their
+roots.
+``sample_poisson`` draws a homogeneous Poisson configuration and builds the
+store with it.
 The store's per-event methods (``_in_box``, ``_insert``, ``remove``,
 ``_neighbors``, ``add_loads``, ``lower_loads``, ``load_total`` and
 ``sample_row``), and ``cell_runs``, ``periodic_pairs`` and ``kernel_sums``,
@@ -53,8 +56,8 @@ a few microseconds, a sizeable share of an event that takes some tens of
 them, and of a walk that makes a few calls per cell offset at n ~ 100.
 The per-event methods also make no ufunc reduction where one element or an
 argmin gives the same float, a reduction's set-up costing more than the
-sum of a few dozen loads, and they read scalars with ``.item()``; a query
-works out the rings and reach of its radius once per grid.  Only a store of
+sum of a few dozen loads, and they read scalars with ``.item()``; the
+filing works out the reach of the store's one radius once.  Only a store of
 more than one block of BLOCK_ROWS rows keeps block sums: in a smaller one the
 load total is one reduction of the live column and no event scatters into a
 block, and the insert that takes it past one block rebuilds them.
@@ -65,7 +68,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -236,7 +239,6 @@ class CellGrid:
         return tuple(flats), wraps
 
 
-@lru_cache(maxsize=64)
 def exact_reach(radius: float) -> float:
     """The largest float whose correctly rounded square root is at most
     ``radius`` (-inf if radius < 0), so that sqrt(s) <= radius exactly when
@@ -550,41 +552,48 @@ class Window:
         return int(inside.sum())
 
 
+def first_drift(running: np.ndarray, fresh: np.ndarray) -> int | None:
+    """Index of the first running value not within LOAD_DRIFT_TOL (1 +
+    |fresh|) of its recomputation, a NaN on either side included, else None."""
+    drifted = ~(np.abs(running - fresh) <= LOAD_DRIFT_TOL * (1.0 + np.abs(fresh)))
+    return int(drifted.argmax()) if drifted.any() else None
+
+
 class TorusConfiguration:
     """Finite point configuration on a torus: the simulator's one point store.
 
     Living points fill rows 0..n-1 of dense columns: position, stable id,
     flat grid cell, slot and competition load; positions are kept wrapped
-    into [0, side).  The row is a point's only address: ``remove`` takes a
-    row and rejects any outside 0..n-1.  Ids are a column, never reused,
-    that ``_insert`` returns and ``point_at`` reads; nothing maps an id back
-    to its row.  ``_insert`` appends a row; ``remove`` moves the last row
-    into the freed one, so a row stays valid only until the next removal.
+    into [0, side).  The store is built with its starting points, rows
+    0..k-1 with ids 0..k-1 and loads 0.  The row is a point's only address:
+    ``remove`` takes a row and rejects any outside 0..n-1.  Ids are a
+    column, never reused, that ``_insert`` returns and ``point_at`` reads;
+    nothing maps an id back to its row.  ``_insert`` appends a row;
+    ``remove`` moves the last row into the freed one, so a row stays valid
+    only until the next removal.
 
-    ``grid`` is None until ``kernel_sums`` picks ``CellGrid.for_radius`` of
-    its kernel's cutoff, the one place a grid is picked; the grid then
-    stays, and only ``insert_many`` drops it, with its cell arrays,
-    stencils and memoised reaches.  Every row is filed from
-    scratch on it by ``_file`` when it is picked, and from then on only
-    ``_insert`` and ``remove`` change the index.  Each occupied cell keeps
-    an entry [live, buffer]: a growable ``np.intp`` buffer of its rows, and
-    ``live``, the view of the buffer's first k entries, the cell's k live
-    rows; ``_file``, ``_insert`` and ``remove`` keep the view current.  The
-    slot column holds each row's index in its cell's array, so ``_insert``
-    appends to the buffer and ``remove`` swap-deletes from it in O(1), and
-    moving the last row into a freed row rewrites one entry of its cell's
-    array.  A neighbour query joins the live views of the cells in a
-    stencil memoised per (cell, rings) with one ``np.concatenate``, and
-    subtracts the query point from the gathered positions along the rows
-    (``order="F"``): along the short axis numpy would run one inner loop of
-    length dim per candidate.  Stencils are made only for cells queried, so
-    their memory grows with the cells points occupy, not with the whole
-    grid.
+    ``grid`` is None until ``_file`` files every row from scratch for one
+    radius on one grid, as ``kernel_sums`` does for its kernel's cutoff on
+    ``CellGrid.for_radius`` of it, the one place a grid is picked, unless
+    the store is filed for that cutoff; from then on only ``_insert`` and
+    ``remove`` change the index, and every neighbour query keeps what lies
+    within that radius.  Each occupied cell keeps an entry [live, buffer]: a
+    growable ``np.intp`` buffer of its rows, and ``live``, the view of the
+    buffer's first k entries, the cell's k live rows; ``_file``, ``_insert``
+    and ``remove`` keep the view current.  The slot column holds each row's
+    index in its cell's array, so ``_insert`` appends to the buffer and
+    ``remove`` swap-deletes from it in O(1), and moving the last row into a
+    freed row rewrites one entry of its cell's array.  A neighbour query
+    joins the live views of the cells in a stencil memoised per cell with
+    one ``np.concatenate``, and subtracts the query point from the gathered
+    positions along the rows (``order="F"``): along the short axis numpy
+    would run one inner loop of length dim per candidate.  Stencils are made
+    only for cells queried, so their memory grows with the cells points
+    occupy, not with the whole grid.
 
     ``_in_box`` wraps and files a position, and ``_insert`` and
     ``_neighbors`` take that (x, cell), so an event wraps and files its
-    point at most once; ``neighbors``, the one public query, is ``_in_box``
-    and ``_neighbors`` on a store that has a grid.
+    point at most once.
 
     While it holds more than one block of BLOCK_ROWS rows, the store keeps
     one running sum per block next to the load column, a two-level sum tree:
@@ -595,28 +604,40 @@ class TorusConfiguration:
     ``cell_index_fault`` checks the cell arrays against the positions.  A
     store of one block reads the column itself, so its events update no
     block sum, which would only repeat the column's total: the ``_insert``
-    or ``insert_many`` that takes it past BLOCK_ROWS rows rebuilds the block
-    sums from the column, and below that size ``stale_block`` has nothing to
-    check.
+    that takes it past BLOCK_ROWS rows rebuilds the block sums from the
+    column, and below that size ``stale_block`` has nothing to check.
     """
 
-    def __init__(self, torus: Torus):
+    def __init__(self, torus: Torus, positions=()):
         self.torus = torus
-        self._n = 0
-        self._next_id = 0
+        x = np.asarray(positions, dtype=float)
+        if x.shape == (0,):  # no points
+            x = x.reshape(0, torus.dim)
+        if x.ndim != 2 or x.shape[1] != torus.dim:
+            raise GeometryError(
+                f"positions have shape {x.shape}, expected (k, {torus.dim})"
+            )
+        if not np.isfinite(x).all():
+            raise GeometryError("positions must be finite")
+        x = torus.wrap(x)
         self._pos = np.zeros((16, torus.dim))
         self._id = np.zeros(16, dtype=np.int64)
         self._cell = np.zeros(16, dtype=np.intp)
         self._slot = np.zeros(16, dtype=np.intp)  # row -> index in its cell's array
         self._load = np.zeros(16)
         self._block = np.zeros(1)  # load sum of each block of rows
+        k = x.shape[0]
+        self._reserve(k)  # capacity doubled up from 16
+        self._pos[:k] = x
+        self._id[:k] = np.arange(k)
+        self._n = self._next_id = k
         self.grid: CellGrid | None = None
+        self._radius: float | None = None  # the filing's one query radius
+        self._reach = -math.inf  # its exact_reach
         self._axis_cells, self._cell_size = 1, torus.side  # the grid's, for _in_box
         self._cells: dict[int, list] = {}  # flat cell -> [live rows, buffer]
-        # (flat cell, rings) -> stencil cells, led by -1 (no cell) if they wrap
-        self._stencils: dict[tuple[int, int], tuple[int, ...]] = {}
-        # radius -> (its rings on the grid, exact_reach(radius))
-        self._reach: dict[float, tuple[int, float]] = {}
+        # flat cell -> stencil cells, led by -1 (no cell) if they wrap
+        self._stencils: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return self._n
@@ -706,23 +727,21 @@ class TorusConfiguration:
         if self._n <= BLOCK_ROWS:
             return None
         fresh = self._block_sums_of_column()
-        drift = ~(np.abs(self._block - fresh) <= LOAD_DRIFT_TOL * (1.0 + np.abs(fresh)))
-        stale = np.flatnonzero(drift)
-        if not stale.size:
+        block = first_drift(self._block, fresh)
+        if block is None:
             return None
-        block = int(stale[0])
         return block, float(self._block[block]), float(fresh[block])
-
-    def ids(self) -> list[int]:
-        return sorted(self._id[: self._n].tolist())
 
     def point_at(self, row: int) -> int:
         """Id of the point in ``row``."""
         return int(self._id[row])
 
-    def positions_array(self) -> np.ndarray:
-        """Positions in ascending id order, shape (n, dim)."""
-        return self._pos[np.argsort(self._id[: self._n])]
+    def by_id(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ids in ascending order and their points' positions, shape (n,
+        dim), from one argsort of the id column."""
+        ids = self._id[: self._n]
+        order = ids.argsort()
+        return ids.take(order), self._pos.take(order, axis=0)
 
     def _reserve(self, size: int) -> None:
         """Double the columns' capacity until it holds ``size`` rows."""
@@ -810,33 +829,6 @@ class TorusConfiguration:
             self._block = self._block_sums_of_column()
         return pid
 
-    def insert_many(self, positions) -> None:
-        """Add the rows of ``positions`` as new points with load 0, in one
-        vectorised pass, and drop the cell index: the next ``kernel_sums``
-        files every row afresh, as ``_insert`` on each row in turn would.
-        New rows add nothing to the block sums, so a bulk load that takes
-        the store past one block rebuilds them from the rows it held."""
-        t = self.torus
-        x = np.asarray(positions, dtype=float)
-        if x.ndim != 2 or x.shape[1] != t.dim:
-            raise GeometryError(
-                f"positions have shape {x.shape}, expected (k, {t.dim})"
-            )
-        if not np.isfinite(x).all():
-            raise GeometryError("positions must be finite")
-        x = t.wrap(x)
-        k = x.shape[0]
-        lo, hi = self._n, self._n + k
-        self._reserve(hi)
-        if lo <= BLOCK_ROWS < hi:  # the new rows' loads of 0 change no sum
-            self._block = self._block_sums_of_column()
-        self._pos[lo:hi] = x
-        self._id[lo:hi] = np.arange(self._next_id, self._next_id + k)
-        self._load[lo:hi] = 0.0
-        self._n = hi
-        self._next_id += k
-        self.grid, self._cells, self._stencils, self._reach = None, {}, {}, {}
-
     def remove(self, row: int) -> np.ndarray:
         """Delete the point in ``row`` and return its position; the last row
         moves into ``row``."""
@@ -875,8 +867,9 @@ class TorusConfiguration:
 
     # -- index ------------------------------------------------------------
 
-    def _file(self, grid: CellGrid) -> tuple[np.ndarray, ...]:
-        """Make ``grid`` the store's grid and file every row on it from the
+    def _file(self, grid: CellGrid, radius: float) -> tuple[np.ndarray, ...]:
+        """File every row on ``grid`` for ``radius``, within [0, side / 2],
+        which become the store's grid and its one query radius, from the
         positions: the ``cell_runs`` of their cells, one slice of the runs'
         order per cell; return the runs."""
         n = self._n
@@ -887,7 +880,8 @@ class TorusConfiguration:
         self._cells = {c: [order[a : a + k]] * 2 for c, a, k in bounds}
         self._cell[:n] = cells
         self._slot[order] = np.arange(n) - first.repeat(count)
-        self.grid, self._stencils, self._reach = grid, {}, {}
+        self.grid, self._stencils = grid, {}
+        self._radius, self._reach = radius, exact_reach(radius)
         self._axis_cells, self._cell_size = grid.n, grid.cell_size
         return runs
 
@@ -924,51 +918,25 @@ class TorusConfiguration:
 
     # -- local sums and counts ---------------------------------------------
 
-    def neighbors(self, x, radius: float):
-        """Rows and minimum-image distances of the stored points within
-        ``radius`` of x, taken into the box first; a store with no grid
-        raises, as no query picks one.  A point asks about its neighbours
-        while it is not in the store: before its insert or after its removal.
-
-        A candidate is kept when its squared length is at most
-        ``exact_reach(radius)``; the distances are the roots of the squares
-        ``_neighbors`` returns.  Where the cell stencil does not wrap, plain
-        differences are the minimum images.
-
-        Rows come back in the order the stencil gathers them, cell by cell
-        and each cell's array in order: a function of the store's history,
-        so float reductions over them are reproducible.  They index
-        ``loads`` until the next removal.
-        """
-        side = self.torus.side
-        if not 0.0 <= radius <= side / 2.0:
-            raise GeometryError(
-                f"interaction radius {radius:g} is not within 0 and half the box "
-                f"side {side / 2.0:g}"
-            )
-        x, cell = self._in_box(x)
-        if self.grid is None:
-            raise GeometryError("the store has no grid: kernel_sums files it")
-        rows, squares = self._neighbors(x, cell, radius)
-        return rows, np.sqrt(squares, out=squares)
-
-    def _neighbors(self, x: np.ndarray, cell: int, radius: float):
+    def _neighbors(self, x: np.ndarray, cell: int):
         """Rows and squared minimum-image lengths, no root taken, of the
-        stored points within ``radius`` of a point that ``_in_box`` has
-        taken into the box as ``x`` and filed in ``cell``, on the store's
-        grid, for a radius within [0, side / 2], in the order of
-        ``neighbors``; the squares are a fresh array, the very floats the
-        pair walk gives the same pairs.  The rings and reach of each radius
-        are worked out once per grid."""
-        memo = self._reach.get(radius)
-        if memo is None:
-            memo = self._reach[radius] = (self.grid.rings(radius), exact_reach(radius))
-        rings, reach = memo
-        key = (cell, rings)
-        stencil = self._stencils.get(key)
+        stored points within the store's radius of a point that ``_in_box``
+        has taken into the box as ``x`` and filed in ``cell`` on the store's
+        grid.  A point asks about its neighbours while it is not in the
+        store: before its insert or after its removal.
+
+        A candidate is kept when its squared length is at most the radius's
+        ``exact_reach``, the same test as distance <= radius; where the cell
+        stencil does not wrap, plain differences are the minimum images.
+        The squares are a fresh array, the very floats the pair walk gives
+        the same pairs.  Rows come back in the order the stencil gathers
+        them, cell by cell and each cell's array in order: a function of the
+        store's history, so float reductions over them are reproducible.
+        They index ``loads`` until the next removal."""
+        stencil = self._stencils.get(cell)
         if stencil is None:
-            near, wraps = self.grid.cell_stencil(cell, radius)
-            stencil = self._stencils[key] = (-1,) + near if wraps else near
+            near, wraps = self.grid.cell_stencil(cell, self._radius)
+            stencil = self._stencils[cell] = (-1,) + near if wraps else near
         parts, cells = [], self._cells
         for c in stencil:  # a loop, not a list comprehension and its frame
             entry = cells.get(c)
@@ -978,7 +946,7 @@ class TorusConfiguration:
         d = self._pos.take(rows, axis=0)
         np.subtract(d, x, out=d, order="F")  # along the rows, not the short axis
         square = _min_image_squares(d, self.torus.side, stencil[0] < 0)
-        keep = (square <= reach).nonzero()[0]
+        keep = (square <= self._reach).nonzero()[0]
         return rows.take(keep), square.take(keep)
 
     def kernel_sums(self, kernel: RadialKernel) -> np.ndarray:
@@ -987,11 +955,12 @@ class TorusConfiguration:
         walk: the kernel of each unordered pair, taken by
         ``RadialKernel._profile_sq`` from the squared length the walk yields,
         is added to both its rows, by a bincount over the batch's span of
-        rows at each end, in the walk's own order.  The walk takes the
-        ``cell_runs`` of the positions on the store's grid and leaves its
-        index as it is, so an audit reads the index it checks; a store with
-        no grid yet is filed on the cutoff's, and the walk takes that
-        filing's runs."""
+        rows at each end, in the walk's own order.  A store filed for the
+        cutoff keeps its grid and its index, so an audit reads the index it
+        checks, and the walk takes the ``cell_runs`` of the positions on that
+        grid; any other store is filed for the cutoff on
+        ``CellGrid.for_radius`` of it, and the walk takes that filing's
+        runs."""
         if kernel.dim != self.torus.dim:
             raise GeometryError(
                 f"kernel dimension {kernel.dim} != torus dimension {self.torus.dim}"
@@ -1003,10 +972,10 @@ class TorusConfiguration:
                 f"{self.torus.side / 2.0:g}"
             )
         n = self._n
-        if self.grid is None:
-            runs = self._file(CellGrid.for_radius(self.torus, cutoff))
-        else:
+        if self._radius == cutoff:
             runs = cell_runs(self.grid.flat_cells_of(self._pos[:n]))
+        else:
+            runs = self._file(CellGrid.for_radius(self.torus, cutoff), cutoff)
         order, batches = periodic_pairs(self.grid, self._pos[:n], runs, cutoff)
         sums = np.zeros(n)  # in the walk's order
         for i, j, square in batches:
@@ -1030,7 +999,5 @@ def sample_poisson(
     positions independent and uniform."""
     if intensity < 0.0:
         raise GeometryError(f"intensity must be >= 0, got {intensity}")
-    cfg = TorusConfiguration(torus)
     n = rng.poisson(intensity * torus.volume)
-    cfg.insert_many(rng.uniform(0.0, torus.side, (n, torus.dim)))
-    return cfg
+    return TorusConfiguration(torus, rng.uniform(0.0, torus.side, (n, torus.dim)))

@@ -31,6 +31,7 @@ def insert_point(cfg, x, load=0.0):
 
 
 def file_on(cfg, radius):
-    """File every row of the store on the grid ``CellGrid.for_radius`` picks
-    for ``radius``, as ``kernel_sums`` files a store on its cutoff's."""
-    return cfg._file(CellGrid.for_radius(cfg.torus, radius))
+    """File every row of the store for ``radius`` on the grid
+    ``CellGrid.for_radius`` picks for it, as ``kernel_sums`` files a store
+    for its cutoff."""
+    return cfg._file(CellGrid.for_radius(cfg.torus, radius), radius)

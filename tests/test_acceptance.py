@@ -210,8 +210,7 @@ def test_06_contact_model_extinction():
     rng = np.random.default_rng(6)
     extinct = 0
     for _ in range(200):
-        cfg = TorusConfiguration(torus)
-        cfg.insert_many(rng.uniform(0.0, torus.side, (10, 1)))
+        cfg = TorusConfiguration(torus, rng.uniform(0.0, torus.side, (10, 1)))
         trace = run(spec, cfg, t_end=20.0 / mass, rng=rng)
         extinct += trace.final_population == 0
     frac = extinct / 200.0
@@ -334,7 +333,7 @@ def test_09_norm_bound_hand_values():
 def test_10_poisson_baselines():
     rng = np.random.default_rng(10)
     torus = Torus(20.0, 1)
-    reps = [sample_poisson(torus, 1.0, rng).positions_array() for _ in range(200)]
+    reps = [sample_poisson(torus, 1.0, rng).by_id()[1] for _ in range(200)]
     pc = pair_correlation(reps, torus, n_bins=20)
     dev = np.abs(pc.g - 1.0)
     flat_ok = bool(np.all(dev < 4.0 * pc.se))
@@ -342,7 +341,7 @@ def test_10_poisson_baselines():
     small = Torus(10.0, 1)
     window = Window((0.0,), (2.0,))  # kappa V = 4
     counts_reps = [
-        sample_poisson(small, 2.0, rng).positions_array() for _ in range(1000)
+        sample_poisson(small, 2.0, rng).by_id()[1] for _ in range(1000)
     ]
     fm = factorial_moments(counts_reps, window, 3)
     moment_ok = all(

@@ -267,7 +267,7 @@ def test_birth_displacement_wraps_to_torus():
     # births only: the guard stops the run after exactly 200 events
     trace = run(spec, cfg, t_end=1e9, rng=rng, max_population=200)
     assert trace.n_events == 200
-    pts = cfg.positions_array()
+    pts = cfg.by_id()[1]
     assert np.all(pts >= 0.0) and np.all(pts < 14.0)
 
 
@@ -293,7 +293,7 @@ def test_population_changes_by_one_and_ids_are_stable():
     spec = ModelSpec("bolker_pacala", a_plus=triangular(2.0, 0.5, 1), a_minus=am, m=0.5)
     rng = np.random.default_rng(6)
     cfg = sample_poisson(Torus(10.0, 1), 1.0, rng)
-    start_ids = set(cfg.ids())
+    start_ids = set(cfg.by_id()[0].tolist())
     trace = run(spec, cfg, t_end=4.0, rng=rng)
     alive = set(start_ids)
     for ev in trace.events:
@@ -303,7 +303,7 @@ def test_population_changes_by_one_and_ids_are_stable():
         else:
             assert ev.point in alive
             alive.remove(ev.point)
-    assert alive == set(cfg.ids())
+    assert alive == set(cfg.by_id()[0].tolist())
     assert len(alive) == trace.final_population
     times = [ev.time for ev in trace.events]
     assert all(a < b for a, b in zip(times, times[1:]))
@@ -380,7 +380,7 @@ def test_audit_passes_on_grids_with_self_inverse_offsets(dim, cutoff):
     spec = ModelSpec("bolker_pacala", a_plus=triangular(2.0, 1.0, dim), a_minus=am, m=0.2)
     rng = np.random.default_rng(40 + dim + int(cutoff))
     cfg = sample_poisson(Torus(side, dim), 40.0 / side**dim, rng)
-    cfg._file(CellGrid(side, dim, 8))  # the run keeps the grid it finds
+    cfg._file(CellGrid(side, dim, 8), cutoff)  # the run keeps the filing it finds
     trace = run(spec, cfg, t_end=5.0, rng=rng, audit_every=1)
     assert len(trace.events) > 100 and not trace.guard_tripped
     assert cfg.grid == CellGrid(side, dim, 8) and 4 in cfg.grid.axis_offsets(cutoff)
@@ -534,8 +534,8 @@ def test_audit_catches_a_cache_that_is_not_finite(column, value):
     am = triangular(1.0, 1.0, 1)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.2)
     rng = np.random.default_rng(31)
-    cfg = TorusConfiguration(Torus(40.0, 1))
-    cfg.insert_many(rng.uniform(0.0, 40.0, (300, 1)))  # more than one block
+    cfg = TorusConfiguration(Torus(40.0, 1), rng.uniform(0.0, 40.0, (300, 1)))
+    assert len(cfg) > BLOCK_ROWS
     state = SimulationState(spec, cfg)
     state.audit()
     if column == "load":
@@ -634,7 +634,7 @@ def remove_the_old_way(state, row):
     cfg = state.cfg
     cell = cfg._cell.item(row)
     x = cfg.remove(row)
-    rows, squares = cfg._neighbors(x, cell, state._cutoff)
+    rows, squares = cfg._neighbors(x, cell)
     contrib = state.spec.a_minus._profile_sq(squares)
     old = cfg.loads[rows]
     delta = -contrib
@@ -677,7 +677,8 @@ def test_death_update_matches_the_old_arithmetic_bit_for_bit(dim):
         same()
     assert state.clamps == 0
     row, last = 5, len(state.cfg) - 1
-    rows, dists = state.cfg.neighbors(state.cfg._pos[row], state._cutoff)
+    rows, squares = state.cfg._neighbors(*state.cfg._in_box(state.cfg._pos[row]))
+    dists = np.sqrt(squares)
     j = next(int(j) for j, r in zip(rows, dists) if 0.0 < r < 0.5 and j != last)
     contrib = am.profile(float(dists[rows.tolist().index(j)]))
     for each in (state, ref):
@@ -785,8 +786,7 @@ def test_a_narrow_kernel_on_a_wide_box_builds_and_audits():
         close[k, k % 3] += 0.5e-4
     close[0] = [0.25e-4, 500.0, 500.0]
     points[0] = [1000.0 - 0.25e-4, 500.0, 500.0]
-    cfg = TorusConfiguration(torus)
-    cfg.insert_many(np.concatenate([points, close]))
+    cfg = TorusConfiguration(torus, np.concatenate([points, close]))
     state = SimulationState(spec, cfg)
     assert cfg.grid == CellGrid(1000.0, 3, 2097151)
     want = np.zeros(212)
@@ -879,9 +879,8 @@ def test_event_path_wraps_and_files_a_point_in_one_pass(variant, dim, side, dens
     # the store's _in_box wraps a position and finds its flat cell in one
     # pass, exactly once per birth, whose query and insert both take that
     # (position, cell), and never for a death, which queries from the cell
-    # its row was filed in; CellGrid serves the event path only by counting
-    # the rings of the radius and making a stencil for each (cell, rings)
-    # key the store has not seen; the public query never serves it, and no
+    # its row was filed in; CellGrid serves the event path only by making
+    # one stencil for each queried cell the store has not seen, and no
     # event files the store
     calls = Counter()
 
@@ -893,8 +892,9 @@ def test_event_path_wraps_and_files_a_point_in_one_pass(variant, dim, side, dens
     births = int(log.births.sum())
     assert calls["_neighbors"] == 2000 and calls["_insert"] == births
     assert calls["_in_box"] == births
-    assert calls["neighbors"] == calls["_file"] == 0
+    assert calls["_file"] == 0
     assert calls["cell_stencil"] == len(state.cfg._stencils)
+    assert all(isinstance(cell, int) for cell in state.cfg._stencils)
     called = {name for name in calls if name in vars(CellGrid)}
     assert called <= {"cell_stencil", "axis_offsets", "cell_size", "rings"}
 
@@ -1035,10 +1035,10 @@ def test_determinism_same_seed_same_trace():
 
 @pytest.mark.parametrize("dim, t_end", [(1, 6.0), (2, 0.6)])
 def test_bulk_initial_load_gives_the_sequential_trace(dim, t_end):
-    # sample_poisson fills the store in one bulk pass, filed into cells from
+    # sample_poisson builds the store with its points, filed into cells from
     # scratch when the run starts; inserting the same draws one at a time
-    # into a store whose grid was picked first must give the same run,
-    # event for event, with every cache audited after each event
+    # into a store filed first must give the same run, event for event,
+    # with every cache audited after each event
     am = gaussian(0.5, 0.2, dim)
     spec = ModelSpec("bolker_pacala", a_plus=gaussian(1.0, 0.5, dim), a_minus=am, m=0.5)
     torus = Torus(9.0, dim)
@@ -1080,7 +1080,8 @@ def seeded_log_run(variant, dim, seed=31):
     torus = Torus(10.0, dim)
     rng = np.random.default_rng(seed)
     cfg = sample_poisson(torus, 2.0, rng)
-    start = dict(zip(cfg.ids(), cfg.positions_array()))
+    ids, positions = cfg.by_id()
+    start = dict(zip(ids.tolist(), positions))
     trace = run(spec, cfg, t_end=t_end, rng=rng, snapshot_times=(t_end,))
     return trace, start
 

@@ -313,13 +313,12 @@ def test_pair_walk_distances_equal_the_neighbour_query(dim):
     pts = np.array([[edge[(i + 2 * a) % len(edge)] for a in range(dim)] for i in range(6)])
     pts = np.concatenate([pts, rng.uniform(0.0, side, (40, dim))])
     for radius in (0.5, 1.0, side / 2.0):
-        cfg = TorusConfiguration(Torus(side, dim))
-        cfg.insert_many(pts)
+        cfg = TorusConfiguration(Torus(side, dim), pts)
         file_on(cfg, radius)
         n = len(cfg)
         queried = {}
         for a in range(n):
-            rows, squares = cfg._neighbors(*cfg._in_box(cfg._pos[a]), radius)
+            rows, squares = cfg._neighbors(*cfg._in_box(cfg._pos[a]))
             assert a in rows
             for b, s in zip(rows.tolist(), squares.tolist()):
                 if b != a:
@@ -391,8 +390,8 @@ def test_a_small_store_walks_in_one_batch(monkeypatch):
     # about 3.23): 6 cells, one cutoff wide, and the zero offset and offset
     # 1, whose candidates fit in PAIR_BATCH together and go to the exact
     # test as one batch
-    cfg = TorusConfiguration(Torus(20.0, 1))
-    cfg.insert_many(np.random.default_rng(3).uniform(0.0, 20.0, (100, 1)))
+    pts = np.random.default_rng(3).uniform(0.0, 20.0, (100, 1))
+    cfg = TorusConfiguration(Torus(20.0, 1), pts)
     kernel = gaussian(0.5, 0.5, 1)
     counter = CandidateCounter(monkeypatch)
     sums = cfg.kernel_sums(kernel)
@@ -561,11 +560,10 @@ def test_cut_walk_drops_candidates_beyond_reach(strip, monkeypatch):
     rng = np.random.default_rng(1)
     if strip:
         torus, kernel = Torus(8.0, 2), triangular(1.0, 0.5, 2)
-        cfg = TorusConfiguration(torus)
         pts = rng.uniform(0.0, 8.0, (600, 2))
         pts[:, 0] = rng.uniform(-1.0, 1.0, 600)
-        cfg.insert_many(pts)
-        cfg._file(CellGrid(8.0, 2, 8))  # the store's grid: cells of 1
+        cfg = TorusConfiguration(torus, pts)
+        cfg._file(CellGrid(8.0, 2, 8), 0.5)  # the store's grid: cells of 1
     else:
         torus, kernel = Torus(30.0, 2), gaussian(0.5, 0.5, 2)
         cfg = sample_poisson(torus, 5.0, rng)
@@ -590,8 +588,8 @@ def test_kernel_sums_call_no_numpy_python_wrappers(dim, side, n, kernel):
     # the filing, the cell runs, the walk and the scatter: in d=2 the walk
     # is cut (5 cells per axis, rings 1) and takes several batches per offset;
     # in d=1 the cells are the radius plus its pad wide, 399 of them
-    cfg = TorusConfiguration(Torus(side, dim))
-    cfg.insert_many(np.random.default_rng(60 + dim).uniform(0.0, side, (n, dim)))
+    pts = np.random.default_rng(60 + dim).uniform(0.0, side, (n, dim))
+    cfg = TorusConfiguration(Torus(side, dim), pts)
     want = cfg.kernel_sums(kernel)  # the first call imports what it needs
     assert cfg.grid.n == (399 if dim == 1 else 5)
     calls = []
@@ -628,7 +626,7 @@ def test_insert_remove_roundtrip():
     np.testing.assert_allclose(cfg._pos[0], [1.0])
     np.testing.assert_allclose(cfg.remove(0), [1.0])
     assert len(cfg) == 1
-    assert cfg.ids() == [j]
+    assert cfg.by_id()[0].tolist() == [j]
     assert cfg.point_at(0) == j  # the last row moved into the freed one
     np.testing.assert_allclose(cfg._pos[0], [2.0])
     with pytest.raises(GeometryError):
@@ -658,22 +656,21 @@ def test_insert_wraps_into_box():
 @pytest.mark.parametrize("below", [-1e-18, np.nextafter(0.0, -1.0)])
 def test_a_hair_below_zero_wraps_to_zero(below):
     # np.mod rounds these up to the side itself, outside [0, side); the box,
-    # _in_box and insert_many take them to 0, where a full-box window counts
-    # them
+    # _in_box and the store's constructor take them to 0, where a full-box
+    # window counts them
     torus = Torus(20.0, 1)
     assert np.mod(below, torus.side) == torus.side
     assert torus.wrap(np.array([below])).tolist() == [0.0]
-    one, bulk = TorusConfiguration(torus), TorusConfiguration(torus)
+    one, built = TorusConfiguration(torus), TorusConfiguration(torus, [[below], [5.0]])
     insert_point(one, [below])
-    bulk.insert_many([[below], [5.0]])
-    assert one._pos[0].tolist() == bulk._pos[0].tolist() == [0.0]
+    assert one._pos[0].tolist() == built._pos[0].tolist() == [0.0]
     full = Window((0.0,), (torus.side,))
-    assert full.count(one.positions_array()) == 1
-    assert full.count(bulk.positions_array()) == 2
-    for cfg in (one, bulk):
+    assert full.count(one.by_id()[1]) == 1
+    assert full.count(built.by_id()[1]) == 2
+    for cfg in (one, built):
         file_on(cfg, 1.0)
-        rows, dists = cfg.neighbors([below], 1.0)
-        assert rows.tolist() == [0] and dists.tolist() == [0.0]
+        rows, squares = cfg._neighbors(*cfg._in_box([below]))
+        assert rows.tolist() == [0] and squares.tolist() == [0.0]
         assert cfg.cell_index_fault() is None
 
 
@@ -695,66 +692,29 @@ def test_non_finite_positions_are_rejected(bad, axis, grid):
         with pytest.raises(GeometryError, match="finite"):
             insert_point(cfg, position)
         with pytest.raises(GeometryError, match="finite"):
-            cfg.insert_many([[5.0, 5.0], position])
-        with pytest.raises(GeometryError, match="finite"):
-            cfg.neighbors(position, 1.0)
+            TorusConfiguration(T10_2, [[5.0, 5.0], position])
     assert len(cfg) == 1 and cfg._pos[0].tolist() == [1.0, 2.0]
     assert (cfg.grid is not None) == grid and cfg.cell_index_fault() is None
 
 
-def test_query_radius_outside_zero_to_half_the_side_is_rejected():
-    # a radius past side / 2 would meet a point twice, and a negative or NaN
-    # one is no radius; the store files nothing for a rejected query
-    cfg = TorusConfiguration(T10_2)
-    insert_point(cfg, [1.0, 2.0])
-    for radius in (math.nextafter(5.0, 6.0), -1e-300, -1.0, math.nan):
-        with pytest.raises(GeometryError, match="not within 0 and half the box"):
-            cfg.neighbors([1.0, 2.0], radius)
-    assert cfg.grid is None
-    file_on(cfg, 1.0)
-    for radius in (0.0, 5.0):
-        assert cfg.neighbors([1.0, 2.0], radius)[0].tolist() == [0]
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_a_query_on_a_store_with_no_grid_raises_and_files_nothing(dim):
-    # only kernel_sums picks a grid: the public query refuses a store that
-    # has none, empty or not, before and after a bulk load drops the grid,
-    # and leaves it without one
-    cfg = TorusConfiguration(Torus(10.0, dim))
-    x = np.full(dim, 1.0)
-    for step in range(3):
-        with pytest.raises(GeometryError, match="no grid"):
-            cfg.neighbors(x, 1.0)
-        assert cfg.grid is None and cfg.cell_index_fault() is None
-        if step == 0:
-            insert_point(cfg, x)  # rows, and still no grid
-        elif step == 1:
-            cfg.kernel_sums(triangular(1.0, 1.0, dim))  # files the store
-            assert cfg.neighbors(x, 1.0)[0].tolist() == [0]
-            cfg.insert_many([x])  # drops the grid
-    assert len(cfg) == 2
-
-
 def test_negative_zero_is_stored_as_zero():
     # -0.0 is not strictly inside the box, so it is wrapped to +0.0
-    cfg = TorusConfiguration(T10_2)
+    cfg = TorusConfiguration(T10_2, [[3.0, -0.0]])
     insert_point(cfg, [-0.0, 3.0])
-    cfg.insert_many([[3.0, -0.0]])
     file_on(cfg, 1.0)
     insert_point(cfg, [-0.0, -0.0])
-    signs = [math.copysign(1.0, v) for v in cfg.positions_array().ravel().tolist()]
+    signs = [math.copysign(1.0, v) for v in cfg.by_id()[1].ravel().tolist()]
     assert signs == [1.0] * 6 and cfg.cell_index_fault() is None
 
 
 def test_positions_array_ascending_ids():
     rng = np.random.default_rng(1)
     cfg = uniform_cfg(T10_2, 30, rng)
-    for vid in list(cfg.ids())[::3]:
+    for vid in cfg.by_id()[0].tolist()[::3]:
         cfg.remove(row_of(cfg, vid))
-    ids = cfg.ids()
+    ids, arr = cfg.by_id()
+    ids = ids.tolist()
     assert ids == sorted(ids)
-    arr = cfg.positions_array()
     np.testing.assert_allclose(
         arr, np.array([cfg._pos[row_of(cfg, i)] for i in ids])
     )
@@ -799,7 +759,7 @@ def test_cell_index_rebuild_identity(ops, radius):
         if op < 2 or not len(cfg):
             insert_point(cfg, rng.uniform(0.0, 10.0, 2))
         else:
-            cfg.remove(row_of(cfg, min(cfg.ids())))
+            cfg.remove(row_of(cfg, int(cfg.by_id()[0][0])))
     assert_cell_arrays_consistent(cfg)
 
 
@@ -815,12 +775,10 @@ def test_cell_index_fault_on_an_empty_entry_or_a_stale_row():
     assert "row outside 0..19" in cfg.cell_index_fault()
 
 
-def filed_store(grid, pts=()):
-    """A store of the points ``pts`` filed on ``grid``."""
-    cfg = TorusConfiguration(Torus(grid.side, grid.dim))
-    if len(pts):
-        cfg.insert_many(pts)
-    cfg._file(grid)
+def filed_store(grid, pts=(), radius=0.0):
+    """A store of the points ``pts`` filed on ``grid`` for ``radius``."""
+    cfg = TorusConfiguration(Torus(grid.side, grid.dim), pts)
+    cfg._file(grid, radius)
     return cfg
 
 
@@ -879,10 +837,11 @@ def brute_force_neighbors(cfg, x, radius):
     return sorted(found)
 
 
-def found_by(cfg, rows, dists):
-    """(id, distance) of each row a query returned, in ascending id order:
-    the query's own order is the stencil's gather order."""
-    return sorted(zip(map(cfg.point_at, rows.tolist()), dists.tolist()))
+def found_by(cfg, rows, squares):
+    """(id, distance) of each row a query returned, the distance the root
+    of its squared length, in ascending id order: the query's own order is
+    the stencil's gather order."""
+    return sorted(zip(map(cfg.point_at, rows.tolist()), np.sqrt(squares).tolist()))
 
 
 @settings(max_examples=100)
@@ -895,13 +854,13 @@ def found_by(cfg, rows, dists):
 def test_neighbors_matches_brute_force(dim, grid_radius, seed, steps):
     # a random sequence of inserts (some outside the box, so _in_box wraps
     # them) and removals of random survivors.  The store has no index until
-    # it is filed for ``grid_radius`` after a random step, the radius of its
-    # first query, which picks its grid: 29 or 11 cells, or 8 cells with rings 2 to 5 (2.5 and 3.0 reach the
-    # offset 4, its own negative modulo the grid).  From then on, after
-    # every step the index holds, and a query at a random spot and one at a
-    # live point, which finds the point itself, each with a random radius
-    # up to side/2 (so stencils wrap round the whole grid), equal the
-    # brute-force scan
+    # it is filed after a random step on the grid ``grid_radius`` picks (29,
+    # 11, 7, 4, 2, 2 or 1 cells per axis), for a radius that is
+    # ``grid_radius`` itself or, half the time, a random one up to side/2,
+    # so that stencils reach several rings and wrap round the whole grid.
+    # From then on, after every step the index holds, and a query at a
+    # random spot and one at a live point, which finds the point itself,
+    # each within that radius, equal the brute-force scan
     side = 6.0
     rng = np.random.default_rng(seed)
     cfg = TorusConfiguration(Torus(side, dim))
@@ -915,105 +874,103 @@ def test_neighbors_matches_brute_force(dim, grid_radius, seed, steps):
             assert cfg.grid is None and cfg.cell_index_fault() is None
             continue
         if step == filed_at:
-            file_on(cfg, grid_radius)
+            radius = grid_radius if rng.random() < 0.5 else rng.uniform(0.0, side / 2.0)
+            cfg._file(CellGrid.for_radius(cfg.torus, grid_radius), radius)
         queries = [rng.uniform(-0.5 * side, 1.5 * side, dim)]
         if len(cfg):
             queries.append(cfg._pos[int(rng.integers(len(cfg)))].copy())
-        for k, x in enumerate(queries):
-            radius = rng.uniform(0.0, side / 2.0)
-            if step == filed_at and not k:
-                radius = grid_radius
-            rows, dists = cfg.neighbors(x, radius)
-            assert found_by(cfg, rows, dists) == brute_force_neighbors(
-                cfg, x.tolist(), radius
-            )
+        for x in queries:
+            rows, squares = cfg._neighbors(*cfg._in_box(x))
+            want = brute_force_neighbors(cfg, x.tolist(), radius)
+            assert found_by(cfg, rows, squares) == want
         assert cfg.grid == CellGrid.for_radius(cfg.torus, grid_radius)
         assert_cell_arrays_consistent(cfg)
 
 
-def assert_same_store(a, b, ordered=True):
-    """The two stores hold the same rows, ids, loads, block sums, grid and
-    cells; with ``ordered``, also the same order of rows within each cell
-    and so the same slots."""
+def assert_same_store(a, b):
+    """The two stores hold the same rows, ids, loads, block sums, grid,
+    radius and cells, with the same order of rows within each cell and so
+    the same slots."""
     n = len(a)
-    assert len(b) == n and a._next_id == b._next_id and a.grid == b.grid
-    for name in ("_pos", "_id", "_cell", "_load") + ("_slot",) * ordered:
+    assert len(b) == n and a._next_id == b._next_id
+    assert a.grid == b.grid and a._radius == b._radius
+    for name in ("_pos", "_id", "_cell", "_load", "_slot"):
         np.testing.assert_array_equal(getattr(a, name)[:n], getattr(b, name)[:n])
     np.testing.assert_array_equal(a._block, b._block)
     a_cells, b_cells = live_rows(a), live_rows(b)
     assert a_cells.keys() == b_cells.keys()
     for cell, rows in a_cells.items():
-        got, want = rows.tolist(), b_cells[cell].tolist()
-        assert got == want if ordered else sorted(got) == sorted(want)
+        assert rows.tolist() == b_cells[cell].tolist()
     assert_cell_arrays_consistent(a)
     assert_cell_arrays_consistent(b)
 
 
 def assert_filed_in_row_order(cfg):
-    """A from-scratch filing lists each cell's rows in ascending order.  Only
-    a store with no grid is filed so: later, inserts and removes alone
-    change its index."""
+    """A from-scratch filing lists each cell's rows in ascending order;
+    after it, inserts and removes alone change the index."""
     for rows in live_rows(cfg).values():
         assert (np.diff(rows) > 0).all()
 
 
 @pytest.mark.parametrize("dim, radius", [(1, 3.0), (1, 0.5), (2, 1.0), (3, 2.0)])
-def test_insert_many_equals_sequential_inserts(dim, radius):
-    # a store whose grid was picked on an empty store and that inserts one
-    # point at a time against one loaded in bulk and then filed, every row
-    # from scratch: the same store, down to the order of rows in
-    # each cell.  Grids of side 7: 8 cells with rings 4 (3.0 is in
-    # (3/8 side, side/2], the offset 4 is its own negative), 13 cells, and
-    # 8 cells with rings 2 and 3.  Then on stores whose rows went through
-    # removals and whose block sums carry rounding residues, ``insert_many``
-    # drops the index and the next filing files every row again
+def test_a_store_built_with_its_points_equals_sequential_inserts(dim, radius):
+    # a store filed for ``radius`` while empty that inserts one point at a
+    # time by ``_insert`` against one built with the same points and then
+    # filed, every row from scratch: the same store, down to the order of
+    # rows in each cell.  Grids of side 7: 2 cells (3.0 is in (3/8 side,
+    # side/2], the offset 1 is its own negative), 13 cells, 6 and 3 cells
+    # per axis.  Then both take the same load changes and removals, which
+    # leave rounding residues in the block sums, and the same inserts one at
+    # a time, points on the box edge among them, and stay the same store,
+    # which draws the same rows and whose kernel sums refile nothing
     torus = Torus(7.0, dim)
-    origin = np.zeros(dim)
     rng = np.random.default_rng(11)
     first = rng.uniform(-1.0, 8.0, (300, dim))
     second = rng.uniform(-1.0, 8.0, (700, dim))
     second[:5] = 7.0  # exactly on the box edge: wraps to 0
     gone = rng.permutation(300)[:60]
-    bulk, seq = TorusConfiguration(torus), TorusConfiguration(torus)
+    seq = TorusConfiguration(torus)
     file_on(seq, radius)
-    assert seq.grid == CellGrid.for_radius(torus, radius) and bulk.grid is None
-    bulk.insert_many(first)
+    assert seq.grid == CellGrid.for_radius(torus, radius)
+    built = TorusConfiguration(torus, first)
     for x in first:
         insert_point(seq, x)
-    assert bulk.grid is None
-    file_on(bulk, radius)
-    assert_same_store(bulk, seq)
-    assert_filed_in_row_order(bulk)
+    assert built.grid is None and built.cell_index_fault() is None
+    file_on(built, radius)
+    assert_same_store(built, seq)
+    assert_filed_in_row_order(built)
     loads = rng.uniform(0.0, 3.0, 300)
-    for cfg in (bulk, seq):
+    for cfg in (built, seq):
         cfg.set_loads(loads)
         cfg.add_loads(np.arange(0, 300, 7), np.full(43, 0.1))
         for pid in gone.tolist():
             cfg.remove(row_of(cfg, pid))
-    assert_same_store(bulk, seq)
-    bulk.insert_many(second)
+    assert_same_store(built, seq)
     for x in second:
+        insert_point(built, x)
         insert_point(seq, x)
-    assert bulk.grid is None and bulk.cell_index_fault() is None
-    file_on(bulk, radius)
-    assert_same_store(bulk, seq, ordered=False)  # removals reorder seq's cells
-    assert_filed_in_row_order(bulk)
+    assert_same_store(built, seq)
     for u in np.linspace(0.0, 1.0, 101, endpoint=False):
-        assert bulk.sample_row(u, 0.3) == seq.sample_row(u, 0.3)
-    bulk.insert_many(np.zeros((0, dim)))
-    assert bulk.grid is None
-    bulk.kernel_sums(triangular(1.0, radius, dim))
-    assert_same_store(bulk, seq, ordered=False)
+        assert built.sample_row(u, 0.3) == seq.sample_row(u, 0.3)
+    built.kernel_sums(triangular(1.0, radius, dim))
+    assert_same_store(built, seq)
+    assert len(TorusConfiguration(torus, np.zeros((0, dim)))) == 0
     with pytest.raises(GeometryError):
-        bulk.insert_many(np.zeros((3, dim + 1)))
+        TorusConfiguration(torus, np.zeros((3, dim + 1)))
 
 
-def test_store_keeps_the_grid_it_was_filed_on_until_a_bulk_load():
+def test_kernel_sums_of_another_cutoff_refile_the_store():
+    # a store keeps up its columns alone until it is filed, here for 1.5 on
+    # 6 cells per axis; inserts, removals and queries then change its index
+    # and make stencils.  The kernel sums of a kernel whose cutoff is not
+    # that radius file it afresh for the cutoff on the grid it picks, every
+    # row in row order and no stencil kept, and equal those of a fresh store
+    # built with the same points, bit for bit, and the brute-force sums; a
+    # query then keeps what lies within the new radius
     torus = Torus(10.0, 2)
     rng = np.random.default_rng(14)
     cfg = sample_poisson(torus, 3.0, rng)
     assert cfg.grid is None and cfg._cells == {} and cfg.cell_index_fault() is None
-    # columns alone are kept up without a grid
     n = len(cfg)
     pid = insert_point(cfg, [1.0, 2.0])
     first = cfg._pos[0].copy()
@@ -1025,66 +982,25 @@ def test_store_keeps_the_grid_it_was_filed_on_until_a_bulk_load():
     assert sum(rows.size for rows in live_rows(cfg).values()) == len(cfg)
     assert_cell_arrays_consistent(cfg)
     assert_filed_in_row_order(cfg)
-    # queries and kernel sums at other radii use the grid it was filed on
-    cfg.neighbors([5.0, 5.0], 0.3)
-    np.testing.assert_allclose(
-        cfg.kernel_sums(triangular(1.0, 0.3, 2)),
-        brute_force_sums(cfg, triangular(1.0, 0.3, 2)),
-        rtol=1e-12,
-    )
-    assert cfg.grid == CellGrid(10.0, 2, 6)
-    # a bulk load drops the index, and kernel_sums picks its cutoff's grid
-    cfg.insert_many(rng.uniform(0.0, 10.0, (50, 2)))
-    assert cfg.grid is None and cfg.cell_index_fault() is None
+    for x in rng.uniform(0.0, 10.0, (50, 2)):
+        cfg._neighbors(*cfg._in_box(x))
+        insert_point(cfg, x)
+        cfg.remove(int(rng.integers(len(cfg))))
+    assert cfg._stencils
     k = gaussian(1.0, 0.1, 2)  # cutoff about 0.68: 14 cells
-    np.testing.assert_allclose(cfg.kernel_sums(k), brute_force_sums(cfg, k), rtol=1e-12)
+    sums = cfg.kernel_sums(k)
     assert cfg.grid == CellGrid.for_radius(torus, k.cutoff_radius())
-    assert cfg.grid == CellGrid(10.0, 2, 14)
+    assert cfg.grid == CellGrid(10.0, 2, 14) and cfg._radius == k.cutoff_radius()
+    assert cfg._stencils == {}
     assert_cell_arrays_consistent(cfg)
-
-
-def test_insert_many_drops_the_whole_index():
-    # the cell arrays, the stencils and the memoised rings and reach go with
-    # the grid, and the next kernel sums file every row afresh
-    torus = Torus(500.0, 1)
-    cfg = TorusConfiguration(torus)
-    cfg.insert_many(np.random.default_rng(22).uniform(0.0, 500.0, (5000, 1)))
-    kernel = triangular(1.0, 1.0, 1)
-    cfg.kernel_sums(kernel)
-    cfg.neighbors([250.0], 1.0)
-    assert cfg._cells and cfg._stencils and cfg._reach
-    cfg.insert_many([[3.0]])
-    assert cfg.grid is None and cfg._cells == cfg._stencils == cfg._reach == {}
-    sums = cfg.kernel_sums(kernel)
-    assert cfg.grid == CellGrid.for_radius(torus, 1.0) and cfg.cell_index_fault() is None
-    assert sum(rows.size for rows in live_rows(cfg).values()) == len(cfg) == 5001
     assert_filed_in_row_order(cfg)
-    want = brute_force_sum(cfg, kernel, [3.0], exclude=5000)
-    assert sums[5000] == pytest.approx(want, rel=1e-12)
-
-
-def test_a_query_after_insert_many_uses_the_new_grid_s_rings_and_reach():
-    # a query works out the rings and reach of its radius once per grid:
-    # on 3 cells of 3.33 the radius 1.0 reaches 1 ring, and once a bulk
-    # load drops that grid and the store is filed for the radius 0.2 on 49
-    # cells, the same radius reaches 5, which a stencil keyed by the old
-    # grid's ring would miss
-    torus = Torus(10.0, 1)
-    rng = np.random.default_rng(21)
-    cfg = TorusConfiguration(torus)
-    cfg.insert_many(rng.uniform(0.0, 10.0, (60, 1)))
-    x = np.array([5.0])
-    file_on(cfg, 3.0)
-    cfg.neighbors(x, 3.0)
-    cfg.neighbors(x, 1.0)
-    assert cfg.grid == CellGrid(10.0, 1, 3) and cfg._reach[1.0][0] == 1
-    cfg.insert_many(rng.uniform(0.0, 10.0, (60, 1)))
-    file_on(cfg, 0.2)
-    for radius in (0.2, 1.0, 3.0):
-        rows, dists = cfg.neighbors(x, radius)
-        assert found_by(cfg, rows, dists) == brute_force_neighbors(cfg, [5.0], radius)
-        assert cfg._reach[radius] == (cfg.grid.rings(radius), exact_reach(radius))
-    assert cfg.grid == CellGrid(10.0, 1, 49) and cfg._reach[1.0][0] == 5
+    fresh = TorusConfiguration(torus, cfg._pos[: len(cfg)])
+    assert sums.tobytes() == fresh.kernel_sums(k).tobytes()
+    np.testing.assert_allclose(sums, brute_force_sums(cfg, k), rtol=1e-12)
+    x = [5.0, 5.0]
+    rows, squares = cfg._neighbors(*cfg._in_box(x))
+    want = brute_force_neighbors(cfg, x, k.cutoff_radius())
+    assert found_by(cfg, rows, squares) == want
 
 
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
@@ -1094,8 +1010,7 @@ def test_load_total_is_the_reduce_of_the_live_block_sums(n):
     # float np.add.reduce gives either way, sign of a zero included, over
     # random inserts, load changes and removals that cross block edges
     rng = np.random.default_rng(n)
-    cfg = TorusConfiguration(Torus(50.0, 1))
-    cfg.insert_many(rng.uniform(0.0, 50.0, (n, 1)))
+    cfg = TorusConfiguration(Torus(50.0, 1), rng.uniform(0.0, 50.0, (n, 1)))
     cfg.set_loads(rng.random(n))
 
     def check():
@@ -1125,17 +1040,16 @@ def test_load_total_is_the_reduce_of_the_live_block_sums(n):
 
 
 def test_a_store_keeps_block_sums_only_past_one_block():
-    # a store grown by _insert from 250 to 300 rows, with random loads and
-    # load changes, shrunk by remove to 200 and grown past one block again
-    # by insert_many.  While it holds one block its load total is the
-    # reduce of the live column, bit for bit, and no call writes a block
-    # sum; the insert or bulk load that takes it past BLOCK_ROWS rows
+    # a store built with 250 rows, grown by _insert to 300 rows, with random
+    # loads and load changes, shrunk by remove to 200 and grown past one
+    # block again by _insert of points of load 0.  While it holds one block
+    # its load total is the reduce of the live column, bit for bit, and no
+    # call writes a block sum; the insert that takes it past BLOCK_ROWS rows
     # rebuilds the block sums from the column; and after every step
     # sample_row draws the row that searchsorted draws on the full running
     # sum, for a fixed list of uniforms
     rng = np.random.default_rng(9)
-    cfg = TorusConfiguration(Torus(50.0, 1))
-    cfg.insert_many(rng.uniform(0.0, 50.0, (250, 1)))
+    cfg = TorusConfiguration(Torus(50.0, 1), rng.uniform(0.0, 50.0, (250, 1)))
     cfg.set_loads(rng.random(250))
     base = 0.3
     uniforms = np.linspace(0.0, 1.0, 23, endpoint=False).tolist() + [np.nextafter(1.0, 0.0)]
@@ -1173,7 +1087,8 @@ def test_a_store_keeps_block_sums_only_past_one_block():
     while len(cfg) > 200:
         step(lambda: cfg.remove(int(rng.integers(len(cfg)))))
         step(change_loads)
-    step(lambda: cfg.insert_many(rng.uniform(0.0, 50.0, (100, 1))))
+    for x in rng.uniform(0.0, 50.0, (100, 1)):
+        step(lambda: insert_point(cfg, x))
     assert crossings == 2 and len(cfg) == 300
 
 
@@ -1200,9 +1115,9 @@ def test_stencils_keep_pairs_that_round_to_a_whole_cell_radius(dim):
     x, y = [math.nextafter(size, 0.0)] + rest, [3.0 * size] + rest
     assert min_image_distance(side, x, y) == 2.0 * size
     assert CellGrid(side, 1, 6).flat_cells_of(np.array([x[:1], y[:1]])).tolist() == [0, 3]
-    cfg = filed_store(CellGrid(side, dim, 6), np.array([y]))
-    rows, dists = cfg.neighbors(x, 2.0 * size)
-    assert found_by(cfg, rows, dists) == [(0, 2.0 * size)]
+    cfg = filed_store(CellGrid(side, dim, 6), np.array([y]), 2.0 * size)
+    rows, squares = cfg._neighbors(*cfg._in_box(x))
+    assert found_by(cfg, rows, squares) == [(0, 2.0 * size)]
     assert walk_pairs(cfg.grid, [x, y], 2.0 * size) == [[min_image_square(side, x, y)]] * 2
     for n in (6, 8):
         grid = CellGrid(side, dim, n)
@@ -1213,13 +1128,13 @@ def test_stencils_keep_pairs_that_round_to_a_whole_cell_radius(dim):
         rng = np.random.default_rng(100 + 10 * dim + n)
         pts = rng.choice(pool, (len(pool), dim))
         pts[:, 0] = pool
-        cfg = filed_store(grid, pts)
         radii = [k * size for k in range(1, n) if k * size <= side / 2.0]
         for radius in radii:
+            cfg = filed_store(grid, pts, radius)
             for x in pts:
-                rows, dists = cfg.neighbors(x, radius)
+                rows, squares = cfg._neighbors(*cfg._in_box(x))
                 want = brute_force_neighbors(cfg, x.tolist(), radius)
-                assert found_by(cfg, rows, dists) == want
+                assert found_by(cfg, rows, squares) == want
             assert walk_pairs(grid, pts, radius) == scan_pairs(side, pts, radius)
 
 
@@ -1406,13 +1321,12 @@ def test_squares_within_the_reach_keep_what_the_root_keeps(dim, wraps):
     x = [0.1] * dim if wraps else [side / 2.0] * dim
     inside, beyond = pairs_at_the_reach(side, x, radius, rng)
     pts = np.array(inside + beyond + rng.uniform(0.0, side, (30, dim)).tolist())
-    cfg = TorusConfiguration(Torus(side, dim))
-    cfg.insert_many(pts)
+    cfg = TorusConfiguration(Torus(side, dim), pts)
     file_on(cfg, radius)
-    rows, dists = cfg.neighbors(x, radius)
+    rows, squares = cfg._neighbors(*cfg._in_box(x))
     (stencil,) = cfg._stencils.values()
     assert (stencil[0] == -1) == wraps  # a stencil that wraps is led by -1
-    found = found_by(cfg, rows, dists)
+    found = found_by(cfg, rows, squares)
     assert found == brute_force_neighbors(cfg, x, radius)
     ids = {pid for pid, _ in found}
     assert set(range(6)) <= ids and not set(range(6, 12)) & ids
@@ -1446,21 +1360,23 @@ def test_plain_differences_only_where_the_stencil_does_not_wrap(dim, rings, extr
     rng = np.random.default_rng(90 + 9 * dim + 3 * rings + extra)
     pts = rng.choice(pool, (12 * n, dim))
     pts[: len(pool), 0] = pool
-    cfg = filed_store(grid, pts)
     radii = [(rings - 0.5) * size, (rings - 0.01) * size, side / 2.0]
-    for cell in range(n**dim):
-        coords = np.array(np.unravel_index(cell, (n,) * dim), dtype=float)
-        for x in (coords * size + 1e-9, (coords + 0.5) * size, (coords + 1.0) * size):
-            x = np.nextafter(x, 0.0)
-            for radius in radii:
-                rows, dists = cfg.neighbors(x, radius)
+    for radius in radii:
+        cfg = filed_store(grid, pts, radius)
+        for cell in range(n**dim):
+            coords = np.array(np.unravel_index(cell, (n,) * dim), dtype=float)
+            spots = (coords * size + 1e-9, (coords + 0.5) * size, (coords + 1.0) * size)
+            for x in spots:
+                x = np.nextafter(x, 0.0)
+                rows, squares = cfg._neighbors(*cfg._in_box(x))
                 want = brute_force_neighbors(cfg, x.tolist(), radius)
-                assert found_by(cfg, rows, dists) == want
-    # a stencil that wraps is led by -1
-    flags = [s[0] == -1 for (_, k), s in cfg._stencils.items() if k == rings]
-    assert len(flags) == n**dim
-    assert all(flags) if extra == 1 else not all(flags)
-    assert all(s[0] == -1 for (_, k), s in cfg._stencils.items() if 2 * (k + 1) > n)
+                assert found_by(cfg, rows, squares) == want
+        # a stencil that wraps is led by -1: every one at side / 2, whose
+        # rings k have 2 (k + 1) > n, and at ``rings`` rings only if extra is 1
+        flags = [s[0] == -1 for s in cfg._stencils.values()]
+        assert len(flags) == n**dim
+        assert grid.rings(radius) == rings or 2 * (grid.rings(radius) + 1) > n
+        assert all(flags) if extra == 1 or radius == side / 2.0 else not all(flags)
 
 
 # -- neighbor sums ------------------------------------------------------------
@@ -1535,10 +1451,11 @@ def test_kernel_sum_matches_brute_force_many_cases():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_kernel_sums_same_on_every_cell_grid(dim):
-    # the store filed on the grid of each radius, or on the one kernel_sums
-    # picks for the kernel's own cutoff (about 3.3, so 8 cells with rings
-    # 4): 79, 15 or 8 cells; on the 8-cell grid the cutoff ball wraps round the whole grid,
-    # so cell offsets repeat modulo the grid and must be visited once each
+    # the store filed for the kernel's cutoff (about 3.3) by hand on the grid
+    # of each radius, or by kernel_sums on the one it picks for the cutoff:
+    # 2, 79, 15, 7 or 1 cells; on the coarser grids the cutoff ball wraps
+    # round the whole grid, so cell offsets repeat modulo the grid and must
+    # be visited once each
     rng = np.random.default_rng(6)
     k = gaussian(1.0, 0.5, dim)
     points = rng.uniform(0.0, 8.0, (60, dim))
@@ -1548,7 +1465,7 @@ def test_kernel_sums_same_on_every_cell_grid(dim):
         for x in points:
             insert_point(cfg, x)
         if grid_radius is not None:
-            file_on(cfg, grid_radius)
+            cfg._file(CellGrid.for_radius(cfg.torus, grid_radius), k.cutoff_radius())
         sums = cfg.kernel_sums(k)
         radius = grid_radius or k.cutoff_radius()
         assert cfg.grid == CellGrid.for_radius(cfg.torus, radius)
@@ -1567,16 +1484,17 @@ def index_of(cfg):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_kernel_sums_refile_on_the_store_grid(dim):
-    # kernel_sums walks the grid the store was filed on (19 cells), not
-    # its own cutoff's (about 3.3, so 8 cells), and refiles no row: the index
-    # that inserts and removes left, whose cells no longer list their rows
-    # in ascending order, is exactly as it was
+    # kernel_sums of a store filed for its kernel's cutoff walks the grid
+    # the store was filed on (19 cells), not the cutoff's own (about 3.3, so
+    # 3 cells), and refiles no row: the index that inserts and removes
+    # left, whose cells no longer list their rows in ascending order, is
+    # exactly as it was
     rng = np.random.default_rng(15 + dim)
     torus = Torus(10.0, dim)
     cfg = sample_poisson(torus, 40.0 / torus.volume, rng)
-    file_on(cfg, 0.5)
     grid = CellGrid.for_radius(torus, 0.5)
     k = gaussian(1.0, 0.5, dim)
+    cfg._file(grid, k.cutoff_radius())
     assert cfg.grid == grid != CellGrid.for_radius(torus, k.cutoff_radius())
     reordered = False
     for _ in range(3):
@@ -1653,10 +1571,10 @@ def test_window_volume_and_validation():
 def test_count_in_window_examples():
     cfg = TorusConfiguration(T10_2)
     w = Window((0.0, 0.0), (2.0, 2.0))
-    assert w.count(cfg.positions_array()) == 0
+    assert w.count(cfg.by_id()[1]) == 0
     insert_point(cfg, [1.0, 1.0])
     insert_point(cfg, [9.0, 9.0])
-    assert w.count(cfg.positions_array()) == 1
+    assert w.count(cfg.by_id()[1]) == 1
 
 
 def test_count_in_window_binomial_thinning():
@@ -1665,7 +1583,7 @@ def test_count_in_window_binomial_thinning():
     counts = []
     for _ in range(50):
         cfg = uniform_cfg(T10_1, 10_000, rng)
-        counts.append(w.count(cfg.positions_array()))
+        counts.append(w.count(cfg.by_id()[1]))
     counts = np.array(counts, dtype=float)
     se = counts.std(ddof=1) / math.sqrt(counts.size)
     assert abs(counts.mean() - 1000.0) < 3.0 * se
@@ -1693,7 +1611,7 @@ def test_sample_poisson_window_counts_follow_poisson_law():
     rng = np.random.default_rng(9)
     w = Window((0.0,), (2.0,))
     counts = [
-        w.count(sample_poisson(T10_1, 1.0, rng).positions_array()) for _ in range(2000)
+        w.count(sample_poisson(T10_1, 1.0, rng).by_id()[1]) for _ in range(2000)
     ]
     counts = np.array(counts)
     # chi-square against Poisson(2) with the tail pooled

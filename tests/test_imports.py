@@ -19,7 +19,6 @@ SCRIPTS = sorted((PACKAGE.parent.parent / "scripts").glob("*.py"))
 
 # The package's definitions that only callers outside src/ and scripts/ name.
 UNCALLED_BY_DESIGN = (
-    ("neighbors", "the point store's one public query"),
     ("u_theta", "the energy that acceptance criterion 01 evaluates"),
     ("u_theta_increment", "the telescoping step of acceptance criterion 02"),
     ("bp_meanfield_density", "an oracle of the acceptance tests"),

@@ -30,7 +30,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def poisson_replicas(torus, kappa, n, seed):
     rng = np.random.default_rng(seed)
-    return [sample_poisson(torus, kappa, rng).positions_array() for _ in range(n)]
+    return [sample_poisson(torus, kappa, rng).by_id()[1] for _ in range(n)]
 
 
 # -- density -------------------------------------------------------------------
@@ -282,7 +282,7 @@ def test_se_shrinks_like_inverse_root_replicas():
         ses = []
         for _ in range(60):
             reps = [
-                sample_poisson(T10, 1.0, rng).positions_array() for _ in range(nrep)
+                sample_poisson(T10, 1.0, rng).by_id()[1] for _ in range(nrep)
             ]
             ses.append(density(reps, T10)[1])
         mean_log_se.append(np.mean(np.log(ses)))

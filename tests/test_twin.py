@@ -189,8 +189,7 @@ def test_run_matches_its_naive_twin(name, monkeypatch):
         states.append((self.cfg._id[:n].copy(), self.cfg.loads.copy()))
 
     monkeypatch.setattr(SimulationState, "_apply_event", recorded)
-    cfg = TorusConfiguration(torus)
-    cfg.insert_many(start)
+    cfg = TorusConfiguration(torus, start)
     start = cfg._pos[: len(cfg)].copy()
     trace = run(spec, cfg, t_end, np.random.default_rng(7))
     adopted = replay(spec, torus, start, t_end, 7, trace, states)
