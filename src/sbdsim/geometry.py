@@ -8,21 +8,25 @@ maps points to flat cells and lists the distinct cells within a radius of a
 cell.  One ``CellGrid.rings`` counts the cells a radius reaches along an
 axis for every stencil and pair walk, padded by a proved bound on the
 rounding of a minimum-image length, so that no pair the exact distance test
-keeps lies outside them.  ``cell_runs`` is the one sort by cell, shared by
-the store's filing and the pair walk.
+keeps lies outside them, and one ``CellGrid.offsets`` lists the signed cell
+offsets along an axis that both take.  ``cell_runs`` is the one sort by
+cell, shared by the store's filing and the pair walk.
 ``TorusConfiguration`` is the simulator's one point store, built with its
 starting points: dense columns of the living points, addressed by row
 alone, a load column with, once it holds more than one block of rows, block
 sums for the death draw, and per-cell arrays of rows, filed once for one
 radius on the grid ``CellGrid.for_radius`` picks for it, that a neighbour
-query within that radius gathers through a cell stencil memoised per cell,
-in the order it gathers them; no query picks or changes the grid.  Each
-cell's entry holds the view of its live rows next to the buffer they lead,
-so the query joins the views as they are, and it subtracts the query point
-from the (k, dim) block of candidates along the rows, not along the short
-axis.  An event wraps and files its point once: ``_in_box`` gives the
-wrapped position and its cell, and the query and the insert both take that
-pair.
+query within that radius gathers through the cell's stencil, in the order
+it gathers them; no query picks or changes the grid.  A cell whose stencil
+does not wrap round the grid reaches it as ``cell + delta`` for one tuple
+of flat deltas that the filing works out; only the stencils of cells near a
+grid edge, or of every cell of a grid too coarse for a stencil not to wrap,
+wrap round the grid, and those are kept, one per cell.  Each cell's entry
+holds the view of its live rows next to the buffer they lead, so the query
+joins the views as they are, and it subtracts the query point from the (k,
+dim) block of candidates along the rows, not along the short axis.  An
+event wraps and files its point once: ``_in_box`` gives the wrapped
+position and its cell, and the query and the insert both take that pair.
 ``periodic_pairs`` walks each unordered pair of points within a radius once,
 over half the neighbouring cell offsets, in bounded batches, one batch
 shared by consecutive offsets whose candidates fit in it; the kernel sums
@@ -68,7 +72,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -198,11 +202,15 @@ class CellGrid:
             return 0
         return math.ceil((radius + 8.0 * math.ulp(self.side)) / self.cell_size)
 
-    def axis_offsets(self, radius: float) -> list[int]:
-        """The distinct cell offsets along one axis, modulo the grid, that
-        reach within ``radius``."""
-        rings = self.rings(radius)
-        return sorted({o % self.n for o in range(-rings, rings + 1)})
+    def offsets(self, radius: float) -> list[int]:
+        """The cell offsets along one axis that reach within ``radius``, the
+        one rule of every stencil and pair walk: one of -rings..rings for
+        each residue modulo the grid, in the order of the residues, signed
+        as the residue o if o <= rings and as o - n if not.  On a grid of
+        more than 2 rings cells that is 0, 1, .., rings, -rings, .., -1."""
+        rings, n = self.rings(radius), self.n
+        residues = sorted({o % n for o in range(-rings, rings + 1)})
+        return [o if o <= rings else o - n for o in residues]
 
     def flat_cells_of(self, pts: np.ndarray) -> np.ndarray:
         """Row-major flat index of the grid cell of every row of ``pts``,
@@ -214,29 +222,44 @@ class CellGrid:
             flat = flat * self.n + idx[:, axis]
         return flat
 
-    def cell_stencil(self, cell: int, radius: float) -> tuple[tuple[int, ...], bool]:
+    def cell_stencil(self, cell: int, radius: float) -> tuple[int, ...]:
         """The flat cells that can hold a point within ``radius`` of a point
-        of flat cell ``cell``, each once, wrapping round the grid, and
-        whether they wrap.  They reach ``rings(radius)`` cells along each
-        axis, which covers every pair the exact test keeps.  They do not
-        wrap when each coordinate of ``cell`` is at least rings from both
-        grid edges and 2 (rings + 1) <= n: then two such points lie at most
-        side / 2 apart along each axis, up to a rounding that only pairs
-        farther apart than the radius see, so their plain difference is the
-        minimum image.
-        """
-        n = self.n
-        rings = self.rings(radius)
+        of flat cell ``cell``, each once, wrapping round the grid: the cell
+        moved by each tuple of ``offsets`` along the axes, the first axis
+        outermost.  They reach ``rings(radius)`` cells along each axis,
+        which covers every pair the exact test keeps."""
+        n, offsets = self.n, self.offsets(radius)
         coords = []
         for _ in range(self.dim):
             cell, c = divmod(cell, n)
             coords.append(c)
-        wraps = n < 2 * (rings + 1) or not all(rings <= c < n - rings for c in coords)
-        offsets = self.axis_offsets(radius)
         flats = [0]
         for c in reversed(coords):
             flats = [f * n + (c + o) % n for f in flats for o in offsets]
-        return tuple(flats), wraps
+        return tuple(flats)
+
+    @lru_cache(maxsize=16)  # the replicas of a run file one grid for one radius
+    def plain_stencil(self, radius: float) -> tuple[tuple[int, ...], tuple]:
+        """(deltas, inner): the flat offsets of ``cell_stencil``, in its
+        order, for every cell it does not wrap round the grid, and the
+        bounds of those cells.  ``inner`` is (lo, hi, later): the stencil of
+        ``cell`` is ``cell + delta`` when lo <= cell < hi and a <= cell % m
+        < b for each (m, a, b) of ``later``, one per axis after the first.
+
+        Those are the cells whose coordinates all lie at least rings from
+        both grid edges, on a grid of 2 (rings + 1) <= n cells per axis,
+        and none on a coarser one.  Then two points of a cell and its
+        stencil lie at most side / 2 apart along each axis, up to a rounding
+        that only pairs farther apart than the radius see, so their plain
+        difference is the minimum image.
+        """
+        n, rings, offsets = self.n, self.rings(radius), self.offsets(radius)
+        deltas, bounds = [0], []
+        for axis in reversed(range(self.dim)):  # n**axis is the axis's stride
+            deltas = [d * n + o for d in deltas for o in offsets]
+            bounds.append((n ** (axis + 1), rings * n**axis, (n - rings) * n**axis))
+        _, lo, hi = bounds[0] if n >= 2 * (rings + 1) else (0, 0, 0)
+        return tuple(deltas), (lo, hi, tuple(bounds[1:]))
 
 
 def exact_reach(radius: float) -> float:
@@ -333,15 +356,16 @@ def periodic_pairs(
     ``batches`` yields (i, j, square): the pair of rows ``order[i]`` and
     ``order[j]`` and its squared length, with no root taken.
 
-    The cell offsets, from ``grid.axis_offsets``, are distinct modulo the
-    grid, so a radius that wraps round the whole grid visits each cell once;
-    only the lexicographically lower of each offset and its negative is
-    walked, every row paired with the rows of its offset cell.  An offset
-    that is its own negative pairs each two cells once, from the lower one;
-    the zero offset pairs i < j within a cell.  The candidate pairs of
-    consecutive offsets that fit in PAIR_BATCH together go to the exact
-    test as one batch; an offset with more is walked in batches of at most
-    about PAIR_BATCH candidates of its own, with ``i`` ascending in each.
+    The cell offsets, the residues of ``grid.offsets``, are distinct
+    modulo the grid, so a radius that wraps round the whole grid visits
+    each cell once; only the lexicographically lower of each offset and its
+    negative is walked, every row paired with the rows of its offset cell.
+    An offset that is its own negative pairs each two cells once, from the
+    lower one; the zero offset pairs i < j within a cell.  The candidate
+    pairs of consecutive offsets that fit in PAIR_BATCH together go to the
+    exact test as one batch; an offset with more is walked in batches of at
+    most about PAIR_BATCH candidates of its own, with ``i`` ascending in
+    each.
 
     In d >= 2, on grids of more than 2 rings + 1 cells per axis (rings =
     ``grid.rings(radius)``), the walk cuts each offset other than 0 along
@@ -416,7 +440,7 @@ def periodic_pairs(
             padded = (radius + 8.0 * dim * dim * math.ulp(side)) ** 2
             lead_axis, lead_keys, to_walk = 0, keys, None
         held, held_pairs = [], 0  # candidates of whole offsets, not yet tested
-        for offset in product(grid.axis_offsets(radius), repeat=dim):
+        for offset in product([o % grid.n for o in grid.offsets(radius)], repeat=dim):
             mirror = tuple(-o % grid.n for o in offset)
             if offset > mirror:
                 continue  # its pairs are walked from the other end
@@ -584,12 +608,15 @@ class TorusConfiguration:
     index in its cell's array, so ``_insert`` appends to the buffer and
     ``remove`` swap-deletes from it in O(1), and moving the last row into a
     freed row rewrites one entry of its cell's array.  A neighbour query
-    joins the live views of the cells in a stencil memoised per cell with
-    one ``np.concatenate``, and subtracts the query point from the gathered
+    joins the live views of the cells of its cell's stencil with one
+    ``np.concatenate``, and subtracts the query point from the gathered
     positions along the rows (``order="F"``): along the short axis numpy
-    would run one inner loop of length dim per candidate.  Stencils are made
-    only for cells queried, so their memory grows with the cells points
-    occupy, not with the whole grid.
+    would run one inner loop of length dim per candidate.  The filing keeps
+    the flat deltas of ``CellGrid.plain_stencil`` and the bounds of the
+    cells they serve; a stencil that wraps is made when its cell is first
+    queried and kept, so the stencils kept are bounded by the cells near a
+    grid edge, or by the few cells of a coarse grid, not by the cells points
+    occupy.
 
     ``_in_box`` wraps and files a position, and ``_insert`` and
     ``_neighbors`` take that (x, cell), so an event wraps and files its
@@ -636,8 +663,9 @@ class TorusConfiguration:
         self._reach = -math.inf  # its exact_reach
         self._axis_cells, self._cell_size = 1, torus.side  # the grid's, for _in_box
         self._cells: dict[int, list] = {}  # flat cell -> [live rows, buffer]
-        # flat cell -> stencil cells, led by -1 (no cell) if they wrap
-        self._stencils: dict[int, tuple[int, ...]] = {}
+        # the filing's CellGrid.plain_stencil, and each stencil that wraps, by cell
+        self._deltas, self._lo, self._hi, self._later = (), 0, 0, ()
+        self._wrapped: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return self._n
@@ -880,7 +908,8 @@ class TorusConfiguration:
         self._cells = {c: [order[a : a + k]] * 2 for c, a, k in bounds}
         self._cell[:n] = cells
         self._slot[order] = np.arange(n) - first.repeat(count)
-        self.grid, self._stencils = grid, {}
+        self.grid, self._wrapped = grid, {}
+        self._deltas, (self._lo, self._hi, self._later) = grid.plain_stencil(radius)
         self._radius, self._reach = radius, exact_reach(radius)
         self._axis_cells, self._cell_size = grid.n, grid.cell_size
         return runs
@@ -925,27 +954,42 @@ class TorusConfiguration:
         grid.  A point asks about its neighbours while it is not in the
         store: before its insert or after its removal.
 
-        A candidate is kept when its squared length is at most the radius's
-        ``exact_reach``, the same test as distance <= radius; where the cell
-        stencil does not wrap, plain differences are the minimum images.
+        The stencil of a cell within the bounds of ``plain_stencil`` is
+        ``cell + delta`` for each of the filing's deltas, tested with one
+        chained comparison in d = 1 and one more per later axis, which costs
+        no more than a dict lookup; there the plain differences are the
+        minimum images.  The stencil of any other cell wraps: it is made by
+        ``CellGrid.cell_stencil`` on its first query and kept.  Both list the
+        cells in the order of ``CellGrid.offsets``, the first axis
+        outermost.  A candidate is kept when its squared length is at most
+        the radius's ``exact_reach``, the same test as distance <= radius.
         The squares are a fresh array, the very floats the pair walk gives
         the same pairs.  Rows come back in the order the stencil gathers
         them, cell by cell and each cell's array in order: a function of the
         store's history, so float reductions over them are reproducible.
         They index ``loads`` until the next removal."""
-        stencil = self._stencils.get(cell)
-        if stencil is None:
-            near, wraps = self.grid.cell_stencil(cell, self._radius)
-            stencil = self._stencils[cell] = (-1,) + near if wraps else near
+        inner = self._lo <= cell < self._hi
+        for m, a, b in self._later:  # d >= 2: the axes after the first
+            inner = inner and a <= cell % m < b
         parts, cells = [], self._cells
-        for c in stencil:  # a loop, not a list comprehension and its frame
-            entry = cells.get(c)
-            if entry is not None:
-                parts.append(entry[0])
+        if inner:  # loops, not list comprehensions and their frames
+            for delta in self._deltas:
+                entry = cells.get(cell + delta)
+                if entry is not None:
+                    parts.append(entry[0])
+        else:
+            stencil = self._wrapped.get(cell)
+            if stencil is None:
+                stencil = self.grid.cell_stencil(cell, self._radius)
+                self._wrapped[cell] = stencil
+            for c in stencil:
+                entry = cells.get(c)
+                if entry is not None:
+                    parts.append(entry[0])
         rows = _concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
         d = self._pos.take(rows, axis=0)
         np.subtract(d, x, out=d, order="F")  # along the rows, not the short axis
-        square = _min_image_squares(d, self.torus.side, stencil[0] < 0)
+        square = _min_image_squares(d, self.torus.side, not inner)
         keep = (square <= self._reach).nonzero()[0]
         return rows.take(keep), square.take(keep)
 

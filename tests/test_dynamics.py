@@ -383,7 +383,7 @@ def test_audit_passes_on_grids_with_self_inverse_offsets(dim, cutoff):
     cfg._file(CellGrid(side, dim, 8), cutoff)  # the run keeps the filing it finds
     trace = run(spec, cfg, t_end=5.0, rng=rng, audit_every=1)
     assert len(trace.events) > 100 and not trace.guard_tripped
-    assert cfg.grid == CellGrid(side, dim, 8) and 4 in cfg.grid.axis_offsets(cutoff)
+    assert cfg.grid == CellGrid(side, dim, 8) and 4 in cfg.grid.offsets(cutoff)
 
 
 @pytest.mark.parametrize("dim, weight", [(1, 0.3), (2, 2.0)])
@@ -880,8 +880,8 @@ def test_event_path_wraps_and_files_a_point_in_one_pass(variant, dim, side, dens
     # pass, exactly once per birth, whose query and insert both take that
     # (position, cell), and never for a death, which queries from the cell
     # its row was filed in; CellGrid serves the event path only by making
-    # one stencil for each queried cell the store has not seen, and no
-    # event files the store
+    # one stencil for each queried cell whose stencil wraps and the store
+    # has not seen, and no event files the store
     calls = Counter()
 
     def on_call(code):
@@ -893,10 +893,34 @@ def test_event_path_wraps_and_files_a_point_in_one_pass(variant, dim, side, dens
     assert calls["_neighbors"] == 2000 and calls["_insert"] == births
     assert calls["_in_box"] == births
     assert calls["_file"] == 0
-    assert calls["cell_stencil"] == len(state.cfg._stencils)
-    assert all(isinstance(cell, int) for cell in state.cfg._stencils)
+    assert calls["cell_stencil"] == len(state.cfg._wrapped)
+    assert all(isinstance(cell, int) for cell in state.cfg._wrapped)
     called = {name for name in calls if name in vars(CellGrid)}
-    assert called <= {"cell_stencil", "axis_offsets", "cell_size", "rings"}
+    assert called <= {"cell_stencil", "offsets", "cell_size", "rings"}
+
+
+def test_a_d1_run_keeps_a_stencil_only_for_the_end_cells(monkeypatch):
+    # the competition_1d model at density 5 on a side of 2000, n ~ 10^4 on
+    # 618 cells: some 2000 events query most cells, both end cells among
+    # them, and the store keeps the stencils of the end cells alone, the
+    # only ones within one ring of a grid edge
+    spec = ModelSpec(
+        "bolker_pacala", a_plus=gaussian(3.0, 0.5, 1), a_minus=gaussian(0.5, 0.5, 1), m=0.5
+    )
+    rng = np.random.default_rng(5)
+    cfg = sample_poisson(Torus(2000.0, 1), 5.0, rng)
+    queried = set()
+    query = TorusConfiguration._neighbors
+
+    def recorded(self, x, cell):
+        queried.add(cell)
+        return query(self, x, cell)
+
+    monkeypatch.setattr(TorusConfiguration, "_neighbors", recorded)
+    trace = run(spec, cfg, 0.033, rng)
+    assert 10_000 < len(cfg) < 10_300 and 2000 < trace.n_events < 2100
+    assert cfg.grid == CellGrid(2000.0, 1, 618) and len(queried) > 570
+    assert {0, 617} <= queried and sorted(cfg._wrapped) == [0, 617]
 
 
 @EVENT_PATH_MODELS
@@ -966,6 +990,33 @@ def test_seeded_trajectories_keep_their_integer_columns(make, n_events, sha256):
     trace = make()
     assert trace.n_events == n_events
     assert integer_columns_sha256(trace.events) == sha256
+
+
+def test_a_seeded_d1_run_over_many_cells_keeps_its_floats():
+    # the competition_1d model on 18 cells, n ~ 290, past one block: the
+    # sha256 of the event times and positions and of the final positions
+    # and loads, by id, as little-endian float64.  A new point's load sums
+    # its neighbours' terms in the order the query gathers them, so a
+    # change of that order moves loads by an ulp, which the integer pin
+    # above does not see.  Pinned with numpy's exp on x86-64: a host whose
+    # exp rounds otherwise may need its own pin
+    spec = ModelSpec(
+        "bolker_pacala", a_plus=gaussian(3.0, 0.5, 1), a_minus=gaussian(0.5, 0.5, 1), m=0.5
+    )
+    rng = np.random.default_rng(2)
+    cfg = sample_poisson(Torus(60.0, 1), 5.0, rng)
+    assert cfg.grid is None and len(cfg) == 287
+    trace = run(spec, cfg, 0.17, rng)
+    assert cfg.grid == CellGrid(60.0, 1, 18) and trace.n_events == 315
+    ids, positions = cfg.by_id()
+    log = trace.events
+    h = hashlib.sha256()
+    loads = cfg.loads[cfg._id[: len(cfg)].argsort()]
+    for col in (log.times, log.positions, positions, loads):
+        h.update(col.astype("<f8").tobytes())
+    assert len(ids) == 290
+    pin = "fd0ec45d8001e49bb6910471a9a45e5d8d76c916d16d73ce80286ba9a36e1752"
+    assert h.hexdigest() == pin
 
 
 def test_d1_loads_are_those_of_the_rooted_lengths(monkeypatch):

@@ -396,7 +396,7 @@ def test_a_small_store_walks_in_one_batch(monkeypatch):
     counter = CandidateCounter(monkeypatch)
     sums = cfg.kernel_sums(kernel)
     assert cfg.grid == CellGrid(20.0, 1, 6)
-    assert cfg.grid.axis_offsets(kernel.cutoff_radius()) == [0, 1, 5]
+    assert cfg.grid.offsets(kernel.cutoff_radius()) == [0, 1, -1]
     assert counter.batches == 1 and 0 < counter.pairs <= PAIR_BATCH
     np.testing.assert_allclose(sums, brute_force_sums(cfg, kernel), rtol=1e-12)
 
@@ -457,7 +457,8 @@ def uncut_candidates(grid, pts, radius):
     cells = Counter(grid.flat_cells_of(pts).tolist())
     shape = (grid.n,) * grid.dim
     total = 0
-    for offset in product(grid.axis_offsets(radius), repeat=grid.dim):
+    residues = [o % grid.n for o in grid.offsets(radius)]
+    for offset in product(residues, repeat=grid.dim):
         mirror = tuple(-o % grid.n for o in offset)
         if offset > mirror:
             continue
@@ -962,11 +963,11 @@ def test_a_store_built_with_its_points_equals_sequential_inserts(dim, radius):
 def test_kernel_sums_of_another_cutoff_refile_the_store():
     # a store keeps up its columns alone until it is filed, here for 1.5 on
     # 6 cells per axis; inserts, removals and queries then change its index
-    # and make stencils.  The kernel sums of a kernel whose cutoff is not
-    # that radius file it afresh for the cutoff on the grid it picks, every
-    # row in row order and no stencil kept, and equal those of a fresh store
-    # built with the same points, bit for bit, and the brute-force sums; a
-    # query then keeps what lies within the new radius
+    # and keep the stencils that wrap.  The kernel sums of a kernel whose
+    # cutoff is not that radius file it afresh for the cutoff on the grid it
+    # picks, every row in row order and no stencil kept, and equal those of
+    # a fresh store built with the same points, bit for bit, and the
+    # brute-force sums; a query then keeps what lies within the new radius
     torus = Torus(10.0, 2)
     rng = np.random.default_rng(14)
     cfg = sample_poisson(torus, 3.0, rng)
@@ -986,12 +987,12 @@ def test_kernel_sums_of_another_cutoff_refile_the_store():
         cfg._neighbors(*cfg._in_box(x))
         insert_point(cfg, x)
         cfg.remove(int(rng.integers(len(cfg))))
-    assert cfg._stencils
+    assert cfg._wrapped
     k = gaussian(1.0, 0.1, 2)  # cutoff about 0.68: 14 cells
     sums = cfg.kernel_sums(k)
     assert cfg.grid == CellGrid.for_radius(torus, k.cutoff_radius())
     assert cfg.grid == CellGrid(10.0, 2, 14) and cfg._radius == k.cutoff_radius()
-    assert cfg._stencils == {}
+    assert cfg._wrapped == {}
     assert_cell_arrays_consistent(cfg)
     assert_filed_in_row_order(cfg)
     fresh = TorusConfiguration(torus, cfg._pos[: len(cfg)])
@@ -1235,7 +1236,7 @@ def test_cell_stencil_lists_each_cell_once(dim):
         grid = CellGrid(8.0, dim, n)
         shape = (n,) * dim
         for rings, cell in product(range(5), range(n**dim)):
-            stencil, _ = grid.cell_stencil(cell, max(rings - 0.5, 0.0) * grid.cell_size)
+            stencil = grid.cell_stencil(cell, max(rings - 0.5, 0.0) * grid.cell_size)
             near = [
                 [b for b in range(n) if min(abs(a - b), n - abs(a - b)) <= rings]
                 for a in np.unravel_index(cell, shape)
@@ -1243,6 +1244,66 @@ def test_cell_stencil_lists_each_cell_once(dim):
             want = {reference_flat(c, n) for c in product(*near)}
             assert len(stencil) == len(set(stencil)), (n, rings, cell)
             assert set(stencil) == want, (n, rings, cell)
+
+
+def reference_stencil(grid, cell, radius):
+    """The cells of the stencil of ``cell`` in the order a query gathers
+    them, and whether they wrap, built naively from the cell's coordinates:
+    each moved by the distinct residues of -rings..rings, sorted, the first
+    axis outermost; they wrap unless every coordinate lies rings or more
+    from both grid edges and 2 (rings + 1) <= n."""
+    n, rings = grid.n, grid.rings(radius)
+    residues = sorted({o % n for o in range(-rings, rings + 1)})
+    coords = np.unravel_index(cell, (n,) * grid.dim)
+    cells = [
+        reference_flat([(c + o) % n for c, o in zip(coords, offset)], n)
+        for offset in product(residues, repeat=grid.dim)
+    ]
+    wraps = n < 2 * (rings + 1) or not all(rings <= c < n - rings for c in coords)
+    return cells, wraps
+
+
+def wraps_by_rule(grid, radius, cell):
+    """Whether the stencil of ``cell`` wraps, read from the bounds of
+    ``CellGrid.plain_stencil``."""
+    _, (lo, hi, later) = grid.plain_stencil(radius)
+    return not (lo <= cell < hi and all(a <= cell % m < b for m, a, b in later))
+
+
+class AskedCells(dict):
+    """A store's cell index that lists the cells a query asks it for."""
+
+    asked: list
+
+    def get(self, cell, default=None):
+        self.asked.append(cell)
+        return super().get(cell, default)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_query_gathers_the_naive_stencil_in_its_order(dim):
+    # on grids of 1 to 8 cells per axis, at 1 to 4 rings, a query from each
+    # cell asks the index for the cells of the naive stencil in its order,
+    # on which the last bits of every load, and so seeded runs, depend.  The
+    # rule's wrap flag is the naive one, and the store keeps a stencil for a
+    # cell only if it wraps
+    for n in range(1, 9):
+        grid = CellGrid(8.0, dim, n)
+        for rings in range(1, 5):
+            radius = (rings - 0.5) * grid.cell_size
+            assert grid.rings(radius) == rings
+            cfg = filed_store(grid, radius=radius)
+            cfg._cells = index = AskedCells()
+            for cell in range(n**dim):
+                coords = np.array(np.unravel_index(cell, (n,) * dim))
+                x, filed = cfg._in_box((coords + 0.5) * grid.cell_size)
+                assert filed == cell
+                index.asked = []
+                cfg._neighbors(x, cell)
+                want, wraps = reference_stencil(grid, cell, radius)
+                assert index.asked == want, (n, rings, cell)
+                assert wraps_by_rule(grid, radius, cell) == wraps, (n, rings, cell)
+                assert (cell in cfg._wrapped) == wraps, (n, rings, cell)
 
 
 # -- the exact reach and plain differences ------------------------------------
@@ -1323,9 +1384,10 @@ def test_squares_within_the_reach_keep_what_the_root_keeps(dim, wraps):
     pts = np.array(inside + beyond + rng.uniform(0.0, side, (30, dim)).tolist())
     cfg = TorusConfiguration(Torus(side, dim), pts)
     file_on(cfg, radius)
-    rows, squares = cfg._neighbors(*cfg._in_box(x))
-    (stencil,) = cfg._stencils.values()
-    assert (stencil[0] == -1) == wraps  # a stencil that wraps is led by -1
+    x_in_box, cell = cfg._in_box(x)
+    rows, squares = cfg._neighbors(x_in_box, cell)
+    assert wraps_by_rule(cfg.grid, radius, cell) == wraps
+    assert list(cfg._wrapped) == ([cell] if wraps else [])  # kept only if it wraps
     found = found_by(cfg, rows, squares)
     assert found == brute_force_neighbors(cfg, x, radius)
     ids = {pid for pid, _ in found}
@@ -1371,9 +1433,11 @@ def test_plain_differences_only_where_the_stencil_does_not_wrap(dim, rings, extr
                 rows, squares = cfg._neighbors(*cfg._in_box(x))
                 want = brute_force_neighbors(cfg, x.tolist(), radius)
                 assert found_by(cfg, rows, squares) == want
-        # a stencil that wraps is led by -1: every one at side / 2, whose
-        # rings k have 2 (k + 1) > n, and at ``rings`` rings only if extra is 1
-        flags = [s[0] == -1 for s in cfg._stencils.values()]
+        # the stencils that wrap, by the rule, and only those the store
+        # keeps: every one at side / 2, whose rings k have 2 (k + 1) > n,
+        # and at ``rings`` rings only if extra is 1
+        flags = [wraps_by_rule(grid, radius, cell) for cell in range(n**dim)]
+        assert sorted(cfg._wrapped) == [cell for cell, f in enumerate(flags) if f]
         assert len(flags) == n**dim
         assert grid.rings(radius) == rings or 2 * (grid.rings(radius) + 1) > n
         assert all(flags) if extra == 1 or radius == side / 2.0 else not all(flags)

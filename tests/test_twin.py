@@ -121,8 +121,10 @@ def edge_case(variant, dim, extra, t_end, cutoff=2.0, grids=(3, 4)):
     on points at the cell edges of grids of ``grids`` cells per axis, with
     ``extra`` uniform points.  The first grid is the store's: 3 cells of
     8/3 for the cutoff 2, whose cells of 2 put some pairs at a rounded
-    distance of exactly the cutoff, and 2 cells of 4 for a cutoff in
-    (8/3, 4), whose offset 1 is its own negative."""
+    distance of exactly the cutoff, 2 cells of 4 for a cutoff in (8/3, 4),
+    whose offset 1 is its own negative, and 4 cells of 2 for a cutoff of
+    1.9.  The stencils of 3 cells per axis, 2 rings + 1, all wrap; 4, 2
+    (rings + 1), is the coarsest grid with cells whose stencils do not."""
     rng = np.random.default_rng(dim)
     torus = Torus(8.0, dim)
     a_minus = tabulated(
@@ -151,7 +153,9 @@ def uniform_case(spec, side, n, t_end):
 GRID_FIELD = ImmigrationField(grid=np.arange(16.0).reshape(4, 4) / 15.0)
 
 # both variants, d = 1, 2 and 3, and each a- family; n stays above BLOCK_ROWS
-# in the first case, and deaths clamp residues in the second
+# in the first case, and deaths clamp residues in the second.  The store grids
+# of the edge cases are either side of the first with stencils that do not
+# wrap, in d = 1 and 2, and the last case's store falls to one block
 CASES = {
     "bolker_pacala-1-gaussian": lambda: uniform_case(
         ModelSpec("bolker_pacala", gaussian(1.0, 1.0, 1), gaussian(0.2, 0.5, 1), m=0.5),
@@ -169,6 +173,15 @@ CASES = {
     "bolker_pacala-2-tabulated-edges": lambda: edge_case("bolker_pacala", 2, 16, 4.0),
     "bolker_pacala-2-tabulated-two-cells": lambda: edge_case(
         "bolker_pacala", 2, 8, 6.0, cutoff=3.5, grids=(2,)
+    ),
+    "migration-1-tabulated-four-cells": lambda: edge_case(
+        "migration", 1, 2, 5.0, cutoff=1.9, grids=(4, 3)
+    ),
+    "bolker_pacala-2-tabulated-four-cells": lambda: edge_case(
+        "bolker_pacala", 2, 16, 4.0, cutoff=1.9, grids=(4, 3)
+    ),
+    "bolker_pacala-1-tabulated-four-cells-past-one-block": lambda: edge_case(
+        "bolker_pacala", 1, 230, 0.4, cutoff=1.9, grids=(4, 3)
     ),
 }
 
@@ -195,5 +208,8 @@ def test_run_matches_its_naive_twin(name, monkeypatch):
     adopted = replay(spec, torus, start, t_end, 7, trace, states)
     print(f"{name}: {trace.n_events} events, {trace.clamps} clamps, {adopted} adopted")
     assert 300 <= trace.n_events <= 2000 and not trace.guard_tripped
+    sizes = [ids.size for ids, _ in states]
     if name == "bolker_pacala-1-gaussian":  # every death draw takes the block path
-        assert min(ids.size for ids, _ in states) > BLOCK_ROWS
+        assert min(sizes) > BLOCK_ROWS
+    if name.endswith("past-one-block"):  # the store falls to one block
+        assert min(sizes) <= BLOCK_ROWS < max(sizes)
