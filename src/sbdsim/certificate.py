@@ -123,7 +123,7 @@ def riemann_upper_sum(a_plus: RadialKernel, h: float) -> float:
     for _ in range(d - 1):
         rho_sq = (rho_sq[:, None] + near_sq[None, :]).ravel()
         rho_sq = rho_sq[rho_sq < r_enum**2]
-    core = h**d * float(a_plus.profile(np.sqrt(rho_sq)).sum())
+    core = h**d * float(a_plus._profile_sq(rho_sq).sum())
 
     # cubes with closest point at distance >= r_enum: each sup is dominated by
     # the kernel value at (|x| - h sqrt(d)) pointwise, so their total is at most
@@ -340,28 +340,27 @@ def _pair_sums_by_size(
     configuration i is its points ``starts[i] .. starts[i] + size - 1``,
     with size >= 2.  Returns (S-, S+), each of shape (k,).
 
-    The (k, pairs) distances are built in one array, the first axis's
-    gather: it is differenced and squared in place, each further axis adds
-    its squares into it, and the root is taken in place.  ``profile``
-    reads it without a copy.
+    The (k, pairs) squared lengths are built in one array, the first
+    axis's gather: it is differenced and squared in place, and each further
+    axis adds its squares into it.  Both kernels read it as it is, with
+    ``RadialKernel._profile_sq``.
     """
     iu, ju = _triu(size)
     rows = starts[:, None] + np.arange(size)
-    dists = None
+    squares = None
     for axis in coords:
         at = axis[rows]
         diff = at[:, iu]
         diff -= at[:, ju]
         diff *= diff
-        if dists is None:
-            dists = diff
+        if squares is None:
+            squares = diff
         else:
-            dists += diff
-    np.sqrt(dists, out=dists)
+            squares += diff
     # kernels are even, so ordered sums double the unordered ones
     return (
-        2.0 * a_minus.profile(dists).sum(axis=1),
-        2.0 * a_plus.profile(dists).sum(axis=1),
+        2.0 * a_minus._profile_sq(squares).sum(axis=1),
+        2.0 * a_plus._profile_sq(squares).sum(axis=1),
     )
 
 
@@ -437,11 +436,10 @@ def u_theta_increment(
     if pts.shape[0] == 0:
         return float(omega)
     diff = pts - x
-    dists = np.sqrt((diff * diff).sum(axis=1))
-    return float(
-        omega
-        + 2.0 * (a_minus.profile(dists).sum() - theta * a_plus.profile(dists).sum())
-    )
+    squares = (diff * diff).sum(axis=1)
+    minus = a_minus._profile_sq(squares).sum()
+    plus = a_plus._profile_sq(squares).sum()
+    return float(omega + 2.0 * (minus - theta * plus))
 
 
 # -- randomized verification --------------------------------------------------

@@ -19,8 +19,8 @@ while a store of one block reads its load column itself.
 A death reads its neighbours' old loads with one ``take``, writes what is
 left back with one ``put`` and takes the contributions off the block sums
 with one ``subtract.at``: the floats of adding the negated contributions.  A
-kernel takes each pair's squared length as the neighbour query keeps it,
-with no root taken where the kernel needs none.  Events
+kernel takes each pair's squared length as the neighbour query keeps it, the
+one form in which each family states its profile.  Events
 address points by their row in the store: a birth's parent and a death are
 drawn as rows, and only the recorded event carries ids.  The point born or
 dying is never in the store while its neighbours are found: a birth queries
@@ -474,11 +474,15 @@ def run(
         return trace
     state = SimulationState(spec, cfg)
     events_done = 0
+    peak = start
 
     while True:
-        if cfg._n > max_population:
-            trace.guard_tripped = True
-            break
+        n = cfg._n  # the population at the start and after each event
+        if n > peak:
+            peak = n
+            if n > max_population:  # only a new peak can pass the guard
+                trace.guard_tripped = True
+                break
         b, d = state.total_rates()
         total = b + d
         if total <= 0.0:
@@ -502,14 +506,6 @@ def run(
             trace.snapshots.append(state.snapshot(s))
     trace.final_time = state.t
     trace.final_population = state.population
-    # each birth adds a point and each death takes one away; a plain loop,
-    # as a numpy running sum or itertools.accumulate raised a run's peak
-    # memory by some tenths of a MiB
-    population = peak = start
-    for birth in trace.events._birth:
-        population += 2 * birth - 1
-        if population > peak:
-            peak = population
     trace.peak_population = peak
     trace.clamps = state.clamps
     trace.largest_clamp = state.largest_clamp

@@ -45,9 +45,9 @@ and leave its index as it is; any other store is filed for that cutoff.
 Every minimum-image length, of a neighbour query and of the pair walk,
 comes squared from one helper; a pair is kept when its square is at most
 ``exact_reach`` of the radius, the same test as distance <= radius.  Lengths
-leave the query and the walk squared, for the kernels take squares
-(``RadialKernel._profile_sq``); only the pair correlation takes their
-roots.
+leave the query and the walk squared, for each kernel family states its
+profile on the square (``RadialKernel._profile_sq``) and takes a root only
+if its formula needs one; the pair correlation bins roots.
 ``sample_poisson`` draws a homogeneous Poisson configuration and builds the
 store with it.
 The store's per-event methods (``_in_box``, ``_insert``, ``remove``,

@@ -18,6 +18,13 @@ multiplies the ones a family names in ``SCALED``, and the config reads and
 writes them by name.  The lower-case names ``gaussian``, ``triangular``,
 ``exponential`` and ``tabulated`` are the classes themselves.
 
+Each family states its profile once, as ``_profile_sq``, a function of the
+squared length: the neighbour query, the pair walk and the certificate keep
+lengths squared.  The gaussian is a function of the square; the other
+families take its root and go on from there.  ``profile(r)`` is
+``_profile_sq(r * r)``, and ``sup_norm`` is the profile at 0 for every
+family but the tabulated, which reads its largest value.
+
 The two unbounded families have closed-form tails.  The share of a gaussian's
 mass beyond radius ``r`` in ``d`` dimensions is Q(d/2, r^2 / (2 sigma^2)), and
 the share of an exponential's is Q(d, r / scale), where Q(s, x) is the
@@ -156,33 +163,29 @@ class RadialKernel:
 
     # -- radial profile -------------------------------------------------
 
-    def _profile(self, r: np.ndarray) -> np.ndarray:
+    def _profile_sq(self, s: np.ndarray) -> np.ndarray:
+        """The kernel at the lengths whose squares are ``s``: a family's one
+        statement of its profile.  It takes a float array of at least one
+        axis, never writes into it, and returns one fresh array.  The rate
+        caches and the certificate call it on the squared lengths they keep;
+        a family that is a function of the length takes the root itself."""
         raise NotImplementedError
 
-    def _profile_sq(self, s: np.ndarray) -> np.ndarray:
-        """``_profile`` of the lengths whose squares are ``s``: the kernel
-        as the rate caches use it, on the squared lengths that the neighbour
-        query and the pair walk keep, with no root taken where a family
-        needs none.  By default it takes the root and calls ``_profile``,
-        the same floats as ``_profile(np.sqrt(s))``; only the gaussian, a
-        function of the square, overrides it.  Like ``_profile`` it takes a
-        float array of at least one axis, never writes into it, and returns
-        one fresh array."""
-        return self._profile(np.sqrt(s))
-
     def profile(self, r):
-        """Kernel value at radius ``r`` (scalar or array, vectorized).
+        """Kernel value at radius ``r`` (scalar or array, vectorized), as
+        ``_profile_sq(r * r)``.
 
         Contract: ``r >= 0`` (a length, not a signed coordinate); nothing is
-        checked.  A float array is read in place, with no copy, and is
-        never written into; a scalar comes back as a float.  ``_profile``
-        takes an array of at least one axis and returns one fresh array;
-        ``_profile_sq`` does the same from squared lengths.
+        checked.  The input is never written into; a scalar comes back as a
+        float.  For r >= 0 the correctly rounded root of fl(r * r) is r
+        unless the square overflows or underflows, so these are the floats
+        of the family's formula at r.
         """
         arr = np.asarray(r, dtype=float)
         if arr.ndim == 0:
-            return float(self._profile(arr.reshape(1))[0])
-        return self._profile(arr)
+            x = float(arr)  # a float's product rounds as numpy's does
+            return float(self._profile_sq(np.array([x * x]))[0])
+        return self._profile_sq(arr * arr)
 
     # -- integrals and norms ---------------------------------------------
 
@@ -245,17 +248,8 @@ class GaussianKernel(RadialKernel):
     def _peak(self) -> float:
         return self.weight / (2.0 * math.pi * self.sigma**2) ** (self.dim / 2.0)
 
-    def _profile(self, r):
-        # peak * exp(-(r**2) / (2 sigma^2)), in place in one fresh array
-        t = r * r
-        t /= -(2.0 * self.sigma**2)
-        np.exp(t, out=t)
-        t *= self._peak
-        return t
-
     def _profile_sq(self, s):
-        # peak * exp(-s / (2 sigma^2)) with no root: where s is fl(x * x) the
-        # root is |x| exactly, so these are _profile's floats bit for bit
+        # peak * exp(-s / (2 sigma^2)), in place in one fresh array, no root
         t = s / -(2.0 * self.sigma**2)
         np.exp(t, out=t)
         t *= self._peak
@@ -263,9 +257,6 @@ class GaussianKernel(RadialKernel):
 
     def mass(self) -> float:
         return self.weight
-
-    def sup_norm(self) -> float:
-        return self._peak
 
     def mass_beyond(self, radius: float) -> float:
         if radius <= 0.0:
@@ -300,9 +291,9 @@ class TriangularKernel(RadialKernel):
 
     SCALED = ("height",)
 
-    def _profile(self, r):
-        # height * max(1 - r / radius, 0), in place in one fresh array
-        t = r / self.radius
+    def _profile_sq(self, s):
+        # height * max(1 - sqrt(s) / radius, 0), in place in the fresh quotient
+        t = np.sqrt(s) / self.radius
         np.subtract(1.0, t, out=t)
         np.maximum(t, 0.0, out=t)
         t *= self.height
@@ -311,9 +302,6 @@ class TriangularKernel(RadialKernel):
     def mass(self) -> float:
         d = self.dim
         return self.height * unit_ball_volume(d) * self.radius**d / (d + 1)
-
-    def sup_norm(self) -> float:
-        return self.height
 
     def mass_beyond(self, radius: float) -> float:
         if radius >= self.radius:
@@ -367,18 +355,15 @@ class ExponentialKernel(RadialKernel):
             unit_ball_volume(d) * self.scale**d * math.factorial(d)
         )
 
-    def _profile(self, r):
-        # peak * exp(-r / scale), in place in one fresh array
-        t = r / -self.scale
+    def _profile_sq(self, s):
+        # peak * exp(-sqrt(s) / scale), in place in the fresh quotient
+        t = np.sqrt(s) / -self.scale
         np.exp(t, out=t)
         t *= self._peak
         return t
 
     def mass(self) -> float:
         return self.weight
-
-    def sup_norm(self) -> float:
-        return self._peak
 
     def mass_beyond(self, radius: float) -> float:
         if radius <= 0.0:
@@ -453,8 +438,8 @@ class TabulatedKernel(RadialKernel):
             raise KernelError("tabulated kernel must have positive mass")
         self._step_table  # built here, not by a first draw on the event path
 
-    def _profile(self, r):
-        return _interp(r, self.radii, self.values, None, 0.0)
+    def _profile_sq(self, s):
+        return _interp(np.sqrt(s), self.radii, self.values, None, 0.0)
 
     def _mass_from(self, radius: float) -> float:
         """Exact integral of the piecewise-linear profile times the sphere

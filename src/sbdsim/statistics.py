@@ -84,11 +84,11 @@ class PairCorrelation:
 def pair_correlation(
     snapshots,
     torus: Torus,
-    edges: np.ndarray | None = None,
     n_bins: int = DEFAULT_BINS,
     r_max: float | None = None,
 ) -> PairCorrelation:
-    """Radial pair correlation from minimum-image pair distances.
+    """Radial pair correlation from minimum-image pair distances, in
+    ``n_bins`` equal shells on [0, r_max]; r_max defaults to side/2.
 
     Per replica, the count of ordered pairs in each shell, twice the
     unordered count, is divided by N (N-1) / volume times the shell volume,
@@ -103,19 +103,15 @@ def pair_correlation(
     the walk computes N (N-1) / 2 squared lengths, half the ordered pairs.
     """
     reps = _check_replicas(snapshots)
-    if edges is None:
-        if r_max is None:
-            r_max = torus.side / 2.0
-        if not (0.0 < r_max <= torus.side / 2.0):
-            raise StatisticsError(
-                f"r_max must lie in (0, side/2], got {r_max} with side {torus.side}"
-            )
-        edges = np.linspace(0.0, r_max, n_bins + 1)
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0.0):
-        raise StatisticsError("bin edges must be strictly increasing")
-    if edges[-1] > torus.side / 2.0:
-        raise StatisticsError("bin edges must not exceed half the box side")
+    if r_max is None:
+        r_max = torus.side / 2.0
+    if not (0.0 < r_max <= torus.side / 2.0):
+        raise StatisticsError(
+            f"r_max must lie in (0, side/2], got {r_max} with side {torus.side}"
+        )
+    if n_bins < 1:
+        raise StatisticsError(f"n_bins must be at least 1, got {n_bins}")
+    edges = np.linspace(0.0, r_max, n_bins + 1)
 
     shells = np.array(
         [shell_volume(torus.dim, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]

@@ -793,7 +793,8 @@ def plain_u(points, a_plus, a_minus, omega, theta):
 
 def reference_pair_sums(points, sizes, a_plus, a_minus):
     """(S-, S+) with a fresh array per axis: the reference the in-place
-    ``_pair_sums`` must match bit for bit."""
+    ``_pair_sums`` must match bit for bit.  Both kernels read the squared
+    lengths, as the verifier hands them."""
     starts = np.cumsum(sizes) - sizes
     sum_minus, sum_plus = np.zeros(sizes.shape[0]), np.zeros(sizes.shape[0])
     for size in np.unique(sizes[sizes >= 2]):
@@ -805,9 +806,8 @@ def reference_pair_sums(points, sizes, a_plus, a_minus):
             at = axis[rows]
             diff = at[:, iu] - at[:, ju]
             sq = sq + diff * diff
-        dists = np.sqrt(sq)
-        sum_minus[group] = 2.0 * a_minus.profile(dists).sum(axis=1)
-        sum_plus[group] = 2.0 * a_plus.profile(dists).sum(axis=1)
+        sum_minus[group] = 2.0 * a_minus._profile_sq(sq).sum(axis=1)
+        sum_plus[group] = 2.0 * a_plus._profile_sq(sq).sum(axis=1)
     return sum_minus, sum_plus
 
 

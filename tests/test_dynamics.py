@@ -31,7 +31,6 @@ from sbdsim.geometry import (
 from sbdsim.kernels import (
     GaussianKernel,
     ImmigrationField,
-    RadialKernel,
     gaussian,
     tabulated,
     triangular,
@@ -1024,7 +1023,8 @@ def test_d1_loads_are_those_of_the_rooted_lengths(monkeypatch):
     # density 5 on a side of 20000, seed 1, 100,010 points.  Its gaussian
     # a- takes squared lengths with no root; in d=1 each square is one
     # rounded square fl(x * x), whose correctly rounded root is |x|, so the
-    # loads equal bit for bit those of the kernel of the roots
+    # loads equal bit for bit those of the gaussian's closed form at the
+    # roots
     raw = json.loads((CONFIGS / "competition_1d.json").read_text())
     raw.update(seed=1, replicas=1, torus={"L": 20000.0, "d": 1}, init={"poisson": 5.0})
     raw["schedule"] = {"t_end": 0.01, "burn_in": 0.0, "snapshot_times": [0.01]}
@@ -1033,7 +1033,11 @@ def test_d1_loads_are_those_of_the_rooted_lengths(monkeypatch):
     store = initial_configuration(cfg, replica_rng(cfg.seed, 0))
     assert len(store) == 100_010 and isinstance(cfg.model.a_minus, GaussianKernel)
     loads = SimulationState(cfg.model, store).cfg.loads.copy()
-    monkeypatch.setattr(GaussianKernel, "_profile_sq", RadialKernel._profile_sq)
+    def of_the_roots(kernel, s):
+        r = np.sqrt(s)
+        return kernel._peak * np.exp(-(r**2) / (2.0 * kernel.sigma**2))
+
+    monkeypatch.setattr(GaussianKernel, "_profile_sq", of_the_roots)
     assert loads.tobytes() == store.kernel_sums(cfg.model.a_minus).tobytes()
 
 

@@ -1,5 +1,6 @@
-"""Every top-level import of a package module is used in that module, and
-every function, class and method the package defines has a caller.
+"""Every top-level import of a package module is used in that module,
+every function, class and method the package defines has a caller, and
+every optional parameter of one is passed by some caller.
 
 No linter runs on the package, so this parses each module with ``ast``.
 ``__init__.py`` is left out of the import check, since its imports are
@@ -16,6 +17,7 @@ import sbdsim
 PACKAGE = Path(sbdsim.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SCRIPTS = sorted((PACKAGE.parent.parent / "scripts").glob("*.py"))
+BENCH = sorted((PACKAGE.parent.parent / "bench").glob("*.py"))
 
 # The package's definitions that only callers outside src/ and scripts/ name.
 UNCALLED_BY_DESIGN = (
@@ -23,6 +25,20 @@ UNCALLED_BY_DESIGN = (
     ("u_theta_increment", "the telescoping step of acceptance criterion 02"),
     ("bp_meanfield_density", "an oracle of the acceptance tests"),
     ("scaled", "the negative control of bench/test_bench.py"),
+)
+
+# Optional parameters, (function, parameter), that only tests pass.
+SET_ONLY_BY_TESTS = (
+    (
+        "verify_certificate",
+        "sampler_mix",
+        "the seeded per-sampler tests draw trials from one sampler at a time",
+    ),
+    (
+        "sample_displacement",
+        "size",
+        "the distribution tests draw many displacements in one call",
+    ),
 )
 
 
@@ -127,3 +143,116 @@ def test_every_package_definition_has_a_caller():
     assert [u for u in unnamed if u[2] not in exempt] == []
     # each exemption is still needed: nothing in the package names it
     assert exempt <= {name for _, _, name in unnamed}
+
+
+def _functions(tree: ast.AST):
+    """(node, names a call reaches it by, leading parameters a call does not
+    pass) of each function and method: a method is called through an
+    attribute, which passes ``self``, unless it is a staticmethod, and a
+    class's name calls its ``__init__``."""
+    methods = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    methods.add(item)
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in item.decorator_list
+                    )
+                    names = {item.name}
+                    if item.name == "__init__":
+                        names.add(node.name)
+                    yield item, names, 0 if static else 1
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node not in methods:
+            yield node, {node.name}, 0
+
+
+def unset_options(defining: dict[str, str], using=()) -> list[tuple[str, int, str, str]]:
+    """(source, line, function, parameter) of each optional parameter of the
+    functions and methods of the ``defining`` sources (by label) that no
+    call, in those and the ``using`` sources, passes, by keyword or by
+    position.  A call reaches every definition of the name it calls, a
+    ``Name`` or an attribute, except the one it sits in; a ``*args`` passes
+    every position from its own on, and a ``**kwargs`` every keyword."""
+    calls, defs = [], []
+    sources = [*defining.items(), *((None, source) for source in using)]
+    for label, source in sources:
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            starred = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+            positions = starred[0] if starred else len(node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.append((label, node.lineno, name, positions, bool(starred), keywords))
+        if label is not None:
+            defs.extend((label, *f) for f in _functions(tree))
+    unset = []
+    for label, fn, names, skipped in defs:
+        args = fn.args
+        positional = [*args.posonlyargs, *args.args]
+        first_default = len(positional) - len(args.defaults)
+        optional = [
+            (i, p.arg, i < len(args.posonlyargs))
+            for i, p in enumerate(positional)
+            if i >= first_default
+        ]
+        optional += [
+            (None, p.arg, False)
+            for p, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+        for index, param, positional_only in optional:
+            def passes(where, line, name, positions, starred, keywords):
+                if name not in names or (where == label and fn.lineno <= line <= fn.end_lineno):
+                    return False
+                if not positional_only and (None in keywords or param in keywords):
+                    return True
+                if index is None or index < skipped:
+                    return False
+                return starred or index - skipped < positions
+
+            if not any(passes(*call) for call in calls):
+                unset.append((label, fn.lineno, fn.name, param))
+    return sorted(unset)
+
+
+def test_checker_flags_an_option_no_call_passes():
+    source = (
+        "class Store:\n"
+        "    def __init__(self, side, dim=1, audit=False):\n        pass\n"
+        "    def query(self, x, radius=None, *, keep=True):\n"
+        "        return self.query(x, radius, keep=keep)\n"
+        "    @staticmethod\n"
+        "    def wrap(x, side=1.0):\n        return x\n"
+        "def draw(rng, size=None, /, scale=1.0):\n    pass\n"
+        "def forward(a, b=0, c=0):\n    pass\n"
+        "def lonely(a, b=0):\n    return lonely(a, b)\n"
+        "Store(1.0, 2).query(0.0, 0.5)\n"
+        "Store.wrap(0.0, 2.0)\n"
+    )
+    using = [
+        "draw(rng, size=3, **{'scale': 2.0})\n",  # size is positional-only
+        "forward(1, *rest)\n",
+        "from mod import lonely\nlonely(1)\n",
+    ]
+    assert unset_options({"mod": source}, using) == [
+        ("mod", 2, "__init__", "audit"),
+        ("mod", 4, "query", "keep"),
+        ("mod", 9, "draw", "size"),
+        ("mod", 13, "lonely", "b"),
+    ]
+
+
+def test_every_optional_parameter_has_a_setter():
+    defining = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    using = [p.read_text() for p in (*SCRIPTS, *BENCH)]
+    unset = {(fn, param) for _, _, fn, param in unset_options(defining, using)}
+    exempt = {(fn, param) for fn, param, _ in SET_ONLY_BY_TESTS}
+    assert unset - exempt == set()
+    # each exemption is still needed: nothing outside the tests passes it
+    assert exempt <= unset

@@ -161,7 +161,7 @@ SEED_CLOSED_FORMS = {  # each family's profile as one expression of fresh arrays
 
 
 def test_tabulated_profile_is_np_interp_at_knots_between_and_beyond():
-    # _profile calls numpy's compiled interp, not the np.interp wrapper
+    # _profile_sq calls numpy's compiled interp, not the np.interp wrapper
     # around it: the same floats at the knots, between them, at 0 and
     # beyond the table (the sampler's draws are pinned against np.interp
     # by test_samplers_draw_as_their_per_call_formulas)
@@ -172,7 +172,8 @@ def test_tabulated_profile_is_np_interp_at_knots_between_and_beyond():
     rng = np.random.default_rng(6)
     r = np.concatenate([radii, mid, [0.0, 2.0, 2.5, 1e300], rng.random(500) * 2.2])
     want = np.interp(r, radii, values, right=0.0)
-    assert kernel._profile(r).tobytes() == want.tobytes()
+    with np.errstate(over="ignore"):  # 1e300 squared
+        assert kernel.profile(r).tobytes() == want.tobytes()
     assert kernel.profile(2.5) == 0.0 and kernel.profile(0.0) == 2.0
 
 
@@ -214,19 +215,28 @@ def test_profile_reads_an_array_of_lengths_in_place(family, dim):
         assert type(got) is np.ndarray and got.shape == empty.shape
 
 
+SQ_CLOSED_FORMS = {  # each family's profile of the squared length
+    "gaussian": lambda k, s: k._peak * np.exp(-s / (2.0 * k.sigma**2)),
+    "triangular": lambda k, s: SEED_CLOSED_FORMS["triangular"](k, np.sqrt(s)),
+    "exponential": lambda k, s: SEED_CLOSED_FORMS["exponential"](k, np.sqrt(s)),
+    "tabulated": lambda k, s: SEED_CLOSED_FORMS["tabulated"](k, np.sqrt(s)),
+}
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("family", ["gaussian", "triangular", "exponential", "tabulated"])
 def test_profile_sq_is_the_profile_of_the_root(family, dim):
-    # the point store and the pair walk hand a kernel squared lengths: s =
-    # fl(x * x) of one coordinate, and sums of two or three such squares in
-    # the walk's order, from 0 to beyond the cutoff.  _profile_sq reads s
-    # in place and, but for the gaussian, takes the root: _profile(sqrt(s))
-    # bit for bit.  The gaussian skips the root.  Where s is one square the
-    # root is |x| exactly and the floats are the same.  Where s sums
-    # squares, u = 2^-53, the root rounded and squared again is s (1 + e),
-    # |e| <= 3 u, and each side rounds its quotient by 2 sigma^2 once more,
-    # so the exponents differ by at most 5 u s / (2 sigma^2); each side's
-    # exp and product with the peak add a few ulp
+    # the point store, the pair walk and the verifier hand a kernel squared
+    # lengths: s = fl(x * x) of one coordinate, and sums of two or three
+    # such squares in the walk's order, from 0 to beyond the cutoff.
+    # _profile_sq reads s in place and gives its family's closed form of s
+    # bit for bit, which for every family but the gaussian is the closed
+    # form at the root.  Where s is one square the root is |x| exactly, and
+    # the gaussian's floats are those of its closed form at |x|.  Where s
+    # sums squares, u = 2^-53, the root rounded and squared again is
+    # s (1 + e), |e| <= 3 u, and each side rounds its quotient by 2 sigma^2
+    # once more, so the exponents differ by at most 5 u s / (2 sigma^2);
+    # each side's exp and product with the peak add a few ulp
     kernel = {
         "gaussian": gaussian(1.5, 0.7, dim),
         "triangular": triangular(2.0, 1.3, dim),
@@ -246,13 +256,23 @@ def test_profile_sq_is_the_profile_of_the_root(family, dim):
         s.flags.writeable = False  # writing into the input would raise
         got = kernel._profile_sq(s)
         assert got is not s and s.tobytes() == before.tobytes()
-        want = kernel._profile(np.sqrt(s))
+        assert got.tobytes() == SQ_CLOSED_FORMS[family](kernel, before).tobytes()
+        want = SEED_CLOSED_FORMS[family](kernel, np.sqrt(s))
         if family != "gaussian" or not k:
             assert got.tobytes() == want.tobytes()
             continue
         bound = 5.0 * u * s / (2.0 * kernel.sigma**2) + 8.0 * u
         assert (np.abs(got - want) <= bound * want).all()
         assert (got != want).any()  # the bound, not equality, holds them
+    # profile(r) is _profile_sq(r * r): the closed form of r bit for bit, at
+    # 0, at subnormal lengths whose square is 0, and where the square
+    # overflows
+    r = np.concatenate([[0.0, 5e-324, 1e-310, 1e300], np.abs(x[:, 0])])
+    with np.errstate(over="ignore"):
+        want = SEED_CLOSED_FORMS[family](kernel, r)
+        assert kernel.profile(r).tobytes() == want.tobytes()
+        assert [kernel.profile(v) for v in r[:4]] == want[:4].tolist()
+    assert want[0] == want[1] == want[2] == kernel.sup_norm() and want[3] == 0.0
 
 
 def test_evaluate_beyond_support():

@@ -108,10 +108,10 @@ def test_pair_correlation_poisson_flat():
 
 
 def test_pair_correlation_two_point_mass():
-    # two points at distance 1: every ordered pair lands in the covering bin
+    # two points at distance 1: every ordered pair lands in the covering
+    # bin, [1, 2) of the shells [0, 1), [1, 2) and [2, 3]
     reps = [np.array([[0.0], [1.0]]), np.array([[3.0], [4.0]])]
-    edges = np.array([0.0, 0.5, 1.5, 2.5])
-    pc = pair_correlation(reps, T10, edges=edges)
+    pc = pair_correlation(reps, T10, n_bins=3, r_max=3.0)
     assert pc.g[0] == 0.0
     assert pc.g[2] == 0.0
     # ordered pairs 2, volume 10, n(n-1) = 2, shell length 2
@@ -121,20 +121,22 @@ def test_pair_correlation_two_point_mass():
 
 def test_pair_correlation_skips_thin_replicas():
     reps = [np.array([[0.0], [1.0]]), np.zeros((0, 1)), np.array([[5.0], [6.0]])]
-    pc = pair_correlation(reps, T10, edges=np.array([0.5, 1.5]))
+    pc = pair_correlation(reps, T10, n_bins=1, r_max=1.5)
     assert pc.replicas_used == 2
 
 
 def test_pair_correlation_all_replicas_thin():
     reps = [np.zeros((0, 1)), np.array([[1.0]])]
     with pytest.raises(StatisticsError):
-        pair_correlation(reps, T10, edges=np.array([0.5, 1.5]))
+        pair_correlation(reps, T10, n_bins=1, r_max=1.5)
 
 
 def test_pair_correlation_rejects_wide_bins():
     reps = poisson_replicas(T10, 1.0, 4, seed=4)
     with pytest.raises(StatisticsError):
-        pair_correlation(reps, T10, edges=np.array([0.0, 6.0]))
+        pair_correlation(reps, T10, n_bins=1, r_max=6.0)
+    with pytest.raises(StatisticsError):
+        pair_correlation(reps, T10, n_bins=0, r_max=1.5)
 
 
 def brute_force_ordered_counts(side, pts, edges):
