@@ -21,9 +21,12 @@ near the origin, by a covering/packing argument:
 
 Balancing the two effects yields theta = min(omega/(2*delta), a_r/delta)
 with delta = max(sup a_plus, (mass a_plus + epsilon) * g(h, r)) and
-a_r = a_minus(2r).  All certificate arithmetic is elementary and recomputable
-from the stored fields.  Distances here are flat (not periodic): the
-certificate is a statement about configurations in the whole space.
+a_r = a_minus(2r), the infimum of a_minus on the ball of radius 2r;
+``certify`` reads a_r at every search radius from one evaluation of a_minus
+over the whole grid.  All certificate arithmetic is elementary and
+recomputable from the stored fields.  Distances here are flat (not
+periodic): the certificate is a statement about configurations in the whole
+space.
 """
 
 from __future__ import annotations
@@ -54,17 +57,6 @@ class CertificationError(RuntimeError):
 def _require_radial_nonincreasing(kernel: RadialKernel, name: str) -> None:
     if not kernel.is_nonincreasing:
         raise CertificationError(f"{name} must be radial non-increasing")
-
-
-def inf_on_ball(a_minus: RadialKernel, r: float) -> float:
-    """Infimum of the competition kernel over the ball of radius 2r.
-
-    For a radial non-increasing continuous profile this is the value at 2r.
-    """
-    if r <= 0.0:
-        raise CertificationError(f"r must be positive, got {r}")
-    _require_radial_nonincreasing(a_minus, "a_minus")
-    return float(a_minus.profile(2.0 * r))
 
 
 def packing_bound(dim: int, h: float, r: float, packing_constant: float = 1.0) -> float:
@@ -230,12 +222,13 @@ def certify(
 ) -> Certificate:
     """Search the (r, h) grid for the largest certified theta.
 
-    omega is an input, not searched; it must be strictly positive, since
-    omega = 0 forces theta = 0 and the level degenerates.  epsilon is the
-    cell sum's excess over the mass, the least sound value; theta only falls
-    as it grows.  ``tight_packing=False`` uses packing constant 1.0.  Raises
-    CertificationError when no grid point sees competition (a_minus vanishes
-    on every probed ball).
+    a_r = a_minus(2r) is read once, as one array over the grid's radii;
+    radii where it is 0 are dropped.  omega is an input, not searched; it
+    must be strictly positive, since omega = 0 forces theta = 0 and the
+    level degenerates.  epsilon is the cell sum's excess over the mass, the
+    least sound value; theta only falls as it grows.  ``tight_packing=False``
+    uses packing constant 1.0.  Raises CertificationError when no grid point
+    sees competition (a_minus vanishes on every probed ball).
     """
     if not (omega > 0.0 and math.isfinite(omega)):
         raise CertificationError(
@@ -259,9 +252,9 @@ def certify(
     # The cell sum is at least the mass, so theta with the mass in its place
     # bounds a grid point's theta from above: rank by that bound and compute
     # cell sums in rank order until no bound beats the best theta found.
+    a_rs = a_minus.profile(2.0 * np.array(grid.radii)).tolist()
     candidates = []
-    for r in grid.radii:
-        a_r = inf_on_ball(a_minus, r)
+    for r, a_r in zip(grid.radii, a_rs):
         if a_r <= 0.0:
             continue
         for hf in grid.h_factors:

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -17,7 +19,6 @@ from sbdsim.certificate import (
     CertificationError,
     SearchGrid,
     certify,
-    inf_on_ball,
     packing_bound,
     riemann_upper_sum,
     u_theta,
@@ -40,19 +41,31 @@ HAND_GRID = SearchGrid(radii=(0.25,), h_factors=(2.0,))
 HAND_THETA = 1.0 / 12.0
 
 
-# -- inf_on_ball ---------------------------------------------------------------
+# -- a_minus on the ball of radius 2r ---------------------------------------------
 
 
-def test_inf_on_ball_triangular():
-    assert inf_on_ball(TRI, 0.25) == 0.5
-    assert inf_on_ball(TRI, 0.75) == 0.0
+def test_profile_at_twice_r_is_the_triangular_inf_on_the_ball():
+    # certify reads a_r = a_minus(2r) off one array profile over its radii;
+    # each is the closed form height * max(1 - 2r / radius, 0) bit for bit
+    radii = np.array([0.25, 0.75, 0.1, 0.5])
+    want = TRI.height * np.clip(1.0 - 2.0 * radii / TRI.radius, 0.0, None)
+    assert TRI.profile(2.0 * radii).tobytes() == want.tobytes()
+    assert [TRI.profile(2.0 * r) for r in radii] == want.tolist()
+    assert TRI.profile(2.0 * 0.25) == 0.5
+    assert TRI.profile(2.0 * 0.75) == 0.0
 
 
-def test_inf_on_ball_gaussian():
-    assert inf_on_ball(GAUSS, 0.5) == pytest.approx(
+def test_profile_at_twice_r_is_the_gaussian_inf_on_the_ball():
+    # the closed form peak * exp(-(2r)^2 / (2 sigma^2)) bit for bit, array
+    # and scalar
+    radii = np.array([0.5, 0.05, 1.3, 4.0])
+    want = GAUSS._peak * np.exp(-((2.0 * radii) ** 2) / (2.0 * GAUSS.sigma**2))
+    assert GAUSS.profile(2.0 * radii).tobytes() == want.tobytes()
+    assert [GAUSS.profile(2.0 * r) for r in radii] == want.tolist()
+    assert GAUSS.profile(2.0 * 0.5) == pytest.approx(
         math.exp(-0.5) / math.sqrt(2 * math.pi), rel=1e-12
     )
-    assert inf_on_ball(GAUSS, 0.5) == pytest.approx(0.241971, abs=1e-6)
+    assert GAUSS.profile(2.0 * 0.5) == pytest.approx(0.241971, abs=1e-6)
 
 
 # -- riemann_upper_sum ----------------------------------------------------------
@@ -368,7 +381,7 @@ def exhaustive_certify(ap, am, grid, tight_packing=True):
     its own, and the set of (r, h) that reach its theta."""
     certs = []
     for r in grid.radii:
-        if inf_on_ball(am, r) <= 0.0:
+        if am.profile(2.0 * r) <= 0.0:
             continue
         for hf in grid.h_factors:
             one = SearchGrid(radii=(r,), h_factors=(hf,))
@@ -409,11 +422,64 @@ def test_lazy_scan_matches_every_grid_point(ap, am, grid):
 def test_lazy_scan_matches_every_point_of_random_grids(pair, radii, h_factors):
     ap, am = pair
     grid = SearchGrid(radii=radii, h_factors=h_factors)
-    assume(any(inf_on_ball(am, r) > 0.0 for r in grid.radii))
+    assume(any(am.profile(2.0 * r) > 0.0 for r in grid.radii))
     cert = certify(ap, am, omega=1.0, grid=grid)
     theta, argmax = exhaustive_certify(ap, am, grid)
     assert cert.theta == theta
     assert (cert.r, cert.h) in argmax
+
+
+@pytest.mark.parametrize("pair", CERTIFY_PAIRS, ids=[p[0] for p in CERTIFY_PAIRS])
+def test_certify_reads_a_minus_once_for_its_whole_grid(monkeypatch, pair):
+    # a_r = a_minus(2r) at all 13 radii of the default grid comes from one
+    # _profile_sq call on a_minus.  Calls are counted on the instance: the
+    # two kernels of tri/tri share a class, and a_plus's sup and cell sums
+    # call it too
+    _, ap, am, *_ = pair
+    shapes = []
+    profile_sq = type(am)._profile_sq
+
+    def counted(self, s):
+        if self is am:
+            shapes.append(s.shape)
+        return profile_sq(self, s)
+
+    monkeypatch.setattr(type(am), "_profile_sq", counted)
+    certify(ap, am, omega=1.0)
+    assert len(shapes) == 1
+    assert shapes == [(13,)]
+
+
+# The certificates of every CERTIFY_PAIRS row with both packing constants,
+# of two d=3 pairs, of two pairs on a grid that repeats a radius and of
+# three on grids where a_minus vanishes at some radii, last or first: the
+# sha256 of their to_dict() as JSON, in this order.  Pinned with numpy's
+# exp on x86-64: a host whose exp rounds otherwise may need its own pin
+REPEATED_GRID = SearchGrid(radii=(0.3, 0.1, 0.3, 0.05, 0.1), h_factors=(1.0, 0.5, 1.0))
+VANISHING_GRIDS = (
+    SearchGrid(radii=(0.05, 0.2, 0.5, 0.75, 3.0)),
+    SearchGrid(radii=(3.0, 1.2, 0.9, 0.3, 0.04), h_factors=(2.0, 0.25)),
+)
+PINNED_CERTIFICATES = (
+    [(ap, am, None, tight) for _, ap, am, *_ in CERTIFY_PAIRS for tight in (True, False)]
+    + [(gaussian(1.0, 1.0, 3), triangular(1.0, 1.0, 3), None, True),
+       (exponential(1.0, 1.0, 3), gaussian(1.0, 0.5, 3), None, False),
+       (TRI, TRI, REPEATED_GRID, True),
+       (gaussian(1.0, 2.0), gaussian(0.2, 0.5), REPEATED_GRID, False),
+       (GAUSS, TRI, VANISHING_GRIDS[0], True),
+       (triangular(1.0, 0.5), triangular(1.0, 2.0), VANISHING_GRIDS[1], True),
+       (exponential(1.0, 1.0, 2), triangular(1.0, 1.0, 2), VANISHING_GRIDS[1], False)]
+)  # fmt: skip
+
+
+def test_certificates_keep_their_floats():
+    h = hashlib.sha256()
+    for ap, am, grid, tight in PINNED_CERTIFICATES:
+        cert = certify(ap, am, omega=1.0, grid=grid, tight_packing=tight)
+        h.update(json.dumps(cert.to_dict()).encode())
+    assert h.hexdigest() == (
+        "07da62ab2109cc7b06f3a2018c51549aa21089d5c21d2ba0ca4882a3a5038bcc"
+    )
 
 
 def test_certificate_roundtrip():
