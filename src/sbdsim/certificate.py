@@ -375,7 +375,9 @@ def _pair_sums(
     sum_minus = np.zeros(sizes.shape[0])
     sum_plus = np.zeros(sizes.shape[0])
     coords = points.T
-    for size in np.unique(sizes[sizes >= 2]):
+    # the sizes present, ascending; np.unique would import numpy.ma
+    present = np.flatnonzero(np.bincount(sizes))
+    for size in present[present >= 2]:
         group = np.flatnonzero(sizes == size)
         sum_minus[group], sum_plus[group] = _pair_sums_by_size(
             coords, starts[group], int(size), a_plus, a_minus
@@ -438,6 +440,8 @@ def u_theta_increment(
 # -- randomized verification --------------------------------------------------
 
 SAMPLER_NAMES = ("uniform", "poisson", "cluster_competition", "cluster_dispersal")
+# The running sums of the verifier's equal sampler weights: 0.25, 0.5, 0.75, 1
+SAMPLER_CUM = np.arange(1, len(SAMPLER_NAMES) + 1) / len(SAMPLER_NAMES)
 
 # verify_certificate draws and evaluates trials in blocks of this many; a
 # block's largest array holds its trials of one size times that size's pairs
@@ -486,27 +490,26 @@ def _draw_block(
     rng: np.random.Generator,
     b: int,
     dim: int,
-    names: list[str],
-    cum: np.ndarray,
     size_max: int,
     box: float,
     spread: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw b trials: each one's sampler (an index into ``names``), its size,
-    the row its points start at, and all their points.
+    """Draw b trials: each one's sampler (an index into ``SAMPLER_NAMES``),
+    its size, the row its points start at, and all their points.
 
-    ``cum`` holds the cumulative sampler weights.  Uniform and Poisson trials
-    fill the cube of side ``box`` centred at the origin; the points of a
-    cluster trial of sampler j are normal with standard deviation
-    ``spread[j]``.  The draws come in this order: the samplers, the sizes
-    per sampler, one ``uniform`` for the points of every box trial and one
-    ``normal`` for those of every cluster trial.  The points are stacked by
-    sampler class: the box trials' points in trial order, then the cluster
-    trials' points in trial order.
+    Each trial picks one of the four samplers with equal weight: its
+    uniform draw u falls in (0.25 j, 0.25 (j + 1)] for sampler j, and u = 0
+    in the first.  Uniform and Poisson trials fill the cube of side ``box``
+    centred at the origin; the points of a cluster trial of sampler j are
+    normal with standard deviation ``spread[j]``.  The draws come in this
+    order: the samplers, the sizes per sampler, one ``uniform`` for the
+    points of every box trial and one ``normal`` for those of every cluster
+    trial.  The points are stacked by sampler class: the box trials' points
+    in trial order, then the cluster trials' points in trial order.
     """
-    kind = np.minimum(np.searchsorted(cum, rng.random(b)), len(names) - 1)
+    kind = np.searchsorted(SAMPLER_CUM, rng.random(b))
     sizes = np.empty(b, dtype=np.intp)
-    for j, name in enumerate(names):
+    for j, name in enumerate(SAMPLER_NAMES):
         mine = kind == j
         count = int(np.count_nonzero(mine))
         if name == "uniform":
@@ -515,7 +518,7 @@ def _draw_block(
             sizes[mine] = np.minimum(rng.poisson(size_max / 2.0, count), size_max)
         else:
             sizes[mine] = rng.integers(2, size_max + 1, count)
-    boxed = np.array([n in ("uniform", "poisson") for n in names])[kind]
+    boxed = kind < 2  # uniform and poisson
     box_sizes, cluster_sizes = sizes[boxed], sizes[~boxed]
     n_box = int(box_sizes.sum())
     starts = np.empty(b, dtype=np.intp)
@@ -537,17 +540,17 @@ def verify_certificate(
     size_max: int = DEFAULT_SIZE_MAX,
     *,
     rng: np.random.Generator,
-    sampler_mix: dict | None = None,
 ) -> ViolationReport:
     """Randomized search for configurations with U < 0.
 
     Mixes uniform boxes, Poisson boxes, and adversarial clusters at the
-    certificate's crowding scale r and at the dispersal length scale.  A
-    sound certificate yields zero violations; the report keeps the minimizing
-    configuration either way.  ``min_u`` and the argmin range over sampled
-    configurations of at least two points only: with fewer, U = omega * |eta|
-    >= 0 whatever theta is, so the empty set would win for every sound
-    certificate.  ``min_u`` is inf if no trial drew two points.
+    certificate's crowding scale r and at the dispersal length scale: the
+    four ``SAMPLER_NAMES``, with equal weight.  A sound certificate yields
+    zero violations; the report keeps the minimizing configuration either
+    way.  ``min_u`` and the argmin range over sampled configurations of at
+    least two points only: with fewer, U = omega * |eta| >= 0 whatever theta
+    is, so the empty set would win for every sound certificate.  ``min_u``
+    is inf if no trial drew two points.
 
     ``theta_up`` is the least (omega |eta| + S-(eta)) / S+(eta) over sampled
     configurations of at least two points with S+ > 0, where S- and S+ are
@@ -564,45 +567,28 @@ def verify_certificate(
     ``exp`` may round an element differently at another position in an array.
 
     Raises CertificationError for fewer than one trial, and for a
-    ``size_max`` the selected samplers cannot draw: below 2 with a cluster
-    sampler, below 0 otherwise.
+    ``size_max`` below 2, which a cluster trial cannot draw.
     """
     if trials < 1:
         raise CertificationError(f"trials must be >= 1, got {trials}")
-    if sampler_mix is None:
-        sampler_mix = {name: 1.0 for name in SAMPLER_NAMES}
-    names = [n for n in SAMPLER_NAMES if sampler_mix.get(n, 0.0) > 0.0]
-    if not names:
-        raise CertificationError("sampler mix selects no samplers")
-    # a cluster trial draws 2..size_max points, a box trial 0..size_max
-    least = 0 if set(names) <= {"uniform", "poisson"} else 2
-    if size_max < least:
-        raise CertificationError(
-            f"size_max must be >= {least} for samplers {names}, got {size_max}"
-        )
-    weights = np.array([sampler_mix[n] for n in names])
-    cum = np.cumsum(weights / weights.sum())
+    if size_max < 2:  # a cluster trial draws 2..size_max points
+        raise CertificationError(f"size_max must be >= 2, got {size_max}")
 
     dim = a_plus.dim
     scale_disp = a_plus.characteristic_radius()
     box = 6.0 * max(cert.r, scale_disp, a_minus.characteristic_radius())
     omega, theta = cert.omega, cert.theta
-    spread = np.array(
-        [{"cluster_competition": cert.r, "cluster_dispersal": scale_disp}.get(n, 0.0)
-         for n in names]
-    )
+    spread = np.array([0.0, 0.0, cert.r, scale_disp])  # per SAMPLER_NAMES
 
     min_u = math.inf
     theta_up = math.inf
     argmin_pts = np.zeros((0, dim))
-    argmin_sampler = names[0]
+    argmin_sampler = SAMPLER_NAMES[0]
     n_violations = 0
 
     for done in range(0, trials, TRIAL_BATCH):
         b = min(TRIAL_BATCH, trials - done)
-        kind, sizes, starts, pts = _draw_block(
-            rng, b, dim, names, cum, size_max, box, spread
-        )
+        kind, sizes, starts, pts = _draw_block(rng, b, dim, size_max, box, spread)
         sum_minus, sum_plus = _pair_sums(pts, sizes, a_plus, a_minus, starts)
         u = omega * sizes + sum_minus - theta * sum_plus
         n_violations += int(np.count_nonzero(u < -VIOLATION_TOL * (1 + omega * sizes)))
@@ -614,7 +600,7 @@ def verify_certificate(
             min_u = float(u[i])
             start = int(starts[i])
             argmin_pts = pts[start : start + sizes[i]].copy()
-            argmin_sampler = names[kind[i]]
+            argmin_sampler = SAMPLER_NAMES[kind[i]]
         pos = real[sum_plus[real] > 0.0]
         if pos.shape[0]:
             refuted = (omega * sizes[pos] + sum_minus[pos]) / sum_plus[pos]
@@ -630,5 +616,5 @@ def verify_certificate(
         tolerance=VIOLATION_TOL,
         argmin_sampler=argmin_sampler,
         argmin_points=argmin_pts,
-        sampler_mix={n: float(sampler_mix.get(n, 0.0)) for n in SAMPLER_NAMES},
+        sampler_mix={name: 1.0 for name in SAMPLER_NAMES},
     )

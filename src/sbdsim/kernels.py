@@ -39,6 +39,13 @@ The cutoff radius maps back the least float z with Q(s, z) <=
 ``TAIL_MASS_FRACTION`` and is then raised by the few ulps that rounding may
 cost, so ``mass_beyond(cutoff_radius())`` never exceeds that fraction of the
 weight.  Each instance computes it once, on first use, as it does its peak.
+
+A kernel draws one displacement per call: ``sample_displacement(rng)``
+draws a radius with density proportional to profile(s) s^(d-1), then a
+uniform direction.  The gaussian draws its d coordinates in one normal call
+instead.  The triangular and tabulated families draw their radius by
+rejection, ``CANDIDATES_PER_ROUND`` candidates a round, and keep the first
+one accepted.
 """
 
 from __future__ import annotations
@@ -57,6 +64,8 @@ except ImportError:  # numpy 1.x
 
 # Relative mass allowed beyond the cutoff radius of an unbounded kernel.
 TAIL_MASS_FRACTION = 1e-10
+# Candidate radii a rejection sampler draws in each round.
+CANDIDATES_PER_ROUND = 16
 
 
 class KernelError(ValueError):
@@ -128,20 +137,21 @@ def _check_dim(dim: int) -> None:
         raise KernelError(f"dimension must be a positive integer, got {dim!r}")
 
 
-def uniform_direction(dim: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` unit vectors uniformly on the sphere in ``dim`` dimensions."""
-    v = rng.standard_normal((size, dim))
-    # np.linalg.norm(v, axis=1, keepdims=True) bit for bit, without its
-    # wrapper: its add.reduce adds a row's squares in order, and in d <= 2
-    # one column or one add gives that sum for less than a reduction's set-up
+def uniform_direction(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw one unit vector uniformly on the sphere in ``dim`` dimensions: a
+    standard normal vector over its norm."""
+    v = rng.standard_normal(dim)
+    # np.linalg.norm(v, axis=0, keepdims=True) bit for bit, without its
+    # wrapper: its add.reduce adds the squares in order, and in d <= 2 the
+    # one square or one add gives that sum for less than a reduction's set-up
     sq = v * v
     if dim == 2:
-        sq = sq[:, :1] + sq[:, 1:]
+        sq = sq[:1] + sq[1:]
     elif dim > 2:
-        sq = np.add.reduce(sq, axis=1, keepdims=True)
-    norms = np.sqrt(sq)
-    norms[norms == 0.0] = 1.0
-    return v / norms
+        sq = np.add.reduce(sq, keepdims=True)
+    norm = np.sqrt(sq)
+    norm[norm == 0.0] = 1.0
+    return v / norm
 
 
 class RadialKernel:
@@ -223,15 +233,15 @@ class RadialKernel:
 
     # -- sampling ---------------------------------------------------------
 
-    def sample_radius(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample_radius(self, rng: np.random.Generator) -> float:
+        """Draw one radius with density proportional to profile(s) s^(d-1)."""
         raise NotImplementedError
 
-    def sample_displacement(self, rng: np.random.Generator, size: int | None = None):
-        """Draw displacement vectors with density ``profile(|x|)/mass()``."""
-        n = 1 if size is None else int(size)
-        radii = self.sample_radius(rng, n)
-        disp = uniform_direction(self.dim, rng, n) * radii[:, None]
-        return disp[0] if size is None else disp
+    def sample_displacement(self, rng: np.random.Generator) -> np.ndarray:
+        """Draw one displacement with density ``profile(|x|)/mass()``: its
+        radius, then its direction."""
+        radius = self.sample_radius(rng)
+        return uniform_direction(self.dim, rng) * radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,10 +285,9 @@ class GaussianKernel(RadialKernel):
     def characteristic_radius(self) -> float:
         return self.sigma
 
-    def sample_displacement(self, rng, size=None):
-        # the stream and floats of standard_normal(shape) * sigma, in one call
-        shape = self.dim if size is None else (int(size), self.dim)
-        return rng.normal(0.0, self.sigma, shape)
+    def sample_displacement(self, rng):
+        # the stream and floats of standard_normal(dim) * sigma, in one call
+        return rng.normal(0.0, self.sigma, self.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,18 +332,14 @@ class TriangularKernel(RadialKernel):
     def characteristic_radius(self) -> float:
         return self.radius / 2.0
 
-    def sample_radius(self, rng, size):
+    def sample_radius(self, rng):
         # Rejection against the uniform ball: accept radius s with prob 1 - s/R.
-        out = np.empty(size)
-        filled = 0
-        while filled < size:
-            n = max(2 * (size - filled), 16)
+        n = CANDIDATES_PER_ROUND
+        while True:
             s = self.radius * rng.random(n) ** (1.0 / self.dim)
             acc = s[rng.random(n) < 1.0 - s / self.radius]
-            take = min(acc.size, size - filled)
-            out[filled : filled + take] = acc[:take]
-            filled += take
-        return out
+            if acc.size:
+                return acc[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,9 +386,9 @@ class ExponentialKernel(RadialKernel):
     def characteristic_radius(self) -> float:
         return self.scale
 
-    def sample_radius(self, rng, size):
+    def sample_radius(self, rng):
         # Radius has a Gamma(dim, scale) law: density prop to r^(d-1) e^(-r/scale).
-        return rng.gamma(self.dim, self.scale, size)
+        return rng.gamma(self.dim, self.scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -491,25 +496,21 @@ class TabulatedKernel(RadialKernel):
         seg_w = seg_sup * np.diff(r)
         return seg_sup, np.cumsum(seg_w), float(seg_w.sum())
 
-    def sample_radius(self, rng, size):
+    def sample_radius(self, rng):
         # Rejection against a dominating step function on each grid segment.
         d = self.dim
         r, v = self.radii, self.values
         seg_sup, cum, total = self._step_table
         if total <= 0.0:
             raise KernelError("cannot sample from an all-zero kernel")
-        out = np.empty(size)
-        filled = 0
-        while filled < size:
-            n = max(2 * (size - filled), 16)
+        n = CANDIDATES_PER_ROUND
+        while True:
             seg = cum.searchsorted(rng.random(n) * total)
             s = r[seg] + rng.random(n) * (r[seg + 1] - r[seg])
             target = _interp(s, r, v) * s ** (d - 1)
             acc = s[rng.random(n) * seg_sup[seg] < target]
-            take = min(acc.size, size - filled)
-            out[filled : filled + take] = acc[:take]
-            filled += take
-        return out
+            if acc.size:
+                return acc[0]
 
 
 gaussian = GaussianKernel

@@ -5,6 +5,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -616,6 +619,24 @@ def test_certify_without_competition_fails(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "cfg.json", cfg)
     assert main(["certify", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 3
     assert "no competition within reach" in capsys.readouterr().err
+
+
+def test_certify_and_verify_leave_numpy_ma_unloaded(tmp_path):
+    # the first np.unique call imports numpy.ma, which neither command needs
+    config, out = str(CONFIGS / "long_dispersal_certificate.json"), str(tmp_path)
+    code = f"""
+import sys
+from sbdsim.cli import main
+for command in ("certify", "verify"):
+    if main([command, "--config", {config!r}, "--out", {out!r}]) != 0:
+        sys.exit(command + " failed")
+sys.exit("numpy.ma loaded" if "numpy.ma" in sys.modules else 0)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("command", ["certify", "verify"])

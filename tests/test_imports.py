@@ -27,20 +27,6 @@ UNCALLED_BY_DESIGN = (
     ("scaled", "the negative control of bench/test_bench.py"),
 )
 
-# Optional parameters, (function, parameter), that only tests pass.
-SET_ONLY_BY_TESTS = (
-    (
-        "verify_certificate",
-        "sampler_mix",
-        "the seeded per-sampler tests draw trials from one sampler at a time",
-    ),
-    (
-        "sample_displacement",
-        "size",
-        "the distribution tests draw many displacements in one call",
-    ),
-)
-
 
 def unused_imports(source: str) -> list[str]:
     """Names bound by the module's top-level imports that nothing else reads."""
@@ -251,8 +237,4 @@ def test_checker_flags_an_option_no_call_passes():
 def test_every_optional_parameter_has_a_setter():
     defining = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     using = [p.read_text() for p in (*SCRIPTS, *BENCH)]
-    unset = {(fn, param) for _, _, fn, param in unset_options(defining, using)}
-    exempt = {(fn, param) for fn, param, _ in SET_ONLY_BY_TESTS}
-    assert unset - exempt == set()
-    # each exemption is still needed: nothing outside the tests passes it
-    assert exempt <= unset
+    assert unset_options(defining, using) == []

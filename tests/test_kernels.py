@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import inspect
+import json
 import math
 import os
 import subprocess
@@ -541,9 +543,14 @@ def test_monte_carlo_mass(kernel):
 # -- samplers ----------------------------------------------------------------
 
 
+def displacements(kernel, rng, n):
+    """``n`` single displacements of ``kernel``, one row each."""
+    return np.array([kernel.sample_displacement(rng) for _ in range(n)])
+
+
 def test_gaussian_sampler_variance():
     rng = np.random.default_rng(5)
-    draws = gaussian(1.0, 2.0, 2).sample_displacement(rng, 100_000)
+    draws = displacements(gaussian(1.0, 2.0, 2), rng, 100_000)
     assert draws.shape == (100_000, 2)
     for axis in range(2):
         v = draws[:, axis].var(ddof=1)
@@ -553,7 +560,7 @@ def test_gaussian_sampler_variance():
 
 def test_triangular_sampler_support():
     rng = np.random.default_rng(6)
-    draws = triangular(1.0, 1.0, 2).sample_displacement(rng, 20_000)
+    draws = displacements(triangular(1.0, 1.0, 2), rng, 20_000)
     assert np.all(np.linalg.norm(draws, axis=1) <= 1.0 + 1e-12)
 
 
@@ -561,7 +568,7 @@ def test_exponential_sampler_radius_law():
     # radial density r^{d-1} e^{-r/lambda} is Gamma(d, lambda)
     rng = np.random.default_rng(7)
     k = exponential(1.0, 1.5, 2)
-    radii = np.linalg.norm(k.sample_displacement(rng, 100_000), axis=1)
+    radii = np.linalg.norm(displacements(k, rng, 100_000), axis=1)
     mean, var = radii.mean(), radii.var(ddof=1)
     assert mean == pytest.approx(2 * 1.5, abs=4 * radii.std() / math.sqrt(radii.size))
     assert var == pytest.approx(2 * 1.5**2, rel=0.05)
@@ -571,7 +578,7 @@ def test_tabulated_sampler_ks():
     rng = np.random.default_rng(8)
     r, v = triangle_table()
     k = tabulated(r, v, dim=1)
-    radii = np.abs(k.sample_displacement(rng, 100_000)[:, 0])
+    radii = np.abs(displacements(k, rng, 100_000)[:, 0])
     # numeric radial CDF via trapezoid integration of v(r) r^{d-1}
     dens = v * r ** (k.dim - 1)
     cdf_grid = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(r))])
@@ -584,7 +591,7 @@ def test_sampler_histogram_matches_density():
     # chi-square goodness of fit of sampled radii against exact bin masses
     rng = np.random.default_rng(9)
     k = triangular(1.0, 1.0, 1)
-    radii = np.abs(k.sample_displacement(rng, 100_000)[:, 0])
+    radii = np.abs(displacements(k, rng, 100_000)[:, 0])
     edges = np.linspace(0.0, 1.0, 11)
     counts, _ = np.histogram(radii, edges)
     # radial mass of 2(1-r) between bin edges
@@ -601,24 +608,47 @@ def test_sample_displacement_single():
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("size", [None, 1, 5, 1000])
-def test_gaussian_displacement_draws_the_standard_normal_stream(dim, size):
-    # one rng.normal call gives the floats of standard_normal((k, d)) * sigma
-    # and leaves the generator where that left it
+def test_gaussian_displacement_draws_the_standard_normal_stream(dim):
+    # one rng.normal call gives the floats of standard_normal(d) * sigma and
+    # leaves the generator where that left it
     kernel = gaussian(2.0, 0.37, dim)
     new, old = np.random.default_rng(30 + dim), np.random.default_rng(30 + dim)
     for _ in range(20):
-        got = kernel.sample_displacement(new, size)
-        want = old.standard_normal((1 if size is None else size, dim)) * 0.37
-        if size is None:
-            want = want[0]
+        got = kernel.sample_displacement(new)
+        want = old.standard_normal(dim) * 0.37
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert new.bit_generator.state == old.bit_generator.state
 
 
+# sha256 of 3,000 seeded single displacements of each family in d = 1, 2
+# and 3, one generator per family, each followed by its generator's state
+DISPLACEMENT_DIGESTS = {
+    1: "c6875c8a21fbca99ed0635448ee7d621428d2ce9e22213f079a97f15046fb992",
+    2: "b8e7156c95ea540d48e324a3be52ab6e8ef7d2d355851fda96413294fe9d5ceb",
+    3: "7b4cf8b6144622a3e32eb838dc8049ef928f8fecfe638376b7e98c9078837968",
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_seeded_displacements_keep_their_bits(dim):
+    families = (
+        gaussian(1.0, 0.7, dim),
+        triangular(1.3, 1.1, dim),
+        exponential(0.8, 0.6, dim),
+        tabulated([0.0, 0.4, 1.0, 1.5, 2.0], [1.0, 0.9, 0.3, 0.3, 0.0], dim),
+    )
+    h = hashlib.sha256()
+    for i, kernel in enumerate(families):
+        rng = np.random.default_rng(50 + 10 * dim + i)
+        for _ in range(3000):
+            h.update(kernel.sample_displacement(rng).tobytes())
+        h.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+    assert h.hexdigest() == DISPLACEMENT_DIGESTS[dim]
+
+
 def test_uniform_direction_unit_norm():
     rng = np.random.default_rng(11)
-    dirs = uniform_direction(3, rng, 1000)
+    dirs = np.array([uniform_direction(3, rng) for _ in range(1000)])
     np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-12)
     assert abs(dirs.mean(axis=0)).max() < 0.05
 
@@ -667,12 +697,12 @@ def test_samplers_draw_as_their_per_call_formulas(dim):
     grid.flat[0] = 0.0
     field = ImmigrationField(grid=grid)
     new, old = np.random.default_rng(20 + dim), np.random.default_rng(20 + dim)
-    for size in (1, 2, 7, 100):
-        want = tabulated_radii_per_call(kernel, old, size)
-        assert kernel.sample_radius(new, size).tolist() == want.tolist()
-        v = old.standard_normal((size, dim))
+    for _ in range(110):
+        want = tabulated_radii_per_call(kernel, old, 1)
+        assert [kernel.sample_radius(new)] == want.tolist()
+        v = old.standard_normal((1, dim))
         want = v / np.linalg.norm(v, axis=1, keepdims=True)
-        assert uniform_direction(dim, new, size).tolist() == want.tolist()
+        assert uniform_direction(dim, new).tolist() == want[0].tolist()
     for _ in range(200):
         want = immigrant_per_call(grid, 6.0, old)
         assert field.sample_position(6.0, dim, new).tolist() == want.tolist()
@@ -685,10 +715,12 @@ def test_samplers_keep_read_only_copies_of_their_grids():
     grid = np.array([[0.0, 1.0], [2.0, 3.0]])
     kernel = tabulated(radii, values, dim=2)
     field = ImmigrationField(grid=grid)
-    want_r = kernel.sample_radius(np.random.default_rng(3), 50).tolist()
+    rng = np.random.default_rng(3)
+    want_r = [kernel.sample_radius(rng) for _ in range(50)]
     want_x = field.sample_position(4.0, 2, np.random.default_rng(3)).tolist()
     radii[1], values[1], grid[0, 0] = 0.1, 0.0, 9.0
-    assert kernel.sample_radius(np.random.default_rng(3), 50).tolist() == want_r
+    rng = np.random.default_rng(3)
+    assert [kernel.sample_radius(rng) for _ in range(50)] == want_r
     assert field.sample_position(4.0, 2, np.random.default_rng(3)).tolist() == want_x
     for kept in (kernel.radii, kernel.values, field.grid):
         with pytest.raises(ValueError):
