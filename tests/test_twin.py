@@ -10,12 +10,18 @@ birth-or-death uniform, then the parent row and its displacement, the
 immigrant's position, or the death uniform.  Where the run chose otherwise
 and the uniform lay within CLOSE of the boundary, a rounding of the totals,
 the twin takes the run's choice and counts it.
+
+Nine named cases pin hand-picked stores and grids; a property test draws
+the rest of the model space: both variants, d = 1 to 3, each a- family or
+none, grids of 1 to 8 cells per axis and starts of 0 to 300 points.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbdsim.dynamics import ModelSpec, SimulationState, run
 from sbdsim.geometry import BLOCK_ROWS, LOAD_DRIFT_TOL, CellGrid, Torus, TorusConfiguration
@@ -29,12 +35,13 @@ def fresh_loads(pos, side, kernel):
     n = pos.shape[0]
     if kernel is None or n < 2:
         return np.zeros(n)
-    d = np.abs(pos[:, None, :] - pos[None, :, :])
-    d = np.minimum(d, side - d)
-    square = d[..., 0] * d[..., 0]
-    for axis in range(1, pos.shape[1]):
-        square += d[..., axis] * d[..., axis]
-    dist = np.sqrt(square)
+    square = np.zeros((n, n))
+    for axis in range(pos.shape[1]):  # one (n, n) block per axis
+        d = np.abs(pos[:, axis, None] - pos[None, :, axis])
+        np.minimum(d, side - d, out=d)
+        d *= d
+        square += d
+    dist = np.sqrt(square, out=square)
     kept = dist <= kernel.cutoff_radius()
     np.fill_diagonal(kept, False)
     i, j = kept.nonzero()
@@ -186,13 +193,10 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", list(CASES))
-def test_run_matches_its_naive_twin(name, monkeypatch):
-    # the run's kinds, ids and parents equal the twin's, its times and
-    # positions agree to CLOSE, and after every event its store holds the
-    # twin's rows in the twin's order, with loads within LOAD_DRIFT_TOL of
-    # the twin's and none below zero
-    spec, torus, start, t_end = CASES[name]()
+def run_against_twin(spec, torus, start, t_end):
+    """Run ``spec`` from the points ``start`` to ``t_end`` with seed 7,
+    recording the store's (ids, loads) after each event, and replay the
+    twin against it; return the trace, the states and the adopted count."""
     states = []
     apply = SimulationState._apply_event
 
@@ -201,11 +205,23 @@ def test_run_matches_its_naive_twin(name, monkeypatch):
         n = len(self.cfg)
         states.append((self.cfg._id[:n].copy(), self.cfg.loads.copy()))
 
-    monkeypatch.setattr(SimulationState, "_apply_event", recorded)
-    cfg = TorusConfiguration(torus, start)
-    start = cfg._pos[: len(cfg)].copy()
-    trace = run(spec, cfg, t_end, np.random.default_rng(7))
-    adopted = replay(spec, torus, start, t_end, 7, trace, states)
+    SimulationState._apply_event = recorded
+    try:
+        cfg = TorusConfiguration(torus, start)
+        start = cfg._pos[: len(cfg)].copy()
+        trace = run(spec, cfg, t_end, np.random.default_rng(7))
+    finally:
+        SimulationState._apply_event = apply
+    return trace, states, replay(spec, torus, start, t_end, 7, trace, states)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_run_matches_its_naive_twin(name):
+    # the run's kinds, ids and parents equal the twin's, its times and
+    # positions agree to CLOSE, and after every event its store holds the
+    # twin's rows in the twin's order, with loads within LOAD_DRIFT_TOL of
+    # the twin's and none below zero
+    trace, states, adopted = run_against_twin(*CASES[name]())
     print(f"{name}: {trace.n_events} events, {trace.clamps} clamps, {adopted} adopted")
     assert 300 <= trace.n_events <= 2000 and not trace.guard_tripped
     sizes = [ids.size for ids, _ in states]
@@ -213,3 +229,61 @@ def test_run_matches_its_naive_twin(name, monkeypatch):
         assert min(sizes) > BLOCK_ROWS
     if name.endswith("past-one-block"):  # the store falls to one block
         assert min(sizes) <= BLOCK_ROWS < max(sizes)
+
+
+def a_minus_of(family, dim, weight):
+    """An a- of ``family`` with total weight about ``weight``, or None."""
+    if family == "gaussian":
+        return gaussian(weight, 0.4, dim)
+    if family == "triangular":
+        return triangular(weight, 1.5, dim)
+    if family == "exponential":
+        return exponential(weight, 0.1, dim)
+    if family == "tabulated":  # positive at its cutoff
+        return tabulated([0.0, 0.7, 1.4], [weight, weight / 2.0, weight / 5.0], dim,
+                         tail_sup_bound=weight / 5.0, tail_mass_bound=0.1)  # fmt: skip
+    return None
+
+
+@settings(max_examples=60)
+@given(
+    variant=st.sampled_from(["bolker_pacala", "migration"]),
+    dim=st.integers(min_value=1, max_value=3),
+    family=st.sampled_from(["gaussian", "triangular", "exponential", "tabulated", None]),
+    cells=st.integers(min_value=2, max_value=9),
+    whole=st.booleans(),
+    fraction=st.floats(min_value=0.05, max_value=0.95),
+    n=st.integers(min_value=0, max_value=300),
+    events=st.integers(min_value=100, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_every_model_matches_its_naive_twin(
+    variant, dim, family, cells, whole, fraction, n, events, seed
+):
+    # either variant in d = 1, 2 or 3, with any a- family or none, on a
+    # side of ``cells`` cutoffs of a-, a whole number (the store files 1 to
+    # 8 cells per axis, one cutoff wide and the cutoff a float from a cell
+    # width) or not (2 to 8 cells per axis), from 0 to 300 uniform points,
+    # so that some stores pass BLOCK_ROWS, for about ``events`` events
+    rng = np.random.default_rng(seed)
+    a_minus = a_minus_of(family, dim, float(rng.uniform(0.01, 0.2)))
+    cutoff = 1.5 if a_minus is None else a_minus.cutoff_radius()
+    side = cutoff * (cells if whole or cells == 9 else cells + fraction)
+    torus = Torus(side, dim)
+    if a_minus is not None:
+        assert 1 <= CellGrid.for_radius(torus, cutoff).n <= 8
+    m = float(rng.uniform(1.0, 1.5))  # at least the birth rate: no run explodes
+    if variant == "migration":
+        b = ImmigrationField(constant=float(rng.uniform(0.5, 2.0)) * n / torus.volume + 0.5)
+        spec = ModelSpec(variant, a_minus=a_minus, m=m, b=b)
+    else:
+        a_plus = gaussian(1.0, side * fraction / 14.0, dim)
+        spec = ModelSpec(variant, a_plus=a_plus, a_minus=a_minus, m=m)
+    start = rng.uniform(0.0, side, (n, dim))
+    b0 = 0.0 if spec.b is None else spec.b.integral(side, dim)
+    b0 += 0.0 if spec.a_plus is None else n * spec.a_plus.mass()
+    d0 = m * n + fresh_loads(torus.wrap(start), side, a_minus).sum()
+    t_end = events / (b0 + d0) if b0 + d0 > 0.0 else 1.0
+    trace, _, _ = run_against_twin(spec, torus, start, t_end)
+    assert not trace.guard_tripped
+    assert trace.n_events == 0 if b0 + d0 == 0.0 else trace.n_events > 0
