@@ -14,19 +14,12 @@ cell, shared by the store's filing and the pair walk.
 ``TorusConfiguration`` is the simulator's one point store, built with its
 starting points: dense columns of the living points, addressed by row
 alone, a load column with, once it holds more than one block of rows, block
-sums for the death draw, and per-cell arrays of rows, filed once for one
-radius on the grid ``CellGrid.for_radius`` picks for it, that a neighbour
-query within that radius gathers through the cell's stencil, in the order
-it gathers them; no query picks or changes the grid.  A cell whose stencil
-does not wrap round the grid reaches it as ``cell + delta`` for one tuple
-of flat deltas that the filing works out; only the stencils of cells near a
-grid edge, or of every cell of a grid too coarse for a stencil not to wrap,
-wrap round the grid, and those are kept, one per cell.  Each cell's entry
-holds the view of its live rows next to the buffer they lead, so the query
-joins the views as they are, and it subtracts the query point from the (k,
-dim) block of candidates along the rows, not along the short axis.  An
-event wraps and files its point once: ``_in_box`` gives the wrapped
-position and its cell, and the query and the insert both take that pair.
+sums for the death draw, and a bucketed cell index, filed once for one
+radius on the grid ``CellGrid.for_radius`` picks for it, that no query
+changes: padded arrays of each cell's rows and positions, +inf in free
+slots.  A query from a cell whose stencil does not wrap reads one slice of
+them per axis; any other gathers its stencil's buckets.  An event wraps
+and files its point once, in ``_in_box``, for its query and its insert.
 ``periodic_pairs`` walks each unordered pair of points within a radius once,
 over half the neighbouring cell offsets, in bounded batches, one batch
 shared by consecutive offsets whose candidates fit in it; the kernel sums
@@ -42,8 +35,9 @@ cells one radius wide, a row meets only its own cell and the next.  It
 hands its own order back with the batches.  The kernel sums of a store
 filed for their kernel's cutoff walk the cells of its positions on its grid
 and leave its index as it is; any other store is filed for that cutoff.
-Every minimum-image length, of a neighbour query and of the pair walk,
-comes squared from one helper; a pair is kept when its square is at most
+Every minimum-image length comes squared from one helper, but for the
+plain differences of a query whose stencil does not wrap, squared and
+summed in the same order; a pair is kept when its square is at most
 ``exact_reach`` of the radius, the same test as distance <= radius.  Lengths
 leave the query and the walk squared, for each kernel family states its
 profile on the square (``RadialKernel._profile_sq``) and takes a root only
@@ -91,9 +85,9 @@ PAIR_BATCH = 1 << 14
 LEAD_BITS = 32
 LEAD_MAX = (1 << LEAD_BITS) - 1
 LOAD_DRIFT_TOL = 1e-9  # a cached load's largest error, in units of 1 + |true value|
-# np.concatenate without the Python-level dispatcher that checks its
-# arguments for __array_function__: the query joins plain arrays only
-_concatenate = getattr(np.concatenate, "_implementation", np.concatenate)
+# Free slots past the fullest bucket at a filing; an overflow adds twice as many
+CELL_SLACK = 4
+MAX_BUCKETS = 1 << 16  # a grid of more cells shares them, cell c in c % MAX_BUCKETS
 
 
 class GeometryError(ValueError):
@@ -217,8 +211,8 @@ class CellGrid:
         each coordinate wrapped into the box first, in one vectorised pass."""
         idx = (np.mod(pts, self.side) / self.cell_size).astype(np.intp)
         np.minimum(idx, self.n - 1, out=idx)
-        flat = np.zeros(idx.shape[0], dtype=np.intp)
-        for axis in range(self.dim):
+        flat = idx[:, 0]
+        for axis in range(1, self.dim):
             flat = flat * self.n + idx[:, axis]
         return flat
 
@@ -239,27 +233,15 @@ class CellGrid:
         return tuple(flats)
 
     @lru_cache(maxsize=16)  # the replicas of a run file one grid for one radius
-    def plain_stencil(self, radius: float) -> tuple[tuple[int, ...], tuple]:
-        """(deltas, inner): the flat offsets of ``cell_stencil``, in its
-        order, for every cell it does not wrap round the grid, and the
-        bounds of those cells.  ``inner`` is (lo, hi, later): the stencil of
-        ``cell`` is ``cell + delta`` when lo <= cell < hi and a <= cell % m
-        < b for each (m, a, b) of ``later``, one per axis after the first.
-
-        Those are the cells whose coordinates all lie at least rings from
-        both grid edges, on a grid of 2 (rings + 1) <= n cells per axis,
-        and none on a coarser one.  Then two points of a cell and its
-        stencil lie at most side / 2 apart along each axis, up to a rounding
-        that only pairs farther apart than the radius see, so their plain
-        difference is the minimum image.
-        """
-        n, rings, offsets = self.n, self.rings(radius), self.offsets(radius)
-        deltas, bounds = [0], []
-        for axis in reversed(range(self.dim)):  # n**axis is the axis's stride
-            deltas = [d * n + o for d in deltas for o in offsets]
-            bounds.append((n ** (axis + 1), rings * n**axis, (n - rings) * n**axis))
-        _, lo, hi = bounds[0] if n >= 2 * (rings + 1) else (0, 0, 0)
-        return tuple(deltas), (lo, hi, tuple(bounds[1:]))
+    def plain_range(self, radius: float) -> range:
+        """Coordinates along an axis at least rings from both grid edges, on
+        a grid of 2 (rings + 1) <= n cells per axis: a cell with all its
+        coordinates there has a stencil that does not wrap, and two of their
+        points lie at most side / 2 apart along each axis, up to a rounding
+        only pairs beyond the radius see, so their difference is the
+        minimum image."""
+        n, rings = self.n, self.rings(radius)
+        return range(rings, n - rings) if n >= 2 * (rings + 1) else range(0)
 
 
 def exact_reach(radius: float) -> float:
@@ -277,19 +259,16 @@ def exact_reach(radius: float) -> float:
     return reach
 
 
-def _min_image_squares(d: np.ndarray, side: float, wraps: bool = True) -> np.ndarray:
+def _min_image_squares(d: np.ndarray, side: float) -> np.ndarray:
     """Squared minimum-image lengths of the rows of ``d``, differences of
     points in [0, side]^dim; ``d`` is overwritten.
 
     |delta| <= side along each axis, so min(|delta|, side - |delta|) is the
-    minimum image along it; with ``wraps`` False the caller knows that
-    |delta| <= side / 2, where that minimum is delta itself.  The squares
-    are summed column by column, since a sum along short rows is slow in
-    numpy.
+    minimum image along it.  The squares are summed column by column, since
+    a sum along short rows is slow in numpy.
     """
-    if wraps:
-        np.abs(d, out=d)
-        np.minimum(d, side - d, out=d)
+    np.abs(d, out=d)
+    np.minimum(d, side - d, out=d)
     d *= d
     square = d[:, 0] if d.shape[1] == 1 else d[:, 0] + d[:, 1]
     for axis in range(2, d.shape[1]):
@@ -502,7 +481,7 @@ def periodic_pairs(
                 continue
             fits = total <= PAIR_BATCH
             if held and (not fits or held_pairs + total > PAIR_BATCH):
-                yield [_concatenate(c) for c in zip(*held)]
+                yield [np.concatenate(c) for c in zip(*held)]
                 held, held_pairs = [], 0
             lo = 0
             while lo < n:  # row i pairs with rows start[i] .. start[i] + pairs[i] - 1
@@ -524,7 +503,7 @@ def periodic_pairs(
                 lo = hi
             del ends, i, j  # freed before the next offset's arrays
         if held:
-            yield [_concatenate(c) for c in zip(*held)]
+            yield [np.concatenate(c) for c in zip(*held)]
 
     def batches():
         if not n:
@@ -596,31 +575,31 @@ class TorusConfiguration:
     ``remove`` moves the last row into the freed one, so a row stays valid
     only until the next removal.
 
-    ``grid`` is None until ``_file`` files every row from scratch for one
-    radius on one grid, as ``kernel_sums`` does for its kernel's cutoff on
+    ``grid`` is None until ``_file`` files every row for one radius on one
+    grid, as ``kernel_sums`` does for its kernel's cutoff on
     ``CellGrid.for_radius`` of it, the one place a grid is picked, unless
-    the store is filed for that cutoff; from then on only ``_insert`` and
-    ``remove`` change the index, and every neighbour query keeps what lies
-    within that radius.  Each occupied cell keeps an entry [live, buffer]: a
-    growable ``np.intp`` buffer of its rows, and ``live``, the view of the
-    buffer's first k entries, the cell's k live rows; ``_file``, ``_insert``
-    and ``remove`` keep the view current.  The slot column holds each row's
-    index in its cell's array, so ``_insert`` appends to the buffer and
-    ``remove`` swap-deletes from it in O(1), and moving the last row into a
-    freed row rewrites one entry of its cell's array.  A neighbour query
-    joins the live views of the cells of its cell's stencil with one
-    ``np.concatenate``, and subtracts the query point from the gathered
-    positions along the rows (``order="F"``): along the short axis numpy
-    would run one inner loop of length dim per candidate.  The filing keeps
-    the flat deltas of ``CellGrid.plain_stencil`` and the bounds of the
-    cells they serve; a stencil that wraps is made when its cell is first
-    queried and kept, so the stencils kept are bounded by the cells near a
-    grid edge, or by the few cells of a coarse grid, not by the cells points
-    occupy.
+    the store is filed for that cutoff; then only ``_insert`` and ``remove``
+    change the index, and every query keeps what lies within that radius.
+    The index is padded arrays with one bucket per cell: ``_rows``, (cells,
+    cap), each cell's rows in slots 0..k-1, k its count in ``_fill``, and
+    ``_bpos``, (dim, cells, cap), their positions, +inf in each free slot;
+    the slot column holds each row's slot.  A filing leaves CELL_SLACK free
+    slots past the fullest bucket, none in a store of no points, and an
+    insert into a full bucket grows every one by 2 CELL_SLACK, so the index
+    takes memory for every cell, occupied or not; a grid of more than
+    MAX_BUCKETS cells shares MAX_BUCKETS buckets, cell c in bucket c %
+    MAX_BUCKETS.  ``_insert`` writes the bucket's next slot; ``remove``
+    moves the bucket's last slot, row and position, into the freed one,
+    writes +inf in its place, and renumbers the moved last row in its slot.
 
-    ``_in_box`` wraps and files a position, and ``_insert`` and
-    ``_neighbors`` take that (x, cell), so an event wraps and files its
-    point at most once.
+    A query from a cell whose coordinates all lie in ``CellGrid.plain_range``
+    reads one slice of the positions per axis, rings cells each way along
+    every axis, and squares plain differences, the minimum images there.
+    Any other query gathers the buckets of its cell's stencil, made when
+    the cell is first queried and kept, so the stencils kept are bounded by
+    the cells near a grid edge, or the few cells of a coarse grid, and
+    takes the minimum image.  Both return rows in ascending bucket, then
+    slot, and take the (x, cell) that ``_in_box`` gives, as ``_insert`` does.
 
     While it holds more than one block of BLOCK_ROWS rows, the store keeps
     one running sum per block next to the load column, a two-level sum tree:
@@ -646,15 +625,15 @@ class TorusConfiguration:
             )
         if not np.isfinite(x).all():
             raise GeometryError("positions must be finite")
-        x = torus.wrap(x)
-        self._pos = np.zeros((16, torus.dim))
-        self._id = np.zeros(16, dtype=np.int64)
-        self._cell = np.zeros(16, dtype=np.intp)
-        self._slot = np.zeros(16, dtype=np.intp)  # row -> index in its cell's array
-        self._load = np.zeros(16)
-        self._block = np.zeros(1)  # load sum of each block of rows
-        k = x.shape[0]
-        self._reserve(k)  # capacity doubled up from 16
+        x, k, capacity = torus.wrap(x), x.shape[0], 16
+        while capacity < k:  # doubled up from 16, as _reserve does
+            capacity *= 2
+        self._pos = np.zeros((capacity, torus.dim))
+        self._id = np.zeros(capacity, dtype=np.int64)
+        self._cell = np.zeros(capacity, dtype=np.intp)
+        self._slot = np.zeros(capacity, dtype=np.intp)  # row -> its slot in its cell
+        self._load = np.zeros(capacity)
+        self._block = np.zeros(-(-capacity // BLOCK_ROWS))  # each block's load sum
         self._pos[:k] = x
         self._id[:k] = np.arange(k)
         self._n = self._next_id = k
@@ -662,10 +641,8 @@ class TorusConfiguration:
         self._radius: float | None = None  # the filing's one query radius
         self._reach = -math.inf  # its exact_reach
         self._axis_cells, self._cell_size = 1, torus.side  # the grid's, for _in_box
-        self._cells: dict[int, list] = {}  # flat cell -> [live rows, buffer]
-        # the filing's CellGrid.plain_stencil, and each stencil that wraps, by cell
-        self._deltas, self._lo, self._hi, self._later = (), 0, 0, ()
-        self._wrapped: dict[int, tuple[int, ...]] = {}
+        self._rows = self._bpos = self._fill = None  # the index, until _file
+        self._wrapped: dict[int, np.ndarray] = {}  # cell -> its sorted stencil
 
     def __len__(self) -> int:
         return self._n
@@ -838,16 +815,13 @@ class TorusConfiguration:
         self._load[row] = load
         if self.grid is not None:
             self._cell[row] = cell
-            entry = self._cells.get(cell)
-            if entry is None:
-                buffer = np.empty(4, dtype=np.intp)
-                entry = self._cells[cell] = [buffer[:0], buffer]
-            live, buffer = entry
-            k = live.size
-            if k == buffer.size:
-                buffer = entry[1] = np.concatenate([buffer, np.empty_like(buffer)])
-            buffer[k] = row
-            entry[0] = buffer[: k + 1]
+            bucket = cell % self._buckets
+            k = self._fill.item(bucket)
+            if k == self._cap:  # a full bucket: every bucket grows
+                self._set_buckets(self._buckets, k + 2 * CELL_SLACK, grow=True)
+            self._rows[bucket, k] = row
+            self._bpos[:, bucket, k] = x
+            self._fill[bucket] = k + 1
             self._slot[row] = k
         self._n += 1
         self._next_id += 1
@@ -864,20 +838,19 @@ class TorusConfiguration:
         if not 0 <= row <= last:
             raise GeometryError(f"no row {row} among {self._n} points")
         x = self._pos[row].copy()
-        if self.grid is not None:  # swap-delete row from its cell's array
-            cell = self._cell.item(row)
-            entry = self._cells[cell]
-            live = entry[0]
-            k = live.size - 1
-            if k:
-                slot, tail = self._slot.item(row), live.item(k)
-                live[slot] = tail
-                self._slot[tail] = slot
-                entry[0] = live[:k]
-            else:
-                del self._cells[cell]
+        if self.grid is not None:  # the bucket's last slot moves into row's
+            buckets, rows = self._buckets, self._rows
+            bucket, slot = self._cell.item(row) % buckets, self._slot.item(row)
+            k = self._fill.item(bucket) - 1
+            tail = rows.item(bucket, k)  # row itself if it holds the last slot
+            rows[bucket, slot] = tail
+            self._slot[tail] = slot
+            for p in self._axis_pos:
+                p[bucket, slot] = p.item(bucket, k)
+                p[bucket, k] = math.inf
+            self._fill[bucket] = k
             if row != last:
-                self._cells[self._cell.item(last)][0][self._slot.item(last)] = row
+                rows[self._cell.item(last) % buckets, self._slot.item(last)] = row
         if last >= BLOCK_ROWS:  # a store of more than one block
             block = self._block
             block[row >> BLOCK_SHIFT] -= self._load.item(row)
@@ -897,53 +870,80 @@ class TorusConfiguration:
 
     def _file(self, grid: CellGrid, radius: float) -> tuple[np.ndarray, ...]:
         """File every row on ``grid`` for ``radius``, within [0, side / 2],
-        which become the store's grid and its one query radius, from the
-        positions: the ``cell_runs`` of their cells, one slice of the runs'
-        order per cell; return the runs."""
-        n = self._n
+        the store's grid and one query radius from then on, each run of
+        ``cell_runs`` in its bucket's first slots; return the runs."""
+        n, dim = self._n, grid.dim
         cells = grid.flat_cells_of(self._pos[:n])
-        runs = order, occupied, first, count = cell_runs(cells)
-        bounds = zip(occupied.tolist(), first.tolist(), count.tolist())
-        # live rows and buffer: one view of the cell's run, full until an insert
-        self._cells = {c: [order[a : a + k]] * 2 for c, a, k in bounds}
-        self._cell[:n] = cells
-        self._slot[order] = np.arange(n) - first.repeat(count)
+        runs = cell_runs(cells)
+        buckets = min(grid.n**dim, MAX_BUCKETS)
+        folded = buckets < grid.n**dim
+        order, occupied, first, count = cell_runs(cells % buckets) if folded else runs
+        slot = np.arange(n) - first.repeat(count)  # in the runs' order
+        cap = int(np.maximum.reduce(count)) + CELL_SLACK if n else 0
         self.grid, self._wrapped = grid, {}
-        self._deltas, (self._lo, self._hi, self._later) = grid.plain_stencil(radius)
         self._radius, self._reach = radius, exact_reach(radius)
         self._axis_cells, self._cell_size = grid.n, grid.cell_size
+        self._buckets, self._rings = buckets, grid.rings(radius)
+        self._plain = range(0) if folded else grid.plain_range(radius)
+        self._later_axes = tuple(range(1, dim))
+        self._strides = tuple(grid.n**axis for axis in reversed(self._later_axes))
+        self._set_buckets(buckets, cap)
+        owner = occupied.repeat(count)  # each row's bucket, in the runs' order
+        self._rows[owner, slot] = order
+        self._bpos[:, owner, slot] = self._pos.take(order, axis=0).T
+        self._fill = np.zeros(buckets, dtype=np.intp)
+        self._fill.put(occupied, count)
+        self._cell[:n] = cells
+        self._slot[order] = slot
         return runs
+
+    def _set_buckets(self, buckets: int, cap: int, grow: bool = False) -> None:
+        """Buckets of ``cap`` free slots, the old ones' kept if they ``grow``."""
+        rows = np.zeros((buckets, cap), dtype=np.intp)
+        bpos = np.empty((self.torus.dim, buckets, cap))
+        bpos.fill(math.inf)
+        if grow:
+            rows[:, : self._cap] = self._rows
+            bpos[:, :, : self._cap] = self._bpos
+        self._rows, self._bpos, self._axis_pos = rows, bpos, tuple(bpos)
+        n = self._axis_cells
+        self._cap, self._span = cap, (2 * self._rings + 1) * cap  # a slice's slots
+        self._grid_rows = self._grid_pos = None  # a grid that shares buckets
+        if buckets == n**self.torus.dim:  # the last axis's cells run on
+            shape = (n,) * (self.torus.dim - 1) + (n * cap,)
+            self._grid_rows = rows.reshape(shape)
+            self._grid_pos = bpos[0].reshape(shape)  # d = 1
+            self._grid_bpos = bpos.reshape((len(bpos),) + shape)  # d >= 2
+            self._x_shape = (len(bpos),) + (1,) * len(shape)
 
     def cell_index_fault(self) -> str | None:
         """First fault of the cell index against the positions, else None.
 
-        The index holds when the cell column equals ``flat_cells_of`` the
-        positions, no cell keeps an empty entry, and every live row appears
-        exactly once across the cell arrays: in its own cell's array, at its
-        slot, or the store has no grid yet.  A fault names the lowest row it
-        touches by its point.
+        It holds when the cell column equals ``flat_cells_of`` the positions,
+        the filled slots list each row once, at its slot of its cell's
+        bucket, with its position, and free slots hold +inf, or with no grid
+        yet.  A fault of the rows names the lowest row it touches by point.
         """
         if self.grid is None:
             return None
-        n = self._n
-        cells = self._cell[:n]
+        n, cells, slots = self._n, self._cell[: self._n], self._slot[: self._n]
         bad = cells != self.grid.flat_cells_of(self._pos[:n])
-        owners = np.fromiter(self._cells, dtype=np.intp, count=len(self._cells))
-        lives = [live for live, _ in self._cells.values()]
-        counts = np.array([live.size for live in lives], dtype=np.intp)
-        if (counts < 1).any():
-            return f"cell {owners[counts < 1][0]} keeps an empty entry"
-        listed = np.concatenate(lives + [np.zeros(0, np.intp)])
+        filled = np.arange(self._rows.shape[1]) < self._fill[:, None]
+        owner, slot_of = filled.nonzero()
+        listed = self._rows[filled]
         if listed.size and not 0 <= listed.min() <= listed.max() < n:
             return f"the cell arrays list a row outside 0..{n - 1}"
         bad |= np.bincount(listed, minlength=n) != 1
-        owner = np.repeat(owners, counts)
-        slots = np.arange(listed.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        bad[listed[(owner != cells[listed]) | (slots != self._slot[listed])]] = True
-        if not bad.any():
-            return None
-        row = int(bad.argmax())
-        return f"point {self.point_at(row)} (row {row}) is misfiled"
+        wrong = (cells[listed] % self._buckets != owner) | (slots[listed] != slot_of)
+        bad[listed[wrong]] = True
+        at = (~bad).nonzero()[0]  # rows filed at their slots: is the position there?
+        kept = self._bpos[:, cells[at] % self._buckets, slots[at]]
+        bad[at[(kept != self._pos[at].T).any(axis=0)]] = True
+        if bad.any():
+            row = int(bad.argmax())
+            return f"point {self.point_at(row)} (row {row}) is misfiled"
+        stale = ((self._bpos != math.inf).any(axis=0) & ~filled).nonzero()[0]
+        return f"cell {stale[0]} has a position in a free slot" if stale.size else None
 
     # -- local sums and counts ---------------------------------------------
 
@@ -954,42 +954,44 @@ class TorusConfiguration:
         grid.  A point asks about its neighbours while it is not in the
         store: before its insert or after its removal.
 
-        The stencil of a cell within the bounds of ``plain_stencil`` is
-        ``cell + delta`` for each of the filing's deltas, tested with one
-        chained comparison in d = 1 and one more per later axis, which costs
-        no more than a dict lookup; there the plain differences are the
-        minimum images.  The stencil of any other cell wraps: it is made by
-        ``CellGrid.cell_stencil`` on its first query and kept.  Both list the
-        cells in the order of ``CellGrid.offsets``, the first axis
-        outermost.  A candidate is kept when its squared length is at most
-        the radius's ``exact_reach``, the same test as distance <= radius.
-        The squares are a fresh array, the very floats the pair walk gives
-        the same pairs.  Rows come back in the order the stencil gathers
-        them, cell by cell and each cell's array in order: a function of the
-        store's history, so float reductions over them are reproducible.
-        They index ``loads`` until the next removal."""
-        inner = self._lo <= cell < self._hi
-        for m, a, b in self._later:  # d >= 2: the axes after the first
-            inner = inner and a <= cell % m < b
-        parts, cells = [], self._cells
-        if inner:  # loops, not list comprehensions and their frames
-            for delta in self._deltas:
-                entry = cells.get(cell + delta)
-                if entry is not None:
-                    parts.append(entry[0])
-        else:
+        A candidate of the slice or gather the class describes is kept when
+        its square is at most ``exact_reach`` of the radius, as distance <=
+        radius is, and +inf never is; the fresh squares are the pair walk's
+        floats.  Rows come in ascending bucket, then slot, an order float
+        sums can reproduce, and index ``loads`` until the next removal."""
+        rings, plain, rows = self._rings, self._plain, None
+        last = cell % self._axis_cells  # the coordinate along the last axis
+        if last in plain:
+            key = ()
+            for stride in self._strides:  # the axes before the last, first first
+                k = cell // stride % self._axis_cells
+                if k not in plain:
+                    break
+                key += (slice(k - rings, k + rings + 1),)
+            else:  # no wrap: one slice per axis, and plain differences
+                start = (last - rings) * self._cap
+                key += (slice(start, start + self._span),)
+                if self._later_axes:  # d >= 2: every axis in one subtraction
+                    d = self._grid_bpos[(slice(None),) + key] - x.reshape(self._x_shape)
+                    d *= d
+                    square = d[0]
+                    for axis in self._later_axes:
+                        square += d[axis]
+                    square = square.reshape(-1)
+                else:
+                    square = self._grid_pos[key] - x.item(0)
+                    square *= square
+                rows = self._grid_rows[key]
+        if rows is None:  # the stencil wraps: gather its buckets
             stencil = self._wrapped.get(cell)
-            if stencil is None:
-                stencil = self.grid.cell_stencil(cell, self._radius)
-                self._wrapped[cell] = stencil
-            for c in stencil:
-                entry = cells.get(c)
-                if entry is not None:
-                    parts.append(entry[0])
-        rows = _concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
-        d = self._pos.take(rows, axis=0)
-        np.subtract(d, x, out=d, order="F")  # along the rows, not the short axis
-        square = _min_image_squares(d, self.torus.side, not inner)
+            if stencil is None:  # each bucket once, ascending
+                cells = self.grid.cell_stencil(cell, self._radius)
+                stencil = sorted({c % self._buckets for c in cells})
+                stencil = self._wrapped[cell] = np.array(stencil, dtype=np.intp)
+            d = self._bpos.take(stencil, axis=1)  # (dim, stencil, cap)
+            d -= x[:, None, None]
+            square = _min_image_squares(d.reshape(x.size, -1).T, self.torus.side)
+            rows = self._rows.take(stencil, axis=0)
         keep = (square <= self._reach).nonzero()[0]
         return rows.take(keep), square.take(keep)
 

@@ -19,9 +19,9 @@ NUMPY_WRAPPER_FILES = (
 
 def live_rows(cfg):
     """Each occupied cell of the store's index, with the array of its live
-    rows in order: a view into the cell's buffer, so a write through it
-    changes the index."""
-    return {cell: live for cell, (live, _) in cfg._cells.items()}
+    rows in order: a view of its filled slots in the row buckets, so a
+    write through it changes the index."""
+    return {cell: cfg._rows[cell, :k] for cell, k in enumerate(cfg._fill.tolist()) if k}
 
 
 def insert_point(cfg, x, load=0.0):

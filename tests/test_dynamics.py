@@ -496,7 +496,7 @@ def test_migration_without_competition_builds_no_index():
     cfg = sample_poisson(Torus(10.0, 2), 1.0, rng)
     trace = run(migration_spec(b=2.0, m=0.5), cfg, t_end=5.0, rng=rng, audit_every=1)
     assert trace.events.births.any() and not trace.events.births.all()
-    assert cfg.grid is None and cfg._cells == {} and cfg.cell_index_fault() is None
+    assert cfg.grid is None and cfg._bpos is None and cfg.cell_index_fault() is None
 
 
 def test_audit_catches_corruption():
@@ -551,15 +551,16 @@ def misfile(cfg, how):
     """Corrupt the cell index of a store with two or more points in one cell
     in one way; return the id of the point the audit must name."""
     cell, rows = next((c, rows) for c, rows in live_rows(cfg).items() if rows.size >= 2)
-    entry, k = cfg._cells[cell], rows.size
+    k = rows.size
     first, second, last = int(rows[0]), int(rows[1]), int(rows[k - 1])
     if how == "cell entry":
         cfg._cell[first] ^= 1  # a neighbouring flat cell
     elif how == "missing":
-        entry[0] = rows[: k - 1]
+        cfg._fill[cell] = k - 1
         return cfg.point_at(last)
     elif how == "duplicate":
-        entry[0] = np.append(rows, first)
+        cfg._rows[cell, k] = first
+        cfg._fill[cell] = k + 1
     elif how == "slot":
         cfg._slot[first], cfg._slot[second] = cfg._slot[second], cfg._slot[first]
         return cfg.point_at(min(first, second))
@@ -995,9 +996,9 @@ def test_a_seeded_d1_run_over_many_cells_keeps_its_floats():
     # the competition_1d model on 18 cells, n ~ 290, past one block: the
     # sha256 of the event times and positions and of the final positions
     # and loads, by id, as little-endian float64.  A new point's load sums
-    # its neighbours' terms in the order the query gathers them, so a
-    # change of that order moves loads by an ulp, which the integer pin
-    # above does not see.  Pinned with numpy's exp on x86-64: a host whose
+    # its neighbours' terms in the order the query returns them, ascending
+    # cell and then slot, so a change of that order moves loads by an ulp,
+    # which the integer pin above does not see.  Pinned with numpy's exp on x86-64: a host whose
     # exp rounds otherwise may need its own pin
     spec = ModelSpec(
         "bolker_pacala", a_plus=gaussian(3.0, 0.5, 1), a_minus=gaussian(0.5, 0.5, 1), m=0.5
@@ -1014,7 +1015,7 @@ def test_a_seeded_d1_run_over_many_cells_keeps_its_floats():
     for col in (log.times, log.positions, positions, loads):
         h.update(col.astype("<f8").tobytes())
     assert len(ids) == 290
-    pin = "fd0ec45d8001e49bb6910471a9a45e5d8d76c916d16d73ce80286ba9a36e1752"
+    pin = "122a79fbaa9e64e9d33ea8cb98ddb07a1756c5433c6e444bd697f6b84c7e5af4"
     assert h.hexdigest() == pin
 
 

@@ -18,6 +18,7 @@ from sbdsim import geometry
 from sbdsim.config import load_config
 from sbdsim.geometry import (
     BLOCK_ROWS,
+    CELL_SLACK,
     LEAD_BITS,
     PAIR_BATCH,
     CellGrid,
@@ -443,10 +444,10 @@ class CandidateCounter:
         self.pairs = self.batches = 0
         helper = geometry._min_image_squares
 
-        def counted(d, side, wraps=True):
+        def counted(d, side):
             self.pairs += d.shape[0]
             self.batches += 1
-            return helper(d, side, wraps)
+            return helper(d, side)
 
         monkeypatch.setattr(geometry, "_min_image_squares", counted)
 
@@ -738,8 +739,11 @@ def assert_cell_arrays_consistent(cfg):
         assert k > 0
         np.testing.assert_array_equal(cfg._slot[live], np.arange(k))
         np.testing.assert_array_equal(cfg._cell[live], cell)
-    for live, buffer in cfg._cells.values():  # the live rows lead their buffer
-        assert live.ctypes.data == buffer.ctypes.data and live.size <= buffer.size
+    for cell, live in live_rows(cfg).items():  # their positions fill the slots
+        k = live.size
+        np.testing.assert_array_equal(cfg._bpos[:, cell, :k], cfg._pos[live].T)
+    free = np.arange(cfg._rows.shape[1]) >= cfg._fill[:, None]
+    assert (cfg._bpos[:, free] == math.inf).all()  # and +inf every free slot
     index = {cell: set(live.tolist()) for cell, live in live_rows(cfg).items()}
     assert index == reference_cell_groups(cfg)
 
@@ -764,16 +768,122 @@ def test_cell_index_rebuild_identity(ops, radius):
     assert_cell_arrays_consistent(cfg)
 
 
-def test_cell_index_fault_on_an_empty_entry_or_a_stale_row():
+@pytest.mark.parametrize(
+    "fault", ["fill", "stale position", "free slot", "listed twice", "slot", "outside"]
+)
+def test_cell_index_fault_names_each_corruption(fault):
+    # 20 points on 3 cells, each corrupted in one way: a fill count one
+    # short (its last row is listed nowhere) or one long (a free slot lists
+    # a row again), a bucket position that is not its row's, a free slot
+    # that is not +inf, a row listed twice and a slot column that is not
+    # the row's slot; and a row outside the store
     cfg = uniform_cfg(Torus(10.0, 1), 20, np.random.default_rng(13))
     file_on(cfg, 3.0)
+    assert cfg.cell_index_fault() is None and cfg.grid.n == 3
+    cell, rows = next((c, rows) for c, rows in live_rows(cfg).items() if rows.size >= 2)
+    k, first, last = rows.size, int(rows[0]), int(rows[-1])
+    misfiled = "point {} (row {}) is misfiled"
+    if fault == "fill":
+        cfg._fill[cell] = k - 1
+        assert cfg.cell_index_fault() == misfiled.format(cfg.point_at(last), last)
+        cfg._fill[cell] = k + 1
+        assert cfg.cell_index_fault() == misfiled.format(cfg.point_at(0), 0)
+    elif fault == "stale position":
+        cfg._bpos[0, cell, 1] = math.nextafter(cfg._bpos[0, cell, 1], 0.0)
+        assert cfg.cell_index_fault() == misfiled.format(cfg.point_at(rows[1]), rows[1])
+    elif fault == "free slot":
+        cfg._bpos[0, cell, k] = 1.0
+        assert cfg.cell_index_fault() == f"cell {cell} has a position in a free slot"
+    elif fault == "listed twice":
+        other = next(o for c, o in live_rows(cfg).items() if c != cell)
+        other[0] = first
+        assert cfg.cell_index_fault() == misfiled.format(cfg.point_at(first), first)
+    elif fault == "slot":
+        second = int(rows[1])
+        cfg._slot[second] = 0
+        assert cfg.cell_index_fault() == misfiled.format(cfg.point_at(second), second)
+    else:
+        rows[int(cfg._slot[first])] = 20
+        assert "row outside 0..19" in cfg.cell_index_fault()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_an_insert_into_a_full_cell_grows_every_cell(dim):
+    # a filing leaves CELL_SLACK free slots past its fullest cell; inserts
+    # into that cell fill them, and the next insert grows every cell by 2
+    # CELL_SLACK slots, keeping each cell's rows and positions in their
+    # slots and +inf in the rest; queries still equal the brute-force scan
+    rng = np.random.default_rng(20 + dim)
+    cfg = TorusConfiguration(Torus(6.0, dim), rng.uniform(0.0, 6.0, (60, dim)))
+    file_on(cfg, 1.0)
+    fill = cfg._fill.tolist()
+    cap = cfg._rows.shape[1]
+    assert cap == max(fill) + CELL_SLACK and cfg._fill.size == cfg.grid.n**dim
+    cell = fill.index(max(fill))
+    x = cfg._pos[int(cfg._rows[cell, 0])].copy()
+    for _ in range(CELL_SLACK):
+        insert_point(cfg, x)
+        assert cfg._rows.shape[1] == cap
+    before = {c: rows.tolist() for c, rows in live_rows(cfg).items()}
+    insert_point(cfg, x)
+    assert cfg._rows.shape == (cfg.grid.n**dim, cap + 2 * CELL_SLACK)
+    before[cell].append(len(cfg) - 1)
+    assert {c: rows.tolist() for c, rows in live_rows(cfg).items()} == before
+    assert_cell_arrays_consistent(cfg)
+    for y in [x, *rng.uniform(0.0, 6.0, (20, dim))]:
+        rows, squares = cfg._neighbors(*cfg._in_box(y))
+        assert found_by(cfg, rows, squares) == brute_force_neighbors(cfg, y.tolist(), 1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_query_never_returns_a_free_slot(dim):
+    # a store on 8 cells per axis queried at rings 1 and 2 (radius 0.9 and
+    # 1.9 cell widths), so that some cells read slices of 3 and 5 cells per
+    # axis and the rest wrap, after removals have left free slots whose row
+    # entries still name rows: every query returns the brute-force
+    # neighbours, each row once, none from a free slot
+    rng = np.random.default_rng(30 + dim)
+    grid = CellGrid(8.0, dim, 8)
+    pts = rng.uniform(0.0, 8.0, (40 * 2**dim, dim))
+    for radius in (0.9, 1.9):
+        cfg = filed_store(grid, pts, radius)
+        for _ in range(len(pts) // 2):
+            cfg.remove(int(rng.integers(len(cfg))))
+        assert (cfg._fill < cfg._rows.shape[1]).all()  # every cell has free slots
+        for cell in range(8**dim):
+            coords = np.array(np.unravel_index(cell, (8,) * dim))
+            x = (coords + rng.uniform(0.0, 1.0, dim)) * grid.cell_size
+            rows, squares = cfg._neighbors(*cfg._in_box(x))
+            assert rows.size == np.unique(rows).size and (rows < len(cfg)).all()
+            assert found_by(cfg, rows, squares) == brute_force_neighbors(
+                cfg, x.tolist(), radius
+            )
+        assert 0 < len(cfg._wrapped) < 8**dim  # both query forms ran
+
+
+def test_a_grid_of_more_cells_than_buckets_shares_them(monkeypatch):
+    # with MAX_BUCKETS cut to 7, the 100 cells of a 10 x 10 grid share 7
+    # buckets, cell c in bucket c % 7: every query takes the minimum image
+    # over the distinct buckets of its stencil and equals the brute-force
+    # scan, through inserts and removals, and the index holds
+    monkeypatch.setattr(geometry, "MAX_BUCKETS", 7)
+    rng = np.random.default_rng(41)
+    cfg = TorusConfiguration(T10_2, rng.uniform(0.0, 10.0, (80, 2)))
+    file_on(cfg, 0.95)
+    assert cfg.grid.n == 10 and cfg._rows.shape[0] == 7
+    for step in range(60):
+        if step % 3:
+            insert_point(cfg, rng.uniform(0.0, 10.0, 2))
+        else:
+            cfg.remove(int(rng.integers(len(cfg))))
+        x = rng.uniform(0.0, 10.0, 2)
+        rows, squares = cfg._neighbors(*cfg._in_box(x))
+        assert found_by(cfg, rows, squares) == brute_force_neighbors(cfg, x.tolist(), 0.95)
     assert cfg.cell_index_fault() is None
-    cfg._cells[99] = [np.zeros(0, dtype=np.intp), np.zeros(4, dtype=np.intp)]
-    assert cfg.cell_index_fault() == "cell 99 keeps an empty entry"
-    del cfg._cells[99]
-    rows = live_rows(cfg)[int(cfg._cell[0])]
-    rows[int(cfg._slot[0])] = 20
-    assert "row outside 0..19" in cfg.cell_index_fault()
+    assert {c: set(r.tolist()) for c, r in live_rows(cfg).items()} == {
+        b: {row for row in range(len(cfg)) if int(cfg._cell[row]) % 7 == b}
+        for b in set((cfg._cell[: len(cfg)] % 7).tolist())
+    }
 
 
 def filed_store(grid, pts=(), radius=0.0):
@@ -971,13 +1081,13 @@ def test_kernel_sums_of_another_cutoff_refile_the_store():
     torus = Torus(10.0, 2)
     rng = np.random.default_rng(14)
     cfg = sample_poisson(torus, 3.0, rng)
-    assert cfg.grid is None and cfg._cells == {} and cfg.cell_index_fault() is None
+    assert cfg.grid is None and cfg._bpos is None and cfg.cell_index_fault() is None
     n = len(cfg)
     pid = insert_point(cfg, [1.0, 2.0])
     first = cfg._pos[0].copy()
     np.testing.assert_array_equal(cfg.remove(0), first)
     assert len(cfg) == n and cfg.point_at(0) == pid
-    assert cfg.grid is None and cfg._cells == {}
+    assert cfg.grid is None and cfg._bpos is None
     file_on(cfg, 1.5)
     assert cfg.grid == CellGrid.for_radius(torus, 1.5) == CellGrid(10.0, 2, 6)
     assert sum(rows.size for rows in live_rows(cfg).values()) == len(cfg)
@@ -1264,44 +1374,40 @@ def reference_stencil(grid, cell, radius):
 
 
 def wraps_by_rule(grid, radius, cell):
-    """Whether the stencil of ``cell`` wraps, read from the bounds of
-    ``CellGrid.plain_stencil``."""
-    _, (lo, hi, later) = grid.plain_stencil(radius)
-    return not (lo <= cell < hi and all(a <= cell % m < b for m, a, b in later))
-
-
-class AskedCells(dict):
-    """A store's cell index that lists the cells a query asks it for."""
-
-    asked: list
-
-    def get(self, cell, default=None):
-        self.asked.append(cell)
-        return super().get(cell, default)
+    """Whether the stencil of ``cell`` wraps, read from
+    ``CellGrid.plain_range``."""
+    plain = grid.plain_range(radius)
+    return not all(c in plain for c in np.unravel_index(cell, (grid.n,) * grid.dim))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_a_query_gathers_the_naive_stencil_in_its_order(dim):
     # on grids of 1 to 8 cells per axis, at 1 to 4 rings, a query from each
-    # cell asks the index for the cells of the naive stencil in its order,
-    # on which the last bits of every load, and so seeded runs, depend.  The
-    # rule's wrap flag is the naive one, and the store keeps a stencil for a
-    # cell only if it wraps
+    # cell returns the brute-force neighbours, from cells of the naive
+    # stencil alone, in ascending cell and then slot, on which the last
+    # bits of every load, and so seeded runs, depend.  The rule's wrap flag
+    # is the naive one, and the store keeps a stencil for a cell only if it
+    # wraps
+    rng = np.random.default_rng(50 + dim)
     for n in range(1, 9):
         grid = CellGrid(8.0, dim, n)
+        pts = rng.uniform(0.0, 8.0, (3 * n**dim, dim))
         for rings in range(1, 5):
             radius = (rings - 0.5) * grid.cell_size
             assert grid.rings(radius) == rings
-            cfg = filed_store(grid, radius=radius)
-            cfg._cells = index = AskedCells()
+            cfg = filed_store(grid, pts, radius)
             for cell in range(n**dim):
                 coords = np.array(np.unravel_index(cell, (n,) * dim))
                 x, filed = cfg._in_box((coords + 0.5) * grid.cell_size)
                 assert filed == cell
-                index.asked = []
-                cfg._neighbors(x, cell)
+                rows, squares = cfg._neighbors(x, cell)
+                assert found_by(cfg, rows, squares) == brute_force_neighbors(
+                    cfg, x.tolist(), radius
+                )
                 want, wraps = reference_stencil(grid, cell, radius)
-                assert index.asked == want, (n, rings, cell)
+                got = list(zip(cfg._cell[rows].tolist(), cfg._slot[rows].tolist()))
+                assert got == sorted(set(got)), (n, rings, cell)
+                assert {c for c, _ in got} <= set(want), (n, rings, cell)
                 assert wraps_by_rule(grid, radius, cell) == wraps, (n, rings, cell)
                 assert (cell in cfg._wrapped) == wraps, (n, rings, cell)
 
