@@ -235,11 +235,10 @@ class CellGrid:
     @lru_cache(maxsize=16)  # the replicas of a run file one grid for one radius
     def plain_range(self, radius: float) -> range:
         """Coordinates along an axis at least rings from both grid edges, on
-        a grid of 2 (rings + 1) <= n cells per axis: a cell with all its
-        coordinates there has a stencil that does not wrap, and two of their
-        points lie at most side / 2 apart along each axis, up to a rounding
-        only pairs beyond the radius see, so their difference is the
-        minimum image."""
+        a grid of 2 (rings + 1) <= n cells per axis: the stencil of a cell
+        with every coordinate there does not wrap, and its points and the
+        cell's lie at most side / 2 apart along each axis, up to a rounding
+        only pairs beyond the radius see: their difference is the minimum image."""
         n, rings = self.n, self.rings(radius)
         return range(rings, n - rings) if n >= 2 * (rings + 1) else range(0)
 
@@ -625,9 +624,8 @@ class TorusConfiguration:
             )
         if not np.isfinite(x).all():
             raise GeometryError("positions must be finite")
-        x, k, capacity = torus.wrap(x), x.shape[0], 16
-        while capacity < k:  # doubled up from 16, as _reserve does
-            capacity *= 2
+        x, k = torus.wrap(x), x.shape[0]
+        capacity = max(16, 1 << (k - 1).bit_length())  # 16 doubled, as _reserve does
         self._pos = np.zeros((capacity, torus.dim))
         self._id = np.zeros(capacity, dtype=np.int64)
         self._cell = np.zeros(capacity, dtype=np.intp)
@@ -908,7 +906,7 @@ class TorusConfiguration:
         self._rows, self._bpos, self._axis_pos = rows, bpos, tuple(bpos)
         n = self._axis_cells
         self._cap, self._span = cap, (2 * self._rings + 1) * cap  # a slice's slots
-        self._grid_rows = self._grid_pos = None  # a grid that shares buckets
+        self._grid_rows = self._grid_pos = self._grid_bpos = None  # buckets shared
         if buckets == n**self.torus.dim:  # the last axis's cells run on
             shape = (n,) * (self.torus.dim - 1) + (n * cap,)
             self._grid_rows = rows.reshape(shape)
@@ -988,9 +986,9 @@ class TorusConfiguration:
                 cells = self.grid.cell_stencil(cell, self._radius)
                 stencil = sorted({c % self._buckets for c in cells})
                 stencil = self._wrapped[cell] = np.array(stencil, dtype=np.intp)
-            d = self._bpos.take(stencil, axis=1)  # (dim, stencil, cap)
-            d -= x[:, None, None]
-            square = _min_image_squares(d.reshape(x.size, -1).T, self.torus.side)
+            d = self._bpos.take(stencil, axis=1).reshape(x.size, -1).T  # (slots, dim)
+            d -= x
+            square = _min_image_squares(d, self.torus.side)
             rows = self._rows.take(stencil, axis=0)
         keep = (square <= self._reach).nonzero()[0]
         return rows.take(keep), square.take(keep)
