@@ -17,24 +17,16 @@ alone, a load column with, once it holds more than one block of rows, block
 sums for the death draw, and a bucketed cell index, filed once for one
 radius on the grid ``CellGrid.for_radius`` picks for it, that no query
 changes: padded arrays of each cell's rows and positions, +inf in free
-slots.  A query from a cell whose stencil does not wrap reads one slice of
-them per axis; any other gathers its stencil's buckets.  An event wraps
-and files its point once, in ``_in_box``, for its query and its insert.
+slots, which a grid of more cells than a slot budget allows shares.  A
+query from a cell whose stencil does not wrap, on unshared buckets, reads
+one slice of them per axis; any other gathers its stencil's buckets.  An
+event wraps and files its point once, in ``_in_box``, for its query and
+its insert.
 ``periodic_pairs`` walks each unordered pair of points within a radius once,
-over half the neighbouring cell offsets, in bounded batches, one batch
-shared by consecutive offsets whose candidates fit in it; the kernel sums
-add each pair's kernel to both its points, and the pair correlation counts
-each distance twice.  In d >= 2 the walk cuts each offset along its lead
-axis, that of its first nonzero component: it orders each cell's rows along
-that axis and pairs a row only with the rows of the target cell whose
-coordinate along it is within sqrt((radius + pad)^2 - g^2) of its own, g
-the row's gap to the target cell along the later axes and the pad a proved
-bound on the rounding, up to one more quantum of the sort key; the exact
-distance test still decides every pair.  In d = 1 it cuts nothing: with
-cells one radius wide, a row meets only its own cell and the next.  It
-hands its own order back with the batches.  The kernel sums of a store
-filed for their kernel's cutoff walk the cells of its positions on its grid
-and leave its index as it is; any other store is filed for that cutoff.
+over half the neighbouring cell offsets, in bounded batches, and in d >= 2
+cuts each offset along its lead axis; the kernel sums add each pair's
+kernel to both its points, and the pair correlation counts each distance
+twice.
 Every minimum-image length comes squared from one helper, but for the
 plain differences of a query whose stencil does not wrap, squared and
 summed in the same order; a pair is kept when its square is at most
@@ -55,10 +47,7 @@ them, and of a walk that makes a few calls per cell offset at n ~ 100.
 The per-event methods also make no ufunc reduction where one element or an
 argmin gives the same float, a reduction's set-up costing more than the
 sum of a few dozen loads, and they read scalars with ``.item()``; the
-filing works out the reach of the store's one radius once.  Only a store of
-more than one block of BLOCK_ROWS rows keeps block sums: in a smaller one the
-load total is one reduction of the live column and no event scatters into a
-block, and the insert that takes it past one block rebuilds them.
+filing works out the reach of the store's one radius once.
 """
 
 from __future__ import annotations
@@ -85,9 +74,14 @@ PAIR_BATCH = 1 << 14
 LEAD_BITS = 32
 LEAD_MAX = (1 << LEAD_BITS) - 1
 LOAD_DRIFT_TOL = 1e-9  # a cached load's largest error, in units of 1 + |true value|
-# Free slots past the fullest bucket at a filing; an overflow adds twice as many
+# Free slots past the fullest bucket at a filing; an insert into a full
+# bucket grows every bucket by twice as many, or by a sixteenth if more
 CELL_SLACK = 4
-MAX_BUCKETS = 1 << 16  # a grid of more cells shares them, cell c in c % MAX_BUCKETS
+# The cell index holds at most SLOTS_PER_POINT slots a point, counting
+# INDEX_POINTS points at least: a filing that would fill more than half of
+# that shares fewer buckets, and an overflow past it all refiles the store
+SLOTS_PER_POINT = 8
+INDEX_POINTS = 1024
 
 
 class GeometryError(ValueError):
@@ -582,23 +576,23 @@ class TorusConfiguration:
     The index is padded arrays with one bucket per cell: ``_rows``, (cells,
     cap), each cell's rows in slots 0..k-1, k its count in ``_fill``, and
     ``_bpos``, (dim, cells, cap), their positions, +inf in each free slot;
-    the slot column holds each row's slot.  A filing leaves CELL_SLACK free
-    slots past the fullest bucket, none in a store of no points, and an
-    insert into a full bucket grows every one by 2 CELL_SLACK, so the index
-    takes memory for every cell, occupied or not; a grid of more than
-    MAX_BUCKETS cells shares MAX_BUCKETS buckets, cell c in bucket c %
-    MAX_BUCKETS.  ``_insert`` writes the bucket's next slot; ``remove``
-    moves the bucket's last slot, row and position, into the freed one,
-    writes +inf in its place, and renumbers the moved last row in its slot.
+    the slot column holds each row's slot.  The padding follows the
+    fullest bucket (see CELL_SLACK), so the layout pays where occupancy is
+    near uniform; the slot budget (SLOTS_PER_POINT) keeps memory to the
+    points, not the cells, sharing buckets, cell c in bucket c % buckets,
+    where the grid has too many cells.  ``_insert`` writes the bucket's
+    next slot; ``remove`` moves the bucket's last slot, row and position,
+    into the freed one, writes +inf in its place, and renumbers the moved
+    last row in its slot.
 
     A query from a cell whose coordinates all lie in ``CellGrid.plain_range``
     reads one slice of the positions per axis, rings cells each way along
     every axis, and squares plain differences, the minimum images there.
-    Any other query gathers the buckets of its cell's stencil, made when
-    the cell is first queried and kept, so the stencils kept are bounded by
-    the cells near a grid edge, or the few cells of a coarse grid, and
-    takes the minimum image.  Both return rows in ascending bucket, then
-    slot, and take the (x, cell) that ``_in_box`` gives, as ``_insert`` does.
+    Any other query, and any on shared buckets, gathers the buckets of its
+    stencil and takes the minimum image; a stencil that wraps is kept, so
+    the stencils kept are bounded by the cells near a grid edge.  All
+    return rows in ascending bucket, then slot, and take the (x, cell) that
+    ``_in_box`` gives, as ``_insert`` does.
 
     While it holds more than one block of BLOCK_ROWS rows, the store keeps
     one running sum per block next to the load column, a two-level sum tree:
@@ -625,7 +619,7 @@ class TorusConfiguration:
         if not np.isfinite(x).all():
             raise GeometryError("positions must be finite")
         x, k = torus.wrap(x), x.shape[0]
-        capacity = max(16, 1 << (k - 1).bit_length())  # 16 doubled, as _reserve does
+        capacity = max(16, 1 << (k - 1).bit_length())  # 16 doubled, as _double does
         self._pos = np.zeros((capacity, torus.dim))
         self._id = np.zeros(capacity, dtype=np.int64)
         self._cell = np.zeros(capacity, dtype=np.intp)
@@ -746,13 +740,9 @@ class TorusConfiguration:
         order = ids.argsort()
         return ids.take(order), self._pos.take(order, axis=0)
 
-    def _reserve(self, size: int) -> None:
-        """Double the columns' capacity until it holds ``size`` rows."""
-        capacity = self._id.size
-        if size <= capacity:
-            return
-        while capacity < size:
-            capacity *= 2
+    def _double(self) -> None:
+        """Double the columns' capacity."""
+        capacity = 2 * self._id.size
 
         def grown(col, length):
             out = np.zeros((length,) + col.shape[1:], dtype=col.dtype)
@@ -806,8 +796,8 @@ class TorusConfiguration:
         row with the given load; return its new id.  The insert that takes
         the store past one block rebuilds the block sums from the column."""
         row, pid = self._n, self._next_id
-        if row >= self._id.size:
-            self._reserve(row + 1)
+        if row == self._id.size:
+            self._double()
         self._pos[row] = x
         self._id[row] = pid
         self._load[row] = load
@@ -816,7 +806,14 @@ class TorusConfiguration:
             bucket = cell % self._buckets
             k = self._fill.item(bucket)
             if k == self._cap:  # a full bucket: every bucket grows
-                self._set_buckets(self._buckets, k + 2 * CELL_SLACK, grow=True)
+                cap = k + max(2 * CELL_SLACK, k >> 4)
+                budget = SLOTS_PER_POINT * max(row, INDEX_POINTS)
+                if self._buckets == 1 or self._buckets * cap <= budget:
+                    self._set_buckets(self._buckets, cap, grow=True)
+                else:  # past the budget: filed afresh, on fewer buckets
+                    self._file(self.grid, self._radius)
+                    bucket = cell % self._buckets
+                    k = self._fill.item(bucket)
             self._rows[bucket, k] = row
             self._bpos[:, bucket, k] = x
             self._fill[bucket] = k + 1
@@ -872,17 +869,24 @@ class TorusConfiguration:
         ``cell_runs`` in its bucket's first slots; return the runs."""
         n, dim = self._n, grid.dim
         cells = grid.flat_cells_of(self._pos[:n])
-        runs = cell_runs(cells)
-        buckets = min(grid.n**dim, MAX_BUCKETS)
-        folded = buckets < grid.n**dim
-        order, occupied, first, count = cell_runs(cells % buckets) if folded else runs
-        slot = np.arange(n) - first.repeat(count)  # in the runs' order
+        runs = order, occupied, first, count = cell_runs(cells)
         cap = int(np.maximum.reduce(count)) + CELL_SLACK if n else 0
+        buckets, budget = grid.n**dim, SLOTS_PER_POINT * max(n, INDEX_POINTS)
+        while buckets > 1 and 2 * buckets * max(cap, CELL_SLACK) > budget:
+            buckets = max(1, budget // (2 * max(cap, CELL_SLACK)))  # fewer, shared
+            order, occupied, first, count = cell_runs(cells % buckets)
+            cap = int(np.maximum.reduce(count)) + CELL_SLACK if n else 0
+        slot = np.arange(n) - first.repeat(count)  # in the runs' order
         self.grid, self._wrapped = grid, {}
         self._radius, self._reach = radius, exact_reach(radius)
         self._axis_cells, self._cell_size = grid.n, grid.cell_size
         self._buckets, self._rings = buckets, grid.rings(radius)
-        self._plain = range(0) if folded else grid.plain_range(radius)
+        self._plain = grid.plain_range(radius)
+        self._fold = None  # on shared buckets, an inner stencil's less its cell's
+        if buckets < grid.n**dim and self._plain:
+            inner = self._rings * sum(grid.n**axis for axis in range(dim))
+            flats = grid.cell_stencil(inner, radius)  # without a wrap
+            self._fold = np.array(sorted({(f - inner) % buckets for f in flats}))
         self._later_axes = tuple(range(1, dim))
         self._strides = tuple(grid.n**axis for axis in reversed(self._later_axes))
         self._set_buckets(buckets, cap)
@@ -946,46 +950,46 @@ class TorusConfiguration:
     # -- local sums and counts ---------------------------------------------
 
     def _neighbors(self, x: np.ndarray, cell: int):
-        """Rows and squared minimum-image lengths, no root taken, of the
-        stored points within the store's radius of a point that ``_in_box``
-        has taken into the box as ``x`` and filed in ``cell`` on the store's
-        grid.  A point asks about its neighbours while it is not in the
-        store: before its insert or after its removal.
-
-        A candidate of the slice or gather the class describes is kept when
-        its square is at most ``exact_reach`` of the radius, as distance <=
-        radius is, and +inf never is; the fresh squares are the pair walk's
-        floats.  Rows come in ascending bucket, then slot, an order float
-        sums can reproduce, and index ``loads`` until the next removal."""
-        rings, plain, rows = self._rings, self._plain, None
+        """Rows, in the class's order, and squared lengths, the pair walk's
+        floats, of the points within the store's radius of one that
+        ``_in_box`` took into the box as ``x`` and filed in ``cell``, while
+        it is not in the store: those whose square is at most ``exact_reach``
+        of the radius, as distance <= radius is, which +inf never is."""
+        rings, plain = self._rings, self._plain
         last = cell % self._axis_cells  # the coordinate along the last axis
-        if last in plain:
-            key = ()
+        inner, key = last in plain, ()
+        if inner:
             for stride in self._strides:  # the axes before the last, first first
                 k = cell // stride % self._axis_cells
                 if k not in plain:
+                    inner = False
                     break
                 key += (slice(k - rings, k + rings + 1),)
-            else:  # no wrap: one slice per axis, and plain differences
-                start = (last - rings) * self._cap
-                key += (slice(start, start + self._span),)
-                if self._later_axes:  # d >= 2: every axis in one subtraction
-                    d = self._grid_bpos[(slice(None),) + key] - x.reshape(self._x_shape)
-                    d *= d
-                    square = d[0]
-                    for axis in self._later_axes:
-                        square += d[axis]
-                    square = square.reshape(-1)
-                else:
-                    square = self._grid_pos[key] - x.item(0)
-                    square *= square
-                rows = self._grid_rows[key]
-        if rows is None:  # the stencil wraps: gather its buckets
-            stencil = self._wrapped.get(cell)
-            if stencil is None:  # each bucket once, ascending
-                cells = self.grid.cell_stencil(cell, self._radius)
-                stencil = sorted({c % self._buckets for c in cells})
-                stencil = self._wrapped[cell] = np.array(stencil, dtype=np.intp)
+        if inner and self._fold is None:  # one slice per axis, plain differences
+            start = (last - rings) * self._cap
+            key += (slice(start, start + self._span),)
+            if self._later_axes:  # d >= 2: every axis in one subtraction
+                d = self._grid_bpos[(slice(None),) + key] - x.reshape(self._x_shape)
+                d *= d
+                square = d[0]
+                for axis in self._later_axes:
+                    square += d[axis]
+                square = square.reshape(-1)
+            else:
+                square = self._grid_pos[key] - x.item(0)
+                square *= square
+            rows = self._grid_rows[key]
+        else:  # gather the stencil's buckets
+            if inner:  # on shared buckets, worked out afresh
+                stencil = self._fold + cell % self._buckets
+                stencil %= self._buckets
+                stencil.sort()
+            else:  # the stencil wraps
+                stencil = self._wrapped.get(cell)
+                if stencil is None:  # each bucket once, ascending
+                    cells = self.grid.cell_stencil(cell, self._radius)
+                    stencil = sorted({c % self._buckets for c in cells})
+                    stencil = self._wrapped[cell] = np.array(stencil, dtype=np.intp)
             d = self._bpos.take(stencil, axis=1).reshape(x.size, -1).T  # (slots, dim)
             d -= x
             square = _min_image_squares(d, self.torus.side)
@@ -996,15 +1000,11 @@ class TorusConfiguration:
     def kernel_sums(self, kernel: RadialKernel) -> np.ndarray:
         """Each point's sum of kernel(distance) over the other points within
         the kernel cutoff, one entry per row, from one ``periodic_pairs``
-        walk: the kernel of each unordered pair, taken by
-        ``RadialKernel._profile_sq`` from the squared length the walk yields,
-        is added to both its rows, by a bincount over the batch's span of
-        rows at each end, in the walk's own order.  A store filed for the
-        cutoff keeps its grid and its index, so an audit reads the index it
-        checks, and the walk takes the ``cell_runs`` of the positions on that
-        grid; any other store is filed for the cutoff on
-        ``CellGrid.for_radius`` of it, and the walk takes that filing's
-        runs."""
+        walk: ``RadialKernel._profile_sq`` of each pair's square is added to
+        both its rows, by a bincount over the batch's span of rows at each
+        end, in the walk's own order.  A store filed for the cutoff keeps its
+        grid and index, so an audit reads the index it checks; any other
+        store is filed for the cutoff on ``CellGrid.for_radius`` of it."""
         if kernel.dim != self.torus.dim:
             raise GeometryError(
                 f"kernel dimension {kernel.dim} != torus dimension {self.torus.dim}"

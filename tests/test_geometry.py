@@ -723,11 +723,12 @@ def test_positions_array_ascending_ids():
 
 
 def reference_cell_groups(cfg):
-    """Rows grouped by the reference cell, on the store's grid, of their
-    positions."""
+    """Rows grouped by the bucket of the reference cell, on the store's
+    grid, of their positions: the cell itself unless the grid has more
+    cells than the store has buckets."""
     groups = {}
     for row in range(len(cfg)):
-        cell = reference_flat_cell(cfg.grid, cfg._pos[row])
+        cell = reference_flat_cell(cfg.grid, cfg._pos[row]) % cfg._buckets
         groups.setdefault(cell, set()).add(row)
     return groups
 
@@ -738,7 +739,7 @@ def assert_cell_arrays_consistent(cfg):
         k = live.size
         assert k > 0
         np.testing.assert_array_equal(cfg._slot[live], np.arange(k))
-        np.testing.assert_array_equal(cfg._cell[live], cell)
+        np.testing.assert_array_equal(cfg._cell[live] % cfg._buckets, cell)
     for cell, live in live_rows(cfg).items():  # their positions fill the slots
         k = live.size
         np.testing.assert_array_equal(cfg._bpos[:, cell, :k], cfg._pos[live].T)
@@ -861,29 +862,71 @@ def test_a_query_never_returns_a_free_slot(dim):
         assert 0 < len(cfg._wrapped) < 8**dim  # both query forms ran
 
 
-def test_a_grid_of_more_cells_than_buckets_shares_them(monkeypatch):
-    # with MAX_BUCKETS cut to 7, the 100 cells of a 10 x 10 grid share 7
-    # buckets, cell c in bucket c % 7: every query takes the minimum image
-    # over the distinct buckets of its stencil and equals the brute-force
-    # scan, through inserts and removals, and the index holds
-    monkeypatch.setattr(geometry, "MAX_BUCKETS", 7)
+@pytest.mark.parametrize("slots, shared", [(8, (20, 40)), (3, (2, 8))])
+def test_a_grid_of_more_cells_than_buckets_shares_them(monkeypatch, slots, shared):
+    # with a slot budget of 8 or 3 slots for each of the store's own 80
+    # points, the 100 cells of a 10 x 10 grid share a few dozen buckets, or
+    # a handful, cell c in bucket c % buckets, so that the 9 cells of an
+    # inner stencil fall in 9 buckets or in fewer: every query takes the
+    # minimum image over the distinct buckets of its stencil and equals the
+    # brute-force scan, through inserts and removals; the index holds, and
+    # a stencil is kept only for a cell whose stencil wraps, however many
+    # inner cells are queried
+    monkeypatch.setattr(geometry, "INDEX_POINTS", 1)
+    monkeypatch.setattr(geometry, "SLOTS_PER_POINT", slots)
     rng = np.random.default_rng(41)
     cfg = TorusConfiguration(T10_2, rng.uniform(0.0, 10.0, (80, 2)))
     file_on(cfg, 0.95)
-    assert cfg.grid.n == 10 and cfg._rows.shape[0] == 7
-    for step in range(60):
+    assert cfg.grid.n == 10 and cfg._buckets == cfg._rows.shape[0]
+    assert shared[0] <= cfg._buckets <= shared[1]
+    plain, queried = cfg.grid.plain_range(0.95), set()
+    for step in range(300):
         if step % 3:
             insert_point(cfg, rng.uniform(0.0, 10.0, 2))
         else:
             cfg.remove(int(rng.integers(len(cfg))))
-        x = rng.uniform(0.0, 10.0, 2)
-        rows, squares = cfg._neighbors(*cfg._in_box(x))
+        x, cell = cfg._in_box(rng.uniform(0.0, 10.0, 2))
+        rows, squares = cfg._neighbors(x, cell)
+        assert rows.size == np.unique(rows).size
         assert found_by(cfg, rows, squares) == brute_force_neighbors(cfg, x.tolist(), 0.95)
+        queried.add(cell)
     assert cfg.cell_index_fault() is None
+    edge = {c for c in queried if not all(k in plain for k in divmod(c, 10))}
+    assert len(queried - edge) > 50 and sorted(cfg._wrapped) == sorted(edge)
+    buckets = cfg._buckets
     assert {c: set(r.tolist()) for c, r in live_rows(cfg).items()} == {
-        b: {row for row in range(len(cfg)) if int(cfg._cell[row]) % 7 == b}
-        for b in set((cfg._cell[: len(cfg)] % 7).tolist())
+        b: {row for row in range(len(cfg)) if int(cfg._cell[row]) % buckets == b}
+        for b in set((cfg._cell[: len(cfg)] % buckets).tolist())
     }
+
+
+def test_a_clustered_store_keeps_its_index_within_the_slot_budget():
+    # 200 founders within 1 of one spot on a 2000-wide d=2 box, filed for
+    # 3.4 on 588^2 cells: the index shares few buckets and holds at most
+    # SLOTS_PER_POINT slots per point, counting INDEX_POINTS at least,
+    # while 1200 births pile into the founders' cell, the overflows past
+    # that budget filing the store afresh; queries equal the brute-force scan
+    rng = np.random.default_rng(43)
+    cfg = TorusConfiguration(Torus(2000.0, 2), 1000.0 + rng.uniform(0.0, 1.0, (200, 2)))
+    file_on(cfg, 3.4)
+    assert cfg.grid.n == 588 and cfg._buckets < 30
+    filings, file = 0, TorusConfiguration._file
+
+    def counted(self, grid, radius):
+        nonlocal filings
+        filings += 1
+        return file(self, grid, radius)
+
+    cfg._file = counted.__get__(cfg)
+    for step in range(1200):
+        insert_point(cfg, 1000.5 + rng.normal(0.0, 0.1, 2))
+        slots = cfg._rows.size
+        assert slots <= geometry.SLOTS_PER_POINT * max(len(cfg), geometry.INDEX_POINTS)
+        if step % 100 == 0:
+            x = 1000.0 + rng.normal(0.0, 2.0, 2)
+            rows, squares = cfg._neighbors(*cfg._in_box(x))
+            assert found_by(cfg, rows, squares) == brute_force_neighbors(cfg, x.tolist(), 3.4)
+    assert filings > 0 and cfg.cell_index_fault() is None
 
 
 def filed_store(grid, pts=(), radius=0.0):
@@ -1405,9 +1448,10 @@ def test_a_query_gathers_the_naive_stencil_in_its_order(dim):
                     cfg, x.tolist(), radius
                 )
                 want, wraps = reference_stencil(grid, cell, radius)
-                got = list(zip(cfg._cell[rows].tolist(), cfg._slot[rows].tolist()))
+                cells = cfg._cell[rows]
+                got = list(zip((cells % cfg._buckets).tolist(), cfg._slot[rows].tolist()))
                 assert got == sorted(set(got)), (n, rings, cell)
-                assert {c for c, _ in got} <= set(want), (n, rings, cell)
+                assert set(cells.tolist()) <= set(want), (n, rings, cell)
                 assert wraps_by_rule(grid, radius, cell) == wraps, (n, rings, cell)
                 assert (cell in cfg._wrapped) == wraps, (n, rings, cell)
 
