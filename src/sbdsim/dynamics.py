@@ -9,13 +9,18 @@ Two model variants share one engine:
   and total rate integral(b), independent of the current population.
 
 Every point dies at rate m + sum over the others of a_minus(distance), with
-kernels wrapped onto the torus and truncated at their cutoff radius.  The
+kernels wrapped onto the torus and truncated at their cutoff radius: a
+natural death at rate m and a death by competition at rate its load.  The
 per-point competition loads are cached in the point store, filed once for
 the a_minus cutoff as the loads are built, and updated incrementally on each
-event, together with the store's running load sum per block of rows once it
-holds more than one block; the total death rate reads the block sums, and
-the dying point is found first among the blocks and then inside one block,
-while a store of one block reads its load column itself.
+event, together with the store's running load total, the root of a two-level
+sum tree, and its running load sum per block of rows once it holds more than
+one block.  The total death rate reads the root and reduces nothing; a birth
+adds one reduction of its contributions to it twice, as its new load and as
+what its neighbours gain, and a death takes off its own load and one
+reduction of what it takes from its neighbours.  The dying point of a death
+by competition is found first among the block sums and then inside one
+block, while a store of one block reads its load column itself.
 A death reads its neighbours' old loads with one ``take``, writes what is
 left back with one ``put`` and takes the contributions off the block sums
 with one ``subtract.at``: the floats of adding the negated contributions.  A
@@ -30,20 +35,37 @@ and files its position once and hands that (position, cell) to its query and
 its insert; a death queries from the cell its row was filed in.  A new
 point's load sums its neighbours' kernels in the order the query gathers
 them, a function of the seeded history.  The optional audit checks the cell
-index and recomputes loads and block sums from scratch, from each pair's
-squared length bit for bit as the incremental updates saw it, leaves the
-index as it found it, and fails loudly on drift.
+index and recomputes loads, the load total and the block sums from scratch,
+from each pair's squared length bit for bit as the incremental updates saw
+it, leaves the index as it found it, and fails loudly on drift.
 The per-event path, ``total_rates`` and ``_apply_event`` with the store and
 kernel methods they call, reaches numpy only through ufuncs, ufunc methods
 and ndarray methods: a Python-level wrapper such as ``np.cumsum`` or
 ``ndarray.sum`` costs a few microseconds per call, a sizeable share of an
 event that takes some tens of them.  For the same reason it makes no ufunc
 reduction where one element or an argmin gives the same float (a death
-reads its least left load with ``argmin``), reads scalars with ``.item()``,
-calls a kernel's ``_profile_sq`` on the fresh arrays of squared lengths
-directly, and reads the population off the store's row count.
-Waiting times are exponential in the total rate and the event type is chosen
-proportionally, so trajectories follow the exact jump chain.
+reads its least left load with ``argmin``), at most one per event, reads
+scalars with ``.item()``, calls a kernel's ``_profile_sq`` on the fresh
+arrays of squared lengths directly, and reads the population off the
+store's row count.
+
+Each loop iteration draws its waiting time, exponential in the total rate B
++ D, with one ``rng.exponential``.  The event then takes, in this order:
+
+1. one uniform, which times B + D picks a birth (weight B), a natural death
+   (weight m n) or a death by competition (weight the load total L, only
+   while L > 0 in floats);
+2. for a ``bolker_pacala`` birth, the parent as a uniform row and then its
+   displacement, one kernel draw; for a ``migration`` birth, the immigrant's
+   position, one draw of the immigration field; for a natural death, the
+   dying point as a uniform row; for a death by competition, a second
+   uniform, which ``sample_row`` turns into a row drawn in proportion to
+   the loads.
+
+Uniforms and uniform rows come from ``BlockDraws``: blocks of DRAW_BLOCK
+draws each, filled lazily from the run's generator, rows exactly uniform by
+Lemire's multiply-and-reject.  Every distribution is exact, so trajectories
+follow the exact jump chain.
 
 A run records its events in an ``EventLog``: five typed columns (time, birth
 flag, position, point id, parent id) that take about 33 bytes per event in
@@ -70,6 +92,9 @@ VARIANTS = ("bolker_pacala", "migration")
 
 # Hard cap on the living population before a run aborts.
 DEFAULT_MAX_POPULATION = 1_000_000
+# Uniforms and 64-bit words are drawn from the run's generator this many at a
+# time, each kind into its own block.
+DRAW_BLOCK = 1024
 
 
 class DynamicsError(RuntimeError):
@@ -237,6 +262,47 @@ class EventLog(Sequence):
         return np.array(self._parent, dtype=np.int64)
 
 
+class BlockDraws:
+    """The event path's uniforms and uniform rows, read off blocks of
+    DRAW_BLOCK draws from the run's generator: uniforms from
+    ``rng.random(DRAW_BLOCK)``, rows from the 64-bit words of
+    ``rng.bit_generator.random_raw(DRAW_BLOCK)``.  A block is drawn when
+    the one before it runs out, the first when the first draw of its kind
+    is asked for, so that building one draws nothing.
+
+    A row of 0..n-1 is Lemire's multiply-and-reject of one word w (D.
+    Lemire, ACM TOMACS 29(1), 2019, the method of numpy's ``integers``):
+    the high half of the 128-bit product w * n, unless its low half falls
+    below 2**64 mod n, when the word is rejected and the next one taken.
+    Each row then comes from exactly 2**64 // n of the 2**64 words, so
+    rows are exactly uniform.
+    """
+
+    def __init__(self):
+        self._uniforms = iter(())
+        self._words = iter(())
+
+    def uniform(self, rng: np.random.Generator) -> float:
+        """The next uniform in [0, 1)."""
+        for u in self._uniforms:  # the block's next, unless it is used up
+            return u
+        self._uniforms = iter(rng.random(DRAW_BLOCK).tolist())
+        return next(self._uniforms)
+
+    def row(self, n: int, rng: np.random.Generator) -> int:
+        """The next row of 0..n-1, n >= 1, each with probability 1 / n."""
+        while True:
+            for word in self._words:
+                product = word * n
+                low = product & 0xFFFF_FFFF_FFFF_FFFF
+                if low >= n or low >= (1 << 64) % n:  # 2**64 mod n < n
+                    return product >> 64
+            bits = rng.bit_generator
+            if isinstance(bits, np.random.MT19937):
+                raise DynamicsError("MT19937 draws 32-bit words; rows need 64-bit ones")
+            self._words = iter(bits.random_raw(DRAW_BLOCK).tolist())
+
+
 @dataclass(frozen=True)
 class Snapshot:
     time: float
@@ -254,8 +320,9 @@ class SimulationState:
     The configuration's load column caches the competition part of each
     point's death rate (the sum of a_minus over its neighbours); the full
     death rate is m + load.  Loads change only through the store's
-    ``add_loads``, ``lower_loads`` and ``set_loads``, which keep its block
-    sums current while it holds more than one block.
+    ``add_loads``, ``lower_loads`` and ``set_loads``, which keep its load
+    total current, and its block sums while it holds more than one block.
+    The event path's uniforms and rows come from one ``BlockDraws``.
     ``clamps`` counts the loads a removal set from a rounding residue below
     zero to 0, and ``largest_clamp`` is the largest such residue.
     """
@@ -274,6 +341,7 @@ class SimulationState:
             self._b_total = 0.0
         self._birth_mass = 0.0 if spec.a_plus is None else spec.a_plus.mass()
         self._migration = spec.variant == "migration"
+        self._draws = BlockDraws()
         cfg.set_loads(self._fresh_loads())
 
     def _fresh_loads(self) -> np.ndarray:
@@ -287,19 +355,22 @@ class SimulationState:
         return len(self.cfg)
 
     def total_rates(self) -> tuple[float, float]:
-        """(total birth rate B, total death rate D) for the current state."""
+        """(total birth rate B, total death rate D) for the current state:
+        D is m n plus the store's load total while that is above 0."""
         n = self.cfg._n
         # only migration has b and only bolker_pacala a_plus: one term is 0
         b = self._b_total + n * self._birth_mass
-        return b, self.spec.m * n + self.cfg.load_total()
+        d = self.spec.m * n
+        load = self.cfg.load_total()
+        return b, d + load if load > 0.0 else d
 
     def audit(self) -> None:
         """Check the cell index against the positions, then recompute every
-        cached load, and the block sums of a store of more than one block,
-        from scratch; raise AuditError on any fault or drift.  The fresh
-        loads add each unordered pair's kernel to both its points, from the
-        squared length the incremental updates' neighbour queries see bit
-        for bit, so only the order of summation differs.
+        cached load, the load total, and the block sums of a store of more
+        than one block, from scratch; raise AuditError on any fault or
+        drift.  The fresh loads add each unordered pair's kernel to both its
+        points, from the squared length the incremental updates' neighbour
+        queries see bit for bit, so only the order of summation differs.
         The audit leaves the store's index as it found it, so an audited run
         gives the unaudited one's trace."""
         fault = self.cfg.cell_index_fault()
@@ -313,12 +384,11 @@ class SimulationState:
                 f"death-rate cache for point {self.cfg.point_at(row)} drifted: "
                 f"cached {float(cached[row])!r}, recomputed {float(fresh[row])!r}"
             )
-        stale = self.cfg.stale_block()
+        stale = self.cfg.stale_sum()
         if stale is not None:
-            block, running, recomputed = stale
+            name, running, recomputed = stale
             raise AuditError(
-                f"load sum of row block {block} drifted: "
-                f"running {running!r}, recomputed {recomputed!r}"
+                f"{name} drifted: running {running!r}, recomputed {recomputed!r}"
             )
 
     # -- event application ---------------------------------------------------
@@ -327,15 +397,18 @@ class SimulationState:
         """Add a point at ``position``, which the store wraps into the box
         and files once for both its neighbour query and its insert, and add
         its contribution to its neighbours' loads, found before it is
-        stored; return its id."""
+        stored; return its id.  One reduction of the contributions is both
+        the new load and what the neighbours gain, each added to the load
+        total."""
         cfg, a_minus = self.cfg, self.spec.a_minus
         x, cell = cfg._in_box(position)
         if a_minus is None:
             return cfg._insert(x, cell, 0.0)
         rows, squares = cfg._neighbors(x, cell)
         contrib = a_minus._profile_sq(squares)
-        cfg.add_loads(rows, contrib)
-        return cfg._insert(x, cell, float(np.add.reduce(contrib)))
+        load = float(np.add.reduce(contrib))
+        cfg.add_loads(rows, contrib, load)
+        return cfg._insert(x, cell, load)
 
     def _remove_point(self, row: int) -> tuple[int, np.ndarray]:
         """Delete the point in ``row``, then take its contribution out of
@@ -360,43 +433,59 @@ class SimulationState:
                 left = old - contrib
                 lowest = left.item(left.argmin())  # np.minimum.reduce's value
                 if lowest < 0.0:
-                    corrupt = np.flatnonzero(left < -LOAD_DRIFT_TOL * (1.0 + contrib))
+                    corrupt = (left < -LOAD_DRIFT_TOL * (1.0 + contrib)).nonzero()[0]
                     if corrupt.size:
-                        i = corrupt[0]
+                        i = corrupt.item(0)
                         raise AuditError(
                             f"death-rate cache for point {cfg.point_at(rows[i])} "
-                            f"fell to {float(left[i])!r} on removing point {pid}"
+                            f"fell to {left.item(i)!r} on removing point {pid}"
                         )
-                    below = left < 0.0
+                    below = (left < 0.0).nonzero()[0]
                     left[below] = 0.0  # residues go to exactly 0
-                    contrib[below] = old[below]  # and their blocks lose all they had
-                    self.clamps += int(np.count_nonzero(below))
-                    self.largest_clamp = max(self.largest_clamp, -float(lowest))
+                    contrib[below] = old[below]  # and their sums lose all they had
+                    self.clamps += below.size
+                    self.largest_clamp = max(self.largest_clamp, -lowest)
                 cfg.lower_loads(rows, left, contrib)
         return pid, x
 
     def _apply_event(
         self, b: float, d: float, rng: np.random.Generator, log: EventLog
     ) -> None:
-        """Choose birth vs death in proportion to the rates, apply it and
-        append it to ``log``.
+        """Pick the event with one uniform times b + d, apply it and append
+        it to ``log``: a birth with weight b, a natural death with weight
+        m n, whose row is a uniform row, or a death by competition with the
+        rest of d, the load total where ``total_rates`` counted it, whose
+        row ``sample_row`` draws in proportion to the loads with a second
+        uniform.  A birth's parent is a uniform row too.
 
-        The clock must already sit at the event time.
+        Where that total is a rounding residue over loads that are all 0,
+        the competition draw finds no row: the store's sums are recomputed
+        and no event happens, the exact thinning of a rate that was only a
+        residue.  The clock must already sit at the event time.
         """
-        cfg = self.cfg
+        cfg, draws = self.cfg, self._draws
         n = cfg._n
-        if rng.random() * (b + d) < b:
+        pick = draws.uniform(rng) * (b + d) - b
+        if pick < 0.0:
             if self._migration:
                 pos = self.spec.b.sample_position(self.torus.side, self.torus.dim, rng)
                 parent = -1
             else:
-                row = int(rng.integers(n))
+                row = draws.row(n, rng)
                 parent = cfg._id.item(row)
                 pos = cfg._pos[row] + self.spec.a_plus.sample_displacement(rng)
             pid = self._add_point(pos)
             log._append(self.t, True, cfg._pos[n], pid, parent)
             return
-        pid, x = self._remove_point(cfg.sample_row(rng.random(), self.spec.m))
+        natural = self.spec.m * n
+        if pick < natural or d <= natural:
+            row = draws.row(n, rng)
+        else:
+            row = cfg.sample_row(draws.uniform(rng))
+            if row < 0:  # thinned: the total goes back to the loads' sum
+                cfg.set_loads(cfg.loads)
+                return
+        pid, x = self._remove_point(row)
         log._append(self.t, False, x, pid, -1)
 
     def snapshot(self, at_time: float) -> Snapshot:

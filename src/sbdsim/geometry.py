@@ -13,15 +13,15 @@ offsets along an axis that both take.  ``cell_runs`` is the one sort by
 cell, shared by the store's filing and the pair walk.
 ``TorusConfiguration`` is the simulator's one point store, built with its
 starting points: dense columns of the living points, addressed by row
-alone, a load column with, once it holds more than one block of rows, block
-sums for the death draw, and a bucketed cell index, filed once for one
-radius on the grid ``CellGrid.for_radius`` picks for it, that no query
-changes: padded arrays of each cell's rows and positions, +inf in free
-slots, which a grid of more cells than a slot budget allows shares.  A
-query from a cell whose stencil does not wrap, on unshared buckets, reads
-one slice of them per axis; any other gathers its stencil's buckets.  An
-event wraps and files its point once, in ``_in_box``, for its query and
-its insert.
+alone, a load column with its running total and, once it holds more than
+one block of rows, block sums for the death draw, and a bucketed cell
+index, filed once for one radius on the grid ``CellGrid.for_radius`` picks
+for it, that no query changes: padded arrays of each cell's rows and
+positions, +inf in free slots, which a grid of more cells than a slot
+budget allows shares.  A query from a cell whose stencil does not wrap, on
+unshared buckets, reads one slice of them per axis; any other gathers its
+stencil's buckets.  An event wraps and files its point once, in
+``_in_box``, for its query and its insert.
 ``periodic_pairs`` walks each unordered pair of points within a radius once,
 over half the neighbouring cell offsets, in bounded batches, and in d >= 2
 cuts each offset along its lead axis; the kernel sums add each pair's
@@ -548,6 +548,15 @@ class Window:
         return int(inside.sum())
 
 
+def _first_past(cum: np.ndarray, target: float) -> int:
+    """Index of the first running sum in ``cum`` above ``target``, else of
+    the first that reaches the last: as a binary search finds either, the
+    sum before it is below it, so the term it adds is above 0 (given a
+    last sum above 0 and a target at least 0)."""
+    i = int(cum.searchsorted(target, "right"))
+    return i if i < cum.size else int(cum.searchsorted(cum.item(-1)))
+
+
 def first_drift(running: np.ndarray, fresh: np.ndarray) -> int | None:
     """Index of the first running value not within LOAD_DRIFT_TOL (1 +
     |fresh|) of its recomputation, a NaN on either side included, else None."""
@@ -594,17 +603,23 @@ class TorusConfiguration:
     return rows in ascending bucket, then slot, and take the (x, cell) that
     ``_in_box`` gives, as ``_insert`` does.
 
-    While it holds more than one block of BLOCK_ROWS rows, the store keeps
-    one running sum per block next to the load column, a two-level sum tree:
-    ``load_total`` and ``sample_row`` read n / BLOCK_ROWS block sums and one
-    block instead of the whole column.  ``_insert``, ``remove``,
-    ``add_loads``, ``lower_loads`` and ``set_loads`` keep the block sums in
-    step with the column; ``stale_block`` checks them against it, as
-    ``cell_index_fault`` checks the cell arrays against the positions.  A
-    store of one block reads the column itself, so its events update no
-    block sum, which would only repeat the column's total: the ``_insert``
-    that takes it past BLOCK_ROWS rows rebuilds the block sums from the
-    column, and below that size ``stale_block`` has nothing to check.
+    The loads form a two-level sum tree.  Its root, the running load
+    total, is kept at every size: ``_insert`` adds the new row's load,
+    ``remove`` takes off the removed one's and sets it to 0.0 when the
+    store empties, ``add_loads`` adds the sum of its changes as the caller
+    reduced it, ``lower_loads`` takes off one reduction of what it takes,
+    and ``set_loads`` reduces the new column; ``load_total`` returns it and
+    reduces nothing.  While the store holds more than one block of
+    BLOCK_ROWS rows, it also keeps one running sum per block next to the
+    load column, so that ``sample_row`` reads n / BLOCK_ROWS block sums and
+    one block instead of the whole column; the same calls keep them in step
+    with the column.  ``stale_sum`` checks the root and the block sums
+    against the column, as ``cell_index_fault`` checks the cell arrays
+    against the positions.  A store of one block reads the column itself,
+    so its events update no block sum, which would only repeat the root:
+    the ``_insert`` that takes it past BLOCK_ROWS rows rebuilds the block
+    sums from the column, and below that size ``stale_sum`` checks the root
+    alone.
     """
 
     def __init__(self, torus: Torus, positions=()):
@@ -626,6 +641,7 @@ class TorusConfiguration:
         self._slot = np.zeros(capacity, dtype=np.intp)  # row -> its slot in its cell
         self._load = np.zeros(capacity)
         self._block = np.zeros(-(-capacity // BLOCK_ROWS))  # each block's load sum
+        self._total = 0.0  # the load column's running sum
         self._pos[:k] = x
         self._id[:k] = np.arange(k)
         self._n = self._next_id = k
@@ -643,16 +659,18 @@ class TorusConfiguration:
     def loads(self) -> np.ndarray:
         """View of the competition-load column, one entry per row.
 
-        Change it through ``add_loads``, ``lower_loads`` or ``set_loads``: in
-        a store of more than one block a direct write bypasses the block
-        sums, which ``stale_block`` then reports.
+        Change it through ``add_loads``, ``lower_loads`` or ``set_loads``: a
+        direct write bypasses the load total and, in a store of more than
+        one block, the block sums, which ``stale_sum`` then reports.
         """
         return self._load[: self._n]
 
-    def add_loads(self, rows: np.ndarray, delta: np.ndarray) -> None:
-        """Add ``delta`` to the loads of ``rows`` (distinct) and, in a store
-        of more than one block, to their block sums."""
+    def add_loads(self, rows: np.ndarray, delta: np.ndarray, total: float) -> None:
+        """Add ``delta`` to the loads of ``rows`` (distinct), ``total``, the
+        sum of ``delta`` as the caller reduced it, to the load total and, in
+        a store of more than one block, ``delta`` to their block sums."""
         self._load[rows] += delta
+        self._total += total
         if self._n > BLOCK_ROWS:
             np.add.at(self._block, rows >> BLOCK_SHIFT, delta)
 
@@ -660,17 +678,21 @@ class TorusConfiguration:
         self, rows: np.ndarray, left: np.ndarray, taken: np.ndarray
     ) -> None:
         """Set the loads of ``rows`` (distinct) to ``left``, their old loads
-        less ``taken`` as the caller worked them out, and, in a store of more
-        than one block, take ``taken`` off their block sums, with one ``put``
-        and one ``subtract.at``: the same floats as ``add_loads(rows,
-        -taken)`` where ``left`` is old - taken."""
+        less ``taken`` as the caller worked them out, take one reduction of
+        ``taken`` off the load total and, in a store of more than one block,
+        ``taken`` off their block sums, with one ``put`` and one
+        ``subtract.at``: the same floats as ``add_loads(rows, -taken, ...)``
+        where ``left`` is old - taken."""
         self._load.put(rows, left)
+        self._total -= float(np.add.reduce(taken))
         if self._n > BLOCK_ROWS:
             np.subtract.at(self._block, rows >> BLOCK_SHIFT, taken)
 
     def set_loads(self, values: np.ndarray) -> None:
-        """Replace the whole load column and recompute every block sum."""
+        """Replace the whole load column and recompute the load total and
+        every block sum."""
         self._load[: self._n] = values
+        self._total = float(np.add.reduce(self.loads))
         self._block = self._block_sums_of_column()
 
     def _block_sums_of_column(self) -> np.ndarray:
@@ -681,53 +703,57 @@ class TorusConfiguration:
         return sums.astype(float, copy=False)
 
     def load_total(self) -> float:
-        """Sum of the load column: ``np.add.reduce`` of the live column in a
-        store of at most BLOCK_ROWS rows, 0.0 for none, and of the live
-        block sums in a larger one."""
-        n = self._n
-        if n <= BLOCK_ROWS:
-            return float(np.add.reduce(self._load[:n]))
-        n_blocks = (n + BLOCK_ROWS - 1) >> BLOCK_SHIFT
-        return float(np.add.reduce(self._block[:n_blocks]))
+        """The running sum of the load column, the root of the sum tree:
+        kept in step by every call that changes a load, never reduced here,
+        and 0.0 once the store is empty."""
+        return self._total
 
-    def sample_row(self, u: float, base: float) -> int:
-        """Row drawn with weight base + load, from one uniform ``u`` in [0, 1).
+    def sample_row(self, u: float) -> int:
+        """Row drawn with weight its load, from one uniform ``u`` in [0, 1).
 
-        Returns the first row whose running weight reaches u times the total,
-        as ``searchsorted(cumsum(base + loads), u * total)`` does, up to
-        rounding of the block sums: the block is found among the block
-        weights, the row among that block's rows.  Needs at least one row,
-        and always returns one of 0..n-1.
+        Returns the first row whose running load sum passes u times the
+        total, as ``searchsorted(cumsum(loads), u * total, "right")`` does,
+        up to rounding of the block sums: the block is found among the block
+        sums and the row among that block's loads, each read as it is.  A
+        row of load 0 is never drawn, nor row n: a target that rounding
+        leaves at or past a total takes the last row that raised it, and a
+        block whose sum is a rounding residue over loads of 0 hands the
+        draw to the whole column.  Returns -1 when no load is above 0.
         """
         n = self._n
-        if n <= BLOCK_ROWS:
-            cum = np.add.accumulate(base + self._load[:n])
-            return int(cum.searchsorted(u * cum.item(-1)))
-        n_blocks = (n + BLOCK_ROWS - 1) >> BLOCK_SHIFT
-        weights = self._block[:n_blocks] + base * BLOCK_ROWS
-        weights[-1] -= base * ((n_blocks << BLOCK_SHIFT) - n)  # partial last block
-        cum = np.add.accumulate(weights)
-        target = u * cum.item(-1)
-        block = min(int(cum.searchsorted(target)), n_blocks - 1)
-        if block:
-            target -= cum.item(block - 1)
-        lo = block << BLOCK_SHIFT
-        local = np.add.accumulate(base + self._load[lo : min(lo + BLOCK_ROWS, n)])
-        # rounding may leave the target past the block's own total
-        return lo + int(local.searchsorted(min(target, local.item(-1))))
+        if n > BLOCK_ROWS:
+            cum = np.add.accumulate(self._block[: (n + BLOCK_ROWS - 1) >> BLOCK_SHIFT])
+            total = cum.item(-1)
+            if total > 0.0:
+                target = u * total
+                block = _first_past(cum, target)
+                if block:  # the sum before it is at most the target
+                    target -= cum.item(block - 1)
+                lo = block << BLOCK_SHIFT
+                local = np.add.accumulate(self._load[lo : min(lo + BLOCK_ROWS, n)])
+                if local.item(-1) > 0.0:
+                    return lo + _first_past(local, target)
+        cum = np.add.accumulate(self._load[:n])
+        if not n or cum.item(-1) <= 0.0:
+            return -1
+        return _first_past(cum, u * cum.item(-1))
 
-    def stale_block(self) -> tuple[int, float, float] | None:
-        """First block whose running sum drifted from its rows' loads, as
-        (block, running, recomputed); else None.  A sum that is not within
-        the tolerance, NaN among them, has drifted.  A store of at most
-        BLOCK_ROWS rows keeps no block sums, so it reports None."""
+    def stale_sum(self) -> tuple[str, float, float] | None:
+        """First running sum that drifted from the loads it sums, as (name,
+        running, recomputed): the load total, then each block sum of a
+        store of more than one block, which a store of at most BLOCK_ROWS
+        rows does not keep; else None.  A sum that is not within the
+        tolerance, NaN among them, has drifted."""
+        fresh = np.add.reduce(self.loads, keepdims=True)
+        if first_drift(np.array([self._total]), fresh) is not None:
+            return "load total", self._total, float(fresh[0])
         if self._n <= BLOCK_ROWS:
             return None
         fresh = self._block_sums_of_column()
         block = first_drift(self._block, fresh)
         if block is None:
             return None
-        return block, float(self._block[block]), float(fresh[block])
+        return f"load sum of row block {block}", float(self._block[block]), float(fresh[block])
 
     def point_at(self, row: int) -> int:
         """Id of the point in ``row``."""
@@ -820,6 +846,7 @@ class TorusConfiguration:
             self._slot[row] = k
         self._n += 1
         self._next_id += 1
+        self._total += load
         if row > BLOCK_ROWS:
             self._block[row >> BLOCK_SHIFT] += load
         elif row == BLOCK_ROWS:  # past one block: block sums from here on
@@ -828,11 +855,13 @@ class TorusConfiguration:
 
     def remove(self, row: int) -> np.ndarray:
         """Delete the point in ``row`` and return its position; the last row
-        moves into ``row``."""
+        moves into ``row``, and its load leaves the load total."""
         last = self._n - 1
         if not 0 <= row <= last:
             raise GeometryError(f"no row {row} among {self._n} points")
         x = self._pos[row].copy()
+        load = self._load.item(row)
+        self._total = self._total - load if last else 0.0  # empty: no residue
         if self.grid is not None:  # the bucket's last slot moves into row's
             buckets, rows = self._buckets, self._rows
             bucket, slot = self._cell.item(row) % buckets, self._slot.item(row)
@@ -848,7 +877,7 @@ class TorusConfiguration:
                 rows[self._cell.item(last) % buckets, self._slot.item(last)] = row
         if last >= BLOCK_ROWS:  # a store of more than one block
             block = self._block
-            block[row >> BLOCK_SHIFT] -= self._load.item(row)
+            block[row >> BLOCK_SHIFT] -= load
             if row != last:
                 moved = self._load.item(last)
                 block[last >> BLOCK_SHIFT] -= moved
@@ -954,7 +983,14 @@ class TorusConfiguration:
         floats, of the points within the store's radius of one that
         ``_in_box`` took into the box as ``x`` and filed in ``cell``, while
         it is not in the store: those whose square is at most ``exact_reach``
-        of the radius, as distance <= radius is, which +inf never is."""
+        of the radius, as distance <= radius is, which +inf never is.
+
+        A plain query in d = 1 subtracts the scalar ``x.item(0)`` from one
+        slice of ``_grid_pos``, not the (1, 1) broadcast of d >= 2: at n ~
+        10^5 (the benchmark's d=1 store, 1,000 random inner points, both
+        forms interleaved in one process for 21 rounds, on a 2-core Intel
+        Xeon) it takes 3.5-3.8 us a query against 4.5-4.7 us, in two
+        runs."""
         rings, plain = self._rings, self._plain
         last = cell % self._axis_cells  # the coordinate along the last axis
         inner, key = last in plain, ()
@@ -975,7 +1011,7 @@ class TorusConfiguration:
                 for axis in self._later_axes:
                     square += d[axis]
                 square = square.reshape(-1)
-            else:
+            else:  # d = 1: one axis, a scalar subtraction
                 square = self._grid_pos[key] - x.item(0)
                 square *= square
             rows = self._grid_rows[key]

@@ -345,7 +345,7 @@ def test_snapshots_csv_from_columns_matches_per_scalar_formatting(
         "migration",
         a_minus=triangular(0.5, 1.0, dim),
         m=0.5,
-        b=ImmigrationField(constant=2.0),
+        b=ImmigrationField(constant=3.0),
     )
     rng = np.random.default_rng(dim)
     conf = sample_poisson(Torus(8.0, dim), 4.0, rng)
@@ -933,7 +933,7 @@ def test_analyze_reads_snapshots_as_the_row_reader_does(tmp_path, monkeypatch):
     for kernel in ("a_plus", "a_minus"):
         data["model"][kernel]["dim"] = 2
     data["model"]["a_plus"]["params"] = {"weight": 0.5, "sigma": 0.5}
-    data["model"]["m"] = 2.0
+    data["model"]["m"] = 4.0
     data["torus"] = {"L": 8.0, "d": 2}
     data["init"] = {"poisson": 0.1}
     data["schedule"] = {"t_end": 2.0, "snapshot_times": [0.5, 1.0, 2.0], "burn_in": 0.0}

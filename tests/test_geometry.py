@@ -20,6 +20,7 @@ from sbdsim.geometry import (
     BLOCK_ROWS,
     CELL_SLACK,
     LEAD_BITS,
+    LOAD_DRIFT_TOL,
     PAIR_BATCH,
     CellGrid,
     GeometryError,
@@ -1042,11 +1043,11 @@ def test_neighbors_matches_brute_force(dim, grid_radius, seed, steps):
 
 
 def assert_same_store(a, b):
-    """The two stores hold the same rows, ids, loads, block sums, grid,
-    radius and cells, with the same order of rows within each cell and so
-    the same slots."""
+    """The two stores hold the same rows, ids, loads, load total, block
+    sums, grid, radius and cells, with the same order of rows within each
+    cell and so the same slots."""
     n = len(a)
-    assert len(b) == n and a._next_id == b._next_id
+    assert len(b) == n and a._next_id == b._next_id and a._total == b._total
     assert a.grid == b.grid and a._radius == b._radius
     for name in ("_pos", "_id", "_cell", "_load", "_slot"):
         np.testing.assert_array_equal(getattr(a, name)[:n], getattr(b, name)[:n])
@@ -1096,7 +1097,7 @@ def test_a_store_built_with_its_points_equals_sequential_inserts(dim, radius):
     loads = rng.uniform(0.0, 3.0, 300)
     for cfg in (built, seq):
         cfg.set_loads(loads)
-        cfg.add_loads(np.arange(0, 300, 7), np.full(43, 0.1))
+        cfg.add_loads(np.arange(0, 300, 7), np.full(43, 0.1), 4.3)
         for pid in gone.tolist():
             cfg.remove(row_of(cfg, pid))
     assert_same_store(built, seq)
@@ -1105,7 +1106,7 @@ def test_a_store_built_with_its_points_equals_sequential_inserts(dim, radius):
         insert_point(seq, x)
     assert_same_store(built, seq)
     for u in np.linspace(0.0, 1.0, 101, endpoint=False):
-        assert built.sample_row(u, 0.3) == seq.sample_row(u, 0.3)
+        assert built.sample_row(u) == seq.sample_row(u)
     built.kernel_sums(triangular(1.0, radius, dim))
     assert_same_store(built, seq)
     assert len(TorusConfiguration(torus, np.zeros((0, dim)))) == 0
@@ -1159,10 +1160,13 @@ def test_kernel_sums_of_another_cutoff_refile_the_store():
 
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
 def test_load_total_is_the_reduce_of_the_live_block_sums(n):
-    # load_total reduces the live load column where the store has one block,
-    # which keeps no block sums, and the block sums where it has more: the
-    # float np.add.reduce gives either way, sign of a zero included, over
-    # random inserts, load changes and removals that cross block edges
+    # load_total is the store's running root, kept by every call that
+    # changes a load: within LOAD_DRIFT_TOL of the reduce of the live load
+    # column where the store has one block, which keeps no block sums, and
+    # of the block sums where it has more, over random inserts, load changes
+    # and removals that cross block edges, and exactly 0.0 when empty; the
+    # float np.add.reduce gives, sign of a zero included, right after
+    # set_loads
     rng = np.random.default_rng(n)
     cfg = TorusConfiguration(Torus(50.0, 1), rng.uniform(0.0, 50.0, (n, 1)))
     cfg.set_loads(rng.random(n))
@@ -1171,7 +1175,10 @@ def test_load_total_is_the_reduce_of_the_live_block_sums(n):
         k = len(cfg)
         live = cfg.loads if k <= BLOCK_ROWS else cfg._block[: -(-k // BLOCK_ROWS)]
         want, got = np.add.reduce(live), cfg.load_total()
-        assert type(got) is float and np.float64(got).tobytes() == want.tobytes()
+        assert type(got) is float and abs(got - want) <= LOAD_DRIFT_TOL * (1.0 + want)
+        assert cfg.stale_sum() is None
+        if not k:
+            assert np.float64(got).tobytes() == np.float64(0.0).tobytes()
 
     check()
     for _ in range(400):
@@ -1180,7 +1187,8 @@ def test_load_total_is_the_reduce_of_the_live_block_sums(n):
             insert_point(cfg, rng.uniform(0.0, 50.0, 1), float(rng.random()))
         elif op == 1:
             rows = rng.choice(k, min(k, 5), replace=False)
-            cfg.add_loads(rows, rng.random(rows.size))
+            delta = rng.random(rows.size)
+            cfg.add_loads(rows, delta, float(np.add.reduce(delta)))
         elif op == 2:
             rows = rng.choice(k, min(k, 5), replace=False)
             taken = cfg.loads[rows] * rng.random(rows.size)
@@ -1189,23 +1197,25 @@ def test_load_total_is_the_reduce_of_the_live_block_sums(n):
             cfg.remove(int(rng.integers(k)))
         check()
     if 0 < len(cfg) <= BLOCK_ROWS:  # one block of loads -0.0, which sum to +0.0
-        cfg.loads[:] = -0.0
+        cfg.set_loads(np.full(len(cfg), -0.0))
         check()
+        want = np.add.reduce(cfg.loads)
+        assert np.float64(cfg.load_total()).tobytes() == want.tobytes()
 
 
 def test_a_store_keeps_block_sums_only_past_one_block():
     # a store built with 250 rows, grown by _insert to 300 rows, with random
     # loads and load changes, shrunk by remove to 200 and grown past one
     # block again by _insert of points of load 0.  While it holds one block
-    # its load total is the reduce of the live column, bit for bit, and no
-    # call writes a block sum; the insert that takes it past BLOCK_ROWS rows
-    # rebuilds the block sums from the column; and after every step
-    # sample_row draws the row that searchsorted draws on the full running
-    # sum, for a fixed list of uniforms
+    # its load total is within LOAD_DRIFT_TOL of the reduce of the live
+    # column, and no call writes a block sum; the insert that takes it past
+    # BLOCK_ROWS rows rebuilds the block sums from the column; and after
+    # every step sample_row draws the row that searchsorted draws on the
+    # full running sum of the loads, for a fixed list of uniforms, or at the
+    # largest uniform the last row of positive load
     rng = np.random.default_rng(9)
     cfg = TorusConfiguration(Torus(50.0, 1), rng.uniform(0.0, 50.0, (250, 1)))
     cfg.set_loads(rng.random(250))
-    base = 0.3
     uniforms = np.linspace(0.0, 1.0, 23, endpoint=False).tolist() + [np.nextafter(1.0, 0.0)]
     crossings = 0
 
@@ -1222,15 +1232,19 @@ def test_a_store_keeps_block_sums_only_past_one_block():
                 crossings += 1
         if n <= BLOCK_ROWS:
             want = np.add.reduce(cfg.loads)
-            assert np.float64(cfg.load_total()).tobytes() == want.tobytes()
-        cum = np.cumsum(base + cfg.loads)
+            assert abs(cfg.load_total() - want) <= LOAD_DRIFT_TOL * (1.0 + want)
+        assert cfg.stale_sum() is None
+        cum = np.cumsum(cfg.loads)
+        last = int(cfg.loads.nonzero()[0][-1])
         for u in uniforms:
-            assert cfg.sample_row(u, base) == int(np.searchsorted(cum, u * cum[-1]))
+            want = min(int(np.searchsorted(cum, u * cum[-1], side="right")), last)
+            assert cfg.sample_row(u) == want
 
     def change_loads():
         rows = rng.choice(len(cfg), 5, replace=False)
         if rng.integers(2):
-            cfg.add_loads(rows, rng.random(5))
+            delta = rng.random(5)
+            cfg.add_loads(rows, delta, float(np.add.reduce(delta)))
         else:
             taken = cfg.loads[rows] * rng.random(5)
             cfg.lower_loads(rows, cfg.loads[rows] - taken, taken)
@@ -1742,8 +1756,44 @@ def test_sample_row_never_draws_zero_weight():
     cfg.set_loads(loads)
     cfg._block[0] += 1e-12
     total = 510.0 + 1e-12
-    assert cfg.sample_row((255.0 + 0.5e-12) / total, 0.0) == 254
-    assert cfg.sample_row(0.75, 0.0) == np.searchsorted(np.cumsum(loads), 0.75 * 510.0)
+    assert cfg.sample_row((255.0 + 0.5e-12) / total) == 254
+    want = np.searchsorted(np.cumsum(loads), 0.75 * 510.0, side="right")
+    assert cfg.sample_row(0.75) == want
+
+
+@pytest.mark.parametrize("n", [3, BLOCK_ROWS, BLOCK_ROWS + 1, 700])
+def test_sample_row_at_zero_skips_the_leading_rows_of_load_0(n):
+    # u = 0.0 makes the target 0, which the running sums of leading rows of
+    # load 0 reach: the draw is the first row above 0, on the path of at
+    # most BLOCK_ROWS rows and on the block path, where in the largest store
+    # the whole of block 0 has load 0
+    cfg = uniform_cfg(T10_1, n, np.random.default_rng(n))
+    loads = np.random.default_rng(6).uniform(0.5, 2.0, n)
+    first = min(n - 1, BLOCK_ROWS + 3) if n > BLOCK_ROWS + 1 else n // 2
+    loads[:first] = 0.0
+    cfg.set_loads(loads)
+    assert cfg.sample_row(0.0) == first
+
+
+def test_sample_row_leaves_a_block_whose_sum_is_only_a_residue():
+    # block 1 has loads of 0 alone but a block sum of rounding residue, the
+    # whole sum of block 0 before it: a target in that residue, such as u =
+    # 0 past a block 0 of load 0 too, hands the draw to the column, which
+    # draws the first row of positive load.  A column of loads 0 alone has
+    # no row to draw
+    cfg = uniform_cfg(T10_1, 3 * BLOCK_ROWS, np.random.default_rng(8))
+    loads = np.zeros(3 * BLOCK_ROWS)
+    loads[2 * BLOCK_ROWS + 5 :] = 1.0
+    cfg.set_loads(loads)
+    cfg._block[1] += 1e-13
+    assert cfg.sample_row(0.0) == 2 * BLOCK_ROWS + 5
+    u = 0.5e-13 / (BLOCK_ROWS - 5 + 1e-13)  # halfway into block 1's residue
+    assert cfg.sample_row(u) == 2 * BLOCK_ROWS + 5
+    for k in (BLOCK_ROWS, 3 * BLOCK_ROWS):
+        cfg = uniform_cfg(T10_1, k, np.random.default_rng(k))
+        cfg.set_loads(np.zeros(k))
+        cfg._block[0] += 1e-13
+        assert cfg.sample_row(0.5) == -1
 
 
 @pytest.mark.parametrize("n", [1, 100, BLOCK_ROWS, BLOCK_ROWS + 1, 700])
@@ -1751,13 +1801,20 @@ def test_sample_row_at_the_largest_uniform_draws_the_last_row(n):
     # u = nextafter(1, 0) puts the target within rounding of the total, on
     # the path of at most BLOCK_ROWS rows and on the block path, also with a
     # rounding residue in the last block sum that lifts the total past the
-    # rows' own weights: the draw is the last row, never row n
+    # rows' own weights: the draw is the last row, never row n, and the last
+    # of positive load when the rows after it have load 0
     u = np.nextafter(1.0, 0.0)
     cfg = uniform_cfg(T10_1, n, np.random.default_rng(n))
-    cfg.set_loads(np.random.default_rng(5).uniform(0.0, 2.0, n))
-    assert cfg.sample_row(u, 0.3) == n - 1
+    loads = np.random.default_rng(5).uniform(0.0, 2.0, n)
+    cfg.set_loads(loads)
+    assert cfg.sample_row(u) == n - 1
     cfg._block[(n - 1) // BLOCK_ROWS] += 1e-9
-    assert cfg.sample_row(u, 0.3) == n - 1
+    assert cfg.sample_row(u) == n - 1
+    if n > 1:
+        loads[n // 2 :] = 0.0
+        cfg.set_loads(loads)
+        cfg._block[(n - 1) // BLOCK_ROWS] += 1e-9
+        assert cfg.sample_row(u) == n // 2 - 1
 
 
 # -- windows ------------------------------------------------------------------

@@ -3,13 +3,15 @@
 The twin keeps the living points in plain arrays, in the store's row order
 with its swap-delete, and recomputes every load from scratch at every event
 by a minimum-image scan of all pairs.  It shares nothing with the fast path
-but ``Torus.wrap`` and the profiles, masses, integrals and samplers of the
-kernels and the immigration field.  It draws from its own generator,
-seeded as the run's, in ``run``'s order: the waiting time, the
-birth-or-death uniform, then the parent row and its displacement, the
-immigrant's position, or the death uniform.  Where the run chose otherwise
-and the uniform lay within CLOSE of the boundary, a rounding of the totals,
-the twin takes the run's choice and counts it.
+but ``Torus.wrap``, the profiles, masses, integrals and samplers of the
+kernels and the immigration field, and the draw source ``BlockDraws``.  It
+draws from its own generator, seeded as the run's, in ``run``'s order: the
+waiting time, the uniform that picks a birth, a natural death or a death by
+competition, then the parent row and its displacement, the immigrant's
+position, the dying row of a natural death, or the competition uniform; it
+works out the channel, the rows and the loads itself.  Where the run chose
+otherwise and the uniform lay within CLOSE of the boundary, a rounding of
+the totals, the twin takes the run's choice and counts it.
 
 Nine named cases pin hand-picked stores and grids; a property test draws
 the rest of the model space: both variants, d = 1 to 3, each a- family or
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbdsim.dynamics import ModelSpec, SimulationState, run
+from sbdsim.dynamics import BlockDraws, ModelSpec, SimulationState, run
 from sbdsim.geometry import BLOCK_ROWS, LOAD_DRIFT_TOL, CellGrid, Torus, TorusConfiguration
 from sbdsim.kernels import ImmigrationField, exponential, gaussian, tabulated, triangular
 
@@ -52,7 +54,7 @@ def replay(spec, torus, start, t_end, seed, trace, states):
     """Run the twin from the rows ``start`` (ids 0..n-1) and compare it with
     the run's ``trace`` and the store's (ids, loads) after each event;
     return how many choices it adopted from the run."""
-    rng = np.random.default_rng(seed)
+    rng, draws = np.random.default_rng(seed), BlockDraws()
     log = trace.events
     times, births, positions = log.times, log.births, log.positions
     points, parents = log.points.tolist(), log.parents.tolist()
@@ -69,7 +71,9 @@ def replay(spec, torus, start, t_end, seed, trace, states):
             drift = np.abs(fast_loads - loads) <= LOAD_DRIFT_TOL * (1.0 + loads)
             assert drift.all(), (i, np.flatnonzero(~drift)[:5])
         n = len(ids)
-        b, d = b_total + n * birth_mass, spec.m * n + loads.sum()
+        competition = loads.sum()
+        natural = spec.m * n
+        b, d = b_total + n * birth_mass, natural + competition
         if b + d <= 0.0:
             assert trace.absorbed and i == len(log)
             break
@@ -78,7 +82,7 @@ def replay(spec, torus, start, t_end, seed, trace, states):
             assert t > t_end
             break
         assert t == pytest.approx(times[i], rel=CLOSE)
-        edge = rng.random() * (b + d) - b
+        edge = draws.uniform(rng) * (b + d) - b
         if (edge < 0.0) != births[i]:  # the run chose the other kind
             assert abs(edge) <= CLOSE * (b + d)
             adopted += 1
@@ -86,19 +90,27 @@ def replay(spec, torus, start, t_end, seed, trace, states):
             if spec.b is not None:
                 x, parent = spec.b.sample_position(torus.side, torus.dim, rng), -1
             else:
-                row = int(rng.integers(n))
+                row = draws.row(n, rng)
                 x, parent = pos[row] + spec.a_plus.sample_displacement(rng), ids[row]
             x, pid, next_id = torus.wrap(x), next_id, next_id + 1
             pos = np.concatenate([pos, x[None]])
             ids.append(pid)
         else:
-            cum = np.cumsum(spec.m + loads)
-            target = rng.random() * cum[-1]
-            row, fast = int(cum.searchsorted(target)), ids.index(points[i])
-            if row != fast:  # the run drew the neighbouring row of a rounded total
-                lo = cum[fast - 1] if fast else 0.0
-                assert lo - CLOSE * cum[-1] <= target <= cum[fast] + CLOSE * cum[-1]
-                row, adopted = fast, adopted + 1
+            # which death channel is too close to call would need the run's
+            # draws; a competition total of 0 leaves the natural one alone
+            if competition > 0.0:
+                assert abs(edge - natural) > CLOSE * (b + d), "channel within CLOSE"
+            fast = ids.index(points[i])
+            if edge < natural or competition == 0.0:
+                row = draws.row(n, rng)
+            else:
+                cum = np.cumsum(loads)
+                target = draws.uniform(rng) * cum[-1]
+                row = int(cum.searchsorted(target, side="right"))
+                if row != fast:  # the run drew the neighbouring row of a rounded total
+                    lo = cum[fast - 1] if fast else 0.0
+                    assert lo - CLOSE * cum[-1] <= target <= cum[fast] + CLOSE * cum[-1]
+                    row, adopted = fast, adopted + 1
             x, pid, parent = pos[row].copy(), ids[row], -1
             pos[row], ids[row] = pos[-1], ids[-1]  # the store's swap-delete
             pos = pos[:-1]
