@@ -192,6 +192,26 @@ class Certificate:
         if self.a_r_minus <= 0.0 or self.theta <= 0.0 or self.omega <= 0.0:
             raise CertificationError("certificate fields must be strictly positive")
 
+    def kernel_mismatch(self, a_plus, a_minus) -> str | None:
+        """How the certificate was made for other kernels than ``a_plus``
+        and ``a_minus`` (either may be None), else None: another ``dim``, or
+        a kernel figure further than SELF_CHECK_TOL from theirs, since
+        ``certify`` reads a- on an array, whose exp may differ in an ulp."""
+        if a_plus is None or a_minus is None:
+            return "the config has no a_plus and a_minus to check it against"
+        figures = {
+            "dim": a_plus.dim,
+            "sup_a_plus": a_plus.sup_norm(),
+            "mass_a_plus": a_plus.mass(),
+            "a_r_minus": a_minus.profile(2.0 * self.r),
+        }
+        tol = SELF_CHECK_TOL
+        for name, theirs in figures.items():
+            ours = getattr(self, name)
+            if not math.isclose(ours, theirs, rel_tol=tol, abs_tol=tol):
+                return f"field {name} is {ours!r}, the config's kernels give {theirs!r}"
+        return None
+
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 

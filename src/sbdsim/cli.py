@@ -326,6 +326,9 @@ def cmd_verify(args) -> int:
             cert = Certificate.from_dict(json.loads(Path(args.certificate).read_text()))
         except (OSError, ValueError, TypeError) as exc:
             raise ConfigError("--certificate", f"no certificate read: {exc}") from None
+        mismatch = cert.kernel_mismatch(cfg.model.a_plus, cfg.model.a_minus)
+        if mismatch is not None:
+            raise ConfigError("--certificate", f"made for other kernels: {mismatch}")
         try:
             cert.self_check()
         except CertificationError as exc:

@@ -12,41 +12,24 @@ Every point dies at rate m + sum over the others of a_minus(distance), with
 kernels wrapped onto the torus and truncated at their cutoff radius: a
 natural death at rate m and a death by competition at rate its load.  The
 per-point competition loads are cached in the point store, filed once for
-the a_minus cutoff as the loads are built, and updated incrementally on each
-event, together with the store's running load total, the root of a two-level
-sum tree, and its running load sum per block of rows once it holds more than
-one block.  The total death rate reads the root and reduces nothing; a birth
-adds one reduction of its contributions to it twice, as its new load and as
-what its neighbours gain, and a death takes off its own load and one
-reduction of what it takes from its neighbours.  The dying point of a death
-by competition is found first among the block sums and then inside one
-block, while a store of one block reads its load column itself.
-A death reads its neighbours' old loads with one ``take``, writes what is
-left back with one ``put`` and takes the contributions off the block sums
-with one ``subtract.at``: the floats of adding the negated contributions.  A
-kernel takes each pair's squared length as the neighbour query keeps it, the
-one form in which each family states its profile.  Events
-address points by their row in the store: a birth's parent and a death are
-drawn as rows, and only the recorded event carries ids.  The point born or
-dying is never in the store while its neighbours are found: a birth queries
-them before its insert and a death after its removal, so no query leaves a
-row out, and only the store wraps positions into [0, side).  A birth wraps
-and files its position once and hands that (position, cell) to its query and
-its insert; a death queries from the cell its row was filed in.  A new
-point's load sums its neighbours' kernels in the order the query gathers
-them, a function of the seeded history.  The optional audit checks the cell
-index and recomputes loads, the load total and the block sums from scratch,
-from each pair's squared length bit for bit as the incremental updates saw
-it, leaves the index as it found it, and fails loudly on drift.
+the a_minus cutoff as the loads are built, which keeps them and their sums
+in step: a birth is one call of the store's ``_add_point`` and a death one
+of its ``_remove_point``, each handed a_minus, and the total death rate
+reads the store's load total.  Events address points by their row in the
+store: a birth's parent and a death are drawn as rows, and only the
+recorded event carries ids and the position the store returns.  A removal
+that leaves a load further below zero than a rounding residue raises
+AuditError.  The optional audit checks the cell index and recomputes
+loads, the load total and the block sums from scratch, from each pair's
+squared length bit for bit as the incremental updates saw it, leaves the
+index as it found it, and fails loudly on drift.
 The per-event path, ``total_rates`` and ``_apply_event`` with the store and
 kernel methods they call, reaches numpy only through ufuncs, ufunc methods
 and ndarray methods: a Python-level wrapper such as ``np.cumsum`` or
 ``ndarray.sum`` costs a few microseconds per call, a sizeable share of an
 event that takes some tens of them.  For the same reason it makes no ufunc
-reduction where one element or an argmin gives the same float (a death
-reads its least left load with ``argmin``), at most one per event, reads
-scalars with ``.item()``, calls a kernel's ``_profile_sq`` on the fresh
-arrays of squared lengths directly, and reads the population off the
+reduction where one element or an argmin gives the same float, at most one
+per event, reads scalars with ``.item()``, and reads the population off the
 store's row count.
 
 Each loop iteration draws its waiting time, exponential in the total rate B
@@ -85,7 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import LOAD_DRIFT_TOL, Torus, TorusConfiguration, first_drift
+from .geometry import Torus, TorusConfiguration, first_drift
 from .kernels import ImmigrationField, RadialKernel
 
 VARIANTS = ("bolker_pacala", "migration")
@@ -320,11 +303,10 @@ class SimulationState:
     The configuration's load column caches the competition part of each
     point's death rate (the sum of a_minus over its neighbours); the full
     death rate is m + load.  Loads change only through the store's
-    ``add_loads``, ``lower_loads`` and ``set_loads``, which keep its load
-    total current, and its block sums while it holds more than one block.
-    The event path's uniforms and rows come from one ``BlockDraws``.
-    ``clamps`` counts the loads a removal set from a rounding residue below
-    zero to 0, and ``largest_clamp`` is the largest such residue.
+    ``_add_point``, ``_remove_point`` and ``set_loads``, which keep its sums
+    in step.  The event path's uniforms and rows come from one
+    ``BlockDraws``.  A new state zeroes the store's ``clamps`` and
+    ``largest_clamp``, so that they count its own run's clamps alone.
     """
 
     def __init__(self, spec: ModelSpec, cfg: TorusConfiguration):
@@ -332,8 +314,7 @@ class SimulationState:
         self.cfg = cfg
         self.torus = cfg.torus
         self.t = 0.0
-        self.clamps = 0
-        self.largest_clamp = 0.0
+        cfg.clamps, cfg.largest_clamp = 0, 0.0  # this run's own
         spec.check_torus(self.torus)
         if spec.b is not None:
             self._b_total = spec.b.integral(self.torus.side, self.torus.dim)
@@ -393,61 +374,6 @@ class SimulationState:
 
     # -- event application ---------------------------------------------------
 
-    def _add_point(self, position: np.ndarray) -> int:
-        """Add a point at ``position``, which the store wraps into the box
-        and files once for both its neighbour query and its insert, and add
-        its contribution to its neighbours' loads, found before it is
-        stored; return its id.  One reduction of the contributions is both
-        the new load and what the neighbours gain, each added to the load
-        total."""
-        cfg, a_minus = self.cfg, self.spec.a_minus
-        x, cell = cfg._in_box(position)
-        if a_minus is None:
-            return cfg._insert(x, cell, 0.0)
-        rows, squares = cfg._neighbors(x, cell)
-        contrib = a_minus._profile_sq(squares)
-        load = float(np.add.reduce(contrib))
-        cfg.add_loads(rows, contrib, load)
-        return cfg._insert(x, cell, load)
-
-    def _remove_point(self, row: int) -> tuple[int, np.ndarray]:
-        """Delete the point in ``row``, then take its contribution out of
-        the loads of its neighbours, found once it is gone from the cell it
-        was filed in; return its id and position.  The neighbours' old
-        loads come in with one ``take`` and what is left goes back through
-        the store's ``lower_loads``.
-
-        A load may end a rounding residue below zero and is then set to 0,
-        counted in ``clamps`` and ``largest_clamp``; one further below means
-        the cache is corrupt and raises AuditError.
-        """
-        cfg, a_minus = self.cfg, self.spec.a_minus
-        pid = cfg._id.item(row)
-        cell = cfg._cell.item(row)  # filed on the store's grid
-        x = cfg.remove(row)
-        if a_minus is not None:
-            rows, squares = cfg._neighbors(x, cell)
-            if rows.size:
-                contrib = a_minus._profile_sq(squares)
-                old = cfg._load.take(rows)
-                left = old - contrib
-                lowest = left.item(left.argmin())  # np.minimum.reduce's value
-                if lowest < 0.0:
-                    corrupt = (left < -LOAD_DRIFT_TOL * (1.0 + contrib)).nonzero()[0]
-                    if corrupt.size:
-                        i = corrupt.item(0)
-                        raise AuditError(
-                            f"death-rate cache for point {cfg.point_at(rows[i])} "
-                            f"fell to {left.item(i)!r} on removing point {pid}"
-                        )
-                    below = (left < 0.0).nonzero()[0]
-                    left[below] = 0.0  # residues go to exactly 0
-                    contrib[below] = old[below]  # and their sums lose all they had
-                    self.clamps += below.size
-                    self.largest_clamp = max(self.largest_clamp, -lowest)
-                cfg.lower_loads(rows, left, contrib)
-        return pid, x
-
     def _apply_event(
         self, b: float, d: float, rng: np.random.Generator, log: EventLog
     ) -> None:
@@ -474,8 +400,8 @@ class SimulationState:
                 row = draws.row(n, rng)
                 parent = cfg._id.item(row)
                 pos = cfg._pos[row] + self.spec.a_plus.sample_displacement(rng)
-            pid = self._add_point(pos)
-            log._append(self.t, True, cfg._pos[n], pid, parent)
+            pid, x = cfg._add_point(pos, self.spec.a_minus)
+            log._append(self.t, True, x, pid, parent)
             return
         natural = self.spec.m * n
         if pick < natural or d <= natural:
@@ -485,7 +411,9 @@ class SimulationState:
             if row < 0:  # thinned: the total goes back to the loads' sum
                 cfg.set_loads(cfg.loads)
                 return
-        pid, x = self._remove_point(row)
+        pid, x, fault = cfg._remove_point(row, self.spec.a_minus)
+        if fault is not None:
+            raise AuditError(fault)
         log._append(self.t, False, x, pid, -1)
 
     def snapshot(self, at_time: float) -> Snapshot:
@@ -496,8 +424,8 @@ class SimulationState:
 class SimulationTrace:
     """What ``run`` returns: its events in an ``EventLog``, the scheduled
     snapshots, how and when the run ended, the largest population it held
-    (at its start or after an event), and the load clamps of
-    ``SimulationState``: how many, and the largest residue."""
+    (at its start or after an event), and the load clamps of the run's
+    removals, read off the store: how many, and the largest residue."""
 
     events: EventLog
     snapshots: list[Snapshot] = field(default_factory=list)
@@ -596,6 +524,5 @@ def run(
     trace.final_time = state.t
     trace.final_population = state.population
     trace.peak_population = peak
-    trace.clamps = state.clamps
-    trace.largest_clamp = state.largest_clamp
+    trace.clamps, trace.largest_clamp = cfg.clamps, cfg.largest_clamp
     return trace

@@ -20,8 +20,9 @@ for it, that no query changes: padded arrays of each cell's rows and
 positions, +inf in free slots, which a grid of more cells than a slot
 budget allows shares.  A query from a cell whose stencil does not wrap, on
 unshared buckets, reads one slice of them per axis; any other gathers its
-stencil's buckets.  An event wraps and files its point once, in
-``_in_box``, for its query and its insert.
+stencil's buckets.  The store keeps its own loads: a birth is one
+``_add_point`` and a death one ``_remove_point``, which wraps and files a
+new point once, in ``_in_box``, for its query and its insert.
 ``periodic_pairs`` walks each unordered pair of points within a radius once,
 over half the neighbouring cell offsets, in bounded batches, and in d >= 2
 cuts each offset along its lead axis; the kernel sums add each pair's
@@ -36,8 +37,8 @@ profile on the square (``RadialKernel._profile_sq``) and takes a root only
 if its formula needs one; the pair correlation bins roots.
 ``sample_poisson`` draws a homogeneous Poisson configuration and builds the
 store with it.
-The store's per-event methods (``_in_box``, ``_insert``, ``remove``,
-``_neighbors``, ``add_loads``, ``lower_loads``, ``load_total`` and
+The store's per-event methods (``_add_point``, ``_remove_point``,
+``_in_box``, ``_insert``, ``remove``, ``_neighbors``, ``load_total`` and
 ``sample_row``), and ``cell_runs``, ``periodic_pairs`` and ``kernel_sums``,
 call numpy only through ufuncs, ufunc methods and ndarray methods, never
 through the Python-level wrappers of ``numpy/_core/fromnumeric.py``,
@@ -606,10 +607,10 @@ class TorusConfiguration:
     The loads form a two-level sum tree.  Its root, the running load
     total, is kept at every size: ``_insert`` adds the new row's load,
     ``remove`` takes off the removed one's and sets it to 0.0 when the
-    store empties, ``add_loads`` adds the sum of its changes as the caller
-    reduced it, ``lower_loads`` takes off one reduction of what it takes,
-    and ``set_loads`` reduces the new column; ``load_total`` returns it and
-    reduces nothing.  While the store holds more than one block of
+    store empties, ``_add_point`` adds what the neighbours gain and
+    ``_remove_point`` one reduction of what they lose, and ``set_loads``
+    reduces the new column; ``load_total`` returns it and reduces nothing.
+    While the store holds more than one block of
     BLOCK_ROWS rows, it also keeps one running sum per block next to the
     load column, so that ``sample_row`` reads n / BLOCK_ROWS block sums and
     one block instead of the whole column; the same calls keep them in step
@@ -642,6 +643,7 @@ class TorusConfiguration:
         self._load = np.zeros(capacity)
         self._block = np.zeros(-(-capacity // BLOCK_ROWS))  # each block's load sum
         self._total = 0.0  # the load column's running sum
+        self.clamps, self.largest_clamp = 0, 0.0  # what _remove_point set to 0
         self._pos[:k] = x
         self._id[:k] = np.arange(k)
         self._n = self._next_id = k
@@ -659,34 +661,11 @@ class TorusConfiguration:
     def loads(self) -> np.ndarray:
         """View of the competition-load column, one entry per row.
 
-        Change it through ``add_loads``, ``lower_loads`` or ``set_loads``: a
-        direct write bypasses the load total and, in a store of more than
+        Change it through ``_add_point``, ``_remove_point`` or ``set_loads``:
+        a direct write bypasses the load total and, in a store of more than
         one block, the block sums, which ``stale_sum`` then reports.
         """
         return self._load[: self._n]
-
-    def add_loads(self, rows: np.ndarray, delta: np.ndarray, total: float) -> None:
-        """Add ``delta`` to the loads of ``rows`` (distinct), ``total``, the
-        sum of ``delta`` as the caller reduced it, to the load total and, in
-        a store of more than one block, ``delta`` to their block sums."""
-        self._load[rows] += delta
-        self._total += total
-        if self._n > BLOCK_ROWS:
-            np.add.at(self._block, rows >> BLOCK_SHIFT, delta)
-
-    def lower_loads(
-        self, rows: np.ndarray, left: np.ndarray, taken: np.ndarray
-    ) -> None:
-        """Set the loads of ``rows`` (distinct) to ``left``, their old loads
-        less ``taken`` as the caller worked them out, take one reduction of
-        ``taken`` off the load total and, in a store of more than one block,
-        ``taken`` off their block sums, with one ``put`` and one
-        ``subtract.at``: the same floats as ``add_loads(rows, -taken, ...)``
-        where ``left`` is old - taken."""
-        self._load.put(rows, left)
-        self._total -= float(np.add.reduce(taken))
-        if self._n > BLOCK_ROWS:
-            np.subtract.at(self._block, rows >> BLOCK_SHIFT, taken)
 
     def set_loads(self, values: np.ndarray) -> None:
         """Replace the whole load column and recompute the load total and
@@ -889,6 +868,69 @@ class TorusConfiguration:
                 col[row] = col[last]
         self._n = last
         return x
+
+    def _add_point(self, position, kernel: RadialKernel | None) -> tuple:
+        """A birth: add a point at ``position``, wrapped and filed once for
+        its neighbour query and its insert, and its ``kernel`` term to the
+        loads of its neighbours, found before it is stored, in the query's
+        order; return (id, wrapped position).  One reduction of the terms is
+        both the new load and what the neighbours gain, each added to the
+        load total.  With no kernel the load is 0."""
+        x, cell = self._in_box(position)
+        if kernel is None:
+            return self._insert(x, cell, 0.0), x
+        rows, squares = self._neighbors(x, cell)
+        contrib = kernel._profile_sq(squares)
+        load = float(np.add.reduce(contrib))
+        self._load[rows] += contrib
+        self._total += load
+        if self._n > BLOCK_ROWS:
+            np.add.at(self._block, rows >> BLOCK_SHIFT, contrib)
+        return self._insert(x, cell, load), x
+
+    def _remove_point(self, row: int, kernel: RadialKernel | None) -> tuple:
+        """A death: delete the point in ``row``, then take its ``kernel``
+        term out of the loads of its neighbours, found from the cell it was
+        filed in once it is gone; return (id, position, fault or None).  Old
+        loads come in with one ``take``, what is left goes back with one
+        ``put``, the block sums lose the terms with one ``subtract.at`` and
+        the load total one reduction of them.
+
+        A load left a rounding residue below zero is set to 0 and counted in
+        ``clamps`` and ``largest_clamp``; one further below than
+        LOAD_DRIFT_TOL (1 + term) means the cache is corrupt, and the fault
+        names its point, with no load changed.
+        """
+        pid = self._id.item(row)
+        cell = self._cell.item(row)  # filed on the store's grid
+        x = self.remove(row)
+        if kernel is None:
+            return pid, x, None
+        rows, squares = self._neighbors(x, cell)
+        if not rows.size:
+            return pid, x, None
+        contrib = kernel._profile_sq(squares)
+        old = self._load.take(rows)
+        left = old - contrib
+        lowest = left.item(left.argmin())  # np.minimum.reduce's value
+        if lowest < 0.0:
+            corrupt = (left < -LOAD_DRIFT_TOL * (1.0 + contrib)).nonzero()[0]
+            if corrupt.size:
+                i = corrupt.item(0)
+                return pid, x, (
+                    f"death-rate cache for point {self.point_at(rows[i])} "
+                    f"fell to {left.item(i)!r} on removing point {pid}"
+                )
+            below = (left < 0.0).nonzero()[0]
+            left[below] = 0.0  # residues go to exactly 0
+            contrib[below] = old[below]  # and their sums lose all they had
+            self.clamps += below.size
+            self.largest_clamp = max(self.largest_clamp, -lowest)
+        self._load.put(rows, left)
+        self._total -= float(np.add.reduce(contrib))
+        if self._n > BLOCK_ROWS:
+            np.subtract.at(self._block, rows >> BLOCK_SHIFT, contrib)
+        return pid, x, None
 
     # -- index ------------------------------------------------------------
 

@@ -94,13 +94,15 @@ def pair_correlation(
     unordered count, is divided by N (N-1) / volume times the shell volume,
     which has expectation exactly 1 for a homogeneous Poisson field;
     replicas with fewer than two points carry no pair information and are
-    skipped.  The counts come from a ``periodic_pairs`` walk over the
-    ``cell_runs`` of the points on the ``CellGrid.for_radius`` of the last
-    edge, which computes each unordered pair's squared length once, and the
-    roots of those squares are binned, so memory is O(N + PAIR_BATCH) per
-    replica, and time grows as N times the points within the last edge of a
-    point: O(N) for a fixed last edge, O(N^2) when it reaches side/2, where
-    the walk computes N (N-1) / 2 squared lengths, half the ordered pairs.
+    skipped, and fewer than two replicas with two or more points give no
+    standard error and raise StatisticsError.  The counts come from a
+    ``periodic_pairs`` walk over the ``cell_runs`` of the points on the
+    ``CellGrid.for_radius`` of the last edge, which computes each unordered
+    pair's squared length once, and the roots of those squares are binned,
+    so memory is O(N + PAIR_BATCH) per replica, and time grows as N times
+    the points within the last edge of a point: O(N) for a fixed last edge,
+    O(N^2) when it reaches side/2, where the walk computes N (N-1) / 2
+    squared lengths, half the ordered pairs.
     """
     reps = _check_replicas(snapshots)
     if r_max is None:
@@ -128,8 +130,11 @@ def pair_correlation(
         for _, _, square in periodic_pairs(grid, pts, runs, edges[-1])[1]:
             counts += np.histogram(np.sqrt(square), bins=edges)[0]
         per_replica.append(2 * counts * torus.volume / (n * (n - 1) * shells))
-    if not per_replica:
-        raise StatisticsError("no replica has two or more points")
+    if len(per_replica) < 2:
+        raise StatisticsError(
+            "need two replicas with two or more points for standard errors, "
+            f"got {len(per_replica)}"
+        )
     stack = np.vstack(per_replica)
     g = stack.mean(axis=0)
     se = stack.std(axis=0, ddof=1) / math.sqrt(stack.shape[0])

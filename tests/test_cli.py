@@ -754,6 +754,67 @@ def test_verify_tampered_certificate(
     assert "Traceback" not in err
 
 
+def d2_kernels(config):
+    for name in ("a_plus", "a_minus"):
+        config["model"][name]["dim"] = 2
+    config["torus"]["d"] = 2
+
+
+def doubled_a_plus(config):
+    config["model"]["a_plus"]["params"]["weight"] = 2.0
+
+
+def lower_a_minus(config):
+    config["model"]["a_minus"]["params"]["height"] = 0.5
+
+
+def no_a_plus(config):
+    config["model"] = {"variant": "migration", "b": {"constant": 1.0}, "m": 1.0}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (d2_kernels, "field dim is 1, the config's kernels give 2"),
+        (doubled_a_plus, "field sup_a_plus is"),
+        (lower_a_minus, "field a_r_minus is"),
+        (no_a_plus, "no a_plus and a_minus"),
+    ],
+    ids=["d2", "a_plus_weight", "a_minus_height", "no_kernels"],
+)
+def test_verify_refuses_a_certificate_made_for_other_kernels(
+    tmp_path, capsys, change, message
+):
+    # a certificate is checked against the kernels of the config it is
+    # verified with: another dimension or kernel figure is a usage error,
+    # named by its field, and the config it was made with reads it
+    config = bp_config()
+    cfg_path = write_config(tmp_path / "cfg.json", config)
+    out = tmp_path / "cert"
+    assert main(["certify", "--config", cfg_path, "--out", str(out)]) == 0
+    cert = str(out / "certificate.json")
+    change(config)
+    other = write_config(tmp_path / "other.json", config)
+    capsys.readouterr()
+    argv = ["verify", "--config", other, "--certificate", cert]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: config error at --certificate: ")
+    assert message in err and "Traceback" not in err
+
+
+def test_a_certificate_matches_the_kernels_it_was_made_for():
+    # certify reads a- at 2 r on one array of radii; the scalar read of the
+    # check agrees within SELF_CHECK_TOL for every shipped config it certifies
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = load_config(path)
+        a_plus, a_minus = cfg.model.a_plus, cfg.model.a_minus
+        if a_plus is None or a_minus is None:
+            continue
+        cert = cli._certify_from_config(cfg)
+        assert cert.kernel_mismatch(a_plus, a_minus) is None, path.name
+
+
 # -- bounds -----------------------------------------------------------------------
 
 

@@ -747,13 +747,26 @@ def test_a_load_total_that_is_only_a_residue_thins_the_event():
 
 def test_removal_below_zero_load_raises():
     # point 0's load is a- at distance 0.5 = 0.5; corrupted to 0, removing
-    # point 1 would take it to -0.5, far beyond a rounding residue
+    # point 1 would take it to -0.5, far beyond a rounding residue.  The
+    # store reports the fault and changes no load; a death by competition,
+    # the only event with m = 0 and no birth rate, draws point 1, the one
+    # load above 0, and raises it
     am = triangular(1.0, 1.0, 1)
-    spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.2)
-    state = SimulationState(spec, cfg_with_points(Torus(10.0, 1), [[5.0], [5.5]]))
-    state.cfg.loads[0] -= 0.5
-    with pytest.raises(AuditError, match="point 0"):
-        state._remove_point(1)
+    spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.0)
+    fault = "death-rate cache for point 0 fell to -0.5 on removing point 1"
+
+    def corrupted():
+        state = SimulationState(spec, cfg_with_points(Torus(10.0, 1), [[5.0], [5.5]]))
+        state.cfg.loads[0] -= 0.5
+        return state
+
+    cfg = corrupted().cfg
+    pid, x, got = cfg._remove_point(1, am)
+    assert (pid, x.tolist(), got) == (1, [5.5], fault) and cfg.loads.tolist() == [0.0]
+    state, log = corrupted(), EventLog(1)
+    with pytest.raises(AuditError, match="point 0") as raised:
+        state._apply_event(0.0, state.cfg.load_total(), np.random.default_rng(0), log)
+    assert str(raised.value) == fault and len(log) == 0
 
 
 def grid_field():
@@ -770,12 +783,12 @@ def test_removal_counts_the_residues_it_clamps():
     cfg = cfg_with_points(Torus(10.0, 1), [[5.0], [5.5], [6.0]])
     state = SimulationState(spec, cfg)
     assert state.cfg.loads.tolist() == [0.5, 1.0, 0.5]
-    state.cfg.add_loads(np.array([0, 2]), np.array([-1e-12, -3e-12]), -4e-12)
-    assert (state.clamps, state.largest_clamp) == (0, 0.0)
-    state._remove_point(1)
+    state.cfg.set_loads(np.array([0.5 - 1e-12, 1.0, 0.5 - 3e-12]))
+    assert (cfg.clamps, cfg.largest_clamp) == (0, 0.0)
+    assert cfg._remove_point(1, am)[2] is None
     assert state.cfg.loads.tolist() == [0.0, 0.0]
-    assert state.clamps == 2
-    assert state.largest_clamp == pytest.approx(3e-12, rel=1e-3)
+    assert cfg.clamps == 2
+    assert cfg.largest_clamp == pytest.approx(3e-12, rel=1e-3)
     state.audit()
 
 
@@ -825,24 +838,25 @@ def test_death_update_matches_the_old_arithmetic_bit_for_bit(dim):
     same()
     for _ in range(60):
         row = state.cfg.sample_row(rng.random())
-        state._remove_point(row)
+        state.cfg._remove_point(row, am)
         remove_the_old_way(ref, row)
         same()
-    assert state.clamps == 0
+    assert state.cfg.clamps == 0
     row, last = 5, len(state.cfg) - 1
     rows, squares = state.cfg._neighbors(*state.cfg._in_box(state.cfg._pos[row]))
     dists = np.sqrt(squares)
     j = next(int(j) for j, r in zip(rows, dists) if 0.0 < r < 0.5 and j != last)
     contrib = am.profile(float(dists[rows.tolist().index(j)]))
     for each in (state, ref):
-        shift = np.array([contrib * (1.0 - 1e-10)]) - each.cfg.loads[[j]]
-        each.cfg.add_loads(np.array([j]), shift, shift.item(0))
+        loads = each.cfg.loads.copy()
+        loads[j] = contrib * (1.0 - 1e-10)
+        each.cfg.set_loads(loads)
     assert 0.0 < contrib - state.cfg.loads[j] < 1e-10  # far below LOAD_DRIFT_TOL
     same()
-    state._remove_point(row)
+    state.cfg._remove_point(row, am)
     remove_the_old_way(ref, row)
     same()
-    assert state.clamps == 1 and state.cfg.loads[j] == 0.0
+    assert state.cfg.clamps == 1 and state.cfg.loads[j] == 0.0
     assert not np.signbit(state.cfg.loads[j]) and state.cfg.stale_sum() is None
 
 
@@ -892,6 +906,28 @@ def test_run_reports_its_clamps():
     assert trace.clamps > 0 and 0.0 < trace.largest_clamp < 1e-12
     trace = run(migration_spec(), TorusConfiguration(Torus(10.0, 1)), 1.0, rng)
     assert (trace.clamps, trace.largest_clamp) == (0, 0.0)
+
+
+def test_a_reused_store_reports_only_each_runs_own_clamps():
+    # the model of test_run_reports_its_clamps through two runs on one
+    # store: the store carries the counts, and the second trace reports
+    # the clamps of its own removals alone, those of the same two runs
+    # with the counts zeroed by hand between them
+    am = triangular(0.3, 1.0, 2)
+    spec = ModelSpec("migration", a_minus=am, m=0.2, b=grid_field())
+
+    def two_runs(zeroed):
+        rng = np.random.default_rng(0)
+        cfg = sample_poisson(Torus(12.0, 2), 1.0, rng)
+        first = run(spec, cfg, 20.0, rng)
+        if zeroed:
+            cfg.clamps, cfg.largest_clamp = 0, 0.0
+        return first, run(spec, cfg, 20.0, rng), cfg
+
+    (first, second, cfg), (_, own, _) = two_runs(False), two_runs(True)
+    assert first.clamps > 0 and second.clamps > 0 and second.n_events > 0
+    assert (second.clamps, second.largest_clamp) == (own.clamps, own.largest_clamp)
+    assert (cfg.clamps, cfg.largest_clamp) == (second.clamps, second.largest_clamp)
 
 
 def recounted_peak(start, births):
@@ -1025,7 +1061,7 @@ def test_event_path_calls_no_numpy_python_wrappers(variant, dim, side, density):
     state, log, sizes = profiled_events(variant, dim, side, density, on_call)
     assert calls == []
     if variant == "clamping":  # the clamp branch ran, and called no wrapper
-        assert state.clamps > 0
+        assert state.cfg.clamps > 0
     if variant != "migration":
         assert min(sizes) > BLOCK_ROWS
     else:

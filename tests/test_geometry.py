@@ -1074,8 +1074,8 @@ def test_a_store_built_with_its_points_equals_sequential_inserts(dim, radius):
     # filed, every row from scratch: the same store, down to the order of
     # rows in each cell.  Grids of side 7: 2 cells (3.0 is in (3/8 side,
     # side/2], the offset 1 is its own negative), 13 cells, 6 and 3 cells
-    # per axis.  Then both take the same load changes and removals, which
-    # leave rounding residues in the block sums, and the same inserts one at
+    # per axis.  Then both take the same loads and removals, which leave
+    # rounding residues in the block sums, and the same inserts one at
     # a time, points on the box edge among them, and stay the same store,
     # which draws the same rows and whose kernel sums refile nothing
     torus = Torus(7.0, dim)
@@ -1095,9 +1095,9 @@ def test_a_store_built_with_its_points_equals_sequential_inserts(dim, radius):
     assert_same_store(built, seq)
     assert_filed_in_row_order(built)
     loads = rng.uniform(0.0, 3.0, 300)
+    loads[::7] += 0.1
     for cfg in (built, seq):
         cfg.set_loads(loads)
-        cfg.add_loads(np.arange(0, 300, 7), np.full(43, 0.1), 4.3)
         for pid in gone.tolist():
             cfg.remove(row_of(cfg, pid))
     assert_same_store(built, seq)
@@ -1163,13 +1163,17 @@ def test_load_total_is_the_reduce_of_the_live_block_sums(n):
     # load_total is the store's running root, kept by every call that
     # changes a load: within LOAD_DRIFT_TOL of the reduce of the live load
     # column where the store has one block, which keeps no block sums, and
-    # of the block sums where it has more, over random inserts, load changes
-    # and removals that cross block edges, and exactly 0.0 when empty; the
-    # float np.add.reduce gives, sign of a zero included, right after
-    # set_loads
+    # of the block sums where it has more, over random births and deaths,
+    # which change their neighbours' loads, and removals, that cross block
+    # edges, and exactly 0.0 when empty; the float np.add.reduce gives,
+    # sign of a zero included, right after set_loads.  A starting load is
+    # at least 1, more than all a point's neighbours' terms of at most
+    # 0.01, so no death leaves a load below 0
     rng = np.random.default_rng(n)
     cfg = TorusConfiguration(Torus(50.0, 1), rng.uniform(0.0, 50.0, (n, 1)))
-    cfg.set_loads(rng.random(n))
+    kernel = triangular(0.01, 1.0, 1)
+    file_on(cfg, kernel.cutoff_radius())
+    cfg.set_loads(1.0 + rng.random(n))
 
     def check():
         k = len(cfg)
@@ -1183,16 +1187,10 @@ def test_load_total_is_the_reduce_of_the_live_block_sums(n):
     check()
     for _ in range(400):
         k, op = len(cfg), rng.integers(4)
-        if op == 0 or not k:
-            insert_point(cfg, rng.uniform(0.0, 50.0, 1), float(rng.random()))
-        elif op == 1:
-            rows = rng.choice(k, min(k, 5), replace=False)
-            delta = rng.random(rows.size)
-            cfg.add_loads(rows, delta, float(np.add.reduce(delta)))
+        if op < 2 or not k:
+            cfg._add_point(rng.uniform(0.0, 50.0, 1), kernel)
         elif op == 2:
-            rows = rng.choice(k, min(k, 5), replace=False)
-            taken = cfg.loads[rows] * rng.random(rows.size)
-            cfg.lower_loads(rows, cfg.loads[rows] - taken, taken)
+            assert cfg._remove_point(int(rng.integers(k)), kernel)[2] is None
         else:
             cfg.remove(int(rng.integers(k)))
         check()
@@ -1204,9 +1202,12 @@ def test_load_total_is_the_reduce_of_the_live_block_sums(n):
 
 
 def test_a_store_keeps_block_sums_only_past_one_block():
-    # a store built with 250 rows, grown by _insert to 300 rows, with random
-    # loads and load changes, shrunk by remove to 200 and grown past one
-    # block again by _insert of points of load 0.  While it holds one block
+    # a store built with 250 rows of random loads, grown by births to 300
+    # rows, with load changes, each a death and a birth that change their
+    # neighbours' loads, shrunk by remove to 200 and grown past one block
+    # again by _insert of points of load 0.  A starting load is at least 1,
+    # more than all a point's neighbours' terms of at most 0.01, so no
+    # death leaves a load below 0.  While it holds one block
     # its load total is within LOAD_DRIFT_TOL of the reduce of the live
     # column, and no call writes a block sum; the insert that takes it past
     # BLOCK_ROWS rows rebuilds the block sums from the column; and after
@@ -1215,7 +1216,9 @@ def test_a_store_keeps_block_sums_only_past_one_block():
     # largest uniform the last row of positive load
     rng = np.random.default_rng(9)
     cfg = TorusConfiguration(Torus(50.0, 1), rng.uniform(0.0, 50.0, (250, 1)))
-    cfg.set_loads(rng.random(250))
+    kernel = triangular(0.01, 1.0, 1)
+    file_on(cfg, kernel.cutoff_radius())
+    cfg.set_loads(1.0 + rng.random(250))
     uniforms = np.linspace(0.0, 1.0, 23, endpoint=False).tolist() + [np.nextafter(1.0, 0.0)]
     crossings = 0
 
@@ -1240,17 +1243,15 @@ def test_a_store_keeps_block_sums_only_past_one_block():
             want = min(int(np.searchsorted(cum, u * cum[-1], side="right")), last)
             assert cfg.sample_row(u) == want
 
+    def birth():
+        cfg._add_point(rng.uniform(0.0, 50.0, 1), kernel)
+
     def change_loads():
-        rows = rng.choice(len(cfg), 5, replace=False)
-        if rng.integers(2):
-            delta = rng.random(5)
-            cfg.add_loads(rows, delta, float(np.add.reduce(delta)))
-        else:
-            taken = cfg.loads[rows] * rng.random(5)
-            cfg.lower_loads(rows, cfg.loads[rows] - taken, taken)
+        assert cfg._remove_point(int(rng.integers(len(cfg))), kernel)[2] is None
+        birth()
 
     while len(cfg) < 300:
-        step(lambda: insert_point(cfg, rng.uniform(0.0, 50.0, 1), float(rng.random())))
+        step(birth)
         step(change_loads)
     while len(cfg) > 200:
         step(lambda: cfg.remove(int(rng.integers(len(cfg)))))

@@ -1,6 +1,7 @@
 """Every top-level import of a package module is used in that module,
-every function, class and method the package defines has a caller, and
-every optional parameter of one is passed by some caller.
+every function, class and method the package defines has a caller, every
+optional parameter of one is passed by some caller, and no module but
+``geometry.py`` reaches into the point store's private members.
 
 No linter runs on the package, so this parses each module with ``ast``.
 ``__init__.py`` is left out of the import check, since its imports are
@@ -238,3 +239,67 @@ def test_every_optional_parameter_has_a_setter():
     defining = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     using = [p.read_text() for p in (*SCRIPTS, *BENCH)]
     assert unset_options(defining, using) == []
+
+
+# The point store's private members, and the load calls it no longer has,
+# that no package module but geometry.py names: a birth and a death are
+# each one store call, which keeps the loads itself.
+STORE_PRIVATE = (
+    "_in_box",
+    "_neighbors",
+    "_insert",
+    "_cell",
+    "_load",
+    "_block",
+    "add_loads",
+    "lower_loads",
+)
+
+
+def names_among(source: str, names) -> list[str]:
+    """``name (line n)`` of each ``Name``, attribute, imported name,
+    definition or string constant of ``source`` that is one of ``names``,
+    in the order of the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name in names:
+            found.append((node.lineno, node.col_offset, name))
+    return [f"{name} (line {line})" for line, _, name in sorted(found)]
+
+
+def test_checker_flags_a_store_private_name():
+    source = (
+        "from .geometry import add_loads as grow\n"
+        "def f(cfg):\n"
+        "    cfg._load.take(0)\n"
+        "    return getattr(cfg, '_block'), cfg._in_boxes, _cell\n"
+        "def _insert():\n    pass\n"
+    )
+    assert names_among(source, STORE_PRIVATE) == [
+        "add_loads (line 1)",
+        "_load (line 3)",
+        "_block (line 4)",
+        "_cell (line 4)",
+        "_insert (line 5)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "geometry.py"],
+    ids=lambda p: p.name,
+)
+def test_only_the_store_names_its_private_members(path):
+    assert names_among(path.read_text(), STORE_PRIVATE) == []

@@ -131,6 +131,18 @@ def test_pair_correlation_all_replicas_thin():
         pair_correlation(reps, T10, n_bins=1, r_max=1.5)
 
 
+def test_pair_correlation_needs_two_full_replicas():
+    # one replica with pairs and one without give no standard error: a
+    # std with ddof=1 over one row would be NaN, which report.json cannot
+    # hold, so the estimate is refused and the report carries none
+    reps = [np.array([[1.0]]), np.array([[0.0], [1.0], [4.0]])]
+    with pytest.raises(StatisticsError, match="two or more points for standard errors, got 1"):
+        pair_correlation(reps, T10, n_bins=1, r_max=1.5)
+    window = Window((0.0,), (10.0,))
+    report = build_moment_report(reps, T10, window, time=1.0, n_max=2, g_bins=1)
+    assert report.pair is None and report.to_dict()["pair_correlation"] is None
+
+
 def test_pair_correlation_rejects_wide_bins():
     reps = poisson_replicas(T10, 1.0, 4, seed=4)
     with pytest.raises(StatisticsError):
