@@ -42,10 +42,11 @@ weight.  Each instance computes it once, on first use, as it does its peak.
 
 A kernel draws one displacement per call: ``sample_displacement(rng)``
 draws a radius with density proportional to profile(s) s^(d-1), then a
-uniform direction.  The gaussian draws its d coordinates in one normal call
-instead.  The triangular and tabulated families draw their radius by
-rejection, ``CANDIDATES_PER_ROUND`` candidates a round, and keep the first
-one accepted.
+uniform direction; the gaussian draws its d coordinates in one normal call
+instead.  Every radius is one exact draw: Gamma(d, scale) for the exponential,
+``radius`` times Beta(d, 2) for the triangle, and for a table a segment by its
+exact mass, then s on it with density proportional to s^(d-1), by inversion,
+until profile(s) / max(v_i, v_(i+1)) accepts one (Devroye, 1986, ch. II-III).
 """
 
 from __future__ import annotations
@@ -64,8 +65,6 @@ except ImportError:  # numpy 1.x
 
 # Relative mass allowed beyond the cutoff radius of an unbounded kernel.
 TAIL_MASS_FRACTION = 1e-10
-# Candidate radii a rejection sampler draws in each round.
-CANDIDATES_PER_ROUND = 16
 
 
 class KernelError(ValueError):
@@ -333,13 +332,8 @@ class TriangularKernel(RadialKernel):
         return self.radius / 2.0
 
     def sample_radius(self, rng):
-        # Rejection against the uniform ball: accept radius s with prob 1 - s/R.
-        n = CANDIDATES_PER_ROUND
-        while True:
-            s = self.radius * rng.random(n) ** (1.0 / self.dim)
-            acc = s[rng.random(n) < 1.0 - s / self.radius]
-            if acc.size:
-                return acc[0]
+        # s/R has density prop to (1 - s/R) (s/R)^(d-1): Beta(d, 2) exactly
+        return self.radius * rng.beta(self.dim, 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,16 +435,15 @@ class TabulatedKernel(RadialKernel):
             )
         if self.mass() <= 0.0:
             raise KernelError("tabulated kernel must have positive mass")
-        self._step_table  # built here, not by a first draw on the event path
+        self._segments  # built here, not by a first draw on the event path
 
     def _profile_sq(self, s):
         return _interp(np.sqrt(s), self.radii, self.values, None, 0.0)
 
-    def _mass_from(self, radius: float) -> float:
-        """Exact integral of the piecewise-linear profile times the sphere
-        area over radii from max(radius, 0) to the end of the table."""
-        d = self.dim
-        r, v = self.radii, self.values
+    def _pieces(self, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The profile's slope and intercept on each grid segment, and the
+        exact integral of profile(s) s^(d-1) over each, cut below at radius."""
+        d, r, v = self.dim, self.radii, self.values
         slopes = np.diff(v) / np.diff(r)
         intercepts = v[:-1] - slopes * r[:-1]
 
@@ -458,7 +451,12 @@ class TabulatedKernel(RadialKernel):
             return intercepts * u**d / d + slopes * u ** (d + 1) / (d + 1)
 
         lo, hi = np.clip(r[:-1], radius, None), np.clip(r[1:], radius, None)
-        return float(d * unit_ball_volume(d) * (anti(hi) - anti(lo)).sum())
+        return slopes, intercepts, anti(hi) - anti(lo)
+
+    def _mass_from(self, radius: float) -> float:
+        """Exact integral of the profile beyond max(radius, 0)."""
+        d = self.dim
+        return float(d * unit_ball_volume(d) * self._pieces(radius)[2].sum())
 
     def mass(self) -> float:
         return self._mass_from(0.0)
@@ -487,30 +485,30 @@ class TabulatedKernel(RadialKernel):
         return bool(np.all(np.diff(self.values) <= 0.0))
 
     @cached_property
-    def _step_table(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """The step function that dominates profile(s) * s^(d-1): its value
-        on each grid segment, the running sum of the segments' weights, and
-        their total."""
-        r, v = self.radii, self.values
-        seg_sup = np.maximum(v[:-1], v[1:]) * r[1:] ** (self.dim - 1)
-        seg_w = seg_sup * np.diff(r)
-        return seg_sup, np.cumsum(seg_w), float(seg_w.sum())
+    def _segments(self) -> tuple[np.ndarray, float, int, list]:
+        """The running sum of the segments' integrals, their total, the last
+        segment of positive mass, and per segment, as Python floats, r_i^d,
+        r_(i+1)^d - r_i^d, the slope, the intercept and max(v_i, v_(i+1))."""
+        r, v, d = self.radii, self.values, self.dim
+        slopes, intercepts, integrals = self._pieces(0.0)
+        cum = np.add.accumulate(integrals)
+        last = int(cum.searchsorted(cum[-1]))  # the first to reach the total
+        columns = r[:-1] ** d, np.diff(r**d), slopes, intercepts, np.maximum(v[:-1], v[1:])
+        return cum, float(cum[-1]), last, list(zip(*(c.tolist() for c in columns)))
 
     def sample_radius(self, rng):
-        # Rejection against a dominating step function on each grid segment.
-        d = self.dim
-        r, v = self.radii, self.values
-        seg_sup, cum, total = self._step_table
-        if total <= 0.0:
-            raise KernelError("cannot sample from an all-zero kernel")
-        n = CANDIDATES_PER_ROUND
+        # A segment with probability its exact mass ("right" skips segments
+        # of zero mass; the clamp guards the trailing ones should the product
+        # round up to the total), then s prop to s^(d-1) on it by inversion,
+        # accepted with probability profile(s) / max(v_i, v_(i+1)).  A
+        # rejection redraws s only: redrawing the segment would tilt the law
+        cum, total, last, rows = self._segments
+        i = min(int(cum.searchsorted(rng.random() * total, "right")), last)
+        lo_d, span_d, slope, intercept, top = rows[i]
         while True:
-            seg = cum.searchsorted(rng.random(n) * total)
-            s = r[seg] + rng.random(n) * (r[seg + 1] - r[seg])
-            target = _interp(s, r, v) * s ** (d - 1)
-            acc = s[rng.random(n) * seg_sup[seg] < target]
-            if acc.size:
-                return acc[0]
+            s = (lo_d + rng.random() * span_d) ** (1.0 / self.dim)
+            if rng.random() * top < intercept + slope * s:
+                return s
 
 
 gaussian = GaussianKernel

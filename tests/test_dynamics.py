@@ -28,6 +28,7 @@ from sbdsim.geometry import (
     CellGrid,
     Torus,
     TorusConfiguration,
+    Window,
     sample_poisson,
 )
 from sbdsim.kernels import (
@@ -38,7 +39,7 @@ from sbdsim.kernels import (
     triangular,
 )
 from sbdsim.oracles import bp_meanfield_density, surgailis_density
-from sbdsim.statistics import density
+from sbdsim.statistics import density, factorial_moments
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -472,18 +473,26 @@ class CountingRng:
         return getattr(self._rng, name)
 
 
-@pytest.mark.parametrize("variant", ["bolker_pacala", "migration"])
+@pytest.mark.parametrize(
+    "variant", ["bolker_pacala", "migration", "triangular_a_plus", "tabulated_a_plus"]
+)
 def test_run_draws_one_waiting_time_per_loop_iteration(variant):
     # the benchmark splits the event loop into events at the waiting-time
     # draws: one exponential per event, one more when the run ends at t_end
     # (the draw that passes it), none more when the guard stops it, and
-    # none at all for a start above the guard
+    # none at all for a start above the guard.  bolker_pacala runs with each
+    # family of a+ whose radius the kernel draws itself, so no displacement
+    # draw calls rng.exponential
     dim = 1
     if variant == "migration":
         spec = migration_spec(b=2.0, m=0.5, a_minus=triangular(0.5, 1.0, dim))
     else:
+        a_plus = {
+            "triangular_a_plus": triangular(1.5, 1.0, dim),
+            "tabulated_a_plus": tabulated([0.0, 0.5, 1.0, 2.0], [0.6, 0.5, 0.3, 0.0], dim),
+        }.get(variant, gaussian(1.5, 0.5, dim))
         am = gaussian(0.5, 0.5, dim)
-        spec = ModelSpec(variant, a_plus=gaussian(1.5, 0.5, dim), a_minus=am, m=0.5)
+        spec = ModelSpec("bolker_pacala", a_plus=a_plus, a_minus=am, m=0.5)
     for t_end, max_population in ((3.0, 10**6), (3.0, 25), (0.0, 10**6)):
         rng = CountingRng(np.random.default_rng(5))
         cfg = sample_poisson(Torus(10.0, dim), 2.0, rng)
@@ -1174,7 +1183,7 @@ def dense_d2():
             5201,
             "cddabab362e45e89e8582e77bf5ada5dc6a471ac4731f6f13bb34c70dc8e0e62",
         ),
-        (dense_d2, 2274, "06828487d73d8b2a63de31908d3650b4d810541b75be64a82536951d47dc4cd3"),
+        (dense_d2, 2298, "083dd97c4600d0a2f6306eb5c7f8f176ced0bf20e578b1e493f23d28f1bbf52d"),
     ],
     ids=["competition_1d", "dense_d2"],
 )
@@ -1510,3 +1519,67 @@ def test_bp_density_near_meanfield_fixed_point():
         finals.extend(s.positions for s in trace.snapshots)
     rho, _ = density(finals, torus)
     assert abs(rho - target) / target < 0.15
+
+
+# The flat-competition chain: migration in d=1 on a side of 2 with b = 4,
+# m = 0.5 and a- equal to 0.7 out to 1 = side/2, so every load is 0.7 (n - 1)
+# and n is a birth-death chain with births at 8 and deaths at
+# n (0.5 + 0.7 (n - 1)).  Its stationary law is
+# pi(n) prop to 8^n / prod_{k <= n} k (0.5 + 0.7 (k - 1)).  Near its mean it
+# relaxes at a rate of about 4.4, the slope of the death rate there.
+FLAT_T_END = 4000.0
+
+
+def flat_competition_law(n_max=60):
+    n = np.arange(n_max)
+    steps = [math.log(8.0 / (k * (0.5 + 0.7 * (k - 1)))) for k in n[1:]]
+    log_w = np.concatenate([[0.0], np.cumsum(steps)])
+    pi = np.exp(log_w - log_w.max())
+    return n, pi / pi.sum()
+
+
+@pytest.fixture(scope="module")
+def flat_competition_run():
+    a_minus = tabulated([0.0, 1.0], [0.7, 0.7], tail_sup_bound=0.7, tail_mass_bound=1e-12)
+    spec = migration_spec(b=4.0, m=0.5, a_minus=a_minus)
+    rng = np.random.default_rng(17)
+    snapshot_times = tuple(np.arange(1.0, FLAT_T_END + 0.5))  # about 4 relaxation times apart
+    return run(spec, TorusConfiguration(Torus(2.0, 1)), FLAT_T_END, rng, snapshot_times)
+
+
+def test_flat_competition_occupancy_is_the_stationary_law(flat_competition_run):
+    # the time-weighted occupancy of each n with pi(n) > 1e-3, against pi(n)
+    # within 4 standard errors, which come from the means of 40 batches of
+    # 100 time units, some 400 relaxation times each
+    trace = flat_competition_run
+    assert not trace.guard_tripped and trace.n_events > 50_000
+    edges = np.concatenate([[0.0], trace.events.times, [FLAT_T_END]])
+    sizes = np.concatenate([[0], np.cumsum(np.where(trace.events.births, 1, -1))])
+    n, pi = flat_competition_law()
+    states = n[pi > 1e-3]
+    assert states.tolist() == list(range(9))
+    batches = np.linspace(0.0, FLAT_T_END, 41)
+    occupancy = np.zeros((40, states.size))
+    for b, (lo, hi) in enumerate(zip(batches[:-1], batches[1:])):
+        held = np.clip(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0, None)
+        occupancy[b] = [held[sizes == k].sum() / (hi - lo) for k in states]
+    mean, se = occupancy.mean(axis=0), occupancy.std(axis=0, ddof=1) / math.sqrt(40)
+    assert np.all(np.abs(mean - pi[states]) <= 4.0 * se)
+
+
+def test_flat_competition_factorial_moments_are_the_closed_form(flat_competition_run):
+    # F1, F2 and F3 of the whole box's count, from statistics.factorial_moments
+    # of one snapshot per time unit, within 4 of its standard errors.  The
+    # law is sub-Poisson: mean 3.266, variance 1.695, F2 / rho^2 = 0.853 and
+    # F3 / rho^3 = 0.624, where a Poisson law reads 1
+    snapshots = [s.positions for s in flat_competition_run.snapshots]
+    assert len(snapshots) == FLAT_T_END
+    n, pi = flat_competition_law()
+    exact = [float((f * pi).sum()) for f in (n, n * (n - 1), n * (n - 1) * (n - 2))]
+    rho, f2, f3 = exact
+    var = float(((n - rho) ** 2 * pi).sum())
+    closed_form = [round(x, 3) for x in (rho, var, f2 / rho**2, f3 / rho**3)]
+    assert closed_form == [3.266, 1.695, 0.853, 0.624]
+    moments = factorial_moments(snapshots, Window((0.0,), (2.0,)), 3)
+    for (estimate, se), want in zip(moments, exact):
+        assert abs(estimate - want) <= 4.0 * se

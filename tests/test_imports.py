@@ -1,7 +1,8 @@
-"""Every top-level import of a package module is used in that module,
-every function, class and method the package defines has a caller, every
-optional parameter of one is passed by some caller, and no module but
-``geometry.py`` reaches into the point store's private members.
+"""Every top-level import of a package module is used in that module;
+every function, class and method the package defines has a caller, and
+every module-level UPPER_CASE constant a reader; every optional parameter
+of a function is passed by some caller; and no module but ``geometry.py``
+reaches into the point store's private members.
 
 No linter runs on the package, so this parses each module with ``ast``.
 ``__init__.py`` is left out of the import check, since its imports are
@@ -70,14 +71,22 @@ def test_no_unused_top_level_imports(path):
 
 def unnamed_definitions(defining: dict[str, str], using=()) -> list[tuple[str, int, str]]:
     """(source, line, name) of each function, class and method, dunders
-    aside, of the ``defining`` sources (by label) that no source, of those
-    and the ``using`` ones, names outside its own definition.  A name is a
-    ``Name``, an attribute, an imported name, or a string constant that is
-    an identifier, such as an entry of ``cli.REPLICA_LISTS``."""
+    aside, and each module-level UPPER_CASE constant, of the ``defining``
+    sources (by label) that no source, of those and the ``using`` ones,
+    names outside its own definition.  A name is a ``Name``, an attribute,
+    an imported name, or a string constant that is an identifier, such as
+    an entry of ``cli.REPLICA_LISTS``."""
     defs, uses = [], set()
     sources = [*defining.items(), *((None, source) for source in using)]
     for label, source in sources:
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        for node in tree.body if label is not None else ():
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name) and target.id.isupper():
+                        defs.append((label, node.lineno, node.end_lineno, target.id))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 uses.add((label, node.lineno, node.id))
             elif isinstance(node, ast.Attribute):
@@ -115,11 +124,13 @@ def test_checker_flags_a_definition_nothing_else_names():
         "def lonely():\n    pass\n"
         "TABLE = ('by_string', 'not an identifier')\n"
         "Store().query()\n"
+        "WIDTH: int = len(TABLE)\n"
     )
     using = ["from sbdsim.mod import imported\n"]
     assert unnamed_definitions({"mod": source}, using) == [
         ("mod", 9, "recurse"),
         ("mod", 15, "lonely"),
+        ("mod", 19, "WIDTH"),
     ]
 
 

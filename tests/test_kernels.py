@@ -165,8 +165,7 @@ SEED_CLOSED_FORMS = {  # each family's profile as one expression of fresh arrays
 def test_tabulated_profile_is_np_interp_at_knots_between_and_beyond():
     # _profile_sq calls numpy's compiled interp, not the np.interp wrapper
     # around it: the same floats at the knots, between them, at 0 and
-    # beyond the table (the sampler's draws are pinned against np.interp
-    # by test_samplers_draw_as_their_per_call_formulas)
+    # beyond the table
     radii = np.array([0.0, 0.1, 0.35, 0.7, 1.3, 2.0])
     values = np.array([2.0, 1.7, 1.7, 0.6, 0.25, 0.0])
     kernel = tabulated(radii, values, dim=2)
@@ -574,31 +573,65 @@ def test_exponential_sampler_radius_law():
     assert var == pytest.approx(2 * 1.5**2, rel=0.05)
 
 
-def test_tabulated_sampler_ks():
-    rng = np.random.default_rng(8)
-    r, v = triangle_table()
-    k = tabulated(r, v, dim=1)
-    radii = np.abs(displacements(k, rng, 100_000)[:, 0])
-    # numeric radial CDF via trapezoid integration of v(r) r^{d-1}
-    dens = v * r ** (k.dim - 1)
-    cdf_grid = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(r))])
-    cdf_grid /= cdf_grid[-1]
-    ks = stats.kstest(radii, lambda q: np.interp(q, r, cdf_grid))
-    assert ks.statistic < 0.01
+# a table with an interior flat segment and a trailing zero value
+LAW_TABLE = ([0.0, 0.4, 1.0, 1.5, 2.0], [1.0, 0.9, 0.3, 0.3, 0.0])
 
 
-def test_sampler_histogram_matches_density():
-    # chi-square goodness of fit of sampled radii against exact bin masses
-    rng = np.random.default_rng(9)
-    k = triangular(1.0, 1.0, 1)
-    radii = np.abs(displacements(k, rng, 100_000)[:, 0])
-    edges = np.linspace(0.0, 1.0, 11)
-    counts, _ = np.histogram(radii, edges)
-    # radial mass of 2(1-r) between bin edges
-    lo, hi = edges[:-1], edges[1:]
-    probs = (2.0 * hi - hi**2) - (2.0 * lo - lo**2)
-    res = stats.chisquare(counts, probs * radii.size)
-    assert res.pvalue > 0.001
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("family", ["gaussian", "triangular", "exponential", "tabulated"])
+def test_displacement_lengths_follow_the_exact_radial_law(family, dim):
+    # Kolmogorov-Smirnov of |sample_displacement| against the exact CDF
+    # 1 - mass_beyond(s) / mass(); at 20,000 seeded draws a sampler whose
+    # CDF is 0.014 off anywhere reads p < 1e-3
+    kernel = {
+        "gaussian": gaussian(1.0, 0.7, dim),
+        "triangular": triangular(1.3, 1.1, dim),
+        "exponential": exponential(0.8, 0.6, dim),
+        "tabulated": tabulated(*LAW_TABLE, dim=dim),
+    }[family]
+    rng = np.random.default_rng(80 + dim)
+    lengths = np.linalg.norm(displacements(kernel, rng, 20_000), axis=1)
+    mass = kernel.mass()
+
+    def cdf(s):
+        return np.array([1.0 - kernel.mass_beyond(x) / mass for x in s])
+
+    assert stats.kstest(lengths, cdf).pvalue > 1e-3
+
+
+class FirstUniform:
+    """A generator whose first ``random()`` is ``first`` and whose later
+    ones come from a seeded generator; it stops a draw that has not
+    returned after 1,000 uniforms."""
+
+    def __init__(self, first):
+        self.first, self.rng, self.calls = first, np.random.default_rng(0), 0
+
+    def random(self):
+        self.calls += 1
+        assert self.calls <= 1000, "the draw did not return"
+        return self.first if self.calls == 1 else self.rng.random()
+
+
+@pytest.mark.parametrize(
+    "radii, values, first, segment, dims",
+    [
+        # the largest uniform below 1 picks the last segment of positive mass
+        ([0, 1, 2, 3], [1.0, 0.5, 0.0, 0.0], math.nextafter(1.0, 0.0), (1, 2), (1, 2, 3)),
+        # u = 0 passes a leading segment of zero mass
+        ([0, 1, 2, 3], [0.0, 0.0, 1.0, 0.0], 0.0, (1, 2), (1, 2, 3)),
+        # in d=1 the masses 0.5, 0, 0.5 and 1 are exact, so u = 1/4 lands on
+        # the running sum 0.5 at both ends of the interior zero segment
+        ([0, 1, 2, 3, 5], [1.0, 0.0, 0.0, 1.0, 0.0], 0.25, (2, 3), (1,)),
+    ],
+    ids=["trailing", "leading", "interior"],
+)
+def test_a_segment_of_zero_mass_is_never_drawn(radii, values, first, segment, dims):
+    # no candidate on a segment whose profile is 0 is ever accepted; the
+    # draw returns, on the next segment of positive mass
+    for dim in dims:
+        s = tabulated(radii, values, dim=dim).sample_radius(FirstUniform(first))
+        assert segment[0] <= s <= segment[1]
 
 
 def test_sample_displacement_single():
@@ -623,9 +656,9 @@ def test_gaussian_displacement_draws_the_standard_normal_stream(dim):
 # sha256 of 3,000 seeded single displacements of each family in d = 1, 2
 # and 3, one generator per family, each followed by its generator's state
 DISPLACEMENT_DIGESTS = {
-    1: "c6875c8a21fbca99ed0635448ee7d621428d2ce9e22213f079a97f15046fb992",
-    2: "b8e7156c95ea540d48e324a3be52ab6e8ef7d2d355851fda96413294fe9d5ceb",
-    3: "7b4cf8b6144622a3e32eb838dc8049ef928f8fecfe638376b7e98c9078837968",
+    1: "6e9ad7a007471a119516b19f683bbad8db22998d5888d2dc983990ad6c3fb20b",
+    2: "0db06176fa1231efba8b642d6fc1289a87f3511b69fbbd61adee0373155319fe",
+    3: "8e9cd7ced6ee39f1eaad508496409b9552ca441f6bf4b2bf1251a7bc133b722f",
 }
 
 
@@ -653,27 +686,22 @@ def test_uniform_direction_unit_norm():
     assert abs(dirs.mean(axis=0)).max() < 0.05
 
 
-def tabulated_radii_per_call(kernel, rng, size):
-    """``TabulatedKernel.sample_radius`` as written before its tables were
-    kept: every call rebuilds them."""
+def tabulated_radius_per_call(kernel, rng):
+    """``TabulatedKernel.sample_radius`` as written without kept tables:
+    every call rebuilds them."""
     d = kernel.dim
     r, v = kernel.radii, kernel.values
-    seg_sup = np.maximum(v[:-1], v[1:]) * r[1:] ** (d - 1)
-    seg_w = seg_sup * np.diff(r)
-    total = seg_w.sum()
-    cum = np.cumsum(seg_w)
-    out = np.empty(size)
-    filled = 0
-    while filled < size:
-        n = max(2 * (size - filled), 16)
-        seg = np.searchsorted(cum, rng.random(n) * total)
-        s = r[seg] + rng.random(n) * (r[seg + 1] - r[seg])
-        target = np.interp(s, r, v) * s ** (d - 1)
-        acc = s[rng.random(n) * seg_sup[seg] < target]
-        take = min(acc.size, size - filled)
-        out[filled : filled + take] = acc[:take]
-        filled += take
-    return out
+    slopes = np.diff(v) / np.diff(r)
+    intercepts = v[:-1] - slopes * r[:-1]
+    anti = lambda u: intercepts * u**d / d + slopes * u ** (d + 1) / (d + 1)
+    cum = np.cumsum(anti(r[1:]) - anti(r[:-1]))
+    last = np.searchsorted(cum, cum[-1])
+    i = min(np.searchsorted(cum, rng.random() * cum[-1], side="right"), last)
+    lo, hi = float(r[i]), float(r[i + 1])
+    while True:
+        s = (lo**d + rng.random() * (hi**d - lo**d)) ** (1.0 / d)
+        if rng.random() * max(v[i], v[i + 1]) < intercepts[i] + slopes[i] * s:
+            return s
 
 
 def immigrant_per_call(grid, side, rng):
@@ -698,8 +726,7 @@ def test_samplers_draw_as_their_per_call_formulas(dim):
     field = ImmigrationField(grid=grid)
     new, old = np.random.default_rng(20 + dim), np.random.default_rng(20 + dim)
     for _ in range(110):
-        want = tabulated_radii_per_call(kernel, old, 1)
-        assert [kernel.sample_radius(new)] == want.tolist()
+        assert kernel.sample_radius(new) == tabulated_radius_per_call(kernel, old)
         v = old.standard_normal((1, dim))
         want = v / np.linalg.norm(v, axis=1, keepdims=True)
         assert uniform_direction(dim, new).tolist() == want[0].tolist()
