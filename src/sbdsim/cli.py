@@ -37,6 +37,7 @@ from .config import (
     resolved_config_dict,
 )
 from .dynamics import DynamicsError, EventLog, run
+from .geometry import load_scale
 from .oracles import (
     NormBoundInput,
     OracleError,
@@ -219,10 +220,11 @@ def cmd_simulate(args) -> int:
     else:
         records = [_run_one_replica(cfg, i) for i in range(cfg.replicas)]
     lists = {name: [rec[name] for rec in records] for name in REPLICA_LISTS}
-    # a- beyond its cutoff is at most tail_sup, so no death rate of a run
-    # omits more than tail_sup times its largest population
+    # a- beyond its cutoff is at most tail_sup, and a pair's term in whole
+    # quanta falls short of a- by less than one quantum, so no death rate of
+    # a run omits more than tail_sup plus a quantum times its largest population
     a_minus = cfg.model.a_minus
-    tail_sup = 0.0 if a_minus is None else a_minus.tail_sup()
+    per_pair = 0.0 if a_minus is None else a_minus.tail_sup() + 1.0 / load_scale(a_minus)
     manifest = {
         "tool": {"name": "sbdsim", "version": __version__},
         "config": resolved_config_dict(cfg),
@@ -230,7 +232,7 @@ def cmd_simulate(args) -> int:
             str(Path("replicas") / f"r{i:04d}") for i in range(cfg.replicas)
         ],
         **lists,
-        "truncation_budget": [tail_sup * peak for peak in lists["peak_population"]],
+        "truncation_budget": [per_pair * peak for peak in lists["peak_population"]],
     }
     (cfg.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
 

@@ -14,15 +14,17 @@ natural death at rate m and a death by competition at rate its load.  The
 per-point competition loads are cached in the point store, filed once for
 the a_minus cutoff as the loads are built, which keeps them and their sums
 in step: a birth is one call of the store's ``_add_point`` and a death one
-of its ``_remove_point``, each handed a_minus, and the total death rate
-reads the store's load total.  Events address points by their row in the
-store: a birth's parent and a death are drawn as rows, and only the
-recorded event carries ids and the position the store returns.  A removal
-that leaves a load further below zero than a rounding residue raises
-AuditError.  The optional audit checks the cell index and recomputes
+of its ``_remove_point``, each handed a_minus in quanta 1 / S, S =
+``load_scale(a_minus)``: a pair's term is trunc(a_minus(r) S) in int64, so
+the chain is exact for the kernel trunc(a_minus S) / S, within a quantum of
+a_minus, and every sum of loads is exact.  Events address points by their
+row in the store: a birth's parent and a death are drawn as rows, and only
+the recorded event carries ids and the position the store returns.  A
+removal that would take a load below zero, which only a corrupt cache can,
+raises AuditError.  The optional audit checks the cell index and recomputes
 loads, the load total and the block sums from scratch, from each pair's
 squared length bit for bit as the incremental updates saw it, leaves the
-index as it found it, and fails loudly on drift.
+index as it found it, and fails loudly on any difference.
 The per-event path, ``total_rates`` and ``_apply_event`` with the store and
 kernel methods they call, reaches numpy only through ufuncs, ufunc methods
 and ndarray methods: a Python-level wrapper such as ``np.cumsum`` or
@@ -36,16 +38,15 @@ Each loop iteration draws its waiting time, exponential in the total rate B
 + D, with one ``rng.exponential``.  The event then takes, in this order:
 
 1. one uniform, which times B + D picks a birth (weight B), a natural death
-   (weight m n) or a death by competition (weight the load total L, only
-   while L > 0 in floats);
+   (weight m n) or a death by competition (weight L / S, L the load total in
+   quanta, only while L > 0);
 2. for a ``bolker_pacala`` birth, the parent as a uniform row and then its
    displacement, one kernel draw; for a ``migration`` birth, the immigrant's
    position, one draw of the immigration field; for a natural death, the
-   dying point as a uniform row; for a death by competition, a second
-   uniform, which ``sample_row`` turns into a row drawn in proportion to
-   the loads.
+   dying point as a uniform row; for a death by competition, a uniform
+   target of 0..L-1, which ``sample_row`` turns into the row covering it.
 
-Uniforms and uniform rows come from ``BlockDraws``: blocks of DRAW_BLOCK
+Uniforms, uniform rows and targets come from ``BlockDraws``: blocks of DRAW_BLOCK
 draws each, filled lazily from the run's generator, rows exactly uniform by
 Lemire's multiply-and-reject.  Every distribution is exact, so trajectories
 follow the exact jump chain.
@@ -65,16 +66,20 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Torus, TorusConfiguration, first_drift
+from .geometry import Torus, TorusConfiguration, first_drift, load_scale
 from .kernels import ImmigrationField, RadialKernel
 
 VARIANTS = ("bolker_pacala", "migration")
 
 # Hard cap on the living population before a run aborts.
 DEFAULT_MAX_POPULATION = 1_000_000
+# A load total, in quanta, at or past which a run aborts as at the cap: one
+# birth adds less than this, so no int64 block sum wraps before the check.
+LOAD_LIMIT = 1 << 62
 # Uniforms and 64-bit words are drawn from the run's generator this many at a
 # time, each kind into its own block.
 DRAW_BLOCK = 1024
@@ -273,7 +278,7 @@ class BlockDraws:
         return next(self._uniforms)
 
     def row(self, n: int, rng: np.random.Generator) -> int:
-        """The next row of 0..n-1, n >= 1, each with probability 1 / n."""
+        """The next row of 0..n-1, 1 <= n < 2**64, each with probability 1 / n."""
         while True:
             for word in self._words:
                 product = word * n
@@ -297,16 +302,24 @@ class Snapshot:
         return int(self.ids.size)
 
 
+@lru_cache(maxsize=16)  # the replicas of a run share one a_minus
+def _in_quanta(a_minus: RadialKernel | None) -> tuple[RadialKernel | None, float]:
+    """(a_minus scaled to quanta of load, the quanta per unit S), or (None, 1.0)."""
+    if a_minus is None:
+        return None, 1.0
+    scale = load_scale(a_minus)
+    return a_minus.scaled(scale), scale
+
+
 class SimulationState:
     """Mutable simulator state: model, configuration and clock.
 
     The configuration's load column caches the competition part of each
     point's death rate (the sum of a_minus over its neighbours); the full
-    death rate is m + load.  Loads change only through the store's
+    death rate is m + load / S, the load in quanta 1 / S of a_minus, which
+    the store is handed scaled by S.  Loads change only through the store's
     ``_add_point``, ``_remove_point`` and ``set_loads``, which keep its sums
-    in step.  The event path's uniforms and rows come from one
-    ``BlockDraws``.  A new state zeroes the store's ``clamps`` and
-    ``largest_clamp``, so that they count its own run's clamps alone.
+    in step.  The event path's uniforms and rows come from one ``BlockDraws``.
     """
 
     def __init__(self, spec: ModelSpec, cfg: TorusConfiguration):
@@ -314,7 +327,6 @@ class SimulationState:
         self.cfg = cfg
         self.torus = cfg.torus
         self.t = 0.0
-        cfg.clamps, cfg.largest_clamp = 0, 0.0  # this run's own
         spec.check_torus(self.torus)
         if spec.b is not None:
             self._b_total = spec.b.integral(self.torus.side, self.torus.dim)
@@ -323,13 +335,14 @@ class SimulationState:
         self._birth_mass = 0.0 if spec.a_plus is None else spec.a_plus.mass()
         self._migration = spec.variant == "migration"
         self._draws = BlockDraws()
+        self._a_minus, self._scale = _in_quanta(spec.a_minus)
         cfg.set_loads(self._fresh_loads())
 
     def _fresh_loads(self) -> np.ndarray:
-        """Every point's competition load computed from scratch, one per row."""
-        if self.spec.a_minus is None:
-            return np.zeros(len(self.cfg))
-        return self.cfg.kernel_sums(self.spec.a_minus)
+        """Every point's competition load in quanta, from scratch, one per row."""
+        if self._a_minus is None:
+            return np.zeros(len(self.cfg), dtype=np.int64)
+        return self.cfg.kernel_sums(self._a_minus)
 
     @property
     def population(self) -> int:
@@ -337,22 +350,22 @@ class SimulationState:
 
     def total_rates(self) -> tuple[float, float]:
         """(total birth rate B, total death rate D) for the current state:
-        D is m n plus the store's load total while that is above 0."""
+        D is m n plus the store's load total L over S, the quanta per unit."""
         n = self.cfg._n
         # only migration has b and only bolker_pacala a_plus: one term is 0
         b = self._b_total + n * self._birth_mass
         d = self.spec.m * n
-        load = self.cfg.load_total()
-        return b, d + load if load > 0.0 else d
+        return b, d + self.cfg.load_total() / self._scale
 
     def audit(self) -> None:
         """Check the cell index against the positions, then recompute every
         cached load, the load total, and the block sums of a store of more
         than one block, from scratch; raise AuditError on any fault or
-        drift.  The fresh loads add each unordered pair's kernel to both its
-        points, from the squared length the incremental updates' neighbour
-        queries see bit for bit, so only the order of summation differs.
-        The audit leaves the store's index as it found it, so an audited run
+        difference.  The fresh loads add each unordered pair's term in quanta
+        to both its points, from the squared length the incremental updates'
+        neighbour queries see bit for bit, in another order, which sums of
+        whole numbers do not see.  The audit leaves the store's index as it
+        found it, so an audited run
         gives the unaudited one's trace."""
         fault = self.cfg.cell_index_fault()
         if fault is not None:
@@ -363,7 +376,7 @@ class SimulationState:
         if row is not None:
             raise AuditError(
                 f"death-rate cache for point {self.cfg.point_at(row)} drifted: "
-                f"cached {float(cached[row])!r}, recomputed {float(fresh[row])!r}"
+                f"cached {cached.item(row)}, recomputed {fresh.item(row)} quanta"
             )
         stale = self.cfg.stale_sum()
         if stale is not None:
@@ -380,14 +393,10 @@ class SimulationState:
         """Pick the event with one uniform times b + d, apply it and append
         it to ``log``: a birth with weight b, a natural death with weight
         m n, whose row is a uniform row, or a death by competition with the
-        rest of d, the load total where ``total_rates`` counted it, whose
-        row ``sample_row`` draws in proportion to the loads with a second
-        uniform.  A birth's parent is a uniform row too.
-
-        Where that total is a rounding residue over loads that are all 0,
-        the competition draw finds no row: the store's sums are recomputed
-        and no event happens, the exact thinning of a rate that was only a
-        residue.  The clock must already sit at the event time.
+        rest of d, open while the load total L is above 0, whose row
+        ``sample_row`` finds for a uniform target of 0..L-1, each row with
+        probability exactly its load over L.  A birth's parent is a uniform
+        row too.  The clock must already sit at the event time.
         """
         cfg, draws = self.cfg, self._draws
         n = cfg._n
@@ -400,18 +409,14 @@ class SimulationState:
                 row = draws.row(n, rng)
                 parent = cfg._id.item(row)
                 pos = cfg._pos[row] + self.spec.a_plus.sample_displacement(rng)
-            pid, x = cfg._add_point(pos, self.spec.a_minus)
+            pid, x = cfg._add_point(pos, self._a_minus)
             log._append(self.t, True, x, pid, parent)
             return
-        natural = self.spec.m * n
-        if pick < natural or d <= natural:
+        if pick < self.spec.m * n or not (load := cfg.load_total()):
             row = draws.row(n, rng)
         else:
-            row = cfg.sample_row(draws.uniform(rng))
-            if row < 0:  # thinned: the total goes back to the loads' sum
-                cfg.set_loads(cfg.loads)
-                return
-        pid, x, fault = cfg._remove_point(row, self.spec.a_minus)
+            row = cfg.sample_row(draws.row(load, rng))
+        pid, x, fault = cfg._remove_point(row, self._a_minus)
         if fault is not None:
             raise AuditError(fault)
         log._append(self.t, False, x, pid, -1)
@@ -423,9 +428,10 @@ class SimulationState:
 @dataclass
 class SimulationTrace:
     """What ``run`` returns: its events in an ``EventLog``, the scheduled
-    snapshots, how and when the run ended, the largest population it held
-    (at its start or after an event), and the load clamps of the run's
-    removals, read off the store: how many, and the largest residue."""
+    snapshots, how and when the run ended, and the largest population it
+    held (at its start or after an event).  ``clamps`` and ``largest_clamp``
+    stay for the manifest, 0 by construction: whole-quanta loads never fall
+    below 0."""
 
     events: EventLog
     snapshots: list[Snapshot] = field(default_factory=list)
@@ -468,9 +474,10 @@ def run(
 
     The configuration is mutated in place.  A snapshot at time s records the
     state after every event with time <= s.  If the population ever exceeds
-    ``max_population`` the run stops early with ``guard_tripped`` set and the
-    remaining snapshots unfilled; callers decide how loudly to fail.  A
-    start above the guard is refused before the rate caches are built.
+    ``max_population``, or its load total reaches LOAD_LIMIT quanta, the run
+    stops early with ``guard_tripped`` set and the remaining snapshots
+    unfilled; callers decide how loudly to fail.  A start above the
+    population guard is refused before the rate caches are built.
     Each loop iteration draws one exponential waiting time, and only there
     does ``rng.exponential`` serve the run.
     """
@@ -497,9 +504,9 @@ def run(
         n = cfg._n  # the population at the start and after each event
         if n > peak:
             peak = n
-            if n > max_population:  # only a new peak can pass the guard
-                trace.guard_tripped = True
-                break
+        if n > max_population or cfg.load_total() >= LOAD_LIMIT:
+            trace.guard_tripped = True
+            break
         b, d = state.total_rates()
         total = b + d
         if total <= 0.0:
@@ -524,5 +531,4 @@ def run(
     trace.final_time = state.t
     trace.final_population = state.population
     trace.peak_population = peak
-    trace.clamps, trace.largest_clamp = cfg.clamps, cfg.largest_clamp
     return trace

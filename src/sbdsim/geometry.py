@@ -22,7 +22,8 @@ budget allows shares.  A query from a cell whose stencil does not wrap, on
 unshared buckets, reads one slice of them per axis; any other gathers its
 stencil's buckets.  The store keeps its own loads: a birth is one
 ``_add_point`` and a death one ``_remove_point``, which wraps and files a
-new point once, in ``_in_box``, for its query and its insert.
+new point once, in ``_in_box``, for its query and its insert.  Loads are
+whole quanta of a- (``load_scale``), so a death takes away what births added.
 ``periodic_pairs`` walks each unordered pair of points within a radius once,
 over half the neighbouring cell offsets, in bounded batches, and in d >= 2
 cuts each offset along its lead axis; the kernel sums add each pair's
@@ -74,7 +75,8 @@ PAIR_BATCH = 1 << 14
 # its lead coordinate, in quanta of side / 2**LEAD_BITS, in the low bits.
 LEAD_BITS = 32
 LEAD_MAX = (1 << LEAD_BITS) - 1
-LOAD_DRIFT_TOL = 1e-9  # a cached load's largest error, in units of 1 + |true value|
+# A pair's load term, in quanta of a-, is below 2**LOAD_BITS (see load_scale)
+LOAD_BITS = 31
 # Free slots past the fullest bucket at a filing; an insert into a full
 # bucket grows every bucket by twice as many, or by a sixteenth if more
 CELL_SLACK = 4
@@ -549,27 +551,27 @@ class Window:
         return int(inside.sum())
 
 
-def _first_past(cum: np.ndarray, target: float) -> int:
-    """Index of the first running sum in ``cum`` above ``target``, else of
-    the first that reaches the last: as a binary search finds either, the
-    sum before it is below it, so the term it adds is above 0 (given a
-    last sum above 0 and a target at least 0)."""
-    i = int(cum.searchsorted(target, "right"))
-    return i if i < cum.size else int(cum.searchsorted(cum.item(-1)))
+def load_scale(kernel: RadialKernel) -> float:
+    """Quanta of load per unit of ``kernel``: S = 2^(LOAD_BITS - e) for a sup
+    of f 2^e, f in [0.5, 1), so that S times any value is below 2^LOAD_BITS.
+    S is a power of two, so ``kernel.scaled(S)`` keeps the cutoff, and its
+    profile is S times the kernel's bit for bit."""
+    return math.ldexp(1.0, LOAD_BITS - math.frexp(kernel.sup_norm())[1])
 
 
 def first_drift(running: np.ndarray, fresh: np.ndarray) -> int | None:
-    """Index of the first running value not within LOAD_DRIFT_TOL (1 +
-    |fresh|) of its recomputation, a NaN on either side included, else None."""
-    drifted = ~(np.abs(running - fresh) <= LOAD_DRIFT_TOL * (1.0 + np.abs(fresh)))
-    return int(drifted.argmax()) if drifted.any() else None
+    """Index of the first running value that differs from its
+    recomputation, else None."""
+    drifted = (running != fresh).nonzero()[0]
+    return drifted.item(0) if drifted.size else None
 
 
 class TorusConfiguration:
     """Finite point configuration on a torus: the simulator's one point store.
 
     Living points fill rows 0..n-1 of dense columns: position, stable id,
-    flat grid cell, slot and competition load; positions are kept wrapped
+    flat grid cell, slot and competition load, an int64 count of quanta
+    (see ``load_scale``); positions are kept wrapped
     into [0, side).  The store is built with its starting points, rows
     0..k-1 with ids 0..k-1 and loads 0.  The row is a point's only address:
     ``remove`` takes a row and rejects any outside 0..n-1.  Ids are a
@@ -604,23 +606,22 @@ class TorusConfiguration:
     return rows in ascending bucket, then slot, and take the (x, cell) that
     ``_in_box`` gives, as ``_insert`` does.
 
-    The loads form a two-level sum tree.  Its root, the running load
-    total, is kept at every size: ``_insert`` adds the new row's load,
-    ``remove`` takes off the removed one's and sets it to 0.0 when the
-    store empties, ``_add_point`` adds what the neighbours gain and
+    The loads form a two-level sum tree of whole numbers, exact in any
+    order.  Its root, the running load total, a Python int, is kept at
+    every size: ``_insert`` adds the new row's load, ``remove`` takes off
+    the removed one's, ``_add_point`` adds what the neighbours gain and
     ``_remove_point`` one reduction of what they lose, and ``set_loads``
     reduces the new column; ``load_total`` returns it and reduces nothing.
-    While the store holds more than one block of
-    BLOCK_ROWS rows, it also keeps one running sum per block next to the
-    load column, so that ``sample_row`` reads n / BLOCK_ROWS block sums and
-    one block instead of the whole column; the same calls keep them in step
-    with the column.  ``stale_sum`` checks the root and the block sums
-    against the column, as ``cell_index_fault`` checks the cell arrays
-    against the positions.  A store of one block reads the column itself,
-    so its events update no block sum, which would only repeat the root:
-    the ``_insert`` that takes it past BLOCK_ROWS rows rebuilds the block
-    sums from the column, and below that size ``stale_sum`` checks the root
-    alone.
+    While the store holds more than one block of BLOCK_ROWS rows, it also
+    keeps one running int64 sum per block next to the load column, so that
+    ``sample_row`` reads n / BLOCK_ROWS block sums and one block instead of
+    the whole column; the same calls keep them in step with the column.
+    ``stale_sum`` checks the root and the block sums against the column, as
+    ``cell_index_fault`` checks the cell arrays against the positions.  A
+    store of one block reads the column itself, so its events update no
+    block sum, which would only repeat the root: the ``_insert`` that takes
+    it past BLOCK_ROWS rows rebuilds the block sums from the column, and
+    below that size ``stale_sum`` checks the root alone.
     """
 
     def __init__(self, torus: Torus, positions=()):
@@ -640,10 +641,9 @@ class TorusConfiguration:
         self._id = np.zeros(capacity, dtype=np.int64)
         self._cell = np.zeros(capacity, dtype=np.intp)
         self._slot = np.zeros(capacity, dtype=np.intp)  # row -> its slot in its cell
-        self._load = np.zeros(capacity)
-        self._block = np.zeros(-(-capacity // BLOCK_ROWS))  # each block's load sum
-        self._total = 0.0  # the load column's running sum
-        self.clamps, self.largest_clamp = 0, 0.0  # what _remove_point set to 0
+        self._load = np.zeros(capacity, dtype=np.int64)
+        self._block = np.zeros(-(-capacity // BLOCK_ROWS), dtype=np.int64)  # block sums
+        self._total = 0  # the load column's running sum
         self._pos[:k] = x
         self._id[:k] = np.arange(k)
         self._n = self._next_id = k
@@ -668,71 +668,56 @@ class TorusConfiguration:
         return self._load[: self._n]
 
     def set_loads(self, values: np.ndarray) -> None:
-        """Replace the whole load column and recompute the load total and
-        every block sum."""
+        """Replace the whole load column, in quanta, and recompute the load
+        total and every block sum."""
         self._load[: self._n] = values
-        self._total = float(np.add.reduce(self.loads))
+        self._total = int(np.add.reduce(self.loads))
         self._block = self._block_sums_of_column()
 
     def _block_sums_of_column(self) -> np.ndarray:
-        """The block sums recomputed from the load column, as float64: over
-        no rows, ``np.bincount`` returns int64 zeros even with weights."""
-        blocks = np.arange(self._n) >> BLOCK_SHIFT
-        sums = np.bincount(blocks, weights=self.loads, minlength=self._block.size)
-        return sums.astype(float, copy=False)
+        """The block sums recomputed from the load column, in int64: a
+        reduction per block, not ``np.bincount``, which sums in float64."""
+        sums = np.zeros(self._block.size, dtype=np.int64)
+        if self._n:
+            starts = np.arange(0, self._n, BLOCK_ROWS)
+            sums[: starts.size] = np.add.reduceat(self.loads, starts)
+        return sums
 
-    def load_total(self) -> float:
+    def load_total(self) -> int:
         """The running sum of the load column, the root of the sum tree:
-        kept in step by every call that changes a load, never reduced here,
-        and 0.0 once the store is empty."""
+        kept in step by every call that changes a load, never reduced here."""
         return self._total
 
-    def sample_row(self, u: float) -> int:
-        """Row drawn with weight its load, from one uniform ``u`` in [0, 1).
-
-        Returns the first row whose running load sum passes u times the
-        total, as ``searchsorted(cumsum(loads), u * total, "right")`` does,
-        up to rounding of the block sums: the block is found among the block
-        sums and the row among that block's loads, each read as it is.  A
-        row of load 0 is never drawn, nor row n: a target that rounding
-        leaves at or past a total takes the last row that raised it, and a
-        block whose sum is a rounding residue over loads of 0 hands the
-        draw to the whole column.  Returns -1 when no load is above 0.
-        """
-        n = self._n
+    def sample_row(self, target: int) -> int:
+        """The row whose load covers ``target``, 0 <= target < ``load_total``,
+        as ``searchsorted(cumsum(loads), target, "right")`` finds it: for a
+        uniform target, each row with probability exactly its load over the
+        total.  Past one block, the block comes from the block sums first."""
+        n, lo = self._n, 0
         if n > BLOCK_ROWS:
             cum = np.add.accumulate(self._block[: (n + BLOCK_ROWS - 1) >> BLOCK_SHIFT])
-            total = cum.item(-1)
-            if total > 0.0:
-                target = u * total
-                block = _first_past(cum, target)
-                if block:  # the sum before it is at most the target
-                    target -= cum.item(block - 1)
-                lo = block << BLOCK_SHIFT
-                local = np.add.accumulate(self._load[lo : min(lo + BLOCK_ROWS, n)])
-                if local.item(-1) > 0.0:
-                    return lo + _first_past(local, target)
-        cum = np.add.accumulate(self._load[:n])
-        if not n or cum.item(-1) <= 0.0:
-            return -1
-        return _first_past(cum, u * cum.item(-1))
+            block = int(cum.searchsorted(target, "right"))
+            if block:
+                target -= cum.item(block - 1)
+            lo = block << BLOCK_SHIFT
+        local = np.add.accumulate(self._load[lo : min(lo + BLOCK_ROWS, n)])
+        return lo + int(local.searchsorted(target, "right"))
 
-    def stale_sum(self) -> tuple[str, float, float] | None:
-        """First running sum that drifted from the loads it sums, as (name,
+    def stale_sum(self) -> tuple[str, int, int] | None:
+        """First running sum that differs from the loads it sums, as (name,
         running, recomputed): the load total, then each block sum of a
         store of more than one block, which a store of at most BLOCK_ROWS
-        rows does not keep; else None.  A sum that is not within the
-        tolerance, NaN among them, has drifted."""
-        fresh = np.add.reduce(self.loads, keepdims=True)
-        if first_drift(np.array([self._total]), fresh) is not None:
-            return "load total", self._total, float(fresh[0])
+        rows does not keep; else None."""
+        fresh = int(np.add.reduce(self.loads))
+        if self._total != fresh:
+            return "load total", self._total, fresh
         if self._n <= BLOCK_ROWS:
             return None
         fresh = self._block_sums_of_column()
         block = first_drift(self._block, fresh)
         if block is None:
             return None
-        return f"load sum of row block {block}", float(self._block[block]), float(fresh[block])
+        return f"load sum of row block {block}", self._block.item(block), fresh.item(block)
 
     def point_at(self, row: int) -> int:
         """Id of the point in ``row``."""
@@ -795,7 +780,7 @@ class TorusConfiguration:
             flat = flat * n + (i if i < n else n - 1)
         return x, flat
 
-    def _insert(self, x: np.ndarray, cell: int, load: float) -> int:
+    def _insert(self, x: np.ndarray, cell: int, load: int) -> int:
         """Add the point that ``_in_box`` has taken into the box as ``x`` and
         filed in ``cell`` (of no use while the store has no grid) as the last
         row with the given load; return its new id.  The insert that takes
@@ -840,7 +825,7 @@ class TorusConfiguration:
             raise GeometryError(f"no row {row} among {self._n} points")
         x = self._pos[row].copy()
         load = self._load.item(row)
-        self._total = self._total - load if last else 0.0  # empty: no residue
+        self._total -= load
         if self.grid is not None:  # the bucket's last slot moves into row's
             buckets, rows = self._buckets, self._rows
             bucket, slot = self._cell.item(row) % buckets, self._slot.item(row)
@@ -861,8 +846,6 @@ class TorusConfiguration:
                 moved = self._load.item(last)
                 block[last >> BLOCK_SHIFT] -= moved
                 block[row >> BLOCK_SHIFT] += moved
-            if not last & (BLOCK_ROWS - 1):
-                block[last >> BLOCK_SHIFT] = 0.0  # emptied: drop its rounding residue
         if row != last:
             for col in (self._pos, self._id, self._cell, self._slot, self._load):
                 col[row] = col[last]
@@ -871,17 +854,19 @@ class TorusConfiguration:
 
     def _add_point(self, position, kernel: RadialKernel | None) -> tuple:
         """A birth: add a point at ``position``, wrapped and filed once for
-        its neighbour query and its insert, and its ``kernel`` term to the
-        loads of its neighbours, found before it is stored, in the query's
-        order; return (id, wrapped position).  One reduction of the terms is
-        both the new load and what the neighbours gain, each added to the
-        load total.  With no kernel the load is 0."""
+        its neighbour query and its insert, and its ``kernel`` term, in
+        whole quanta, to the loads of its neighbours, found before it is
+        stored, in the query's order; return (id, wrapped position).
+        ``kernel`` is a- scaled by ``load_scale``, and each term is its
+        profile truncated to int64.  One reduction of the terms is both the
+        new load and what the neighbours gain, each added to the load
+        total.  With no kernel the load is 0."""
         x, cell = self._in_box(position)
         if kernel is None:
-            return self._insert(x, cell, 0.0), x
+            return self._insert(x, cell, 0), x
         rows, squares = self._neighbors(x, cell)
-        contrib = kernel._profile_sq(squares)
-        load = float(np.add.reduce(contrib))
+        contrib = kernel._profile_sq(squares).astype(np.int64)
+        load = np.add.reduce(contrib).item()
         self._load[rows] += contrib
         self._total += load
         if self._n > BLOCK_ROWS:
@@ -891,15 +876,15 @@ class TorusConfiguration:
     def _remove_point(self, row: int, kernel: RadialKernel | None) -> tuple:
         """A death: delete the point in ``row``, then take its ``kernel``
         term out of the loads of its neighbours, found from the cell it was
-        filed in once it is gone; return (id, position, fault or None).  Old
-        loads come in with one ``take``, what is left goes back with one
+        filed in once it is gone; return (id, position, fault or None).  The
+        terms are quantised as ``_add_point`` quantises them, so each
+        neighbour loses exactly what its birth or the dying point's added.
+        Old loads come in with one ``take``, what is left goes back with one
         ``put``, the block sums lose the terms with one ``subtract.at`` and
         the load total one reduction of them.
 
-        A load left a rounding residue below zero is set to 0 and counted in
-        ``clamps`` and ``largest_clamp``; one further below than
-        LOAD_DRIFT_TOL (1 + term) means the cache is corrupt, and the fault
-        names its point, with no load changed.
+        A load that would fall below 0, which only a corrupt cache allows,
+        is a fault that names the lowest one's point, with no load changed.
         """
         pid = self._id.item(row)
         cell = self._cell.item(row)  # filed on the store's grid
@@ -909,25 +894,17 @@ class TorusConfiguration:
         rows, squares = self._neighbors(x, cell)
         if not rows.size:
             return pid, x, None
-        contrib = kernel._profile_sq(squares)
-        old = self._load.take(rows)
-        left = old - contrib
-        lowest = left.item(left.argmin())  # np.minimum.reduce's value
-        if lowest < 0.0:
-            corrupt = (left < -LOAD_DRIFT_TOL * (1.0 + contrib)).nonzero()[0]
-            if corrupt.size:
-                i = corrupt.item(0)
-                return pid, x, (
-                    f"death-rate cache for point {self.point_at(rows[i])} "
-                    f"fell to {left.item(i)!r} on removing point {pid}"
-                )
-            below = (left < 0.0).nonzero()[0]
-            left[below] = 0.0  # residues go to exactly 0
-            contrib[below] = old[below]  # and their sums lose all they had
-            self.clamps += below.size
-            self.largest_clamp = max(self.largest_clamp, -lowest)
+        contrib = kernel._profile_sq(squares).astype(np.int64)
+        left = self._load.take(rows)
+        left -= contrib
+        i = left.argmin()
+        if left.item(i) < 0:
+            return pid, x, (
+                f"death-rate cache for point {self.point_at(rows.item(i))} "
+                f"fell to {left.item(i)} quanta on removing point {pid}"
+            )
         self._load.put(rows, left)
-        self._total -= float(np.add.reduce(contrib))
+        self._total -= np.add.reduce(contrib).item()
         if self._n > BLOCK_ROWS:
             np.subtract.at(self._block, rows >> BLOCK_SHIFT, contrib)
         return pid, x, None
@@ -1077,10 +1054,13 @@ class TorusConfiguration:
 
     def kernel_sums(self, kernel: RadialKernel) -> np.ndarray:
         """Each point's sum of kernel(distance) over the other points within
-        the kernel cutoff, one entry per row, from one ``periodic_pairs``
-        walk: ``RadialKernel._profile_sq`` of each pair's square is added to
-        both its rows, by a bincount over the batch's span of rows at each
-        end, in the walk's own order.  A store filed for the cutoff keeps its
+        the kernel cutoff, one int64 per row, from one ``periodic_pairs``
+        walk: ``RadialKernel._profile_sq`` of each pair's square, truncated
+        to a whole number as the event path truncates it, is added to both
+        its rows, by a bincount over the batch's span of rows at each end, in
+        the walk's own order.  ``kernel`` is a- in quanta, each term below
+        2^LOAD_BITS, so the float64 sums of whole numbers are exact while no
+        row has 2^22 neighbours.  A store filed for the cutoff keeps its
         grid and index, so an audit reads the index it checks; any other
         store is filed for the cutoff on ``CellGrid.for_radius`` of it."""
         if kernel.dim != self.torus.dim:
@@ -1104,12 +1084,13 @@ class TorusConfiguration:
             if not square.size:
                 continue
             weights = kernel._profile_sq(square)
+            np.trunc(weights, out=weights)
             for rows in (i, j):
                 lo = np.minimum.reduce(rows)
                 part = np.bincount(rows - lo, weights=weights)
                 sums[lo : lo + part.size] += part
             del i, j, square, weights, rows, part  # freed before the next batch
-        out = np.empty(n)
+        out = np.empty(n, dtype=np.int64)
         out[order] = sums
         return out
 

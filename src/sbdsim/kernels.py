@@ -442,16 +442,17 @@ class TabulatedKernel(RadialKernel):
 
     def _pieces(self, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The profile's slope and intercept on each grid segment, and the
-        exact integral of profile(s) s^(d-1) over each, cut below at radius."""
+        exact integral of profile(s) s^(d-1) over each, cut below at radius:
+        h sum_k (u (d - k) + w (k + 1)) a^(d-1-k) b^k / (d (d + 1)) over [a,
+        b], values u and w, h = b - a, whose terms, unlike an antiderivative's
+        difference, do not cancel on a short segment far out."""
         d, r, v = self.dim, self.radii, self.values
         slopes = np.diff(v) / np.diff(r)
         intercepts = v[:-1] - slopes * r[:-1]
-
-        def anti(u):  # antiderivative of (intercept + slope*u) * u^(d-1)
-            return intercepts * u**d / d + slopes * u ** (d + 1) / (d + 1)
-
         lo, hi = np.clip(r[:-1], radius, None), np.clip(r[1:], radius, None)
-        return slopes, intercepts, anti(hi) - anti(lo)
+        u = v[:-1] + slopes * (lo - r[:-1])  # v[:-1] itself where not cut
+        terms = sum((u * (d - k) + v[1:] * (k + 1)) * lo ** (d - 1 - k) * hi**k for k in range(d))
+        return slopes, intercepts, (hi - lo) * terms / (d * (d + 1))
 
     def _mass_from(self, radius: float) -> float:
         """Exact integral of the profile beyond max(radius, 0)."""
@@ -545,7 +546,7 @@ class ImmigrationField:
             self.grid = grid
             flat = grid.ravel()
             self._cum = np.cumsum(flat)
-            self._total = float(flat.sum())
+            self._grid_sum = float(flat.sum())
 
     @property
     def dim(self) -> int | None:
@@ -571,9 +572,9 @@ class ImmigrationField:
                 f"grid has {self.grid.ndim} axes but the box has dimension {dim}"
             )
         n = self.grid.shape[0]
-        if self._total <= 0.0:
+        if self._grid_sum <= 0.0:
             raise KernelError("cannot sample from an all-zero intensity")
-        cell = self._cum.searchsorted(rng.random() * self._total)
+        cell = self._cum.searchsorted(rng.random() * self._grid_sum)
         cell = min(cell, self.grid.size - 1)
         idx = np.array(np.unravel_index(cell, self.grid.shape), dtype=float)
         return (idx + rng.random(dim)) * (side / n)

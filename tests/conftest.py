@@ -24,9 +24,10 @@ def live_rows(cfg):
     return {cell: cfg._rows[cell, :k] for cell, k in enumerate(cfg._fill.tolist()) if k}
 
 
-def insert_point(cfg, x, load=0.0):
-    """Add the point ``x`` with ``load`` through the calls a birth makes:
-    ``_in_box`` wraps and files it, ``_insert`` stores it; return its id."""
+def insert_point(cfg, x, load=0):
+    """Add the point ``x`` with ``load``, in quanta, through the calls a
+    birth makes: ``_in_box`` wraps and files it, ``_insert`` stores it;
+    return its id."""
     return cfg._insert(*cfg._in_box(x), load)
 
 

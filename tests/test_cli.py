@@ -18,7 +18,7 @@ from sbdsim import cli, geometry
 from sbdsim.cli import main
 from sbdsim.config import initial_configuration, load_config, replica_rng
 from sbdsim.dynamics import ModelSpec, Snapshot, run
-from sbdsim.geometry import Torus, sample_poisson
+from sbdsim.geometry import Torus, load_scale, sample_poisson
 from sbdsim.kernels import ImmigrationField, gaussian, triangular
 from sbdsim.oracles import NormBoundInput
 
@@ -458,33 +458,21 @@ def test_bad_initial_points_are_usage_errors(tmp_path, capsys, init, path, messa
     assert not out.exists()
 
 
-def test_manifest_records_each_replica_s_clamps(tmp_path):
-    # the grid-field migration run whose triangular a- leaves rounding
-    # residues below zero: the manifest lists each replica's clamps and
-    # largest clamped residue, as the run's trace reports them, and a rerun
-    # from the manifest repeats them and the events
-    grid = [[0.2, 1.0, 0.5, 0.0], [0.3, 0.1, 0.9, 0.4], [1.0, 0.2, 0.2, 0.7]]
-    cfg = {
-        "model": {
-            "variant": "migration",
-            "a_minus": {
-                "family": "triangular",
-                "params": {"height": 0.3, "radius": 1.0},
-                "dim": 2,
-            },
-            "m": 0.2,
-            "b": {"grid": grid + [[0.0, 0.6, 0.3, 0.8]]},
-        },
-        "torus": {"L": 12.0, "d": 2},
-        "init": {"poisson": 1.0},
-        "schedule": {"t_end": 20.0},
-        "replicas": 2,
-        "seed": 0,
-    }
-    cfg_path = write_config(tmp_path / "cfg.json", cfg)
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["simulate", "--config", cfg_path, "--out", str(out_a)]) == 0
-    manifest = json.loads((out_a / "manifest.json").read_text())
+def test_manifest_records_each_replica_s_peak_and_truncation_budget(tmp_path):
+    # the competition_1d model, whose gaussian a- is cut off where it is
+    # still positive, on a short box and a short run: the manifest lists each
+    # replica's peak population, recounted here from its events.csv, and
+    # a_minus.tail_sup() plus the load quantum times it, and clamps of 0,
+    # which whole-quanta loads make by construction; without a- the budget
+    # is 0
+    data = json.loads((CONFIGS / "competition_1d.json").read_text())
+    data.update(torus={"L": 8.0, "d": 1}, replicas=2, seed=3)
+    data["schedule"] = {"t_end": 1.0}
+    data["analysis"] = {"window": {"lo": [0.0], "hi": [8.0]}}
+    out = tmp_path / "o"
+    path = write_config(tmp_path / "c.json", data)
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
     assert list(manifest) == [
         "tool",
         "config",
@@ -500,48 +488,10 @@ def test_manifest_records_each_replica_s_clamps(tmp_path):
         "peak_population",
         "truncation_budget",
     ]
-    parsed = load_config(cfg_path)
-    for i in range(2):
-        rng = replica_rng(parsed.seed, i)
-        trace = run(parsed.model, initial_configuration(parsed, rng), parsed.t_end, rng)
-        assert manifest["clamps"][i] == trace.clamps
-        assert manifest["largest_clamp"][i] == trace.largest_clamp
-        assert manifest["n_events"][i] == trace.n_events
-        assert manifest["births"][i] == trace.births
-        assert manifest["deaths"][i] == trace.deaths
-        assert manifest["peak_population"][i] == trace.peak_population
-        assert manifest["guard_tripped"][i] is trace.guard_tripped is False
-        assert manifest["absorbed"][i] is trace.absorbed
-    assert min(manifest["clamps"]) > 0 and 0.0 < max(manifest["largest_clamp"]) < 1e-12
-    # a triangular a- ends at its cutoff
-    assert manifest["truncation_budget"] == [0.0, 0.0]
-    manifest_path = out_a / "manifest.json"
-    assert main(["simulate", "--config", str(manifest_path), "--out", str(out_b)]) == 0
-    again = json.loads((out_b / "manifest.json").read_text())
-    for key in (
-        "n_events", "clamps", "largest_clamp", "peak_population", "truncation_budget"
-    ):
-        assert again[key] == manifest[key]
-    for i in range(2):
-        events = f"replicas/r{i:04d}/events.csv"
-        assert (out_a / events).read_bytes() == (out_b / events).read_bytes()
-
-
-def test_manifest_records_each_replica_s_peak_and_truncation_budget(tmp_path):
-    # the competition_1d model, whose gaussian a- is cut off where it is
-    # still positive, on a short box and a short run: the manifest lists each
-    # replica's peak population, recounted here from its events.csv, and
-    # a_minus.tail_sup() times it; without a- the budget is 0
-    data = json.loads((CONFIGS / "competition_1d.json").read_text())
-    data.update(torus={"L": 8.0, "d": 1}, replicas=2, seed=3)
-    data["schedule"] = {"t_end": 1.0}
-    data["analysis"] = {"window": {"lo": [0.0], "hi": [8.0]}}
-    out = tmp_path / "o"
-    path = write_config(tmp_path / "c.json", data)
-    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    tail_sup = load_config(CONFIGS / "competition_1d.json").model.a_minus.tail_sup()
-    assert tail_sup > 0.0
+    assert manifest["clamps"] == [0, 0] and manifest["largest_clamp"] == [0.0, 0.0]
+    a_minus = load_config(CONFIGS / "competition_1d.json").model.a_minus
+    per_pair = a_minus.tail_sup() + 1.0 / load_scale(a_minus)
+    assert a_minus.tail_sup() > 0.0 and 0.0 < 1.0 / load_scale(a_minus) <= 2.0**-30
     for i, peak in enumerate(manifest["peak_population"]):
         parsed = load_config(path)
         start = len(initial_configuration(parsed, replica_rng(parsed.seed, i)))
@@ -552,7 +502,7 @@ def test_manifest_records_each_replica_s_peak_and_truncation_budget(tmp_path):
             population += 1 if kind == "birth" else -1
             want = max(want, population)
         assert peak == want > start
-        assert manifest["truncation_budget"][i] == tail_sup * peak
+        assert manifest["truncation_budget"][i] == per_pair * peak
     del data["model"]["a_minus"]
     out = tmp_path / "free"
     path = write_config(tmp_path / "f.json", data)

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import linalg, stats
 
 from conftest import NUMPY_WRAPPER_FILES, file_on, insert_point, live_rows
 from sbdsim.config import initial_configuration, load_config, parse_config, replica_rng
+from sbdsim import dynamics
 from sbdsim.dynamics import (
     DRAW_BLOCK,
     AuditError,
@@ -29,6 +30,7 @@ from sbdsim.geometry import (
     Torus,
     TorusConfiguration,
     Window,
+    load_scale,
     sample_poisson,
 )
 from sbdsim.kernels import (
@@ -132,7 +134,7 @@ def test_competition_load_pairwise():
     am = triangular(2.0, 1.0, 1)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.5)
     state = SimulationState(spec, cfg_with_points(Torus(10.0, 1), [[5.0], [5.5]]))
-    d = spec.m + state.cfg.loads
+    d = spec.m + state.cfg.loads / load_scale(am)
     np.testing.assert_allclose(d, 0.5 + am.profile(0.5))
     state.audit()
 
@@ -144,8 +146,9 @@ def test_competition_load_pairwise():
 def test_block_draw_matches_full_cumsum(m, a_minus):
     # clustered points give skewed loads, and the scattered ones that are
     # isolated have load 0; a short run leaves the block sums as the events
-    # made them.  The draw weighs the loads alone, whatever m: with no a-
-    # every load is 0 and there is no row to draw
+    # made them.  The draw weighs the loads alone, whatever m, and finds
+    # the row searchsorted finds on the whole column for every target: with
+    # no a- every load is 0 and there is no target to draw
     rng = np.random.default_rng(31)
     torus = Torus(2000.0, 1)
     centres = rng.uniform(0.0, 2000.0, 40)
@@ -159,21 +162,15 @@ def test_block_draw_matches_full_cumsum(m, a_minus):
     assert 7 * 256 < n < 2500 and n % 256  # eight blocks, the last one partial
 
     cum = np.cumsum(cfg.loads)
-    total = cum[-1]
+    total = cfg.load_total()
+    assert total == cum[-1]
     if a_minus is None:
-        assert total == 0.0 and {cfg.sample_row(u) for u in rng.random(100)} == {-1}
+        assert total == 0
         return
-    exact = 0
-    for u in rng.random(10_000):
-        target = u * total
-        expected = int(np.searchsorted(cum, target, side="right"))
-        row = cfg.sample_row(u)
-        near = np.abs(cum[max(expected - 1, 0) : expected + 1] - target).min()
-        if near > 1e-9 * total:
-            assert row == expected
-            exact += 1
-        assert cfg.loads[row] > 0.0
-    assert exact > 9_900
+    for target in rng.integers(0, total, 10_000).tolist():
+        row = cfg.sample_row(target)
+        assert row == int(np.searchsorted(cum, target, side="right"))
+        assert cfg.loads[row] > 0
 
 
 def test_audit_follows_block_sums_across_boundaries():
@@ -191,8 +188,8 @@ def test_audit_follows_block_sums_across_boundaries():
     shrink = ModelSpec("bolker_pacala", a_plus=triangular(0.1, 1.0, 1), a_minus=am, m=2.0)
     trace = run(shrink, cfg, t_end=10.0, rng=rng, audit_every=1)
     assert trace.absorbed and len(cfg) == 0
-    # an emptied block keeps no rounding residue; block 0's sum is not kept
-    # once the store is down to one block
+    # an emptied block's sum is exactly 0; block 0's sum is not kept once
+    # the store is down to one block
     assert not cfg._block[1:].any()
 
 
@@ -355,6 +352,25 @@ def test_explosion_guard_trips():
     assert not trace.absorbed
     assert trace.final_population == 51
     assert trace.snapshots == []  # guard leaves pending snapshots unfilled
+
+
+def test_a_load_total_at_the_limit_trips_the_guard(monkeypatch):
+    # the load total, in quanta, is checked once per loop iteration against
+    # LOAD_LIMIT, here patched down to the total of 3 pairs at distance 0:
+    # the run stops with the guard tripped, as at the population cap, and
+    # simulate exits 4; just above it the run goes on
+    am = triangular(1.0, 1.0, 1)
+    spec = ModelSpec("bolker_pacala", a_plus=triangular(2.0, 0.5, 1), a_minus=am, m=0.1)
+    scale = load_scale(am)
+    for limit, tripped in ((6 * scale, True), (1e6 * scale, False)):
+        monkeypatch.setattr(dynamics, "LOAD_LIMIT", int(limit))
+        cfg = cfg_with_points(Torus(10.0, 1), [[5.0]] * 3)
+        assert cfg.load_total() == 0
+        trace = run(spec, cfg, 2.0, np.random.default_rng(9), snapshot_times=(2.0,))
+        assert trace.guard_tripped is tripped and not trace.absorbed
+        if tripped:
+            assert cfg.load_total() >= limit and trace.snapshots == []
+            assert trace.n_events == 0 and trace.final_time == 0.0
 
 
 def test_a_start_above_the_guard_still_meets_the_torus_check():
@@ -589,16 +605,18 @@ def test_uniforms_come_in_blocks_of_the_generator_stream():
     assert got == want.tolist()
 
 
-def test_a_run_from_an_empty_store_keeps_float_block_sums():
-    # the rate caches of an empty store are built from no rows, where
-    # np.bincount gives int64 zeros; the block sums must stay float64, or
-    # every later load added to them is cut to a whole number and the
-    # total death rate with it
-    spec = migration_spec(b=2.0, m=0.2, a_minus=triangular(0.7, 1.0, 1))
-    cfg = TorusConfiguration(Torus(10.0, 1))
-    trace = run(spec, cfg, 20.0, np.random.default_rng(3), audit_every=25)
-    assert trace.n_events > 100 and cfg._block.dtype == np.float64
-    assert cfg.load_total() == pytest.approx(float(cfg.loads.sum()), rel=1e-12)
+def test_a_run_from_an_empty_store_keeps_int64_loads_and_an_int_root():
+    # the rate caches of an empty store are built from no rows; the load
+    # column and the block sums stay int64, as np.bincount, which sums in
+    # float64, would not keep them, and the load total a Python int, the
+    # exact sum of the column, through a run past one block and a doubling
+    spec = migration_spec(b=2.0, m=0.2, a_minus=triangular(0.07, 1.0, 1))
+    cfg = TorusConfiguration(Torus(100.0, 1))
+    assert cfg._load.dtype == cfg._block.dtype == np.int64
+    trace = run(spec, cfg, 3.0, np.random.default_rng(3), audit_every=25)
+    assert trace.n_events > 500 and len(cfg) > BLOCK_ROWS and cfg._load.size == 512
+    assert cfg._load.dtype == cfg._block.dtype == np.int64
+    assert type(cfg.load_total()) is int and cfg.load_total() == int(cfg.loads.sum())
 
 
 def test_migration_without_competition_builds_no_index():
@@ -616,7 +634,7 @@ def test_audit_catches_corruption():
     spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.2)
     state = SimulationState(spec, cfg_with_points(Torus(10.0, 1), [[5.0], [5.5]]))
     state.audit()
-    state.cfg.loads[0] += 0.5
+    state.cfg.loads[0] += 1
     with pytest.raises(AuditError):
         state.audit()
 
@@ -628,9 +646,9 @@ def test_audit_catches_block_sum_corruption():
     spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.2)
     points = [[5.0], [5.5]] + [[10.0 + 2.0 * k] for k in range(BLOCK_ROWS)]
     state = SimulationState(spec, cfg_with_points(Torus(600.0, 1), points))
-    assert len(state.cfg) > BLOCK_ROWS and state.cfg.load_total() == 1.0
+    assert len(state.cfg) > BLOCK_ROWS and state.cfg.load_total() == load_scale(am)
     state.audit()
-    state.cfg._block[0] += 1e-6
+    state.cfg._block[0] += 1
     with pytest.raises(AuditError, match="block 0"):
         state.audit()
 
@@ -646,33 +664,30 @@ def test_audit_catches_a_corrupted_load_total(n):
     cfg = TorusConfiguration(Torus(40.0, 1), rng.uniform(0.0, 40.0, (n, 1)))
     state = SimulationState(spec, cfg)
     state.audit()
-    state.cfg._total += 1e-6 * (1.0 + state.cfg._total)  # far past LOAD_DRIFT_TOL
+    state.cfg._total += 1  # one quantum
     with pytest.raises(AuditError, match="load total drifted"):
         state.audit()
 
 
 def test_the_load_total_is_exactly_0_once_the_store_is_empty():
     # a population that crosses the block edge down to extinction leaves
-    # its running total no rounding residue, nor -0.0, and the next birth
-    # adds to it from there; every event is audited, the total with it
+    # its running total the int 0, and the next birth adds to it from
+    # there; every event is audited, the total with it
     rng = np.random.default_rng(35)
     am = triangular(0.5, 1.0, 1)
     cfg = cfg_with_points(Torus(60.0, 1), rng.uniform(0.0, 60.0, (300, 1)))
     spec = ModelSpec("bolker_pacala", a_plus=triangular(0.1, 1.0, 1), a_minus=am, m=2.0)
     trace = run(spec, cfg, 10.0, rng, audit_every=1)
     assert trace.absorbed and len(cfg) == 0
-    assert np.float64(cfg.load_total()).tobytes() == np.float64(0.0).tobytes()
-    insert_point(cfg, [3.0], 0.25)
-    assert cfg.load_total() == 0.25
+    assert type(cfg.load_total()) is int and cfg.load_total() == 0
+    insert_point(cfg, [3.0], 5)
+    assert cfg.load_total() == 5
 
 
-@pytest.mark.parametrize(
-    "column, value",
-    [("load", math.nan), ("load", math.inf), ("block", math.nan), ("block", -math.inf)],
-)
-def test_audit_catches_a_cache_that_is_not_finite(column, value):
-    # a NaN compares false with any tolerance, so the audit flags every
-    # cache that is not within it rather than those beyond it
+@pytest.mark.parametrize("column, delta", [("load", 1), ("load", -1), ("block", 1), ("block", -1)])
+def test_audit_catches_a_cache_off_by_one_quantum(column, delta):
+    # loads and block sums are whole quanta, which the audit compares with
+    # their recomputation for equality: one quantum either way is a fault
     am = triangular(1.0, 1.0, 1)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.2)
     rng = np.random.default_rng(31)
@@ -681,10 +696,10 @@ def test_audit_catches_a_cache_that_is_not_finite(column, value):
     state = SimulationState(spec, cfg)
     state.audit()
     if column == "load":
-        cfg._load[3] = value
+        cfg._load[3] += delta
         match = f"point {cfg.point_at(3)} drifted"
     else:
-        cfg._block[0] = value
+        cfg._block[0] += delta
         match = "block 0 drifted"
     with pytest.raises(AuditError, match=match):
         state.audit()
@@ -735,43 +750,26 @@ def test_audit_catches_cell_index_corruption(how):
         state.audit()
 
 
-def test_a_load_total_that_is_only_a_residue_thins_the_event():
-    # two lone points carry loads of 0, but a rounding residue is left in
-    # the load total: the competition channel, the only one with m = 0 and
-    # no births, finds no row, so the event is thinned, nothing is logged
-    # or removed, and the total goes back to the loads' sum, 0
-    am = triangular(1.0, 1.0, 1)
-    spec = ModelSpec("bolker_pacala", a_minus=am, m=0.0)
-    state = SimulationState(spec, cfg_with_points(Torus(10.0, 1), [[2.0], [7.0]]))
-    assert state.cfg.loads.tolist() == [0.0, 0.0] and state.total_rates() == (0.0, 0.0)
-    state.cfg._total = 1e-17
-    b, d = state.total_rates()
-    assert (b, d) == (0.0, 1e-17)
-    log = EventLog(1)
-    state._apply_event(b, d, np.random.default_rng(0), log)
-    assert len(log) == 0 and state.population == 2
-    assert state.total_rates() == (0.0, 0.0)
-    state.audit()
-
-
 def test_removal_below_zero_load_raises():
-    # point 0's load is a- at distance 0.5 = 0.5; corrupted to 0, removing
-    # point 1 would take it to -0.5, far beyond a rounding residue.  The
-    # store reports the fault and changes no load; a death by competition,
-    # the only event with m = 0 and no birth rate, draws point 1, the one
-    # load above 0, and raises it
+    # point 0's load is a- at distance 0.5 = 0.5, 2^29 quanta of 2^-30;
+    # corrupted to 0, removing point 1 would take it to -2^29.  The store
+    # reports the fault and changes no load; a death by competition, the
+    # only event with m = 0 and no birth rate, draws point 1, the one load
+    # above 0, and raises it
     am = triangular(1.0, 1.0, 1)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.0)
-    fault = "death-rate cache for point 0 fell to -0.5 on removing point 1"
+    assert load_scale(am) == 2.0**30
+    fault = f"death-rate cache for point 0 fell to {-(2**29)} quanta on removing point 1"
 
     def corrupted():
         state = SimulationState(spec, cfg_with_points(Torus(10.0, 1), [[5.0], [5.5]]))
-        state.cfg.loads[0] -= 0.5
+        assert state.cfg.loads.tolist() == [2**29, 2**29]
+        state.cfg.loads[0] = 0
         return state
 
-    cfg = corrupted().cfg
-    pid, x, got = cfg._remove_point(1, am)
-    assert (pid, x.tolist(), got) == (1, [5.5], fault) and cfg.loads.tolist() == [0.0]
+    state = corrupted()
+    pid, x, got = state.cfg._remove_point(1, state._a_minus)
+    assert (pid, x.tolist(), got) == (1, [5.5], fault) and state.cfg.loads.tolist() == [0]
     state, log = corrupted(), EventLog(1)
     with pytest.raises(AuditError, match="point 0") as raised:
         state._apply_event(0.0, state.cfg.load_total(), np.random.default_rng(0), log)
@@ -783,38 +781,15 @@ def grid_field():
     return ImmigrationField(grid=np.array(g + [[0.0, 0.6, 0.3, 0.8]]))
 
 
-def test_removal_counts_the_residues_it_clamps():
-    # points 0 and 2 each carry a- at distance 0.5 from point 1, less a
-    # crafted residue; removing point 1 sets both loads to exactly 0 and
-    # counts them, keeping the larger residue
-    am = triangular(1.0, 1.0, 1)
-    spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.2)
-    cfg = cfg_with_points(Torus(10.0, 1), [[5.0], [5.5], [6.0]])
-    state = SimulationState(spec, cfg)
-    assert state.cfg.loads.tolist() == [0.5, 1.0, 0.5]
-    state.cfg.set_loads(np.array([0.5 - 1e-12, 1.0, 0.5 - 3e-12]))
-    assert (cfg.clamps, cfg.largest_clamp) == (0, 0.0)
-    assert cfg._remove_point(1, am)[2] is None
-    assert state.cfg.loads.tolist() == [0.0, 0.0]
-    assert cfg.clamps == 2
-    assert cfg.largest_clamp == pytest.approx(3e-12, rel=1e-3)
-    state.audit()
-
-
 def remove_the_old_way(state, row):
     """``_remove_point`` as its load update was written before it took one
     gather and one scatter: the neighbours' loads and block sums take
-    ``-contrib`` by a fancy ``+=`` and an ``np.add.at``, and a row left
-    below zero takes minus its old load instead."""
+    ``-contrib``, in whole quanta, by a fancy ``+=`` and an ``np.add.at``."""
     cfg = state.cfg
     cell = cfg._cell.item(row)
     x = cfg.remove(row)
     rows, squares = cfg._neighbors(x, cell)
-    contrib = state.spec.a_minus._profile_sq(squares)
-    old = cfg.loads[rows]
-    delta = -contrib
-    below = old - contrib < 0.0
-    delta[below] = -old[below]
+    delta = -state._a_minus._profile_sq(squares).astype(np.int64)
     cfg._load[rows] += delta
     np.add.at(cfg._block, rows >> BLOCK_SHIFT, delta)
 
@@ -823,8 +798,7 @@ def remove_the_old_way(state, row):
 def test_death_update_matches_the_old_arithmetic_bit_for_bit(dim):
     # two copies of one seeded state after 300 events: 60 deaths update the
     # loads and block sums of one by _remove_point and of the other the old
-    # way, then one crafted clamp, where a neighbour of the dying point
-    # holds a hair less than its contribution; both stay equal bit for bit
+    # way; both stay equal bit for bit
     am = gaussian(0.5, 0.5, dim)
     spec = ModelSpec("bolker_pacala", a_plus=gaussian(3.0, 0.5, dim), a_minus=am, m=0.5)
     torus = Torus(400.0 if dim == 1 else 16.0, dim)
@@ -846,27 +820,11 @@ def test_death_update_matches_the_old_arithmetic_bit_for_bit(dim):
 
     same()
     for _ in range(60):
-        row = state.cfg.sample_row(rng.random())
-        state.cfg._remove_point(row, am)
+        row = state.cfg.sample_row(int(rng.integers(state.cfg.load_total())))
+        assert state.cfg._remove_point(row, state._a_minus)[2] is None
         remove_the_old_way(ref, row)
         same()
-    assert state.cfg.clamps == 0
-    row, last = 5, len(state.cfg) - 1
-    rows, squares = state.cfg._neighbors(*state.cfg._in_box(state.cfg._pos[row]))
-    dists = np.sqrt(squares)
-    j = next(int(j) for j, r in zip(rows, dists) if 0.0 < r < 0.5 and j != last)
-    contrib = am.profile(float(dists[rows.tolist().index(j)]))
-    for each in (state, ref):
-        loads = each.cfg.loads.copy()
-        loads[j] = contrib * (1.0 - 1e-10)
-        each.cfg.set_loads(loads)
-    assert 0.0 < contrib - state.cfg.loads[j] < 1e-10  # far below LOAD_DRIFT_TOL
-    same()
-    state.cfg._remove_point(row, am)
-    remove_the_old_way(ref, row)
-    same()
-    assert state.cfg.clamps == 1 and state.cfg.loads[j] == 0.0
-    assert not np.signbit(state.cfg.loads[j]) and state.cfg.stale_sum() is None
+    assert state.cfg.stale_sum() is None
 
 
 def test_argmin_reads_the_least_value_minimum_reduce_gives():
@@ -903,40 +861,6 @@ def test_argmin_reads_the_least_value_minimum_reduce_gives():
         assert got == want and (got < 0.0) == (want < 0.0)
         if want != 0.0:
             assert np.float64(got).tobytes() == want.tobytes()
-
-
-def test_run_reports_its_clamps():
-    # a triangular a- leaves a load that should be exactly 0 a rounding
-    # residue below it now and then; run reports what the removals clamped
-    am = triangular(0.3, 1.0, 2)
-    spec = ModelSpec("migration", a_minus=am, m=0.2, b=grid_field())
-    rng = np.random.default_rng(0)
-    trace = run(spec, sample_poisson(Torus(12.0, 2), 1.0, rng), t_end=20.0, rng=rng)
-    assert trace.clamps > 0 and 0.0 < trace.largest_clamp < 1e-12
-    trace = run(migration_spec(), TorusConfiguration(Torus(10.0, 1)), 1.0, rng)
-    assert (trace.clamps, trace.largest_clamp) == (0, 0.0)
-
-
-def test_a_reused_store_reports_only_each_runs_own_clamps():
-    # the model of test_run_reports_its_clamps through two runs on one
-    # store: the store carries the counts, and the second trace reports
-    # the clamps of its own removals alone, those of the same two runs
-    # with the counts zeroed by hand between them
-    am = triangular(0.3, 1.0, 2)
-    spec = ModelSpec("migration", a_minus=am, m=0.2, b=grid_field())
-
-    def two_runs(zeroed):
-        rng = np.random.default_rng(0)
-        cfg = sample_poisson(Torus(12.0, 2), 1.0, rng)
-        first = run(spec, cfg, 20.0, rng)
-        if zeroed:
-            cfg.clamps, cfg.largest_clamp = 0, 0.0
-        return first, run(spec, cfg, 20.0, rng), cfg
-
-    (first, second, cfg), (_, own, _) = two_runs(False), two_runs(True)
-    assert first.clamps > 0 and second.clamps > 0 and second.n_events > 0
-    assert (second.clamps, second.largest_clamp) == (own.clamps, own.largest_clamp)
-    assert (cfg.clamps, cfg.largest_clamp) == (second.clamps, second.largest_clamp)
 
 
 def recounted_peak(start, births):
@@ -989,7 +913,7 @@ def test_a_narrow_kernel_on_a_wide_box_builds_and_audits():
     assert cfg.grid == CellGrid(1000.0, 3, 2097151)
     want = np.zeros(212)
     want[:12] = want[200:] = 0.5
-    np.testing.assert_allclose(cfg.loads, want, rtol=1e-8)  # coordinates near 1000
+    np.testing.assert_allclose(cfg.loads / load_scale(am), want, rtol=1e-8)  # near 1000
     state.audit()
     for _ in range(20):
         b, d = state.total_rates()
@@ -1004,7 +928,6 @@ EVENT_PATH_MODELS = pytest.mark.parametrize(
         ("bolker_pacala", 2, 20.0, 2.0),
         ("migration", 2, 12.0, 1.0),
         ("tabulated", 1, 400.0, 1.0),
-        ("clamping", 2, 20.0, 2.0),
     ],
 )
 
@@ -1018,14 +941,9 @@ def profiled_events(variant, dim, side, density, on_call, on_c_call=None):
     bolker_pacala keeps n > BLOCK_ROWS, so each death draw takes the
     two-level path; the migration model stays below it and draws from one
     block, and its immigrants come from a grid field.  "tabulated" is
-    bolker_pacala in d=1 with tabulated a+ and a-, above BLOCK_ROWS too.
-    "clamping" is migration with the triangular a- of
-    ``test_run_reports_its_clamps``, above BLOCK_ROWS, whose removals clamp
-    rounding residues."""
+    bolker_pacala in d=1 with tabulated a+ and a-, above BLOCK_ROWS too."""
     if variant == "migration":
         spec = ModelSpec(variant, a_minus=gaussian(0.3, 0.5, 2), m=0.2, b=grid_field())
-    elif variant == "clamping":
-        spec = ModelSpec("migration", a_minus=triangular(0.3, 1.0, 2), m=0.2, b=grid_field())
     elif variant == "tabulated":
         a_plus = tabulated([0.0, 0.5, 1.0, 2.0], [0.6, 0.5, 0.3, 0.0])  # mass 1.25
         a_minus = tabulated([0.0, 0.5, 1.0], [1.0, 0.5, 0.0])  # mass 1
@@ -1069,8 +987,6 @@ def test_event_path_calls_no_numpy_python_wrappers(variant, dim, side, density):
 
     state, log, sizes = profiled_events(variant, dim, side, density, on_call)
     assert calls == []
-    if variant == "clamping":  # the clamp branch ran, and called no wrapper
-        assert state.cfg.clamps > 0
     if variant != "migration":
         assert min(sizes) > BLOCK_ROWS
     else:
@@ -1180,10 +1096,10 @@ def dense_d2():
     [
         (
             competition_1d_replica_0,
-            5201,
-            "cddabab362e45e89e8582e77bf5ada5dc6a471ac4731f6f13bb34c70dc8e0e62",
+            4984,
+            "d2a9856b27c0168e77a947925918dd3090b683e3ca0e8ac2faa80bef366b1f9b",
         ),
-        (dense_d2, 2298, "083dd97c4600d0a2f6306eb5c7f8f176ced0bf20e578b1e493f23d28f1bbf52d"),
+        (dense_d2, 2407, "14c5f1c55646f34dcaf22d2afb4c4542579e506189f6b17ed008949743ba520e"),
     ],
     ids=["competition_1d", "dense_d2"],
 )
@@ -1199,12 +1115,11 @@ def test_seeded_trajectories_keep_their_integer_columns(make, n_events, sha256):
 
 def test_a_seeded_d1_run_over_many_cells_keeps_its_floats():
     # the competition_1d model on 18 cells, n ~ 280, past one block: the
-    # sha256 of the event times and positions and of the final positions
-    # and loads, by id, as little-endian float64.  A new point's load sums
-    # its neighbours' terms in the order the query returns them, ascending
-    # cell and then slot, so a change of that order moves loads by an ulp,
-    # which the integer pin above does not see.  Pinned with numpy's exp on x86-64: a host whose
-    # exp rounds otherwise may need its own pin
+    # sha256 of the event times and positions and of the final positions,
+    # by id, as little-endian float64, and of the final loads, by id, as
+    # little-endian int64 quanta, which the integer pin above does not see.
+    # Pinned with numpy's exp on x86-64: a host whose exp rounds otherwise
+    # may need its own pin
     spec = ModelSpec(
         "bolker_pacala", a_plus=gaussian(3.0, 0.5, 1), a_minus=gaussian(0.5, 0.5, 1), m=0.5
     )
@@ -1212,15 +1127,15 @@ def test_a_seeded_d1_run_over_many_cells_keeps_its_floats():
     cfg = sample_poisson(Torus(60.0, 1), 5.0, rng)
     assert cfg.grid is None and len(cfg) == 287
     trace = run(spec, cfg, 0.17, rng)
-    assert cfg.grid == CellGrid(60.0, 1, 18) and trace.n_events == 260
+    assert cfg.grid == CellGrid(60.0, 1, 18) and trace.n_events == 279
     ids, positions = cfg.by_id()
     log = trace.events
     h = hashlib.sha256()
-    loads = cfg.loads[cfg._id[: len(cfg)].argsort()]
-    for col in (log.times, log.positions, positions, loads):
+    for col in (log.times, log.positions, positions):
         h.update(col.astype("<f8").tobytes())
-    assert len(ids) == 271
-    pin = "e595040d4c8894a0a50ef12fb40ce1f99b93253716c450f5e264205c0a405fe7"
+    h.update(cfg.loads[cfg._id[: len(cfg)].argsort()].astype("<i8").tobytes())
+    assert len(ids) == 282
+    pin = "ee4f96c57dc2645e9c5e6cb9ee75a9374bfc9a9873763d6dd4d002e3d5505cdb"
     assert h.hexdigest() == pin
 
 
@@ -1238,13 +1153,14 @@ def test_d1_loads_are_those_of_the_rooted_lengths(monkeypatch):
     cfg = parse_config(raw)
     store = initial_configuration(cfg, replica_rng(cfg.seed, 0))
     assert len(store) == 100_010 and isinstance(cfg.model.a_minus, GaussianKernel)
-    loads = SimulationState(cfg.model, store).cfg.loads.copy()
+    state = SimulationState(cfg.model, store)
+    loads = state.cfg.loads.copy()
     def of_the_roots(kernel, s):
         r = np.sqrt(s)
         return kernel._peak * np.exp(-(r**2) / (2.0 * kernel.sigma**2))
 
     monkeypatch.setattr(GaussianKernel, "_profile_sq", of_the_roots)
-    assert loads.tobytes() == store.kernel_sums(cfg.model.a_minus).tobytes()
+    assert loads.tobytes() == store.kernel_sums(state._a_minus).tobytes()
 
 
 def test_holding_times_exponential_ks():
@@ -1583,3 +1499,39 @@ def test_flat_competition_factorial_moments_are_the_closed_form(flat_competition
     moments = factorial_moments(snapshots, Window((0.0,), (2.0,)), 3)
     for (estimate, se), want in zip(moments, exact):
         assert abs(estimate - want) <= 4.0 * se
+
+
+def flat_bolker_pacala_law(n0, t, n_max=40):
+    """The law at time ``t``, from ``n0`` points, of bolker_pacala with a+
+    of mass 2 and the flat a- above: births at 2 n, deaths at
+    n (0.5 + 0.7 (n - 1)), and 0 absorbs.  The forward equation of the
+    chain cut at ``n_max``, whose births stop there, solved by expm."""
+    n = np.arange(n_max + 1)
+    birth = np.where(n < n_max, 2.0 * n, 0.0)
+    death = n * (0.5 + 0.7 * (n - 1))
+    generator = np.diag(birth[:-1], 1) + np.diag(death[1:], -1) - np.diag(birth + death)
+    return linalg.expm(generator * t)[n0]
+
+
+def test_flat_bolker_pacala_law_at_a_fixed_time_is_the_forward_equation():
+    # bolker_pacala in d=1 on a side of 2, a+ a triangle of mass 2 and
+    # radius 0.5, a- 0.7 out to 1 = side/2, so that every load is
+    # 0.7 (n - 1): the population is a birth-death chain absorbed at 0.
+    # 3000 replicas from one point to t = 1, against the law of the chain
+    # cut at 40 points, which holds a mass below 1e-20, by a chi-square test
+    # of the states expected 5 times or more, the rest pooled
+    a_minus = tabulated([0.0, 1.0], [0.7, 0.7], tail_sup_bound=0.7, tail_mass_bound=1e-12)
+    spec = ModelSpec("bolker_pacala", a_plus=triangular(4.0, 0.5), a_minus=a_minus, m=0.5)
+    assert spec.a_plus.mass() == 2.0
+    rng, torus, replicas = np.random.default_rng(5), Torus(2.0, 1), 3000
+    finals = [
+        run(spec, TorusConfiguration(torus, [[0.3]]), 1.0, rng).final_population
+        for _ in range(replicas)
+    ]
+    law = flat_bolker_pacala_law(1, 1.0)
+    assert law[-1] < 1e-20
+    counts = np.bincount(finals, minlength=law.size)
+    common = law * replicas >= 5.0
+    observed = np.append(counts[common], counts[~common].sum())
+    expected = np.append(law[common], law[~common].sum()) * replicas
+    assert stats.chisquare(observed, expected).pvalue > 1e-3

@@ -26,7 +26,6 @@ UNCALLED_BY_DESIGN = (
     ("u_theta", "the energy that acceptance criterion 01 evaluates"),
     ("u_theta_increment", "the telescoping step of acceptance criterion 02"),
     ("bp_meanfield_density", "an oracle of the acceptance tests"),
-    ("scaled", "the negative control of bench/test_bench.py"),
 )
 
 
@@ -262,6 +261,7 @@ STORE_PRIVATE = (
     "_cell",
     "_load",
     "_block",
+    "_total",
     "add_loads",
     "lower_loads",
 )

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -89,14 +90,30 @@ def test_tabulated_mass_d2():
 
 def shell_integral(r, v, d, lo, hi):
     """Integral of the piecewise-linear table times d c_d u^(d-1) with each
-    segment cut to [lo, hi], written out separately for mass and mass_beyond."""
+    segment cut to [lo, hi], written out separately for mass and
+    mass_beyond, in the endpoint form: the values u at lo and w at hi,
+    (hi - lo) sum_k (u (d - k) + w (k + 1)) lo^(d-1-k) hi^k / (d (d + 1))."""
     slopes = np.diff(v) / np.diff(r)
-    intercepts = v[:-1] - slopes * r[:-1]
+    u = v[:-1] + slopes * (lo - r[:-1])
+    terms = sum((u * (d - k) + v[1:] * (k + 1)) * lo ** (d - 1 - k) * hi**k for k in range(d))
+    return float(d * unit_ball_volume(d) * ((hi - lo) * terms / (d * (d + 1))).sum())
 
-    def anti(u):
-        return intercepts * u**d / d + slopes * u ** (d + 1) / (d + 1)
 
-    return float(d * unit_ball_volume(d) * (anti(hi) - anti(lo)).sum())
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_short_segment_far_out_integrates_without_cancellation(dim):
+    # radii [0, 1000, 1000 + 1e-6] and values [1, 1, 0]: the last segment's
+    # integral of profile(s) s^(d-1) is within 1e-12 of its exact value,
+    # the difference of the antiderivative (b s^d / d - s^(d+1) / (d + 1)) / h
+    # at its ends in rationals; in floats that difference of terms some
+    # 1e9 times larger than it cancels its digits
+    a, b = Fraction(1000.0), Fraction(1000.0 + 1e-6)
+
+    def anti(s):
+        return (b * s**dim / dim - s ** (dim + 1) / (dim + 1)) / (b - a)
+
+    exact = float(anti(b) - anti(a))
+    got = tabulated([0.0, 1000.0, 1000.0 + 1e-6], [1.0, 1.0, 0.0], dim=dim)._pieces(0.0)[2][-1]
+    assert exact > 0.0 and abs(got - exact) <= 1e-12 * exact
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])

@@ -225,9 +225,9 @@ def test_pair_correlation_counts_of_a_seeded_snapshot_are_pinned(monkeypatch):
     assert (2 * counts[0]).tolist() == brute_force_ordered_counts(
         torus.side, pts, edges
     ).tolist()
-    assert pc.replicas_used == 2 and pts.shape[0] == 104
+    assert pc.replicas_used == 2 and pts.shape[0] == 106
     digest = hashlib.sha256(counts[0].astype("<i8").tobytes()).hexdigest()
-    assert digest == "09ac9b8f97e81fa918a0014de3fc59de16e0b9b57ca852957637d0aac61f0d6e"
+    assert digest == "db97066cdf55c384cf63e65e98bdf70968fc90261b0345e3f6f081fa749e854e"
 
 
 def test_pair_correlation_memory_is_linear():

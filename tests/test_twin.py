@@ -1,17 +1,20 @@
-"""A naive twin of the jump chain checks ``run`` event by event.
+"""A naive twin of the jump chain replays ``run`` exactly, event by event.
 
 The twin keeps the living points in plain arrays, in the store's row order
 with its swap-delete, and recomputes every load from scratch at every event
-by a minimum-image scan of all pairs.  It shares nothing with the fast path
-but ``Torus.wrap``, the profiles, masses, integrals and samplers of the
-kernels and the immigration field, and the draw source ``BlockDraws``.  It
-draws from its own generator, seeded as the run's, in ``run``'s order: the
-waiting time, the uniform that picks a birth, a natural death or a death by
-competition, then the parent row and its displacement, the immigrant's
-position, the dying row of a natural death, or the competition uniform; it
-works out the channel, the rows and the loads itself.  Where the run chose
-otherwise and the uniform lay within CLOSE of the boundary, a rounding of
-the totals, the twin takes the run's choice and counts it.
+by a minimum-image scan of all pairs, in whole quanta: each pair's term is
+a- scaled by S = 2^(LOAD_BITS - e), sup(a-) = f 2^e with f in [0.5, 1), at
+its squared length, truncated to int64.  It shares nothing with the fast
+path but ``Torus.wrap``, the profiles, masses, integrals and samplers of
+the kernels and the immigration field, and the draw source ``BlockDraws``.
+It draws from its own generator, seeded as the run's, in ``run``'s order:
+the waiting time, the uniform that picks a birth, a natural death or a
+death by competition, then the parent row and its displacement, the
+immigrant's position, the dying row of a natural death, or the competition
+target, a uniform integer below the load total; it works out the channel,
+the rows and the loads itself.  Loads are exact sums, so the twin's loads
+equal the store's, and its times, channels, rows and positions the run's,
+bit for bit.
 
 Nine named cases pin hand-picked stores and grids; a property test draws
 the rest of the model space: both variants, d = 1 to 3, each a- family or
@@ -26,34 +29,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbdsim.dynamics import BlockDraws, ModelSpec, SimulationState, run
-from sbdsim.geometry import BLOCK_ROWS, LOAD_DRIFT_TOL, CellGrid, Torus, TorusConfiguration
+from sbdsim.geometry import BLOCK_ROWS, LOAD_BITS, CellGrid, Torus, TorusConfiguration
 from sbdsim.kernels import ImmigrationField, exponential, gaussian, tabulated, triangular
 
-CLOSE = 1e-12  # how near its boundary a uniform may be where the twin's choice differs
+
+def in_quanta(a_minus):
+    """(a- scaled to quanta, the quanta per unit S), or (None, 1.0)."""
+    if a_minus is None:
+        return None, 1.0
+    scale = 2.0 ** (LOAD_BITS - math.frexp(a_minus.sup_norm())[1])
+    return a_minus.scaled(scale), scale
 
 
 def fresh_loads(pos, side, kernel):
-    """Each point's sum of kernel(distance) over the others within the cutoff."""
+    """Each point's load in quanta: the sum, over the others within the
+    cutoff, of ``kernel``, a- in quanta, at the squared minimum-image length,
+    summed axis by axis, each term truncated to int64."""
     n = pos.shape[0]
+    loads = np.zeros(n, dtype=np.int64)
     if kernel is None or n < 2:
-        return np.zeros(n)
+        return loads
     square = np.zeros((n, n))
     for axis in range(pos.shape[1]):  # one (n, n) block per axis
         d = np.abs(pos[:, axis, None] - pos[None, :, axis])
         np.minimum(d, side - d, out=d)
         d *= d
         square += d
-    dist = np.sqrt(square, out=square)
-    kept = dist <= kernel.cutoff_radius()
+    kept = np.sqrt(square) <= kernel.cutoff_radius()
     np.fill_diagonal(kept, False)
     i, j = kept.nonzero()
-    return np.bincount(i, weights=kernel.profile(dist[i, j]), minlength=n)
+    np.add.at(loads, i, kernel._profile_sq(square[i, j]).astype(np.int64))
+    return loads
 
 
 def replay(spec, torus, start, t_end, seed, trace, states):
-    """Run the twin from the rows ``start`` (ids 0..n-1) and compare it with
-    the run's ``trace`` and the store's (ids, loads) after each event;
-    return how many choices it adopted from the run."""
+    """Run the twin from the rows ``start`` (ids 0..n-1) and compare it,
+    bit for bit, with the run's ``trace`` and the store's (ids, loads)
+    after each event."""
     rng, draws = np.random.default_rng(seed), BlockDraws()
     log = trace.events
     times, births, positions = log.times, log.births, log.positions
@@ -61,19 +73,18 @@ def replay(spec, torus, start, t_end, seed, trace, states):
     pos, ids = start.copy(), list(range(start.shape[0]))
     b_total = 0.0 if spec.b is None else spec.b.integral(torus.side, torus.dim)
     birth_mass = 0.0 if spec.a_plus is None else spec.a_plus.mass()
-    t, adopted, next_id = 0.0, 0, len(ids)
+    kernel, scale = in_quanta(spec.a_minus)
+    t, next_id = 0.0, len(ids)
     for i in range(len(log) + 1):
-        loads = fresh_loads(pos, torus.side, spec.a_minus)
+        loads = fresh_loads(pos, torus.side, kernel)
         if i:
             fast_ids, fast_loads = states[i - 1]
             assert fast_ids.tolist() == ids
-            assert (fast_loads >= 0.0).all()  # a sum of kernel values
-            drift = np.abs(fast_loads - loads) <= LOAD_DRIFT_TOL * (1.0 + loads)
-            assert drift.all(), (i, np.flatnonzero(~drift)[:5])
+            assert fast_loads.tolist() == loads.tolist(), i
         n = len(ids)
-        competition = loads.sum()
+        competition = int(loads.sum())
         natural = spec.m * n
-        b, d = b_total + n * birth_mass, natural + competition
+        b, d = b_total + n * birth_mass, natural + competition / scale
         if b + d <= 0.0:
             assert trace.absorbed and i == len(log)
             break
@@ -81,11 +92,9 @@ def replay(spec, torus, start, t_end, seed, trace, states):
         if i == len(log):
             assert t > t_end
             break
-        assert t == pytest.approx(times[i], rel=CLOSE)
-        edge = draws.uniform(rng) * (b + d) - b
-        if (edge < 0.0) != births[i]:  # the run chose the other kind
-            assert abs(edge) <= CLOSE * (b + d)
-            adopted += 1
+        assert t == times[i]
+        pick = draws.uniform(rng) * (b + d) - b
+        assert (pick < 0.0) == births[i]
         if births[i]:
             if spec.b is not None:
                 x, parent = spec.b.sample_position(torus.side, torus.dim, rng), -1
@@ -95,29 +104,18 @@ def replay(spec, torus, start, t_end, seed, trace, states):
             x, pid, next_id = torus.wrap(x), next_id, next_id + 1
             pos = np.concatenate([pos, x[None]])
             ids.append(pid)
-        else:
-            # which death channel is too close to call would need the run's
-            # draws; a competition total of 0 leaves the natural one alone
-            if competition > 0.0:
-                assert abs(edge - natural) > CLOSE * (b + d), "channel within CLOSE"
-            fast = ids.index(points[i])
-            if edge < natural or competition == 0.0:
+        else:  # a competition row covers a uniform target below the total
+            if pick < natural or not competition:
                 row = draws.row(n, rng)
             else:
-                cum = np.cumsum(loads)
-                target = draws.uniform(rng) * cum[-1]
-                row = int(cum.searchsorted(target, side="right"))
-                if row != fast:  # the run drew the neighbouring row of a rounded total
-                    lo = cum[fast - 1] if fast else 0.0
-                    assert lo - CLOSE * cum[-1] <= target <= cum[fast] + CLOSE * cum[-1]
-                    row, adopted = fast, adopted + 1
+                target = draws.row(competition, rng)
+                row = int(np.cumsum(loads).searchsorted(target, side="right"))
             x, pid, parent = pos[row].copy(), ids[row], -1
             pos[row], ids[row] = pos[-1], ids[-1]  # the store's swap-delete
             pos = pos[:-1]
             ids.pop()
         assert (pid, parent) == (points[i], parents[i])
-        np.testing.assert_allclose(x, positions[i], rtol=CLOSE, atol=CLOSE * torus.side)
-    return adopted
+        assert x.tobytes() == positions[i].tobytes()
 
 
 def edge_points(side, n_cells, dim, rng):
@@ -172,9 +170,9 @@ def uniform_case(spec, side, n, t_end):
 GRID_FIELD = ImmigrationField(grid=np.arange(16.0).reshape(4, 4) / 15.0)
 
 # both variants, d = 1, 2 and 3, and each a- family; n stays above BLOCK_ROWS
-# in the first case, and deaths clamp residues in the second.  The store grids
-# of the edge cases are either side of the first with stencils that do not
-# wrap, in d = 1 and 2, and the last case's store falls to one block
+# in the first case.  The store grids of the edge cases are either side of
+# the first with stencils that do not wrap, in d = 1 and 2, and the last
+# case's store falls to one block
 CASES = {
     "bolker_pacala-1-gaussian": lambda: uniform_case(
         ModelSpec("bolker_pacala", gaussian(1.0, 1.0, 1), gaussian(0.2, 0.5, 1), m=0.5),
@@ -208,7 +206,7 @@ CASES = {
 def run_against_twin(spec, torus, start, t_end):
     """Run ``spec`` from the points ``start`` to ``t_end`` with seed 7,
     recording the store's (ids, loads) after each event, and replay the
-    twin against it; return the trace, the states and the adopted count."""
+    twin against it; return the trace and the states."""
     states = []
     apply = SimulationState._apply_event
 
@@ -224,17 +222,16 @@ def run_against_twin(spec, torus, start, t_end):
         trace = run(spec, cfg, t_end, np.random.default_rng(7))
     finally:
         SimulationState._apply_event = apply
-    return trace, states, replay(spec, torus, start, t_end, 7, trace, states)
+    replay(spec, torus, start, t_end, 7, trace, states)
+    return trace, states
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_run_matches_its_naive_twin(name):
-    # the run's kinds, ids and parents equal the twin's, its times and
-    # positions agree to CLOSE, and after every event its store holds the
-    # twin's rows in the twin's order, with loads within LOAD_DRIFT_TOL of
-    # the twin's and none below zero
-    trace, states, adopted = run_against_twin(*CASES[name]())
-    print(f"{name}: {trace.n_events} events, {trace.clamps} clamps, {adopted} adopted")
+    # the run's kinds, ids, parents, times and positions equal the twin's
+    # bit for bit, and after every event its store holds the twin's rows in
+    # the twin's order, with the twin's loads
+    trace, states = run_against_twin(*CASES[name]())
     assert 300 <= trace.n_events <= 2000 and not trace.guard_tripped
     sizes = [ids.size for ids, _ in states]
     if name == "bolker_pacala-1-gaussian":  # every death draw takes the block path
@@ -294,8 +291,9 @@ def test_every_model_matches_its_naive_twin(
     start = rng.uniform(0.0, side, (n, dim))
     b0 = 0.0 if spec.b is None else spec.b.integral(side, dim)
     b0 += 0.0 if spec.a_plus is None else n * spec.a_plus.mass()
-    d0 = m * n + fresh_loads(torus.wrap(start), side, a_minus).sum()
+    kernel, scale = in_quanta(a_minus)
+    d0 = m * n + int(fresh_loads(torus.wrap(start), side, kernel).sum()) / scale
     t_end = events / (b0 + d0) if b0 + d0 > 0.0 else 1.0
-    trace, _, _ = run_against_twin(spec, torus, start, t_end)
+    trace, _ = run_against_twin(spec, torus, start, t_end)
     assert not trace.guard_tripped
     assert trace.n_events == 0 if b0 + d0 == 0.0 else trace.n_events > 0
