@@ -9,7 +9,6 @@ echoes the resolved config so a run can be reproduced from it alone.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import warnings
@@ -73,15 +72,17 @@ REPLICA_LISTS = (
 def _write_csv(path: Path, header: list[str] | None, blocks) -> None:
     """The header, if any, then the rows of each block, CSV_CHUNK at a time so
     that few Python objects are made at once.  A block is equal-length array
-    columns and a function from one row's values to its cells."""
+    columns and a function from one row's values to its cells, strings with
+    no comma, quote or line end, in rows that are never one empty cell.
+    Each chunk is one string of comma-joined rows and \r\n line ends: the
+    bytes of ``csv.writer``, which quotes only such cells and rows."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
         if header is not None:
-            writer.writerow(header)
+            fh.write(",".join(header) + "\r\n")
         for columns, cells in blocks:
             for lo in range(0, len(columns[0]), CSV_CHUNK):
-                chunk = [col[lo : lo + CSV_CHUNK].tolist() for col in columns]
-                writer.writerows(cells(*row) for row in zip(*chunk))
+                rows = map(cells, *(col[lo : lo + CSV_CHUNK].tolist() for col in columns))
+                fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def _write_events_csv(path: Path, events: EventLog, dim: int) -> None:
@@ -102,7 +103,7 @@ def _write_snapshots_csv(path: Path, snapshots, dim: int) -> None:
     header = ["t", "id"] + [f"x{i + 1}" for i in range(dim)]
 
     def cells_at(t: str):
-        return lambda pid, pos: [t, pid, *map(repr, pos)]
+        return lambda pid, pos: [t, str(pid), *map(repr, pos)]
 
     blocks = (((s.ids, s.positions), cells_at(repr(s.time))) for s in snapshots)
     _write_csv(path, header, blocks)

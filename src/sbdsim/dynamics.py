@@ -11,20 +11,24 @@ Two model variants share one engine:
 Every point dies at rate m + sum over the others of a_minus(distance), with
 kernels wrapped onto the torus and truncated at their cutoff radius: a
 natural death at rate m and a death by competition at rate its load.  The
-per-point competition loads are cached in the point store, filed once for
-the a_minus cutoff as the loads are built, which keeps them and their sums
-in step: a birth is one call of the store's ``_add_point`` and a death one
-of its ``_remove_point``, each handed a_minus in quanta 1 / S, S =
-``load_scale(a_minus)``: a pair's term is trunc(a_minus(r) S) in int64, so
-the chain is exact for the kernel trunc(a_minus S) / S, within a quantum of
-a_minus, and every sum of loads is exact.  Events address points by their
-row in the store: a birth's parent and a death are drawn as rows, and only
-the recorded event carries ids and the position the store returns.  A
+per-point competition loads are cached in the point store, which keeps
+them and their sums in step: while it holds at most one block of
+BLOCK_ROWS rows, as the matrix of each pair's term, whose row sums they
+are, and from the birth that takes it past one block on, for good, with a
+cell index filed for the a_minus cutoff.  A birth is one call of the
+store's ``_add_point`` and a death one of its ``_remove_point``, each
+handed a_minus in quanta 1 / S, S = ``load_scale(a_minus)``: a pair's
+term is trunc(a_minus(r) S) in int64, so the chain is exact for the kernel
+trunc(a_minus S) / S, within a quantum of a_minus, and every sum of loads
+is exact.  Events address points by their row in the store: a birth's
+parent and a death are drawn as rows, and only the recorded event carries
+ids and the position the store returns.  A
 removal that would take a load below zero, which only a corrupt cache can,
-raises AuditError.  The optional audit checks the cell index and recomputes
+raises AuditError.  The optional audit checks the cell index, recomputes
 loads, the load total and the block sums from scratch, from each pair's
-squared length bit for bit as the incremental updates saw it, leaves the
-index as it found it, and fails loudly on any difference.
+squared length bit for bit as the incremental updates saw it, and the
+pair-term matrix against a fresh build, leaves the index as it found it,
+and fails loudly on any difference.
 The per-event path, ``total_rates`` and ``_apply_event`` with the store and
 kernel methods they call, reaches numpy only through ufuncs, ufunc methods
 and ndarray methods: a Python-level wrapper such as ``np.cumsum`` or
@@ -318,8 +322,9 @@ class SimulationState:
     point's death rate (the sum of a_minus over its neighbours); the full
     death rate is m + load / S, the load in quanta 1 / S of a_minus, which
     the store is handed scaled by S.  Loads change only through the store's
-    ``_add_point``, ``_remove_point`` and ``set_loads``, which keep its sums
-    in step.  The event path's uniforms and rows come from one ``BlockDraws``.
+    ``build_loads``, ``_add_point`` and ``_remove_point``, which keep its sums
+    and, at one block, its pair-term matrix in step.  The event path's
+    uniforms and rows come from one ``BlockDraws``.
     """
 
     def __init__(self, spec: ModelSpec, cfg: TorusConfiguration):
@@ -336,7 +341,7 @@ class SimulationState:
         self._migration = spec.variant == "migration"
         self._draws = BlockDraws()
         self._a_minus, self._scale = _in_quanta(spec.a_minus)
-        cfg.set_loads(self._fresh_loads())
+        cfg.build_loads(self._a_minus)
 
     def _fresh_loads(self) -> np.ndarray:
         """Every point's competition load in quanta, from scratch, one per row."""
@@ -359,13 +364,14 @@ class SimulationState:
 
     def audit(self) -> None:
         """Check the cell index against the positions, then recompute every
-        cached load, the load total, and the block sums of a store of more
-        than one block, from scratch; raise AuditError on any fault or
-        difference.  The fresh loads add each unordered pair's term in quanta
-        to both its points, from the squared length the incremental updates'
-        neighbour queries see bit for bit, in another order, which sums of
-        whole numbers do not see.  The audit leaves the store's index as it
-        found it, so an audited run
+        cached load, the pair-term matrix of a store of one block, its row
+        sums, the load total, and the block sums of a store of more than one
+        block, from scratch; raise AuditError on any fault or difference.
+        The fresh loads add each unordered pair's term in quanta to both its
+        points, from the squared length the incremental updates see bit for
+        bit, in another order, which sums of whole numbers do not see; a
+        store that keeps the matrix is walked without being filed.  The
+        audit leaves the store's index as it found it, so an audited run
         gives the unaudited one's trace."""
         fault = self.cfg.cell_index_fault()
         if fault is not None:
@@ -378,6 +384,9 @@ class SimulationState:
                 f"death-rate cache for point {self.cfg.point_at(row)} drifted: "
                 f"cached {cached.item(row)}, recomputed {fresh.item(row)} quanta"
             )
+        fault = None if self._a_minus is None else self.cfg.terms_fault(self._a_minus)
+        if fault is not None:
+            raise AuditError(f"pair-term matrix differs: {fault}")
         stale = self.cfg.stale_sum()
         if stale is not None:
             name, running, recomputed = stale

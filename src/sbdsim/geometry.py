@@ -14,16 +14,18 @@ cell, shared by the store's filing and the pair walk.
 ``TorusConfiguration`` is the simulator's one point store, built with its
 starting points: dense columns of the living points, addressed by row
 alone, a load column with its running total and, once it holds more than
-one block of rows, block sums for the death draw, and a bucketed cell
-index, filed once for one radius on the grid ``CellGrid.for_radius`` picks
-for it, that no query changes: padded arrays of each cell's rows and
-positions, +inf in free slots, which a grid of more cells than a slot
-budget allows shares.  A query from a cell whose stencil does not wrap, on
-unshared buckets, reads one slice of them per axis; any other gathers its
-stencil's buckets.  The store keeps its own loads: a birth is one
-``_add_point`` and a death one ``_remove_point``, which wraps and files a
-new point once, in ``_in_box``, for its query and its insert.  Loads are
-whole quanta of a- (``load_scale``), so a death takes away what births added.
+one block of rows, block sums for the death draw.  While it holds at most
+one block, its loads come from the int32 matrix of each pair's term; past
+one block, for good, from a bucketed cell index, filed once for one radius
+on the grid ``CellGrid.for_radius`` picks for it, that no query changes:
+padded arrays of each cell's rows and positions, +inf in free slots, which
+a grid of more cells than a slot budget allows shares.  A query from a
+cell whose stencil does not wrap, on unshared buckets, reads one slice of
+them per axis; any other gathers its stencil's buckets.  The store keeps
+its own loads: a birth is one ``_add_point`` and a death one
+``_remove_point``, which wraps and files a new point once, in ``_in_box``,
+for its query or pass and its insert.  Loads are whole quanta of a-
+(``load_scale``), so a death takes away what births added.
 ``periodic_pairs`` walks each unordered pair of points within a radius once,
 over half the neighbouring cell offsets, in bounded batches, and in d >= 2
 cuts each offset along its lead axis; the kernel sums add each pair's
@@ -40,12 +42,13 @@ if its formula needs one; the pair correlation bins roots.
 store with it.
 The store's per-event methods (``_add_point``, ``_remove_point``,
 ``_in_box``, ``_insert``, ``remove``, ``_neighbors``, ``load_total`` and
-``sample_row``), and ``cell_runs``, ``periodic_pairs`` and ``kernel_sums``,
-call numpy only through ufuncs, ufunc methods and ndarray methods, never
-through the Python-level wrappers of ``numpy/_core/fromnumeric.py``,
-``_methods.py`` and ``lib/_function_base_impl.py``.  Each such wrapper costs
-a few microseconds, a sizeable share of an event that takes some tens of
-them, and of a walk that makes a few calls per cell offset at n ~ 100.
+``sample_row``), and ``_min_image_squares``, ``cell_runs``,
+``periodic_pairs`` and ``kernel_sums``, call numpy only through ufuncs,
+ufunc methods and ndarray methods, never through the Python-level wrappers
+of ``numpy/_core/fromnumeric.py``, ``_methods.py`` and
+``lib/_function_base_impl.py``.  Each such wrapper costs a few
+microseconds, a sizeable share of an event that takes some tens of them,
+and of a walk that makes a few calls per cell offset at n ~ 100.
 The per-event methods also make no ufunc reduction where one element or an
 argmin gives the same float, a reduction's set-up costing more than the
 sum of a few dozen loads, and they read scalars with ``.item()``; the
@@ -580,11 +583,26 @@ class TorusConfiguration:
     ``remove`` moves the last row into the freed one, so a row stays valid
     only until the next removal.
 
+    The loads of a- have two regimes.  ``build_loads`` of a store of at
+    most BLOCK_ROWS rows keeps ``_terms``, a square int32 matrix of each
+    pair's term in whole quanta, below 2^LOAD_BITS, 0 on the diagonal and
+    for a square past ``exact_reach`` of the cutoff, whose row sums are the
+    loads, and no index: a birth writes row and column n from one
+    minimum-image pass over the rows, and a death subtracts the dying row
+    from the loads, after which ``remove`` moves the last row and column
+    into the freed ones.  The birth into a store of BLOCK_ROWS rows drops
+    the matrix and files the index for the cutoff, where the insert that
+    takes the store past one block rebuilds its block sums; the store never
+    goes back, so a population near BLOCK_ROWS does not switch to and fro.
+    Each pass squares and sums the minimum images axis by axis, as the pair
+    walk does, so a kept pair's term is the one the index's query gives.
+
     ``grid`` is None until ``_file`` files every row for one radius on one
     grid, as ``kernel_sums`` does for its kernel's cutoff on
     ``CellGrid.for_radius`` of it, the one place a grid is picked, unless
-    the store is filed for that cutoff; then only ``_insert`` and ``remove``
-    change the index, and every query keeps what lies within that radius.
+    the store is filed for that cutoff or keeps the matrix; then only
+    ``_insert`` and ``remove`` change the index, and every query keeps what
+    lies within that radius.
     The index is padded arrays with one bucket per cell: ``_rows``, (cells,
     cap), each cell's rows in slots 0..k-1, k its count in ``_fill``, and
     ``_bpos``, (dim, cells, cap), their positions, +inf in each free slot;
@@ -610,14 +628,16 @@ class TorusConfiguration:
     order.  Its root, the running load total, a Python int, is kept at
     every size: ``_insert`` adds the new row's load, ``remove`` takes off
     the removed one's, ``_add_point`` adds what the neighbours gain and
-    ``_remove_point`` one reduction of what they lose, and ``set_loads``
+    ``_remove_point`` one reduction of what they lose, or, from the matrix,
+    the dying load a second time, and ``set_loads``
     reduces the new column; ``load_total`` returns it and reduces nothing.
     While the store holds more than one block of BLOCK_ROWS rows, it also
     keeps one running int64 sum per block next to the load column, so that
     ``sample_row`` reads n / BLOCK_ROWS block sums and one block instead of
     the whole column; the same calls keep them in step with the column.
     ``stale_sum`` checks the root and the block sums against the column, as
-    ``cell_index_fault`` checks the cell arrays against the positions.  A
+    ``cell_index_fault`` checks the cell arrays against the positions and
+    ``terms_fault`` the matrix against a fresh build and the loads.  A
     store of one block reads the column itself, so its events update no
     block sum, which would only repeat the root: the ``_insert`` that takes
     it past BLOCK_ROWS rows rebuilds the block sums from the column, and
@@ -647,10 +667,15 @@ class TorusConfiguration:
         self._pos[:k] = x
         self._id[:k] = np.arange(k)
         self._n = self._next_id = k
+        self._terms: np.ndarray | None = None  # the pair-term matrix of one block
+        self._unfile()
+
+    def _unfile(self) -> None:
+        """No grid and no index, as the store is built."""
         self.grid: CellGrid | None = None
-        self._radius: float | None = None  # the filing's one query radius
+        self._radius: float | None = None  # the store's one radius
         self._reach = -math.inf  # its exact_reach
-        self._axis_cells, self._cell_size = 1, torus.side  # the grid's, for _in_box
+        self._axis_cells, self._cell_size = 1, self.torus.side  # the grid's, for _in_box
         self._rows = self._bpos = self._fill = None  # the index, until _file
         self._wrapped: dict[int, np.ndarray] = {}  # cell -> its sorted stencil
 
@@ -669,10 +694,78 @@ class TorusConfiguration:
 
     def set_loads(self, values: np.ndarray) -> None:
         """Replace the whole load column, in quanta, and recompute the load
-        total and every block sum."""
+        total and every block sum; a pair-term matrix goes."""
         self._load[: self._n] = values
         self._total = int(np.add.reduce(self.loads))
         self._block = self._block_sums_of_column()
+        self._terms = None
+
+    def build_loads(self, kernel: RadialKernel | None) -> None:
+        """Every load from scratch for ``kernel``, a- in quanta (see
+        ``_add_point``), or 0 with no kernel.  A store of at most BLOCK_ROWS
+        rows keeps the pair-term matrix, whose row sums are the loads, and
+        drops any index; a larger one takes ``kernel_sums``, filed for the
+        cutoff."""
+        n = self._n
+        if kernel is None:
+            self.set_loads(np.zeros(n, np.int64))
+            return
+        if n > BLOCK_ROWS:
+            self.set_loads(self.kernel_sums(kernel))
+            return
+        terms = self._pair_terms(kernel)
+        self._unfile()
+        self._radius = kernel.cutoff_radius()
+        self._reach = exact_reach(self._radius)
+        self.set_loads(np.add.reduce(terms, axis=1))
+        size = min(self._id.size, BLOCK_ROWS)
+        self._terms = np.zeros((size, size), dtype=np.int32)
+        self._terms[:n, :n] = terms
+
+    def _pair_terms(self, kernel: RadialKernel) -> np.ndarray:
+        """The (n, n) int32 matrix of each pair's ``kernel`` term, truncated
+        to whole quanta, 0 on the diagonal and for a square past
+        ``exact_reach`` of the cutoff, from the squared minimum-image
+        lengths summed axis by axis, as a birth's pass sums them."""
+        cutoff = self._checked_cutoff(kernel)
+        n, side = self._n, self.torus.side
+        square = np.zeros((n, n))
+        for axis in range(self.torus.dim):
+            coord = self._pos[:n, axis]
+            d = coord[:, None] - coord
+            np.abs(d, out=d)
+            np.minimum(d, side - d, out=d)
+            d *= d
+            square += d
+        terms = kernel._profile_sq(square)
+        terms *= square <= exact_reach(cutoff)
+        terms = terms.astype(np.int32)
+        terms.reshape(-1)[:: n + 1] = 0
+        return terms
+
+    def terms_fault(self, kernel: RadialKernel) -> str | None:
+        """First fault of the pair-term matrix, else None: an entry that
+        differs from ``_pair_terms`` of ``kernel``, then a row sum that
+        differs from its load; None for a store that keeps no matrix."""
+        if self._terms is None:
+            return None
+        n = self._n
+        kept, fresh = self._terms[:n, :n], self._pair_terms(kernel)
+        wrong = (kept != fresh).nonzero()
+        if wrong[0].size:
+            i, j = wrong[0].item(0), wrong[1].item(0)
+            return (
+                f"term of points {self.point_at(i)} and {self.point_at(j)}: "
+                f"kept {kept.item(i, j)}, recomputed {fresh.item(i, j)} quanta"
+            )
+        sums = np.add.reduce(kept, axis=1)
+        row = first_drift(sums, self.loads)
+        if row is None:
+            return None
+        return (
+            f"row sum of point {self.point_at(row)} is {sums.item(row)} quanta, "
+            f"its load {self._load.item(row)}"
+        )
 
     def _block_sums_of_column(self) -> np.ndarray:
         """The block sums recomputed from the load column, in int64: a
@@ -744,6 +837,10 @@ class TorusConfiguration:
             for col in (self._pos, self._id, self._cell, self._slot, self._load)
         )
         self._block = grown(self._block, -(-capacity // BLOCK_ROWS))
+        if self._terms is not None and self._terms.shape[0] < BLOCK_ROWS:
+            size, terms = min(capacity, BLOCK_ROWS), self._terms
+            self._terms = np.zeros((size, size), dtype=np.int32)
+            self._terms[: terms.shape[0], : terms.shape[0]] = terms
 
     def _in_box(self, position) -> tuple[np.ndarray, int]:
         """``position`` as a (dim,) float array in [0, side), and its flat
@@ -849,60 +946,109 @@ class TorusConfiguration:
         if row != last:
             for col in (self._pos, self._id, self._cell, self._slot, self._load):
                 col[row] = col[last]
+            if self._terms is not None:  # row first: then terms[row, row] is 0
+                terms = self._terms
+                terms[row, : last + 1] = terms[last, : last + 1]
+                terms[:last, row] = terms[:last, last]
         self._n = last
         return x
 
     def _add_point(self, position, kernel: RadialKernel | None) -> tuple:
         """A birth: add a point at ``position``, wrapped and filed once for
-        its neighbour query and its insert, and its ``kernel`` term, in
-        whole quanta, to the loads of its neighbours, found before it is
-        stored, in the query's order; return (id, wrapped position).
-        ``kernel`` is a- scaled by ``load_scale``, and each term is its
-        profile truncated to int64.  One reduction of the terms is both the
-        new load and what the neighbours gain, each added to the load
-        total.  With no kernel the load is 0."""
+        its insert, and its ``kernel`` term, in whole quanta, to the loads
+        of its neighbours, found before it is stored; return (id, wrapped
+        position).  ``kernel`` is a- scaled by ``load_scale``, and each term
+        is its profile truncated to int64.  One reduction of the terms is
+        both the new load and what the neighbours gain, each added to the
+        load total.  With no kernel the load is 0.
+
+        A store that keeps the pair-term matrix takes the squares of one
+        minimum-image pass over its n rows, masked past ``exact_reach`` of
+        the cutoff, and writes them to row and column n.  The birth into a
+        store of BLOCK_ROWS rows drops the matrix and files every row for
+        the cutoff, and the new point afresh; from there, and in a store
+        that keeps no matrix, the neighbours come from one query of the
+        index."""
         x, cell = self._in_box(position)
         if kernel is None:
             return self._insert(x, cell, 0), x
+        n = self._n
+        if self._terms is not None and n == BLOCK_ROWS:  # past one block
+            self._terms = None
+            self._file(CellGrid.for_radius(self.torus, self._radius), self._radius)
+            x, cell = self._in_box(x)
+        if self._terms is not None:
+            squares = _min_image_squares(self._pos[:n] - x, self.torus.side)
+            contrib = kernel._profile_sq(squares)
+            contrib *= squares <= self._reach
+            contrib = contrib.astype(np.int64)
+            load = np.add.reduce(contrib).item()
+            self._load[:n] += contrib
+            self._total += load
+            pid = self._insert(x, cell, load)
+            terms = self._terms  # grown with the columns
+            terms[n, :n] = contrib
+            terms[:n, n] = contrib
+            return pid, x
         rows, squares = self._neighbors(x, cell)
         contrib = kernel._profile_sq(squares).astype(np.int64)
         load = np.add.reduce(contrib).item()
         self._load[rows] += contrib
         self._total += load
-        if self._n > BLOCK_ROWS:
+        if n > BLOCK_ROWS:
             np.add.at(self._block, rows >> BLOCK_SHIFT, contrib)
         return self._insert(x, cell, load), x
 
     def _remove_point(self, row: int, kernel: RadialKernel | None) -> tuple:
         """A death: delete the point in ``row``, then take its ``kernel``
-        term out of the loads of its neighbours, found from the cell it was
-        filed in once it is gone; return (id, position, fault or None).  The
-        terms are quantised as ``_add_point`` quantises them, so each
-        neighbour loses exactly what its birth or the dying point's added.
-        Old loads come in with one ``take``, what is left goes back with one
-        ``put``, the block sums lose the terms with one ``subtract.at`` and
-        the load total one reduction of them.
+        term out of the loads of its neighbours; return (id, position, fault
+        or None).  The terms are quantised as ``_add_point`` quantises them,
+        so each neighbour loses exactly what its birth or the dying point's
+        added.
+
+        A store that keeps the pair-term matrix reads the terms off the
+        dying row, taken from the loads before the last row moves into it,
+        and the load total loses the dying load a second time: no query, no
+        profile and no reduction.  Any other store queries from the cell the
+        point was filed in once it is gone: old loads come in with one
+        ``take``, what is left goes back with one ``put``, the block sums
+        lose the terms with one ``subtract.at`` and the load total one
+        reduction of them.
 
         A load that would fall below 0, which only a corrupt cache allows,
         is a fault that names the lowest one's point, with no load changed.
         """
         pid = self._id.item(row)
-        cell = self._cell.item(row)  # filed on the store's grid
-        x = self.remove(row)
-        if kernel is None:
-            return pid, x, None
-        rows, squares = self._neighbors(x, cell)
-        if not rows.size:
-            return pid, x, None
-        contrib = kernel._profile_sq(squares).astype(np.int64)
-        left = self._load.take(rows)
-        left -= contrib
+        if self._terms is not None:
+            last, load = self._n - 1, self._load.item(row)
+            left = self._load[: last + 1] - self._terms[row, : last + 1]
+            x = self.remove(row)
+            left[row] = left.item(last)  # as remove moves the last row
+            left, rows = left[:last], None
+            if not last:
+                return pid, x, None
+        else:
+            cell = self._cell.item(row)  # filed on the store's grid
+            x = self.remove(row)
+            if kernel is None:
+                return pid, x, None
+            rows, squares = self._neighbors(x, cell)
+            if not rows.size:
+                return pid, x, None
+            contrib = kernel._profile_sq(squares).astype(np.int64)
+            left = self._load.take(rows)
+            left -= contrib
         i = left.argmin()
         if left.item(i) < 0:
+            lowest = i if rows is None else rows.item(i)
             return pid, x, (
-                f"death-rate cache for point {self.point_at(rows.item(i))} "
+                f"death-rate cache for point {self.point_at(lowest)} "
                 f"fell to {left.item(i)} quanta on removing point {pid}"
             )
+        if rows is None:
+            self._load[:last] = left
+            self._total -= load
+            return pid, x, None
         self._load.put(rows, left)
         self._total -= np.add.reduce(contrib).item()
         if self._n > BLOCK_ROWS:
@@ -1052,17 +1198,9 @@ class TorusConfiguration:
         keep = (square <= self._reach).nonzero()[0]
         return rows.take(keep), square.take(keep)
 
-    def kernel_sums(self, kernel: RadialKernel) -> np.ndarray:
-        """Each point's sum of kernel(distance) over the other points within
-        the kernel cutoff, one int64 per row, from one ``periodic_pairs``
-        walk: ``RadialKernel._profile_sq`` of each pair's square, truncated
-        to a whole number as the event path truncates it, is added to both
-        its rows, by a bincount over the batch's span of rows at each end, in
-        the walk's own order.  ``kernel`` is a- in quanta, each term below
-        2^LOAD_BITS, so the float64 sums of whole numbers are exact while no
-        row has 2^22 neighbours.  A store filed for the cutoff keeps its
-        grid and index, so an audit reads the index it checks; any other
-        store is filed for the cutoff on ``CellGrid.for_radius`` of it."""
+    def _checked_cutoff(self, kernel: RadialKernel) -> float:
+        """The cutoff of ``kernel``, after checking that it has the torus's
+        dimension and a cutoff of at most half the side."""
         if kernel.dim != self.torus.dim:
             raise GeometryError(
                 f"kernel dimension {kernel.dim} != torus dimension {self.torus.dim}"
@@ -1073,12 +1211,30 @@ class TorusConfiguration:
                 f"kernel too wide for torus: cutoff {cutoff:g} > side/2 "
                 f"{self.torus.side / 2.0:g}"
             )
-        n = self._n
-        if self._radius == cutoff:
-            runs = cell_runs(self.grid.flat_cells_of(self._pos[:n]))
-        else:
+        return cutoff
+
+    def kernel_sums(self, kernel: RadialKernel) -> np.ndarray:
+        """Each point's sum of kernel(distance) over the other points within
+        the kernel cutoff, one int64 per row, from one ``periodic_pairs``
+        walk: ``RadialKernel._profile_sq`` of each pair's square, truncated
+        to a whole number as the event path truncates it, is added to both
+        its rows, by a bincount over the batch's span of rows at each end, in
+        the walk's own order.  ``kernel`` is a- in quanta, each term below
+        2^LOAD_BITS, so the float64 sums of whole numbers are exact while no
+        row has 2^22 neighbours.  A store filed for the cutoff keeps its
+        grid and index, so an audit reads the index it checks, and a store
+        that keeps the pair-term matrix is walked on ``CellGrid.for_radius``
+        of the cutoff without being filed; any other store is filed for the
+        cutoff on that grid."""
+        cutoff, n = self._checked_cutoff(kernel), self._n
+        grid = self.grid if self._radius == cutoff else None
+        if grid is None and self._terms is None:
             runs = self._file(CellGrid.for_radius(self.torus, cutoff), cutoff)
-        order, batches = periodic_pairs(self.grid, self._pos[:n], runs, cutoff)
+            grid = self.grid
+        else:  # the store's own filing, or none beside the matrix
+            grid = grid or CellGrid.for_radius(self.torus, cutoff)
+            runs = cell_runs(grid.flat_cells_of(self._pos[:n]))
+        order, batches = periodic_pairs(grid, self._pos[:n], runs, cutoff)
         sums = np.zeros(n)  # in the walk's order
         for i, j, square in batches:
             if not square.size:

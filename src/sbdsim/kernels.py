@@ -138,16 +138,16 @@ def _check_dim(dim: int) -> None:
 
 def uniform_direction(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Draw one unit vector uniformly on the sphere in ``dim`` dimensions: a
-    standard normal vector over its norm."""
+    standard normal vector over its norm.  In d = 1 that is the sign of the
+    one draw, and a zero draw itself, as a norm of 0 divides by 1."""
     v = rng.standard_normal(dim)
+    if dim == 1:
+        return np.sign(v) if v.item(0) else v
     # np.linalg.norm(v, axis=0, keepdims=True) bit for bit, without its
-    # wrapper: its add.reduce adds the squares in order, and in d <= 2 the
-    # one square or one add gives that sum for less than a reduction's set-up
+    # wrapper: its add.reduce adds the squares in order, and in d = 2 one add
+    # gives that sum for less than a reduction's set-up
     sq = v * v
-    if dim == 2:
-        sq = sq[:1] + sq[1:]
-    elif dim > 2:
-        sq = np.add.reduce(sq, keepdims=True)
+    sq = sq[:1] + sq[1:] if dim == 2 else np.add.reduce(sq, keepdims=True)
     norm = np.sqrt(sq)
     norm[norm == 0.0] = 1.0
     return v / norm

@@ -17,7 +17,7 @@ import pytest
 from sbdsim import cli, geometry
 from sbdsim.cli import main
 from sbdsim.config import initial_configuration, load_config, replica_rng
-from sbdsim.dynamics import ModelSpec, Snapshot, run
+from sbdsim.dynamics import EventLog, ModelSpec, Snapshot, run
 from sbdsim.geometry import Torus, load_scale, sample_poisson
 from sbdsim.kernels import ImmigrationField, gaussian, triangular
 from sbdsim.oracles import NormBoundInput
@@ -357,6 +357,60 @@ def test_snapshots_csv_from_columns_matches_per_scalar_formatting(
     path = tmp_path / "snapshots.csv"
     cli._write_snapshots_csv(path, snapshots, dim)
     assert path.read_bytes() == reference_snapshots_csv(snapshots, dim)
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_csv_files_are_the_bytes_of_csv_writer(tmp_path, monkeypatch, dim):
+    # the events, snapshots and points files, each chunk joined into one
+    # string, are byte for byte what csv.writer writes from the same cells:
+    # in d = 1 to 3, for an empty log, for parents of -1 (deaths and
+    # immigrants) and for floats whose repr takes the exponent form
+    monkeypatch.setattr(cli, "CSV_CHUNK", 7)
+    floats = [5e-324, 1.5e-05, 0.1, 7.0, 2.5e16, 1e22, 123456.789, 0.0]
+    log = EventLog(dim)
+    for k in range(30):
+        pos = np.array([floats[(k + a) % len(floats)] for a in range(dim)])
+        log._append(floats[k % len(floats)] * (k + 1), k % 3 == 0, pos, k, k - 2 if k % 2 else -1)
+    for events in (log, EventLog(dim)):
+        path = tmp_path / "events.csv"
+        cli._write_events_csv(path, events, dim)
+        header = ["t", "kind"] + [f"x{i + 1}" for i in range(dim)] + ["parent_id"]
+        rows = [
+            [repr(t), "birth" if birth else "death", *map(repr, pos), "" if p < 0 else str(p)]
+            for t, birth, pos, p in zip(
+                events.times.tolist(), events.births.tolist(),
+                events.positions.tolist(), events.parents.tolist(),
+            )
+        ]  # fmt: skip
+        assert path.read_bytes() == csv_writer_bytes(header, rows)
+    positions = log.positions
+    snapshots = [
+        Snapshot(1e-07, np.arange(20), positions[:20]),
+        Snapshot(0.5, np.array([], dtype=int), np.empty((0, dim))),
+        Snapshot(3e20, np.arange(30, 39), positions[:9]),
+    ]
+    path = tmp_path / "snapshots.csv"
+    cli._write_snapshots_csv(path, snapshots, dim)
+    rows = [
+        [repr(s.time), pid, *map(repr, pos)]
+        for s in snapshots
+        for pid, pos in zip(s.ids.tolist(), s.positions.tolist())
+    ]
+    header = ["t", "id"] + [f"x{i + 1}" for i in range(dim)]
+    assert path.read_bytes() == csv_writer_bytes(header, rows)
+    path = tmp_path / "points.csv"
+    cli._write_points_csv(path, positions)
+    rows = [[*map(repr, pos)] for pos in positions.tolist()]
+    assert path.read_bytes() == csv_writer_bytes(None, rows)
 
 
 def test_surgailis_check_that_compares_nothing_is_no_check(tmp_path, capsys):

@@ -290,7 +290,7 @@ def competition_config(dim):
     data = shipped("competition_1d")
     for kernel in ("a_plus", "a_minus"):
         data["model"][kernel]["dim"] = dim
-    side = 40.0 if dim == 1 else 12.0
+    side = 60.0 if dim == 1 else 12.0
     data["torus"] = {"L": side, "d": dim}
     data["schedule"] = {"t_end": 1.0}
     data["analysis"]["window"] = {"lo": [0.0] * dim, "hi": [side] * dim}
@@ -298,20 +298,22 @@ def competition_config(dim):
 
 
 @pytest.mark.parametrize(
-    "make, n_cells",
+    "make, n_cells, filed",
     [
-        (lambda: competition_config(1), 12),
-        (lambda: competition_config(2), 3),
-        (lambda: load_config(CONFIGS / "long_dispersal_certificate.json"), 19),
+        (lambda: competition_config(1), 18, True),
+        (lambda: competition_config(2), 3, True),
+        (lambda: load_config(CONFIGS / "long_dispersal_certificate.json"), 19, False),
     ],
     ids=["competition d=1", "competition d=2", "long_dispersal_certificate"],
 )
-def test_library_path_is_the_config_path(make, n_cells):
+def test_library_path_is_the_config_path(make, n_cells, filed):
     # a store on a bare Torus(side, dim) picks the grid the config path
     # gets, from the competition cutoff alone, so a seeded run gives the
     # same trace; long_dispersal_certificate's a+ reaches further than its
     # a-, and the grid still follows a-: 19 cells, each as wide as the
-    # cutoff of 1 and its rounding pad, where a+ would give 3
+    # cutoff of 1 and its rounding pad, where a+ would give 3.  Its store,
+    # of one block, keeps the pair-term matrix and files no grid; the
+    # competition stores start past one block and are filed on it
     cfg = make()
     torus = Torus(cfg.torus.side, cfg.torus.dim)
     assert cfg.torus == torus
@@ -329,8 +331,9 @@ def test_library_path_is_the_config_path(make, n_cells):
     for column in ("times", "births", "positions", "points", "parents"):
         np.testing.assert_array_equal(getattr(lib, column), getattr(conf_log, column))
     a_minus = cfg.model.a_minus.cutoff_radius()
-    assert grids[0] == grids[1] == CellGrid.for_radius(torus, a_minus)
-    assert grids[0].n == n_cells
+    grid = CellGrid.for_radius(torus, a_minus)
+    assert grids[0] == grids[1] == (grid if filed else None)
+    assert grid.n == n_cells
     a_plus = cfg.model.a_plus.cutoff_radius()
     if a_plus > a_minus:
         assert CellGrid.for_radius(torus, a_plus).n == 3

@@ -393,35 +393,36 @@ def test_incremental_caches_survive_audit():
 
 @pytest.mark.parametrize("dim, cutoff", [(1, 3.5), (1, 4.0), (2, 3.5)])
 def test_audit_passes_on_grids_with_self_inverse_offsets(dim, cutoff):
-    # a cutoff in (3/8 side, side/2] on a store filed by hand on 8 cells of
-    # side / 8 reaches 4 cells, an offset that is its own negative modulo
-    # the grid; the loads recomputed by the half pair walk after every
-    # event must match the incremental ones
+    # a cutoff in (3/8 side, side/2] on a store of more than one block,
+    # filed by hand on 8 cells of side / 8, reaches 4 cells, an offset that
+    # is its own negative modulo the grid; the loads recomputed by the half
+    # pair walk after every event must match the incremental ones
     side = 8.0
-    am = triangular(0.1, cutoff, dim)
+    am = triangular(0.01, cutoff, dim)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(2.0, 1.0, dim), a_minus=am, m=0.2)
     rng = np.random.default_rng(40 + dim + int(cutoff))
-    cfg = sample_poisson(Torus(side, dim), 40.0 / side**dim, rng)
+    cfg = sample_poisson(Torus(side, dim), 300.0 / side**dim, rng)
+    assert len(cfg) > BLOCK_ROWS
     cfg._file(CellGrid(side, dim, 8), cutoff)  # the run keeps the filing it finds
-    trace = run(spec, cfg, t_end=5.0, rng=rng, audit_every=1)
+    trace = run(spec, cfg, t_end=0.2, rng=rng, audit_every=1)
     assert len(trace.events) > 100 and not trace.guard_tripped
     assert cfg.grid == CellGrid(side, dim, 8) and 4 in cfg.grid.offsets(cutoff)
 
 
 @pytest.mark.parametrize("dim, weight", [(1, 0.3), (2, 2.0)])
 def test_audited_run_gives_the_unaudited_trace(dim, weight):
-    # the audit after every event recomputes the loads without refiling a
-    # row; neighbour queries list rows in the order the index gathers them,
-    # so an audit that moved a row in its cell would change a load's last
-    # bits and, from there, the later events
+    # the audit after every event recomputes the loads of a store of more
+    # than one block without refiling a row, so the audited run gives the
+    # unaudited one's trace and loads, on the grid the cutoff picks
     am = gaussian(weight, 0.5, dim)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(2.0, 1.0, dim), a_minus=am, m=0.2)
     torus = Torus(8.0, dim)
     logs, loads = [], []
     for audit_every in (1, 0):
         rng = np.random.default_rng(50 + dim)
-        cfg = sample_poisson(torus, 30.0 / torus.volume, rng)
-        logs.append(run(spec, cfg, t_end=3.0, rng=rng, audit_every=audit_every).events)
+        cfg = sample_poisson(torus, 300.0 / torus.volume, rng)
+        assert len(cfg) > BLOCK_ROWS
+        logs.append(run(spec, cfg, t_end=0.3, rng=rng, audit_every=audit_every).events)
         loads.append(cfg.loads.copy())
         assert cfg.grid == CellGrid.for_radius(torus, am.cutoff_radius())
     audited, plain = logs
@@ -442,13 +443,15 @@ def store_index(cfg):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_audit_leaves_the_index_bit_identical(dim):
     # after 300 events whose removals left cells listing their rows out of
-    # ascending order, an audit checks the index and recomputes the loads
-    # but changes no cell array, slot, cell entry or cached load
+    # ascending order, an audit checks the index of a store of more than
+    # one block and recomputes the loads but changes no cell array, slot,
+    # cell entry or cached load
     am = gaussian(0.5, 0.5, dim)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(2.0, 1.0, dim), a_minus=am, m=0.2)
     torus = Torus(8.0, dim)
     rng = np.random.default_rng(60 + dim)
-    state = SimulationState(spec, sample_poisson(torus, 100.0 / torus.volume, rng))
+    state = SimulationState(spec, sample_poisson(torus, 300.0 / torus.volume, rng))
+    assert len(state.cfg) > BLOCK_ROWS and state.cfg.grid is not None
     log = EventLog(dim)
     for _ in range(300):
         b, d = state.total_rates()
@@ -735,18 +738,63 @@ def misfile(cfg, how):
     "how", ["cell entry", "missing", "duplicate", "slot", "other cell", "moved"]
 )
 def test_audit_catches_cell_index_corruption(how):
-    # the cutoff 4 files the points on 2 cells of 5 per axis, one cutoff
-    # wide, and reaches 1 cell, an offset that is its own negative
+    # the cutoff 4 files the points of a store of more than one block on 2
+    # cells of 5 per axis, one cutoff wide, and reaches 1 cell, an offset
+    # that is its own negative
     am = triangular(1.0, 4.0, 2)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 2), a_minus=am, m=0.2)
     rng = np.random.default_rng(12)
-    cfg = cfg_with_points(Torus(10.0, 2), rng.uniform(0.0, 10.0, (60, 2)))
+    cfg = cfg_with_points(Torus(10.0, 2), rng.uniform(0.0, 10.0, (300, 2)))
     assert cfg.grid is None
     state = SimulationState(spec, cfg)
     assert cfg.grid == CellGrid(10.0, 2, 2)
     state.audit()
     pid = misfile(cfg, how)
     with pytest.raises(AuditError, match=f"cell index .*: point {pid} "):
+        state.audit()
+
+
+def corrupt_terms(terms, how):
+    """Corrupt a pair-term matrix of many positive pairs in one way."""
+    if how == "diagonal":
+        terms[5, 5] = 1
+        return
+    i, j = map(int, np.argwhere(np.triu(terms) > 1)[0])
+    if how == "one side":
+        terms[i, j] += 1
+    elif how == "both sides":
+        terms[i, j] += 1
+        terms[j, i] += 1
+    else:  # "row sums kept": +1 on two pairs, -1 on the two that cross them
+        k, l = next(
+            (int(k), int(l))
+            for k, l in np.argwhere(terms > 1)
+            if len({i, j, int(k), int(l)}) == 4 and terms[i, l] > 1 and terms[k, j] > 1
+        )
+        for a, b, delta in ((i, j, 1), (k, l, 1), (i, l, -1), (k, j, -1)):
+            terms[a, b] += delta
+            terms[b, a] += delta
+
+
+@pytest.mark.parametrize("how", ["diagonal", "one side", "both sides", "row sums kept"])
+def test_audit_catches_a_corrupted_pair_term(how):
+    # a store of one block keeps the pair-term matrix, which the audit
+    # compares entry by entry with a fresh build; a corruption that keeps
+    # every row sum, so that the loads and the load total still agree with
+    # it, is caught there too
+    am = triangular(1.0, 2.0, 1)
+    spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.2)
+    rng = np.random.default_rng(37)
+    state = SimulationState(spec, sample_poisson(Torus(20.0, 1), 3.0, rng))
+    for _ in range(50):
+        b, d = state.total_rates()
+        state._apply_event(b, d, rng, EventLog(1))
+    cfg = state.cfg
+    n = len(cfg)
+    assert cfg._terms is not None and n <= BLOCK_ROWS
+    state.audit()
+    corrupt_terms(cfg._terms[:n, :n], how)
+    with pytest.raises(AuditError, match="pair-term matrix differs: term of points"):
         state.audit()
 
 
@@ -896,13 +944,14 @@ def test_run_reports_its_peak_population():
 
 def test_a_narrow_kernel_on_a_wide_box_builds_and_audits():
     # cells of the radius would number 10^7 per axis in d=3, and flat cells
-    # past 2^63; the grid keeps 2097151 per axis, the most that fit.  Pairs
-    # 0.5e-4 apart along each axis and across the wrap carry loads of 0.5
+    # past 2^63; the index of a store of more than one block keeps 2097151
+    # per axis, the most that fit.  Pairs 0.5e-4 apart along each axis and
+    # across the wrap carry loads of 0.5
     torus = Torus(1000.0, 3)
     am = triangular(1.0, 1e-4, 3)
     spec = ModelSpec("bolker_pacala", a_plus=am, a_minus=am, m=0.2)
     rng = np.random.default_rng(70)
-    points = rng.uniform(0.0, 1000.0, (200, 3))
+    points = rng.uniform(0.0, 1000.0, (300, 3))
     close = points[:12].copy()
     for k in range(12):
         close[k, k % 3] += 0.5e-4
@@ -911,8 +960,8 @@ def test_a_narrow_kernel_on_a_wide_box_builds_and_audits():
     cfg = TorusConfiguration(torus, np.concatenate([points, close]))
     state = SimulationState(spec, cfg)
     assert cfg.grid == CellGrid(1000.0, 3, 2097151)
-    want = np.zeros(212)
-    want[:12] = want[200:] = 0.5
+    want = np.zeros(312)
+    want[:12] = want[300:] = 0.5
     np.testing.assert_allclose(cfg.loads / load_scale(am), want, rtol=1e-8)  # near 1000
     state.audit()
     for _ in range(20):
@@ -928,8 +977,16 @@ EVENT_PATH_MODELS = pytest.mark.parametrize(
         ("bolker_pacala", 2, 20.0, 2.0),
         ("migration", 2, 12.0, 1.0),
         ("tabulated", 1, 400.0, 1.0),
+        ("bolker_pacala", 1, 100.0, 1.0),
     ],
 )
+
+
+def keeps_terms(side, dim, density):
+    """Whether a model of EVENT_PATH_MODELS starts, and stays, at one
+    block, so that its store keeps the pair-term matrix, or past one block,
+    on the cell index."""
+    return density * side**dim < BLOCK_ROWS
 
 
 def profiled_events(variant, dim, side, density, on_call, on_c_call=None):
@@ -938,10 +995,13 @@ def profiled_events(variant, dim, side, density, on_call, on_c_call=None):
     every C function called from Python to ``on_c_call``; returns the
     state, its log and the population after each event.
 
-    bolker_pacala keeps n > BLOCK_ROWS, so each death draw takes the
-    two-level path; the migration model stays below it and draws from one
-    block, and its immigrants come from a grid field.  "tabulated" is
-    bolker_pacala in d=1 with tabulated a+ and a-, above BLOCK_ROWS too."""
+    bolker_pacala on a side of 400 in d=1, or 20 in d=2, keeps n >
+    BLOCK_ROWS, so each death draw takes the two-level path and each
+    neighbour query the index; on a side of 100 in d=1 it stays at one
+    block, at n ~ 100, and so does the migration model: their stores keep
+    the pair-term matrix.  The migration model's immigrants come from a
+    grid field.  "tabulated" is bolker_pacala in d=1 with tabulated a+ and
+    a-, above BLOCK_ROWS too."""
     if variant == "migration":
         spec = ModelSpec(variant, a_minus=gaussian(0.3, 0.5, 2), m=0.2, b=grid_field())
     elif variant == "tabulated":
@@ -987,10 +1047,9 @@ def test_event_path_calls_no_numpy_python_wrappers(variant, dim, side, density):
 
     state, log, sizes = profiled_events(variant, dim, side, density, on_call)
     assert calls == []
-    if variant != "migration":
-        assert min(sizes) > BLOCK_ROWS
-    else:
-        assert max(sizes) <= BLOCK_ROWS
+    terms = keeps_terms(side, dim, density)
+    assert (state.cfg._terms is not None) == terms
+    assert max(sizes) <= BLOCK_ROWS if terms else min(sizes) > BLOCK_ROWS
     state.audit()
 
 
@@ -1001,7 +1060,9 @@ def test_event_path_wraps_and_files_a_point_in_one_pass(variant, dim, side, dens
     # (position, cell), and never for a death, which queries from the cell
     # its row was filed in; CellGrid serves the event path only by making
     # one stencil for each queried cell whose stencil wraps and the store
-    # has not seen, and no event files the store
+    # has not seen, and no event files the store.  A store that keeps the
+    # pair-term matrix makes no query: a birth reads the rows in one pass
+    # and a death the dying row of the matrix
     calls = Counter()
 
     def on_call(code):
@@ -1010,7 +1071,8 @@ def test_event_path_wraps_and_files_a_point_in_one_pass(variant, dim, side, dens
 
     state, log, _ = profiled_events(variant, dim, side, density, on_call)
     births = int(log.births.sum())
-    assert calls["_neighbors"] == 2000 and calls["_insert"] == births
+    queries = 0 if keeps_terms(side, dim, density) else 2000
+    assert calls["_neighbors"] == queries and calls["_insert"] == births
     assert calls["_in_box"] == births
     assert calls["_file"] == 0
     assert calls["cell_stencil"] == len(state.cfg._wrapped)
@@ -1052,7 +1114,9 @@ def test_event_path_reduces_only_a_new_load_and_a_total_of_many_blocks(
     # which is both its new load and what its neighbours gain, and a
     # death's, of the loads it takes from its neighbours.  The load total
     # is kept, so reading it, with the store at one block or more, reduces
-    # nothing, and the least left load of a death comes from argmin
+    # nothing, and the least left load of a death comes from argmin.  A
+    # death in a store that keeps the pair-term matrix reduces nothing: it
+    # takes the dying load off the total a second time
     reductions = []
 
     def on_c_call(fn):
@@ -1065,8 +1129,11 @@ def test_event_path_reduces_only_a_new_load_and_a_total_of_many_blocks(
     births = log.births
     before = np.array(sizes) - np.where(births, 1, -1)  # population at each draw
     many_blocks = int(np.count_nonzero(before > BLOCK_ROWS))
-    assert int(births.sum()) <= len(reductions) <= len(sizes)  # one per event
-    assert many_blocks == (0 if variant == "migration" else 2000)
+    if keeps_terms(side, dim, density):
+        assert len(reductions) == int(births.sum()) and many_blocks == 0
+    else:
+        assert int(births.sum()) <= len(reductions) <= len(sizes)  # one per event
+        assert many_blocks == 2000
 
 
 def integer_columns_sha256(log):
@@ -1210,18 +1277,17 @@ def test_determinism_same_seed_same_trace():
     assert [e.time for e in c.events[:5]] != [e.time for e in a.events[:5]]
 
 
-@pytest.mark.parametrize("dim, t_end", [(1, 10.0), (2, 0.6)])
-def test_bulk_initial_load_gives_the_sequential_trace(dim, t_end):
-    # sample_poisson builds the store with its points, filed into cells from
-    # scratch when the run starts; inserting the same draws one at a time
-    # into a store filed first must give the same run, event for event,
-    # with every cache audited after each event
+def bulk_and_sequential_runs(dim, side, density, t_end):
+    """One seeded run on a store built with its points by sample_poisson
+    and one on a store filed first, with the same draws inserted one at a
+    time, each cache audited after every event; returns both stores, after
+    checking that the runs agree event for event."""
     am = gaussian(0.5, 0.2, dim)
     spec = ModelSpec("bolker_pacala", a_plus=gaussian(1.0, 0.5, dim), a_minus=am, m=0.5)
-    torus = Torus(9.0, dim)
+    torus = Torus(side, dim)
     rng_bulk, rng_seq = np.random.default_rng(21), np.random.default_rng(21)
-    bulk = sample_poisson(torus, 2.0, rng_bulk)
-    n = rng_seq.poisson(2.0 * torus.volume)
+    bulk = sample_poisson(torus, density, rng_bulk)
+    n = rng_seq.poisson(density * torus.volume)
     seq = TorusConfiguration(torus)
     file_on(seq, am.cutoff_radius())
     for x in rng_seq.uniform(0.0, torus.side, (n, dim)):
@@ -1234,7 +1300,26 @@ def test_bulk_initial_load_gives_the_sequential_trace(dim, t_end):
         assert (ea.time, ea.kind, ea.point) == (eb.time, eb.kind, eb.point)
         assert ea.parent == eb.parent
         np.testing.assert_array_equal(ea.position, eb.position)
-    assert bulk.grid == seq.grid == CellGrid.for_radius(torus, am.cutoff_radius())
+    return bulk, seq
+
+
+@pytest.mark.parametrize("dim, t_end", [(1, 10.0), (2, 0.6)])
+def test_bulk_initial_load_gives_the_sequential_trace(dim, t_end):
+    # a store of one block, built with its points or grown by inserts into
+    # a store filed first, gives the same run; both keep the pair-term
+    # matrix, and the filing goes
+    bulk, seq = bulk_and_sequential_runs(dim, 9.0, 2.0, t_end)
+    assert bulk.grid is seq.grid is None
+
+
+@pytest.mark.parametrize("dim, side", [(1, 150.0), (2, 12.5)])
+def test_bulk_initial_load_past_one_block_gives_the_sequential_trace(dim, side):
+    # sample_poisson builds a store of more than one block with its points,
+    # filed into cells from scratch when the run starts; inserting the same
+    # draws one at a time into a store filed first gives the same run
+    bulk, seq = bulk_and_sequential_runs(dim, side, 2.0, 0.4)
+    cutoff = gaussian(0.5, 0.2, dim).cutoff_radius()
+    assert bulk.grid == seq.grid == CellGrid.for_radius(bulk.torus, cutoff)
 
 
 # -- event log -----------------------------------------------------------------------

@@ -1670,6 +1670,70 @@ def brute_force_sums(cfg, kernel):
     )
 
 
+def brute_force_terms(cfg, kernel):
+    """Each ordered pair's ``kernel`` term in quanta by the plain-Python
+    scan, (n, n), 0 on the diagonal and past the cutoff."""
+    n, cutoff = len(cfg), kernel.cutoff_radius()
+    terms = np.zeros((n, n), dtype=np.int64)
+    for a, b in combinations(range(n), 2):
+        square = min_image_square(cfg.torus.side, cfg._pos[a].tolist(), cfg._pos[b].tolist())
+        if math.sqrt(square) <= cutoff:
+            terms[a, b] = terms[b, a] = int(kernel._profile_sq(np.array([square]))[0])
+    return terms
+
+
+@pytest.mark.parametrize("dim, side", [(1, 40.0), (2, 10.0)])
+def test_a_store_of_one_block_keeps_its_pair_terms_until_it_passes_one_block(dim, side):
+    # a store of 200 rows builds the pair-term matrix of the plain-Python
+    # scan, with no grid, and the loads, its row sums, of kernel_sums,
+    # which walks the pairs without filing the store.  Births and deaths
+    # keep both in step; the birth that takes it past BLOCK_ROWS rows drops
+    # the matrix and files the store for the cutoff, and it stays on the
+    # index as it shrinks back to one block
+    rng = np.random.default_rng(dim)
+    cfg = TorusConfiguration(Torus(side, dim), rng.uniform(0.0, side, (200, dim)))
+    kernel = in_quanta(gaussian(0.4, 0.5, dim))
+    cfg.build_loads(kernel)
+    n = len(cfg)
+    assert cfg.grid is None and cfg._terms.shape == (BLOCK_ROWS, BLOCK_ROWS)
+    assert cfg._terms[:n, :n].tolist() == brute_force_terms(cfg, kernel).tolist()
+    assert cfg.loads.tolist() == cfg._terms[:n, :n].sum(axis=1).tolist()
+
+    def check():
+        assert cfg.terms_fault(kernel) is None and cfg.stale_sum() is None
+        filed = cfg.grid
+        assert cfg.loads.tolist() == cfg.kernel_sums(kernel).tolist()
+        assert cfg.grid == filed  # kernel_sums files nothing
+
+    check()
+    while len(cfg) <= BLOCK_ROWS:
+        k = len(cfg)
+        if rng.random() < 0.7:
+            cfg._add_point(rng.uniform(0.0, side, dim), kernel)
+        else:
+            assert cfg._remove_point(int(rng.integers(k)), kernel)[2] is None
+        assert (cfg._terms is None) == (len(cfg) > BLOCK_ROWS)
+        check()
+    assert cfg.grid == CellGrid.for_radius(cfg.torus, kernel.cutoff_radius())
+    while len(cfg) > 240:
+        assert cfg._remove_point(int(rng.integers(len(cfg))), kernel)[2] is None
+        check()
+    assert cfg._terms is None and cfg.cell_index_fault() is None
+
+
+def test_terms_fault_names_a_row_sum_that_differs_from_its_load():
+    # a matrix equal to its fresh build whose row sum is not its load
+    rng = np.random.default_rng(4)
+    cfg = TorusConfiguration(T10_1, rng.uniform(0.0, 10.0, (30, 1)))
+    kernel = in_quanta(triangular(1.0, 1.0, 1))
+    cfg.build_loads(kernel)
+    assert cfg.terms_fault(kernel) is None
+    row_sum = cfg._load.item(3)
+    cfg._load[3] += 1
+    want = f"row sum of point 3 is {row_sum} quanta, its load {row_sum + 1}"
+    assert cfg.terms_fault(kernel) == want
+
+
 def test_kernel_sum_matches_brute_force_gaussian():
     rng = np.random.default_rng(3)
     cfg = uniform_cfg(Torus(20.0, 2), 100, rng)

@@ -262,6 +262,7 @@ STORE_PRIVATE = (
     "_load",
     "_block",
     "_total",
+    "_terms",
     "add_loads",
     "lower_loads",
 )

@@ -703,6 +703,34 @@ def test_uniform_direction_unit_norm():
     assert abs(dirs.mean(axis=0)).max() < 0.05
 
 
+class ZeroNormals:
+    """Stands in for a Generator whose standard normals are zeros of the
+    given sign."""
+
+    def __init__(self, zero):
+        self.zero = zero
+
+    def standard_normal(self, size):
+        return np.full(size, self.zero)
+
+
+def test_a_d1_direction_is_the_sign_of_its_one_normal_draw():
+    # 10^5 seeded draws equal the normal over its norm, bit for bit, from
+    # the same stream, and a zero draw of either sign is returned as drawn,
+    # as the norm of 0, taken as 1, divides it
+    rng = np.random.default_rng(12)
+    got = np.array([uniform_direction(1, rng).item(0) for _ in range(10**5)])
+    ref = np.random.default_rng(12)
+    v = ref.standard_normal(10**5)
+    norm = np.sqrt(v * v)
+    norm[norm == 0.0] = 1.0
+    assert got.tobytes() == (v / norm).tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    for zero in (0.0, -0.0):
+        d = uniform_direction(1, ZeroNormals(zero))
+        assert d.shape == (1,) and d.tobytes() == np.array([zero]).tobytes()
+
+
 def tabulated_radius_per_call(kernel, rng):
     """``TabulatedKernel.sample_radius`` as written without kept tables:
     every call rebuilds them."""

@@ -16,9 +16,12 @@ the rows and the loads itself.  Loads are exact sums, so the twin's loads
 equal the store's, and its times, channels, rows and positions the run's,
 bit for bit.
 
-Nine named cases pin hand-picked stores and grids; a property test draws
-the rest of the model space: both variants, d = 1 to 3, each a- family or
-none, grids of 1 to 8 cells per axis and starts of 0 to 300 points.
+Sixteen named cases pin hand-picked stores and grids, each edge case both
+from one block, where the store keeps the pair-term matrix, and from past
+one block, on the cell index, and one store that grows from the matrix to
+the index; a property test draws the rest of the model space: both
+variants, d = 1 to 3, each a- family or none, grids of 1 to 8 cells per
+axis and starts of 0 to 300 points.
 """
 
 import math
@@ -171,8 +174,11 @@ GRID_FIELD = ImmigrationField(grid=np.arange(16.0).reshape(4, 4) / 15.0)
 
 # both variants, d = 1, 2 and 3, and each a- family; n stays above BLOCK_ROWS
 # in the first case.  The store grids of the edge cases are either side of
-# the first with stencils that do not wrap, in d = 1 and 2, and the last
-# case's store falls to one block
+# the first with stencils that do not wrap, in d = 1 and 2.  A store that
+# starts at one block keeps the pair-term matrix; each edge case is run
+# again from past one block, on the cell index, and its store falls to one
+# block; the last case's store starts at one block and grows past it, from
+# the matrix to the index
 CASES = {
     "bolker_pacala-1-gaussian": lambda: uniform_case(
         ModelSpec("bolker_pacala", gaussian(1.0, 1.0, 1), gaussian(0.2, 0.5, 1), m=0.5),
@@ -199,6 +205,23 @@ CASES = {
     ),
     "bolker_pacala-1-tabulated-four-cells-past-one-block": lambda: edge_case(
         "bolker_pacala", 1, 230, 0.4, cutoff=1.9, grids=(4, 3)
+    ),
+    "migration-1-tabulated-edges-past-one-block": lambda: edge_case("migration", 1, 230, 0.6),
+    "bolker_pacala-2-tabulated-edges-past-one-block": lambda: edge_case(
+        "bolker_pacala", 2, 230, 0.6
+    ),
+    "bolker_pacala-2-tabulated-two-cells-past-one-block": lambda: edge_case(
+        "bolker_pacala", 2, 250, 0.6, cutoff=3.5, grids=(2,)
+    ),
+    "migration-1-tabulated-four-cells-past-one-block": lambda: edge_case(
+        "migration", 1, 230, 0.6, cutoff=1.9, grids=(4, 3)
+    ),
+    "bolker_pacala-2-tabulated-four-cells-past-one-block": lambda: edge_case(
+        "bolker_pacala", 2, 230, 0.6, cutoff=1.9, grids=(4, 3)
+    ),
+    "bolker_pacala-2-tabulated-across-one-block": lambda: uniform_case(
+        ModelSpec("bolker_pacala", gaussian(1.4, 1.0, 2), a_minus_of("tabulated", 2, 0.05), m=1.0),
+        30.0, 240, 1.0,
     ),
 }
 
@@ -231,13 +254,16 @@ def test_run_matches_its_naive_twin(name):
     # the run's kinds, ids, parents, times and positions equal the twin's
     # bit for bit, and after every event its store holds the twin's rows in
     # the twin's order, with the twin's loads
-    trace, states = run_against_twin(*CASES[name]())
+    spec, torus, start, t_end = CASES[name]()
+    trace, states = run_against_twin(spec, torus, start, t_end)
     assert 300 <= trace.n_events <= 2000 and not trace.guard_tripped
     sizes = [ids.size for ids, _ in states]
     if name == "bolker_pacala-1-gaussian":  # every death draw takes the block path
         assert min(sizes) > BLOCK_ROWS
-    if name.endswith("past-one-block"):  # the store falls to one block
-        assert min(sizes) <= BLOCK_ROWS < max(sizes)
+    if name.endswith("past-one-block"):  # on the index, the store falls to one block
+        assert len(start) > BLOCK_ROWS >= min(sizes)
+    if name.endswith("across-one-block"):  # from the matrix to the index
+        assert len(start) <= BLOCK_ROWS < max(sizes)
 
 
 def a_minus_of(family, dim, weight):
