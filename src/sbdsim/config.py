@@ -22,8 +22,8 @@ import numpy as np
 
 from .certificate import CertificationError, SearchGrid
 from .certificate import DEFAULT_OMEGA, DEFAULT_SIZE_MAX, DEFAULT_TRIALS
-from .dynamics import DEFAULT_MAX_POPULATION, DynamicsError, ModelSpec
-from .geometry import Torus, TorusConfiguration, Window, sample_poisson
+from .dynamics import DEFAULT_MAX_POPULATION, DynamicsError, ModelSpec, RefusedStart
+from .geometry import Torus, TorusConfiguration, Window
 from .kernels import (
     ExponentialKernel,
     GaussianKernel,
@@ -464,7 +464,16 @@ def replica_rng(seed: int, replica: int) -> np.random.Generator:
 
 def initial_configuration(
     cfg: RunConfig, rng: np.random.Generator
-) -> TorusConfiguration:
-    if cfg.init_poisson is not None:
-        return sample_poisson(cfg.torus, cfg.init_poisson, rng)
-    return TorusConfiguration(cfg.torus, cfg.init_points)
+) -> TorusConfiguration | RefusedStart:
+    """A replica's start: the config's points, or a Poisson draw, made as
+    ``geometry.sample_poisson`` makes it.  A Poisson count past
+    ``max_population`` draws no position and comes back as a
+    ``RefusedStart``, which ``run`` refuses as it refuses any start above
+    the guard, so an oversized start allocates nothing."""
+    torus = cfg.torus
+    if cfg.init_poisson is None:
+        return TorusConfiguration(torus, cfg.init_points)
+    n = rng.poisson(cfg.init_poisson * torus.volume)
+    if n > cfg.max_population:
+        return RefusedStart(torus, n)
+    return TorusConfiguration(torus, rng.uniform(0.0, torus.side, (n, torus.dim)))

@@ -34,9 +34,10 @@ kernel methods they call, reaches numpy only through ufuncs, ufunc methods
 and ndarray methods: a Python-level wrapper such as ``np.cumsum`` or
 ``ndarray.sum`` costs a few microseconds per call, a sizeable share of an
 event that takes some tens of them.  For the same reason it makes no ufunc
-reduction where one element or an argmin gives the same float, at most one
-per event, reads scalars with ``.item()``, and reads the population off the
-store's row count.
+reduction, but for the norm in ``uniform_direction`` that a non-gaussian a+
+draws in d >= 3: a sum is the last element of a running sum, a least load an
+argmin, and a death in a store of one block updates the loads in place.  It
+reads scalars with ``.item()`` and the population off the store's row count.
 
 Each loop iteration draws its waiting time, exponential in the total rate B
 + D, with one ``rng.exponential``.  The event then takes, in this order:
@@ -91,6 +92,20 @@ DRAW_BLOCK = 1024
 
 class DynamicsError(RuntimeError):
     pass
+
+
+@dataclass(frozen=True)
+class RefusedStart:
+    """A start of more points than its population guard admits, as its torus
+    and its count alone: ``config.initial_configuration`` gives one for a
+    Poisson count past ``max_population`` before it draws any position, and
+    ``run`` refuses it, as it refuses any start above its guard."""
+
+    torus: Torus
+    population: int
+
+    def __len__(self) -> int:
+        return self.population
 
 
 class AuditError(DynamicsError):
@@ -472,7 +487,7 @@ class SimulationTrace:
 
 def run(
     spec: ModelSpec,
-    cfg: TorusConfiguration,
+    cfg: TorusConfiguration | RefusedStart,
     t_end: float,
     rng: np.random.Generator,
     snapshot_times: tuple[float, ...] = (),
@@ -486,7 +501,8 @@ def run(
     ``max_population``, or its load total reaches LOAD_LIMIT quanta, the run
     stops early with ``guard_tripped`` set and the remaining snapshots
     unfilled; callers decide how loudly to fail.  A start above the
-    population guard is refused before the rate caches are built.
+    population guard, and any ``RefusedStart``, is refused before the rate
+    caches are built.
     Each loop iteration draws one exponential waiting time, and only there
     does ``rng.exponential`` serve the run.
     """
@@ -500,7 +516,7 @@ def run(
 
     trace = SimulationTrace(EventLog(cfg.torus.dim))
     start = len(cfg)
-    if start > max_population:  # refused before the rate caches walk every pair
+    if start > max_population or isinstance(cfg, RefusedStart):  # before any pair walk
         spec.check_torus(cfg.torus)  # which SimulationState runs first
         trace.guard_tripped = True
         trace.final_population = trace.peak_population = start

@@ -49,10 +49,11 @@ of ``numpy/_core/fromnumeric.py``, ``_methods.py`` and
 ``lib/_function_base_impl.py``.  Each such wrapper costs a few
 microseconds, a sizeable share of an event that takes some tens of them,
 and of a walk that makes a few calls per cell offset at n ~ 100.
-The per-event methods also make no ufunc reduction where one element or an
-argmin gives the same float, a reduction's set-up costing more than the
-sum of a few dozen loads, and they read scalars with ``.item()``; the
-filing works out the reach of the store's one radius once.
+The per-event methods make no ufunc reduction, whose set-up costs more than
+a sum of a few dozen loads: a sum is the last element of a running sum, a
+least load an argmin, and a death in a store of one block updates the loads
+in place.  They read scalars with ``.item()``; the filing works out the
+reach of the store's one radius once.
 """
 
 from __future__ import annotations
@@ -88,6 +89,8 @@ CELL_SLACK = 4
 # that shares fewer buckets, and an overflow past it all refiles the store
 SLOTS_PER_POINT = 8
 INDEX_POINTS = 1024
+# The fault of a death that would take a point's load below 0
+LOAD_FAULT = "death-rate cache for point {} fell to {} quanta on removing point {}"
 
 
 class GeometryError(ValueError):
@@ -628,20 +631,18 @@ class TorusConfiguration:
     order.  Its root, the running load total, a Python int, is kept at
     every size: ``_insert`` adds the new row's load, ``remove`` takes off
     the removed one's, ``_add_point`` adds what the neighbours gain and
-    ``_remove_point`` one reduction of what they lose, or, from the matrix,
-    the dying load a second time, and ``set_loads``
-    reduces the new column; ``load_total`` returns it and reduces nothing.
-    While the store holds more than one block of BLOCK_ROWS rows, it also
-    keeps one running int64 sum per block next to the load column, so that
-    ``sample_row`` reads n / BLOCK_ROWS block sums and one block instead of
-    the whole column; the same calls keep them in step with the column.
-    ``stale_sum`` checks the root and the block sums against the column, as
+    ``_remove_point`` takes off what they lose, each the last element of a
+    running sum of the terms, or, from the matrix, the dying load a second
+    time, and ``set_loads`` reduces the new column; ``load_total`` returns
+    it and reduces nothing.  Past one block of BLOCK_ROWS rows the store
+    also keeps one running int64 sum per block next to the load column, so
+    that ``sample_row`` reads n / BLOCK_ROWS block sums and one block, not
+    the whole column; the same calls keep them in step, and the ``_insert``
+    that takes the store past one block rebuilds them from the column.  A
+    store of one block keeps none, which would only repeat the root.
+    ``stale_sum`` checks the root and any block sums against the column, as
     ``cell_index_fault`` checks the cell arrays against the positions and
-    ``terms_fault`` the matrix against a fresh build and the loads.  A
-    store of one block reads the column itself, so its events update no
-    block sum, which would only repeat the root: the ``_insert`` that takes
-    it past BLOCK_ROWS rows rebuilds the block sums from the column, and
-    below that size ``stale_sum`` checks the root alone.
+    ``terms_fault`` the matrix against a fresh build and the loads.
     """
 
     def __init__(self, torus: Torus, positions=()):
@@ -799,8 +800,7 @@ class TorusConfiguration:
     def stale_sum(self) -> tuple[str, int, int] | None:
         """First running sum that differs from the loads it sums, as (name,
         running, recomputed): the load total, then each block sum of a
-        store of more than one block, which a store of at most BLOCK_ROWS
-        rows does not keep; else None."""
+        store of more than one block; else None."""
         fresh = int(np.add.reduce(self.loads))
         if self._total != fresh:
             return "load total", self._total, fresh
@@ -916,7 +916,8 @@ class TorusConfiguration:
 
     def remove(self, row: int) -> np.ndarray:
         """Delete the point in ``row`` and return its position; the last row
-        moves into ``row``, and its load leaves the load total."""
+        moves into ``row``, and its load leaves the load total.  Cells and
+        slots move only in a store with a grid: only its index reads them."""
         last = self._n - 1
         if not 0 <= row <= last:
             raise GeometryError(f"no row {row} among {self._n} points")
@@ -936,6 +937,7 @@ class TorusConfiguration:
             self._fill[bucket] = k
             if row != last:
                 rows[self._cell.item(last) % buckets, self._slot.item(last)] = row
+                self._cell[row], self._slot[row] = self._cell[last], self._slot[last]
         if last >= BLOCK_ROWS:  # a store of more than one block
             block = self._block
             block[row >> BLOCK_SHIFT] -= load
@@ -944,7 +946,7 @@ class TorusConfiguration:
                 block[last >> BLOCK_SHIFT] -= moved
                 block[row >> BLOCK_SHIFT] += moved
         if row != last:
-            for col in (self._pos, self._id, self._cell, self._slot, self._load):
+            for col in (self._pos, self._id, self._load):
                 col[row] = col[last]
             if self._terms is not None:  # row first: then terms[row, row] is 0
                 terms = self._terms
@@ -958,9 +960,9 @@ class TorusConfiguration:
         its insert, and its ``kernel`` term, in whole quanta, to the loads
         of its neighbours, found before it is stored; return (id, wrapped
         position).  ``kernel`` is a- scaled by ``load_scale``, and each term
-        is its profile truncated to int64.  One reduction of the terms is
-        both the new load and what the neighbours gain, each added to the
-        load total.  With no kernel the load is 0.
+        is its profile truncated to int64.  The last element of their
+        running sum is both the new load and what the neighbours gain, each
+        added to the load total.  With no kernel the load is 0.
 
         A store that keeps the pair-term matrix takes the squares of one
         minimum-image pass over its n rows, masked past ``exact_reach`` of
@@ -982,7 +984,7 @@ class TorusConfiguration:
             contrib = kernel._profile_sq(squares)
             contrib *= squares <= self._reach
             contrib = contrib.astype(np.int64)
-            load = np.add.reduce(contrib).item()
+            load = np.add.accumulate(contrib).item(-1) if n else 0
             self._load[:n] += contrib
             self._total += load
             pid = self._insert(x, cell, load)
@@ -992,7 +994,7 @@ class TorusConfiguration:
             return pid, x
         rows, squares = self._neighbors(x, cell)
         contrib = kernel._profile_sq(squares).astype(np.int64)
-        load = np.add.reduce(contrib).item()
+        load = np.add.accumulate(contrib).item(-1) if rows.size else 0
         self._load[rows] += contrib
         self._total += load
         if n > BLOCK_ROWS:
@@ -1000,57 +1002,55 @@ class TorusConfiguration:
         return self._insert(x, cell, load), x
 
     def _remove_point(self, row: int, kernel: RadialKernel | None) -> tuple:
-        """A death: delete the point in ``row``, then take its ``kernel``
-        term out of the loads of its neighbours; return (id, position, fault
-        or None).  The terms are quantised as ``_add_point`` quantises them,
-        so each neighbour loses exactly what its birth or the dying point's
-        added.
+        """A death: delete the point in ``row``, 0..n-1, and take its
+        ``kernel`` term, quantised as ``_add_point`` quantises it, out of the
+        loads of its neighbours, so each loses exactly what was added; return
+        (id, position, fault or None).
 
-        A store that keeps the pair-term matrix reads the terms off the
-        dying row, taken from the loads before the last row moves into it,
-        and the load total loses the dying load a second time: no query, no
-        profile and no reduction.  Any other store queries from the cell the
-        point was filed in once it is gone: old loads come in with one
-        ``take``, what is left goes back with one ``put``, the block sums
-        lose the terms with one ``subtract.at`` and the load total one
-        reduction of them.
+        A store that keeps the pair-term matrix subtracts the dying row from
+        the load column in place (the 0 on the diagonal keeps its own load),
+        checks the least load with one ``argmin`` and calls ``remove``, whose
+        move of the last row carries that row's new load; the load total
+        loses the dying load a second time.  Any other store queries from the
+        point's cell once it is gone: old loads come in with one ``take``,
+        what is left goes back with one ``put``, the block sums lose the
+        terms with one ``subtract.at`` and the load total the last element of
+        their running sum.
 
-        A load that would fall below 0, which only a corrupt cache allows,
-        is a fault that names the lowest one's point, with no load changed.
+        A load that would fall below 0, which only a corrupt cache allows, is
+        a fault naming the lowest one's point; the point is removed and no
+        other load changes, the matrix store adding the dying row back first.
         """
+        n = self._n
+        if not 0 <= row < n:
+            raise GeometryError(f"no row {row} among {n} points")
         pid = self._id.item(row)
         if self._terms is not None:
-            last, load = self._n - 1, self._load.item(row)
-            left = self._load[: last + 1] - self._terms[row, : last + 1]
-            x = self.remove(row)
-            left[row] = left.item(last)  # as remove moves the last row
-            left, rows = left[:last], None
-            if not last:
-                return pid, x, None
-        else:
-            cell = self._cell.item(row)  # filed on the store's grid
-            x = self.remove(row)
-            if kernel is None:
-                return pid, x, None
-            rows, squares = self._neighbors(x, cell)
-            if not rows.size:
-                return pid, x, None
-            contrib = kernel._profile_sq(squares).astype(np.int64)
-            left = self._load.take(rows)
-            left -= contrib
+            loads, terms = self._load[:n], self._terms[row, :n]
+            loads -= terms  # terms[row, row] is 0: the dying load stays
+            i = loads.argmin()
+            if loads.item(i) < 0:
+                fault = LOAD_FAULT.format(self.point_at(i), loads.item(i), pid)
+                loads += terms
+                return pid, self.remove(row), fault
+            self._total -= self._load.item(row)  # what the neighbours lose
+            return pid, self.remove(row), None
+        cell = self._cell.item(row)  # filed on the store's grid
+        x = self.remove(row)
+        if kernel is None:
+            return pid, x, None
+        rows, squares = self._neighbors(x, cell)
+        if not rows.size:
+            return pid, x, None
+        contrib = kernel._profile_sq(squares).astype(np.int64)
+        left = self._load.take(rows)
+        left -= contrib
         i = left.argmin()
         if left.item(i) < 0:
-            lowest = i if rows is None else rows.item(i)
-            return pid, x, (
-                f"death-rate cache for point {self.point_at(lowest)} "
-                f"fell to {left.item(i)} quanta on removing point {pid}"
-            )
-        if rows is None:
-            self._load[:last] = left
-            self._total -= load
-            return pid, x, None
+            lowest = self.point_at(rows.item(i))
+            return pid, x, LOAD_FAULT.format(lowest, left.item(i), pid)
         self._load.put(rows, left)
-        self._total -= np.add.reduce(contrib).item()
+        self._total -= np.add.accumulate(contrib).item(-1)
         if self._n > BLOCK_ROWS:
             np.subtract.at(self._block, rows >> BLOCK_SHIFT, contrib)
         return pid, x, None

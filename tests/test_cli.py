@@ -17,7 +17,7 @@ import pytest
 from sbdsim import cli, geometry
 from sbdsim.cli import main
 from sbdsim.config import initial_configuration, load_config, replica_rng
-from sbdsim.dynamics import EventLog, ModelSpec, Snapshot, run
+from sbdsim.dynamics import EventLog, ModelSpec, RefusedStart, Snapshot, run
 from sbdsim.geometry import Torus, load_scale, sample_poisson
 from sbdsim.kernels import ImmigrationField, gaussian, triangular
 from sbdsim.oracles import NormBoundInput
@@ -1054,7 +1054,7 @@ def test_a_start_above_the_guard_walks_no_pair(tmp_path, monkeypatch):
     # init.poisson 5 on L = 20 draws about 100 points against a guard of
     # 10: each replica exits at once with no events and its start as its
     # peak, refused before the rate caches are built, so the competition
-    # loads never walk a pair (the Poisson draw itself still fills the store)
+    # loads never walk a pair (and the Poisson draw stops at its count)
     data = guard_tripped_config()
     data["model"]["a_minus"] = {
         "family": "triangular", "params": {"height": 1.0, "radius": 1.0}, "dim": 1
@@ -1074,6 +1074,48 @@ def test_a_start_above_the_guard_walks_no_pair(tmp_path, monkeypatch):
     assert min(starts) > 10
     assert manifest["guard_tripped"] == [True] * 3 and manifest["n_events"] == [0] * 3
     assert manifest["peak_population"] == starts
+
+
+@pytest.mark.parametrize(
+    "poisson, side, max_population",
+    [(5.0, 20.0, 50), (5e7, 20000.0, None)],
+    ids=["just_above_the_guard", "oversized"],
+)
+def test_a_poisson_start_above_the_guard_draws_no_position(
+    tmp_path, poisson, side, max_population
+):
+    # competition_1d with about 100 points against a guard of 50, and with
+    # about 1e12, whose positions would take 7.28 TiB, against the default
+    # guard of 1e6: each start is refused on its count alone, and both exit
+    # 4 with the guard tripped, no events and the count as the peak
+    data = json.loads((CONFIGS / "competition_1d.json").read_text())
+    data["init"]["poisson"], data["torus"]["L"], data["replicas"] = poisson, side, 2
+    del data["guard"]["max_population"]
+    if max_population is not None:
+        data["guard"]["max_population"] = max_population
+    cfg_path = write_config(tmp_path / "cfg.json", data)
+    cfg = load_config(cfg_path)
+    counts = [replica_rng(cfg.seed, i).poisson(poisson * side) for i in range(2)]
+    assert min(counts) > cfg.max_population
+    starts = [initial_configuration(cfg, replica_rng(cfg.seed, i)) for i in range(2)]
+    assert all(isinstance(start, RefusedStart) for start in starts)
+    assert [len(start) for start in starts] == counts
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 4
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["guard_tripped"] == [True] * 2 and manifest["n_events"] == [0] * 2
+    assert manifest["peak_population"] == counts
+
+
+def test_a_poisson_start_at_the_guard_draws_as_sample_poisson():
+    # a start of exactly max_population points is admitted, and its points
+    # are sample_poisson's, drawn from the same generator
+    cfg = load_config(CONFIGS / "competition_1d.json")
+    count = replica_rng(cfg.seed, 0).poisson(cfg.init_poisson * cfg.torus.volume)
+    cfg = dataclasses.replace(cfg, max_population=count)
+    start = initial_configuration(cfg, replica_rng(cfg.seed, 0))
+    drawn = sample_poisson(cfg.torus, cfg.init_poisson, replica_rng(cfg.seed, 0))
+    assert len(start) == count and start.by_id()[1].tolist() == drawn.by_id()[1].tolist()
 
 
 def test_guard_tripped_run_reports_the_snapshots_it_took(tmp_path, capsys):
