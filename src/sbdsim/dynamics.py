@@ -10,25 +10,26 @@ Two model variants share one engine:
 
 Every point dies at rate m + sum over the others of a_minus(distance), with
 kernels wrapped onto the torus and truncated at their cutoff radius: a
-natural death at rate m and a death by competition at rate its load.  The
-per-point competition loads are cached in the point store, which keeps
-them and their sums in step: while it holds at most one block of
-BLOCK_ROWS rows, as the matrix of each pair's term, whose row sums they
-are, and from the birth that takes it past one block on, for good, with a
-cell index filed for the a_minus cutoff.  A birth is one call of the
-store's ``_add_point`` and a death one of its ``_remove_point``, each
-handed a_minus in quanta 1 / S, S = ``load_scale(a_minus)``: a pair's
-term is trunc(a_minus(r) S) in int64, so the chain is exact for the kernel
-trunc(a_minus S) / S, within a quantum of a_minus, and every sum of loads
-is exact.  Events address points by their row in the store: a birth's
-parent and a death are drawn as rows, and only the recorded event carries
-ids and the position the store returns.  A
-removal that would take a load below zero, which only a corrupt cache can,
-raises AuditError.  The optional audit checks the cell index, recomputes
-loads, the load total and the block sums from scratch, from each pair's
-squared length bit for bit as the incremental updates saw it, and the
-pair-term matrix against a fresh build, leaves the index as it found it,
-and fails loudly on any difference.
+natural death at rate m and a death by competition at rate its load.
+
+The point store caches each point's competition load.  ``build_loads``
+hands it a_minus in quanta 1 / S, S = ``load_scale(a_minus)``, once.  A
+pair's term is trunc(a_minus(r) S) in int64.  So the chain is exact for
+the kernel trunc(a_minus S) / S, within a quantum of a_minus, and every sum
+of loads is exact.  A birth is one call of the store's ``_add_point``, and
+a death one of its ``_remove_point``.  The store's load regime keeps the
+loads in step: the pair-term matrix up to BLOCK_ROWS rows, and a cell
+index past that.  Events address points by their row in the store: a
+birth's parent and a death are drawn as rows.  Only the recorded event
+carries ids and the position the store returns.  A removal that would take
+a load below zero, which only a corrupt cache can, raises AuditError.
+
+The optional audit asks the regime for its one fault: a misfiled row of
+the cell index, or a pair term or row sum of the matrix.  It then
+recomputes the loads, the load total and any block sums from scratch, from
+each pair's squared length bit for bit as the incremental updates saw it.
+It leaves the index as it found it and fails loudly on any difference.
+
 The per-event path, ``total_rates`` and ``_apply_event`` with the store and
 kernel methods they call, reaches numpy only through ufuncs, ufunc methods
 and ndarray methods: a Python-level wrapper such as ``np.cumsum`` or
@@ -36,7 +37,7 @@ and ndarray methods: a Python-level wrapper such as ``np.cumsum`` or
 event that takes some tens of them.  For the same reason it makes no ufunc
 reduction, but for the norm in ``uniform_direction`` that a non-gaussian a+
 draws in d >= 3: a sum is the last element of a running sum, a least load an
-argmin, and a death in a store of one block updates the loads in place.  It
+argmin, and a death on the pair-term matrix updates the loads in place.  It
 reads scalars with ``.item()`` and the population off the store's row count.
 
 Each loop iteration draws its waiting time, exponential in the total rate B
@@ -49,7 +50,9 @@ Each loop iteration draws its waiting time, exponential in the total rate B
    displacement, one kernel draw; for a ``migration`` birth, the immigrant's
    position, one draw of the immigration field; for a natural death, the
    dying point as a uniform row; for a death by competition, a uniform
-   target of 0..L-1, which ``sample_row`` turns into the row covering it.
+   target of 0..L-1, which the store's ``sample_row`` turns into the row
+   covering it: from one running sum of the loads on the matrix, and from
+   the block sums, then one block, on the cell index.
 
 Uniforms, uniform rows and targets come from ``BlockDraws``: blocks of DRAW_BLOCK
 draws each, filled lazily from the run's generator, rows exactly uniform by
@@ -335,11 +338,11 @@ class SimulationState:
 
     The configuration's load column caches the competition part of each
     point's death rate (the sum of a_minus over its neighbours); the full
-    death rate is m + load / S, the load in quanta 1 / S of a_minus, which
-    the store is handed scaled by S.  Loads change only through the store's
-    ``build_loads``, ``_add_point`` and ``_remove_point``, which keep its sums
-    and, at one block, its pair-term matrix in step.  The event path's
-    uniforms and rows come from one ``BlockDraws``.
+    death rate is m + load / S, the load in quanta 1 / S of a_minus.  The
+    store gets a_minus scaled by S once, from ``build_loads``.  Loads then
+    change only through the store's ``_add_point`` and ``_remove_point``,
+    whose load regime keeps its sums in step.  The event path's uniforms
+    and rows come from one ``BlockDraws``.
     """
 
     def __init__(self, spec: ModelSpec, cfg: TorusConfiguration):
@@ -378,19 +381,17 @@ class SimulationState:
         return b, d + self.cfg.load_total() / self._scale
 
     def audit(self) -> None:
-        """Check the cell index against the positions, then recompute every
-        cached load, the pair-term matrix of a store of one block, its row
-        sums, the load total, and the block sums of a store of more than one
-        block, from scratch; raise AuditError on any fault or difference.
-        The fresh loads add each unordered pair's term in quanta to both its
-        points, from the squared length the incremental updates see bit for
-        bit, in another order, which sums of whole numbers do not see; a
-        store that keeps the matrix is walked without being filed.  The
-        audit leaves the store's index as it found it, so an audited run
+        """Raise AuditError on the load regime's fault, then on any cached
+        load, the load total or a block sum that differs from its
+        recomputation from scratch.  The regime's fault is a misfiled row of
+        the cell index, or a pair term or row sum of the matrix against a
+        fresh build.  The fresh loads add each unordered pair's term in
+        quanta to both its points, from the squared length the incremental
+        updates see bit for bit.  The walk files nothing, so an audited run
         gives the unaudited one's trace."""
-        fault = self.cfg.cell_index_fault()
+        fault = self.cfg.upkeep.fault(self.cfg)
         if fault is not None:
-            raise AuditError(f"cell index differs from the positions: {fault}")
+            raise AuditError(fault)
         cached = self.cfg.loads
         fresh = self._fresh_loads()
         row = first_drift(cached, fresh)
@@ -399,9 +400,6 @@ class SimulationState:
                 f"death-rate cache for point {self.cfg.point_at(row)} drifted: "
                 f"cached {cached.item(row)}, recomputed {fresh.item(row)} quanta"
             )
-        fault = None if self._a_minus is None else self.cfg.terms_fault(self._a_minus)
-        if fault is not None:
-            raise AuditError(f"pair-term matrix differs: {fault}")
         stale = self.cfg.stale_sum()
         if stale is not None:
             name, running, recomputed = stale
@@ -433,14 +431,14 @@ class SimulationState:
                 row = draws.row(n, rng)
                 parent = cfg._id.item(row)
                 pos = cfg._pos[row] + self.spec.a_plus.sample_displacement(rng)
-            pid, x = cfg._add_point(pos, self._a_minus)
+            pid, x = cfg._add_point(pos)
             log._append(self.t, True, x, pid, parent)
             return
         if pick < self.spec.m * n or not (load := cfg.load_total()):
             row = draws.row(n, rng)
         else:
             row = cfg.sample_row(draws.row(load, rng))
-        pid, x, fault = cfg._remove_point(row, self._a_minus)
+        pid, x, fault = cfg._remove_point(row)
         if fault is not None:
             raise AuditError(fault)
         log._append(self.t, False, x, pid, -1)

@@ -1,59 +1,34 @@
-"""Periodic boxes, the point store and its cell-list index, windows and
+"""Periodic boxes, cell grids, the pair walk, the point store, windows and
 Poisson draws.
 
 ``Torus`` is the periodic box alone; its ``wrap`` takes points into
-[0, side).  ``CellGrid``, a grid of cells that one rule picks for a radius,
-cells at least one radius wide, down to a single cell for a wide radius,
-maps points to flat cells and lists the distinct cells within a radius of a
-cell.  One ``CellGrid.rings`` counts the cells a radius reaches along an
-axis for every stencil and pair walk, padded by a proved bound on the
-rounding of a minimum-image length, so that no pair the exact distance test
-keeps lies outside them, and one ``CellGrid.offsets`` lists the signed cell
-offsets along an axis that both take.  ``cell_runs`` is the one sort by
-cell, shared by the store's filing and the pair walk.
-``TorusConfiguration`` is the simulator's one point store, built with its
-starting points: dense columns of the living points, addressed by row
-alone, a load column with its running total and, once it holds more than
-one block of rows, block sums for the death draw.  While it holds at most
-one block, its loads come from the int32 matrix of each pair's term; past
-one block, for good, from a bucketed cell index, filed once for one radius
-on the grid ``CellGrid.for_radius`` picks for it, that no query changes:
-padded arrays of each cell's rows and positions, +inf in free slots, which
-a grid of more cells than a slot budget allows shares.  A query from a
-cell whose stencil does not wrap, on unshared buckets, reads one slice of
-them per axis; any other gathers its stencil's buckets.  The store keeps
-its own loads: a birth is one ``_add_point`` and a death one
-``_remove_point``, which wraps and files a new point once, in ``_in_box``,
-for its query or pass and its insert.  Loads are whole quanta of a-
-(``load_scale``), so a death takes away what births added.
-``periodic_pairs`` walks each unordered pair of points within a radius once,
-over half the neighbouring cell offsets, in bounded batches, and in d >= 2
-cuts each offset along its lead axis; the kernel sums add each pair's
-kernel to both its points, and the pair correlation counts each distance
-twice.
-Every minimum-image length comes squared from one helper, but for the
-plain differences of a query whose stencil does not wrap, squared and
-summed in the same order; a pair is kept when its square is at most
-``exact_reach`` of the radius, the same test as distance <= radius.  Lengths
-leave the query and the walk squared, for each kernel family states its
-profile on the square (``RadialKernel._profile_sq``) and takes a root only
-if its formula needs one; the pair correlation bins roots.
+[0, side).  ``CellGrid`` maps points to flat cells, and one rule,
+``CellGrid.for_radius``, picks a grid for a radius.  ``CellGrid.rings``
+counts the cells a radius reaches along an axis, padded by a proved bound
+on the rounding of a minimum-image length.  ``CellGrid.offsets`` lists the
+signed cell offsets that every stencil and pair walk take.  ``cell_runs``
+is the one sort by cell.
+
+``periodic_pairs`` walks each unordered pair within a radius once, over
+half the cell offsets, in bounded batches.  In d >= 2 it cuts each offset
+along its lead axis.  A pair is kept when its squared minimum-image length
+is at most ``exact_reach`` of the radius, the same test as distance <=
+radius.  Lengths leave the query and the walk squared: each kernel family
+states its profile on the square (``RadialKernel._profile_sq``).
+
+``TorusConfiguration`` is the simulator's one point store.  It keeps the
+columns every load regime shares.  Its ``upkeep`` keeps the loads, in one
+of three regimes: ``Unloaded``, ``PairTerms`` or ``CellIndex``.
 ``sample_poisson`` draws a homogeneous Poisson configuration and builds the
 store with it.
-The store's per-event methods (``_add_point``, ``_remove_point``,
-``_in_box``, ``_insert``, ``remove``, ``_neighbors``, ``load_total`` and
-``sample_row``), and ``_min_image_squares``, ``cell_runs``,
-``periodic_pairs`` and ``kernel_sums``, call numpy only through ufuncs,
-ufunc methods and ndarray methods, never through the Python-level wrappers
-of ``numpy/_core/fromnumeric.py``, ``_methods.py`` and
-``lib/_function_base_impl.py``.  Each such wrapper costs a few
-microseconds, a sizeable share of an event that takes some tens of them,
-and of a walk that makes a few calls per cell offset at n ~ 100.
-The per-event methods make no ufunc reduction, whose set-up costs more than
-a sum of a few dozen loads: a sum is the last element of a running sum, a
-least load an argmin, and a death in a store of one block updates the loads
-in place.  They read scalars with ``.item()``; the filing works out the
-reach of the store's one radius once.
+
+The store's per-event methods, its regimes' and ``periodic_pairs`` call
+numpy only through ufuncs, ufunc methods and ndarray methods.  A
+Python-level wrapper of ``numpy/_core/fromnumeric.py``, ``_methods.py`` or
+``lib/_function_base_impl.py`` costs a few microseconds, a sizeable share
+of an event of some tens of them.  The per-event methods make no ufunc
+reduction either: a sum is the last element of a running sum, and a least
+load an argmin.  They read scalars with ``.item()``.
 """
 
 from __future__ import annotations
@@ -572,77 +547,30 @@ def first_drift(running: np.ndarray, fresh: np.ndarray) -> int | None:
     return drifted.item(0) if drifted.size else None
 
 
+def _grown(col: np.ndarray, length: int) -> np.ndarray:
+    """``col`` copied into the first rows of a zeroed column of ``length`` rows."""
+    out = np.zeros((length,) + col.shape[1:], dtype=col.dtype)
+    out[: col.shape[0]] = col
+    return out
+
+
 class TorusConfiguration:
-    """Finite point configuration on a torus: the simulator's one point store.
+    """The simulator's one point store, on a torus.
 
-    Living points fill rows 0..n-1 of dense columns: position, stable id,
-    flat grid cell, slot and competition load, an int64 count of quanta
-    (see ``load_scale``); positions are kept wrapped
-    into [0, side).  The store is built with its starting points, rows
-    0..k-1 with ids 0..k-1 and loads 0.  The row is a point's only address:
-    ``remove`` takes a row and rejects any outside 0..n-1.  Ids are a
-    column, never reused, that ``_insert`` returns and ``point_at`` reads;
-    nothing maps an id back to its row.  ``_insert`` appends a row;
+    Living points fill rows 0..n-1 of dense columns: position, id and load.
+    Positions are kept wrapped into [0, side).  A load is an int64 count of
+    quanta of a- (see ``load_scale``).  The store is built with its
+    starting points, ids 0..k-1 and loads 0.
+
+    The row is a point's only address.  ``_insert`` appends a row, and
     ``remove`` moves the last row into the freed one, so a row stays valid
-    only until the next removal.
+    until the next removal.  Ids are never reused, and nothing maps an id
+    back to its row.
 
-    The loads of a- have two regimes.  ``build_loads`` of a store of at
-    most BLOCK_ROWS rows keeps ``_terms``, a square int32 matrix of each
-    pair's term in whole quanta, below 2^LOAD_BITS, 0 on the diagonal and
-    for a square past ``exact_reach`` of the cutoff, whose row sums are the
-    loads, and no index: a birth writes row and column n from one
-    minimum-image pass over the rows, and a death subtracts the dying row
-    from the loads, after which ``remove`` moves the last row and column
-    into the freed ones.  The birth into a store of BLOCK_ROWS rows drops
-    the matrix and files the index for the cutoff, where the insert that
-    takes the store past one block rebuilds its block sums; the store never
-    goes back, so a population near BLOCK_ROWS does not switch to and fro.
-    Each pass squares and sums the minimum images axis by axis, as the pair
-    walk does, so a kept pair's term is the one the index's query gives.
-
-    ``grid`` is None until ``_file`` files every row for one radius on one
-    grid, as ``kernel_sums`` does for its kernel's cutoff on
-    ``CellGrid.for_radius`` of it, the one place a grid is picked, unless
-    the store is filed for that cutoff or keeps the matrix; then only
-    ``_insert`` and ``remove`` change the index, and every query keeps what
-    lies within that radius.
-    The index is padded arrays with one bucket per cell: ``_rows``, (cells,
-    cap), each cell's rows in slots 0..k-1, k its count in ``_fill``, and
-    ``_bpos``, (dim, cells, cap), their positions, +inf in each free slot;
-    the slot column holds each row's slot.  The padding follows the
-    fullest bucket (see CELL_SLACK), so the layout pays where occupancy is
-    near uniform; the slot budget (SLOTS_PER_POINT) keeps memory to the
-    points, not the cells, sharing buckets, cell c in bucket c % buckets,
-    where the grid has too many cells.  ``_insert`` writes the bucket's
-    next slot; ``remove`` moves the bucket's last slot, row and position,
-    into the freed one, writes +inf in its place, and renumbers the moved
-    last row in its slot.
-
-    A query from a cell whose coordinates all lie in ``CellGrid.plain_range``
-    reads one slice of the positions per axis, rings cells each way along
-    every axis, and squares plain differences, the minimum images there.
-    Any other query, and any on shared buckets, gathers the buckets of its
-    stencil and takes the minimum image; a stencil that wraps is kept, so
-    the stencils kept are bounded by the cells near a grid edge.  All
-    return rows in ascending bucket, then slot, and take the (x, cell) that
-    ``_in_box`` gives, as ``_insert`` does.
-
-    The loads form a two-level sum tree of whole numbers, exact in any
-    order.  Its root, the running load total, a Python int, is kept at
-    every size: ``_insert`` adds the new row's load, ``remove`` takes off
-    the removed one's, ``_add_point`` adds what the neighbours gain and
-    ``_remove_point`` takes off what they lose, each the last element of a
-    running sum of the terms, or, from the matrix, the dying load a second
-    time, and ``set_loads`` reduces the new column; ``load_total`` returns
-    it and reduces nothing.  Past one block of BLOCK_ROWS rows the store
-    also keeps one running int64 sum per block next to the load column, so
-    that ``sample_row`` reads n / BLOCK_ROWS block sums and one block, not
-    the whole column; the same calls keep them in step, and the ``_insert``
-    that takes the store past one block rebuilds them from the column.  A
-    store of one block keeps none, which would only repeat the root.
-    ``stale_sum`` checks the root and any block sums against the column, as
-    ``cell_index_fault`` checks the cell arrays against the positions and
-    ``terms_fault`` the matrix against a fresh build and the loads.
+    The load total, a Python int, is kept in step by every call that
+    changes a load.  ``upkeep`` keeps the loads as points are born and
+    die: ``Unloaded``, ``PairTerms`` or ``CellIndex``, which ``build_loads``
+    picks.
     """
 
     def __init__(self, torus: Torus, positions=()):
@@ -660,25 +588,12 @@ class TorusConfiguration:
         capacity = max(16, 1 << (k - 1).bit_length())  # 16 doubled, as _double does
         self._pos = np.zeros((capacity, torus.dim))
         self._id = np.zeros(capacity, dtype=np.int64)
-        self._cell = np.zeros(capacity, dtype=np.intp)
-        self._slot = np.zeros(capacity, dtype=np.intp)  # row -> its slot in its cell
         self._load = np.zeros(capacity, dtype=np.int64)
-        self._block = np.zeros(-(-capacity // BLOCK_ROWS), dtype=np.int64)  # block sums
         self._total = 0  # the load column's running sum
         self._pos[:k] = x
         self._id[:k] = np.arange(k)
         self._n = self._next_id = k
-        self._terms: np.ndarray | None = None  # the pair-term matrix of one block
-        self._unfile()
-
-    def _unfile(self) -> None:
-        """No grid and no index, as the store is built."""
-        self.grid: CellGrid | None = None
-        self._radius: float | None = None  # the store's one radius
-        self._reach = -math.inf  # its exact_reach
-        self._axis_cells, self._cell_size = 1, self.torus.side  # the grid's, for _in_box
-        self._rows = self._bpos = self._fill = None  # the index, until _file
-        self._wrapped: dict[int, np.ndarray] = {}  # cell -> its sorted stencil
+        self.upkeep: Unloaded = Unloaded()
 
     def __len__(self) -> int:
         return self._n
@@ -687,130 +602,45 @@ class TorusConfiguration:
     def loads(self) -> np.ndarray:
         """View of the competition-load column, one entry per row.
 
-        Change it through ``_add_point``, ``_remove_point`` or ``set_loads``:
-        a direct write bypasses the load total and, in a store of more than
-        one block, the block sums, which ``stale_sum`` then reports.
+        Change it through ``_add_point``, ``_remove_point`` or ``set_loads``.
+        A direct write bypasses the load total and any block sums, which
+        ``stale_sum`` then reports.
         """
         return self._load[: self._n]
 
     def set_loads(self, values: np.ndarray) -> None:
-        """Replace the whole load column, in quanta, and recompute the load
-        total and every block sum; a pair-term matrix goes."""
+        """Replace the whole load column, in quanta.  The load total and any
+        block sums are recomputed."""
         self._load[: self._n] = values
         self._total = int(np.add.reduce(self.loads))
-        self._block = self._block_sums_of_column()
-        self._terms = None
+        self.upkeep.resum(self)
 
     def build_loads(self, kernel: RadialKernel | None) -> None:
-        """Every load from scratch for ``kernel``, a- in quanta (see
-        ``_add_point``), or 0 with no kernel.  A store of at most BLOCK_ROWS
-        rows keeps the pair-term matrix, whose row sums are the loads, and
-        drops any index; a larger one takes ``kernel_sums``, filed for the
-        cutoff."""
-        n = self._n
-        if kernel is None:
-            self.set_loads(np.zeros(n, np.int64))
-            return
-        if n > BLOCK_ROWS:
-            self.set_loads(self.kernel_sums(kernel))
-            return
-        terms = self._pair_terms(kernel)
-        self._unfile()
-        self._radius = kernel.cutoff_radius()
-        self._reach = exact_reach(self._radius)
-        self.set_loads(np.add.reduce(terms, axis=1))
-        size = min(self._id.size, BLOCK_ROWS)
-        self._terms = np.zeros((size, size), dtype=np.int32)
-        self._terms[:n, :n] = terms
-
-    def _pair_terms(self, kernel: RadialKernel) -> np.ndarray:
-        """The (n, n) int32 matrix of each pair's ``kernel`` term, truncated
-        to whole quanta, 0 on the diagonal and for a square past
-        ``exact_reach`` of the cutoff, from the squared minimum-image
-        lengths summed axis by axis, as a birth's pass sums them."""
-        cutoff = self._checked_cutoff(kernel)
-        n, side = self._n, self.torus.side
-        square = np.zeros((n, n))
-        for axis in range(self.torus.dim):
-            coord = self._pos[:n, axis]
-            d = coord[:, None] - coord
-            np.abs(d, out=d)
-            np.minimum(d, side - d, out=d)
-            d *= d
-            square += d
-        terms = kernel._profile_sq(square)
-        terms *= square <= exact_reach(cutoff)
-        terms = terms.astype(np.int32)
-        terms.reshape(-1)[:: n + 1] = 0
-        return terms
-
-    def terms_fault(self, kernel: RadialKernel) -> str | None:
-        """First fault of the pair-term matrix, else None: an entry that
-        differs from ``_pair_terms`` of ``kernel``, then a row sum that
-        differs from its load; None for a store that keeps no matrix."""
-        if self._terms is None:
-            return None
-        n = self._n
-        kept, fresh = self._terms[:n, :n], self._pair_terms(kernel)
-        wrong = (kept != fresh).nonzero()
-        if wrong[0].size:
-            i, j = wrong[0].item(0), wrong[1].item(0)
-            return (
-                f"term of points {self.point_at(i)} and {self.point_at(j)}: "
-                f"kept {kept.item(i, j)}, recomputed {fresh.item(i, j)} quanta"
-            )
-        sums = np.add.reduce(kept, axis=1)
-        row = first_drift(sums, self.loads)
-        if row is None:
-            return None
-        return (
-            f"row sum of point {self.point_at(row)} is {sums.item(row)} quanta, "
-            f"its load {self._load.item(row)}"
-        )
-
-    def _block_sums_of_column(self) -> np.ndarray:
-        """The block sums recomputed from the load column, in int64: a
-        reduction per block, not ``np.bincount``, which sums in float64."""
-        sums = np.zeros(self._block.size, dtype=np.int64)
-        if self._n:
-            starts = np.arange(0, self._n, BLOCK_ROWS)
-            sums[: starts.size] = np.add.reduceat(self.loads, starts)
-        return sums
+        """Every load from scratch for ``kernel``, a- in quanta, or 0 with no
+        kernel, kept from here on by the regime ``load_regime`` picks."""
+        self.upkeep = Unloaded()  # the old regime's arrays go before the new one's
+        self.upkeep, loads = load_regime(self, kernel)
+        self.set_loads(loads)
 
     def load_total(self) -> int:
-        """The running sum of the load column, the root of the sum tree:
-        kept in step by every call that changes a load, never reduced here."""
+        """The running sum of the load column: kept in step by every call
+        that changes a load, never reduced here."""
         return self._total
 
     def sample_row(self, target: int) -> int:
         """The row whose load covers ``target``, 0 <= target < ``load_total``,
         as ``searchsorted(cumsum(loads), target, "right")`` finds it: for a
         uniform target, each row with probability exactly its load over the
-        total.  Past one block, the block comes from the block sums first."""
-        n, lo = self._n, 0
-        if n > BLOCK_ROWS:
-            cum = np.add.accumulate(self._block[: (n + BLOCK_ROWS - 1) >> BLOCK_SHIFT])
-            block = int(cum.searchsorted(target, "right"))
-            if block:
-                target -= cum.item(block - 1)
-            lo = block << BLOCK_SHIFT
-        local = np.add.accumulate(self._load[lo : min(lo + BLOCK_ROWS, n)])
-        return lo + int(local.searchsorted(target, "right"))
+        total."""
+        return self.upkeep.sample_row(self, target)
 
     def stale_sum(self) -> tuple[str, int, int] | None:
         """First running sum that differs from the loads it sums, as (name,
-        running, recomputed): the load total, then each block sum of a
-        store of more than one block; else None."""
+        running, recomputed): the load total, then any block sum; else None."""
         fresh = int(np.add.reduce(self.loads))
         if self._total != fresh:
             return "load total", self._total, fresh
-        if self._n <= BLOCK_ROWS:
-            return None
-        fresh = self._block_sums_of_column()
-        block = first_drift(self._block, fresh)
-        if block is None:
-            return None
-        return f"load sum of row block {block}", self._block.item(block), fresh.item(block)
+        return self.upkeep.stale_sum(self)
 
     def point_at(self, row: int) -> int:
         """Id of the point in ``row``."""
@@ -826,26 +656,14 @@ class TorusConfiguration:
     def _double(self) -> None:
         """Double the columns' capacity."""
         capacity = 2 * self._id.size
-
-        def grown(col, length):
-            out = np.zeros((length,) + col.shape[1:], dtype=col.dtype)
-            out[: col.shape[0]] = col
-            return out
-
-        self._pos, self._id, self._cell, self._slot, self._load = (
-            grown(col, capacity)
-            for col in (self._pos, self._id, self._cell, self._slot, self._load)
+        self._pos, self._id, self._load = (
+            _grown(col, capacity) for col in (self._pos, self._id, self._load)
         )
-        self._block = grown(self._block, -(-capacity // BLOCK_ROWS))
-        if self._terms is not None and self._terms.shape[0] < BLOCK_ROWS:
-            size, terms = min(capacity, BLOCK_ROWS), self._terms
-            self._terms = np.zeros((size, size), dtype=np.int32)
-            self._terms[: terms.shape[0], : terms.shape[0]] = terms
 
     def _in_box(self, position) -> tuple[np.ndarray, int]:
         """``position`` as a (dim,) float array in [0, side), and its flat
-        cell on the store's grid, as ``CellGrid.flat_cells_of`` gives it
-        (of no use while the store has no grid).
+        cell on the grid of ``upkeep``, as ``CellGrid.flat_cells_of`` gives
+        it; a regime with no grid files every point in cell 0.
 
         The loop that tests each coordinate for lying strictly inside
         (0, side) also files it; only when one does not does ``Torus.wrap``
@@ -859,7 +677,7 @@ class TorusConfiguration:
                 f"position has shape {x.shape}, expected ({self.torus.dim},)"
             )
         coords = x.tolist()
-        side, n, size = self.torus.side, self._axis_cells, self._cell_size
+        side, n, size = self.torus.side, self.upkeep._axis_cells, self.upkeep._cell_size
         flat = 0
         for v in coords:
             if not 0.0 < v < side:
@@ -878,191 +696,295 @@ class TorusConfiguration:
         return x, flat
 
     def _insert(self, x: np.ndarray, cell: int, load: int) -> int:
-        """Add the point that ``_in_box`` has taken into the box as ``x`` and
-        filed in ``cell`` (of no use while the store has no grid) as the last
-        row with the given load; return its new id.  The insert that takes
-        the store past one block rebuilds the block sums from the column."""
+        """Add the point that ``_in_box`` took into the box as ``x`` and filed
+        in ``cell`` as the last row, with ``load``; return its new id."""
         row, pid = self._n, self._next_id
         if row == self._id.size:
             self._double()
         self._pos[row] = x
         self._id[row] = pid
         self._load[row] = load
-        if self.grid is not None:
-            self._cell[row] = cell
-            bucket = cell % self._buckets
-            k = self._fill.item(bucket)
-            if k == self._cap:  # a full bucket: every bucket grows
-                cap = k + max(2 * CELL_SLACK, k >> 4)
-                budget = SLOTS_PER_POINT * max(row, INDEX_POINTS)
-                if self._buckets == 1 or self._buckets * cap <= budget:
-                    self._set_buckets(self._buckets, cap, grow=True)
-                else:  # past the budget: filed afresh, on fewer buckets
-                    self._file(self.grid, self._radius)
-                    bucket = cell % self._buckets
-                    k = self._fill.item(bucket)
-            self._rows[bucket, k] = row
-            self._bpos[:, bucket, k] = x
-            self._fill[bucket] = k + 1
-            self._slot[row] = k
+        self.upkeep.added(self, row, x, cell, load)
         self._n += 1
         self._next_id += 1
         self._total += load
-        if row > BLOCK_ROWS:
-            self._block[row >> BLOCK_SHIFT] += load
-        elif row == BLOCK_ROWS:  # past one block: block sums from here on
-            self._block = self._block_sums_of_column()
         return pid
 
     def remove(self, row: int) -> np.ndarray:
-        """Delete the point in ``row`` and return its position; the last row
-        moves into ``row``, and its load leaves the load total.  Cells and
-        slots move only in a store with a grid: only its index reads them."""
+        """Delete the point in ``row`` and return its position.  The last row
+        moves into ``row``, and the removed load leaves the load total."""
         last = self._n - 1
         if not 0 <= row <= last:
             raise GeometryError(f"no row {row} among {self._n} points")
         x = self._pos[row].copy()
-        load = self._load.item(row)
-        self._total -= load
-        if self.grid is not None:  # the bucket's last slot moves into row's
-            buckets, rows = self._buckets, self._rows
-            bucket, slot = self._cell.item(row) % buckets, self._slot.item(row)
-            k = self._fill.item(bucket) - 1
-            tail = rows.item(bucket, k)  # row itself if it holds the last slot
-            rows[bucket, slot] = tail
-            self._slot[tail] = slot
-            for p in self._axis_pos:
-                p[bucket, slot] = p.item(bucket, k)
-                p[bucket, k] = math.inf
-            self._fill[bucket] = k
-            if row != last:
-                rows[self._cell.item(last) % buckets, self._slot.item(last)] = row
-                self._cell[row], self._slot[row] = self._cell[last], self._slot[last]
-        if last >= BLOCK_ROWS:  # a store of more than one block
-            block = self._block
-            block[row >> BLOCK_SHIFT] -= load
-            if row != last:
-                moved = self._load.item(last)
-                block[last >> BLOCK_SHIFT] -= moved
-                block[row >> BLOCK_SHIFT] += moved
+        self._total -= self._load.item(row)
+        self.upkeep.removed(self, row, last)
         if row != last:
             for col in (self._pos, self._id, self._load):
                 col[row] = col[last]
-            if self._terms is not None:  # row first: then terms[row, row] is 0
-                terms = self._terms
-                terms[row, : last + 1] = terms[last, : last + 1]
-                terms[:last, row] = terms[:last, last]
         self._n = last
         return x
 
-    def _add_point(self, position, kernel: RadialKernel | None) -> tuple:
-        """A birth: add a point at ``position``, wrapped and filed once for
-        its insert, and its ``kernel`` term, in whole quanta, to the loads
-        of its neighbours, found before it is stored; return (id, wrapped
-        position).  ``kernel`` is a- scaled by ``load_scale``, and each term
-        is its profile truncated to int64.  The last element of their
-        running sum is both the new load and what the neighbours gain, each
-        added to the load total.  With no kernel the load is 0.
+    def _add_point(self, position) -> tuple:
+        """A birth at ``position``: the point is stored, and ``upkeep`` adds
+        its terms to its neighbours' loads and theirs to its own; return (id,
+        wrapped position)."""
+        return self.upkeep.birth(self, position)
 
-        A store that keeps the pair-term matrix takes the squares of one
-        minimum-image pass over its n rows, masked past ``exact_reach`` of
-        the cutoff, and writes them to row and column n.  The birth into a
-        store of BLOCK_ROWS rows drops the matrix and files every row for
-        the cutoff, and the new point afresh; from there, and in a store
-        that keeps no matrix, the neighbours come from one query of the
-        index."""
-        x, cell = self._in_box(position)
-        if kernel is None:
-            return self._insert(x, cell, 0), x
-        n = self._n
-        if self._terms is not None and n == BLOCK_ROWS:  # past one block
-            self._terms = None
-            self._file(CellGrid.for_radius(self.torus, self._radius), self._radius)
-            x, cell = self._in_box(x)
-        if self._terms is not None:
-            squares = _min_image_squares(self._pos[:n] - x, self.torus.side)
-            contrib = kernel._profile_sq(squares)
-            contrib *= squares <= self._reach
-            contrib = contrib.astype(np.int64)
-            load = np.add.accumulate(contrib).item(-1) if n else 0
-            self._load[:n] += contrib
-            self._total += load
-            pid = self._insert(x, cell, load)
-            terms = self._terms  # grown with the columns
-            terms[n, :n] = contrib
-            terms[:n, n] = contrib
-            return pid, x
-        rows, squares = self._neighbors(x, cell)
-        contrib = kernel._profile_sq(squares).astype(np.int64)
-        load = np.add.accumulate(contrib).item(-1) if rows.size else 0
-        self._load[rows] += contrib
-        self._total += load
-        if n > BLOCK_ROWS:
-            np.add.at(self._block, rows >> BLOCK_SHIFT, contrib)
-        return self._insert(x, cell, load), x
+    def _remove_point(self, row: int) -> tuple:
+        """A death of the point in ``row``, 0..n-1: the point is removed, and
+        ``upkeep`` takes its terms out of its neighbours' loads; return (id,
+        position, fault or None).
 
-    def _remove_point(self, row: int, kernel: RadialKernel | None) -> tuple:
-        """A death: delete the point in ``row``, 0..n-1, and take its
-        ``kernel`` term, quantised as ``_add_point`` quantises it, out of the
-        loads of its neighbours, so each loses exactly what was added; return
-        (id, position, fault or None).
-
-        A store that keeps the pair-term matrix subtracts the dying row from
-        the load column in place (the 0 on the diagonal keeps its own load),
-        checks the least load with one ``argmin`` and calls ``remove``, whose
-        move of the last row carries that row's new load; the load total
-        loses the dying load a second time.  Any other store queries from the
-        point's cell once it is gone: old loads come in with one ``take``,
-        what is left goes back with one ``put``, the block sums lose the
-        terms with one ``subtract.at`` and the load total the last element of
-        their running sum.
-
-        A load that would fall below 0, which only a corrupt cache allows, is
-        a fault naming the lowest one's point; the point is removed and no
-        other load changes, the matrix store adding the dying row back first.
+        A load that would fall below 0, which only a corrupt cache allows,
+        is a fault naming the lowest one's point.  The point is still
+        removed, and no other load changes.
         """
-        n = self._n
-        if not 0 <= row < n:
-            raise GeometryError(f"no row {row} among {n} points")
-        pid = self._id.item(row)
-        if self._terms is not None:
-            loads, terms = self._load[:n], self._terms[row, :n]
-            loads -= terms  # terms[row, row] is 0: the dying load stays
-            i = loads.argmin()
-            if loads.item(i) < 0:
-                fault = LOAD_FAULT.format(self.point_at(i), loads.item(i), pid)
-                loads += terms
-                return pid, self.remove(row), fault
-            self._total -= self._load.item(row)  # what the neighbours lose
-            return pid, self.remove(row), None
-        cell = self._cell.item(row)  # filed on the store's grid
-        x = self.remove(row)
-        if kernel is None:
-            return pid, x, None
-        rows, squares = self._neighbors(x, cell)
-        if not rows.size:
-            return pid, x, None
-        contrib = kernel._profile_sq(squares).astype(np.int64)
-        left = self._load.take(rows)
-        left -= contrib
-        i = left.argmin()
-        if left.item(i) < 0:
-            lowest = self.point_at(rows.item(i))
-            return pid, x, LOAD_FAULT.format(lowest, left.item(i), pid)
-        self._load.put(rows, left)
-        self._total -= np.add.accumulate(contrib).item(-1)
-        if self._n > BLOCK_ROWS:
-            np.subtract.at(self._block, rows >> BLOCK_SHIFT, contrib)
-        return pid, x, None
+        if not 0 <= row < self._n:
+            raise GeometryError(f"no row {row} among {self._n} points")
+        return self.upkeep.death(self, row)
 
-    # -- index ------------------------------------------------------------
+    def _checked_cutoff(self, kernel: RadialKernel) -> float:
+        """The cutoff of ``kernel``, after checking that it has the torus's
+        dimension and a cutoff of at most half the side."""
+        if kernel.dim != self.torus.dim:
+            raise GeometryError(
+                f"kernel dimension {kernel.dim} != torus dimension {self.torus.dim}"
+            )
+        cutoff = kernel.cutoff_radius()
+        if cutoff > self.torus.side / 2.0:
+            raise GeometryError(
+                f"kernel too wide for torus: cutoff {cutoff:g} > side/2 "
+                f"{self.torus.side / 2.0:g}"
+            )
+        return cutoff
 
-    def _file(self, grid: CellGrid, radius: float) -> tuple[np.ndarray, ...]:
+    def kernel_sums(self, kernel: RadialKernel) -> np.ndarray:
+        """Each point's sum of ``kernel`` over the other points within its
+        cutoff, one int64 per row, from one pair walk (see ``_pair_sums``)
+        of the grid ``CellGrid.for_radius`` picks for the cutoff.  It files
+        nothing."""
+        cutoff, pos = self._checked_cutoff(kernel), self._pos[: self._n]
+        grid = CellGrid.for_radius(self.torus, cutoff)
+        return _pair_sums(grid, pos, cell_runs(grid.flat_cells_of(pos)), kernel, cutoff)
+
+
+def _pair_sums(grid: CellGrid, pos: np.ndarray, runs: tuple, kernel, cutoff: float):
+    """Each row's sum of ``kernel`` over the other rows of ``pos`` within
+    ``cutoff``, one int64 per row, from one ``periodic_pairs`` walk of
+    ``grid``, whose cell runs are ``runs``.  ``RadialKernel._profile_sq`` of
+    each pair's square, truncated to a whole number as the event path
+    truncates it, is added to both its rows, by a bincount over the batch's
+    span of rows at each end, in the walk's own order.  ``kernel`` is a- in
+    quanta, each term below 2^LOAD_BITS, so the float64 sums of whole
+    numbers are exact while no row has 2^22 neighbours."""
+    order, batches = periodic_pairs(grid, pos, runs, cutoff)
+    sums = np.zeros(len(pos))  # in the walk's order
+    for i, j, square in batches:
+        if not square.size:
+            continue
+        weights = kernel._profile_sq(square)
+        np.trunc(weights, out=weights)
+        for rows in (i, j):
+            lo = np.minimum.reduce(rows)
+            part = np.bincount(rows - lo, weights=weights)
+            sums[lo : lo + part.size] += part
+        del i, j, square, weights, rows, part  # freed before the next batch
+    out = np.empty(len(pos), dtype=np.int64)
+    out[order] = sums
+    return out
+
+
+def load_regime(cfg: TorusConfiguration, kernel: RadialKernel | None) -> tuple:
+    """The regime that keeps the loads of ``cfg`` for ``kernel``, and every
+    load from scratch.
+
+    With no kernel, ``Unloaded`` and loads of 0.  At up to BLOCK_ROWS rows,
+    ``PairTerms`` and the row sums of its matrix.  Past that, ``CellIndex``
+    and the sums of one pair walk of its grid, filed for the cutoff on the
+    grid ``CellGrid.for_radius`` picks.
+    """
+    n = cfg._n
+    if kernel is None:
+        return Unloaded(), np.zeros(n, np.int64)
+    if n <= BLOCK_ROWS:
+        terms = PairTerms(cfg, kernel)
+        return terms, np.add.reduce(terms._terms[:n, :n], axis=1)
+    cutoff, index = cfg._checked_cutoff(kernel), CellIndex(cfg, kernel)
+    runs = index._file(cfg, CellGrid.for_radius(cfg.torus, cutoff), cutoff)
+    return index, _pair_sums(index.grid, cfg._pos[:n], runs, kernel, cutoff)
+
+
+class Unloaded:
+    """The load regime of a run without a-: every load stays 0.
+
+    It keeps no grid, so ``_in_box`` files every point in cell 0.  It is
+    also the base of the other two regimes: each of its hooks is their
+    default.  Every hook is handed the store it keeps.
+    """
+
+    grid: CellGrid | None = None  # the grid the index is filed on
+    _axis_cells, _cell_size = 1, math.inf  # for _in_box: every point in cell 0
+
+    def birth(self, cfg: TorusConfiguration, position) -> tuple:
+        """Store a point at ``position`` with load 0."""
+        x, cell = cfg._in_box(position)
+        return cfg._insert(x, cell, 0), x
+
+    def death(self, cfg: TorusConfiguration, row: int) -> tuple:
+        """Remove the point in ``row``."""
+        return cfg._id.item(row), cfg.remove(row), None
+
+    def added(self, cfg: TorusConfiguration, row: int, x, cell: int, load: int) -> None:
+        """Keep up with the new last ``row``, at ``x`` in ``cell``, of ``load``."""
+
+    def removed(self, cfg: TorusConfiguration, row: int, last: int) -> None:
+        """Keep up with the removal of ``row``, into which ``last`` moves."""
+
+    def resum(self, cfg: TorusConfiguration) -> None:
+        """Recompute any sums kept of the load column."""
+
+    def sample_row(self, cfg: TorusConfiguration, target: int) -> int:
+        """``TorusConfiguration.sample_row``, from one running sum of the loads."""
+        return int(np.add.accumulate(cfg._load[: cfg._n]).searchsorted(target, "right"))
+
+    def fault(self, cfg: TorusConfiguration) -> str | None:
+        """First fault of what the regime keeps beside the loads, else None."""
+
+    def stale_sum(self, cfg: TorusConfiguration) -> tuple[str, int, int] | None:
+        """First block sum that differs from the loads it sums, else None."""
+
+
+class PairTerms(Unloaded):
+    """The load regime of a store of at most BLOCK_ROWS rows.
+
+    ``_terms`` is the int32 matrix of each pair's term in whole quanta, 0 on
+    the diagonal and past ``exact_reach`` of the cutoff.  Its row sums are
+    the loads.  Squares are summed axis by axis, as the pair walk sums
+    them.  A birth writes row and column n from one pass over the rows.  A
+    death subtracts the dying row from the loads in place.  The birth into
+    BLOCK_ROWS rows switches the store to a ``CellIndex`` for good, so a
+    population near BLOCK_ROWS does not switch to and fro.
+    """
+
+    def __init__(self, cfg: TorusConfiguration, kernel: RadialKernel):
+        self.kernel = kernel  # a- in quanta
+        self._radius = cfg._checked_cutoff(kernel)
+        self._reach = exact_reach(self._radius)
+        n, size = cfg._n, min(cfg._id.size, BLOCK_ROWS)  # grown with the store
+        self._terms = np.zeros((size, size), dtype=np.int32)
+        self._terms[:n, :n] = self._pair_terms(cfg)
+
+    def _pair_terms(self, cfg: TorusConfiguration) -> np.ndarray:
+        """The (n, n) int32 matrix of each pair's term, truncated to whole
+        quanta, built from scratch."""
+        n, side = cfg._n, cfg.torus.side
+        square = np.zeros((n, n))
+        for axis in range(cfg.torus.dim):
+            coord = cfg._pos[:n, axis]
+            d = coord[:, None] - coord
+            np.abs(d, out=d)
+            np.minimum(d, side - d, out=d)
+            d *= d
+            square += d
+        terms = self.kernel._profile_sq(square)
+        terms *= square <= self._reach
+        terms = terms.astype(np.int32)
+        terms.reshape(-1)[:: n + 1] = 0
+        return terms
+
+    def birth(self, cfg: TorusConfiguration, position) -> tuple:
+        """Store a point at ``position``.  Its terms, the profile of the
+        squares of one pass over the rows, masked and truncated to int64,
+        go to its neighbours' loads and to row and column n; their running
+        sum's last element is its load."""
+        n = cfg._n
+        if n == BLOCK_ROWS:  # past one block, for good
+            cfg.upkeep = index = CellIndex(cfg, self.kernel)
+            index._file(cfg, CellGrid.for_radius(cfg.torus, self._radius), self._radius)
+            return index.birth(cfg, position)
+        x, cell = cfg._in_box(position)
+        squares = _min_image_squares(cfg._pos[:n] - x, cfg.torus.side)
+        contrib = self.kernel._profile_sq(squares)
+        contrib *= squares <= self._reach
+        contrib = contrib.astype(np.int64)
+        load = np.add.accumulate(contrib).item(-1) if n else 0
+        cfg._load[:n] += contrib
+        cfg._total += load
+        if n == self._terms.shape[0]:  # doubled as the store doubles
+            self._terms = _grown(_grown(self._terms.T, 2 * n).T, 2 * n)
+        pid = cfg._insert(x, cell, load)
+        self._terms[n, :n] = self._terms[:n, n] = contrib
+        return pid, x
+
+    def death(self, cfg: TorusConfiguration, row: int) -> tuple:
+        """Remove the point in ``row``.  Its row of terms leaves the load
+        column in place, and its own load leaves the total a second time."""
+        n, pid = cfg._n, cfg._id.item(row)
+        loads, terms = cfg._load[:n], self._terms[row, :n]
+        loads -= terms  # terms[row, row] is 0: the dying load stays
+        i = loads.argmin()
+        if loads.item(i) < 0:
+            fault = LOAD_FAULT.format(cfg.point_at(i), loads.item(i), pid)
+            loads += terms
+            return pid, cfg.remove(row), fault
+        cfg._total -= loads.item(row)  # what the neighbours lose
+        return pid, cfg.remove(row), None
+
+    def removed(self, cfg: TorusConfiguration, row: int, last: int) -> None:
+        if row != last:  # row first: then terms[row, row] is 0
+            terms = self._terms
+            terms[row, : last + 1] = terms[last, : last + 1]
+            terms[:last, row] = terms[:last, last]
+
+    def fault(self, cfg: TorusConfiguration) -> str | None:
+        """An entry that differs from a fresh build, then a row sum that
+        differs from its load."""
+        n = cfg._n
+        kept, fresh = self._terms[:n, :n], self._pair_terms(cfg)
+        wrong, prefix = (kept != fresh).nonzero(), "pair-term matrix differs: "
+        if wrong[0].size:
+            i, j = wrong[0].item(0), wrong[1].item(0)
+            return prefix + (
+                f"term of points {cfg.point_at(i)} and {cfg.point_at(j)}: "
+                f"kept {kept.item(i, j)}, recomputed {fresh.item(i, j)} quanta"
+            )
+        sums = np.add.reduce(kept, axis=1)
+        row = first_drift(sums, cfg.loads)
+        if row is not None:
+            return prefix + (
+                f"row sum of point {cfg.point_at(row)} is {sums.item(row)} quanta, "
+                f"its load {cfg._load.item(row)}"
+            )
+
+
+class CellIndex(Unloaded):
+    """The load regime past BLOCK_ROWS rows: a bucketed cell index, and
+    block sums of the loads.
+
+    The index is filed once, for one radius, and no query changes it.  A
+    birth and a death each query it once, from the point's cell.
+    ``_cell`` and ``_slot`` hold each row's flat cell and its slot in its
+    bucket.  ``_rows``, (buckets, cap), lists each bucket's rows, and
+    ``_fill`` counts them.  ``_bpos``, (dim, buckets, cap), holds their
+    positions, +inf in each free slot.  The padding follows the fullest
+    bucket (see CELL_SLACK).  A grid of more cells than the slot budget
+    allows (SLOTS_PER_POINT) shares buckets: cell c goes in bucket c %
+    buckets.  ``_block`` holds a running int64 sum of the loads of each
+    block of BLOCK_ROWS rows.
+    """
+
+    def __init__(self, cfg: TorusConfiguration, kernel: RadialKernel | None):
+        self.kernel = kernel  # a- in quanta
+        self._cell, self._slot = np.zeros((2, cfg._id.size), dtype=np.intp)
+        self.resum(cfg)
+
+    def _file(self, cfg: TorusConfiguration, grid: CellGrid, radius: float) -> tuple:
         """File every row on ``grid`` for ``radius``, within [0, side / 2],
-        the store's grid and one query radius from then on, each run of
+        the index's grid and one query radius from then on, each run of
         ``cell_runs`` in its bucket's first slots; return the runs."""
-        n, dim = self._n, grid.dim
-        cells = grid.flat_cells_of(self._pos[:n])
+        n, dim = cfg._n, grid.dim
+        cells = grid.flat_cells_of(cfg._pos[:n])
         runs = order, occupied, first, count = cell_runs(cells)
         cap = int(np.maximum.reduce(count)) + CELL_SLACK if n else 0
         buckets, budget = grid.n**dim, SLOTS_PER_POINT * max(n, INDEX_POINTS)
@@ -1071,8 +993,8 @@ class TorusConfiguration:
             order, occupied, first, count = cell_runs(cells % buckets)
             cap = int(np.maximum.reduce(count)) + CELL_SLACK if n else 0
         slot = np.arange(n) - first.repeat(count)  # in the runs' order
-        self.grid, self._wrapped = grid, {}
-        self._radius, self._reach = radius, exact_reach(radius)
+        self.grid, self._wrapped = grid, {}  # cell -> its sorted stencil
+        self.radius, self._reach = radius, exact_reach(radius)
         self._axis_cells, self._cell_size = grid.n, grid.cell_size
         self._buckets, self._rings = buckets, grid.rings(radius)
         self._plain = grid.plain_range(radius)
@@ -1086,7 +1008,7 @@ class TorusConfiguration:
         self._set_buckets(buckets, cap)
         owner = occupied.repeat(count)  # each row's bucket, in the runs' order
         self._rows[owner, slot] = order
-        self._bpos[:, owner, slot] = self._pos.take(order, axis=0).T
+        self._bpos[:, owner, slot] = cfg._pos.take(order, axis=0).T
         self._fill = np.zeros(buckets, dtype=np.intp)
         self._fill.put(occupied, count)
         self._cell[:n] = cells
@@ -1096,7 +1018,7 @@ class TorusConfiguration:
     def _set_buckets(self, buckets: int, cap: int, grow: bool = False) -> None:
         """Buckets of ``cap`` free slots, the old ones' kept if they ``grow``."""
         rows = np.zeros((buckets, cap), dtype=np.intp)
-        bpos = np.empty((self.torus.dim, buckets, cap))
+        bpos = np.empty((self.grid.dim, buckets, cap))
         bpos.fill(math.inf)
         if grow:
             rows[:, : self._cap] = self._rows
@@ -1105,50 +1027,120 @@ class TorusConfiguration:
         n = self._axis_cells
         self._cap, self._span = cap, (2 * self._rings + 1) * cap  # a slice's slots
         self._grid_rows = self._grid_pos = self._grid_bpos = None  # buckets shared
-        if buckets == n**self.torus.dim:  # the last axis's cells run on
-            shape = (n,) * (self.torus.dim - 1) + (n * cap,)
+        if buckets == n ** len(bpos):  # the last axis's cells run on
+            shape = (n,) * (len(bpos) - 1) + (n * cap,)
             self._grid_rows = rows.reshape(shape)
             self._grid_pos = bpos[0].reshape(shape)  # d = 1
             self._grid_bpos = bpos.reshape((len(bpos),) + shape)  # d >= 2
             self._x_shape = (len(bpos),) + (1,) * len(shape)
 
-    def cell_index_fault(self) -> str | None:
-        """First fault of the cell index against the positions, else None.
+    def resum(self, cfg: TorusConfiguration) -> None:
+        self._block = self._block_sums(cfg)
 
-        It holds when the cell column equals ``flat_cells_of`` the positions,
-        the filled slots list each row once, at its slot of its cell's
-        bucket, with its position, and free slots hold +inf, or with no grid
-        yet.  A fault of the rows names the lowest row it touches by point.
-        """
-        if self.grid is None:
-            return None
-        n, cells, slots = self._n, self._cell[: self._n], self._slot[: self._n]
-        bad = cells != self.grid.flat_cells_of(self._pos[:n])
-        filled = np.arange(self._rows.shape[1]) < self._fill[:, None]
-        owner, slot_of = filled.nonzero()
-        listed = self._rows[filled]
-        if listed.size and not 0 <= listed.min() <= listed.max() < n:
-            return f"the cell arrays list a row outside 0..{n - 1}"
-        bad |= np.bincount(listed, minlength=n) != 1
-        wrong = (cells[listed] % self._buckets != owner) | (slots[listed] != slot_of)
-        bad[listed[wrong]] = True
-        at = (~bad).nonzero()[0]  # rows filed at their slots: is the position there?
-        kept = self._bpos[:, cells[at] % self._buckets, slots[at]]
-        bad[at[(kept != self._pos[at].T).any(axis=0)]] = True
-        if bad.any():
-            row = int(bad.argmax())
-            return f"point {self.point_at(row)} (row {row}) is misfiled"
-        stale = ((self._bpos != math.inf).any(axis=0) & ~filled).nonzero()[0]
-        return f"cell {stale[0]} has a position in a free slot" if stale.size else None
+    def _block_sums(self, cfg: TorusConfiguration) -> np.ndarray:
+        """The block sums recomputed from the load column, in int64: a
+        reduction per block, not ``np.bincount``, which sums in float64."""
+        sums = np.zeros(-(-self._cell.size // BLOCK_ROWS), dtype=np.int64)
+        if cfg._n:
+            starts = np.arange(0, cfg._n, BLOCK_ROWS)
+            sums[: starts.size] = np.add.reduceat(cfg.loads, starts)
+        return sums
 
-    # -- local sums and counts ---------------------------------------------
+    def added(self, cfg: TorusConfiguration, row: int, x, cell: int, load: int) -> None:
+        """File the new row in its bucket's next slot.  A full bucket grows
+        every bucket, or, past the slot budget, the whole index is filed
+        afresh on fewer buckets."""
+        if row == self._cell.size:  # the store has doubled, to 2 row rows
+            self._cell, self._slot = _grown(self._cell, 2 * row), _grown(self._slot, 2 * row)
+            self._block = _grown(self._block, -(-2 * row // BLOCK_ROWS))
+        self._cell[row] = cell
+        bucket = cell % self._buckets
+        k = self._fill.item(bucket)
+        if k == self._cap:  # a full bucket: every bucket grows
+            cap = k + max(2 * CELL_SLACK, k >> 4)
+            budget = SLOTS_PER_POINT * max(row, INDEX_POINTS)
+            if self._buckets == 1 or self._buckets * cap <= budget:
+                self._set_buckets(self._buckets, cap, grow=True)
+            else:  # past the budget: filed afresh, on fewer buckets
+                self._file(cfg, self.grid, self.radius)
+                bucket = cell % self._buckets
+                k = self._fill.item(bucket)
+        self._rows[bucket, k] = row
+        self._bpos[:, bucket, k] = x
+        self._fill[bucket] = k + 1
+        self._slot[row] = k
+        self._block[row >> BLOCK_SHIFT] += load
+
+    def removed(self, cfg: TorusConfiguration, row: int, last: int) -> None:
+        """Free the slot of ``row``, renumber the moved last row in its slot,
+        and move the loads of both between block sums."""
+        buckets, rows, block = self._buckets, self._rows, self._block
+        bucket, slot = self._cell.item(row) % buckets, self._slot.item(row)
+        k = self._fill.item(bucket) - 1
+        tail = rows.item(bucket, k)  # row itself if it holds the last slot
+        rows[bucket, slot] = tail
+        self._slot[tail] = slot
+        for p in self._axis_pos:
+            p[bucket, slot] = p.item(bucket, k)
+            p[bucket, k] = math.inf
+        self._fill[bucket] = k
+        block[row >> BLOCK_SHIFT] -= cfg._load.item(row)
+        if row != last:
+            rows[self._cell.item(last) % buckets, self._slot.item(last)] = row
+            self._cell[row], self._slot[row] = self._cell[last], self._slot[last]
+            moved = cfg._load.item(last)
+            block[last >> BLOCK_SHIFT] -= moved
+            block[row >> BLOCK_SHIFT] += moved
+
+    def birth(self, cfg: TorusConfiguration, position) -> tuple:
+        """Store a point at ``position``, wrapped and filed once, in
+        ``_in_box``.  Its neighbours come from one query before it is
+        stored; each term is the profile truncated to int64.  The last
+        element of their running sum is both its load and what the
+        neighbours gain."""
+        x, cell = cfg._in_box(position)
+        rows, squares = self._neighbors(x, cell)
+        contrib = self.kernel._profile_sq(squares).astype(np.int64)
+        load = np.add.accumulate(contrib).item(-1) if rows.size else 0
+        cfg._load[rows] += contrib
+        cfg._total += load
+        np.add.at(self._block, rows >> BLOCK_SHIFT, contrib)
+        return cfg._insert(x, cell, load), x
+
+    def death(self, cfg: TorusConfiguration, row: int) -> tuple:
+        """Remove the point in ``row``, then query from its cell.  The old
+        loads come in with one ``take``, and what is left goes back with one
+        ``put``; the block sums lose the terms with one ``subtract.at``, and
+        the load total the last element of their running sum."""
+        pid, cell = cfg._id.item(row), self._cell.item(row)
+        x = cfg.remove(row)
+        rows, squares = self._neighbors(x, cell)
+        if not rows.size:
+            return pid, x, None
+        contrib = self.kernel._profile_sq(squares).astype(np.int64)
+        left = cfg._load.take(rows)
+        left -= contrib
+        i = left.argmin()
+        if left.item(i) < 0:
+            lowest = cfg.point_at(rows.item(i))
+            return pid, x, LOAD_FAULT.format(lowest, left.item(i), pid)
+        cfg._load.put(rows, left)
+        cfg._total -= np.add.accumulate(contrib).item(-1)
+        np.subtract.at(self._block, rows >> BLOCK_SHIFT, contrib)
+        return pid, x, None
 
     def _neighbors(self, x: np.ndarray, cell: int):
-        """Rows, in the class's order, and squared lengths, the pair walk's
-        floats, of the points within the store's radius of one that
-        ``_in_box`` took into the box as ``x`` and filed in ``cell``, while
-        it is not in the store: those whose square is at most ``exact_reach``
-        of the radius, as distance <= radius is, which +inf never is.
+        """Rows, in the index's order, and squared lengths, the pair walk's
+        floats, of the points within the radius of one that ``_in_box`` took
+        into the box as ``x`` and filed in ``cell``, while it is not in the
+        store: those whose square is at most ``exact_reach`` of the radius,
+        as distance <= radius is, which +inf never is.
+
+        A query from a cell in ``CellGrid.plain_range`` along every axis, on
+        unshared buckets, reads one slice per axis and squares plain
+        differences.  Any other gathers its stencil's buckets and takes the
+        minimum image; a stencil that wraps is kept.  Rows come in ascending
+        bucket, then slot.
 
         A plain query in d = 1 subtracts the scalar ``x.item(0)`` from one
         slice of ``_grid_pos``, not the (1, 1) broadcast of d >= 2: at n ~
@@ -1188,67 +1180,61 @@ class TorusConfiguration:
             else:  # the stencil wraps
                 stencil = self._wrapped.get(cell)
                 if stencil is None:  # each bucket once, ascending
-                    cells = self.grid.cell_stencil(cell, self._radius)
+                    cells = self.grid.cell_stencil(cell, self.radius)
                     stencil = sorted({c % self._buckets for c in cells})
                     stencil = self._wrapped[cell] = np.array(stencil, dtype=np.intp)
             d = self._bpos.take(stencil, axis=1).reshape(x.size, -1).T  # (slots, dim)
             d -= x
-            square = _min_image_squares(d, self.torus.side)
+            square = _min_image_squares(d, self.grid.side)
             rows = self._rows.take(stencil, axis=0)
         keep = (square <= self._reach).nonzero()[0]
         return rows.take(keep), square.take(keep)
 
-    def _checked_cutoff(self, kernel: RadialKernel) -> float:
-        """The cutoff of ``kernel``, after checking that it has the torus's
-        dimension and a cutoff of at most half the side."""
-        if kernel.dim != self.torus.dim:
-            raise GeometryError(
-                f"kernel dimension {kernel.dim} != torus dimension {self.torus.dim}"
-            )
-        cutoff = kernel.cutoff_radius()
-        if cutoff > self.torus.side / 2.0:
-            raise GeometryError(
-                f"kernel too wide for torus: cutoff {cutoff:g} > side/2 "
-                f"{self.torus.side / 2.0:g}"
-            )
-        return cutoff
+    def sample_row(self, cfg: TorusConfiguration, target: int) -> int:
+        """``TorusConfiguration.sample_row``: the block from the running sum
+        of the block sums, then the row from that of the block's loads."""
+        n = cfg._n
+        cum = np.add.accumulate(self._block[: (n + BLOCK_ROWS - 1) >> BLOCK_SHIFT])
+        block = int(cum.searchsorted(target, "right"))
+        if block:
+            target -= cum.item(block - 1)
+        lo = block << BLOCK_SHIFT
+        local = np.add.accumulate(cfg._load[lo : min(lo + BLOCK_ROWS, n)])
+        return lo + int(local.searchsorted(target, "right"))
 
-    def kernel_sums(self, kernel: RadialKernel) -> np.ndarray:
-        """Each point's sum of kernel(distance) over the other points within
-        the kernel cutoff, one int64 per row, from one ``periodic_pairs``
-        walk: ``RadialKernel._profile_sq`` of each pair's square, truncated
-        to a whole number as the event path truncates it, is added to both
-        its rows, by a bincount over the batch's span of rows at each end, in
-        the walk's own order.  ``kernel`` is a- in quanta, each term below
-        2^LOAD_BITS, so the float64 sums of whole numbers are exact while no
-        row has 2^22 neighbours.  A store filed for the cutoff keeps its
-        grid and index, so an audit reads the index it checks, and a store
-        that keeps the pair-term matrix is walked on ``CellGrid.for_radius``
-        of the cutoff without being filed; any other store is filed for the
-        cutoff on that grid."""
-        cutoff, n = self._checked_cutoff(kernel), self._n
-        grid = self.grid if self._radius == cutoff else None
-        if grid is None and self._terms is None:
-            runs = self._file(CellGrid.for_radius(self.torus, cutoff), cutoff)
-            grid = self.grid
-        else:  # the store's own filing, or none beside the matrix
-            grid = grid or CellGrid.for_radius(self.torus, cutoff)
-            runs = cell_runs(grid.flat_cells_of(self._pos[:n]))
-        order, batches = periodic_pairs(grid, self._pos[:n], runs, cutoff)
-        sums = np.zeros(n)  # in the walk's order
-        for i, j, square in batches:
-            if not square.size:
-                continue
-            weights = kernel._profile_sq(square)
-            np.trunc(weights, out=weights)
-            for rows in (i, j):
-                lo = np.minimum.reduce(rows)
-                part = np.bincount(rows - lo, weights=weights)
-                sums[lo : lo + part.size] += part
-            del i, j, square, weights, rows, part  # freed before the next batch
-        out = np.empty(n, dtype=np.int64)
-        out[order] = sums
-        return out
+    def fault(self, cfg: TorusConfiguration) -> str | None:
+        """A row misfiled against the positions, else a position in a free
+        slot.  The index holds when the cell column equals ``flat_cells_of``
+        the positions, the filled slots list each row once, at its slot of
+        its cell's bucket, with its position, and free slots hold +inf.  A
+        fault of the rows names the lowest row it touches by point."""
+        n, cells, slots = cfg._n, self._cell[: cfg._n], self._slot[: cfg._n]
+        pos, prefix = cfg._pos[:n], "cell index differs from the positions: "
+        bad = cells != self.grid.flat_cells_of(pos)
+        filled = np.arange(self._rows.shape[1]) < self._fill[:, None]
+        owner, slot_of = filled.nonzero()
+        listed = self._rows[filled]
+        if listed.size and not 0 <= listed.min() <= listed.max() < n:
+            return f"{prefix}the cell arrays list a row outside 0..{n - 1}"
+        bad |= np.bincount(listed, minlength=n) != 1
+        wrong = (cells[listed] % self._buckets != owner) | (slots[listed] != slot_of)
+        bad[listed[wrong]] = True
+        at = (~bad).nonzero()[0]  # rows filed at their slots: is the position there?
+        kept = self._bpos[:, cells[at] % self._buckets, slots[at]]
+        bad[at[(kept != pos[at].T).any(axis=0)]] = True
+        if bad.any():
+            row = int(bad.argmax())
+            return f"{prefix}point {cfg.point_at(row)} (row {row}) is misfiled"
+        stale = ((self._bpos != math.inf).any(axis=0) & ~filled).nonzero()[0]
+        if stale.size:
+            return f"{prefix}cell {stale[0]} has a position in a free slot"
+
+    def stale_sum(self, cfg: TorusConfiguration) -> tuple[str, int, int] | None:
+        fresh = self._block_sums(cfg)
+        block = first_drift(self._block, fresh)
+        if block is None:
+            return None
+        return f"load sum of row block {block}", self._block.item(block), fresh.item(block)
 
 
 def sample_poisson(

@@ -1,6 +1,6 @@
 import hypothesis
 
-from sbdsim.geometry import CellGrid
+from sbdsim.geometry import CellGrid, CellIndex
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=50, derandomize=True
@@ -21,7 +21,8 @@ def live_rows(cfg):
     """Each occupied cell of the store's index, with the array of its live
     rows in order: a view of its filled slots in the row buckets, so a
     write through it changes the index."""
-    return {cell: cfg._rows[cell, :k] for cell, k in enumerate(cfg._fill.tolist()) if k}
+    index = cfg.upkeep
+    return {cell: index._rows[cell, :k] for cell, k in enumerate(index._fill.tolist()) if k}
 
 
 def insert_point(cfg, x, load=0):
@@ -31,8 +32,11 @@ def insert_point(cfg, x, load=0):
     return cfg._insert(*cfg._in_box(x), load)
 
 
-def file_on(cfg, radius):
-    """File every row of the store for ``radius`` on the grid
-    ``CellGrid.for_radius`` picks for it, as ``kernel_sums`` files a store
-    for its cutoff."""
-    return cfg._file(CellGrid.for_radius(cfg.torus, radius), radius)
+def file_on(cfg, radius, kernel=None, grid=None):
+    """Switch the store to a ``CellIndex`` that keeps its loads for
+    ``kernel``, a- in quanta, filed for ``radius`` on ``grid``, by default
+    the grid ``CellGrid.for_radius`` picks for it, as ``build_loads`` files
+    a store past one block for the cutoff; return the index."""
+    cfg.upkeep = index = CellIndex(cfg, kernel)
+    index._file(cfg, grid or CellGrid.for_radius(cfg.torus, radius), radius)
+    return index

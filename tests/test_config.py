@@ -325,7 +325,7 @@ def test_library_path_is_the_config_path(make, n_cells, filed):
         else:
             conf = initial_configuration(cfg, rng)
         logs.append(run(cfg.model, conf, cfg.t_end, rng).events)
-        grids.append(conf.grid)
+        grids.append(conf.upkeep.grid)
     lib, conf_log = logs
     assert len(lib) == len(conf_log) > 100
     for column in ("times", "births", "positions", "points", "parents"):

@@ -27,8 +27,11 @@ from sbdsim.geometry import (
     BLOCK_ROWS,
     BLOCK_SHIFT,
     CellGrid,
+    CellIndex,
+    PairTerms,
     Torus,
     TorusConfiguration,
+    Unloaded,
     Window,
     load_scale,
     sample_poisson,
@@ -175,9 +178,9 @@ def test_block_draw_matches_full_cumsum(m, a_minus):
 
 def test_audit_follows_block_sums_across_boundaries():
     # grow from 240 points past the first block boundary (256), where the
-    # block sums are rebuilt from the column, and a capacity doubling (256
-    # -> 512 rows), then shrink back below it, recomputing every load, and
-    # every block sum while there is more than one block, after each event
+    # store switches to the cell index, whose block sums start from the
+    # column, and a capacity doubling (256 -> 512 rows), then shrink back
+    # below it, recomputing every load and every block sum after each event
     rng = np.random.default_rng(32)
     torus = Torus(60.0, 1)
     cfg = cfg_with_points(torus, rng.uniform(0.0, 60.0, (240, 1)))
@@ -188,9 +191,9 @@ def test_audit_follows_block_sums_across_boundaries():
     shrink = ModelSpec("bolker_pacala", a_plus=triangular(0.1, 1.0, 1), a_minus=am, m=2.0)
     trace = run(shrink, cfg, t_end=10.0, rng=rng, audit_every=1)
     assert trace.absorbed and len(cfg) == 0
-    # an emptied block's sum is exactly 0; block 0's sum is not kept once
-    # the store is down to one block
-    assert not cfg._block[1:].any()
+    # an emptied block's sum is exactly 0, block 0's too: the index keeps
+    # its block sums at every size
+    assert not cfg.upkeep._block.any()
 
 
 def test_audit_follows_a_store_that_grows_past_one_block_from_empty():
@@ -198,7 +201,7 @@ def test_audit_follows_a_store_that_grows_past_one_block_from_empty():
     # population settles near BLOCK_ROWS (100 immigrants per unit time
     # against deaths at 0.2 + about 0.00074 n each), so it crosses the
     # block edge up and down again and again: the loads, and the block sums
-    # the upward crossings rebuild from the column, pass the audit after
+    # of the cell index the first upward crossing files, pass the audit after
     # every event
     spec = migration_spec(b=1.0, m=0.2, a_minus=triangular(0.074, 1.0, 1))
     cfg = TorusConfiguration(Torus(100.0, 1))
@@ -241,6 +244,113 @@ def test_death_selection_proportional_to_rates():
     se = math.sqrt(0.5 * 0.5 / 10_000)
     assert abs(freq[1] - 0.5) < 3.0 * se
     assert abs(freq[0] - 0.25) < 3.0 * se
+
+
+def first_event_store(case):
+    """(spec, torus, points) of one law-of-one-event case, each with m > 0
+    and unequal loads.  "few": bolker_pacala on 5 points, so that a birth
+    weight of n - 1 in place of n moves the birth channel by a fifth.
+    "matrix": bolker_pacala on 50 points, a store that keeps the pair-term
+    matrix, rows 20..27 in a cluster of large loads.  "index": migration on
+    600 points, a store on the cell index, whose death draw reads three
+    block sums and one block; rows 240..271 and 496..527, across the block
+    edges at rows 256 and 512, lie in two clusters of large loads."""
+    a_plus, a_minus = gaussian(1.0, 0.5, 1), triangular(1.0, 1.0, 1)
+    if case == "few":
+        spec = ModelSpec("bolker_pacala", a_plus=a_plus, a_minus=a_minus.scaled(2.0), m=0.3)
+        return spec, Torus(10.0, 1), [[1.0], [1.4], [1.9], [4.0], [7.5]]
+    rng = np.random.default_rng(41)
+    if case == "matrix":
+        spec = ModelSpec("bolker_pacala", a_plus=a_plus, a_minus=a_minus, m=0.5)
+        points = rng.uniform(0.0, 25.0, 50)
+        points[20:28] = 12.0 + 0.05 * np.arange(8)
+        return spec, Torus(25.0, 1), points[:, None]
+    spec = migration_spec(b=0.5, m=0.5, a_minus=a_minus)
+    points = rng.uniform(0.0, 300.0, 600)
+    points[240:272] = 100.0 + 0.02 * np.arange(32)
+    points[496:528] = 200.0 + 0.02 * np.arange(32)
+    return spec, Torus(300.0, 1), points[:, None]
+
+
+def first_event_law(spec, torus, points):
+    """The probability of each first event from ``points``, by the rates of
+    the model, not through the store: a birth, (B over B + D), then the
+    death of each row i, (m + L_i) over B + D.  B is n mass(a+) or the
+    integral of b; L_i is a- summed over the other points within its
+    cutoff, by a plain scan of the minimum-image distances of every pair."""
+    x = np.asarray(points, dtype=float)
+    n, a_minus = len(x), spec.a_minus
+    gap = np.abs(x[:, None, :] - x[None, :, :])
+    gap = np.minimum(gap, torus.side - gap)
+    r = np.sqrt((gap**2).sum(axis=2))
+    terms = np.where(r <= a_minus.cutoff_radius(), a_minus.profile(r), 0.0)
+    np.fill_diagonal(terms, 0.0)
+    if spec.variant == "migration":
+        births = spec.b.integral(torus.side, torus.dim)
+    else:
+        births = n * spec.a_plus.mass()
+    rates = np.concatenate([[births], spec.m + terms.sum(axis=1)])
+    return rates / rates.sum()
+
+
+def first_events(spec, torus, points, trials):
+    """The log of ``trials`` first events from one store of ``points``, each
+    drawn by ``_apply_event`` with fresh draws from its own seed.  The store
+    is left as it was: a birth returns id -1 and its position unwrapped, and
+    a death its row as the point's id."""
+    state = SimulationState(spec, TorusConfiguration(torus, points))
+    b, d = state.total_rates()
+    cfg, log = state.cfg, EventLog(torus.dim)
+    cfg._add_point = lambda position, *a_minus: (-1, np.asarray(position, dtype=float))
+    cfg._remove_point = lambda row, *a_minus: (row, np.zeros(torus.dim), None)
+    for trial in range(trials):
+        state._draws = BlockDraws()
+        state._apply_event(b, d, np.random.default_rng([42, trial]), log)
+    return log
+
+
+def consecutive_bins(expected, least=5.0):
+    """The first cell of each bin of consecutive cells expected ``least``
+    times or more in all; a short remainder joins the last bin."""
+    starts, held = [], least
+    for cell, e in enumerate(expected.tolist()):
+        if held >= least:
+            starts.append(cell)
+            held = 0.0
+        held += e
+    if held < least and len(starts) > 1:
+        starts.pop()
+    return starts
+
+
+@pytest.mark.parametrize(
+    "case, trials", [("few", 10_000), ("matrix", 20_000), ("index", 20_000)]
+)
+def test_the_first_event_follows_the_rates_of_the_model(case, trials):
+    # the counts of each first event, a birth or the death of each row, from
+    # one store with unequal loads, against the law the rates give, by a
+    # chi-square test of bins of consecutive rows, each expected 5 times or
+    # more.  A bolker_pacala birth's parent is a uniform row, and its
+    # displacement from the parent has the law of a+, 1 - mass_beyond(r) /
+    # mass below r, by a KS test
+    spec, torus, points = first_event_store(case)
+    law = first_event_law(spec, torus, points)
+    log = first_events(spec, torus, points, trials)
+    births = log.births
+    counts = np.bincount(np.where(births, 0, log.points + 1), minlength=law.size)
+    assert counts.size == law.size and counts.sum() == trials
+    starts = consecutive_bins(law * trials)
+    observed = np.add.reduceat(counts, starts)
+    expected = np.add.reduceat(law * trials, starts)
+    assert stats.chisquare(observed, expected).pvalue > 1e-3
+    if spec.variant == "migration":
+        return
+    parents = log.parents[births]
+    assert stats.chisquare(np.bincount(parents, minlength=len(points))).pvalue > 1e-3
+    r = np.abs(log.positions[births, 0] - np.asarray(points)[parents, 0])
+    a_plus = spec.a_plus
+    below = np.vectorize(lambda v: 1.0 - a_plus.mass_beyond(v) / a_plus.mass())
+    assert stats.kstest(r, below).pvalue > 1e-3
 
 
 def test_migration_event_count_is_poisson():
@@ -403,10 +513,18 @@ def test_audit_passes_on_grids_with_self_inverse_offsets(dim, cutoff):
     rng = np.random.default_rng(40 + dim + int(cutoff))
     cfg = sample_poisson(Torus(side, dim), 300.0 / side**dim, rng)
     assert len(cfg) > BLOCK_ROWS
-    cfg._file(CellGrid(side, dim, 8), cutoff)  # the run keeps the filing it finds
-    trace = run(spec, cfg, t_end=0.2, rng=rng, audit_every=1)
-    assert len(trace.events) > 100 and not trace.guard_tripped
-    assert cfg.grid == CellGrid(side, dim, 8) and 4 in cfg.grid.offsets(cutoff)
+    state = SimulationState(spec, cfg)
+    file_on(cfg, cutoff, state._a_minus, CellGrid(side, dim, 8))  # refiled by hand
+    log = EventLog(dim)
+    while True:
+        b, d = state.total_rates()
+        state.t += rng.exponential(1.0 / (b + d))
+        if state.t > 0.2:
+            break
+        state._apply_event(b, d, rng, log)
+        state.audit()
+    assert len(log) > 100 and len(cfg) <= 10**6
+    assert cfg.upkeep.grid == CellGrid(side, dim, 8) and 4 in cfg.upkeep.grid.offsets(cutoff)
 
 
 @pytest.mark.parametrize("dim, weight", [(1, 0.3), (2, 2.0)])
@@ -424,7 +542,7 @@ def test_audited_run_gives_the_unaudited_trace(dim, weight):
         assert len(cfg) > BLOCK_ROWS
         logs.append(run(spec, cfg, t_end=0.3, rng=rng, audit_every=audit_every).events)
         loads.append(cfg.loads.copy())
-        assert cfg.grid == CellGrid.for_radius(torus, am.cutoff_radius())
+        assert cfg.upkeep.grid == CellGrid.for_radius(torus, am.cutoff_radius())
     audited, plain = logs
     assert len(plain) > 200 and plain.births.any() and not plain.births.all()
     for column in ("times", "births", "positions", "points", "parents"):
@@ -437,7 +555,8 @@ def store_index(cfg):
     load columns and each cell's live rows, in order."""
     n = len(cfg)
     cells = {c: rows.tolist() for c, rows in live_rows(cfg).items()}
-    return cfg._cell[:n].tolist(), cfg._slot[:n].tolist(), cfg.loads.tolist(), cells
+    index = cfg.upkeep
+    return index._cell[:n].tolist(), index._slot[:n].tolist(), cfg.loads.tolist(), cells
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -451,7 +570,7 @@ def test_audit_leaves_the_index_bit_identical(dim):
     torus = Torus(8.0, dim)
     rng = np.random.default_rng(60 + dim)
     state = SimulationState(spec, sample_poisson(torus, 300.0 / torus.volume, rng))
-    assert len(state.cfg) > BLOCK_ROWS and state.cfg.grid is not None
+    assert len(state.cfg) > BLOCK_ROWS and state.cfg.upkeep.grid is not None
     log = EventLog(dim)
     for _ in range(300):
         b, d = state.total_rates()
@@ -615,10 +734,10 @@ def test_a_run_from_an_empty_store_keeps_int64_loads_and_an_int_root():
     # exact sum of the column, through a run past one block and a doubling
     spec = migration_spec(b=2.0, m=0.2, a_minus=triangular(0.07, 1.0, 1))
     cfg = TorusConfiguration(Torus(100.0, 1))
-    assert cfg._load.dtype == cfg._block.dtype == np.int64
+    assert cfg._load.dtype == np.int64
     trace = run(spec, cfg, 3.0, np.random.default_rng(3), audit_every=25)
     assert trace.n_events > 500 and len(cfg) > BLOCK_ROWS and cfg._load.size == 512
-    assert cfg._load.dtype == cfg._block.dtype == np.int64
+    assert cfg._load.dtype == cfg.upkeep._block.dtype == np.int64
     assert type(cfg.load_total()) is int and cfg.load_total() == int(cfg.loads.sum())
 
 
@@ -629,7 +748,7 @@ def test_migration_without_competition_builds_no_index():
     cfg = sample_poisson(Torus(10.0, 2), 1.0, rng)
     trace = run(migration_spec(b=2.0, m=0.5), cfg, t_end=5.0, rng=rng, audit_every=1)
     assert trace.events.births.any() and not trace.events.births.all()
-    assert cfg.grid is None and cfg._bpos is None and cfg.cell_index_fault() is None
+    assert type(cfg.upkeep) is Unloaded and cfg.upkeep.fault(cfg) is None
 
 
 def test_audit_catches_corruption():
@@ -644,14 +763,15 @@ def test_audit_catches_corruption():
 
 def test_audit_catches_block_sum_corruption():
     # the pair at 5.0 and 5.5, and lone points 2 apart, enough for more than
-    # one block: a store of one block keeps no block sums
+    # one block: a store past one block keeps the cell index and its block
+    # sums
     am = triangular(1.0, 1.0, 1)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.2)
     points = [[5.0], [5.5]] + [[10.0 + 2.0 * k] for k in range(BLOCK_ROWS)]
     state = SimulationState(spec, cfg_with_points(Torus(600.0, 1), points))
     assert len(state.cfg) > BLOCK_ROWS and state.cfg.load_total() == load_scale(am)
     state.audit()
-    state.cfg._block[0] += 1
+    state.cfg.upkeep._block[0] += 1
     with pytest.raises(AuditError, match="block 0"):
         state.audit()
 
@@ -702,7 +822,7 @@ def test_audit_catches_a_cache_off_by_one_quantum(column, delta):
         cfg._load[3] += delta
         match = f"point {cfg.point_at(3)} drifted"
     else:
-        cfg._block[0] += delta
+        cfg.upkeep._block[0] += delta
         match = "block 0 drifted"
     with pytest.raises(AuditError, match=match):
         state.audit()
@@ -715,22 +835,23 @@ def misfile(cfg, how):
     k = rows.size
     first, second, last = int(rows[0]), int(rows[1]), int(rows[k - 1])
     if how == "cell entry":
-        cfg._cell[first] ^= 1  # a neighbouring flat cell
+        cfg.upkeep._cell[first] ^= 1  # a neighbouring flat cell
     elif how == "missing":
-        cfg._fill[cell] = k - 1
+        cfg.upkeep._fill[cell] = k - 1
         return cfg.point_at(last)
     elif how == "duplicate":
-        cfg._rows[cell, k] = first
-        cfg._fill[cell] = k + 1
+        cfg.upkeep._rows[cell, k] = first
+        cfg.upkeep._fill[cell] = k + 1
     elif how == "slot":
-        cfg._slot[first], cfg._slot[second] = cfg._slot[second], cfg._slot[first]
+        slots = cfg.upkeep._slot
+        slots[first], slots[second] = slots[second], slots[first]
         return cfg.point_at(min(first, second))
     elif how == "other cell":  # at its slot, but in another cell's array
         other = next(o for c, o in live_rows(cfg).items() if c != cell)
         rows[0], other[0] = other[0], rows[0]
         return cfg.point_at(min(first, int(rows[0])))
     elif how == "moved":  # one cell along every axis
-        cfg._pos[first] = (cfg._pos[first] + cfg.grid.cell_size) % cfg.torus.side
+        cfg._pos[first] = (cfg._pos[first] + cfg.upkeep.grid.cell_size) % cfg.torus.side
     return cfg.point_at(first)
 
 
@@ -745,9 +866,9 @@ def test_audit_catches_cell_index_corruption(how):
     spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 2), a_minus=am, m=0.2)
     rng = np.random.default_rng(12)
     cfg = cfg_with_points(Torus(10.0, 2), rng.uniform(0.0, 10.0, (300, 2)))
-    assert cfg.grid is None
+    assert cfg.upkeep.grid is None
     state = SimulationState(spec, cfg)
-    assert cfg.grid == CellGrid(10.0, 2, 2)
+    assert cfg.upkeep.grid == CellGrid(10.0, 2, 2)
     state.audit()
     pid = misfile(cfg, how)
     with pytest.raises(AuditError, match=f"cell index .*: point {pid} "):
@@ -791,9 +912,9 @@ def test_audit_catches_a_corrupted_pair_term(how):
         state._apply_event(b, d, rng, EventLog(1))
     cfg = state.cfg
     n = len(cfg)
-    assert cfg._terms is not None and n <= BLOCK_ROWS
+    assert isinstance(cfg.upkeep, PairTerms) and n <= BLOCK_ROWS
     state.audit()
-    corrupt_terms(cfg._terms[:n, :n], how)
+    corrupt_terms(cfg.upkeep._terms[:n, :n], how)
     with pytest.raises(AuditError, match="pair-term matrix differs: term of points"):
         state.audit()
 
@@ -816,7 +937,7 @@ def test_removal_below_zero_load_raises():
         return state
 
     state = corrupted()
-    pid, x, got = state.cfg._remove_point(1, state._a_minus)
+    pid, x, got = state.cfg._remove_point(1)
     assert (pid, x.tolist(), got) == (1, [5.5], fault) and state.cfg.loads.tolist() == [0]
     state, log = corrupted(), EventLog(1)
     with pytest.raises(AuditError, match="point 0") as raised:
@@ -834,12 +955,12 @@ def remove_the_old_way(state, row):
     gather and one scatter: the neighbours' loads and block sums take
     ``-contrib``, in whole quanta, by a fancy ``+=`` and an ``np.add.at``."""
     cfg = state.cfg
-    cell = cfg._cell.item(row)
+    cell = cfg.upkeep._cell.item(row)
     x = cfg.remove(row)
-    rows, squares = cfg._neighbors(x, cell)
+    rows, squares = cfg.upkeep._neighbors(x, cell)
     delta = -state._a_minus._profile_sq(squares).astype(np.int64)
     cfg._load[rows] += delta
-    np.add.at(cfg._block, rows >> BLOCK_SHIFT, delta)
+    np.add.at(cfg.upkeep._block, rows >> BLOCK_SHIFT, delta)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -864,12 +985,12 @@ def test_death_update_matches_the_old_arithmetic_bit_for_bit(dim):
 
     def same():
         assert state.cfg.loads.tobytes() == ref.cfg.loads.tobytes()
-        assert state.cfg._block.tobytes() == ref.cfg._block.tobytes()
+        assert state.cfg.upkeep._block.tobytes() == ref.cfg.upkeep._block.tobytes()
 
     same()
     for _ in range(60):
         row = state.cfg.sample_row(int(rng.integers(state.cfg.load_total())))
-        assert state.cfg._remove_point(row, state._a_minus)[2] is None
+        assert state.cfg._remove_point(row)[2] is None
         remove_the_old_way(ref, row)
         same()
     assert state.cfg.stale_sum() is None
@@ -959,7 +1080,7 @@ def test_a_narrow_kernel_on_a_wide_box_builds_and_audits():
     points[0] = [1000.0 - 0.25e-4, 500.0, 500.0]
     cfg = TorusConfiguration(torus, np.concatenate([points, close]))
     state = SimulationState(spec, cfg)
-    assert cfg.grid == CellGrid(1000.0, 3, 2097151)
+    assert cfg.upkeep.grid == CellGrid(1000.0, 3, 2097151)
     want = np.zeros(312)
     want[:12] = want[300:] = 0.5
     np.testing.assert_allclose(cfg.loads / load_scale(am), want, rtol=1e-8)  # near 1000
@@ -1048,7 +1169,7 @@ def test_event_path_calls_no_numpy_python_wrappers(variant, dim, side, density):
     state, log, sizes = profiled_events(variant, dim, side, density, on_call)
     assert calls == []
     terms = keeps_terms(side, dim, density)
-    assert (state.cfg._terms is not None) == terms
+    assert isinstance(state.cfg.upkeep, PairTerms) == terms
     assert max(sizes) <= BLOCK_ROWS if terms else min(sizes) > BLOCK_ROWS
     state.audit()
 
@@ -1075,8 +1196,9 @@ def test_event_path_wraps_and_files_a_point_in_one_pass(variant, dim, side, dens
     assert calls["_neighbors"] == queries and calls["_insert"] == births
     assert calls["_in_box"] == births
     assert calls["_file"] == 0
-    assert calls["cell_stencil"] == len(state.cfg._wrapped)
-    assert all(isinstance(cell, int) for cell in state.cfg._wrapped)
+    wrapped = {} if keeps_terms(side, dim, density) else state.cfg.upkeep._wrapped
+    assert calls["cell_stencil"] == len(wrapped)
+    assert all(isinstance(cell, int) for cell in wrapped)
     called = {name for name in calls if name in vars(CellGrid)}
     assert called <= {"cell_stencil", "offsets", "cell_size", "rings"}
 
@@ -1092,17 +1214,17 @@ def test_a_d1_run_keeps_a_stencil_only_for_the_end_cells(monkeypatch):
     rng = np.random.default_rng(5)
     cfg = sample_poisson(Torus(2000.0, 1), 5.0, rng)
     queried = set()
-    query = TorusConfiguration._neighbors
+    query = CellIndex._neighbors
 
     def recorded(self, x, cell):
         queried.add(cell)
         return query(self, x, cell)
 
-    monkeypatch.setattr(TorusConfiguration, "_neighbors", recorded)
+    monkeypatch.setattr(CellIndex, "_neighbors", recorded)
     trace = run(spec, cfg, 0.033, rng)
     assert 10_000 < len(cfg) < 10_300 and 2000 < trace.n_events < 2100
-    assert cfg.grid == CellGrid(2000.0, 1, 618) and len(queried) > 570
-    assert {0, 617} <= queried and sorted(cfg._wrapped) == [0, 617]
+    assert cfg.upkeep.grid == CellGrid(2000.0, 1, 618) and len(queried) > 570
+    assert {0, 617} <= queried and sorted(cfg.upkeep._wrapped) == [0, 617]
 
 
 @EVENT_PATH_MODELS
@@ -1189,9 +1311,9 @@ def test_a_seeded_d1_run_over_many_cells_keeps_its_floats():
     )
     rng = np.random.default_rng(2)
     cfg = sample_poisson(Torus(60.0, 1), 5.0, rng)
-    assert cfg.grid is None and len(cfg) == 287
+    assert cfg.upkeep.grid is None and len(cfg) == 287
     trace = run(spec, cfg, 0.17, rng)
-    assert cfg.grid == CellGrid(60.0, 1, 18) and trace.n_events == 279
+    assert cfg.upkeep.grid == CellGrid(60.0, 1, 18) and trace.n_events == 279
     ids, positions = cfg.by_id()
     log = trace.events
     h = hashlib.sha256()
@@ -1289,7 +1411,7 @@ def bulk_and_sequential_runs(dim, side, density, t_end):
     file_on(seq, am.cutoff_radius())
     for x in rng_seq.uniform(0.0, torus.side, (n, dim)):
         insert_point(seq, x)
-    assert len(bulk) == len(seq) > 0 and bulk.grid is None
+    assert len(bulk) == len(seq) > 0 and bulk.upkeep.grid is None
     a = run(spec, bulk, t_end=t_end, rng=rng_bulk, audit_every=1)
     b = run(spec, seq, t_end=t_end, rng=rng_seq, audit_every=1)
     assert len(a.events) == len(b.events) > 100
@@ -1306,7 +1428,7 @@ def test_bulk_initial_load_gives_the_sequential_trace(dim, t_end):
     # a store filed first, gives the same run; both keep the pair-term
     # matrix, and the filing goes
     bulk, seq = bulk_and_sequential_runs(dim, 9.0, 2.0, t_end)
-    assert bulk.grid is seq.grid is None
+    assert bulk.upkeep.grid is seq.upkeep.grid is None
 
 
 @pytest.mark.parametrize("dim, side", [(1, 150.0), (2, 12.5)])
@@ -1316,7 +1438,7 @@ def test_bulk_initial_load_past_one_block_gives_the_sequential_trace(dim, side):
     # draws one at a time into a store filed first gives the same run
     bulk, seq = bulk_and_sequential_runs(dim, side, 2.0, 0.4)
     cutoff = gaussian(0.5, 0.2, dim).cutoff_radius()
-    assert bulk.grid == seq.grid == CellGrid.for_radius(bulk.torus, cutoff)
+    assert bulk.upkeep.grid == seq.upkeep.grid == CellGrid.for_radius(bulk.torus, cutoff)
 
 
 # -- event log -----------------------------------------------------------------------

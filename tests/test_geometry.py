@@ -22,11 +22,15 @@ from sbdsim.geometry import (
     LEAD_BITS,
     PAIR_BATCH,
     CellGrid,
+    CellIndex,
     GeometryError,
+    PairTerms,
     Torus,
     TorusConfiguration,
+    Unloaded,
     Window,
     _min_image_squares,
+    _pair_sums,
     cell_runs,
     exact_reach,
     load_scale,
@@ -53,6 +57,14 @@ def in_quanta(kernel):
     """``kernel`` scaled to quanta of load, as the simulator hands a- to
     the store."""
     return kernel.scaled(load_scale(kernel))
+
+
+def walk_sums(cfg, kernel, grid):
+    """The store's kernel sums from one pair walk of ``grid``, which
+    ``kernel_sums`` walks only when ``CellGrid.for_radius`` picks it."""
+    pos = cfg._pos[: len(cfg)]
+    runs = cell_runs(grid.flat_cells_of(pos))
+    return _pair_sums(grid, pos, runs, kernel, kernel.cutoff_radius())
 
 
 def min_image_square(side, x, y):
@@ -326,14 +338,14 @@ def test_pair_walk_distances_equal_the_neighbour_query(dim):
         n = len(cfg)
         queried = {}
         for a in range(n):
-            rows, squares = cfg._neighbors(*cfg._in_box(cfg._pos[a]))
+            rows, squares = cfg.upkeep._neighbors(*cfg._in_box(cfg._pos[a]))
             assert a in rows
             for b, s in zip(rows.tolist(), squares.tolist()):
                 if b != a:
                     queried[a, b] = s
-        assert cfg.grid == CellGrid.for_radius(cfg.torus, radius)
+        assert cfg.upkeep.grid == CellGrid.for_radius(cfg.torus, radius)
         pos = cfg._pos[:n]
-        for n_cells in (1, 2, 4, 5, 8, cfg.grid.n):
+        for n_cells in (1, 2, 4, 5, 8, cfg.upkeep.grid.n):
             grid = CellGrid(side, dim, n_cells)
             runs = cell_runs(grid.flat_cells_of(pos))
             order, batches = periodic_pairs(grid, pos, runs, radius)
@@ -401,10 +413,11 @@ def test_a_small_store_walks_in_one_batch(monkeypatch):
     pts = np.random.default_rng(3).uniform(0.0, 20.0, (100, 1))
     cfg = TorusConfiguration(Torus(20.0, 1), pts)
     kernel = in_quanta(gaussian(0.5, 0.5, 1))
+    file_on(cfg, kernel.cutoff_radius())
     counter = CandidateCounter(monkeypatch)
     sums = cfg.kernel_sums(kernel)
-    assert cfg.grid == CellGrid(20.0, 1, 6)
-    assert cfg.grid.offsets(kernel.cutoff_radius()) == [0, 1, -1]
+    assert cfg.upkeep.grid == CellGrid(20.0, 1, 6)
+    assert cfg.upkeep.grid.offsets(kernel.cutoff_radius()) == [0, 1, -1]
     assert counter.batches == 1 and 0 < counter.pairs <= PAIR_BATCH
     assert sums.tolist() == brute_force_sums(cfg, kernel).tolist()
 
@@ -562,7 +575,7 @@ def test_cut_walk_drops_candidates_beyond_reach(strip, monkeypatch):
     # a 4.5k-point store at density 5 in d=2 (8 cells of 3.75 per axis, the
     # a- cutoff about 3.4), and points in the first and the last column of
     # cells only, where every cut offset reaches across the wrap (filed by
-    # hand on 8 cells of 1 per axis, radius 0.5): the walk computes at most
+    # 8 cells of 1 per axis, which the walk is handed): the walk computes at most
     # 65% of the uncut walk's candidates (on the 4.5k-point store, exactly
     # 572,673 of 1,424,033, each offset cut along its own lead axis and
     # narrowed by the gap along the later one) and keeps the same sums
@@ -571,16 +584,16 @@ def test_cut_walk_drops_candidates_beyond_reach(strip, monkeypatch):
         torus, kernel = Torus(8.0, 2), in_quanta(triangular(1.0, 0.5, 2))
         pts = rng.uniform(0.0, 8.0, (600, 2))
         pts[:, 0] = rng.uniform(-1.0, 1.0, 600)
-        cfg = TorusConfiguration(torus, pts)
-        cfg._file(CellGrid(8.0, 2, 8), 0.5)  # the store's grid: cells of 1
+        cfg, grid = TorusConfiguration(torus, pts), CellGrid(8.0, 2, 8)  # cells of 1
     else:
         torus, kernel = Torus(30.0, 2), in_quanta(gaussian(0.5, 0.5, 2))
         cfg = sample_poisson(torus, 5.0, rng)
+        grid = CellGrid.for_radius(torus, kernel.cutoff_radius())
         assert len(cfg) == 4502
     counter = CandidateCounter(monkeypatch)
-    sums = cfg.kernel_sums(kernel)
-    assert cfg.grid == CellGrid(torus.side, 2, 8)
-    uncut = uncut_candidates(cfg.grid, cfg._pos[: len(cfg)], kernel.cutoff_radius())
+    sums = walk_sums(cfg, kernel, grid)
+    assert grid == CellGrid(torus.side, 2, 8)
+    uncut = uncut_candidates(grid, cfg._pos[: len(cfg)], kernel.cutoff_radius())
     assert counter.pairs <= 0.65 * uncut
     if strip:
         assert sums.tolist() == brute_force_sums(cfg, kernel).tolist()
@@ -594,13 +607,13 @@ def test_cut_walk_drops_candidates_beyond_reach(strip, monkeypatch):
 )
 def test_kernel_sums_call_no_numpy_python_wrappers(dim, side, n, kernel):
     kernel = in_quanta(kernel)
-    # the filing, the cell runs, the walk and the scatter: in d=2 the walk
+    # the grid, the cell runs, the walk and the scatter: in d=2 the walk
     # is cut (5 cells per axis, rings 1) and takes several batches per offset;
     # in d=1 the cells are the radius plus its pad wide, 399 of them
     pts = np.random.default_rng(60 + dim).uniform(0.0, side, (n, dim))
     cfg = TorusConfiguration(Torus(side, dim), pts)
     want = cfg.kernel_sums(kernel)  # the first call imports what it needs
-    assert cfg.grid.n == (399 if dim == 1 else 5)
+    assert CellGrid.for_radius(cfg.torus, kernel.cutoff_radius()).n == (399 if dim == 1 else 5)
     calls = []
 
     def profile(frame, event, arg):
@@ -615,7 +628,7 @@ def test_kernel_sums_call_no_numpy_python_wrappers(dim, side, n, kernel):
     finally:
         sys.setprofile(None)
     assert calls == []
-    assert sums.tolist() == want.tolist() and cfg.cell_index_fault() is None
+    assert sums.tolist() == want.tolist() and cfg.upkeep.fault(cfg) is None
 
 
 # -- configurations and the cell index ---------------------------------------
@@ -678,9 +691,9 @@ def test_a_hair_below_zero_wraps_to_zero(below):
     assert full.count(built.by_id()[1]) == 2
     for cfg in (one, built):
         file_on(cfg, 1.0)
-        rows, squares = cfg._neighbors(*cfg._in_box([below]))
+        rows, squares = cfg.upkeep._neighbors(*cfg._in_box([below]))
         assert rows.tolist() == [0] and squares.tolist() == [0.0]
-        assert cfg.cell_index_fault() is None
+        assert cfg.upkeep.fault(cfg) is None
 
 
 @pytest.mark.parametrize("grid", [False, True])
@@ -703,7 +716,7 @@ def test_non_finite_positions_are_rejected(bad, axis, grid):
         with pytest.raises(GeometryError, match="finite"):
             TorusConfiguration(T10_2, [[5.0, 5.0], position])
     assert len(cfg) == 1 and cfg._pos[0].tolist() == [1.0, 2.0]
-    assert (cfg.grid is not None) == grid and cfg.cell_index_fault() is None
+    assert (cfg.upkeep.grid is not None) == grid and cfg.upkeep.fault(cfg) is None
 
 
 def test_negative_zero_is_stored_as_zero():
@@ -713,7 +726,7 @@ def test_negative_zero_is_stored_as_zero():
     file_on(cfg, 1.0)
     insert_point(cfg, [-0.0, -0.0])
     signs = [math.copysign(1.0, v) for v in cfg.by_id()[1].ravel().tolist()]
-    assert signs == [1.0] * 6 and cfg.cell_index_fault() is None
+    assert signs == [1.0] * 6 and cfg.upkeep.fault(cfg) is None
 
 
 def test_positions_array_ascending_ids():
@@ -733,25 +746,26 @@ def reference_cell_groups(cfg):
     """Rows grouped by the bucket of the reference cell, on the store's
     grid, of their positions: the cell itself unless the grid has more
     cells than the store has buckets."""
-    groups = {}
+    groups, index = {}, cfg.upkeep
     for row in range(len(cfg)):
-        cell = reference_flat_cell(cfg.grid, cfg._pos[row]) % cfg._buckets
+        cell = reference_flat_cell(index.grid, cfg._pos[row]) % index._buckets
         groups.setdefault(cell, set()).add(row)
     return groups
 
 
 def assert_cell_arrays_consistent(cfg):
-    assert cfg.grid is not None and cfg.cell_index_fault() is None
+    index = cfg.upkeep
+    assert index.grid is not None and index.fault(cfg) is None
     for cell, live in live_rows(cfg).items():
         k = live.size
         assert k > 0
-        np.testing.assert_array_equal(cfg._slot[live], np.arange(k))
-        np.testing.assert_array_equal(cfg._cell[live] % cfg._buckets, cell)
+        np.testing.assert_array_equal(index._slot[live], np.arange(k))
+        np.testing.assert_array_equal(index._cell[live] % index._buckets, cell)
     for cell, live in live_rows(cfg).items():  # their positions fill the slots
         k = live.size
-        np.testing.assert_array_equal(cfg._bpos[:, cell, :k], cfg._pos[live].T)
-    free = np.arange(cfg._rows.shape[1]) >= cfg._fill[:, None]
-    assert (cfg._bpos[:, free] == math.inf).all()  # and +inf every free slot
+        np.testing.assert_array_equal(index._bpos[:, cell, :k], cfg._pos[live].T)
+    free = np.arange(index._rows.shape[1]) >= index._fill[:, None]
+    assert (index._bpos[:, free] == math.inf).all()  # and +inf every free slot
     index = {cell: set(live.tolist()) for cell, live in live_rows(cfg).items()}
     assert index == reference_cell_groups(cfg)
 
@@ -786,33 +800,34 @@ def test_cell_index_fault_names_each_corruption(fault):
     # that is not +inf, a row listed twice and a slot column that is not
     # the row's slot; and a row outside the store
     cfg = uniform_cfg(Torus(10.0, 1), 20, np.random.default_rng(13))
-    file_on(cfg, 3.0)
-    assert cfg.cell_index_fault() is None and cfg.grid.n == 3
+    index = file_on(cfg, 3.0)
+    assert index.fault(cfg) is None and index.grid.n == 3
     cell, rows = next((c, rows) for c, rows in live_rows(cfg).items() if rows.size >= 2)
     k, first, last = rows.size, int(rows[0]), int(rows[-1])
-    misfiled = "point {} (row {}) is misfiled"
+    prefix = "cell index differs from the positions: "
+    misfiled = prefix + "point {} (row {}) is misfiled"
     if fault == "fill":
-        cfg._fill[cell] = k - 1
-        assert cfg.cell_index_fault() == misfiled.format(cfg.point_at(last), last)
-        cfg._fill[cell] = k + 1
-        assert cfg.cell_index_fault() == misfiled.format(cfg.point_at(0), 0)
+        index._fill[cell] = k - 1
+        assert index.fault(cfg) == misfiled.format(cfg.point_at(last), last)
+        index._fill[cell] = k + 1
+        assert index.fault(cfg) == misfiled.format(cfg.point_at(0), 0)
     elif fault == "stale position":
-        cfg._bpos[0, cell, 1] = math.nextafter(cfg._bpos[0, cell, 1], 0.0)
-        assert cfg.cell_index_fault() == misfiled.format(cfg.point_at(rows[1]), rows[1])
+        index._bpos[0, cell, 1] = math.nextafter(index._bpos[0, cell, 1], 0.0)
+        assert index.fault(cfg) == misfiled.format(cfg.point_at(rows[1]), rows[1])
     elif fault == "free slot":
-        cfg._bpos[0, cell, k] = 1.0
-        assert cfg.cell_index_fault() == f"cell {cell} has a position in a free slot"
+        index._bpos[0, cell, k] = 1.0
+        assert index.fault(cfg) == prefix + f"cell {cell} has a position in a free slot"
     elif fault == "listed twice":
         other = next(o for c, o in live_rows(cfg).items() if c != cell)
         other[0] = first
-        assert cfg.cell_index_fault() == misfiled.format(cfg.point_at(first), first)
+        assert index.fault(cfg) == misfiled.format(cfg.point_at(first), first)
     elif fault == "slot":
         second = int(rows[1])
-        cfg._slot[second] = 0
-        assert cfg.cell_index_fault() == misfiled.format(cfg.point_at(second), second)
+        index._slot[second] = 0
+        assert index.fault(cfg) == misfiled.format(cfg.point_at(second), second)
     else:
-        rows[int(cfg._slot[first])] = 20
-        assert "row outside 0..19" in cfg.cell_index_fault()
+        rows[int(index._slot[first])] = 20
+        assert "row outside 0..19" in index.fault(cfg)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -824,22 +839,22 @@ def test_an_insert_into_a_full_cell_grows_every_cell(dim):
     rng = np.random.default_rng(20 + dim)
     cfg = TorusConfiguration(Torus(6.0, dim), rng.uniform(0.0, 6.0, (60, dim)))
     file_on(cfg, 1.0)
-    fill = cfg._fill.tolist()
-    cap = cfg._rows.shape[1]
-    assert cap == max(fill) + CELL_SLACK and cfg._fill.size == cfg.grid.n**dim
+    fill = cfg.upkeep._fill.tolist()
+    cap = cfg.upkeep._rows.shape[1]
+    assert cap == max(fill) + CELL_SLACK and cfg.upkeep._fill.size == cfg.upkeep.grid.n**dim
     cell = fill.index(max(fill))
-    x = cfg._pos[int(cfg._rows[cell, 0])].copy()
+    x = cfg._pos[int(cfg.upkeep._rows[cell, 0])].copy()
     for _ in range(CELL_SLACK):
         insert_point(cfg, x)
-        assert cfg._rows.shape[1] == cap
+        assert cfg.upkeep._rows.shape[1] == cap
     before = {c: rows.tolist() for c, rows in live_rows(cfg).items()}
     insert_point(cfg, x)
-    assert cfg._rows.shape == (cfg.grid.n**dim, cap + 2 * CELL_SLACK)
+    assert cfg.upkeep._rows.shape == (cfg.upkeep.grid.n**dim, cap + 2 * CELL_SLACK)
     before[cell].append(len(cfg) - 1)
     assert {c: rows.tolist() for c, rows in live_rows(cfg).items()} == before
     assert_cell_arrays_consistent(cfg)
     for y in [x, *rng.uniform(0.0, 6.0, (20, dim))]:
-        rows, squares = cfg._neighbors(*cfg._in_box(y))
+        rows, squares = cfg.upkeep._neighbors(*cfg._in_box(y))
         assert found_by(cfg, rows, squares) == brute_force_neighbors(cfg, y.tolist(), 1.0)
 
 
@@ -857,16 +872,17 @@ def test_a_query_never_returns_a_free_slot(dim):
         cfg = filed_store(grid, pts, radius)
         for _ in range(len(pts) // 2):
             cfg.remove(int(rng.integers(len(cfg))))
-        assert (cfg._fill < cfg._rows.shape[1]).all()  # every cell has free slots
+        index = cfg.upkeep
+        assert (index._fill < index._rows.shape[1]).all()  # every cell has free slots
         for cell in range(8**dim):
             coords = np.array(np.unravel_index(cell, (8,) * dim))
             x = (coords + rng.uniform(0.0, 1.0, dim)) * grid.cell_size
-            rows, squares = cfg._neighbors(*cfg._in_box(x))
+            rows, squares = cfg.upkeep._neighbors(*cfg._in_box(x))
             assert rows.size == np.unique(rows).size and (rows < len(cfg)).all()
             assert found_by(cfg, rows, squares) == brute_force_neighbors(
                 cfg, x.tolist(), radius
             )
-        assert 0 < len(cfg._wrapped) < 8**dim  # both query forms ran
+        assert 0 < len(cfg.upkeep._wrapped) < 8**dim  # both query forms ran
 
 
 @pytest.mark.parametrize("slots, shared", [(8, (20, 40)), (3, (2, 8))])
@@ -884,26 +900,26 @@ def test_a_grid_of_more_cells_than_buckets_shares_them(monkeypatch, slots, share
     rng = np.random.default_rng(41)
     cfg = TorusConfiguration(T10_2, rng.uniform(0.0, 10.0, (80, 2)))
     file_on(cfg, 0.95)
-    assert cfg.grid.n == 10 and cfg._buckets == cfg._rows.shape[0]
-    assert shared[0] <= cfg._buckets <= shared[1]
-    plain, queried = cfg.grid.plain_range(0.95), set()
+    assert cfg.upkeep.grid.n == 10 and cfg.upkeep._buckets == cfg.upkeep._rows.shape[0]
+    assert shared[0] <= cfg.upkeep._buckets <= shared[1]
+    plain, queried = cfg.upkeep.grid.plain_range(0.95), set()
     for step in range(300):
         if step % 3:
             insert_point(cfg, rng.uniform(0.0, 10.0, 2))
         else:
             cfg.remove(int(rng.integers(len(cfg))))
         x, cell = cfg._in_box(rng.uniform(0.0, 10.0, 2))
-        rows, squares = cfg._neighbors(x, cell)
+        rows, squares = cfg.upkeep._neighbors(x, cell)
         assert rows.size == np.unique(rows).size
         assert found_by(cfg, rows, squares) == brute_force_neighbors(cfg, x.tolist(), 0.95)
         queried.add(cell)
-    assert cfg.cell_index_fault() is None
+    assert cfg.upkeep.fault(cfg) is None
     edge = {c for c in queried if not all(k in plain for k in divmod(c, 10))}
-    assert len(queried - edge) > 50 and sorted(cfg._wrapped) == sorted(edge)
-    buckets = cfg._buckets
+    assert len(queried - edge) > 50 and sorted(cfg.upkeep._wrapped) == sorted(edge)
+    buckets = cfg.upkeep._buckets
     assert {c: set(r.tolist()) for c, r in live_rows(cfg).items()} == {
-        b: {row for row in range(len(cfg)) if int(cfg._cell[row]) % buckets == b}
-        for b in set((cfg._cell[: len(cfg)] % buckets).tolist())
+        b: {row for row in range(len(cfg)) if int(cfg.upkeep._cell[row]) % buckets == b}
+        for b in set((cfg.upkeep._cell[: len(cfg)] % buckets).tolist())
     }
 
 
@@ -915,31 +931,31 @@ def test_a_clustered_store_keeps_its_index_within_the_slot_budget():
     # that budget filing the store afresh; queries equal the brute-force scan
     rng = np.random.default_rng(43)
     cfg = TorusConfiguration(Torus(2000.0, 2), 1000.0 + rng.uniform(0.0, 1.0, (200, 2)))
-    file_on(cfg, 3.4)
-    assert cfg.grid.n == 588 and cfg._buckets < 30
-    filings, file = 0, TorusConfiguration._file
+    index = file_on(cfg, 3.4)
+    assert index.grid.n == 588 and index._buckets < 30
+    filings, file = 0, CellIndex._file
 
-    def counted(self, grid, radius):
+    def counted(self, cfg, grid, radius):
         nonlocal filings
         filings += 1
-        return file(self, grid, radius)
+        return file(self, cfg, grid, radius)
 
-    cfg._file = counted.__get__(cfg)
+    index._file = counted.__get__(index)
     for step in range(1200):
         insert_point(cfg, 1000.5 + rng.normal(0.0, 0.1, 2))
-        slots = cfg._rows.size
+        slots = index._rows.size
         assert slots <= geometry.SLOTS_PER_POINT * max(len(cfg), geometry.INDEX_POINTS)
         if step % 100 == 0:
             x = 1000.0 + rng.normal(0.0, 2.0, 2)
-            rows, squares = cfg._neighbors(*cfg._in_box(x))
+            rows, squares = index._neighbors(*cfg._in_box(x))
             assert found_by(cfg, rows, squares) == brute_force_neighbors(cfg, x.tolist(), 3.4)
-    assert filings > 0 and cfg.cell_index_fault() is None
+    assert filings > 0 and index.fault(cfg) is None
 
 
 def filed_store(grid, pts=(), radius=0.0):
     """A store of the points ``pts`` filed on ``grid`` for ``radius``."""
     cfg = TorusConfiguration(Torus(grid.side, grid.dim), pts)
-    cfg._file(grid, radius)
+    file_on(cfg, radius, grid=grid)
     return cfg
 
 
@@ -1032,19 +1048,19 @@ def test_neighbors_matches_brute_force(dim, grid_radius, seed, steps):
         else:
             cfg.remove(int(rng.integers(len(cfg))))
         if step < filed_at:
-            assert cfg.grid is None and cfg.cell_index_fault() is None
+            assert cfg.upkeep.grid is None and cfg.upkeep.fault(cfg) is None
             continue
         if step == filed_at:
             radius = grid_radius if rng.random() < 0.5 else rng.uniform(0.0, side / 2.0)
-            cfg._file(CellGrid.for_radius(cfg.torus, grid_radius), radius)
+            file_on(cfg, radius, grid=CellGrid.for_radius(cfg.torus, grid_radius))
         queries = [rng.uniform(-0.5 * side, 1.5 * side, dim)]
         if len(cfg):
             queries.append(cfg._pos[int(rng.integers(len(cfg)))].copy())
         for x in queries:
-            rows, squares = cfg._neighbors(*cfg._in_box(x))
+            rows, squares = cfg.upkeep._neighbors(*cfg._in_box(x))
             want = brute_force_neighbors(cfg, x.tolist(), radius)
             assert found_by(cfg, rows, squares) == want
-        assert cfg.grid == CellGrid.for_radius(cfg.torus, grid_radius)
+        assert cfg.upkeep.grid == CellGrid.for_radius(cfg.torus, grid_radius)
         assert_cell_arrays_consistent(cfg)
 
 
@@ -1054,10 +1070,12 @@ def assert_same_store(a, b):
     cell and so the same slots."""
     n = len(a)
     assert len(b) == n and a._next_id == b._next_id and a._total == b._total
-    assert a.grid == b.grid and a._radius == b._radius
-    for name in ("_pos", "_id", "_cell", "_load", "_slot"):
+    assert a.upkeep.grid == b.upkeep.grid and a.upkeep.radius == b.upkeep.radius
+    for name in ("_pos", "_id", "_load"):
         np.testing.assert_array_equal(getattr(a, name)[:n], getattr(b, name)[:n])
-    np.testing.assert_array_equal(a._block, b._block)
+    for name in ("_cell", "_slot"):
+        np.testing.assert_array_equal(getattr(a.upkeep, name)[:n], getattr(b.upkeep, name)[:n])
+    np.testing.assert_array_equal(a.upkeep._block, b.upkeep._block)
     a_cells, b_cells = live_rows(a), live_rows(b)
     assert a_cells.keys() == b_cells.keys()
     for cell, rows in a_cells.items():
@@ -1092,11 +1110,11 @@ def test_a_store_built_with_its_points_equals_sequential_inserts(dim, radius):
     gone = rng.permutation(300)[:60]
     seq = TorusConfiguration(torus)
     file_on(seq, radius)
-    assert seq.grid == CellGrid.for_radius(torus, radius)
+    assert seq.upkeep.grid == CellGrid.for_radius(torus, radius)
     built = TorusConfiguration(torus, first)
     for x in first:
         insert_point(seq, x)
-    assert built.grid is None and built.cell_index_fault() is None
+    assert built.upkeep.grid is None and built.upkeep.fault(built) is None
     file_on(built, radius)
     assert_same_store(built, seq)
     assert_filed_in_row_order(built)
@@ -1121,46 +1139,47 @@ def test_a_store_built_with_its_points_equals_sequential_inserts(dim, radius):
         TorusConfiguration(torus, np.zeros((3, dim + 1)))
 
 
-def test_kernel_sums_of_another_cutoff_refile_the_store():
+def test_a_store_refiled_for_another_cutoff_files_every_row_afresh():
     # a store keeps up its columns alone until it is filed, here for 1.5 on
     # 6 cells per axis; inserts, removals and queries then change its index
-    # and keep the stencils that wrap.  The kernel sums of a kernel whose
-    # cutoff is not that radius file it afresh for the cutoff on the grid it
-    # picks, every row in row order and no stencil kept, and equal those of
-    # a fresh store built with the same points, bit for bit, and the
-    # brute-force sums; a query then keeps what lies within the new radius
+    # and keep the stencils that wrap.  Filed afresh for the cutoff of a
+    # kernel, on the grid it picks, it lists every row in row order and
+    # keeps no stencil; its kernel sums equal those of a fresh store built
+    # with the same points, bit for bit, and the brute-force sums; a query
+    # then keeps what lies within the new radius
     torus = Torus(10.0, 2)
     rng = np.random.default_rng(14)
     cfg = sample_poisson(torus, 3.0, rng)
-    assert cfg.grid is None and cfg._bpos is None and cfg.cell_index_fault() is None
+    assert type(cfg.upkeep) is Unloaded and cfg.upkeep.fault(cfg) is None
     n = len(cfg)
     pid = insert_point(cfg, [1.0, 2.0])
     first = cfg._pos[0].copy()
     np.testing.assert_array_equal(cfg.remove(0), first)
     assert len(cfg) == n and cfg.point_at(0) == pid
-    assert cfg.grid is None and cfg._bpos is None
+    assert type(cfg.upkeep) is Unloaded
     file_on(cfg, 1.5)
-    assert cfg.grid == CellGrid.for_radius(torus, 1.5) == CellGrid(10.0, 2, 6)
+    assert cfg.upkeep.grid == CellGrid.for_radius(torus, 1.5) == CellGrid(10.0, 2, 6)
     assert sum(rows.size for rows in live_rows(cfg).values()) == len(cfg)
     assert_cell_arrays_consistent(cfg)
     assert_filed_in_row_order(cfg)
     for x in rng.uniform(0.0, 10.0, (50, 2)):
-        cfg._neighbors(*cfg._in_box(x))
+        cfg.upkeep._neighbors(*cfg._in_box(x))
         insert_point(cfg, x)
         cfg.remove(int(rng.integers(len(cfg))))
-    assert cfg._wrapped
+    assert cfg.upkeep._wrapped
     k = in_quanta(gaussian(1.0, 0.1, 2))  # cutoff about 0.68: 14 cells
+    file_on(cfg, k.cutoff_radius(), k)
     sums = cfg.kernel_sums(k)
-    assert cfg.grid == CellGrid.for_radius(torus, k.cutoff_radius())
-    assert cfg.grid == CellGrid(10.0, 2, 14) and cfg._radius == k.cutoff_radius()
-    assert cfg._wrapped == {}
+    assert cfg.upkeep.grid == CellGrid.for_radius(torus, k.cutoff_radius())
+    assert cfg.upkeep.grid == CellGrid(10.0, 2, 14) and cfg.upkeep.radius == k.cutoff_radius()
+    assert cfg.upkeep._wrapped == {}
     assert_cell_arrays_consistent(cfg)
     assert_filed_in_row_order(cfg)
     fresh = TorusConfiguration(torus, cfg._pos[: len(cfg)])
     assert sums.tobytes() == fresh.kernel_sums(k).tobytes()
     assert sums.tolist() == brute_force_sums(cfg, k).tolist()
     x = [5.0, 5.0]
-    rows, squares = cfg._neighbors(*cfg._in_box(x))
+    rows, squares = cfg.upkeep._neighbors(*cfg._in_box(x))
     want = brute_force_neighbors(cfg, x, k.cutoff_radius())
     assert found_by(cfg, rows, squares) == want
 
@@ -1169,8 +1188,8 @@ def test_kernel_sums_of_another_cutoff_refile_the_store():
 def test_load_total_is_the_reduce_of_the_live_block_sums(n):
     # load_total is the store's running root, kept by every call that
     # changes a load: an int equal to the reduce of the live load column
-    # where the store has one block, which keeps no block sums, and of the
-    # block sums where it has more, over random births and deaths, which
+    # and of the cell index's live block sums, at every size, over random
+    # births and deaths, which
     # change their neighbours' loads, and removals, that cross block edges,
     # and 0 when empty.  A starting load is at least 2^36 quanta, more than
     # all a point's neighbours' terms of at most 0.01 2^36, so no death
@@ -1178,61 +1197,55 @@ def test_load_total_is_the_reduce_of_the_live_block_sums(n):
     rng = np.random.default_rng(n)
     cfg = TorusConfiguration(Torus(50.0, 1), rng.uniform(0.0, 50.0, (n, 1)))
     kernel = triangular(0.01, 1.0, 1).scaled(2.0**36)
-    file_on(cfg, kernel.cutoff_radius())
+    file_on(cfg, kernel.cutoff_radius(), kernel)
     cfg.set_loads(rng.integers(2**36, 2**37, n))
 
     def check():
         k = len(cfg)
-        live = cfg.loads if k <= BLOCK_ROWS else cfg._block[: -(-k // BLOCK_ROWS)]
         got = cfg.load_total()
-        assert type(got) is int and got == np.add.reduce(live)
+        for live in (cfg.loads, cfg.upkeep._block[: -(-k // BLOCK_ROWS)]):
+            assert type(got) is int and got == np.add.reduce(live)
         assert cfg.stale_sum() is None
 
     check()
     for _ in range(400):
         k, op = len(cfg), rng.integers(4)
         if op < 2 or not k:
-            cfg._add_point(rng.uniform(0.0, 50.0, 1), kernel)
+            cfg._add_point(rng.uniform(0.0, 50.0, 1))
         elif op == 2:
-            assert cfg._remove_point(int(rng.integers(k)), kernel)[2] is None
+            assert cfg._remove_point(int(rng.integers(k)))[2] is None
         else:
             cfg.remove(int(rng.integers(k)))
         check()
 
 
-def test_a_store_keeps_block_sums_only_past_one_block():
-    # a store built with 250 rows of random loads, grown by births to 300
-    # rows, with load changes, each a death and a birth that change their
-    # neighbours' loads, shrunk by remove to 200 and grown past one block
-    # again by _insert of points of load 0.  A starting load is at least 1,
-    # more than all a point's neighbours' terms of at most 0.01, so no
-    # death leaves a load below 0.  While it holds one block its load
-    # total equals the reduce of the live column, and no call writes a
-    # block sum; the insert that takes it past BLOCK_ROWS rows rebuilds the
-    # block sums from the column; and after every step sample_row draws the
-    # row that searchsorted draws on the full running sum of the loads, for
-    # targets at 23 even fractions of the total and at the total less 1,
-    # where it is the last row of positive load
+def test_the_cell_index_keeps_its_block_sums_at_every_size():
+    # a store of 250 rows of random loads on the cell index, grown by
+    # births to 300 rows, with load changes, each a death and a birth that
+    # change their neighbours' loads, shrunk by remove to 200 and grown past
+    # one block again by _insert of points of load 0.  A starting load is at
+    # least 1, more than all a point's neighbours' terms of at most 0.01, so
+    # no death leaves a load below 0.  After every step, on either side of
+    # BLOCK_ROWS rows, each block sum equals its recomputation from the
+    # column and the load total the reduce of the live column; and
+    # sample_row draws the row that searchsorted draws on the full running
+    # sum of the loads, for targets at 23 even fractions of the total and at
+    # the total less 1, where it is the last row of positive load
     rng = np.random.default_rng(9)
     cfg = TorusConfiguration(Torus(50.0, 1), rng.uniform(0.0, 50.0, (250, 1)))
     kernel = triangular(0.01, 1.0, 1).scaled(2.0**36)
-    file_on(cfg, kernel.cutoff_radius())
+    index = file_on(cfg, kernel.cutoff_radius(), kernel)
     cfg.set_loads(rng.integers(2**36, 2**37, 250))
     crossings = 0
 
     def step(change):
         nonlocal crossings
-        before, blocks = len(cfg), cfg._block.copy()
+        before = len(cfg)
         change()
         n = len(cfg)
-        if before <= BLOCK_ROWS:
-            if n <= BLOCK_ROWS:
-                assert cfg._block.tobytes() == blocks.tobytes()
-            else:
-                assert cfg._block.tobytes() == cfg._block_sums_of_column().tobytes()
-                crossings += 1
-        if n <= BLOCK_ROWS:
-            assert cfg.load_total() == np.add.reduce(cfg.loads)
+        crossings += before <= BLOCK_ROWS < n
+        assert index._block.tobytes() == index._block_sums(cfg).tobytes()
+        assert cfg.load_total() == np.add.reduce(cfg.loads)
         assert cfg.stale_sum() is None
         cum, total = np.cumsum(cfg.loads), cfg.load_total()
         last = int(cfg.loads.nonzero()[0][-1])
@@ -1241,10 +1254,10 @@ def test_a_store_keeps_block_sums_only_past_one_block():
             assert cfg.sample_row(target) == int(np.searchsorted(cum, target, side="right"))
 
     def birth():
-        cfg._add_point(rng.uniform(0.0, 50.0, 1), kernel)
+        cfg._add_point(rng.uniform(0.0, 50.0, 1))
 
     def change_loads():
-        assert cfg._remove_point(int(rng.integers(len(cfg))), kernel)[2] is None
+        assert cfg._remove_point(int(rng.integers(len(cfg))))[2] is None
         birth()
 
     while len(cfg) < 300:
@@ -1282,9 +1295,9 @@ def test_stencils_keep_pairs_that_round_to_a_whole_cell_radius(dim):
     assert min_image_distance(side, x, y) == 2.0 * size
     assert CellGrid(side, 1, 6).flat_cells_of(np.array([x[:1], y[:1]])).tolist() == [0, 3]
     cfg = filed_store(CellGrid(side, dim, 6), np.array([y]), 2.0 * size)
-    rows, squares = cfg._neighbors(*cfg._in_box(x))
+    rows, squares = cfg.upkeep._neighbors(*cfg._in_box(x))
     assert found_by(cfg, rows, squares) == [(0, 2.0 * size)]
-    assert walk_pairs(cfg.grid, [x, y], 2.0 * size) == [[min_image_square(side, x, y)]] * 2
+    assert walk_pairs(cfg.upkeep.grid, [x, y], 2.0 * size) == [[min_image_square(side, x, y)]] * 2
     for n in (6, 8):
         grid = CellGrid(side, dim, n)
         size = grid.cell_size
@@ -1298,7 +1311,7 @@ def test_stencils_keep_pairs_that_round_to_a_whole_cell_radius(dim):
         for radius in radii:
             cfg = filed_store(grid, pts, radius)
             for x in pts:
-                rows, squares = cfg._neighbors(*cfg._in_box(x))
+                rows, squares = cfg.upkeep._neighbors(*cfg._in_box(x))
                 want = brute_force_neighbors(cfg, x.tolist(), radius)
                 assert found_by(cfg, rows, squares) == want
             assert walk_pairs(grid, pts, radius) == scan_pairs(side, pts, radius)
@@ -1455,17 +1468,18 @@ def test_a_query_gathers_the_naive_stencil_in_its_order(dim):
                 coords = np.array(np.unravel_index(cell, (n,) * dim))
                 x, filed = cfg._in_box((coords + 0.5) * grid.cell_size)
                 assert filed == cell
-                rows, squares = cfg._neighbors(x, cell)
+                rows, squares = cfg.upkeep._neighbors(x, cell)
                 assert found_by(cfg, rows, squares) == brute_force_neighbors(
                     cfg, x.tolist(), radius
                 )
                 want, wraps = reference_stencil(grid, cell, radius)
-                cells = cfg._cell[rows]
-                got = list(zip((cells % cfg._buckets).tolist(), cfg._slot[rows].tolist()))
+                index = cfg.upkeep
+                cells = index._cell[rows]
+                got = list(zip((cells % index._buckets).tolist(), index._slot[rows].tolist()))
                 assert got == sorted(set(got)), (n, rings, cell)
                 assert set(cells.tolist()) <= set(want), (n, rings, cell)
                 assert wraps_by_rule(grid, radius, cell) == wraps, (n, rings, cell)
-                assert (cell in cfg._wrapped) == wraps, (n, rings, cell)
+                assert (cell in index._wrapped) == wraps, (n, rings, cell)
 
 
 # -- the exact reach and plain differences ------------------------------------
@@ -1547,9 +1561,9 @@ def test_squares_within_the_reach_keep_what_the_root_keeps(dim, wraps):
     cfg = TorusConfiguration(Torus(side, dim), pts)
     file_on(cfg, radius)
     x_in_box, cell = cfg._in_box(x)
-    rows, squares = cfg._neighbors(x_in_box, cell)
-    assert wraps_by_rule(cfg.grid, radius, cell) == wraps
-    assert list(cfg._wrapped) == ([cell] if wraps else [])  # kept only if it wraps
+    rows, squares = cfg.upkeep._neighbors(x_in_box, cell)
+    assert wraps_by_rule(cfg.upkeep.grid, radius, cell) == wraps
+    assert list(cfg.upkeep._wrapped) == ([cell] if wraps else [])  # kept only if it wraps
     found = found_by(cfg, rows, squares)
     assert found == brute_force_neighbors(cfg, x, radius)
     ids = {pid for pid, _ in found}
@@ -1557,7 +1571,7 @@ def test_squares_within_the_reach_keep_what_the_root_keeps(dim, wraps):
     both = np.concatenate([[x], pts])
     want = scan_pairs(side, both, radius)
     assert len(want[0]) >= 6
-    for grid in (cfg.grid, CellGrid(side, dim, 4)):
+    for grid in (cfg.upkeep.grid, CellGrid(side, dim, 4)):
         assert walk_pairs(grid, both, radius) == want
 
 
@@ -1592,14 +1606,14 @@ def test_plain_differences_only_where_the_stencil_does_not_wrap(dim, rings, extr
             spots = (coords * size + 1e-9, (coords + 0.5) * size, (coords + 1.0) * size)
             for x in spots:
                 x = np.nextafter(x, 0.0)
-                rows, squares = cfg._neighbors(*cfg._in_box(x))
+                rows, squares = cfg.upkeep._neighbors(*cfg._in_box(x))
                 want = brute_force_neighbors(cfg, x.tolist(), radius)
                 assert found_by(cfg, rows, squares) == want
         # the stencils that wrap, by the rule, and only those the store
         # keeps: every one at side / 2, whose rings k have 2 (k + 1) > n,
         # and at ``rings`` rings only if extra is 1
         flags = [wraps_by_rule(grid, radius, cell) for cell in range(n**dim)]
-        assert sorted(cfg._wrapped) == [cell for cell, f in enumerate(flags) if f]
+        assert sorted(cfg.upkeep._wrapped) == [cell for cell, f in enumerate(flags) if f]
         assert len(flags) == n**dim
         assert grid.rings(radius) == rings or 2 * (grid.rings(radius) + 1) > n
         assert all(flags) if extra == 1 or radius == side / 2.0 else not all(flags)
@@ -1695,30 +1709,30 @@ def test_a_store_of_one_block_keeps_its_pair_terms_until_it_passes_one_block(dim
     kernel = in_quanta(gaussian(0.4, 0.5, dim))
     cfg.build_loads(kernel)
     n = len(cfg)
-    assert cfg.grid is None and cfg._terms.shape == (BLOCK_ROWS, BLOCK_ROWS)
-    assert cfg._terms[:n, :n].tolist() == brute_force_terms(cfg, kernel).tolist()
-    assert cfg.loads.tolist() == cfg._terms[:n, :n].sum(axis=1).tolist()
+    assert cfg.upkeep.grid is None and cfg.upkeep._terms.shape == (BLOCK_ROWS, BLOCK_ROWS)
+    assert cfg.upkeep._terms[:n, :n].tolist() == brute_force_terms(cfg, kernel).tolist()
+    assert cfg.loads.tolist() == cfg.upkeep._terms[:n, :n].sum(axis=1).tolist()
 
     def check():
-        assert cfg.terms_fault(kernel) is None and cfg.stale_sum() is None
-        filed = cfg.grid
+        assert cfg.upkeep.fault(cfg) is None and cfg.stale_sum() is None
+        filed = cfg.upkeep.grid
         assert cfg.loads.tolist() == cfg.kernel_sums(kernel).tolist()
-        assert cfg.grid == filed  # kernel_sums files nothing
+        assert cfg.upkeep.grid == filed  # kernel_sums files nothing
 
     check()
     while len(cfg) <= BLOCK_ROWS:
         k = len(cfg)
         if rng.random() < 0.7:
-            cfg._add_point(rng.uniform(0.0, side, dim), kernel)
+            cfg._add_point(rng.uniform(0.0, side, dim))
         else:
-            assert cfg._remove_point(int(rng.integers(k)), kernel)[2] is None
-        assert (cfg._terms is None) == (len(cfg) > BLOCK_ROWS)
+            assert cfg._remove_point(int(rng.integers(k)))[2] is None
+        assert isinstance(cfg.upkeep, PairTerms) == (len(cfg) <= BLOCK_ROWS)
         check()
-    assert cfg.grid == CellGrid.for_radius(cfg.torus, kernel.cutoff_radius())
+    assert cfg.upkeep.grid == CellGrid.for_radius(cfg.torus, kernel.cutoff_radius())
     while len(cfg) > 240:
-        assert cfg._remove_point(int(rng.integers(len(cfg))), kernel)[2] is None
+        assert cfg._remove_point(int(rng.integers(len(cfg))))[2] is None
         check()
-    assert cfg._terms is None and cfg.cell_index_fault() is None
+    assert type(cfg.upkeep) is CellIndex and cfg.upkeep.fault(cfg) is None
 
 
 def test_terms_fault_names_a_row_sum_that_differs_from_its_load():
@@ -1727,11 +1741,11 @@ def test_terms_fault_names_a_row_sum_that_differs_from_its_load():
     cfg = TorusConfiguration(T10_1, rng.uniform(0.0, 10.0, (30, 1)))
     kernel = in_quanta(triangular(1.0, 1.0, 1))
     cfg.build_loads(kernel)
-    assert cfg.terms_fault(kernel) is None
+    assert cfg.upkeep.fault(cfg) is None
     row_sum = cfg._load.item(3)
     cfg._load[3] += 1
     want = f"row sum of point 3 is {row_sum} quanta, its load {row_sum + 1}"
-    assert cfg.terms_fault(kernel) == want
+    assert cfg.upkeep.fault(cfg) == "pair-term matrix differs: " + want
 
 
 def test_kernel_sum_matches_brute_force_gaussian():
@@ -1753,8 +1767,9 @@ def test_kernel_sum_matches_brute_force_many_cases():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_kernel_sums_same_on_every_cell_grid(dim):
     # the store filed for the kernel's cutoff (about 3.3) by hand on the grid
-    # of each radius, or by kernel_sums on the one it picks for the cutoff:
-    # 2, 79, 15, 7 or 1 cells; on the coarser grids the cutoff ball wraps
+    # of each radius, or on the one it picks for the cutoff, and the kernel
+    # sums walked on that grid: 2, 79, 15, 7 or 1 cells; on the coarser
+    # grids the cutoff ball wraps
     # round the whole grid, so cell offsets repeat modulo the grid and must
     # be visited once each
     rng = np.random.default_rng(6)
@@ -1765,11 +1780,10 @@ def test_kernel_sums_same_on_every_cell_grid(dim):
         cfg = TorusConfiguration(Torus(8.0, dim))
         for x in points:
             insert_point(cfg, x)
-        if grid_radius is not None:
-            cfg._file(CellGrid.for_radius(cfg.torus, grid_radius), k.cutoff_radius())
-        sums = cfg.kernel_sums(k)
         radius = grid_radius or k.cutoff_radius()
-        assert cfg.grid == CellGrid.for_radius(cfg.torus, radius)
+        file_on(cfg, k.cutoff_radius(), grid=CellGrid.for_radius(cfg.torus, radius))
+        sums = walk_sums(cfg, k, cfg.upkeep.grid)
+        assert cfg.upkeep.grid == CellGrid.for_radius(cfg.torus, radius)
         if expected is None:
             expected = brute_force_sums(cfg, k)
         assert sums.tolist() == expected.tolist()
@@ -1780,23 +1794,24 @@ def index_of(cfg):
     columns and each cell's live rows, in order."""
     n = len(cfg)
     cells = {c: rows.tolist() for c, rows in live_rows(cfg).items()}
-    return cfg.grid, cfg._cell[:n].tolist(), cfg._slot[:n].tolist(), cells
+    index = cfg.upkeep
+    return index.grid, index._cell[:n].tolist(), index._slot[:n].tolist(), cells
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_kernel_sums_refile_on_the_store_grid(dim):
-    # kernel_sums of a store filed for its kernel's cutoff walks the grid
-    # the store was filed on (19 cells), not the cutoff's own (about 3.3, so
-    # 3 cells), and refiles no row: the index that inserts and removes
-    # left, whose cells no longer list their rows in ascending order, is
-    # exactly as it was
+    # kernel_sums of a store filed by hand for its kernel's cutoff on 19
+    # cells walks the cutoff's own grid (about 3.3, so 3 cells), as a walk
+    # of the store's grid sums, and refiles no row: the index that inserts
+    # and removes left, whose cells no longer list their rows in ascending
+    # order, is exactly as it was
     rng = np.random.default_rng(15 + dim)
     torus = Torus(10.0, dim)
     cfg = sample_poisson(torus, 40.0 / torus.volume, rng)
     grid = CellGrid.for_radius(torus, 0.5)
     k = in_quanta(gaussian(1.0, 0.5, dim))
-    cfg._file(grid, k.cutoff_radius())
-    assert cfg.grid == grid != CellGrid.for_radius(torus, k.cutoff_radius())
+    file_on(cfg, k.cutoff_radius(), grid=grid)
+    assert cfg.upkeep.grid == grid != CellGrid.for_radius(torus, k.cutoff_radius())
     reordered = False
     for _ in range(3):
         for x in rng.uniform(0.0, 10.0, (10, dim)):
@@ -1805,10 +1820,11 @@ def test_kernel_sums_refile_on_the_store_grid(dim):
             cfg.remove(int(rng.integers(len(cfg))))
         index = index_of(cfg)
         sums = cfg.kernel_sums(k)
-        assert index_of(cfg) == index and cfg.cell_index_fault() is None
+        assert index_of(cfg) == index and cfg.upkeep.fault(cfg) is None
         assert_cell_arrays_consistent(cfg)
         reordered |= any(rows != sorted(rows) for rows in index[3].values())
         assert sums.tolist() == brute_force_sums(cfg, k).tolist()
+        assert walk_sums(cfg, k, grid).tolist() == sums.tolist()
     assert reordered or dim == 2  # 361 cells in d=2 seldom hold two points
 
 
@@ -1819,65 +1835,74 @@ def test_kernel_too_wide_rejected():
         cfg.kernel_sums(gaussian(1.0, 2.0, 1))
 
 
+def both_draws(n, seed):
+    """Two stores of the same ``n`` uniform points on T10_1: a bare one,
+    whose death draw searches one running sum of the loads, and one on the
+    cell index, whose draw searches its block sums, then one block."""
+    bare, filed = (uniform_cfg(T10_1, n, np.random.default_rng(seed)) for _ in range(2))
+    file_on(filed, 1.0)
+    return bare, filed
+
+
 def test_sample_row_never_draws_zero_weight():
     # rows 255 and 256, either side of the block boundary, have load 0: the
     # target that the rows before them cover in full draws the row after
-    cfg = uniform_cfg(T10_1, 512, np.random.default_rng(7))
     loads = np.ones(512, dtype=np.int64)
     loads[255:257] = 0
-    cfg.set_loads(loads)
-    assert [cfg.sample_row(t) for t in (253, 254, 255, 256)] == [253, 254, 257, 258]
-    want = np.searchsorted(np.cumsum(loads), 3 * 510 // 4, side="right")
-    assert cfg.sample_row(3 * 510 // 4) == want
+    for cfg in both_draws(512, 7):
+        cfg.set_loads(loads)
+        assert [cfg.sample_row(t) for t in (253, 254, 255, 256)] == [253, 254, 257, 258]
+        want = np.searchsorted(np.cumsum(loads), 3 * 510 // 4, side="right")
+        assert cfg.sample_row(3 * 510 // 4) == want
 
 
 @pytest.mark.parametrize("n", [3, BLOCK_ROWS, BLOCK_ROWS + 1, 700])
 def test_sample_row_at_zero_skips_the_leading_rows_of_load_0(n):
     # the target 0, which the running sums of leading rows of load 0
-    # reach, draws the first row above 0, on the path of at most BLOCK_ROWS
-    # rows and on the block path, where in the largest store the whole of
-    # block 0 has load 0
-    cfg = uniform_cfg(T10_1, n, np.random.default_rng(n))
+    # reach, draws the first row above 0, by one running sum and by the
+    # block sums, where in the largest store the whole of block 0 has load 0
     loads = np.random.default_rng(6).integers(1, 5, n)
     first = min(n - 1, BLOCK_ROWS + 3) if n > BLOCK_ROWS + 1 else n // 2
     loads[:first] = 0
-    cfg.set_loads(loads)
-    assert cfg.sample_row(0) == first
+    for cfg in both_draws(n, n):
+        cfg.set_loads(loads)
+        assert cfg.sample_row(0) == first
 
 
 @pytest.mark.parametrize("n", [1, 100, BLOCK_ROWS, BLOCK_ROWS + 1, 700])
 def test_sample_row_at_the_largest_uniform_draws_the_last_row(n):
-    # the largest target, the total less 1, on the path of at most
-    # BLOCK_ROWS rows and on the block path: the draw is the last row,
+    # the largest target, the total less 1, by one running sum and by the
+    # block sums, at every size: the draw is the last row,
     # never row n, and the last of positive load when the rows after it
     # have load 0
-    cfg = uniform_cfg(T10_1, n, np.random.default_rng(n))
-    loads = np.random.default_rng(5).integers(1, 2**40, n)
-    cfg.set_loads(loads)
-    assert cfg.sample_row(cfg.load_total() - 1) == n - 1
-    if n > 1:
-        loads[n // 2 :] = 0
+    for cfg in both_draws(n, n):
+        loads = np.random.default_rng(5).integers(1, 2**40, n)
         cfg.set_loads(loads)
-        assert cfg.sample_row(cfg.load_total() - 1) == n // 2 - 1
+        assert cfg.sample_row(cfg.load_total() - 1) == n - 1
+        if n > 1:
+            loads[n // 2 :] = 0
+            cfg.set_loads(loads)
+            assert cfg.sample_row(cfg.load_total() - 1) == n // 2 - 1
 
 
 @pytest.mark.parametrize("n", [4, 3 * BLOCK_ROWS + 4])
 def test_sample_row_finds_the_covering_row_of_every_target(n):
     # every target of 0..L-1 draws the row whose load covers it, row r for
     # the loads[r] targets from the sum of the loads before it on: loads
-    # [0, 3, 0, 2] give rows 1, 1, 1, 3, 3.  The store past BLOCK_ROWS
-    # holds many loads of 0 and a block, block 1, of loads 0 alone; a draw
-    # off by one at any boundary of a row or a block shows here, where a
-    # random target would almost never land on one
+    # [0, 3, 0, 2] give rows 1, 1, 1, 3, 3, by one running sum and by the
+    # block sums.  The store past BLOCK_ROWS holds many loads of 0 and a
+    # block, block 1, of loads 0 alone; a draw off by one at any boundary of
+    # a row or a block shows here, where a random target would almost never
+    # land on one
     loads = np.array([0, 3, 0, 2])
     if n > 4:
         loads = np.random.default_rng(12).integers(0, 4, n) * (np.arange(n) % 3 == 0)
         loads[BLOCK_ROWS : 2 * BLOCK_ROWS] = 0
         loads[-4:] = [0, 3, 0, 2]
-    cfg = uniform_cfg(T10_1, n, np.random.default_rng(n))
-    cfg.set_loads(loads)
     want = np.arange(n).repeat(loads).tolist()
-    assert [cfg.sample_row(t) for t in range(cfg.load_total())] == want
+    for cfg in both_draws(n, n):
+        cfg.set_loads(loads)
+        assert [cfg.sample_row(t) for t in range(cfg.load_total())] == want
     if n == 4:
         assert want == [1, 1, 1, 3, 3]
 

@@ -1,8 +1,10 @@
 """Every top-level import of a package module is used in that module;
 every function, class and method the package defines has a caller, and
 every module-level UPPER_CASE constant a reader; every optional parameter
-of a function is passed by some caller; and no module but ``geometry.py``
-reaches into the point store's private members.
+of a function is passed by some caller; no module but ``geometry.py``
+reaches into the point store's private members, and no method of the store
+into its load regime's; and every owner the benchmark's tracer patches
+imports.
 
 No linter runs on the package, so this parses each module with ``ast``.
 ``__init__.py`` is left out of the import check, since its imports are
@@ -10,6 +12,7 @@ re-exports, and so are ``from __future__`` imports.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -251,29 +254,30 @@ def test_every_optional_parameter_has_a_setter():
     assert unset_options(defining, using) == []
 
 
-# The point store's private members, and the load calls it no longer has,
-# that no package module but geometry.py names: a birth and a death are
-# each one store call, which keeps the loads itself.
+# The load regimes' private members: the pair-term matrix, the cell index's
+# columns and buckets, and its block sums.
+REGIME_PRIVATE = ("_terms", "_rows", "_fill", "_bpos", "_slot", "_cell", "_block")
+# The point store's private members, its regimes', and the load calls it no
+# longer has, that no package module but geometry.py names: a birth and a
+# death are each one store call, which keeps the loads itself.
 STORE_PRIVATE = (
     "_in_box",
     "_neighbors",
     "_insert",
-    "_cell",
     "_load",
-    "_block",
     "_total",
-    "_terms",
+    *REGIME_PRIVATE,
     "add_loads",
     "lower_loads",
 )
 
 
-def names_among(source: str, names) -> list[str]:
+def names_among(source, names) -> list[str]:
     """``name (line n)`` of each ``Name``, attribute, imported name,
-    definition or string constant of ``source`` that is one of ``names``,
-    in the order of the source."""
+    definition or string constant of ``source``, a source or a parsed node,
+    that is one of ``names``, in the order of the source."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(ast.parse(source) if isinstance(source, str) else source):
         if isinstance(node, ast.Name):
             name = node.id
         elif isinstance(node, ast.Attribute):
@@ -315,3 +319,81 @@ def test_checker_flags_a_store_private_name():
 )
 def test_only_the_store_names_its_private_members(path):
     assert names_among(path.read_text(), STORE_PRIVATE) == []
+
+
+def regime_reaches(source: str, cls: str = "TorusConfiguration") -> list[str]:
+    """``method: name (line n)`` of each regime private member that a
+    method of class ``cls`` in ``source`` names, and ``method: BLOCK_ROWS
+    (line n)`` of each comparison of one with BLOCK_ROWS."""
+    (store,) = [
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and node.name == cls
+    ]
+    found = []
+    for method in store.body:
+        if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        reached = names_among(method, REGIME_PRIVATE)
+        for node in ast.walk(method):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(
+                    getattr(o, "id", getattr(o, "attr", None)) == "BLOCK_ROWS"
+                    for o in operands
+                ):
+                    reached.append(f"BLOCK_ROWS (line {node.lineno})")
+        found += [f"{method.name}: {name}" for name in reached]
+    return found
+
+
+def test_checker_flags_a_store_method_that_reaches_into_a_regime():
+    source = (
+        "class TorusConfiguration:\n"
+        "    def remove(self, row):\n"
+        "        if self._n > BLOCK_ROWS:\n"
+        "            self.upkeep._block[0] -= 1\n"
+        "        return self.upkeep.removed(self, row)\n"
+        "    def sample_row(self, t):\n"
+        "        return t if geometry.BLOCK_ROWS < t else self.upkeep._terms\n"
+        "class CellIndex:\n"
+        "    def added(self):\n"
+        "        self._cell[0] = BLOCK_ROWS == 1\n"
+    )
+    assert regime_reaches(source) == [
+        "remove: _block (line 4)",
+        "remove: BLOCK_ROWS (line 3)",
+        "sample_row: _terms (line 7)",
+        "sample_row: BLOCK_ROWS (line 7)",
+    ]
+
+
+def test_no_store_method_reaches_into_a_regime():
+    # the store keeps the shared columns; what each regime keeps, and the
+    # block edge it switches at, are the regime's own
+    assert regime_reaches((PACKAGE / "geometry.py").read_text()) == []
+
+
+def tracer_targets() -> tuple:
+    """The (owner, attribute, span name) triples of ``bench/tracer.py``'s
+    TARGETS, read from its source without importing it."""
+    tree = ast.parse((PACKAGE.parent.parent / "bench" / "tracer.py").read_text())
+    (value,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    ]
+    return ast.literal_eval(value)
+
+
+def test_every_owner_the_tracer_patches_imports():
+    # the tracer imports each owner's module and looks its class up by name,
+    # so an owner that moves crashes every traced benchmark run; an
+    # attribute the owner lacks is only listed as missing
+    targets = tracer_targets()
+    assert ("sbdsim.geometry:TorusConfiguration", "remove", "geometry.remove") in targets
+    for owner, _, _ in targets:
+        module, _, cls = owner.partition(":")
+        imported = importlib.import_module(module)
+        assert not cls or isinstance(getattr(imported, cls, None), type), owner
