@@ -26,9 +26,10 @@ a load below zero, which only a corrupt cache can, raises AuditError.
 
 The optional audit asks the regime for its one fault: a misfiled row of
 the cell index, or a pair term or row sum of the matrix.  It then
-recomputes the loads, the load total and any block sums from scratch, from
-each pair's squared length bit for bit as the incremental updates saw it.
-It leaves the index as it found it and fails loudly on any difference.
+recomputes the loads and the load total from scratch, from each pair's
+squared length bit for bit as the incremental updates saw it, and checks
+the index's load bound.  It changes nothing, and fails loudly on any
+difference.
 
 The per-event path, ``total_rates`` and ``_apply_event`` with the store and
 kernel methods they call, reaches numpy only through ufuncs, ufunc methods
@@ -49,10 +50,11 @@ Each loop iteration draws its waiting time, exponential in the total rate B
 2. for a ``bolker_pacala`` birth, the parent as a uniform row and then its
    displacement, one kernel draw; for a ``migration`` birth, the immigrant's
    position, one draw of the immigration field; for a natural death, the
-   dying point as a uniform row; for a death by competition, a uniform
-   target of 0..L-1, which the store's ``sample_row`` turns into the row
-   covering it: from one running sum of the loads on the matrix, and from
-   the block sums, then one block, on the cell index.
+   dying point as a uniform row; for a death by competition, the store's
+   ``sample_row``: on the matrix, a uniform target of 0..L-1 and the row
+   covering it; on the cell index, a uniform row and a uniform target below
+   its load bound, until a target falls below its row's load.  States are
+   sub-Poissonian, so the bound stays near the mean load: a few tries.
 
 Uniforms, uniform rows and targets come from ``BlockDraws``: blocks of DRAW_BLOCK
 draws each, filled lazily from the run's generator, rows exactly uniform by
@@ -86,7 +88,7 @@ VARIANTS = ("bolker_pacala", "migration")
 # Hard cap on the living population before a run aborts.
 DEFAULT_MAX_POPULATION = 1_000_000
 # A load total, in quanta, at or past which a run aborts as at the cap: one
-# birth adds less than this, so no int64 block sum wraps before the check.
+# birth adds less than this, so no int64 load or bound wraps before the check.
 LOAD_LIMIT = 1 << 62
 # Uniforms and 64-bit words are drawn from the run's generator this many at a
 # time, each kind into its own block.
@@ -382,13 +384,13 @@ class SimulationState:
 
     def audit(self) -> None:
         """Raise AuditError on the load regime's fault, then on any cached
-        load, the load total or a block sum that differs from its
-        recomputation from scratch.  The regime's fault is a misfiled row of
-        the cell index, or a pair term or row sum of the matrix against a
-        fresh build.  The fresh loads add each unordered pair's term in
-        quanta to both its points, from the squared length the incremental
-        updates see bit for bit.  The walk files nothing, so an audited run
-        gives the unaudited one's trace."""
+        load or the load total that differs from its recomputation from
+        scratch, then on a load above the index's load bound.  The regime's
+        fault is a misfiled row of the cell index, or a pair term or row sum
+        of the matrix against a fresh build.  The fresh loads add each
+        unordered pair's term in quanta to both its points, from the squared
+        length the incremental updates see bit for bit.  The walk files
+        nothing, so an audited run gives the unaudited one's trace."""
         fault = self.cfg.upkeep.fault(self.cfg)
         if fault is not None:
             raise AuditError(fault)
@@ -402,10 +404,7 @@ class SimulationState:
             )
         stale = self.cfg.stale_sum()
         if stale is not None:
-            name, running, recomputed = stale
-            raise AuditError(
-                f"{name} drifted: running {running!r}, recomputed {recomputed!r}"
-            )
+            raise AuditError(stale)
 
     # -- event application ---------------------------------------------------
 
@@ -415,10 +414,10 @@ class SimulationState:
         """Pick the event with one uniform times b + d, apply it and append
         it to ``log``: a birth with weight b, a natural death with weight
         m n, whose row is a uniform row, or a death by competition with the
-        rest of d, open while the load total L is above 0, whose row
-        ``sample_row`` finds for a uniform target of 0..L-1, each row with
-        probability exactly its load over L.  A birth's parent is a uniform
-        row too.  The clock must already sit at the event time.
+        rest of d, open while the load total L is above 0, whose row the
+        store's ``sample_row`` draws with probability exactly its load over
+        L.  A birth's parent is a uniform row too.  The clock must already
+        sit at the event time.
         """
         cfg, draws = self.cfg, self._draws
         n = cfg._n
@@ -434,10 +433,10 @@ class SimulationState:
             pid, x = cfg._add_point(pos)
             log._append(self.t, True, x, pid, parent)
             return
-        if pick < self.spec.m * n or not (load := cfg.load_total()):
+        if pick < self.spec.m * n or not cfg.load_total():
             row = draws.row(n, rng)
         else:
-            row = cfg.sample_row(draws.row(load, rng))
+            row = cfg.sample_row(draws, rng)
         pid, x, fault = cfg._remove_point(row)
         if fault is not None:
             raise AuditError(fault)

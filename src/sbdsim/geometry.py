@@ -18,17 +18,18 @@ states its profile on the square (``RadialKernel._profile_sq``).
 
 ``TorusConfiguration`` is the simulator's one point store.  It keeps the
 columns every load regime shares.  Its ``upkeep`` keeps the loads, in one
-of three regimes: ``Unloaded``, ``PairTerms`` or ``CellIndex``.
-``sample_poisson`` draws a homogeneous Poisson configuration and builds the
-store with it.
+of three regimes: ``Unloaded``, ``PairTerms`` or ``CellIndex``, which
+also draws a row by its load.  ``sample_poisson`` draws a homogeneous
+Poisson configuration and builds the store with it.
 
 The store's per-event methods, its regimes' and ``periodic_pairs`` call
 numpy only through ufuncs, ufunc methods and ndarray methods.  A
 Python-level wrapper of ``numpy/_core/fromnumeric.py``, ``_methods.py`` or
 ``lib/_function_base_impl.py`` costs a few microseconds, a sizeable share
 of an event of some tens of them.  The per-event methods make no ufunc
-reduction either: a sum is the last element of a running sum, and a least
-load an argmin.  They read scalars with ``.item()``.
+reduction or ``ufunc.at`` either: a sum is the last element of a running
+sum, and a least or largest load an argmin or argmax.  They read scalars
+with ``.item()``.
 """
 
 from __future__ import annotations
@@ -43,11 +44,8 @@ import numpy as np
 
 from .kernels import RadialKernel
 
-# The load column is summed per block of 2**BLOCK_SHIFT consecutive rows:
-# the death draw finds its block among n / BLOCK_ROWS running block sums and
-# then its row inside that one block.
-BLOCK_SHIFT = 8
-BLOCK_ROWS = 1 << BLOCK_SHIFT
+# A store of at most this many rows, one block, keeps the pair-term matrix
+BLOCK_ROWS = 256
 # Row pairs per batch of the vectorised kernel sums; bounds their scratch memory.
 PAIR_BATCH = 1 << 14
 # The pair walk keys each row by its run in the high bits of an int64 and by
@@ -603,14 +601,14 @@ class TorusConfiguration:
         """View of the competition-load column, one entry per row.
 
         Change it through ``_add_point``, ``_remove_point`` or ``set_loads``.
-        A direct write bypasses the load total and any block sums, which
+        A direct write bypasses the load total and any load bound, which
         ``stale_sum`` then reports.
         """
         return self._load[: self._n]
 
     def set_loads(self, values: np.ndarray) -> None:
         """Replace the whole load column, in quanta.  The load total and any
-        block sums are recomputed."""
+        load bound are recomputed."""
         self._load[: self._n] = values
         self._total = int(np.add.reduce(self.loads))
         self.upkeep.resum(self)
@@ -627,19 +625,17 @@ class TorusConfiguration:
         that changes a load, never reduced here."""
         return self._total
 
-    def sample_row(self, target: int) -> int:
-        """The row whose load covers ``target``, 0 <= target < ``load_total``,
-        as ``searchsorted(cumsum(loads), target, "right")`` finds it: for a
-        uniform target, each row with probability exactly its load over the
-        total."""
-        return self.upkeep.sample_row(self, target)
+    def sample_row(self, draws, rng: np.random.Generator) -> int:
+        """A row with probability exactly its load over the load total, above
+        0, from the regime and the uniform rows of ``draws.row(n, rng)``."""
+        return self.upkeep.sample_row(self, draws, rng)
 
-    def stale_sum(self) -> tuple[str, int, int] | None:
-        """First running sum that differs from the loads it sums, as (name,
-        running, recomputed): the load total, then any block sum; else None."""
+    def stale_sum(self) -> str | None:
+        """The load total if it differs from the reduce of the loads, then a
+        load above the regime's load bound, as a message; else None."""
         fresh = int(np.add.reduce(self.loads))
         if self._total != fresh:
-            return "load total", self._total, fresh
+            return f"load total drifted: running {self._total}, recomputed {fresh}"
         return self.upkeep.stale_sum(self)
 
     def point_at(self, row: int) -> int:
@@ -704,7 +700,7 @@ class TorusConfiguration:
         self._pos[row] = x
         self._id[row] = pid
         self._load[row] = load
-        self.upkeep.added(self, row, x, cell, load)
+        self.upkeep.added(self, row, x, cell)
         self._n += 1
         self._next_id += 1
         self._total += load
@@ -835,24 +831,27 @@ class Unloaded:
         """Remove the point in ``row``."""
         return cfg._id.item(row), cfg.remove(row), None
 
-    def added(self, cfg: TorusConfiguration, row: int, x, cell: int, load: int) -> None:
-        """Keep up with the new last ``row``, at ``x`` in ``cell``, of ``load``."""
+    def added(self, cfg: TorusConfiguration, row: int, x, cell: int) -> None:
+        """Keep up with the new last ``row``, at ``x`` in ``cell``."""
 
     def removed(self, cfg: TorusConfiguration, row: int, last: int) -> None:
         """Keep up with the removal of ``row``, into which ``last`` moves."""
 
     def resum(self, cfg: TorusConfiguration) -> None:
-        """Recompute any sums kept of the load column."""
+        """Recompute anything kept of the load column as a whole."""
 
-    def sample_row(self, cfg: TorusConfiguration, target: int) -> int:
-        """``TorusConfiguration.sample_row``, from one running sum of the loads."""
+    def sample_row(self, cfg: TorusConfiguration, draws, rng) -> int:
+        """``TorusConfiguration.sample_row`` by inversion: the row whose load
+        covers a uniform target of 0..L-1, L the load total, as
+        ``searchsorted(cumsum(loads), target, "right")`` finds it."""
+        target = draws.row(cfg._total, rng)
         return int(np.add.accumulate(cfg._load[: cfg._n]).searchsorted(target, "right"))
 
     def fault(self, cfg: TorusConfiguration) -> str | None:
         """First fault of what the regime keeps beside the loads, else None."""
 
-    def stale_sum(self, cfg: TorusConfiguration) -> tuple[str, int, int] | None:
-        """First block sum that differs from the loads it sums, else None."""
+    def stale_sum(self, cfg: TorusConfiguration) -> str | None:
+        """A load above the regime's load bound, else None."""
 
 
 class PairTerms(Unloaded):
@@ -959,8 +958,8 @@ class PairTerms(Unloaded):
 
 
 class CellIndex(Unloaded):
-    """The load regime past BLOCK_ROWS rows: a bucketed cell index, and
-    block sums of the loads.
+    """The load regime past BLOCK_ROWS rows: a bucketed cell index, and a
+    bound on the loads.
 
     The index is filed once, for one radius, and no query changes it.  A
     birth and a death each query it once, from the point's cell.
@@ -970,8 +969,14 @@ class CellIndex(Unloaded):
     positions, +inf in each free slot.  The padding follows the fullest
     bucket (see CELL_SLACK).  A grid of more cells than the slot budget
     allows (SLOTS_PER_POINT) shares buckets: cell c goes in bucket c %
-    buckets.  ``_block`` holds a running int64 sum of the loads of each
-    block of BLOCK_ROWS rows.
+    buckets.  ``bound``, an int, is never below any load.  ``resum`` sets
+    it to the largest load, a birth raises it to its largest new load, and
+    a death, which only lowers loads, leaves it.  ``sample_row`` draws by
+    stochastic acceptance (Lipowski and Lipowska, Physica A 391, 2012).
+    Each trial is uniform on n x bound, and the bound never depends on the
+    trial, so a kept row has probability exactly its load over the total
+    L.  A draw takes n bound / L trials on average: sub-Poissonian states
+    keep every load near the mean, so that stays a few.
     """
 
     def __init__(self, cfg: TorusConfiguration, kernel: RadialKernel | None):
@@ -1035,24 +1040,17 @@ class CellIndex(Unloaded):
             self._x_shape = (len(bpos),) + (1,) * len(shape)
 
     def resum(self, cfg: TorusConfiguration) -> None:
-        self._block = self._block_sums(cfg)
+        """The bound and the draws to its next recompute set from the loads."""
+        loads = cfg.loads
+        self.bound = loads.item(loads.argmax()) if cfg._n else 0
+        self._due = cfg._n
 
-    def _block_sums(self, cfg: TorusConfiguration) -> np.ndarray:
-        """The block sums recomputed from the load column, in int64: a
-        reduction per block, not ``np.bincount``, which sums in float64."""
-        sums = np.zeros(-(-self._cell.size // BLOCK_ROWS), dtype=np.int64)
-        if cfg._n:
-            starts = np.arange(0, cfg._n, BLOCK_ROWS)
-            sums[: starts.size] = np.add.reduceat(cfg.loads, starts)
-        return sums
-
-    def added(self, cfg: TorusConfiguration, row: int, x, cell: int, load: int) -> None:
+    def added(self, cfg: TorusConfiguration, row: int, x, cell: int) -> None:
         """File the new row in its bucket's next slot.  A full bucket grows
         every bucket, or, past the slot budget, the whole index is filed
         afresh on fewer buckets."""
         if row == self._cell.size:  # the store has doubled, to 2 row rows
             self._cell, self._slot = _grown(self._cell, 2 * row), _grown(self._slot, 2 * row)
-            self._block = _grown(self._block, -(-2 * row // BLOCK_ROWS))
         self._cell[row] = cell
         bucket = cell % self._buckets
         k = self._fill.item(bucket)
@@ -1069,12 +1067,11 @@ class CellIndex(Unloaded):
         self._bpos[:, bucket, k] = x
         self._fill[bucket] = k + 1
         self._slot[row] = k
-        self._block[row >> BLOCK_SHIFT] += load
 
     def removed(self, cfg: TorusConfiguration, row: int, last: int) -> None:
-        """Free the slot of ``row``, renumber the moved last row in its slot,
-        and move the loads of both between block sums."""
-        buckets, rows, block = self._buckets, self._rows, self._block
+        """Free the slot of ``row``, and renumber the moved last row in its
+        slot."""
+        buckets, rows = self._buckets, self._rows
         bucket, slot = self._cell.item(row) % buckets, self._slot.item(row)
         k = self._fill.item(bucket) - 1
         tail = rows.item(bucket, k)  # row itself if it holds the last slot
@@ -1084,34 +1081,35 @@ class CellIndex(Unloaded):
             p[bucket, slot] = p.item(bucket, k)
             p[bucket, k] = math.inf
         self._fill[bucket] = k
-        block[row >> BLOCK_SHIFT] -= cfg._load.item(row)
         if row != last:
             rows[self._cell.item(last) % buckets, self._slot.item(last)] = row
             self._cell[row], self._slot[row] = self._cell[last], self._slot[last]
-            moved = cfg._load.item(last)
-            block[last >> BLOCK_SHIFT] -= moved
-            block[row >> BLOCK_SHIFT] += moved
 
     def birth(self, cfg: TorusConfiguration, position) -> tuple:
         """Store a point at ``position``, wrapped and filed once, in
         ``_in_box``.  Its neighbours come from one query before it is
         stored; each term is the profile truncated to int64.  The last
         element of their running sum is both its load and what the
-        neighbours gain."""
+        neighbours gain.  Their loads come in with one ``take`` and go back
+        with one ``put``, and one ``argmax`` of them raises the bound."""
         x, cell = cfg._in_box(position)
         rows, squares = self._neighbors(x, cell)
+        if not rows.size:
+            return cfg._insert(x, cell, 0), x
         contrib = self.kernel._profile_sq(squares).astype(np.int64)
-        load = np.add.accumulate(contrib).item(-1) if rows.size else 0
-        cfg._load[rows] += contrib
+        load = np.add.accumulate(contrib).item(-1)
+        gained = cfg._load.take(rows)
+        gained += contrib
+        cfg._load.put(rows, gained)
         cfg._total += load
-        np.add.at(self._block, rows >> BLOCK_SHIFT, contrib)
+        self.bound = max(self.bound, load, gained.item(gained.argmax()))
         return cfg._insert(x, cell, load), x
 
     def death(self, cfg: TorusConfiguration, row: int) -> tuple:
         """Remove the point in ``row``, then query from its cell.  The old
         loads come in with one ``take``, and what is left goes back with one
-        ``put``; the block sums lose the terms with one ``subtract.at``, and
-        the load total the last element of their running sum."""
+        ``put``; the load total loses the last element of the terms' running
+        sum.  The bound stays."""
         pid, cell = cfg._id.item(row), self._cell.item(row)
         x = cfg.remove(row)
         rows, squares = self._neighbors(x, cell)
@@ -1126,7 +1124,6 @@ class CellIndex(Unloaded):
             return pid, x, LOAD_FAULT.format(lowest, left.item(i), pid)
         cfg._load.put(rows, left)
         cfg._total -= np.add.accumulate(contrib).item(-1)
-        np.subtract.at(self._block, rows >> BLOCK_SHIFT, contrib)
         return pid, x, None
 
     def _neighbors(self, x: np.ndarray, cell: int):
@@ -1190,17 +1187,19 @@ class CellIndex(Unloaded):
         keep = (square <= self._reach).nonzero()[0]
         return rows.take(keep), square.take(keep)
 
-    def sample_row(self, cfg: TorusConfiguration, target: int) -> int:
-        """``TorusConfiguration.sample_row``: the block from the running sum
-        of the block sums, then the row from that of the block's loads."""
-        n = cfg._n
-        cum = np.add.accumulate(self._block[: (n + BLOCK_ROWS - 1) >> BLOCK_SHIFT])
-        block = int(cum.searchsorted(target, "right"))
-        if block:
-            target -= cum.item(block - 1)
-        lo = block << BLOCK_SHIFT
-        local = np.add.accumulate(cfg._load[lo : min(lo + BLOCK_ROWS, n)])
-        return lo + int(local.searchsorted(target, "right"))
+    def sample_row(self, cfg: TorusConfiguration, draws, rng) -> int:
+        """A uniform row, kept if a uniform target below the bound falls
+        below its load, else a fresh row and target.  A ``resum`` comes first
+        once the draws since the last reach the population then: O(1) per
+        event on average, and the bound falls after a crash."""
+        if not self._due:
+            self.resum(cfg)
+        self._due -= 1
+        n, bound, load = cfg._n, self.bound, cfg._load
+        while True:
+            row = draws.row(n, rng)
+            if draws.row(bound, rng) < load.item(row):
+                return row
 
     def fault(self, cfg: TorusConfiguration) -> str | None:
         """A row misfiled against the positions, else a position in a free
@@ -1229,12 +1228,11 @@ class CellIndex(Unloaded):
         if stale.size:
             return f"{prefix}cell {stale[0]} has a position in a free slot"
 
-    def stale_sum(self, cfg: TorusConfiguration) -> tuple[str, int, int] | None:
-        fresh = self._block_sums(cfg)
-        block = first_drift(self._block, fresh)
-        if block is None:
-            return None
-        return f"load sum of row block {block}", self._block.item(block), fresh.item(block)
+    def stale_sum(self, cfg: TorusConfiguration) -> str | None:
+        loads = cfg.loads
+        if cfg._n and loads.item(row := loads.argmax()) > self.bound:
+            load, pid = loads.item(row), cfg.point_at(row)
+            return f"load of point {pid} is {load} quanta, above the load bound {self.bound}"
 
 
 def sample_poisson(

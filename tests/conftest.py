@@ -40,3 +40,26 @@ def file_on(cfg, radius, kernel=None, grid=None):
     cfg.upkeep = index = CellIndex(cfg, kernel)
     index._file(cfg, grid or CellGrid.for_radius(cfg.torus, radius), radius)
     return index
+
+
+class Scripted:
+    """Stands in for ``dynamics.BlockDraws``: hands out ``rows`` in order,
+    each below the n it is asked for, and records each n in ``asked``."""
+
+    def __init__(self, *rows):
+        self.rows, self.asked = list(rows), []
+
+    def row(self, n, rng):
+        self.asked.append(n)
+        row = self.rows.pop(0)
+        assert 0 <= row < n
+        return row
+
+
+def draw_at(cfg, target):
+    """The row ``cfg.sample_row`` draws for the uniform target ``target`` in
+    a store that inverts one target, drawn below the load total."""
+    draws = Scripted(target)
+    row = cfg.sample_row(draws, None)
+    assert draws.asked == [cfg.load_total()] and not draws.rows
+    return row

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import linalg, stats
 
-from conftest import NUMPY_WRAPPER_FILES, file_on, insert_point, live_rows
+from conftest import NUMPY_WRAPPER_FILES, draw_at, file_on, insert_point, live_rows
 from sbdsim.config import initial_configuration, load_config, parse_config, replica_rng
 from sbdsim import dynamics
 from sbdsim.dynamics import (
@@ -25,7 +25,6 @@ from sbdsim.dynamics import (
 )
 from sbdsim.geometry import (
     BLOCK_ROWS,
-    BLOCK_SHIFT,
     CellGrid,
     CellIndex,
     PairTerms,
@@ -148,8 +147,9 @@ def test_competition_load_pairwise():
 )
 def test_block_draw_matches_full_cumsum(m, a_minus):
     # clustered points give skewed loads, and the scattered ones that are
-    # isolated have load 0; a short run leaves the block sums as the events
-    # made them.  The draw weighs the loads alone, whatever m, and finds
+    # isolated have load 0; a short run leaves the loads as the events made
+    # them, over eight blocks of rows.  A store of the same rows and loads
+    # that inverts one target weighs the loads alone, whatever m, and finds
     # the row searchsorted finds on the whole column for every target: with
     # no a- every load is 0 and there is no target to draw
     rng = np.random.default_rng(31)
@@ -170,17 +170,21 @@ def test_block_draw_matches_full_cumsum(m, a_minus):
     if a_minus is None:
         assert total == 0
         return
+    bare = TorusConfiguration(torus, cfg._pos[:n])
+    bare.set_loads(cfg.loads)
+    assert type(bare.upkeep) is Unloaded and bare.load_total() == total
     for target in rng.integers(0, total, 10_000).tolist():
-        row = cfg.sample_row(target)
+        row = draw_at(bare, target)
         assert row == int(np.searchsorted(cum, target, side="right"))
         assert cfg.loads[row] > 0
 
 
-def test_audit_follows_block_sums_across_boundaries():
+def test_audit_follows_the_load_bound_across_boundaries():
     # grow from 240 points past the first block boundary (256), where the
-    # store switches to the cell index, whose block sums start from the
+    # store switches to the cell index, whose load bound starts from the
     # column, and a capacity doubling (256 -> 512 rows), then shrink back
-    # below it, recomputing every load and every block sum after each event
+    # below it, recomputing every load and checking each against the bound
+    # after each event
     rng = np.random.default_rng(32)
     torus = Torus(60.0, 1)
     cfg = cfg_with_points(torus, rng.uniform(0.0, 60.0, (240, 1)))
@@ -191,16 +195,14 @@ def test_audit_follows_block_sums_across_boundaries():
     shrink = ModelSpec("bolker_pacala", a_plus=triangular(0.1, 1.0, 1), a_minus=am, m=2.0)
     trace = run(shrink, cfg, t_end=10.0, rng=rng, audit_every=1)
     assert trace.absorbed and len(cfg) == 0
-    # an emptied block's sum is exactly 0, block 0's too: the index keeps
-    # its block sums at every size
-    assert not cfg.upkeep._block.any()
+    assert type(cfg.upkeep) is CellIndex  # the index stays, at every size
 
 
 def test_audit_follows_a_store_that_grows_past_one_block_from_empty():
     # a d=1 migration run with triangular a- from an empty box whose
     # population settles near BLOCK_ROWS (100 immigrants per unit time
     # against deaths at 0.2 + about 0.00074 n each), so it crosses the
-    # block edge up and down again and again: the loads, and the block sums
+    # block edge up and down again and again: the loads, and the load bound
     # of the cell index the first upward crossing files, pass the audit after
     # every event
     spec = migration_spec(b=1.0, m=0.2, a_minus=triangular(0.074, 1.0, 1))
@@ -209,6 +211,26 @@ def test_audit_follows_a_store_that_grows_past_one_block_from_empty():
     sizes = np.cumsum(np.where(trace.events.births, 1, -1))
     upward = np.count_nonzero((sizes[1:] > BLOCK_ROWS) & (sizes[:-1] <= BLOCK_ROWS))
     assert trace.n_events > 1000 and upward >= 3
+
+
+def test_the_load_bound_follows_a_crash_of_the_population():
+    # the competition_1d model from density 50, ten times its equilibrium,
+    # on a side of 80: the population crashes to about 5 per unit length,
+    # still past one block, and the largest load falls with it.  No death
+    # lowers the load bound, but a draw recomputes it once the draws since
+    # the last recompute reach the population then, so it ends within 2x
+    # the largest load
+    spec = ModelSpec(
+        "bolker_pacala", a_plus=gaussian(3.0, 0.5, 1), a_minus=gaussian(0.5, 0.5, 1), m=0.5
+    )
+    rng = np.random.default_rng(3)
+    cfg = sample_poisson(Torus(80.0, 1), 50.0, rng)
+    start = int(SimulationState(spec, cfg).cfg.upkeep.bound)
+    run(spec, cfg, 2.0, rng)
+    top = int(cfg.loads.max())
+    assert type(cfg.upkeep) is CellIndex and 300 < len(cfg) < 600
+    assert top < start / 4
+    assert cfg.upkeep.bound <= 2 * top
 
 
 # -- single event behaviour -------------------------------------------------------
@@ -252,9 +274,11 @@ def first_event_store(case):
     weight of n - 1 in place of n moves the birth channel by a fifth.
     "matrix": bolker_pacala on 50 points, a store that keeps the pair-term
     matrix, rows 20..27 in a cluster of large loads.  "index": migration on
-    600 points, a store on the cell index, whose death draw reads three
-    block sums and one block; rows 240..271 and 496..527, across the block
-    edges at rows 256 and 512, lie in two clusters of large loads."""
+    600 points, a store on the cell index, whose competition draw is by
+    stochastic acceptance against the largest load; rows 240..271 and
+    496..527 lie in two clusters of large loads, and about 2% of the rows
+    have load 0.  "loose": the same on a side of 120, where every row has a
+    load above 0, drawn against a bound 4 times the largest load."""
     a_plus, a_minus = gaussian(1.0, 0.5, 1), triangular(1.0, 1.0, 1)
     if case == "few":
         spec = ModelSpec("bolker_pacala", a_plus=a_plus, a_minus=a_minus.scaled(2.0), m=0.3)
@@ -266,10 +290,11 @@ def first_event_store(case):
         points[20:28] = 12.0 + 0.05 * np.arange(8)
         return spec, Torus(25.0, 1), points[:, None]
     spec = migration_spec(b=0.5, m=0.5, a_minus=a_minus)
-    points = rng.uniform(0.0, 300.0, 600)
-    points[240:272] = 100.0 + 0.02 * np.arange(32)
-    points[496:528] = 200.0 + 0.02 * np.arange(32)
-    return spec, Torus(300.0, 1), points[:, None]
+    side = 300.0 if case == "index" else 120.0
+    points = rng.uniform(0.0, side, 600)
+    points[240:272] = side / 3.0 + 0.02 * np.arange(32)
+    points[496:528] = 2.0 * side / 3.0 + 0.02 * np.arange(32)
+    return spec, Torus(side, 1), points[:, None]
 
 
 def first_event_law(spec, torus, points):
@@ -293,14 +318,19 @@ def first_event_law(spec, torus, points):
     return rates / rates.sum()
 
 
-def first_events(spec, torus, points, trials):
+def first_events(spec, torus, points, trials, slack=1):
     """The log of ``trials`` first events from one store of ``points``, each
     drawn by ``_apply_event`` with fresh draws from its own seed.  The store
     is left as it was: a birth returns id -1 and its position unwrapped, and
-    a death its row as the point's id."""
+    a death its row as the point's id.  A ``slack`` above 1 multiplies the
+    load bound of a store on the cell index, for every trial."""
     state = SimulationState(spec, TorusConfiguration(torus, points))
     b, d = state.total_rates()
     cfg, log = state.cfg, EventLog(torus.dim)
+    if slack > 1:  # no draw recomputes the bound, and no draw can hang
+        assert type(cfg.upkeep) is CellIndex and cfg.loads.all()
+        cfg.upkeep.bound *= slack
+        cfg.upkeep._due = trials
     cfg._add_point = lambda position, *a_minus: (-1, np.asarray(position, dtype=float))
     cfg._remove_point = lambda row, *a_minus: (row, np.zeros(torus.dim), None)
     for trial in range(trials):
@@ -324,7 +354,8 @@ def consecutive_bins(expected, least=5.0):
 
 
 @pytest.mark.parametrize(
-    "case, trials", [("few", 10_000), ("matrix", 20_000), ("index", 20_000)]
+    "case, trials",
+    [("few", 10_000), ("matrix", 20_000), ("index", 20_000), ("loose", 20_000)],
 )
 def test_the_first_event_follows_the_rates_of_the_model(case, trials):
     # the counts of each first event, a birth or the death of each row, from
@@ -335,7 +366,7 @@ def test_the_first_event_follows_the_rates_of_the_model(case, trials):
     # mass below r, by a KS test
     spec, torus, points = first_event_store(case)
     law = first_event_law(spec, torus, points)
-    log = first_events(spec, torus, points, trials)
+    log = first_events(spec, torus, points, trials, slack=4 if case == "loose" else 1)
     births = log.births
     counts = np.bincount(np.where(births, 0, log.points + 1), minlength=law.size)
     assert counts.size == law.size and counts.sum() == trials
@@ -729,15 +760,16 @@ def test_uniforms_come_in_blocks_of_the_generator_stream():
 
 def test_a_run_from_an_empty_store_keeps_int64_loads_and_an_int_root():
     # the rate caches of an empty store are built from no rows; the load
-    # column and the block sums stay int64, as np.bincount, which sums in
-    # float64, would not keep them, and the load total a Python int, the
-    # exact sum of the column, through a run past one block and a doubling
+    # column stays int64, as np.bincount, which sums in float64, would not
+    # keep it, and the load total and the load bound Python ints, the
+    # total the exact sum of the column, through a run past one block and a
+    # doubling
     spec = migration_spec(b=2.0, m=0.2, a_minus=triangular(0.07, 1.0, 1))
     cfg = TorusConfiguration(Torus(100.0, 1))
     assert cfg._load.dtype == np.int64
     trace = run(spec, cfg, 3.0, np.random.default_rng(3), audit_every=25)
     assert trace.n_events > 500 and len(cfg) > BLOCK_ROWS and cfg._load.size == 512
-    assert cfg._load.dtype == cfg.upkeep._block.dtype == np.int64
+    assert cfg._load.dtype == np.int64 and type(cfg.upkeep.bound) is int
     assert type(cfg.load_total()) is int and cfg.load_total() == int(cfg.loads.sum())
 
 
@@ -761,18 +793,21 @@ def test_audit_catches_corruption():
         state.audit()
 
 
-def test_audit_catches_block_sum_corruption():
+def test_audit_catches_a_load_above_the_bound():
     # the pair at 5.0 and 5.5, and lone points 2 apart, enough for more than
-    # one block: a store past one block keeps the cell index and its block
-    # sums
+    # one block: a store past one block keeps the cell index and its load
+    # bound, here the pair's load of 2^29 quanta.  A bound one quantum
+    # below it is a fault that names the bound
     am = triangular(1.0, 1.0, 1)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.2)
     points = [[5.0], [5.5]] + [[10.0 + 2.0 * k] for k in range(BLOCK_ROWS)]
     state = SimulationState(spec, cfg_with_points(Torus(600.0, 1), points))
     assert len(state.cfg) > BLOCK_ROWS and state.cfg.load_total() == load_scale(am)
+    assert state.cfg.upkeep.bound == 2**29
     state.audit()
-    state.cfg.upkeep._block[0] += 1
-    with pytest.raises(AuditError, match="block 0"):
+    state.cfg.upkeep.bound -= 1
+    want = f"load of point 0 is {2**29} quanta, above the load bound {2**29 - 1}"
+    with pytest.raises(AuditError, match=want):
         state.audit()
 
 
@@ -807,10 +842,11 @@ def test_the_load_total_is_exactly_0_once_the_store_is_empty():
     assert cfg.load_total() == 5
 
 
-@pytest.mark.parametrize("column, delta", [("load", 1), ("load", -1), ("block", 1), ("block", -1)])
+@pytest.mark.parametrize("column, delta", [("load", 1), ("load", -1), ("bound", 1)])
 def test_audit_catches_a_cache_off_by_one_quantum(column, delta):
-    # loads and block sums are whole quanta, which the audit compares with
-    # their recomputation for equality: one quantum either way is a fault
+    # loads are whole quanta, which the audit compares with their
+    # recomputation for equality: one quantum either way is a fault.  So is
+    # a load bound one quantum below the largest load
     am = triangular(1.0, 1.0, 1)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.2)
     rng = np.random.default_rng(31)
@@ -822,8 +858,8 @@ def test_audit_catches_a_cache_off_by_one_quantum(column, delta):
         cfg._load[3] += delta
         match = f"point {cfg.point_at(3)} drifted"
     else:
-        cfg.upkeep._block[0] += delta
-        match = "block 0 drifted"
+        cfg.upkeep.bound -= delta
+        match = f"above the load bound {cfg.upkeep.bound}"
     with pytest.raises(AuditError, match=match):
         state.audit()
 
@@ -952,22 +988,23 @@ def grid_field():
 
 def remove_the_old_way(state, row):
     """``_remove_point`` as its load update was written before it took one
-    gather and one scatter: the neighbours' loads and block sums take
-    ``-contrib``, in whole quanta, by a fancy ``+=`` and an ``np.add.at``."""
+    gather and one scatter: the neighbours' loads take ``-contrib``, in
+    whole quanta, by a fancy ``+=``, and the load total the sum."""
     cfg = state.cfg
     cell = cfg.upkeep._cell.item(row)
     x = cfg.remove(row)
     rows, squares = cfg.upkeep._neighbors(x, cell)
     delta = -state._a_minus._profile_sq(squares).astype(np.int64)
     cfg._load[rows] += delta
-    np.add.at(cfg.upkeep._block, rows >> BLOCK_SHIFT, delta)
+    cfg._total += int(delta.sum())
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_death_update_matches_the_old_arithmetic_bit_for_bit(dim):
-    # two copies of one seeded state after 300 events: 60 deaths update the
-    # loads and block sums of one by _remove_point and of the other the old
-    # way; both stay equal bit for bit
+    # two copies of one seeded state after 300 events: 60 deaths of
+    # uniform rows update the loads and the load total of one by
+    # _remove_point and of the other the old way; both stay equal bit for
+    # bit, and the load bound stays
     am = gaussian(0.5, 0.5, dim)
     spec = ModelSpec("bolker_pacala", a_plus=gaussian(3.0, 0.5, dim), a_minus=am, m=0.5)
     torus = Torus(400.0 if dim == 1 else 16.0, dim)
@@ -985,11 +1022,12 @@ def test_death_update_matches_the_old_arithmetic_bit_for_bit(dim):
 
     def same():
         assert state.cfg.loads.tobytes() == ref.cfg.loads.tobytes()
-        assert state.cfg.upkeep._block.tobytes() == ref.cfg.upkeep._block.tobytes()
+        assert state.cfg.load_total() == ref.cfg.load_total()
+        assert state.cfg.upkeep.bound == ref.cfg.upkeep.bound
 
     same()
     for _ in range(60):
-        row = state.cfg.sample_row(int(rng.integers(state.cfg.load_total())))
+        row = int(rng.integers(len(state.cfg)))
         assert state.cfg._remove_point(row)[2] is None
         remove_the_old_way(ref, row)
         same()
@@ -1117,8 +1155,8 @@ def profiled_events(variant, dim, side, density, on_call, on_c_call=None):
     state, its log and the population after each event.
 
     bolker_pacala on a side of 400 in d=1, or 20 in d=2, keeps n >
-    BLOCK_ROWS, so each death draw takes the two-level path and each
-    neighbour query the index; on a side of 100 in d=1 it stays at one
+    BLOCK_ROWS, so each competition draw is by stochastic acceptance and
+    each neighbour query takes the index; on a side of 100 in d=1 it stays at one
     block, at n ~ 100, and so does the migration model: their stores keep
     the pair-term matrix.  The migration model's immigrants come from a
     grid field.  "tabulated" is bolker_pacala in d=1 with tabulated a+ and
@@ -1222,7 +1260,7 @@ def test_a_d1_run_keeps_a_stencil_only_for_the_end_cells(monkeypatch):
 
     monkeypatch.setattr(CellIndex, "_neighbors", recorded)
     trace = run(spec, cfg, 0.033, rng)
-    assert 10_000 < len(cfg) < 10_300 and 2000 < trace.n_events < 2100
+    assert 10_000 < len(cfg) < 10_300 and 1900 < trace.n_events < 2000
     assert cfg.upkeep.grid == CellGrid(2000.0, 1, 618) and len(queried) > 570
     assert {0, 617} <= queried and sorted(cfg.upkeep._wrapped) == [0, 617]
 
@@ -1232,18 +1270,22 @@ def test_event_path_reduces_only_a_new_load_and_a_total_of_many_blocks(
     variant, dim, side, density
 ):
     # a ufunc reduction costs a microsecond or two of set-up; the event
-    # path makes none.  A birth's new load, which is also what its
-    # neighbours gain, and what a death on the index takes off the load
-    # total are each the last element of a running sum.  The load total is
-    # kept, so reading it, with the store at one block or more, reduces
-    # nothing, and the least left load of a death comes from argmin.  A
+    # path makes none, and no ufunc.at either.  A birth's new load, which
+    # is also what its neighbours gain, and what a death on the index takes
+    # off the load total are each the last element of a running sum.  The
+    # load total is kept, so reading it, with the store at one block or
+    # more, reduces nothing, and the least left load of a death comes from
+    # argmin, the largest new load of a birth on the index from argmax.  A
     # death in a store that keeps the pair-term matrix takes the dying
     # load off the total a second time
     reductions = []
 
     def on_c_call(fn):
-        if isinstance(getattr(fn, "__self__", None), np.ufunc) and fn.__name__ == "reduce":
-            reductions.append(fn.__self__.__name__)
+        if isinstance(getattr(fn, "__self__", None), np.ufunc) and fn.__name__ in (
+            "reduce",
+            "at",
+        ):
+            reductions.append(f"{fn.__self__.__name__}.{fn.__name__}")
 
     state, log, sizes = profiled_events(
         variant, dim, side, density, lambda code: None, on_c_call
@@ -1285,7 +1327,7 @@ def dense_d2():
             4984,
             "d2a9856b27c0168e77a947925918dd3090b683e3ca0e8ac2faa80bef366b1f9b",
         ),
-        (dense_d2, 2407, "14c5f1c55646f34dcaf22d2afb4c4542579e506189f6b17ed008949743ba520e"),
+        (dense_d2, 2306, "2e6c67ebec3adfded0e6d7c2cf47db05a5b7b7505f68423e4a758e2609748106"),
     ],
     ids=["competition_1d", "dense_d2"],
 )
@@ -1313,15 +1355,15 @@ def test_a_seeded_d1_run_over_many_cells_keeps_its_floats():
     cfg = sample_poisson(Torus(60.0, 1), 5.0, rng)
     assert cfg.upkeep.grid is None and len(cfg) == 287
     trace = run(spec, cfg, 0.17, rng)
-    assert cfg.upkeep.grid == CellGrid(60.0, 1, 18) and trace.n_events == 279
+    assert cfg.upkeep.grid == CellGrid(60.0, 1, 18) and trace.n_events == 272
     ids, positions = cfg.by_id()
     log = trace.events
     h = hashlib.sha256()
     for col in (log.times, log.positions, positions):
         h.update(col.astype("<f8").tobytes())
     h.update(cfg.loads[cfg._id[: len(cfg)].argsort()].astype("<i8").tobytes())
-    assert len(ids) == 282
-    pin = "ee4f96c57dc2645e9c5e6cb9ee75a9374bfc9a9873763d6dd4d002e3d5505cdb"
+    assert len(ids) == 279
+    pin = "e0d6b4a5f87e280f727213c687bcfca1da9c895c370f6fec198ac876d13a4730"
     assert h.hexdigest() == pin
 
 

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import NUMPY_WRAPPER_FILES, file_on, insert_point, live_rows
+from conftest import NUMPY_WRAPPER_FILES, Scripted, draw_at, file_on, insert_point, live_rows
 from sbdsim import geometry
 from sbdsim.config import load_config
+from sbdsim.dynamics import BlockDraws
 from sbdsim.geometry import (
     BLOCK_ROWS,
     CELL_SLACK,
@@ -1065,8 +1066,8 @@ def test_neighbors_matches_brute_force(dim, grid_radius, seed, steps):
 
 
 def assert_same_store(a, b):
-    """The two stores hold the same rows, ids, loads, load total, block
-    sums, grid, radius and cells, with the same order of rows within each
+    """The two stores hold the same rows, ids, loads, load total, load
+    bound, grid, radius and cells, with the same order of rows within each
     cell and so the same slots."""
     n = len(a)
     assert len(b) == n and a._next_id == b._next_id and a._total == b._total
@@ -1075,7 +1076,7 @@ def assert_same_store(a, b):
         np.testing.assert_array_equal(getattr(a, name)[:n], getattr(b, name)[:n])
     for name in ("_cell", "_slot"):
         np.testing.assert_array_equal(getattr(a.upkeep, name)[:n], getattr(b.upkeep, name)[:n])
-    np.testing.assert_array_equal(a.upkeep._block, b.upkeep._block)
+    assert a.upkeep.bound == b.upkeep.bound
     a_cells, b_cells = live_rows(a), live_rows(b)
     assert a_cells.keys() == b_cells.keys()
     for cell, rows in a_cells.items():
@@ -1098,10 +1099,10 @@ def test_a_store_built_with_its_points_equals_sequential_inserts(dim, radius):
     # filed, every row from scratch: the same store, down to the order of
     # rows in each cell.  Grids of side 7: 2 cells (3.0 is in (3/8 side,
     # side/2], the offset 1 is its own negative), 13 cells, 6 and 3 cells
-    # per axis.  Then both take the same loads and removals, which leave
-    # rounding residues in the block sums, and the same inserts one at
-    # a time, points on the box edge among them, and stay the same store,
-    # which draws the same rows and whose kernel sums refile nothing
+    # per axis.  Then both take the same loads and removals and the same
+    # inserts one at a time, points on the box edge among them, and stay
+    # the same store, which draws the same rows from the same draws and
+    # whose kernel sums refile nothing
     torus = Torus(7.0, dim)
     rng = np.random.default_rng(11)
     first = rng.uniform(-1.0, 8.0, (300, dim))
@@ -1129,9 +1130,12 @@ def test_a_store_built_with_its_points_equals_sequential_inserts(dim, radius):
         insert_point(built, x)
         insert_point(seq, x)
     assert_same_store(built, seq)
-    total = built.load_total()
-    for target in range(0, total, total // 101):
-        assert built.sample_row(target) == seq.sample_row(target)
+    drawn = [
+        [cfg.sample_row(BlockDraws(), np.random.default_rng(k)) for k in range(101)]
+        for cfg in (built, seq)
+    ]
+    assert drawn[0] == drawn[1]
+    assert_same_store(built, seq)
     built.kernel_sums(triangular(1.0, radius, dim))
     assert_same_store(built, seq)
     assert len(TorusConfiguration(torus, np.zeros((0, dim)))) == 0
@@ -1187,13 +1191,12 @@ def test_a_store_refiled_for_another_cutoff_files_every_row_afresh():
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
 def test_load_total_is_the_reduce_of_the_live_block_sums(n):
     # load_total is the store's running root, kept by every call that
-    # changes a load: an int equal to the reduce of the live load column
-    # and of the cell index's live block sums, at every size, over random
-    # births and deaths, which
-    # change their neighbours' loads, and removals, that cross block edges,
-    # and 0 when empty.  A starting load is at least 2^36 quanta, more than
-    # all a point's neighbours' terms of at most 0.01 2^36, so no death
-    # leaves a load below 0
+    # changes a load: an int equal to the reduce of the live load column,
+    # at every size, with no load above the cell index's load bound, over
+    # random births and deaths, which change their neighbours' loads, and
+    # removals, that cross block edges, and 0 when empty.  A starting load
+    # is at least 2^36 quanta, more than all a point's neighbours' terms of
+    # at most 0.01 2^36, so no death leaves a load below 0
     rng = np.random.default_rng(n)
     cfg = TorusConfiguration(Torus(50.0, 1), rng.uniform(0.0, 50.0, (n, 1)))
     kernel = triangular(0.01, 1.0, 1).scaled(2.0**36)
@@ -1201,10 +1204,8 @@ def test_load_total_is_the_reduce_of_the_live_block_sums(n):
     cfg.set_loads(rng.integers(2**36, 2**37, n))
 
     def check():
-        k = len(cfg)
         got = cfg.load_total()
-        for live in (cfg.loads, cfg.upkeep._block[: -(-k // BLOCK_ROWS)]):
-            assert type(got) is int and got == np.add.reduce(live)
+        assert type(got) is int and got == np.add.reduce(cfg.loads)
         assert cfg.stale_sum() is None
 
     check()
@@ -1219,39 +1220,42 @@ def test_load_total_is_the_reduce_of_the_live_block_sums(n):
         check()
 
 
-def test_the_cell_index_keeps_its_block_sums_at_every_size():
+def test_the_cell_index_keeps_its_load_bound_at_every_size():
     # a store of 250 rows of random loads on the cell index, grown by
     # births to 300 rows, with load changes, each a death and a birth that
     # change their neighbours' loads, shrunk by remove to 200 and grown past
     # one block again by _insert of points of load 0.  A starting load is at
     # least 1, more than all a point's neighbours' terms of at most 0.01, so
     # no death leaves a load below 0.  After every step, on either side of
-    # BLOCK_ROWS rows, each block sum equals its recomputation from the
-    # column and the load total the reduce of the live column; and
-    # sample_row draws the row that searchsorted draws on the full running
-    # sum of the loads, for targets at 23 even fractions of the total and at
-    # the total less 1, where it is the last row of positive load
+    # BLOCK_ROWS rows, a birth has raised the bound to the largest load and
+    # any other step left it, no load is above it, and the load total is
+    # the reduce of the live column.  Then a draw keeps the first row whose
+    # target falls below its load: the least load is no target below its
+    # own row's, the largest load less 1 is, and a draw that recomputes the
+    # bound first draws against the largest load
     rng = np.random.default_rng(9)
     cfg = TorusConfiguration(Torus(50.0, 1), rng.uniform(0.0, 50.0, (250, 1)))
     kernel = triangular(0.01, 1.0, 1).scaled(2.0**36)
     index = file_on(cfg, kernel.cutoff_radius(), kernel)
     cfg.set_loads(rng.integers(2**36, 2**37, 250))
-    crossings = 0
+    crossings = recomputes = 0
 
-    def step(change):
-        nonlocal crossings
-        before = len(cfg)
+    def step(change, raises=False):
+        nonlocal crossings, recomputes
+        before, bound = len(cfg), index.bound
         change()
-        n = len(cfg)
+        n, loads = len(cfg), cfg.loads
         crossings += before <= BLOCK_ROWS < n
-        assert index._block.tobytes() == index._block_sums(cfg).tobytes()
-        assert cfg.load_total() == np.add.reduce(cfg.loads)
+        assert index.bound == (max(bound, int(loads.max())) if raises else bound)
+        assert cfg.load_total() == np.add.reduce(loads)
         assert cfg.stale_sum() is None
-        cum, total = np.cumsum(cfg.loads), cfg.load_total()
-        last = int(cfg.loads.nonzero()[0][-1])
-        assert cfg.sample_row(total - 1) == last
-        for target in [total * k // 23 for k in range(23)] + [total - 1]:
-            assert cfg.sample_row(target) == int(np.searchsorted(cum, target, side="right"))
+        least, most = int(loads.argmin()), int(loads.argmax())
+        bound, due = index.bound, index._due
+        draws = Scripted(least, loads.item(least), most, loads.item(most) - 1)
+        assert cfg.sample_row(draws, None) == most and not draws.rows
+        assert draws.asked == [n, index.bound] * 2
+        recomputes += not due
+        assert index.bound == (loads.item(most) if not due else bound)
 
     def birth():
         cfg._add_point(rng.uniform(0.0, 50.0, 1))
@@ -1261,14 +1265,14 @@ def test_the_cell_index_keeps_its_block_sums_at_every_size():
         birth()
 
     while len(cfg) < 300:
-        step(birth)
-        step(change_loads)
+        step(birth, raises=True)
+        step(change_loads, raises=True)
     while len(cfg) > 200:
         step(lambda: cfg.remove(int(rng.integers(len(cfg)))))
-        step(change_loads)
+        step(change_loads, raises=True)
     for x in rng.uniform(0.0, 50.0, (100, 1)):
         step(lambda: insert_point(cfg, x))
-    assert crossings == 2 and len(cfg) == 300
+    assert crossings == 2 and len(cfg) == 300 and recomputes >= 1
 
 
 def reference_flat(coords, n):
@@ -1836,12 +1840,16 @@ def test_kernel_too_wide_rejected():
 
 
 def both_draws(n, seed):
-    """Two stores of the same ``n`` uniform points on T10_1: a bare one,
-    whose death draw searches one running sum of the loads, and one on the
-    cell index, whose draw searches its block sums, then one block."""
-    bare, filed = (uniform_cfg(T10_1, n, np.random.default_rng(seed)) for _ in range(2))
-    file_on(filed, 1.0)
-    return bare, filed
+    """Stores of the same ``n`` uniform points on T10_1 whose death draw
+    inverts one target over one running sum of the loads: a bare one and,
+    at up to BLOCK_ROWS rows, one that keeps the pair-term matrix."""
+    stores = [uniform_cfg(T10_1, n, np.random.default_rng(seed))]
+    if n <= BLOCK_ROWS:
+        matrix = uniform_cfg(T10_1, n, np.random.default_rng(seed))
+        matrix.build_loads(in_quanta(triangular(1.0, 1.0, 1)))
+        assert type(matrix.upkeep) is PairTerms
+        stores.append(matrix)
+    return stores
 
 
 def test_sample_row_never_draws_zero_weight():
@@ -1851,49 +1859,47 @@ def test_sample_row_never_draws_zero_weight():
     loads[255:257] = 0
     for cfg in both_draws(512, 7):
         cfg.set_loads(loads)
-        assert [cfg.sample_row(t) for t in (253, 254, 255, 256)] == [253, 254, 257, 258]
+        assert [draw_at(cfg, t) for t in (253, 254, 255, 256)] == [253, 254, 257, 258]
         want = np.searchsorted(np.cumsum(loads), 3 * 510 // 4, side="right")
-        assert cfg.sample_row(3 * 510 // 4) == want
+        assert draw_at(cfg, 3 * 510 // 4) == want
 
 
 @pytest.mark.parametrize("n", [3, BLOCK_ROWS, BLOCK_ROWS + 1, 700])
 def test_sample_row_at_zero_skips_the_leading_rows_of_load_0(n):
     # the target 0, which the running sums of leading rows of load 0
-    # reach, draws the first row above 0, by one running sum and by the
-    # block sums, where in the largest store the whole of block 0 has load 0
+    # reach, draws the first row above 0, in the largest store past the
+    # whole first block of rows of load 0
     loads = np.random.default_rng(6).integers(1, 5, n)
     first = min(n - 1, BLOCK_ROWS + 3) if n > BLOCK_ROWS + 1 else n // 2
     loads[:first] = 0
     for cfg in both_draws(n, n):
         cfg.set_loads(loads)
-        assert cfg.sample_row(0) == first
+        assert draw_at(cfg, 0) == first
 
 
 @pytest.mark.parametrize("n", [1, 100, BLOCK_ROWS, BLOCK_ROWS + 1, 700])
 def test_sample_row_at_the_largest_uniform_draws_the_last_row(n):
-    # the largest target, the total less 1, by one running sum and by the
-    # block sums, at every size: the draw is the last row,
-    # never row n, and the last of positive load when the rows after it
-    # have load 0
+    # the largest target, the total less 1, at every size: the draw is the
+    # last row, never row n, and the last of positive load when the rows
+    # after it have load 0
     for cfg in both_draws(n, n):
         loads = np.random.default_rng(5).integers(1, 2**40, n)
         cfg.set_loads(loads)
-        assert cfg.sample_row(cfg.load_total() - 1) == n - 1
+        assert draw_at(cfg, cfg.load_total() - 1) == n - 1
         if n > 1:
             loads[n // 2 :] = 0
             cfg.set_loads(loads)
-            assert cfg.sample_row(cfg.load_total() - 1) == n // 2 - 1
+            assert draw_at(cfg, cfg.load_total() - 1) == n // 2 - 1
 
 
 @pytest.mark.parametrize("n", [4, 3 * BLOCK_ROWS + 4])
 def test_sample_row_finds_the_covering_row_of_every_target(n):
     # every target of 0..L-1 draws the row whose load covers it, row r for
     # the loads[r] targets from the sum of the loads before it on: loads
-    # [0, 3, 0, 2] give rows 1, 1, 1, 3, 3, by one running sum and by the
-    # block sums.  The store past BLOCK_ROWS holds many loads of 0 and a
-    # block, block 1, of loads 0 alone; a draw off by one at any boundary of
-    # a row or a block shows here, where a random target would almost never
-    # land on one
+    # [0, 3, 0, 2] give rows 1, 1, 1, 3, 3.  The store past BLOCK_ROWS
+    # holds many loads of 0 and a block, block 1, of loads 0 alone; a draw
+    # off by one at any boundary of a row or a block shows here, where a
+    # random target would almost never land on one
     loads = np.array([0, 3, 0, 2])
     if n > 4:
         loads = np.random.default_rng(12).integers(0, 4, n) * (np.arange(n) % 3 == 0)
@@ -1902,7 +1908,7 @@ def test_sample_row_finds_the_covering_row_of_every_target(n):
     want = np.arange(n).repeat(loads).tolist()
     for cfg in both_draws(n, n):
         cfg.set_loads(loads)
-        assert [cfg.sample_row(t) for t in range(cfg.load_total())] == want
+        assert [draw_at(cfg, t) for t in range(cfg.load_total())] == want
     if n == 4:
         assert want == [1, 1, 1, 3, 3]
 

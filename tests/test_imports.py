@@ -255,8 +255,9 @@ def test_every_optional_parameter_has_a_setter():
 
 
 # The load regimes' private members: the pair-term matrix, the cell index's
-# columns and buckets, and its block sums.
-REGIME_PRIVATE = ("_terms", "_rows", "_fill", "_bpos", "_slot", "_cell", "_block")
+# columns and buckets, and its count of draws before the load bound's
+# recompute.
+REGIME_PRIVATE = ("_terms", "_rows", "_fill", "_bpos", "_slot", "_cell", "_due")
 # The point store's private members, its regimes', and the load calls it no
 # longer has, that no package module but geometry.py names: a birth and a
 # death are each one store call, which keeps the loads itself.
@@ -300,13 +301,13 @@ def test_checker_flags_a_store_private_name():
         "from .geometry import add_loads as grow\n"
         "def f(cfg):\n"
         "    cfg._load.take(0)\n"
-        "    return getattr(cfg, '_block'), cfg._in_boxes, _cell\n"
+        "    return getattr(cfg, '_due'), cfg._in_boxes, _cell\n"
         "def _insert():\n    pass\n"
     )
     assert names_among(source, STORE_PRIVATE) == [
         "add_loads (line 1)",
         "_load (line 3)",
-        "_block (line 4)",
+        "_due (line 4)",
         "_cell (line 4)",
         "_insert (line 5)",
     ]
@@ -352,7 +353,7 @@ def test_checker_flags_a_store_method_that_reaches_into_a_regime():
         "class TorusConfiguration:\n"
         "    def remove(self, row):\n"
         "        if self._n > BLOCK_ROWS:\n"
-        "            self.upkeep._block[0] -= 1\n"
+        "            self.upkeep._due -= 1\n"
         "        return self.upkeep.removed(self, row)\n"
         "    def sample_row(self, t):\n"
         "        return t if geometry.BLOCK_ROWS < t else self.upkeep._terms\n"
@@ -361,7 +362,7 @@ def test_checker_flags_a_store_method_that_reaches_into_a_regime():
         "        self._cell[0] = BLOCK_ROWS == 1\n"
     )
     assert regime_reaches(source) == [
-        "remove: _block (line 4)",
+        "remove: _due (line 4)",
         "remove: BLOCK_ROWS (line 3)",
         "sample_row: _terms (line 7)",
         "sample_row: BLOCK_ROWS (line 7)",
