@@ -63,8 +63,6 @@ REPLICA_LISTS = (
     "births",
     "deaths",
     "n_snapshots",
-    "clamps",
-    "largest_clamp",
     "peak_population",
 )
 

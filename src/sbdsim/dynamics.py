@@ -28,7 +28,7 @@ The optional audit asks the regime for its one fault: a misfiled row of
 the cell index, or a pair term or row sum of the matrix.  It then
 recomputes the loads and the load total from scratch, from each pair's
 squared length bit for bit as the incremental updates saw it, and checks
-the index's load bound.  It changes nothing, and fails loudly on any
+the store's load bound.  It changes nothing, and fails loudly on any
 difference.
 
 The per-event path, ``total_rates`` and ``_apply_event`` with the store and
@@ -51,10 +51,10 @@ Each loop iteration draws its waiting time, exponential in the total rate B
    displacement, one kernel draw; for a ``migration`` birth, the immigrant's
    position, one draw of the immigration field; for a natural death, the
    dying point as a uniform row; for a death by competition, the store's
-   ``sample_row``: on the matrix, a uniform target of 0..L-1 and the row
-   covering it; on the cell index, a uniform row and a uniform target below
-   its load bound, until a target falls below its row's load.  States are
-   sub-Poissonian, so the bound stays near the mean load: a few tries.
+   ``sample_row``, in every load regime: a uniform row and a uniform target
+   below the store's load bound, until a target falls below its row's
+   load.  States are sub-Poissonian, so the bound stays near the mean
+   load: a few tries.
 
 Uniforms, uniform rows and targets come from ``BlockDraws``: blocks of DRAW_BLOCK
 draws each, filled lazily from the run's generator, rows exactly uniform by
@@ -385,7 +385,7 @@ class SimulationState:
     def audit(self) -> None:
         """Raise AuditError on the load regime's fault, then on any cached
         load or the load total that differs from its recomputation from
-        scratch, then on a load above the index's load bound.  The regime's
+        scratch, then on a load above the store's load bound.  The regime's
         fault is a misfiled row of the cell index, or a pair term or row sum
         of the matrix against a fresh build.  The fresh loads add each
         unordered pair's term in quanta to both its points, from the squared
@@ -450,9 +450,7 @@ class SimulationState:
 class SimulationTrace:
     """What ``run`` returns: its events in an ``EventLog``, the scheduled
     snapshots, how and when the run ended, and the largest population it
-    held (at its start or after an event).  ``clamps`` and ``largest_clamp``
-    stay for the manifest, 0 by construction: whole-quanta loads never fall
-    below 0."""
+    held (at its start or after an event)."""
 
     events: EventLog
     snapshots: list[Snapshot] = field(default_factory=list)
@@ -461,8 +459,6 @@ class SimulationTrace:
     absorbed: bool = False
     guard_tripped: bool = False
     peak_population: int = 0
-    clamps: int = 0
-    largest_clamp: float = 0.0
 
     @property
     def n_events(self) -> int:

@@ -17,10 +17,11 @@ radius.  Lengths leave the query and the walk squared: each kernel family
 states its profile on the square (``RadialKernel._profile_sq``).
 
 ``TorusConfiguration`` is the simulator's one point store.  It keeps the
-columns every load regime shares.  Its ``upkeep`` keeps the loads, in one
-of three regimes: ``Unloaded``, ``PairTerms`` or ``CellIndex``, which
-also draws a row by its load.  ``sample_poisson`` draws a homogeneous
-Poisson configuration and builds the store with it.
+columns every load regime shares, the load total and a bound on the loads,
+and draws a row by its load, by stochastic acceptance against that bound,
+whatever the regime.  Its ``upkeep`` keeps the loads, in one of three
+regimes: ``Unloaded``, ``PairTerms`` or ``CellIndex``.  ``sample_poisson``
+draws a homogeneous Poisson configuration and builds the store with it.
 
 The store's per-event methods, its regimes' and ``periodic_pairs`` call
 numpy only through ufuncs, ufunc methods and ndarray methods.  A
@@ -566,7 +567,12 @@ class TorusConfiguration:
     back to its row.
 
     The load total, a Python int, is kept in step by every call that
-    changes a load.  ``upkeep`` keeps the loads as points are born and
+    changes a load.  ``bound``, an int, is never below any load:
+    ``set_loads`` sets it to the largest load, a birth raises it to its
+    largest new load, and a death, which only lowers loads, leaves it.  It
+    carries across the switch from the pair-term matrix to the cell index.
+    ``sample_row`` draws against it and recomputes it now and then, so it
+    falls after a crash.  ``upkeep`` keeps the loads as points are born and
     die: ``Unloaded``, ``PairTerms`` or ``CellIndex``, which ``build_loads``
     picks.
     """
@@ -588,6 +594,8 @@ class TorusConfiguration:
         self._id = np.zeros(capacity, dtype=np.int64)
         self._load = np.zeros(capacity, dtype=np.int64)
         self._total = 0  # the load column's running sum
+        self.bound = 0  # never below any load
+        self._due = k  # draws before the bound's next recompute
         self._pos[:k] = x
         self._id[:k] = np.arange(k)
         self._n = self._next_id = k
@@ -601,17 +609,24 @@ class TorusConfiguration:
         """View of the competition-load column, one entry per row.
 
         Change it through ``_add_point``, ``_remove_point`` or ``set_loads``.
-        A direct write bypasses the load total and any load bound, which
+        A direct write bypasses the load total and the load bound, which
         ``stale_sum`` then reports.
         """
         return self._load[: self._n]
 
     def set_loads(self, values: np.ndarray) -> None:
-        """Replace the whole load column, in quanta.  The load total and any
+        """Replace the whole load column, in quanta.  The load total and the
         load bound are recomputed."""
         self._load[: self._n] = values
         self._total = int(np.add.reduce(self.loads))
-        self.upkeep.resum(self)
+        self._rebound()
+
+    def _rebound(self) -> None:
+        """The bound set to the largest load, and the draws to its next
+        recompute to the population."""
+        loads = self.loads
+        self.bound = loads.item(loads.argmax()) if self._n else 0
+        self._due = self._n
 
     def build_loads(self, kernel: RadialKernel | None) -> None:
         """Every load from scratch for ``kernel``, a- in quanta, or 0 with no
@@ -627,16 +642,35 @@ class TorusConfiguration:
 
     def sample_row(self, draws, rng: np.random.Generator) -> int:
         """A row with probability exactly its load over the load total, above
-        0, from the regime and the uniform rows of ``draws.row(n, rng)``."""
-        return self.upkeep.sample_row(self, draws, rng)
+        0, by stochastic acceptance (Lipowski and Lipowska, Physica A 391,
+        2012): a uniform row of ``draws.row(n, rng)``, kept if a uniform
+        target below the bound falls below its load, else a fresh row and
+        target.  Each trial is uniform on n x bound, and the bound never
+        depends on the trial, so a kept row has probability exactly its load
+        over the total L.  A draw takes n bound / L trials on average:
+        sub-Poissonian states keep every load near the mean, so that stays
+        a few.  The bound is recomputed first once the draws since the last
+        recompute reach the population then: O(1) per event on average,
+        and the bound falls after a crash."""
+        if not self._due:
+            self._rebound()
+        self._due -= 1
+        n, bound, load = self._n, self.bound, self._load
+        while True:
+            row = draws.row(n, rng)
+            if draws.row(bound, rng) < load.item(row):
+                return row
 
     def stale_sum(self) -> str | None:
         """The load total if it differs from the reduce of the loads, then a
-        load above the regime's load bound, as a message; else None."""
-        fresh = int(np.add.reduce(self.loads))
+        load above the load bound, as a message; else None."""
+        loads = self.loads
+        fresh = int(np.add.reduce(loads))
         if self._total != fresh:
             return f"load total drifted: running {self._total}, recomputed {fresh}"
-        return self.upkeep.stale_sum(self)
+        if self._n and loads.item(row := loads.argmax()) > self.bound:
+            load, pid = loads.item(row), self.point_at(row)
+            return f"load of point {pid} is {load} quanta, above the load bound {self.bound}"
 
     def point_at(self, row: int) -> int:
         """Id of the point in ``row``."""
@@ -837,21 +871,8 @@ class Unloaded:
     def removed(self, cfg: TorusConfiguration, row: int, last: int) -> None:
         """Keep up with the removal of ``row``, into which ``last`` moves."""
 
-    def resum(self, cfg: TorusConfiguration) -> None:
-        """Recompute anything kept of the load column as a whole."""
-
-    def sample_row(self, cfg: TorusConfiguration, draws, rng) -> int:
-        """``TorusConfiguration.sample_row`` by inversion: the row whose load
-        covers a uniform target of 0..L-1, L the load total, as
-        ``searchsorted(cumsum(loads), target, "right")`` finds it."""
-        target = draws.row(cfg._total, rng)
-        return int(np.add.accumulate(cfg._load[: cfg._n]).searchsorted(target, "right"))
-
     def fault(self, cfg: TorusConfiguration) -> str | None:
         """First fault of what the regime keeps beside the loads, else None."""
-
-    def stale_sum(self, cfg: TorusConfiguration) -> str | None:
-        """A load above the regime's load bound, else None."""
 
 
 class PairTerms(Unloaded):
@@ -896,7 +917,8 @@ class PairTerms(Unloaded):
         """Store a point at ``position``.  Its terms, the profile of the
         squares of one pass over the rows, masked and truncated to int64,
         go to its neighbours' loads and to row and column n; their running
-        sum's last element is its load."""
+        sum's last element is its load.  One ``argmax`` of the loads raises
+        the bound.  The bound carries over to the cell index."""
         n = cfg._n
         if n == BLOCK_ROWS:  # past one block, for good
             cfg.upkeep = index = CellIndex(cfg, self.kernel)
@@ -907,9 +929,12 @@ class PairTerms(Unloaded):
         contrib = self.kernel._profile_sq(squares)
         contrib *= squares <= self._reach
         contrib = contrib.astype(np.int64)
-        load = np.add.accumulate(contrib).item(-1) if n else 0
-        cfg._load[:n] += contrib
-        cfg._total += load
+        load = 0
+        if n:
+            load, loads = np.add.accumulate(contrib).item(-1), cfg._load[:n]
+            loads += contrib
+            cfg._total += load
+            cfg.bound = max(cfg.bound, load, loads.item(loads.argmax()))
         if n == self._terms.shape[0]:  # doubled as the store doubles
             self._terms = _grown(_grown(self._terms.T, 2 * n).T, 2 * n)
         pid = cfg._insert(x, cell, load)
@@ -958,8 +983,7 @@ class PairTerms(Unloaded):
 
 
 class CellIndex(Unloaded):
-    """The load regime past BLOCK_ROWS rows: a bucketed cell index, and a
-    bound on the loads.
+    """The load regime past BLOCK_ROWS rows: a bucketed cell index.
 
     The index is filed once, for one radius, and no query changes it.  A
     birth and a death each query it once, from the point's cell.
@@ -969,20 +993,12 @@ class CellIndex(Unloaded):
     positions, +inf in each free slot.  The padding follows the fullest
     bucket (see CELL_SLACK).  A grid of more cells than the slot budget
     allows (SLOTS_PER_POINT) shares buckets: cell c goes in bucket c %
-    buckets.  ``bound``, an int, is never below any load.  ``resum`` sets
-    it to the largest load, a birth raises it to its largest new load, and
-    a death, which only lowers loads, leaves it.  ``sample_row`` draws by
-    stochastic acceptance (Lipowski and Lipowska, Physica A 391, 2012).
-    Each trial is uniform on n x bound, and the bound never depends on the
-    trial, so a kept row has probability exactly its load over the total
-    L.  A draw takes n bound / L trials on average: sub-Poissonian states
-    keep every load near the mean, so that stays a few.
+    buckets.
     """
 
     def __init__(self, cfg: TorusConfiguration, kernel: RadialKernel | None):
         self.kernel = kernel  # a- in quanta
         self._cell, self._slot = np.zeros((2, cfg._id.size), dtype=np.intp)
-        self.resum(cfg)
 
     def _file(self, cfg: TorusConfiguration, grid: CellGrid, radius: float) -> tuple:
         """File every row on ``grid`` for ``radius``, within [0, side / 2],
@@ -1039,12 +1055,6 @@ class CellIndex(Unloaded):
             self._grid_bpos = bpos.reshape((len(bpos),) + shape)  # d >= 2
             self._x_shape = (len(bpos),) + (1,) * len(shape)
 
-    def resum(self, cfg: TorusConfiguration) -> None:
-        """The bound and the draws to its next recompute set from the loads."""
-        loads = cfg.loads
-        self.bound = loads.item(loads.argmax()) if cfg._n else 0
-        self._due = cfg._n
-
     def added(self, cfg: TorusConfiguration, row: int, x, cell: int) -> None:
         """File the new row in its bucket's next slot.  A full bucket grows
         every bucket, or, past the slot budget, the whole index is filed
@@ -1091,7 +1101,8 @@ class CellIndex(Unloaded):
         stored; each term is the profile truncated to int64.  The last
         element of their running sum is both its load and what the
         neighbours gain.  Their loads come in with one ``take`` and go back
-        with one ``put``, and one ``argmax`` of them raises the bound."""
+        with one ``put``, and one ``argmax`` of them raises the store's
+        bound."""
         x, cell = cfg._in_box(position)
         rows, squares = self._neighbors(x, cell)
         if not rows.size:
@@ -1102,7 +1113,7 @@ class CellIndex(Unloaded):
         gained += contrib
         cfg._load.put(rows, gained)
         cfg._total += load
-        self.bound = max(self.bound, load, gained.item(gained.argmax()))
+        cfg.bound = max(cfg.bound, load, gained.item(gained.argmax()))
         return cfg._insert(x, cell, load), x
 
     def death(self, cfg: TorusConfiguration, row: int) -> tuple:
@@ -1187,20 +1198,6 @@ class CellIndex(Unloaded):
         keep = (square <= self._reach).nonzero()[0]
         return rows.take(keep), square.take(keep)
 
-    def sample_row(self, cfg: TorusConfiguration, draws, rng) -> int:
-        """A uniform row, kept if a uniform target below the bound falls
-        below its load, else a fresh row and target.  A ``resum`` comes first
-        once the draws since the last reach the population then: O(1) per
-        event on average, and the bound falls after a crash."""
-        if not self._due:
-            self.resum(cfg)
-        self._due -= 1
-        n, bound, load = cfg._n, self.bound, cfg._load
-        while True:
-            row = draws.row(n, rng)
-            if draws.row(bound, rng) < load.item(row):
-                return row
-
     def fault(self, cfg: TorusConfiguration) -> str | None:
         """A row misfiled against the positions, else a position in a free
         slot.  The index holds when the cell column equals ``flat_cells_of``
@@ -1227,12 +1224,6 @@ class CellIndex(Unloaded):
         stale = ((self._bpos != math.inf).any(axis=0) & ~filled).nonzero()[0]
         if stale.size:
             return f"{prefix}cell {stale[0]} has a position in a free slot"
-
-    def stale_sum(self, cfg: TorusConfiguration) -> str | None:
-        loads = cfg.loads
-        if cfg._n and loads.item(row := loads.argmax()) > self.bound:
-            load, pid = loads.item(row), cfg.point_at(row)
-            return f"load of point {pid} is {load} quanta, above the load bound {self.bound}"
 
 
 def sample_poisson(

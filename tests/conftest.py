@@ -1,4 +1,8 @@
+import signal
+import threading
+
 import hypothesis
+import pytest
 
 from sbdsim.geometry import CellGrid, CellIndex
 
@@ -6,6 +10,39 @@ hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=50, derandomize=True
 )
 hypothesis.settings.load_profile("default")
+
+# A test that runs longer than this, in seconds of wall time, fails, so that a
+# hang, such as a death draw that never keeps a row, fails one test instead
+# of stalling the suite; the slowest test takes about a tenth of it
+TEST_SECONDS = 120
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past TEST_SECONDS.  Not an ``Exception``, so that
+    hypothesis stops at once instead of shrinking an example that hangs."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail the test once it has run TEST_SECONDS, by an ``ITIMER_REAL``
+    alarm, where ``signal.setitimer`` exists and the test runs in the main
+    thread; elsewhere it runs unbounded."""
+    in_main = threading.current_thread() is threading.main_thread()
+    if not (hasattr(signal, "setitimer") and in_main):
+        yield
+        return
+
+    def overrun(signum, frame):
+        raise TimeLimitExceeded(f"the test ran past its time limit of {TEST_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 # numpy's Python-level wrappers around its C entry points, such as np.cumsum,
 # np.take, np.argsort, np.append, np.diff, np.interp, ndarray.sum and
@@ -56,10 +93,12 @@ class Scripted:
         return row
 
 
-def draw_at(cfg, target):
-    """The row ``cfg.sample_row`` draws for the uniform target ``target`` in
-    a store that inverts one target, drawn below the load total."""
-    draws = Scripted(target)
+def draw_from(cfg, *trials):
+    """The row ``cfg.sample_row`` keeps from the scripted ``trials``, each a
+    (row, target) pair, after checking that each trial asks for a row below
+    the population and a target below the load bound, and that the draw
+    takes every trial."""
+    draws = Scripted(*(v for trial in trials for v in trial))
     row = cfg.sample_row(draws, None)
-    assert draws.asked == [cfg.load_total()] and not draws.rows
+    assert draws.asked == [len(cfg), cfg.bound] * len(trials) and not draws.rows
     return row

@@ -516,8 +516,8 @@ def test_manifest_records_each_replica_s_peak_and_truncation_budget(tmp_path):
     # the competition_1d model, whose gaussian a- is cut off where it is
     # still positive, on a short box and a short run: the manifest lists each
     # replica's peak population, recounted here from its events.csv, and
-    # a_minus.tail_sup() plus the load quantum times it, and clamps of 0,
-    # which whole-quanta loads make by construction; without a- the budget
+    # a_minus.tail_sup() plus the load quantum times it, and no clamp
+    # count, since whole-quanta loads never clamp; without a- the budget
     # is 0
     data = json.loads((CONFIGS / "competition_1d.json").read_text())
     data.update(torus={"L": 8.0, "d": 1}, replicas=2, seed=3)
@@ -537,12 +537,9 @@ def test_manifest_records_each_replica_s_peak_and_truncation_budget(tmp_path):
         "births",
         "deaths",
         "n_snapshots",
-        "clamps",
-        "largest_clamp",
         "peak_population",
         "truncation_budget",
     ]
-    assert manifest["clamps"] == [0, 0] and manifest["largest_clamp"] == [0.0, 0.0]
     a_minus = load_config(CONFIGS / "competition_1d.json").model.a_minus
     per_pair = a_minus.tail_sup() + 1.0 / load_scale(a_minus)
     assert a_minus.tail_sup() > 0.0 and 0.0 < 1.0 / load_scale(a_minus) <= 2.0**-30

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import linalg, stats
 
-from conftest import NUMPY_WRAPPER_FILES, draw_at, file_on, insert_point, live_rows
+from conftest import NUMPY_WRAPPER_FILES, draw_from, file_on, insert_point, live_rows
 from sbdsim.config import initial_configuration, load_config, parse_config, replica_rng
 from sbdsim import dynamics
 from sbdsim.dynamics import (
@@ -148,10 +148,12 @@ def test_competition_load_pairwise():
 def test_block_draw_matches_full_cumsum(m, a_minus):
     # clustered points give skewed loads, and the scattered ones that are
     # isolated have load 0; a short run leaves the loads as the events made
-    # them, over eight blocks of rows.  A store of the same rows and loads
-    # that inverts one target weighs the loads alone, whatever m, and finds
-    # the row searchsorted finds on the whole column for every target: with
-    # no a- every load is 0 and there is no target to draw
+    # them, over eight blocks of rows, in a store on the cell index.  A bare
+    # store of the same rows and loads weighs the loads alone, whatever m:
+    # with the same bound, both keep the same rows from the same draws,
+    # each of load above 0, and a scripted trial keeps its row exactly when
+    # its target falls below the row's load; a rejection draws a fresh row
+    # and target.  With no a- every load is 0 and there is nothing to draw
     rng = np.random.default_rng(31)
     torus = Torus(2000.0, 1)
     centres = rng.uniform(0.0, 2000.0, 40)
@@ -164,27 +166,37 @@ def test_block_draw_matches_full_cumsum(m, a_minus):
     n = len(cfg)
     assert 7 * 256 < n < 2500 and n % 256  # eight blocks, the last one partial
 
-    cum = np.cumsum(cfg.loads)
+    loads = cfg.loads.copy()
     total = cfg.load_total()
-    assert total == cum[-1]
+    assert total == np.cumsum(loads)[-1]
     if a_minus is None:
         assert total == 0
         return
+    assert type(cfg.upkeep) is CellIndex and (loads == 0).any()
     bare = TorusConfiguration(torus, cfg._pos[:n])
-    bare.set_loads(cfg.loads)
+    bare.set_loads(loads)
+    cfg.set_loads(loads)  # the bound recomputed as the bare store's
     assert type(bare.upkeep) is Unloaded and bare.load_total() == total
-    for target in rng.integers(0, total, 10_000).tolist():
-        row = draw_at(bare, target)
-        assert row == int(np.searchsorted(cum, target, side="right"))
-        assert cfg.loads[row] > 0
+    assert bare.bound == cfg.bound == loads.max()
+    for seed in range(2000):
+        row = bare.sample_row(BlockDraws(), np.random.default_rng(seed))
+        assert row == cfg.sample_row(BlockDraws(), np.random.default_rng(seed))
+        assert loads[row] > 0
+    most = int(loads.argmax())
+    for row, target in zip(rng.integers(0, n, 10_000).tolist(),
+                           rng.integers(0, bare.bound, 10_000).tolist()):  # fmt: skip
+        if target < loads[row]:
+            assert draw_from(bare, (row, target)) == row
+        else:
+            assert draw_from(bare, (row, target), (most, 0)) == most
 
 
 def test_audit_follows_the_load_bound_across_boundaries():
     # grow from 240 points past the first block boundary (256), where the
-    # store switches to the cell index, whose load bound starts from the
-    # column, and a capacity doubling (256 -> 512 rows), then shrink back
-    # below it, recomputing every load and checking each against the bound
-    # after each event
+    # store switches to the cell index and keeps its load bound, and a
+    # capacity doubling (256 -> 512 rows), then shrink back below it,
+    # recomputing every load and checking each against the bound after
+    # each event
     rng = np.random.default_rng(32)
     torus = Torus(60.0, 1)
     cfg = cfg_with_points(torus, rng.uniform(0.0, 60.0, (240, 1)))
@@ -225,12 +237,12 @@ def test_the_load_bound_follows_a_crash_of_the_population():
     )
     rng = np.random.default_rng(3)
     cfg = sample_poisson(Torus(80.0, 1), 50.0, rng)
-    start = int(SimulationState(spec, cfg).cfg.upkeep.bound)
+    start = int(SimulationState(spec, cfg).cfg.bound)
     run(spec, cfg, 2.0, rng)
     top = int(cfg.loads.max())
     assert type(cfg.upkeep) is CellIndex and 300 < len(cfg) < 600
     assert top < start / 4
-    assert cfg.upkeep.bound <= 2 * top
+    assert cfg.bound <= 2 * top
 
 
 # -- single event behaviour -------------------------------------------------------
@@ -278,13 +290,15 @@ def first_event_store(case):
     stochastic acceptance against the largest load; rows 240..271 and
     496..527 lie in two clusters of large loads, and about 2% of the rows
     have load 0.  "loose": the same on a side of 120, where every row has a
-    load above 0, drawn against a bound 4 times the largest load."""
+    load above 0, drawn against a bound 4 times the largest load.
+    "loose_matrix": the "matrix" store, one of whose rows has load 0, drawn
+    against a bound 4 times the largest load."""
     a_plus, a_minus = gaussian(1.0, 0.5, 1), triangular(1.0, 1.0, 1)
     if case == "few":
         spec = ModelSpec("bolker_pacala", a_plus=a_plus, a_minus=a_minus.scaled(2.0), m=0.3)
         return spec, Torus(10.0, 1), [[1.0], [1.4], [1.9], [4.0], [7.5]]
     rng = np.random.default_rng(41)
-    if case == "matrix":
+    if case in ("matrix", "loose_matrix"):
         spec = ModelSpec("bolker_pacala", a_plus=a_plus, a_minus=a_minus, m=0.5)
         points = rng.uniform(0.0, 25.0, 50)
         points[20:28] = 12.0 + 0.05 * np.arange(8)
@@ -323,14 +337,14 @@ def first_events(spec, torus, points, trials, slack=1):
     drawn by ``_apply_event`` with fresh draws from its own seed.  The store
     is left as it was: a birth returns id -1 and its position unwrapped, and
     a death its row as the point's id.  A ``slack`` above 1 multiplies the
-    load bound of a store on the cell index, for every trial."""
+    load bound of the store, in either regime, for every trial."""
     state = SimulationState(spec, TorusConfiguration(torus, points))
     b, d = state.total_rates()
     cfg, log = state.cfg, EventLog(torus.dim)
     if slack > 1:  # no draw recomputes the bound, and no draw can hang
-        assert type(cfg.upkeep) is CellIndex and cfg.loads.all()
-        cfg.upkeep.bound *= slack
-        cfg.upkeep._due = trials
+        assert cfg.load_total()
+        cfg.bound *= slack
+        cfg._due = trials
     cfg._add_point = lambda position, *a_minus: (-1, np.asarray(position, dtype=float))
     cfg._remove_point = lambda row, *a_minus: (row, np.zeros(torus.dim), None)
     for trial in range(trials):
@@ -355,7 +369,13 @@ def consecutive_bins(expected, least=5.0):
 
 @pytest.mark.parametrize(
     "case, trials",
-    [("few", 10_000), ("matrix", 20_000), ("index", 20_000), ("loose", 20_000)],
+    [
+        ("few", 10_000),
+        ("matrix", 20_000),
+        ("index", 20_000),
+        ("loose", 20_000),
+        ("loose_matrix", 20_000),
+    ],
 )
 def test_the_first_event_follows_the_rates_of_the_model(case, trials):
     # the counts of each first event, a birth or the death of each row, from
@@ -366,7 +386,8 @@ def test_the_first_event_follows_the_rates_of_the_model(case, trials):
     # mass below r, by a KS test
     spec, torus, points = first_event_store(case)
     law = first_event_law(spec, torus, points)
-    log = first_events(spec, torus, points, trials, slack=4 if case == "loose" else 1)
+    slack = 4 if case.startswith("loose") else 1
+    log = first_events(spec, torus, points, trials, slack=slack)
     births = log.births
     counts = np.bincount(np.where(births, 0, log.points + 1), minlength=law.size)
     assert counts.size == law.size and counts.sum() == trials
@@ -680,14 +701,15 @@ def test_the_event_path_draws_uniforms_and_rows_in_blocks(variant):
     # a block of 64-bit words, so the event path never calls rng.integers
     # nor rng.random without a size; the waiting time stays one
     # rng.exponential per event.  The immigrants of a constant field draw
-    # their positions with rng.uniform
+    # their positions with rng.uniform.  A start of about 45 points keeps
+    # the bolker_pacala run alive past 2 DRAW_BLOCK events
     if variant == "migration":
         spec = migration_spec(b=2.0, m=0.5, a_minus=triangular(0.5, 1.0, 1))
     else:
         am = gaussian(0.5, 0.5, 1)
         spec = ModelSpec(variant, a_plus=gaussian(1.5, 0.5, 1), a_minus=am, m=0.5)
     base = np.random.default_rng(5)
-    cfg = sample_poisson(Torus(10.0, 1), 2.0, base)
+    cfg = sample_poisson(Torus(20.0, 1), 2.0, base)
     rng = CountingRng(base)
     trace = run(spec, cfg, 200.0, rng)
     assert trace.n_events > 2 * DRAW_BLOCK
@@ -769,7 +791,7 @@ def test_a_run_from_an_empty_store_keeps_int64_loads_and_an_int_root():
     assert cfg._load.dtype == np.int64
     trace = run(spec, cfg, 3.0, np.random.default_rng(3), audit_every=25)
     assert trace.n_events > 500 and len(cfg) > BLOCK_ROWS and cfg._load.size == 512
-    assert cfg._load.dtype == np.int64 and type(cfg.upkeep.bound) is int
+    assert cfg._load.dtype == np.int64 and type(cfg.bound) is int
     assert type(cfg.load_total()) is int and cfg.load_total() == int(cfg.loads.sum())
 
 
@@ -795,17 +817,17 @@ def test_audit_catches_corruption():
 
 def test_audit_catches_a_load_above_the_bound():
     # the pair at 5.0 and 5.5, and lone points 2 apart, enough for more than
-    # one block: a store past one block keeps the cell index and its load
-    # bound, here the pair's load of 2^29 quanta.  A bound one quantum
+    # one block: a store past one block keeps the cell index, and its load
+    # bound is the pair's load of 2^29 quanta.  A bound one quantum
     # below it is a fault that names the bound
     am = triangular(1.0, 1.0, 1)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(1.0, 1.0, 1), a_minus=am, m=0.2)
     points = [[5.0], [5.5]] + [[10.0 + 2.0 * k] for k in range(BLOCK_ROWS)]
     state = SimulationState(spec, cfg_with_points(Torus(600.0, 1), points))
     assert len(state.cfg) > BLOCK_ROWS and state.cfg.load_total() == load_scale(am)
-    assert state.cfg.upkeep.bound == 2**29
+    assert state.cfg.bound == 2**29
     state.audit()
-    state.cfg.upkeep.bound -= 1
+    state.cfg.bound -= 1
     want = f"load of point 0 is {2**29} quanta, above the load bound {2**29 - 1}"
     with pytest.raises(AuditError, match=want):
         state.audit()
@@ -858,8 +880,8 @@ def test_audit_catches_a_cache_off_by_one_quantum(column, delta):
         cfg._load[3] += delta
         match = f"point {cfg.point_at(3)} drifted"
     else:
-        cfg.upkeep.bound -= delta
-        match = f"above the load bound {cfg.upkeep.bound}"
+        cfg.bound -= delta
+        match = f"above the load bound {cfg.bound}"
     with pytest.raises(AuditError, match=match):
         state.audit()
 
@@ -1023,7 +1045,7 @@ def test_death_update_matches_the_old_arithmetic_bit_for_bit(dim):
     def same():
         assert state.cfg.loads.tobytes() == ref.cfg.loads.tobytes()
         assert state.cfg.load_total() == ref.cfg.load_total()
-        assert state.cfg.upkeep.bound == ref.cfg.upkeep.bound
+        assert state.cfg.bound == ref.cfg.bound
 
     same()
     for _ in range(60):
@@ -1324,8 +1346,8 @@ def dense_d2():
     [
         (
             competition_1d_replica_0,
-            4984,
-            "d2a9856b27c0168e77a947925918dd3090b683e3ca0e8ac2faa80bef366b1f9b",
+            5066,
+            "91944845e91ff49c062428ea1c8173fc81cd6367b151de17a4d9e1331a626ee6",
         ),
         (dense_d2, 2306, "2e6c67ebec3adfded0e6d7c2cf47db05a5b7b7505f68423e4a758e2609748106"),
     ],

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import NUMPY_WRAPPER_FILES, Scripted, draw_at, file_on, insert_point, live_rows
+from conftest import NUMPY_WRAPPER_FILES, Scripted, draw_from, file_on, insert_point, live_rows
 from sbdsim import geometry
 from sbdsim.config import load_config
 from sbdsim.dynamics import BlockDraws
@@ -1076,7 +1076,7 @@ def assert_same_store(a, b):
         np.testing.assert_array_equal(getattr(a, name)[:n], getattr(b, name)[:n])
     for name in ("_cell", "_slot"):
         np.testing.assert_array_equal(getattr(a.upkeep, name)[:n], getattr(b.upkeep, name)[:n])
-    assert a.upkeep.bound == b.upkeep.bound
+    assert a.bound == b.bound
     a_cells, b_cells = live_rows(a), live_rows(b)
     assert a_cells.keys() == b_cells.keys()
     for cell, rows in a_cells.items():
@@ -1192,7 +1192,7 @@ def test_a_store_refiled_for_another_cutoff_files_every_row_afresh():
 def test_load_total_is_the_reduce_of_the_live_block_sums(n):
     # load_total is the store's running root, kept by every call that
     # changes a load: an int equal to the reduce of the live load column,
-    # at every size, with no load above the cell index's load bound, over
+    # at every size, with no load above the store's load bound, over
     # random births and deaths, which change their neighbours' loads, and
     # removals, that cross block edges, and 0 when empty.  A starting load
     # is at least 2^36 quanta, more than all a point's neighbours' terms of
@@ -1236,26 +1236,26 @@ def test_the_cell_index_keeps_its_load_bound_at_every_size():
     rng = np.random.default_rng(9)
     cfg = TorusConfiguration(Torus(50.0, 1), rng.uniform(0.0, 50.0, (250, 1)))
     kernel = triangular(0.01, 1.0, 1).scaled(2.0**36)
-    index = file_on(cfg, kernel.cutoff_radius(), kernel)
+    file_on(cfg, kernel.cutoff_radius(), kernel)
     cfg.set_loads(rng.integers(2**36, 2**37, 250))
     crossings = recomputes = 0
 
     def step(change, raises=False):
         nonlocal crossings, recomputes
-        before, bound = len(cfg), index.bound
+        before, bound = len(cfg), cfg.bound
         change()
         n, loads = len(cfg), cfg.loads
         crossings += before <= BLOCK_ROWS < n
-        assert index.bound == (max(bound, int(loads.max())) if raises else bound)
+        assert cfg.bound == (max(bound, int(loads.max())) if raises else bound)
         assert cfg.load_total() == np.add.reduce(loads)
         assert cfg.stale_sum() is None
         least, most = int(loads.argmin()), int(loads.argmax())
-        bound, due = index.bound, index._due
+        bound, due = cfg.bound, cfg._due
         draws = Scripted(least, loads.item(least), most, loads.item(most) - 1)
         assert cfg.sample_row(draws, None) == most and not draws.rows
-        assert draws.asked == [n, index.bound] * 2
+        assert draws.asked == [n, cfg.bound] * 2
         recomputes += not due
-        assert index.bound == (loads.item(most) if not due else bound)
+        assert cfg.bound == (loads.item(most) if not due else bound)
 
     def birth():
         cfg._add_point(rng.uniform(0.0, 50.0, 1))
@@ -1839,10 +1839,10 @@ def test_kernel_too_wide_rejected():
         cfg.kernel_sums(gaussian(1.0, 2.0, 1))
 
 
-def both_draws(n, seed):
-    """Stores of the same ``n`` uniform points on T10_1 whose death draw
-    inverts one target over one running sum of the loads: a bare one and,
-    at up to BLOCK_ROWS rows, one that keeps the pair-term matrix."""
+def both_stores(n, seed):
+    """Stores of the same ``n`` uniform points on T10_1, each of which draws
+    a death by acceptance against its load bound: a bare one and, at up to
+    BLOCK_ROWS rows, one that keeps the pair-term matrix."""
     stores = [uniform_cfg(T10_1, n, np.random.default_rng(seed))]
     if n <= BLOCK_ROWS:
         matrix = uniform_cfg(T10_1, n, np.random.default_rng(seed))
@@ -1853,64 +1853,84 @@ def both_draws(n, seed):
 
 
 def test_sample_row_never_draws_zero_weight():
-    # rows 255 and 256, either side of the block boundary, have load 0: the
-    # target that the rows before them cover in full draws the row after
-    loads = np.ones(512, dtype=np.int64)
-    loads[255:257] = 0
-    for cfg in both_draws(512, 7):
-        cfg.set_loads(loads)
-        assert [draw_at(cfg, t) for t in (253, 254, 255, 256)] == [253, 254, 257, 258]
-        want = np.searchsorted(np.cumsum(loads), 3 * 510 // 4, side="right")
-        assert draw_at(cfg, 3 * 510 // 4) == want
+    # the two rows in the middle have load 0 and the others 1 to 3, the
+    # bound: neither keeps any target, 0 among them, and each rejection
+    # draws a fresh row and a fresh target, until a row above 0 keeps one
+    for n in (BLOCK_ROWS, 512):
+        loads = 1 + np.arange(n) % 3
+        loads[n // 2 - 1 : n // 2 + 1] = 0
+        for cfg in both_stores(n, 7):
+            cfg.set_loads(loads)
+            assert cfg.bound == 3
+            for target in range(3):
+                zero = (n // 2 - 1, target), (n // 2, target)
+                assert draw_from(cfg, *zero, (n // 2 + 1, 0)) == n // 2 + 1
+            assert draw_from(cfg, (n // 2 - 2, 0)) == n // 2 - 2
 
 
 @pytest.mark.parametrize("n", [3, BLOCK_ROWS, BLOCK_ROWS + 1, 700])
 def test_sample_row_at_zero_skips_the_leading_rows_of_load_0(n):
-    # the target 0, which the running sums of leading rows of load 0
-    # reach, draws the first row above 0, in the largest store past the
-    # whole first block of rows of load 0
+    # the target 0 keeps no leading row of load 0, the first and the last
+    # of them included, and keeps the first row above 0, in the largest
+    # store past the whole first block of rows of load 0
     loads = np.random.default_rng(6).integers(1, 5, n)
     first = min(n - 1, BLOCK_ROWS + 3) if n > BLOCK_ROWS + 1 else n // 2
     loads[:first] = 0
-    for cfg in both_draws(n, n):
+    for cfg in both_stores(n, n):
         cfg.set_loads(loads)
-        assert draw_at(cfg, 0) == first
+        assert draw_from(cfg, (0, 0), (first - 1, 0), (first, 0)) == first
 
 
 @pytest.mark.parametrize("n", [1, 100, BLOCK_ROWS, BLOCK_ROWS + 1, 700])
 def test_sample_row_at_the_largest_uniform_draws_the_last_row(n):
-    # the largest target, the total less 1, at every size: the draw is the
-    # last row, never row n, and the last of positive load when the rows
-    # after it have load 0
-    for cfg in both_draws(n, n):
+    # the largest target, the bound less 1, at every size: the last row,
+    # whose load is the bound, keeps it, and row 0, below the bound,
+    # does not.  With the rows from n / 2 on at load 0 and row n / 2 - 1
+    # at the bound, the last row keeps no target, and the last row of
+    # positive load keeps the largest
+    for cfg in both_stores(n, n):
         loads = np.random.default_rng(5).integers(1, 2**40, n)
+        loads[-1] = 2**40
         cfg.set_loads(loads)
-        assert draw_at(cfg, cfg.load_total() - 1) == n - 1
+        assert cfg.bound == 2**40
+        assert draw_from(cfg, (n - 1, 2**40 - 1)) == n - 1
         if n > 1:
+            assert draw_from(cfg, (0, 2**40 - 1), (n - 1, 2**40 - 1)) == n - 1
             loads[n // 2 :] = 0
+            loads[n // 2 - 1] = 2**40
             cfg.set_loads(loads)
-            assert draw_at(cfg, cfg.load_total() - 1) == n // 2 - 1
+            assert cfg.bound == 2**40
+            assert draw_from(cfg, (n - 1, 0), (n // 2 - 1, 2**40 - 1)) == n // 2 - 1
 
 
 @pytest.mark.parametrize("n", [4, 3 * BLOCK_ROWS + 4])
 def test_sample_row_finds_the_covering_row_of_every_target(n):
-    # every target of 0..L-1 draws the row whose load covers it, row r for
-    # the loads[r] targets from the sum of the loads before it on: loads
-    # [0, 3, 0, 2] give rows 1, 1, 1, 3, 3.  The store past BLOCK_ROWS
-    # holds many loads of 0 and a block, block 1, of loads 0 alone; a draw
-    # off by one at any boundary of a row or a block shows here, where a
-    # random target would almost never land on one
+    # every row and every target below the bound, one trial each: the row
+    # is kept for the targets 0..load - 1 and no other, so a trial keeps
+    # row r with probability its load over n times the bound; a rejected
+    # trial draws a fresh row and target, here the row of the largest load
+    # at 0.  loads [0, 3, 0, 2] keep (1, 0), (1, 1), (1, 2), (3, 0) and
+    # (3, 1).  The store past BLOCK_ROWS holds many loads of 0 and a block,
+    # block 1, of loads 0 alone
     loads = np.array([0, 3, 0, 2])
     if n > 4:
         loads = np.random.default_rng(12).integers(0, 4, n) * (np.arange(n) % 3 == 0)
         loads[BLOCK_ROWS : 2 * BLOCK_ROWS] = 0
         loads[-4:] = [0, 3, 0, 2]
-    want = np.arange(n).repeat(loads).tolist()
-    for cfg in both_draws(n, n):
+    most = int(loads.argmax())
+    for cfg in both_stores(n, n):
         cfg.set_loads(loads)
-        assert [draw_at(cfg, t) for t in range(cfg.load_total())] == want
+        assert cfg.bound == 3
+        kept = []
+        for row, target in product(range(n), range(3)):
+            if target < loads[row]:
+                assert draw_from(cfg, (row, target)) == row
+                kept.append((row, target))
+            else:
+                assert draw_from(cfg, (row, target), (most, 0)) == most
+        assert kept == [(r, t) for r in range(n) for t in range(loads[r])]
     if n == 4:
-        assert want == [1, 1, 1, 3, 3]
+        assert kept == [(1, 0), (1, 1), (1, 2), (3, 0), (3, 1)]
 
 
 # -- windows ------------------------------------------------------------------

@@ -254,10 +254,9 @@ def test_every_optional_parameter_has_a_setter():
     assert unset_options(defining, using) == []
 
 
-# The load regimes' private members: the pair-term matrix, the cell index's
-# columns and buckets, and its count of draws before the load bound's
-# recompute.
-REGIME_PRIVATE = ("_terms", "_rows", "_fill", "_bpos", "_slot", "_cell", "_due")
+# The load regimes' private members: the pair-term matrix, and the cell
+# index's columns and buckets.
+REGIME_PRIVATE = ("_terms", "_rows", "_fill", "_bpos", "_slot", "_cell")
 # The point store's private members, its regimes', and the load calls it no
 # longer has, that no package module but geometry.py names: a birth and a
 # death are each one store call, which keeps the loads itself.
@@ -267,6 +266,7 @@ STORE_PRIVATE = (
     "_insert",
     "_load",
     "_total",
+    "_due",
     *REGIME_PRIVATE,
     "add_loads",
     "lower_loads",
@@ -301,13 +301,13 @@ def test_checker_flags_a_store_private_name():
         "from .geometry import add_loads as grow\n"
         "def f(cfg):\n"
         "    cfg._load.take(0)\n"
-        "    return getattr(cfg, '_due'), cfg._in_boxes, _cell\n"
+        "    return getattr(cfg, '_fill'), cfg._in_boxes, _cell\n"
         "def _insert():\n    pass\n"
     )
     assert names_among(source, STORE_PRIVATE) == [
         "add_loads (line 1)",
         "_load (line 3)",
-        "_due (line 4)",
+        "_fill (line 4)",
         "_cell (line 4)",
         "_insert (line 5)",
     ]
@@ -353,7 +353,7 @@ def test_checker_flags_a_store_method_that_reaches_into_a_regime():
         "class TorusConfiguration:\n"
         "    def remove(self, row):\n"
         "        if self._n > BLOCK_ROWS:\n"
-        "            self.upkeep._due -= 1\n"
+        "            self.upkeep._fill -= 1\n"
         "        return self.upkeep.removed(self, row)\n"
         "    def sample_row(self, t):\n"
         "        return t if geometry.BLOCK_ROWS < t else self.upkeep._terms\n"
@@ -362,7 +362,7 @@ def test_checker_flags_a_store_method_that_reaches_into_a_regime():
         "        self._cell[0] = BLOCK_ROWS == 1\n"
     )
     assert regime_reaches(source) == [
-        "remove: _due (line 4)",
+        "remove: _fill (line 4)",
         "remove: BLOCK_ROWS (line 3)",
         "sample_row: _terms (line 7)",
         "sample_row: BLOCK_ROWS (line 7)",
@@ -373,6 +373,69 @@ def test_no_store_method_reaches_into_a_regime():
     # the store keeps the shared columns; what each regime keeps, and the
     # block edge it switches at, are the regime's own
     assert regime_reaches((PACKAGE / "geometry.py").read_text()) == []
+
+
+# The point store's load regimes, and the death draw's hooks that none of
+# them defines: the store keeps the load bound and draws against it itself.
+REGIMES = ("Unloaded", "PairTerms", "CellIndex")
+STORE_DRAW = ("sample_row", "resum", "stale_sum")
+
+
+def second_draws(source: str) -> list[str]:
+    """``Class.method (line n)`` of each method of a regime class in
+    ``source`` named in STORE_DRAW, and ``Class.method: searchsorted (line
+    n)`` of each call of ``searchsorted`` in a method of the store or of a
+    regime, in the order of the source."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef) or node.name not in (
+            "TorusConfiguration",
+            *REGIMES,
+        ):
+            continue
+        for method in node.body:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            where = f"{node.name}.{method.name}"
+            if node.name in REGIMES and method.name in STORE_DRAW:
+                found.append(f"{where} (line {method.lineno})")
+            for call in ast.walk(method):
+                if not isinstance(call, ast.Call):
+                    continue
+                if getattr(call.func, "attr", getattr(call.func, "id", None)) == "searchsorted":
+                    found.append(f"{where}: searchsorted (line {call.lineno})")
+    return found
+
+
+def test_checker_flags_a_second_death_draw():
+    source = (
+        "class TorusConfiguration:\n"
+        "    def sample_row(self, draws, rng):\n"
+        "        return self._load.searchsorted(draws.row(self._total, rng))\n"
+        "class PairTerms:\n"
+        "    def resum(self, cfg):\n"
+        "        pass\n"
+        "class CellIndex:\n"
+        "    def stale_sum(self, cfg):\n"
+        "        return searchsorted(cfg.loads, 0)\n"
+        "class Window:\n"
+        "    def sample_row(self):\n"
+        "        return self.lo.searchsorted(0)\n"
+    )
+    assert second_draws(source) == [
+        "TorusConfiguration.sample_row: searchsorted (line 3)",
+        "PairTerms.resum (line 5)",
+        "CellIndex.stale_sum (line 8)",
+        "CellIndex.stale_sum: searchsorted (line 9)",
+    ]
+
+
+def test_the_store_draws_a_death_one_way():
+    # the store's sample_row, by acceptance against its load bound, is the
+    # one death draw by competition: no regime draws, keeps the bound or
+    # checks it, and no method of the store or of a regime inverts a
+    # running sum
+    assert second_draws((PACKAGE / "geometry.py").read_text()) == []
 
 
 def tracer_targets() -> tuple:

@@ -225,9 +225,9 @@ def test_pair_correlation_counts_of_a_seeded_snapshot_are_pinned(monkeypatch):
     assert (2 * counts[0]).tolist() == brute_force_ordered_counts(
         torus.side, pts, edges
     ).tolist()
-    assert pc.replicas_used == 2 and pts.shape[0] == 106
+    assert pc.replicas_used == 2 and pts.shape[0] == 101
     digest = hashlib.sha256(counts[0].astype("<i8").tobytes()).hexdigest()
-    assert digest == "db97066cdf55c384cf63e65e98bdf70968fc90261b0345e3f6f081fa749e854e"
+    assert digest == "46680ed6c70243b243226bbbdbe80d969a2b201fb1528b41c211985590f19d58"
 
 
 def test_pair_correlation_memory_is_linear():

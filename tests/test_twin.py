@@ -11,17 +11,16 @@ It draws from its own generator, seeded as the run's, in ``run``'s order:
 the waiting time, the uniform that picks a birth, a natural death or a
 death by competition, then the parent row and its displacement, the
 immigrant's position, the dying row of a natural death, or the competition
-draw; it works out the channel, the rows and the loads itself.  A store of
-one block draws a competition death as a uniform target below the load
-total and the row whose load covers it.  Past one block it draws pairs of
-a uniform row and a uniform target below a load bound until the target
+draw; it works out the channel, the rows and the loads itself.  A
+competition death, in a store of one block or past it, is drawn as pairs
+of a uniform row and a uniform target below a load bound until the target
 falls below the row's load.  The twin keeps that bound by the store's
-rule: the largest load when the store is built and when it first passes
-one block, raised by each birth to the largest load after it, and
-recomputed as the largest load before a draw once the draws since the
-last recompute reach the population then.  Loads are exact sums, so the
-twin's loads equal the store's, and its times, channels, rows and
-positions the run's, bit for bit.
+rule: the largest load when the store is built, raised by each birth to
+the largest load after it, not reset when the store first passes one
+block, and recomputed as the largest load before a draw once the draws
+since the last recompute reach the population then.  Loads are exact
+sums, so the twin's loads equal the store's, and its times, channels, rows
+and positions the run's, bit for bit.
 
 Sixteen named cases pin hand-picked stores and grids, each edge case both
 from one block, where the store keeps the pair-term matrix, and from past
@@ -85,14 +84,12 @@ def replay(spec, torus, start, t_end, seed, trace, states):
     birth_mass = 0.0 if spec.a_plus is None else spec.a_plus.mass()
     kernel, scale = in_quanta(spec.a_minus)
     t, next_id = 0.0, len(ids)
-    # past one block: the load bound, and the draws before its recompute
-    index = kernel is not None and len(ids) > BLOCK_ROWS
-    bound = due = None
+    bound = due = None  # the load bound, and the draws before its recompute
     for i in range(len(log) + 1):
         loads = fresh_loads(pos, torus.side, kernel)
-        if index and bound is None:  # built past one block
-            bound, due = int(loads.max()), len(ids)
-        elif index and i and births[i - 1]:  # loads only rose, at the birth's
+        if bound is None:  # at the build
+            bound, due = int(loads.max(initial=0)), len(ids)
+        elif births[i - 1]:  # loads only rose, at the birth's
             bound = max(bound, int(loads.max()))
         if i:
             fast_ids, fast_loads = states[i - 1]
@@ -119,16 +116,11 @@ def replay(spec, torus, start, t_end, seed, trace, states):
                 row = draws.row(n, rng)
                 x, parent = pos[row] + spec.a_plus.sample_displacement(rng), ids[row]
             x, pid, next_id = torus.wrap(x), next_id, next_id + 1
-            if kernel is not None and n == BLOCK_ROWS and not index:  # onto the index
-                index, bound, due = True, int(loads.max()), n
             pos = np.concatenate([pos, x[None]])
             ids.append(pid)
         else:  # a uniform row, or a competition draw as the store makes it
             if pick < natural or not competition:
                 row = draws.row(n, rng)
-            elif not index:
-                target = draws.row(competition, rng)
-                row = int(np.cumsum(loads).searchsorted(target, side="right"))
             else:
                 if not due:
                     bound, due = int(loads.max()), n
