@@ -37,6 +37,7 @@ from .config import (
 )
 from .dynamics import DynamicsError, EventLog, run
 from .geometry import load_scale
+from .kernels import TabulatedKernel
 from .oracles import (
     NormBoundInput,
     OracleError,
@@ -219,11 +220,14 @@ def cmd_simulate(args) -> int:
     else:
         records = [_run_one_replica(cfg, i) for i in range(cfg.replicas)]
     lists = {name: [rec[name] for rec in records] for name in REPLICA_LISTS}
-    # a- beyond its cutoff is at most tail_sup, and a pair's term in whole
-    # quanta falls short of a- by less than one quantum, so no death rate of
-    # a run omits more than tail_sup plus a quantum times its largest population
+    # a pair's term, trunc(a- S) / S at every length, falls short of a- by
+    # less than one quantum 1 / S, and a table of a- may leave out up to its
+    # declared tail_sup past its last radius, so no death rate of a run omits
+    # more than that sum times its largest population
     a_minus = cfg.model.a_minus
-    per_pair = 0.0 if a_minus is None else a_minus.tail_sup() + 1.0 / load_scale(a_minus)
+    per_pair = 0.0 if a_minus is None else 1.0 / load_scale(a_minus)
+    if isinstance(a_minus, TabulatedKernel):
+        per_pair += a_minus.tail_sup()
     manifest = {
         "tool": {"name": "sbdsim", "version": __version__},
         "config": resolved_config_dict(cfg),

@@ -8,21 +8,25 @@ Two model variants share one engine:
 * ``migration``: births arrive as a Poisson stream with spatial intensity b
   and total rate integral(b), independent of the current population.
 
-Every point dies at rate m + sum over the others of a_minus(distance), with
-kernels wrapped onto the torus and truncated at their cutoff radius: a
-natural death at rate m and a death by competition at rate its load.
+Every point dies at rate m + sum over the others of a_minus at their
+minimum-image distance on the torus: a natural death at rate m and a death
+by competition at rate its load.
 
 The point store caches each point's competition load.  ``build_loads``
 hands it a_minus in quanta 1 / S, S = ``load_scale(a_minus)``, once.  A
-pair's term is trunc(a_minus(r) S) in int64.  So the chain is exact for
-the kernel trunc(a_minus S) / S, within a quantum of a_minus, and every sum
-of loads is exact.  A birth is one call of the store's ``_add_point``, and
-a death one of its ``_remove_point``.  The store's load regime keeps the
-loads in step: the pair-term matrix up to BLOCK_ROWS rows, and a cell
-index past that.  Events address points by their row in the store: a
-birth's parent and a death are drawn as rows.  Only the recorded event
-carries ids and the position the store returns.  A removal that would take
-a load below zero, which only a corrupt cache can, raises AuditError.
+pair's term is trunc(a_minus(r) S) in int64 at every length r, with no cut
+at the cutoff: that floor is a_minus's one truncation.  So the chain is
+exact for the kernel trunc(a_minus S) / S on the whole torus, within a
+quantum of a_minus, and every sum of loads is exact.  Past the store's
+reach, ``load_reach`` of a_minus in quanta, every term is 0, so the store
+files and queries pairs within the reach alone.  A birth is one call of
+the store's ``_add_point``, and a death one of its ``_remove_point``.  The
+store's load regime keeps the loads in step: the pair-term matrix up to
+BLOCK_ROWS rows, and a cell index past that.  Events address points by
+their row in the store: a birth's parent and a death are drawn as rows.
+Only the recorded event carries ids and the position the store returns.
+A removal that would take a load below zero, which only a corrupt cache
+can, raises AuditError.
 
 The optional audit asks the regime for its one fault: a misfiled row of
 the cell index, or a pair term or row sum of the matrix.  It then
@@ -80,7 +84,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Torus, TorusConfiguration, first_drift, load_scale
+from .geometry import Torus, TorusConfiguration, first_drift, load_reach, load_scale
 from .kernels import ImmigrationField, RadialKernel
 
 VARIANTS = ("bolker_pacala", "migration")
@@ -165,7 +169,8 @@ class ModelSpec:
 
     def check_torus(self, torus: Torus) -> None:
         """Raise DynamicsError unless the kernels and an immigration grid have
-        the torus's dimension, and the cutoffs are at most half its side."""
+        the torus's dimension, and a+'s cutoff and a-'s reach, ``load_reach``
+        of a- in quanta, the store's own rule, are at most half its side."""
         if self.dim is not None and self.dim != torus.dim:
             raise DynamicsError(
                 f"model dimension {self.dim} != torus dimension {torus.dim}"
@@ -174,11 +179,16 @@ class ModelSpec:
             raise DynamicsError(
                 f"immigration grid has {self.b.dim} axes, torus dimension {torus.dim}"
             )
-        for kernel in (self.a_plus, self.a_minus):
-            if kernel is not None and kernel.cutoff_radius() > torus.side / 2.0:
+        a_plus, a_minus = self.a_plus, _in_quanta(self.a_minus)[0]
+        widths = (
+            ("cutoff", None if a_plus is None else a_plus.cutoff_radius()),
+            ("reach", None if a_minus is None else load_reach(a_minus)),
+        )
+        for name, width in widths:
+            if width is not None and width > torus.side / 2.0:
                 raise DynamicsError(
-                    f"kernel too wide for torus: cutoff "
-                    f"{kernel.cutoff_radius():g} > side/2 {torus.side / 2.0:g}"
+                    f"kernel too wide for torus: {name} {width:g} > side/2 "
+                    f"{torus.side / 2.0:g}"
                 )
 
 

@@ -20,8 +20,12 @@ states its profile on the square (``RadialKernel._profile_sq``).
 columns every load regime shares, the load total and a bound on the loads,
 and draws a row by its load, by stochastic acceptance against that bound,
 whatever the regime.  Its ``upkeep`` keeps the loads, in one of three
-regimes: ``Unloaded``, ``PairTerms`` or ``CellIndex``.  ``sample_poisson``
-draws a homogeneous Poisson configuration and builds the store with it.
+regimes: ``Unloaded``, ``PairTerms`` or ``CellIndex``.  A pair's term is
+a- in quanta at its length, truncated to a whole number, at every length:
+a- is truncated once.  Past ``load_reach`` of a- every term is 0, so the
+grid, the stencils and the pair walk of the loads are sized for the reach.
+``sample_poisson`` draws a homogeneous Poisson configuration and builds the
+store with it.
 
 The store's per-event methods, its regimes' and ``periodic_pairs`` call
 numpy only through ufuncs, ufunc methods and ndarray methods.  A
@@ -43,10 +47,15 @@ from itertools import product
 
 import numpy as np
 
-from .kernels import RadialKernel
+from .kernels import RadialKernel, TabulatedKernel
 
 # A store of at most this many rows, one block, keeps the pair-term matrix
 BLOCK_ROWS = 256
+# Past the store's reach a- in quanta stays below this level, short of the
+# one quantum a nonzero term needs by a margin no ulp of a profile crosses
+REACH_LEVEL = 1.0 - 2.0**-10
+# Squares per numpy call of the search for the reach
+REACH_POINTS = 256
 # Row pairs per batch of the vectorised kernel sums; bounds their scratch memory.
 PAIR_BATCH = 1 << 14
 # The pair walk keys each row by its run in the high bits of an int64 and by
@@ -539,6 +548,44 @@ def load_scale(kernel: RadialKernel) -> float:
     return math.ldexp(1.0, LOAD_BITS - math.frexp(kernel.sup_norm())[1])
 
 
+@lru_cache(maxsize=16)  # the replicas of a run share one a- in quanta
+def load_reach(kernel: RadialKernel) -> float:
+    """The store's reach for ``kernel``, a- in quanta: the root of the least
+    float square past which ``_profile_sq`` stays below REACH_LEVEL, so that
+    every term past it floors to 0; 0 if no term is ever a whole quantum.
+
+    The search runs on the event path's own function.  It narrows a bracket
+    of squares, the profile at the level or above at its low end and below
+    it at its high end, REACH_POINTS-fold per call, on the float bit
+    patterns of the squares, which order them as their values: from
+    [0, inf] to adjacent floats in 8 calls.  That needs a profile that
+    crosses the level once.  A table's may rise, but it is piecewise linear
+    and 0 past its last radius, so the search starts at the last radius
+    whose value reaches the level, and a table that ends there reaches to
+    its end.
+    """
+    lo = 0.0
+    if isinstance(kernel, TabulatedKernel):
+        reaching = (kernel.values >= REACH_LEVEL).nonzero()[0]
+        if not reaching.size:
+            return 0.0
+        k = reaching.item(-1)
+        if k == kernel.radii.size - 1:
+            return kernel.radii.item(k)
+        lo = kernel.radii.item(k) ** 2
+    lo, hi = np.array([lo, math.inf]).view(np.int64).tolist()
+    steps = np.arange(REACH_POINTS + 1)
+    with np.errstate(over="ignore"):  # a gaussian's s / -(2 sigma^2) far out
+        while hi - lo > 1:
+            bits = steps * -(-(hi - lo) // REACH_POINTS) + lo
+            np.minimum(bits, hi, out=bits)  # lo, .., hi
+            k = (kernel._profile_sq(bits.view(float)) < REACH_LEVEL).argmax()
+            if not k:  # below the level at 0 already
+                return 0.0
+            lo, hi = bits.item(k - 1), bits.item(k)
+    return math.sqrt(np.array(hi).view(float).item())
+
+
 def first_drift(running: np.ndarray, fresh: np.ndarray) -> int | None:
     """Index of the first running value that differs from its
     recomputation, else None."""
@@ -774,41 +821,41 @@ class TorusConfiguration:
             raise GeometryError(f"no row {row} among {self._n} points")
         return self.upkeep.death(self, row)
 
-    def _checked_cutoff(self, kernel: RadialKernel) -> float:
-        """The cutoff of ``kernel``, after checking that it has the torus's
-        dimension and a cutoff of at most half the side."""
+    def _checked_reach(self, kernel: RadialKernel) -> float:
+        """``load_reach`` of ``kernel``, after checking that it has the
+        torus's dimension and a reach of at most half the side."""
         if kernel.dim != self.torus.dim:
             raise GeometryError(
                 f"kernel dimension {kernel.dim} != torus dimension {self.torus.dim}"
             )
-        cutoff = kernel.cutoff_radius()
-        if cutoff > self.torus.side / 2.0:
+        reach = load_reach(kernel)
+        if reach > self.torus.side / 2.0:
             raise GeometryError(
-                f"kernel too wide for torus: cutoff {cutoff:g} > side/2 "
+                f"kernel too wide for torus: reach {reach:g} > side/2 "
                 f"{self.torus.side / 2.0:g}"
             )
-        return cutoff
+        return reach
 
     def kernel_sums(self, kernel: RadialKernel) -> np.ndarray:
-        """Each point's sum of ``kernel`` over the other points within its
-        cutoff, one int64 per row, from one pair walk (see ``_pair_sums``)
-        of the grid ``CellGrid.for_radius`` picks for the cutoff.  It files
-        nothing."""
-        cutoff, pos = self._checked_cutoff(kernel), self._pos[: self._n]
-        grid = CellGrid.for_radius(self.torus, cutoff)
-        return _pair_sums(grid, pos, cell_runs(grid.flat_cells_of(pos)), kernel, cutoff)
+        """Each point's sum of ``kernel``, in quanta, over the other points,
+        one int64 per row, from one pair walk (see ``_pair_sums``) within
+        its reach, on the grid ``CellGrid.for_radius`` picks for the reach.
+        It files nothing."""
+        reach, pos = self._checked_reach(kernel), self._pos[: self._n]
+        grid = CellGrid.for_radius(self.torus, reach)
+        return _pair_sums(grid, pos, cell_runs(grid.flat_cells_of(pos)), kernel, reach)
 
 
-def _pair_sums(grid: CellGrid, pos: np.ndarray, runs: tuple, kernel, cutoff: float):
+def _pair_sums(grid: CellGrid, pos: np.ndarray, runs: tuple, kernel, reach: float):
     """Each row's sum of ``kernel`` over the other rows of ``pos`` within
-    ``cutoff``, one int64 per row, from one ``periodic_pairs`` walk of
+    ``reach``, one int64 per row, from one ``periodic_pairs`` walk of
     ``grid``, whose cell runs are ``runs``.  ``RadialKernel._profile_sq`` of
     each pair's square, truncated to a whole number as the event path
     truncates it, is added to both its rows, by a bincount over the batch's
     span of rows at each end, in the walk's own order.  ``kernel`` is a- in
     quanta, each term below 2^LOAD_BITS, so the float64 sums of whole
     numbers are exact while no row has 2^22 neighbours."""
-    order, batches = periodic_pairs(grid, pos, runs, cutoff)
+    order, batches = periodic_pairs(grid, pos, runs, reach)
     sums = np.zeros(len(pos))  # in the walk's order
     for i, j, square in batches:
         if not square.size:
@@ -831,8 +878,8 @@ def load_regime(cfg: TorusConfiguration, kernel: RadialKernel | None) -> tuple:
 
     With no kernel, ``Unloaded`` and loads of 0.  At up to BLOCK_ROWS rows,
     ``PairTerms`` and the row sums of its matrix.  Past that, ``CellIndex``
-    and the sums of one pair walk of its grid, filed for the cutoff on the
-    grid ``CellGrid.for_radius`` picks.
+    and the sums of one pair walk of its grid, filed for the store's reach
+    on the grid ``CellGrid.for_radius`` picks.
     """
     n = cfg._n
     if kernel is None:
@@ -840,9 +887,9 @@ def load_regime(cfg: TorusConfiguration, kernel: RadialKernel | None) -> tuple:
     if n <= BLOCK_ROWS:
         terms = PairTerms(cfg, kernel)
         return terms, np.add.reduce(terms._terms[:n, :n], axis=1)
-    cutoff, index = cfg._checked_cutoff(kernel), CellIndex(cfg, kernel)
-    runs = index._file(cfg, CellGrid.for_radius(cfg.torus, cutoff), cutoff)
-    return index, _pair_sums(index.grid, cfg._pos[:n], runs, kernel, cutoff)
+    reach, index = cfg._checked_reach(kernel), CellIndex(cfg, kernel)
+    runs = index._file(cfg, CellGrid.for_radius(cfg.torus, reach), reach)
+    return index, _pair_sums(index.grid, cfg._pos[:n], runs, kernel, reach)
 
 
 class Unloaded:
@@ -879,18 +926,18 @@ class PairTerms(Unloaded):
     """The load regime of a store of at most BLOCK_ROWS rows.
 
     ``_terms`` is the int32 matrix of each pair's term in whole quanta, 0 on
-    the diagonal and past ``exact_reach`` of the cutoff.  Its row sums are
-    the loads.  Squares are summed axis by axis, as the pair walk sums
-    them.  A birth writes row and column n from one pass over the rows.  A
-    death subtracts the dying row from the loads in place.  The birth into
-    BLOCK_ROWS rows switches the store to a ``CellIndex`` for good, so a
-    population near BLOCK_ROWS does not switch to and fro.
+    the diagonal.  Its row sums are the loads.  Every pair of rows gets its
+    term, with no mask: past the store's reach the term is 0 by itself.
+    Squares are summed axis by axis, as the pair walk sums them.  A birth
+    writes row and column n from one pass over the rows.  A death subtracts
+    the dying row from the loads in place.  The birth into BLOCK_ROWS rows
+    switches the store to a ``CellIndex`` for good, filed for the reach, so
+    a population near BLOCK_ROWS does not switch to and fro.
     """
 
     def __init__(self, cfg: TorusConfiguration, kernel: RadialKernel):
         self.kernel = kernel  # a- in quanta
-        self._radius = cfg._checked_cutoff(kernel)
-        self._reach = exact_reach(self._radius)
+        self._radius = cfg._checked_reach(kernel)
         n, size = cfg._n, min(cfg._id.size, BLOCK_ROWS)  # grown with the store
         self._terms = np.zeros((size, size), dtype=np.int32)
         self._terms[:n, :n] = self._pair_terms(cfg)
@@ -907,18 +954,16 @@ class PairTerms(Unloaded):
             np.minimum(d, side - d, out=d)
             d *= d
             square += d
-        terms = self.kernel._profile_sq(square)
-        terms *= square <= self._reach
-        terms = terms.astype(np.int32)
+        terms = self.kernel._profile_sq(square).astype(np.int32)
         terms.reshape(-1)[:: n + 1] = 0
         return terms
 
     def birth(self, cfg: TorusConfiguration, position) -> tuple:
         """Store a point at ``position``.  Its terms, the profile of the
-        squares of one pass over the rows, masked and truncated to int64,
-        go to its neighbours' loads and to row and column n; their running
-        sum's last element is its load.  One ``argmax`` of the loads raises
-        the bound.  The bound carries over to the cell index."""
+        squares of one pass over the rows truncated to int64, go to its
+        neighbours' loads and to row and column n; their running sum's last
+        element is its load.  One ``argmax`` of the loads raises the bound.
+        The bound carries over to the cell index."""
         n = cfg._n
         if n == BLOCK_ROWS:  # past one block, for good
             cfg.upkeep = index = CellIndex(cfg, self.kernel)
@@ -926,9 +971,7 @@ class PairTerms(Unloaded):
             return index.birth(cfg, position)
         x, cell = cfg._in_box(position)
         squares = _min_image_squares(cfg._pos[:n] - x, cfg.torus.side)
-        contrib = self.kernel._profile_sq(squares)
-        contrib *= squares <= self._reach
-        contrib = contrib.astype(np.int64)
+        contrib = self.kernel._profile_sq(squares).astype(np.int64)
         load = 0
         if n:
             load, loads = np.add.accumulate(contrib).item(-1), cfg._load[:n]

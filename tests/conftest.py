@@ -73,7 +73,7 @@ def file_on(cfg, radius, kernel=None, grid=None):
     """Switch the store to a ``CellIndex`` that keeps its loads for
     ``kernel``, a- in quanta, filed for ``radius`` on ``grid``, by default
     the grid ``CellGrid.for_radius`` picks for it, as ``build_loads`` files
-    a store past one block for the cutoff; return the index."""
+    a store past one block for the reach of a-; return the index."""
     cfg.upkeep = index = CellIndex(cfg, kernel)
     index._file(cfg, grid or CellGrid.for_radius(cfg.torus, radius), radius)
     return index

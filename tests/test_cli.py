@@ -18,7 +18,7 @@ from sbdsim import cli, geometry
 from sbdsim.cli import main
 from sbdsim.config import initial_configuration, load_config, replica_rng
 from sbdsim.dynamics import EventLog, ModelSpec, RefusedStart, Snapshot, run
-from sbdsim.geometry import Torus, load_scale, sample_poisson
+from sbdsim.geometry import Torus, load_reach, load_scale, sample_poisson
 from sbdsim.kernels import ImmigrationField, gaussian, triangular
 from sbdsim.oracles import NormBoundInput
 
@@ -224,6 +224,29 @@ def test_simulate_on_a_torus_narrower_than_a_kernel_is_usage_error(tmp_path, cap
     for command in ("certify", "verify"):
         out = tmp_path / command
         assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+
+
+def test_simulate_on_a_torus_within_twice_the_reach_of_a_minus_is_usage_error(
+    tmp_path, capsys
+):
+    # the competition_1d model on a side of 6.5: it holds twice either
+    # kernel's cutoff, about 3.23, but not twice a-'s reach in the store,
+    # about 3.26, out to which a pair's term is still a quantum.  simulate
+    # refuses it by the store's own rule before any replica runs
+    data = json.loads((CONFIGS / "competition_1d.json").read_text())
+    data.update(torus={"L": 6.5, "d": 1}, replicas=2)
+    data["analysis"] = {"window": {"lo": [0.0], "hi": [6.5]}}
+    cfg_path = write_config(tmp_path / "cfg.json", data)
+    model = load_config(cfg_path).model
+    reach = load_reach(model.a_minus.scaled(load_scale(model.a_minus)))
+    assert 2.0 * max(model.a_plus.cutoff_radius(), model.a_minus.cutoff_radius()) < 6.5
+    assert 6.5 < 2.0 * reach
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "torus.L" in err
+    assert f"kernel too wide for torus: reach {reach:g} > side/2 3.25" in err
+    assert not out.exists()
 
 
 def test_simulate_with_an_immigration_grid_of_other_dimension_is_usage_error(
@@ -513,11 +536,12 @@ def test_bad_initial_points_are_usage_errors(tmp_path, capsys, init, path, messa
 
 
 def test_manifest_records_each_replica_s_peak_and_truncation_budget(tmp_path):
-    # the competition_1d model, whose gaussian a- is cut off where it is
-    # still positive, on a short box and a short run: the manifest lists each
+    # the competition_1d model, whose gaussian a- is positive at its
+    # cutoff, on a short box and a short run: the manifest lists each
     # replica's peak population, recounted here from its events.csv, and
-    # a_minus.tail_sup() plus the load quantum times it, and no clamp
-    # count, since whole-quanta loads never clamp; without a- the budget
+    # the load quantum times it, and no clamp count, since whole-quanta
+    # loads never clamp.  A pair's term is trunc(a- S) at every length, so
+    # a- past its cutoff adds nothing to the budget; without a- the budget
     # is 0
     data = json.loads((CONFIGS / "competition_1d.json").read_text())
     data.update(torus={"L": 8.0, "d": 1}, replicas=2, seed=3)
@@ -541,7 +565,7 @@ def test_manifest_records_each_replica_s_peak_and_truncation_budget(tmp_path):
         "truncation_budget",
     ]
     a_minus = load_config(CONFIGS / "competition_1d.json").model.a_minus
-    per_pair = a_minus.tail_sup() + 1.0 / load_scale(a_minus)
+    per_pair = 1.0 / load_scale(a_minus)
     assert a_minus.tail_sup() > 0.0 and 0.0 < 1.0 / load_scale(a_minus) <= 2.0**-30
     for i, peak in enumerate(manifest["peak_population"]):
         parsed = load_config(path)
@@ -554,6 +578,17 @@ def test_manifest_records_each_replica_s_peak_and_truncation_budget(tmp_path):
             want = max(want, population)
         assert peak == want > start
         assert manifest["truncation_budget"][i] == per_pair * peak
+    # a table of a- that ends above 0 adds its declared tail_sup_bound
+    table = {"radii": [0.0, 0.5, 1.0], "values": [0.5, 0.3, 0.1]}
+    table.update(tail_sup_bound=0.1, tail_mass_bound=0.01)
+    data["model"]["a_minus"] = {"family": "tabulated", "params": table, "dim": 1}
+    out = tmp_path / "table"
+    path = write_config(tmp_path / "t.json", data)
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    per_pair = 1.0 / load_scale(load_config(path).model.a_minus) + 0.1
+    want = [per_pair * peak for peak in manifest["peak_population"]]
+    assert manifest["truncation_budget"] == want and min(want) > 0.1
     del data["model"]["a_minus"]
     out = tmp_path / "free"
     path = write_config(tmp_path / "f.json", data)

@@ -32,6 +32,7 @@ from sbdsim.geometry import (
     TorusConfiguration,
     Unloaded,
     Window,
+    load_reach,
     load_scale,
     sample_poisson,
 )
@@ -292,7 +293,15 @@ def first_event_store(case):
     have load 0.  "loose": the same on a side of 120, where every row has a
     load above 0, drawn against a bound 4 times the largest load.
     "loose_matrix": the "matrix" store, one of whose rows has load 0, drawn
-    against a bound 4 times the largest load."""
+    against a bound 4 times the largest load.  "plane": bolker_pacala in
+    d=2 on 60 points, a store that keeps the pair-term matrix, rows 20..29
+    in a cluster of large loads."""
+    if case == "plane":
+        a_plus, a_minus = gaussian(1.0, 0.5, 2), triangular(1.0, 1.0, 2)
+        spec = ModelSpec("bolker_pacala", a_plus=a_plus, a_minus=a_minus, m=0.5)
+        points = np.random.default_rng(43).uniform(0.0, 10.0, (60, 2))
+        points[20:30] = 5.0 + 0.05 * np.arange(10)[:, None]
+        return spec, Torus(10.0, 2), points
     a_plus, a_minus = gaussian(1.0, 0.5, 1), triangular(1.0, 1.0, 1)
     if case == "few":
         spec = ModelSpec("bolker_pacala", a_plus=a_plus, a_minus=a_minus.scaled(2.0), m=0.3)
@@ -315,14 +324,14 @@ def first_event_law(spec, torus, points):
     """The probability of each first event from ``points``, by the rates of
     the model, not through the store: a birth, (B over B + D), then the
     death of each row i, (m + L_i) over B + D.  B is n mass(a+) or the
-    integral of b; L_i is a- summed over the other points within its
-    cutoff, by a plain scan of the minimum-image distances of every pair."""
+    integral of b; L_i is a- summed over the other points, by a plain scan
+    of the minimum-image distances of every pair."""
     x = np.asarray(points, dtype=float)
     n, a_minus = len(x), spec.a_minus
     gap = np.abs(x[:, None, :] - x[None, :, :])
     gap = np.minimum(gap, torus.side - gap)
     r = np.sqrt((gap**2).sum(axis=2))
-    terms = np.where(r <= a_minus.cutoff_radius(), a_minus.profile(r), 0.0)
+    terms = a_minus.profile(r)
     np.fill_diagonal(terms, 0.0)
     if spec.variant == "migration":
         births = spec.b.integral(torus.side, torus.dim)
@@ -375,15 +384,16 @@ def consecutive_bins(expected, least=5.0):
         ("index", 20_000),
         ("loose", 20_000),
         ("loose_matrix", 20_000),
+        ("plane", 20_000),
     ],
 )
 def test_the_first_event_follows_the_rates_of_the_model(case, trials):
     # the counts of each first event, a birth or the death of each row, from
     # one store with unequal loads, against the law the rates give, by a
     # chi-square test of bins of consecutive rows, each expected 5 times or
-    # more.  A bolker_pacala birth's parent is a uniform row, and its
-    # displacement from the parent has the law of a+, 1 - mass_beyond(r) /
-    # mass below r, by a KS test
+    # more.  A bolker_pacala birth's parent is a uniform row, and the
+    # minimum-image length of its displacement from the parent has the law
+    # of a+, 1 - mass_beyond(r) / mass below r, by a KS test
     spec, torus, points = first_event_store(case)
     law = first_event_law(spec, torus, points)
     slack = 4 if case.startswith("loose") else 1
@@ -399,7 +409,9 @@ def test_the_first_event_follows_the_rates_of_the_model(case, trials):
         return
     parents = log.parents[births]
     assert stats.chisquare(np.bincount(parents, minlength=len(points))).pvalue > 1e-3
-    r = np.abs(log.positions[births, 0] - np.asarray(points)[parents, 0])
+    gap = log.positions[births] - np.asarray(points)[parents]
+    gap -= torus.side * np.round(gap / torus.side)  # the minimum image
+    r = np.sqrt((gap * gap).sum(axis=1))
     a_plus = spec.a_plus
     below = np.vectorize(lambda v: 1.0 - a_plus.mass_beyond(v) / a_plus.mass())
     assert stats.kstest(r, below).pvalue > 1e-3
@@ -583,7 +595,7 @@ def test_audit_passes_on_grids_with_self_inverse_offsets(dim, cutoff):
 def test_audited_run_gives_the_unaudited_trace(dim, weight):
     # the audit after every event recomputes the loads of a store of more
     # than one block without refiling a row, so the audited run gives the
-    # unaudited one's trace and loads, on the grid the cutoff picks
+    # unaudited one's trace and loads, on the grid a-'s reach picks
     am = gaussian(weight, 0.5, dim)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(2.0, 1.0, dim), a_minus=am, m=0.2)
     torus = Torus(8.0, dim)
@@ -594,7 +606,7 @@ def test_audited_run_gives_the_unaudited_trace(dim, weight):
         assert len(cfg) > BLOCK_ROWS
         logs.append(run(spec, cfg, t_end=0.3, rng=rng, audit_every=audit_every).events)
         loads.append(cfg.loads.copy())
-        assert cfg.upkeep.grid == CellGrid.for_radius(torus, am.cutoff_radius())
+        assert cfg.upkeep.grid == CellGrid.for_radius(torus, load_reach(am.scaled(load_scale(am))))
     audited, plain = logs
     assert len(plain) > 200 and plain.births.any() and not plain.births.all()
     for column in ("times", "births", "positions", "points", "parents"):
@@ -1170,11 +1182,14 @@ def keeps_terms(side, dim, density):
     return density * side**dim < BLOCK_ROWS
 
 
-def profiled_events(variant, dim, side, density, on_call, on_c_call=None):
-    """2000 events of the model under ``sys.setprofile``, which hands the
-    code object of every Python-level call to ``on_call`` and, if given,
-    every C function called from Python to ``on_c_call``; returns the
-    state, its log and the population after each event.
+def profiled_events(
+    variant, dim, side, density, on_call, on_c_call=None, warmup=0, events=2000
+):
+    """``events`` events of the model under ``sys.setprofile``, after
+    ``warmup`` events without it, which hands the code object of every
+    Python-level call to ``on_call`` and, if given, every C function called
+    from Python to ``on_c_call``; returns the state, its log of the profiled
+    events and the population after each of them.
 
     bolker_pacala on a side of 400 in d=1, or 20 in d=2, keeps n >
     BLOCK_ROWS, so each competition draw is by stochastic acceptance and
@@ -1182,8 +1197,12 @@ def profiled_events(variant, dim, side, density, on_call, on_c_call=None):
     block, at n ~ 100, and so does the migration model: their stores keep
     the pair-term matrix.  The migration model's immigrants come from a
     grid field.  "tabulated" is bolker_pacala in d=1 with tabulated a+ and
-    a-, above BLOCK_ROWS too."""
-    if variant == "migration":
+    a-, above BLOCK_ROWS too.  "run_bp" is the benchmark's model: gaussian
+    a+ (3, 0.5) and a- (0.5, 0.5), m = 0.5."""
+    if variant == "run_bp":
+        a_plus, a_minus = gaussian(3.0, 0.5, dim), gaussian(0.5, 0.5, dim)
+        spec = ModelSpec("bolker_pacala", a_plus=a_plus, a_minus=a_minus, m=0.5)
+    elif variant == "migration":
         spec = ModelSpec(variant, a_minus=gaussian(0.3, 0.5, 2), m=0.2, b=grid_field())
     elif variant == "tabulated":
         a_plus = tabulated([0.0, 0.5, 1.0, 2.0], [0.6, 0.5, 0.3, 0.0])  # mass 1.25
@@ -1204,17 +1223,21 @@ def profiled_events(variant, dim, side, density, on_call, on_c_call=None):
         elif event == "c_call" and on_c_call is not None:
             on_c_call(arg)
 
+    for _ in range(warmup):
+        b, d = state.total_rates()
+        state.t += rng.exponential(1.0 / (b + d))
+        state._apply_event(b, d, rng, EventLog(dim))
     sizes = []
     sys.setprofile(profile)
     try:
-        for _ in range(2000):
+        for _ in range(events):
             b, d = state.total_rates()
             state.t += rng.exponential(1.0 / (b + d))
             state._apply_event(b, d, rng, log)
             sizes.append(state.population)
     finally:
         sys.setprofile(None)
-    assert len(log) == 2000 and log.births.any() and not log.births.all()
+    assert len(log) == events and log.births.any() and not log.births.all()
     return state, log, sizes
 
 
@@ -1263,9 +1286,45 @@ def test_event_path_wraps_and_files_a_point_in_one_pass(variant, dim, side, dens
     assert called <= {"cell_stencil", "offsets", "cell_size", "rings"}
 
 
+@pytest.mark.parametrize(
+    "dim, side, regime, python_calls, c_calls",
+    [
+        (1, 20.0, PairTerms, 16.10, 16.37),
+        (1, 2000.0, CellIndex, 17.46, 28.09),
+        (2, 30.0, CellIndex, 17.75, 30.30),
+    ],
+    ids=["matrix-d1", "index-d1", "index-d2"],
+)
+def test_an_event_makes_no_more_calls_than_it_did(dim, side, regime, python_calls, c_calls):
+    # the benchmark's model at density 5: n ~ 100 on the pair-term matrix in
+    # d=1, n ~ 10^4 on the cell index in d=1 and n ~ 4.5k in d=2.  Over 5000
+    # events after 3000 of warm-up, the mean Python calls and C calls per
+    # event, as sys.setprofile sees them, loop and all, stay at or below the
+    # counts of the code that set these ceilings; a change that lowers a
+    # count lowers its ceiling with it.  Operator ufuncs, such as a -= b or
+    # a <= b, raise no profile event, so they are not counted: the counts
+    # are a proxy for the per-call overhead of an event, not all its numpy
+    # work
+    counts = Counter()
+
+    def on_call(code):
+        counts["python"] += 1
+
+    def on_c_call(fn):
+        counts["c"] += 1
+
+    state, _, sizes = profiled_events(
+        "run_bp", dim, side, 5.0, on_call, on_c_call, warmup=3000, events=5000
+    )
+    assert type(state.cfg.upkeep) is regime
+    assert (max(sizes) <= BLOCK_ROWS) == (regime is PairTerms)
+    assert counts["python"] / 5000 <= python_calls
+    assert counts["c"] / 5000 <= c_calls
+
+
 def test_a_d1_run_keeps_a_stencil_only_for_the_end_cells(monkeypatch):
     # the competition_1d model at density 5 on a side of 2000, n ~ 10^4 on
-    # 618 cells: some 2000 events query most cells, both end cells among
+    # 613 cells: some 2000 events query most cells, both end cells among
     # them, and the store keeps the stencils of the end cells alone, the
     # only ones within one ring of a grid edge
     spec = ModelSpec(
@@ -1283,8 +1342,8 @@ def test_a_d1_run_keeps_a_stencil_only_for_the_end_cells(monkeypatch):
     monkeypatch.setattr(CellIndex, "_neighbors", recorded)
     trace = run(spec, cfg, 0.033, rng)
     assert 10_000 < len(cfg) < 10_300 and 1900 < trace.n_events < 2000
-    assert cfg.upkeep.grid == CellGrid(2000.0, 1, 618) and len(queried) > 570
-    assert {0, 617} <= queried and sorted(cfg.upkeep._wrapped) == [0, 617]
+    assert cfg.upkeep.grid == CellGrid(2000.0, 1, 613) and len(queried) > 570
+    assert {0, 612} <= queried and sorted(cfg.upkeep._wrapped) == [0, 612]
 
 
 @EVENT_PATH_MODELS
@@ -1334,11 +1393,28 @@ def competition_1d_replica_0():
     return run(cfg.model, initial_configuration(cfg, rng), cfg.t_end, rng)
 
 
-def dense_d2():
+def dense_d2_store():
     am = gaussian(0.5, 0.5, 2)
     spec = ModelSpec("bolker_pacala", a_plus=triangular(3.0, 1.0, 2), a_minus=am, m=0.5)
     rng = np.random.default_rng(0)
-    return run(spec, sample_poisson(Torus(20.0, 2), 2.0, rng), 0.4, rng)
+    cfg = sample_poisson(Torus(20.0, 2), 2.0, rng)
+    return run(spec, cfg, 0.4, rng), cfg
+
+
+def dense_d2():
+    return dense_d2_store()[0]
+
+
+def floats_sha256(trace, cfg):
+    """sha256 of a run's event times and positions and of its final
+    positions, by id, as little-endian float64, and of its final loads, by
+    id, as little-endian int64 quanta."""
+    log, positions = trace.events, cfg.by_id()[1]
+    h = hashlib.sha256()
+    for col in (log.times, log.positions, positions):
+        h.update(col.astype("<f8").tobytes())
+    h.update(cfg.loads[cfg._id[: len(cfg)].argsort()].astype("<i8").tobytes())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -1378,15 +1454,42 @@ def test_a_seeded_d1_run_over_many_cells_keeps_its_floats():
     assert cfg.upkeep.grid is None and len(cfg) == 287
     trace = run(spec, cfg, 0.17, rng)
     assert cfg.upkeep.grid == CellGrid(60.0, 1, 18) and trace.n_events == 272
-    ids, positions = cfg.by_id()
-    log = trace.events
-    h = hashlib.sha256()
-    for col in (log.times, log.positions, positions):
-        h.update(col.astype("<f8").tobytes())
-    h.update(cfg.loads[cfg._id[: len(cfg)].argsort()].astype("<i8").tobytes())
-    assert len(ids) == 279
-    pin = "e0d6b4a5f87e280f727213c687bcfca1da9c895c370f6fec198ac876d13a4730"
-    assert h.hexdigest() == pin
+    assert len(cfg) == 279
+    pin = "2169dfe909bfebf4c4a77edaa70079dcba07808cd6a1f48276a44e4092352eb4"
+    assert floats_sha256(trace, cfg) == pin
+
+
+def triangular_d1():
+    spec = ModelSpec(
+        "bolker_pacala", a_plus=gaussian(3.0, 0.5, 1), a_minus=triangular(0.5, 1.0, 1), m=0.5
+    )
+    rng = np.random.default_rng(3)
+    cfg = sample_poisson(Torus(60.0, 1), 5.0, rng)
+    return run(spec, cfg, 0.17, rng), cfg
+
+
+@pytest.mark.parametrize(
+    "make, n_events, sha256",
+    [
+        (dense_d2_store, 2306, "aa18e44c9ba6a8f93443bcf2c3c0499594839f9457cf9d969ac95492b14bbeb6"),
+        (triangular_d1, 306, "bb14a02d03f88d8ee2819a6775ac64b31855be13ced00f570de75f8eae35b870"),
+    ],
+    ids=["dense_d2", "triangular_d1"],
+)
+def test_runs_whose_a_minus_floors_to_zero_by_its_cutoff_keep_their_floats(
+    make, n_events, sha256
+):
+    # two seeded runs past one block whose a- in quanta is below one quantum
+    # at its cutoff, the d=2 gaussian of dense_d2 and a triangle: the reach
+    # of their stores is within the cutoff and no term past it was ever
+    # nonzero, so their times, positions and loads are those of the store
+    # that cut every pair at the cutoff, bit for bit (pinned as for the run
+    # above, with numpy's exp on x86-64)
+    trace, cfg = make()
+    assert type(cfg.upkeep) is CellIndex and trace.n_events == n_events
+    am = cfg.upkeep.kernel
+    assert am.profile(am.cutoff_radius()) < 1.0 and cfg.upkeep.radius <= am.cutoff_radius()
+    assert floats_sha256(trace, cfg) == sha256
 
 
 def test_d1_loads_are_those_of_the_rooted_lengths(monkeypatch):
@@ -1472,7 +1575,7 @@ def bulk_and_sequential_runs(dim, side, density, t_end):
     bulk = sample_poisson(torus, density, rng_bulk)
     n = rng_seq.poisson(density * torus.volume)
     seq = TorusConfiguration(torus)
-    file_on(seq, am.cutoff_radius())
+    file_on(seq, load_reach(am.scaled(load_scale(am))))
     for x in rng_seq.uniform(0.0, torus.side, (n, dim)):
         insert_point(seq, x)
     assert len(bulk) == len(seq) > 0 and bulk.upkeep.grid is None
@@ -1501,8 +1604,9 @@ def test_bulk_initial_load_past_one_block_gives_the_sequential_trace(dim, side):
     # filed into cells from scratch when the run starts; inserting the same
     # draws one at a time into a store filed first gives the same run
     bulk, seq = bulk_and_sequential_runs(dim, side, 2.0, 0.4)
-    cutoff = gaussian(0.5, 0.2, dim).cutoff_radius()
-    assert bulk.upkeep.grid == seq.upkeep.grid == CellGrid.for_radius(bulk.torus, cutoff)
+    am = gaussian(0.5, 0.2, dim)
+    reach = load_reach(am.scaled(load_scale(am)))
+    assert bulk.upkeep.grid == seq.upkeep.grid == CellGrid.for_radius(bulk.torus, reach)
 
 
 # -- event log -----------------------------------------------------------------------

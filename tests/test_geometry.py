@@ -33,12 +33,14 @@ from sbdsim.geometry import (
     _min_image_squares,
     _pair_sums,
     cell_runs,
+    REACH_LEVEL,
     exact_reach,
+    load_reach,
     load_scale,
     periodic_pairs,
     sample_poisson,
 )
-from sbdsim.kernels import gaussian, triangular
+from sbdsim.kernels import exponential, gaussian, tabulated, triangular
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 T10_1 = Torus(10.0, 1)
@@ -61,11 +63,12 @@ def in_quanta(kernel):
 
 
 def walk_sums(cfg, kernel, grid):
-    """The store's kernel sums from one pair walk of ``grid``, which
-    ``kernel_sums`` walks only when ``CellGrid.for_radius`` picks it."""
+    """The store's kernel sums from one pair walk of ``grid`` within the
+    kernel's reach, which ``kernel_sums`` walks only when
+    ``CellGrid.for_radius`` picks it."""
     pos = cfg._pos[: len(cfg)]
     runs = cell_runs(grid.flat_cells_of(pos))
-    return _pair_sums(grid, pos, runs, kernel, kernel.cutoff_radius())
+    return _pair_sums(grid, pos, runs, kernel, load_reach(kernel))
 
 
 def min_image_square(side, x, y):
@@ -407,18 +410,18 @@ def test_periodic_pairs_equal_the_brute_force_pairs(dim, seed):
 
 
 def test_a_small_store_walks_in_one_batch(monkeypatch):
-    # 100 points in d=1 on a side of 20 with the competition_1d a- (cutoff
-    # about 3.23): 6 cells, one cutoff wide, and the zero offset and offset
+    # 100 points in d=1 on a side of 20 with the competition_1d a- (reach
+    # about 3.26): 6 cells, one reach wide, and the zero offset and offset
     # 1, whose candidates fit in PAIR_BATCH together and go to the exact
     # test as one batch
     pts = np.random.default_rng(3).uniform(0.0, 20.0, (100, 1))
     cfg = TorusConfiguration(Torus(20.0, 1), pts)
     kernel = in_quanta(gaussian(0.5, 0.5, 1))
-    file_on(cfg, kernel.cutoff_radius())
+    file_on(cfg, load_reach(kernel))
     counter = CandidateCounter(monkeypatch)
     sums = cfg.kernel_sums(kernel)
     assert cfg.upkeep.grid == CellGrid(20.0, 1, 6)
-    assert cfg.upkeep.grid.offsets(kernel.cutoff_radius()) == [0, 1, -1]
+    assert cfg.upkeep.grid.offsets(load_reach(kernel)) == [0, 1, -1]
     assert counter.batches == 1 and 0 < counter.pairs <= PAIR_BATCH
     assert sums.tolist() == brute_force_sums(cfg, kernel).tolist()
 
@@ -574,12 +577,13 @@ def test_cut_walk_keeps_pairs_at_the_radius_across_the_gap():
 @pytest.mark.parametrize("strip", [False, True], ids=["uniform", "wrap-strip"])
 def test_cut_walk_drops_candidates_beyond_reach(strip, monkeypatch):
     # a 4.5k-point store at density 5 in d=2 (8 cells of 3.75 per axis, the
-    # a- cutoff about 3.4), and points in the first and the last column of
-    # cells only, where every cut offset reaches across the wrap (filed by
-    # 8 cells of 1 per axis, which the walk is handed): the walk computes at most
-    # 65% of the uncut walk's candidates (on the 4.5k-point store, exactly
-    # 572,673 of 1,424,033, each offset cut along its own lead axis and
-    # narrowed by the gap along the later one) and keeps the same sums
+    # a- cutoff about 3.4), walked within its reach (about 3.24), and points
+    # in the first and the last column of cells only, where every cut offset
+    # reaches across the wrap (filed by 8 cells of 1 per axis, which the walk
+    # is handed): the walk computes at most 65% of the uncut walk's
+    # candidates (on the 4.5k-point store, exactly 530,412 of 1,424,033, each
+    # offset cut along its own lead axis and narrowed by the gap along the
+    # later one) and keeps the same sums
     rng = np.random.default_rng(1)
     if strip:
         torus, kernel = Torus(8.0, 2), in_quanta(triangular(1.0, 0.5, 2))
@@ -594,12 +598,12 @@ def test_cut_walk_drops_candidates_beyond_reach(strip, monkeypatch):
     counter = CandidateCounter(monkeypatch)
     sums = walk_sums(cfg, kernel, grid)
     assert grid == CellGrid(torus.side, 2, 8)
-    uncut = uncut_candidates(grid, cfg._pos[: len(cfg)], kernel.cutoff_radius())
+    uncut = uncut_candidates(grid, cfg._pos[: len(cfg)], load_reach(kernel))
     assert counter.pairs <= 0.65 * uncut
     if strip:
         assert sums.tolist() == brute_force_sums(cfg, kernel).tolist()
     else:
-        assert (counter.pairs, uncut) == (572673, 1424033)
+        assert (counter.pairs, uncut) == (530412, 1424033)
 
 
 @pytest.mark.parametrize(
@@ -609,12 +613,12 @@ def test_cut_walk_drops_candidates_beyond_reach(strip, monkeypatch):
 def test_kernel_sums_call_no_numpy_python_wrappers(dim, side, n, kernel):
     kernel = in_quanta(kernel)
     # the grid, the cell runs, the walk and the scatter: in d=2 the walk
-    # is cut (5 cells per axis, rings 1) and takes several batches per offset;
-    # in d=1 the cells are the radius plus its pad wide, 399 of them
+    # is cut (6 cells per axis, rings 1) and takes several batches per offset;
+    # in d=1 the reach is a hair below the radius, so 400 cells of 1 hold it
     pts = np.random.default_rng(60 + dim).uniform(0.0, side, (n, dim))
     cfg = TorusConfiguration(Torus(side, dim), pts)
     want = cfg.kernel_sums(kernel)  # the first call imports what it needs
-    assert CellGrid.for_radius(cfg.torus, kernel.cutoff_radius()).n == (399 if dim == 1 else 5)
+    assert CellGrid.for_radius(cfg.torus, load_reach(kernel)).n == (400 if dim == 1 else 6)
     calls = []
 
     def profile(frame, event, arg):
@@ -1664,17 +1668,15 @@ def test_kernel_sums_truncate_each_term_before_the_sum():
 
 
 def brute_force_sum(cfg, kernel, x, exclude=None):
-    """Sum of ``kernel``, in quanta, from x over every row but ``exclude``
-    within the cutoff, each term truncated to a whole quantum, by the
+    """Sum of ``kernel``, in quanta, from x over every row but ``exclude``,
+    at every length, each term truncated to a whole quantum, by the
     plain-Python scan of the squared lengths."""
-    cutoff = kernel.cutoff_radius()
     total = 0
     for row in range(len(cfg)):
         if row == exclude:
             continue
         square = min_image_square(cfg.torus.side, x, cfg._pos[row].tolist())
-        if math.sqrt(square) <= cutoff:
-            total += int(kernel._profile_sq(np.array([square]))[0])
+        total += int(kernel._profile_sq(np.array([square]))[0])
     return total
 
 
@@ -1690,13 +1692,12 @@ def brute_force_sums(cfg, kernel):
 
 def brute_force_terms(cfg, kernel):
     """Each ordered pair's ``kernel`` term in quanta by the plain-Python
-    scan, (n, n), 0 on the diagonal and past the cutoff."""
-    n, cutoff = len(cfg), kernel.cutoff_radius()
+    scan, (n, n), 0 on the diagonal, at every length."""
+    n = len(cfg)
     terms = np.zeros((n, n), dtype=np.int64)
     for a, b in combinations(range(n), 2):
         square = min_image_square(cfg.torus.side, cfg._pos[a].tolist(), cfg._pos[b].tolist())
-        if math.sqrt(square) <= cutoff:
-            terms[a, b] = terms[b, a] = int(kernel._profile_sq(np.array([square]))[0])
+        terms[a, b] = terms[b, a] = int(kernel._profile_sq(np.array([square]))[0])
     return terms
 
 
@@ -1706,7 +1707,7 @@ def test_a_store_of_one_block_keeps_its_pair_terms_until_it_passes_one_block(dim
     # scan, with no grid, and the loads, its row sums, of kernel_sums,
     # which walks the pairs without filing the store.  Births and deaths
     # keep both in step; the birth that takes it past BLOCK_ROWS rows drops
-    # the matrix and files the store for the cutoff, and it stays on the
+    # the matrix and files the store for its reach, and it stays on the
     # index as it shrinks back to one block
     rng = np.random.default_rng(dim)
     cfg = TorusConfiguration(Torus(side, dim), rng.uniform(0.0, side, (200, dim)))
@@ -1732,7 +1733,7 @@ def test_a_store_of_one_block_keeps_its_pair_terms_until_it_passes_one_block(dim
             assert cfg._remove_point(int(rng.integers(k)))[2] is None
         assert isinstance(cfg.upkeep, PairTerms) == (len(cfg) <= BLOCK_ROWS)
         check()
-    assert cfg.upkeep.grid == CellGrid.for_radius(cfg.torus, kernel.cutoff_radius())
+    assert cfg.upkeep.grid == CellGrid.for_radius(cfg.torus, load_reach(kernel))
     while len(cfg) > 240:
         assert cfg._remove_point(int(rng.integers(len(cfg))))[2] is None
         check()
@@ -1768,12 +1769,85 @@ def test_kernel_sum_matches_brute_force_many_cases():
         assert cfg.kernel_sums(k).tolist() == brute_force_sums(cfg, k).tolist()
 
 
+REACH_KERNELS = {
+    "gaussian-d1": in_quanta(gaussian(0.5, 0.5, 1)),
+    "gaussian-d2": in_quanta(gaussian(0.5, 0.5, 2)),
+    "gaussian-d3": in_quanta(gaussian(0.5, 0.5, 3)),
+    "exponential-d2": in_quanta(exponential(0.3, 0.2, 2)),
+    "triangular-d2": in_quanta(triangular(1.0, 1.0, 2)),
+    "tabulated-to-zero": in_quanta(tabulated([0.0, 0.5, 1.0], [1.0, 0.5, 0.0])),
+    "tabulated-ends-positive": in_quanta(
+        tabulated([0.0, 0.7, 1.4], [0.1, 0.05, 0.02], tail_sup_bound=0.02, tail_mass_bound=0.1)
+    ),
+    # 0 at radius 1, then 2 quanta of 2^-30 at radius 2, back to 0 at 3
+    "tabulated-rises-in-its-tail": in_quanta(
+        tabulated([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 2.0**-29, 0.0])
+    ),
+    "below-a-quantum": gaussian(0.5, 0.5, 1),  # not in quanta: no term is whole
+}
+
+
+@pytest.mark.parametrize("name", list(REACH_KERNELS))
+def test_load_reach_is_where_every_term_floors_to_zero(name):
+    # past the reach the profile in quanta stays below REACH_LEVEL, so every
+    # term there is 0, out to 100 reaches and at the next float square; a
+    # hair inside it the profile is at the level or above, so the reach is
+    # no wider than it must be.  The rising table's reach is on its last
+    # segment that reaches a quantum: 3 - REACH_LEVEL / 2
+    kernel = REACH_KERNELS[name]
+    reach = load_reach(kernel)
+    if name == "below-a-quantum":
+        assert reach == 0.0 and kernel.sup_norm() < REACH_LEVEL
+        return
+    beyond = reach * np.geomspace(1.0, 100.0, 20_001)[1:]
+    beyond = np.append(beyond * beyond, math.nextafter(exact_reach(reach), math.inf))
+    assert kernel._profile_sq(beyond).max() < REACH_LEVEL
+    inside = reach * (1.0 - 1e-12)
+    assert kernel._profile_sq(np.array([inside * inside])).item() >= REACH_LEVEL
+    if name == "tabulated-ends-positive":
+        assert reach == 1.4
+    if name == "tabulated-rises-in-its-tail":
+        assert reach == pytest.approx(3.0 - REACH_LEVEL / 2.0, rel=1e-12)
+    if name.startswith("gaussian"):  # the quantum ends short of the cutoff in d >= 2
+        assert (reach > kernel.cutoff_radius()) == name.endswith("d1")
+
+
+@pytest.mark.parametrize("far", [0, 300], ids=["matrix", "index"])
+def test_a_pair_between_the_cutoff_and_the_reach_keeps_its_quantum(far):
+    # the competition_1d a- in d=1 is cut off at about 3.2335, where it is
+    # still 1.42 quanta, and its reach is about 3.2605.  A pair 3.25 apart
+    # has a term of one quantum, which the loads of either regime hold, from
+    # the build, a birth and the kernel sums, and a death takes back.  The
+    # ``far`` points lie more than the reach from the pair
+    kernel = in_quanta(gaussian(0.5, 0.5, 1))
+    cutoff, reach, gap = kernel.cutoff_radius(), load_reach(kernel), 3.25
+    assert cutoff < gap < reach < 3.261
+    assert kernel._profile_sq(np.array([gap * gap])).astype(np.int64).tolist() == [1]
+    torus, rng = Torus(100.0, 1), np.random.default_rng(far)
+    pts = np.concatenate([[[1.0], [1.0 + gap]], rng.uniform(8.0, 92.0, (far, 1))])
+    built = TorusConfiguration(torus, pts)
+    built.build_loads(kernel)
+    grown = TorusConfiguration(torus, pts[2:])
+    grown.build_loads(kernel)
+    grown._add_point(pts[0])
+    grown._add_point(pts[1])
+    regime = CellIndex if far else PairTerms
+    for cfg in (built, grown):
+        assert type(cfg.upkeep) is regime
+        pair = [0, 1] if cfg is built else [far, far + 1]
+        assert cfg.loads[pair].tolist() == [1, 1]
+        assert cfg.loads.tolist() == cfg.kernel_sums(kernel).tolist()
+    assert grown._remove_point(far)[2] is None
+    assert grown.loads.tolist() == grown.kernel_sums(kernel).tolist()
+    assert grown.loads[row_of(grown, far + 1)] == 0
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_kernel_sums_same_on_every_cell_grid(dim):
-    # the store filed for the kernel's cutoff (about 3.3) by hand on the grid
-    # of each radius, or on the one it picks for the cutoff, and the kernel
+    # the store filed for the kernel's reach (about 3.3) by hand on the grid
+    # of each radius, or on the one it picks for the reach, and the kernel
     # sums walked on that grid: 2, 79, 15, 7 or 1 cells; on the coarser
-    # grids the cutoff ball wraps
+    # grids the ball of the reach wraps
     # round the whole grid, so cell offsets repeat modulo the grid and must
     # be visited once each
     rng = np.random.default_rng(6)
@@ -1784,8 +1858,8 @@ def test_kernel_sums_same_on_every_cell_grid(dim):
         cfg = TorusConfiguration(Torus(8.0, dim))
         for x in points:
             insert_point(cfg, x)
-        radius = grid_radius or k.cutoff_radius()
-        file_on(cfg, k.cutoff_radius(), grid=CellGrid.for_radius(cfg.torus, radius))
+        radius = grid_radius or load_reach(k)
+        file_on(cfg, load_reach(k), grid=CellGrid.for_radius(cfg.torus, radius))
         sums = walk_sums(cfg, k, cfg.upkeep.grid)
         assert cfg.upkeep.grid == CellGrid.for_radius(cfg.torus, radius)
         if expected is None:
@@ -1804,8 +1878,8 @@ def index_of(cfg):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_kernel_sums_refile_on_the_store_grid(dim):
-    # kernel_sums of a store filed by hand for its kernel's cutoff on 19
-    # cells walks the cutoff's own grid (about 3.3, so 3 cells), as a walk
+    # kernel_sums of a store filed by hand for its kernel's reach on 19
+    # cells walks the reach's own grid (about 3.3, so 3 cells), as a walk
     # of the store's grid sums, and refiles no row: the index that inserts
     # and removes left, whose cells no longer list their rows in ascending
     # order, is exactly as it was
@@ -1814,8 +1888,8 @@ def test_kernel_sums_refile_on_the_store_grid(dim):
     cfg = sample_poisson(torus, 40.0 / torus.volume, rng)
     grid = CellGrid.for_radius(torus, 0.5)
     k = in_quanta(gaussian(1.0, 0.5, dim))
-    file_on(cfg, k.cutoff_radius(), grid=grid)
-    assert cfg.upkeep.grid == grid != CellGrid.for_radius(torus, k.cutoff_radius())
+    file_on(cfg, load_reach(k), grid=grid)
+    assert cfg.upkeep.grid == grid != CellGrid.for_radius(torus, load_reach(k))
     reordered = False
     for _ in range(3):
         for x in rng.uniform(0.0, 10.0, (10, dim)):
@@ -1836,7 +1910,7 @@ def test_kernel_too_wide_rejected():
     cfg = TorusConfiguration(T10_1)
     insert_point(cfg, [5.0])
     with pytest.raises(GeometryError, match="kernel too wide"):
-        cfg.kernel_sums(gaussian(1.0, 2.0, 1))
+        cfg.kernel_sums(in_quanta(gaussian(1.0, 2.0, 1)))
 
 
 def both_stores(n, seed):

@@ -38,7 +38,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbdsim.dynamics import BlockDraws, ModelSpec, SimulationState, run
-from sbdsim.geometry import BLOCK_ROWS, LOAD_BITS, CellGrid, Torus, TorusConfiguration
+from sbdsim.geometry import (
+    BLOCK_ROWS,
+    LOAD_BITS,
+    CellGrid,
+    Torus,
+    TorusConfiguration,
+    load_reach,
+)
 from sbdsim.kernels import ImmigrationField, exponential, gaussian, tabulated, triangular
 
 
@@ -51,24 +58,21 @@ def in_quanta(a_minus):
 
 
 def fresh_loads(pos, side, kernel):
-    """Each point's load in quanta: the sum, over the others within the
-    cutoff, of ``kernel``, a- in quanta, at the squared minimum-image length,
-    summed axis by axis, each term truncated to int64."""
+    """Each point's load in quanta: the sum, over every other point, of
+    ``kernel``, a- in quanta, at the squared minimum-image length, summed
+    axis by axis, each term truncated to int64."""
     n = pos.shape[0]
-    loads = np.zeros(n, dtype=np.int64)
     if kernel is None or n < 2:
-        return loads
+        return np.zeros(n, dtype=np.int64)
     square = np.zeros((n, n))
     for axis in range(pos.shape[1]):  # one (n, n) block per axis
         d = np.abs(pos[:, axis, None] - pos[None, :, axis])
         np.minimum(d, side - d, out=d)
         d *= d
         square += d
-    kept = np.sqrt(square) <= kernel.cutoff_radius()
-    np.fill_diagonal(kept, False)
-    i, j = kept.nonzero()
-    np.add.at(loads, i, kernel._profile_sq(square[i, j]).astype(np.int64))
-    return loads
+    terms = kernel._profile_sq(square).astype(np.int64)
+    np.fill_diagonal(terms, 0)
+    return terms.sum(axis=1)
 
 
 def replay(spec, torus, start, t_end, seed, trace, states):
@@ -311,17 +315,18 @@ def test_every_model_matches_its_naive_twin(
     variant, dim, family, cells, whole, fraction, n, events, seed
 ):
     # either variant in d = 1, 2 or 3, with any a- family or none, on a
-    # side of ``cells`` cutoffs of a-, a whole number (the store files 1 to
-    # 8 cells per axis, one cutoff wide and the cutoff a float from a cell
-    # width) or not (2 to 8 cells per axis), from 0 to 300 uniform points,
-    # so that some stores pass BLOCK_ROWS, for about ``events`` events
+    # side of ``cells`` reaches of a- in the store, a whole number (the store
+    # files 1 to 8 cells per axis, one reach wide and the reach a float from
+    # a cell width) or not (2 to 8 cells per axis), from 0 to 300 uniform
+    # points, so that some stores pass BLOCK_ROWS, for about ``events`` events
     rng = np.random.default_rng(seed)
     a_minus = a_minus_of(family, dim, float(rng.uniform(0.01, 0.2)))
-    cutoff = 1.5 if a_minus is None else a_minus.cutoff_radius()
-    side = cutoff * (cells if whole or cells == 9 else cells + fraction)
+    kernel, scale = in_quanta(a_minus)
+    reach = 1.5 if a_minus is None else load_reach(kernel)
+    side = reach * (cells if whole or cells == 9 else cells + fraction)
     torus = Torus(side, dim)
     if a_minus is not None:
-        assert 1 <= CellGrid.for_radius(torus, cutoff).n <= 8
+        assert 1 <= CellGrid.for_radius(torus, reach).n <= 8
     m = float(rng.uniform(1.0, 1.5))  # at least the birth rate: no run explodes
     if variant == "migration":
         b = ImmigrationField(constant=float(rng.uniform(0.5, 2.0)) * n / torus.volume + 0.5)
@@ -332,7 +337,6 @@ def test_every_model_matches_its_naive_twin(
     start = rng.uniform(0.0, side, (n, dim))
     b0 = 0.0 if spec.b is None else spec.b.integral(side, dim)
     b0 += 0.0 if spec.a_plus is None else n * spec.a_plus.mass()
-    kernel, scale = in_quanta(a_minus)
     d0 = m * n + int(fresh_loads(torus.wrap(start), side, kernel).sum()) / scale
     t_end = events / (b0 + d0) if b0 + d0 > 0.0 else 1.0
     trace, _ = run_against_twin(spec, torus, start, t_end)
