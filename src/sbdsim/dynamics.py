@@ -44,6 +44,10 @@ reduction, but for the norm in ``uniform_direction`` that a non-gaussian a+
 draws in d >= 3: a sum is the last element of a running sum, a least load an
 argmin, and a death on the pair-term matrix updates the loads in place.  It
 reads scalars with ``.item()`` and the population off the store's row count.
+A ufunc's constant or point operand is a 0-d array, never a Python float or
+a one-element vector: the kernels and the store make theirs once, since numpy
+converts a Python float on every call (NEP 50) and broadcasts a vector of
+shape (1,) at a cost of its own.
 
 Each loop iteration draws its waiting time, exponential in the total rate B
 + D, with one ``rng.exponential``.  The event then takes, in this order:

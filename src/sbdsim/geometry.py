@@ -34,7 +34,12 @@ Python-level wrapper of ``numpy/_core/fromnumeric.py``, ``_methods.py`` or
 of an event of some tens of them.  The per-event methods make no ufunc
 reduction or ``ufunc.at`` either: a sum is the last element of a running
 sum, and a least or largest load an argmin or argmax.  They read scalars
-with ``.item()``.
+with ``.item()``.  A ufunc's constant or point operand is a 0-d array, never
+a Python float or a one-element vector: numpy converts a Python float afresh
+on every call (NEP 50), and broadcasts a vector of shape (1,) at a cost of
+its own.  The store keeps the side as a 0-d array, and the cell index its
+exact reach; in d = 1 a new point is subtracted as the 0-d view
+``x[_x_index]``, a subscript, not a call.
 """
 
 from __future__ import annotations
@@ -244,9 +249,10 @@ def exact_reach(radius: float) -> float:
     return reach
 
 
-def _min_image_squares(d: np.ndarray, side: float) -> np.ndarray:
+def _min_image_squares(d: np.ndarray, side: np.ndarray | float) -> np.ndarray:
     """Squared minimum-image lengths of the rows of ``d``, differences of
-    points in [0, side]^dim; ``d`` is overwritten.
+    points in [0, side]^dim; ``d`` is overwritten.  On the event path
+    ``side`` is the store's 0-d array.
 
     |delta| <= side along each axis, so min(|delta|, side - |delta|) is the
     minimum image along it.  The squares are summed column by column, since
@@ -646,6 +652,10 @@ class TorusConfiguration:
         self._pos[:k] = x
         self._id[:k] = np.arange(k)
         self._n = self._next_id = k
+        # the event path's operands: the side, and the subscript of a new
+        # point that gives its one coordinate as a 0-d view in d = 1
+        self._side = np.array(torus.side)
+        self._x_index = (0, ...) if torus.dim == 1 else ...
         self.upkeep: Unloaded = Unloaded()
 
     def __len__(self) -> int:
@@ -970,7 +980,7 @@ class PairTerms(Unloaded):
             index._file(cfg, CellGrid.for_radius(cfg.torus, self._radius), self._radius)
             return index.birth(cfg, position)
         x, cell = cfg._in_box(position)
-        squares = _min_image_squares(cfg._pos[:n] - x, cfg.torus.side)
+        squares = _min_image_squares(cfg._pos[:n] - x[cfg._x_index], cfg._side)
         contrib = self.kernel._profile_sq(squares).astype(np.int64)
         load = 0
         if n:
@@ -1058,7 +1068,8 @@ class CellIndex(Unloaded):
             cap = int(np.maximum.reduce(count)) + CELL_SLACK if n else 0
         slot = np.arange(n) - first.repeat(count)  # in the runs' order
         self.grid, self._wrapped = grid, {}  # cell -> its sorted stencil
-        self.radius, self._reach = radius, exact_reach(radius)
+        self.radius, self._reach = radius, np.array(exact_reach(radius))
+        self._side, self._x_index = cfg._side, cfg._x_index
         self._axis_cells, self._cell_size = grid.n, grid.cell_size
         self._buckets, self._rings = buckets, grid.rings(radius)
         self._plain = grid.plain_range(radius)
@@ -1193,12 +1204,12 @@ class CellIndex(Unloaded):
         minimum image; a stencil that wraps is kept.  Rows come in ascending
         bucket, then slot.
 
-        A plain query in d = 1 subtracts the scalar ``x.item(0)`` from one
-        slice of ``_grid_pos``, not the (1, 1) broadcast of d >= 2: at n ~
-        10^5 (the benchmark's d=1 store, 1,000 random inner points, both
-        forms interleaved in one process for 21 rounds, on a 2-core Intel
-        Xeon) it takes 3.5-3.8 us a query against 4.5-4.7 us, in two
-        runs."""
+        A plain query in d = 1 subtracts the 0-d view ``x[_x_index]`` from
+        one slice of ``_grid_pos``, neither the (1, 1) broadcast of d >= 2
+        nor the Python float ``x.item(0)``: at n ~ 10^5 (the benchmark's d=1
+        store, 1,000 random inner points, both forms interleaved in one
+        process for 21 rounds, on a 2-core Intel Xeon) the median query
+        takes 3.87 us against 4.05 us for ``x.item(0)``."""
         rings, plain = self._rings, self._plain
         last = cell % self._axis_cells  # the coordinate along the last axis
         inner, key = last in plain, ()
@@ -1219,8 +1230,8 @@ class CellIndex(Unloaded):
                 for axis in self._later_axes:
                     square += d[axis]
                 square = square.reshape(-1)
-            else:  # d = 1: one axis, a scalar subtraction
-                square = self._grid_pos[key] - x.item(0)
+            else:  # d = 1: one axis, a 0-d subtraction
+                square = self._grid_pos[key] - x[self._x_index]
                 square *= square
             rows = self._grid_rows[key]
         else:  # gather the stencil's buckets
@@ -1235,8 +1246,8 @@ class CellIndex(Unloaded):
                     stencil = sorted({c % self._buckets for c in cells})
                     stencil = self._wrapped[cell] = np.array(stencil, dtype=np.intp)
             d = self._bpos.take(stencil, axis=1).reshape(x.size, -1).T  # (slots, dim)
-            d -= x
-            square = _min_image_squares(d, self.grid.side)
+            d -= x[self._x_index]
+            square = _min_image_squares(d, self._side)
             rows = self._rows.take(stencil, axis=0)
         keep = (square <= self._reach).nonzero()[0]
         return rows.take(keep), square.take(keep)

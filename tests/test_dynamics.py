@@ -1290,7 +1290,7 @@ def test_event_path_wraps_and_files_a_point_in_one_pass(variant, dim, side, dens
     "dim, side, regime, python_calls, c_calls",
     [
         (1, 20.0, PairTerms, 16.10, 16.37),
-        (1, 2000.0, CellIndex, 17.46, 28.09),
+        (1, 2000.0, CellIndex, 17.46, 27.10),
         (2, 30.0, CellIndex, 17.75, 30.30),
     ],
     ids=["matrix-d1", "index-d1", "index-d2"],

@@ -3,8 +3,8 @@ every function, class and method the package defines has a caller, and
 every module-level UPPER_CASE constant a reader; every optional parameter
 of a function is passed by some caller; no module but ``geometry.py``
 reaches into the point store's private members, and no method of the store
-into its load regime's; and every owner the benchmark's tracer patches
-imports.
+into its load regime's; no array function of the event path holds a float
+literal; and every owner the benchmark's tracer patches imports.
 
 No linter runs on the package, so this parses each module with ``ast``.
 ``__init__.py`` is left out of the import check, since its imports are
@@ -436,6 +436,93 @@ def test_the_store_draws_a_death_one_way():
     # checks it, and no method of the store or of a regime inverts a
     # running sum
     assert second_draws((PACKAGE / "geometry.py").read_text()) == []
+
+
+# The event path's array functions, by module, as (class, function), with a
+# class of None at module level: their ufuncs take a constant as a 0-d array
+# made once, never as a float literal, which numpy converts on every call.
+EVENT_PATH_ARRAYS = {
+    "geometry.py": (
+        (None, "_min_image_squares"),
+        ("PairTerms", "birth"),
+        ("PairTerms", "death"),
+        ("CellIndex", "birth"),
+        ("CellIndex", "death"),
+        ("CellIndex", "_neighbors"),
+    ),
+    "kernels.py": tuple(
+        (family, "_profile_sq")
+        for family in ("GaussianKernel", "TriangularKernel", "ExponentialKernel", "TabulatedKernel")
+    ),
+}
+
+
+def float_literals(source: str, functions) -> list[str]:
+    """``where: value (line n)`` of each float literal in ``functions`` of
+    ``source``, (class, function) pairs, in the order of the source within
+    each, and ``where: missing`` of each that ``source`` does not define;
+    ``where`` is ``Class.function``, or the function's name at module
+    level."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defined[None, node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    defined[node.name, item.name] = item
+    found = []
+    for cls, name in functions:
+        where = f"{cls}.{name}" if cls else name
+        if (cls, name) not in defined:
+            found.append(f"{where}: missing")
+            continue
+        literals = [
+            node
+            for node in ast.walk(defined[cls, name])
+            if isinstance(node, ast.Constant) and type(node.value) is float
+        ]
+        literals.sort(key=lambda node: (node.lineno, node.col_offset))
+        found += [f"{where}: {node.value!r} (line {node.lineno})" for node in literals]
+    return found
+
+
+def test_checker_flags_a_float_literal_on_the_event_path():
+    source = (
+        "def _min_image_squares(d, side):\n"
+        "    return np.minimum(d, side - d, out=d), 2\n"
+        "class TriangularKernel:\n"
+        "    def _profile_sq(self, s):\n"
+        "        one, zero = self._operands\n"
+        "        t = np.subtract(1.0, np.sqrt(s))\n"
+        "        return np.maximum(t, -0.5 * 1e300, out=t), 'x', zero\n"
+        "    def sup_norm(self):\n"
+        "        return 2.0\n"
+        "def birth(x):\n"
+        "    return x - 1.5\n"
+    )
+    functions = [
+        (None, "_min_image_squares"),
+        ("TriangularKernel", "_profile_sq"),
+        ("TriangularKernel", "death"),
+    ]
+    assert float_literals(source, functions) == [
+        "TriangularKernel._profile_sq: 1.0 (line 6)",
+        "TriangularKernel._profile_sq: 0.5 (line 7)",
+        "TriangularKernel._profile_sq: 1e+300 (line 7)",
+        "TriangularKernel.death: missing",
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(EVENT_PATH_ARRAYS))
+def test_event_path_ufuncs_take_no_float_literal(module):
+    # numpy converts a Python float operand on every ufunc call (NEP 50):
+    # the event path's array functions read each constant as a 0-d array
+    # that a kernel or the store makes once, and subtract a new point in
+    # d = 1 as a 0-d view
+    source = (PACKAGE / module).read_text()
+    assert float_literals(source, EVENT_PATH_ARRAYS[module]) == []
 
 
 def tracer_targets() -> tuple:

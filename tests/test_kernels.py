@@ -18,6 +18,8 @@ from scipy import special, stats
 import sbdsim
 from sbdsim import kernels
 from sbdsim.config import FIELDS, KERNEL_FAMILIES
+from sbdsim.dynamics import _in_quanta
+from sbdsim.geometry import load_reach
 from sbdsim.kernels import (
     TAIL_MASS_FRACTION,
     ExponentialKernel,
@@ -291,6 +293,45 @@ def test_profile_sq_is_the_profile_of_the_root(family, dim):
         assert kernel.profile(r).tobytes() == want.tobytes()
         assert [kernel.profile(v) for v in r[:4]] == want[:4].tolist()
     assert want[0] == want[1] == want[2] == kernel.sup_norm() and want[3] == 0.0
+
+
+PYTHON_FLOAT_FORMS = {  # each family's _profile_sq, its constants Python floats
+    "gaussian": lambda k, s: k._peak * np.exp(s / -(2.0 * k.sigma**2)),
+    "triangular": lambda k, s: k.height * np.maximum(1.0 - np.sqrt(s) / k.radius, 0.0),
+    "exponential": lambda k, s: k._peak * np.exp(np.sqrt(s) / -k.scale),
+    "tabulated": lambda k, s: np.interp(np.sqrt(s), k.radii, k.values, right=0.0),
+}
+
+
+@pytest.mark.parametrize("quanta", [False, True], ids=["kernel", "in-quanta"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", ["gaussian", "triangular", "exponential", "tabulated"])
+def test_profile_sq_reads_0d_constants_to_the_floats_of_python_ones(family, dim, quanta):
+    # _profile_sq hands its ufuncs 0-d arrays made once, in place of the
+    # Python floats numpy would convert on every call: the same IEEE
+    # operations in the same order, so the same floats, bit for bit, at 0,
+    # the least subnormal, far out, +inf, and a ulp either side of the
+    # squares of the cutoff and of the store's reach, for the kernel and
+    # for a- in quanta as the store sees it
+    kernel = {
+        "gaussian": gaussian(1.5, 0.7, dim),
+        "triangular": triangular(2.0, 1.3, dim),
+        "exponential": exponential(0.8, 0.4, dim),
+        "tabulated": tabulated(*triangle_table(11), dim=dim),
+    }[family]
+    if quanta:
+        kernel = _in_quanta(kernel)[0]
+    squares = [0.0, 5e-324, 1e300, math.inf]
+    for r in (kernel.cutoff_radius(), load_reach(kernel)):
+        square = r * r
+        squares += [math.nextafter(square, 0.0), square, math.nextafter(square, math.inf)]
+    s = np.array(squares)
+    want = PYTHON_FLOAT_FORMS[family](kernel, s)
+    assert kernel._profile_sq(s).tobytes() == want.tobytes()
+    assert want[0] == kernel.sup_norm() and want[3] == 0.0
+    for operand in kernel._operands:
+        assert operand.shape == () and operand.dtype == float
+        assert not operand.flags.writeable
 
 
 def test_evaluate_beyond_support():
